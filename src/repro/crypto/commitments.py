@@ -17,7 +17,7 @@ import secrets
 from dataclasses import dataclass
 
 from .keccak import keccak256
-from .secp256k1 import N, Point, generator_mul, lift_x, point_add, point_mul
+from .secp256k1 import N, Point, double_scalar_mul, lift_x, point_add
 
 __all__ = ["PedersenCommitment", "commit", "H_POINT"]
 
@@ -52,10 +52,7 @@ class PedersenCommitment:
 
     def verify(self, value: int, blinding: int) -> bool:
         """Check that this commitment opens to (value, blinding)."""
-        expected = point_add(
-            generator_mul(value % N), point_mul(blinding % N, H_POINT)
-        )
-        return expected == self.point
+        return double_scalar_mul(value, blinding, H_POINT) == self.point
 
     def __add__(self, other: "PedersenCommitment") -> "PedersenCommitment":
         """Homomorphic addition: commit(a,r) + commit(b,s) = commit(a+b, r+s)."""
@@ -66,7 +63,4 @@ def commit(value: int, blinding: int | None = None) -> tuple[PedersenCommitment,
     """Commit to ``value``; returns (commitment, blinding factor)."""
     if blinding is None:
         blinding = secrets.randbelow(N - 1) + 1
-    point = point_add(
-        generator_mul(value % N), point_mul(blinding % N, H_POINT)
-    )
-    return PedersenCommitment(point), blinding
+    return PedersenCommitment(double_scalar_mul(value, blinding, H_POINT)), blinding

@@ -10,6 +10,15 @@ We enforce the low-``s`` rule (EIP-2): signatures with ``s > N/2`` are never
 produced and are rejected on verification, which removes signature
 malleability — important here because signed cumulative payment amounts act
 as money.
+
+Cost, in :mod:`.secp256k1` terms: ``sign`` is one fixed-base ``generator_mul``
+(at most 32 mixed additions) and one scalar inversion; ``recover`` and
+``verify`` are each one ``double_scalar_mul`` — ``recover`` as
+``Q = (-z/r)*G + (s/r)*R``, ``verify`` as ``(z/s)*G + (r/s)*Q`` — plus one
+scalar inversion, and ``recover`` pays a field square root to lift ``r`` to
+``R``.  Like the curve code this is variable-time: the fixed-base table is
+indexed by the bytes of the secret nonce, so it is not hardened against timing
+or cache side channels.
 """
 
 from __future__ import annotations
@@ -18,16 +27,7 @@ import hashlib
 import hmac
 from typing import NamedTuple
 
-from .secp256k1 import (
-    INFINITY,
-    N,
-    Point,
-    generator_mul,
-    is_on_curve,
-    lift_x,
-    point_add,
-    point_mul,
-)
+from .secp256k1 import N, Point, double_scalar_mul, generator_mul, is_on_curve, lift_x
 
 __all__ = ["Signature", "sign", "verify", "recover", "SignatureError"]
 
@@ -104,7 +104,7 @@ def sign(msg_hash: bytes, secret: int) -> Signature:
         if r == 0:
             msg_hash = hashlib.sha256(msg_hash).digest()  # retry with derived hash
             continue
-        k_inv = pow(k, N - 2, N)
+        k_inv = pow(k, -1, N)
         s = (k_inv * (z + r * secret)) % N
         if s == 0:
             msg_hash = hashlib.sha256(msg_hash).digest()
@@ -132,28 +132,30 @@ def recover(msg_hash: bytes, signature: Signature) -> Point:
     if point_r is None:
         raise SignatureError("signature r does not correspond to a curve point")
     z = int.from_bytes(msg_hash, "big")
-    r_inv = pow(r, N - 2, N)
-    # Q = r^-1 * (s*R - z*G)
-    s_r = point_mul(s, point_r)
-    z_g = generator_mul(N - (z % N))
-    public = point_mul(r_inv, point_add(s_r, z_g))
+    r_inv = pow(r, -1, N)
+    # Q = r^-1 * (s*R - z*G) = (-z/r)*G + (s/r)*R
+    public = double_scalar_mul(-z * r_inv, s * r_inv, point_r)
     if public.is_infinity or not is_on_curve(public):
         raise SignatureError("recovered point is not a valid public key")
     return public
 
 
 def verify(msg_hash: bytes, signature: Signature, public_key: Point) -> bool:
-    """Return True iff ``signature`` over ``msg_hash`` was made by ``public_key``."""
+    """Return True iff ``signature`` over ``msg_hash`` was made by ``public_key``.
+
+    Never raises: a digest that is not 32 bytes, a malformed signature, or a
+    key that is infinity or not a curve point simply does not verify.
+    """
+    if len(msg_hash) != 32 or public_key.is_infinity or not is_on_curve(public_key):
+        return False
     try:
         signature.validate()
     except SignatureError:
         return False
     r, s, _ = signature
     z = int.from_bytes(msg_hash, "big")
-    s_inv = pow(s, N - 2, N)
-    u1 = (z * s_inv) % N
-    u2 = (r * s_inv) % N
-    point = point_add(generator_mul(u1), point_mul(u2, public_key))
-    if point is INFINITY or point.is_infinity:
+    s_inv = pow(s, -1, N)
+    point = double_scalar_mul(z * s_inv, r * s_inv, public_key)
+    if point.is_infinity:
         return False
     return point.x % N == r

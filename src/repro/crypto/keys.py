@@ -15,7 +15,7 @@ import secrets
 from . import ecdsa
 from .ecdsa import Signature
 from .keccak import keccak256
-from .secp256k1 import N, Point, generator_mul
+from .secp256k1 import N, Point, generator_mul, is_on_curve
 
 __all__ = ["Address", "PrivateKey", "PublicKey", "recover_address"]
 
@@ -78,12 +78,15 @@ class Address:
 class PublicKey:
     """A secp256k1 public key with Ethereum address derivation."""
 
-    __slots__ = ("_point",)
+    __slots__ = ("_point", "_address")
 
     def __init__(self, point: Point) -> None:
         if point.is_infinity:
             raise ValueError("public key cannot be the point at infinity")
+        if not is_on_curve(point):
+            raise ValueError("public key is not a point on secp256k1")
         self._point = point
+        self._address: Address | None = None
 
     @property
     def point(self) -> Point:
@@ -103,7 +106,9 @@ class PublicKey:
 
     @property
     def address(self) -> Address:
-        return Address(keccak256(self.to_bytes()[1:])[-20:])
+        if self._address is None:
+            self._address = Address(keccak256(self.to_bytes()[1:])[-20:])
+        return self._address
 
     def verify(self, msg_hash: bytes, signature: Signature) -> bool:
         return ecdsa.verify(msg_hash, signature, self._point)

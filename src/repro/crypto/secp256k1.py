@@ -3,12 +3,21 @@
 This is the curve used by Ethereum (and Bitcoin) for transaction and message
 signatures.  We implement:
 
-* field arithmetic modulo the curve prime ``P``,
-* point addition/doubling in Jacobian coordinates (fast: no per-step field
-  inversions),
-* scalar multiplication (double-and-add for arbitrary points, a precomputed
-  fixed-base table for the generator ``G`` so that signing — which always
-  multiplies ``G`` — costs only point additions).
+* field arithmetic modulo the curve prime ``P`` (inverses are ``pow(x, -1, P)``),
+* point addition/doubling in Jacobian coordinates, plus the cheaper *mixed*
+  addition of an affine point — every table below is stored affine, each
+  batch normalised with a single field inversion (Montgomery's trick),
+* ``generator_mul``: a fixed-base table of ``j * 2^(8i) * G`` built at import,
+  so a multiple of ``G`` is at most 32 mixed additions and no doubling,
+* ``point_mul``: width-5 wNAF over the odd multiples ``Q, 3Q, ..., 15Q`` —
+  256 doublings and about 43 mixed additions, negative digits for free,
+* ``double_scalar_mul``: ``u1*G + u2*Q`` accumulated into one Jacobian point
+  and converted to affine once; ECDSA ``recover`` and ``verify`` are this.
+
+Nothing here is constant-time: the tables are indexed by, and the branches
+taken on, the bits of the scalar — including the secret ECDSA nonce.  That is
+inherent to big-int arithmetic in pure Python; do not sign where an attacker
+can time you.
 
 Only what ECDSA needs is exposed; this is not a general-purpose EC library.
 """
@@ -20,7 +29,8 @@ from typing import NamedTuple
 __all__ = [
     "P", "N", "Gx", "Gy", "B",
     "Point", "INFINITY",
-    "point_add", "point_mul", "generator_mul", "lift_x", "is_on_curve",
+    "point_add", "point_mul", "generator_mul", "double_scalar_mul",
+    "lift_x", "is_on_curve",
 ]
 
 # Curve parameters: y^2 = x^3 + 7 over GF(P).
@@ -30,6 +40,11 @@ A = 0
 B = 7
 Gx = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 Gy = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
+
+# Window widths: one byte of the scalar per fixed-base table row, and 5-bit
+# wNAF digits (8 odd multiples) for an arbitrary point.
+_G_WINDOW = 8
+_WNAF_WIDTH = 5
 
 
 class Point(NamedTuple):
@@ -52,11 +67,11 @@ _J_INFINITY: _JacPoint = (0, 1, 0)
 
 
 def is_on_curve(point: Point) -> bool:
-    """Return True iff ``point`` satisfies the curve equation (or is infinity)."""
+    """Return True iff ``point`` is infinity or a reduced solution of the curve equation."""
     if point.is_infinity:
         return True
     x, y = point.x, point.y
-    return (y * y - (x * x * x + B)) % P == 0
+    return 0 <= x < P and 0 <= y < P and (y * y - (x * x * x + B)) % P == 0
 
 
 def _to_jacobian(point: Point) -> _JacPoint:
@@ -69,9 +84,27 @@ def _from_jacobian(jac: _JacPoint) -> Point:
     x, y, z = jac
     if z == 0:
         return INFINITY
-    z_inv = pow(z, P - 2, P)
+    z_inv = pow(z, -1, P)
     z_inv2 = (z_inv * z_inv) % P
     return Point((x * z_inv2) % P, (y * z_inv2 * z_inv) % P)
+
+
+def _batch_to_affine(points: list[_JacPoint]) -> list[tuple[int, int]]:
+    """Normalise finite Jacobian points with one inversion (Montgomery's trick)."""
+    prefixes = []
+    product = 1
+    for _, _, z in points:
+        prefixes.append(product)
+        product = (product * z) % P
+    inverse = pow(product, -1, P)  # of z_0 * ... * z_i, walking i downwards
+    affine = []
+    for (x, y, z), prefix in zip(reversed(points), reversed(prefixes)):
+        z_inv = (inverse * prefix) % P
+        inverse = (inverse * z) % P
+        z_inv2 = (z_inv * z_inv) % P
+        affine.append(((x * z_inv2) % P, (y * z_inv2 * z_inv) % P))
+    affine.reverse()
+    return affine
 
 
 def _jacobian_double(point: _JacPoint) -> _JacPoint:
@@ -115,54 +148,123 @@ def _jacobian_add(p1: _JacPoint, p2: _JacPoint) -> _JacPoint:
     return (nx, ny, nz)
 
 
+def _jacobian_add_affine(p1: _JacPoint, x2: int, y2: int) -> _JacPoint:
+    """Mixed addition: ``p1`` plus the finite affine point ``(x2, y2)`` (Z2 = 1)."""
+    x1, y1, z1 = p1
+    if z1 == 0:
+        return (x2, y2, 1)
+    z1sq = (z1 * z1) % P
+    u2 = (x2 * z1sq) % P
+    s2 = (y2 * z1sq * z1) % P
+    if x1 == u2:
+        if y1 != s2:
+            return _J_INFINITY
+        return _jacobian_double(p1)
+    h = u2 - x1
+    r = s2 - y1
+    hsq = (h * h) % P
+    hcu = (hsq * h) % P
+    x1hsq = (x1 * hsq) % P
+    nx = (r * r - hcu - 2 * x1hsq) % P
+    ny = (r * (x1hsq - nx) - y1 * hcu) % P
+    nz = (h * z1) % P
+    return (nx, ny, nz)
+
+
 def point_add(p1: Point, p2: Point) -> Point:
     """Add two affine points."""
     return _from_jacobian(_jacobian_add(_to_jacobian(p1), _to_jacobian(p2)))
 
 
-def point_mul(scalar: int, point: Point) -> Point:
-    """Multiply an arbitrary affine ``point`` by ``scalar`` (double-and-add)."""
-    scalar %= N
+def _wnaf_mul(scalar: int, point: Point) -> _JacPoint:
+    """``scalar * point`` in Jacobian form; ``0 <= scalar < N``, ``point`` on the curve."""
     if scalar == 0 or point.is_infinity:
-        return INFINITY
-    result = _J_INFINITY
-    addend = _to_jacobian(point)
+        return _J_INFINITY
+    # Odd multiples Q, 3Q, ..., (2^(w-1) - 1)Q: finite because Q has prime order N.
+    base = _to_jacobian(point)
+    twice = _jacobian_double(base)
+    odd = [base]
+    for _ in range((1 << (_WNAF_WIDTH - 2)) - 1):
+        odd.append(_jacobian_add(odd[-1], twice))
+    table = _batch_to_affine(odd)
+    # Signed digits, least significant first: each nonzero digit is odd, lies in
+    # (-2^(w-1), 2^(w-1)) and is followed by at least w - 1 zeros.
+    digits = []
     while scalar:
+        digit = 0
         if scalar & 1:
-            result = _jacobian_add(result, addend)
-        addend = _jacobian_double(addend)
+            digit = scalar & ((1 << _WNAF_WIDTH) - 1)
+            if digit >> (_WNAF_WIDTH - 1):
+                digit -= 1 << _WNAF_WIDTH
+            scalar -= digit
+        digits.append(digit)
         scalar >>= 1
-    return _from_jacobian(result)
+    result = _J_INFINITY
+    for digit in reversed(digits):
+        result = _jacobian_double(result)
+        if digit > 0:
+            x, y = table[digit >> 1]
+            result = _jacobian_add_affine(result, x, y)
+        elif digit < 0:
+            x, y = table[-digit >> 1]
+            result = _jacobian_add_affine(result, x, P - y)
+    return result
 
 
-# Fixed-base table: _G_TABLE[i] = 2^i * G in Jacobian coordinates.  Signing
-# multiplies G by a fresh nonce on every call; with this table the loop needs
-# only ~128 point additions on average instead of 256 doublings + additions.
-def _build_generator_table() -> list[_JacPoint]:
+def point_mul(scalar: int, point: Point) -> Point:
+    """Multiply an affine curve ``point`` by ``scalar`` (width-5 wNAF)."""
+    if not is_on_curve(point):
+        raise ValueError("point is not on the curve")
+    return _from_jacobian(_wnaf_mul(scalar % N, point))
+
+
+# Fixed-base table: _G_TABLE[i][j - 1] = j * 2^(8i) * G as affine (x, y), for
+# each window position i and window value j = 1..255 (~1.5 MB, built in
+# ~0.1 s).  Rows are normalised one at a time so that import never holds more
+# than one row of Jacobian intermediates.
+def _build_generator_table() -> list[list[tuple[int, int]]]:
     table = []
-    current = _to_jacobian(G)
-    for _ in range(256):
-        table.append(current)
-        current = _jacobian_double(current)
+    base = _to_jacobian(G)
+    for _ in range(256 // _G_WINDOW):
+        row = [base]
+        for _ in range((1 << _G_WINDOW) - 2):
+            row.append(_jacobian_add(row[-1], base))
+        table.append(_batch_to_affine(row))
+        base = _jacobian_add(row[-1], base)  # 2^w times this row's base
     return table
 
 
 _G_TABLE = _build_generator_table()
 
 
+def _generator_mul_add(scalar: int, start: _JacPoint) -> _JacPoint:
+    """``start + scalar * G`` in Jacobian form; ``0 <= scalar < 2^256``."""
+    result = start
+    mask = (1 << _G_WINDOW) - 1
+    for row in _G_TABLE:
+        window = scalar & mask
+        if window:
+            x, y = row[window - 1]
+            result = _jacobian_add_affine(result, x, y)
+        scalar >>= _G_WINDOW
+    return result
+
+
 def generator_mul(scalar: int) -> Point:
     """Multiply the generator ``G`` by ``scalar`` using the fixed-base table."""
-    scalar %= N
-    if scalar == 0:
-        return INFINITY
-    result = _J_INFINITY
-    bit = 0
-    while scalar:
-        if scalar & 1:
-            result = _jacobian_add(result, _G_TABLE[bit])
-        scalar >>= 1
-        bit += 1
-    return _from_jacobian(result)
+    return _from_jacobian(_generator_mul_add(scalar % N, _J_INFINITY))
+
+
+def double_scalar_mul(u1: int, u2: int, point: Point) -> Point:
+    """Return ``u1 * G + u2 * point`` for an affine curve ``point``.
+
+    The wNAF ladder for ``u2 * point`` runs first and the fixed-base additions
+    for ``u1 * G`` continue on the same Jacobian accumulator, so the sum costs
+    no extra point addition and a single conversion to affine.
+    """
+    if not is_on_curve(point):
+        raise ValueError("point is not on the curve")
+    return _from_jacobian(_generator_mul_add(u1 % N, _wnaf_mul(u2 % N, point)))
 
 
 def lift_x(x: int, odd_y: bool) -> Point | None:

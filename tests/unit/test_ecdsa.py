@@ -1,11 +1,14 @@
 """Recoverable ECDSA: signing, verification, recovery, malleability."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.crypto import keccak256
 from repro.crypto.ecdsa import Signature, SignatureError, recover, sign, verify
-from repro.crypto.keys import PrivateKey, recover_address
-from repro.crypto.secp256k1 import N
+from repro.crypto.keys import PrivateKey, PublicKey, recover_address
+from repro.crypto.secp256k1 import INFINITY, N, P, Gx, Gy, Point
 
 MSG = keccak256(b"a message to sign")
 KEY = PrivateKey.from_seed("ecdsa-test")
@@ -40,6 +43,20 @@ class TestSignVerify:
             sign(MSG, 0)
         with pytest.raises(SignatureError):
             sign(MSG, N)
+
+    @pytest.mark.parametrize("digest", [b"", b"short", MSG + b"\x00", MSG[:31]])
+    def test_verify_is_false_for_a_digest_that_is_not_32_bytes(self, digest):
+        signature = sign(MSG, KEY.secret)
+        assert verify(digest, signature, KEY.public_key.point) is False
+
+    @pytest.mark.parametrize("point", [
+        INFINITY,
+        Point(Gx, Gy + 1),
+        Point(Gx + P, Gy),
+        Point(KEY.public_key.point.x, KEY.public_key.point.y + P),
+    ])
+    def test_verify_is_false_for_a_point_that_is_not_a_key(self, point):
+        assert verify(MSG, sign(MSG, KEY.secret), point) is False
 
 
 class TestRecovery:
@@ -114,3 +131,33 @@ class TestSerialization:
             assert recovered != KEY.address
         except SignatureError:
             pass  # also acceptable: flip makes recovery impossible
+
+
+VECTORS = json.loads(
+    (Path(__file__).parent.parent / "data" / "ecdsa_vectors.json").read_text()
+)["vectors"]
+
+
+class TestGoldenVectors:
+    """Signatures are wire bytes: a faster curve may not move a single bit."""
+
+    def test_covers_the_edge_inputs(self):
+        assert len(VECTORS) >= 16
+        secrets = {int(v["secret"], 16) for v in VECTORS}
+        assert {1, N - 1} <= secrets
+        digests = [int(v["digest"], 16) for v in VECTORS]
+        assert any(d % N == 0 and d for d in digests) and 0 in digests
+
+    @pytest.mark.parametrize("vector", VECTORS, ids=lambda v: v["address"][:10])
+    def test_sign_recover_verify_reproduce(self, vector):
+        secret = int(vector["secret"], 16)
+        digest = bytes.fromhex(vector["digest"])
+        expected = bytes.fromhex(vector["signature"])
+        public = PublicKey.from_bytes(bytes.fromhex(vector["public_key"]))
+
+        assert sign(digest, secret).to_bytes() == expected
+        signature = Signature.from_bytes(expected)
+        assert recover(digest, signature) == public.point
+        assert verify(digest, signature, public.point)
+        assert recover_address(digest, signature).hex() == vector["address"]
+        assert PrivateKey(secret).address.hex() == vector["address"]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.crypto import keccak256
 from repro.crypto.keys import Address, PrivateKey, PublicKey
+from repro.crypto.secp256k1 import INFINITY, P, Gx, Gy, Point
 
 # Canonical Ethereum vectors: addresses of private keys 1 and 2.
 KEY1_ADDRESS = "0x7E5F4552091A69125d5DfCb7b8C2659029395Bdf"
@@ -65,6 +66,32 @@ class TestPublicKey:
         key = PrivateKey.from_seed("verify")
         digest = keccak256(b"payload")
         assert key.public_key.verify(digest, key.sign(digest))
+
+    @pytest.mark.parametrize("point", [
+        INFINITY,
+        Point(Gx, Gy + 1),      # off the curve
+        Point(Gx + P, Gy),      # on the curve only modulo P
+        Point(Gx, Gy - P),
+        Point(0, 0),
+    ])
+    def test_rejects_points_that_are_not_keys(self, point):
+        with pytest.raises(ValueError):
+            PublicKey(point)
+
+    def test_from_bytes_rejects_off_curve_and_unreduced(self):
+        off_curve = b"\x04" + Gx.to_bytes(32, "big") + (Gy + 1).to_bytes(32, "big")
+        with pytest.raises(ValueError):
+            PublicKey.from_bytes(off_curve)
+        unreduced = b"\x04" + b"\xff" * 32 + Gy.to_bytes(32, "big")
+        with pytest.raises(ValueError):
+            PublicKey.from_bytes(unreduced)
+
+    def test_address_is_computed_once(self):
+        public = PrivateKey.from_seed("memo").public_key
+        assert public.address is public.address
+        assert PrivateKey.from_seed("memo").address == public.address
+        twin = PublicKey.from_bytes(public.to_bytes())
+        assert twin == public and hash(twin) == hash(public)
 
 
 class TestPrivateKey:
