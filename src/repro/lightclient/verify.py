@@ -18,7 +18,7 @@ from ..chain.transaction import Transaction
 from ..crypto import keccak256
 from ..crypto.keys import Address
 from ..rlp import codec as rlp
-from ..trie.proof import ProofError, verify_proof
+from ..trie.proof import ProofError, ProofIndex, verify_proof
 
 __all__ = [
     "verify_account",
@@ -34,7 +34,7 @@ def verify_account(header: BlockHeader, address: Address,
     """Prove an account's record (or its absence) under the header's state
     root.  Returns None for a proven-absent account; raises
     :class:`ProofError` when the proof does not authenticate."""
-    raw = verify_proof(header.state_root, keccak256(address.to_bytes()), list(proof))
+    raw = verify_proof(header.state_root, keccak256(address.to_bytes()), proof)
     if raw is None:
         return None
     return Account.decode(raw)
@@ -51,10 +51,11 @@ def verify_storage_slot(header: BlockHeader, address: Address, slot: bytes,
                         proof: Sequence[bytes]) -> bytes:
     """Prove a storage slot value (b'' when vacant) through the account's
     storage root.  ``proof`` holds the account and storage nodes together."""
+    proof = ProofIndex.of(proof)  # both walks share one
     account = verify_account(header, address, proof)
     if account is None:
         return b""
-    raw = verify_proof(account.storage_root, keccak256(slot), list(proof))
+    raw = verify_proof(account.storage_root, keccak256(slot), proof)
     if raw is None:
         return b""
     value = rlp.decode(raw)
@@ -66,7 +67,7 @@ def verify_storage_slot(header: BlockHeader, address: Address, slot: bytes,
 def verify_transaction_at(header: BlockHeader, index: int,
                           proof: Sequence[bytes]) -> Optional[Transaction]:
     """Prove the transaction at ``index`` in the header's block."""
-    raw = verify_proof(header.transactions_root, index_key(index), list(proof))
+    raw = verify_proof(header.transactions_root, index_key(index), proof)
     if raw is None:
         return None
     return Transaction.decode(raw)
@@ -75,7 +76,7 @@ def verify_transaction_at(header: BlockHeader, index: int,
 def verify_receipt_at(header: BlockHeader, index: int,
                       proof: Sequence[bytes]) -> Optional[Receipt]:
     """Prove the receipt at ``index`` in the header's block."""
-    raw = verify_proof(header.receipts_root, index_key(index), list(proof))
+    raw = verify_proof(header.receipts_root, index_key(index), proof)
     if raw is None:
         return None
     return Receipt.decode(raw)

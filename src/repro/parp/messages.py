@@ -24,11 +24,13 @@ decoding, mirroring ``decodeResponse`` in Algorithm 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Optional, Sequence
 
 from ..crypto import Signature, SignatureError, keccak256, recover_address
 from ..crypto.keys import Address, PrivateKey
 from ..rlp import codec as rlp
+from ..trie.proof import ProofIndex
 from .constants import (
     ALPHA_BYTES,
     AMOUNT_BYTES,
@@ -787,18 +789,24 @@ class BatchResponse:
 
     # -- per-item view ------------------------------------------------------ #
 
+    @cached_property
+    def proof_index(self) -> ProofIndex:
+        """The shared pool, every node hashed once for all the items."""
+        return ProofIndex(self.proof)
+
     def item_view(self, index: int) -> PARPResponse:
         """Item ``index`` shaped as a single response over the shared pool.
 
         This is what lets the client (and any future on-chain batch FDM)
         reuse the per-method verifiers of :mod:`repro.parp.queries`
         unchanged: each item verifies against the same deduplicated node
-        pool that authenticated every other item.
+        pool that authenticated every other item — handed over as the one
+        :attr:`proof_index`, so N items cost one hash per pool node, not N.
         """
         return PARPResponse(
             status=self.statuses[index], m_b=self.m_b, a=self.a,
-            result=self.results[index], proof=self.proof, h_req=self.h_req,
-            sig_req=self.sig_req, sig_res=self.sig_res,
+            result=self.results[index], proof=self.proof_index,
+            h_req=self.h_req, sig_req=self.sig_req, sig_res=self.sig_res,
         )
 
     def __len__(self) -> int:

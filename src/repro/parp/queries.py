@@ -34,7 +34,7 @@ from ..chain.header import BlockHeader
 from ..chain.state import StateDB
 from ..crypto import keccak256
 from ..rlp import codec as rlp
-from ..trie.proof import ProofError, verify_proof
+from ..trie.proof import ProofError, ProofIndex, verify_proof
 from .messages import MessageError, PARPResponse, RpcCall
 
 __all__ = [
@@ -121,7 +121,7 @@ def _verify_get_balance(call: RpcCall, response: PARPResponse,
         raise Unverifiable(f"no header for block {response.m_b}")
     try:
         proven = verify_proof(
-            header.state_root, keccak256(address_raw), list(response.proof)
+            header.state_root, keccak256(address_raw), response.proof
         )
     except ProofError as exc:
         raise QueryFraud(f"account proof does not verify: {exc}") from exc
@@ -166,7 +166,7 @@ def _verify_get_storage(call: RpcCall, response: PARPResponse,
         raise Unverifiable(f"no header for block {response.m_b}")
     payload = _decode_pair(response.result, "getStorageAt result")
     claimed_value, claimed_account = payload
-    proof = list(response.proof)
+    proof = ProofIndex.of(response.proof)  # both walks share one
     try:
         proven_account = verify_proof(
             header.state_root, keccak256(address_raw), proof
@@ -223,7 +223,7 @@ def _verify_get_tx_by_index(call: RpcCall, response: PARPResponse,
         raise Unverifiable(f"no header for block {number}")
     try:
         proven = verify_proof(
-            header.transactions_root, index_key(index), list(response.proof)
+            header.transactions_root, index_key(index), response.proof
         )
     except ProofError as exc:
         raise QueryFraud(f"transaction proof does not verify: {exc}") from exc
@@ -272,7 +272,7 @@ def _verify_send_raw_tx(call: RpcCall, response: PARPResponse,
         raise Unverifiable(f"no header for block {number}")
     try:
         proven = verify_proof(
-            header.transactions_root, index_key(index), list(response.proof)
+            header.transactions_root, index_key(index), response.proof
         )
     except ProofError as exc:
         raise QueryFraud(f"inclusion proof does not verify: {exc}") from exc
@@ -312,7 +312,7 @@ def _verify_get_receipt(call: RpcCall, response: PARPResponse,
     header = get_header(number)
     if header is None:
         raise Unverifiable(f"no header for block {number}")
-    proof = list(response.proof)
+    proof = ProofIndex.of(response.proof)  # both walks share one
     try:
         proven_tx = verify_proof(header.transactions_root, index_key(index), proof)
     except ProofError as exc:

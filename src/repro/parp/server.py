@@ -702,9 +702,8 @@ class FullNodeServer:
             statuses.append(status)
             results.append(result)
             for node in proof:  # shared-node dedup: the multiproof
-                node_hash = keccak256(node)
-                if node_hash not in seen:
-                    seen.add(node_hash)
+                if node not in seen:
+                    seen.add(node)
                     pool.append(node)
         return BatchResponse.build(
             alpha=batch.alpha, request=batch, m_b=m_b, statuses=statuses,

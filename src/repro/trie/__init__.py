@@ -9,6 +9,7 @@ from .mpt import (
 from .nibbles import bytes_to_nibbles, hp_decode, hp_encode, nibbles_to_bytes
 from .proof import (
     ProofError,
+    ProofIndex,
     generate_multiproof,
     generate_proof,
     proof_size,
@@ -49,6 +50,7 @@ __all__ = [
     "verify_multiproof",
     "proof_size",
     "ProofError",
+    "ProofIndex",
     "bytes_to_nibbles",
     "nibbles_to_bytes",
     "hp_encode",

@@ -13,7 +13,7 @@ object whose size Figure 6 sweeps.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from ..crypto.keccak import keccak256
 from ..rlp import codec as rlp
@@ -22,6 +22,7 @@ from .nibbles import bytes_to_nibbles, hp_decode
 
 __all__ = [
     "ProofError",
+    "ProofIndex",
     "generate_proof",
     "verify_proof",
     "generate_multiproof",
@@ -89,51 +90,109 @@ def generate_proof(trie: MerklePatriciaTrie, key: bytes) -> list[bytes]:
         path = path[len(node_path):]
 
 
-def verify_proof(root_hash: bytes, key: bytes, proof: list[bytes]) -> Optional[bytes]:
+#: a branch as its 17-item list, or a leaf/extension as
+#: ``(nibble path, is_leaf, value-or-child)``
+_Node = Union[list, tuple]
+
+
+def _check_node(item: rlp.Item) -> _Node:
+    """Validate a decoded node's shape; every malformation is a ProofError.
+
+    A node that authenticates can still be garbage (the signer chose the
+    root's preimage, or the trie holds what no honest writer stores), and a
+    verifier must classify it, not crash on it.  Returns the node in the
+    form the walk reads (see ``_Node``).
+    """
+    if not isinstance(item, list) or len(item) not in (2, 17):
+        raise ProofError("malformed trie node in proof")
+    if len(item) == 17:
+        if not isinstance(item[16], bytes):
+            raise ProofError("branch value is not a byte string")
+        return item
+    encoded_path, payload = item
+    if not isinstance(encoded_path, bytes):
+        raise ProofError("node path is not a byte string")
+    try:
+        node_path, is_leaf = hp_decode(encoded_path)
+    except ValueError as exc:
+        raise ProofError(f"malformed node path: {exc}") from exc
+    if is_leaf and not isinstance(payload, bytes):
+        raise ProofError("leaf value is not a byte string")
+    return node_path, is_leaf, payload
+
+
+class ProofIndex(tuple):
+    """A proof's nodes, each hashed exactly once.
+
+    It *is* the proof — a tuple of the encoded nodes in wire order, equal to
+    and usable as the plain sequence — carrying the one lookup a verifier
+    walks: a node is reachable only under ``keccak256`` of its own encoding,
+    so whatever a walk resolves is authenticated by the reference that led
+    to it.  Building the index is the only hashing verification does; a
+    response whose items share a node pool (or whose verifier walks two
+    tries) builds it once and hands it to every walk.
+    """
+
+    def __new__(cls, nodes: Iterable[bytes]) -> "ProofIndex":
+        self = super().__new__(cls, nodes)
+        self._encoded = {keccak256(encoded): encoded for encoded in self}
+        return self
+
+    @classmethod
+    def of(cls, proof: Sequence[bytes]) -> "ProofIndex":
+        """``proof`` itself when it already is an index, else one built from it."""
+        return proof if isinstance(proof, cls) else cls(proof)
+
+    def node(self, node_hash: bytes) -> _Node:
+        """The decoded, shape-checked node whose encoding hashes to ``node_hash``."""
+        encoded = self._encoded.get(node_hash)
+        if encoded is None:
+            raise ProofError(f"proof is missing node {node_hash.hex()}")
+        try:
+            item = rlp.decode(encoded)
+        except rlp.RLPError as exc:
+            raise ProofError(f"undecodable proof node: {exc}") from exc
+        return _check_node(item)
+
+
+def verify_proof(root_hash: bytes, key: bytes,
+                 proof: Sequence[bytes]) -> Optional[bytes]:
     """Verify ``proof`` against ``root_hash`` for ``key``.
 
     Returns the proven value for an inclusion proof, or ``None`` for a valid
     exclusion proof.  Raises :class:`ProofError` when the proof does not
     authenticate against the root — for PARP this is the *fraud* signal of
-    the "Verify Merkle Proof" check (§V-D).
+    the "Verify Merkle Proof" check (§V-D).  ``proof`` is the node sequence;
+    pass a :class:`ProofIndex` to share its hashing between calls.
     """
     if root_hash == EMPTY_TRIE_ROOT:
         if proof:
             raise ProofError("non-empty proof against the empty trie root")
         return None
-    nodes_by_hash = {keccak256(encoded): encoded for encoded in proof}
-    return _walk(root_hash, key, nodes_by_hash)
+    return _walk(root_hash, key, ProofIndex.of(proof))
 
 
-def _walk(root_hash: bytes, key: bytes,
-          nodes_by_hash: dict[bytes, bytes]) -> Optional[bytes]:
-    """Walk ``key``'s path from ``root_hash`` using only supplied nodes."""
+def _walk(root_hash: bytes, key: bytes, index: ProofIndex) -> Optional[bytes]:
+    """Walk ``key``'s path from ``root_hash`` using only indexed nodes."""
     path = bytes_to_nibbles(key)
     ref: rlp.Item = root_hash
     while True:
-        node = _resolve_ref(ref, nodes_by_hash)
+        node = _resolve_ref(ref, index)
         if node is None:  # blank child: key proven absent
             return None
-        if len(node) == 17:
+        if isinstance(node, list):
             if not path:
-                value = node[16]
-                return value if value != _BLANK else None
+                return node[16] or None
             ref = node[path[0]]
             path = path[1:]
             continue
-        if len(node) != 2:
-            raise ProofError("malformed trie node in proof")
-        node_path, is_leaf = hp_decode(node[0])
+        node_path, is_leaf, payload = node
         if is_leaf:
-            if node_path == path:
-                value = node[1]
-                if not isinstance(value, bytes):
-                    raise ProofError("leaf value is not a byte string")
-                return value
-            return None  # path diverges at the leaf: exclusion
+            # a diverging leaf path is an exclusion
+            return payload if node_path == path else None
         if path[: len(node_path)] != node_path:
             return None  # extension mismatch: exclusion
-        ref = node[1]
+        ref = payload
         path = path[len(node_path):]
 
 
@@ -151,9 +210,8 @@ def generate_multiproof(trie: MerklePatriciaTrie,
     seen: set[bytes] = set()
     for key in keys:
         for encoded in generate_proof(trie, key):
-            node_hash = keccak256(encoded)
-            if node_hash not in seen:
-                seen.add(node_hash)
+            if encoded not in seen:
+                seen.add(encoded)
                 proof.append(encoded)
     return proof
 
@@ -173,28 +231,19 @@ def verify_multiproof(root_hash: bytes, keys: Sequence[bytes],
         if proof:
             raise ProofError("non-empty proof against the empty trie root")
         return {key: None for key in keys}
-    nodes_by_hash = {keccak256(encoded): encoded for encoded in proof}
-    return {key: _walk(root_hash, key, nodes_by_hash) for key in keys}
+    index = ProofIndex.of(proof)
+    return {key: _walk(root_hash, key, index) for key in keys}
 
 
-def _resolve_ref(ref: rlp.Item, nodes_by_hash: dict[bytes, bytes]) -> Optional[rlp.Item]:
+def _resolve_ref(ref: rlp.Item, index: ProofIndex) -> Optional[_Node]:
     """Resolve a child reference using only proof-supplied, hash-checked nodes."""
     if isinstance(ref, list):
-        return ref  # inline node, authenticated by its parent's hash
+        return _check_node(ref)  # inline node, authenticated by its parent's hash
     if ref == _BLANK:
         return None
     if len(ref) != 32:
         raise ProofError(f"invalid node reference of {len(ref)} bytes")
-    encoded = nodes_by_hash.get(ref)
-    if encoded is None:
-        raise ProofError(f"proof is missing node {ref.hex()}")
-    try:
-        node = rlp.decode(encoded)
-    except rlp.RLPError as exc:
-        raise ProofError(f"undecodable proof node: {exc}") from exc
-    if not isinstance(node, list) or len(node) not in (2, 17):
-        raise ProofError("malformed trie node in proof")
-    return node
+    return index.node(ref)
 
 
 def proof_size(proof: list[bytes]) -> int:

@@ -2,16 +2,26 @@
 
 import pytest
 
+from repro.chain.header import BlockHeader
 from repro.crypto import PrivateKey, keccak256
+from repro.parp.constants import BATCH_PROTOCOL_VERSION
 from repro.parp.handshake import (
     Handshake,
     HandshakeConfirm,
     HandshakeError,
     OpenChannelReceipt,
 )
-from repro.parp.messages import PARPRequest, PARPResponse, ResponseStatus, RpcCall
+from repro.parp.messages import (
+    BatchRequest,
+    BatchResponse,
+    PARPRequest,
+    PARPResponse,
+    ResponseStatus,
+    RpcCall,
+)
 from repro.parp.states import ResponseClass
-from repro.parp.verification import classify_response
+from repro.parp.verification import classify_batch_response, classify_response
+from repro.rlp import encode as rlp_encode
 
 LC = PrivateKey.from_seed("hv:lc")
 FN = PrivateKey.from_seed("hv:fn")
@@ -153,3 +163,59 @@ class TestClassification:
                                 proof=[], status=ResponseStatus.ERROR)
         report = self.classify(request, forged)
         assert report.classification is ResponseClass.FRAUD
+
+
+def _header_with_state_root(state_root: bytes, number: int = 5) -> BlockHeader:
+    return BlockHeader(
+        parent_hash=b"\x11" * 32, state_root=state_root,
+        transactions_root=b"\x33" * 32, receipts_root=b"\x44" * 32,
+        number=number, timestamp=1000, gas_used=0, gas_limit=30_000_000,
+        proposer=FN.address, extra_data=b"",
+    )
+
+
+#: nodes that hash to what the header commits to and are garbage all the same
+MALFORMED_ROOT_NODES = {
+    "path-is-a-list": [[b"\x20"], b"v"],
+    "empty-hex-prefix": [b"", b"v"],
+    "flag-nibble-4": [b"\x40", b"v"],
+    "list-in-branch-value-slot": [b""] * 16 + [[b"x", b"y"]],
+}
+
+
+class TestMalformedProofNodesAreFraud:
+    """``classify_response`` / ``classify_batch_response`` never raise: a
+    signed proof whose authenticated node is malformed is attributable, so
+    check 6 must call it FRAUD instead of leaking ``TypeError``/``ValueError``
+    out of the client."""
+
+    ADDRESS = bytes(range(20))
+
+    @pytest.mark.parametrize("shape", MALFORMED_ROOT_NODES)
+    def test_single_response(self, shape):
+        node = rlp_encode(MALFORMED_ROOT_NODES[shape])
+        header = _header_with_state_root(keccak256(node))
+        call = RpcCall.create("eth_getBalance", self.ADDRESS)
+        request = PARPRequest.build(ALPHA, H_B, 100, call, LC)
+        response = PARPResponse.build(ALPHA, request, 5, b"", [node], FN)
+        report = classify_response(request, response, ALPHA, FN.address, 3,
+                                   lambda n: header)
+        assert report.classification is ResponseClass.FRAUD
+        assert report.check == "merkle-proof"
+
+    @pytest.mark.parametrize("shape", MALFORMED_ROOT_NODES)
+    def test_batch_response(self, shape):
+        node = rlp_encode(MALFORMED_ROOT_NODES[shape])
+        header = _header_with_state_root(keccak256(node))
+        calls = [RpcCall.create("eth_getBalance", self.ADDRESS),
+                 RpcCall.create("eth_blockNumber")]
+        request = BatchRequest.build(ALPHA, H_B, 100, calls, LC,
+                                     version=BATCH_PROTOCOL_VERSION)
+        response = BatchResponse.build(
+            ALPHA, request, 5, [ResponseStatus.OK] * 2, [b"", b"\x05"],
+            [node], FN)
+        overall, items = classify_batch_response(
+            request, response, ALPHA, FN.address, 3, lambda n: header)
+        assert overall.classification is ResponseClass.FRAUD
+        assert [item.classification for item in items] == [
+            ResponseClass.FRAUD, ResponseClass.VALID]

@@ -85,3 +85,43 @@ class TestHasherSemantics:
     def test_accepts_bytearray_and_memoryview(self):
         assert keccak256(bytearray(b"abc")) == keccak256(b"abc")
         assert keccak256(memoryview(b"abc")) == keccak256(b"abc")
+
+    @pytest.mark.parametrize("bad", ["string", 7, None, 1.5, [1, 2], (b"a",)])
+    def test_rejects_everything_that_is_not_a_buffer(self, bad):
+        with pytest.raises(TypeError, match="expects bytes"):
+            keccak256(bad)
+
+    def test_hashes_the_bytes_of_a_wide_item_view(self):
+        """``len()`` of a view counts items: 100 four-byte items are 400
+        bytes — three blocks, not one."""
+        import array
+
+        words = array.array("I", range(100))
+        view = memoryview(words)
+        assert view.itemsize == 4 and len(view) == 100 and view.nbytes == 400
+        assert keccak256(view) == keccak256(words.tobytes())
+        assert keccak256(view.cast("B")) == keccak256(words.tobytes())
+
+    def test_hashes_the_bytes_of_a_non_contiguous_view(self):
+        data = bytes(range(256)) * 3
+        strided = memoryview(data)[::2]
+        assert not strided.contiguous
+        assert keccak256(strided) == keccak256(data[::2])
+        backwards = memoryview(data)[::-1]
+        assert keccak256(backwards) == keccak256(data[::-1])
+
+    def test_hashes_a_slice_of_a_view_and_a_bytes_subclass(self):
+        data = bytes(range(200))
+        assert keccak256(memoryview(data)[7:150]) == keccak256(data[7:150])
+
+        class Tagged(bytes):
+            pass
+
+        assert keccak256(Tagged(data)) == keccak256(data)
+
+    def test_does_not_keep_or_change_a_mutable_input(self):
+        buffer = bytearray(b"abc" * 100)
+        before = keccak256(buffer)
+        assert buffer == bytearray(b"abc" * 100)
+        buffer[0] ^= 1
+        assert keccak256(buffer) != before
