@@ -22,7 +22,8 @@ _EXPORTS = {
     "InvalidResponse": "client", "FraudDetected": "client",
     "ServerOverloaded": "client",
     "BatchItem": "client", "BatchOutcome": "client",
-    "PendingRequest": "client", "PendingBatch": "client",
+    "PendingQuery": "client",
+    "PendingRequest": "client", "PendingBatch": "client",   # its old names
     # server
     "FullNodeServer": "server", "ServeError": "server", "ServerStats": "server",
     # admission

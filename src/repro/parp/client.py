@@ -66,6 +66,7 @@ __all__ = [
     "RequestOutcome",
     "BatchItem",
     "BatchOutcome",
+    "PendingQuery",
     "PendingRequest",
     "PendingBatch",
     "LightClientSession",
@@ -186,38 +187,29 @@ class BatchOutcome:
 
 
 @dataclass
-class PendingRequest:
-    """A signed, paid, submitted — but not yet verified — request.
+class PendingQuery:
+    """A signed, paid, submitted — but not yet verified — request or batch.
 
-    Produced by :meth:`LightClientSession.begin_request`; hand it back to
+    Produced by :meth:`LightClientSession.begin_request` (``request`` is a
+    :class:`PARPRequest`) or :meth:`LightClientSession.begin_batch` (a
+    :class:`BatchRequest`); hand it back to
     :meth:`LightClientSession.collect` to wait for the reply and run the
     §V-D checks.  The payment left the budget at submit time; cancelling
     abandons the correlation (the channel keeps ``spent > acked``, and the
     unacked amount is not volunteered at closure).
     """
 
-    request: PARPRequest
-    call: RpcCall
+    request: Union[PARPRequest, BatchRequest]
     reply: PendingReply
     collected: bool = field(default=False, compare=False)
 
     def cancel(self) -> bool:
-        """Abandon the in-flight request; True if it had not resolved."""
+        """Abandon the in-flight query; True if it had not resolved."""
         return self.reply.cancel()
 
 
-@dataclass
-class PendingBatch:
-    """A signed, paid, submitted — but not yet verified — batch."""
-
-    request: BatchRequest
-    calls: tuple[RpcCall, ...]
-    reply: PendingReply
-    collected: bool = field(default=False, compare=False)
-
-    def cancel(self) -> bool:
-        """Abandon the in-flight batch; True if it had not resolved."""
-        return self.reply.cancel()
+#: the two names the record had while each wire kept its own copy
+PendingRequest = PendingBatch = PendingQuery
 
 
 class LightClientSession:
@@ -368,7 +360,7 @@ class LightClientSession:
             return PendingReply.failed(exc, method=method)
         return PendingReply.completed(value, method=method)
 
-    def begin_request(self, call: RpcCall, tip: int = 0) -> PendingRequest:
+    def begin_request(self, call: RpcCall, tip: int = 0) -> PendingQuery:
         """Step (A) without the wait: sign, pay, submit, return the future.
 
         Money leaves our budget the moment the signature is on the wire;
@@ -393,10 +385,10 @@ class LightClientSession:
         request = self.build_request(call, amount)
         self.channel.record_request(amount)
         reply = self._submit("serve_request", request.encode_wire())
-        return PendingRequest(request=request, call=call, reply=reply)
+        return PendingQuery(request=request, reply=reply)
 
     def begin_batch(self, calls: Sequence[RpcCall],
-                    tip: int = 0) -> PendingBatch:
+                    tip: int = 0) -> PendingQuery:
         """Non-blocking :meth:`query_batch` issue (no per-key fallback:
         callers that want it use the blocking adapter, which probes first).
         """
@@ -419,9 +411,9 @@ class LightClientSession:
         request = self.build_batch_request(calls, amount)
         self.channel.record_request(amount)
         reply = self._submit("serve_batch", request.encode_wire())
-        return PendingBatch(request=request, calls=calls, reply=reply)
+        return PendingQuery(request=request, reply=reply)
 
-    def collect(self, pending: Union[PendingRequest, PendingBatch],
+    def collect(self, pending: PendingQuery,
                 ) -> Union[RequestOutcome, BatchOutcome]:
         """Wait for the correlated reply and verify it (step (D)).
 
@@ -443,7 +435,14 @@ class LightClientSession:
             raise InvalidResponse(VerificationReport(
                 ResponseClass.INVALID, "transport", str(exc),
             )) from exc
-        if isinstance(pending, PendingBatch):
+        if not isinstance(raw, bytes):
+            # in process and over SimNetwork a reply is an arbitrary object:
+            # one that is no wire frame is INVALID like any undecodable reply
+            raise InvalidResponse(VerificationReport(
+                ResponseClass.INVALID, "decode",
+                f"reply is {type(raw).__name__}, not bytes",
+            ))
+        if isinstance(pending.request, BatchRequest):
             return self.process_batch_response(pending.request, raw)
         return self.process_response(pending.request, raw)
 

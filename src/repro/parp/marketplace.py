@@ -22,6 +22,11 @@ free of sign-up friction; this module supplies the missing client machinery:
   :meth:`MarketplaceClient.query_sharded` scatters a batch across shard
   legs, hedges each leg independently, and stitches the verified
   per-shard multiproof results back into request order.
+
+Every routed query runs on one engine (:meth:`MarketplaceClient._race`): a
+query is a list of legs, a leg a race among the servers that can answer it —
+``request_call``/``query_batch`` one leg at fanout 1, ``query_hedged`` one
+at fanout k, ``query_sharded`` one per shard.
 """
 
 from __future__ import annotations
@@ -42,8 +47,7 @@ from .client import (
     FraudDetected,
     InvalidResponse,
     LightClientSession,
-    PendingBatch,
-    PendingRequest,
+    PendingQuery,
     RequestOutcome,
     ServerEndpoint,
     ServerOverloaded,
@@ -282,14 +286,14 @@ class Marketplace:
 class MarketplaceStats:
     """What the routing layer did on the client's behalf."""
 
-    queries: int = 0              # queries answered (after any failover)
+    queries: int = 0              # winning legs (a 4-leg scatter adds 4)
     failovers: int = 0            # re-issues to another server
     sessions_opened: int = 0
     frauds_detected: int = 0
     frauds_slashed: int = 0
     version_mismatches: int = 0
     hedged_queries: int = 0       # query_hedged races run
-    hedge_launches: int = 0       # batches issued across all races
+    hedge_launches: int = 0       # legs issued by query_hedged/query_sharded
     hedges_cancelled: int = 0     # losing in-flight requests cancelled
     sharded_queries: int = 0      # query_sharded scatter-gathers run
     scatter_legs: int = 0         # shard legs across all scatters
@@ -299,7 +303,7 @@ class MarketplaceStats:
 
 @dataclass
 class HedgeAttempt:
-    """One server's leg of a hedged race (see ``MarketplaceClient.last_hedge``).
+    """One server's leg of a race (see ``MarketplaceClient.last_hedge``).
 
     ``outcome`` ∈ {"in-flight", "won", "cancelled", "unused", "timeout",
     "invalid", "fraud", "overloaded", "session-error"} — "cancelled" means the request was
@@ -309,7 +313,7 @@ class HedgeAttempt:
 
     address: Address
     label: str
-    pending: "PendingBatch | PendingRequest"
+    pending: PendingQuery
     outcome: str = "in-flight"
     detail: str = ""
 
@@ -381,7 +385,7 @@ class _HedgeEntry:
 
     ad: ServerAdvertisement
     session: LightClientSession
-    pending: "PendingBatch | PendingRequest"
+    pending: PendingQuery
     deadline: Optional[float]     # sim-clock instant; None for in-process
     attempt: HedgeAttempt
     cost: int = 0                 # what issuing this leg added to its channel
@@ -389,13 +393,33 @@ class _HedgeEntry:
 
 @dataclass
 class _LegRace:
-    """Internal per-shard scatter state (one hedged race per leg)."""
+    """Internal per-leg race state (a serial query is one, at fanout 1)."""
 
     leg: ShardLeg
     tip: int = 0
+    single: bool = False          # rides the single-request wire, not batch
+    #: the winner's verified reply as its wire returned it
+    outcome: RequestOutcome | BatchOutcome | None = None
     tried: set[Address] = field(default_factory=set)
-    skipped: set[Address] = field(default_factory=set)
+    #: servers passed over for lacking batch support, best first — the
+    #: per-key last-resort pool if every batch speaker comes up empty
+    skipped: list[ServerAdvertisement] = field(default_factory=list)
+    sheds: dict[Address, int] = field(default_factory=dict)  # overload defers
     active: list[_HedgeEntry] = field(default_factory=list)
+    attempts: list[str] = field(default_factory=list)
+
+
+def _as_batch(outcome: RequestOutcome | BatchOutcome) -> BatchOutcome:
+    """A leg's outcome in batch shape (a one-call leg rode the
+    single-request wire and came back as a :class:`RequestOutcome`)."""
+    if isinstance(outcome, BatchOutcome):
+        return outcome
+    response = outcome.response
+    return BatchOutcome(
+        items=(BatchItem(call=outcome.request.call, status=response.status,
+                         result=response.result, report=outcome.report),),
+        report=outcome.report, amount_paid=outcome.amount_paid, batched=False,
+    )
 
 
 #: consecutive transport timeouts before a server is demoted to last resort.
@@ -442,7 +466,8 @@ class MarketplaceClient:
         #: acked amounts survive for settlement (escrow is money)
         self.retired: list[tuple[Address, LightClientSession]] = []
         self.stats = MarketplaceStats()
-        #: per-leg record of the most recent hedged race (diagnostics/tests)
+        #: every attempt launched by the most recent routed query, serial
+        #: ones included; blocking per-key last-resort service is not one
         self.last_hedge: list[HedgeAttempt] = []
         #: the most recent scatter-gather result (diagnostics/tests)
         self.last_scatter: Optional[ScatterOutcome] = None
@@ -583,41 +608,22 @@ class MarketplaceClient:
         self._backoff.pop(address, None)
         self._overload_streak.pop(address, None)
 
-    def _find_network(self):
-        """Any simulated network reachable through our endpoints (to drive
-        time forward while waiting out a backoff deadline)."""
-        for session in self.sessions.values():
-            network = getattr(session.endpoint, "network", None)
-            if network is not None:
-                return network
-        for ad in self.marketplace.advertisements():
-            network = getattr(ad.endpoint, "network", None)
-            if network is not None:
-                return network
-        return None
-
-    def _await_backoff(self, addresses: Sequence[Address]) -> bool:
-        """Wait out the earliest backoff deadline among ``addresses``.
+    def _await_backoff(self, ad: ServerAdvertisement) -> None:
+        """Wait out a backed-off server's deadline before re-issuing to it.
 
         This is the no-retry-storm guarantee: instead of re-issuing to a
         shed server immediately (arriving in the same saturated window as
         everyone else's retry), the client sits out the server's own
-        jittered ``retry_after``.  Under simulated time the network runs
-        until the deadline (other in-flight legs keep progressing); without
-        a drivable clock the earliest entry is simply released, so routing
+        jittered ``retry_after``.  Under simulated time the server's network
+        runs until the deadline (other in-flight legs keep progressing);
+        without a drivable clock the entry is simply released, so routing
         always makes progress.
         """
-        entries = [(self._backoff[a], a) for a in addresses
-                   if a in self._backoff]
-        if not entries:
-            return False
-        deadline, address = min(entries)
+        deadline = self._backoff.pop(ad.address)
         self.stats.retry_storms_avoided += 1
-        network = self._find_network()
+        network = getattr(ad.endpoint, "network", None)
         if network is not None and self._clock is not None:
             network.run_until(deadline)
-        self._backoff.pop(address, None)
-        return True
 
     # ------------------------------------------------------------------ #
     # Selection
@@ -709,17 +715,7 @@ class MarketplaceClient:
         for ad in self.eligible():
             if len(self.bonded_sessions()) >= want:
                 break
-            if ad.address in self.bonded_sessions():
-                continue
-            try:
-                self._open_session(ad)
-            except SessionError as exc:
-                # client-side lifecycle/budget problem: the server did not
-                # misbehave, so no reputation penalty
-                attempts.append(f"{ad.label}: {exc}")
-            except Exception as exc:  # noqa: BLE001 — any connect failure ⇒ next server
-                self.reputation.record(ad.address, EVENT_TIMEOUT, self._now())
-                attempts.append(f"{ad.label}: {exc}")
+            self._bonded_session(ad, attempts)
         opened = self.bonded_sessions()
         if not opened:
             raise MarketplaceError("could not bond to any server", attempts)
@@ -736,11 +732,22 @@ class MarketplaceClient:
         self.stats.sessions_opened += 1
         return session
 
-    def _session_for(self, ad: ServerAdvertisement) -> LightClientSession:
+    def _bonded_session(self, ad: ServerAdvertisement, attempts: list[str],
+                        ) -> Optional[LightClientSession]:
+        """The bonded session to ``ad``, opened if need be; None (and a
+        line in ``attempts``) when the connect fails."""
         session = self.sessions.get(ad.address)
         if session is not None and session.state is LightClientState.BONDED:
             return session
-        return self._open_session(ad)
+        try:
+            return self._open_session(ad)
+        except Exception as exc:  # noqa: BLE001 — any connect failure ⇒ next server
+            if not isinstance(exc, SessionError):
+                # (a SessionError is a client-side lifecycle/budget problem:
+                # the server did not misbehave, so no reputation penalty)
+                self.reputation.record(ad.address, EVENT_TIMEOUT, self._now())
+            attempts.append(f"{ad.label}: connect: {exc}")
+            return None
 
     def _retire_session(self, address: Address) -> None:
         """Stop using a session but keep it: its channel's α and acked
@@ -758,7 +765,7 @@ class MarketplaceClient:
             pass  # a later query will surface the exhaustion with context
 
     # ------------------------------------------------------------------ #
-    # The routed request path
+    # The routed request paths: four shapes of one race
     # ------------------------------------------------------------------ #
 
     def request(self, method: str, *params: Any, tip: int = 0) -> RequestOutcome:
@@ -767,129 +774,55 @@ class MarketplaceClient:
         return self.request_call(call, tip=tip)
 
     def request_call(self, call: RpcCall, tip: int = 0) -> RequestOutcome:
-        keys = self._require_coverage((call,))
-        return self._serve(lambda s: s.request_call(call, tip=tip),
-                           describe=call.method, keys=keys)
+        """One leg at fanout 1 on the single-request wire: serial failover
+        is a race of one."""
+        race = self._race_one((call,), tip, fanout=1, single=True)
+        return self._outcome_of(race, call.method)
 
     def query_batch(self, calls: Sequence[RpcCall], tip: int = 0) -> BatchOutcome:
-        """A batched query, routed to batch-speaking servers first.
+        """A batched query, routed to batch-speaking servers first: one leg
+        at fanout 1 on the batch wire (per key once no speaker is left).
 
         The whole batch goes to *one* server, so every state-keyed call
         must fall inside a single server's advertised range; a batch that
         spans shards needs :meth:`query_sharded` instead.
         """
         calls = tuple(calls)
-        keys = self._require_coverage(calls)
-        return self._serve(lambda s: s.query_batch(calls, tip=tip),
-                           describe=f"batch[{len(calls)}]", want_batch=True,
-                           keys=keys)
-
-    # ------------------------------------------------------------------ #
-    # Hedged fan-out: the failover race
-    # ------------------------------------------------------------------ #
+        race = self._race_one(calls, tip, fanout=1, single=False)
+        return self._outcome_of(race, f"batch[{len(calls)}]")
 
     def query_hedged(self, calls: Sequence[RpcCall], fanout: int = 2,
                      tip: int = 0) -> BatchOutcome:
         """Issue the same batch on the ``fanout`` best-ranked sessions and
         accept the **first response that survives §V-D verification**.
 
-        This converts the serial timeout-chain failover of :meth:`_serve`
-        into a race: every leg is a signed, paid request on that server's
-        own channel (only the winner's payment is ever acked — losers are
+        This converts the serial timeout chain of a fanout-1 query into a
+        race: every leg is a signed, paid request on that server's own
+        channel (only the winner's payment is ever acked — losers are
         cancelled while in flight, and their unacked amounts are not
         volunteered at closure).  A leg that fails — fraud (escalated and
         slashed as usual), invalid response, or timeout — is replaced by
         the next-ranked server, so the race keeps its width until the
         marketplace runs out of candidates.  Legs that never verify leave
-        their reputation events behind exactly like serial failover.
+        their reputation events behind exactly as they do at fanout 1.
 
         A single-call query rides the single-request wire path (its fraud
         packages are what the on-chain FDM can decode, so a fast-but-
         malicious loser is actually *slashed*, not just dropped); multi-call
         queries ride the batch path, so servers that don't speak our batch
-        version never join those races — and when *no* eligible server
-        speaks it, the query falls back to the serial :meth:`query_batch`
-        path (which degrades per key).
+        version never join those races — they are the per-key last resort
+        once every batch speaker has failed (or when none exists).
         """
         calls = tuple(calls)
         if not calls:
             raise MarketplaceError("a hedged query needs at least one call")
         fanout = max(1, int(fanout))
-        keys = self._require_coverage(calls)
-        describe = f"hedged batch[{len(calls)}]×{fanout}"
-        tried: set[Address] = set()
-        #: non-batch-speaking servers passed over while picking race legs —
-        #: the per-key fallback pool if the whole race comes up empty
-        skipped: set[Address] = set()
-        attempts: list[str] = []
-        active: list[_HedgeEntry] = []
-        self.last_hedge = []
-
-        for _ in range(fanout):
-            self._hedge_launch(calls, tip, tried, skipped, attempts, active,
-                               keys=keys)
-        if not active:
-            # nobody could even be issued to (commonly: no batch speakers) —
-            # the serial path still knows how to degrade per key, excluding
-            # the servers the launch attempts already burned
-            return self._serve(lambda s: s.query_batch(calls, tip=tip),
-                               describe=f"batch[{len(calls)}]",
-                               want_batch=True, exclude=tried - skipped,
-                               keys=keys)
-        self.stats.hedged_queries += 1
-
-        while active:
-            self._hedge_wait(active)
-            clock = self._hedge_clock(active)
-            now = clock.now() if clock is not None else None
-            # a clockless pass with nothing resolved means _hedge_wait
-            # already ran the replies' own drivers for a full default bound
-            stalled = (now is None
-                       and not any(e.pending.reply.done() for e in active))
-            for entry in list(active):
-                expired = (now is not None and entry.deadline is not None
-                           and now >= entry.deadline)
-                if entry.pending.reply.done():
-                    active.remove(entry)
-                    outcome = self._hedge_collect(entry, attempts, tried)
-                    if outcome is not None:
-                        self._hedge_win(entry, active)
-                        return outcome
-                    self._hedge_launch(calls, tip, tried, skipped, attempts,
-                                       active, keys=keys)
-                elif expired or stalled:
-                    # the synchrony bound passed with the reply still in
-                    # flight: cancel the leg and collect it, so the shared
-                    # failover policy (_penalize_failure) hands out the
-                    # same transport-timeout verdict as the serial path.
-                    # (stalled: a clockless transport whose legs a full
-                    # default-bound wait could not resolve — timing them
-                    # out keeps the race loop from spinning forever.)
-                    active.remove(entry)
-                    entry.pending.cancel()
-                    outcome = self._hedge_collect(entry, attempts, tried)
-                    if outcome is not None:
-                        # resolved on the deadline boundary and verified:
-                        # a win is a win
-                        self._hedge_win(entry, active)
-                        return outcome
-                    self._hedge_launch(calls, tip, tried, skipped, attempts,
-                                       active, keys=keys)
-        if skipped:
-            # every batch speaker failed, but servers without batch support
-            # were never given a chance — degrade to the serial per-key path
-            # (excluding the already-failed racers) rather than failing a
-            # query an eligible server could answer
-            return self._serve(lambda s: s.query_batch(calls, tip=tip),
-                               describe=f"batch[{len(calls)}]",
-                               want_batch=True, exclude=tried - skipped,
-                               keys=keys)
-        raise MarketplaceError(f"{describe}: every eligible server failed",
-                               attempts)
-
-    # ------------------------------------------------------------------ #
-    # Sharded scatter-gather
-    # ------------------------------------------------------------------ #
+        race = self._race_one(calls, tip, fanout, single=len(calls) == 1)
+        if self.last_hedge:   # a race nobody could be launched into is none
+            self.stats.hedged_queries += 1
+        self.stats.hedge_launches += len(self.last_hedge)
+        return _as_batch(self._outcome_of(
+            race, f"hedged batch[{len(calls)}]×{fanout}"))
 
     def query_sharded(self, calls: Sequence[RpcCall], fanout: int = 1,
                       tip: int = 0) -> ScatterOutcome:
@@ -901,7 +834,7 @@ class MarketplaceClient:
         Every leg is an independent hedged race among the servers of *its*
         shard: ``fanout`` concurrent paid requests per leg, losers
         cancelled the moment a leg's first response verifies, failures
-        replaced in-shard, with the serial failover path as last resort.
+        replaced in-shard, with per-key service as last resort.
         Legs resolve in completion order (no head-of-line blocking on the
         slowest shard), and the per-shard results — each one a §V-D
         verified multiproof against the *global* state root — are stitched
@@ -918,88 +851,40 @@ class MarketplaceClient:
             raise MarketplaceError("a sharded query needs at least one call")
         fanout = max(1, int(fanout))
         legs = self._split_by_shard(calls)
+        # the tip (priority fee) rides on the first leg only: one scatter
+        # is one query, not len(legs) separately-tipped ones
+        races = [_LegRace(leg=leg, tip=tip if leg.index == 0 else 0,
+                          single=len(leg.calls) == 1) for leg in legs]
+        self._race(races, fanout)
         self.stats.sharded_queries += 1
         self.stats.scatter_legs += len(legs)
-        attempts: list[str] = []
-        self.last_hedge = []
-        races: list[_LegRace] = []
-        for leg in legs:
-            # the tip (priority fee) rides on the first leg only: one scatter
-            # is one query, not len(legs) separately-tipped ones
-            race = _LegRace(leg=leg, tip=tip if leg.index == 0 else 0)
-            races.append(race)
-            for _ in range(fanout):
-                if self._hedge_launch(leg.calls, race.tip, race.tried,
-                                      race.skipped, attempts, race.active,
-                                      keys=leg.keys) is None:
-                    break
-            leg.attempts = len(race.active)
-            if not race.active:
-                self._leg_fallback(race, attempts)
-
-        while True:
-            active_all = [e for race in races for e in race.active]
-            if not active_all:
-                break
-            self._hedge_wait(active_all)
-            clock = self._hedge_clock(active_all)
-            now = clock.now() if clock is not None else None
-            stalled = (now is None
-                       and not any(e.pending.reply.done() for e in active_all))
-            for race in races:
-                for entry in list(race.active):
-                    if entry not in race.active:
-                        continue   # cancelled as a loser when its leg won
-                    expired = (now is not None and entry.deadline is not None
-                               and now >= entry.deadline)
-                    if not entry.pending.reply.done() and not (expired
-                                                               or stalled):
-                        continue
-                    race.active.remove(entry)
-                    if not entry.pending.reply.done():
-                        entry.pending.cancel()
-                    outcome = self._hedge_collect(entry, attempts, race.tried)
-                    if outcome is not None:
-                        race.leg.outcome = outcome
-                        race.leg.winner = entry.ad.address
-                        race.leg.cost = entry.cost
-                        # only this leg's losers are cancelled: the other
-                        # legs' races are independent correlations
-                        self._hedge_win(entry, race.active)
-                        race.active.clear()
-                    else:
-                        replacement = self._hedge_launch(
-                            race.leg.calls, race.tip, race.tried,
-                            race.skipped, attempts, race.active,
-                            keys=race.leg.keys)
-                        if replacement is not None:
-                            race.leg.attempts += 1
-                        elif not race.active:
-                            self._leg_fallback(race, attempts)
-
-        failed = [race.leg for race in races if not race.leg.ok]
+        self.stats.hedge_launches += len(self.last_hedge)
+        for race in races:
+            if race.outcome is not None:
+                race.leg.outcome = _as_batch(race.outcome)
+            else:
+                race.leg.error = str(self._failure(
+                    race, f"shard leg[{race.leg.index}]"))
+        failed = [leg for leg in legs if not leg.ok]
         if failed:
             # winners' payments were acked when their responses verified;
             # only the missing shards are reported, never silently dropped
             raise ShardScatterError(
                 f"sharded batch[{len(calls)}]: {len(failed)} of "
-                f"{len(races)} shard legs failed",
-                [race.leg for race in races], attempts)
+                f"{len(legs)} shard legs failed", legs,
+                [line for race in races for line in race.attempts])
 
         items: list[Optional[BatchItem]] = [None] * len(calls)
-        total = 0
-        for race in races:
-            leg = race.leg
-            total += leg.cost
+        for leg in legs:
             for pos, item in zip(leg.positions, leg.outcome.items):
                 items[pos] = item
         outcome = ScatterOutcome(
             items=tuple(items),
             # every winning leg verified VALID — a losing classification
-            # never leaves _hedge_collect — so the stitched result is too
+            # never leaves _collect — so the stitched result is too
             report=VerificationReport(ResponseClass.VALID, "all-checks"),
-            amount_paid=total,
-            legs=tuple(race.leg for race in races),
+            amount_paid=sum(leg.cost for leg in legs),
+            legs=tuple(legs),
         )
         self.last_scatter = outcome
         return outcome
@@ -1053,30 +938,10 @@ class MarketplaceClient:
             ))
         return legs
 
-    def _leg_fallback(self, race: _LegRace, attempts: list[str]) -> None:
-        """Serve one leg via the serial failover path (no hedge could even
-        be launched — typically every candidate's connect failed)."""
-        leg = race.leg
-
-        def issue(session: LightClientSession) -> BatchOutcome:
-            spent_before = session.channel.spent if session.channel else 0
-            outcome = session.query_batch(leg.calls, tip=race.tip)
-            leg.cost = outcome.amount_paid - spent_before
-            leg.winner = session.full_node
-            return outcome
-
-        leg.attempts += 1
-        try:
-            leg.outcome = self._serve(
-                issue, describe=f"shard leg[{leg.index}]", want_batch=True,
-                exclude=race.tried - race.skipped, keys=leg.keys)
-        except MarketplaceError as exc:
-            leg.error = str(exc)
-
-    def _require_coverage(self, calls: Sequence[RpcCall]) -> tuple[bytes, ...]:
-        """The hashed keys routing ``calls``, with the coverage gate: a key
-        no advertised server covers raises :class:`NoServerForKey` *before*
-        any payment is signed."""
+    def _race_one(self, calls: tuple[RpcCall, ...], tip: int, fanout: int,
+                  single: bool) -> _LegRace:
+        """Race the whole query as one leg, behind the coverage gate: a key
+        no server covers is a :class:`NoServerForKey` *before* any payment."""
         keys = []
         for call in calls:
             key = shard_key_of_call(call)
@@ -1085,68 +950,145 @@ class MarketplaceClient:
             if not self.marketplace.covering(key):
                 raise NoServerForKey(key, call.method)
             keys.append(key)
-        return tuple(keys)
+        race = _LegRace(
+            leg=ShardLeg(index=0, calls=calls,
+                         positions=tuple(range(len(calls))), keys=tuple(keys)),
+            tip=tip, single=single)
+        self._race([race], fanout)
+        return race
 
-    def _hedge_launch(self, calls: tuple[RpcCall, ...], tip: int,
-                      tried: set[Address], skipped: set[Address],
-                      attempts: list[str], active: list[_HedgeEntry],
-                      keys: Sequence[bytes] = ()) -> Optional[_HedgeEntry]:
-        """Add the next-ranked batch-speaking server to the race."""
+    # ------------------------------------------------------------------ #
+    # The engine: launch → wait → collect/replace, once
+    # ------------------------------------------------------------------ #
+
+    def _race(self, races: list[_LegRace], fanout: int) -> None:
+        """Run every leg to a verified winner or to exhaustion: each starts
+        on its ``fanout`` best-ranked servers, then one loop waits on all
+        in-flight replies together, settles a leg on its first verified
+        response and replaces a failed attempt with the leg's next-ranked
+        server.  Results land on the races; a leg left without an
+        ``outcome`` failed, and its ``attempts`` say how."""
+        self.last_hedge = []
+        for race in races:
+            for _ in range(fanout):
+                if self._launch(race) is None:
+                    break
+
         while True:
-            ranked = [ad for ad in self.eligible(keys=keys)
-                      if ad.address not in tried]
+            active = [entry for race in races for entry in race.active]
+            if not active:
+                return
+            now = self._wait(active)
+            # a clockless pass with nothing resolved means _wait already
+            # ran the replies' own drivers for a full default bound
+            stalled = (now is None
+                       and not any(e.pending.reply.done() for e in active))
+            for race in races:
+                for entry in list(race.active):
+                    if entry not in race.active:
+                        continue   # cancelled as a loser when its leg won
+                    expired = (now is not None and entry.deadline is not None
+                               and now >= entry.deadline)
+                    if not (entry.pending.reply.done() or expired or stalled):
+                        continue
+                    race.active.remove(entry)
+                    # the synchrony bound passed with the reply still in
+                    # flight: cancel the leg (a no-op on a resolved reply)
+                    # and collect it, so the shared failover policy
+                    # (_penalize_failure) hands out the transport-timeout
+                    # verdict.  (stalled: a clockless transport whose legs
+                    # a full default-bound wait could not resolve — timing
+                    # them out keeps the loop from spinning forever.)
+                    entry.pending.cancel()
+                    outcome = self._collect(entry, race)
+                    if outcome is not None:
+                        # only this leg's losers are cancelled: the other
+                        # legs' races are independent correlations
+                        self._win(race, entry.ad, outcome, entry.cost)
+                    else:
+                        self._launch(race)
+
+    def _launch(self, race: _LegRace) -> Optional[_HedgeEntry]:
+        """Issue the leg to its next-ranked untried server: the one place a
+        candidate is picked, its backoff waited out, its session opened (a
+        connect failure moves on) and its batch claim probed.  With nobody
+        left and nothing in flight the leg gets its :meth:`_last_resort`."""
+        leg = race.leg
+        while True:
+            ranked = [ad for ad in self.eligible(keys=leg.keys)
+                      if ad.address not in race.tried]
             if not ranked:
+                if not race.active:
+                    self._last_resort(race)
                 return None
             ad = ranked[0]
-            tried.add(ad.address)
+            if not race.single:
+                # advertised batch speakers first, so no channel is opened
+                # to a server merely to learn it cannot batch while one of
+                # them is still untried
+                ad = next((a for a in ranked if a.speaks_batch), ad)
+            race.tried.add(ad.address)
             if self._in_backoff(ad.address):
-                # a leg re-issued to a shed server waits out its signed
-                # retry_after first (sim time keeps the other legs moving)
-                self._await_backoff([ad.address])
-            try:
-                session = self._session_for(ad)
-            except SessionError as exc:
-                attempts.append(f"{ad.label}: connect: {exc}")  # client-side
+                # honor the server's signed retry_after before re-issuing,
+                # instead of joining the synchronized herd hammering it
+                self._await_backoff(ad)
+            session = self._bonded_session(ad, race.attempts)
+            if session is None:
                 self.stats.failovers += 1
                 continue
-            except Exception as exc:  # noqa: BLE001 — connect failure ⇒ next
-                self.reputation.record(ad.address, EVENT_TIMEOUT, self._now())
-                attempts.append(f"{ad.label}: connect: {exc}")
-                self.stats.failovers += 1
-                continue
-            single = len(calls) == 1
-            if not single and not session.batch_supported():
+            if not race.single and not session.batch_supported():
                 if ad.speaks_batch:
                     # the ad claimed our batch version but the probe says
                     # otherwise — that lie is what the mismatch event is
                     # for; an honestly-advertised legacy server is merely
-                    # passed over (and kept for the per-key fallback)
+                    # passed over (and kept for the per-key last resort)
                     self._note_version_mismatch(ad)
-                attempts.append(f"{ad.label}: no batch support")
-                skipped.add(ad.address)
+                race.attempts.append(f"{ad.label}: no batch support")
+                race.skipped.append(ad)
                 continue
             spent_before = session.channel.spent if session.channel else 0
             try:
-                pending = (session.begin_request(calls[0], tip=tip) if single
-                           else session.begin_batch(calls, tip=tip))
+                pending = (session.begin_request(leg.calls[0], tip=race.tip)
+                           if race.single
+                           else session.begin_batch(leg.calls, tip=race.tip))
             except SessionError as exc:
                 # local condition (typically an exhausted channel budget)
-                attempts.append(f"{ad.label}: session: {exc}")
+                race.attempts.append(f"{ad.label}: session: {exc}")
                 self.stats.failovers += 1
                 continue
             attempt = HedgeAttempt(address=ad.address, label=ad.label,
                                    pending=pending)
             self.last_hedge.append(attempt)
-            self.stats.hedge_launches += 1
+            leg.attempts += 1
             entry = _HedgeEntry(
                 ad=ad, session=session, pending=pending,
-                deadline=self._hedge_deadline(session), attempt=attempt,
+                deadline=self._deadline(session), attempt=attempt,
                 cost=pending.request.a - spent_before,
             )
-            active.append(entry)
+            race.active.append(entry)
             return entry
 
-    def _hedge_deadline(self, session: LightClientSession) -> Optional[float]:
+    def _last_resort(self, race: _LegRace) -> None:
+        """Serve the leg per key on a server passed over for lacking batch
+        support — best first, blocking, on the session :meth:`_launch`
+        already opened (a server just caught lying about its batch version
+        is *not* re-ranked after its own penalty)."""
+        leg = race.leg
+        for ad in race.skipped:
+            session = self.sessions.get(ad.address)
+            if session is None:
+                continue   # retired meanwhile: another leg caught it out
+            leg.attempts += 1
+            spent_before = session.channel.spent if session.channel else 0
+            try:
+                outcome = session.query_batch(leg.calls, tip=race.tip)
+            except SessionError as exc:
+                self._penalize_failure(ad, exc, race)
+                continue
+            self._win(race, ad, outcome, outcome.amount_paid - spent_before)
+            return
+
+    def _deadline(self, session: LightClientSession) -> Optional[float]:
         """When this leg's synchrony bound expires (None for in-process
         endpoints, whose replies resolve at submit time)."""
         network = getattr(session.endpoint, "network", None)
@@ -1157,7 +1099,7 @@ class MarketplaceClient:
             timeout = DEFAULT_TIMEOUT
         return network.clock.now() + timeout
 
-    def _hedge_clock(self, active: list[_HedgeEntry]):
+    def _race_clock(self, active: list[_HedgeEntry]):
         """The race's notion of "now": the first networked leg's sim clock.
 
         Races are built from endpoints on one simulated network (every
@@ -1172,146 +1114,95 @@ class MarketplaceClient:
                 return network.clock
         return None
 
-    def _hedge_wait(self, active: list[_HedgeEntry]) -> None:
+    def _wait(self, active: list[_HedgeEntry]) -> Optional[float]:
         """Drive the event loop until the first active leg resolves (or the
-        nearest synchrony bound passes)."""
+        nearest synchrony bound passes); returns the race clock's time
+        afterwards, None without one."""
         replies = [entry.pending.reply for entry in active]
-        if any(reply.done() for reply in replies):
-            return
-        clock = self._hedge_clock(active)
+        clock = self._race_clock(active)
         if clock is None:
             # no sim clock to race deadlines against: let the replies' own
             # drivers (if any) run one full default bound; whatever is still
             # pending afterwards gets timed out by the caller
             wait_any(replies)
-            return
+            return None
         deadlines = [entry.deadline for entry in active
                      if entry.deadline is not None]
         horizon = (min(deadlines) - clock.now()) if deadlines else None
-        if horizon is not None and horizon <= 0:
-            return  # an overdue leg is waiting to be timed out
-        wait_any(replies, timeout=horizon)
+        if horizon is None or horizon > 0:
+            wait_any(replies, timeout=horizon)
+        # (else an overdue leg is waiting to be timed out)
+        return clock.now()
 
-    def _hedge_collect(self, entry: _HedgeEntry, attempts: list[str],
-                       tried: Optional[set[Address]] = None,
-                       ) -> Optional[BatchOutcome]:
+    def _collect(self, entry: _HedgeEntry, race: _LegRace,
+                 ) -> RequestOutcome | BatchOutcome | None:
         """Verify one resolved leg; None means it lost (and was penalized).
 
-        With ``tried`` given, an ``Overloaded`` loss *defers* instead of
-        burning the server for the whole race: up to
-        :data:`MAX_OVERLOAD_DEFERS` times per race the shed server leaves
-        ``tried`` again, so the replacement launch can come back to it once
-        its retry_after has been waited out.
+        An ``Overloaded`` loss *defers* instead of burning the server for
+        the whole race: up to :data:`MAX_OVERLOAD_DEFERS` times per race
+        the shed server leaves ``tried`` again — a shed is a "come back
+        later", not a verdict — so the replacement launch can come back to
+        it once its retry_after has been waited out.
         """
         try:
             outcome = entry.session.collect(entry.pending)
-        except (FraudDetected, InvalidResponse, SessionError) as exc:
-            tag, line = self._penalize_failure(entry.ad, exc)
+        except SessionError as exc:
+            tag = self._penalize_failure(entry.ad, exc, race)
             entry.attempt.outcome = tag
-            entry.attempt.detail = (exc.report.check
-                                    if isinstance(exc, (FraudDetected,
-                                                        InvalidResponse))
-                                    else str(exc))
-            attempts.append(line)
-            self.stats.failovers += 1
-            if tag == "overloaded" and tried is not None:
-                sheds = sum(1 for a in self.last_hedge
-                            if a.address == entry.ad.address
-                            and a.outcome == "overloaded")
-                if sheds <= MAX_OVERLOAD_DEFERS:
-                    tried.discard(entry.ad.address)
+            report = getattr(exc, "report", None)  # fraud/invalid carry one
+            entry.attempt.detail = str(exc) if report is None else report.check
+            if tag == "overloaded":
+                address = entry.ad.address
+                race.sheds[address] = race.sheds.get(address, 0) + 1
+                if race.sheds[address] <= MAX_OVERLOAD_DEFERS:
+                    race.tried.discard(address)
             return None
         entry.attempt.outcome = "won"
-        if isinstance(outcome, RequestOutcome):  # single-call leg
-            outcome = BatchOutcome(
-                items=(BatchItem(
-                    call=entry.pending.call, status=outcome.response.status,
-                    result=outcome.response.result, report=outcome.report,
-                ),),
-                report=outcome.report, amount_paid=outcome.amount_paid,
-                batched=False,
-            )
         return outcome
 
-    def _hedge_win(self, winner: _HedgeEntry,
-                   losers: list[_HedgeEntry]) -> None:
-        """Settle the race: cancel in-flight losers, credit the winner."""
-        for loser in losers:
+    def _win(self, race: _LegRace, ad: ServerAdvertisement,
+             outcome: RequestOutcome | BatchOutcome, cost: int) -> None:
+        """Settle the leg: cancel in-flight losers, credit the winner."""
+        race.outcome = outcome
+        race.leg.winner = ad.address
+        race.leg.cost = cost
+        for loser in race.active:
             if loser.pending.cancel():
                 loser.attempt.outcome = "cancelled"
                 self.stats.hedges_cancelled += 1
             else:
                 loser.attempt.outcome = "unused"  # arrived, never read
-        self._cold.pop(winner.ad.address, None)
-        self._clear_backoff(winner.ad.address)
-        self.reputation.record(winner.ad.address, EVENT_SERVED_OK, self._now())
+        race.active.clear()
+        self._cold.pop(ad.address, None)
+        self._clear_backoff(ad.address)
+        self.reputation.record(ad.address, EVENT_SERVED_OK, self._now())
         self.stats.queries += 1
 
-    def _serve(self, issue, describe: str, want_batch: bool = False,
-               exclude: Optional[set[Address]] = None,
-               keys: Sequence[bytes] = ()):
-        tried: set[Address] = set(exclude or ())
-        #: per-query overload defers: a shed server leaves ``tried`` again
-        #: (after its backoff) until the defer budget is spent
-        deferred: dict[Address, int] = {}
-        attempts: list[str] = []
-        while True:
-            ad = self._next_candidate(tried, want_batch, keys=keys)
-            if ad is None:
-                detail = f"{describe}: every eligible server failed"
-                if keys and not attempts and not tried:
-                    detail = (f"{describe}: no single eligible server covers "
-                              f"all {len(keys)} state keys — scatter the "
-                              "batch via query_sharded")
-                raise MarketplaceError(detail, attempts)
-            tried.add(ad.address)
-            if self._in_backoff(ad.address):
-                # honor the server's retry_after before re-issuing, instead
-                # of joining the synchronized herd hammering it
-                self._await_backoff([ad.address])
-            try:
-                session = self._session_for(ad)
-            except SessionError as exc:
-                attempts.append(f"{ad.label}: connect: {exc}")  # client-side
-                self.stats.failovers += 1
-                continue
-            except Exception as exc:  # noqa: BLE001 — connect failure ⇒ failover
-                self.reputation.record(ad.address, EVENT_TIMEOUT, self._now())
-                attempts.append(f"{ad.label}: connect: {exc}")
-                self.stats.failovers += 1
-                continue
-            if want_batch and not session.batch_supported():
-                self._note_version_mismatch(ad)
-            try:
-                outcome = issue(session)
-            except (FraudDetected, InvalidResponse, SessionError) as exc:
-                tag, line = self._penalize_failure(ad, exc)
-                attempts.append(line)
-                self.stats.failovers += 1
-                if tag == "overloaded":
-                    count = deferred.get(ad.address, 0) + 1
-                    deferred[ad.address] = count
-                    if count <= MAX_OVERLOAD_DEFERS:
-                        # a shed is a "come back later", not a verdict:
-                        # keep the server retryable for this query
-                        tried.discard(ad.address)
-                continue
-            self._cold.pop(ad.address, None)
-            self._clear_backoff(ad.address)
-            self.reputation.record(ad.address, EVENT_SERVED_OK, self._now())
-            self.stats.queries += 1
-            return outcome
+    def _failure(self, race: _LegRace, describe: str) -> MarketplaceError:
+        """Why a leg ended without a winner, naming what was tried."""
+        detail = f"{describe}: every eligible server failed"
+        if race.leg.keys and not race.attempts and not race.tried:
+            detail = (f"{describe}: no single eligible server covers "
+                      f"all {len(race.leg.keys)} state keys — scatter the "
+                      "batch via query_sharded")
+        return MarketplaceError(detail, race.attempts)
 
-    def _penalize_failure(self, ad: ServerAdvertisement,
-                          exc: SessionError) -> tuple[str, str]:
-        """The one failover policy, shared by the serial path and the hedged
-        race: record reputation/stats for a failed attempt and return an
-        ``(outcome tag, attempts-log line)`` pair."""
+    def _outcome_of(self, race: _LegRace, describe: str):
+        """A single-leg query's result: the winner's outcome or the error."""
+        if race.outcome is None:
+            raise self._failure(race, describe)
+        return race.outcome
+
+    def _penalize_failure(self, ad: ServerAdvertisement, exc: SessionError,
+                          race: _LegRace) -> str:
+        """The one failover policy: record reputation/stats for a failed
+        attempt, log it on the race, and return its outcome tag."""
+        tag, line = "session-error", f"session: {exc}"
         if isinstance(exc, FraudDetected):
             self._on_fraud(ad, exc)
             self._replenish()
-            return "fraud", f"{ad.label}: fraud [{exc.report.check}]"
-        if isinstance(exc, InvalidResponse):
+            tag, line = "fraud", f"fraud [{exc.report.check}]"
+        elif isinstance(exc, InvalidResponse):
             if exc.report.check == "transport":
                 kind = EVENT_TIMEOUT       # silent/dead/partitioned server
                 self._cold[ad.address] = self._cold.get(ad.address, 0) + 1
@@ -1323,8 +1214,8 @@ class MarketplaceClient:
                 self._share_event(ad.address, kind,
                                   exc.report.check.encode("utf-8"))
             self.reputation.record(ad.address, kind, self._now())
-            return tag, f"{ad.label}: {kind} [{exc.report.check}]"
-        if isinstance(exc, ServerOverloaded):
+            line = f"{kind} [{exc.report.check}]"
+        elif isinstance(exc, ServerOverloaded):
             # *soft* failure: a signed, honest shed — no session retirement,
             # no cold streak, no hard reputation slash (the soft-weighted
             # breadcrumb only re-ranks).  The server's retry_after goes into
@@ -1332,26 +1223,13 @@ class MarketplaceClient:
             self.stats.soft_failovers += 1
             self.reputation.record(ad.address, EVENT_OVERLOADED, self._now())
             self._note_overload(ad.address, exc.retry_after)
-            return ("overloaded",
-                    f"{ad.label}: overloaded "
-                    f"(retry in {exc.retry_after:.3f}s)")
-        # plain SessionError: a local condition (most commonly this channel's
-        # budget is exhausted) — not the server's fault, no reputation event
-        return "session-error", f"{ad.label}: session: {exc}"
-
-    def _next_candidate(self, tried: set[Address], want_batch: bool,
-                        keys: Sequence[bytes] = (),
-                        ) -> Optional[ServerAdvertisement]:
-        ranked = [ad for ad in self.eligible(keys=keys)
-                  if ad.address not in tried]
-        if not ranked:
-            return None
-        if want_batch:
-            for ad in ranked:
-                if ad.speaks_batch:
-                    return ad
-            # no batch speaker left: per-key fallback on the best remaining
-        return ranked[0]
+            tag = "overloaded"
+            line = f"overloaded (retry in {exc.retry_after:.3f}s)"
+        # (else a plain SessionError: a local condition, most commonly this
+        # channel's budget is exhausted — not the server's fault, no event)
+        race.attempts.append(f"{ad.label}: {line}")
+        self.stats.failovers += 1
+        return tag
 
     def _note_version_mismatch(self, ad: ServerAdvertisement) -> None:
         """Record (once per server) that it cannot serve our batch version."""

@@ -394,3 +394,95 @@ class TestBatchVersionMismatch:
         # recorded once, even across repeated batches
         client.query_batch(calls)
         assert client.stats.version_mismatches == 1
+
+    def test_honest_legacy_advertisement_is_not_fined(self):
+        """``version_mismatch`` is the penalty for an advertised capability
+        the server lacks.  A server that honestly advertises no batch
+        version lacks nothing it claimed: the batch is served per key and
+        no mismatch is recorded."""
+
+        class LegacyServer(FullNodeServer):
+            def batch_protocol_version(self) -> int:
+                return BATCH_PROTOCOL_VERSION + 7   # speaks something else
+
+        op = PrivateKey.from_seed("e2e:legacy:honest-op")
+        lc = PrivateKey.from_seed("e2e:legacy:honest-lc")
+        alice = PrivateKey.from_seed("e2e:legacy:honest-alice")
+        devnet = Devnet(GenesisConfig(allocations={
+            op.address: 100 * TOKEN, lc.address: 100 * TOKEN,
+            alice.address: 5 * TOKEN}))
+        legacy = devnet.attach_server(op, name="legacy",
+                                      server_cls=LegacyServer)
+        devnet.advance_blocks(2)
+        marketplace = Marketplace()
+        marketplace.advertise(ServerAdvertisement(
+            address=legacy.address, endpoint=legacy,
+            fee_schedule=legacy.fee_schedule, batch_version=None,
+            name="legacy"))
+        client = MarketplaceClient(lc, marketplace, budget=BUDGET)
+        client.connect()
+
+        calls = [RpcCall.create("eth_getBalance", alice.address)] * 2
+        outcome = client.query_batch(calls)
+        assert not outcome.batched          # served via per-key fallback
+        assert all(item.ok for item in outcome.items)
+        assert client.stats.version_mismatches == 0
+        kinds = [e.kind for e in client.reputation.events_of(legacy.address)]
+        assert kinds == [EVENT_SERVED_OK]
+
+
+class TestNonBytesReply:
+    """Over SimNetwork and in process a reply is an arbitrary object.  One
+    that is not a wire frame must classify as INVALID and fail over like
+    any other undecodable reply — not escape the engine untyped."""
+
+    @pytest.mark.parametrize("entry_point", [
+        "request_call", "query_batch", "query_hedged", "query_sharded"])
+    def test_offender_is_penalized_and_honest_server_answers(self, entry_point):
+        class GarbageServer(FullNodeServer):
+            def serve_request(self, wire: bytes):
+                return None
+
+            def serve_batch(self, wire: bytes):
+                return 7
+
+        ops = [PrivateKey.from_seed(f"e2e:garbage:op{i}") for i in range(2)]
+        lc = PrivateKey.from_seed("e2e:garbage:lc")
+        alice = PrivateKey.from_seed("e2e:garbage:alice")
+        allocations = {k.address: 100 * TOKEN for k in ops + [lc]}
+        allocations[alice.address] = 5 * TOKEN
+        devnet = Devnet(GenesisConfig(allocations=allocations))
+        # the offender is priced to rank first
+        garbage = devnet.attach_server(
+            ops[0], name="garbage", server_cls=GarbageServer,
+            fee_schedule=FlatFeeSchedule(flat_price=2 * GWEI))
+        honest = devnet.attach_server(
+            ops[1], name="honest",
+            fee_schedule=FlatFeeSchedule(flat_price=10 * GWEI))
+        devnet.advance_blocks(2)
+        marketplace = Marketplace()
+        marketplace.advertise_server(garbage)
+        marketplace.advertise_server(honest)
+        client = MarketplaceClient(lc, marketplace, budget=BUDGET)
+        client.connect()
+        assert client.eligible()[0].address == garbage.address
+
+        call = RpcCall.create("eth_getBalance", alice.address)
+        if entry_point == "request_call":
+            outcome = client.request_call(call)
+            assert outcome.response.status == 0
+        else:
+            calls = [call, call] if entry_point == "query_batch" else [call]
+            kwargs = {"fanout": 1} if entry_point != "query_batch" else {}
+            outcome = getattr(client, entry_point)(calls, **kwargs)
+            assert all(item.ok for item in outcome.items)
+
+        assert [a.outcome for a in client.last_hedge] == ["invalid", "won"]
+        assert client.last_hedge[0].detail == "decode"
+        kinds = [e.kind for e in client.reputation.events_of(garbage.address)]
+        assert kinds == ["invalid_response"]
+        assert client.stats.failovers == 1
+        # §IV-F: the offender's session is terminated, its escrow kept
+        assert garbage.address not in client.sessions
+        assert garbage.address in dict(client.retired)
+        assert honest.stats.requests_served + honest.stats.batches_served == 1

@@ -107,6 +107,28 @@ class TestBeginCollect:
             env.session.begin_batch(
                 [RpcCall.create("eth_getBalance", keys.alice.address)])
 
+    @pytest.mark.parametrize("reply", [None, 7, "0x00", [b"\x00"]])
+    def test_non_bytes_reply_is_invalid_on_both_wires(self, devnet, keys,
+                                                      reply):
+        """A reply that is not a wire frame is an undecodable reply —
+        typed INVALID at collect, not a TypeError out of the decoder."""
+
+        class GarbageServer(FullNodeServer):
+            def serve_request(self, wire):
+                return reply
+
+            def serve_batch(self, wire):
+                return reply
+
+        env = make_parp_env(devnet, keys, server_cls=GarbageServer)
+        call = RpcCall.create("eth_getBalance", keys.alice.address)
+        for pending in (env.session.begin_request(call),
+                        env.session.begin_batch([call, call])):
+            with pytest.raises(InvalidResponse) as excinfo:
+                env.session.collect(pending)
+            assert excinfo.value.report.check == "decode"
+        assert env.session.channel.acked == 0
+
     def test_timeout_on_silent_server_surfaces_at_collect(self, sim_session,
                                                           keys):
         network, server, binding, endpoint, session = sim_session
