@@ -51,7 +51,7 @@ def _measure_workload(world, call_factory, timer: StepTimer, label: str,
         wire = request.encode_wire()
 
         start = time.perf_counter()                      # (B) request verify
-        verified = server._verify_request(PARPRequest.decode_wire(wire))
+        server.verify_and_bill(PARPRequest.decode_wire(wire))
         timer.add_sample(f"B/{label}", time.perf_counter() - start)
 
         start = time.perf_counter()                      # (C-proof)

@@ -18,6 +18,7 @@ from ..chain.transaction import Transaction
 from ..crypto import keccak256
 from ..crypto.keys import Address
 from ..rlp import codec as rlp
+from ..trie.mpt import EMPTY_TRIE_ROOT
 from ..trie.proof import ProofError, ProofIndex, verify_proof
 
 __all__ = [
@@ -53,8 +54,8 @@ def verify_storage_slot(header: BlockHeader, address: Address, slot: bytes,
     storage root.  ``proof`` holds the account and storage nodes together."""
     proof = ProofIndex.of(proof)  # both walks share one
     account = verify_account(header, address, proof)
-    if account is None:
-        return b""
+    if account is None or account.storage_root == EMPTY_TRIE_ROOT:
+        return b""  # no account, or one whose empty storage needs no walk
     raw = verify_proof(account.storage_root, keccak256(slot), proof)
     if raw is None:
         return b""

@@ -34,6 +34,7 @@ from .futures import DEFAULT_TIMEOUT, EndpointTimeout, PendingReply, ReplyCancel
 from .network import SimNetwork
 
 __all__ = [
+    "ENDPOINT_METHODS",
     "EndpointTimeout",
     "ReplyCancelled",
     "RemoteError",
@@ -71,6 +72,17 @@ class _Reply:
     error_kind: str = ""  # exception class name for failed calls
 
 
+#: Every method of :class:`~repro.parp.client.ServerEndpoint` a client may
+#: invoke on a remote server — the one table behind the binding's allow-list
+#: and the endpoint's blocking adapters.
+ENDPOINT_METHODS = (
+    "handshake", "open_channel", "relay_transaction", "get_transaction_count",
+    "serve_request", "serve_batch", "batch_protocol_version",
+    "serve_header", "serve_head_number", "serve_bootstrap",
+    "serve_updates_range", "shard_info", "load_info",
+)
+
+
 def _remote_exception(kind: str, message: str) -> ServeError:
     """Map a tagged error reply onto a typed client-side exception."""
     if not kind or kind == "ServeError":
@@ -82,12 +94,7 @@ class SimServerBinding:
     """Network-facing wrapper around a :class:`FullNodeServer`."""
 
     #: endpoint methods a remote client may invoke
-    _ALLOWED = frozenset({
-        "handshake", "open_channel", "serve_request", "relay_transaction",
-        "get_transaction_count", "serve_header", "serve_head_number",
-        "serve_bootstrap", "serve_updates_range",
-        "serve_batch", "batch_protocol_version", "shard_info", "load_info",
-    })
+    _ALLOWED = frozenset(ENDPOINT_METHODS)
 
     def __init__(self, network: SimNetwork, name: str,
                  server: FullNodeServer) -> None:
@@ -219,46 +226,19 @@ class SimEndpoint:
             reply.cancel()
             raise
 
-    # -- ServerEndpoint protocol -------------------------------------------- #
 
-    def handshake(self, msg: Handshake) -> HandshakeConfirm:
-        return self._invoke("handshake", msg)
+def _blocking_adapter(method: str):
+    def adapter(self: SimEndpoint, *args: Any) -> Any:
+        return self._invoke(method, *args)
+    adapter.__name__ = method
+    adapter.__qualname__ = f"SimEndpoint.{method}"
+    adapter.__doc__ = f"Blocking ``{method}``: submit, then wait for the reply."
+    return adapter
 
-    def open_channel(self, raw_tx: bytes) -> OpenChannelReceipt:
-        return self._invoke("open_channel", raw_tx)
 
-    def serve_request(self, wire: bytes) -> bytes:
-        return self._invoke("serve_request", wire)
-
-    def serve_batch(self, wire: bytes) -> bytes:
-        return self._invoke("serve_batch", wire)
-
-    def batch_protocol_version(self) -> int:
-        return self._invoke("batch_protocol_version")
-
-    def shard_info(self):
-        return self._invoke("shard_info")
-
-    def load_info(self) -> dict:
-        return self._invoke("load_info")
-
-    def relay_transaction(self, raw_tx: bytes) -> bytes:
-        return self._invoke("relay_transaction", raw_tx)
-
-    def get_transaction_count(self, address: Address) -> int:
-        return self._invoke("get_transaction_count", address)
-
-    def serve_header(self, number: int) -> Optional[BlockHeader]:
-        return self._invoke("serve_header", number)
-
-    def serve_head_number(self) -> int:
-        return self._invoke("serve_head_number")
-
-    def serve_bootstrap(self, checkpoint_hash: bytes) -> Optional[BlockHeader]:
-        return self._invoke("serve_bootstrap", checkpoint_hash)
-
-    def serve_updates_range(self, start: int, count: int) -> list[BlockHeader]:
-        return self._invoke("serve_updates_range", start, count)
+# -- the ServerEndpoint protocol, one submit-then-wait adapter per method ---- #
+for _method in ENDPOINT_METHODS:
+    setattr(SimEndpoint, _method, _blocking_adapter(_method))
 
 
 def _call_size(call: _Call) -> int:

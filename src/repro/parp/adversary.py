@@ -60,7 +60,12 @@ class MaliciousFullNodeServer(FullNodeServer):
         self.attacks_launched = 0
 
     # The dispatcher: run the configured forgery instead of honest step (C).
-    def _execute_and_sign(self, request: PARPRequest) -> PARPResponse:
+    # Forgeries ride the single wire only — the FDM cannot decode a batch
+    # yet, so a forged batch could not be slashed; batches are served
+    # honestly.
+    def _execute_and_sign(self, request):
+        if not isinstance(request, PARPRequest):
+            return super()._execute_and_sign(request)
         self.attacks_launched += 1
         forge = getattr(self, f"_attack_{self.attack}")
         return forge(request)

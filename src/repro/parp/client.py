@@ -79,9 +79,15 @@ DEFAULT_GAS_LIMIT = 500_000
 class ServerEndpoint(Protocol):
     """What a light client needs from a (remote) PARP full node.
 
+    :class:`~repro.parp.server.FullNodeServer` satisfies it in process;
+    over the simulated network :class:`~repro.net.transport.SimEndpoint`
+    does, with one blocking adapter per name in
+    :data:`~repro.net.transport.ENDPOINT_METHODS` — the same table its
+    server-side binding admits calls by, and which a test holds equal to
+    the methods declared here.
+
     Endpoints may additionally expose the non-blocking transport contract
-    ``submit(method, *args) -> PendingReply`` (see
-    :class:`~repro.net.transport.SimEndpoint`); sessions probe for it via
+    ``submit(method, *args) -> PendingReply``; sessions probe for it via
     getattr and fall back to executing blocking calls into an
     already-resolved future, so ``begin_*``/``collect`` work against any
     endpoint — in-process servers just lose the overlap.
@@ -89,17 +95,25 @@ class ServerEndpoint(Protocol):
 
     @property
     def address(self) -> Address: ...
+    # Connection setup and channel management (Algorithm 1, §IV-E)
     def handshake(self, msg: Handshake) -> HandshakeConfirm: ...
     def open_channel(self, raw_tx: bytes) -> OpenChannelReceipt: ...
-    def serve_request(self, wire: bytes) -> bytes: ...
     def relay_transaction(self, raw_tx: bytes) -> bytes: ...
     def get_transaction_count(self, address: Address) -> int: ...
-    def serve_header(self, number: int) -> Optional[BlockHeader]: ...
-    def serve_head_number(self) -> int: ...
-    # Batch extension — optional: clients probe ``batch_protocol_version``
-    # via getattr and fall back to per-key ``serve_request`` when absent.
+    # The paid wires.  The batch pair is optional: clients probe
+    # ``batch_protocol_version`` via getattr and fall back to per-key
+    # ``serve_request`` when it is absent or foreign.
+    def serve_request(self, wire: bytes) -> bytes: ...
     def serve_batch(self, wire: bytes) -> bytes: ...
     def batch_protocol_version(self) -> int: ...
+    # Free header service (§IV-D) and checkpoint sync
+    def serve_header(self, number: int) -> Optional[BlockHeader]: ...
+    def serve_head_number(self) -> int: ...
+    def serve_bootstrap(self, checkpoint_hash: bytes) -> Optional[BlockHeader]: ...
+    def serve_updates_range(self, start: int, count: int) -> list[BlockHeader]: ...
+    # Free probes: the shard a server holds, its admission load
+    def shard_info(self) -> Optional[tuple[int, int, bytes, int]]: ...
+    def load_info(self) -> dict: ...
 
 
 class SessionError(Exception):
@@ -156,6 +170,13 @@ class RequestOutcome:
     report: VerificationReport
     amount_paid: int          # cumulative a after this request
 
+    @classmethod
+    def of(cls, request: PARPRequest, response: PARPResponse,
+           report: VerificationReport) -> "RequestOutcome":
+        """The round as :func:`classify_response` judged it."""
+        return cls(request=request, response=response, report=report,
+                   amount_paid=request.a)
+
 
 @dataclass(frozen=True)
 class BatchItem:
@@ -181,6 +202,21 @@ class BatchOutcome:
     batched: bool             # False when served via per-key fallback
     request: Optional[BatchRequest] = None
     response: Optional[BatchResponse] = None
+
+    @classmethod
+    def of(cls, request: BatchRequest, response: BatchResponse,
+           verdict: tuple[VerificationReport, list[VerificationReport]],
+           ) -> "BatchOutcome":
+        """The round as :func:`classify_batch_response` judged it: the
+        overall report plus one per item (none when the envelope failed)."""
+        report, item_reports = verdict
+        items = tuple(
+            BatchItem(call=call, status=response.statuses[i],
+                      result=response.results[i], report=item_reports[i])
+            for i, call in enumerate(request.calls)
+        ) if item_reports else ()
+        return cls(items=items, report=report, amount_paid=request.a,
+                   batched=True, request=request, response=response)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -360,6 +396,10 @@ class LightClientSession:
             return PendingReply.failed(exc, method=method)
         return PendingReply.completed(value, method=method)
 
+    def _require_bonded(self) -> None:
+        if self.state is not LightClientState.BONDED or self.channel is None:
+            raise SessionError(f"no bonded channel (state={self.state.value})")
+
     def begin_request(self, call: RpcCall, tip: int = 0) -> PendingQuery:
         """Step (A) without the wait: sign, pay, submit, return the future.
 
@@ -374,43 +414,35 @@ class LightClientSession:
         collect time and failover handles it).  Hedged queries are immune:
         each race leg rides its own channel.
         """
-        if self.state is not LightClientState.BONDED or self.channel is None:
-            raise SessionError(f"no bonded channel (state={self.state.value})")
-        price = self.fee_schedule.price(call) + tip
-        try:
-            amount = self.channel.next_amount(price)
-        except ChannelError as exc:
-            raise SessionError(str(exc)) from exc
-
-        request = self.build_request(call, amount)
-        self.channel.record_request(amount)
-        reply = self._submit("serve_request", request.encode_wire())
-        return PendingQuery(request=request, reply=reply)
+        return self._begin(self.build_request, self.fee_schedule.price,
+                           call, tip)
 
     def begin_batch(self, calls: Sequence[RpcCall],
                     tip: int = 0) -> PendingQuery:
         """Non-blocking :meth:`query_batch` issue (no per-key fallback:
         callers that want it use the blocking adapter, which probes first).
         """
-        if self.state is not LightClientState.BONDED or self.channel is None:
-            raise SessionError(f"no bonded channel (state={self.state.value})")
-        calls = tuple(calls)
-        if not calls:
-            raise SessionError("a batch needs at least one call")
+        calls = self._bonded_batch(calls)
         if not self.batch_supported():
             raise SessionError(
                 "endpoint does not speak our batch protocol version; "
                 "use query_batch for the per-key fallback"
             )
-        price = self.fee_schedule.batch_price(calls) + tip
+        return self._begin(self.build_batch_request,
+                           self.fee_schedule.batch_price, calls, tip)
+
+    def _begin(self, build, price_of, payload, tip: int) -> PendingQuery:
+        """The one issue path: price → next amount → build + sign → commit
+        the payment → submit.  ``payload`` is the call (single wire) or the
+        calls (batch wire) that ``price_of`` prices and ``build`` signs."""
+        self._require_bonded()
         try:
-            amount = self.channel.next_amount(price)
+            amount = self.channel.next_amount(price_of(payload) + tip)
         except ChannelError as exc:
             raise SessionError(str(exc)) from exc
-
-        request = self.build_batch_request(calls, amount)
+        request = build(payload, amount)
         self.channel.record_request(amount)
-        reply = self._submit("serve_batch", request.encode_wire())
+        reply = self._submit(request.endpoint, request.encode_wire())
         return PendingQuery(request=request, reply=reply)
 
     def collect(self, pending: PendingQuery,
@@ -442,9 +474,8 @@ class LightClientSession:
                 ResponseClass.INVALID, "decode",
                 f"reply is {type(raw).__name__}, not bytes",
             ))
-        if isinstance(pending.request, BatchRequest):
-            return self.process_batch_response(pending.request, raw)
-        return self.process_response(pending.request, raw)
+        finish = getattr(self, pending.request.completion)
+        return finish(pending.request, raw)
 
     def build_request(self, call: RpcCall, amount: int) -> PARPRequest:
         """Step (A): pin h_B and produce the doubly signed request."""
@@ -481,9 +512,29 @@ class LightClientSession:
 
     def process_response(self, request: PARPRequest, raw: bytes) -> RequestOutcome:
         """Step (D): decode, header-sync, classify, and act on a response."""
+        return self._process(request, raw, classify_response,
+                             RequestOutcome.of, self._try_build_package)
+
+    def process_batch_response(self, request: BatchRequest,
+                               raw: bytes) -> BatchOutcome:
+        """Step (D) for a batch: decode, header-sync, classify per item."""
+        # Batch fraud blobs are not yet understood by the on-chain FDM
+        # (Algorithm 2 decodes single responses), so a fraudulent batch
+        # terminates the session and fails over without a package; the
+        # channel dispute path still protects the payment itself.
+        return self._process(request, raw, classify_batch_response,
+                             BatchOutcome.of, lambda request, response: None)
+
+    def _process(self, request, raw: bytes, classify, outcome_of, package_of):
+        """The one step-(D) path, either wire.
+
+        ``classify`` runs the §V-D checks, ``outcome_of`` shapes its verdict
+        into the wire's outcome type, and ``package_of`` assembles the fraud
+        evidence the wire can offer (None when it cannot).
+        """
         self._raise_if_overloaded(raw, request.h_req)
         try:
-            response = PARPResponse.decode_wire(raw)
+            response = request.response_type.decode_wire(raw)
         except MessageError as exc:
             raise InvalidResponse(VerificationReport(
                 ResponseClass.INVALID, "decode", str(exc),
@@ -492,25 +543,23 @@ class LightClientSession:
         # Fetch any headers verification will need (free, multi-source).
         request_height = self.headers.height_of(request.h_b)
         if request_height is None:
-            raise SessionError("request pinned a header we no longer track")
+            raise SessionError(
+                f"{request.noun} pinned a header we no longer track")
         try:
             if response.m_b > self.headers.chain.tip_number:
                 self.headers.sync_to(response.m_b)
         except SyncError:
             pass  # classification will mark it unverifiable/invalid
 
-        report = classify_response(
+        outcome = outcome_of(request, response, classify(
             request, response, self.channel.alpha, self.full_node,
             request_height, self.headers.get_header,
-        )
-        outcome = RequestOutcome(
-            request=request, response=response, report=report,
-            amount_paid=request.a,
-        )
+        ))
         self.history.append(outcome)
 
+        report = outcome.report
         if report.classification is ResponseClass.FRAUD:
-            package = self._try_build_package(request, response)
+            package = package_of(request, response)
             self.state = LightClientState.UNBONDING  # terminate the connection
             raise FraudDetected(report, package)
         if report.classification is ResponseClass.INVALID:
@@ -558,6 +607,14 @@ class LightClientSession:
         except Exception:  # noqa: BLE001 — any probe failure means "don't batch"
             return False
 
+    def _bonded_batch(self, calls: Sequence[RpcCall]) -> tuple[RpcCall, ...]:
+        """The calls of a batch about to be issued, as a non-empty tuple."""
+        self._require_bonded()
+        calls = tuple(calls)
+        if not calls:
+            raise SessionError("a batch needs at least one call")
+        return calls
+
     def query_batch(self, calls: Sequence[RpcCall], tip: int = 0) -> BatchOutcome:
         """N queries, one payment, one multiproof — the batched request path.
 
@@ -568,11 +625,7 @@ class LightClientSession:
         signed payment is wasted), falls back transparently to sequential
         per-key requests with identical verification guarantees.
         """
-        if self.state is not LightClientState.BONDED or self.channel is None:
-            raise SessionError(f"no bonded channel (state={self.state.value})")
-        calls = tuple(calls)
-        if not calls:
-            raise SessionError("a batch needs at least one call")
+        calls = self._bonded_batch(calls)
         if not self.batch_supported():
             return self._batch_fallback(calls, tip)
         # Thin submit-then-wait adapter over the non-blocking path.
@@ -586,53 +639,6 @@ class LightClientSession:
             amount=amount, calls=calls, key=self.key,
             version=BATCH_PROTOCOL_VERSION,
         )
-
-    def process_batch_response(self, request: BatchRequest,
-                               raw: bytes) -> BatchOutcome:
-        """Step (D) for a batch: decode, header-sync, classify per item."""
-        self._raise_if_overloaded(raw, request.h_req)
-        try:
-            response = BatchResponse.decode_wire(raw)
-        except MessageError as exc:
-            raise InvalidResponse(VerificationReport(
-                ResponseClass.INVALID, "decode", str(exc),
-            )) from exc
-
-        request_height = self.headers.height_of(request.h_b)
-        if request_height is None:
-            raise SessionError("batch pinned a header we no longer track")
-        try:
-            if response.m_b > self.headers.chain.tip_number:
-                self.headers.sync_to(response.m_b)
-        except SyncError:
-            pass  # classification will mark it unverifiable/invalid
-
-        report, item_reports = classify_batch_response(
-            request, response, self.channel.alpha, self.full_node,
-            request_height, self.headers.get_header,
-        )
-        items = tuple(
-            BatchItem(call=call, status=response.statuses[i],
-                      result=response.results[i], report=item_reports[i])
-            for i, call in enumerate(request.calls)
-        ) if item_reports else ()
-        outcome = BatchOutcome(
-            items=items, report=report, amount_paid=request.a,
-            batched=True, request=request, response=response,
-        )
-        self.history.append(outcome)
-
-        if report.classification is ResponseClass.FRAUD:
-            # Batch fraud blobs are not yet understood by the on-chain FDM
-            # (Algorithm 2 decodes single responses), so terminate and fail
-            # over without a package; the channel dispute path still protects
-            # the payment itself.
-            self.state = LightClientState.UNBONDING
-            raise FraudDetected(report, None)
-        if report.classification is ResponseClass.INVALID:
-            raise InvalidResponse(report)
-        self.channel.record_ack(request.a)
-        return outcome
 
     def _batch_fallback(self, calls: tuple[RpcCall, ...],
                         tip: int) -> BatchOutcome:

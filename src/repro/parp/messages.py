@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ..crypto import Signature, SignatureError, keccak256, recover_address
 from ..crypto.keys import Address, PrivateKey
@@ -34,11 +34,10 @@ from ..trie.proof import ProofIndex
 from .constants import (
     ALPHA_BYTES,
     AMOUNT_BYTES,
+    BATCH_PROTOCOL_VERSION,
     BATCH_REQUEST_OVERHEAD_BYTES,
-    BATCH_RESPONSE_OVERHEAD_BYTES,
     HASH_BYTES,
     HEIGHT_BYTES,
-    MAX_AMOUNT,
     MILLIS_BYTES,
     OVERLOAD_OVERHEAD_BYTES,
     REQUEST_OVERHEAD_BYTES,
@@ -46,6 +45,9 @@ from .constants import (
     SIGNATURE_BYTES,
     STATUS_BYTES,
 )
+
+if TYPE_CHECKING:
+    from .pricing import FeeSchedule
 
 __all__ = [
     "MessageError",
@@ -81,16 +83,14 @@ class ResponseStatus:
     OVERLOADED = 2  # admission shed: a signed refusal, not a served response
 
 
+def _encode_uint(value: int, width: int, what: str) -> bytes:
+    if not 0 <= value < (1 << (8 * width)):
+        raise MessageError(f"{what} {value} out of u{8 * width} range")
+    return value.to_bytes(width, "big")
+
+
 def _encode_amount(amount: int) -> bytes:
-    if not 0 <= amount <= MAX_AMOUNT:
-        raise MessageError(f"payment amount {amount} out of u128 range")
-    return amount.to_bytes(AMOUNT_BYTES, "big")
-
-
-def _encode_height(height: int) -> bytes:
-    if not 0 <= height < (1 << (8 * HEIGHT_BYTES)):
-        raise MessageError(f"block height {height} out of u64 range")
-    return height.to_bytes(HEIGHT_BYTES, "big")
+    return _encode_uint(amount, AMOUNT_BYTES, "payment amount")
 
 
 def payment_preimage(alpha: bytes, amount: int) -> bytes:
@@ -109,9 +109,7 @@ def payment_digest(alpha: bytes, amount: int) -> bytes:
 def handshake_preimage(light_client: Address, expiry: int) -> bytes:
     """Bytes behind the handshake confirmation ``Sign((LC ‖ expiryDate),
     sk_FN)`` of Algorithm 1; verified again on-chain when opening a channel."""
-    if expiry < 0 or expiry >= (1 << 64):
-        raise MessageError("handshake expiry out of u64 range")
-    return light_client.to_bytes() + expiry.to_bytes(8, "big")
+    return light_client.to_bytes() + _encode_uint(expiry, 8, "handshake expiry")
 
 
 def handshake_digest(light_client: Address, expiry: int) -> bytes:
@@ -132,12 +130,9 @@ def batch_request_digest(alpha: bytes, h_b: bytes, amount: int, version: int,
     The version byte is bound into the digest so a server cannot silently
     downgrade the batch semantics the client signed for.
     """
-    if len(alpha) != ALPHA_BYTES or len(h_b) != HASH_BYTES:
-        raise MessageError("bad α or h_B length in batch request digest")
-    if not 0 <= version < 256:
-        raise MessageError(f"batch protocol version {version} out of u8 range")
-    return keccak256(
-        alpha + h_b + _encode_amount(amount) + bytes([version]) + calls_bytes
+    return request_digest(
+        alpha, h_b, amount,
+        _encode_uint(version, 1, "batch protocol version") + calls_bytes,
     )
 
 
@@ -147,8 +142,8 @@ def response_preimage(alpha: bytes, status: int, m_b: int, amount: int,
     if len(alpha) != ALPHA_BYTES:
         raise MessageError(f"channel id must be {ALPHA_BYTES} bytes")
     return (
-        alpha + bytes([status]) + _encode_height(m_b) + _encode_amount(amount)
-        + payload + h_req + sig_req
+        alpha + bytes([status]) + _encode_uint(m_b, HEIGHT_BYTES, "block height")
+        + _encode_amount(amount) + payload + h_req + sig_req
     )
 
 
@@ -160,12 +155,6 @@ def response_digest(alpha: bytes, status: int, m_b: int, amount: int,
     )
 
 
-def _encode_millis(value: int, what: str) -> bytes:
-    if not 0 <= value < (1 << (8 * MILLIS_BYTES)):
-        raise MessageError(f"{what} {value} out of u32 fixed-point range")
-    return value.to_bytes(MILLIS_BYTES, "big")
-
-
 def overload_preimage(m_b: int, load_millis: int, retry_after_millis: int,
                       fee_multiplier_millis: int, h_req: bytes) -> bytes:
     """Bytes behind σ_ovl — the full Overloaded reply, h_req included, so a
@@ -173,10 +162,11 @@ def overload_preimage(m_b: int, load_millis: int, retry_after_millis: int,
     if len(h_req) != HASH_BYTES:
         raise MessageError("bad h_req length in overload digest")
     return (
-        bytes([ResponseStatus.OVERLOADED]) + _encode_height(m_b)
-        + _encode_millis(load_millis, "load factor")
-        + _encode_millis(retry_after_millis, "retry-after hint")
-        + _encode_millis(fee_multiplier_millis, "fee multiplier")
+        bytes([ResponseStatus.OVERLOADED])
+        + _encode_uint(m_b, HEIGHT_BYTES, "block height")
+        + _encode_uint(load_millis, MILLIS_BYTES, "load factor")
+        + _encode_uint(retry_after_millis, MILLIS_BYTES, "retry-after hint")
+        + _encode_uint(fee_multiplier_millis, MILLIS_BYTES, "fee multiplier")
         + h_req
     )
 
@@ -265,6 +255,158 @@ def _param_to_item(value: Any) -> rlp.Item:
 
 
 # --------------------------------------------------------------------------- #
+# The signed envelopes — one codec for the single and the batch wire
+# --------------------------------------------------------------------------- #
+#
+# A request is a 226-byte header followed by its payload, a response a
+# 187-byte header followed by its payload.  The two wires differ in the
+# payload (one call against a list of calls; one result and proof against
+# per-call results over a shared pool), in the version byte a batch request
+# leads with, and in how the request digest is formed.  Everything else —
+# slicing, signing, the two-recover request check, the response signer — is
+# written once, here.
+
+#: (field, width) in wire order; fields in ``_UINTS`` travel big-endian
+_REQUEST_HEADER = (
+    ("alpha", ALPHA_BYTES), ("h_b", HASH_BYTES), ("a", AMOUNT_BYTES),
+    ("h_req", HASH_BYTES), ("sig_a", SIGNATURE_BYTES),
+    ("sig_req", SIGNATURE_BYTES),
+)
+_BATCH_REQUEST_HEADER = (("version", 1), *_REQUEST_HEADER)
+_RESPONSE_HEADER = (
+    ("status", STATUS_BYTES), ("m_b", HEIGHT_BYTES), ("a", AMOUNT_BYTES),
+    ("h_req", HASH_BYTES), ("sig_req", SIGNATURE_BYTES),
+    ("sig_res", SIGNATURE_BYTES),
+)
+_OVERLOAD_REPLY = (
+    ("status", STATUS_BYTES), ("m_b", HEIGHT_BYTES),
+    ("load_millis", MILLIS_BYTES), ("retry_after_millis", MILLIS_BYTES),
+    ("fee_multiplier_millis", MILLIS_BYTES), ("h_req", HASH_BYTES),
+    ("sig_ovl", SIGNATURE_BYTES),
+)
+_UINTS = frozenset({"version", "status", "m_b", "a", "load_millis",
+                    "retry_after_millis", "fee_multiplier_millis"})
+
+
+def _pack(message, layout: Sequence[tuple[str, int]]) -> bytes:
+    """The ``layout`` fields of ``message``, back to back."""
+    return b"".join(
+        _encode_uint(getattr(message, name), width, name) if name in _UINTS
+        else getattr(message, name)
+        for name, width in layout
+    )
+
+
+def _unpack(raw: bytes, layout: Sequence[tuple[str, int]],
+            what: str) -> tuple[dict, bytes]:
+    """Slice the ``layout`` fields off the front of ``raw``: the fields as
+    constructor arguments, and the payload that follows them."""
+    size = sum(width for _, width in layout)
+    if len(raw) < size:
+        raise MessageError(f"{what} too short: {len(raw)} < {size}")
+    fields, pos = {}, 0
+    for name, width in layout:
+        chunk = raw[pos:pos + width]
+        fields[name] = int.from_bytes(chunk, "big") if name in _UINTS else chunk
+        pos += width
+    return fields, raw[pos:]
+
+
+def _decode_payload(body: bytes, what: str) -> list:
+    try:
+        payload = rlp.decode(body)
+    except rlp.RLPError as exc:
+        raise MessageError(f"undecodable {what}: {exc}") from exc
+    if not isinstance(payload, list):
+        raise MessageError(f"{what} must be an rlp list")
+    return payload
+
+
+def _byte_strings(items: list, what: str) -> tuple[bytes, ...]:
+    if not all(isinstance(item, bytes) for item in items):
+        raise MessageError(f"{what} must be byte strings")
+    return tuple(items)
+
+
+def _signed_request_fields(key: PrivateKey, alpha: bytes, h_b: bytes,
+                           amount: int, h_req: bytes) -> dict:
+    """Step (A): the header of a request whose digest is ``h_req`` — σ_a
+    over the payment, σ_req over the digest."""
+    return dict(
+        alpha=alpha, h_b=h_b, a=amount, h_req=h_req,
+        sig_a=key.sign(payment_digest(alpha, amount)).to_bytes(),
+        sig_req=key.sign(h_req).to_bytes(),
+    )
+
+
+def _recover(digest: bytes, signature: bytes, what: str) -> Address:
+    try:
+        return recover_address(digest, Signature.from_bytes(signature))
+    except SignatureError as exc:
+        raise MessageError(f"bad {what} signature: {exc}") from exc
+
+
+def _verify_signed_request(request, expected_sender: Optional[Address]) -> Address:
+    """Full-node-side request verification (step (B) in Fig. 5), either wire.
+
+    Checks the digest reconstruction and both signatures; returns the
+    recovered light-client address.
+    """
+    noun = request.noun
+    if request.h_req != request.expected_digest():
+        raise MessageError(f"{noun} hash does not match {noun} contents")
+    req_signer = _recover(request.h_req, request.sig_req, noun)
+    pay_signer = _recover(payment_digest(request.alpha, request.a),
+                          request.sig_a, noun)
+    if req_signer != pay_signer:
+        raise MessageError(f"{noun} and payment signed by different keys")
+    if expected_sender is not None and req_signer != expected_sender:
+        raise MessageError(f"{noun} signer is not the channel's light client")
+    return req_signer
+
+
+def _signed_response_fields(key: PrivateKey, alpha: bytes, request,
+                            status: int, m_b: int, payload: bytes) -> dict:
+    """Step (C): the header of the response to ``request`` — the request's
+    amount, digest and signature echoed, σ_res over h_res."""
+    h_res = response_digest(
+        alpha, status, m_b, request.a, payload, request.h_req, request.sig_req
+    )
+    return dict(status=status, m_b=m_b, a=request.a, h_req=request.h_req,
+                sig_req=request.sig_req, sig_res=key.sign(h_res).to_bytes())
+
+
+def _response_signer(response, alpha: bytes) -> Address:
+    """Recover the full-node address that signed a response, either wire."""
+    return _recover(response.digest(alpha), response.sig_res, "response")
+
+
+class _SignedResponse:
+    """What both response wires derive from their header and payload."""
+
+    def payload(self) -> bytes:
+        raise NotImplementedError
+
+    def preimage(self, alpha: bytes) -> bytes:
+        """The exact bytes behind h_res (for metered on-chain recomputation)."""
+        return response_preimage(
+            alpha, self.status, self.m_b, self.a, self.payload(), self.h_req,
+            self.sig_req,
+        )
+
+    def digest(self, alpha: bytes) -> bytes:
+        """Recompute h_res for the given channel id."""
+        return keccak256(self.preimage(alpha))
+
+    @property
+    def wire_overhead(self) -> int:
+        """Metadata bytes (187) + Merkle proof bytes, per Table II — for a
+        batch, the shared multiproof of the whole batch."""
+        proof_bytes = len(rlp.encode(list(self.proof))) if self.proof else 0
+        return RESPONSE_OVERHEAD_BYTES + proof_bytes
+
+
+# --------------------------------------------------------------------------- #
 # Request
 # --------------------------------------------------------------------------- #
 
@@ -280,42 +422,49 @@ class PARPRequest:
     sig_a: bytes
     sig_req: bytes
 
+    # -- what the shared server and client pipelines read off the wire type -- #
+
+    noun = "request"
+    #: the server method this wire is served by
+    endpoint = "serve_request"
+    #: the session method that finishes a round on this wire (step (D))
+    completion = "process_response"
+    #: methods the wire answers with a signed refusal: none
+    refused_methods = frozenset()
+
+    @property
+    def calls(self) -> tuple[RpcCall, ...]:
+        """A single request is a batch of one."""
+        return (self.call,)
+
+    @property
+    def response_type(self) -> type["PARPResponse"]:
+        return PARPResponse
+
+    def price(self, schedule: "FeeSchedule") -> int:
+        return schedule.price(self.call)
+
+    def check_version(self) -> None:
+        """The single wire carries no version byte: always servable."""
+
     @classmethod
     def build(cls, alpha: bytes, h_b: bytes, amount: int, call: RpcCall,
               key: PrivateKey) -> "PARPRequest":
         """Construct and sign a request (light-client side, step (A))."""
-        call_bytes = call.encode()
-        h_req = request_digest(alpha, h_b, amount, call_bytes)
-        sig_a = key.sign(payment_digest(alpha, amount)).to_bytes()
-        sig_req = key.sign(h_req).to_bytes()
-        return cls(alpha=alpha, h_b=h_b, a=amount, call=call,
-                   h_req=h_req, sig_a=sig_a, sig_req=sig_req)
+        h_req = request_digest(alpha, h_b, amount, call.encode())
+        return cls(call=call,
+                   **_signed_request_fields(key, alpha, h_b, amount, h_req))
 
     # -- wire ------------------------------------------------------------- #
 
     def encode_wire(self) -> bytes:
         """226 bytes of PARP metadata followed by the base RPC call γ."""
-        return (
-            self.alpha + self.h_b + _encode_amount(self.a) + self.h_req
-            + self.sig_a + self.sig_req + self.call.encode()
-        )
+        return _pack(self, _REQUEST_HEADER) + self.call.encode()
 
     @classmethod
     def decode_wire(cls, raw: bytes) -> "PARPRequest":
-        if len(raw) < REQUEST_OVERHEAD_BYTES:
-            raise MessageError(
-                f"request too short: {len(raw)} < {REQUEST_OVERHEAD_BYTES}"
-            )
-        pos = 0
-        alpha = raw[pos:pos + ALPHA_BYTES]; pos += ALPHA_BYTES
-        h_b = raw[pos:pos + HASH_BYTES]; pos += HASH_BYTES
-        amount = int.from_bytes(raw[pos:pos + AMOUNT_BYTES], "big"); pos += AMOUNT_BYTES
-        h_req = raw[pos:pos + HASH_BYTES]; pos += HASH_BYTES
-        sig_a = raw[pos:pos + SIGNATURE_BYTES]; pos += SIGNATURE_BYTES
-        sig_req = raw[pos:pos + SIGNATURE_BYTES]; pos += SIGNATURE_BYTES
-        call = RpcCall.decode(raw[pos:])
-        return cls(alpha=alpha, h_b=h_b, a=amount, call=call,
-                   h_req=h_req, sig_a=sig_a, sig_req=sig_req)
+        header, body = _unpack(raw, _REQUEST_HEADER, "request")
+        return cls(call=RpcCall.decode(body), **header)
 
     # -- verification -------------------------------------------------------- #
 
@@ -327,25 +476,8 @@ class PARPRequest:
         return request_digest(self.alpha, self.h_b, self.a, self.call.encode())
 
     def verify(self, expected_sender: Optional[Address] = None) -> Address:
-        """Full-node-side request verification (step (B) in Fig. 5).
-
-        Checks the digest reconstruction and both signatures; returns the
-        recovered light-client address.
-        """
-        if self.h_req != self.expected_digest():
-            raise MessageError("request hash does not match request contents")
-        try:
-            req_signer = recover_address(self.h_req, Signature.from_bytes(self.sig_req))
-            pay_signer = recover_address(
-                payment_digest(self.alpha, self.a), Signature.from_bytes(self.sig_a)
-            )
-        except SignatureError as exc:
-            raise MessageError(f"bad request signature: {exc}") from exc
-        if req_signer != pay_signer:
-            raise MessageError("request and payment signed by different keys")
-        if expected_sender is not None and req_signer != expected_sender:
-            raise MessageError("request signer is not the channel's light client")
-        return req_signer
+        """Full-node-side request verification (step (B) in Fig. 5)."""
+        return _verify_signed_request(self, expected_sender)
 
     @property
     def wire_overhead(self) -> int:
@@ -358,7 +490,7 @@ class PARPRequest:
 # --------------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
-class PARPResponse:
+class PARPResponse(_SignedResponse):
     """A signed PARP response (Fig. 3, right)."""
 
     status: int
@@ -374,83 +506,49 @@ class PARPResponse:
     def _payload(result: bytes, proof: Sequence[bytes]) -> bytes:
         return rlp.encode([result, list(proof)])
 
+    def payload(self) -> bytes:
+        return self._payload(self.result, self.proof)
+
     @classmethod
     def build(cls, alpha: bytes, request: PARPRequest, m_b: int, result: bytes,
               proof: Sequence[bytes], key: PrivateKey,
               status: int = ResponseStatus.OK) -> "PARPResponse":
         """Construct and sign a response (full-node side, step (C))."""
-        payload = cls._payload(result, proof)
-        h_res = response_digest(
-            alpha, status, m_b, request.a, payload, request.h_req, request.sig_req
-        )
         return cls(
-            status=status, m_b=m_b, a=request.a, result=result,
-            proof=tuple(proof), h_req=request.h_req, sig_req=request.sig_req,
-            sig_res=key.sign(h_res).to_bytes(),
+            result=result, proof=tuple(proof),
+            **_signed_response_fields(key, alpha, request, status, m_b,
+                                      cls._payload(result, proof)),
         )
 
-    # -- digests ------------------------------------------------------------ #
-
-    def preimage(self, alpha: bytes) -> bytes:
-        """The exact bytes behind h_res (for metered on-chain recomputation)."""
-        payload = self._payload(self.result, self.proof)
-        return response_preimage(
-            alpha, self.status, self.m_b, self.a, payload, self.h_req, self.sig_req
-        )
-
-    def digest(self, alpha: bytes) -> bytes:
-        """Recompute h_res for the given channel id."""
-        payload = self._payload(self.result, self.proof)
-        return response_digest(
-            alpha, self.status, self.m_b, self.a, payload, self.h_req, self.sig_req
-        )
+    @classmethod
+    def from_answers(cls, request: PARPRequest, m_b: int,
+                     answers: Sequence[tuple[int, bytes, Sequence[bytes]]],
+                     key: PrivateKey, status: int) -> "PARPResponse":
+        """Sign the one ``(status, result, proof)`` answer of a single
+        request; the envelope's status byte *is* the answer's."""
+        (status, result, proof), = answers
+        return cls.build(request.alpha, request, m_b, result, proof, key,
+                         status=status)
 
     def signer(self, alpha: bytes) -> Address:
         """Recover the full-node address that signed this response."""
-        try:
-            return recover_address(self.digest(alpha), Signature.from_bytes(self.sig_res))
-        except SignatureError as exc:
-            raise MessageError(f"bad response signature: {exc}") from exc
+        return _response_signer(self, alpha)
 
     # -- wire ------------------------------------------------------------- #
 
     def encode_wire(self) -> bytes:
         """187 bytes of metadata followed by rlp([R(γ), π_γ])."""
-        return (
-            bytes([self.status]) + _encode_height(self.m_b) + _encode_amount(self.a)
-            + self.h_req + self.sig_req + self.sig_res
-            + self._payload(self.result, self.proof)
-        )
+        return _pack(self, _RESPONSE_HEADER) + self.payload()
 
     @classmethod
     def decode_wire(cls, raw: bytes) -> "PARPResponse":
-        if len(raw) < RESPONSE_OVERHEAD_BYTES:
-            raise MessageError(
-                f"response too short: {len(raw)} < {RESPONSE_OVERHEAD_BYTES}"
-            )
-        pos = 0
-        status = raw[pos]; pos += STATUS_BYTES
-        m_b = int.from_bytes(raw[pos:pos + HEIGHT_BYTES], "big"); pos += HEIGHT_BYTES
-        amount = int.from_bytes(raw[pos:pos + AMOUNT_BYTES], "big"); pos += AMOUNT_BYTES
-        h_req = raw[pos:pos + HASH_BYTES]; pos += HASH_BYTES
-        sig_req = raw[pos:pos + SIGNATURE_BYTES]; pos += SIGNATURE_BYTES
-        sig_res = raw[pos:pos + SIGNATURE_BYTES]; pos += SIGNATURE_BYTES
-        try:
-            payload = rlp.decode(raw[pos:])
-        except rlp.RLPError as exc:
-            raise MessageError(f"undecodable response payload: {exc}") from exc
-        if (not isinstance(payload, list) or len(payload) != 2
-                or not isinstance(payload[0], bytes)
+        header, body = _unpack(raw, _RESPONSE_HEADER, "response")
+        payload = _decode_payload(body, "response payload")
+        if (len(payload) != 2 or not isinstance(payload[0], bytes)
                 or not isinstance(payload[1], list)):
             raise MessageError("response payload must be rlp([result, proof])")
-        proof_nodes = []
-        for node in payload[1]:
-            if not isinstance(node, bytes):
-                raise MessageError("proof nodes must be byte strings")
-            proof_nodes.append(node)
-        return cls(status=status, m_b=m_b, a=amount, result=payload[0],
-                   proof=tuple(proof_nodes), h_req=h_req,
-                   sig_req=sig_req, sig_res=sig_res)
+        return cls(result=payload[0],
+                   proof=_byte_strings(payload[1], "proof nodes"), **header)
 
     # -- fraud blob (on-chain format, α re-attached) ------------------------- #
 
@@ -465,14 +563,6 @@ class PARPResponse:
         if len(raw) < ALPHA_BYTES:
             raise MessageError("fraud blob too short for a channel id")
         return raw[:ALPHA_BYTES], cls.decode_wire(raw[ALPHA_BYTES:])
-
-    # -- sizes (Table II) ----------------------------------------------------- #
-
-    @property
-    def wire_overhead(self) -> int:
-        """Metadata bytes (187) + Merkle proof bytes, per Table II."""
-        proof_bytes = len(rlp.encode(list(self.proof))) if self.proof else 0
-        return RESPONSE_OVERHEAD_BYTES + proof_bytes
 
     def with_result(self, result: bytes) -> "PARPResponse":
         """A tampered copy (used by tests and the malicious-node examples)."""
@@ -572,15 +662,9 @@ class OverloadedReply:
             )
         if raw[0] != ResponseStatus.OVERLOADED:
             raise MessageError(f"not an overload reply (status {raw[0]})")
-        pos = STATUS_BYTES
-        m_b = int.from_bytes(raw[pos:pos + HEIGHT_BYTES], "big"); pos += HEIGHT_BYTES
-        load = int.from_bytes(raw[pos:pos + MILLIS_BYTES], "big"); pos += MILLIS_BYTES
-        retry = int.from_bytes(raw[pos:pos + MILLIS_BYTES], "big"); pos += MILLIS_BYTES
-        fee = int.from_bytes(raw[pos:pos + MILLIS_BYTES], "big"); pos += MILLIS_BYTES
-        h_req = raw[pos:pos + HASH_BYTES]; pos += HASH_BYTES
-        sig_ovl = raw[pos:pos + SIGNATURE_BYTES]
-        return cls(m_b=m_b, load_millis=load, retry_after_millis=retry,
-                   fee_multiplier_millis=fee, h_req=h_req, sig_ovl=sig_ovl)
+        fields, _ = _unpack(raw, _OVERLOAD_REPLY, "overload reply")
+        del fields["status"]
+        return cls(**fields)
 
     # -- verification ------------------------------------------------------ #
 
@@ -590,11 +674,7 @@ class OverloadedReply:
                                self.fee_multiplier_millis, self.h_req)
 
     def signer(self) -> Address:
-        try:
-            return recover_address(self.digest(),
-                                   Signature.from_bytes(self.sig_ovl))
-        except SignatureError as exc:
-            raise MessageError(f"bad overload signature: {exc}") from exc
+        return _recover(self.digest(), self.sig_ovl, "overload")
 
     def verify(self, expected_signer: Optional[Address] = None,
                expected_h_req: Optional[bytes] = None) -> Address:
@@ -635,6 +715,30 @@ class BatchRequest:
     sig_a: bytes
     sig_req: bytes
 
+    # -- what the shared server and client pipelines read off the wire type -- #
+
+    noun = "batch"
+    endpoint = "serve_batch"
+    completion = "process_batch_response"
+    #: write methods break the one-snapshot guarantee of a batch; they are
+    #: the only calls a batch refuses (per item, with a signed error)
+    refused_methods = frozenset({"eth_sendRawTransaction"})
+
+    @property
+    def response_type(self) -> type["BatchResponse"]:
+        return BatchResponse
+
+    def price(self, schedule: "FeeSchedule") -> int:
+        return schedule.batch_price(self.calls)
+
+    def check_version(self) -> None:
+        """Refuse a batch whose semantics this node does not implement."""
+        if self.version != BATCH_PROTOCOL_VERSION:
+            raise MessageError(
+                f"unsupported batch protocol version {self.version} "
+                f"(this node speaks {BATCH_PROTOCOL_VERSION})"
+            )
+
     @staticmethod
     def _calls_bytes(calls: Sequence[RpcCall]) -> bytes:
         return rlp.encode([call.encode() for call in calls])
@@ -646,53 +750,27 @@ class BatchRequest:
         """Construct and sign a batch request (light-client side)."""
         if not calls:
             raise MessageError("a batch must contain at least one call")
-        calls_bytes = cls._calls_bytes(calls)
-        h_req = batch_request_digest(alpha, h_b, amount, version, calls_bytes)
-        sig_a = key.sign(payment_digest(alpha, amount)).to_bytes()
-        sig_req = key.sign(h_req).to_bytes()
-        return cls(version=version, alpha=alpha, h_b=h_b, a=amount,
-                   calls=tuple(calls), h_req=h_req, sig_a=sig_a,
-                   sig_req=sig_req)
+        h_req = batch_request_digest(alpha, h_b, amount, version,
+                                     cls._calls_bytes(calls))
+        return cls(version=version, calls=tuple(calls),
+                   **_signed_request_fields(key, alpha, h_b, amount, h_req))
 
     # -- wire ------------------------------------------------------------- #
 
     def encode_wire(self) -> bytes:
         """227 bytes of metadata followed by rlp([γ_1 … γ_N])."""
-        return (
-            bytes([self.version]) + self.alpha + self.h_b
-            + _encode_amount(self.a) + self.h_req + self.sig_a + self.sig_req
-            + self._calls_bytes(self.calls)
-        )
+        return (_pack(self, _BATCH_REQUEST_HEADER)
+                + self._calls_bytes(self.calls))
 
     @classmethod
     def decode_wire(cls, raw: bytes) -> "BatchRequest":
-        if len(raw) < BATCH_REQUEST_OVERHEAD_BYTES:
-            raise MessageError(
-                f"batch request too short: {len(raw)} < "
-                f"{BATCH_REQUEST_OVERHEAD_BYTES}"
-            )
-        pos = 0
-        version = raw[pos]; pos += 1
-        alpha = raw[pos:pos + ALPHA_BYTES]; pos += ALPHA_BYTES
-        h_b = raw[pos:pos + HASH_BYTES]; pos += HASH_BYTES
-        amount = int.from_bytes(raw[pos:pos + AMOUNT_BYTES], "big"); pos += AMOUNT_BYTES
-        h_req = raw[pos:pos + HASH_BYTES]; pos += HASH_BYTES
-        sig_a = raw[pos:pos + SIGNATURE_BYTES]; pos += SIGNATURE_BYTES
-        sig_req = raw[pos:pos + SIGNATURE_BYTES]; pos += SIGNATURE_BYTES
-        try:
-            item = rlp.decode(raw[pos:])
-        except rlp.RLPError as exc:
-            raise MessageError(f"undecodable batch call list: {exc}") from exc
-        if not isinstance(item, list) or not item:
+        header, body = _unpack(raw, _BATCH_REQUEST_HEADER, "batch request")
+        item = _decode_payload(body, "batch call list")
+        if not item:
             raise MessageError("batch call list must be a non-empty rlp list")
-        calls = []
-        for encoded in item:
-            if not isinstance(encoded, bytes):
-                raise MessageError("batch calls must be rlp-encoded byte strings")
-            calls.append(RpcCall.decode(encoded))
-        return cls(version=version, alpha=alpha, h_b=h_b, a=amount,
-                   calls=tuple(calls), h_req=h_req, sig_a=sig_a,
-                   sig_req=sig_req)
+        encoded = _byte_strings(item, "batch calls")
+        return cls(calls=tuple(RpcCall.decode(call) for call in encoded),
+                   **header)
 
     # -- verification ------------------------------------------------------ #
 
@@ -703,21 +781,8 @@ class BatchRequest:
         )
 
     def verify(self, expected_sender: Optional[Address] = None) -> Address:
-        """Full-node-side batch verification; mirrors PARPRequest.verify."""
-        if self.h_req != self.expected_digest():
-            raise MessageError("batch hash does not match batch contents")
-        try:
-            req_signer = recover_address(self.h_req, Signature.from_bytes(self.sig_req))
-            pay_signer = recover_address(
-                payment_digest(self.alpha, self.a), Signature.from_bytes(self.sig_a)
-            )
-        except SignatureError as exc:
-            raise MessageError(f"bad batch request signature: {exc}") from exc
-        if req_signer != pay_signer:
-            raise MessageError("batch and payment signed by different keys")
-        if expected_sender is not None and req_signer != expected_sender:
-            raise MessageError("batch signer is not the channel's light client")
-        return req_signer
+        """Full-node-side batch verification (step (B), once for N calls)."""
+        return _verify_signed_request(self, expected_sender)
 
     @property
     def wire_overhead(self) -> int:
@@ -728,7 +793,7 @@ class BatchRequest:
 
 
 @dataclass(frozen=True)
-class BatchResponse:
+class BatchResponse(_SignedResponse):
     """The signed answer to a :class:`BatchRequest`.
 
     Carries one status byte and one result payload per call, plus a single
@@ -753,6 +818,9 @@ class BatchResponse:
                  proof: Sequence[bytes]) -> bytes:
         return rlp.encode([bytes(statuses), list(results), list(proof)])
 
+    def payload(self) -> bytes:
+        return self._payload(self.statuses, self.results, self.proof)
+
     @classmethod
     def build(cls, alpha: bytes, request: BatchRequest, m_b: int,
               statuses: Sequence[int], results: Sequence[bytes],
@@ -761,31 +829,28 @@ class BatchResponse:
         """Construct and sign a batch response (full-node side)."""
         if len(statuses) != len(results):
             raise MessageError("per-call statuses and results disagree in length")
-        payload = cls._payload(statuses, results, proof)
-        h_res = response_digest(
-            alpha, status, m_b, request.a, payload, request.h_req,
-            request.sig_req,
-        )
         return cls(
-            status=status, m_b=m_b, a=request.a, statuses=tuple(statuses),
-            results=tuple(results), proof=tuple(proof), h_req=request.h_req,
-            sig_req=request.sig_req, sig_res=key.sign(h_res).to_bytes(),
+            statuses=tuple(statuses), results=tuple(results),
+            proof=tuple(proof),
+            **_signed_response_fields(key, alpha, request, status, m_b,
+                                      cls._payload(statuses, results, proof)),
         )
 
-    # -- digests ------------------------------------------------------------ #
-
-    def digest(self, alpha: bytes) -> bytes:
-        payload = self._payload(self.statuses, self.results, self.proof)
-        return response_digest(
-            alpha, self.status, self.m_b, self.a, payload, self.h_req,
-            self.sig_req,
-        )
+    @classmethod
+    def from_answers(cls, request: BatchRequest, m_b: int,
+                     answers: Sequence[tuple[int, bytes, Sequence[bytes]]],
+                     key: PrivateKey, status: int) -> "BatchResponse":
+        """Sign the per-call ``(status, result, proof)`` answers of a batch
+        under the whole-batch ``status``, their proofs merged into one pool
+        that holds each node once, in first-use order: the multiproof."""
+        statuses, results, proofs = zip(*answers)
+        pool = dict.fromkeys(node for proof in proofs for node in proof)
+        return cls.build(request.alpha, request, m_b, statuses, results,
+                         list(pool), key, status=status)
 
     def signer(self, alpha: bytes) -> Address:
-        try:
-            return recover_address(self.digest(alpha), Signature.from_bytes(self.sig_res))
-        except SignatureError as exc:
-            raise MessageError(f"bad batch response signature: {exc}") from exc
+        """Recover the full-node address that signed this batch response."""
+        return _response_signer(self, alpha)
 
     # -- per-item view ------------------------------------------------------ #
 
@@ -816,61 +881,23 @@ class BatchResponse:
 
     def encode_wire(self) -> bytes:
         """187 bytes of metadata followed by rlp([statuses, results, proof])."""
-        return (
-            bytes([self.status]) + _encode_height(self.m_b)
-            + _encode_amount(self.a) + self.h_req + self.sig_req + self.sig_res
-            + self._payload(self.statuses, self.results, self.proof)
-        )
+        return _pack(self, _RESPONSE_HEADER) + self.payload()
 
     @classmethod
     def decode_wire(cls, raw: bytes) -> "BatchResponse":
-        if len(raw) < BATCH_RESPONSE_OVERHEAD_BYTES:
-            raise MessageError(
-                f"batch response too short: {len(raw)} < "
-                f"{BATCH_RESPONSE_OVERHEAD_BYTES}"
-            )
-        pos = 0
-        status = raw[pos]; pos += STATUS_BYTES
-        m_b = int.from_bytes(raw[pos:pos + HEIGHT_BYTES], "big"); pos += HEIGHT_BYTES
-        amount = int.from_bytes(raw[pos:pos + AMOUNT_BYTES], "big"); pos += AMOUNT_BYTES
-        h_req = raw[pos:pos + HASH_BYTES]; pos += HASH_BYTES
-        sig_req = raw[pos:pos + SIGNATURE_BYTES]; pos += SIGNATURE_BYTES
-        sig_res = raw[pos:pos + SIGNATURE_BYTES]; pos += SIGNATURE_BYTES
-        try:
-            payload = rlp.decode(raw[pos:])
-        except rlp.RLPError as exc:
-            raise MessageError(f"undecodable batch payload: {exc}") from exc
-        if (not isinstance(payload, list) or len(payload) != 3
-                or not isinstance(payload[0], bytes)
+        header, body = _unpack(raw, _RESPONSE_HEADER, "batch response")
+        payload = _decode_payload(body, "batch payload")
+        if (len(payload) != 3 or not isinstance(payload[0], bytes)
                 or not isinstance(payload[1], list)
                 or not isinstance(payload[2], list)):
             raise MessageError(
                 "batch payload must be rlp([statuses, results, proof])"
             )
-        statuses = tuple(payload[0])
-        results = []
-        for result in payload[1]:
-            if not isinstance(result, bytes):
-                raise MessageError("batch results must be byte strings")
-            results.append(result)
-        proof_nodes = []
-        for node in payload[2]:
-            if not isinstance(node, bytes):
-                raise MessageError("proof nodes must be byte strings")
-            proof_nodes.append(node)
-        if len(statuses) != len(results):
+        if len(payload[0]) != len(payload[1]):
             raise MessageError("per-call statuses and results disagree in length")
-        return cls(status=status, m_b=m_b, a=amount, statuses=statuses,
-                   results=tuple(results), proof=tuple(proof_nodes),
-                   h_req=h_req, sig_req=sig_req, sig_res=sig_res)
-
-    # -- sizes (Table II / Fig. 6) ---------------------------------------- #
-
-    @property
-    def wire_overhead(self) -> int:
-        """Metadata bytes + shared multiproof bytes for the whole batch."""
-        proof_bytes = len(rlp.encode(list(self.proof))) if self.proof else 0
-        return BATCH_RESPONSE_OVERHEAD_BYTES + proof_bytes
+        return cls(statuses=tuple(payload[0]),
+                   results=_byte_strings(payload[1], "batch results"),
+                   proof=_byte_strings(payload[2], "proof nodes"), **header)
 
     def with_result(self, index: int, result: bytes) -> "BatchResponse":
         """A tampered copy (tests and the malicious-node examples)."""

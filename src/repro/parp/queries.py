@@ -34,6 +34,7 @@ from ..chain.header import BlockHeader
 from ..chain.state import StateDB
 from ..crypto import keccak256
 from ..rlp import codec as rlp
+from ..trie.mpt import EMPTY_TRIE_ROOT
 from ..trie.proof import ProofError, ProofIndex, verify_proof
 from .messages import MessageError, PARPResponse, RpcCall
 
@@ -180,10 +181,17 @@ def _verify_get_storage(call: RpcCall, response: PARPResponse,
             raise QueryFraud("storage value claimed for a non-existent account")
         return
     account = Account.decode(proven_account)
-    try:
-        proven_value = verify_proof(account.storage_root, keccak256(slot), proof)
-    except ProofError as exc:
-        raise QueryFraud(f"storage proof does not verify: {exc}") from exc
+    if account.storage_root == EMPTY_TRIE_ROOT:
+        # The proven account *is* the proof that every slot is vacant (any
+        # EOA): there is no second walk, and the account-path nodes the
+        # response carries are not a storage proof for it to reject.
+        proven_value = None
+    else:
+        try:
+            proven_value = verify_proof(
+                account.storage_root, keccak256(slot), proof)
+        except ProofError as exc:
+            raise QueryFraud(f"storage proof does not verify: {exc}") from exc
     expected = b"" if proven_value is None else rlp.decode(proven_value)
     if claimed_value != expected:
         raise QueryFraud("returned storage value differs from proven value")

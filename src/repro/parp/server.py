@@ -58,9 +58,9 @@ __all__ = ["ServeError", "ServerStats", "FullNodeServer"]
 
 _CHANNEL_OPENED_TOPIC = keccak256(b"ChannelOpened")
 
-#: write methods break the one-snapshot guarantee of a batch; they are the
-#: only calls a batch refuses (per-item, with a signed error).
-_NOT_BATCHABLE = frozenset({"eth_sendRawTransaction"})
+#: the methods that seal a block: a response to one attests the head *after*
+#: execution (the inclusion block), every other the snapshot it was read at.
+_WRITE_METHODS = frozenset({"eth_sendRawTransaction"})
 
 #: read methods whose (result, proof) is deterministic given the chain at a
 #: fixed height — safe to keep behind the proof LRU.
@@ -390,52 +390,82 @@ class FullNodeServer:
     # ------------------------------------------------------------------ #
 
     def serve_request(self, wire: bytes) -> bytes:
-        """Verify, execute, prove, and sign one PARP request.
+        """Verify, execute, prove, and sign one PARP request."""
+        return self._serve(PARPRequest, wire, "requests_served")
+
+    def serve_batch(self, wire: bytes) -> bytes:
+        """Verify, execute, multiprove, and sign one batch of N queries.
+
+        All N queries run against one snapshot (the head at batch start),
+        their Merkle proofs are merged into one deduplicated node pool, and
+        the channel is billed with a single update — the whole point of
+        batching: metadata, signatures, and shared trie levels are paid for
+        once instead of N times.
+        """
+        return self._serve(BatchRequest, wire, "batches_served",
+                           "batch_queries_served")
+
+    def _serve(self, wire_type: type[PARPRequest] | type[BatchRequest],
+               wire: bytes, served: str,
+               queries_served: Optional[str] = None) -> bytes:
+        """The one paid-request pipeline; a single request is a batch of one.
 
         The admission gate sits between decode and verification: shedding
         must stay cheaper than serving (no signature checks, no billing —
         the client is *not* charged for a request that was never admitted),
         and a shed comes back as a signed
         :class:`~repro.parp.messages.OverloadedReply` instead of a served
-        response.
+        response.  ``served`` / ``queries_served`` name the
+        :class:`ServerStats` counters a served request of this wire advances
+        (by one, and by its number of calls).
         """
         self._bump("bytes_in", len(wire))
         try:
-            request = PARPRequest.decode_wire(wire)
+            request = wire_type.decode_wire(wire)
         except MessageError as exc:
             self._bump("requests_rejected")
-            raise ServeError(f"undecodable request: {exc}") from exc
-        shed = self._admission_gate(request.h_req, queries=1)
+            raise ServeError(f"undecodable {wire_type.noun}: {exc}") from exc
+        shed = self._admission_gate(request.h_req, queries=len(request.calls))
         if shed is not None:
             return shed
-        self._verify_request(request)                  # step (B)
-        response = self._execute_and_sign(request)     # step (C)
+        self.verify_and_bill(request)                  # step (B), once
+        response = self._execute_and_sign(request)     # step (C), shared
         out = response.encode_wire()
         self._bump("bytes_out", len(out))
-        self._bump("requests_served")
+        self._bump(served)
+        if queries_served is not None:
+            self._bump(queries_served, len(request.calls))
         return out
 
-    def _verify_request(self, request: PARPRequest) -> PARPRequest:
-        channel, lock = self._channel_and_lock(request.alpha)
-        if channel is None:
-            self._bump("requests_rejected")
-            raise ServeError(f"unknown channel {request.alpha.hex()}")
+    def verify_and_bill(self, request: PARPRequest | BatchRequest) -> None:
+        """Step (B), either wire: version, channel, both signatures, then
+        the payment — banked under the channel's lock, counted as fees.
+        Raises :class:`ServeError` (and counts a rejection) on any failure."""
         try:
-            request.verify(expected_sender=channel.light_client)
-        except MessageError as exc:
-            self._bump("requests_rejected")
-            raise ServeError(f"request verification failed: {exc}") from exc
-        price = self.fee_schedule.price(request.call)
-        with lock:
-            previous = channel.latest_amount
             try:
-                channel.accept_request_payment(request, min_increment=price)
-            except ChannelError as exc:
-                self._bump("requests_rejected")
-                raise ServeError(f"payment rejected: {exc}") from exc
-            earned = channel.latest_amount - previous
+                request.check_version()
+                channel, lock = self._channel_and_lock(request.alpha)
+                if channel is None:
+                    raise ServeError(f"unknown channel {request.alpha.hex()}")
+                request.verify(expected_sender=channel.light_client)
+            except MessageError as exc:
+                raise ServeError(
+                    f"{request.noun} verification failed: {exc}") from exc
+            price = request.price(self.fee_schedule)
+            with lock:
+                previous = channel.latest_amount
+                try:
+                    channel.accept_request_payment(
+                        request, min_increment=price,
+                        queries=len(request.calls),
+                    )
+                except ChannelError as exc:
+                    raise ServeError(f"payment rejected: {exc}") from exc
+                earned = channel.latest_amount - previous
+        except ServeError:
+            self._bump("requests_rejected")
+            raise
         self._bump("fees_earned", earned)
-        return request
 
     def _admission_gate(self, h_req: bytes, queries: int) -> Optional[bytes]:
         """Offer a request to the admission controller.
@@ -480,33 +510,63 @@ class FullNodeServer:
         delay, self._service_delay = self._service_delay, 0.0
         return delay
 
-    def _execute_and_sign(self, request: PARPRequest) -> PARPResponse:
-        call = request.call
-        # The client's pinned block must be on our chain (same network).
-        pinned = self.node.chain.get_block_by_hash(request.h_b)
-        if pinned is None:
-            return self._error_response(
-                request, f"unknown reference block {request.h_b.hex()[:16]}"
-            )
-        violation = self._range_violation(call)
-        if violation is not None:
-            # a *signed* error: the shard server attributably declines keys
-            # outside its advertised range instead of letting the slice walk
-            # blow up into an unsigned transport failure
-            return self._error_response(request, violation)
-        if call.method == "parp_channelStatus":
-            result, proof = self._channel_status(call)
+    def _execute_and_sign(self, request: PARPRequest | BatchRequest,
+                          ) -> PARPResponse | BatchResponse:
+        """Step (C), either wire: answer every call, then build and sign.
+
+        This is also the hook misbehaving servers override
+        (:mod:`repro.parp.adversary`).
+        """
+        m_b = self.node.head_number()  # ONE snapshot for every call
+        if self.node.chain.get_block_by_hash(request.h_b) is None:
+            # The client's pinned block must be on our chain (same network).
+            status = ResponseStatus.ERROR
+            answers = [_refusal(
+                f"unknown reference block {request.h_b.hex()[:16]}"
+            )] * len(request.calls)
         else:
-            try:
-                m_b = self.node.head_number()
+            status = ResponseStatus.OK
+            answers = [self._execute_call(request, call, m_b)
+                       for call in request.calls]
+            if any(call.method in _WRITE_METHODS for call in request.calls):
+                m_b = self.node.head_number()  # a send advanced the head
+        return request.response_type.from_answers(
+            request, m_b, answers, self.key, status)
+
+    def _execute_call(self, request: PARPRequest | BatchRequest,
+                      call: RpcCall,
+                      m_b: int) -> tuple[int, bytes, list[bytes]]:
+        """One call of a paid request as ``(status, result, proof)``.
+
+        Whatever stops the call — a method this wire refuses, a key outside
+        the shard, a failing query — comes back as a *signed* error: the
+        client paid for the attempt and gets an attributable outcome (it
+        cannot be forged by a third party) instead of an unsigned transport
+        failure.
+        """
+        try:
+            if call.method in request.refused_methods:
+                raise QueryError(f"{call.method} is not batchable")
+            self._require_in_shard(call)
+            if call.method == "parp_channelStatus":
+                result, proof = self._channel_status(call)
+            else:
                 result, proof = self._execute_cached(call, m_b)
-            except QueryError as exc:
-                return self._error_response(request, str(exc))
-        m_b = self.node.head_number()  # sends advance the head to inclusion
-        return PARPResponse.build(
-            alpha=request.alpha, request=request, m_b=m_b,
-            result=result, proof=proof, key=self.key,
-        )
+        except QueryError as exc:
+            return _refusal(str(exc))
+        return ResponseStatus.OK, result, proof
+
+    def _require_in_shard(self, call: RpcCall) -> None:
+        """Refuse a state-keyed call whose key this shard does not hold —
+        attributably, instead of letting the slice walk blow up."""
+        if self.shard_range is None:
+            return
+        key = shard_key_of_call(call)
+        if key is None or self.shard_range.covers(key):
+            return
+        self._bump("out_of_range_rejected")
+        raise QueryError(f"key {key.hex()[:16]}… is outside this server's "
+                         f"shard {self.shard_range.label}")
 
     def _channel_status(self, call: RpcCall) -> tuple[bytes, list[bytes]]:
         """Cheap, unverified channel-status probe from local records."""
@@ -519,15 +579,6 @@ class FullNodeServer:
         else:
             status = 1
         return rlp.encode(rlp.encode_int(status)), []
-
-    def _error_response(self, request: PARPRequest, message: str) -> PARPResponse:
-        """A *signed* error: the client paid for the attempt and gets an
-        attributable outcome (it cannot be forged by a third party)."""
-        return PARPResponse.build(
-            alpha=request.alpha, request=request, m_b=self.node.head_number(),
-            result=_error_result(message), proof=[], key=self.key,
-            status=ResponseStatus.ERROR,
-        )
 
     def _execute_cached(self, call: RpcCall, m_b: int) -> tuple[bytes, list[bytes]]:
         """Execute a query through the proof LRU when deterministic at m_b.
@@ -546,19 +597,8 @@ class FullNodeServer:
         return result, proof
 
     # ------------------------------------------------------------------ #
-    # Batched serving (multiproof extension)
+    # Free probes: shard, load, quoted fees, batch version
     # ------------------------------------------------------------------ #
-
-    def _range_violation(self, call: RpcCall) -> Optional[str]:
-        """Why a state-keyed call falls outside this shard, or None."""
-        if self.shard_range is None:
-            return None
-        key = shard_key_of_call(call)
-        if key is None or self.shard_range.covers(key):
-            return None
-        self._bump("out_of_range_rejected")
-        return (f"key {key.hex()[:16]}… is outside this server's shard "
-                f"{self.shard_range.label}")
 
     def shard_info(self) -> Optional[tuple[int, int, bytes, int]]:
         """Free probe: ``(lo, hi, shard commitment, height)`` or None.
@@ -627,106 +667,6 @@ class FullNodeServer:
         """
         return BATCH_PROTOCOL_VERSION
 
-    def serve_batch(self, wire: bytes) -> bytes:
-        """Verify, execute, multiprove, and sign one batch of N queries.
-
-        All N queries run against one snapshot (the head at batch start),
-        their Merkle proofs are merged into one deduplicated node pool, and
-        the channel is billed with a single update — the whole point of
-        batching: metadata, signatures, and shared trie levels are paid for
-        once instead of N times.
-        """
-        self._bump("bytes_in", len(wire))
-        try:
-            batch = BatchRequest.decode_wire(wire)
-        except MessageError as exc:
-            self._bump("requests_rejected")
-            raise ServeError(f"undecodable batch request: {exc}") from exc
-        shed = self._admission_gate(batch.h_req, queries=len(batch.calls))
-        if shed is not None:
-            return shed
-        self._verify_batch(batch)                       # step (B), once
-        response = self._execute_batch_and_sign(batch)  # step (C), shared
-        out = response.encode_wire()
-        self._bump("bytes_out", len(out))
-        self._bump("batches_served")
-        self._bump("batch_queries_served", len(batch.calls))
-        return out
-
-    def _verify_batch(self, batch: BatchRequest) -> BatchRequest:
-        if batch.version != BATCH_PROTOCOL_VERSION:
-            self._bump("requests_rejected")
-            raise ServeError(
-                f"unsupported batch protocol version {batch.version} "
-                f"(this server speaks {BATCH_PROTOCOL_VERSION})"
-            )
-        channel, lock = self._channel_and_lock(batch.alpha)
-        if channel is None:
-            self._bump("requests_rejected")
-            raise ServeError(f"unknown channel {batch.alpha.hex()}")
-        try:
-            batch.verify(expected_sender=channel.light_client)
-        except MessageError as exc:
-            self._bump("requests_rejected")
-            raise ServeError(f"batch verification failed: {exc}") from exc
-        price = self.fee_schedule.batch_price(batch.calls)
-        with lock:
-            previous = channel.latest_amount
-            try:
-                channel.accept_request_payment(
-                    batch, min_increment=price, queries=len(batch.calls),
-                )
-            except ChannelError as exc:
-                self._bump("requests_rejected")
-                raise ServeError(f"payment rejected: {exc}") from exc
-            earned = channel.latest_amount - previous
-        self._bump("fees_earned", earned)
-        return batch
-
-    def _execute_batch_and_sign(self, batch: BatchRequest) -> BatchResponse:
-        if self.node.chain.get_block_by_hash(batch.h_b) is None:
-            message = f"unknown reference block {batch.h_b.hex()[:16]}"
-            return BatchResponse.build(
-                alpha=batch.alpha, request=batch, m_b=self.node.head_number(),
-                statuses=[ResponseStatus.ERROR] * len(batch.calls),
-                results=[_error_result(message)] * len(batch.calls),
-                proof=[], key=self.key, status=ResponseStatus.ERROR,
-            )
-        m_b = self.node.head_number()  # ONE snapshot for the whole batch
-        statuses: list[int] = []
-        results: list[bytes] = []
-        pool: list[bytes] = []
-        seen: set[bytes] = set()
-        for call in batch.calls:
-            status, result, proof = self._execute_batch_item(call, m_b)
-            statuses.append(status)
-            results.append(result)
-            for node in proof:  # shared-node dedup: the multiproof
-                if node not in seen:
-                    seen.add(node)
-                    pool.append(node)
-        return BatchResponse.build(
-            alpha=batch.alpha, request=batch, m_b=m_b, statuses=statuses,
-            results=results, proof=pool, key=self.key,
-        )
-
-    def _execute_batch_item(self, call: RpcCall,
-                            m_b: int) -> tuple[int, bytes, list[bytes]]:
-        if call.method in _NOT_BATCHABLE:
-            return (ResponseStatus.ERROR,
-                    _error_result(f"{call.method} is not batchable"), [])
-        violation = self._range_violation(call)
-        if violation is not None:
-            return ResponseStatus.ERROR, _error_result(violation), []
-        if call.method == "parp_channelStatus":
-            result, proof = self._channel_status(call)
-            return ResponseStatus.OK, result, proof
-        try:
-            result, proof = self._execute_cached(call, m_b)
-        except QueryError as exc:
-            return ResponseStatus.ERROR, _error_result(str(exc)), []
-        return ResponseStatus.OK, result, proof
-
     # ------------------------------------------------------------------ #
     # Proof of Serving (§VIII extension, receipts)
     # ------------------------------------------------------------------ #
@@ -780,6 +720,8 @@ class FullNodeServer:
         )
 
 
-def _error_result(message: str) -> bytes:
-    """The canonical signed-error result payload."""
-    return rlp.encode([b"error", message.encode("utf-8")])
+def _refusal(message: str) -> tuple[int, bytes, list[bytes]]:
+    """The answer to a call that was not executed: the canonical signed-error
+    result payload, no proof."""
+    return (ResponseStatus.ERROR,
+            rlp.encode([b"error", message.encode("utf-8")]), [])

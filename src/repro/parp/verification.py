@@ -36,6 +36,7 @@ from .messages import (
     PARPRequest,
     PARPResponse,
     ResponseStatus,
+    RpcCall,
 )
 from .queries import HeaderLookup, QueryFraud, Unverifiable, verify_query_result
 from .states import ResponseClass
@@ -61,15 +62,15 @@ class VerificationReport:
         return self.classification is ResponseClass.FRAUD
 
 
-def classify_response(request: PARPRequest, response: PARPResponse,
-                      alpha: bytes, full_node: Address,
-                      request_height: int,
-                      get_header: HeaderLookup) -> VerificationReport:
-    """Run the §V-D checks; never raises, always returns a report.
+def _classify_envelope(request: PARPRequest | BatchRequest,
+                       response: PARPResponse | BatchResponse,
+                       alpha: bytes, full_node: Address, request_height: int,
+                       answered: int) -> Optional[VerificationReport]:
+    """Checks 1–5 over the signed envelope, either wire; None when all hold.
 
-    ``request_height`` is the height of the block whose hash the client put
-    in ``req.h_B`` (the client always knows it — it chose the hash from its
-    own header chain).
+    The metadata is shared by every call of the request, so one pass covers
+    them all.  ``answered`` is how many calls the response answers (always
+    one on the single wire).
     """
     # 1. Verify Request Hash ------------------------------------------------ #
     if response.h_req != request.h_req:
@@ -96,6 +97,14 @@ def classify_response(request: PARPRequest, response: PARPResponse,
             f"signed by {signer.hex()}, expected {full_node.hex()}",
         )
 
+    # Envelope sanity: the server must answer every call it signed for.
+    if answered != len(request.calls):
+        return VerificationReport(
+            ResponseClass.FRAUD, "batch-arity",
+            f"batch of {len(request.calls)} calls answered with "
+            f"{answered} results",
+        )
+
     # 4. Payment Amount Check -------------------------------------------------- #
     if response.a != request.a:
         return VerificationReport(
@@ -109,25 +118,43 @@ def classify_response(request: PARPRequest, response: PARPResponse,
             ResponseClass.FRAUD, "timestamp",
             f"response height {response.m_b} < request height {request_height}",
         )
+    return None
 
+
+def _classify_item(call: RpcCall, item: PARPResponse,
+                   get_header: HeaderLookup) -> VerificationReport:
+    """Check 6 for one call and its (view of a) single response."""
     # Signed error responses carry no verifiable payload.
-    if response.status != ResponseStatus.OK:
+    if item.status != ResponseStatus.OK:
         return VerificationReport(
             ResponseClass.VALID, "error-response",
             "full node signed an error outcome", is_error_response=True,
         )
-
     # 6. Verify Merkle Proof -------------------------------------------------------- #
     try:
-        verify_query_result(request.call, response, get_header)
+        verify_query_result(call, item, get_header)
     except QueryFraud as exc:
         return VerificationReport(ResponseClass.FRAUD, "merkle-proof", str(exc))
-    except Unverifiable as exc:
+    except (Unverifiable, MessageError) as exc:
         return VerificationReport(ResponseClass.INVALID, "merkle-proof", str(exc))
-    except MessageError as exc:
-        return VerificationReport(ResponseClass.INVALID, "merkle-proof", str(exc))
-
     return VerificationReport(ResponseClass.VALID, "all-checks")
+
+
+def classify_response(request: PARPRequest, response: PARPResponse,
+                      alpha: bytes, full_node: Address,
+                      request_height: int,
+                      get_header: HeaderLookup) -> VerificationReport:
+    """Run the §V-D checks; never raises, always returns a report.
+
+    ``request_height`` is the height of the block whose hash the client put
+    in ``req.h_B`` (the client always knows it — it chose the hash from its
+    own header chain).
+    """
+    failed = _classify_envelope(request, response, alpha, full_node,
+                                request_height, answered=1)
+    if failed is not None:
+        return failed
+    return _classify_item(request.call, response, get_header)
 
 
 def classify_batch_response(
@@ -136,89 +163,26 @@ def classify_batch_response(
 ) -> tuple[VerificationReport, list[VerificationReport]]:
     """The §V-D checks lifted to a batch; never raises.
 
-    Checks 1–5 run once over the batch envelope (digest echo, signature,
-    payment amount, timestamp — the metadata is shared, so one pass covers
-    all N queries).  Check 6 then runs per item against the *shared*
-    multiproof node pool via :meth:`BatchResponse.item_view`.  Returns the
-    overall report plus one report per item; the overall classification is
-    the worst across the envelope and every item (FRAUD > INVALID > VALID).
+    Checks 1–5 run once over the batch envelope.  Check 6 then runs per item
+    against the *shared* multiproof node pool via
+    :meth:`BatchResponse.item_view`.  Returns the overall report plus one
+    report per item; the overall classification is the worst across the
+    envelope and every item (FRAUD > INVALID > VALID).
     """
-    # 1. Verify Request Hash ------------------------------------------------ #
-    if response.h_req != request.h_req:
-        return VerificationReport(
-            ResponseClass.INVALID, "request-hash",
-            "batch response echoes a different request hash",
-        ), []
-    if response.sig_req != request.sig_req:
-        return VerificationReport(
-            ResponseClass.INVALID, "request-hash",
-            "batch response echoes a different request signature",
-        ), []
-
-    # 2./3. Verify Response Signature (α-bound) ----------------------------- #
-    try:
-        signer = response.signer(alpha)
-    except MessageError as exc:
-        return VerificationReport(
-            ResponseClass.INVALID, "response-signature", str(exc),
-        ), []
-    if signer != full_node:
-        return VerificationReport(
-            ResponseClass.INVALID, "response-signature",
-            f"signed by {signer.hex()}, expected {full_node.hex()}",
-        ), []
-
-    # Envelope sanity: the server must answer every call it signed for.
-    if len(response) != len(request.calls):
-        return VerificationReport(
-            ResponseClass.FRAUD, "batch-arity",
-            f"batch of {len(request.calls)} calls answered with "
-            f"{len(response)} results",
-        ), []
-
-    # 4. Payment Amount Check ----------------------------------------------- #
-    if response.a != request.a:
-        return VerificationReport(
-            ResponseClass.FRAUD, "payment-amount",
-            f"batch committed {request.a}, response claims {response.a}",
-        ), []
-
-    # 5. Timestamp Check ----------------------------------------------------- #
-    if response.m_b < request_height:
-        return VerificationReport(
-            ResponseClass.FRAUD, "timestamp",
-            f"response height {response.m_b} < request height {request_height}",
-        ), []
-
-    # 6. Verify Merkle Proof, per item against the shared pool ---------------- #
-    item_reports: list[VerificationReport] = []
-    worst = VerificationReport(ResponseClass.VALID, "all-checks")
-    for index, call in enumerate(request.calls):
-        item = response.item_view(index)
-        if item.status != ResponseStatus.OK:
-            report = VerificationReport(
-                ResponseClass.VALID, "error-response",
-                "full node signed an error outcome", is_error_response=True,
-            )
-        else:
-            report = _classify_item(call, item, get_header)
-        item_reports.append(report)
-        if _severity(report) > _severity(worst):
-            worst = report
+    failed = _classify_envelope(request, response, alpha, full_node,
+                                request_height, answered=len(response))
+    if failed is not None:
+        return failed, []
+    item_reports = [
+        _classify_item(call, response.item_view(index), get_header)
+        for index, call in enumerate(request.calls)
+    ]
+    # the first report of the highest severity; all-checks when none is worse
+    worst = max(
+        [VerificationReport(ResponseClass.VALID, "all-checks"), *item_reports],
+        key=_severity,
+    )
     return worst, item_reports
-
-
-def _classify_item(call, item: PARPResponse,
-                   get_header: HeaderLookup) -> VerificationReport:
-    try:
-        verify_query_result(call, item, get_header)
-    except QueryFraud as exc:
-        return VerificationReport(ResponseClass.FRAUD, "merkle-proof", str(exc))
-    except Unverifiable as exc:
-        return VerificationReport(ResponseClass.INVALID, "merkle-proof", str(exc))
-    except MessageError as exc:
-        return VerificationReport(ResponseClass.INVALID, "merkle-proof", str(exc))
-    return VerificationReport(ResponseClass.VALID, "all-checks")
 
 
 _SEVERITY = {

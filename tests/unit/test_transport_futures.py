@@ -225,3 +225,36 @@ class TestUnreachableDestinations:
         with pytest.raises(EndpointTimeout):
             ep.serve_head_number()
         assert net.stats.messages_dropped == 1
+
+
+class TestOneEndpointMethodTable:
+    """Binding allow-list, endpoint adapters, the ``ServerEndpoint``
+    Protocol and ``FullNodeServer`` name the same methods."""
+
+    def test_binding_endpoint_protocol_and_server_agree(self):
+        from repro.net.transport import ENDPOINT_METHODS
+        from repro.parp.client import ServerEndpoint
+        from repro.parp.server import FullNodeServer
+
+        table = set(ENDPOINT_METHODS)
+        assert len(table) == len(ENDPOINT_METHODS)
+        declared = {name for name, value in vars(ServerEndpoint).items()
+                    if callable(value) and not name.startswith("_")}
+        assert declared == table
+        assert SimServerBinding._ALLOWED == table
+        for name in table:
+            assert callable(vars(SimEndpoint)[name]), name
+            assert callable(getattr(FullNodeServer, name)), name
+        # the rest of the endpoint's public surface is transport, not protocol
+        public = {name for name, value in vars(SimEndpoint).items()
+                  if callable(value) and not name.startswith("_")}
+        assert public - table == {"submit", "on_message"}
+
+    def test_every_adapter_is_a_submit_then_wait(self):
+        net, (ep,) = make_rig()
+        assert ep.serve_header(7) == ("srv-0", 7)
+        with pytest.raises(RemoteError) as excinfo:
+            ep.serve_head_number()
+        assert excinfo.value.remote_type == "RuntimeError"
+        with pytest.raises(ServeError, match="unknown endpoint method"):
+            ep._invoke("mark_closed", b"\x00" * 16)
