@@ -11,6 +11,13 @@ directory convention (``nodes.log`` + ``blocks.log``), and
 ``open_state_dir`` opens the pair as one unit (refusing a directory that
 holds only one of the two logs).
 
+Three modules share the durable-log job: :mod:`~repro.storage.logfile`
+owns *the file* (``LogFile``, not exported: header, append, recovery scan,
+atomic rewrite — every ``fsync`` / ``rename`` / ``truncate`` of the
+package), :mod:`~repro.storage.filestore` the framing of ``nodes.log`` and
+the index built on it, :mod:`~repro.storage.blocklog` the framing of
+``blocks.log`` and the chain linkage check.
+
 Retention lives here too: :class:`RetentionPolicy` (archive vs last-K),
 :func:`compact_node_store` (rewrite the log down to the live node set of
 the retained roots, atomically), and :class:`PrunedRootError` (the typed

@@ -5,7 +5,9 @@ persists everything else a restarting full node needs — headers, block
 bodies, receipts — so the tx index and receipt map can be rebuilt and the
 chain can reattach at its recovered head instead of refusing to start.
 
-The discipline mirrors :class:`~repro.storage.filestore.AppendOnlyFileStore`:
+This module owns the record formats and the chain-structural checks; the
+crash discipline of the file (create, append, recover, atomic rewrite) is
+:mod:`~repro.storage.logfile`'s and is described there:
 
 * **Data layout** — one log file: an 8-byte magic header, then (on a
   pruned log only) one *anchor record*::
@@ -27,17 +29,16 @@ The discipline mirrors :class:`~repro.storage.filestore.AppendOnlyFileStore`:
   directory), and the parent hash the first retained record must link to.
 
 * **Write path** — :meth:`append` serializes the block into one buffer and
-  lands it with a single ``write`` + ``flush`` + ``fsync``.  The chain
-  appends *after* the state commit fsyncs, so the block log can never be
-  durably ahead of the node store: every recovered block's state root is
-  resolvable (the node store is append-only, historical roots survive).
+  lands it with a single :meth:`LogFile.append`.  The chain appends *after*
+  the state commit fsyncs, so the block log can never be durably ahead of
+  the node store: every recovered block's state root is resolvable (the
+  node store is append-only, historical roots survive).
 
-* **Recovery** — on open, records are scanned front-to-back.  A short
-  read, bad marker, CRC mismatch, undecodable payload, hash mismatch, or
-  broken parent linkage ends the valid prefix; the file is truncated back
-  to the last complete block — a crash mid-append loses only the block
-  that was never acknowledged.  A torn magic header (crash while creating
-  the file) re-initializes instead of wedging the node forever.
+* **Recovery** — on open, :meth:`LogFile.scan` walks the records with
+  :meth:`_scan_record` as its parser.  A short read, bad marker, CRC
+  mismatch, undecodable payload, hash mismatch, or broken parent linkage
+  ends the valid prefix — a crash mid-append loses only the block that was
+  never acknowledged.
 """
 
 from __future__ import annotations
@@ -45,12 +46,12 @@ from __future__ import annotations
 import os
 import pathlib
 import struct
-import threading
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, BinaryIO, Callable, Optional, Union
 
 from ..rlp import codec as rlp
+from .logfile import LogFile, state_dir_log
 from .nodestore import StoreError
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle (chain → trie → storage)
@@ -187,13 +188,6 @@ class BlockLog:
 
     def __init__(self, path: Union[str, os.PathLike],
                  *, sync: bool = True) -> None:
-        self._path = pathlib.Path(path)
-        self._sync = sync
-        self._lock = threading.Lock()
-        self._closed = False
-        #: a failed append that could not be truncated away wedges writes
-        #: (the recovered history stays valid); reopening clears it
-        self._wedged = False
         self.stats = BlockLogStats()
         #: the recovered (and since-appended) chain, oldest first — the
         #: same Block objects the Blockchain indexes, not copies
@@ -204,19 +198,9 @@ class BlockLog:
         self._offsets: list[int] = []
         #: present iff history below some height was pruned away
         self.anchor: Optional[BlockLogAnchor] = None
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        # a crash mid-prune (before the rename) leaves the half-built
-        # replacement behind; it was never promoted, so it is garbage
-        self._tmp_path().unlink(missing_ok=True)
-        fresh = not self._path.exists() or self._path.stat().st_size == 0
-        self._fh = open(self._path, "a+b")
-        if fresh:
-            self._fh.write(BLOCK_LOG_MAGIC)
-            self._fh.flush()
-            if self._sync:
-                os.fsync(self._fh.fileno())
-        else:
-            self._recover()
+        self._log = LogFile(path, BLOCK_LOG_MAGIC, "block log", self.stats,
+                            sync=sync)
+        self._log.open(self._recover)
 
     # ------------------------------------------------------------------ #
     # Views
@@ -224,7 +208,15 @@ class BlockLog:
 
     @property
     def path(self) -> pathlib.Path:
-        return self._path
+        return self._log.path
+
+    @property
+    def _wedged(self) -> bool:
+        return self._log.wedged
+
+    @_wedged.setter
+    def _wedged(self, value: bool) -> None:
+        self._log.wedged = value
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -283,30 +275,8 @@ class BlockLog:
                     f"{block.number}"
                 )
         record = _encode_record(block)
-        with self._lock:
-            self._require_open()
-            if self._wedged:
-                raise StoreError(
-                    f"block log {self._path} refused the append: a failed "
-                    "write could not be truncated away, so further records "
-                    "would be discarded by crash recovery"
-                )
-            self._fh.seek(0, os.SEEK_END)
-            base = self._fh.tell()
-            try:
-                self._fh.write(record)
-                self._fh.flush()
-                if self._sync:
-                    os.fsync(self._fh.fileno())
-            except Exception:
-                # drop the partial record so later appends do not bury a
-                # torn one mid-log; if even that fails, wedge the log
-                try:
-                    self._fh.truncate(base)
-                    self._fh.flush()
-                except OSError:
-                    self._wedged = True
-                raise
+        with self._log.lock:
+            base, _ = self._log.append(lambda fh, base: fh.write(record))
             self.blocks.append(block)
             self._offsets.append(base)
             self.stats.blocks_appended += 1
@@ -325,50 +295,26 @@ class BlockLog:
             raise StoreError(
                 f"cannot rewind {count} blocks: log holds {len(self.blocks)}"
             )
-        with self._lock:
-            self._require_open()
-            base = self._offsets[len(self.blocks) - count]
-            self._fh.truncate(base)
-            self._fh.flush()
-            if self._sync:
-                os.fsync(self._fh.fileno())
+        with self._log.lock:
+            self._log.truncate(self._offsets[len(self.blocks) - count])
             del self.blocks[len(self.blocks) - count:]
             del self._offsets[len(self._offsets) - count:]
-
-    def _tmp_path(self) -> pathlib.Path:
-        return self._path.with_name(self._path.name + ".compact")
-
-    def _fsync_dir(self) -> None:
-        if not self._sync:
-            return
-        try:
-            dir_fd = os.open(self._path.parent, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform-dependent
-            return
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
 
     def prune_to(self, first_number: int) -> int:
         """Drop every record below ``first_number``; returns the count dropped.
 
         The surviving history is rewritten — anchor record first, then the
-        retained records — into ``<path>.compact``, fsynced, and promoted
-        by ``os.replace`` + a directory fsync, so a crash at any byte
-        offset leaves either the complete old log or the complete new one.
+        retained records — through :meth:`LogFile.rewrite`, so a crash at
+        any byte offset leaves either the complete old log or the complete
+        new one.
 
         The chain layer calls this *before* compacting ``nodes.log``: a
         crash between the two steps leaves the node store a superset of
         what this log references (harmless), never the reverse — so the
         log can never demand a pruned root.
         """
-        with self._lock:
-            self._require_open()
-            if self._wedged:
-                raise StoreError(
-                    f"block log {self._path} is wedged; reopen it before "
-                    "pruning")
+        with self._log.lock:
+            self._log.require_writable("prune")
             current_first = self.first_number
             if first_number <= current_first:
                 return 0
@@ -380,7 +326,7 @@ class BlockLog:
             genesis = self.genesis_hash
             if genesis is None:  # pragma: no cover - logs start at genesis
                 raise StoreError(
-                    f"block log {self._path} has no genesis binding to "
+                    f"block log {self.path} has no genesis binding to "
                     "carry through a prune")
             drop = first_number - self.blocks[0].number
             keep = self.blocks[drop:]
@@ -389,49 +335,30 @@ class BlockLog:
                 genesis_hash=genesis,
                 parent_hash=keep[0].header.parent_hash,
             )
-            before = os.fstat(self._fh.fileno()).st_size
-            tmp = self._tmp_path()
+            before = self._log.size()
             offsets: list[int] = []
-            try:
-                with open(tmp, "wb") as out:
-                    out.write(BLOCK_LOG_MAGIC)
-                    out.write(anchor.encode())
-                    pos = out.tell()
-                    for block in keep:
-                        record = _encode_record(block)
-                        out.write(record)
-                        offsets.append(pos)
-                        pos += len(record)
-                    out.flush()
-                    os.fsync(out.fileno())
-            except Exception:
-                tmp.unlink(missing_ok=True)
-                raise
-            os.replace(tmp, self._path)
-            self._fsync_dir()
-            old_fh = self._fh
-            self._fh = open(self._path, "a+b")
-            old_fh.close()
+
+            def write_body(out: BinaryIO) -> None:
+                out.write(anchor.encode())
+                for block in keep:
+                    offsets.append(out.tell())
+                    out.write(_encode_record(block))
+
+            self._log.rewrite(write_body, "prune")
             self.blocks = list(keep)
             self._offsets = offsets
             self.anchor = anchor
-            after = os.fstat(self._fh.fileno()).st_size
+            after = self._log.size()
             self.stats.blocks_pruned += drop
             self.stats.bytes_reclaimed += max(0, before - after)
             return drop
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._fh.close()
+        self._log.close()
 
     # ------------------------------------------------------------------ #
     # Recovery
     # ------------------------------------------------------------------ #
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise StoreError(f"block log {self._path} is closed")
 
     def _recover(self) -> None:
         """Rebuild the block list from the longest valid prefix.
@@ -442,75 +369,29 @@ class BlockLog:
         The scan is front-to-back, so the first bad record invalidates
         everything after it — later blocks build on the damaged one.
         """
-        total = os.fstat(self._fh.fileno()).st_size
-        self._fh.seek(0)
-        magic = self._fh.read(len(BLOCK_LOG_MAGIC))
-        if len(magic) < len(BLOCK_LOG_MAGIC) and BLOCK_LOG_MAGIC.startswith(magic):
-            # a crash while creating the fresh log tore the header itself:
-            # nothing was ever logged, so re-initialize
-            self.stats.truncated_bytes = len(magic)
-            self._fh.truncate(0)
-            self._fh.write(BLOCK_LOG_MAGIC)
-            self._fh.flush()
-            if self._sync:
-                os.fsync(self._fh.fileno())
-            return
-        if magic != BLOCK_LOG_MAGIC:
-            raise StoreError(
-                f"{self._path} is not a PARP block log (bad magic {magic!r})"
-            )
         offset = len(BLOCK_LOG_MAGIC)
         # a pruned log leads with its anchor record; a torn anchor ends the
         # valid prefix before any block (the records after it link to an
         # unverifiable restart point)
-        self._fh.seek(offset)
-        peek = self._fh.read(1)
-        if peek == _ANCHOR_MARKER:
-            self._fh.seek(offset)
-            self.anchor = BlockLogAnchor.decode(self._fh.read(_ANCHOR_LEN))
+        if self._log.read_at(offset, 1) == _ANCHOR_MARKER:
+            self.anchor = BlockLogAnchor.decode(
+                self._log.read_at(offset, _ANCHOR_LEN))
             if self.anchor is None:
-                self.stats.truncated_bytes = total - offset
-                self._fh.truncate(offset)
-                self._fh.flush()
-                if self._sync:
-                    os.fsync(self._fh.fileno())
+                self._log.truncate(offset, torn=True)
                 return
             offset += _ANCHOR_LEN
-        good_end = offset
-        while offset < total:
-            parsed = self._scan_record(offset, total)
-            if parsed is None:
-                break  # torn or corrupt suffix: stop at the last good block
-            block, next_offset = parsed
-            if self.blocks:
-                tip = self.blocks[-1]
-                if (block.number != tip.number + 1
-                        or block.header.parent_hash != tip.hash):
-                    break
-            elif self.anchor is not None:
-                if (block.number != self.anchor.first_number
-                        or block.header.parent_hash
-                        != self.anchor.parent_hash):
-                    break
+        for start, block in self._log.scan(offset, self._scan_record):
             self.blocks.append(block)
-            self._offsets.append(offset)
-            offset = next_offset
-            good_end = offset
-        if good_end < total:
-            self.stats.truncated_bytes = total - good_end
-            self._fh.truncate(good_end)
-            self._fh.flush()
-            if self._sync:
-                os.fsync(self._fh.fileno())
+            self._offsets.append(start)
         self.stats.blocks_recovered = len(self.blocks)
 
-    def _scan_record(self, offset: int, total: int
-                     ) -> Optional[tuple[Block, int]]:
-        """Parse one record at ``offset``; returns (block, next offset) or
-        None on any short read, bad marker, CRC mismatch, or decode error."""
-        fh = self._fh
-        fh.seek(offset)
-        prefix = fh.read(_PREFIX_LEN)
+    def _scan_record(self, read: Callable[[int], bytes], offset: int,
+                     total: int) -> Optional[tuple[Block, int]]:
+        """Parse one record at ``offset`` (:meth:`LogFile.scan`'s parser);
+        returns (block, next offset) or None on any short read, bad marker,
+        CRC mismatch, decode error, or a block that does not extend the
+        records recovered before it."""
+        prefix = read(_PREFIX_LEN)
         if len(prefix) != _PREFIX_LEN or prefix[:1] != _RECORD_MARKER:
             return None
         (number,) = _U32.unpack_from(prefix, 1)
@@ -518,10 +399,10 @@ class BlockLog:
         end = offset + _PREFIX_LEN + payload_len + _TRAILER_LEN
         if end > total:
             return None
-        payload = fh.read(payload_len)
+        payload = read(payload_len)
         if len(payload) != payload_len:
             return None
-        trailer = fh.read(_TRAILER_LEN)
+        trailer = read(_TRAILER_LEN)
         if len(trailer) != _TRAILER_LEN:
             return None
         block_hash = trailer[:_HASH_LEN]
@@ -537,11 +418,20 @@ class BlockLog:
             return None
         if block.number != number or block.hash != block_hash:
             return None
+        if self.blocks:
+            tip = self.blocks[-1]
+            if (block.number != tip.number + 1
+                    or block.header.parent_hash != tip.hash):
+                return None
+        elif self.anchor is not None:
+            if (block.number != self.anchor.first_number
+                    or block.header.parent_hash != self.anchor.parent_hash):
+                return None
         return block, end
 
     def __repr__(self) -> str:
         head = self.last_number if self.blocks else "empty"
-        return f"BlockLog({str(self._path)!r}, head={head})"
+        return f"BlockLog({str(self.path)!r}, head={head})"
 
 
 def open_block_log(state_dir: Union[str, os.PathLike],
@@ -551,11 +441,4 @@ def open_block_log(state_dir: Union[str, os.PathLike],
     Lives next to ``nodes.log`` (see :func:`open_node_store`); together the
     two files are the complete durable footprint of a full node.
     """
-    state_dir = pathlib.Path(state_dir)
-    if state_dir.exists() and not state_dir.is_dir():
-        raise StoreError(
-            f"{state_dir} exists but is not a directory — open a bare log "
-            "with BlockLog(path) or move it to <dir>/blocks.log"
-        )
-    state_dir.mkdir(parents=True, exist_ok=True)
-    return BlockLog(state_dir / "blocks.log", sync=sync)
+    return BlockLog(state_dir_log(state_dir, "blocks.log"), sync=sync)

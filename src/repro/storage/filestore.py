@@ -1,7 +1,11 @@
 """Append-only, crash-safe disk node store.
 
 This is the persistence layer that lets a full node hold state tries far
-bigger than RAM-resident Python dicts allow, and survive being restarted:
+bigger than RAM-resident Python dicts allow, and survive being restarted.
+This module owns the record formats of ``nodes.log`` and what is built on
+them (index, root history, read cache, footer); how the file is created,
+appended to, recovered and atomically rewritten — the crash discipline — is
+:mod:`~repro.storage.logfile`'s and is described there:
 
 * **Data layout** — one log file.  An 8-byte magic header, then (on a
   compacted store) one *pruned-roots record*::
@@ -28,25 +32,23 @@ bigger than RAM-resident Python dicts allow, and survive being restarted:
   CRC — flat in the number of nodes.
 
 * **Write path** — ``__setitem__`` stages entries in a pending dict (reads
-  see them immediately); :meth:`commit` serializes the whole batch into one
-  buffer, appends it with a single ``write``, then ``flush`` + ``fsync``.
-  The trie's overlay engine calls ``commit`` once per root transition, so
-  a block's worth of nodes costs one syscall burst, not one per node.
-  Content addressing makes re-puts of known hashes free: they are skipped.
+  see them immediately); :meth:`commit` streams the whole batch as one
+  record through :meth:`LogFile.append`.  The trie's overlay engine calls
+  ``commit`` once per root transition, so a block's worth of nodes costs
+  one syscall burst, not one per node.  Content addressing makes re-puts
+  of known hashes free: they are skipped.
 
 * **Recovery** — :meth:`_recover` (run on open) first tries the footer: if
   the last 8 bytes point at an intact ``0xB3`` record, the index and root
   history are deserialized in one read instead of scanning the whole file,
   and the footer is truncated off so the live file is a pure batch log
   again (appends and later recoveries never see it mid-file).  When the
-  footer is missing or torn — the normal state after a crash — the scan
-  fallback walks batches from the front, verifying each CRC.  The first
-  short read or checksum mismatch ends the valid prefix: the file is
-  truncated back to the last batch that committed completely, the offset
-  index is rebuilt from the surviving prefix, and :attr:`last_root` is the
-  root that batch was tagged with.  A crash mid-``write`` therefore loses
-  only the uncommitted batch — exactly the overlay writes the trie had not
-  yet promised were durable.
+  footer is missing or torn — the normal state after a crash —
+  :meth:`LogFile.scan` walks the batches with :meth:`_scan_batch` as its
+  parser: the offset index is rebuilt from the surviving prefix and
+  :attr:`last_root` is the root its last batch was tagged with.  A crash
+  mid-``write`` therefore loses only the uncommitted batch — exactly the
+  overlay writes the trie had not yet promised were durable.
 
 * **Read path** — the in-memory index maps hash -> (offset, length); a
   ``get`` is one locked ``seek`` + ``read``, behind a bounded LRU of
@@ -61,12 +63,10 @@ bigger than RAM-resident Python dicts allow, and survive being restarted:
 
 * **Compaction** — :meth:`compact` rewrites the log to a caller-supplied
   set of batches (the live node set of the retained roots, assembled by
-  :func:`~repro.storage.compaction.compact_node_store`).  The new log is
-  written beside the old one (``nodes.log.compact``), fsynced, and
-  promoted with ``os.replace`` + a directory fsync — a crash at any byte
-  offset recovers to either the complete old log or the complete new one.
-  Roots dropped by the pass land in the pruned-roots record so reopen can
-  answer :class:`~repro.storage.nodestore.PrunedRootError` for them.
+  :func:`~repro.storage.compaction.compact_node_store`) through the
+  atomic :meth:`LogFile.rewrite`.  Roots dropped by the pass land in the
+  pruned-roots record so reopen can answer
+  :class:`~repro.storage.nodestore.PrunedRootError` for them.
 """
 
 from __future__ import annotations
@@ -74,15 +74,15 @@ from __future__ import annotations
 import os
 import pathlib
 import struct
-import threading
 import zlib
 from collections.abc import MutableMapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..crypto.keccak import KECCAK_EMPTY_RLP
 from ..metrics.cache import LRUCache
 from .compaction import RetentionPolicy, RetentionSpec
+from .logfile import LogFile, state_dir_log
 from .nodestore import NodeStore, StoreError
 
 __all__ = [
@@ -243,10 +243,7 @@ class AppendOnlyFileStore(NodeStore):
                  *, sync: bool = True,
                  retention: RetentionSpec = None,
                  read_cache_capacity: int = DEFAULT_READ_CACHE_CAPACITY) -> None:
-        self._path = pathlib.Path(path)
-        self._sync = sync
         self.retention = RetentionPolicy.parse(retention)
-        self._lock = threading.Lock()
         self._read_cache: LRUCache = LRUCache(capacity=read_cache_capacity)
         self._pending: dict[bytes, bytes] = {}
         #: hash -> (offset, length); a plain dict after a scan/commit, or
@@ -260,27 +257,11 @@ class AppendOnlyFileStore(NodeStore):
         #: ordered (oldest → newest) view of the pruned set, persisted
         self._pruned_order: list[bytes] = []
         self._last_root: bytes = KECCAK_EMPTY_RLP
-        self._data_start = len(MAGIC)
-        self._closed = False
         #: True when this open deserialized the footer instead of scanning
         self.opened_indexed = False
-        #: a failed append that could not be truncated away wedges writes
-        #: (reads stay valid); reopening re-runs recovery and clears it
-        self._wedged = False
         self.stats = FileStoreStats()
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        # a crash mid-compaction (before the rename) leaves the half-built
-        # replacement behind; it was never promoted, so it is garbage
-        self._tmp_path().unlink(missing_ok=True)
-        fresh = not self._path.exists() or self._path.stat().st_size == 0
-        self._fh = open(self._path, "a+b")
-        if fresh:
-            self._fh.write(MAGIC)
-            self._fh.flush()
-            if self._sync:
-                os.fsync(self._fh.fileno())
-        else:
-            self._recover()
+        self._log = LogFile(path, MAGIC, "node store", self.stats, sync=sync)
+        self._log.open(self._recover)
 
     # ------------------------------------------------------------------ #
     # NodeStore interface
@@ -288,7 +269,15 @@ class AppendOnlyFileStore(NodeStore):
 
     @property
     def path(self) -> pathlib.Path:
-        return self._path
+        return self._log.path
+
+    @property
+    def _wedged(self) -> bool:
+        return self._log.wedged
+
+    @_wedged.setter
+    def _wedged(self, value: bool) -> None:
+        self._log.wedged = value
 
     @property
     def last_root(self) -> bytes:
@@ -313,16 +302,15 @@ class AppendOnlyFileStore(NodeStore):
         # the index lookup happens under the lock: compaction swaps the
         # file and the index together, and a location resolved against the
         # old file must never be read from the new one
-        with self._lock:
-            self._require_open()
+        with self._log.lock:
+            self._log.require_open()
             location = self._index.get(key)
             if location is None:
                 return None
             offset, length = location
-            self._fh.seek(offset)
-            data = self._fh.read(length)
+            data = self._log.read_at(offset, length)
         if len(data) != length:  # pragma: no cover - index always in-bounds
-            raise StoreError(f"short read at offset {offset} in {self._path}")
+            raise StoreError(f"short read at offset {offset} in {self.path}")
         self.stats.reads += 1
         self._read_cache.put(key, data)
         return data
@@ -344,9 +332,8 @@ class AppendOnlyFileStore(NodeStore):
 
     def log_bytes(self) -> int:
         """Current size of the log file — the auto-compaction trigger input."""
-        with self._lock:
-            self._require_open()
-            return os.fstat(self._fh.fileno()).st_size
+        with self._log.lock:
+            return self._log.size()
 
     def commit(self, root: bytes) -> None:
         """Append the pending batch as one checksummed, fsynced record.
@@ -366,36 +353,15 @@ class AppendOnlyFileStore(NodeStore):
         """
         if not self._pending and root == self._last_root:
             return
-        with self._lock:
-            self._require_open()
-            if self._wedged:
-                raise StoreError(
-                    f"node store {self._path} refused the commit: a failed "
-                    "append could not be truncated away, so further writes "
-                    "would be discarded by crash recovery"
-                )
-            self._fh.seek(0, os.SEEK_END)
-            base = self._fh.tell()
+        with self._log.lock:
             try:
-                written, locations = self._stream_batch(
-                    self._fh, root, base, self._pending.items(),
-                    sync=self._sync)
+                base, (written, locations) = self._log.append(
+                    lambda fh, base: self._stream_batch(
+                        fh, root, base, self._pending.items()), "commit")
             except Exception:
-                # drop the partial record so later commits do not bury a
-                # torn batch mid-log (recovery scans front-to-back and
-                # would discard everything after it); if even that fails,
-                # wedge the store — appending past a torn record would
-                # acknowledge commits that recovery must throw away
-                try:
-                    torn = os.fstat(self._fh.fileno()).st_size - base
-                    self._fh.truncate(base)
-                    self._fh.flush()
-                    if torn > 0:
-                        self.stats.truncated_bytes += torn
-                except OSError:
-                    self._wedged = True
-                # either way the staged bytes are not durable: make sure
-                # the read cache cannot serve them as if they were
+                # the log cut the torn record back (or wedged); either way
+                # the staged bytes are not durable: make sure the read
+                # cache cannot serve them as if they were
                 for key in self._pending:
                     self._read_cache.discard(key)
                 raise
@@ -416,14 +382,15 @@ class AppendOnlyFileStore(NodeStore):
             self._pending.clear()
             self._last_root = root
 
-    def _stream_batch(self, fh, root: bytes, base: int,
+    def _stream_batch(self, fh: BinaryIO, root: bytes, base: int,
                       items: Iterable[tuple[bytes, bytes]],
-                      *, sync: bool) -> tuple[int, list[tuple[bytes, int, int]]]:
+                      ) -> tuple[int, list[tuple[bytes, int, int]]]:
         """Stream one batch at ``base`` of ``fh``; returns (written, locations).
 
         The value locations are returned — not applied to the index — so a
         failed write cannot leave the index pointing into a torn record.
         ``items`` must support ``len()`` (the count leads the record).
+        Making the bytes durable is the caller's job (:class:`LogFile`).
         """
         items = items if hasattr(items, "__len__") else list(items)
         header = _BATCH_MARKER + _U32.pack(len(items))
@@ -444,9 +411,6 @@ class AppendOnlyFileStore(NodeStore):
         fh.write(root)
         fh.write(_U32.pack(crc))
         offset += _HASH_LEN + _U32.size
-        fh.flush()
-        if sync:
-            os.fsync(fh.fileno())
         return offset - base, locations
 
     def close(self, write_index: bool = True) -> None:
@@ -460,23 +424,19 @@ class AppendOnlyFileStore(NodeStore):
         wedged store never writes one — its tail is exactly what recovery
         must re-examine.
         """
-        if self._closed:
+        if self._log.closed:
             return
-        self._closed = True
         self._pending.clear()
         try:
-            if write_index and not self._wedged:
+            if write_index and not self._log.wedged:
                 self._write_footer()
         finally:
             self._read_cache.clear()
-            self._fh.close()
+            self._log.close()
 
     # ------------------------------------------------------------------ #
     # Compaction
     # ------------------------------------------------------------------ #
-
-    def _tmp_path(self) -> pathlib.Path:
-        return self._path.with_name(self._path.name + ".compact")
 
     def compact(self, batches: Sequence[tuple[bytes, Sequence[tuple[bytes, bytes]]]],
                 pruned_roots: Sequence[bytes] = ()) -> tuple[int, int]:
@@ -489,25 +449,19 @@ class AppendOnlyFileStore(NodeStore):
         mechanical rewrite).  ``pruned_roots`` joins the store's persisted
         pruned-roots record (newest :data:`_PRUNED_CAP` kept).
 
-        Crash safety: the replacement log is fully written and fsynced at
-        ``<path>.compact`` before a single ``os.replace`` promotes it, and
-        the directory entry is fsynced after — at every byte offset of the
-        pass the on-disk state is either the complete old log or the
+        Crash safety is :meth:`LogFile.rewrite`'s: at every byte offset of
+        the pass the on-disk state is either the complete old log or the
         complete new one.  Refuses to run over staged-but-uncommitted
         writes (they exist in no log) or a wedged store.
         """
-        with self._lock:
-            self._require_open()
-            if self._wedged:
-                raise StoreError(
-                    f"node store {self._path} is wedged; reopen it before "
-                    "compacting")
+        with self._log.lock:
+            self._log.require_writable("compaction")
             if self._pending:
                 raise StoreError(
-                    f"node store {self._path} has {len(self._pending)} "
+                    f"node store {self.path} has {len(self._pending)} "
                     "staged uncommitted writes; commit or drop them before "
                     "compacting")
-            before = os.fstat(self._fh.fileno()).st_size
+            before = self._log.size()
             # pruned memory: previously pruned roots stay remembered (they
             # are still unresolvable), newly pruned append after them
             merged: list[bytes] = []
@@ -517,36 +471,25 @@ class AppendOnlyFileStore(NodeStore):
                     merged_seen.add(root)
                     merged.append(root)
             merged = merged[-_PRUNED_CAP:]
-            tmp = self._tmp_path()
             new_index: dict[bytes, tuple[int, int]] = {}
             new_history: list[tuple[bytes, int]] = []
-            try:
-                with open(tmp, "wb") as out:
-                    out.write(MAGIC)
-                    if merged:
-                        record = (_PRUNED_MARKER + _U32.pack(len(merged))
-                                  + b"".join(merged))
-                        out.write(record)
-                        out.write(_U32.pack(zlib.crc32(record)))
-                    data_start = out.tell()
-                    offset = data_start
-                    for root, items in batches:
-                        written, locations = self._stream_batch(
-                            out, root, offset, items, sync=False)
-                        for key, off, length in locations:
-                            new_index[key] = (off, length)
-                        new_history.append((root, offset))
-                        offset += written
-                    out.flush()
-                    os.fsync(out.fileno())
-            except Exception:
-                tmp.unlink(missing_ok=True)
-                raise
-            os.replace(tmp, self._path)
-            self._fsync_dir()
-            old_fh = self._fh
-            self._fh = open(self._path, "a+b")
-            old_fh.close()
+
+            def write_body(out: BinaryIO) -> None:
+                if merged:
+                    record = (_PRUNED_MARKER + _U32.pack(len(merged))
+                              + b"".join(merged))
+                    out.write(record)
+                    out.write(_U32.pack(zlib.crc32(record)))
+                offset = out.tell()
+                for root, items in batches:
+                    written, locations = self._stream_batch(
+                        out, root, offset, items)
+                    for key, off, length in locations:
+                        new_index[key] = (off, length)
+                    new_history.append((root, offset))
+                    offset += written
+
+            self._log.rewrite(write_body, "compaction")
             # the cache must not serve nodes the new log no longer holds
             for key in self._index.keys() - new_index.keys():
                 self._read_cache.discard(key)
@@ -556,23 +499,10 @@ class AppendOnlyFileStore(NodeStore):
                                else KECCAK_EMPTY_RLP)
             self._pruned_order = merged
             self._pruned_set = set(merged)
-            self._data_start = data_start
-            after = os.fstat(self._fh.fileno()).st_size
+            after = self._log.size()
             self.stats.compactions += 1
             self.stats.bytes_reclaimed += max(0, before - after)
             return before, after
-
-    def _fsync_dir(self) -> None:
-        if not self._sync:
-            return
-        try:
-            dir_fd = os.open(self._path.parent, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform-dependent
-            return
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
 
     # ------------------------------------------------------------------ #
     # Root-index footer
@@ -581,13 +511,11 @@ class AppendOnlyFileStore(NodeStore):
     def _write_footer(self) -> None:
         """Append the ``0xB3`` footer: root table + node index + crc + pointer.
 
-        Best-effort durability (flushed, fsynced under ``sync=True``): a
-        footer torn by a crash during close is detected by its CRC on the
-        next open, which then falls back to the streaming scan.
+        Appended like any record (flushed, fsynced under ``sync=True``, cut
+        back if the write fails); a footer torn by a crash during close is
+        detected by its CRC on the next open, which then falls back to the
+        streaming scan.
         """
-        fh = self._fh
-        fh.seek(0, os.SEEK_END)
-        start = fh.tell()
         body = bytearray()
         body += _FOOTER_MARKER
         body += _U32.pack(len(self._root_history))
@@ -605,12 +533,13 @@ class AppendOnlyFileStore(NodeStore):
             for key in sorted(self._index):
                 offset, length = self._index[key]
                 body += _NODE_ENTRY.pack(key, offset, length)
-        fh.write(body)
-        fh.write(_U32.pack(zlib.crc32(bytes(body))))
-        fh.write(_U64.pack(start))
-        fh.flush()
-        if self._sync:
-            os.fsync(fh.fileno())
+        body += _U32.pack(zlib.crc32(body))
+
+        def write_footer(fh: BinaryIO, start: int) -> None:
+            fh.write(body)  # as is: the node table can be many MiB
+            fh.write(_U64.pack(start))
+
+        self._log.append(write_footer, "index footer")
 
     def _try_indexed_open(self, data_start: int, total: int) -> bool:
         """Deserialize the footer if intact; strips it and returns True.
@@ -623,13 +552,10 @@ class AppendOnlyFileStore(NodeStore):
         min_footer = 1 + 2 * _U32.size + _U32.size + _U64.size
         if total - data_start < min_footer:
             return False
-        fh = self._fh
-        fh.seek(total - _U64.size)
-        (start,) = _U64.unpack(fh.read(_U64.size))
+        (start,) = _U64.unpack(self._log.read_at(total - _U64.size, _U64.size))
         if not data_start <= start <= total - min_footer:
             return False
-        fh.seek(start)
-        blob = fh.read(total - _U64.size - start)
+        blob = self._log.read_at(start, total - _U64.size - start)
         if len(blob) < min_footer - _U64.size or blob[:1] != _FOOTER_MARKER:
             return False
         body, stored = blob[:-_U32.size], blob[-_U32.size:]
@@ -669,19 +595,12 @@ class AppendOnlyFileStore(NodeStore):
         self.stats.batches_recovered = len(history)
         # strip the footer: the live file is a pure batch log again, so
         # appends and any later torn-tail recovery see the format unchanged
-        self._fh.truncate(start)
-        self._fh.flush()
-        if self._sync:
-            os.fsync(self._fh.fileno())
+        self._log.truncate(start)
         return True
 
     # ------------------------------------------------------------------ #
     # Recovery
     # ------------------------------------------------------------------ #
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise StoreError(f"node store {self._path} is closed")
 
     def _recover(self) -> None:
         """Rebuild the index: footer seek when intact, else a streaming scan.
@@ -700,112 +619,65 @@ class AppendOnlyFileStore(NodeStore):
         whole point of the disk backend is state that does not fit in
         memory, and that must include the restart path.
         """
-        total = os.fstat(self._fh.fileno()).st_size
-        self._fh.seek(0)
-        magic = self._fh.read(len(MAGIC))
-        if len(magic) < len(MAGIC) and MAGIC.startswith(magic):
-            # a crash while creating the fresh log tore the header itself:
-            # nothing was ever committed, so re-initialize instead of
-            # refusing to open forever
-            self.stats.truncated_bytes = len(magic)
-            self._fh.truncate(0)
-            self._fh.write(MAGIC)
-            self._fh.flush()
-            if self._sync:
-                os.fsync(self._fh.fileno())
-            return
-        if magic != MAGIC:
-            raise StoreError(
-                f"{self._path} is not a PARP node store (bad magic {magic!r})"
-            )
+        total = self._log.size()
         offset = len(MAGIC)
-        pruned = self._scan_pruned_record(offset, total)
+        pruned = self._scan_pruned_record(offset)
         if pruned == "torn":
             # the front record is written atomically with the compacted
             # log, so damage here is external corruption: nothing after it
             # is trustworthy
-            self.stats.truncated_bytes = total - len(MAGIC)
-            self._fh.truncate(len(MAGIC))
-            self._fh.flush()
-            if self._sync:
-                os.fsync(self._fh.fileno())
+            self._log.truncate(offset, torn=True)
             return
         if pruned is not None:
-            roots, offset = pruned
-            self._pruned_order = roots
-            self._pruned_set = set(roots)
-        self._data_start = offset
+            self._pruned_order, offset = pruned
+            self._pruned_set = set(self._pruned_order)
         if self._try_indexed_open(offset, total):
             self.opened_indexed = True
             return
         index: dict[bytes, tuple[int, int]] = {}
-        history: list[tuple[bytes, int]] = []
-        last_root = KECCAK_EMPTY_RLP
-        good_end = offset
-        batches = 0
-        while offset < total:
-            parsed = self._scan_batch(offset, total)
-            if parsed is None:
-                break  # torn or corrupt suffix: stop at the last good batch
-            entries, root, next_offset = parsed
+        for start, (entries, root) in self._log.scan(offset, self._scan_batch):
             index.update(entries)
-            history.append((root, offset))
-            last_root = root
-            offset = next_offset
-            good_end = offset
-            batches += 1
-        if good_end < total:
-            self.stats.truncated_bytes = total - good_end
-            self._fh.truncate(good_end)
-            self._fh.flush()
-            if self._sync:
-                os.fsync(self._fh.fileno())
+            self._root_history.append((root, start))
+            self._last_root = root
         self._index = index
-        self._root_history = history
-        self._last_root = last_root
-        self.stats.batches_recovered = batches
+        self.stats.batches_recovered = len(self._root_history)
 
-    def _scan_pruned_record(self, offset: int, total: int):
+    def _scan_pruned_record(self, offset: int):
         """Parse the optional ``0xB5`` record at ``offset``.
 
         Returns None when absent (the byte there starts a batch or the
-        footer), ``"torn"`` when present but damaged, or
+        footer, or the log ends), ``"torn"`` when present but damaged, or
         ``(roots, next_offset)``.
         """
-        fh = self._fh
-        if offset >= total:
+        head = self._log.read_at(offset, 1 + _U32.size)
+        if head[:1] != _PRUNED_MARKER:
             return None
-        fh.seek(offset)
-        marker = fh.read(1)
-        if marker != _PRUNED_MARKER:
-            return None
-        header = fh.read(_U32.size)
-        if len(header) != _U32.size:
+        if len(head) != 1 + _U32.size:
             return "torn"
-        (count,) = _U32.unpack(header)
+        (count,) = _U32.unpack_from(head, 1)
         if count > _PRUNED_CAP:
             return "torn"
-        body = fh.read(count * _HASH_LEN + _U32.size)
+        body = self._log.read_at(offset + len(head),
+                                 count * _HASH_LEN + _U32.size)
         if len(body) != count * _HASH_LEN + _U32.size:
             return "torn"
         payload, stored = body[:-_U32.size], body[-_U32.size:]
-        if zlib.crc32(marker + header + payload) != _U32.unpack(stored)[0]:
+        if zlib.crc32(head + payload) != _U32.unpack(stored)[0]:
             return "torn"
         roots = [payload[i:i + _HASH_LEN]
                  for i in range(0, len(payload), _HASH_LEN)]
-        return roots, offset + 1 + _U32.size + count * _HASH_LEN + _U32.size
+        return roots, offset + len(head) + len(body)
 
-    def _scan_batch(self, offset: int, total: int
-                    ) -> Optional[tuple[dict[bytes, tuple[int, int]],
-                                        bytes, int]]:
-        """Stream-parse one batch at ``offset``: (entries, root, next offset).
+    def _scan_batch(self, read: Callable[[int], bytes], offset: int, total: int
+                    ) -> Optional[tuple[tuple[dict[bytes, tuple[int, int]],
+                                              bytes], int]]:
+        """Stream-parse one batch at ``offset`` (:meth:`LogFile.scan`'s
+        parser): ((entries, root), next offset).
 
         Returns None on any short read, bad marker, or CRC mismatch.  The
         CRC is fed incrementally, so only one value is resident at a time.
         """
-        fh = self._fh
-        fh.seek(offset)
-        header = fh.read(1 + _U32.size)
+        header = read(1 + _U32.size)
         if len(header) != 1 + _U32.size or header[:1] != _BATCH_MARKER:
             return None
         crc = zlib.crc32(header)
@@ -813,7 +685,7 @@ class AppendOnlyFileStore(NodeStore):
         pos = offset + 1 + _U32.size
         entries: dict[bytes, tuple[int, int]] = {}
         for _ in range(count):
-            entry_header = fh.read(_HASH_LEN + _U32.size)
+            entry_header = read(_HASH_LEN + _U32.size)
             if len(entry_header) != _HASH_LEN + _U32.size:
                 return None
             crc = zlib.crc32(entry_header, crc)
@@ -822,13 +694,13 @@ class AppendOnlyFileStore(NodeStore):
             pos += _HASH_LEN + _U32.size
             if pos + length > total:
                 return None
-            value = fh.read(length)
+            value = read(length)
             if len(value) != length:
                 return None
             crc = zlib.crc32(value, crc)
             entries[key] = (pos, length)
             pos += length
-        trailer = fh.read(_HASH_LEN + _U32.size)
+        trailer = read(_HASH_LEN + _U32.size)
         if len(trailer) != _HASH_LEN + _U32.size:
             return None
         root = trailer[:_HASH_LEN]
@@ -836,10 +708,10 @@ class AppendOnlyFileStore(NodeStore):
         (stored_crc,) = _U32.unpack_from(trailer, _HASH_LEN)
         if crc != stored_crc:
             return None
-        return entries, root, pos + _HASH_LEN + _U32.size
+        return (entries, root), pos + _HASH_LEN + _U32.size
 
     def __repr__(self) -> str:
-        return (f"AppendOnlyFileStore({str(self._path)!r}, "
+        return (f"AppendOnlyFileStore({str(self.path)!r}, "
                 f"entries={len(self._index)}, pending={len(self._pending)})")
 
 
@@ -851,16 +723,8 @@ def open_node_store(state_dir: Union[str, os.PathLike],
     The directory convention keeps room for future siblings (block index,
     receipts) next to the trie-node log.
     """
-    state_dir = pathlib.Path(state_dir)
-    if state_dir.exists() and not state_dir.is_dir():
-        raise StoreError(
-            f"{state_dir} exists but is not a directory — it looks like a "
-            "bare node-store log; open it with AppendOnlyFileStore(path) "
-            "or move it to <dir>/nodes.log"
-        )
-    state_dir.mkdir(parents=True, exist_ok=True)
-    return AppendOnlyFileStore(state_dir / "nodes.log", sync=sync,
-                               retention=retention)
+    return AppendOnlyFileStore(state_dir_log(state_dir, "nodes.log"),
+                               sync=sync, retention=retention)
 
 
 def open_state_dir(state_dir: Union[str, os.PathLike],

@@ -103,6 +103,37 @@ class TestAppendReopen:
             log.append(sealed[0])
         log.close()
 
+    def test_failed_append_is_cut_back_and_counted(self, tmp_path, monkeypatch):
+        """The block-log twin of the node store's
+        ``test_failed_append_discards_staged_cache_entries``: an append that
+        dies after its bytes reached the file is truncated away, counted in
+        ``truncated_bytes``, and leaves a log that keeps working."""
+        import os
+
+        sealed = _build_log(tmp_path / "state", blocks=1)
+        path = tmp_path / "bare.log"
+        log = BlockLog(path)
+        log.append(sealed[0])
+        size = path.stat().st_size
+
+        def dying_fsync(fd):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", dying_fsync)
+            with pytest.raises(OSError, match="disk full"):
+                log.append(sealed[1])
+        assert path.stat().st_size == size  # back at the pre-append size
+        assert log.stats.truncated_bytes > 0  # the torn bytes were counted
+        assert [block.hash for block in log.blocks] == [sealed[0].hash]
+        log.append(sealed[1])  # the log is fully usable again
+        log.close()
+        reopened = BlockLog(path)
+        assert [block.hash for block in reopened.blocks] \
+            == [block.hash for block in sealed]
+        assert reopened.stats.truncated_bytes == 0
+        reopened.close()
+
 
 class TestTornWrites:
     def test_torn_write_sweep_recovers_a_committed_prefix(self, tmp_path):

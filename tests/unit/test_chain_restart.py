@@ -212,3 +212,4 @@ class TestBareStoreRefusal:
                        executor=TransactionExecutor(ContractRegistry()),
                        db=store)
         assert store.last_root == root
+        store.close()

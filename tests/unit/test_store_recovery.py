@@ -338,7 +338,7 @@ class TestReadCacheInvalidation:
 
         real_stream = store._stream_batch
 
-        def dying_stream(fh, root, base, items, *, sync):
+        def dying_stream(fh, root, base, items):
             fh.write(b"\xb1partial")
             fh.flush()
             raise OSError("disk full")
