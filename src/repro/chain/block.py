@@ -55,6 +55,31 @@ class Block:
     transactions: tuple[Transaction, ...]
     receipts: tuple[Receipt, ...] = ()
 
+    @classmethod
+    def seal(cls, transactions: tuple[Transaction, ...],
+             receipts: tuple[Receipt, ...], **header_fields) -> "Block":
+        """Build the body tries once and the header over their roots.
+
+        The tries whose roots go into the header are the ones the block
+        keeps (they fill the ``cached_property`` slots), so
+        :meth:`validate_roots` and the inclusion proofs served from this
+        block reuse them.  A block that was not sealed here — decoded from
+        the block log, or assembled by hand — still rebuilds them from its
+        body.
+        """
+        transaction_trie = build_transaction_trie(list(transactions))
+        receipt_trie = build_receipt_trie(list(receipts))
+        header = BlockHeader(
+            transactions_root=transaction_trie.root_hash,
+            receipts_root=receipt_trie.root_hash,
+            **header_fields,
+        )
+        block = cls(header=header, transactions=transactions,
+                    receipts=receipts)
+        vars(block).update(transaction_trie=transaction_trie,
+                           receipt_trie=receipt_trie)
+        return block
+
     @cached_property
     def hash(self) -> bytes:
         return self.header.hash

@@ -34,7 +34,7 @@ from ..storage.nodestore import (
     as_node_store,
 )
 from ..trie.mpt import EMPTY_TRIE_ROOT
-from .block import Block, build_receipt_trie, build_transaction_trie
+from .block import Block
 from .genesis import GenesisConfig, make_genesis_block
 from .header import BlockHeader
 from .receipt import Receipt
@@ -351,9 +351,8 @@ class Blockchain:
                 deferred.append(tx)  # defer to the next block
                 deferred_senders.add(sender)
                 continue
-            # Per-tx commit point: snapshot() flushes the state overlay so a
-            # failing tx can be unwound by root; one hashing pass covers all
-            # of the previous tx's dirty nodes.
+            # Per-tx revert point: an O(1) checkpoint, nothing is hashed or
+            # staged until the block seals.
             snapshot = self.state.snapshot()
             try:
                 result = self.executor.apply(
@@ -370,22 +369,20 @@ class Blockchain:
         else:
             transactions[:] = deferred
 
-        # Sealing commit point: the last tx's writes are hashed here, and the
-        # tx/receipt tries are built batch-wise (one commit each).
+        # Sealing commit point: the one place the block's state writes are
+        # hashed (each dirty node once) and made durable; the body tries
+        # are built once and stay with the block.
         state_root = self.state.commit()
-        header = BlockHeader(
+        block = Block.seal(
+            tuple(included), tuple(receipts),
             parent_hash=parent.hash,
             state_root=state_root,
-            transactions_root=build_transaction_trie(included).root_hash,
-            receipts_root=build_receipt_trie(receipts).root_hash,
             number=parent.number + 1,
             timestamp=timestamp,
             gas_used=cumulative_gas,
             gas_limit=self.config.gas_limit,
             proposer=coinbase,
         )
-        block = Block(header=header, transactions=tuple(included),
-                      receipts=tuple(receipts))
         self._append(block)
         return block
 

@@ -5,9 +5,18 @@ Uses Ethereum's "secure trie" convention — account keys are
 account/storage proofs served to PARP light clients (``eth_getProof``-style)
 have the same shape and size characteristics as real Ethereum proofs.
 
-All mutation goes straight through the tries and the node store is
-append-only, so a snapshot is just a state root, and reverting a failed
-contract call (or unwinding a speculative block) is ``revert(root)``.
+Checkpoints: the tries' write overlays are persistent (path-copied, never
+mutated in place), so a revert point is an O(1) token — the account trie's
+``(committed root, working root node)`` pair plus the same pair for each
+dirty storage trie (:meth:`StateDB.snapshot`).  Taking one hashes nothing
+and stages nothing; :meth:`StateDB.revert` puts the pairs back.  A token
+pins the exact observable state at the time it was taken — balances, nonces,
+pending slot writes — for as long as the caller holds it; tokens nest, and a
+commit between ``snapshot`` and ``revert`` is legal (the nodes it staged
+become unreferenced orphans in the content-addressed store).  Unwinding a
+failed transaction or contract call therefore costs nothing, and every state
+node of a block is encoded, hashed and appended exactly once, by the one
+:meth:`StateDB.commit` that seals it.
 
 Hot-path plumbing: secure-trie key derivation (one ``keccak256`` per
 account access, ~280 µs of pure-Python hashing) is memoized in a bounded,
@@ -21,13 +30,14 @@ work.
 Storage-write batching: ``set_storage`` does *not* re-derive the account's
 ``storage_root`` per slot.  Dirty per-account storage tries accumulate in
 an overlay map and are each flushed exactly once at :meth:`StateDB.commit`
-(``snapshot``/``root_hash`` flush them too, but as *staging* commits),
-which is when the account records pick up their new storage roots — the
-same deferred-hashing win the account trie got in PR 3, extended to
+(reading ``root_hash`` or proving flushes them too, but as a *staging*
+commit), which is when the account records pick up their new storage roots
+— the same deferred-hashing win the account trie got in PR 3, extended to
 SSTORE-heavy contract workloads.  Reads of dirty slots see the uncommitted
-values; ``revert`` drops the dirty map.  Only ``commit()`` itself cuts a
-durable store batch, so on a disk backend one sealed block is one atomic,
-fsynced write tagged with the header's state root.
+values; ``revert`` restores the dirty map its token pinned.  Only
+``commit()`` itself cuts a durable store batch, so on a disk backend one
+sealed block is one atomic, fsynced write tagged with the header's state
+root.
 
 Persistence: the backing node store is pluggable
 (:mod:`repro.storage`) — pass a dict / ``MemoryNodeStore`` for the seed's
@@ -47,6 +57,7 @@ from ..storage.nodestore import NodeStore, as_node_store
 from ..trie.mpt import EMPTY_TRIE_ROOT, MerklePatriciaTrie
 from ..trie.proof import generate_proof
 from ..trie.shard import (
+    ShardPool,
     ShardRange,
     collect_subtree,
     extract_shard_nodes,
@@ -85,7 +96,7 @@ def _storage_key(slot: bytes) -> bytes:
 
 
 class StateDB:
-    """Mutable world state with snapshot/revert and proof generation."""
+    """Mutable world state with O(1) checkpoints and proof generation."""
 
     def __init__(self, db: Union[None, dict, NodeStore, str] = None,
                  root_hash: bytes = EMPTY_TRIE_ROOT,
@@ -138,10 +149,9 @@ class StateDB:
         root — the recovery point after a crash.
 
         ``flush_store=False`` stages everything in the store without cutting
-        a durable batch — the per-transaction commit points inside block
-        building use it (via :meth:`snapshot`) so that a *sealed block* is
-        the store's atomicity unit and crash recovery can only land on a
-        header-committed state root.
+        a durable batch — reading the root or proving mid-block uses it, so
+        that a *sealed block* is the store's atomicity unit and crash
+        recovery can only land on a header-committed state root.
         """
         if self._dirty_storage:
             dirty, self._dirty_storage = self._dirty_storage, {}
@@ -151,10 +161,9 @@ class StateDB:
                 self.storage_trie_commits += 1
                 self.set_account(address, account.with_storage_root(new_root))
         # The store is tagged here, not inside the trie: even when the
-        # account trie is already clean (e.g. the block's last transaction
-        # failed and was reverted to the previous per-tx snapshot), nodes
-        # staged by earlier flush_store=False commits must still become
-        # durable under the sealed root.
+        # account trie is already clean (a mid-block root read staged the
+        # block's nodes and nothing was written after it), they must still
+        # become durable under the sealed root.
         root = self._trie.commit(flush_store=False)
         if flush_store:
             self._db.commit(root)
@@ -204,13 +213,18 @@ class StateDB:
             self._trie.put(key, account.encode())
 
     def account_exists(self, address: Address) -> bool:
-        if self._trie.get(_secure_key(address.to_bytes())) is not None:
-            return True
-        # Pending slot writes make an account exist before its record is
-        # written at commit — the seed stamped the record per slot write,
-        # and gas metering (NEW_ACCOUNT_GAS) keys off existence.
+        # Gas metering (NEW_ACCOUNT_GAS) keys off existence, so the answer
+        # may not depend on when the last commit ran: pending slot writes
+        # stand in for the storage root the record will get at commit — they
+        # make an account exist before its record is written, and zeroing
+        # the last slot of an otherwise empty account deletes it already.
         storage = self._dirty_storage.get(address)
-        return storage is not None and not storage.is_empty
+        if storage is None:
+            return self._trie.get(_secure_key(address.to_bytes())) is not None
+        if not storage.is_empty:
+            return True
+        account = self.get_account(address)
+        return not account.with_storage_root(EMPTY_TRIE_ROOT).is_empty
 
     # -- balances ------------------------------------------------------- #
 
@@ -301,26 +315,30 @@ class StateDB:
     # Snapshots & proofs
     # ------------------------------------------------------------------ #
 
-    def snapshot(self) -> bytes:
-        """Capture the current state root for a later :meth:`revert`.
+    def snapshot(self) -> tuple:
+        """An opaque checkpoint of the current state for :meth:`revert`.
 
-        Forces a commit of the dirty storage tries and the account trie
-        overlay, so the returned root is always resolvable from the node
-        store.  The nodes are *staged*, not durably flushed — snapshots
-        mark per-transaction revert points inside a block, and durability
-        is cut per sealed block (:meth:`commit`), never mid-block.
+        O(1) in the state's size: the account trie's overlay pair plus one
+        pair per dirty storage trie.  Hashes nothing and stages nothing in
+        the node store (see the module docstring for the contract).
         """
-        return self.commit(flush_store=False)
+        return self._trie.checkpoint(), [
+            (address, storage, storage.checkpoint())
+            for address, storage in self._dirty_storage.items()
+        ]
 
-    def revert(self, root_hash: bytes) -> None:
-        """Rewind to a prior snapshot (node store is append-only).
+    def revert(self, snapshot: tuple) -> None:
+        """Rewind to a :meth:`snapshot` taken on this state.
 
-        Uncommitted writes — the account-trie overlay *and* the dirty
-        storage-trie map — are discarded wholesale.
+        Every write since — account records and pending slot writes alike —
+        is dropped, whether or not a commit hashed it in between.
         """
-        self._dirty_storage.clear()
-        self._trie = MerklePatriciaTrie(self._db, root_hash,
-                                        node_cache=self._trie.node_cache)
+        accounts, dirty = snapshot
+        self._trie.restore(accounts)
+        self._dirty_storage = {}
+        for address, storage, checkpoint in dirty:
+            storage.restore(checkpoint)
+            self._dirty_storage[address] = storage
 
     def at_root(self, root_hash: bytes) -> "StateDB":
         """A read view of the state at a historical root.
@@ -357,31 +375,52 @@ class StateDB:
     # Sharding (see :mod:`repro.trie.shard`)
     # ------------------------------------------------------------------ #
 
-    def extract_shard(self, shard: ShardRange) -> dict[bytes, bytes]:
+    def extract_shard(self, shard: ShardRange,
+                      pool: Optional[ShardPool] = None) -> dict[bytes, bytes]:
         """The node set a shard server materializes for ``shard``.
 
         The account-trie slice (root node + owned subtrees) plus the *whole*
         storage trie of every in-range account — storage proofs hang off the
         account proof, so an account's storage belongs to its shard.
-        """
-        self.commit(flush_store=False)
-        slice_ = extract_shard_nodes(self._trie, shard)
-        nodes = dict(slice_.nodes)
-        for _, raw in slice_.items:
-            account = Account.decode(raw)
-            if account.storage_root != EMPTY_TRIE_ROOT:
-                nodes.update(collect_subtree(self._db, account.storage_root))
-        return nodes
 
-    def shard_slice(self, shard: ShardRange) -> "StateDB":
+        With a ``pool`` (the server's node set from earlier heights) only
+        what this state changed in range is read: the account walk stops at
+        subtrees the pool holds completely, and only the accounts it did
+        reach can have a storage trie the pool has not seen.
+        """
+        if pool is None:
+            pool = ShardPool()
+        self.commit(flush_store=False)
+        try:
+            slice_ = extract_shard_nodes(self._trie, shard, pool)
+            for _, raw in slice_.items:
+                collect_subtree(self._db, Account.decode(raw).storage_root,
+                                pool)
+        except BaseException:
+            # an account subtree marked complete above a storage trie that
+            # never made it in would be skipped at every later height
+            pool.clear()
+            raise
+        return pool.nodes
+
+    def shard_slice(self, shard: ShardRange,
+                    pool: Optional[ShardPool] = None) -> "StateDB":
         """A read view backed by *only* this shard's nodes.
 
         Proofs for in-range keys are identical to this state's own; proofs
         for out-of-range keys structurally cannot be produced (the walk hits
         a missing node right below the root) — what makes a shard server
         unable to overstep its advertised range even if it wanted to.
+
+        A server passes the one ``pool`` it keeps across heights: the view
+        reads the pool's nodes through the pool's decoded-node LRU, and
+        building it costs this state's difference from the heights already
+        in the pool.
         """
-        return StateDB(self.extract_shard(shard), root_hash=self.root_hash)
+        if pool is None:
+            pool = ShardPool()
+        return StateDB(self.extract_shard(shard, pool),
+                       root_hash=self.root_hash, node_cache=pool.node_cache)
 
     def shard_commitment(self, shard: ShardRange) -> bytes:
         """This state's 32-byte commitment for one shard (probe payload)."""

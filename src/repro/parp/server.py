@@ -29,7 +29,7 @@ from ..crypto.keys import Address, PrivateKey
 from ..metrics.cache import LRUCache
 from ..node.fullnode import FullNode
 from ..rlp import codec as rlp
-from ..trie.shard import ShardRange
+from ..trie.shard import ShardPool, ShardRange
 from .admission import AdmissionConfig, AdmissionController
 from .channel import ChannelError, ServerChannel
 from .constants import BATCH_PROTOCOL_VERSION, DEFAULT_HANDSHAKE_EXPIRY_SECONDS
@@ -116,17 +116,32 @@ class _ShardSliceBackend(_SnapshotViewBackend):
     full node's (they verify against the global ``state_root``); proofs for
     anything else are structurally impossible — the slice is missing the
     nodes — so range enforcement is physics, not policy.
+
+    The slices of all heights live in one content-addressed
+    :class:`~repro.trie.shard.ShardPool`, so following the chain to a new
+    height reads what that block changed in range, and every view decodes
+    through the pool's one LRU.  The pool keeps no more history than the
+    chain does: when the chain prunes, it is dropped and rebuilt from the
+    heights still served.
     """
 
     def __init__(self, node: FullNode, shard: ShardRange,
                  capacity: int = 16) -> None:
         super().__init__(node, capacity=capacity)
         self._shard = shard
+        self._pool = ShardPool()
+        self._pool_floor = node.chain.first_retained_number
 
     def state_at(self, number: int):
+        floor = self._node.chain.first_retained_number
+        if floor != self._pool_floor:
+            self._pool_floor = floor
+            self._pool = ShardPool()
+            self._views.clear()
         return self._views.get_or_put(
             number,
-            lambda: self._node.state_at(number).shard_slice(self._shard),
+            lambda: self._node.state_at(number).shard_slice(self._shard,
+                                                            self._pool),
         )
 
 

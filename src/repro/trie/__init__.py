@@ -19,6 +19,7 @@ from .proof import (
 from .reference import NaiveMerklePatriciaTrie
 from .shard import (
     ShardError,
+    ShardPool,
     ShardRange,
     ShardSlice,
     collect_subtree,
@@ -34,6 +35,7 @@ __all__ = [
     "NaiveMerklePatriciaTrie",
     "ShardError",
     "ShardRange",
+    "ShardPool",
     "ShardSlice",
     "shard_of_key",
     "extract_shard_nodes",

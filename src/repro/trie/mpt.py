@@ -28,12 +28,23 @@ inside the overlay is simply the child's decoded list, exactly the shape an
 inlined node already has.  RLP encoding and keccak hashing happen once per
 distinct node at :meth:`commit`, which flushes the overlay bottom-up into the
 backing store and returns the new root — the same dirty-node architecture
-Geth uses for its state trie.  Reading :attr:`root_hash` (or calling
-:meth:`snapshot`) commits implicitly, so the public contract is unchanged:
-roots are bit-for-bit identical to hashing eagerly on every ``put``, and
-``at_root``/snapshots keep working off root hashes.  What changes is the
-cost: a bulk ``update`` of N keys performs O(distinct dirty nodes) hash and
-encode operations instead of O(N × depth).
+Geth uses for its state trie.  Reading :attr:`root_hash` commits implicitly,
+so roots are bit-for-bit identical to hashing eagerly on every ``put``, and
+``at_root`` views keep working off root hashes.  What changes is the cost: a
+bulk ``update`` of N keys performs O(distinct dirty nodes) hash and encode
+operations instead of O(N × depth).
+
+Checkpoints
+-----------
+
+The overlay is persistent: ``_put``/``_delete`` path-copy and never mutate a
+node in place, and :meth:`commit` encodes into fresh lists.  The whole
+contents of a trie are therefore pinned by the pair ``(committed root,
+working root node)``, and :meth:`checkpoint` returns exactly that — O(1), no
+hashing, nothing written to the store.  :meth:`restore` puts the pair back.
+A commit between the two is legal: it stages nodes the restored overlay no
+longer references (content-addressed orphans a later compaction reclaims)
+and the restored overlay is simply hashed again when next committed.
 
 Reads share a bounded decoded-node LRU (hash → decoded node) so that proof
 serving and repeated lookups stop paying ``rlp.decode`` once a node has been
@@ -94,10 +105,10 @@ class MerklePatriciaTrie:
 
     Committed nodes whose RLP encoding is >= 32 bytes live in ``self._db``
     keyed by their keccak hash; smaller nodes are inlined in their parents.
-    The store is append-only, so snapshots are simply remembered root hashes
-    (used by the chain's state history).  Uncommitted mutations live as
-    decoded lists reachable from ``self._root_node`` and are hashed exactly
-    once, by :meth:`commit`.
+    The store is append-only, so historical views are simply remembered root
+    hashes (used by the chain's state history).  Uncommitted mutations live
+    as decoded lists reachable from ``self._root_node`` and are hashed
+    exactly once, by :meth:`commit`.
     """
 
     def __init__(self, db: Union[None, dict, NodeStore, str] = None,
@@ -233,6 +244,15 @@ class MerklePatriciaTrie:
     def snapshot(self) -> bytes:
         """Commit and return the root hash (re-attachable via the constructor)."""
         return self.commit()
+
+    def checkpoint(self) -> tuple:
+        """An O(1) token pinning the current contents (see module docstring):
+        no hashing, no store write."""
+        return self._root_hash, self._root_node
+
+    def restore(self, checkpoint: tuple) -> None:
+        """Rewind to a :meth:`checkpoint` taken on this trie."""
+        self._root_hash, self._root_node = checkpoint
 
     def at_root(self, root_hash: bytes) -> "MerklePatriciaTrie":
         """A read view of this trie at a historical root.

@@ -23,21 +23,34 @@ verification machinery**:
   :func:`combine_shard_heads` over a full partition re-hashes to exactly
   the global root, so a directory (or an auditor) can check that N shard
   heads jointly cover the state a header commits to.
+
+Following the chain costs a shard server what each block *changed*: nodes
+are content-addressed, so a reference already materialized whole at an
+earlier height names the same subtree at this one, and a walk handed the
+server's :class:`ShardPool` stops there.  Extending the pool to a new height
+reads the dirty paths in range, not the range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..crypto.keccak import keccak256
+from ..metrics.cache import LRUCache
 from ..rlp import codec as rlp
-from .mpt import EMPTY_TRIE_ROOT, MerklePatriciaTrie, TrieError
+from .mpt import (
+    DEFAULT_NODE_CACHE_CAPACITY,
+    EMPTY_TRIE_ROOT,
+    MerklePatriciaTrie,
+    TrieError,
+)
 from .nibbles import Nibbles, hp_decode, nibbles_to_bytes
 
 __all__ = [
     "ShardError",
     "ShardRange",
+    "ShardPool",
     "ShardSlice",
     "shard_of_key",
     "extract_shard_nodes",
@@ -136,13 +149,44 @@ def shard_of_key(hashed_key: bytes, count: int) -> int:
     return (hashed_key[0] >> 4) * count // SHARD_NIBBLES
 
 
+class ShardPool:
+    """One shard server's node set, kept across heights.
+
+    ``nodes`` is content-addressed (hash -> encoding) and only ever grows;
+    ``complete`` holds the hashes whose *entire* subtree is in ``nodes``.
+    The two are kept apart because of the root nodes: every height's root
+    is in ``nodes`` (each proof starts there) with only its in-range
+    children materialized, so a root is never ``complete`` and a walk that
+    meets its hash again as an ordinary reference still descends.  Nothing
+    out of range ever enters ``nodes``, at any height — which is what keeps
+    out-of-range proofs structurally impossible for views built over it.
+
+    ``node_cache`` is the decoded-node LRU of those views.  It is the
+    pool's own, not the full node's: a cache hit resolves a reference
+    without consulting ``nodes``, so sharing the chain's LRU would let a
+    view walk into subtrees its shard does not hold.
+    """
+
+    def __init__(self) -> None:
+        self.nodes: dict[bytes, bytes] = {}
+        self.complete: set[bytes] = set()
+        self.node_cache = LRUCache(capacity=DEFAULT_NODE_CACHE_CAPACITY)
+
+    def clear(self) -> None:
+        self.nodes.clear()
+        self.complete.clear()
+        self.node_cache.clear()
+
+
 @dataclass(frozen=True)
 class ShardSlice:
     """One shard's materialized view of a trie.
 
-    ``nodes`` is the pruned node set (root node + in-range subtrees);
-    ``items`` are the in-range (key, value) pairs, which the state layer
-    uses to pull in the storage subtrees of in-range accounts.
+    ``nodes`` is the pruned node set (root node + in-range subtrees) — the
+    pool's, when the walk was handed one; ``items`` are the in-range (key,
+    value) pairs the walk reached, i.e. all of them from scratch and the
+    ones under a changed path when extending a pool.  The state layer uses
+    them to pull in the storage subtrees of in-range accounts.
     """
 
     shard: ShardRange
@@ -151,8 +195,8 @@ class ShardSlice:
     items: tuple[tuple[bytes, bytes], ...]
 
 
-def extract_shard_nodes(trie: MerklePatriciaTrie,
-                        shard: ShardRange) -> ShardSlice:
+def extract_shard_nodes(trie: MerklePatriciaTrie, shard: ShardRange,
+                        pool: Optional[ShardPool] = None) -> ShardSlice:
     """The pruned node set a shard server materializes for ``shard``.
 
     Always includes the root node (every proof starts there, and exclusion
@@ -161,9 +205,15 @@ def extract_shard_nodes(trie: MerklePatriciaTrie,
     generated from the slice are identical to full-trie proofs for in-range
     keys; out-of-range keys dead-end on a missing node (:class:`ProofError`
     from the proof layer) — the structural range enforcement.
+
+    With a ``pool`` the walk extends it in place and skips every reference
+    the pool already holds completely, so the cost is the in-range paths
+    that differ from the heights walked before.
     """
+    if pool is None:
+        pool = ShardPool()
     root = trie.root_hash  # commits any pending overlay
-    nodes: dict[bytes, bytes] = {}
+    nodes, complete = pool.nodes, pool.complete
     items: list[tuple[bytes, bytes]] = []
     if root == EMPTY_TRIE_ROOT:
         return ShardSlice(shard, root, nodes, ())
@@ -175,8 +225,9 @@ def extract_shard_nodes(trie: MerklePatriciaTrie,
 
     def collect(ref: rlp.Item, prefix: Nibbles) -> None:
         """Collect an entire subtree (nodes by hash + leaf items)."""
-        if isinstance(ref, bytes):
-            if ref == _BLANK:
+        hashed = isinstance(ref, bytes)
+        if hashed:
+            if ref == _BLANK or ref in complete:
                 return
             raw = trie.db.get(ref)
             if raw is None:
@@ -190,12 +241,14 @@ def extract_shard_nodes(trie: MerklePatriciaTrie,
                 items.append((nibbles_to_bytes(prefix), child[16]))
             for i in range(16):
                 collect(child[i], prefix + (i,))
-            return
-        path, is_leaf = hp_decode(child[0])
-        if is_leaf:
-            items.append((nibbles_to_bytes(prefix + path), child[1]))
         else:
-            collect(child[1], prefix + path)
+            path, is_leaf = hp_decode(child[0])
+            if is_leaf:
+                items.append((nibbles_to_bytes(prefix + path), child[1]))
+            else:
+                collect(child[1], prefix + path)
+        if hashed:
+            complete.add(ref)  # post-order: only once all of it is in
 
     if len(node) == 17:
         # branch root: keep exactly the owned slots; the root-branch value
@@ -220,18 +273,21 @@ def extract_shard_nodes(trie: MerklePatriciaTrie,
     return ShardSlice(shard, root, nodes, tuple(items))
 
 
-def collect_subtree(db, root_hash: bytes) -> dict[bytes, bytes]:
+def collect_subtree(db, root_hash: bytes,
+                    pool: Optional[ShardPool] = None) -> dict[bytes, bytes]:
     """Every stored node reachable from ``root_hash`` (storage tries of
-    in-range accounts are pulled into a slice whole)."""
-    nodes: dict[bytes, bytes] = {}
+    in-range accounts are pulled into a slice whole) — into ``pool``,
+    skipping what it already holds completely, when given one."""
+    if pool is None:
+        pool = ShardPool()
+    nodes, complete = pool.nodes, pool.complete
     if root_hash == EMPTY_TRIE_ROOT:
         return nodes
 
     def walk(ref: rlp.Item) -> None:
-        if isinstance(ref, bytes):
-            if ref == _BLANK:
-                return
-            if ref in nodes:
+        hashed = isinstance(ref, bytes)
+        if hashed:
+            if ref == _BLANK or ref in complete:
                 return
             raw = db.get(ref)
             if raw is None:
@@ -245,6 +301,8 @@ def collect_subtree(db, root_hash: bytes) -> dict[bytes, bytes]:
                 walk(node[i])
         elif not hp_decode(node[0])[1]:
             walk(node[1])
+        if hashed:
+            complete.add(ref)
 
     walk(root_hash)
     return nodes

@@ -9,16 +9,24 @@ budget once, not once per query, and hashes each node of its shared proof
 pool once, not once per item.
 """
 
+import random
 import sys
 from collections import Counter
 from contextlib import contextmanager
 
 import pytest
 
-from repro.crypto import ecdsa
+from repro.chain import GenesisConfig
+from repro.chain.transaction import Transaction
+from repro.crypto import PrivateKey, ecdsa
 from repro.crypto import keccak as keccak_module
+from repro.crypto.keys import Address
+from repro.node import Devnet
 from repro.parp import RpcCall
 from repro.parp.states import ResponseClass
+from repro.trie import collect_subtree
+
+TOKEN = 10 ** 18
 
 #: one verified round trip: the client signs the request and its payment and
 #: the server its response; each side recovers the signatures of the other
@@ -141,3 +149,93 @@ def test_batch_of_sixteen_hashes_each_pool_node_once(warm_env, monkeypatch):
     assert len(pool) >= 2
     node_hashes = sum(map(set(pool).__contains__, hashed))
     assert node_hashes <= len(pool)
+
+
+# --------------------------------------------------------------------------- #
+# sealing a block: hashes and nodes.log records proportional to what changed
+# --------------------------------------------------------------------------- #
+
+SEAL_SENDERS = [PrivateKey.from_seed(f"budget:sender{i}") for i in range(4)]
+MINER = Address(b"\x4d" * 20)
+#: the seeded 4-transfer block below: 18 dirty state nodes (the root, the
+#: spine branches under it and the nine account leaves), 6 + 2 body-trie
+#: nodes, and per transaction its hash, its signing hash and the hash of
+#: the recovered public key, plus the header's — 39 hashes, 49 permutations
+#: and 18 nodes.log records, where a hashing commit per transaction
+#: boundary cost 69, 107 and 40
+SEAL_BUDGET = {"hashes": 39, "permutations": 49, "records": 18}
+
+
+@pytest.fixture
+def seal_net(tmp_path):
+    rng = random.Random(7)
+    allocations = {Address(rng.randbytes(20)): TOKEN for _ in range(64)}
+    allocations.update((key.address, 10 * TOKEN) for key in SEAL_SENDERS)
+    net = Devnet(GenesisConfig(allocations=allocations), state_dir=tmp_path)
+    # a first block pays the one-off costs: the coinbase account comes into
+    # being, every keccak(address) lands in the process-wide memo
+    transfers(net, range(4))
+    net.chain.build_block(coinbase=MINER, timestamp=1)
+    yield net
+    net.close()
+
+
+def transfers(net, senders):
+    """Queue one transfer from each of ``senders`` (indices, may repeat)."""
+    recipients = sorted(net.chain.config.allocations)
+    for index in senders:
+        net.send_transaction(SEAL_SENDERS[index], recipients[index], value=1,
+                             gas_limit=21_000)
+
+
+def seal_counted(net, monkeypatch):
+    """Seal the mempool; returns the block, every keccak preimage hashed
+    while sealing, and the encodings of the state nodes it made dirty."""
+    chain, store = net.chain, net.chain.db
+    # transactions reach a node decoded from the wire: nothing memoized
+    chain.mempool = [Transaction.decode(tx.encode()) for tx in chain.mempool]
+    before = set(collect_subtree(store, chain.head.header.state_root))
+    records, batches = store.stats.entries_written, store.stats.batches_committed
+    with counted_keccak(monkeypatch) as hashed:
+        block = chain.build_block(coinbase=MINER,
+                                  timestamp=chain.head.header.timestamp + 1)
+    after = collect_subtree(store, block.header.state_root)
+    dirty = [raw for key, raw in after.items() if key not in before]
+    assert store.stats.batches_committed - batches == 1
+    assert store.stats.entries_written - records == len(dirty)
+    return block, hashed, dirty
+
+
+def test_sealing_hashes_and_appends_each_dirty_node_once(seal_net, monkeypatch):
+    transfers(seal_net, range(4))
+    block, hashed, dirty = seal_counted(seal_net, monkeypatch)
+    assert len(block.transactions) == 4
+    body = [trie.db.get(key)
+            for trie in (block.transaction_trie, block.receipt_trie)
+            for key in trie.db]
+    counts = Counter(hashed)
+    # every state node and every body-trie node: once, by the seal
+    assert all(counts[raw] == 1 for raw in dirty + body)
+    # the rest is per transaction (hash, signing hash, public key) and the
+    # header — nothing else hashes while a block is sealed
+    assert len(hashed) - len(dirty) - len(body) <= 3 * 4 + 1
+    assert len(dirty) <= SEAL_BUDGET["records"]
+    assert_within_keccak_budget(hashed, SEAL_BUDGET)
+
+
+def test_sealing_n_transactions_on_one_account_hashes_the_root_once(
+        seal_net, monkeypatch):
+    """Six transfers between the same two accounts dirty the same nodes one
+    does; a commit per transaction boundary hashed (and appended) the root
+    and spine seven times."""
+    transfers(seal_net, [0])
+    _, hashed_one, dirty_one = seal_counted(seal_net, monkeypatch)
+    transfers(seal_net, [0] * 6)
+    block, hashed_six, dirty_six = seal_counted(seal_net, monkeypatch)
+    assert len(block.transactions) == 6
+    assert len(dirty_six) == len(dirty_one)
+    root = seal_net.chain.db.get(block.header.state_root)
+    assert hashed_six.count(root) == 1
+    state_hashes = len(hashed_six) - 3 * 6 - 1 - len(
+        block.transaction_trie.db) - len(block.receipt_trie.db)
+    assert state_hashes == len(dirty_six)

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.chain import Blockchain, ChainError, GenesisConfig, UnsignedTransaction
+from repro.chain import (
+    Block,
+    Blockchain,
+    ChainError,
+    GenesisConfig,
+    UnsignedTransaction,
+)
 from repro.crypto import PrivateKey
 from repro.vm import ContractRegistry, TransactionExecutor
 
@@ -83,6 +89,20 @@ class TestBlockProduction:
         block = chain.build_block()
         assert block.header.state_root == chain.state.root_hash
         block.validate_roots()
+
+    def test_sealed_block_keeps_the_tries_behind_its_header(self, chain):
+        """The body tries are built once per seal; a block that was not
+        just built (decoded, hand-assembled) still recomputes them."""
+        chain.add_transaction(transfer())
+        block = chain.build_block()
+        assert {"transaction_trie", "receipt_trie"} <= set(vars(block))
+        assert block.transaction_trie.root_hash == block.header.transactions_root
+        assert block.receipt_trie.root_hash == block.header.receipts_root
+        copy = Block(block.header, block.transactions, block.receipts)
+        assert "transaction_trie" not in vars(copy)
+        copy.validate_roots()
+        with pytest.raises(ValueError):
+            Block(block.header, (), block.receipts).validate_roots()
 
     def test_invalid_transaction_dropped(self, chain):
         poor = PrivateKey.from_seed("pauper")

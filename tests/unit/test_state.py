@@ -118,7 +118,7 @@ class TestSnapshots:
         assert state.get_storage(CONTRACT, keccak256(b"s")) == b"\x07"
 
     def test_at_root_view_is_frozen(self, state):
-        root = state.snapshot()
+        root = state.root_hash
         state.add_balance(A, 500)
         view = state.at_root(root)
         assert view.balance_of(A) == 1_000

@@ -66,7 +66,7 @@ class TestBatchedSemantics:
     def test_revert_drops_dirty_map(self):
         state = StateDB()
         state.set_storage(CONTRACT, _slot(1), b"\x07")
-        snapshot = state.snapshot()  # flushes: \x07 is now committed
+        snapshot = state.snapshot()  # pins the pending \x07, hashes nothing
         state.set_storage(CONTRACT, _slot(1), b"\x08")
         state.set_storage(OTHER, _slot(2), b"\x09")
         state.revert(snapshot)
@@ -173,20 +173,21 @@ class TestDurableBatchAtomicity:
 class TestSealAfterRevert:
     def test_seal_flushes_nodes_staged_at_reverted_tx_boundary(self, tmp_path):
         """build_block's shape when the last transaction fails: tx 1's
-        nodes are staged by the per-tx snapshot, tx 2 reverts (leaving the
-        trie clean at the snapshot root), and the seal commit must still
-        cut the durable batch — the sealed header's root has to survive a
+        nodes are staged by a mid-block root read, tx 2 reverts (leaving
+        the trie clean at that root), and the seal commit must still cut
+        the durable batch — the sealed header's root has to survive a
         restart."""
         from repro.storage import AppendOnlyFileStore
 
         store = AppendOnlyFileStore(tmp_path / "nodes.log")
         state = StateDB(store)
         state.add_balance(CONTRACT, 7)      # tx 1 writes
-        boundary = state.snapshot()         # per-tx commit point: stages
+        staged = state.commit(flush_store=False)  # mid-block root read
+        boundary = state.snapshot()         # per-tx revert point
         state.add_balance(OTHER, 1)         # tx 2 writes…
         state.revert(boundary)              # …and fails
         sealed = state.commit()             # seal: trie is already clean
-        assert sealed == boundary
+        assert sealed == staged
         assert store.last_root == sealed
         store.close()
         reopened = AppendOnlyFileStore(tmp_path / "nodes.log")

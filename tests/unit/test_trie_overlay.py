@@ -190,7 +190,7 @@ class TestStateDBWiring:
         state = StateDB()
         address = PrivateKey.from_seed("overlay:b").address
         state.add_balance(address, 5)
-        view = state.at_root(state.snapshot())
+        view = state.at_root(state.root_hash)
         assert view.node_cache is state.node_cache
         state.revert(state.snapshot())
         assert state.node_cache is view.node_cache
