@@ -55,7 +55,7 @@ from ..metrics.cache import LRUCache
 from ..rlp import codec as rlp
 from ..storage.nodestore import NodeStore, as_node_store
 from ..trie.mpt import EMPTY_TRIE_ROOT, MerklePatriciaTrie
-from ..trie.proof import generate_proof
+from ..trie.proof import ProofIndex, generate_proof
 from ..trie.shard import (
     ShardPool,
     ShardRange,
@@ -348,7 +348,7 @@ class StateDB:
         """
         return StateDB(self._db, root_hash, node_cache=self._trie.node_cache)
 
-    def prove_account(self, address: Address) -> list[bytes]:
+    def prove_account(self, address: Address) -> ProofIndex:
         """Merkle proof of the account record under the current state root.
 
         Commits (staging, not durably tagging — proving is a read and must
@@ -359,7 +359,7 @@ class StateDB:
         self.commit(flush_store=False)
         return generate_proof(self._trie, _secure_key(address.to_bytes()))
 
-    def prove_storage(self, address: Address, slot: bytes) -> list[bytes]:
+    def prove_storage(self, address: Address, slot: bytes) -> ProofIndex:
         """Merkle proof of a storage slot under the account's storage root."""
         self.commit(flush_store=False)
         account = self.get_account(address)

@@ -9,7 +9,9 @@ to confiscate the offending full node's collateral:
 1. decode req/res; **identifier match** (req.α == res.α),
 2. channel lookup (must exist, not closed) via the CMM,
 3. **request integrity**: rebuild h_req, ``recover(h_req, σ_req) == LC``,
-4. **response origin**: rebuild h_res, ``recover(h_res, σ_res) == FN``,
+4. **response origin**: rebuild h_res (over the node *hashes* of π_γ, each
+   node hashed once as the response is decoded — see
+   :mod:`repro.parp.messages`), ``recover(h_res, σ_res) == FN``,
 5. **payment amount check** (req.a ≠ res.a → slash),
 6. **timestamp check** (res.m_B < height(req.h_B) → slash),
 7. **Merkle proof check** (π_γ fails against the trusted root → slash).
@@ -67,7 +69,10 @@ class FraudModule(NativeContract):
         ctx.charge(RLP_DECODE_BYTE_GAS * (len(req_blob) + len(res_blob)), "decode")
         try:
             request = PARPRequest.decode_wire(req_blob)
-            res_alpha, response = PARPResponse.decode_for_fraud(res_blob)
+            # every proof node is hashed here, metered, and nowhere else:
+            # h_res and the Merkle walk below both read the decoded index
+            res_alpha, response = PARPResponse.decode_for_fraud(
+                res_blob, ctx.keccak)
         except MessageError as exc:
             raise Revert(f"undecodable fraud evidence: {exc}") from exc
 

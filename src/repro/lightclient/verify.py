@@ -15,7 +15,6 @@ from ..chain.block import index_key
 from ..chain.header import BlockHeader
 from ..chain.receipt import Receipt
 from ..chain.transaction import Transaction
-from ..crypto import keccak256
 from ..crypto.keys import Address
 from ..rlp import codec as rlp
 from ..trie.mpt import EMPTY_TRIE_ROOT
@@ -35,7 +34,9 @@ def verify_account(header: BlockHeader, address: Address,
     """Prove an account's record (or its absence) under the header's state
     root.  Returns None for a proven-absent account; raises
     :class:`ProofError` when the proof does not authenticate."""
-    raw = verify_proof(header.state_root, keccak256(address.to_bytes()), proof)
+    proof = ProofIndex.of(proof)
+    raw = verify_proof(header.state_root, proof.keccak(address.to_bytes()),
+                       proof)
     if raw is None:
         return None
     return Account.decode(raw)
@@ -56,7 +57,7 @@ def verify_storage_slot(header: BlockHeader, address: Address, slot: bytes,
     account = verify_account(header, address, proof)
     if account is None or account.storage_root == EMPTY_TRIE_ROOT:
         return b""  # no account, or one whose empty storage needs no walk
-    raw = verify_proof(account.storage_root, keccak256(slot), proof)
+    raw = verify_proof(account.storage_root, proof.keccak(slot), proof)
     if raw is None:
         return b""
     value = rlp.decode(raw)

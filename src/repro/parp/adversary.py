@@ -25,8 +25,7 @@ from typing import Optional
 
 from ..chain.account import Account
 from ..crypto.keys import PrivateKey
-from ..rlp import codec as rlp
-from .messages import PARPRequest, PARPResponse, ResponseStatus, response_digest
+from .messages import PARPRequest, PARPResponse, ResponseStatus
 from .queries import execute_query
 from .server import FullNodeServer
 
@@ -176,13 +175,9 @@ def _sign_response(key: PrivateKey, alpha: bytes, request: PARPRequest,
                    proof: list[bytes],
                    status: int = ResponseStatus.OK) -> PARPResponse:
     """Build a response with arbitrary (possibly inconsistent) fields but a
-    *correct* signature over them — the attacker signs its own lie."""
-    payload = rlp.encode([result, list(proof)])
-    digest = response_digest(
-        alpha, status, m_b, amount, payload, request.h_req, request.sig_req,
-    )
+    *correct* signature over them — the attacker signs its own lie, through
+    the one digest every verifier recomputes."""
     return PARPResponse(
-        status=status, m_b=m_b, a=amount, result=result, proof=tuple(proof),
-        h_req=request.h_req, sig_req=request.sig_req,
-        sig_res=key.sign(digest).to_bytes(),
-    )
+        status=status, m_b=m_b, a=amount, result=result, proof=proof,
+        h_req=request.h_req, sig_req=request.sig_req, sig_res=b"",
+    ).signed(key, alpha)

@@ -29,6 +29,7 @@ from ..crypto.keys import Address, PrivateKey
 from ..lightclient.sync import HeaderSyncer, SyncError
 from ..net.futures import PendingReply
 from ..rlp import codec as rlp
+from ..trie.proof import HashMemo
 from ..vm.abi import encode_call
 from .channel import ChannelError, ClientChannel
 from .constants import (
@@ -255,10 +256,15 @@ class LightClientSession:
                  headers: HeaderSyncer,
                  fee_schedule: FeeSchedule = DEFAULT_FEE_SCHEDULE,
                  gas_price: int = DEFAULT_GAS_PRICE,
-                 clock=None, batch_version: Optional[int] = None) -> None:
+                 clock=None, batch_version: Optional[int] = None,
+                 hash_memo: Optional[HashMemo] = None) -> None:
         self.key = key
         self.endpoint = endpoint
         self.headers = headers
+        #: keccak256 of every proof node and secure trie key this verifier
+        #: has hashed, bounded; a client with several sessions passes the
+        #: one memo it owns so they share it — never a server's
+        self.hash_memo = hash_memo if hash_memo is not None else HashMemo()
         self.fee_schedule = fee_schedule
         self.gas_price = gas_price
         self.state = LightClientState.IDLE
@@ -534,7 +540,7 @@ class LightClientSession:
         """
         self._raise_if_overloaded(raw, request.h_req)
         try:
-            response = request.response_type.decode_wire(raw)
+            response = request.response_type.decode_wire(raw, self.hash_memo)
         except MessageError as exc:
             raise InvalidResponse(VerificationReport(
                 ResponseClass.INVALID, "decode", str(exc),

@@ -39,6 +39,7 @@ from ..crypto.keys import Address, PrivateKey
 from ..lightclient.checkpoint import Checkpoint, CheckpointSyncer
 from ..lightclient.sync import HeaderSyncer
 from ..net.futures import DEFAULT_TIMEOUT, ExponentialBackoff, wait_any
+from ..trie.proof import HashMemo
 from ..trie.shard import ShardRange
 from .client import (
     DEFAULT_GAS_PRICE,
@@ -462,6 +463,9 @@ class MarketplaceClient:
         self.selection_threshold = selection_threshold
         self.gas_price = gas_price
         self.sessions: dict[Address, LightClientSession] = {}
+        #: the one verifier memo every session of this client hashes through:
+        #: replicas and shards of one chain answer with the same upper nodes
+        self.hash_memo = HashMemo()
         #: sessions dropped after misbehavior, kept so their channels' α and
         #: acked amounts survive for settlement (escrow is money)
         self.retired: list[tuple[Address, LightClientSession]] = []
@@ -726,6 +730,7 @@ class MarketplaceClient:
             self.key, ad.endpoint, self.headers,
             fee_schedule=ad.fee_schedule, gas_price=self.gas_price,
             clock=self._clock, batch_version=ad.batch_version,
+            hash_memo=self.hash_memo,
         )
         session.connect(budget=self.budget)
         self.sessions[ad.address] = session

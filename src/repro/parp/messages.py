@@ -13,19 +13,35 @@ A request is ``req = (α, h_B, a, γ, h_req, σ_a, σ_req)``:
   needed for fraud proofs).
 
 A response is ``res = (α, m_B, a, R(γ), π_γ, h_req, σ_req, σ_res)`` where
-``σ_res`` signs ``h_res = keccak256(α ‖ status ‖ m_B ‖ a ‖ rlp([R, π]) ‖
-h_req ‖ σ_req)``.  On the wire the response omits ``α`` (the session is
-channel-scoped) but ``α`` stays in the signed pre-image, so the 187-byte
-metadata figure of Table II is met while fraud proofs remain α-bound; the
-*fraud blob* (`encode_for_fraud`) re-attaches α explicitly for on-chain
-decoding, mirroring ``decodeResponse`` in Algorithm 2.
+``σ_res`` signs ``h_res = keccak256(α ‖ status ‖ m_B ‖ a ‖ C ‖ h_req ‖
+σ_req)`` over the *commitment* ``C = rlp([R, [keccak256(n) for n in π]])``
+(batch: ``rlp([statuses, [R_1 …], [keccak256(n) …]])``) — the wire payload
+with every proof node replaced by its hash, in wire order, duplicates kept.
+This is a deliberate departure from Fig. 3, which signs the payload
+``rlp([R, π])`` itself: under keccak collision resistance the two bind the
+same proof, the bytes on the wire (Table II) are identical, and a response
+without a proof signs exactly what Fig. 3 says — but the node hashes are
+what every party already holds (the prover fetched each node by its hash,
+the verifier's :class:`~repro.trie.proof.ProofIndex` hashes each node once
+to walk it), so no party pushes the proof bytes through keccak a second
+time to reach σ_res, and a fraud package can name a node it does not need
+to open by its 32-byte hash.  The layout of ``C`` and of the ``h_res``
+pre-image exists here and nowhere else (:meth:`_SignedResponse.commitment`,
+:func:`response_preimage`); the light client, the on-chain FDM and the
+misbehaving test servers all sign and check through them.
+
+On the wire the response omits ``α`` (the session is channel-scoped) but
+``α`` stays in the signed pre-image, so the 187-byte metadata figure of
+Table II is met while fraud proofs remain α-bound; the *fraud blob*
+(`encode_for_fraud`) re-attaches α explicitly for on-chain decoding,
+mirroring ``decodeResponse`` in Algorithm 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..crypto import Signature, SignatureError, keccak256, recover_address
 from ..crypto.keys import Address, PrivateKey
@@ -64,7 +80,6 @@ __all__ = [
     "handshake_preimage",
     "request_digest",
     "batch_request_digest",
-    "response_digest",
     "response_preimage",
     "overload_digest",
     "overload_preimage",
@@ -137,21 +152,14 @@ def batch_request_digest(alpha: bytes, h_b: bytes, amount: int, version: int,
 
 
 def response_preimage(alpha: bytes, status: int, m_b: int, amount: int,
-                      payload: bytes, h_req: bytes, sig_req: bytes) -> bytes:
-    """Bytes behind h_res; shared with the on-chain FDM (metered there)."""
+                      commitment: bytes, h_req: bytes, sig_req: bytes) -> bytes:
+    """Bytes behind h_res; shared with the on-chain FDM (metered there).
+    ``commitment`` is :meth:`_SignedResponse.commitment`, not the payload."""
     if len(alpha) != ALPHA_BYTES:
         raise MessageError(f"channel id must be {ALPHA_BYTES} bytes")
     return (
         alpha + bytes([status]) + _encode_uint(m_b, HEIGHT_BYTES, "block height")
-        + _encode_amount(amount) + payload + h_req + sig_req
-    )
-
-
-def response_digest(alpha: bytes, status: int, m_b: int, amount: int,
-                    payload: bytes, h_req: bytes, sig_req: bytes) -> bytes:
-    """``h_res = Hash(α, status, m_B, a, rlp([R, π]), h_req, σ_req)``."""
-    return keccak256(
-        response_preimage(alpha, status, m_b, amount, payload, h_req, sig_req)
+        + _encode_amount(amount) + commitment + h_req + sig_req
     )
 
 
@@ -365,15 +373,11 @@ def _verify_signed_request(request, expected_sender: Optional[Address]) -> Addre
     return req_signer
 
 
-def _signed_response_fields(key: PrivateKey, alpha: bytes, request,
-                            status: int, m_b: int, payload: bytes) -> dict:
-    """Step (C): the header of the response to ``request`` — the request's
-    amount, digest and signature echoed, σ_res over h_res."""
-    h_res = response_digest(
-        alpha, status, m_b, request.a, payload, request.h_req, request.sig_req
-    )
+def _response_header(request, status: int, m_b: int) -> dict:
+    """Step (C): the header of the response to ``request`` before it is
+    signed — the request's amount, digest and signature echoed."""
     return dict(status=status, m_b=m_b, a=request.a, h_req=request.h_req,
-                sig_req=request.sig_req, sig_res=key.sign(h_res).to_bytes())
+                sig_req=request.sig_req, sig_res=b"")
 
 
 def _response_signer(response, alpha: bytes) -> Address:
@@ -384,19 +388,38 @@ def _response_signer(response, alpha: bytes) -> Address:
 class _SignedResponse:
     """What both response wires derive from their header and payload."""
 
+    @cached_property
+    def proof_index(self) -> ProofIndex:
+        """The proof, every node hashed once: ``proof`` itself when the
+        response was built or decoded here (it always is an index then),
+        else one built on first use.  The signed commitment and every
+        Merkle walk read it."""
+        return ProofIndex.of(self.proof)
+
     def payload(self) -> bytes:
+        """What travels after the header: results and proof nodes."""
+        raise NotImplementedError
+
+    def commitment(self) -> bytes:
+        """``C``, what σ_res signs in the payload's place: the same layout
+        with each proof node replaced by its hash."""
         raise NotImplementedError
 
     def preimage(self, alpha: bytes) -> bytes:
         """The exact bytes behind h_res (for metered on-chain recomputation)."""
         return response_preimage(
-            alpha, self.status, self.m_b, self.a, self.payload(), self.h_req,
-            self.sig_req,
+            alpha, self.status, self.m_b, self.a, self.commitment(),
+            self.h_req, self.sig_req,
         )
 
     def digest(self, alpha: bytes) -> bytes:
         """Recompute h_res for the given channel id."""
         return keccak256(self.preimage(alpha))
+
+    def signed(self, key: PrivateKey, alpha: bytes):
+        """A copy carrying ``key``'s σ_res over this response's h_res for
+        channel ``alpha`` — whatever the fields say, honest or not."""
+        return replace(self, sig_res=key.sign(self.digest(alpha)).to_bytes())
 
     @property
     def wire_overhead(self) -> int:
@@ -497,7 +520,7 @@ class PARPResponse(_SignedResponse):
     m_b: int
     a: int
     result: bytes                 # R(γ): rlp-encoded result payload
-    proof: tuple[bytes, ...]      # π_γ: Merkle proof nodes (may be empty)
+    proof: Sequence[bytes]        # π_γ: Merkle proof nodes (may be empty)
     h_req: bytes
     sig_req: bytes                # echo of the request signature
     sig_res: bytes
@@ -509,16 +532,16 @@ class PARPResponse(_SignedResponse):
     def payload(self) -> bytes:
         return self._payload(self.result, self.proof)
 
+    def commitment(self) -> bytes:
+        return self._payload(self.result, self.proof_index.hashes)
+
     @classmethod
     def build(cls, alpha: bytes, request: PARPRequest, m_b: int, result: bytes,
               proof: Sequence[bytes], key: PrivateKey,
               status: int = ResponseStatus.OK) -> "PARPResponse":
         """Construct and sign a response (full-node side, step (C))."""
-        return cls(
-            result=result, proof=tuple(proof),
-            **_signed_response_fields(key, alpha, request, status, m_b,
-                                      cls._payload(result, proof)),
-        )
+        return cls(result=result, proof=ProofIndex.of(proof),
+                   **_response_header(request, status, m_b)).signed(key, alpha)
 
     @classmethod
     def from_answers(cls, request: PARPRequest, m_b: int,
@@ -541,14 +564,20 @@ class PARPResponse(_SignedResponse):
         return _pack(self, _RESPONSE_HEADER) + self.payload()
 
     @classmethod
-    def decode_wire(cls, raw: bytes) -> "PARPResponse":
+    def decode_wire(cls, raw: bytes,
+                    keccak: Optional[Callable[[bytes], bytes]] = None,
+                    ) -> "PARPResponse":
+        """``keccak`` hashes the proof nodes, once each: a verifier passes
+        the :class:`~repro.trie.proof.HashMemo` it owns, the FDM its metered
+        builtin."""
         header, body = _unpack(raw, _RESPONSE_HEADER, "response")
         payload = _decode_payload(body, "response payload")
         if (len(payload) != 2 or not isinstance(payload[0], bytes)
                 or not isinstance(payload[1], list)):
             raise MessageError("response payload must be rlp([result, proof])")
-        return cls(result=payload[0],
-                   proof=_byte_strings(payload[1], "proof nodes"), **header)
+        nodes = _byte_strings(payload[1], "proof nodes")
+        return cls(result=payload[0], proof=ProofIndex(nodes, keccak),
+                   **header)
 
     # -- fraud blob (on-chain format, α re-attached) ------------------------- #
 
@@ -559,10 +588,12 @@ class PARPResponse(_SignedResponse):
         return alpha + self.encode_wire()
 
     @classmethod
-    def decode_for_fraud(cls, raw: bytes) -> tuple[bytes, "PARPResponse"]:
+    def decode_for_fraud(cls, raw: bytes,
+                         keccak: Optional[Callable[[bytes], bytes]] = None,
+                         ) -> tuple[bytes, "PARPResponse"]:
         if len(raw) < ALPHA_BYTES:
             raise MessageError("fraud blob too short for a channel id")
-        return raw[:ALPHA_BYTES], cls.decode_wire(raw[ALPHA_BYTES:])
+        return raw[:ALPHA_BYTES], cls.decode_wire(raw[ALPHA_BYTES:], keccak)
 
     def with_result(self, result: bytes) -> "PARPResponse":
         """A tampered copy (used by tests and the malicious-node examples)."""
@@ -799,8 +830,9 @@ class BatchResponse(_SignedResponse):
     Carries one status byte and one result payload per call, plus a single
     *shared* proof-node pool: the deduplicated union of every per-call Merkle
     proof (state, storage, transaction, and receipt trie nodes all resolve
-    by keccak hash from the same pool).  Signed exactly like a single
-    response, over ``payload = rlp([statuses, [R_1 …], [node_1 …]])``.
+    by keccak hash from the same pool).  Travels as ``payload =
+    rlp([statuses, [R_1 …], [node_1 …]])`` and is signed exactly like a
+    single response, over the same layout with each node's hash in its place.
     """
 
     status: int                   # whole-batch status
@@ -808,7 +840,7 @@ class BatchResponse(_SignedResponse):
     a: int
     statuses: tuple[int, ...]     # per-call statuses
     results: tuple[bytes, ...]    # per-call R(γ_i)
-    proof: tuple[bytes, ...]      # shared multiproof node pool
+    proof: Sequence[bytes]        # shared multiproof node pool
     h_req: bytes
     sig_req: bytes
     sig_res: bytes
@@ -821,6 +853,10 @@ class BatchResponse(_SignedResponse):
     def payload(self) -> bytes:
         return self._payload(self.statuses, self.results, self.proof)
 
+    def commitment(self) -> bytes:
+        return self._payload(self.statuses, self.results,
+                             self.proof_index.hashes)
+
     @classmethod
     def build(cls, alpha: bytes, request: BatchRequest, m_b: int,
               statuses: Sequence[int], results: Sequence[bytes],
@@ -829,12 +865,9 @@ class BatchResponse(_SignedResponse):
         """Construct and sign a batch response (full-node side)."""
         if len(statuses) != len(results):
             raise MessageError("per-call statuses and results disagree in length")
-        return cls(
-            statuses=tuple(statuses), results=tuple(results),
-            proof=tuple(proof),
-            **_signed_response_fields(key, alpha, request, status, m_b,
-                                      cls._payload(statuses, results, proof)),
-        )
+        return cls(statuses=tuple(statuses), results=tuple(results),
+                   proof=ProofIndex.of(proof),
+                   **_response_header(request, status, m_b)).signed(key, alpha)
 
     @classmethod
     def from_answers(cls, request: BatchRequest, m_b: int,
@@ -844,20 +877,14 @@ class BatchResponse(_SignedResponse):
         under the whole-batch ``status``, their proofs merged into one pool
         that holds each node once, in first-use order: the multiproof."""
         statuses, results, proofs = zip(*answers)
-        pool = dict.fromkeys(node for proof in proofs for node in proof)
         return cls.build(request.alpha, request, m_b, statuses, results,
-                         list(pool), key, status=status)
+                         ProofIndex.merge(proofs), key, status=status)
 
     def signer(self, alpha: bytes) -> Address:
         """Recover the full-node address that signed this batch response."""
         return _response_signer(self, alpha)
 
     # -- per-item view ------------------------------------------------------ #
-
-    @cached_property
-    def proof_index(self) -> ProofIndex:
-        """The shared pool, every node hashed once for all the items."""
-        return ProofIndex(self.proof)
 
     def item_view(self, index: int) -> PARPResponse:
         """Item ``index`` shaped as a single response over the shared pool.
@@ -884,7 +911,10 @@ class BatchResponse(_SignedResponse):
         return _pack(self, _RESPONSE_HEADER) + self.payload()
 
     @classmethod
-    def decode_wire(cls, raw: bytes) -> "BatchResponse":
+    def decode_wire(cls, raw: bytes,
+                    keccak: Optional[Callable[[bytes], bytes]] = None,
+                    ) -> "BatchResponse":
+        """``keccak`` as for :meth:`PARPResponse.decode_wire`."""
         header, body = _unpack(raw, _RESPONSE_HEADER, "batch response")
         payload = _decode_payload(body, "batch payload")
         if (len(payload) != 3 or not isinstance(payload[0], bytes)
@@ -895,9 +925,10 @@ class BatchResponse(_SignedResponse):
             )
         if len(payload[0]) != len(payload[1]):
             raise MessageError("per-call statuses and results disagree in length")
+        nodes = _byte_strings(payload[2], "proof nodes")
         return cls(statuses=tuple(payload[0]),
                    results=_byte_strings(payload[1], "batch results"),
-                   proof=_byte_strings(payload[2], "proof nodes"), **header)
+                   proof=ProofIndex(nodes, keccak), **header)
 
     def with_result(self, index: int, result: bytes) -> "BatchResponse":
         """A tampered copy (tests and the malicious-node examples)."""

@@ -35,7 +35,7 @@ from ..chain.state import StateDB
 from ..crypto import keccak256
 from ..rlp import codec as rlp
 from ..trie.mpt import EMPTY_TRIE_ROOT
-from ..trie.proof import ProofError, ProofIndex, verify_proof
+from ..trie.proof import ProofError, verify_proof
 from .messages import MessageError, PARPResponse, RpcCall
 
 __all__ = [
@@ -90,7 +90,7 @@ class QuerySpec:
     method: str
     verifiable: bool
     #: (backend, call, m_b) -> (result_bytes, proof_nodes)
-    execute: Callable[[ChainBackend, RpcCall, int], tuple[bytes, list[bytes]]]
+    execute: Callable[[ChainBackend, RpcCall, int], tuple[bytes, Sequence[bytes]]]
     #: (call, response, header_lookup) -> None, raising QueryFraud/Unverifiable
     verify: Optional[Callable[[RpcCall, PARPResponse, HeaderLookup], None]] = None
 
@@ -100,7 +100,7 @@ class QuerySpec:
 # --------------------------------------------------------------------------- #
 
 def _execute_get_balance(backend: ChainBackend, call: RpcCall,
-                         m_b: int) -> tuple[bytes, list[bytes]]:
+                         m_b: int) -> tuple[bytes, Sequence[bytes]]:
     from ..crypto.keys import Address
 
     address_raw = call.param_bytes(0, exact=20)
@@ -120,10 +120,10 @@ def _verify_get_balance(call: RpcCall, response: PARPResponse,
     header = get_header(response.m_b)
     if header is None:
         raise Unverifiable(f"no header for block {response.m_b}")
+    proof = response.proof_index
     try:
         proven = verify_proof(
-            header.state_root, keccak256(address_raw), response.proof
-        )
+            header.state_root, proof.keccak(address_raw), proof)
     except ProofError as exc:
         raise QueryFraud(f"account proof does not verify: {exc}") from exc
     expected = proven if proven is not None else b""
@@ -143,7 +143,7 @@ def decode_balance(result: bytes) -> int:
 # --------------------------------------------------------------------------- #
 
 def _execute_get_storage(backend: ChainBackend, call: RpcCall,
-                         m_b: int) -> tuple[bytes, list[bytes]]:
+                         m_b: int) -> tuple[bytes, Sequence[bytes]]:
     from ..crypto.keys import Address
 
     address_raw = call.param_bytes(0, exact=20)
@@ -167,11 +167,10 @@ def _verify_get_storage(call: RpcCall, response: PARPResponse,
         raise Unverifiable(f"no header for block {response.m_b}")
     payload = _decode_pair(response.result, "getStorageAt result")
     claimed_value, claimed_account = payload
-    proof = ProofIndex.of(response.proof)  # both walks share one
+    proof = response.proof_index  # both walks share the one index
     try:
         proven_account = verify_proof(
-            header.state_root, keccak256(address_raw), proof
-        )
+            header.state_root, proof.keccak(address_raw), proof)
     except ProofError as exc:
         raise QueryFraud(f"account proof does not verify: {exc}") from exc
     if (proven_account or b"") != claimed_account:
@@ -189,7 +188,7 @@ def _verify_get_storage(call: RpcCall, response: PARPResponse,
     else:
         try:
             proven_value = verify_proof(
-                account.storage_root, keccak256(slot), proof)
+                account.storage_root, proof.keccak(slot), proof)
         except ProofError as exc:
             raise QueryFraud(f"storage proof does not verify: {exc}") from exc
     expected = b"" if proven_value is None else rlp.decode(proven_value)
@@ -202,7 +201,7 @@ def _verify_get_storage(call: RpcCall, response: PARPResponse,
 # --------------------------------------------------------------------------- #
 
 def _execute_get_tx_by_index(backend: ChainBackend, call: RpcCall,
-                             m_b: int) -> tuple[bytes, list[bytes]]:
+                             m_b: int) -> tuple[bytes, Sequence[bytes]]:
     from ..trie.proof import generate_proof
 
     number = call.param_int(0)
@@ -231,7 +230,7 @@ def _verify_get_tx_by_index(call: RpcCall, response: PARPResponse,
         raise Unverifiable(f"no header for block {number}")
     try:
         proven = verify_proof(
-            header.transactions_root, index_key(index), response.proof
+            header.transactions_root, index_key(index), response.proof_index
         )
     except ProofError as exc:
         raise QueryFraud(f"transaction proof does not verify: {exc}") from exc
@@ -246,7 +245,7 @@ def _verify_get_tx_by_index(call: RpcCall, response: PARPResponse,
 # --------------------------------------------------------------------------- #
 
 def _execute_send_raw_tx(backend: ChainBackend, call: RpcCall,
-                         m_b: int) -> tuple[bytes, list[bytes]]:
+                         m_b: int) -> tuple[bytes, Sequence[bytes]]:
     from ..trie.proof import generate_proof
 
     raw_tx = call.param_bytes(0)
@@ -280,7 +279,7 @@ def _verify_send_raw_tx(call: RpcCall, response: PARPResponse,
         raise Unverifiable(f"no header for block {number}")
     try:
         proven = verify_proof(
-            header.transactions_root, index_key(index), response.proof
+            header.transactions_root, index_key(index), response.proof_index
         )
     except ProofError as exc:
         raise QueryFraud(f"inclusion proof does not verify: {exc}") from exc
@@ -293,7 +292,7 @@ def _verify_send_raw_tx(call: RpcCall, response: PARPResponse,
 # --------------------------------------------------------------------------- #
 
 def _execute_get_receipt(backend: ChainBackend, call: RpcCall,
-                         m_b: int) -> tuple[bytes, list[bytes]]:
+                         m_b: int) -> tuple[bytes, Sequence[bytes]]:
     from ..trie.proof import generate_proof
 
     tx_hash = call.param_bytes(0, exact=32)
@@ -320,7 +319,7 @@ def _verify_get_receipt(call: RpcCall, response: PARPResponse,
     header = get_header(number)
     if header is None:
         raise Unverifiable(f"no header for block {number}")
-    proof = ProofIndex.of(response.proof)  # both walks share one
+    proof = response.proof_index  # both walks share the one index
     try:
         proven_tx = verify_proof(header.transactions_root, index_key(index), proof)
     except ProofError as exc:
@@ -348,7 +347,7 @@ def decode_inclusion(result: bytes) -> tuple[Optional[int], Optional[int], bytes
 # --------------------------------------------------------------------------- #
 
 def _execute_updates_range(backend: ChainBackend, call: RpcCall,
-                           m_b: int) -> tuple[bytes, list[bytes]]:
+                           m_b: int) -> tuple[bytes, Sequence[bytes]]:
     from ..lightclient.checkpoint import MAX_UPDATE_PAGE
 
     start = call.param_int(0)
@@ -415,12 +414,12 @@ def decode_header_range(result: bytes) -> tuple[BlockHeader, ...]:
 # --------------------------------------------------------------------------- #
 
 def _execute_block_number(backend: ChainBackend, call: RpcCall,
-                          m_b: int) -> tuple[bytes, list[bytes]]:
+                          m_b: int) -> tuple[bytes, Sequence[bytes]]:
     return rlp.encode(rlp.encode_int(backend.head_number())), []
 
 
 def _execute_chain_id(backend: ChainBackend, call: RpcCall,
-                      m_b: int) -> tuple[bytes, list[bytes]]:
+                      m_b: int) -> tuple[bytes, Sequence[bytes]]:
     return rlp.encode(rlp.encode_int(backend.chain_id())), []
 
 
@@ -468,7 +467,7 @@ def is_verifiable(method: str) -> bool:
 
 
 def execute_query(backend: ChainBackend, call: RpcCall,
-                  m_b: int) -> tuple[bytes, list[bytes]]:
+                  m_b: int) -> tuple[bytes, Sequence[bytes]]:
     """Full-node side: produce (result, proof) for a call at height m_b."""
     return get_spec(call.method).execute(backend, call, m_b)
 

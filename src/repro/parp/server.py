@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..chain.chain import ChainError
 from ..chain.header import BlockHeader
@@ -550,7 +550,7 @@ class FullNodeServer:
 
     def _execute_call(self, request: PARPRequest | BatchRequest,
                       call: RpcCall,
-                      m_b: int) -> tuple[int, bytes, list[bytes]]:
+                      m_b: int) -> tuple[int, bytes, Sequence[bytes]]:
         """One call of a paid request as ``(status, result, proof)``.
 
         Whatever stops the call — a method this wire refuses, a key outside
@@ -583,7 +583,7 @@ class FullNodeServer:
         raise QueryError(f"key {key.hex()[:16]}… is outside this server's "
                          f"shard {self.shard_range.label}")
 
-    def _channel_status(self, call: RpcCall) -> tuple[bytes, list[bytes]]:
+    def _channel_status(self, call: RpcCall) -> tuple[bytes, Sequence[bytes]]:
         """Cheap, unverified channel-status probe from local records."""
         alpha = call.param_bytes(0, exact=16)
         channel = self.channels.get(alpha)
@@ -595,7 +595,7 @@ class FullNodeServer:
             status = 1
         return rlp.encode(rlp.encode_int(status)), []
 
-    def _execute_cached(self, call: RpcCall, m_b: int) -> tuple[bytes, list[bytes]]:
+    def _execute_cached(self, call: RpcCall, m_b: int) -> tuple[bytes, Sequence[bytes]]:
         """Execute a query through the proof LRU when deterministic at m_b.
 
         Execution goes through the snapshot-view backend, so every query at
@@ -735,7 +735,7 @@ class FullNodeServer:
         )
 
 
-def _refusal(message: str) -> tuple[int, bytes, list[bytes]]:
+def _refusal(message: str) -> tuple[int, bytes, Sequence[bytes]]:
     """The answer to a call that was not executed: the canonical signed-error
     result payload, no proof."""
     return (ResponseStatus.ERROR,

@@ -8,6 +8,7 @@ from .mpt import (
 )
 from .nibbles import bytes_to_nibbles, hp_decode, hp_encode, nibbles_to_bytes
 from .proof import (
+    HashMemo,
     ProofError,
     ProofIndex,
     generate_multiproof,
@@ -52,6 +53,7 @@ __all__ = [
     "verify_multiproof",
     "proof_size",
     "ProofError",
+    "HashMemo",
     "ProofIndex",
     "bytes_to_nibbles",
     "nibbles_to_bytes",

@@ -9,19 +9,28 @@ reference held by its parent, and the first node must hash to the root.
 
 This is exactly the ``π_γ`` field of a PARP response (paper Fig. 3) and the
 object whose size Figure 6 sweeps.
+
+Every proof travels as a :class:`ProofIndex`, the one place a proof node is
+ever hashed.  A prover names its nodes by the references it fetched them by
+and hashes nothing; a verifier hashes each node once, through the bounded
+:class:`HashMemo` it owns, and every walk — and the response signature,
+which commits to the node hashes (:mod:`repro.parp.messages`) — reads that
+index.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..crypto.keccak import keccak256
+from ..metrics.cache import LRUCache
 from ..rlp import codec as rlp
 from .mpt import EMPTY_TRIE_ROOT, MerklePatriciaTrie
 from .nibbles import bytes_to_nibbles, hp_decode
 
 __all__ = [
     "ProofError",
+    "HashMemo",
     "ProofIndex",
     "generate_proof",
     "verify_proof",
@@ -37,7 +46,7 @@ class ProofError(Exception):
     """Raised when a Merkle proof is malformed or inconsistent with the root."""
 
 
-def generate_proof(trie: MerklePatriciaTrie, key: bytes) -> list[bytes]:
+def generate_proof(trie: MerklePatriciaTrie, key: bytes) -> "ProofIndex":
     """Collect the hash-referenced nodes on the path of ``key``.
 
     Works for both present keys (inclusion) and absent keys (exclusion: the
@@ -51,8 +60,17 @@ def generate_proof(trie: MerklePatriciaTrie, key: bytes) -> list[bytes]:
     request.  A node missing from the store mid-walk is a corrupt-store
     condition and is reported as a :class:`ProofError` carrying the root, the
     key, and the depth at which proving failed.
+
+    Nothing is hashed: the store is content-addressed, so the reference each
+    node was fetched by *is* its hash, and the returned :class:`ProofIndex`
+    carries it.
     """
-    proof: list[bytes] = []
+    return ProofIndex.by_reference(_path_nodes(trie, key))
+
+
+def _path_nodes(trie: MerklePatriciaTrie, key: bytes) -> list[tuple[bytes, bytes]]:
+    """``(reference, encoded node)`` down the path of ``key``, root first."""
+    proof: list[tuple[bytes, bytes]] = []
     root_hash = trie.root_hash  # commits any pending overlay writes
     if root_hash == EMPTY_TRIE_ROOT:
         return proof
@@ -69,7 +87,7 @@ def generate_proof(trie: MerklePatriciaTrie, key: bytes) -> list[bytes]:
                     f"{key.hex()} under root {root_hash.hex()} "
                     f"(depth {len(proof)})"
                 )
-            proof.append(encoded)
+            proof.append((ref, encoded))
             # cached decode; on a miss the bytes just fetched are decoded
             # in place instead of re-reading the store
             node = trie.load_node(ref, encoded)
@@ -121,30 +139,140 @@ def _check_node(item: rlp.Item) -> _Node:
     return node_path, is_leaf, payload
 
 
+#: entries a verifier's memo holds, and the longest input it keeps: a full
+#: branch of a secure trie encodes to 532 bytes, so a full memo stays near
+#: 5 MB whatever a peer sends
+HASH_MEMO_CAPACITY = 8192
+HASH_MEMO_MAX_INPUT = 532
+
+
+def _keccak256(data: bytes) -> bytes:
+    """Plain ``keccak256``, looked up per call: a counter or tracer that
+    replaces the module attribute sees every hash a default-built index
+    makes."""
+    return keccak256(data)
+
+
+class HashMemo:
+    """``keccak256`` behind a bounded, content-keyed LRU.
+
+    Owned by one verifying party (a light-client session, or the sessions
+    of one marketplace client): hot upper trie levels and Zipf-hot secure
+    keys come back in response after response, and a verifier that already
+    hashed those bytes need not hash them again.  The key is the preimage
+    itself, so a hit is exactly as binding as a fresh hash.  It is never
+    shared with a prover — what a server's trie commits hashed must not
+    count as verified by a client in the same process.
+
+    A response is indexed before its signature is checked, so what goes in
+    is peer-chosen: inputs longer than :data:`HASH_MEMO_MAX_INPUT` (a long
+    transaction or receipt leaf, or junk) are hashed and not kept, which
+    bounds the memo in bytes.  A peer can still push the hot set out with
+    many small junk nodes; that costs the verifier re-hashing, nothing else.
+    """
+
+    def __init__(self) -> None:
+        self.cache: LRUCache = LRUCache(capacity=HASH_MEMO_CAPACITY)
+
+    def __call__(self, data: bytes) -> bytes:
+        if len(data) > HASH_MEMO_MAX_INPUT:
+            return keccak256(data)
+        return self.cache.get_or_put(data, lambda: keccak256(data))
+
+
 class ProofIndex(tuple):
     """A proof's nodes, each hashed exactly once.
 
     It *is* the proof — a tuple of the encoded nodes in wire order, equal to
-    and usable as the plain sequence — carrying the one lookup a verifier
-    walks: a node is reachable only under ``keccak256`` of its own encoding,
-    so whatever a walk resolves is authenticated by the reference that led
-    to it.  Building the index is the only hashing verification does; a
-    response whose items share a node pool (or whose verifier walks two
-    tries) builds it once and hands it to every walk.
+    and usable as the plain sequence — carrying :attr:`hashes`, the
+    ``keccak256`` of each node in the same order (duplicates kept: this is
+    what a response signature commits to), and the one lookup a verifier
+    walks: a node is reachable only under the hash of its own encoding, so
+    whatever a walk resolves is authenticated by the reference that led to
+    it.  Building the index is the only hashing a proof ever costs; slices
+    and concatenations of indexes carry their hashes along.
+
+    ``keccak`` is the hash the index was built with — plain ``keccak256``,
+    a verifier's :class:`HashMemo`, or the metered builtin of an on-chain
+    verifier — and the one a walk derives its secure trie keys with.
     """
 
-    def __new__(cls, nodes: Iterable[bytes]) -> "ProofIndex":
+    hashes: tuple[bytes, ...]
+    keccak: Callable[[bytes], bytes]
+
+    def __new__(cls, nodes: Iterable[bytes],
+                keccak: Optional[Callable[[bytes], bytes]] = None,
+                ) -> "ProofIndex":
+        nodes = tuple(nodes)
+        if keccak is None:
+            keccak = _keccak256
+        return cls._build(nodes, tuple(map(keccak, nodes)), keccak)
+
+    @classmethod
+    def _build(cls, nodes: Iterable[bytes], hashes: tuple[bytes, ...],
+               keccak: Callable[[bytes], bytes] = _keccak256) -> "ProofIndex":
         self = super().__new__(cls, nodes)
-        self._encoded = {keccak256(encoded): encoded for encoded in self}
+        self.hashes = hashes
+        self.keccak = keccak
+        self._encoded = None  # {hash: node}, built by the first walk
         return self
+
+    @classmethod
+    def by_reference(cls, pairs: Iterable[tuple[bytes, bytes]]) -> "ProofIndex":
+        """The index of ``(reference, encoded node)`` pairs read from a
+        content-addressed store, where the reference is the node's hash:
+        the prover's constructor, which hashes nothing."""
+        pairs = tuple(pairs)
+        refs, nodes = zip(*pairs) if pairs else ((), ())
+        return cls._build(nodes, refs)
 
     @classmethod
     def of(cls, proof: Sequence[bytes]) -> "ProofIndex":
         """``proof`` itself when it already is an index, else one built from it."""
         return proof if isinstance(proof, cls) else cls(proof)
 
+    @classmethod
+    def merge(cls, proofs: Iterable[Sequence[bytes]]) -> "ProofIndex":
+        """One pool holding each node of ``proofs`` once, in first-use
+        order, with the hash its proof already holds: the multiproof."""
+        pool: dict[bytes, bytes] = {}
+        for proof in proofs:
+            proof = cls.of(proof)
+            for encoded, node_hash in zip(proof, proof.hashes):
+                pool.setdefault(encoded, node_hash)
+        return cls._build(pool.keys(), tuple(pool.values()))
+
+    def __add__(self, other: Sequence[bytes]) -> "ProofIndex":
+        """Concatenation, order and duplicates kept (an account proof
+        followed by a storage proof); only nodes not yet indexed are hashed."""
+        if not isinstance(other, ProofIndex):
+            other = ProofIndex(other, self.keccak)
+        return self._build(tuple.__add__(self, other),
+                           self.hashes + other.hashes, self.keccak)
+
+    # equal to a list of the same nodes too: callers compare a proof with
+    # list literals and with ``list(other_proof)``
+
+    def __eq__(self, other: object) -> bool:
+        return tuple.__eq__(
+            self, tuple(other) if isinstance(other, list) else other)
+
+    def __ne__(self, other: object) -> bool:
+        return tuple.__ne__(
+            self, tuple(other) if isinstance(other, list) else other)
+
+    __hash__ = tuple.__hash__
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return self._build(super().__getitem__(item), self.hashes[item],
+                               self.keccak)
+        return super().__getitem__(item)
+
     def node(self, node_hash: bytes) -> _Node:
         """The decoded, shape-checked node whose encoding hashes to ``node_hash``."""
+        if self._encoded is None:
+            self._encoded = dict(zip(self.hashes, self))
         encoded = self._encoded.get(node_hash)
         if encoded is None:
             raise ProofError(f"proof is missing node {node_hash.hex()}")
@@ -197,7 +325,7 @@ def _walk(root_hash: bytes, key: bytes, index: ProofIndex) -> Optional[bytes]:
 
 
 def generate_multiproof(trie: MerklePatriciaTrie,
-                        keys: Iterable[bytes]) -> list[bytes]:
+                        keys: Iterable[bytes]) -> ProofIndex:
     """One proof for many keys: the union of the per-key path nodes.
 
     Keys under the same state root share their upper trie levels, so the
@@ -206,14 +334,7 @@ def generate_multiproof(trie: MerklePatriciaTrie,
     metric for batched PARP queries.  Node order is deterministic: first
     appearance along the walks of ``keys`` in the order given.
     """
-    proof: list[bytes] = []
-    seen: set[bytes] = set()
-    for key in keys:
-        for encoded in generate_proof(trie, key):
-            if encoded not in seen:
-                seen.add(encoded)
-                proof.append(encoded)
-    return proof
+    return ProofIndex.merge(generate_proof(trie, key) for key in keys)
 
 
 def verify_multiproof(root_hash: bytes, keys: Sequence[bytes],
@@ -246,6 +367,6 @@ def _resolve_ref(ref: rlp.Item, index: ProofIndex) -> Optional[_Node]:
     return index.node(ref)
 
 
-def proof_size(proof: list[bytes]) -> int:
+def proof_size(proof: Sequence[bytes]) -> int:
     """Total byte size of a proof — the quantity plotted in Figure 6."""
     return sum(len(node) for node in proof)

@@ -6,7 +6,10 @@ bounds are ceilings: removing a redundant recover or hash lowers the count
 and keeps this test green; adding one anywhere on the request path —
 client, wire, server, channel, trie — turns it red.  A batch pays the ECDSA
 budget once, not once per query, and hashes each node of its shared proof
-pool once, not once per item.
+pool once, not once per item.  A proof node is hashed by the verifier only,
+once per verifier: the server names it by the reference it fetched it by,
+σ_res signs the node hashes, and a node the client has hashed for one
+response costs nothing in the next.
 """
 
 import random
@@ -24,7 +27,7 @@ from repro.crypto.keys import Address
 from repro.node import Devnet
 from repro.parp import RpcCall
 from repro.parp.states import ResponseClass
-from repro.trie import collect_subtree
+from repro.trie import ProofIndex, collect_subtree, verify_proof
 
 TOKEN = 10 ** 18
 
@@ -52,10 +55,14 @@ def counted_ecdsa(monkeypatch):
 #: round trip on the conftest devnet, client and server together.  A batch
 #: of 16 over its 6-node pool used to cost 159 hashes / 231 permutations
 #: (each item re-hashed the pool, the server hashed every node to
-#: de-duplicate it) and costs these.
+#: de-duplicate it), then 33 / 74 (both sides hashed the 1.6 KB payload to
+#: reach σ_res, the client every node and every item's address), and costs
+#: these: two request digests, two 1.6 KB commitments (16 results + 6 node
+#: hashes), the signer addresses, and the four nodes and three addresses the
+#: warm-up had not shown the verifier.  A single request was 14 / 23.
 KECCAK_BUDGET = {
-    "request_call": {"hashes": 14, "permutations": 23},
-    "query_batch": {"hashes": 33, "permutations": 74},
+    "request_call": {"hashes": 13, "permutations": 17},
+    "query_batch": {"hashes": 18, "permutations": 50},
 }
 
 
@@ -149,6 +156,84 @@ def test_batch_of_sixteen_hashes_each_pool_node_once(warm_env, monkeypatch):
     assert len(pool) >= 2
     node_hashes = sum(map(set(pool).__contains__, hashed))
     assert node_hashes <= len(pool)
+
+
+def batch_of_sixteen(env):
+    people = (env.keys.alice, env.keys.bob, env.keys.fn, env.keys.wn)
+    return [RpcCall.create("eth_getBalance", people[i % 4].address)
+            for i in range(BATCH_SIZE)]
+
+
+@pytest.mark.parametrize("wire", ["single", "batch"])
+def test_building_a_response_hashes_no_proof_node(warm_env, monkeypatch, wire):
+    """Step (C) alone, server side: the proof comes out of the store named
+    by the references it was fetched by, and what is hashed to reach σ_res
+    is the commitment — node hashes, not node bytes."""
+    env, session = warm_env, warm_env.session
+    if wire == "single":
+        call = RpcCall.create("eth_getBalance", env.keys.fn.address)
+        request = session.build_request(call, session.channel.next_amount(
+            session.fee_schedule.price(call)))
+        serve = env.server.serve_request
+    else:
+        calls = batch_of_sixteen(env)
+        request = session.build_batch_request(
+            calls, session.channel.next_amount(
+                session.fee_schedule.batch_price(calls)))
+        serve = env.server.serve_batch
+    env.server.proof_cache.clear()      # the walk runs, not the proof LRU
+    with counted_keccak(monkeypatch) as hashed:
+        raw = serve(request.encode_wire())
+    response = request.response_type.decode_wire(raw)
+    assert len(response.proof) >= 2
+    assert hashed.count(response.preimage(env.alpha)) == 1
+    assert response.commitment() != response.payload()
+    for node in response.proof:
+        assert not any(node in data for data in hashed)
+    assert response.signer(env.alpha) == env.server.address
+
+
+def test_repeated_batches_at_a_static_head_hash_no_node_twice(
+        warm_env, monkeypatch):
+    """Across responses, not just within one: the second identical batch
+    brings the same pool, and the verifier has hashed all of it."""
+    env = warm_env
+    calls = batch_of_sixteen(env)
+    with counted_keccak(monkeypatch) as hashed:
+        first = env.session.query_batch(calls)
+        head = env.node.head_number()
+        second = env.session.query_batch(calls)
+    assert env.node.head_number() == head == second.response.m_b
+    pool = first.response.proof
+    assert second.response.proof == pool and len(pool) >= 2
+    assert all(hashed.count(node) <= 1 for node in pool)
+    after_first = len(hashed) // 2
+    assert not set(hashed[after_first:]) & set(pool)
+
+
+def test_the_counter_sees_an_index_built_without_a_hash(warm_env, monkeypatch):
+    """The guards above count through ``counted_keccak``: a path that hands
+    plain node bytes to ``ProofIndex`` / ``verify_proof`` / ``decode_wire``
+    with no hash of its own must not hash them out of its sight (the
+    default is looked up per call, not bound at import)."""
+    env = warm_env
+    outcome = env.session.request_call(
+        RpcCall.create("eth_getBalance", env.keys.bob.address))
+    response = outcome.response
+    header = env.node.get_header(response.m_b)
+    nodes = list(response.proof)
+    key = keccak_module.keccak256(env.keys.bob.address.to_bytes())
+    builds = {
+        "ProofIndex": lambda: ProofIndex(nodes),
+        "ProofIndex.of": lambda: ProofIndex.of(nodes),
+        "verify_proof": lambda: verify_proof(header.state_root, key, nodes),
+        "decode_wire": lambda: type(response).decode_wire(
+            response.encode_wire()),
+    }
+    for name, build in builds.items():
+        with counted_keccak(monkeypatch) as hashed:
+            build()
+        assert sorted(hashed) == sorted(nodes), name
 
 
 # --------------------------------------------------------------------------- #

@@ -87,3 +87,41 @@ class TestAttackCatalog:
                                 status=ResponseStatus.OK)
         assert forged.signer(env.alpha) == keys.fn.address
         assert forged.a == 999
+
+    @pytest.mark.parametrize("forged,check", [
+        (dict(amount_delta=10 ** 9), "payment-amount"),
+        (dict(m_b_delta=-2), "timestamp"),
+        (dict(result=b"\x01lie"), "merkle-proof"),
+        (dict(reverse_proof=True), "merkle-proof"),
+    ])
+    def test_a_signed_lie_is_classified_by_its_content(self, devnet, keys,
+                                                       forged, check):
+        """The forgery helper signs through the digest every verifier
+        recomputes, proof and all: a lie next to a real proof passes the
+        signature check and is judged FRAUD for what it says — a helper
+        with its own copy of the signed layout would, the day the layout
+        moves, degrade every forgery to INVALID at ``response-signature``."""
+        from repro.parp.queries import execute_query
+
+        env = make_parp_env(devnet, keys)
+        session = env.session
+        call = RpcCall.create("eth_getBalance", keys.alice.address)
+        session.headers.sync()
+        request = session.build_request(call, 10 ** 10)
+        m_b = env.node.head_number()
+        result, proof = execute_query(env.node, call, m_b)
+        assert len(proof) >= 2
+        if forged.get("reverse_proof"):
+            proof = [node[::-1] for node in proof]
+        response = _sign_response(
+            keys.fn, env.alpha, request, m_b=m_b + forged.get("m_b_delta", 0),
+            amount=request.a + forged.get("amount_delta", 0),
+            result=forged.get("result", result), proof=proof)
+        received = type(response).decode_wire(response.encode_wire())
+        assert received.signer(env.alpha) == keys.fn.address
+        report = classify_response(
+            request, received, env.alpha, keys.fn.address,
+            session.headers.height_of(request.h_b),
+            session.headers.get_header)
+        assert report.classification is ResponseClass.FRAUD, report
+        assert report.check == check

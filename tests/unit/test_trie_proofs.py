@@ -13,6 +13,7 @@ from repro.rlp import encode as rlp_encode
 from repro.rlp import encode_int
 from repro.trie import (
     EMPTY_TRIE_ROOT,
+    HashMemo,
     MerklePatriciaTrie,
     ProofError,
     ProofIndex,
@@ -271,20 +272,29 @@ class TestProofIndex:
 
     def test_hashes_each_node_once_for_any_number_of_walks(
             self, populated, monkeypatch):
+        """Once per verifier, not once per index: a second response over
+        the same nodes, built through the same memo, hashes nothing."""
         trie, items = populated
         keys = list(items)[:24]
-        pool = generate_multiproof(trie, keys)
+        pool = list(generate_multiproof(trie, keys))
         hashed = []
         monkeypatch.setattr(
             "repro.trie.proof.keccak256",
             lambda data: hashed.append(data) or keccak256(data))
-        index = ProofIndex(pool)
+        memo = HashMemo()
+        index = ProofIndex(pool, memo)
         assert hashed == pool
         for key in keys:
             assert verify_proof(trie.root_hash, key, index) == items[key]
         assert verify_multiproof(trie.root_hash, keys, index) == {
             key: items[key] for key in keys}
+        again = ProofIndex(pool[::-1], memo)
+        assert again.hashes == index.hashes[::-1]
+        assert verify_proof(trie.root_hash, keys[0], again) == items[keys[0]]
         assert hashed == pool
+        # a verifier without that memo pays for every node itself
+        assert ProofIndex(pool, HashMemo()).hashes == index.hashes
+        assert hashed == pool + pool
 
     def test_generating_a_multiproof_hashes_nothing(self, populated,
                                                     monkeypatch):

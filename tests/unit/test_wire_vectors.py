@@ -7,6 +7,14 @@ codec.  Wire bytes are what Table II, the fee accounting and the on-chain FDM
 see, so a refactor of the codec may not move a single bit: every vector must
 come out of ``.build`` (fixed seeds, RFC 6979 signatures) and out of the
 plain constructor byte-identical, and decode back to the same message.
+
+Regenerated once since, deliberately, by PR 18 (the commit on top of
+b1a7784): σ_res now signs the proof's node hashes instead of the proof
+bytes, so the 65 ``sig_res`` bytes of the four proof-carrying responses
+(``response/ok-with-proof``, ``response/error-with-proof``,
+``batch-response/1-call``, ``batch-response/16-calls``) moved.  Every
+request, proof-less response and Overloaded vector is byte-identical to
+d01aa73's.
 """
 
 import json
