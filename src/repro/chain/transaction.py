@@ -87,7 +87,9 @@ class Transaction:
 
     @cached_property
     def sender(self) -> Address:
-        """Recover the sender address from the signature (cached)."""
+        """Recover the sender address from the signature (cached).  Hint-less
+        by design: the sender is whoever the signature names, there is no
+        held address to expect."""
         try:
             return recover_address(self.unsigned.signing_hash, self.signature)
         except Exception as exc:

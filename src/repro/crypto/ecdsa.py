@@ -16,9 +16,20 @@ Cost, in :mod:`.secp256k1` terms: ``sign`` is one fixed-base ``generator_mul``
 ``verify`` are each one ``double_scalar_mul`` — ``recover`` as
 ``Q = (-z/r)*G + (s/r)*R``, ``verify`` as ``(z/s)*G + (r/s)*Q`` — plus one
 scalar inversion, and ``recover`` pays a field square root to lift ``r`` to
-``R``.  Like the curve code this is variable-time: the fixed-base table is
-indexed by the bytes of the secret nonce, so it is not hardened against timing
-or cache side channels.
+``R``.
+
+``recover`` for a signer whose key the caller holds (``hint``) is one
+``double_table_mul`` instead: about 96 mixed additions, no doubling, no
+square root — a third of the time.  It is still a recovery, not a ``verify``:
+``verify`` compares ``R'.x`` with ``r`` and never looks at ``v``, so it accepts
+a signature with the recovery bit flipped, which the on-chain ``ecrecover``
+(``CloseChannel``, the FDM) resolves to some other address.  The known-key
+path checks the parity ``v`` names too, so it accepts exactly the signatures
+that recover to the key.
+
+Like the curve code this is variable-time: the fixed-base table is indexed by
+the bytes of the secret nonce, so it is not hardened against timing or cache
+side channels.
 """
 
 from __future__ import annotations
@@ -27,7 +38,8 @@ import hashlib
 import hmac
 from typing import NamedTuple
 
-from .secp256k1 import N, Point, double_scalar_mul, generator_mul, is_on_curve, lift_x
+from .secp256k1 import (N, Point, double_scalar_mul, double_table_mul, generator_mul,
+                        is_on_curve, lift_x)
 
 __all__ = ["Signature", "sign", "verify", "recover", "SignatureError"]
 
@@ -116,22 +128,36 @@ def sign(msg_hash: bytes, secret: int) -> Signature:
         return Signature(r, s, v)
 
 
-def recover(msg_hash: bytes, signature: Signature) -> Point:
+def recover(msg_hash: bytes, signature: Signature,
+            hint: list | None = None) -> Point:
     """Recover the signer's public key from a recoverable signature.
 
     Mirrors the EVM ``ecrecover`` precompile used by the paper's Fraud
     Detection Module to authenticate request/response origin on-chain.
+
+    ``hint = fixed_base_table(Q, w)`` names the key the caller expects (the
+    table's first entry is ``Q`` itself, so there is no second copy of it to
+    disagree with) and only ever makes the call cheaper: ``R' = (z/s)*G +
+    (r/s)*Q`` is read off the two tables, and ``recover(h, sig) == Q`` holds
+    exactly when ``R'`` is the point ``r`` and ``v`` name (``sR = zG + rQ``),
+    so ``Q`` is returned then; otherwise the full recovery below runs, and it
+    returns or raises what it would have without a hint.
     """
     if len(msg_hash) != 32:
         raise SignatureError(f"message hash must be 32 bytes, got {len(msg_hash)}")
     signature.validate()
     r, s, v = signature
+    z = int.from_bytes(msg_hash, "big")
+    if hint is not None:
+        s_inv = pow(s, -1, N)
+        point_r = double_table_mul(z * s_inv, r * s_inv, hint)
+        if point_r.x == r and point_r.y & 1 == v:
+            return Point(*hint[0][0])  # 1 * 2^0 * Q
     # Reconstruct the ephemeral point R from r and the parity bit.  (Like the
     # EVM precompile we ignore the astronomically unlikely r + N < P case.)
     point_r = lift_x(r, odd_y=bool(v))
     if point_r is None:
         raise SignatureError("signature r does not correspond to a curve point")
-    z = int.from_bytes(msg_hash, "big")
     r_inv = pow(r, -1, N)
     # Q = r^-1 * (s*R - z*G) = (-z/r)*G + (s/r)*R
     public = double_scalar_mul(-z * r_inv, s * r_inv, point_r)

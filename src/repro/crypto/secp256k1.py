@@ -7,12 +7,17 @@ signatures.  We implement:
 * point addition/doubling in Jacobian coordinates, plus the cheaper *mixed*
   addition of an affine point — every table below is stored affine, each
   batch normalised with a single field inversion (Montgomery's trick),
-* ``generator_mul``: a fixed-base table of ``j * 2^(8i) * G`` built at import,
-  so a multiple of ``G`` is at most 32 mixed additions and no doubling,
+* ``fixed_base_table``: ``j * 2^(wi) * Q`` for any point ``Q``, so a multiple
+  of ``Q`` is one mixed addition per ``w``-bit window and no doubling;
+  ``generator_mul`` walks the 8-bit table of ``G`` built at import (at most
+  32 additions), and a signer whose key is held — a channel counterparty —
+  gets a 4-bit one (at most 64 additions, ~170 KB),
 * ``point_mul``: width-5 wNAF over the odd multiples ``Q, 3Q, ..., 15Q`` —
   256 doublings and about 43 mixed additions, negative digits for free,
 * ``double_scalar_mul``: ``u1*G + u2*Q`` accumulated into one Jacobian point
-  and converted to affine once; ECDSA ``recover`` and ``verify`` are this.
+  and converted to affine once; ECDSA ``recover`` and ``verify`` are this,
+* ``double_table_mul``: the same sum when ``Q``'s table is at hand — both
+  halves are table walks; ``recover`` with a known key is this.
 
 Nothing here is constant-time: the tables are indexed by, and the branches
 taken on, the bits of the scalar — including the secret ECDSA nonce.  That is
@@ -30,6 +35,7 @@ __all__ = [
     "P", "N", "Gx", "Gy", "B",
     "Point", "INFINITY",
     "point_add", "point_mul", "generator_mul", "double_scalar_mul",
+    "fixed_base_table", "double_table_mul",
     "lift_x", "is_on_curve",
 ]
 
@@ -41,8 +47,8 @@ B = 7
 Gx = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 Gy = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
-# Window widths: one byte of the scalar per fixed-base table row, and 5-bit
-# wNAF digits (8 odd multiples) for an arbitrary point.
+# Window widths: one byte of the scalar per row of G's fixed-base table, and
+# 5-bit wNAF digits (8 odd multiples) for an arbitrary point.
 _G_WINDOW = 8
 _WNAF_WIDTH = 5
 
@@ -218,41 +224,53 @@ def point_mul(scalar: int, point: Point) -> Point:
     return _from_jacobian(_wnaf_mul(scalar % N, point))
 
 
-# Fixed-base table: _G_TABLE[i][j - 1] = j * 2^(8i) * G as affine (x, y), for
-# each window position i and window value j = 1..255 (~1.5 MB, built in
-# ~0.1 s).  Rows are normalised one at a time so that import never holds more
-# than one row of Jacobian intermediates.
-def _build_generator_table() -> list[list[tuple[int, int]]]:
+def fixed_base_table(point: Point, width: int) -> list[list[tuple[int, int]]]:
+    """``table[i][j - 1] = j * 2^(width*i) * point`` as affine ``(x, y)``, for
+    each window position ``i`` and window value ``j = 1 .. 2^width - 1``.
+
+    With it a multiple of ``point`` is one mixed addition per window and no
+    doubling.  Every entry is finite because ``point`` has prime order ``N``.
+    Rows are normalised one at a time, so a build never holds more than one
+    row of Jacobian intermediates.  At 8 bits this is ``_G_TABLE`` (32 rows x
+    255 points, ~1.5 MB, ~0.1 s); a channel counterparty's key gets the
+    4-bit one (64 rows x 15 points, ~170 KB, ~10 ms — see :mod:`.keys`).
+    """
+    if point.is_infinity or not is_on_curve(point):
+        raise ValueError("point is not a finite curve point")
     table = []
-    base = _to_jacobian(G)
-    for _ in range(256 // _G_WINDOW):
+    base = _to_jacobian(point)
+    for _ in range(-(-256 // width)):
         row = [base]
-        for _ in range((1 << _G_WINDOW) - 2):
+        for _ in range((1 << width) - 2):
             row.append(_jacobian_add(row[-1], base))
         table.append(_batch_to_affine(row))
-        base = _jacobian_add(row[-1], base)  # 2^w times this row's base
+        base = _jacobian_add(row[-1], base)  # 2^width times this row's base
     return table
 
 
-_G_TABLE = _build_generator_table()
+_G_TABLE = fixed_base_table(G, _G_WINDOW)
 
 
-def _generator_mul_add(scalar: int, start: _JacPoint) -> _JacPoint:
-    """``start + scalar * G`` in Jacobian form; ``0 <= scalar < 2^256``."""
+def _table_mul_add(table: list[list[tuple[int, int]]], scalar: int,
+                   start: _JacPoint) -> _JacPoint:
+    """``start + scalar * Q`` in Jacobian form, ``table`` being ``Q``'s
+    fixed-base table (its window width is read off the row length) and
+    ``0 <= scalar < 2^256``."""
     result = start
-    mask = (1 << _G_WINDOW) - 1
-    for row in _G_TABLE:
+    mask = len(table[0])  # 2^width - 1
+    width = mask.bit_length()
+    for row in table:
         window = scalar & mask
         if window:
             x, y = row[window - 1]
             result = _jacobian_add_affine(result, x, y)
-        scalar >>= _G_WINDOW
+        scalar >>= width
     return result
 
 
 def generator_mul(scalar: int) -> Point:
     """Multiply the generator ``G`` by ``scalar`` using the fixed-base table."""
-    return _from_jacobian(_generator_mul_add(scalar % N, _J_INFINITY))
+    return _from_jacobian(_table_mul_add(_G_TABLE, scalar % N, _J_INFINITY))
 
 
 def double_scalar_mul(u1: int, u2: int, point: Point) -> Point:
@@ -264,7 +282,16 @@ def double_scalar_mul(u1: int, u2: int, point: Point) -> Point:
     """
     if not is_on_curve(point):
         raise ValueError("point is not on the curve")
-    return _from_jacobian(_generator_mul_add(u1 % N, _wnaf_mul(u2 % N, point)))
+    return _from_jacobian(
+        _table_mul_add(_G_TABLE, u1 % N, _wnaf_mul(u2 % N, point)))
+
+
+def double_table_mul(u1: int, u2: int,
+                     table: list[list[tuple[int, int]]]) -> Point:
+    """Return ``u1 * G + u2 * Q`` where ``table`` is ``fixed_base_table(Q, w)``:
+    both halves walk a table, so no doubling and one conversion to affine."""
+    u1_g = _table_mul_add(_G_TABLE, u1 % N, _J_INFINITY)
+    return _from_jacobian(_table_mul_add(table, u2 % N, u1_g))
 
 
 def lift_x(x: int, odd_y: bool) -> Point | None:

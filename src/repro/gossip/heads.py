@@ -92,6 +92,8 @@ class HeadAnnouncement:
     # -- verification --------------------------------------------------- #
 
     def signer(self) -> Address:
+        """Who vouches for the header.  No ``expected``: a subscriber learns
+        the announcer from the signature, it holds no address to compare."""
         try:
             return recover_address(announcement_digest(self.header.encode()),
                                    Signature.from_bytes(self.signature))

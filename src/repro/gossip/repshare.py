@@ -136,6 +136,8 @@ class ReputationGossip:
                                  self.time_millis)
 
     def signer(self) -> Address:
+        """The reporter.  No ``expected``: it is learnt from the signature
+        (the receiver's own address is a filter for echoes, not a guess)."""
         try:
             return recover_address(self.digest(),
                                    Signature.from_bytes(self.signature))

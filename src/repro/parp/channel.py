@@ -15,7 +15,7 @@ from typing import Optional
 from ..crypto import Signature, SignatureError, recover_address
 from ..crypto.keys import Address
 from .constants import ALPHA_BYTES, MAX_AMOUNT
-from .messages import PARPRequest, payment_digest
+from .messages import PARPRequest
 
 __all__ = ["ChannelError", "ClientChannel", "ServerChannel"]
 
@@ -125,8 +125,8 @@ class ServerChannel:
             raise ChannelError("cumulative amount exceeds channel budget")
         try:
             signer = recover_address(
-                payment_digest(self.alpha, request.a),
-                Signature.from_bytes(request.sig_a),
+                request.h_pay, Signature.from_bytes(request.sig_a),
+                self.light_client,
             )
         except (SignatureError, ValueError) as exc:
             raise ChannelError(f"bad payment signature: {exc}") from exc

@@ -46,7 +46,9 @@ class HandshakeConfirm:
         return cls(full_node=fn_key.address, expiry=expiry, signature=signature)
 
     def verify(self, light_client: Address) -> None:
-        """Line 11 of Algorithm 1: check the confirmation signature."""
+        """Line 11 of Algorithm 1: check the confirmation signature.
+        Hint-less: ``full_node`` is what the message says of itself, the
+        client holds it only from here on."""
         try:
             signer = recover_address(
                 handshake_digest(light_client, self.expiry),
@@ -83,7 +85,8 @@ class OpenChannelReceipt:
             raise HandshakeError(f"channel id must be {ALPHA_BYTES} bytes")
         try:
             signer = recover_address(
-                keccak256(self.channel_id), Signature.from_bytes(self.signature)
+                keccak256(self.channel_id), Signature.from_bytes(self.signature),
+                full_node,
             )
         except (SignatureError, ValueError) as exc:
             raise HandshakeError(f"malformed receipt signature: {exc}") from exc

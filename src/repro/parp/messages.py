@@ -347,9 +347,12 @@ def _signed_request_fields(key: PrivateKey, alpha: bytes, h_b: bytes,
     )
 
 
-def _recover(digest: bytes, signature: bytes, what: str) -> Address:
+def _recover(digest: bytes, signature: bytes, what: str,
+             expected: Optional[Address] = None) -> Address:
+    """The signer of ``digest``; ``expected`` is who the caller will compare
+    it with (cheaper when right, the same answer either way)."""
     try:
-        return recover_address(digest, Signature.from_bytes(signature))
+        return recover_address(digest, Signature.from_bytes(signature), expected)
     except SignatureError as exc:
         raise MessageError(f"bad {what} signature: {exc}") from exc
 
@@ -363,14 +366,23 @@ def _verify_signed_request(request, expected_sender: Optional[Address]) -> Addre
     noun = request.noun
     if request.h_req != request.expected_digest():
         raise MessageError(f"{noun} hash does not match {noun} contents")
-    req_signer = _recover(request.h_req, request.sig_req, noun)
-    pay_signer = _recover(payment_digest(request.alpha, request.a),
-                          request.sig_a, noun)
+    req_signer = _recover(request.h_req, request.sig_req, noun, expected_sender)
+    pay_signer = _recover(request.h_pay, request.sig_a, noun, expected_sender)
     if req_signer != pay_signer:
         raise MessageError(f"{noun} and payment signed by different keys")
     if expected_sender is not None and req_signer != expected_sender:
         raise MessageError(f"{noun} signer is not the channel's light client")
     return req_signer
+
+
+class _SignedRequest:
+    """What both request wires derive from their header."""
+
+    @cached_property
+    def h_pay(self) -> bytes:
+        """``Hash(α, a)`` behind σ_a, hashed once per request object: step (B)
+        checks σ_a against it and the channel does again when banking it."""
+        return payment_digest(self.alpha, self.a)
 
 
 def _response_header(request, status: int, m_b: int) -> dict:
@@ -380,9 +392,11 @@ def _response_header(request, status: int, m_b: int) -> dict:
                 sig_req=request.sig_req, sig_res=b"")
 
 
-def _response_signer(response, alpha: bytes) -> Address:
+def _response_signer(response, alpha: bytes,
+                     expected: Optional[Address] = None) -> Address:
     """Recover the full-node address that signed a response, either wire."""
-    return _recover(response.digest(alpha), response.sig_res, "response")
+    return _recover(response.digest(alpha), response.sig_res, "response",
+                    expected)
 
 
 class _SignedResponse:
@@ -434,7 +448,7 @@ class _SignedResponse:
 # --------------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
-class PARPRequest:
+class PARPRequest(_SignedRequest):
     """A signed PARP request (Fig. 3, left)."""
 
     alpha: bytes
@@ -553,9 +567,10 @@ class PARPResponse(_SignedResponse):
         return cls.build(request.alpha, request, m_b, result, proof, key,
                          status=status)
 
-    def signer(self, alpha: bytes) -> Address:
+    def signer(self, alpha: bytes,
+               expected: Optional[Address] = None) -> Address:
         """Recover the full-node address that signed this response."""
-        return _response_signer(self, alpha)
+        return _response_signer(self, alpha, expected)
 
     # -- wire ------------------------------------------------------------- #
 
@@ -704,8 +719,8 @@ class OverloadedReply:
                                self.retry_after_millis,
                                self.fee_multiplier_millis, self.h_req)
 
-    def signer(self) -> Address:
-        return _recover(self.digest(), self.sig_ovl, "overload")
+    def signer(self, expected: Optional[Address] = None) -> Address:
+        return _recover(self.digest(), self.sig_ovl, "overload", expected)
 
     def verify(self, expected_signer: Optional[Address] = None,
                expected_h_req: Optional[bytes] = None) -> Address:
@@ -714,7 +729,7 @@ class OverloadedReply:
         failure."""
         if expected_h_req is not None and self.h_req != expected_h_req:
             raise MessageError("overload reply answers a different request")
-        signer = self.signer()
+        signer = self.signer(expected_signer)
         if expected_signer is not None and signer != expected_signer:
             raise MessageError(
                 "overload reply signed by a key other than the serving node"
@@ -727,7 +742,7 @@ class OverloadedReply:
 # --------------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
-class BatchRequest:
+class BatchRequest(_SignedRequest):
     """N RPC calls paid for by ONE channel update.
 
     Structurally a :class:`PARPRequest` whose γ is a *list* of calls and whose
@@ -880,9 +895,10 @@ class BatchResponse(_SignedResponse):
         return cls.build(request.alpha, request, m_b, statuses, results,
                          ProofIndex.merge(proofs), key, status=status)
 
-    def signer(self, alpha: bytes) -> Address:
+    def signer(self, alpha: bytes,
+               expected: Optional[Address] = None) -> Address:
         """Recover the full-node address that signed this batch response."""
-        return _response_signer(self, alpha)
+        return _response_signer(self, alpha, expected)
 
     # -- per-item view ------------------------------------------------------ #
 

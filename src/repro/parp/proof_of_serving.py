@@ -43,6 +43,10 @@ class ServingReceipt:
     queries: int = 0
 
     def verify_signature(self) -> bool:
+        """Hint-less by design: ``light_client`` is the receipt's own claim,
+        not an address the validator holds, and a receipt's key is checked
+        once per claim — there is nothing for the known-key cache to save,
+        and a slot in it is not the claimant's to spend."""
         try:
             signer = recover_address(
                 payment_digest(self.alpha, self.amount),

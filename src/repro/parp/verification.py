@@ -86,7 +86,7 @@ def _classify_envelope(request: PARPRequest | BatchRequest,
 
     # 2./3. Verify Response Signature (α-bound) ------------------------------- #
     try:
-        signer = response.signer(alpha)
+        signer = response.signer(alpha, full_node)
     except MessageError as exc:
         return VerificationReport(
             ResponseClass.INVALID, "response-signature", str(exc),

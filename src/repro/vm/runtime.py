@@ -215,7 +215,8 @@ class CallContext:
 
     def ecrecover(self, msg_hash: bytes, signature: bytes) -> Optional[Address]:
         """Recover a signer address; None on any invalid input (like the
-        zero-address result of the EVM precompile)."""
+        zero-address result of the EVM precompile).  Hint-less by design: a
+        contract is charged for, and gets, a full recovery."""
         self._tx.meter.charge(gas.ECRECOVER_GAS, "ecrecover")
         try:
             sig = Signature.from_bytes(signature)

@@ -21,13 +21,17 @@ import pytest
 
 from repro.chain import GenesisConfig
 from repro.chain.transaction import Transaction
-from repro.crypto import PrivateKey, ecdsa
+from repro.crypto import PrivateKey, ecdsa, secp256k1
+from repro.crypto import keys as keys_module
 from repro.crypto import keccak as keccak_module
 from repro.crypto.keys import Address
+from repro.metrics.cache import LRUCache
 from repro.node import Devnet
 from repro.parp import RpcCall
 from repro.parp.states import ResponseClass
 from repro.trie import ProofIndex, collect_subtree, verify_proof
+
+from ..conftest import make_parp_env
 
 TOKEN = 10 ** 18
 
@@ -38,17 +42,23 @@ BATCH_SIZE = 16
 
 
 @contextmanager
+def counted_calls(monkeypatch, targets):
+    """Count calls of each ``(module, name)`` reached as that attribute."""
+    counts = Counter()
+    with monkeypatch.context() as patch:
+        for module, name in targets:
+            def wrapper(*args, _name=name, _inner=getattr(module, name),
+                        **kwargs):
+                counts[_name] += 1
+                return _inner(*args, **kwargs)
+            patch.setattr(module, name, wrapper)
+        yield counts
+
+
 def counted_ecdsa(monkeypatch):
     """Count calls into the three ECDSA entry points (everything in ``src``
     reaches them as attributes of ``repro.crypto.ecdsa``)."""
-    counts = Counter()
-    with monkeypatch.context() as patch:
-        for name in BUDGET:
-            def wrapper(*args, _name=name, _inner=getattr(ecdsa, name)):
-                counts[_name] += 1
-                return _inner(*args)
-            patch.setattr(ecdsa, name, wrapper)
-        yield counts
+    return counted_calls(monkeypatch, [(ecdsa, name) for name in BUDGET])
 
 
 #: hashes and permutations (``len // 136 + 1`` each) behind one verified
@@ -59,10 +69,14 @@ def counted_ecdsa(monkeypatch):
 #: reach σ_res, the client every node and every item's address), and costs
 #: these: two request digests, two 1.6 KB commitments (16 results + 6 node
 #: hashes), the signer addresses, and the four nodes and three addresses the
-#: warm-up had not shown the verifier.  A single request was 14 / 23.
+#: warm-up had not shown the verifier.  A single request was 14 / 23, then
+#: 13 / 17.  On a warm channel both parties know the other's key, so the
+#: four hashes of a recovered public key into its address are gone, and the
+#: payment digest is hashed once per request object, not once per check:
+#: five hashes and five permutations off either wire.
 KECCAK_BUDGET = {
-    "request_call": {"hashes": 13, "permutations": 17},
-    "query_batch": {"hashes": 18, "permutations": 50},
+    "request_call": {"hashes": 8, "permutations": 12},
+    "query_batch": {"hashes": 13, "permutations": 45},
 }
 
 
@@ -102,9 +116,12 @@ def assert_within_budget(counts):
 
 @pytest.fixture
 def warm_env(parp_env):
-    """Header sync, batch-version probe and caches are paid before counting."""
+    """Header sync, batch-version probe and caches are paid before counting,
+    and each party has seen enough of the other's signatures to hold its
+    fixed-base table (``keys._BUILD_AFTER``; the client sees one a request)."""
     call = RpcCall.create("eth_getBalance", parp_env.keys.alice.address)
-    parp_env.session.request_call(call)
+    for _ in range(keys_module._BUILD_AFTER):
+        parp_env.session.request_call(call)
     parp_env.session.query_batch([call, call])
     return parp_env
 
@@ -116,6 +133,59 @@ def test_single_request_stays_within_the_budget(warm_env, monkeypatch):
         outcome = env.session.request_call(call)
     assert outcome.report.classification is ResponseClass.VALID
     assert_within_budget(counts)
+
+
+def counted_curve_work(monkeypatch):
+    """Count point doublings and fixed-base tables built.  A signature by a
+    key the verifier knows is checked by walking two tables: additions
+    only.  A doubling means a full recovery ran (or a table was built)."""
+    return counted_calls(monkeypatch, [(secp256k1, "_jacobian_double"),
+                                       (keys_module, "fixed_base_table")])
+
+
+def test_a_warm_request_doubles_no_point_and_builds_no_table(
+        warm_env, monkeypatch):
+    env = warm_env
+    call = RpcCall.create("eth_getBalance", env.keys.bob.address)
+    with counted_curve_work(monkeypatch) as curve, \
+            counted_ecdsa(monkeypatch) as counts:
+        outcome = env.session.request_call(call)
+        batch = env.session.query_batch(batch_of_sixteen(env))
+    assert outcome.report.classification is ResponseClass.VALID
+    assert batch.report.classification is ResponseClass.VALID
+    assert counts["recover"] == 2 * BUDGET["recover"]
+    assert not curve, dict(curve)
+
+
+def test_a_fresh_channel_builds_one_table_per_party(devnet, keys, monkeypatch):
+    """A key earns its table with its ``_BUILD_AFTER``-th authenticated
+    signature, the point where full recoveries have cost what the table
+    does.  The server checks three of the light client's per request, the
+    client one of the full node's at connect (the channel receipt; the
+    handshake confirmation names its own signer, so it is not counted) and
+    one per response; nothing later on the channel builds a table or misses
+    the cache."""
+    build_after = keys_module._BUILD_AFTER
+    known = LRUCache(capacity=keys_module.KNOWN_KEY_CAPACITY)
+    monkeypatch.setattr(keys_module, "_KNOWN_KEYS", known)
+    tables_after = []           # tables built by the end of each request
+    with counted_curve_work(monkeypatch) as curve:
+        env = make_parp_env(devnet, keys)
+        call = RpcCall.create("eth_getBalance", env.keys.bob.address)
+        assert known._entries == {env.server.address: 1}
+        for _ in range(build_after - 1):
+            env.session.request_call(call)
+            tables_after.append(curve["fixed_base_table"])
+        server_at = -(-build_after // 3)    # the request that holds its 8th
+        assert tables_after[server_at - 2:server_at] == [0, 1]
+        assert tables_after[-2:] == [1, 2]  # the client's 8th: the last one
+        misses = known.stats.misses
+        env.session.request_call(call)
+        env.session.query_batch([call, call])
+    assert curve["fixed_base_table"] == 2 and known.stats.misses == misses
+    assert all(isinstance(entry, list) for entry in known._entries.values())
+    assert set(known._entries) == {env.server.address,
+                                   env.session.address}
 
 
 def test_batch_of_sixteen_pays_the_budget_once(warm_env, monkeypatch):
