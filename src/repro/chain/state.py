@@ -98,6 +98,10 @@ def _storage_key(slot: bytes) -> bytes:
 class StateDB:
     """Mutable world state with O(1) checkpoints and proof generation."""
 
+    #: ``keccak256`` of an address or slot through the process-wide memo
+    #: every state read and proof walk derives its trie key with
+    secure_key = staticmethod(_secure_key)
+
     def __init__(self, db: Union[None, dict, NodeStore, str] = None,
                  root_hash: bytes = EMPTY_TRIE_ROOT,
                  node_cache: Optional[LRUCache] = None,

@@ -65,7 +65,7 @@ from .fraudproof import FraudProofError
 from .messages import RpcCall
 from .pricing import FeeSchedule
 from .queries import decode_balance
-from .sharding import shard_key_of_call
+from .sharding import shard_keys_of_calls
 from .verification import ResponseClass, VerificationReport
 from .reputation import (
     EVENT_CHANNEL_SETTLED,
@@ -908,8 +908,7 @@ class MarketplaceClient:
         groups: dict[tuple, list[int]] = {}
         keys_of: dict[tuple, list[bytes]] = {}
         unsharded: list[int] = []
-        for i, call in enumerate(calls):
-            key = shard_key_of_call(call)
+        for i, key in enumerate(shard_keys_of_calls(calls, self.hash_memo)):
             if key is None:
                 unsharded.append(i)
                 continue
@@ -920,7 +919,7 @@ class MarketplaceClient:
                 # surface the failure with full context
                 covering = self.marketplace.covering(key)
             if not covering:
-                raise NoServerForKey(key, call.method)
+                raise NoServerForKey(key, calls[i].method)
             shard = covering[0].shard
             gkey = ("full",) if shard is None else ("shard", shard.to_tuple())
             groups.setdefault(gkey, []).append(i)
@@ -948,8 +947,8 @@ class MarketplaceClient:
         """Race the whole query as one leg, behind the coverage gate: a key
         no server covers is a :class:`NoServerForKey` *before* any payment."""
         keys = []
-        for call in calls:
-            key = shard_key_of_call(call)
+        for call, key in zip(calls,
+                             shard_keys_of_calls(calls, self.hash_memo)):
             if key is None:
                 continue
             if not self.marketplace.covering(key):

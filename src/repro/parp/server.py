@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 from ..chain.chain import ChainError
 from ..chain.header import BlockHeader
 from ..chain.receipt import LogEntry
+from ..chain.state import StateDB
 from ..chain.transaction import Transaction, TransactionError
 from ..contracts.addresses import CHANNELS_MODULE_ADDRESS, FRAUD_MODULE_ADDRESS
 from ..crypto import keccak256
@@ -576,7 +577,7 @@ class FullNodeServer:
         attributably, instead of letting the slice walk blow up."""
         if self.shard_range is None:
             return
-        key = shard_key_of_call(call)
+        key = shard_key_of_call(call, StateDB.secure_key)
         if key is None or self.shard_range.covers(key):
             return
         self._bump("out_of_range_rejected")

@@ -14,12 +14,13 @@ tests pin this).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from ..crypto.keccak import keccak256
+from ..trie.proof import HashMemo
 from .messages import MessageError, RpcCall
 
-__all__ = ["STATE_KEYED_METHODS", "shard_key_of_call"]
+__all__ = ["STATE_KEYED_METHODS", "shard_key_of_call", "shard_keys_of_calls"]
 
 #: method → index of the address parameter whose hashed key routes the call.
 STATE_KEYED_METHODS: dict[str, int] = {
@@ -28,18 +29,39 @@ STATE_KEYED_METHODS: dict[str, int] = {
 }
 
 
-def shard_key_of_call(call: RpcCall) -> Optional[bytes]:
+def _routed_address(call: RpcCall) -> Optional[bytes]:
+    index = STATE_KEYED_METHODS.get(call.method)
+    if index is None:
+        return None
+    try:
+        return call.param_bytes(index, exact=20)
+    except MessageError:
+        return None
+
+
+def shard_key_of_call(call: RpcCall,
+                      keccak: Optional[Callable[[bytes], bytes]] = None,
+                      ) -> Optional[bytes]:
     """The hashed state key that routes ``call``, or None when unsharded.
 
     A malformed address parameter also yields None: routing must not
     pre-judge a call the serving/verification layers will reject with a
     properly attributable error.
+
+    The key that routes a call is the key its proof walks: a party that
+    passes the ``keccak`` memo it serves or verifies with hashes an address
+    once (default: plain ``keccak256``).
     """
-    index = STATE_KEYED_METHODS.get(call.method)
-    if index is None:
+    raw = _routed_address(call)
+    if raw is None:
         return None
-    try:
-        raw = call.param_bytes(index, exact=20)
-    except MessageError:
-        return None
-    return keccak256(raw)
+    return keccak256(raw) if keccak is None else keccak(raw)
+
+
+def shard_keys_of_calls(calls: Sequence[RpcCall], keccak: HashMemo,
+                        ) -> list[Optional[bytes]]:
+    """:func:`shard_key_of_call` of each of ``calls``, the addresses
+    ``keccak`` does not hold hashed side by side."""
+    raws = [_routed_address(call) for call in calls]
+    keys = iter(keccak.many([raw for raw in raws if raw is not None]))
+    return [None if raw is None else next(keys) for raw in raws]

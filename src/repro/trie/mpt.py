@@ -34,6 +34,14 @@ so roots are bit-for-bit identical to hashing eagerly on every ``put``, and
 bulk ``update`` of N keys performs O(distinct dirty nodes) hash and encode
 operations instead of O(N × depth).
 
+The flush runs in *waves*: the overlay is grouped by height above its
+deepest dirty descendant and each height is encoded together, what encodes
+under 32 bytes inlined and the rest hashed in one
+:func:`~repro.crypto.keccak.keccak256_many` call — independent messages
+share each pass of the permutation.  Only the hashing is reordered: the
+store still receives its ``(hash, encoded)`` puts in post-order, so a disk
+log is byte-for-byte the one a node-at-a-time flush writes.
+
 Checkpoints
 -----------
 
@@ -67,7 +75,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Union
 
-from ..crypto.keccak import KECCAK_EMPTY_RLP, keccak256
+from ..crypto.keccak import KECCAK_EMPTY_RLP, keccak256, keccak256_many
 from ..metrics.cache import LRUCache
 from ..rlp import codec as rlp
 from ..storage.nodestore import NodeStore, PrunedRootError, as_node_store
@@ -185,7 +193,7 @@ class MerklePatriciaTrie:
         if node == _BLANK:
             self._root_hash = EMPTY_TRIE_ROOT
         else:
-            ref = self._commit_node(node)
+            ref = self._flush(node)
             if isinstance(ref, bytes):
                 self._root_hash = ref
             else:  # root encodes under 32 bytes: still stored by hash
@@ -322,39 +330,58 @@ class MerklePatriciaTrie:
             raise TrieError(f"invalid node reference of {len(ref)} bytes")
         return ref
 
-    def _commit_node(self, node: list) -> rlp.Item:
-        """Flush one overlay subtree bottom-up; return its parent reference.
+    def _flush(self, root: list) -> rlp.Item:
+        """Flush the overlay under ``root``; return its parent reference:
+        its hash, or the node itself when it encodes under 32 bytes and is
+        inlined.  Only list-valued children are overlay (a leaf's value is
+        bytes); the nodes of one height depend on nothing of that height."""
+        order: list = []
+        waves: list[list] = []
+        self._collect(root, order, waves)
+        # flat dicts keyed by id(): the overlay keeps every node alive, and
+        # a container per node would feed the cyclic collector thousands
+        refs: dict[int, rlp.Item] = {}
+        encodings: dict[int, bytes] = {}
+        rebuilt: dict[int, list] = {}   # the node as encoded, where not itself
+        for wave in waves:
+            pending: list = []
+            for node in wave:
+                committed = node
+                for i in range(16) if len(node) == 17 else (1,):
+                    child = node[i]
+                    if isinstance(child, list) and refs[id(child)] is not child:
+                        if committed is node:
+                            committed = rebuilt[id(node)] = list(node)
+                        committed[i] = refs[id(child)]
+                encoded = rlp.encode(committed)
+                if len(encoded) < 32:
+                    refs[id(node)] = committed
+                else:
+                    pending.append(node)
+                    encodings[id(node)] = encoded
+            refs.update(zip(map(id, pending), keccak256_many(
+                [encodings[id(node)] for node in pending])))
+        for node in order:  # post-order: what the store sees has not moved
+            if id(node) in encodings:
+                node_hash = refs[id(node)]
+                self._db[node_hash] = encodings[id(node)]
+                self._cache.put(node_hash, rebuilt.get(id(node), node))
+        return refs[id(root)]
 
-        List-valued children are recursively committed first (a leaf's value
-        is bytes, so only extension children and branch slots recurse); then
-        this node is encoded once and either stored under its hash or, when
-        it encodes under 32 bytes, returned whole for inlining.
-        """
-        if len(node) == 17:
-            out: Optional[list] = None
-            for i in range(16):
-                child = node[i]
-                if isinstance(child, list):
-                    ref = self._commit_node(child)
-                    if ref is not child:
-                        if out is None:
-                            out = list(node)
-                        out[i] = ref
-            committed: rlp.Item = out if out is not None else node
-        else:  # leaf (value is bytes) or extension (child may be a list)
-            committed = node
-            child = node[1]
+    def _collect(self, node: list, order: list, waves: list[list]) -> int:
+        """Append the overlay under ``node`` to ``order`` in post-order and
+        to ``waves[height]``; returns the height of ``node`` above its
+        deepest list-valued descendant."""
+        height = 0
+        for i in range(16) if len(node) == 17 else (1,):
+            child = node[i]
             if isinstance(child, list):
-                ref = self._commit_node(child)
-                if ref is not child:
-                    committed = [node[0], ref]
-        encoded = rlp.encode(committed)
-        if len(encoded) < 32:
-            return committed
-        node_hash = keccak256(encoded)
-        self._db[node_hash] = encoded
-        self._cache.put(node_hash, committed)
-        return node_hash
+                height = max(height, 1 + self._collect(child, order, waves))
+        order.append(node)
+        if height == len(waves):
+            waves.append([])
+        waves[height].append(node)
+        return height
 
     # ------------------------------------------------------------------ #
     # Lookup

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from ..crypto.keccak import keccak256
+from ..crypto.keccak import keccak256, keccak256_many
 from ..metrics.cache import LRUCache
 from ..rlp import codec as rlp
 from .mpt import EMPTY_TRIE_ROOT, MerklePatriciaTrie
@@ -146,11 +146,18 @@ HASH_MEMO_CAPACITY = 8192
 HASH_MEMO_MAX_INPUT = 532
 
 
-def _keccak256(data: bytes) -> bytes:
-    """Plain ``keccak256``, looked up per call: a counter or tracer that
-    replaces the module attribute sees every hash a default-built index
-    makes."""
-    return keccak256(data)
+class _PlainKeccak:
+    """Plain ``keccak256`` / ``keccak256_many``, looked up per call: a counter
+    that replaces the module attributes sees every hash a plain index makes."""
+
+    def __call__(self, data: bytes) -> bytes:
+        return keccak256(data)
+
+    def many(self, items: Iterable[bytes]) -> list[bytes]:
+        return keccak256_many(items)
+
+
+_keccak256 = _PlainKeccak()
 
 
 class HashMemo:
@@ -179,6 +186,19 @@ class HashMemo:
             return keccak256(data)
         return self.cache.get_or_put(data, lambda: keccak256(data))
 
+    def many(self, items: Sequence[bytes]) -> list[bytes]:
+        """``[self(data) for data in items]``, with the inputs the memo does
+        not hold hashed side by side."""
+        found = {data: self.cache.get(data) for data in items
+                 if len(data) <= HASH_MEMO_MAX_INPUT}
+        missing = [data for data in dict.fromkeys(items)
+                   if found.get(data) is None]
+        for data, digest in zip(missing, keccak256_many(missing)):
+            found[data] = digest
+            if len(data) <= HASH_MEMO_MAX_INPUT:
+                self.cache.put(data, digest)
+        return [found[data] for data in items]
+
 
 class ProofIndex(tuple):
     """A proof's nodes, each hashed exactly once.
@@ -206,7 +226,9 @@ class ProofIndex(tuple):
         nodes = tuple(nodes)
         if keccak is None:
             keccak = _keccak256
-        return cls._build(nodes, tuple(map(keccak, nodes)), keccak)
+        many = getattr(keccak, "many", None)    # a metered hash has none
+        hashes = many(nodes) if many is not None else map(keccak, nodes)
+        return cls._build(nodes, tuple(hashes), keccak)
 
     @classmethod
     def _build(cls, nodes: Iterable[bytes], hashes: tuple[bytes, ...],

@@ -8,6 +8,8 @@ accounts the workloads touch.
 from __future__ import annotations
 
 import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 from repro.chain import GenesisConfig
 from repro.contracts import DEPOSIT_MODULE_ADDRESS
 from repro.crypto import PrivateKey
+from repro.crypto import keccak as keccak_module
 from repro.lightclient import HeaderSyncer
 from repro.node import Devnet, FullNode
 from repro.parp import (
@@ -36,6 +39,48 @@ NODE_STORE_BACKENDS = [
     for backend in os.environ.get("REPRO_NODE_STORE", "memory").split(",")
     if backend.strip()
 ]
+
+
+class Preimages(list):
+    """Every message hashed, in call order, whichever entry point took it;
+    ``batches`` holds the messages of each ``keccak256_many`` call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.batches: list[list[bytes]] = []
+
+
+@contextmanager
+def counted_keccak(monkeypatch):
+    """Record every keccak preimage, through ``keccak256`` and through
+    ``keccak256_many`` alike, so "hashed exactly once" and the hash budgets
+    count messages, not calls.  Modules hold their own ``from ... import``
+    references, so every ``repro`` namespace that holds either function is
+    patched, the way the e2e tracer does it.  (``keccak256_many`` reaches
+    the permutation without going through the name ``keccak256``: nothing
+    is recorded twice.)"""
+    one, many = keccak_module.keccak256, keccak_module.keccak256_many
+    hashed = Preimages()
+
+    def counted_one(data):
+        hashed.append(bytes(data))
+        return one(data)
+
+    def counted_many(messages):
+        messages = [bytes(data) for data in messages]
+        hashed.extend(messages)
+        hashed.batches.append(messages)
+        return many(messages)
+
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name == "repro" or name.startswith("repro."):
+                for attr, value in list(vars(module).items()):
+                    if value is one:
+                        patch.setattr(module, attr, counted_one)
+                    elif value is many:
+                        patch.setattr(module, attr, counted_many)
+        yield hashed
 
 
 def pytest_generate_tests(metafunc):

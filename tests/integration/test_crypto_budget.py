@@ -10,10 +10,15 @@ pool once, not once per item.  A proof node is hashed by the verifier only,
 once per verifier: the server names it by the reference it fetched it by,
 σ_res signs the node hashes, and a node the client has hashed for one
 response costs nothing in the next.
+
+Hashes are counted as *messages* (``conftest.counted_keccak`` records every
+preimage through ``keccak256`` and ``keccak256_many`` alike); how many share
+a pass of the permutation has its own ceilings: a commit makes one
+``keccak256_many`` call per height of its overlay, a verifier one per
+response.
 """
 
 import random
-import sys
 from collections import Counter
 from contextlib import contextmanager
 
@@ -29,9 +34,11 @@ from repro.metrics.cache import LRUCache
 from repro.node import Devnet
 from repro.parp import RpcCall
 from repro.parp.states import ResponseClass
-from repro.trie import ProofIndex, collect_subtree, verify_proof
+from repro.rlp import codec as rlp
+from repro.trie import ProofIndex, collect_subtree, hp_decode, verify_proof
 
-from ..conftest import make_parp_env
+from ..conftest import counted_keccak, make_parp_env
+from .test_e2e_sharded import ShardWorld
 
 TOKEN = 10 ** 18
 
@@ -78,27 +85,6 @@ KECCAK_BUDGET = {
     "request_call": {"hashes": 8, "permutations": 12},
     "query_batch": {"hashes": 13, "permutations": 45},
 }
-
-
-@contextmanager
-def counted_keccak(monkeypatch):
-    """Record the input of every ``keccak256`` call.  Modules hold their own
-    ``from ... import keccak256`` reference, so every ``repro`` namespace
-    that holds the function is patched, the way the e2e tracer does it."""
-    inner = keccak_module.keccak256
-    hashed: list[bytes] = []
-
-    def wrapper(data):
-        hashed.append(bytes(data))
-        return inner(data)
-
-    with monkeypatch.context() as patch:
-        for name, module in list(sys.modules.items()):
-            if name == "repro" or name.startswith("repro."):
-                for attr, value in list(vars(module).items()):
-                    if value is inner:
-                        patch.setattr(module, attr, wrapper)
-        yield hashed
 
 
 def assert_within_keccak_budget(hashed, budget):
@@ -226,6 +212,10 @@ def test_batch_of_sixteen_hashes_each_pool_node_once(warm_env, monkeypatch):
     assert len(pool) >= 2
     node_hashes = sum(map(set(pool).__contains__, hashed))
     assert node_hashes <= len(pool)
+    # and side by side: what the warm-up had not shown the verifier goes
+    # through the permutation in one ``keccak256_many`` call
+    unseen = [batch for batch in hashed.batches if set(batch) & set(pool)]
+    assert len(unseen) == 1 and len(unseen[0]) == node_hashes >= 2
 
 
 def batch_of_sixteen(env):
@@ -361,13 +351,50 @@ def seal_counted(net, monkeypatch):
     return block, hashed, dirty
 
 
+def heights_of(nodes):
+    """Each encoded node's height above its deepest descendant among
+    ``nodes`` (an inlined child is a level of its own), read off the
+    encodings alone."""
+    by_hash = {keccak_module.keccak256(raw): raw for raw in nodes}
+
+    def height(node):
+        if len(node) == 2 and hp_decode(node[0])[1]:
+            return 0
+        refs = node[:16] if len(node) == 17 else node[1:]
+        below = [height(ref if isinstance(ref, list)
+                        else rlp.decode(by_hash[ref]))
+                 for ref in refs if isinstance(ref, list) or ref in by_hash]
+        return 1 + max(below) if below else 0
+
+    return {raw: height(rlp.decode(raw)) for raw in nodes}
+
+
+def assert_one_batch_per_height(nodes, batches):
+    """The commit that flushed ``nodes`` hashed each height of its overlay
+    in one ``keccak256_many`` call, and nothing else with it."""
+    heights = heights_of(nodes)
+    calls = Counter()
+    for batch in batches:
+        levels = {heights[raw] for raw in batch if raw in heights}
+        if levels:
+            assert len(levels) == 1 and set(batch) <= set(heights)
+            calls.update(levels)
+    assert set(calls) == set(heights.values())
+    assert max(calls.values()) == 1, dict(calls)
+
+
 def test_sealing_hashes_and_appends_each_dirty_node_once(seal_net, monkeypatch):
     transfers(seal_net, range(4))
     block, hashed, dirty = seal_counted(seal_net, monkeypatch)
     assert len(block.transactions) == 4
-    body = [trie.db.get(key)
-            for trie in (block.transaction_trie, block.receipt_trie)
-            for key in trie.db]
+    tries = [[trie.db.get(key) for key in trie.db]
+             for trie in (block.transaction_trie, block.receipt_trie)]
+    body = tries[0] + tries[1]
+    # independent nodes share a pass of the permutation: per trie, one
+    # ``keccak256_many`` call per height of its overlay
+    assert len(set(heights_of(dirty).values())) >= 3
+    for nodes in (dirty, *tries):
+        assert_one_batch_per_height(nodes, hashed.batches)
     counts = Counter(hashed)
     # every state node and every body-trie node: once, by the seal
     assert all(counts[raw] == 1 for raw in dirty + body)
@@ -394,3 +421,37 @@ def test_sealing_n_transactions_on_one_account_hashes_the_root_once(
     state_hashes = len(hashed_six) - 3 * 6 - 1 - len(
         block.transaction_trie.db) - len(block.receipt_trie.db)
     assert state_hashes == len(dirty_six)
+
+
+# --------------------------------------------------------------------------- #
+# routing a sharded query: by a hash the party already has
+# --------------------------------------------------------------------------- #
+
+def test_a_sharded_query_routes_by_hashes_its_parties_hold(monkeypatch):
+    """The key that routes a call to a shard is the key its proof walks:
+    the client derives it through the memo it verifies with, the server
+    through the memo its state reads use.  Sixteen calls used to cost 32
+    address hashes a query on top of those memos, every query."""
+    world = ShardWorld(shard_count=4, replicas=1, latencies=(0.02,))
+    world.connect()
+    strangers = [PrivateKey.from_seed(f"budget:stranger{i}") for i in range(12)]
+    calls = world.balance_calls() + [
+        RpcCall.create("eth_getBalance", key.address) for key in strangers]
+    addresses = {bytes(call.param_bytes(0, exact=20)) for call in calls}
+    assert len(calls) == BATCH_SIZE == len(addresses)
+
+    with counted_keccak(monkeypatch) as hashed:
+        outcome = world.client.query_sharded(calls)
+    assert all(leg.ok for leg in outcome.legs) and len(outcome.legs) == 4
+    counts = Counter(data for data in hashed if data in addresses)
+    # once by the verifier, once by the prover (one process, two parties)
+    assert set(counts) == addresses and max(counts.values()) <= 2
+    # the client's sixteen go through the permutation side by side
+    assert [batch for batch in hashed.batches
+            if set(batch) & addresses] == [[
+                bytes(call.param_bytes(0, exact=20)) for call in calls]]
+
+    with counted_keccak(monkeypatch) as hashed:
+        again = world.client.query_sharded(calls)
+    assert all(leg.ok for leg in again.legs)
+    assert not addresses & set(hashed)

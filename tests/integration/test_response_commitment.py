@@ -26,8 +26,7 @@ from repro.parp.messages import response_preimage
 from repro.parp.states import ResponseClass
 from repro.trie import HashMemo
 
-from ..conftest import make_parp_env
-from .test_crypto_budget import counted_keccak
+from ..conftest import counted_keccak, make_parp_env
 
 
 class Fig3DigestServer(FullNodeServer):

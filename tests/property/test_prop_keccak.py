@@ -1,8 +1,10 @@
 """Differential oracles for the unrolled Keccak-f[1600] and the one-shot sponge.
 
 ``repro.crypto.keccak`` runs each round as straight-line code over 25 local
-lanes and reads blocks with ``struct``.  Three things it shares nothing
-with check it here:
+lanes and reads blocks with ``struct``, and hashes independent messages
+side by side, message *j* in bits ``[64j, 64j + 64)`` of every lane
+(``keccak256_many``; both permutations are compiled from one round body).
+Three things it shares nothing with check it here:
 
 * the loop-form permutation it replaced (theta, rho/pi from tables, chi,
   iota over a list), kept below as the reference;
@@ -13,6 +15,7 @@ with check it here:
 * ``tests/data/keccak_vectors.json``, produced by the parent commit.
 """
 
+import functools
 import hashlib
 import json
 import random
@@ -23,11 +26,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.keccak import (
     _DIGEST,
+    _LANE_TABLES,
     _RATE_BYTES,
     Keccak256,
     _absorb,
     _keccak_f1600,
+    _keccak_f1600_lanes,
     keccak256,
+    keccak256_many,
 )
 
 MASK64 = (1 << 64) - 1
@@ -257,3 +263,141 @@ class TestSponge:
             message = patterned(vector["length"])
             assert keccak256(message).hex() == vector["digest"], vector["length"]
             assert Keccak256(message).hexdigest() == vector["digest"]
+
+
+# --------------------------------------------------------------------------- #
+# side by side: keccak256_many against the one-lane sponge, the loop, golden
+# --------------------------------------------------------------------------- #
+
+WIDTHS = (2, 4, 8, 16, 32, 64)
+#: where a block boundary, the padding byte and a full branch node sit
+EDGE_LENGTHS = (0, 1, 135, 136, 137, 271, 272, 273, 532)
+
+
+@functools.lru_cache(maxsize=None)
+def seeded(length: int, seed: int) -> bytes:
+    return random.Random(f"many:{length}:{seed}").randbytes(length)
+
+
+@functools.lru_cache(maxsize=None)
+def loop_keccak256(message: bytes) -> bytes:
+    """The sponge over the loop-form permutation: padding, block reads and
+    squeeze written out again, sharing nothing with the module."""
+    padded = bytearray(message) + bytes(-(len(message) + 1) % 136 + 1)
+    padded[len(message)] ^= 0x01
+    padded[-1] ^= 0x80
+    state = [0] * 25
+    for offset in range(0, len(padded), 136):
+        for i in range(17):
+            state[i] ^= int.from_bytes(
+                padded[offset + 8 * i:offset + 8 * i + 8], "little")
+        loop_keccak_f1600(state)
+    return b"".join(lane.to_bytes(8, "little") for lane in state[:4])
+
+
+#: few seeds per length, so a list holds the same message more than once
+message_lists = st.lists(
+    st.builds(
+        lambda edge, nudge, seed: seeded(max(0, edge + nudge), seed),
+        st.sampled_from(EDGE_LENGTHS), st.integers(-2, 2), st.integers(0, 3)),
+    max_size=130)
+
+
+class TestSideBySide:
+    @settings(max_examples=60, deadline=None)
+    @given(message_lists)
+    def test_equals_one_by_one_and_the_loop(self, messages):
+        digests = keccak256_many(messages)
+        assert digests == [keccak256(message) for message in messages]
+        assert digests == [loop_keccak256(message) for message in messages]
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 63, 64, 65, 128, 130])
+    def test_every_count_around_a_lane_width(self, count):
+        messages = [patterned((37 * i) % 300) for i in range(count)]
+        assert keccak256_many(messages) == list(map(keccak256, messages))
+
+    def test_lanes_finish_at_different_blocks_in_any_order(self):
+        """One long message among many short ones: the state narrows as
+        lanes finish, and each digest lands at its message's position."""
+        lengths = [10 * 136 + 5] + [532] * 5 + [272, 136, 135] * 6 + [40] * 40
+        messages = [seeded(length, i) for i, length in enumerate(lengths)]
+        random.Random(5).shuffle(messages)
+        assert len(messages) == 64
+        assert keccak256_many(messages) == list(map(keccak256, messages))
+        assert keccak256_many(messages[::-1]) == list(
+            map(keccak256, messages[::-1]))
+
+    def test_takes_any_iterable_of_what_keccak256_takes(self):
+        blobs = [patterned(n) for n in (0, 33, 136, 300)]
+        expected = list(map(keccak256, blobs))
+        assert keccak256_many(iter(blobs)) == expected
+        assert keccak256_many(map(bytearray, blobs)) == expected
+        assert keccak256_many(map(memoryview, blobs)) == expected
+        assert keccak256_many(dict.fromkeys(blobs)) == expected
+        # a view's len() counts items, not bytes
+        wide = memoryview(patterned(272)).cast("I")
+        assert keccak256_many([wide, b"x"]) == [
+            keccak256(patterned(272)), keccak256(b"x")]
+
+    @pytest.mark.parametrize("batch", [["text"], [b"ok", "text"],
+                                       [b"ok", b"ok", 7], [None, b"ok"]])
+    def test_rejects_what_keccak256_rejects_the_same_way(self, batch):
+        bad = next(item for item in batch if not isinstance(item, bytes))
+        with pytest.raises(TypeError) as alone:
+            keccak256(bad)
+        with pytest.raises(TypeError) as together:
+            keccak256_many(batch)
+        assert str(together.value) == str(alone.value)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_golden_messages_at_every_lane_width(self, width):
+        vectors = [(bytes.fromhex(v["message"]), v["digest"])
+                   for v in GOLDEN["messages"]]
+        vectors += [(patterned(v["length"]), v["digest"])
+                    for v in GOLDEN["patterned"]]
+        assert len(vectors) >= 28
+        # every vector, in batches that fill the width and that fall one
+        # short of it (for width 2 the latter is the one-lane path)
+        for size in (width, width - 1):
+            for start in range(0, len(vectors), size):
+                batch = [vectors[(start + i) % len(vectors)]
+                         for i in range(size)]
+                digests = keccak256_many([message for message, _ in batch])
+                assert [d.hex() for d in digests] == [d for _, d in batch]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_golden_permutations_in_every_lane_of_every_width(self, width):
+        """The wide permutation itself, under each width's tables: golden
+        state ``j % n`` in lane ``j``, every lane filled."""
+        golden = GOLDEN["permutation"]
+        picks = [golden[j % len(golden)] for j in range(width)]
+        state = [sum(int(vector["in"][i], 16) << 64 * j
+                     for j, vector in enumerate(picks)) for i in range(25)]
+        _keccak_f1600_lanes(state, *_LANE_TABLES[width])
+        for j, vector in enumerate(picks):
+            assert [f"{lane >> 64 * j & MASK64:016x}"
+                    for lane in state] == vector["out"], j
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(WIDTHS),
+           st.lists(lanes, min_size=25, max_size=25), st.integers(0, 63))
+    def test_a_lane_sees_nothing_of_its_neighbours(self, width, state, at):
+        """One random state in one lane, its complement in all the others:
+        that lane comes out as the loop-form permutation of the state."""
+        at %= width
+        loop = list(state)
+        loop_keccak_f1600(loop)
+        ones = sum(1 << 64 * j for j in range(width))
+        wide = [((lane ^ MASK64) * ones) ^ (MASK64 << 64 * at)
+                for lane in state]
+        assert [lane >> 64 * at & MASK64 for lane in wide] == state
+        _keccak_f1600_lanes(wide, *_LANE_TABLES[width])
+        assert [lane >> 64 * at & MASK64 for lane in wide] == loop
+        assert all(lane < 1 << 64 * width for lane in wide)
+
+    def test_lane_tables_are_the_powers_of_two_and_stay_small(self):
+        assert tuple(_LANE_TABLES) == WIDTHS
+        held = sum(value.bit_length() // 8
+                   for table in _LANE_TABLES.values()
+                   for values in table for value in values)
+        assert held < 130_000

@@ -29,6 +29,8 @@ from repro.trie import (
     verify_proof,
 )
 
+from ..conftest import counted_keccak
+
 TOKEN = 10 ** 18
 
 
@@ -74,9 +76,10 @@ class TestByReferenceHashes:
     def test_generating_hashes_nothing(self, monkeypatch):
         store = MemoryNodeStore()
         trie = MerklePatriciaTrie(store, _grow(store)[-1])
-        monkeypatch.setattr("repro.trie.proof.keccak256", None)
-        assert len(generate_proof(trie, PROBES[0]).hashes) > 1
-        assert len(generate_multiproof(trie, PROBES).hashes) > 1
+        with counted_keccak(monkeypatch) as hashed:
+            assert len(generate_proof(trie, PROBES[0]).hashes) > 1
+            assert len(generate_multiproof(trie, PROBES).hashes) > 1
+        assert not hashed
 
     def test_file_store_after_reopen_and_after_compaction(self, tmp_path):
         path = tmp_path / "nodes.log"
@@ -220,3 +223,48 @@ class TestHashMemo:
         assert memo(junk) == keccak256(junk)
         assert branch in memo.cache and junk not in memo.cache
         assert len(memo.cache) == 1
+
+    def test_many_is_the_call_per_item_with_the_misses_in_one_batch(
+            self, monkeypatch):
+        from repro.trie.proof import HASH_MEMO_MAX_INPUT
+
+        memo = HashMemo()
+        held = [bytes([i]) * 60 for i in range(3)]
+        for blob in held:
+            memo(blob)
+        fresh = [bytes([i]) * 70 for i in range(10, 14)]
+        junk = b"\x07" * (HASH_MEMO_MAX_INPUT + 1)
+        items = [held[0], fresh[0], junk, fresh[1], held[2], fresh[0],
+                 fresh[2], junk, fresh[3]]
+        with counted_keccak(monkeypatch) as hashed:
+            assert memo.many(items) == [keccak256(blob) for blob in items]
+        # the hits cost nothing, a duplicate is hashed once, and what is
+        # missing goes through the permutation side by side
+        assert hashed.batches == [[*dict.fromkeys(
+            blob for blob in items if blob not in held)]]
+        assert hashed == hashed.batches[0]
+        assert all(blob in memo.cache for blob in fresh)
+        assert junk not in memo.cache and len(memo.cache) == 7
+        with counted_keccak(monkeypatch) as hashed:
+            assert memo.many(held + fresh) == [
+                keccak256(blob) for blob in held + fresh]
+            assert memo.many([]) == []
+        assert not hashed
+
+    def test_a_metered_hash_is_called_once_per_node(self):
+        """An on-chain verifier's ``ctx.keccak`` charges gas per call and
+        offers no ``many``: the index goes through it node by node."""
+        trie = MerklePatriciaTrie()
+        trie.update({keccak256(bytes([i])): bytes([i]) * 40
+                     for i in range(64)})
+        nodes = list(generate_proof(trie, keccak256(b"\x05")))
+        assert len(nodes) >= 2
+        calls = []
+
+        def metered(data):
+            calls.append(data)
+            return keccak256(data)
+
+        index = ProofIndex(nodes, metered)
+        assert calls == nodes
+        assert index.hashes == ProofIndex(nodes).hashes

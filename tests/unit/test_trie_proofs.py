@@ -26,6 +26,8 @@ from repro.trie import (
     verify_proof,
 )
 
+from ..conftest import counted_keccak
+
 
 @pytest.fixture(scope="module")
 def populated():
@@ -277,32 +279,31 @@ class TestProofIndex:
         trie, items = populated
         keys = list(items)[:24]
         pool = list(generate_multiproof(trie, keys))
-        hashed = []
-        monkeypatch.setattr(
-            "repro.trie.proof.keccak256",
-            lambda data: hashed.append(data) or keccak256(data))
-        memo = HashMemo()
-        index = ProofIndex(pool, memo)
-        assert hashed == pool
-        for key in keys:
-            assert verify_proof(trie.root_hash, key, index) == items[key]
-        assert verify_multiproof(trie.root_hash, keys, index) == {
-            key: items[key] for key in keys}
-        again = ProofIndex(pool[::-1], memo)
-        assert again.hashes == index.hashes[::-1]
-        assert verify_proof(trie.root_hash, keys[0], again) == items[keys[0]]
-        assert hashed == pool
-        # a verifier without that memo pays for every node itself
-        assert ProofIndex(pool, HashMemo()).hashes == index.hashes
-        assert hashed == pool + pool
+        with counted_keccak(monkeypatch) as hashed:
+            memo = HashMemo()
+            index = ProofIndex(pool, memo)
+            assert hashed == pool and hashed.batches == [pool]
+            for key in keys:
+                assert verify_proof(trie.root_hash, key, index) == items[key]
+            assert verify_multiproof(trie.root_hash, keys, index) == {
+                key: items[key] for key in keys}
+            again = ProofIndex(pool[::-1], memo)
+            assert again.hashes == index.hashes[::-1]
+            assert verify_proof(
+                trie.root_hash, keys[0], again) == items[keys[0]]
+            assert hashed == pool
+            # a verifier without that memo pays for every node itself
+            assert ProofIndex(pool, HashMemo()).hashes == index.hashes
+            assert hashed == pool + pool
 
     def test_generating_a_multiproof_hashes_nothing(self, populated,
                                                     monkeypatch):
         trie, items = populated
         keys = list(items)[:24]
         expected = generate_multiproof(trie, keys)
-        monkeypatch.setattr("repro.trie.proof.keccak256", None)
-        assert generate_multiproof(trie, keys) == expected
+        with counted_keccak(monkeypatch) as hashed:
+            assert generate_multiproof(trie, keys) == expected
+        assert not hashed
 
     def test_a_node_is_reachable_only_under_its_own_hash(self, populated):
         trie, items = populated
