@@ -72,9 +72,9 @@ OVERLOAD_OVERHEAD_BYTES = (
 )  # = 118
 
 # -- batched queries (multiproof extension) -------------------------------- #
-#: version of the batch sub-protocol; a client only batches against a server
-#: advertising the same version, and falls back to per-key queries otherwise.
-BATCH_PROTOCOL_VERSION = 1
+#: version of the batch sub-protocol (2: σ_res signs the batch's Merkle root);
+#: a client batches only against a server advertising it, else goes per key.
+BATCH_PROTOCOL_VERSION = 2
 #: batch request metadata: version(1) ‖ the 226 bytes of a single request.
 BATCH_REQUEST_OVERHEAD_BYTES = 1 + REQUEST_OVERHEAD_BYTES  # = 227
 #: batch response metadata layout matches a single response (187 bytes); the

@@ -15,8 +15,8 @@ A request is ``req = (α, h_B, a, γ, h_req, σ_a, σ_req)``:
 A response is ``res = (α, m_B, a, R(γ), π_γ, h_req, σ_req, σ_res)`` where
 ``σ_res`` signs ``h_res = keccak256(α ‖ status ‖ m_B ‖ a ‖ C ‖ h_req ‖
 σ_req)`` over the *commitment* ``C = rlp([R, [keccak256(n) for n in π]])``
-(batch: ``rlp([statuses, [R_1 …], [keccak256(n) …]])``) — the wire payload
-with every proof node replaced by its hash, in wire order, duplicates kept.
+— the wire payload with every proof node replaced by its hash, in wire
+order, duplicates kept.
 This is a deliberate departure from Fig. 3, which signs the payload
 ``rlp([R, π])`` itself: under keccak collision resistance the two bind the
 same proof, the bytes on the wire (Table II) are identical, and a response
@@ -29,6 +29,16 @@ to open by its 32-byte hash.  The layout of ``C`` and of the ``h_res``
 pre-image exists here and nowhere else (:meth:`_SignedResponse.commitment`,
 :func:`response_preimage`); the light client, the on-chain FDM and the
 misbehaving test servers all sign and check through them.
+
+A batch (this repo's extension; version 2) signs as ``C`` the root of a
+fixed-shape 4-ary Merkle tree: leaves ``keccak256(0x00 ‖ status_i ‖ R_i)``
+for the N items, then the M pool-node hashes as the index holds them; groups
+of four become ``keccak256(0x01 ‖ children)`` until at most four remain;
+``C = keccak256(0x02 ‖ u16(N) ‖ u16(M) ‖ remaining children)``.  A level is
+independent messages — one ``keccak256_many`` call, six passes of the
+permutation for 16 calls where the flat 2.9 KB layout took 22 — and item *i*
+opens with its leaf and three sibling hashes a level.  The single wire's 378
+bytes and ``h_req`` (five permutations at 16 calls) gain nothing and stay flat.
 
 On the wire the response omits ``α`` (the session is channel-scoped) but
 ``α`` stays in the signed pre-image, so the 187-byte metadata figure of
@@ -44,6 +54,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..crypto import Signature, SignatureError, keccak256, recover_address
+from ..crypto.keccak import keccak256_many
 from ..crypto.keys import Address, PrivateKey
 from ..rlp import codec as rlp
 from ..trie.proof import ProofIndex
@@ -415,8 +426,8 @@ class _SignedResponse:
         raise NotImplementedError
 
     def commitment(self) -> bytes:
-        """``C``, what σ_res signs in the payload's place: the same layout
-        with each proof node replaced by its hash."""
+        """``C``, what σ_res signs in the payload's place: built from each
+        proof node's hash, not its bytes (layouts in the module docstring)."""
         raise NotImplementedError
 
     def preimage(self, alpha: bytes) -> bytes:
@@ -846,8 +857,8 @@ class BatchResponse(_SignedResponse):
     *shared* proof-node pool: the deduplicated union of every per-call Merkle
     proof (state, storage, transaction, and receipt trie nodes all resolve
     by keccak hash from the same pool).  Travels as ``payload =
-    rlp([statuses, [R_1 …], [node_1 …]])`` and is signed exactly like a
-    single response, over the same layout with each node's hash in its place.
+    rlp([statuses, [R_1 …], [node_1 …]])`` and is signed like a single
+    response, over the Merkle root of its items and its nodes' hashes.
     """
 
     status: int                   # whole-batch status
@@ -860,17 +871,22 @@ class BatchResponse(_SignedResponse):
     sig_req: bytes
     sig_res: bytes
 
-    @staticmethod
-    def _payload(statuses: Sequence[int], results: Sequence[bytes],
-                 proof: Sequence[bytes]) -> bytes:
-        return rlp.encode([bytes(statuses), list(results), list(proof)])
-
     def payload(self) -> bytes:
-        return self._payload(self.statuses, self.results, self.proof)
+        return rlp.encode([bytes(self.statuses), list(self.results),
+                           list(self.proof)])
 
     def commitment(self) -> bytes:
-        return self._payload(self.statuses, self.results,
-                             self.proof_index.hashes)
+        """The Merkle root the module docstring defines, a level per call."""
+        hashes = self.proof_index.hashes
+        items = zip(self.statuses, self.results)
+        level = keccak256_many([bytes((0, s)) + r for s, r in items])
+        level += hashes
+        while len(level) > 4:
+            level = keccak256_many([b"\x01" + b"".join(level[at:at + 4])
+                                    for at in range(0, len(level), 4)])
+        return keccak256(
+            b"\x02" + _encode_uint(len(self.results), 2, "batch size")
+            + _encode_uint(len(hashes), 2, "proof pool size") + b"".join(level))
 
     @classmethod
     def build(cls, alpha: bytes, request: BatchRequest, m_b: int,

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..crypto.keys import Address
+from ..trie.proof import HashMemo
 from .messages import (
     BatchRequest,
     BatchResponse,
@@ -39,6 +40,7 @@ from .messages import (
     RpcCall,
 )
 from .queries import HeaderLookup, QueryFraud, Unverifiable, verify_query_result
+from .sharding import shard_keys_of_calls
 from .states import ResponseClass
 
 __all__ = ["VerificationReport", "classify_response", "classify_batch_response"]
@@ -173,10 +175,14 @@ def classify_batch_response(
                                 request_height, answered=len(response))
     if failed is not None:
         return failed, []
-    item_reports = [
-        _classify_item(call, response.item_view(index), get_header)
-        for index, call in enumerate(request.calls)
-    ]
+    memo = response.proof_index.keccak
+    if isinstance(memo, HashMemo):  # the items' trie keys, side by side
+        shard_keys_of_calls(request.calls, memo)
+    with response.proof_index.sharing_decodes():
+        item_reports = [
+            _classify_item(call, response.item_view(index), get_header)
+            for index, call in enumerate(request.calls)
+        ]
     # the first report of the highest severity; all-checks when none is worse
     worst = max(
         [VerificationReport(ResponseClass.VALID, "all-checks"), *item_reports],

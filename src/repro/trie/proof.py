@@ -20,7 +20,8 @@ index.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..crypto.keccak import keccak256, keccak256_many
 from ..metrics.cache import LRUCache
@@ -237,6 +238,7 @@ class ProofIndex(tuple):
         self.hashes = hashes
         self.keccak = keccak
         self._encoded = None  # {hash: node}, built by the first walk
+        self._decoded = None  # {hash: checked node} while walks share decodes
         return self
 
     @classmethod
@@ -293,6 +295,9 @@ class ProofIndex(tuple):
 
     def node(self, node_hash: bytes) -> _Node:
         """The decoded, shape-checked node whose encoding hashes to ``node_hash``."""
+        shared = self._decoded
+        if shared is not None and node_hash in shared:
+            return shared[node_hash]
         if self._encoded is None:
             self._encoded = dict(zip(self.hashes, self))
         encoded = self._encoded.get(node_hash)
@@ -302,7 +307,20 @@ class ProofIndex(tuple):
             item = rlp.decode(encoded)
         except rlp.RLPError as exc:
             raise ProofError(f"undecodable proof node: {exc}") from exc
-        return _check_node(item)
+        node = _check_node(item)
+        if shared is not None:
+            shared[node_hash] = node
+        return node
+
+    @contextmanager
+    def sharing_decodes(self) -> Iterator[None]:
+        """While open, a node is decoded for the first walk that crosses it
+        and read by the rest (a walk edits none); nothing is kept after."""
+        self._decoded = {}
+        try:
+            yield
+        finally:
+            self._decoded = None
 
 
 def verify_proof(root_hash: bytes, key: bytes,

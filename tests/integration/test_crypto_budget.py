@@ -15,7 +15,10 @@ Hashes are counted as *messages* (``conftest.counted_keccak`` records every
 preimage through ``keccak256`` and ``keccak256_many`` alike); how many share
 a pass of the permutation has its own ceilings: a commit makes one
 ``keccak256_many`` call per height of its overlay, a verifier one per
-response.
+response.  A batch is pinned by what costs it time — sequential *passes* of
+the permutation, a ``keccak256_many`` call counting what its longest message
+does: σ_res signs a Merkle root whose every level is one such call, so the
+round trip makes more hashes than it did and far fewer passes.
 """
 
 import random
@@ -80,16 +83,43 @@ def counted_ecdsa(monkeypatch):
 #: 13 / 17.  On a warm channel both parties know the other's key, so the
 #: four hashes of a recovered public key into its address are gone, and the
 #: payment digest is hashed once per request object, not once per check:
-#: five hashes and five permutations off either wire.
+#: five hashes and five permutations off either wire.  That left a batch at
+#: 13 hashes / 45 permutations, 42 of them one after another (two 1.6 KB
+#: commitments of 13 each).  Its commitment is a 4-ary Merkle root now: 25
+#: small hashes a party (16 item leaves, 6 + 2 inner nodes, the root) in
+#: three ``keccak256_many`` calls and one one-lane hash, then a 170-byte
+#: h_res — 6 passes where there were 13, and the three addresses the warm-up
+#: had not shown go side by side.  Of the 26 passes of the round trip 18 are
+#: one lane wide: two 676-byte request digests, two payment digests, and a
+#: root and an h_res per party.
 KECCAK_BUDGET = {
     "request_call": {"hashes": 8, "permutations": 12},
-    "query_batch": {"hashes": 13, "permutations": 45},
+    "query_batch": {"hashes": 63, "passes": 26, "one_lane": 18},
 }
+
+
+def blocks(data):
+    return len(data) // 136 + 1
+
+
+def passes_of(hashed):
+    """Sequential passes of the permutation behind ``hashed``, and how many
+    of them were one lane wide: a one-lane hash makes one per block, a
+    ``keccak256_many`` call what its longest message does (64 lanes at a
+    time, longest first; fewer than two messages take the one-lane path)."""
+    alone = Counter(hashed)
+    shared = 0
+    for batch in hashed.batches:
+        if len(batch) >= 2:
+            alone.subtract(batch)
+            shared += sum(sorted(map(blocks, batch), reverse=True)[::64])
+    one_lane = sum(blocks(data) * count for data, count in alone.items())
+    return shared + one_lane, one_lane
 
 
 def assert_within_keccak_budget(hashed, budget):
     assert hashed, "the counter is not on the request path"
-    permutations = sum(len(data) // 136 + 1 for data in hashed)
+    permutations = sum(map(blocks, hashed))
     assert len(hashed) <= budget["hashes"], len(hashed)
     assert permutations <= budget["permutations"], permutations
 
@@ -204,7 +234,11 @@ def test_batch_of_sixteen_hashes_each_pool_node_once(warm_env, monkeypatch):
         outcome = env.session.query_batch(calls)
     assert outcome.batched and len(outcome.items) == BATCH_SIZE
     assert outcome.report.classification is ResponseClass.VALID
-    assert_within_keccak_budget(hashed, KECCAK_BUDGET["query_batch"])
+    budget = KECCAK_BUDGET["query_batch"]
+    passes, one_lane = passes_of(hashed)
+    assert len(hashed) <= budget["hashes"], len(hashed)
+    assert passes <= budget["passes"], passes
+    assert one_lane <= budget["one_lane"], one_lane
     # the structural bound: all 16 items verify against one index of the
     # pool (len(pool) client hashes), and the server de-duplicates the pool
     # by node bytes (zero hashes) — so no node is hashed twice in the round
@@ -222,6 +256,46 @@ def batch_of_sixteen(env):
     people = (env.keys.alice, env.keys.bob, env.keys.fn, env.keys.wn)
     return [RpcCall.create("eth_getBalance", people[i % 4].address)
             for i in range(BATCH_SIZE)]
+
+
+def test_a_batch_commitment_hashes_a_level_per_pass(warm_env, monkeypatch):
+    """What reaching σ_res costs one party: the item leaves in one
+    ``keccak256_many`` call, one more per level of the tree over the N + M
+    leaves, the root and h_res one-lane — six passes for 16 calls over this
+    pool, whatever the results weigh in all."""
+    env = warm_env
+    response = env.session.query_batch(batch_of_sixteen(env)).response
+    leaves = len(response) + len(response.proof)
+    levels = next(n for n in range(leaves) if 4 ** n >= leaves)  # ⌈log₄⌉
+    with counted_keccak(monkeypatch) as hashed:
+        response.digest(env.alpha)
+    assert hashed[-1] == response.preimage(env.alpha) and blocks(hashed[-1]) == 2
+    assert len(hashed.batches) <= 1 + levels
+    assert [len(batch) for batch in hashed.batches] == [16, 6, 2]
+    assert len(hashed) - sum(map(len, hashed.batches)) <= 3
+    assert passes_of(hashed) == (6, 3)
+
+
+def test_a_batch_decodes_each_pool_node_once(warm_env, monkeypatch):
+    """Every item's walk starts at the root and most share a spine: while
+    a batch is classified the index decodes a node for the first walk that
+    crosses it, not for each (sixteen walks over this pool decoded 36
+    nodes) — and the response the session keeps holds none of them."""
+    env = warm_env
+    decoded = []
+
+    def counted_decode(raw, _decode=rlp.decode):
+        decoded.append(raw)
+        return _decode(raw)
+
+    monkeypatch.setattr(rlp, "decode", counted_decode)
+    outcome = env.session.query_batch(batch_of_sixteen(env))
+    assert outcome.report.classification is ResponseClass.VALID
+    pool = set(outcome.response.proof)
+    walked = Counter(raw for raw in decoded if raw in pool)
+    assert set(walked) == pool and len(pool) >= 2
+    assert max(walked.values()) == 1, walked.values()
+    assert outcome.response.proof_index._decoded is None
 
 
 @pytest.mark.parametrize("wire", ["single", "batch"])

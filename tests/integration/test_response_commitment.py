@@ -3,8 +3,10 @@
 σ_res signs ``h_res`` over the proof's node *hashes* (see
 :mod:`repro.parp.messages`).  A server still signing the Fig. 3 digest over
 the proof *bytes* is unattributable under it — INVALID, never FRAUD, never
-fined — and the memo a verifier hashes through is its own: a server in the
-same process cannot warm it.
+fined — and so is one that answers a version-2 batch but still signs the
+flat commitment batches had before they signed a Merkle root.  The memo a
+verifier hashes through is its own: a server in the same process cannot warm
+it.
 """
 
 from dataclasses import replace
@@ -21,9 +23,11 @@ from repro.parp import (
     MIN_FULL_NODE_DEPOSIT,
     RpcCall,
 )
+from repro.parp.constants import BATCH_PROTOCOL_VERSION
 from repro.parp.fraudproof import FraudProofError, build_fraud_package
-from repro.parp.messages import response_preimage
+from repro.parp.messages import BatchResponse, response_preimage
 from repro.parp.states import ResponseClass
+from repro.rlp import codec as rlp
 from repro.trie import HashMemo
 
 from ..conftest import counted_keccak, make_parp_env
@@ -38,6 +42,23 @@ class Fig3DigestServer(FullNodeServer):
         old = keccak256(response_preimage(
             request.alpha, response.status, response.m_b, response.a,
             response.payload(), response.h_req, response.sig_req))
+        return replace(response, sig_res=self.key.sign(old).to_bytes())
+
+
+class FlatBatchCommitmentServer(FullNodeServer):
+    """Advertises the current batch version and answers honestly, but σ_res
+    of a batch signs ``C = rlp([statuses, results, [H(n) …]])`` — what a
+    batch committed to before version 2."""
+
+    def _execute_and_sign(self, request):
+        response = super()._execute_and_sign(request)
+        if not isinstance(response, BatchResponse):
+            return response
+        flat = rlp.encode([bytes(response.statuses), list(response.results),
+                           list(response.proof_index.hashes)])
+        old = keccak256(response_preimage(
+            request.alpha, response.status, response.m_b, response.a,
+            flat, response.h_req, response.sig_req))
         return replace(response, sig_res=self.key.sign(old).to_bytes())
 
 
@@ -74,6 +95,21 @@ class TestOldDigestServer:
             env.session.query_batch(calls)
         assert excinfo.value.report.check == "response-signature"
         assert deposit_of(env) == MIN_FULL_NODE_DEPOSIT
+
+    def test_flat_batch_commitment_is_invalid_not_fraud(self, devnet, keys):
+        env = make_parp_env(devnet, keys, server_cls=FlatBatchCommitmentServer)
+        assert env.server.batch_protocol_version() == BATCH_PROTOCOL_VERSION
+        calls = [RpcCall.create("eth_getBalance", key.address)
+                 for key in (keys.alice, keys.bob)]
+        with pytest.raises(InvalidResponse) as excinfo:
+            env.session.query_batch(calls)
+        report = excinfo.value.report
+        assert report.classification is ResponseClass.INVALID
+        assert report.check == "response-signature"
+        assert deposit_of(env) == MIN_FULL_NODE_DEPOSIT
+        # the single wire did not change: the same server is VALID on it
+        outcome = env.session.request_call(calls[0])
+        assert outcome.report.classification is ResponseClass.VALID
 
     def test_a_proofless_response_signs_what_fig3_says(self, devnet, keys):
         """No proof, nothing to replace: the two digests coincide, so the

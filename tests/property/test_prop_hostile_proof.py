@@ -5,7 +5,9 @@ order, duplicates kept — not to the proof bytes.  Under that commitment any
 edit of the node sequence of an honestly signed response (a bit flipped, a
 node dropped, duplicated or moved) must still fail check 2 of §V-D: the
 response is INVALID at ``response-signature``, never accepted and never
-FRAUD (a third party's edit must not cost the server its deposit).
+FRAUD (a third party's edit must not cost the server its deposit).  A batch
+signs a Merkle root over its items and its nodes' hashes; the same holds for
+it, and for an edit of its statuses and results as well.
 """
 
 from dataclasses import replace
@@ -95,27 +97,57 @@ def test_an_edited_single_response_fails_at_the_signature(address, mutation,
     assert report.check == "response-signature"
 
 
-@given(st.lists(st.sampled_from(ADDRESSES), min_size=1, max_size=6),
-       st.sampled_from(MUTATIONS), st.data())
-@settings(max_examples=100, deadline=None)
-def test_an_edited_batch_response_fails_at_the_signature(asked, mutation,
-                                                         data):
+ITEM_MUTATIONS = ("status", "result", "swap", "drop", "append")
+
+
+def mutate_items(honest, mutation, data):
+    """``honest`` with one edit of its per-call statuses and results."""
+    statuses, results = list(honest.statuses), list(honest.results)
+    at = data.draw(st.integers(0, len(results) - 1), label="item")
+    if mutation == "status":
+        statuses[at] ^= 1
+    elif mutation == "result":
+        results[at] = mutate([results[at]], "flip", data)[0]
+    elif mutation == "swap":
+        to = data.draw(st.integers(0, len(results) - 1), label="with")
+        results[at], results[to] = results[to], results[at]
+    elif mutation == "drop":
+        del statuses[at], results[at]
+    else:
+        statuses.append(statuses[at])
+        results.append(results[at])
+    return replace(honest, statuses=tuple(statuses), results=tuple(results))
+
+
+def honest_batch(asked):
+    """A batch asking the balances of ``asked`` and its honest answer."""
     calls = [RpcCall.create("eth_getBalance", a) for a in asked]
     request = BatchRequest.build(ALPHA, HEADER.hash, 100, calls, LC,
                                  version=BATCH_PROTOCOL_VERSION)
     answers = [(ResponseStatus.OK, ACCOUNTS[a],
                 generate_proof(TRIE, keccak256(a))) for a in asked]
-    honest = BatchResponse.from_answers(request, HEIGHT, answers, FN,
-                                        ResponseStatus.OK)
+    return request, BatchResponse.from_answers(request, HEIGHT, answers, FN,
+                                               ResponseStatus.OK)
+
+
+@given(st.lists(st.sampled_from(ADDRESSES), min_size=1, max_size=6),
+       st.sampled_from(MUTATIONS + ITEM_MUTATIONS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_an_edited_batch_response_fails_at_the_signature(asked, mutation,
+                                                         data):
+    request, honest = honest_batch(asked)
     memo = HashMemo()
     overall, _ = classify_batch_response(
         request, through_the_wire(honest, memo), ALPHA, FN.address, HEIGHT,
         lambda n: HEADER)
     assert overall.classification is ResponseClass.VALID
 
-    nodes = mutate(honest.proof, mutation, data)
-    assume(nodes != tuple(honest.proof))
-    edited = through_the_wire(replace(honest, proof=nodes), memo)
+    if mutation in MUTATIONS:
+        edit = replace(honest, proof=mutate(honest.proof, mutation, data))
+    else:
+        edit = mutate_items(honest, mutation, data)
+    assume(edit.payload() != honest.payload())
+    edited = through_the_wire(edit, memo)
     overall, items = classify_batch_response(
         request, edited, ALPHA, FN.address, HEIGHT, lambda n: HEADER)
     assert overall.classification is ResponseClass.INVALID

@@ -108,7 +108,7 @@ class TestBatchResponseWire:
     def test_metadata_matches_single_response_layout(self):
         batch = make_batch()
         response = make_batch_response(batch, proof=())
-        payload = BatchResponse._payload(response.statuses, response.results, ())
+        payload = response.payload()
         assert len(response.encode_wire()) - len(payload) == 187
         assert BATCH_RESPONSE_OVERHEAD_BYTES == 187
 

@@ -15,6 +15,15 @@ bytes, so the 65 ``sig_res`` bytes of the four proof-carrying responses
 ``batch-response/1-call``, ``batch-response/16-calls``) moved.  Every
 request, proof-less response and Overloaded vector is byte-identical to
 d01aa73's.
+
+And a second time, as deliberately, by PR 21 (the commit on top of
+9e03971): a batch's σ_res signs the 4-ary Merkle root of its items and its
+pool's node hashes in place of the flat rlp commitment, so the ``sig_res``
+of the three ``batch-response/*`` vectors (``1-call``, ``16-calls``,
+``whole-batch-error``) moved — 65 bytes each, in ``fields`` and at the same
+offset of ``wire``.  Every other vector, and every other byte of those
+three, is identical; the batch-request vectors keep the version byte they
+were recorded with.
 """
 
 import json
