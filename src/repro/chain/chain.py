@@ -65,7 +65,6 @@ class Blockchain:
 
     def __init__(self, genesis: GenesisConfig,
                  executor: Optional[TransactionExecutorProtocol] = None,
-                 block_context_factory: Optional[Callable] = None,
                  db: Union[None, dict, NodeStore, str] = None,
                  block_log: Union[None, BlockLog, str, os.PathLike] = None,
                  retention: RetentionSpec = None) -> None:
@@ -109,7 +108,6 @@ class Blockchain:
             raise
         self.mempool: list[Transaction] = []
         self.executor = executor
-        self._block_context_factory = block_context_factory
         #: callbacks fired once per newly *sealed* block (see
         #: :meth:`on_seal`) — never for genesis or reattached history.
         self._seal_listeners: list[Callable[["Block"], None]] = []
@@ -388,9 +386,6 @@ class Blockchain:
 
     def _make_block_context(self, number: int, timestamp: int,
                             coinbase: Address) -> "object":
-        if self._block_context_factory is not None:
-            return self._block_context_factory(number, timestamp, coinbase,
-                                               self.get_block_hash)
         # Deferred import keeps repro.chain importable without repro.vm.
         from ..vm.runtime import BlockContext
 

@@ -1,20 +1,24 @@
 """Fraud Detection Module (FDM) — on-chain Algorithm 2.
 
-A witness full node submits ``(req, res, header_m, header_req, addr_WN)``;
-the contract re-runs, with metered gas, exactly the checks the light client
-ran off-chain (shared code in :mod:`repro.parp.queries` — the two verifiers
-cannot diverge), and on any *fraud* condition instructs the Deposit Module
-to confiscate the offending full node's collateral:
+A witness full node submits ``(req, res, header_m, header_req, addr_WN)``.
+The contract does what only a contract can — the metered decode of the
+calldata, the channel lookup (must exist, not closed) via the CMM, the
+authentication of the two headers, the slash — and takes its verdict from
+the three calls the off-chain parties make, handing them ``ctx.keccak`` /
+``ctx.ecrecover`` so every hash and recover is metered:
 
-1. decode req/res; **identifier match** (req.α == res.α),
-2. channel lookup (must exist, not closed) via the CMM,
-3. **request integrity**: rebuild h_req, ``recover(h_req, σ_req) == LC``,
-4. **response origin**: rebuild h_res (over the node *hashes* of π_γ, each
-   node hashed once as the response is decoded — see
-   :mod:`repro.parp.messages`), ``recover(h_res, σ_res) == FN``,
-5. **payment amount check** (req.a ≠ res.a → slash),
-6. **timestamp check** (res.m_B < height(req.h_B) → slash),
-7. **Merkle proof check** (π_γ fails against the trusted root → slash).
+* ``PARPRequest.verify`` — the full node's step (B): h_req rebuilt, σ_req
+  and σ_a recover to the channel's light client;
+* ``verification._classify_envelope`` — §V-D checks 1–5: echo of h_req /
+  σ_req, σ_res recovers to the channel's full node over h_res (over the
+  node *hashes* of π_γ, each hashed once as the response is decoded),
+  payment amount, timestamp;
+* ``verification._classify_item`` — §V-D check 6: a signed error proves
+  nothing and convicts nobody, else π_γ against the header's roots.
+
+It slashes iff the report those return is FRAUD and reverts with the
+report's check otherwise: the two verifiers cannot diverge, because there
+is one.  A change of verdict is a change to :mod:`repro.parp.verification`.
 
 Headers are authenticated exactly as in the paper's §VI: the submitter
 provides raw header fields; the contract re-hashes them and checks the hash
@@ -24,23 +28,18 @@ against req.h_B itself (for the height reference, which the request pins).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..chain.header import BlockHeader
 from ..crypto.keys import Address
 from ..parp.messages import MessageError, PARPRequest, PARPResponse
-from ..parp.queries import QueryFraud, Unverifiable, verify_query_result
+from ..parp.verification import _classify_envelope, _classify_item
 from ..rlp import codec as rlp
 from ..vm import abi
 from ..vm.contract import NativeContract, contract_method
 from ..vm.gas import PROOF_VERIFY_BYTE_GAS, RLP_DECODE_BYTE_GAS
 from ..vm.runtime import CallContext, Revert
+from .channels import CHANNEL_CLOSED, CHANNEL_NONE
 
 __all__ = ["FraudModule"]
-
-# mirror of channels.CHANNEL_* (kept literal to avoid an import cycle)
-_CHANNEL_NONE = 0
-_CHANNEL_CLOSED = 3
 
 
 class FraudModule(NativeContract):
@@ -59,10 +58,8 @@ class FraudModule(NativeContract):
         """Adjudicate a fraud proof; slashes and returns True on fraud,
         reverts otherwise (so honest nodes can never be slashed and spurious
         submissions simply burn the submitter's gas)."""
-        req_blob = abi.as_bytes(args[0])
-        res_blob = abi.as_bytes(args[1])
-        proof_header_blob = abi.as_bytes(args[2])
-        req_header_blob = abi.as_bytes(args[3])
+        req_blob, res_blob, proof_header_blob, req_header_blob = (
+            abi.as_bytes(arg) for arg in args[:4])
         witness = abi.as_address(args[4])
 
         # -- decode (metered per byte, like a Solidity RLP reader) -------- #
@@ -71,79 +68,58 @@ class FraudModule(NativeContract):
             request = PARPRequest.decode_wire(req_blob)
             # every proof node is hashed here, metered, and nowhere else:
             # h_res and the Merkle walk below both read the decoded index
-            res_alpha, response = PARPResponse.decode_for_fraud(
+            alpha, response = PARPResponse.decode_for_fraud(
                 res_blob, ctx.keccak)
         except MessageError as exc:
             raise Revert(f"undecodable fraud evidence: {exc}") from exc
-
-        # -- the match of the identifier ---------------------------------- #
-        ctx.require(request.alpha == res_alpha, "channel id mismatch")
-        alpha = request.alpha
+        ctx.require(request.alpha == alpha, "channel id mismatch")
 
         # -- channel lookup (Algorithm 2: chan.T != "closed") -------------- #
         channel = ctx.call(self._channels_module, "get_channel", [alpha])
         lc_raw, fn_raw, _budget, _cs, status, _deadline = channel
-        ctx.require(status != _CHANNEL_NONE, "unknown channel")
-        ctx.require(status != _CHANNEL_CLOSED, "channel already closed")
+        ctx.require(status != CHANNEL_NONE, "unknown channel")
+        ctx.require(status != CHANNEL_CLOSED, "channel already closed")
         light_client = Address(lc_raw)
         full_node = Address(fn_raw)
 
-        # -- the origin of the request ------------------------------------- #
-        h_req = ctx.keccak(request.expected_preimage())
-        ctx.require(h_req == request.h_req, "request hash mismatch")
-        req_signer = ctx.ecrecover(h_req, request.sig_req)
-        ctx.require(req_signer == light_client,
-                    "request not signed by the channel's light client")
+        # -- the origin of the request: the full node's own step (B) ------- #
+        try:
+            request.verify(light_client, ctx.keccak, ctx.ecrecover)
+        except MessageError as exc:
+            raise Revert(f"request-origin: {exc}") from exc
 
-        # -- the origin of the response ------------------------------------- #
-        h_res = ctx.keccak(response.preimage(alpha))
-        res_signer = ctx.ecrecover(h_res, response.sig_res)
-        ctx.require(res_signer == full_node,
-                    "response not signed by the channel's full node")
-        ctx.require(response.h_req == h_req, "response references another request")
-
-        # -- payment amount check (fraud) ------------------------------------ #
-        if request.a != response.a:
-            return self._slash(ctx, full_node, light_client, witness,
-                               "payment amount mismatch")
-
-        # -- timestamp check (fraud) ------------------------------------------ #
+        # -- §V-D checks 1–5, at the height of the header req.h_B pins ----- #
         req_header = self._decode_header(ctx, req_header_blob)
         ctx.require(
             ctx.keccak(req_header_blob) == request.h_b,
             "submitted height-reference header does not match req.h_B",
         )
-        if response.m_b < req_header.number:
-            return self._slash(ctx, full_node, light_client, witness,
-                               "stale response height")
+        report = _classify_envelope(
+            request, response, alpha, full_node, req_header.number,
+            answered=1, keccak=ctx.keccak, ecrecover=ctx.ecrecover)
 
-        # -- Merkle proof check (fraud) ----------------------------------------- #
-        proof_header = self._decode_header(ctx, proof_header_blob)
-        proof_header_hash = ctx.keccak(proof_header_blob)
-        canonical = ctx.block_hash(proof_header.number)
-        ctx.require(canonical is not None,
-                    "proof header outside the 256-block verification window")
-        ctx.require(canonical == proof_header_hash,
-                    "submitted header is not canonical at its height")
+        # -- §V-D check 6, against a header BLOCKHASH vouches for ---------- #
+        if report is None:
+            proof_header = self._decode_header(ctx, proof_header_blob)
+            canonical = ctx.block_hash(proof_header.number)
+            ctx.require(canonical is not None,
+                        "proof header outside the 256-block verification window")
+            ctx.require(canonical == ctx.keccak(proof_header_blob),
+                        "submitted header is not canonical at its height")
+            ctx.charge(
+                PROOF_VERIFY_BYTE_GAS * sum(map(len, response.proof))
+                + RLP_DECODE_BYTE_GAS * len(response.result),
+                "proof-verify",
+            )
+            report = _classify_item(request.call, response, {
+                proof_header.number: proof_header,
+                req_header.number: req_header,
+            }.get)
 
-        headers = {proof_header.number: proof_header,
-                   req_header.number: req_header}
-        proof_bytes = sum(len(node) for node in response.proof)
-        ctx.charge(
-            PROOF_VERIFY_BYTE_GAS * proof_bytes
-            + RLP_DECODE_BYTE_GAS * len(response.result),
-            "proof-verify",
-        )
-        try:
-            verify_query_result(request.call, response, headers.get)
-        except QueryFraud as exc:
-            return self._slash(ctx, full_node, light_client, witness, str(exc))
-        except Unverifiable as exc:
-            raise Revert(f"fraud proof not adjudicable: {exc}") from exc
-        except MessageError as exc:
-            raise Revert(f"malformed query in fraud proof: {exc}") from exc
-
-        raise Revert("no fraud detected")
+        verdict = f"{report.check}: {report.detail}"
+        if not report.fraudulent:
+            raise Revert(f"no fraud detected ({verdict})")
+        return self._slash(ctx, full_node, light_client, witness, verdict)
 
     @contract_method()
     def submit_head_equivocation(self, ctx: CallContext, args: list) -> bool:

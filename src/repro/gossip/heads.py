@@ -153,7 +153,6 @@ class HeadGossip:
 
     def __init__(self, gossip: GossipNode, syncer,
                  stake_of: Optional[Callable[[Address], int]] = None,
-                 min_stake: int = MIN_FULL_NODE_DEPOSIT,
                  quorum: Optional[int] = None,
                  reputation: Optional[ReputationLedger] = None,
                  witness=None,
@@ -164,7 +163,6 @@ class HeadGossip:
         self.gossip = gossip
         self.syncer = syncer
         self.stake_of = stake_of
-        self.min_stake = min_stake
         self.quorum = quorum if quorum is not None else getattr(
             syncer, "quorum", 1)
         self.reputation = reputation
@@ -208,7 +206,7 @@ class HeadGossip:
         if announcer in self.equivocators:
             return
         if self.stake_of is not None and (
-                self.stake_of(announcer) < self.min_stake):
+                self.stake_of(announcer) < MIN_FULL_NODE_DEPOSIT):
             self.stats.understaked += 1
             return
         self.stats.announced_seen += 1

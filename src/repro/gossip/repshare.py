@@ -49,6 +49,10 @@ TOPIC_REPUTATION = "parp/reputation/1"
 
 REPUTATION_GOSSIP_DOMAIN = b"PARP_REP_GOSSIP_V1"
 
+#: weight of a foreign accusation beside a first-hand one, before the
+#: reporter's stake scales it
+FOREIGN_DISCOUNT = 0.5
+
 #: the only kinds worth relaying: first-hand-verifiable hard negatives.
 #: Positive kinds are excluded by design — gossiped praise is free to fake
 #: (a server's Sybils vouching for itself) while gossiped accusations are
@@ -167,25 +171,21 @@ class ReputationShare:
     """Publish first-hand hard events; merge (discounted) foreign ones.
 
     ``stake_of`` maps a reporter address to its deposit-registry stake;
-    the merge discount is ``foreign_discount × min(1, stake /
-    reference_stake)`` — full foreign weight only for reporters staking at
-    least a full node's collateral, nothing at all for the unstaked.
-    Without a registry view (``stake_of=None``) every verified reporter
-    gets the flat ``foreign_discount`` (closed-world tests).
+    the merge discount is ``FOREIGN_DISCOUNT × min(1, stake /
+    MIN_FULL_NODE_DEPOSIT)`` — full foreign weight only for reporters
+    staking at least a full node's collateral, nothing at all for the
+    unstaked.  Without a registry view (``stake_of=None``) every verified
+    reporter gets the flat ``FOREIGN_DISCOUNT`` (closed-world tests).
     """
 
     def __init__(self, gossip: GossipNode, ledger: ReputationLedger,
                  key: PrivateKey,
                  stake_of: Optional[Callable[[Address], int]] = None,
-                 reference_stake: int = MIN_FULL_NODE_DEPOSIT,
-                 foreign_discount: float = 0.5,
                  clock: Optional[Callable[[], float]] = None) -> None:
         self.gossip = gossip
         self.ledger = ledger
         self.key = key
         self.stake_of = stake_of
-        self.reference_stake = max(1, reference_stake)
-        self.foreign_discount = foreign_discount
         self._clock = clock if clock is not None else gossip.network.clock.now
         self.stats = ReputationShareStats()
         #: (reporter, evidence digest) pairs already merged — the same
@@ -260,8 +260,8 @@ class ReputationShare:
 
     def _discount(self, reporter: Address) -> float:
         if self.stake_of is None:
-            return self.foreign_discount
+            return FOREIGN_DISCOUNT
         stake = self.stake_of(reporter)
         if stake <= 0:
             return 0.0
-        return self.foreign_discount * min(1.0, stake / self.reference_stake)
+        return FOREIGN_DISCOUNT * min(1.0, stake / MIN_FULL_NODE_DEPOSIT)

@@ -52,7 +52,7 @@ _EXPORTS = {
     "NoServerForKey": "marketplace", "ShardScatterError": "marketplace",
     "ScatterOutcome": "marketplace", "ShardLeg": "marketplace",
     # sharding
-    "shard_key_of_call": "sharding", "STATE_KEYED_METHODS": "sharding",
+    "shard_key_of_call": "sharding",
     # reputation
     "ReputationLedger": "reputation", "ReputationEvent": "reputation",
     "EVENT_WEIGHTS": "reputation", "EVENT_KINDS": "reputation",

@@ -22,7 +22,7 @@ standard production alternative:
   :func:`~repro.parp.pricing.load_multiplier` fee curve and the
   ``load_info()`` probe report.
 * a **jittered retry-after hint**: how long until enough backlog drains to
-  fit the shed request, scattered ±``retry_jitter`` so the shed clients'
+  fit the shed request, scattered ±``RETRY_JITTER`` so the shed clients'
   retries do not re-arrive as one synchronized herd.
 
 Everything is driven by the server's clock (the sim clock under
@@ -38,9 +38,12 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .pricing import DEFAULT_PRICING_CAP, DEFAULT_PRICING_KNEE, load_multiplier
+from .pricing import load_multiplier
 
 __all__ = ["AdmissionConfig", "AdmissionDecision", "AdmissionController"]
+
+#: retry-after hints scatter uniformly in [1-j, 1+j] × the drain time.
+RETRY_JITTER = 0.5
 
 
 @dataclass(frozen=True)
@@ -60,11 +63,6 @@ class AdmissionConfig:
     #: EWMA smoothing for the load/latency trackers (fraction of each new
     #: observation that replaces history).
     ewma_alpha: float = 0.2
-    #: retry-after hints scatter uniformly in [1-j, 1+j] × the drain time.
-    retry_jitter: float = 0.5
-    #: pricing-curve knee/cap (see :func:`repro.parp.pricing.load_multiplier`).
-    pricing_knee: float = DEFAULT_PRICING_KNEE
-    pricing_cap: float = DEFAULT_PRICING_CAP
     #: seed for the deterministic retry-jitter stream (give each server its
     #: own so shed cohorts on different servers decorrelate).
     seed: int = 0
@@ -125,9 +123,7 @@ class AdmissionController:
 
     def fee_multiplier(self) -> float:
         """Current quote multiplier from the load→fee curve."""
-        return load_multiplier(self.load_factor(),
-                               knee=self.config.pricing_knee,
-                               cap=self.config.pricing_cap)
+        return load_multiplier(self.load_factor())
 
     def snapshot(self) -> dict:
         """The ``load_info()`` payload: load, EWMA trackers, counters."""
@@ -145,9 +141,7 @@ class AdmissionController:
             "queue_depth": backlog,
             "ewma_queue_depth": depth,
             "ewma_serve_delay": delay,
-            "fee_multiplier": load_multiplier(load,
-                                              knee=self.config.pricing_knee,
-                                              cap=self.config.pricing_cap),
+            "fee_multiplier": load_multiplier(load),
             "max_queue_cost": capacity,
             "service_time": self.config.service_time,
             "admitted": admitted,
@@ -197,7 +191,5 @@ class AdmissionController:
         """
         need = backlog + cost - self.config.max_queue_cost
         base = max(need, 1.0) * self.config.service_time
-        j = self.config.retry_jitter
-        if not j:
-            return base
+        j = RETRY_JITTER
         return base * (1.0 - j + 2.0 * j * self._rng.random())

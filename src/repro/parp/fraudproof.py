@@ -20,55 +20,20 @@ from ..chain.transaction import UnsignedTransaction
 from ..contracts.addresses import FRAUD_MODULE_ADDRESS
 from ..crypto.keys import Address, PrivateKey
 from ..node.fullnode import FullNode
-from ..rlp import codec as rlp
 from ..vm.abi import encode_call
-from .messages import PARPRequest, PARPResponse
+from .messages import MessageError, PARPRequest, PARPResponse
+from .queries import QUERY_CATALOG, QueryFraud
 
 __all__ = [
     "FraudProofError",
     "FraudProofPackage",
-    "needed_proof_header_number",
     "build_fraud_package",
     "WitnessService",
 ]
 
-_STATE_QUERIES = frozenset({"eth_getBalance", "eth_getStorageAt"})
-_INCLUSION_QUERIES = frozenset({
-    "eth_sendRawTransaction",
-    "eth_getTransactionByBlockNumberAndIndex",
-    "eth_getTransactionReceipt",
-})
-
 
 class FraudProofError(Exception):
     """Raised when a fraud package cannot be assembled or submitted."""
-
-
-def needed_proof_header_number(request: PARPRequest,
-                               response: PARPResponse) -> Optional[int]:
-    """Which block's header the FDM needs to adjudicate the Merkle check.
-
-    State queries prove against the state root at ``res.m_B``; inclusion
-    queries prove against the tx/receipt roots of the block named in the
-    result payload.
-    """
-    method = request.call.method
-    if method in _STATE_QUERIES:
-        return response.m_b
-    if method in _INCLUSION_QUERIES:
-        try:
-            item = rlp.decode(response.result)
-        except rlp.RLPError:
-            return response.m_b  # undecodable result: any canonical header works
-        if isinstance(item, list) and len(item) == 3 and isinstance(item[0], bytes):
-            if item[0] == b"":
-                return None  # pending acknowledgement, nothing to prove
-            try:
-                return rlp.decode_int(item[0])
-            except rlp.RLPError:
-                return response.m_b
-        return response.m_b
-    return None
 
 
 @dataclass(frozen=True)
@@ -94,15 +59,10 @@ class FraudProofPackage:
     def calldata(self, witness: Address) -> bytes:
         return encode_call("submit_fraud_proof", self.fdm_args(witness))
 
-    @property
-    def size_bytes(self) -> int:
-        """Total evidence size (drives the fraud-proof gas cost in Table IV)."""
-        return sum(len(b) for b in self.fdm_args(Address.zero())[:4]) + 20
-
 
 def build_fraud_package(request: PARPRequest, response: PARPResponse,
                         alpha: bytes, get_header,
-                        get_by_hash=None) -> FraudProofPackage:
+                        get_by_hash) -> FraudProofPackage:
     """Assemble a package from the client's local header chain.
 
     ``get_header`` maps a block number to a header and ``get_by_hash`` maps
@@ -111,22 +71,22 @@ def build_fraud_package(request: PARPRequest, response: PARPResponse,
     available — in that case the response was classified INVALID, not
     FRAUD, so this should not happen for genuine fraud classifications.
     """
-    # The request pinned h_B from the client's own chain, so the client can
-    # always resolve it — by hash when an index is available, otherwise by
-    # scanning down from the response height.
-    req_header = get_by_hash(request.h_b) if get_by_hash is not None else None
-    if req_header is None:
-        for offset in range(0, 512):
-            header = get_header(response.m_b - offset)
-            if header is None:
-                break
-            if header.hash == request.h_b:
-                req_header = header
-                break
+    # The request pinned h_B from the client's own chain.
+    req_header = get_by_hash(request.h_b)
     if req_header is None:
         raise FraudProofError("cannot locate the header pinned by req.h_B")
-    number = needed_proof_header_number(request, response)
-    proof_number = number if number is not None else req_header.number
+    # The header the method's verifier reads; an answer that is wrong before
+    # any header is read travels with the pinned one.
+    proof_number = None
+    spec = QUERY_CATALOG.get(request.call.method)
+    if spec is not None and spec.verifiable:
+        try:
+            proof_number = spec.proof_height(request.call, response.result,
+                                             response.m_b)
+        except (QueryFraud, MessageError):
+            pass
+    if proof_number is None:
+        proof_number = req_header.number
     proof_header = get_header(proof_number)
     if proof_header is None:
         raise FraudProofError(f"missing header {proof_number} for the proof check")
@@ -164,25 +124,7 @@ class WitnessService:
         Returns the transaction hash; raises :class:`FraudProofError` if the
         transaction reverted (i.e. the FDM found no fraud).
         """
-        sender = self.key.address
-        nonce = self.node.chain.state.nonce_of(sender)
-        tx = UnsignedTransaction(
-            nonce=nonce, gas_price=self.gas_price, gas_limit=self.gas_limit,
-            to=FRAUD_MODULE_ADDRESS, value=0,
-            data=package.calldata(self.address),
-        ).sign(self.key)
-        tx_hash = self.node.submit_transaction(tx.encode())
-        location = self.node.ensure_mined(tx_hash)
-        self.submitted += 1
-        if location is None:
-            raise FraudProofError("fraud-proof transaction was not included")
-        receipt = self.node.chain.get_receipt(tx_hash)
-        if receipt is None or not receipt.succeeded:
-            raise FraudProofError(
-                "fraud-proof transaction reverted (no fraud adjudicated)"
-            )
-        self.confirmed += 1
-        return tx_hash
+        return self._send(package.calldata(self.address), "fraud-proof")
 
     def submit_equivocation(self, proof, reporter: Optional[Address] = None) -> bytes:
         """Submit a head-announcement equivocation proof on-chain.
@@ -192,16 +134,18 @@ class WitnessService:
         share of the slash.  Same contract as :meth:`submit` otherwise.
         """
         reporter = reporter if reporter is not None else self.address
-        calldata = encode_call("submit_head_equivocation", [
+        return self._send(encode_call("submit_head_equivocation", [
             proof.first.header.encode(),
             proof.first.signature,
             proof.second.header.encode(),
             proof.second.signature,
             reporter,
             self.address,
-        ])
-        sender = self.key.address
-        nonce = self.node.chain.state.nonce_of(sender)
+        ]), "equivocation")
+
+    def _send(self, calldata: bytes, what: str) -> bytes:
+        """One transaction to the FDM: signed, mined, receipt checked."""
+        nonce = self.node.chain.state.nonce_of(self.address)
         tx = UnsignedTransaction(
             nonce=nonce, gas_price=self.gas_price, gas_limit=self.gas_limit,
             to=FRAUD_MODULE_ADDRESS, value=0, data=calldata,
@@ -210,11 +154,10 @@ class WitnessService:
         location = self.node.ensure_mined(tx_hash)
         self.submitted += 1
         if location is None:
-            raise FraudProofError("equivocation transaction was not included")
+            raise FraudProofError(f"{what} transaction was not included")
         receipt = self.node.chain.get_receipt(tx_hash)
         if receipt is None or not receipt.succeeded:
             raise FraudProofError(
-                "equivocation transaction reverted (no slash executed)"
-            )
+                f"{what} transaction reverted (nothing adjudicated)")
         self.confirmed += 1
         return tx_hash

@@ -89,6 +89,7 @@ __all__ = [
     "payment_preimage",
     "handshake_digest",
     "handshake_preimage",
+    "request_preimage",
     "request_digest",
     "batch_request_digest",
     "response_preimage",
@@ -142,24 +143,29 @@ def handshake_digest(light_client: Address, expiry: int) -> bytes:
     return keccak256(handshake_preimage(light_client, expiry))
 
 
-def request_digest(alpha: bytes, h_b: bytes, amount: int, call_bytes: bytes) -> bytes:
-    """``h_req = Hash(α, h_B, a, γ)``."""
+def request_preimage(alpha: bytes, h_b: bytes, amount: int,
+                     call_bytes: bytes) -> bytes:
+    """Bytes behind h_req; shared with the on-chain FDM (metered there)."""
     if len(alpha) != ALPHA_BYTES or len(h_b) != HASH_BYTES:
         raise MessageError("bad α or h_B length in request digest")
-    return keccak256(alpha + h_b + _encode_amount(amount) + call_bytes)
+    return alpha + h_b + _encode_amount(amount) + call_bytes
+
+
+def request_digest(alpha: bytes, h_b: bytes, amount: int, call_bytes: bytes) -> bytes:
+    """``h_req = Hash(α, h_B, a, γ)``."""
+    return keccak256(request_preimage(alpha, h_b, amount, call_bytes))
+
+
+def _versioned(version: int, calls_bytes: bytes) -> bytes:
+    """A batch's γ: the version byte is bound into the digest so a server
+    cannot silently downgrade the batch semantics the client signed for."""
+    return _encode_uint(version, 1, "batch protocol version") + calls_bytes
 
 
 def batch_request_digest(alpha: bytes, h_b: bytes, amount: int, version: int,
                          calls_bytes: bytes) -> bytes:
-    """``h_req = Hash(α, h_B, a, v, rlp([γ_1 … γ_N]))`` for a batch.
-
-    The version byte is bound into the digest so a server cannot silently
-    downgrade the batch semantics the client signed for.
-    """
-    return request_digest(
-        alpha, h_b, amount,
-        _encode_uint(version, 1, "batch protocol version") + calls_bytes,
-    )
+    """``h_req = Hash(α, h_B, a, v, rlp([γ_1 … γ_N]))`` for a batch."""
+    return request_digest(alpha, h_b, amount, _versioned(version, calls_bytes))
 
 
 def response_preimage(alpha: bytes, status: int, m_b: int, amount: int,
@@ -358,27 +364,47 @@ def _signed_request_fields(key: PrivateKey, alpha: bytes, h_b: bytes,
     )
 
 
+#: A contract's metered builtins (``CallContext.keccak`` / ``.ecrecover``),
+#: handed to a check in place of the native hash and recover — the way a
+#: decoder is handed the hash for a proof's nodes.
+Keccak = Callable[[bytes], bytes]
+Ecrecover = Callable[[bytes, bytes], Optional[Address]]
+
+
 def _recover(digest: bytes, signature: bytes, what: str,
-             expected: Optional[Address] = None) -> Address:
+             expected: Optional[Address] = None,
+             ecrecover: Optional[Ecrecover] = None) -> Address:
     """The signer of ``digest``; ``expected`` is who the caller will compare
     it with (cheaper when right, the same answer either way)."""
+    if ecrecover is not None:
+        signer = ecrecover(digest, signature)
+        if signer is None:
+            raise MessageError(f"bad {what} signature")
+        return signer
     try:
         return recover_address(digest, Signature.from_bytes(signature), expected)
     except SignatureError as exc:
         raise MessageError(f"bad {what} signature: {exc}") from exc
 
 
-def _verify_signed_request(request, expected_sender: Optional[Address]) -> Address:
-    """Full-node-side request verification (step (B) in Fig. 5), either wire.
+def _verify_signed_request(request, expected_sender: Optional[Address],
+                           keccak: Optional[Keccak],
+                           ecrecover: Optional[Ecrecover]) -> Address:
+    """Full-node-side request verification (step (B) in Fig. 5), either wire
+    — and the FDM's check of where a request came from.
 
     Checks the digest reconstruction and both signatures; returns the
     recovered light-client address.
     """
     noun = request.noun
-    if request.h_req != request.expected_digest():
+    if request.h_req != (keccak or keccak256)(request.expected_preimage()):
         raise MessageError(f"{noun} hash does not match {noun} contents")
-    req_signer = _recover(request.h_req, request.sig_req, noun, expected_sender)
-    pay_signer = _recover(request.h_pay, request.sig_a, noun, expected_sender)
+    req_signer = _recover(request.h_req, request.sig_req, noun,
+                          expected_sender, ecrecover)
+    h_pay = (request.h_pay if keccak is None
+             else keccak(payment_preimage(request.alpha, request.a)))
+    pay_signer = _recover(h_pay, request.sig_a, noun, expected_sender,
+                          ecrecover)
     if req_signer != pay_signer:
         raise MessageError(f"{noun} and payment signed by different keys")
     if expected_sender is not None and req_signer != expected_sender:
@@ -403,11 +429,12 @@ def _response_header(request, status: int, m_b: int) -> dict:
                 sig_req=request.sig_req, sig_res=b"")
 
 
-def _response_signer(response, alpha: bytes,
-                     expected: Optional[Address] = None) -> Address:
+def _response_signer(response, alpha: bytes, expected: Optional[Address],
+                     keccak: Optional[Keccak],
+                     ecrecover: Optional[Ecrecover]) -> Address:
     """Recover the full-node address that signed a response, either wire."""
-    return _recover(response.digest(alpha), response.sig_res, "response",
-                    expected)
+    return _recover(response.digest(alpha, keccak), response.sig_res,
+                    "response", expected, ecrecover)
 
 
 class _SignedResponse:
@@ -437,9 +464,9 @@ class _SignedResponse:
             self.h_req, self.sig_req,
         )
 
-    def digest(self, alpha: bytes) -> bytes:
+    def digest(self, alpha: bytes, keccak: Optional[Keccak] = None) -> bytes:
         """Recompute h_res for the given channel id."""
-        return keccak256(self.preimage(alpha))
+        return (keccak or keccak256)(self.preimage(alpha))
 
     def signed(self, key: PrivateKey, alpha: bytes):
         """A copy carrying ``key``'s σ_res over this response's h_res for
@@ -477,8 +504,9 @@ class PARPRequest(_SignedRequest):
     endpoint = "serve_request"
     #: the session method that finishes a round on this wire (step (D))
     completion = "process_response"
-    #: methods the wire answers with a signed refusal: none
-    refused_methods = frozenset()
+    #: whether every call is answered from one snapshot — the promise that
+    #: makes a wire refuse the methods a ``QuerySpec`` row marks unbatchable
+    one_snapshot = False
 
     @property
     def calls(self) -> tuple[RpcCall, ...]:
@@ -517,15 +545,15 @@ class PARPRequest(_SignedRequest):
     # -- verification -------------------------------------------------------- #
 
     def expected_preimage(self) -> bytes:
-        """The exact bytes behind h_req (for metered on-chain recomputation)."""
-        return self.alpha + self.h_b + _encode_amount(self.a) + self.call.encode()
+        """The exact bytes behind h_req."""
+        return request_preimage(self.alpha, self.h_b, self.a,
+                                self.call.encode())
 
-    def expected_digest(self) -> bytes:
-        return request_digest(self.alpha, self.h_b, self.a, self.call.encode())
-
-    def verify(self, expected_sender: Optional[Address] = None) -> Address:
+    def verify(self, expected_sender: Optional[Address] = None,
+               keccak: Optional[Keccak] = None,
+               ecrecover: Optional[Ecrecover] = None) -> Address:
         """Full-node-side request verification (step (B) in Fig. 5)."""
-        return _verify_signed_request(self, expected_sender)
+        return _verify_signed_request(self, expected_sender, keccak, ecrecover)
 
     @property
     def wire_overhead(self) -> int:
@@ -578,10 +606,11 @@ class PARPResponse(_SignedResponse):
         return cls.build(request.alpha, request, m_b, result, proof, key,
                          status=status)
 
-    def signer(self, alpha: bytes,
-               expected: Optional[Address] = None) -> Address:
+    def signer(self, alpha: bytes, expected: Optional[Address] = None,
+               keccak: Optional[Keccak] = None,
+               ecrecover: Optional[Ecrecover] = None) -> Address:
         """Recover the full-node address that signed this response."""
-        return _response_signer(self, alpha, expected)
+        return _response_signer(self, alpha, expected, keccak, ecrecover)
 
     # -- wire ------------------------------------------------------------- #
 
@@ -591,8 +620,7 @@ class PARPResponse(_SignedResponse):
 
     @classmethod
     def decode_wire(cls, raw: bytes,
-                    keccak: Optional[Callable[[bytes], bytes]] = None,
-                    ) -> "PARPResponse":
+                    keccak: Optional[Keccak] = None) -> "PARPResponse":
         """``keccak`` hashes the proof nodes, once each: a verifier passes
         the :class:`~repro.trie.proof.HashMemo` it owns, the FDM its metered
         builtin."""
@@ -614,8 +642,7 @@ class PARPResponse(_SignedResponse):
         return alpha + self.encode_wire()
 
     @classmethod
-    def decode_for_fraud(cls, raw: bytes,
-                         keccak: Optional[Callable[[bytes], bytes]] = None,
+    def decode_for_fraud(cls, raw: bytes, keccak: Optional[Keccak] = None,
                          ) -> tuple[bytes, "PARPResponse"]:
         if len(raw) < ALPHA_BYTES:
             raise MessageError("fraud blob too short for a channel id")
@@ -777,9 +804,7 @@ class BatchRequest(_SignedRequest):
     noun = "batch"
     endpoint = "serve_batch"
     completion = "process_batch_response"
-    #: write methods break the one-snapshot guarantee of a batch; they are
-    #: the only calls a batch refuses (per item, with a signed error)
-    refused_methods = frozenset({"eth_sendRawTransaction"})
+    one_snapshot = True
 
     @property
     def response_type(self) -> type["BatchResponse"]:
@@ -831,15 +856,16 @@ class BatchRequest(_SignedRequest):
 
     # -- verification ------------------------------------------------------ #
 
-    def expected_digest(self) -> bytes:
-        return batch_request_digest(
-            self.alpha, self.h_b, self.a, self.version,
-            self._calls_bytes(self.calls),
-        )
+    def expected_preimage(self) -> bytes:
+        return request_preimage(
+            self.alpha, self.h_b, self.a,
+            _versioned(self.version, self._calls_bytes(self.calls)))
 
-    def verify(self, expected_sender: Optional[Address] = None) -> Address:
+    def verify(self, expected_sender: Optional[Address] = None,
+               keccak: Optional[Keccak] = None,
+               ecrecover: Optional[Ecrecover] = None) -> Address:
         """Full-node-side batch verification (step (B), once for N calls)."""
-        return _verify_signed_request(self, expected_sender)
+        return _verify_signed_request(self, expected_sender, keccak, ecrecover)
 
     @property
     def wire_overhead(self) -> int:
@@ -911,10 +937,11 @@ class BatchResponse(_SignedResponse):
         return cls.build(request.alpha, request, m_b, statuses, results,
                          ProofIndex.merge(proofs), key, status=status)
 
-    def signer(self, alpha: bytes,
-               expected: Optional[Address] = None) -> Address:
+    def signer(self, alpha: bytes, expected: Optional[Address] = None,
+               keccak: Optional[Keccak] = None,
+               ecrecover: Optional[Ecrecover] = None) -> Address:
         """Recover the full-node address that signed this batch response."""
-        return _response_signer(self, alpha, expected)
+        return _response_signer(self, alpha, expected, keccak, ecrecover)
 
     # -- per-item view ------------------------------------------------------ #
 
@@ -944,8 +971,7 @@ class BatchResponse(_SignedResponse):
 
     @classmethod
     def decode_wire(cls, raw: bytes,
-                    keccak: Optional[Callable[[bytes], bytes]] = None,
-                    ) -> "BatchResponse":
+                    keccak: Optional[Keccak] = None) -> "BatchResponse":
         """``keccak`` as for :meth:`PARPResponse.decode_wire`."""
         header, body = _unpack(raw, _RESPONSE_HEADER, "batch response")
         payload = _decode_payload(body, "batch payload")

@@ -5,7 +5,11 @@ RPC method, how a full node *executes and proves* it and how a light client
 Sharing this logic between the off-chain client checks (§V-D) and the
 on-chain Algorithm 2 is what guarantees the two can never disagree about what
 counts as fraud — a property the paper relies on ("the on-chain module can
-use the request and response data to re-check all the conditions").
+use the request and response data to re-check all the conditions").  What a
+server, a router or a batch has to know about a method (does it seal a
+block — and so may not ride a batch — is its answer a function of the height,
+which parameter picks its shard) is on the same row: adding a method is one
+row.
 
 Supported methods and their proof obligations:
 
@@ -33,9 +37,9 @@ from ..chain.block import Block, index_key
 from ..chain.header import BlockHeader
 from ..chain.state import StateDB
 from ..crypto import keccak256
+from ..crypto.keys import Address
 from ..rlp import codec as rlp
-from ..trie.mpt import EMPTY_TRIE_ROOT
-from ..trie.proof import ProofError, verify_proof
+from ..trie.proof import ProofError, generate_proof, verify_proof
 from .messages import MessageError, PARPResponse, RpcCall
 
 __all__ = [
@@ -45,7 +49,6 @@ __all__ = [
     "Unverifiable",
     "QuerySpec",
     "QUERY_CATALOG",
-    "get_spec",
     "is_verifiable",
     "execute_query",
     "verify_query_result",
@@ -85,14 +88,69 @@ class ChainBackend(Protocol):
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """Execution + verification behaviour of one RPC method."""
+    """Everything the protocol knows about one RPC method."""
 
     method: str
-    verifiable: bool
     #: (backend, call, m_b) -> (result_bytes, proof_nodes)
     execute: Callable[[ChainBackend, RpcCall, int], tuple[bytes, Sequence[bytes]]]
     #: (call, response, header_lookup) -> None, raising QueryFraud/Unverifiable
     verify: Optional[Callable[[RpcCall, PARPResponse, HeaderLookup], None]] = None
+    #: (call, result, m_b) -> the height whose header proves the answer (None:
+    #: no header does); ``verify`` fetches it, a fraud package carries it
+    proof_height: Optional[Callable[[RpcCall, bytes, int], Optional[int]]] = None
+    #: executing it seals a block: the response attests the head *after*
+    #: execution (the inclusion block), not the snapshot it was read at
+    seals: bool = False
+    #: (result, proof) is a function of the chain at a fixed height and the
+    #: call — safe to keep behind the server's proof LRU
+    cacheable: bool = False
+    #: index of the address parameter whose hashed key routes the call to a
+    #: state shard; None for a call any shard server answers
+    routes_by: Optional[int] = None
+
+    @property
+    def verifiable(self) -> bool:
+        return self.verify is not None
+
+    @property
+    def batchable(self) -> bool:
+        """A method that seals would break a batch's one-snapshot promise."""
+        return not self.seals
+
+
+def _proving_header(call: RpcCall, response: PARPResponse,
+                    get_header: HeaderLookup) -> BlockHeader:
+    """The header the method's ``proof_height`` names."""
+    number = QUERY_CATALOG[call.method].proof_height(
+        call, response.result, response.m_b)
+    header = get_header(number)
+    if header is None:
+        raise Unverifiable(f"no header for block {number}")
+    return header
+
+
+def _proven(what: str, walk: Callable[..., Optional[bytes]],
+            *args) -> Optional[bytes]:
+    """What ``walk(*args)`` proves; a proof that does not verify is fraud."""
+    try:
+        return walk(*args)
+    except ProofError as exc:
+        raise QueryFraud(f"{what} proof does not verify: {exc}") from exc
+
+
+def _at_response_height(call: RpcCall, result: bytes, m_b: int) -> int:
+    """State queries prove against the state root at ``res.m_B``."""
+    return m_b
+
+
+def _at_called_block(call: RpcCall, result: bytes, m_b: int) -> int:
+    return call.param_int(0)
+
+
+def _at_inclusion_block(call: RpcCall, result: bytes, m_b: int) -> Optional[int]:
+    """Inclusion queries prove against the transaction / receipt roots of
+    the block the result names (a pending acknowledgement names none)."""
+    return decode_inclusion(result)[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -101,8 +159,6 @@ class QuerySpec:
 
 def _execute_get_balance(backend: ChainBackend, call: RpcCall,
                          m_b: int) -> tuple[bytes, Sequence[bytes]]:
-    from ..crypto.keys import Address
-
     address_raw = call.param_bytes(0, exact=20)
     state = backend.state_at(m_b)
     address = Address(address_raw)
@@ -116,18 +172,13 @@ def _execute_get_balance(backend: ChainBackend, call: RpcCall,
 
 def _verify_get_balance(call: RpcCall, response: PARPResponse,
                         get_header: HeaderLookup) -> None:
+    from ..lightclient.verify import walk_account
+
     address_raw = call.param_bytes(0, exact=20)
-    header = get_header(response.m_b)
-    if header is None:
-        raise Unverifiable(f"no header for block {response.m_b}")
-    proof = response.proof_index
-    try:
-        proven = verify_proof(
-            header.state_root, proof.keccak(address_raw), proof)
-    except ProofError as exc:
-        raise QueryFraud(f"account proof does not verify: {exc}") from exc
-    expected = proven if proven is not None else b""
-    if response.result != expected:
+    header = _proving_header(call, response, get_header)
+    proven = _proven("account", walk_account, header.state_root, address_raw,
+                     response.proof_index)
+    if response.result != (proven or b""):
         raise QueryFraud("returned account record differs from proven record")
 
 
@@ -144,8 +195,6 @@ def decode_balance(result: bytes) -> int:
 
 def _execute_get_storage(backend: ChainBackend, call: RpcCall,
                          m_b: int) -> tuple[bytes, Sequence[bytes]]:
-    from ..crypto.keys import Address
-
     address_raw = call.param_bytes(0, exact=20)
     slot = call.param_bytes(1, exact=32)
     state = backend.state_at(m_b)
@@ -160,37 +209,23 @@ def _execute_get_storage(backend: ChainBackend, call: RpcCall,
 
 def _verify_get_storage(call: RpcCall, response: PARPResponse,
                         get_header: HeaderLookup) -> None:
+    from ..lightclient.verify import walk_account, walk_storage
+
     address_raw = call.param_bytes(0, exact=20)
     slot = call.param_bytes(1, exact=32)
-    header = get_header(response.m_b)
-    if header is None:
-        raise Unverifiable(f"no header for block {response.m_b}")
-    payload = _decode_pair(response.result, "getStorageAt result")
-    claimed_value, claimed_account = payload
+    header = _proving_header(call, response, get_header)
+    claimed_value, claimed_account = _decode_strings(
+        response.result, 2, "getStorageAt result")
     proof = response.proof_index  # both walks share the one index
-    try:
-        proven_account = verify_proof(
-            header.state_root, proof.keccak(address_raw), proof)
-    except ProofError as exc:
-        raise QueryFraud(f"account proof does not verify: {exc}") from exc
+    proven_account = _proven("account", walk_account, header.state_root,
+                             address_raw, proof)
     if (proven_account or b"") != claimed_account:
         raise QueryFraud("returned account record differs from proven record")
     if proven_account is None:
         if claimed_value != b"":
             raise QueryFraud("storage value claimed for a non-existent account")
         return
-    account = Account.decode(proven_account)
-    if account.storage_root == EMPTY_TRIE_ROOT:
-        # The proven account *is* the proof that every slot is vacant (any
-        # EOA): there is no second walk, and the account-path nodes the
-        # response carries are not a storage proof for it to reject.
-        proven_value = None
-    else:
-        try:
-            proven_value = verify_proof(
-                account.storage_root, proof.keccak(slot), proof)
-        except ProofError as exc:
-            raise QueryFraud(f"storage proof does not verify: {exc}") from exc
+    proven_value = _proven("storage", walk_storage, proven_account, slot, proof)
     expected = b"" if proven_value is None else rlp.decode(proven_value)
     if claimed_value != expected:
         raise QueryFraud("returned storage value differs from proven value")
@@ -202,8 +237,6 @@ def _verify_get_storage(call: RpcCall, response: PARPResponse,
 
 def _execute_get_tx_by_index(backend: ChainBackend, call: RpcCall,
                              m_b: int) -> tuple[bytes, Sequence[bytes]]:
-    from ..trie.proof import generate_proof
-
     number = call.param_int(0)
     index = call.param_int(1)
     block = backend.get_block(number)
@@ -219,21 +252,13 @@ def _execute_get_tx_by_index(backend: ChainBackend, call: RpcCall,
 
 def _verify_get_tx_by_index(call: RpcCall, response: PARPResponse,
                             get_header: HeaderLookup) -> None:
-    number = call.param_int(0)
     index = call.param_int(1)
-    payload = _decode_triple(response.result, "transaction result")
-    res_number, res_index, tx_bytes = payload
-    if rlp.decode_int(res_number) != number or rlp.decode_int(res_index) != index:
+    res_number, res_index, tx_bytes = decode_inclusion(response.result)
+    if (res_number, res_index) != (call.param_int(0), index):
         raise QueryFraud("result references a different block/index than requested")
-    header = get_header(number)
-    if header is None:
-        raise Unverifiable(f"no header for block {number}")
-    try:
-        proven = verify_proof(
-            header.transactions_root, index_key(index), response.proof_index
-        )
-    except ProofError as exc:
-        raise QueryFraud(f"transaction proof does not verify: {exc}") from exc
+    header = _proving_header(call, response, get_header)
+    proven = _proven("transaction", verify_proof, header.transactions_root,
+                     index_key(index), response.proof_index)
     if proven is None:
         raise QueryFraud("proof shows the transaction index is vacant")
     if proven != tx_bytes:
@@ -246,8 +271,6 @@ def _verify_get_tx_by_index(call: RpcCall, response: PARPResponse,
 
 def _execute_send_raw_tx(backend: ChainBackend, call: RpcCall,
                          m_b: int) -> tuple[bytes, Sequence[bytes]]:
-    from ..trie.proof import generate_proof
-
     raw_tx = call.param_bytes(0)
     tx_hash = backend.submit_transaction(raw_tx)
     location = backend.ensure_mined(tx_hash)
@@ -266,23 +289,16 @@ def _execute_send_raw_tx(backend: ChainBackend, call: RpcCall,
 def _verify_send_raw_tx(call: RpcCall, response: PARPResponse,
                         get_header: HeaderLookup) -> None:
     raw_tx = call.param_bytes(0)
-    payload = _decode_triple(response.result, "sendRawTransaction result")
-    res_number, res_index, tx_hash = payload
+    number, index, tx_hash = decode_inclusion(response.result)
     if keccak256(raw_tx) != tx_hash:
         raise QueryFraud("acknowledged hash is not the hash of the submitted tx")
-    if res_number == b"" and res_index == b"" and not response.proof:
-        return  # pending acknowledgement: nothing provable yet
-    number = rlp.decode_int(res_number)
-    index = rlp.decode_int(res_index)
-    header = get_header(number)
-    if header is None:
-        raise Unverifiable(f"no header for block {number}")
-    try:
-        proven = verify_proof(
-            header.transactions_root, index_key(index), response.proof_index
-        )
-    except ProofError as exc:
-        raise QueryFraud(f"inclusion proof does not verify: {exc}") from exc
+    if number is None:  # pending acknowledgement: nothing provable yet
+        if response.proof:
+            raise QueryFraud("pending acknowledgement carries a proof")
+        return
+    header = _proving_header(call, response, get_header)
+    proven = _proven("inclusion", verify_proof, header.transactions_root,
+                     index_key(index), response.proof_index)
     if proven != raw_tx:
         raise QueryFraud("proof does not contain the submitted transaction")
 
@@ -293,8 +309,6 @@ def _verify_send_raw_tx(call: RpcCall, response: PARPResponse,
 
 def _execute_get_receipt(backend: ChainBackend, call: RpcCall,
                          m_b: int) -> tuple[bytes, Sequence[bytes]]:
-    from ..trie.proof import generate_proof
-
     tx_hash = call.param_bytes(0, exact=32)
     location = backend.find_transaction(tx_hash)
     if location is None:
@@ -312,34 +326,30 @@ def _execute_get_receipt(backend: ChainBackend, call: RpcCall,
 def _verify_get_receipt(call: RpcCall, response: PARPResponse,
                         get_header: HeaderLookup) -> None:
     tx_hash = call.param_bytes(0, exact=32)
-    payload = _decode_triple(response.result, "receipt result")
-    res_number, res_index, receipt_bytes = payload
-    number = rlp.decode_int(res_number)
-    index = rlp.decode_int(res_index)
-    header = get_header(number)
-    if header is None:
-        raise Unverifiable(f"no header for block {number}")
+    number, index, receipt_bytes = decode_inclusion(response.result)
+    if number is None:
+        raise QueryFraud("receipt result names no block")
+    header = _proving_header(call, response, get_header)
     proof = response.proof_index  # both walks share the one index
-    try:
-        proven_tx = verify_proof(header.transactions_root, index_key(index), proof)
-    except ProofError as exc:
-        raise QueryFraud(f"transaction proof does not verify: {exc}") from exc
+    proven_tx = _proven("transaction", verify_proof, header.transactions_root,
+                        index_key(index), proof)
     if proven_tx is None or keccak256(proven_tx) != tx_hash:
         raise QueryFraud("transaction at claimed index has a different hash")
-    try:
-        proven_receipt = verify_proof(header.receipts_root, index_key(index), proof)
-    except ProofError as exc:
-        raise QueryFraud(f"receipt proof does not verify: {exc}") from exc
+    proven_receipt = _proven("receipt", verify_proof, header.receipts_root,
+                             index_key(index), proof)
     if proven_receipt != receipt_bytes:
         raise QueryFraud("returned receipt differs from proven receipt")
 
 
 def decode_inclusion(result: bytes) -> tuple[Optional[int], Optional[int], bytes]:
     """Parse a send/tx/receipt result into (block_number, index, payload)."""
-    number_b, index_b, payload = _decode_triple(result, "inclusion result")
+    number_b, index_b, payload = _decode_strings(result, 3, "inclusion result")
     if number_b == b"" and index_b == b"":
         return None, None, payload
-    return rlp.decode_int(number_b), rlp.decode_int(index_b), payload
+    try:
+        return rlp.decode_int(number_b), rlp.decode_int(index_b), payload
+    except rlp.RLPError as exc:
+        raise QueryFraud(f"malformed inclusion result: {exc}") from exc
 
 
 # --------------------------------------------------------------------------- #
@@ -368,6 +378,12 @@ def _execute_updates_range(backend: ChainBackend, call: RpcCall,
     return rlp.encode(headers), []
 
 
+def _at_anchor(call: RpcCall, result: bytes, m_b: int) -> Optional[int]:
+    """A page proves itself by linking to the header below its first."""
+    start = call.param_int(0)
+    return start - 1 if start > 0 else None
+
+
 def _verify_updates_range(call: RpcCall, response: PARPResponse,
                           get_header: HeaderLookup) -> None:
     from ..lightclient.checkpoint import MAX_UPDATE_PAGE, RangeUpdate
@@ -385,9 +401,7 @@ def _verify_updates_range(call: RpcCall, response: PARPResponse,
     if update.tip.number > response.m_b:
         raise QueryFraud("page extends past the server's attested head")
     if start > 0:
-        anchor = get_header(start - 1)
-        if anchor is None:
-            raise Unverifiable(f"no local header {start - 1} to anchor the page")
+        anchor = _proving_header(call, response, get_header)
         if update.headers[0].parent_hash != anchor.hash:
             raise QueryFraud("page does not link to the locally verified chain")
     # Any overlap with already-verified local headers must agree exactly.
@@ -434,31 +448,23 @@ def decode_int_result(result: bytes) -> int:
 # Catalog
 # --------------------------------------------------------------------------- #
 
-QUERY_CATALOG: dict[str, QuerySpec] = {
-    "eth_getBalance": QuerySpec(
-        "eth_getBalance", True, _execute_get_balance, _verify_get_balance),
-    "eth_getStorageAt": QuerySpec(
-        "eth_getStorageAt", True, _execute_get_storage, _verify_get_storage),
-    "eth_getTransactionByBlockNumberAndIndex": QuerySpec(
-        "eth_getTransactionByBlockNumberAndIndex", True,
-        _execute_get_tx_by_index, _verify_get_tx_by_index),
-    "eth_sendRawTransaction": QuerySpec(
-        "eth_sendRawTransaction", True, _execute_send_raw_tx, _verify_send_raw_tx),
-    "eth_getTransactionReceipt": QuerySpec(
-        "eth_getTransactionReceipt", True, _execute_get_receipt, _verify_get_receipt),
-    "parp_updatesByRange": QuerySpec(
-        "parp_updatesByRange", True, _execute_updates_range,
-        _verify_updates_range),
-    "eth_blockNumber": QuerySpec("eth_blockNumber", False, _execute_block_number),
-    "eth_chainId": QuerySpec("eth_chainId", False, _execute_chain_id),
-}
-
-
-def get_spec(method: str) -> QuerySpec:
-    spec = QUERY_CATALOG.get(method)
-    if spec is None:
-        raise QueryError(f"unsupported RPC method {method!r}")
-    return spec
+QUERY_CATALOG: dict[str, QuerySpec] = {spec.method: spec for spec in (
+    QuerySpec("eth_getBalance", _execute_get_balance, _verify_get_balance,
+              _at_response_height, cacheable=True, routes_by=0),
+    QuerySpec("eth_getStorageAt", _execute_get_storage, _verify_get_storage,
+              _at_response_height, cacheable=True, routes_by=0),
+    QuerySpec("eth_getTransactionByBlockNumberAndIndex",
+              _execute_get_tx_by_index, _verify_get_tx_by_index,
+              _at_called_block, cacheable=True),
+    QuerySpec("eth_sendRawTransaction", _execute_send_raw_tx,
+              _verify_send_raw_tx, _at_inclusion_block, seals=True),
+    QuerySpec("eth_getTransactionReceipt", _execute_get_receipt,
+              _verify_get_receipt, _at_inclusion_block, cacheable=True),
+    QuerySpec("parp_updatesByRange", _execute_updates_range,
+              _verify_updates_range, _at_anchor),
+    QuerySpec("eth_blockNumber", _execute_block_number),
+    QuerySpec("eth_chainId", _execute_chain_id),
+)}
 
 
 def is_verifiable(method: str) -> bool:
@@ -469,7 +475,10 @@ def is_verifiable(method: str) -> bool:
 def execute_query(backend: ChainBackend, call: RpcCall,
                   m_b: int) -> tuple[bytes, Sequence[bytes]]:
     """Full-node side: produce (result, proof) for a call at height m_b."""
-    return get_spec(call.method).execute(backend, call, m_b)
+    spec = QUERY_CATALOG.get(call.method)
+    if spec is None:
+        raise QueryError(f"unsupported RPC method {call.method!r}")
+    return spec.execute(backend, call, m_b)
 
 
 def verify_query_result(call: RpcCall, response: PARPResponse,
@@ -481,29 +490,21 @@ def verify_query_result(call: RpcCall, response: PARPResponse,
     returns silently for valid or inherently unverifiable responses.
     """
     spec = QUERY_CATALOG.get(call.method)
-    if spec is None or not spec.verifiable or spec.verify is None:
-        return
-    spec.verify(call, response, get_header)
+    if spec is not None and spec.verifiable:
+        spec.verify(call, response, get_header)
 
 
 # --------------------------------------------------------------------------- #
 # small payload helpers
 # --------------------------------------------------------------------------- #
 
-def _decode_pair(raw: bytes, what: str) -> tuple[bytes, bytes]:
-    item = rlp.decode(raw)
-    if (not isinstance(item, list) or len(item) != 2
-            or not all(isinstance(x, bytes) for x in item)):
-        raise QueryFraud(f"malformed {what}")
-    return item[0], item[1]
-
-
-def _decode_triple(raw: bytes, what: str) -> tuple[bytes, bytes, bytes]:
+def _decode_strings(raw: bytes, count: int, what: str) -> list[bytes]:
+    """A result payload that is a list of ``count`` byte strings."""
     try:
         item = rlp.decode(raw)
     except rlp.RLPError as exc:
         raise QueryFraud(f"undecodable {what}: {exc}") from exc
-    if (not isinstance(item, list) or len(item) != 3
+    if (not isinstance(item, list) or len(item) != count
             or not all(isinstance(x, bytes) for x in item)):
         raise QueryFraud(f"malformed {what}")
-    return item[0], item[1], item[2]
+    return item

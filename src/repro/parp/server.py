@@ -52,25 +52,12 @@ from .pricing import (
     RepricedFeeSchedule,
     load_multiplier,
 )
-from .queries import QueryError, execute_query
+from .queries import QUERY_CATALOG, QueryError, execute_query
 from .sharding import shard_key_of_call
 
 __all__ = ["ServeError", "ServerStats", "FullNodeServer"]
 
 _CHANNEL_OPENED_TOPIC = keccak256(b"ChannelOpened")
-
-#: the methods that seal a block: a response to one attests the head *after*
-#: execution (the inclusion block), every other the snapshot it was read at.
-_WRITE_METHODS = frozenset({"eth_sendRawTransaction"})
-
-#: read methods whose (result, proof) is deterministic given the chain at a
-#: fixed height — safe to keep behind the proof LRU.
-_CACHEABLE_METHODS = frozenset({
-    "eth_getBalance",
-    "eth_getStorageAt",
-    "eth_getTransactionByBlockNumberAndIndex",
-    "eth_getTransactionReceipt",
-})
 
 
 class ServeError(Exception):
@@ -170,8 +157,6 @@ class FullNodeServer:
 
     def __init__(self, node: FullNode,
                  fee_schedule: FeeSchedule = DEFAULT_FEE_SCHEDULE,
-                 handshake_expiry: float = DEFAULT_HANDSHAKE_EXPIRY_SECONDS,
-                 proof_cache_size: int = 2048,
                  clock=None,
                  shard_range: Optional[ShardRange] = None,
                  admission: Optional[AdmissionConfig | AdmissionController]
@@ -179,7 +164,6 @@ class FullNodeServer:
         self.node = node
         self.key = node.key
         self.fee_schedule = fee_schedule
-        self.handshake_expiry = handshake_expiry
         #: the slice of the account space this server materializes and
         #: advertises; None (or the full range) means a whole-state server
         self.shard_range = (None if shard_range is not None
@@ -194,7 +178,7 @@ class FullNodeServer:
                          else _ShardSliceBackend(node, self.shard_range))
         #: recent (result, proof) pairs keyed by (height, call): a dApp
         #: re-reading hot keys between blocks skips the trie walk entirely.
-        self.proof_cache: LRUCache = LRUCache(capacity=proof_cache_size)
+        self.proof_cache: LRUCache = LRUCache(capacity=2048)
         self._clock = clock  # callable returning seconds; defaults to chain time
         #: bounded admission pipeline — opt-in: None keeps the seed behavior
         #: (accept unbounded work, never shed).  Pass an
@@ -274,7 +258,7 @@ class FullNodeServer:
     def handshake(self, msg: Handshake) -> HandshakeConfirm:
         """Consent to serve a light client; the confirmation expires."""
         self._bump("handshakes")
-        expiry = self._now() + int(self.handshake_expiry)
+        expiry = self._now() + int(DEFAULT_HANDSHAKE_EXPIRY_SECONDS)
         return HandshakeConfirm.build(self.key, msg.light_client, expiry)
 
     def open_channel(self, raw_tx: bytes) -> OpenChannelReceipt:
@@ -504,11 +488,7 @@ class FullNodeServer:
             m_b=self.node.head_number(),
             load=decision.load,
             retry_after=decision.retry_after,
-            fee_multiplier=load_multiplier(
-                decision.load,
-                knee=self.admission.config.pricing_knee,
-                cap=self.admission.config.pricing_cap,
-            ),
+            fee_multiplier=load_multiplier(decision.load),
             h_req=h_req,
             key=self.key,
         )
@@ -544,7 +524,8 @@ class FullNodeServer:
             status = ResponseStatus.OK
             answers = [self._execute_call(request, call, m_b)
                        for call in request.calls]
-            if any(call.method in _WRITE_METHODS for call in request.calls):
+            specs = [QUERY_CATALOG.get(call.method) for call in request.calls]
+            if any(spec is not None and spec.seals for spec in specs):
                 m_b = self.node.head_number()  # a send advanced the head
         return request.response_type.from_answers(
             request, m_b, answers, self.key, status)
@@ -561,7 +542,9 @@ class FullNodeServer:
         failure.
         """
         try:
-            if call.method in request.refused_methods:
+            spec = QUERY_CATALOG.get(call.method)
+            if (request.one_snapshot and spec is not None
+                    and not spec.batchable):
                 raise QueryError(f"{call.method} is not batchable")
             self._require_in_shard(call)
             if call.method == "parp_channelStatus":
@@ -602,7 +585,8 @@ class FullNodeServer:
         Execution goes through the snapshot-view backend, so every query at
         the same height reuses one cached StateDB read view.
         """
-        if call.method not in _CACHEABLE_METHODS:
+        spec = QUERY_CATALOG.get(call.method)
+        if spec is None or not spec.cacheable:
             return execute_query(self._backend, call, m_b)
         cache_key = (m_b, call.encode())
         cached = self.proof_cache.get(cache_key)  # LRUCache locks internally

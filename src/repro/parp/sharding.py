@@ -1,10 +1,11 @@
 """Routing PARP queries to state shards.
 
 Which shard serves a call is decided by the *secure-trie key* its proof
-walks: ``keccak256(address)`` for the state-keyed methods.  Everything else
-(transaction/receipt lookups, ``eth_sendRawTransaction``, the free probes)
-is unsharded — only the state trie is partitioned; every serving node
-follows the full chain, so any shard server answers those.
+walks: ``keccak256(address)`` for the methods whose
+:class:`~repro.parp.queries.QuerySpec` row names a ``routes_by`` parameter.
+Everything else (transaction/receipt lookups, ``eth_sendRawTransaction``,
+the free probes) is unsharded — only the state trie is partitioned; every
+serving node follows the full chain, so any shard server answers those.
 
 One function, shared by client-side scatter routing, server-side range
 enforcement, and the directory's coverage checks, so the three views can
@@ -19,22 +20,17 @@ from typing import Callable, Optional, Sequence
 from ..crypto.keccak import keccak256
 from ..trie.proof import HashMemo
 from .messages import MessageError, RpcCall
+from .queries import QUERY_CATALOG
 
-__all__ = ["STATE_KEYED_METHODS", "shard_key_of_call", "shard_keys_of_calls"]
-
-#: method → index of the address parameter whose hashed key routes the call.
-STATE_KEYED_METHODS: dict[str, int] = {
-    "eth_getBalance": 0,
-    "eth_getStorageAt": 0,
-}
+__all__ = ["shard_key_of_call", "shard_keys_of_calls"]
 
 
 def _routed_address(call: RpcCall) -> Optional[bytes]:
-    index = STATE_KEYED_METHODS.get(call.method)
-    if index is None:
+    spec = QUERY_CATALOG.get(call.method)
+    if spec is None or spec.routes_by is None:
         return None
     try:
-        return call.param_bytes(index, exact=20)
+        return call.param_bytes(spec.routes_by, exact=20)
     except MessageError:
         return None
 

@@ -33,6 +33,8 @@ from ..trie.proof import HashMemo
 from .messages import (
     BatchRequest,
     BatchResponse,
+    Ecrecover,
+    Keccak,
     MessageError,
     PARPRequest,
     PARPResponse,
@@ -67,12 +69,16 @@ class VerificationReport:
 def _classify_envelope(request: PARPRequest | BatchRequest,
                        response: PARPResponse | BatchResponse,
                        alpha: bytes, full_node: Address, request_height: int,
-                       answered: int) -> Optional[VerificationReport]:
+                       answered: int, keccak: Optional[Keccak] = None,
+                       ecrecover: Optional[Ecrecover] = None,
+                       ) -> Optional[VerificationReport]:
     """Checks 1–5 over the signed envelope, either wire; None when all hold.
 
     The metadata is shared by every call of the request, so one pass covers
     them all.  ``answered`` is how many calls the response answers (always
-    one on the single wire).
+    one on the single wire).  The on-chain FDM takes its verdict from this
+    function and :func:`_classify_item` too, passing its metered ``keccak``
+    / ``ecrecover`` and the height of the header ``req.h_B`` pins.
     """
     # 1. Verify Request Hash ------------------------------------------------ #
     if response.h_req != request.h_req:
@@ -88,7 +94,7 @@ def _classify_envelope(request: PARPRequest | BatchRequest,
 
     # 2./3. Verify Response Signature (α-bound) ------------------------------- #
     try:
-        signer = response.signer(alpha, full_node)
+        signer = response.signer(alpha, full_node, keccak, ecrecover)
     except MessageError as exc:
         return VerificationReport(
             ResponseClass.INVALID, "response-signature", str(exc),
@@ -152,11 +158,9 @@ def classify_response(request: PARPRequest, response: PARPResponse,
     in ``req.h_B`` (the client always knows it — it chose the hash from its
     own header chain).
     """
-    failed = _classify_envelope(request, response, alpha, full_node,
-                                request_height, answered=1)
-    if failed is not None:
-        return failed
-    return _classify_item(request.call, response, get_header)
+    return (_classify_envelope(request, response, alpha, full_node,
+                               request_height, answered=1)
+            or _classify_item(request.call, response, get_header))
 
 
 def classify_batch_response(
@@ -186,17 +190,9 @@ def classify_batch_response(
     # the first report of the highest severity; all-checks when none is worse
     worst = max(
         [VerificationReport(ResponseClass.VALID, "all-checks"), *item_reports],
-        key=_severity,
+        key=lambda report: _SEVERITY.index(report.classification),
     )
     return worst, item_reports
 
 
-_SEVERITY = {
-    ResponseClass.VALID: 0,
-    ResponseClass.INVALID: 1,
-    ResponseClass.FRAUD: 2,
-}
-
-
-def _severity(report: VerificationReport) -> int:
-    return _SEVERITY[report.classification]
+_SEVERITY = (ResponseClass.VALID, ResponseClass.INVALID, ResponseClass.FRAUD)

@@ -61,11 +61,10 @@ class BigEndianInt(Sedes[int]):
 
 
 class Binary(Sedes[bytes]):
-    """Byte string with optional exact or bounded length."""
+    """Byte string with optional exact length."""
 
-    def __init__(self, exact: int | None = None, max_length: int | None = None) -> None:
+    def __init__(self, exact: int | None = None) -> None:
         self._exact = exact
-        self._max_length = max_length
 
     def serialize(self, value: bytes) -> Item:
         if not isinstance(value, (bytes, bytearray)):
@@ -83,8 +82,6 @@ class Binary(Sedes[bytes]):
     def _check(self, value: bytes) -> None:
         if self._exact is not None and len(value) != self._exact:
             raise RLPError(f"expected exactly {self._exact} bytes, got {len(value)}")
-        if self._max_length is not None and len(value) > self._max_length:
-            raise RLPError(f"expected at most {self._max_length} bytes, got {len(value)}")
 
 
 class CountableList(Sedes[list]):

@@ -241,10 +241,9 @@ class AppendOnlyFileStore(NodeStore):
 
     def __init__(self, path: Union[str, os.PathLike],
                  *, sync: bool = True,
-                 retention: RetentionSpec = None,
-                 read_cache_capacity: int = DEFAULT_READ_CACHE_CAPACITY) -> None:
+                 retention: RetentionSpec = None) -> None:
         self.retention = RetentionPolicy.parse(retention)
-        self._read_cache: LRUCache = LRUCache(capacity=read_cache_capacity)
+        self._read_cache = LRUCache(capacity=DEFAULT_READ_CACHE_CAPACITY)
         self._pending: dict[bytes, bytes] = {}
         #: hash -> (offset, length); a plain dict after a scan/commit, or
         #: the footer's packed sorted table (:class:`_PackedNodeIndex`)

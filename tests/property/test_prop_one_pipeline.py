@@ -48,7 +48,8 @@ from repro.trie.shard import ShardRange
 from ..conftest import TOKEN, Keys, make_parp_env
 
 METHODS = sorted(
-    (set(QUERY_CATALOG) | {"parp_channelStatus"}) - BatchRequest.refused_methods
+    {method for method, spec in QUERY_CATALOG.items() if spec.batchable}
+    | {"parp_channelStatus"}
 )
 SCENARIOS = ("honest", "unknown_pinned_block", "out_of_shard", "query_error",
              "underpayment", "wrong_signer", "shed")

@@ -16,15 +16,21 @@ from repro.contracts import (
 )
 from repro.crypto import PrivateKey
 from repro.node import Devnet
+from repro.parp.channel import ServerChannel
 from repro.parp.constants import MIN_FULL_NODE_DEPOSIT
+from repro.parp.fraudproof import FraudProofError, build_fraud_package
 from repro.parp.messages import (
     PARPRequest,
     PARPResponse,
+    ResponseStatus,
     RpcCall,
     handshake_digest,
 )
 from repro.parp.queries import execute_query
+from repro.parp.server import FullNodeServer
+from repro.parp.sharding import shard_key_of_call
 from repro.node.fullnode import FullNode
+from repro.trie.shard import ShardRange
 
 FN = PrivateKey.from_seed("fdm:fn")
 LC = PrivateKey.from_seed("fdm:lc")
@@ -82,6 +88,72 @@ class TestHonestResponsesSafe:
         assert "no fraud" in result.error
         assert net.call_view(DEPOSIT_MODULE_ADDRESS, "deposit_of",
                              [FN.address]) == MIN_FULL_NODE_DEPOSIT
+
+
+def served_exchange(net, server, alpha, call, amount=10 ** 12):
+    """What an unedited :class:`FullNodeServer` answers ``call`` with."""
+    server.channels[alpha] = ServerChannel(
+        alpha=alpha, light_client=LC.address, budget=TOKEN)
+    request = PARPRequest.build(alpha, net.chain.head.hash, amount, call, LC)
+    response = PARPResponse.decode_wire(
+        server.serve_request(request.encode_wire()))
+    return request, response
+
+
+class TestSignedErrorsSafe:
+    """A signed refusal (``status != OK``) proves nothing about the chain:
+    the client calls it VALID / error-response and the FDM, running the same
+    classifier, reverts — it used to walk the empty proof and slash."""
+
+    def assert_reverts(self, net, request, response, alpha, req_header=None):
+        assert response.status == ResponseStatus.ERROR and not response.proof
+        result = submit(net, request, response, alpha, req_header=req_header)
+        assert not result.succeeded
+        assert "no fraud detected (error-response" in result.error
+        assert net.call_view(DEPOSIT_MODULE_ADDRESS, "deposit_of",
+                             [FN.address]) == MIN_FULL_NODE_DEPOSIT
+
+    def test_unknown_receipt_hash(self, env):
+        net, node, alpha = env
+        call = RpcCall.create("eth_getTransactionReceipt", b"\x42" * 32)
+        request, response = served_exchange(
+            net, FullNodeServer(node), alpha, call)
+        self.assert_reverts(net, request, response, alpha)
+
+    def test_out_of_shard_key(self, env):
+        net, node, alpha = env
+        call = RpcCall.create("eth_getBalance", ALICE.address)
+        elsewhere = next(half for half in (ShardRange.of(0, 2), ShardRange.of(1, 2))
+                         if not half.covers(shard_key_of_call(call)))
+        server = FullNodeServer(node, shard_range=elsewhere)
+        request, response = served_exchange(net, server, alpha, call)
+        assert server.stats.out_of_range_rejected == 1
+        self.assert_reverts(net, request, response, alpha)
+
+    def test_unknown_pinned_block(self, env, monkeypatch):
+        """Whole-request ``status=ERROR``: the server does not know h_B."""
+        net, node, alpha = env
+        pinned = net.chain.head.header
+        monkeypatch.setattr(node.chain, "get_block_by_hash", lambda h: None)
+        request, response = served_exchange(
+            net, FullNodeServer(node), alpha,
+            RpcCall.create("eth_getBalance", ALICE.address))
+        self.assert_reverts(net, request, response, alpha, req_header=pinned)
+
+    def test_end_to_end_through_the_session(self, parp_env):
+        """Session → package → witness, nothing edited: the refusal a real
+        server signs for a real session's query is not slashable."""
+        session = parp_env.session
+        outcome = session.request("eth_getTransactionReceipt", b"\x42" * 32)
+        assert outcome.report.is_error_response
+        package = build_fraud_package(
+            outcome.request, outcome.response, parp_env.alpha,
+            session.headers.get_header, session.headers.chain.get_by_hash)
+        with pytest.raises(FraudProofError):
+            parp_env.witness.submit(package)
+        assert parp_env.net.call_view(
+            DEPOSIT_MODULE_ADDRESS, "deposit_of", [parp_env.keys.fn.address],
+        ) == MIN_FULL_NODE_DEPOSIT
 
 
 class TestFraudBranches:
