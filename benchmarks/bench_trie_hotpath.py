@@ -41,7 +41,8 @@ import time
 
 from repro.chain.account import Account
 from repro.metrics import render_table
-from repro.trie import MerklePatriciaTrie, NaiveMerklePatriciaTrie, generate_proof
+from repro.trie import MerklePatriciaTrie, generate_proof
+from tests.reference_trie import NaiveMerklePatriciaTrie
 
 from .reporting import add_report, write_json_series
 

@@ -32,17 +32,6 @@ class GenesisConfig:
     timestamp: int = 0
     extra_data: bytes = b"parp-devnet"
 
-    def with_allocation(self, address: Address, balance: int) -> "GenesisConfig":
-        merged = dict(self.allocations)
-        merged[address] = balance
-        return GenesisConfig(
-            chain_id=self.chain_id,
-            allocations=merged,
-            gas_limit=self.gas_limit,
-            timestamp=self.timestamp,
-            extra_data=self.extra_data,
-        )
-
 
 def make_genesis_block(config: GenesisConfig, state: StateDB) -> Block:
     """Apply allocations to ``state`` and build the genesis block."""

@@ -77,8 +77,5 @@ class StepTimer:
             maximum=ordered[-1],
         )
 
-    def all_stats(self) -> list[StepStats]:
-        return [self.stats(step) for step in self.samples]
-
     def reset(self) -> None:
         self.samples.clear()

@@ -209,10 +209,6 @@ class SimNetwork:
             event.action()
         return True
 
-    @property
-    def pending_events(self) -> int:
-        return len(self._events)
-
 
 def _estimate_size(payload: Any) -> int:
     if isinstance(payload, (bytes, bytearray)):

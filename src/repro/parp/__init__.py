@@ -23,7 +23,6 @@ _EXPORTS = {
     "ServerOverloaded": "client",
     "BatchItem": "client", "BatchOutcome": "client",
     "PendingQuery": "client",
-    "PendingRequest": "client", "PendingBatch": "client",   # its old names
     # server
     "FullNodeServer": "server", "ServeError": "server", "ServerStats": "server",
     # admission
@@ -51,6 +50,9 @@ _EXPORTS = {
     "ServerAdvertisement": "marketplace", "HedgeAttempt": "marketplace",
     "NoServerForKey": "marketplace", "ShardScatterError": "marketplace",
     "ScatterOutcome": "marketplace", "ShardLeg": "marketplace",
+    # channel liveness probe (§V-C)
+    "LivenessMonitor": "liveness", "LivenessAlert": "liveness",
+    "LivenessObservation": "liveness",
     # sharding
     "shard_key_of_call": "sharding",
     # reputation

@@ -68,8 +68,6 @@ __all__ = [
     "BatchItem",
     "BatchOutcome",
     "PendingQuery",
-    "PendingRequest",
-    "PendingBatch",
     "LightClientSession",
 ]
 
@@ -243,10 +241,6 @@ class PendingQuery:
     def cancel(self) -> bool:
         """Abandon the in-flight query; True if it had not resolved."""
         return self.reply.cancel()
-
-
-#: the two names the record had while each wire kept its own copy
-PendingRequest = PendingBatch = PendingQuery
 
 
 class LightClientSession:

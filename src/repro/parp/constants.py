@@ -33,10 +33,8 @@ __all__ = [
     "MIN_FULL_NODE_DEPOSIT",
     "DISPUTE_WINDOW_BLOCKS",
     "UNBONDING_BLOCKS",
-    "HANDSHAKE_TIMEOUT_SECONDS",
     "DEFAULT_HANDSHAKE_EXPIRY_SECONDS",
     "LIVENESS_PERIOD_SECONDS",
-    "BLOCKHASH_WINDOW",
     "WEI_PER_TOKEN",
 ]
 
@@ -101,12 +99,8 @@ MIN_FULL_NODE_DEPOSIT = 32 * WEI_PER_TOKEN
 DISPUTE_WINDOW_BLOCKS = 10
 #: delay between a full node stopping service and withdrawing collateral.
 UNBONDING_BLOCKS = 32
-#: the FDM can authenticate headers only inside this window (paper §VI).
-BLOCKHASH_WINDOW = 256
 
 # -- off-chain timing -------------------------------------------------------- #
-#: hsTimer from Algorithm 1: how long the LC waits for HSCONFIRM.
-HANDSHAKE_TIMEOUT_SECONDS = 10.0
 #: how long a full node's handshake confirmation stays redeemable.
 DEFAULT_HANDSHAKE_EXPIRY_SECONDS = 120.0
 #: cadence of the light client's channel liveness probe (paper §V-C).

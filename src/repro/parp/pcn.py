@@ -15,10 +15,9 @@ against 1 channel + routed payments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from typing import Optional
-
-import networkx as nx
 
 from ..crypto.keys import Address
 
@@ -74,7 +73,7 @@ class ChannelGraph:
     """
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
+        self._channels: dict[Address, dict[Address, ChannelEdge]] = {}
 
     # ------------------------------------------------------------------ #
     # Topology
@@ -84,13 +83,11 @@ class ChannelGraph:
                     fee_ppm: int = 1_000, base_fee: int = 0) -> None:
         if capacity <= 0:
             raise PCNError("channel capacity must be positive")
-        self._graph.add_edge(
-            src, dst, channel=ChannelEdge(capacity, fee_ppm, base_fee),
-        )
+        self._channels.setdefault(src, {})[dst] = ChannelEdge(
+            capacity, fee_ppm, base_fee)
 
     def channel(self, src: Address, dst: Address) -> Optional[ChannelEdge]:
-        data = self._graph.get_edge_data(src, dst)
-        return data["channel"] if data else None
+        return self._channels.get(src, {}).get(dst)
 
     def capacity(self, src: Address, dst: Address) -> int:
         edge = self.channel(src, dst)
@@ -98,7 +95,7 @@ class ChannelGraph:
 
     @property
     def num_channels(self) -> int:
-        return self._graph.number_of_edges()
+        return sum(len(peers) for peers in self._channels.values())
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -109,23 +106,26 @@ class ChannelGraph:
         """Cheapest feasible route delivering ``amount`` to ``dst``.
 
         Fees accumulate backwards (each hop forwards amount + downstream
-        fees), so edge feasibility depends on position; we search over the
-        fee-weighted graph restricted to edges that could carry the amount,
-        then verify the chosen path hop by hop.
+        fees), so edge feasibility depends on position; we search (Dijkstra)
+        over the fee-weighted graph restricted to edges that could carry the
+        amount (a lower bound), then verify the chosen path hop by hop.
         """
         if amount <= 0:
             raise PCNError("payment amount must be positive")
-        usable = nx.DiGraph()
-        for u, v, data in self._graph.edges(data=True):
-            edge: ChannelEdge = data["channel"]
-            if edge.available >= amount:  # lower bound; verified again below
-                usable.add_edge(u, v, weight=edge.fee_for(amount) + 1)
-        try:
-            path = nx.shortest_path(usable, src, dst, weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise PCNError(
-                f"no route for {amount} from {src.hex()[:10]} to {dst.hex()[:10]}"
-            ) from None
+        cheapest = {src: 0}
+        frontier = [(0, (src,))]
+        while frontier:
+            cost, path = heapq.heappop(frontier)
+            if path[-1] == dst:
+                break
+            for peer, edge in self._channels.get(path[-1], {}).items():
+                reached = cost + edge.fee_for(amount) + 1
+                if edge.available >= amount and reached < cheapest.get(peer, reached + 1):
+                    cheapest[peer] = reached
+                    heapq.heappush(frontier, (reached, path + (peer,)))
+        else:
+            raise PCNError(f"no route for {amount} from "
+                           f"{src.hex()[:10]} to {dst.hex()[:10]}")
         if len(path) - 1 > max_hops:
             raise PCNError(f"route exceeds {max_hops} hops")
         # price the path precisely, from destination backwards
@@ -136,7 +136,7 @@ class ChannelGraph:
                 raise PCNError("capacity changed during routing")
             if u != src:
                 outstanding += edge.fee_for(outstanding)
-        return Route(hops=tuple(path), amount=amount, total_sent=outstanding)
+        return Route(hops=path, amount=amount, total_sent=outstanding)
 
     # ------------------------------------------------------------------ #
     # Payments (two-phase)

@@ -1,18 +1,6 @@
 """RLP (Recursive Length Prefix) serialization substrate."""
 
 from .codec import Item, RLPError, decode, decode_int, encode, encode_int, encoded_length
-from .sedes import (
-    Binary,
-    CountableList,
-    ListSedes,
-    Sedes,
-    address_bytes,
-    big_endian_int,
-    binary,
-    deserialize,
-    hash32,
-    serialize,
-)
 
 __all__ = [
     "Item",
@@ -22,14 +10,4 @@ __all__ = [
     "encode_int",
     "decode_int",
     "encoded_length",
-    "Sedes",
-    "Binary",
-    "CountableList",
-    "ListSedes",
-    "big_endian_int",
-    "binary",
-    "address_bytes",
-    "hash32",
-    "serialize",
-    "deserialize",
 ]

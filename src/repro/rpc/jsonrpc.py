@@ -84,10 +84,6 @@ class RpcResponse:
     result: Any = None
     error: Optional[dict] = None
 
-    @property
-    def is_error(self) -> bool:
-        return self.error is not None
-
     def to_object(self) -> dict:
         obj: dict[str, Any] = {"jsonrpc": "2.0", "id": self.id}
         if self.error is not None:

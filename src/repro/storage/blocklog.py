@@ -210,14 +210,6 @@ class BlockLog:
     def path(self) -> pathlib.Path:
         return self._log.path
 
-    @property
-    def _wedged(self) -> bool:
-        return self._log.wedged
-
-    @_wedged.setter
-    def _wedged(self, value: bool) -> None:
-        self._log.wedged = value
-
     def __len__(self) -> int:
         return len(self.blocks)
 

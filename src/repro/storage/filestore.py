@@ -271,14 +271,6 @@ class AppendOnlyFileStore(NodeStore):
         return self._log.path
 
     @property
-    def _wedged(self) -> bool:
-        return self._log.wedged
-
-    @_wedged.setter
-    def _wedged(self, value: bool) -> None:
-        self._log.wedged = value
-
-    @property
     def last_root(self) -> bytes:
         return self._last_root
 

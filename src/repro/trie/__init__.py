@@ -17,7 +17,6 @@ from .proof import (
     verify_multiproof,
     verify_proof,
 )
-from .reference import NaiveMerklePatriciaTrie
 from .shard import (
     ShardError,
     ShardPool,
@@ -33,7 +32,6 @@ from .shard import (
 
 __all__ = [
     "MerklePatriciaTrie",
-    "NaiveMerklePatriciaTrie",
     "ShardError",
     "ShardRange",
     "ShardPool",

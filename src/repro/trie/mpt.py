@@ -239,8 +239,9 @@ class MerklePatriciaTrie:
 
         The whole batch costs a single hashing pass over the distinct dirty
         nodes when the root is next read.  No intermediate state is hashed
-        or persisted, so (unlike the eager reference engine) insertion
-        order is unobservable and the keys need no sorting.
+        or persisted, so (unlike the eager oracle the test suite compares
+        this engine with, ``tests/reference_trie.py``) insertion order is
+        unobservable and the keys need no sorting.
         """
         for key, value in items.items():
             self.put(key, value)

@@ -34,7 +34,7 @@ reads the dirty paths in range, not the range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from ..crypto.keccak import keccak256
 from ..metrics.cache import LRUCache
@@ -129,12 +129,6 @@ class ShardRange:
     def to_tuple(self) -> tuple[int, int]:
         """Wire-friendly form (advertisements, probes)."""
         return (self.lo, self.hi)
-
-    @classmethod
-    def from_tuple(cls, pair: Sequence[int]) -> "ShardRange":
-        if len(pair) != 2:
-            raise ShardError(f"shard range tuple needs 2 items, got {len(pair)}")
-        return cls(int(pair[0]), int(pair[1]))
 
 
 def shard_of_key(hashed_key: bytes, count: int) -> int:

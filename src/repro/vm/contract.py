@@ -68,14 +68,5 @@ class NativeContract:
             raise Revert(f"{self.name}: method is not payable")
         return method(ctx, args)
 
-    def method_names(self) -> list[str]:
-        """Callable method names (introspection for docs and the RPC layer)."""
-        names = []
-        for attr in dir(type(self)):
-            fn = getattr(type(self), attr)
-            if callable(fn) and getattr(fn, "_contract_method", False):
-                names.append(attr)
-        return sorted(names)
-
     def __repr__(self) -> str:
         return f"{self.name}(address={self.address.hex()})"

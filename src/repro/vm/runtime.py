@@ -193,10 +193,6 @@ class CallContext:
         self._charge_account_access(address)
         return self._tx.state.balance_of(address)
 
-    def self_balance(self) -> int:
-        self._tx.meter.charge(gas.WARM_ACCESS_GAS, "balance")
-        return self._tx.state.balance_of(self.address)
-
     # -- control flow ------------------------------------------------------ #
 
     def require(self, condition: Any, reason: str) -> None:

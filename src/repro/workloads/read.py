@@ -27,14 +27,6 @@ class ReadWorkloadResult:
     bytes_response: int = 0
     fees_paid: int = 0
 
-    @property
-    def avg_request_bytes(self) -> float:
-        return self.bytes_request / self.requests if self.requests else 0.0
-
-    @property
-    def avg_response_bytes(self) -> float:
-        return self.bytes_response / self.requests if self.requests else 0.0
-
 
 class ReadWorkload:
     """Zipf-skewed balance polling over a fixed account population."""

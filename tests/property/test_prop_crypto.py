@@ -60,14 +60,3 @@ class TestKeccakProperties:
         for i in range(0, len(data), chunk):
             hasher.update(data[i:i + chunk])
         assert hasher.digest() == keccak256(data)
-
-
-class TestCommitmentProperties:
-    @given(st.integers(0, 2 ** 64), st.integers(1, N - 1))
-    @settings(max_examples=10, deadline=None)
-    def test_commitments_bind(self, value, blinding):
-        from repro.crypto.commitments import commit
-
-        commitment, _ = commit(value, blinding=blinding)
-        assert commitment.verify(value, blinding)
-        assert not commitment.verify(value + 1, blinding)

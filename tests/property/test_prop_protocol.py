@@ -144,3 +144,64 @@ class TestPcnConservation:
             sent_total += route.total_sent
         assert graph.capacity(src, mid) == 100_000 - sent_total
         assert graph.capacity(src, mid) >= 0
+
+
+@st.composite
+def channel_graphs(draw):
+    """≤ 6 nodes, random fees; an edge either cannot carry the amount or
+    carries it with every downstream fee to spare, so the route the search
+    picks is never refused by the hop-by-hop re-pricing."""
+    from repro.crypto.keys import Address
+
+    nodes = [Address(bytes([i + 1]) * 20) for i in range(draw(st.integers(2, 6)))]
+    amount = draw(st.integers(2, 10_000))
+    edges = {}
+    for u in nodes:
+        for v in nodes:
+            if u != v and draw(st.booleans()):
+                usable = draw(st.booleans())
+                capacity = 10 ** 12 if usable else draw(st.integers(1, amount - 1))
+                edges[u, v] = (capacity, draw(st.integers(0, 50_000)),
+                               draw(st.integers(0, 50)))
+    return nodes, amount, edges
+
+
+class TestPcnCheapestRoute:
+    """The stdlib Dijkstra of ``ChannelGraph.find_route`` against a
+    brute-force enumeration of simple paths (the oracle lives here)."""
+
+    @given(channel_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_route_is_a_cheapest_usable_path(self, drawn):
+        from repro.parp.pcn import ChannelGraph, PCNError
+
+        nodes, amount, edges = drawn
+        src, dst = nodes[0], nodes[-1]
+        graph = ChannelGraph()
+        for (u, v), (capacity, fee_ppm, base_fee) in edges.items():
+            graph.add_channel(u, v, capacity, fee_ppm=fee_ppm, base_fee=base_fee)
+
+        def weight(u, v):
+            capacity, fee_ppm, base_fee = edges[u, v]
+            return base_fee + amount * fee_ppm // 1_000_000 + 1
+
+        def simple_path_costs(path, cost):
+            if path[-1] == dst:
+                yield cost
+                return
+            for (u, v), (capacity, _, _) in edges.items():
+                if u == path[-1] and v not in path and capacity >= amount:
+                    yield from simple_path_costs(path + [v], cost + weight(u, v))
+
+        costs = list(simple_path_costs([src], 0))
+        try:
+            route = graph.find_route(src, dst, amount)
+        except PCNError:
+            assert not costs
+            return
+        assert costs, "routed where no usable path exists"
+        hops = route.hops
+        assert hops[0] == src and hops[-1] == dst and len(set(hops)) == len(hops)
+        assert all(edges[u, v][0] >= amount for u, v in zip(hops, hops[1:]))
+        assert sum(weight(u, v) for u, v in zip(hops, hops[1:])) == min(costs)
+        assert route.amount == amount and route.fees >= 0

@@ -7,7 +7,7 @@ What the store sees must not have moved: the same ``(hash, encoded)`` pairs
 in the same post-order (children before parents, left to right) the
 recursive flush produced, which is what keeps ``nodes.log`` byte-identical.
 The recursion lives on below as the oracle; the eager reference engine
-(``trie/reference.py``) is the oracle for the roots.
+(``tests/reference_trie.py``) is the oracle for the roots.
 """
 
 import tempfile
@@ -21,10 +21,10 @@ from repro.storage import AppendOnlyFileStore, MemoryNodeStore
 from repro.trie import (
     EMPTY_TRIE_ROOT,
     MerklePatriciaTrie,
-    NaiveMerklePatriciaTrie,
 )
 
 from ..conftest import counted_keccak
+from ..reference_trie import NaiveMerklePatriciaTrie
 
 
 def recursive_flush(node: list, puts: list) -> rlp.Item:

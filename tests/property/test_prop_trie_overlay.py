@@ -14,12 +14,13 @@ from hypothesis import given, settings, strategies as st
 from repro.trie import (
     EMPTY_TRIE_ROOT,
     MerklePatriciaTrie,
-    NaiveMerklePatriciaTrie,
     generate_multiproof,
     generate_proof,
     verify_multiproof,
     verify_proof,
 )
+
+from ..reference_trie import NaiveMerklePatriciaTrie
 
 # A narrow key space maximizes structural collisions (shared prefixes,
 # branch value slots, extension splits) — where the engines could diverge.

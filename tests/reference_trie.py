@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Union
 
-from ..crypto.keccak import keccak256
-from ..rlp import codec as rlp
-from ..storage.nodestore import NodeStore, as_node_store
-from .mpt import EMPTY_TRIE_ROOT, TrieError
-from .nibbles import (
+from repro.crypto.keccak import keccak256
+from repro.rlp import codec as rlp
+from repro.storage.nodestore import NodeStore, as_node_store
+from repro.trie.mpt import EMPTY_TRIE_ROOT, TrieError
+from repro.trie.nibbles import (
     Nibbles,
     bytes_to_nibbles,
     common_prefix_length,

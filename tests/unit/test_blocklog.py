@@ -98,7 +98,7 @@ class TestAppendReopen:
     def test_wedged_log_refuses_appends(self, tmp_path):
         sealed = _build_log(tmp_path / "state", blocks=1)
         log = BlockLog(tmp_path / "bare.log")
-        log._wedged = True  # what a failed truncate-after-failed-append sets
+        log._log.wedged = True  # what a failed truncate-after-failed-append sets
         with pytest.raises(StoreError, match="refused the append"):
             log.append(sealed[0])
         log.close()

@@ -1,9 +1,8 @@
-"""§VIII extensions: PCN routing, proof-of-serving, reputation, commitments."""
+"""§VIII extensions: PCN routing, proof-of-serving, reputation."""
 
 import pytest
 
 from repro.crypto import PrivateKey, keccak256
-from repro.crypto.commitments import PedersenCommitment, commit
 from repro.crypto.keys import Address
 from repro.parp.messages import payment_digest
 from repro.parp.pcn import ChannelGraph, PCNError
@@ -201,30 +200,3 @@ class TestReputation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ReputationLedger().record(addr("x"), "weird_event", time=0.0)
-
-
-class TestPedersenCommitments:
-    def test_commit_and_open(self):
-        commitment, blinding = commit(42)
-        assert commitment.verify(42, blinding)
-
-    def test_wrong_value_fails(self):
-        commitment, blinding = commit(42)
-        assert not commitment.verify(43, blinding)
-        assert not commitment.verify(42, blinding + 1)
-
-    def test_hiding_distinct_blinding(self):
-        c1, _ = commit(42, blinding=111)
-        c2, _ = commit(42, blinding=222)
-        assert c1.point != c2.point
-
-    def test_homomorphic_addition(self):
-        c1, r1 = commit(10)
-        c2, r2 = commit(32)
-        combined = c1 + c2
-        assert combined.verify(42, r1 + r2)
-
-    def test_serialization_compressed(self):
-        commitment, _ = commit(7)
-        raw = commitment.to_bytes()
-        assert len(raw) == 33 and raw[0] in (2, 3)

@@ -1,6 +1,10 @@
 """Public-API surface checks: imports, lazy loading, versioning."""
 
+import pathlib
+
 import pytest
+
+REPO = pathlib.Path(__file__).parents[2]
 
 
 class TestTopLevel:
@@ -17,6 +21,68 @@ class TestTopLevel:
                      "workloads", "metrics", "analysis"):
             module = importlib.import_module(f"repro.{name}")
             assert module is not None
+
+    @pytest.mark.parametrize("package", [
+        "crypto", "rlp", "trie", "chain", "vm", "contracts", "rpc", "net",
+        "lightclient", "node", "storage", "gossip", "metrics", "workloads",
+        "analysis"])
+    def test_every_export_resolves(self, package):
+        """A stale ``__all__`` entry is a failure here, not an ImportError
+        in someone's notebook (``repro.parp``'s lazy table has its own test
+        below)."""
+        import importlib
+
+        module = importlib.import_module(f"repro.{package}")
+        assert module.__all__ and len(set(module.__all__)) == len(module.__all__)
+        for name in module.__all__:
+            assert getattr(module, name) is not None, f"repro.{package}.{name}"
+
+    def test_removed_names_stay_removed(self):
+        """What left the shipped package: the trie oracle (now
+        ``tests/reference_trie.py``), the typed-RLP layer, PR 15's aliases."""
+        import repro.parp
+        import repro.rlp
+        import repro.trie
+
+        for module, name in ((repro.trie, "NaiveMerklePatriciaTrie"),
+                             (repro.rlp, "Sedes"),
+                             (repro.parp, "PendingRequest")):
+            assert name not in module.__all__
+            assert not hasattr(module, name)
+
+    def test_src_imports_only_the_standard_library(self):
+        """``pyproject.toml`` declares no runtime dependency, so every
+        absolute import under ``src/repro`` is the stdlib or ``repro``; a
+        new dependency is a ``pyproject.toml`` change first."""
+        import ast
+        import sys
+
+        allowed = sys.stdlib_module_names | {"repro"}
+        foreign = []
+        for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                foreign += [
+                    f"{path.relative_to(REPO)}:{node.lineno} imports {name}"
+                    for name in names if name.split(".")[0] not in allowed]
+        assert not foreign, foreign
+
+    def test_readme_names_only_what_exists(self):
+        """Every backticked repository path in README.md exists (a
+        ``::member`` suffix is dropped, a ``*`` must match something)."""
+        import re
+
+        readme = (REPO / "README.md").read_text()
+        named = set(re.findall(
+            r"`((?:src|tests|benchmarks|examples)/[^`\s:]*)", readme))
+        assert named, "README.md names no path at all"
+        missing = sorted(path for path in named if not list(REPO.glob(path)))
+        assert not missing, missing
 
 
 class TestLazyParpNamespace:

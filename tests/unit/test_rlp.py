@@ -1,21 +1,13 @@
-"""RLP codec: official vectors, canonicality enforcement, typed sedes."""
+"""RLP codec: official vectors, canonicality enforcement."""
 
 import pytest
 
 from repro.rlp import (
-    Binary,
-    CountableList,
-    ListSedes,
     RLPError,
-    address_bytes,
-    big_endian_int,
     decode,
     decode_int,
-    deserialize,
     encode,
     encode_int,
-    hash32,
-    serialize,
 )
 
 LOREM = b"Lorem ipsum dolor sit amet, consectetur adipisicing elit"
@@ -112,45 +104,3 @@ class TestCanonicality:
     def test_rejects_unknown_type(self):
         with pytest.raises(RLPError):
             encode(3.14)  # type: ignore[arg-type]
-
-
-class TestSedes:
-    def test_int_sedes_roundtrip(self):
-        assert deserialize(big_endian_int, serialize(big_endian_int, 1234)) == 1234
-
-    def test_int_sedes_width_bound(self):
-        from repro.rlp.sedes import BigEndianInt
-
-        narrow = BigEndianInt(max_bytes=2)
-        with pytest.raises(RLPError):
-            serialize(narrow, 2 ** 17)
-
-    def test_binary_exact(self):
-        with pytest.raises(RLPError):
-            serialize(hash32, b"\x00" * 31)
-        assert deserialize(hash32, serialize(hash32, b"\x11" * 32)) == b"\x11" * 32
-
-    def test_address_sedes(self):
-        assert deserialize(address_bytes, serialize(address_bytes, b"\x22" * 20)) == b"\x22" * 20
-
-    def test_countable_list(self):
-        numbers = CountableList(big_endian_int)
-        assert deserialize(numbers, serialize(numbers, [1, 2, 3])) == [1, 2, 3]
-
-    def test_struct_sedes(self):
-        struct = ListSedes(big_endian_int, Binary(), hash32)
-        value = (7, b"blob", b"\x33" * 32)
-        assert deserialize(struct, serialize(struct, value)) == value
-
-    def test_struct_field_count_enforced(self):
-        struct = ListSedes(big_endian_int, Binary())
-        with pytest.raises(RLPError):
-            serialize(struct, (1,))
-        with pytest.raises(RLPError):
-            deserialize(struct, encode([b"\x01", b"x", b"extra"]))
-
-    def test_type_errors(self):
-        with pytest.raises(RLPError):
-            serialize(big_endian_int, "not an int")
-        with pytest.raises(RLPError):
-            serialize(Binary(), 42)

@@ -196,10 +196,10 @@ class TestStoreCompaction:
     def test_wedged_store_refuses_compaction(self, tmp_path):
         store = AppendOnlyFileStore(tmp_path / "nodes.log")
         _grow_state(store, commits=2)
-        store._wedged = True
+        store._log.wedged = True
         with pytest.raises(StoreError, match="wedged"):
             compact_node_store(store, RetentionPolicy.last(1))
-        store._wedged = False
+        store._log.wedged = False
         store.close()
 
     def test_unresolvable_retain_root_is_refused(self, tmp_path):
@@ -309,7 +309,7 @@ class TestFooterRoundTrip:
         store = AppendOnlyFileStore(path)
         _grow_state(store, commits=1, per_commit=5)
         size = store.log_bytes()
-        store._wedged = True
+        store._log.wedged = True
         store.close()
         assert path.stat().st_size == size  # no footer appended
 

@@ -448,7 +448,7 @@ class TestStoreBasics:
         next recovery — the store must refuse to acknowledge them."""
         store = AppendOnlyFileStore(tmp_path / "nodes.log")
         store[keccak256(b"a")] = b"v"
-        store._wedged = True  # what a failed truncate-after-failed-append sets
+        store._log.wedged = True  # what a failed truncate-after-failed-append sets
         with pytest.raises(StoreError, match="refused the commit"):
             store.commit(keccak256(b"r"))
         store.close()

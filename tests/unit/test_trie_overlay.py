@@ -16,12 +16,13 @@ from repro.rlp import encode_int
 from repro.trie import (
     EMPTY_TRIE_ROOT,
     MerklePatriciaTrie,
-    NaiveMerklePatriciaTrie,
     ProofError,
     TrieError,
     generate_multiproof,
     generate_proof,
 )
+
+from ..reference_trie import NaiveMerklePatriciaTrie
 
 
 def _bulk(n: int) -> dict[bytes, bytes]:
