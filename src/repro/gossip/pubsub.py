@@ -30,7 +30,7 @@ Design points, each load-bearing for a test:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Optional, Sequence
 

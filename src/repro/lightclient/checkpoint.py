@@ -24,7 +24,7 @@ Trust model (paper §III-B: anchor choice is orthogonal to PARP):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence, Union
+from typing import Optional, Protocol, Sequence
 
 from ..chain.header import BlockHeader
 from ..rlp import codec as rlp

@@ -77,9 +77,8 @@ class _Reply:
 #: and the endpoint's blocking adapters.
 ENDPOINT_METHODS = (
     "handshake", "open_channel", "relay_transaction", "get_transaction_count",
-    "serve_request", "serve_batch", "batch_protocol_version",
-    "serve_header", "serve_head_number", "serve_bootstrap",
-    "serve_updates_range", "shard_info", "load_info",
+    "serve_request", "serve_batch", "serve_header", "serve_head_number",
+    "serve_bootstrap", "serve_updates_range", "shard_info", "load_info",
 )
 
 

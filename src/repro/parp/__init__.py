@@ -61,8 +61,8 @@ _EXPORTS = {
     "EVENT_SERVED_OK": "reputation", "EVENT_CHANNEL_SETTLED": "reputation",
     "EVENT_INVALID_RESPONSE": "reputation", "EVENT_FRAUD_DETECTED": "reputation",
     "EVENT_FRAUD_SLASHED": "reputation", "EVENT_EQUIVOCATION": "reputation",
-    "EVENT_TIMEOUT": "reputation", "EVENT_VERSION_MISMATCH": "reputation",
-    "EVENT_OVERLOADED": "reputation", "SOFT_EVENT_KINDS": "reputation",
+    "EVENT_TIMEOUT": "reputation", "EVENT_OVERLOADED": "reputation",
+    "SOFT_EVENT_KINDS": "reputation",
     # fraud proofs
     "FraudProofPackage": "fraudproof", "FraudProofError": "fraudproof",
     "WitnessService": "fraudproof", "build_fraud_package": "fraudproof",

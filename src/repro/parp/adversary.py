@@ -21,8 +21,6 @@ attack                 what it forges              expected classification
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..chain.account import Account
 from ..crypto.keys import PrivateKey
 from .messages import PARPRequest, PARPResponse, ResponseStatus

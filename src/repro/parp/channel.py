@@ -9,7 +9,7 @@ submits to the CMM to redeem its earnings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..crypto import Signature, SignatureError, recover_address

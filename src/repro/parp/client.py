@@ -32,11 +32,7 @@ from ..rlp import codec as rlp
 from ..trie.proof import HashMemo
 from ..vm.abi import encode_call
 from .channel import ChannelError, ClientChannel
-from .constants import (
-    BATCH_PROTOCOL_VERSION,
-    DEFAULT_HANDSHAKE_EXPIRY_SECONDS,
-    MAX_AMOUNT,
-)
+from .constants import BATCH_PROTOCOL_VERSION, MAX_AMOUNT
 from .fraudproof import FraudProofError, FraudProofPackage, build_fraud_package
 from .handshake import Handshake, HandshakeConfirm, HandshakeError, OpenChannelReceipt
 from .messages import (
@@ -99,12 +95,9 @@ class ServerEndpoint(Protocol):
     def open_channel(self, raw_tx: bytes) -> OpenChannelReceipt: ...
     def relay_transaction(self, raw_tx: bytes) -> bytes: ...
     def get_transaction_count(self, address: Address) -> int: ...
-    # The paid wires.  The batch pair is optional: clients probe
-    # ``batch_protocol_version`` via getattr and fall back to per-key
-    # ``serve_request`` when it is absent or foreign.
+    # The paid wires
     def serve_request(self, wire: bytes) -> bytes: ...
     def serve_batch(self, wire: bytes) -> bytes: ...
-    def batch_protocol_version(self) -> int: ...
     # Free header service (§IV-D) and checkpoint sync
     def serve_header(self, number: int) -> Optional[BlockHeader]: ...
     def serve_head_number(self) -> int: ...
@@ -193,12 +186,12 @@ class BatchItem:
 
 @dataclass(frozen=True)
 class BatchOutcome:
-    """A verified batch round (or its per-key fallback)."""
+    """A verified batch round."""
 
     items: tuple[BatchItem, ...]
     report: VerificationReport
     amount_paid: int          # cumulative a after the batch
-    batched: bool             # False when served via per-key fallback
+    batched: bool             # False for a one-call leg on the single wire
     request: Optional[BatchRequest] = None
     response: Optional[BatchResponse] = None
 
@@ -250,8 +243,7 @@ class LightClientSession:
                  headers: HeaderSyncer,
                  fee_schedule: FeeSchedule = DEFAULT_FEE_SCHEDULE,
                  gas_price: int = DEFAULT_GAS_PRICE,
-                 clock=None, batch_version: Optional[int] = None,
-                 hash_memo: Optional[HashMemo] = None) -> None:
+                 clock=None, hash_memo: Optional[HashMemo] = None) -> None:
         self.key = key
         self.endpoint = endpoint
         self.headers = headers
@@ -266,11 +258,6 @@ class LightClientSession:
         self.full_node: Optional[Address] = None
         self.history: list[RequestOutcome | BatchOutcome] = []
         self._clock = clock
-        #: batch version the server *advertised* out of band (e.g. in its
-        #: marketplace listing); settles the probe early where it can —
-        #: see :meth:`_seeded_batch_support`
-        self._advertised_batch_version = batch_version
-        self._batch_support: Optional[bool] = self._seeded_batch_support()
 
     @property
     def address(self) -> Address:
@@ -298,7 +285,6 @@ class LightClientSession:
         if not 0 < budget <= MAX_AMOUNT:
             raise SessionError("budget out of range")
 
-        self._batch_support = self._seeded_batch_support()
         # line 4: fetch the latest block hash from the network
         self.headers.sync()
         # lines 5-8: HANDSHAKE, await HSCONFIRM
@@ -352,7 +338,6 @@ class LightClientSession:
         )
         self.full_node = full_node
         self.state = LightClientState.BONDED
-        self._batch_support = self._seeded_batch_support()
 
     # ------------------------------------------------------------------ #
     # The paid request path (steps (A) and (D) of Fig. 5)
@@ -419,15 +404,8 @@ class LightClientSession:
 
     def begin_batch(self, calls: Sequence[RpcCall],
                     tip: int = 0) -> PendingQuery:
-        """Non-blocking :meth:`query_batch` issue (no per-key fallback:
-        callers that want it use the blocking adapter, which probes first).
-        """
+        """Non-blocking :meth:`query_batch` issue."""
         calls = self._bonded_batch(calls)
-        if not self.batch_supported():
-            raise SessionError(
-                "endpoint does not speak our batch protocol version; "
-                "use query_batch for the per-key fallback"
-            )
         return self._begin(self.build_batch_request,
                            self.fee_schedule.batch_price, calls, tip)
 
@@ -571,42 +549,6 @@ class LightClientSession:
     # Batched queries (multiproof extension)
     # ------------------------------------------------------------------ #
 
-    def batch_supported(self) -> bool:
-        """Probe (for free) whether the server speaks our batch version.
-
-        The answer cannot change while we stay bonded to one endpoint, so
-        the network round-trip happens at most once per session — and not
-        at all when the server advertised a foreign version out of band
-        (see :meth:`_seeded_batch_support`).
-        """
-        if self._batch_support is None:
-            self._batch_support = self._probe_batch_support()
-        return self._batch_support
-
-    def _seeded_batch_support(self) -> Optional[bool]:
-        """What the advertised version settles without a wire probe.
-
-        A claim of *incompatibility* is taken at its word — no point
-        probing a server that already declined.  A claim of compatibility
-        is still verified by the free probe on first batch: advertisements
-        can lie, and trusting one would sign a batch payment to a server
-        that may not be able to serve it.
-        """
-        if self._advertised_batch_version is None:
-            return None   # unknown: probe lazily on first batch
-        if self._advertised_batch_version == BATCH_PROTOCOL_VERSION:
-            return None   # claimed compatible: verify on first batch
-        return False
-
-    def _probe_batch_support(self) -> bool:
-        probe = getattr(self.endpoint, "batch_protocol_version", None)
-        if probe is None:
-            return False
-        try:
-            return probe() == BATCH_PROTOCOL_VERSION
-        except Exception:  # noqa: BLE001 — any probe failure means "don't batch"
-            return False
-
     def _bonded_batch(self, calls: Sequence[RpcCall]) -> tuple[RpcCall, ...]:
         """The calls of a batch about to be issued, as a non-empty tuple."""
         self._require_bonded()
@@ -620,15 +562,12 @@ class LightClientSession:
 
         Builds and signs a single :class:`BatchRequest` covering ``calls``,
         advances the channel once by the batch price, and verifies the
-        response's shared multiproof item by item.  When the server does not
-        speak our batch protocol version (probed for free beforehand, so no
-        signed payment is wasted), falls back transparently to sequential
-        per-key requests with identical verification guarantees.
+        response's shared multiproof item by item.  A server that does not
+        speak :data:`~repro.parp.constants.BATCH_PROTOCOL_VERSION` refuses
+        the wire on decode: :class:`InvalidResponse` (``transport``), like
+        any refusal.  Thin submit-then-wait adapter over the non-blocking
+        path.
         """
-        calls = self._bonded_batch(calls)
-        if not self.batch_supported():
-            return self._batch_fallback(calls, tip)
-        # Thin submit-then-wait adapter over the non-blocking path.
         return self.collect(self.begin_batch(calls, tip=tip))
 
     def build_batch_request(self, calls: Sequence[RpcCall],
@@ -638,26 +577,6 @@ class LightClientSession:
             alpha=self.channel.alpha, h_b=self.headers.tip.hash,
             amount=amount, calls=calls, key=self.key,
             version=BATCH_PROTOCOL_VERSION,
-        )
-
-    def _batch_fallback(self, calls: tuple[RpcCall, ...],
-                        tip: int) -> BatchOutcome:
-        """Per-key service for servers without batch support: same checks,
-        N channel updates, N stand-alone proofs."""
-        items = []
-        amount_paid = self.channel.spent
-        for call in calls:
-            outcome = self.request_call(call, tip=tip)
-            tip = 0  # a tip, if any, is paid once per batch
-            amount_paid = outcome.amount_paid
-            items.append(BatchItem(
-                call=call, status=outcome.response.status,
-                result=outcome.response.result, report=outcome.report,
-            ))
-        return BatchOutcome(
-            items=tuple(items),
-            report=VerificationReport(ResponseClass.VALID, "all-checks"),
-            amount_paid=amount_paid, batched=False,
         )
 
     def get_balances(self, addresses: Sequence[Address]) -> list[int]:

@@ -70,8 +70,8 @@ OVERLOAD_OVERHEAD_BYTES = (
 )  # = 118
 
 # -- batched queries (multiproof extension) -------------------------------- #
-#: version of the batch sub-protocol (2: σ_res signs the batch's Merkle root);
-#: a client batches only against a server advertising it, else goes per key.
+#: the batch wire's version byte (2: σ_res signs the batch's Merkle root);
+#: a node refuses any other on decode.
 BATCH_PROTOCOL_VERSION = 2
 #: batch request metadata: version(1) ‖ the 226 bytes of a single request.
 BATCH_REQUEST_OVERHEAD_BYTES = 1 + REQUEST_OVERHEAD_BYTES  # = 227

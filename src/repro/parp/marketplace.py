@@ -6,16 +6,16 @@ schedules and different trustworthiness.  PARP makes switching providers
 free of sign-up friction; this module supplies the missing client machinery:
 
 * :class:`Marketplace` — a directory where staked full nodes advertise
-  (address, endpoint, fee schedule, batch protocol version);
+  (address, endpoint, fee schedule, shard);
 * :class:`MarketplaceClient` — wraps one :class:`LightClientSession` per
   provider, keeps ≥2 channels warm, and routes every query to the best
   server under a **reputation × price** score (the §VIII
   :class:`~repro.parp.reputation.ReputationLedger` finally wired into
   selection);
-* **failover**: on an invalid response, a timeout, or a batch-version
-  mismatch the client records the reputation event, re-issues the identical
-  query to the next-ranked server, and — when the response is provable
-  fraud — escalates through a witness to the on-chain slash flow;
+* **failover**: on an invalid response or a timeout the client records the
+  reputation event, re-issues the identical query to the next-ranked
+  server, and — when the response is provable fraud — escalates through a
+  witness to the on-chain slash flow;
 * **sharded serving**: advertisements carry an optional
   :class:`~repro.trie.shard.ShardRange`; selection becomes range-aware
   (a server is only ever asked for keys inside its advertised slice) and
@@ -55,7 +55,6 @@ from .client import (
     SessionError,
 )
 from .constants import (
-    BATCH_PROTOCOL_VERSION,
     DEFAULT_CHANNEL_BUDGET,
     DEFAULT_MIN_SESSIONS,
     DEFAULT_SELECTION_THRESHOLD,
@@ -76,7 +75,6 @@ from .reputation import (
     EVENT_OVERLOADED,
     EVENT_SERVED_OK,
     EVENT_TIMEOUT,
-    EVENT_VERSION_MISMATCH,
     ReputationLedger,
 )
 from .states import LightClientState
@@ -135,7 +133,6 @@ class ServerAdvertisement:
     address: Address
     endpoint: ServerEndpoint
     fee_schedule: FeeSchedule
-    batch_version: Optional[int] = None
     name: str = ""
     #: the slice of the hashed-key space this server materializes;
     #: None advertises the whole state (a classic full-range server)
@@ -161,7 +158,6 @@ class ServerAdvertisement:
             address=server.address,
             endpoint=endpoint if endpoint is not None else server,
             fee_schedule=quoted() if callable(quoted) else server.fee_schedule,
-            batch_version=server.batch_protocol_version(),
             name=name or getattr(getattr(server, "node", None), "name", ""),
             shard=getattr(server, "shard_range", None),
         )
@@ -178,10 +174,6 @@ class ServerAdvertisement:
         every candidate on every routed query.
         """
         return self.fee_schedule.reference_price()
-
-    @property
-    def speaks_batch(self) -> bool:
-        return self.batch_version == BATCH_PROTOCOL_VERSION
 
     @property
     def label(self) -> str:
@@ -292,7 +284,6 @@ class MarketplaceStats:
     sessions_opened: int = 0
     frauds_detected: int = 0
     frauds_slashed: int = 0
-    version_mismatches: int = 0
     hedged_queries: int = 0       # query_hedged races run
     hedge_launches: int = 0       # legs issued by query_hedged/query_sharded
     hedges_cancelled: int = 0     # losing in-flight requests cancelled
@@ -402,9 +393,6 @@ class _LegRace:
     #: the winner's verified reply as its wire returned it
     outcome: RequestOutcome | BatchOutcome | None = None
     tried: set[Address] = field(default_factory=set)
-    #: servers passed over for lacking batch support, best first — the
-    #: per-key last-resort pool if every batch speaker comes up empty
-    skipped: list[ServerAdvertisement] = field(default_factory=list)
     sheds: dict[Address, int] = field(default_factory=dict)  # overload defers
     active: list[_HedgeEntry] = field(default_factory=list)
     attempts: list[str] = field(default_factory=list)
@@ -471,7 +459,7 @@ class MarketplaceClient:
         self.retired: list[tuple[Address, LightClientSession]] = []
         self.stats = MarketplaceStats()
         #: every attempt launched by the most recent routed query, serial
-        #: ones included; blocking per-key last-resort service is not one
+        #: ones included
         self.last_hedge: list[HedgeAttempt] = []
         #: the most recent scatter-gather result (diagnostics/tests)
         self.last_scatter: Optional[ScatterOutcome] = None
@@ -483,7 +471,6 @@ class MarketplaceClient:
         self.head_gossip = None
         self.rep_share = None
         self._ticks = 0.0
-        self._mismatch_noted: set[Address] = set()
         #: consecutive transport failures per server; at COLD_AFTER the
         #: server drops to the back of the ranking so retries stop signing
         #: payments into a channel nobody is answering
@@ -729,8 +716,7 @@ class MarketplaceClient:
         session = LightClientSession(
             self.key, ad.endpoint, self.headers,
             fee_schedule=ad.fee_schedule, gas_price=self.gas_price,
-            clock=self._clock, batch_version=ad.batch_version,
-            hash_memo=self.hash_memo,
+            clock=self._clock, hash_memo=self.hash_memo,
         )
         session.connect(budget=self.budget)
         self.sessions[ad.address] = session
@@ -785,8 +771,7 @@ class MarketplaceClient:
         return self._outcome_of(race, call.method)
 
     def query_batch(self, calls: Sequence[RpcCall], tip: int = 0) -> BatchOutcome:
-        """A batched query, routed to batch-speaking servers first: one leg
-        at fanout 1 on the batch wire (per key once no speaker is left).
+        """A batched query: one leg at fanout 1 on the batch wire.
 
         The whole batch goes to *one* server, so every state-keyed call
         must fall inside a single server's advertised range; a batch that
@@ -814,9 +799,7 @@ class MarketplaceClient:
         A single-call query rides the single-request wire path (its fraud
         packages are what the on-chain FDM can decode, so a fast-but-
         malicious loser is actually *slashed*, not just dropped); multi-call
-        queries ride the batch path, so servers that don't speak our batch
-        version never join those races — they are the per-key last resort
-        once every batch speaker has failed (or when none exists).
+        queries ride the batch path.
         """
         calls = tuple(calls)
         if not calls:
@@ -839,7 +822,7 @@ class MarketplaceClient:
         Every leg is an independent hedged race among the servers of *its*
         shard: ``fanout`` concurrent paid requests per leg, losers
         cancelled the moment a leg's first response verifies, failures
-        replaced in-shard, with per-key service as last resort.
+        replaced in-shard.
         Legs resolve in completion order (no head-of-line blocking on the
         slowest shard), and the per-shard results — each one a §V-D
         verified multiproof against the *global* state root — are stitched
@@ -1015,22 +998,13 @@ class MarketplaceClient:
     def _launch(self, race: _LegRace) -> Optional[_HedgeEntry]:
         """Issue the leg to its next-ranked untried server: the one place a
         candidate is picked, its backoff waited out, its session opened (a
-        connect failure moves on) and its batch claim probed.  With nobody
-        left and nothing in flight the leg gets its :meth:`_last_resort`."""
+        connect failure moves on).  None when nobody is left."""
         leg = race.leg
         while True:
-            ranked = [ad for ad in self.eligible(keys=leg.keys)
-                      if ad.address not in race.tried]
-            if not ranked:
-                if not race.active:
-                    self._last_resort(race)
+            ad = next((ad for ad in self.eligible(keys=leg.keys)
+                       if ad.address not in race.tried), None)
+            if ad is None:
                 return None
-            ad = ranked[0]
-            if not race.single:
-                # advertised batch speakers first, so no channel is opened
-                # to a server merely to learn it cannot batch while one of
-                # them is still untried
-                ad = next((a for a in ranked if a.speaks_batch), ad)
             race.tried.add(ad.address)
             if self._in_backoff(ad.address):
                 # honor the server's signed retry_after before re-issuing,
@@ -1039,16 +1013,6 @@ class MarketplaceClient:
             session = self._bonded_session(ad, race.attempts)
             if session is None:
                 self.stats.failovers += 1
-                continue
-            if not race.single and not session.batch_supported():
-                if ad.speaks_batch:
-                    # the ad claimed our batch version but the probe says
-                    # otherwise — that lie is what the mismatch event is
-                    # for; an honestly-advertised legacy server is merely
-                    # passed over (and kept for the per-key last resort)
-                    self._note_version_mismatch(ad)
-                race.attempts.append(f"{ad.label}: no batch support")
-                race.skipped.append(ad)
                 continue
             spent_before = session.channel.spent if session.channel else 0
             try:
@@ -1071,26 +1035,6 @@ class MarketplaceClient:
             )
             race.active.append(entry)
             return entry
-
-    def _last_resort(self, race: _LegRace) -> None:
-        """Serve the leg per key on a server passed over for lacking batch
-        support — best first, blocking, on the session :meth:`_launch`
-        already opened (a server just caught lying about its batch version
-        is *not* re-ranked after its own penalty)."""
-        leg = race.leg
-        for ad in race.skipped:
-            session = self.sessions.get(ad.address)
-            if session is None:
-                continue   # retired meanwhile: another leg caught it out
-            leg.attempts += 1
-            spent_before = session.channel.spent if session.channel else 0
-            try:
-                outcome = session.query_batch(leg.calls, tip=race.tip)
-            except SessionError as exc:
-                self._penalize_failure(ad, exc, race)
-                continue
-            self._win(race, ad, outcome, outcome.amount_paid - spent_before)
-            return
 
     def _deadline(self, session: LightClientSession) -> Optional[float]:
         """When this leg's synchrony bound expires (None for in-process
@@ -1234,14 +1178,6 @@ class MarketplaceClient:
         race.attempts.append(f"{ad.label}: {line}")
         self.stats.failovers += 1
         return tag
-
-    def _note_version_mismatch(self, ad: ServerAdvertisement) -> None:
-        """Record (once per server) that it cannot serve our batch version."""
-        if ad.address in self._mismatch_noted:
-            return
-        self._mismatch_noted.add(ad.address)
-        self.stats.version_mismatches += 1
-        self.reputation.record(ad.address, EVENT_VERSION_MISMATCH, self._now())
 
     def _on_fraud(self, ad: ServerAdvertisement, exc: FraudDetected) -> None:
         """Escalate provable fraud: witness submission → on-chain slash."""

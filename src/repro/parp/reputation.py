@@ -28,7 +28,6 @@ __all__ = [
     "EVENT_EQUIVOCATION",
     "EVENT_TIMEOUT",
     "EVENT_OVERLOADED",
-    "EVENT_VERSION_MISMATCH",
     "EVENT_WEIGHTS",
     "EVENT_KINDS",
     "SOFT_EVENT_KINDS",
@@ -45,7 +44,6 @@ EVENT_FRAUD_SLASHED = "fraud_slashed"        # on-chain adjudicated fraud
 EVENT_EQUIVOCATION = "equivocation"          # served conflicting headers
 EVENT_TIMEOUT = "timeout"                    # broke the synchrony bound
 EVENT_OVERLOADED = "overloaded"              # signed, honest shed (soft)
-EVENT_VERSION_MISMATCH = "version_mismatch"  # advertised capability it lacks
 
 # event weights (positive builds trust, negative destroys it)
 EVENT_WEIGHTS = {
@@ -57,7 +55,6 @@ EVENT_WEIGHTS = {
     EVENT_EQUIVOCATION: -100.0,
     EVENT_TIMEOUT: -2.0,
     EVENT_OVERLOADED: -0.1,
-    EVENT_VERSION_MISMATCH: -0.5,
 }
 
 #: every kind the ledger accepts; ``record`` raises on anything else.

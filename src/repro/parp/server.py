@@ -16,7 +16,7 @@ Deposit Module — the availability condition of Fig. 4.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..chain.chain import ChainError
@@ -26,14 +26,14 @@ from ..chain.state import StateDB
 from ..chain.transaction import Transaction, TransactionError
 from ..contracts.addresses import CHANNELS_MODULE_ADDRESS, FRAUD_MODULE_ADDRESS
 from ..crypto import keccak256
-from ..crypto.keys import Address, PrivateKey
+from ..crypto.keys import Address
 from ..metrics.cache import LRUCache
 from ..node.fullnode import FullNode
 from ..rlp import codec as rlp
 from ..trie.shard import ShardPool, ShardRange
 from .admission import AdmissionConfig, AdmissionController
 from .channel import ChannelError, ServerChannel
-from .constants import BATCH_PROTOCOL_VERSION, DEFAULT_HANDSHAKE_EXPIRY_SECONDS
+from .constants import DEFAULT_HANDSHAKE_EXPIRY_SECONDS
 from .handshake import Handshake, HandshakeConfirm, OpenChannelReceipt
 from .messages import (
     BatchRequest,
@@ -657,15 +657,6 @@ class FullNodeServer:
         millis = max(MULTIPLIER_SCALE, round(multiplier * MULTIPLIER_SCALE))
         return RepricedFeeSchedule(base=self.fee_schedule,
                                    multiplier_millis=millis)
-
-    def batch_protocol_version(self) -> int:
-        """Free capability probe: the batch sub-protocol this server speaks.
-
-        Clients compare this against their own
-        :data:`~repro.parp.constants.BATCH_PROTOCOL_VERSION` before batching
-        and fall back to per-key requests on a mismatch.
-        """
-        return BATCH_PROTOCOL_VERSION
 
     # ------------------------------------------------------------------ #
     # Proof of Serving (§VIII extension, receipts)

@@ -13,7 +13,6 @@ from typing import Any, Callable, Optional
 from ..chain.chain import ChainError
 from ..crypto.keys import Address
 from ..node.fullnode import FullNode
-from ..rlp import codec as rlp
 from .jsonrpc import (
     INVALID_PARAMS,
     JsonRpcError,

@@ -10,7 +10,7 @@ conventions of the Ethereum wire format.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Union
 
 __all__ = [

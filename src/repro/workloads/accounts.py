@@ -8,7 +8,7 @@ traffic looks like).  Everything is seeded for reproducibility.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from ..chain.genesis import GenesisConfig
 from ..crypto.keys import Address, PrivateKey

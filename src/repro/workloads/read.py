@@ -8,7 +8,6 @@ and status checks."  The paper's reference read is ``eth_getBalance``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..crypto.keys import Address
 from ..parp.client import LightClientSession

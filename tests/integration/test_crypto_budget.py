@@ -132,9 +132,9 @@ def assert_within_budget(counts):
 
 @pytest.fixture
 def warm_env(parp_env):
-    """Header sync, batch-version probe and caches are paid before counting,
-    and each party has seen enough of the other's signatures to hold its
-    fixed-base table (``keys._BUILD_AFTER``; the client sees one a request)."""
+    """Header sync and caches are paid before counting, and each party has
+    seen enough of the other's signatures to hold its fixed-base table
+    (``keys._BUILD_AFTER``; the client sees one a request)."""
     call = RpcCall.create("eth_getBalance", parp_env.keys.alice.address)
     for _ in range(keys_module._BUILD_AFTER):
         parp_env.session.request_call(call)

@@ -3,22 +3,30 @@
 Covers the happy path (results verified against the shared node pool, a
 single channel update for the whole batch), the proof cache, per-item signed
 errors, fraud/invalid classification of bad batch responses, and the
-per-key fallback for servers that do not speak our batch version.
+refusal-then-failover path for servers that do not speak our batch version.
 """
 
 import pytest
 
-from repro.crypto import keccak256
+from repro.chain import GenesisConfig
+from repro.crypto import PrivateKey
+from repro.net import FixedLatency, SimEndpoint, SimNetwork, SimServerBinding
+from repro.node import Devnet
 from repro.parp import (
-    BatchRequest,
     BatchResponse,
+    FlatFeeSchedule,
     FraudDetected,
+    FullNodeServer,
     InvalidResponse,
+    Marketplace,
+    MarketplaceClient,
     RpcCall,
     SessionError,
 )
 from repro.parp.constants import BATCH_PROTOCOL_VERSION
-from repro.parp.messages import ResponseStatus
+from repro.parp.pricing import GWEI
+from repro.parp.reputation import EVENT_SERVED_OK, EVENT_TIMEOUT
+from repro.parp.server import ServeError
 from repro.parp.queries import decode_balance, decode_int_result
 from repro.parp.states import ResponseClass
 from repro.trie.proof import proof_size
@@ -183,58 +191,130 @@ class TestBatchClassification:
             calls, session.channel.next_amount(price))
         wire = bytearray(request.encode_wire())
         wire[0] = BATCH_PROTOCOL_VERSION + 1
-        from repro.parp.server import ServeError
         with pytest.raises(ServeError):
             env.server.serve_batch(bytes(wire))
 
 
-class LegacyEndpoint:
-    """A pre-batch server facade: no serve_batch, no version probe."""
+class RefusingServer(FullNodeServer):
+    """A server that does not speak our batch version: it refuses the batch
+    wire on decode, exactly as ``_serve`` does when ``check_version`` fails,
+    before it verifies or bills anything."""
 
-    _FORWARDED = (
-        "address", "handshake", "open_channel", "serve_request",
-        "relay_transaction", "get_transaction_count", "serve_header",
-        "serve_head_number",
-    )
-
-    def __init__(self, server):
-        self._server = server
-
-    def __getattr__(self, name):
-        if name not in self._FORWARDED:
-            raise AttributeError(name)
-        return getattr(self._server, name)
+    def serve_batch(self, wire: bytes) -> bytes:
+        raise ServeError(
+            f"unsupported batch protocol version {BATCH_PROTOCOL_VERSION} "
+            f"(this node speaks {BATCH_PROTOCOL_VERSION + 7})")
 
 
-class TestFallback:
-    def test_falls_back_when_server_lacks_batch(self, devnet, keys):
-        env = make_parp_env(devnet, keys)
-        env.session.endpoint = LegacyEndpoint(env.server)
-        assert not env.session.batch_supported()
-        calls = balance_calls(keys, "alice", "bob")
-        before_updates = env.server.channels[env.alpha].requests_served
-        outcome = env.session.query_batch(calls)
-        assert not outcome.batched
+def refuser_market(over_network: bool = False):
+    """A cheap refusing server ranked first, one honest server second."""
+    op_refuse, op_honest, lc, alice = (
+        PrivateKey.from_seed(f"e2e:refuse:{tag}")
+        for tag in ("op0", "op1", "lc", "alice"))
+    devnet = Devnet(GenesisConfig(allocations={
+        op_refuse.address: 100 * TOKEN, op_honest.address: 100 * TOKEN,
+        lc.address: 100 * TOKEN, alice.address: 5 * TOKEN}))
+    refuser = devnet.attach_server(
+        op_refuse, name="refuser", server_cls=RefusingServer,
+        fee_schedule=FlatFeeSchedule(flat_price=2 * GWEI))
+    honest = devnet.attach_server(
+        op_honest, name="honest",
+        fee_schedule=FlatFeeSchedule(flat_price=10 * GWEI))
+    devnet.advance_blocks(2)
+    marketplace = Marketplace()
+    clock = None
+    if over_network:
+        network = SimNetwork(latency=FixedLatency(0.02))
+        clock = network.clock.now
+        for i, server in enumerate((refuser, honest)):
+            SimServerBinding(network, f"srv-{i}", server)
+            marketplace.advertise_server(server, name=f"srv-{i}", endpoint=(
+                SimEndpoint(network, f"lc-{i}", f"srv-{i}", server.address,
+                            timeout=2.0)))
+    else:
+        marketplace.advertise_server(refuser, name="refuser")
+        marketplace.advertise_server(honest, name="honest")
+    client = MarketplaceClient(lc, marketplace, budget=10 ** 15, clock=clock)
+    client.connect()
+    return client, refuser, honest, alice
+
+
+class TestVersionRefusal:
+    """The one path left for a server that does not speak our batch
+    version: it refuses on decode, the client sees a transport failure and
+    fails over like from any refusing server."""
+
+    def test_session_sees_transport_refusal(self, devnet, keys):
+        env = make_parp_env(devnet, keys, server_cls=RefusingServer)
+        acked = env.session.channel.acked
+        with pytest.raises(InvalidResponse) as excinfo:
+            env.session.query_batch(balance_calls(keys, "alice", "bob"))
+        assert excinfo.value.report.check == "transport"
+        assert env.session.channel.acked == acked
+
+    @pytest.mark.parametrize("over_network", [False, True],
+                             ids=["in-process", "simnet"])
+    def test_marketplace_fails_over_to_honest_server(self, over_network):
+        """The refuser still serves the single wire, so it has a history
+        before the batch; one refusal adds a timeout to it, not a ban."""
+        client, refuser, honest, alice = refuser_market(over_network)
+        for _ in range(4):
+            assert client.get_balance(alice.address) == 5 * TOKEN
+        served = client.reputation.events_of(refuser.address)
+        assert [e.kind for e in served] == [EVENT_SERVED_OK] * 4
+        assert client.eligible()[0].address == refuser.address
+        acked = client.sessions[refuser.address].channel.acked
+        calls = [RpcCall.create("eth_getBalance", alice.address)] * 2
+        outcome = client.query_batch(calls)
+        assert outcome.batched
+        assert all(item.report.classification is ResponseClass.VALID
+                   for item in outcome.items)
         assert decode_balance(outcome.items[0].result) == 5 * TOKEN
-        assert decode_balance(outcome.items[1].result) == 3 * TOKEN
-        # fallback pays per key: one channel update per call
-        assert (env.server.channels[env.alpha].requests_served
-                == before_updates + len(calls))
+        assert client.last_hedge[-1].address == honest.address
+        assert client.sessions[refuser.address].channel.acked == acked
+        events = client.reputation.events_of(refuser.address)
+        assert [e.kind for e in events[len(served):]] == [EVENT_TIMEOUT]
+        assert not client.reputation.is_banned(refuser.address, client._now())
 
-    def test_falls_back_on_version_mismatch(self, parp_env, monkeypatch):
-        env = parp_env
-        monkeypatch.setattr(
-            env.server, "batch_protocol_version",
-            lambda: BATCH_PROTOCOL_VERSION + 1,
-        )
-        assert not env.session.batch_supported()
-        outcome = env.session.query_batch(balance_calls(env.keys, "alice"))
-        assert not outcome.batched
+    def test_hedged_race_replaces_the_refusing_leg(self):
+        """At fanout 2 the refuser's leg fails as a timeout and the honest
+        leg wins; the refuser is paid nothing."""
+        client, refuser, honest, alice = refuser_market()
+        client.connect(min_sessions=2)
+        acked = client.sessions[refuser.address].channel.acked
+        calls = [RpcCall.create("eth_getBalance", alice.address)] * 2
+        outcome = client.query_hedged(calls, fanout=2)
+        assert all(item.report.classification is ResponseClass.VALID
+                   for item in outcome.items)
+        tags = {a.address: a.outcome for a in client.last_hedge}
+        assert tags == {refuser.address: "timeout", honest.address: "won"}
+        assert client.sessions[refuser.address].channel.acked == acked
+
+    def test_sharded_leg_fails_over_from_the_refuser(self):
+        """With no shard servers a scatter is one leg, and that leg fails
+        over from the refuser exactly as a plain batch does."""
+        client, refuser, honest, alice = refuser_market()
+        calls = [RpcCall.create("eth_getBalance", alice.address),
+                 RpcCall.create("eth_blockNumber")]
+        outcome = client.query_sharded(calls)
+        assert len(outcome.legs) == 1
         assert decode_balance(outcome.items[0].result) == 5 * TOKEN
+        assert [a.outcome for a in client.last_hedge] == ["timeout", "won"]
+        assert client.last_hedge[-1].address == honest.address
 
-    def test_fallback_probe_is_free(self, parp_env, monkeypatch):
-        """The version probe must not consume channel budget."""
-        env = parp_env
-        spent_before = env.session.channel.spent
-        assert env.session.batch_supported()
-        assert env.session.channel.spent == spent_before
+    def test_next_batch_goes_straight_to_the_honest_server(self):
+        """A refusal is a transport failure on the refuser's record, which
+        ranks it below the server that answered: the next batch is one
+        attempt on the honest server, and the refuser's record holds that
+        one timeout and nothing else."""
+        client, refuser, honest, alice = refuser_market()
+        calls = [RpcCall.create("eth_getBalance", alice.address)] * 2
+        client.query_batch(calls)
+        assert [a.outcome for a in client.last_hedge] == ["timeout", "won"]
+        assert client.last_hedge[0].address == refuser.address
+        assert client.eligible()[0].address == honest.address
+        outcome = client.query_batch(calls)
+        assert all(item.ok for item in outcome.items)
+        assert [a.address for a in client.last_hedge] == [honest.address]
+        assert [e.kind for e in client.reputation.events_of(
+            refuser.address)] == [EVENT_TIMEOUT]

@@ -22,7 +22,6 @@ from repro.net import (
 )
 from repro.node import Devnet
 from repro.parp import (
-    BATCH_PROTOCOL_VERSION,
     FlatFeeSchedule,
     FullNodeServer,
     Marketplace,
@@ -234,44 +233,6 @@ class TestMaliciousRace:
         assert client.stats.hedge_launches == 3
         assert client.stats.failovers == 2
 
-    def test_exhausted_race_falls_back_to_per_key_service(self):
-        """When every batch speaker dies mid-race, the query degrades to
-        the serial per-key path so a healthy server without batch support
-        still gets to answer — hedging must never lose a query the serial
-        path would have completed."""
-
-        class LegacyServer(FullNodeServer):
-            def batch_protocol_version(self) -> int:
-                return BATCH_PROTOCOL_VERSION + 7   # speaks something else
-
-        world = HedgeWorld(latencies=[0.02, 0.02, 0.1],
-                           prices_gwei=[2, 3, 10])
-        # srv-2 is honest but batch-illiterate — and honestly advertised so
-        legacy = LegacyServer(world.servers[2].node,
-                              fee_schedule=world.servers[2].fee_schedule)
-        world.bindings[2].server = legacy
-        world.marketplace.advertise_server(legacy, name="srv-2",
-                                           endpoint=world.endpoints[2])
-        client = world.client
-        # bond all three up front: no channel-open blocks are mined after
-        # the fail-stop, so the surviving minority of header sources never
-        # has to prove a height the dead majority should have quorum-voted
-        world.connect(min_sessions=3)
-
-        calls = [world.balance_call(),
-                 RpcCall.create("eth_getBalance", world.lc.address)]
-        # a warm race while everyone is alive (also memoizes the batch
-        # probes, so the next race's legs launch without re-probing) …
-        assert client.query_hedged(calls, fanout=2).batched
-
-        # … then both batch speakers fail-stop mid-session
-        world.bindings[0].offline = True
-        world.bindings[1].offline = True
-        outcome = client.query_hedged(calls, fanout=2)
-
-        assert all(item.ok for item in outcome.items)
-        assert not outcome.batched            # served per key by the legacy
-        assert {a.outcome for a in client.last_hedge} == {"timeout"}
 
 
 class TestTimeoutRace:

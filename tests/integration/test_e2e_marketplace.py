@@ -19,7 +19,6 @@ from repro.crypto import PrivateKey
 from repro.net import FixedLatency, SimEndpoint, SimNetwork, SimServerBinding
 from repro.node import Devnet, FullNode
 from repro.parp import (
-    BATCH_PROTOCOL_VERSION,
     DEFAULT_SELECTION_THRESHOLD,
     FlatFeeSchedule,
     FullNodeServer,
@@ -350,85 +349,6 @@ class TestPartitionedNetwork:
         network.rejoin("srv-0")
         assert network.is_reachable("lc-0", "srv-0")
         assert client.stats.queries == 6
-
-
-class TestBatchVersionMismatch:
-    def test_lying_batch_advertisement_is_recorded_and_survived(self):
-        """A server advertising a batch version it does not actually speak:
-        the client records the mismatch once, falls back per-key, and the
-        batch still completes with full verification."""
-
-        class LegacyServer(FullNodeServer):
-            def batch_protocol_version(self) -> int:
-                return BATCH_PROTOCOL_VERSION + 7   # speaks something else
-
-        operators = [PrivateKey.from_seed(f"e2e:legacy:op{i}") for i in range(2)]
-        lc = PrivateKey.from_seed("e2e:legacy:lc")
-        alice = PrivateKey.from_seed("e2e:legacy:alice")
-        allocations = {k.address: 100 * TOKEN for k in operators + [lc]}
-        allocations[alice.address] = 5 * TOKEN
-        devnet = Devnet(GenesisConfig(allocations=allocations))
-        for op in operators:
-            devnet.stake_full_node(op)
-        devnet.advance_blocks(2)
-
-        legacy = LegacyServer(FullNode(devnet.chain, key=operators[0],
-                                       name="legacy"),
-                              fee_schedule=FlatFeeSchedule(flat_price=2 * GWEI))
-        marketplace = Marketplace()
-        # the lie: advertised as speaking our batch version
-        marketplace.advertise(ServerAdvertisement(
-            address=legacy.address, endpoint=legacy,
-            fee_schedule=legacy.fee_schedule,
-            batch_version=BATCH_PROTOCOL_VERSION, name="legacy"))
-        client = MarketplaceClient(lc, marketplace, budget=BUDGET)
-        client.connect()
-
-        calls = [RpcCall.create("eth_getBalance", alice.address)] * 2
-        outcome = client.query_batch(calls)
-        assert not outcome.batched          # served via per-key fallback
-        assert all(item.ok for item in outcome.items)
-        assert client.stats.version_mismatches == 1
-        kinds = [e.kind for e in client.reputation.events_of(legacy.address)]
-        assert "version_mismatch" in kinds
-        # recorded once, even across repeated batches
-        client.query_batch(calls)
-        assert client.stats.version_mismatches == 1
-
-    def test_honest_legacy_advertisement_is_not_fined(self):
-        """``version_mismatch`` is the penalty for an advertised capability
-        the server lacks.  A server that honestly advertises no batch
-        version lacks nothing it claimed: the batch is served per key and
-        no mismatch is recorded."""
-
-        class LegacyServer(FullNodeServer):
-            def batch_protocol_version(self) -> int:
-                return BATCH_PROTOCOL_VERSION + 7   # speaks something else
-
-        op = PrivateKey.from_seed("e2e:legacy:honest-op")
-        lc = PrivateKey.from_seed("e2e:legacy:honest-lc")
-        alice = PrivateKey.from_seed("e2e:legacy:honest-alice")
-        devnet = Devnet(GenesisConfig(allocations={
-            op.address: 100 * TOKEN, lc.address: 100 * TOKEN,
-            alice.address: 5 * TOKEN}))
-        legacy = devnet.attach_server(op, name="legacy",
-                                      server_cls=LegacyServer)
-        devnet.advance_blocks(2)
-        marketplace = Marketplace()
-        marketplace.advertise(ServerAdvertisement(
-            address=legacy.address, endpoint=legacy,
-            fee_schedule=legacy.fee_schedule, batch_version=None,
-            name="legacy"))
-        client = MarketplaceClient(lc, marketplace, budget=BUDGET)
-        client.connect()
-
-        calls = [RpcCall.create("eth_getBalance", alice.address)] * 2
-        outcome = client.query_batch(calls)
-        assert not outcome.batched          # served via per-key fallback
-        assert all(item.ok for item in outcome.items)
-        assert client.stats.version_mismatches == 0
-        kinds = [e.kind for e in client.reputation.events_of(legacy.address)]
-        assert kinds == [EVENT_SERVED_OK]
 
 
 class TestNonBytesReply:

@@ -23,7 +23,6 @@ from repro.parp import (
     MIN_FULL_NODE_DEPOSIT,
     RpcCall,
 )
-from repro.parp.constants import BATCH_PROTOCOL_VERSION
 from repro.parp.fraudproof import FraudProofError, build_fraud_package
 from repro.parp.messages import BatchResponse, response_preimage
 from repro.parp.states import ResponseClass
@@ -98,7 +97,6 @@ class TestOldDigestServer:
 
     def test_flat_batch_commitment_is_invalid_not_fraud(self, devnet, keys):
         env = make_parp_env(devnet, keys, server_cls=FlatBatchCommitmentServer)
-        assert env.server.batch_protocol_version() == BATCH_PROTOCOL_VERSION
         calls = [RpcCall.create("eth_getBalance", key.address)
                  for key in (keys.alice, keys.bob)]
         with pytest.raises(InvalidResponse) as excinfo:

@@ -5,13 +5,13 @@ import pytest
 from repro.lightclient import HeaderSyncer
 from repro.net import FixedLatency, SimEndpoint, SimNetwork, SimServerBinding
 from repro.parp import (
-    BATCH_PROTOCOL_VERSION,
     FullNodeServer,
     InvalidResponse,
     LightClientSession,
     SessionError,
 )
 from repro.parp.messages import RpcCall
+from repro.parp.server import ServeError
 
 from ..conftest import TOKEN, make_parp_env
 
@@ -97,15 +97,25 @@ class TestBeginCollect:
         assert outcome.batched and all(item.ok for item in outcome.items)
         assert server.stats.batches_served == 1
 
-    def test_begin_batch_requires_batch_support(self, devnet, keys):
-        class LegacyServer(FullNodeServer):
-            def batch_protocol_version(self) -> int:
-                return BATCH_PROTOCOL_VERSION + 1
+    def test_refused_batch_fails_at_collect_not_at_begin(self, devnet, keys):
+        """There is no version check before sending: a server that does not
+        speak our batch version refuses on decode, the refusal surfaces at
+        collect as a transport failure, and the channel serves on."""
 
-        env = make_parp_env(devnet, keys, server_cls=LegacyServer)
-        with pytest.raises(SessionError):
-            env.session.begin_batch(
-                [RpcCall.create("eth_getBalance", keys.alice.address)])
+        class RefusingServer(FullNodeServer):
+            def serve_batch(self, wire):
+                raise ServeError("unsupported batch protocol version")
+
+        env = make_parp_env(devnet, keys, server_cls=RefusingServer)
+        call = RpcCall.create("eth_getBalance", keys.alice.address)
+        pending = env.session.begin_batch([call])
+        with pytest.raises(InvalidResponse) as excinfo:
+            env.session.collect(pending)
+        assert excinfo.value.report.check == "transport"
+        assert env.session.channel.acked == 0
+        outcome = env.session.collect(env.session.begin_request(call))
+        assert outcome.report.classification.value == "valid"
+        assert env.session.channel.acked == env.session.channel.spent
 
     @pytest.mark.parametrize("reply", [None, 7, "0x00", [b"\x00"]])
     def test_non_bytes_reply_is_invalid_on_both_wires(self, devnet, keys,

@@ -34,12 +34,10 @@ def addr(tag: str) -> Address:
     return Address(keccak256(tag.encode())[-20:])
 
 
-def ad_for(tag: str, price_gwei: int = 10,
-           batch_version: int | None = 1) -> ServerAdvertisement:
+def ad_for(tag: str, price_gwei: int = 10) -> ServerAdvertisement:
     return ServerAdvertisement(
         address=addr(tag), endpoint=object(),
-        fee_schedule=FlatFeeSchedule(flat_price=price_gwei * GWEI),
-        batch_version=batch_version, name=tag,
+        fee_schedule=FlatFeeSchedule(flat_price=price_gwei * GWEI), name=tag,
     )
 
 
@@ -122,49 +120,6 @@ class TestSelection:
             stranger.address, now)
         assert [ad.name for ad in client.eligible(now=now)][0] == "veteran"
 
-    def test_batch_queries_prefer_batch_speakers(self, devnet, keys):
-        from repro.parp import BATCH_PROTOCOL_VERSION, FullNodeServer
-        from repro.parp.messages import RpcCall
-
-        class LegacyServer(FullNodeServer):
-            def batch_protocol_version(self) -> int:
-                return BATCH_PROTOCOL_VERSION + 7   # speaks something else
-
-        legacy = devnet.attach_server(
-            keys.fn, name="legacy", server_cls=LegacyServer,
-            fee_schedule=FlatFeeSchedule(flat_price=5 * GWEI))
-        modern = devnet.attach_server(
-            keys.wn, name="modern",
-            fee_schedule=FlatFeeSchedule(flat_price=10 * GWEI))
-        devnet.advance_blocks(2)
-        marketplace = Marketplace()
-        marketplace.advertise(ServerAdvertisement(
-            address=legacy.address, endpoint=legacy,
-            fee_schedule=legacy.fee_schedule, batch_version=None,
-            name="legacy"))
-        marketplace.advertise_server(modern)
-        client = MarketplaceClient(keys.lc, marketplace)
-        calls = [RpcCall.create("eth_getBalance", keys.alice.address)] * 2
-
-        # legacy ranks first overall (cheaper) but a batch wants `modern` —
-        # and gets it without a channel being opened to legacy on the way
-        assert [ad.name for ad in client.eligible()] == ["legacy", "modern"]
-        outcome = client.query_batch(calls)
-        assert outcome.batched and all(item.ok for item in outcome.items)
-        assert modern.stats.batches_served == 1
-        assert legacy.address not in client.sessions
-        # a one-call batch still rides the batch wire
-        assert client.query_batch(calls[:1]).batched
-        assert modern.stats.batches_served == 2
-        # once modern is gone the batch falls back to the best remaining,
-        # served per key
-        marketplace.withdraw(modern.address)
-        outcome = client.query_batch(calls)
-        assert not outcome.batched and all(item.ok for item in outcome.items)
-        assert legacy.stats.requests_served == 2
-        assert client.stats.queries == 3
-        assert client.stats.version_mismatches == 0
-
     def test_empty_marketplace_cannot_connect(self):
         client = client_with()
         with pytest.raises(MarketplaceError):
@@ -172,17 +127,16 @@ class TestSelection:
 
 
 class TestAdvertisementFromServer:
-    def test_for_server_pulls_address_schedule_and_version(self, devnet, keys):
+    def test_for_server_pulls_address_schedule_and_shard(self, devnet, keys):
         from repro.node import FullNode
-        from repro.parp import BATCH_PROTOCOL_VERSION, FullNodeServer
+        from repro.parp import FullNodeServer
 
         devnet.stake_full_node(keys.fn)
         server = FullNodeServer(FullNode(devnet.chain, key=keys.fn, name="fn-0"))
         ad = ServerAdvertisement.for_server(server)
         assert ad.address == server.address
         assert ad.fee_schedule is server.fee_schedule
-        assert ad.batch_version == BATCH_PROTOCOL_VERSION
-        assert ad.speaks_batch
+        assert ad.shard is None
         assert ad.name == "fn-0"
         assert ad.endpoint is server
 

@@ -39,16 +39,35 @@ class TestTopLevel:
 
     def test_removed_names_stay_removed(self):
         """What left the shipped package: the trie oracle (now
-        ``tests/reference_trie.py``), the typed-RLP layer, PR 15's aliases."""
+        ``tests/reference_trie.py``), the typed-RLP layer, PR 15's aliases,
+        and batch-version negotiation."""
         import repro.parp
         import repro.rlp
         import repro.trie
 
         for module, name in ((repro.trie, "NaiveMerklePatriciaTrie"),
                              (repro.rlp, "Sedes"),
-                             (repro.parp, "PendingRequest")):
+                             (repro.parp, "PendingRequest"),
+                             (repro.parp, "EVENT_VERSION_MISMATCH")):
             assert name not in module.__all__
             assert not hasattr(module, name)
+
+        # batch-version negotiation: every server speaks one version
+        import dataclasses
+
+        from repro.net.transport import ENDPOINT_METHODS
+        from repro.parp import reputation
+        from repro.parp.client import LightClientSession
+        from repro.parp.marketplace import MarketplaceStats, ServerAdvertisement
+        from repro.parp.server import FullNodeServer
+
+        assert "EVENT_VERSION_MISMATCH" not in reputation.__all__
+        assert "batch_protocol_version" not in ENDPOINT_METHODS
+        assert not hasattr(FullNodeServer, "batch_protocol_version")
+        assert not hasattr(LightClientSession, "batch_supported")
+        for cls, name in ((ServerAdvertisement, "batch_version"),
+                          (MarketplaceStats, "version_mismatches")):
+            assert name not in {f.name for f in dataclasses.fields(cls)}
 
     def test_src_imports_only_the_standard_library(self):
         """``pyproject.toml`` declares no runtime dependency, so every
@@ -71,6 +90,61 @@ class TestTopLevel:
                     f"{path.relative_to(REPO)}:{node.lineno} imports {name}"
                     for name in names if name.split(".")[0] not in allowed]
         assert not foreign, foreign
+
+    def test_src_has_no_unused_imports(self):
+        """Every module-level import under ``src/repro`` (``__init__``
+        re-export files aside) is used as a name or attribute root, listed
+        in ``__all__``, or named in a string annotation."""
+        import ast
+
+        def annotation_names(tree):
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    notes = [a.annotation for a in (
+                        node.args.posonlyargs + node.args.args
+                        + node.args.kwonlyargs
+                        + [node.args.vararg, node.args.kwarg]) if a]
+                    notes.append(node.returns)
+                elif isinstance(node, ast.AnnAssign):
+                    notes = [node.annotation]
+                else:
+                    continue
+                for note in filter(None, notes):
+                    for leaf in ast.walk(note):
+                        if (isinstance(leaf, ast.Constant)
+                                and isinstance(leaf.value, str)):
+                            for name in ast.walk(ast.parse(leaf.value,
+                                                           mode="eval")):
+                                if isinstance(name, ast.Name):
+                                    yield name.id
+
+        unused = []
+        for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            imported = {}
+            for stmt in tree.body:
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Import):
+                        for alias in node.names:
+                            bound = alias.asname or alias.name.split(".")[0]
+                            imported[bound] = node.lineno
+                    elif (isinstance(node, ast.ImportFrom)
+                          and node.module != "__future__"):
+                        for alias in node.names:
+                            imported[alias.asname or alias.name] = node.lineno
+            used = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            used |= set(annotation_names(tree))
+            for stmt in tree.body:
+                if (isinstance(stmt, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                for t in stmt.targets)):
+                    used |= set(ast.literal_eval(stmt.value))
+            unused += [f"{path.relative_to(REPO)}:{line} {name}"
+                       for name, line in imported.items() if name not in used]
+        assert not unused, unused
 
     def test_readme_names_only_what_exists(self):
         """Every backticked repository path in README.md exists (a

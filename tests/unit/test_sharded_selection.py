@@ -46,7 +46,7 @@ def ad_for(tag: str, shard: ShardRange | None = None,
     return ServerAdvertisement(
         address=addr(tag), endpoint=object(),
         fee_schedule=FlatFeeSchedule(flat_price=price_gwei * GWEI),
-        batch_version=1, name=tag, shard=shard,
+        name=tag, shard=shard,
     )
 
 
@@ -79,9 +79,6 @@ class TestAdvertisementCoverage:
             address = addr("fake")
             fee_schedule = FlatFeeSchedule(flat_price=GWEI)
             shard_range = ShardRange.of(3, 4)
-
-            def batch_protocol_version(self):
-                return 1
 
         ad = ServerAdvertisement.for_server(FakeShardServer(), name="fake")
         assert ad.shard == ShardRange.of(3, 4)
