@@ -31,7 +31,7 @@ from repro.parp import (
 )
 from repro.parp.adversary import MaliciousFullNodeServer
 from repro.parp.constants import DISPUTE_WINDOW_BLOCKS
-from repro.parp.messages import handshake_digest, payment_digest
+from repro.parp.messages import RpcCall, handshake_digest, payment_digest
 from repro.workloads import AccountSet, WriteWorkload
 
 from .reporting import add_report
@@ -45,6 +45,8 @@ PAPER_GAS = {
 }
 
 TOKEN = 10 ** 18
+BATCH_CALLS = 16
+BATCH_ROW = f"Submit a fraud proof (batch item, {BATCH_CALLS} calls)"
 
 
 def run_gas_scenario() -> dict[str, int]:
@@ -108,6 +110,29 @@ def run_gas_scenario() -> dict[str, int]:
         gas["Submit a fraud proof"] = net.chain.get_receipt(tx_hash).gas_used
     else:
         raise AssertionError("the malicious node was not caught")
+
+    # 6. the same lie about the last item of a 16-balance batch: the package
+    #    carries the whole signed batch, the FDM folds its root and judges
+    #    the one item it names (measured only; the paper has no batch wire)
+    net.execute(fn, DEPOSIT_MODULE_ADDRESS, "deposit",
+                value=MIN_FULL_NODE_DEPOSIT)
+    evil.target = BATCH_CALLS - 1
+    session = LightClientSession(lc, evil,
+                                 HeaderSyncer([evil, witness_node]))
+    session.connect(budget=10 ** 16)
+    try:
+        session.query_batch([RpcCall.create("eth_getBalance", address)
+                             for address in accounts.addresses[:BATCH_CALLS]])
+    except FraudDetected as exc:
+        assert exc.package.item == BATCH_CALLS - 1
+        witness = WitnessService(witness_node)
+        # a figure past the witness's default limit is reported, not lost
+        # to an out-of-gas revert
+        witness.gas_limit *= 10
+        tx_hash = witness.submit(exc.package)
+        gas[BATCH_ROW] = net.chain.get_receipt(tx_hash).gas_used
+    else:
+        raise AssertionError("the malicious batch was not caught")
     return gas
 
 
@@ -123,6 +148,11 @@ def test_table4_gas_costs(benchmark):
             action, f"{measured:,}", f"{paper:,}", f"{deviation:+.1f}%",
             f"${row.mainnet_usd:.3f}", f"${row.arbitrum_usd:.3f}",
         ))
+    batch = cost_row(BATCH_ROW, gas[BATCH_ROW])
+    rows.append((
+        BATCH_ROW, f"{gas[BATCH_ROW]:,}", "-", "-",
+        f"${batch.mainnet_usd:.3f}", f"${batch.arbitrum_usd:.3f}",
+    ))
     rows.append((
         "Median tx fee (2024-12-09, cited)", "-", "-", "-",
         f"${MEDIAN_TX_FEE_USD['mainnet']:.3f}",

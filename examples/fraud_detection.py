@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Fraud detection end to end: catching and slashing a lying full node.
 
-A malicious PARP node returns a doctored account balance (1000x the real
-value) while keeping everything else — signatures, payments, proofs —
+A malicious PARP node returns a doctored account record next to the real
+proof while keeping everything else — signatures, payments, proofs —
 perfectly honest-looking.  The light client's §V-D checks catch the lie,
 build a fraud proof, and hand it to a *witness* full node, which submits it
 to the on-chain Fraud Detection Module.  Algorithm 2 re-verifies the

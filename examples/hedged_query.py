@@ -90,7 +90,7 @@ def main() -> None:
     balance = decode_balance(outcome.items[0].result)
     assert balance == 5 * TOKEN
     print(f"\nverified balance: {balance / TOKEN:.0f} tokens (the honest "
-          "answer — mallory's 1000× inflation never reached the dApp)")
+          "answer — mallory's doctored record never reached the dApp)")
 
     mallory_stake = net.call_view(DEPOSIT_MODULE_ADDRESS, "deposit_of",
                                   [mallory_op.address])

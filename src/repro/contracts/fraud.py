@@ -1,11 +1,14 @@
 """Fraud Detection Module (FDM) — on-chain Algorithm 2.
 
-A witness full node submits ``(req, res, header_m, header_req, addr_WN)``.
-The contract does what only a contract can — the metered decode of the
-calldata, the channel lookup (must exist, not closed) via the CMM, the
-authentication of the two headers, the slash — and takes its verdict from
-the three calls the off-chain parties make, handing them ``ctx.keccak`` /
-``ctx.ecrecover`` so every hash and recover is metered:
+A witness full node submits ``(wire, req, res, i, header_m, header_req,
+addr_WN)``: the exchange of either wire as the client received it — ``wire``
+names the request type, a single request is a batch of one — and the index
+``i`` of the call it convicts.  The contract does what only a contract can —
+the metered decode of the calldata, the channel lookup (must exist, not
+closed) via the CMM, the authentication of the two headers, the slash — and
+takes its verdict from the three calls the off-chain parties make, handing
+them ``ctx.keccak`` / ``ctx.ecrecover`` so every hash and recover (a batch's
+root fold included) is metered:
 
 * ``PARPRequest.verify`` — the full node's step (B): h_req rebuilt, σ_req
   and σ_a recover to the channel's light client;
@@ -13,8 +16,9 @@ the three calls the off-chain parties make, handing them ``ctx.keccak`` /
   σ_req, σ_res recovers to the channel's full node over h_res (over the
   node *hashes* of π_γ, each hashed once as the response is decoded),
   payment amount, timestamp;
-* ``verification._classify_item`` — §V-D check 6: a signed error proves
-  nothing and convicts nobody, else π_γ against the header's roots.
+* ``verification._classify_item`` — §V-D check 6 on item ``i``: a signed
+  error proves nothing and convicts nobody, else π_γ against the header's
+  roots.  An honest item of a lying batch is not convicted by naming it.
 
 It slashes iff the report those return is FRAUD and reverts with the
 report's check otherwise: the two verifiers cannot diverge, because there
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from ..chain.header import BlockHeader
 from ..crypto.keys import Address
-from ..parp.messages import MessageError, PARPRequest, PARPResponse
+from ..parp.messages import BatchRequest, MessageError, PARPRequest
 from ..parp.verification import _classify_envelope, _classify_item
 from ..rlp import codec as rlp
 from ..vm import abi
@@ -40,6 +44,9 @@ from ..vm.runtime import CallContext, Revert
 from .channels import CHANNEL_CLOSED, CHANNEL_NONE
 
 __all__ = ["FraudModule"]
+
+#: the request type each wire field of the calldata names
+_WIRES = {wire.noun.encode(): wire for wire in (PARPRequest, BatchRequest)}
 
 
 class FraudModule(NativeContract):
@@ -58,21 +65,34 @@ class FraudModule(NativeContract):
         """Adjudicate a fraud proof; slashes and returns True on fraud,
         reverts otherwise (so honest nodes can never be slashed and spurious
         submissions simply burn the submitter's gas)."""
-        req_blob, res_blob, proof_header_blob, req_header_blob = (
-            abi.as_bytes(arg) for arg in args[:4])
-        witness = abi.as_address(args[4])
+        ctx.require(len(args) == 7, "fraud proof takes (wire, request, "
+                    "response, item, proof header, request header, witness)")
+        try:
+            wire, req_blob, res_blob = (abi.as_bytes(arg) for arg in args[:3])
+            item = abi.as_int(args[3])
+            proof_header_blob, req_header_blob = (
+                abi.as_bytes(arg) for arg in args[4:6])
+            witness = abi.as_address(args[6])
+        except abi.ABIError as exc:
+            raise Revert(f"malformed fraud proof calldata: {exc}") from exc
+        request_type = _WIRES.get(wire)
+        ctx.require(request_type is not None,
+                    f"wire {wire[:16]!r} names no request type")
 
         # -- decode (metered per byte, like a Solidity RLP reader) -------- #
         ctx.charge(RLP_DECODE_BYTE_GAS * (len(req_blob) + len(res_blob)), "decode")
         try:
-            request = PARPRequest.decode_wire(req_blob)
+            request = request_type.decode_wire(req_blob)
             # every proof node is hashed here, metered, and nowhere else:
             # h_res and the Merkle walk below both read the decoded index
-            alpha, response = PARPResponse.decode_for_fraud(
+            alpha, response = request.response_type.decode_for_fraud(
                 res_blob, ctx.keccak)
         except MessageError as exc:
             raise Revert(f"undecodable fraud evidence: {exc}") from exc
         ctx.require(request.alpha == alpha, "channel id mismatch")
+        ctx.require(item < len(request.calls),
+                    f"item {item} out of range for a {request.noun} of "
+                    f"{len(request.calls)} call(s)")
 
         # -- channel lookup (Algorithm 2: chan.T != "closed") -------------- #
         channel = ctx.call(self._channels_module, "get_channel", [alpha])
@@ -96,9 +116,10 @@ class FraudModule(NativeContract):
         )
         report = _classify_envelope(
             request, response, alpha, full_node, req_header.number,
-            answered=1, keccak=ctx.keccak, ecrecover=ctx.ecrecover)
+            answered=len(response), keccak=ctx.keccak,
+            ecrecover=ctx.ecrecover)
 
-        # -- §V-D check 6, against a header BLOCKHASH vouches for ---------- #
+        # -- §V-D check 6 on item i, against a header BLOCKHASH vouches for #
         if report is None:
             proof_header = self._decode_header(ctx, proof_header_blob)
             canonical = ctx.block_hash(proof_header.number)
@@ -106,12 +127,13 @@ class FraudModule(NativeContract):
                         "proof header outside the 256-block verification window")
             ctx.require(canonical == ctx.keccak(proof_header_blob),
                         "submitted header is not canonical at its height")
+            answer = response.item_view(item)
             ctx.charge(
                 PROOF_VERIFY_BYTE_GAS * sum(map(len, response.proof))
-                + RLP_DECODE_BYTE_GAS * len(response.result),
+                + RLP_DECODE_BYTE_GAS * len(answer.result),
                 "proof-verify",
             )
-            report = _classify_item(request.call, response, {
+            report = _classify_item(request.calls[item], answer, {
                 proof_header.number: proof_header,
                 req_header.number: req_header,
             }.get)

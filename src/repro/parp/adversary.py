@@ -2,17 +2,19 @@
 
 The paper's security argument is that every way a full node can lie maps to
 a classification (§IV-F): attributable lies are FRAUD (slashing evidence),
-non-attributable garbage is INVALID (walk away).  This module implements a
-malicious server for each row of that argument so tests, benchmarks, and
-examples can exercise the full detection → witness → slash pipeline:
+non-attributable garbage is INVALID (walk away).  Each attack below is one
+edit of the honest step-(C) response, signed afterwards through the digest
+every verifier recomputes (:meth:`~repro.parp.messages.PARPResponse.signed`)
+— so a lie reads the same on either wire, and a lying batch is as slashable
+as a lying single answer:
 
 =====================  ==========================  =====================
 attack                 what it forges              expected classification
 =====================  ==========================  =====================
-``inflate_balance``    account record in R(γ)      FRAUD (merkle-proof)
-``bogus_proof``        Merkle proof nodes          FRAUD (merkle-proof)
+``inflate_balance``    R(γ) of the target item     FRAUD (merkle-proof)
+``bogus_proof``        every proof node            FRAUD (merkle-proof)
 ``overcharge``         cumulative amount a         FRAUD (payment-amount)
-``stale_height``       serves old state, m_B low   FRAUD (timestamp)
+``stale_height``       m_B below the pinned block  FRAUD (timestamp)
 ``wrong_signature``    σ_res by a different key    INVALID (response-signature)
 ``wrong_request_hash`` echoed h_req                INVALID (request-hash)
 ``wrong_channel``      α bound into h_res          INVALID (response-signature)
@@ -21,161 +23,85 @@ attack                 what it forges              expected classification
 
 from __future__ import annotations
 
-from ..chain.account import Account
+from dataclasses import replace
+from typing import Callable, NamedTuple, Optional
+
 from ..crypto.keys import PrivateKey
-from .messages import PARPRequest, PARPResponse, ResponseStatus
-from .queries import execute_query
+from ..trie.proof import ProofIndex
 from .server import FullNodeServer
 
-__all__ = ["ATTACKS", "MaliciousFullNodeServer"]
+__all__ = ["ATTACKS", "MaliciousFullNodeServer", "forge"]
 
-ATTACKS = (
-    "inflate_balance",
-    "bogus_proof",
-    "overcharge",
-    "stale_height",
-    "wrong_signature",
-    "wrong_request_hash",
-    "wrong_channel",
-)
+#: the key ``wrong_signature`` signs with: nobody's channel partner
+ROGUE = PrivateKey.from_seed(b"rogue-signer")
+
+
+class Lie(NamedTuple):
+    """One attack: ``edit(response, target, pinned)`` of the honest
+    response (``target`` the item a content lie edits, ``pinned`` the height
+    of the block the request pins), signed by ``key`` for channel ``alpha``
+    — None for the server's own key and the request's channel."""
+
+    edit: Callable
+    key: Optional[PrivateKey] = None
+    alpha: Optional[bytes] = None
+
+
+def _flipped(data: bytes) -> bytes:
+    """``data`` with its first byte changed (one byte for nothing)."""
+    return bytes([data[0] ^ 0x01]) + data[1:] if data else b"\x01"
+
+
+ATTACKS: dict[str, Lie] = {
+    "inflate_balance": Lie(lambda r, target, pinned: r.with_result(
+        target, _flipped(r.item_view(target).result))),
+    "bogus_proof": Lie(lambda r, target, pinned: replace(r, proof=ProofIndex(
+        [node[::-1] for node in r.proof] or [b"\xde\xad\xbe\xef" * 8]))),
+    "overcharge": Lie(lambda r, target, pinned: replace(r, a=r.a + 10 ** 9)),
+    "stale_height": Lie(
+        lambda r, target, pinned: replace(r, m_b=max(0, pinned - 2))),
+    "wrong_signature": Lie(lambda r, target, pinned: r, key=ROGUE),
+    "wrong_request_hash": Lie(
+        lambda r, target, pinned: replace(r, h_req=_flipped(r.h_req))),
+    "wrong_channel": Lie(lambda r, target, pinned: r, alpha=bytes(16)),
+}
+
+
+def forge(attack: str, honest, alpha: bytes, key: PrivateKey, pinned: int,
+          target: int = 0):
+    """``honest`` (either wire) told as ``attack`` and signed: by ``key``
+    for channel ``alpha`` unless the attack signs otherwise."""
+    lie = ATTACKS[attack]
+    return lie.edit(honest, target, pinned).signed(lie.key or key,
+                                                   lie.alpha or alpha)
 
 
 class MaliciousFullNodeServer(FullNodeServer):
-    """A PARP server that executes one configured attack per response.
+    """A PARP server that tells one configured lie per response, either wire.
 
     Everything else (handshake, channel accounting, payments) stays honest,
     isolating exactly one lie per response — the way the classification
     matrix is meant to be tested.
     """
 
+    #: the item of a batch a content lie edits (the last one if the batch
+    #: is shorter); a single response's one item is item 0
+    target = 0
+
     def __init__(self, *args, attack: str = "inflate_balance",
                  **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if attack not in ATTACKS:
-            raise ValueError(f"unknown attack {attack!r}; pick one of {ATTACKS}")
+            raise ValueError(
+                f"unknown attack {attack!r}; pick one of {tuple(ATTACKS)}")
         self.attack = attack
         self.attacks_launched = 0
 
-    # The dispatcher: run the configured forgery instead of honest step (C).
-    # Forgeries ride the single wire only — the FDM cannot decode a batch
-    # yet, so a forged batch could not be slashed; batches are served
-    # honestly.
     def _execute_and_sign(self, request):
-        if not isinstance(request, PARPRequest):
-            return super()._execute_and_sign(request)
+        """Honest step (C), then the configured lie."""
+        honest = super()._execute_and_sign(request)
         self.attacks_launched += 1
-        forge = getattr(self, f"_attack_{self.attack}")
-        return forge(request)
-
-    # ------------------------------------------------------------------ #
-    # Content fraud
-    # ------------------------------------------------------------------ #
-
-    def _attack_inflate_balance(self, request: PARPRequest) -> PARPResponse:
-        """Return a doctored account record with 1000x the real balance,
-        next to the *real* proof — the proof cannot cover the lie."""
-        m_b = self.node.head_number()
-        result, proof = execute_query(self.node, request.call, m_b)
-        if request.call.method == "eth_getBalance" and result:
-            account = Account.decode(result)
-            doctored = account.with_balance(account.balance * 1000 + 1)
-            result = doctored.encode()
-        else:  # non-balance queries: flip bytes in the result payload
-            result = bytes([result[0] ^ 0xFF]) + result[1:] if result else b"\x01"
-        return PARPResponse.build(
-            alpha=request.alpha, request=request, m_b=self.node.head_number(),
-            result=result, proof=proof, key=self.key,
-        )
-
-    def _attack_bogus_proof(self, request: PARPRequest) -> PARPResponse:
-        """Honest result, garbage proof (e.g. a lazy node serving cached
-        data it can no longer prove)."""
-        m_b = self.node.head_number()
-        result, proof = execute_query(self.node, request.call, m_b)
-        bogus = [node[::-1] for node in proof] or [b"\xde\xad\xbe\xef" * 8]
-        return PARPResponse.build(
-            alpha=request.alpha, request=request, m_b=self.node.head_number(),
-            result=result, proof=bogus, key=self.key,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Payment fraud
-    # ------------------------------------------------------------------ #
-
-    def _attack_overcharge(self, request: PARPRequest) -> PARPResponse:
-        """Acknowledge a higher cumulative amount than the client signed."""
-        m_b = self.node.head_number()
-        result, proof = execute_query(self.node, request.call, m_b)
-        inflated = request.a + 10 ** 9
-        return _sign_response(
-            self.key, request.alpha, request, m_b=self.node.head_number(),
-            amount=inflated, result=result, proof=proof,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Staleness fraud
-    # ------------------------------------------------------------------ #
-
-    def _attack_stale_height(self, request: PARPRequest) -> PARPResponse:
-        """Serve consistent-but-outdated state: proof and result are valid
-        against an *old* block, and m_B honestly says so — but m_B is below
-        the height the client pinned, which §V-D defines as fraud."""
         pinned = self.node.chain.get_block_by_hash(request.h_b)
-        stale = max(0, (pinned.number if pinned else self.node.head_number()) - 2)
-        result, proof = execute_query(self.node, request.call, stale)
-        return PARPResponse.build(
-            alpha=request.alpha, request=request, m_b=stale,
-            result=result, proof=proof, key=self.key,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Non-attributable garbage (INVALID, not slashable)
-    # ------------------------------------------------------------------ #
-
-    def _attack_wrong_signature(self, request: PARPRequest) -> PARPResponse:
-        """Sign with a throwaway key — unattributable, hence merely invalid."""
-        m_b = self.node.head_number()
-        result, proof = execute_query(self.node, request.call, m_b)
-        rogue = PrivateKey.from_seed(b"rogue-signer")
-        return PARPResponse.build(
-            alpha=request.alpha, request=request, m_b=m_b,
-            result=result, proof=proof, key=rogue,
-        )
-
-    def _attack_wrong_request_hash(self, request: PARPRequest) -> PARPResponse:
-        """Echo a corrupted request hash, unlinking response from request."""
-        m_b = self.node.head_number()
-        result, proof = execute_query(self.node, request.call, m_b)
-        honest = PARPResponse.build(
-            alpha=request.alpha, request=request, m_b=m_b,
-            result=result, proof=proof, key=self.key,
-        )
-        corrupted = bytes([honest.h_req[0] ^ 0x01]) + honest.h_req[1:]
-        return PARPResponse(
-            status=honest.status, m_b=honest.m_b, a=honest.a,
-            result=honest.result, proof=honest.proof, h_req=corrupted,
-            sig_req=honest.sig_req, sig_res=honest.sig_res,
-        )
-
-    def _attack_wrong_channel(self, request: PARPRequest) -> PARPResponse:
-        """Bind the signature to a different channel id."""
-        m_b = self.node.head_number()
-        result, proof = execute_query(self.node, request.call, m_b)
-        foreign_alpha = bytes(16)
-        return _sign_response(
-            self.key, foreign_alpha, request, m_b=m_b,
-            amount=request.a, result=result, proof=proof,
-        )
-
-
-def _sign_response(key: PrivateKey, alpha: bytes, request: PARPRequest,
-                   m_b: int, amount: int, result: bytes,
-                   proof: list[bytes],
-                   status: int = ResponseStatus.OK) -> PARPResponse:
-    """Build a response with arbitrary (possibly inconsistent) fields but a
-    *correct* signature over them — the attacker signs its own lie, through
-    the one digest every verifier recomputes."""
-    return PARPResponse(
-        status=status, m_b=m_b, a=amount, result=result, proof=proof,
-        h_req=request.h_req, sig_req=request.sig_req, sig_res=b"",
-    ).signed(key, alpha)
+        return forge(self.attack, honest, request.alpha, self.key,
+                     pinned.number if pinned is not None else honest.m_b,
+                     min(self.target, len(honest) - 1))

@@ -191,9 +191,8 @@ class BatchOutcome:
     items: tuple[BatchItem, ...]
     report: VerificationReport
     amount_paid: int          # cumulative a after the batch
-    batched: bool             # False for a one-call leg on the single wire
-    request: Optional[BatchRequest] = None
-    response: Optional[BatchResponse] = None
+    request: BatchRequest
+    response: BatchResponse
 
     @classmethod
     def of(cls, request: BatchRequest, response: BatchResponse,
@@ -208,7 +207,7 @@ class BatchOutcome:
             for i, call in enumerate(request.calls)
         ) if item_reports else ()
         return cls(items=items, report=report, amount_paid=request.a,
-                   batched=True, request=request, response=response)
+                   request=request, response=response)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -491,24 +490,19 @@ class LightClientSession:
     def process_response(self, request: PARPRequest, raw: bytes) -> RequestOutcome:
         """Step (D): decode, header-sync, classify, and act on a response."""
         return self._process(request, raw, classify_response,
-                             RequestOutcome.of, self._try_build_package)
+                             RequestOutcome.of)
 
     def process_batch_response(self, request: BatchRequest,
                                raw: bytes) -> BatchOutcome:
         """Step (D) for a batch: decode, header-sync, classify per item."""
-        # Batch fraud blobs are not yet understood by the on-chain FDM
-        # (Algorithm 2 decodes single responses), so a fraudulent batch
-        # terminates the session and fails over without a package; the
-        # channel dispute path still protects the payment itself.
         return self._process(request, raw, classify_batch_response,
-                             BatchOutcome.of, lambda request, response: None)
+                             BatchOutcome.of)
 
-    def _process(self, request, raw: bytes, classify, outcome_of, package_of):
+    def _process(self, request, raw: bytes, classify, outcome_of):
         """The one step-(D) path, either wire.
 
-        ``classify`` runs the §V-D checks, ``outcome_of`` shapes its verdict
-        into the wire's outcome type, and ``package_of`` assembles the fraud
-        evidence the wire can offer (None when it cannot).
+        ``classify`` runs the §V-D checks and ``outcome_of`` shapes its
+        verdict into the wire's outcome type.
         """
         self._raise_if_overloaded(raw, request.h_req)
         try:
@@ -537,7 +531,7 @@ class LightClientSession:
 
         report = outcome.report
         if report.classification is ResponseClass.FRAUD:
-            package = package_of(request, response)
+            package = self._try_build_package(request, response, outcome)
             self.state = LightClientState.UNBONDING  # terminate the connection
             raise FraudDetected(report, package)
         if report.classification is ResponseClass.INVALID:
@@ -592,12 +586,18 @@ class LightClientSession:
             balances.append(decode_balance(item.result))
         return balances
 
-    def _try_build_package(self, request: PARPRequest,
-                           response: PARPResponse) -> Optional[FraudProofPackage]:
+    def _try_build_package(self, request, response,
+                           outcome) -> Optional[FraudProofPackage]:
+        """The evidence of a FRAUD verdict, either wire: it names the first
+        FRAUD item, or item 0 when the envelope decided (a batch outcome
+        then has no items; a single one never has any)."""
+        items = getattr(outcome, "items", ())
+        item = next((i for i, answer in enumerate(items)
+                     if answer.report.fraudulent), 0)
         try:
             return build_fraud_package(
                 request, response, self.channel.alpha, self.headers.get_header,
-                get_by_hash=self.headers.chain.get_by_hash,
+                get_by_hash=self.headers.chain.get_by_hash, item=item,
             )
         except FraudProofError:
             return None

@@ -1,13 +1,17 @@
 """Fraud-proof construction and witness submission (paper §IV-F).
 
 When the light client classifies a response as FRAUD it assembles a
-:class:`FraudProofPackage` — the request, the response (with α re-attached),
-and the block headers the on-chain module needs to re-run the checks.  It
-cannot submit the package through the misbehaving node ("obviously we cannot
-trust the full node to submit a proof of its own fraudulent behavior"), so it
-hands it to a *witness* full node, which wraps it in a transaction to the
-Fraud Detection Module, pays the gas, and collects the witness share of the
-slashed deposit.  The light client needs no payment channel with the witness.
+:class:`FraudProofPackage` — the request and the response of either wire as
+it received them (α re-attached), the index of the item it convicts, and the
+block headers the on-chain module needs to re-run the checks.  A batch
+package carries the whole signed batch and no Merkle opening: the FDM
+recomputes the batch root through the one ``commitment`` every party signs
+and checks with.  The client cannot submit the package through the
+misbehaving node ("obviously we cannot trust the full node to submit a proof
+of its own fraudulent behavior"), so it hands it to a *witness* full node,
+which wraps it in a transaction to the Fraud Detection Module, pays the gas,
+and collects the witness share of the slashed deposit.  The light client
+needs no payment channel with the witness.
 """
 
 from __future__ import annotations
@@ -21,7 +25,13 @@ from ..contracts.addresses import FRAUD_MODULE_ADDRESS
 from ..crypto.keys import Address, PrivateKey
 from ..node.fullnode import FullNode
 from ..vm.abi import encode_call
-from .messages import MessageError, PARPRequest, PARPResponse
+from .messages import (
+    BatchRequest,
+    BatchResponse,
+    MessageError,
+    PARPRequest,
+    PARPResponse,
+)
 from .queries import QUERY_CATALOG, QueryFraud
 
 __all__ = [
@@ -41,16 +51,20 @@ class FraudProofPackage:
     """Everything the FDM needs: evidence plus authenticated headers."""
 
     alpha: bytes
-    request: PARPRequest
-    response: PARPResponse
+    request: PARPRequest | BatchRequest
+    response: PARPResponse | BatchResponse
     proof_header: BlockHeader   # canonical header for the Merkle adjudication
     req_header: BlockHeader     # the header pinned by req.h_B (height reference)
+    item: int = 0               # the call whose answer check 6 judges
 
     def fdm_args(self, witness: Address) -> list[Any]:
-        """Argument list for ``FraudModule.submit_fraud_proof``."""
+        """Argument list for ``FraudModule.submit_fraud_proof``: the wire
+        is named, never guessed from the shape of the blobs."""
         return [
+            self.request.noun.encode(),
             self.request.encode_wire(),
             self.response.encode_for_fraud(self.alpha),
+            self.item,
             self.proof_header.encode(),
             self.req_header.encode(),
             witness,
@@ -60,10 +74,12 @@ class FraudProofPackage:
         return encode_call("submit_fraud_proof", self.fdm_args(witness))
 
 
-def build_fraud_package(request: PARPRequest, response: PARPResponse,
-                        alpha: bytes, get_header,
-                        get_by_hash) -> FraudProofPackage:
-    """Assemble a package from the client's local header chain.
+def build_fraud_package(request: PARPRequest | BatchRequest,
+                        response: PARPResponse | BatchResponse,
+                        alpha: bytes, get_header, get_by_hash,
+                        item: int = 0) -> FraudProofPackage:
+    """Assemble a package convicting call ``item`` of ``request`` (any one
+    when the envelope decided the verdict) from the client's header chain.
 
     ``get_header`` maps a block number to a header and ``get_by_hash`` maps
     a block hash to a header (both from the client's synced chain).  Raises
@@ -75,14 +91,15 @@ def build_fraud_package(request: PARPRequest, response: PARPResponse,
     req_header = get_by_hash(request.h_b)
     if req_header is None:
         raise FraudProofError("cannot locate the header pinned by req.h_B")
-    # The header the method's verifier reads; an answer that is wrong before
-    # any header is read travels with the pinned one.
+    # The header the item's verifier reads; an answer that is wrong before
+    # any header is read (or that lacks the item) travels with the pinned one.
     proof_number = None
-    spec = QUERY_CATALOG.get(request.call.method)
-    if spec is not None and spec.verifiable:
+    call = request.calls[item]
+    spec = QUERY_CATALOG.get(call.method)
+    if spec is not None and spec.verifiable and item < len(response):
         try:
-            proof_number = spec.proof_height(request.call, response.result,
-                                             response.m_b)
+            proof_number = spec.proof_height(
+                call, response.item_view(item).result, response.m_b)
         except (QueryFraud, MessageError):
             pass
     if proof_number is None:
@@ -92,7 +109,7 @@ def build_fraud_package(request: PARPRequest, response: PARPResponse,
         raise FraudProofError(f"missing header {proof_number} for the proof check")
     return FraudProofPackage(
         alpha=alpha, request=request, response=response,
-        proof_header=proof_header, req_header=req_header,
+        proof_header=proof_header, req_header=req_header, item=item,
     )
 
 

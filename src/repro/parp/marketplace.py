@@ -345,7 +345,6 @@ class ScatterOutcome:
     report: VerificationReport
     amount_paid: int
     legs: tuple[ShardLeg, ...]
-    batched: bool = True
 
     def __len__(self) -> int:
         return len(self.items)
@@ -389,26 +388,13 @@ class _LegRace:
 
     leg: ShardLeg
     tip: int = 0
-    single: bool = False          # rides the single-request wire, not batch
+    single: bool = False          # request_call's leg: the single wire
     #: the winner's verified reply as its wire returned it
     outcome: RequestOutcome | BatchOutcome | None = None
     tried: set[Address] = field(default_factory=set)
     sheds: dict[Address, int] = field(default_factory=dict)  # overload defers
     active: list[_HedgeEntry] = field(default_factory=list)
     attempts: list[str] = field(default_factory=list)
-
-
-def _as_batch(outcome: RequestOutcome | BatchOutcome) -> BatchOutcome:
-    """A leg's outcome in batch shape (a one-call leg rode the
-    single-request wire and came back as a :class:`RequestOutcome`)."""
-    if isinstance(outcome, BatchOutcome):
-        return outcome
-    response = outcome.response
-    return BatchOutcome(
-        items=(BatchItem(call=outcome.request.call, status=response.status,
-                         result=response.result, report=outcome.report),),
-        report=outcome.report, amount_paid=outcome.amount_paid, batched=False,
-    )
 
 
 #: consecutive transport timeouts before a server is demoted to last resort.
@@ -778,7 +764,7 @@ class MarketplaceClient:
         spans shards needs :meth:`query_sharded` instead.
         """
         calls = tuple(calls)
-        race = self._race_one(calls, tip, fanout=1, single=False)
+        race = self._race_one(calls, tip, fanout=1)
         return self._outcome_of(race, f"batch[{len(calls)}]")
 
     def query_hedged(self, calls: Sequence[RpcCall], fanout: int = 2,
@@ -796,21 +782,19 @@ class MarketplaceClient:
         marketplace runs out of candidates.  Legs that never verify leave
         their reputation events behind exactly as they do at fanout 1.
 
-        A single-call query rides the single-request wire path (its fraud
-        packages are what the on-chain FDM can decode, so a fast-but-
-        malicious loser is actually *slashed*, not just dropped); multi-call
-        queries ride the batch path.
+        Every leg rides the batch wire, one call or many: a batch fraud
+        package is what the on-chain FDM judges too, so a fast-but-malicious
+        loser is *slashed*, not just dropped.
         """
         calls = tuple(calls)
         if not calls:
             raise MarketplaceError("a hedged query needs at least one call")
         fanout = max(1, int(fanout))
-        race = self._race_one(calls, tip, fanout, single=len(calls) == 1)
+        race = self._race_one(calls, tip, fanout)
         if self.last_hedge:   # a race nobody could be launched into is none
             self.stats.hedged_queries += 1
         self.stats.hedge_launches += len(self.last_hedge)
-        return _as_batch(self._outcome_of(
-            race, f"hedged batch[{len(calls)}]×{fanout}"))
+        return self._outcome_of(race, f"hedged batch[{len(calls)}]×{fanout}")
 
     def query_sharded(self, calls: Sequence[RpcCall], fanout: int = 1,
                       tip: int = 0) -> ScatterOutcome:
@@ -841,15 +825,15 @@ class MarketplaceClient:
         legs = self._split_by_shard(calls)
         # the tip (priority fee) rides on the first leg only: one scatter
         # is one query, not len(legs) separately-tipped ones
-        races = [_LegRace(leg=leg, tip=tip if leg.index == 0 else 0,
-                          single=len(leg.calls) == 1) for leg in legs]
+        races = [_LegRace(leg=leg, tip=tip if leg.index == 0 else 0)
+                 for leg in legs]
         self._race(races, fanout)
         self.stats.sharded_queries += 1
         self.stats.scatter_legs += len(legs)
         self.stats.hedge_launches += len(self.last_hedge)
         for race in races:
             if race.outcome is not None:
-                race.leg.outcome = _as_batch(race.outcome)
+                race.leg.outcome = race.outcome
             else:
                 race.leg.error = str(self._failure(
                     race, f"shard leg[{race.leg.index}]"))
@@ -926,7 +910,7 @@ class MarketplaceClient:
         return legs
 
     def _race_one(self, calls: tuple[RpcCall, ...], tip: int, fanout: int,
-                  single: bool) -> _LegRace:
+                  single: bool = False) -> _LegRace:
         """Race the whole query as one leg, behind the coverage gate: a key
         no server covers is a :class:`NoServerForKey` *before* any payment."""
         keys = []

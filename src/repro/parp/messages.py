@@ -452,21 +452,22 @@ class _SignedResponse:
         """What travels after the header: results and proof nodes."""
         raise NotImplementedError
 
-    def commitment(self) -> bytes:
+    def commitment(self, keccak: Optional[Keccak] = None) -> bytes:
         """``C``, what σ_res signs in the payload's place: built from each
-        proof node's hash, not its bytes (layouts in the module docstring)."""
+        proof node's hash, not its bytes (layouts in the module docstring).
+        What it hashes goes through ``keccak`` when one is given."""
         raise NotImplementedError
 
-    def preimage(self, alpha: bytes) -> bytes:
+    def preimage(self, alpha: bytes, keccak: Optional[Keccak] = None) -> bytes:
         """The exact bytes behind h_res (for metered on-chain recomputation)."""
         return response_preimage(
-            alpha, self.status, self.m_b, self.a, self.commitment(),
+            alpha, self.status, self.m_b, self.a, self.commitment(keccak),
             self.h_req, self.sig_req,
         )
 
     def digest(self, alpha: bytes, keccak: Optional[Keccak] = None) -> bytes:
         """Recompute h_res for the given channel id."""
-        return (keccak or keccak256)(self.preimage(alpha))
+        return (keccak or keccak256)(self.preimage(alpha, keccak))
 
     def signed(self, key: PrivateKey, alpha: bytes):
         """A copy carrying ``key``'s σ_res over this response's h_res for
@@ -479,6 +480,21 @@ class _SignedResponse:
         batch, the shared multiproof of the whole batch."""
         proof_bytes = len(rlp.encode(list(self.proof))) if self.proof else 0
         return RESPONSE_OVERHEAD_BYTES + proof_bytes
+
+    # -- fraud blob (on-chain format, α re-attached) ------------------------- #
+
+    def encode_for_fraud(self, alpha: bytes) -> bytes:
+        """Serialization submitted to the Fraud Detection Module."""
+        if len(alpha) != ALPHA_BYTES:
+            raise MessageError(f"channel id must be {ALPHA_BYTES} bytes")
+        return alpha + self.encode_wire()
+
+    @classmethod
+    def decode_for_fraud(cls, raw: bytes, keccak: Optional[Keccak] = None):
+        """``(α, response)`` out of a fraud blob of this wire."""
+        if len(raw) < ALPHA_BYTES:
+            raise MessageError("fraud blob too short for a channel id")
+        return raw[:ALPHA_BYTES], cls.decode_wire(raw[ALPHA_BYTES:], keccak)
 
 
 # --------------------------------------------------------------------------- #
@@ -585,7 +601,7 @@ class PARPResponse(_SignedResponse):
     def payload(self) -> bytes:
         return self._payload(self.result, self.proof)
 
-    def commitment(self) -> bytes:
+    def commitment(self, keccak: Optional[Keccak] = None) -> bytes:
         return self._payload(self.result, self.proof_index.hashes)
 
     @classmethod
@@ -633,23 +649,17 @@ class PARPResponse(_SignedResponse):
         return cls(result=payload[0], proof=ProofIndex(nodes, keccak),
                    **header)
 
-    # -- fraud blob (on-chain format, α re-attached) ------------------------- #
+    # -- a batch of one ----------------------------------------------------- #
 
-    def encode_for_fraud(self, alpha: bytes) -> bytes:
-        """Serialization submitted to the Fraud Detection Module."""
-        if len(alpha) != ALPHA_BYTES:
-            raise MessageError(f"channel id must be {ALPHA_BYTES} bytes")
-        return alpha + self.encode_wire()
+    def item_view(self, index: int) -> "PARPResponse":
+        """The one item of a single response is the response itself."""
+        return self
 
-    @classmethod
-    def decode_for_fraud(cls, raw: bytes, keccak: Optional[Keccak] = None,
-                         ) -> tuple[bytes, "PARPResponse"]:
-        if len(raw) < ALPHA_BYTES:
-            raise MessageError("fraud blob too short for a channel id")
-        return raw[:ALPHA_BYTES], cls.decode_wire(raw[ALPHA_BYTES:], keccak)
+    def __len__(self) -> int:
+        return 1
 
-    def with_result(self, result: bytes) -> "PARPResponse":
-        """A tampered copy (used by tests and the malicious-node examples)."""
+    def with_result(self, index: int, result: bytes) -> "PARPResponse":
+        """A tampered copy (tests and the misbehaving servers)."""
         return replace(self, result=result)
 
 
@@ -901,16 +911,19 @@ class BatchResponse(_SignedResponse):
         return rlp.encode([bytes(self.statuses), list(self.results),
                            list(self.proof)])
 
-    def commitment(self) -> bytes:
-        """The Merkle root the module docstring defines, a level per call."""
+    def commitment(self, keccak: Optional[Keccak] = None) -> bytes:
+        """The Merkle root the module docstring defines, a level per call
+        (message by message through ``keccak`` when one is given)."""
+        many = (keccak256_many if keccak is None
+                else lambda messages: list(map(keccak, messages)))
         hashes = self.proof_index.hashes
         items = zip(self.statuses, self.results)
-        level = keccak256_many([bytes((0, s)) + r for s, r in items])
+        level = many([bytes((0, s)) + r for s, r in items])
         level += hashes
         while len(level) > 4:
-            level = keccak256_many([b"\x01" + b"".join(level[at:at + 4])
-                                    for at in range(0, len(level), 4)])
-        return keccak256(
+            level = many([b"\x01" + b"".join(level[at:at + 4])
+                          for at in range(0, len(level), 4)])
+        return (keccak or keccak256)(
             b"\x02" + _encode_uint(len(self.results), 2, "batch size")
             + _encode_uint(len(hashes), 2, "proof pool size") + b"".join(level))
 
@@ -948,11 +961,12 @@ class BatchResponse(_SignedResponse):
     def item_view(self, index: int) -> PARPResponse:
         """Item ``index`` shaped as a single response over the shared pool.
 
-        This is what lets the client (and any future on-chain batch FDM)
-        reuse the per-method verifiers of :mod:`repro.parp.queries`
-        unchanged: each item verifies against the same deduplicated node
-        pool that authenticated every other item — handed over as the one
-        :attr:`proof_index`, so N items cost one hash per pool node, not N.
+        This is what lets the client and the on-chain FDM (which judges the
+        one item a fraud package names) reuse the per-method verifiers of
+        :mod:`repro.parp.queries` unchanged: each item verifies against the
+        same deduplicated node pool that authenticated every other item —
+        handed over as the one :attr:`proof_index`, so N items cost one hash
+        per pool node, not N.
         """
         return PARPResponse(
             status=self.statuses[index], m_b=self.m_b, a=self.a,

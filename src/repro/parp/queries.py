@@ -36,7 +36,6 @@ from ..chain.account import Account
 from ..chain.block import Block, index_key
 from ..chain.header import BlockHeader
 from ..chain.state import StateDB
-from ..crypto import keccak256
 from ..crypto.keys import Address
 from ..rlp import codec as rlp
 from ..trie.proof import ProofError, generate_proof, verify_proof
@@ -290,7 +289,7 @@ def _verify_send_raw_tx(call: RpcCall, response: PARPResponse,
                         get_header: HeaderLookup) -> None:
     raw_tx = call.param_bytes(0)
     number, index, tx_hash = decode_inclusion(response.result)
-    if keccak256(raw_tx) != tx_hash:
+    if response.proof_index.keccak(raw_tx) != tx_hash:
         raise QueryFraud("acknowledged hash is not the hash of the submitted tx")
     if number is None:  # pending acknowledgement: nothing provable yet
         if response.proof:
@@ -333,7 +332,7 @@ def _verify_get_receipt(call: RpcCall, response: PARPResponse,
     proof = response.proof_index  # both walks share the one index
     proven_tx = _proven("transaction", verify_proof, header.transactions_root,
                         index_key(index), proof)
-    if proven_tx is None or keccak256(proven_tx) != tx_hash:
+    if proven_tx is None or proof.keccak(proven_tx) != tx_hash:
         raise QueryFraud("transaction at claimed index has a different hash")
     proven_receipt = _proven("receipt", verify_proof, header.receipts_root,
                              index_key(index), proof)

@@ -83,7 +83,7 @@ class TestInterleavedOverSimNetwork:
                         RpcCall.create("eth_getBalance", alice.address),
                         RpcCall.create("eth_getBalance", key.address),
                     ])
-                    assert outcome.batched and all(x.ok for x in outcome.items)
+                    assert outcome.request.noun == "batch" and all(x.ok for x in outcome.items)
                     batches[(i, j)] = batches.get((i, j), 0) + 1
 
         # per-channel truth: the server banked exactly what the client signed

@@ -211,7 +211,7 @@ def test_batch_of_sixteen_pays_the_budget_once(warm_env, monkeypatch):
              for i in range(BATCH_SIZE)]
     with counted_ecdsa(monkeypatch) as counts:
         outcome = env.session.query_batch(calls)
-    assert outcome.batched and len(outcome.items) == BATCH_SIZE
+    assert outcome.request.noun == "batch" and len(outcome.items) == BATCH_SIZE
     assert outcome.report.classification is ResponseClass.VALID
     assert_within_budget(counts)
 
@@ -232,7 +232,7 @@ def test_batch_of_sixteen_hashes_each_pool_node_once(warm_env, monkeypatch):
              for i in range(BATCH_SIZE)]
     with counted_keccak(monkeypatch) as hashed:
         outcome = env.session.query_batch(calls)
-    assert outcome.batched and len(outcome.items) == BATCH_SIZE
+    assert outcome.request.noun == "batch" and len(outcome.items) == BATCH_SIZE
     assert outcome.report.classification is ResponseClass.VALID
     budget = KECCAK_BUDGET["query_batch"]
     passes, one_lane = passes_of(hashed)

@@ -9,6 +9,7 @@ refusal-then-failover path for servers that do not speak our batch version.
 import pytest
 
 from repro.chain import GenesisConfig
+from repro.contracts import DEPOSIT_MODULE_ADDRESS
 from repro.crypto import PrivateKey
 from repro.net import FixedLatency, SimEndpoint, SimNetwork, SimServerBinding
 from repro.node import Devnet
@@ -23,6 +24,7 @@ from repro.parp import (
     RpcCall,
     SessionError,
 )
+from repro.parp.adversary import MaliciousFullNodeServer
 from repro.parp.constants import BATCH_PROTOCOL_VERSION
 from repro.parp.pricing import GWEI
 from repro.parp.reputation import EVENT_SERVED_OK, EVENT_TIMEOUT
@@ -46,7 +48,7 @@ class TestHonestBatch:
             RpcCall.create("eth_blockNumber"),
         ]
         outcome = env.session.query_batch(calls)
-        assert outcome.batched
+        assert outcome.request.noun == "batch"
         assert outcome.report.classification is ResponseClass.VALID
         assert decode_balance(outcome.items[0].result) == 5 * TOKEN
         assert decode_balance(outcome.items[1].result) == 3 * TOKEN
@@ -131,6 +133,13 @@ class TestBatchErrors:
             parp_env.session.query_batch([])
 
 
+def assert_slashed_by(env, package):
+    """The witness submits ``package`` and the server's stake is gone."""
+    env.witness.submit(package)
+    assert env.net.call_view(DEPOSIT_MODULE_ADDRESS, "deposit_of",
+                             [env.keys.fn.address]) == 0
+
+
 def serve_and_decode(env, calls):
     """Drive the request/serve halves manually so tests can tamper."""
     session = env.session
@@ -157,6 +166,9 @@ class TestBatchClassification:
         with pytest.raises(FraudDetected) as excinfo:
             env.session.process_batch_response(request, lying.encode_wire())
         assert excinfo.value.report.check == "merkle-proof"
+        # the package names the lying item, and the slash lands
+        assert excinfo.value.package.item == 0
+        assert_slashed_by(env, excinfo.value.package)
 
     def test_short_answer_is_fraud(self, parp_env):
         """Answering fewer items than were signed for is arity fraud."""
@@ -171,6 +183,21 @@ class TestBatchClassification:
         with pytest.raises(FraudDetected) as excinfo:
             env.session.process_batch_response(request, short.encode_wire())
         assert excinfo.value.report.check == "batch-arity"
+        assert excinfo.value.package.item == 0   # the envelope decided
+        assert_slashed_by(env, excinfo.value.package)
+
+    def test_a_lying_server_is_slashed_for_a_batch(self, devnet, keys):
+        """query_batch against a server that lies about one item of a
+        two-call batch: FraudDetected carries the package for that item, the
+        witness lands it, and the deposit is gone."""
+        env = make_parp_env(devnet, keys, server_cls=MaliciousFullNodeServer,
+                            attack="inflate_balance")
+        env.server.target = 1
+        with pytest.raises(FraudDetected) as excinfo:
+            env.session.query_batch(balance_calls(keys, "alice", "bob"))
+        assert excinfo.value.report.check == "merkle-proof"
+        assert excinfo.value.package.item == 1
+        assert_slashed_by(env, excinfo.value.package)
 
     def test_transit_tampering_is_invalid(self, parp_env):
         """A third party flipping bytes breaks σ_res: INVALID, not FRAUD."""
@@ -266,7 +293,7 @@ class TestVersionRefusal:
         acked = client.sessions[refuser.address].channel.acked
         calls = [RpcCall.create("eth_getBalance", alice.address)] * 2
         outcome = client.query_batch(calls)
-        assert outcome.batched
+        assert outcome.request.noun == "batch"
         assert all(item.report.classification is ResponseClass.VALID
                    for item in outcome.items)
         assert decode_balance(outcome.items[0].result) == 5 * TOKEN

@@ -57,7 +57,7 @@ class TestEmptyStorageIsHonest:
             storage_call(CHANNELS_MODULE_ADDRESS, b"\x77" * 32),
         ]
         outcome = env.session.query_batch(calls)
-        assert outcome.batched and outcome.report.valid
+        assert outcome.request.noun == "batch" and outcome.report.valid
         values = [decode(item.result)[0] for item in outcome.items]
         assert values == [b"", b"\x01", b"", b""]
         assert all(item.ok and item.report.check == "all-checks"
@@ -93,7 +93,7 @@ class TestEmptyStorageStillCatchesLies:
         call = storage_call(env.keys.alice.address)
         _, response = served_pair(env, call)
         _, account = decode(response.result)
-        forged = response.with_result(encode([b"\x01", account]))
+        forged = response.with_result(0, encode([b"\x01", account]))
         with pytest.raises(QueryFraud, match="differs from proven value"):
             verify_query_result(call, forged, env.session.headers.get_header)
 

@@ -147,7 +147,7 @@ class TestFirstValidWins:
         calls = [world.balance_call(),
                  RpcCall.create("eth_getBalance", world.lc.address)]
         outcome = client.query_hedged(calls, fanout=2)
-        assert outcome.batched and all(item.ok for item in outcome.items)
+        assert outcome.request.noun == "batch" and all(item.ok for item in outcome.items)
         attempts = world.attempts_by_label()
         assert attempts["srv-0"].outcome == "won"
         assert attempts["srv-1"].outcome in ("cancelled", "unused")
@@ -206,6 +206,32 @@ class TestMaliciousRace:
             DEPOSIT_MODULE_ADDRESS, "deposit_of",
             [world.operators[0].address]) == 0
         # and the cheat is banned from every later race
+        assert client.reputation.is_banned(world.servers[0].address,
+                                           client._now())
+
+    def test_fast_malicious_batch_is_slashed(self):
+        """The same race over a two-call batch, the lie on its second item:
+        the malicious *batch* is what gets slashed, and the slow honest
+        server's batch wins with both answers."""
+        world = HedgeWorld(latencies=[0.02, 0.5], prices_gwei=[2, 10],
+                           evil_index=0)
+        world.servers[0].target = 1
+        client = world.client
+        world.connect()
+        calls = [world.balance_call(),
+                 RpcCall.create("eth_getBalance", world.lc.address)]
+
+        outcome = client.query_hedged(calls, fanout=2)
+
+        assert len(outcome.items) == 2
+        assert all(item.ok for item in outcome.items)
+        attempts = world.attempts_by_label()
+        assert attempts["srv-0"].outcome == "fraud"
+        assert attempts["srv-1"].outcome == "won"
+        assert client.stats.frauds_slashed == 1
+        assert world.devnet.call_view(
+            DEPOSIT_MODULE_ADDRESS, "deposit_of",
+            [world.operators[0].address]) == 0
         assert client.reputation.is_banned(world.servers[0].address,
                                            client._now())
 

@@ -191,21 +191,26 @@ class TestShardDeath:
 
 
 class TestMaliciousShard:
-    def test_fraudulent_shard_is_slashed_and_rerouted(self):
-        """Shard 0's cheap primary forges a balance.  Its single-call leg
-        carries an FDM-decodable fraud package: §V-D rejects the response,
-        the witness lands the package on-chain (stake confiscated), and the
-        leg reroutes to the shard's honest replica — while shard 1's leg
-        never notices."""
+    @pytest.mark.parametrize("leg_calls", [1, 2])
+    def test_fraudulent_shard_is_slashed_and_rerouted(self, leg_calls):
+        """Shard 0's cheap primary forges a balance — the last one of its
+        leg, which holds one call or two.  §V-D rejects the response, the
+        witness lands the batch's fraud package on-chain (stake
+        confiscated), and the leg reroutes to the shard's honest replica —
+        while shard 1's leg never notices."""
         world = ShardWorld(shard_count=2, replicas=2,
                            latencies=(0.02, 0.1), prices_gwei=(2, 10),
                            evil={(0, 0): "inflate_balance"})
-        world.connect()
+        if leg_calls == 2:
+            world.users.append(user_in_shard(0, 2, tag="second"))
         evil_server = world.servers[(0, 0)]
+        evil_server.target = leg_calls - 1
+        world.connect()
 
         outcome = world.client.query_sharded(world.balance_calls())
 
         assert all(leg.ok for leg in outcome.legs)
+        assert [len(leg.calls) for leg in outcome.legs] == [leg_calls, 1]
         attempts = world.attempts_by_label()
         assert attempts["srv-0-0"].outcome == "fraud"
         assert attempts["srv-0-1"].outcome == "won"

@@ -13,20 +13,19 @@ still the server's own: FRAUD where the single wire says FRAUD, never INVALID
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.crypto import PrivateKey, keccak256
-from repro.parp.adversary import ATTACKS
+from repro.crypto import keccak256
+from repro.parp.adversary import ATTACKS, forge
 from repro.parp.messages import BatchResponse
 from repro.parp.states import ResponseClass
 from repro.parp.verification import classify_batch_response
 from repro.trie import ProofIndex, generate_proof
 
 from .test_prop_hostile_proof import (
-    ACCOUNTS, ADDRESSES, ALPHA, FN, HEADER, HEIGHT, TRIE, honest_batch)
+    ADDRESSES, ALPHA, FN, HEADER, HEIGHT, TRIE, honest_batch)
 
 MAX_ITEMS, MAX_POOL = 64, 130
 #: N + M at which a level exactly fills, and one more
@@ -49,14 +48,15 @@ def fold(nodes):
                  for at in range(0, len(nodes), 4)])
 
 
-def root(statuses, results, pool_hashes):
+def root(statuses, results, pool_hashes, keccak=None):
     """The commitment of a response with these items over a pool whose
     nodes hash to ``pool_hashes`` (named by reference: nothing is hashed)."""
     return BatchResponse(
         status=0, m_b=HEIGHT, a=1, statuses=tuple(statuses),
         results=tuple(results),
         proof=ProofIndex.by_reference((h, b"") for h in pool_hashes),
-        h_req=b"\x11" * 32, sig_req=b"\x22" * 65, sig_res=b"").commitment()
+        h_req=b"\x11" * 32, sig_req=b"\x22" * 65,
+        sig_res=b"").commitment(keccak)
 
 
 def content(n, m, seed):
@@ -87,6 +87,27 @@ def test_root_equals_the_naive_tree_at_every_width_boundary(n, m):
 def test_root_equals_the_naive_tree(n, m, seed):
     statuses, results, pool = content(n, m, seed)
     assert root(statuses, results, pool) == naive_root(statuses, results, pool)
+
+
+@given(st.integers(1, MAX_ITEMS), st.integers(0, MAX_POOL), st.integers(0, 99))
+@settings(max_examples=20, deadline=None)
+def test_a_handed_hash_folds_the_same_root_and_sees_every_message(n, m, seed):
+    """The FDM hands its metered builtin: the same root, every hash of the
+    fold through it (one per tree node: N leaves, the inner nodes, C)."""
+    statuses, results, pool = content(n, m, seed)
+    seen = []
+
+    def metered(data):
+        seen.append(data)
+        return keccak256(data)
+
+    assert root(statuses, results, pool, metered) == root(statuses, results,
+                                                         pool)
+    width, inner = n + m, 0
+    while width > 4:
+        width = -(-width // 4)
+        inner += width
+    assert len(seen) == n + inner + 1
 
 
 def test_the_root_is_over_the_hashes_the_index_holds():
@@ -157,46 +178,28 @@ def test_any_edit_changes_the_root(n, m, seed, edit, data):
 # --------------------------------------------------------------------------- #
 
 ASKED = ADDRESSES[:5]
-ROGUE = PrivateKey.from_seed("prop-batch-commitment:rogue")
 
-
-#: the single-wire attacks of ``parp/adversary.py`` told in a batch: how the
-#: honest response is doctored, who signs it for which channel, and what
-#: §V-D must say
-BATCH_LIES = {
-    "inflate_balance": (
-        lambda r: r.with_result(2, ACCOUNTS[ASKED[3]]), FN, ALPHA,
-        ResponseClass.FRAUD, "merkle-proof"),
-    "bogus_proof": (
-        lambda r: replace(r, proof=ProofIndex(n[::-1] for n in r.proof)),
-        FN, ALPHA, ResponseClass.FRAUD, "merkle-proof"),
-    "overcharge": (
-        lambda r: replace(r, a=r.a + 10 ** 9), FN, ALPHA,
-        ResponseClass.FRAUD, "payment-amount"),
-    "stale_height": (
-        lambda r: replace(r, m_b=HEIGHT - 2), FN, ALPHA,
-        ResponseClass.FRAUD, "timestamp"),
-    "wrong_signature": (
-        lambda r: r, ROGUE, ALPHA,
-        ResponseClass.INVALID, "response-signature"),
-    "wrong_request_hash": (
-        lambda r: replace(r, h_req=bytes([r.h_req[0] ^ 1]) + r.h_req[1:]),
-        FN, ALPHA, ResponseClass.INVALID, "request-hash"),
-    "wrong_channel": (
-        lambda r: r, FN, bytes(16),
-        ResponseClass.INVALID, "response-signature"),
+#: what §V-D must say of each attack of ``parp/adversary.py``, either wire
+VERDICTS = {
+    "inflate_balance": (ResponseClass.FRAUD, "merkle-proof"),
+    "bogus_proof": (ResponseClass.FRAUD, "merkle-proof"),
+    "overcharge": (ResponseClass.FRAUD, "payment-amount"),
+    "stale_height": (ResponseClass.FRAUD, "timestamp"),
+    "wrong_signature": (ResponseClass.INVALID, "response-signature"),
+    "wrong_request_hash": (ResponseClass.INVALID, "request-hash"),
+    "wrong_channel": (ResponseClass.INVALID, "response-signature"),
 }
 
 
 def test_every_attack_of_the_adversary_is_told_in_a_batch():
-    assert set(BATCH_LIES) == set(ATTACKS)
+    assert set(VERDICTS) == set(ATTACKS)
 
 
-@pytest.mark.parametrize("attack", sorted(BATCH_LIES))
+@pytest.mark.parametrize("attack", sorted(ATTACKS))
 def test_a_signed_batch_lie_classifies_as_on_the_single_wire(attack):
-    doctor, signer, alpha, expected, check = BATCH_LIES[attack]
+    expected, check = VERDICTS[attack]
     request, honest = honest_batch(ASKED)
-    forged = doctor(honest).signed(signer, alpha)
+    forged = forge(attack, honest, ALPHA, FN, pinned=HEIGHT, target=2)
     on_the_wire = BatchResponse.decode_wire(forged.encode_wire())
     overall, _ = classify_batch_response(
         request, on_the_wire, ALPHA, FN.address, HEIGHT,

@@ -1,12 +1,14 @@
 """Serial ≡ race of one: the three one-call entry points are one engine.
 
 ``request_call(c)``, ``query_hedged([c], fanout=1)`` and
-``query_sharded([c], fanout=1)`` all reduce to a single leg at fanout 1 on
-the single-request wire, so on fresh identical worlds they must be
-indistinguishable from outside: same winner, same ``spent``/``acked`` on
-every channel, same reputation events per server, same failover count and
-the same simulated elapsed time — with the top-ranked server honest, dead,
-malicious, or shedding behind a signed ``retry_after``.
+``query_sharded([c], fanout=1)`` all reduce to a single leg at fanout 1 —
+the first on the single wire, the other two on the batch wire as a batch of
+one — so on fresh identical worlds they must be indistinguishable from
+outside: same winner, same ``spent``/``acked`` on every channel, same
+reputation events per server, same failover count, the same simulated
+elapsed time, and the same slash — with the top-ranked server honest, dead,
+malicious (slashed on chain from either wire), or shedding behind a signed
+``retry_after``.
 
 Worlds are seeded: the seed draws the per-link latencies and the price
 ladder (so which server ranks first, and how long each answer takes,
@@ -18,6 +20,7 @@ import random
 import pytest
 
 from repro.chain import GenesisConfig
+from repro.contracts import DEPOSIT_MODULE_ADDRESS
 from repro.crypto import PrivateKey
 from repro.net import PairwiseLatency, SimEndpoint, SimNetwork, SimServerBinding
 from repro.node import Devnet
@@ -64,7 +67,7 @@ class World:
         self.alice = PrivateKey.from_seed("prop:one:alice")
         allocations = {k.address: 100 * TOKEN for k in operators + [lc, wn]}
         allocations[self.alice.address] = 5 * TOKEN
-        devnet = Devnet(GenesisConfig(allocations=allocations))
+        self.devnet = devnet = Devnet(GenesisConfig(allocations=allocations))
         self.network = SimNetwork(latency=PairwiseLatency(
             {(f"lc-{i}", f"srv-{i}"): latencies[i]
              for i in range(N_SERVERS)}, default=0.02))
@@ -139,6 +142,10 @@ class World:
                                    client.reputation.events_of(s.address)]
                        for s in self.servers},
             "failovers": client.stats.failovers,
+            "slashed": client.stats.frauds_slashed,
+            "deposits": [self.devnet.call_view(
+                DEPOSIT_MODULE_ADDRESS, "deposit_of", [s.address])
+                for s in self.servers],
             "soft_failovers": client.stats.soft_failovers,
             "storms_avoided": client.stats.retry_storms_avoided,
             "queries": client.stats.queries,
@@ -164,6 +171,9 @@ def test_one_call_entry_points_are_indistinguishable(scenario, seed):
                 "shedding": "overloaded"}[scenario]
     assert first_leg[1] == expected
     assert serial["failovers"] == (0 if scenario == "honest" else 1)
+    assert serial["slashed"] == (scenario == "malicious")
+    assert (serial["deposits"][worlds["request_call"].top] == 0) == (
+        scenario == "malicious")
     # hedge_launches is the one stat that tells the shapes apart: it counts
     # only attempts issued by query_hedged/query_sharded
     launches = {name: world.client.stats.hedge_launches

@@ -141,7 +141,7 @@ def observe(env, wire: str, call: RpcCall) -> dict:
             report = outcome.report
         else:
             outcome = session.query_batch([call])
-            assert outcome.batched
+            assert outcome.request.noun == "batch"
             (answered,) = outcome.items
             report = answered.report
             assert outcome.report.classification is report.classification

@@ -15,7 +15,16 @@ transaction:
 The second line is "no honest server is slashed by a package the FDM
 accepts" in miniature: the honest and signed-error rows are answers an
 unedited :class:`FullNodeServer` gives.
+
+Each row runs on the batch wire too, as two calls: the method's beside an
+honest balance read, with the lie in either slot.  A package names one item,
+and the FDM judges that item: it slashes for exactly the items the client's
+verdict convicts (all of them when the envelope lies), so naming the honest
+neighbour of a lying item reverts; and a package replayed against another
+batch on the same channel reverts.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -29,11 +38,11 @@ from repro.crypto import PrivateKey
 from repro.node import Devnet, FullNode
 from repro.parp.adversary import ATTACKS, MaliciousFullNodeServer
 from repro.parp.channel import ServerChannel
-from repro.parp.constants import MIN_FULL_NODE_DEPOSIT
+from repro.parp.constants import BATCH_PROTOCOL_VERSION, MIN_FULL_NODE_DEPOSIT
 from repro.parp.fraudproof import build_fraud_package
 from repro.parp.messages import (
+    BatchRequest,
     PARPRequest,
-    PARPResponse,
     ResponseStatus,
     RpcCall,
     handshake_digest,
@@ -41,7 +50,7 @@ from repro.parp.messages import (
 from repro.parp.queries import QUERY_CATALOG
 from repro.parp.server import FullNodeServer
 from repro.parp.states import ResponseClass
-from repro.parp.verification import classify_response
+from repro.parp.verification import classify_batch_response, classify_response
 
 FN = PrivateKey.from_seed("verdict:fn")
 LC = PrivateKey.from_seed("verdict:lc")
@@ -107,11 +116,12 @@ def call_for(method: str, net, mined) -> RpcCall:
     }[method])
 
 
-def answer(behaviour: str, node, alpha, request: PARPRequest,
-           monkeypatch) -> PARPResponse:
-    """What a server behaving as ``behaviour`` puts on the wire."""
+def answer(behaviour: str, node, alpha, request, monkeypatch, target=0):
+    """What a server behaving as ``behaviour`` puts on the wire of
+    ``request`` (a content lie edits item ``target``)."""
     server = (FullNodeServer(node) if behaviour in ("honest", "signed_error")
               else MaliciousFullNodeServer(node, attack=behaviour))
+    server.target = target
     server.channels[alpha] = ServerChannel(
         alpha=alpha, light_client=LC.address, budget=TOKEN)
     with monkeypatch.context() as patch:
@@ -119,12 +129,37 @@ def answer(behaviour: str, node, alpha, request: PARPRequest,
             # the refusal every method shares: the server (this one call
             # long) does not know the block the request pins
             patch.setattr(node.chain, "get_block_by_hash", lambda h: None)
-        return PARPResponse.decode_wire(
-            server.serve_request(request.encode_wire()))
+        serve = getattr(server, request.endpoint)
+        return request.response_type.decode_wire(
+            serve(request.encode_wire()))
 
 
 def deposit(net) -> int:
     return net.call_view(DEPOSIT_MODULE_ADDRESS, "deposit_of", [FN.address])
+
+
+def submit(net, package):
+    return net.execute(WN, FRAUD_MODULE_ADDRESS, "submit_fraud_proof",
+                       package.fdm_args(WN.address))
+
+
+def assert_fdm_agrees(net, package, report, context):
+    """Client FRAUD ⇔ slash naming the same check; otherwise a revert naming
+    it and the deposit intact.  Restakes after a slash."""
+    result = submit(net, package)
+    assert result.succeeded == report.fraudulent, (
+        context, report, result.error)
+    if report.fraudulent:
+        assert deposit(net) == 0
+        (confirmed,) = [log for log in result.receipt.logs
+                        if log.address == FRAUD_MODULE_ADDRESS]
+        assert confirmed.data.startswith(report.check.encode())
+        net.execute(FN, DEPOSIT_MODULE_ADDRESS, "deposit",
+                    value=MIN_FULL_NODE_DEPOSIT)  # stake again
+    else:
+        assert f"no fraud detected ({report.check}:" in result.error, (
+            context, report, result.error)
+    assert deposit(net) == MIN_FULL_NODE_DEPOSIT
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -145,21 +180,50 @@ def test_the_fdm_does_what_the_client_says(method, world, monkeypatch):
             behaviour, report)
 
         package = build_fraud_package(
-            request, response, alpha, chain.get_header,
-            lambda block_hash: chain.get_block_by_hash(block_hash).header)
-        result = net.execute(WN, FRAUD_MODULE_ADDRESS, "submit_fraud_proof",
-                             package.fdm_args(WN.address))
+            request, response, alpha, chain.get_header, header_by_hash(chain))
+        assert_fdm_agrees(net, package, report, behaviour)
 
-        assert result.succeeded == report.fraudulent, (
-            behaviour, report, result.error)
-        if report.fraudulent:
-            assert deposit(net) == 0
-            (confirmed,) = [log for log in result.receipt.logs
-                            if log.address == FRAUD_MODULE_ADDRESS]
-            assert confirmed.data.startswith(report.check.encode())
-            net.execute(FN, DEPOSIT_MODULE_ADDRESS, "deposit",
-                        value=MIN_FULL_NODE_DEPOSIT)  # stake again
-        else:
-            assert f"no fraud detected ({report.check}:" in result.error, (
-                behaviour, report, result.error)
-        assert deposit(net) == MIN_FULL_NODE_DEPOSIT
+
+def header_by_hash(chain):
+    return lambda block_hash: chain.get_block_by_hash(block_hash).header
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+@pytest.mark.parametrize("method", METHODS)
+def test_the_fdm_does_what_the_client_says_of_a_batch(method, slot, world,
+                                                      monkeypatch):
+    net, node, alpha, mined = world
+    chain = net.chain
+    for round_, behaviour in enumerate(BEHAVIOURS, start=1):
+        pinned = chain.head
+        calls = [call_for(method, net, mined),
+                 RpcCall.create("eth_getBalance", BOB.address)]
+        if slot:
+            calls.reverse()
+        request, other = (
+            BatchRequest.build(alpha, pinned.hash, round_ * 10 ** 12 + extra,
+                               calls, LC, version=BATCH_PROTOCOL_VERSION)
+            for extra in (0, 1))
+        response = answer(behaviour, node, alpha, request, monkeypatch,
+                          target=slot)
+
+        overall, items = classify_batch_response(
+            request, response, alpha, FN.address, pinned.number,
+            chain.get_header)
+        expected = EXPECTED[behaviour]
+        if behaviour == "inflate_balance" and not QUERY_CATALOG[
+                method].batchable:
+            expected = ResponseClass.VALID  # the lie edits a signed refusal
+        assert overall.classification is expected, (behaviour, overall)
+
+        for index in range(len(calls)):
+            # an envelope verdict (no item reports) is every item's
+            report = items[index] if items else overall
+            package = build_fraud_package(
+                request, response, alpha, chain.get_header,
+                header_by_hash(chain), item=index)
+            assert_fdm_agrees(net, package, report, (behaviour, index))
+            if report.fraudulent:
+                result = submit(net, replace(package, request=other))
+                assert "no fraud detected (request-hash:" in result.error
+                assert deposit(net) == MIN_FULL_NODE_DEPOSIT

@@ -1,16 +1,23 @@
 """Adversary module: every attack yields its designed classification.
 
 Unit-level complement to the integration matrix: checks the forged
-responses directly (without the session layer), including that each attack
-changes exactly the field it claims to change.
+responses directly (without the session layer), on both wires, including
+that each attack changes exactly the field it claims to change.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from repro.parp.adversary import ATTACKS, MaliciousFullNodeServer, _sign_response
-from repro.parp.messages import PARPRequest, ResponseStatus, RpcCall
+from repro.parp.adversary import ATTACKS, MaliciousFullNodeServer, forge
+from repro.parp.messages import (
+    PARPRequest,
+    PARPResponse,
+    ResponseStatus,
+    RpcCall,
+)
 from repro.parp.states import ResponseClass
-from repro.parp.verification import classify_response
+from repro.parp.verification import classify_batch_response, classify_response
 
 from ..conftest import make_parp_env
 
@@ -25,6 +32,30 @@ EXPECTED = {
 }
 
 
+def served(env, keys, wire: str):
+    """One paid balance round on ``wire`` against ``env.server``, the
+    session layer bypassed: the request and the decoded response."""
+    session = env.session
+    calls = [RpcCall.create("eth_getBalance", keys.alice.address),
+             RpcCall.create("eth_getBalance", keys.bob.address)]
+    if wire == "single":
+        calls = calls[:1]
+        price = session.fee_schedule.price(calls[0])
+        build, serve = session.build_request, env.server.serve_request
+    else:
+        price = session.fee_schedule.batch_price(calls)
+        build, serve = session.build_batch_request, env.server.serve_batch
+    amount = session.channel.next_amount(price)
+    request = build(calls[0] if wire == "single" else calls, amount)
+    session.channel.record_request(amount)
+    raw = serve(request.encode_wire())
+    response = request.response_type.decode_wire(raw)
+    # bypassing the session layer means syncing headers manually
+    if response.m_b > session.headers.chain.tip_number:
+        session.headers.sync_to(response.m_b)
+    return request, response
+
+
 class TestAttackCatalog:
     def test_catalog_is_complete(self):
         assert set(ATTACKS) == set(EXPECTED)
@@ -36,23 +67,16 @@ class TestAttackCatalog:
         with pytest.raises(ValueError):
             MaliciousFullNodeServer(node, attack="ddos")
 
+    @pytest.mark.parametrize("wire", ["single", "batch"])
     @pytest.mark.parametrize("attack", sorted(EXPECTED))
-    def test_classification_matrix(self, devnet, keys, attack):
+    def test_classification_matrix(self, devnet, keys, attack, wire):
         env = make_parp_env(devnet, keys,
                             server_cls=MaliciousFullNodeServer, attack=attack)
         session = env.session
-        call = RpcCall.create("eth_getBalance", keys.alice.address)
-        amount = session.channel.next_amount(session.fee_schedule.price(call))
-        request = session.build_request(call, amount)
-        session.channel.record_request(amount)
-        raw = env.server.serve_request(request.encode_wire())
-        from repro.parp.messages import PARPResponse
-
-        response = PARPResponse.decode_wire(raw)
-        # bypassing the session layer means syncing headers manually
-        if response.m_b > session.headers.chain.tip_number:
-            session.headers.sync_to(response.m_b)
-        report = classify_response(
+        request, response = served(env, keys, wire)
+        classify = (classify_response if wire == "single"
+                    else lambda *args: classify_batch_response(*args)[0])
+        report = classify(
             request, response, env.alpha, env.server.address,
             session.headers.height_of(request.h_b),
             session.headers.get_header,
@@ -60,33 +84,38 @@ class TestAttackCatalog:
         assert report.classification is EXPECTED[attack], report
         assert env.server.attacks_launched == 1
 
-    def test_overcharge_changes_only_amount(self, devnet, keys):
+    @pytest.mark.parametrize("wire", ["single", "batch"])
+    def test_overcharge_changes_only_amount(self, devnet, keys, wire):
         env = make_parp_env(devnet, keys,
                             server_cls=MaliciousFullNodeServer,
                             attack="overcharge")
-        session = env.session
-        call = RpcCall.create("eth_getBalance", keys.alice.address)
-        amount = session.channel.next_amount(session.fee_schedule.price(call))
-        request = session.build_request(call, amount)
-        session.channel.record_request(amount)
-        from repro.parp.messages import PARPResponse
-
-        response = PARPResponse.decode_wire(
-            env.server.serve_request(request.encode_wire()))
+        request, response = served(env, keys, wire)
         assert response.a == request.a + 10 ** 9
         # the forgery is still *signed by the attacker* — attributability
         assert response.signer(env.alpha) == env.server.address
 
-    def test_sign_response_helper_signs_lies(self, devnet, keys):
+    def test_a_content_lie_edits_only_its_target_item(self, devnet, keys):
+        env = make_parp_env(devnet, keys,
+                            server_cls=MaliciousFullNodeServer,
+                            attack="inflate_balance")
+        env.server.target = 1
+        request, response = served(env, keys, "batch")
+        _, items = classify_batch_response(
+            request, response, env.alpha, env.server.address,
+            env.session.headers.height_of(request.h_b),
+            env.session.headers.get_header)
+        assert [item.classification for item in items] == [
+            ResponseClass.VALID, ResponseClass.FRAUD]
+
+    def test_forge_signs_lies(self, devnet, keys):
         env = make_parp_env(devnet, keys)
         call = RpcCall.create("eth_blockNumber")
         request = PARPRequest.build(env.alpha, devnet.chain.head.hash, 100,
                                     call, keys.lc)
-        forged = _sign_response(keys.fn, env.alpha, request, m_b=1,
-                                amount=999, result=b"lie", proof=[],
-                                status=ResponseStatus.OK)
+        honest = PARPResponse.build(env.alpha, request, 1, b"", [], keys.fn)
+        forged = forge("overcharge", honest, env.alpha, keys.fn, pinned=1)
         assert forged.signer(env.alpha) == keys.fn.address
-        assert forged.a == 999
+        assert forged.a == 100 + 10 ** 9
 
     @pytest.mark.parametrize("forged,check", [
         (dict(amount_delta=10 ** 9), "payment-amount"),
@@ -96,11 +125,11 @@ class TestAttackCatalog:
     ])
     def test_a_signed_lie_is_classified_by_its_content(self, devnet, keys,
                                                        forged, check):
-        """The forgery helper signs through the digest every verifier
-        recomputes, proof and all: a lie next to a real proof passes the
-        signature check and is judged FRAUD for what it says — a helper
-        with its own copy of the signed layout would, the day the layout
-        moves, degrade every forgery to INVALID at ``response-signature``."""
+        """A lie re-signed through the digest every verifier recomputes,
+        proof and all: a lie next to a real proof passes the signature check
+        and is judged FRAUD for what it says — a forger with its own copy of
+        the signed layout would, the day the layout moves, degrade every
+        forgery to INVALID at ``response-signature``."""
         from repro.parp.queries import execute_query
 
         env = make_parp_env(devnet, keys)
@@ -113,10 +142,12 @@ class TestAttackCatalog:
         assert len(proof) >= 2
         if forged.get("reverse_proof"):
             proof = [node[::-1] for node in proof]
-        response = _sign_response(
-            keys.fn, env.alpha, request, m_b=m_b + forged.get("m_b_delta", 0),
-            amount=request.a + forged.get("amount_delta", 0),
-            result=forged.get("result", result), proof=proof)
+        honest = PARPResponse.build(env.alpha, request, m_b, result, proof,
+                                    keys.fn, status=ResponseStatus.OK)
+        response = replace(
+            honest, m_b=m_b + forged.get("m_b_delta", 0),
+            a=request.a + forged.get("amount_delta", 0),
+            result=forged.get("result", result)).signed(keys.fn, env.alpha)
         received = type(response).decode_wire(response.encode_wire())
         assert received.signer(env.alpha) == keys.fn.address
         report = classify_response(

@@ -94,7 +94,7 @@ class TestBeginCollect:
         pending = session.begin_batch(calls)
         assert not pending.reply.done()
         outcome = session.collect(pending)
-        assert outcome.batched and all(item.ok for item in outcome.items)
+        assert outcome.request.noun == "batch" and all(item.ok for item in outcome.items)
         assert server.stats.batches_served == 1
 
     def test_refused_batch_fails_at_collect_not_at_begin(self, devnet, keys):

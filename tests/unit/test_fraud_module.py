@@ -5,6 +5,8 @@ so each FDM branch can be driven in isolation — including the paths the
 normal client could never produce.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chain import GenesisConfig
@@ -17,9 +19,11 @@ from repro.contracts import (
 from repro.crypto import PrivateKey
 from repro.node import Devnet
 from repro.parp.channel import ServerChannel
-from repro.parp.constants import MIN_FULL_NODE_DEPOSIT
+from repro.parp.constants import BATCH_PROTOCOL_VERSION, MIN_FULL_NODE_DEPOSIT
 from repro.parp.fraudproof import FraudProofError, build_fraud_package
 from repro.parp.messages import (
+    BatchRequest,
+    BatchResponse,
     PARPRequest,
     PARPResponse,
     ResponseStatus,
@@ -67,15 +71,22 @@ def balance_exchange(net, node, alpha, amount=10_000):
     return request, response
 
 
-def submit(net, request, response, alpha, proof_header=None, req_header=None):
+def submit(net, request, response, alpha, proof_header=None, req_header=None,
+           item=0, wire=None):
     chain = net.chain
     req_header = req_header or chain.get_block_by_hash(request.h_b).header
     proof_header = proof_header or chain.get_header(response.m_b)
     return net.execute(
         WN, FRAUD_MODULE_ADDRESS, "submit_fraud_proof",
-        [request.encode_wire(), response.encode_for_fraud(alpha),
+        [request.noun.encode() if wire is None else wire,
+         request.encode_wire(), response.encode_for_fraud(alpha), item,
          proof_header.encode(), req_header.encode(), WN.address],
     )
+
+
+def overcharged(request, honest, alpha):
+    """``honest`` acknowledging 5 wei more than the request signed."""
+    return replace(honest, a=request.a + 5).signed(FN, alpha)
 
 
 class TestHonestResponsesSafe:
@@ -160,11 +171,7 @@ class TestFraudBranches:
     def test_payment_mismatch_slashes(self, env):
         net, node, alpha = env
         request, honest = balance_exchange(net, node, alpha)
-        from repro.parp.adversary import _sign_response
-
-        forged = _sign_response(FN, alpha, request, m_b=honest.m_b,
-                                amount=request.a + 5, result=honest.result,
-                                proof=list(honest.proof))
+        forged = overcharged(request, honest, alpha)
         result = submit(net, request, forged, alpha)
         assert result.succeeded
         assert net.call_view(DEPOSIT_MODULE_ADDRESS, "deposit_of",
@@ -208,11 +215,7 @@ class TestFraudBranches:
     def test_slash_distribution(self, env):
         net, node, alpha = env
         request, honest = balance_exchange(net, node, alpha)
-        from repro.parp.adversary import _sign_response
-
-        forged = _sign_response(FN, alpha, request, m_b=honest.m_b,
-                                amount=request.a + 5, result=honest.result,
-                                proof=list(honest.proof))
+        forged = overcharged(request, honest, alpha)
         lc_before = net.balance_of(LC.address)
         wn_before = net.balance_of(WN.address)
         tr_before = net.balance_of(TREASURY_ADDRESS)
@@ -238,14 +241,9 @@ class TestRejectionBranches:
     def test_channel_id_mismatch(self, env):
         net, node, alpha = env
         request, response = balance_exchange(net, node, alpha)
-        result = net.execute(
-            WN, FRAUD_MODULE_ADDRESS, "submit_fraud_proof",
-            [request.encode_wire(), response.encode_for_fraud(b"\x00" * 16),
-             net.chain.get_header(response.m_b).encode(),
-             net.chain.get_block_by_hash(request.h_b).header.encode(),
-             WN.address],
-        )
+        result = submit(net, request, response, b"\x00" * 16)
         assert not result.succeeded
+        assert "channel id mismatch" in result.error
         self.deposit_intact(net)
 
     def test_unknown_channel(self, env):
@@ -299,8 +297,6 @@ class TestRejectionBranches:
         # bogus proof forces the Merkle branch; forged header must be caught
         bogus = PARPResponse.build(alpha, request, honest.m_b, honest.result,
                                    [b"\xbb" * 40], FN)
-        from dataclasses import replace
-
         forged_header = replace(net.chain.get_header(bogus.m_b),
                                 extra_data=b"not-canonical")
         result = submit(net, request, bogus, alpha, proof_header=forged_header)
@@ -311,9 +307,11 @@ class TestRejectionBranches:
         net, node, alpha = env
         result = net.execute(
             WN, FRAUD_MODULE_ADDRESS, "submit_fraud_proof",
-            [b"garbage", b"more garbage", b"h", b"h", WN.address],
+            [b"request", b"garbage", b"more garbage", 0, b"h", b"h",
+             WN.address],
         )
         assert not result.succeeded
+        assert "undecodable fraud evidence" in result.error
 
     def test_closed_channel_not_adjudicable(self, env):
         net, node, alpha = env
@@ -324,12 +322,82 @@ class TestRejectionBranches:
         net.execute(LC, CHANNELS_MODULE_ADDRESS, "close_channel", [alpha, 0, b""])
         net.advance_blocks(DISPUTE_WINDOW_BLOCKS + 1)
         net.execute(LC, CHANNELS_MODULE_ADDRESS, "confirm_closure", [alpha])
-        from repro.parp.adversary import _sign_response
-
-        forged = _sign_response(FN, alpha, request, m_b=honest.m_b,
-                                amount=request.a + 5, result=honest.result,
-                                proof=list(honest.proof))
+        forged = overcharged(request, honest, alpha)
         # header windows: request grew stale; use fresh pair anyway
         result = submit(net, request, forged, alpha)
         assert not result.succeeded
         self.deposit_intact(net)
+
+
+def batch_exchange(net, node, alpha, amount=10 ** 12):
+    """What an unedited server answers a two-call balance batch with."""
+    server = FullNodeServer(node)
+    server.channels[alpha] = ServerChannel(
+        alpha=alpha, light_client=LC.address, budget=TOKEN)
+    calls = [RpcCall.create("eth_getBalance", key.address)
+             for key in (ALICE, WN)]
+    request = BatchRequest.build(alpha, net.chain.head.hash, amount, calls,
+                                 LC, version=BATCH_PROTOCOL_VERSION)
+    response = BatchResponse.decode_wire(
+        server.serve_batch(request.encode_wire()))
+    return request, response
+
+
+class TestHostileCalldata:
+    """Calldata is the witness's to choose: every malformed shape reverts
+    with a message naming the problem — never an uncaught ``IndexError`` or
+    ``KeyError`` — and evidence of real fraud slashes nothing when it comes
+    in the wrong shape."""
+
+    def rejected(self, net, result, reason):
+        assert not result.succeeded
+        assert reason in result.error, result.error
+        assert net.call_view(DEPOSIT_MODULE_ADDRESS, "deposit_of",
+                             [FN.address]) == MIN_FULL_NODE_DEPOSIT
+
+    @pytest.mark.parametrize("exchange", [balance_exchange, batch_exchange])
+    def test_item_index_past_the_last_call(self, env, exchange):
+        net, node, alpha = env
+        request, honest = exchange(net, node, alpha)
+        forged = overcharged(request, honest, alpha)
+        calls = len(request.calls)
+        self.rejected(net, submit(net, request, forged, alpha, item=calls),
+                      f"item {calls} out of range for a {request.noun} of "
+                      f"{calls} call(s)")
+        assert submit(net, request, forged, alpha, item=calls - 1).succeeded
+
+    def test_wire_field_naming_no_request_type(self, env):
+        net, node, alpha = env
+        request, honest = balance_exchange(net, node, alpha)
+        forged = overcharged(request, honest, alpha)
+        self.rejected(net, submit(net, request, forged, alpha,
+                                  wire=b"bundle"),
+                      "wire b'bundle' names no request type")
+
+    @pytest.mark.parametrize("exchange,wire", [(batch_exchange, b"request"),
+                                               (balance_exchange, b"batch")])
+    def test_blobs_of_the_other_wire(self, env, exchange, wire):
+        """The wire field picks the decoder; the blobs are never sniffed."""
+        net, node, alpha = env
+        request, honest = exchange(net, node, alpha)
+        forged = overcharged(request, honest, alpha)
+        self.rejected(net, submit(net, request, forged, alpha, wire=wire),
+                      "undecodable fraud evidence")
+
+    def test_arity_and_argument_types(self, env):
+        net, node, alpha = env
+        request, honest = balance_exchange(net, node, alpha)
+        args = [b"request", request.encode_wire(),
+                overcharged(request, honest, alpha).encode_for_fraud(alpha),
+                0, net.chain.get_header(honest.m_b).encode(),
+                net.chain.get_block_by_hash(request.h_b).header.encode(),
+                WN.address]
+        for bad, reason in ((args[:3] + args[4:], "fraud proof takes"),
+                            ([*args[:3], [b"0"], *args[4:]],
+                             "malformed fraud proof calldata"),
+                            ([[b"request"], *args[1:]],
+                             "malformed fraud proof calldata")):
+            self.rejected(net, net.execute(WN, FRAUD_MODULE_ADDRESS,
+                                           "submit_fraud_proof", bad), reason)
+        assert net.execute(WN, FRAUD_MODULE_ADDRESS, "submit_fraud_proof",
+                           args).succeeded

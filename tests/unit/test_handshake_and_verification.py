@@ -128,10 +128,9 @@ class TestClassification:
 
     def test_payment_mismatch_fraud(self):
         request, honest = make_pair()
-        from repro.parp.adversary import _sign_response
+        from dataclasses import replace
 
-        forged = _sign_response(FN, ALPHA, request, m_b=5,
-                                amount=request.a + 1, result=b"", proof=[])
+        forged = replace(honest, a=request.a + 1).signed(FN, ALPHA)
         report = self.classify(request, forged)
         assert report.classification is ResponseClass.FRAUD
         assert report.check == "payment-amount"
@@ -155,12 +154,10 @@ class TestClassification:
 
     def test_fraud_checks_precede_error_status(self):
         """Even an 'error' response must not lie about the amount."""
-        request, _ = make_pair()
-        from repro.parp.adversary import _sign_response
+        request, refusal = make_pair(status=ResponseStatus.ERROR)
+        from dataclasses import replace
 
-        forged = _sign_response(FN, ALPHA, request, m_b=5,
-                                amount=request.a + 9, result=b"",
-                                proof=[], status=ResponseStatus.ERROR)
+        forged = replace(refusal, a=request.a + 9).signed(FN, ALPHA)
         report = self.classify(request, forged)
         assert report.classification is ResponseClass.FRAUD
 

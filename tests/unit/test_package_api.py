@@ -40,7 +40,8 @@ class TestTopLevel:
     def test_removed_names_stay_removed(self):
         """What left the shipped package: the trie oracle (now
         ``tests/reference_trie.py``), the typed-RLP layer, PR 15's aliases,
-        and batch-version negotiation."""
+        batch-version negotiation, and the single-wire reshaping of hedged
+        and sharded legs."""
         import repro.parp
         import repro.rlp
         import repro.trie
@@ -68,6 +69,16 @@ class TestTopLevel:
         for cls, name in ((ServerAdvertisement, "batch_version"),
                           (MarketplaceStats, "version_mismatches")):
             assert name not in {f.name for f in dataclasses.fields(cls)}
+
+        # single-wire detours that existed only while batch fraud was not
+        # slashable: every hedged and sharded leg rides the batch wire
+        from repro.parp import marketplace
+        from repro.parp.client import BatchOutcome
+
+        assert not hasattr(marketplace, "_as_batch")
+        for cls in (BatchOutcome, marketplace.ScatterOutcome):
+            assert "batched" not in {f.name for f in dataclasses.fields(cls)}
+            assert not hasattr(cls, "batched")
 
     def test_src_imports_only_the_standard_library(self):
         """``pyproject.toml`` declares no runtime dependency, so every
