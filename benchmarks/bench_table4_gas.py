@@ -7,12 +7,18 @@ USD conversion uses the paper's assumptions: ETH $4,000, 12 Gwei mainnet,
 0.1 Gwei Arbitrum.
 
 Reference fraud-proof scenario: tampered write response for a transaction
-in a 200-tx block — the heaviest evidence (the paper's 762,508 figure).
+in a 200-tx block — the heaviest evidence (the paper's 762,508 figure).  The
+FDM charges its proof walk by the nodes the walk reads, so the lie is one
+only the walk convicts: the write acknowledged at its neighbour's slot, with
+that slot's proof.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.chain import GenesisConfig
+from repro.chain.block import index_key
 from repro.contracts import (
     CHANNELS_MODULE_ADDRESS,
     DEPOSIT_MODULE_ADDRESS,
@@ -25,6 +31,7 @@ from repro.node import Devnet, FullNode
 from repro.lightclient import HeaderSyncer
 from repro.parp import (
     FraudDetected,
+    FullNodeServer,
     LightClientSession,
     MIN_FULL_NODE_DEPOSIT,
     WitnessService,
@@ -32,6 +39,9 @@ from repro.parp import (
 from repro.parp.adversary import MaliciousFullNodeServer
 from repro.parp.constants import DISPUTE_WINDOW_BLOCKS
 from repro.parp.messages import RpcCall, handshake_digest, payment_digest
+from repro.parp.queries import decode_inclusion
+from repro.rlp import codec as rlp
+from repro.trie import generate_proof
 from repro.workloads import AccountSet, WriteWorkload
 
 from .reporting import add_report
@@ -47,6 +57,25 @@ PAPER_GAS = {
 TOKEN = 10 ** 18
 BATCH_CALLS = 16
 BATCH_ROW = f"Submit a fraud proof (batch item, {BATCH_CALLS} calls)"
+
+
+class MisplacedAck(FullNodeServer):
+    """Acknowledges a write at its neighbour's slot of the block, with that
+    slot's proof: the acknowledged hash is the write's own, and only the
+    walk down the block's transaction trie shows another transaction
+    there."""
+
+    def _execute_and_sign(self, request):
+        honest = super()._execute_and_sign(request)
+        number, index, tx_hash = decode_inclusion(honest.result)
+        slot = index ^ 1
+        block = self.node.get_block(number)
+        return replace(
+            honest,
+            result=rlp.encode([rlp.encode_int(number), rlp.encode_int(slot),
+                               tx_hash]),
+            proof=generate_proof(block.transaction_trie, index_key(slot)),
+        ).signed(self.key, request.alpha)
 
 
 def run_gas_scenario() -> dict[str, int]:
@@ -92,9 +121,7 @@ def run_gas_scenario() -> dict[str, int]:
     gas["Confirm closure"] = result.gas_used
 
     # 5. fraud proof for a tampered write response in a 200-tx block
-    evil = MaliciousFullNodeServer(
-        FullNode(net.chain, key=fn, name="evil"), attack="inflate_balance",
-    )
+    evil = MisplacedAck(FullNode(net.chain, key=fn, name="evil"))
     witness_node = FullNode(net.chain, key=wn, name="wn")
     session = LightClientSession(lc, evil,
                                  HeaderSyncer([evil, witness_node]))
@@ -111,12 +138,14 @@ def run_gas_scenario() -> dict[str, int]:
     else:
         raise AssertionError("the malicious node was not caught")
 
-    # 6. the same lie about the last item of a 16-balance batch: the package
-    #    carries the whole signed batch, the FDM folds its root and judges
-    #    the one item it names (measured only; the paper has no batch wire)
+    # 6. a doctored account record, the last item of a 16-balance batch: the
+    #    package carries the whole signed batch, the FDM folds its root and
+    #    walks the one item it names, under the witness's default gas limit
+    #    (measured only; the paper has no batch wire)
     net.execute(fn, DEPOSIT_MODULE_ADDRESS, "deposit",
                 value=MIN_FULL_NODE_DEPOSIT)
-    evil.target = BATCH_CALLS - 1
+    evil = MaliciousFullNodeServer(FullNode(net.chain, key=fn, name="evil"),
+                                   attack="inflate_balance")
     session = LightClientSession(lc, evil,
                                  HeaderSyncer([evil, witness_node]))
     session.connect(budget=10 ** 16)
@@ -125,11 +154,7 @@ def run_gas_scenario() -> dict[str, int]:
                              for address in accounts.addresses[:BATCH_CALLS]])
     except FraudDetected as exc:
         assert exc.package.item == BATCH_CALLS - 1
-        witness = WitnessService(witness_node)
-        # a figure past the witness's default limit is reported, not lost
-        # to an out-of-gas revert
-        witness.gas_limit *= 10
-        tx_hash = witness.submit(exc.package)
+        tx_hash = WitnessService(witness_node).submit(exc.package)
         gas[BATCH_ROW] = net.chain.get_receipt(tx_hash).gas_used
     else:
         raise AssertionError("the malicious batch was not caught")

@@ -19,6 +19,8 @@ root fold included) is metered:
 * ``verification._classify_item`` — §V-D check 6 on item ``i``: a signed
   error proves nothing and convicts nobody, else π_γ against the header's
   roots.  An honest item of a lying batch is not convicted by naming it.
+  The walk is charged per byte of the nodes it reads: the named item's
+  path, not the whole pool a batch shares.
 
 It slashes iff the report those return is FRAUD and reverts with the
 report's check otherwise: the two verifiers cannot diverge, because there
@@ -128,15 +130,20 @@ class FraudModule(NativeContract):
             ctx.require(canonical == ctx.keccak(proof_header_blob),
                         "submitted header is not canonical at its height")
             answer = response.item_view(item)
+            pool = response.proof_index
+            with pool.sharing_decodes() as read:
+                report = _classify_item(request.calls[item], answer, {
+                    proof_header.number: proof_header,
+                    req_header.number: req_header,
+                }.get)
+            # the walk is charged by the nodes it read: the item's own path,
+            # not the pool the rest of a batch shares
+            size = dict(zip(pool.hashes, map(len, pool)))
             ctx.charge(
-                PROOF_VERIFY_BYTE_GAS * sum(map(len, response.proof))
+                PROOF_VERIFY_BYTE_GAS * sum(size[node] for node in read)
                 + RLP_DECODE_BYTE_GAS * len(answer.result),
                 "proof-verify",
             )
-            report = _classify_item(request.calls[item], answer, {
-                proof_header.number: proof_header,
-                req_header.number: req_header,
-            }.get)
 
         verdict = f"{report.check}: {report.detail}"
         if not report.fraudulent:

@@ -11,14 +11,19 @@ as a lying single answer:
 =====================  ==========================  =====================
 attack                 what it forges              expected classification
 =====================  ==========================  =====================
-``inflate_balance``    R(γ) of the target item     FRAUD (merkle-proof)
+``inflate_balance``    R(γ) of the last item       FRAUD (merkle-proof)
 ``bogus_proof``        every proof node            FRAUD (merkle-proof)
 ``overcharge``         cumulative amount a         FRAUD (payment-amount)
-``stale_height``       m_B below the pinned block  FRAUD (timestamp)
+``stale_height``       old state, m_B < pinned     FRAUD (timestamp)
 ``wrong_signature``    σ_res by a different key    INVALID (response-signature)
 ``wrong_request_hash`` echoed h_req                INVALID (request-hash)
 ``wrong_channel``      α bound into h_res          INVALID (response-signature)
 =====================  ==========================  =====================
+
+``stale_height`` is the one lie told before signing: the server answers from
+the state two blocks below the block the request pins, result and proof
+consistent with that old header.  :func:`forge` of an answer already made
+can only relabel its m_B.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from typing import Callable, NamedTuple, Optional
 
 from ..crypto.keys import PrivateKey
 from ..trie.proof import ProofIndex
+from .messages import ResponseStatus
 from .server import FullNodeServer
 
 __all__ = ["ATTACKS", "MaliciousFullNodeServer", "forge"]
@@ -84,10 +90,6 @@ class MaliciousFullNodeServer(FullNodeServer):
     matrix is meant to be tested.
     """
 
-    #: the item of a batch a content lie edits (the last one if the batch
-    #: is shorter); a single response's one item is item 0
-    target = 0
-
     def __init__(self, *args, attack: str = "inflate_balance",
                  **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -98,10 +100,18 @@ class MaliciousFullNodeServer(FullNodeServer):
         self.attacks_launched = 0
 
     def _execute_and_sign(self, request):
-        """Honest step (C), then the configured lie."""
-        honest = super()._execute_and_sign(request)
+        """Honest step (C) — from old state for ``stale_height`` — then the
+        configured lie on the last item."""
         self.attacks_launched += 1
-        pinned = self.node.chain.get_block_by_hash(request.h_b)
-        return forge(self.attack, honest, request.alpha, self.key,
-                     pinned.number if pinned is not None else honest.m_b,
-                     min(self.target, len(honest) - 1))
+        block = self.node.chain.get_block_by_hash(request.h_b)
+        pinned = block.number if block is not None else self.node.head_number()
+        if block is not None and self.attack == "stale_height":
+            stale = max(0, pinned - 2)
+            honest = request.response_type.from_answers(
+                request, stale, [self._execute_call(request, call, stale)
+                                 for call in request.calls],
+                self.key, ResponseStatus.OK)
+        else:
+            honest = super()._execute_and_sign(request)
+        return forge(self.attack, honest, request.alpha, self.key, pinned,
+                     len(honest) - 1)

@@ -313,12 +313,14 @@ class ProofIndex(tuple):
         return node
 
     @contextmanager
-    def sharing_decodes(self) -> Iterator[None]:
+    def sharing_decodes(self) -> Iterator[dict]:
         """While open, a node is decoded for the first walk that crosses it
-        and read by the rest (a walk edits none); nothing is kept after."""
+        and read by the rest (a walk edits none); nothing is kept after.
+        Yields ``{hash: node}`` of every node the walks read, which is what
+        the on-chain verifier charges its proof-verify gas by."""
         self._decoded = {}
         try:
-            yield
+            yield self._decoded
         finally:
             self._decoded = None
 

@@ -32,6 +32,7 @@ from repro.parp.server import ServeError
 from repro.parp.queries import decode_balance, decode_int_result
 from repro.parp.states import ResponseClass
 from repro.trie.proof import proof_size
+from repro.workloads import AccountSet
 
 from ..conftest import TOKEN, make_parp_env
 
@@ -192,11 +193,27 @@ class TestBatchClassification:
         witness lands it, and the deposit is gone."""
         env = make_parp_env(devnet, keys, server_cls=MaliciousFullNodeServer,
                             attack="inflate_balance")
-        env.server.target = 1
         with pytest.raises(FraudDetected) as excinfo:
             env.session.query_batch(balance_calls(keys, "alice", "bob"))
         assert excinfo.value.report.check == "merkle-proof"
         assert excinfo.value.package.item == 1
+        assert_slashed_by(env, excinfo.value.package)
+
+    def test_a_16_call_batch_is_slashed_under_the_default_gas_limit(self,
+                                                                  keys):
+        """The read_batch16 shape over a 64-account state: the package
+        carries the whole 16-call response, and the FDM charges its walk by
+        the named item's own path, so the witness's default limit holds."""
+        accounts = AccountSet(64, seed="batch16", balance=TOKEN)
+        net = Devnet(accounts.genesis(extra={
+            key.address: 100 * TOKEN for key in (keys.fn, keys.lc, keys.wn)}))
+        env = make_parp_env(net, keys, server_cls=MaliciousFullNodeServer,
+                            attack="inflate_balance")
+        with pytest.raises(FraudDetected) as excinfo:
+            env.session.query_batch([RpcCall.create("eth_getBalance", address)
+                                     for address in accounts.addresses[:16]])
+        assert excinfo.value.package.item == 15
+        assert env.witness.gas_limit == 2_000_000
         assert_slashed_by(env, excinfo.value.package)
 
     def test_transit_tampering_is_invalid(self, parp_env):

@@ -215,7 +215,6 @@ class TestMaliciousRace:
         server's batch wins with both answers."""
         world = HedgeWorld(latencies=[0.02, 0.5], prices_gwei=[2, 10],
                            evil_index=0)
-        world.servers[0].target = 1
         client = world.client
         world.connect()
         calls = [world.balance_call(),

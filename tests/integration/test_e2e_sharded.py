@@ -204,7 +204,6 @@ class TestMaliciousShard:
         if leg_calls == 2:
             world.users.append(user_in_shard(0, 2, tag="second"))
         evil_server = world.servers[(0, 0)]
-        evil_server.target = leg_calls - 1
         world.connect()
 
         outcome = world.client.query_sharded(world.balance_calls())

@@ -25,7 +25,7 @@ from repro.parp.verification import classify_batch_response
 from repro.trie import ProofIndex, generate_proof
 
 from .test_prop_hostile_proof import (
-    ADDRESSES, ALPHA, FN, HEADER, HEIGHT, TRIE, honest_batch)
+    ACCOUNTS, ADDRESSES, ALPHA, FN, HEADER, HEIGHT, TRIE, honest_batch)
 
 MAX_ITEMS, MAX_POOL = 64, 130
 #: N + M at which a level exactly fills, and one more
@@ -179,8 +179,11 @@ def test_any_edit_changes_the_root(n, m, seed, edit, data):
 
 ASKED = ADDRESSES[:5]
 
-#: what §V-D must say of each attack of ``parp/adversary.py``, either wire
+#: what §V-D must say of each attack of ``parp/adversary.py``, either wire,
+#: and of one lie only a batch can tell: an item answered with another asked
+#: account's real record, which the shared pool proves — under another key
 VERDICTS = {
+    "neighbour_record": (ResponseClass.FRAUD, "merkle-proof"),
     "inflate_balance": (ResponseClass.FRAUD, "merkle-proof"),
     "bogus_proof": (ResponseClass.FRAUD, "merkle-proof"),
     "overcharge": (ResponseClass.FRAUD, "payment-amount"),
@@ -192,14 +195,17 @@ VERDICTS = {
 
 
 def test_every_attack_of_the_adversary_is_told_in_a_batch():
-    assert set(VERDICTS) == set(ATTACKS)
+    assert set(VERDICTS) == {*ATTACKS, "neighbour_record"}
 
 
-@pytest.mark.parametrize("attack", sorted(ATTACKS))
+@pytest.mark.parametrize("attack", sorted(VERDICTS))
 def test_a_signed_batch_lie_classifies_as_on_the_single_wire(attack):
     expected, check = VERDICTS[attack]
     request, honest = honest_batch(ASKED)
-    forged = forge(attack, honest, ALPHA, FN, pinned=HEIGHT, target=2)
+    if attack == "neighbour_record":
+        forged = honest.with_result(2, ACCOUNTS[ASKED[3]]).signed(FN, ALPHA)
+    else:
+        forged = forge(attack, honest, ALPHA, FN, pinned=HEIGHT, target=2)
     on_the_wire = BatchResponse.decode_wire(forged.encode_wire())
     overall, _ = classify_batch_response(
         request, on_the_wire, ALPHA, FN.address, HEIGHT,

@@ -36,7 +36,7 @@ from repro.contracts import (
 )
 from repro.crypto import PrivateKey
 from repro.node import Devnet, FullNode
-from repro.parp.adversary import ATTACKS, MaliciousFullNodeServer
+from repro.parp.adversary import ATTACKS, forge
 from repro.parp.channel import ServerChannel
 from repro.parp.constants import BATCH_PROTOCOL_VERSION, MIN_FULL_NODE_DEPOSIT
 from repro.parp.fraudproof import build_fraud_package
@@ -116,12 +116,12 @@ def call_for(method: str, net, mined) -> RpcCall:
     }[method])
 
 
-def answer(behaviour: str, node, alpha, request, monkeypatch, target=0):
+def answer(behaviour: str, node, alpha, request, pinned, monkeypatch,
+           target=0):
     """What a server behaving as ``behaviour`` puts on the wire of
-    ``request`` (a content lie edits item ``target``)."""
-    server = (FullNodeServer(node) if behaviour in ("honest", "signed_error")
-              else MaliciousFullNodeServer(node, attack=behaviour))
-    server.target = target
+    ``request``: the honest server's answer, forged by the adversary's
+    edit of item ``target`` for an attack."""
+    server = FullNodeServer(node)
     server.channels[alpha] = ServerChannel(
         alpha=alpha, light_client=LC.address, budget=TOKEN)
     with monkeypatch.context() as patch:
@@ -130,8 +130,11 @@ def answer(behaviour: str, node, alpha, request, monkeypatch, target=0):
             # long) does not know the block the request pins
             patch.setattr(node.chain, "get_block_by_hash", lambda h: None)
         serve = getattr(server, request.endpoint)
-        return request.response_type.decode_wire(
+        honest = request.response_type.decode_wire(
             serve(request.encode_wire()))
+    if behaviour not in ATTACKS:
+        return honest
+    return forge(behaviour, honest, alpha, FN, pinned, target)
 
 
 def deposit(net) -> int:
@@ -170,7 +173,8 @@ def test_the_fdm_does_what_the_client_says(method, world, monkeypatch):
         pinned = chain.head
         request = PARPRequest.build(alpha, pinned.hash, round_ * 10 ** 12,
                                     call_for(method, net, mined), LC)
-        response = answer(behaviour, node, alpha, request, monkeypatch)
+        response = answer(behaviour, node, alpha, request, pinned.number,
+                          monkeypatch)
         if behaviour == "signed_error":
             assert response.status == ResponseStatus.ERROR
 
@@ -204,8 +208,8 @@ def test_the_fdm_does_what_the_client_says_of_a_batch(method, slot, world,
             BatchRequest.build(alpha, pinned.hash, round_ * 10 ** 12 + extra,
                                calls, LC, version=BATCH_PROTOCOL_VERSION)
             for extra in (0, 1))
-        response = answer(behaviour, node, alpha, request, monkeypatch,
-                          target=slot)
+        response = answer(behaviour, node, alpha, request, pinned.number,
+                          monkeypatch, target=slot)
 
         overall, items = classify_batch_response(
             request, response, alpha, FN.address, pinned.number,

@@ -17,7 +17,11 @@ from repro.parp.messages import (
     RpcCall,
 )
 from repro.parp.states import ResponseClass
-from repro.parp.verification import classify_batch_response, classify_response
+from repro.parp.verification import (
+    _classify_item,
+    classify_batch_response,
+    classify_response,
+)
 
 from ..conftest import make_parp_env
 
@@ -94,11 +98,10 @@ class TestAttackCatalog:
         # the forgery is still *signed by the attacker* — attributability
         assert response.signer(env.alpha) == env.server.address
 
-    def test_a_content_lie_edits_only_its_target_item(self, devnet, keys):
+    def test_a_content_lie_edits_only_the_last_item(self, devnet, keys):
         env = make_parp_env(devnet, keys,
                             server_cls=MaliciousFullNodeServer,
                             attack="inflate_balance")
-        env.server.target = 1
         request, response = served(env, keys, "batch")
         _, items = classify_batch_response(
             request, response, env.alpha, env.server.address,
@@ -106,6 +109,23 @@ class TestAttackCatalog:
             env.session.headers.get_header)
         assert [item.classification for item in items] == [
             ResponseClass.VALID, ResponseClass.FRAUD]
+
+    @pytest.mark.parametrize("wire", ["single", "batch"])
+    def test_stale_height_serves_consistent_old_state(self, devnet, keys,
+                                                      wire):
+        """§V-D's staleness attack: the answer is an older block's state,
+        every result and proof valid against that block's header — only the
+        timestamp check convicts it."""
+        env = make_parp_env(devnet, keys,
+                            server_cls=MaliciousFullNodeServer,
+                            attack="stale_height")
+        request, response = served(env, keys, wire)
+        headers = env.session.headers
+        assert response.m_b == max(0, headers.height_of(request.h_b) - 2)
+        for index, call in enumerate(request.calls):
+            report = _classify_item(call, response.item_view(index),
+                                    headers.get_header)
+            assert report.classification is ResponseClass.VALID, report
 
     def test_forge_signs_lies(self, devnet, keys):
         env = make_parp_env(devnet, keys)
