@@ -130,7 +130,7 @@ def test_table3_latency_breakdown(benchmark, world_with_200tx_block):
     )
 
     # Shape assertions.  Two caveats vs the Go prototype, recorded in
-    # EXPERIMENTS.md: (1) steps bound by ECDSA public-key recovery (B and
+    # README "Departures from the paper": (1) steps bound by ECDSA public-key recovery (B and
     # D-total) carry a larger constant in pure Python, and (2) our node keeps
     # per-block tries cached, so write-proof generation is a walk rather
     # than Geth's rebuild-then-prove.  The following structure holds in both
@@ -146,7 +146,8 @@ def test_table3_latency_breakdown(benchmark, world_with_200tx_block):
     assert (timer.stats("D-total/write").mean
             >= timer.stats("D-proof/write").mean)
     # request verification cost is workload-independent (714 vs 703 µs in
-    # the paper): both are two signature recoveries plus a digest check
+    # the paper): both are three signature recoveries (σ_req, σ_a, and σ_a
+    # again in accept_request_payment) plus a digest check
     b_write = timer.stats("B/write").mean
     b_read = timer.stats("B/read").mean
     assert abs(b_write - b_read) / max(b_write, b_read) < 0.5

@@ -4,7 +4,7 @@ Each bench registers the table/series it regenerated; the conftest's
 ``pytest_terminal_summary`` hook prints every block at the end of the run,
 so ``pytest benchmarks/ --benchmark-only`` emits the paper-comparison tables
 without needing ``-s``.  Blocks are also appended to
-``benchmarks/results/latest.txt`` for EXPERIMENTS.md regeneration.
+``benchmarks/results/latest.txt``, to read against the runs in CHANGES.md.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ Design notes
   ``UNBONDING_BLOCKS`` so a fraud proof racing a withdrawal still slashes.
 * The slash split is 50% serving-layer treasury / 25% reporting light client
   / 25% witness full node (the paper fixes the three recipients but not the
-  ratio; EXPERIMENTS.md records this choice).
+  ratio; this split is the reproduction's own choice).
 """
 
 from __future__ import annotations

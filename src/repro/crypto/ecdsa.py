@@ -19,8 +19,10 @@ scalar inversion, and ``recover`` pays a field square root to lift ``r`` to
 ``R``.
 
 ``recover`` for a signer whose key the caller holds (``hint``) is one
-``double_table_mul`` instead: about 96 mixed additions, no doubling, no
-square root — a third of the time.  It is still a recovery, not a ``verify``:
+``double_table_mul`` instead: ``s/r``'s GLV halves read off the key's table
+and ``z/s`` off ``G``'s, at most 52 + 32 mixed additions, no doubling, no
+square root — under half the time of the full recovery, whose ladder the
+split has already halved.  It is still a recovery, not a ``verify``:
 ``verify`` compares ``R'.x`` with ``r`` and never looks at ``v``, so it accepts
 a signature with the recovery bit flipped, which the on-chain ``ecrecover``
 (``CloseChannel``, the FDM) resolves to some other address.  The known-key
@@ -135,13 +137,16 @@ def recover(msg_hash: bytes, signature: Signature,
     Mirrors the EVM ``ecrecover`` precompile used by the paper's Fraud
     Detection Module to authenticate request/response origin on-chain.
 
-    ``hint = fixed_base_table(Q, w)`` names the key the caller expects (the
-    table's first entry is ``Q`` itself, so there is no second copy of it to
-    disagree with) and only ever makes the call cheaper: ``R' = (z/s)*G +
-    (r/s)*Q`` is read off the two tables, and ``recover(h, sig) == Q`` holds
+    ``hint = fixed_base_table(Q, w, bits)`` names the key the caller expects
+    (the table's first entry is ``Q`` itself, so there is no second copy of
+    it to disagree with) and only ever makes the call cheaper: ``R' = (z/s)*G
+    + (r/s)*Q`` is read off the two tables, and ``recover(h, sig) == Q`` holds
     exactly when ``R'`` is the point ``r`` and ``v`` name (``sR = zG + rQ``),
     so ``Q`` is returned then; otherwise the full recovery below runs, and it
-    returns or raises what it would have without a hint.
+    returns or raises what it would have without a hint.  The table's rows
+    must cover a half of the split, ``bits >= SPLIT_BITS``: :mod:`.keys`
+    builds 26 rows of 5 bits, a full-width table serves as well, and a shorter
+    one reads a wrong ``R'`` and so only ever falls through.
     """
     if len(msg_hash) != 32:
         raise SignatureError(f"message hash must be 32 bytes, got {len(msg_hash)}")

@@ -7,17 +7,25 @@ signatures.  We implement:
 * point addition/doubling in Jacobian coordinates, plus the cheaper *mixed*
   addition of an affine point — every table below is stored affine, each
   batch normalised with a single field inversion (Montgomery's trick),
+* the GLV split (Gallant, Lambert, Vanstone, CRYPTO 2001): the curve has the
+  endomorphism ``φ(x, y) = (β·x, y) = λ·(x, y)``, so a scalar ``k`` is
+  ``k1 + k2·λ (mod N)`` with ``|k1|, |k2| < 2^SPLIT_BITS = 2^128`` and
+  ``k·Q = k1·Q + k2·φ(Q)`` is two half-length multiples; ``φ`` of a stored
+  point is one field multiplication, a negative half flips ``y``.  ``β``,
+  ``λ`` and the lattice basis are libsecp256k1's,
 * ``fixed_base_table``: ``j * 2^(wi) * Q`` for any point ``Q``, so a multiple
   of ``Q`` is one mixed addition per ``w``-bit window and no doubling;
   ``generator_mul`` walks the 8-bit table of ``G`` built at import (at most
-  32 additions), and a signer whose key is held — a channel counterparty —
-  gets a 4-bit one (at most 64 additions, ~170 KB),
-* ``point_mul``: width-5 wNAF over the odd multiples ``Q, 3Q, ..., 15Q`` —
-  256 doublings and about 43 mixed additions, negative digits for free,
+  32 additions, no split), and a signer whose key is held — a channel
+  counterparty — gets a 5-bit one covering a half (26 rows, 806 points),
+* ``point_mul``: one joint width-5 wNAF ladder of ``k1·Q + k2·φ(Q)`` over
+  ``Q, 3Q, ..., 15Q`` and their images under ``φ`` — at most 128 doublings
+  and about 43 mixed additions, negative digits for free,
 * ``double_scalar_mul``: ``u1*G + u2*Q`` accumulated into one Jacobian point
   and converted to affine once; ECDSA ``recover`` and ``verify`` are this,
-* ``double_table_mul``: the same sum when ``Q``'s table is at hand — both
-  halves are table walks; ``recover`` with a known key is this.
+* ``double_table_mul``: the same sum when ``Q``'s table is at hand — ``G``'s
+  table walked once, ``Q``'s once per half (at most 32 + 52 additions, no
+  doubling); ``recover`` with a known key is this.
 
 Nothing here is constant-time: the tables are indexed by, and the branches
 taken on, the bits of the scalar — including the secret ECDSA nonce.  That is
@@ -35,7 +43,7 @@ __all__ = [
     "P", "N", "Gx", "Gy", "B",
     "Point", "INFINITY",
     "point_add", "point_mul", "generator_mul", "double_scalar_mul",
-    "fixed_base_table", "double_table_mul",
+    "fixed_base_table", "double_table_mul", "SPLIT_BITS",
     "lift_x", "is_on_curve",
 ]
 
@@ -51,6 +59,19 @@ Gy = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 # 5-bit wNAF digits (8 odd multiples) for an arbitrary point.
 _G_WINDOW = 8
 _WNAF_WIDTH = 5
+
+# The endomorphism: (β·x, y) = λ·(x, y), β³ ≡ 1 (mod P), λ³ ≡ 1 (mod N), where
+# λ = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72 is
+# what the basis below encodes; no code needs its value.
+_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+# A reduced basis (a1, b1), (a2, b2) of the lattice {(x, y): x + y·λ ≡ 0
+# (mod N)}, with b2 = a1 and a1·b2 - a2·b1 = N.
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_MINUS_B1 = 0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+#: ``|k1|, |k2| < 2^SPLIT_BITS`` for every split scalar: the bits of rows a
+#: table needs to serve a half
+SPLIT_BITS = 128
 
 
 class Point(NamedTuple):
@@ -182,19 +203,24 @@ def point_add(p1: Point, p2: Point) -> Point:
     return _from_jacobian(_jacobian_add(_to_jacobian(p1), _to_jacobian(p2)))
 
 
-def _wnaf_mul(scalar: int, point: Point) -> _JacPoint:
-    """``scalar * point`` in Jacobian form; ``0 <= scalar < N``, ``point`` on the curve."""
-    if scalar == 0 or point.is_infinity:
-        return _J_INFINITY
-    # Odd multiples Q, 3Q, ..., (2^(w-1) - 1)Q: finite because Q has prime order N.
-    base = _to_jacobian(point)
-    twice = _jacobian_double(base)
-    odd = [base]
-    for _ in range((1 << (_WNAF_WIDTH - 2)) - 1):
-        odd.append(_jacobian_add(odd[-1], twice))
-    table = _batch_to_affine(odd)
-    # Signed digits, least significant first: each nonzero digit is odd, lies in
-    # (-2^(w-1), 2^(w-1)) and is followed by at least w - 1 zeros.
+def _split(scalar: int) -> tuple[int, int]:
+    """``(k1, k2)`` with ``k1 + k2·λ ≡ scalar (mod N)``, for ``0 <= scalar < N``.
+
+    It is ``(scalar, 0)`` minus the basis combination with coefficients
+    ``c1 = round(b2·k/N)``, ``c2 = round(-b1·k/N)`` — the exact coefficients
+    rounded, each off by at most 1/2 — so ``|k1| <= (a1 + a2)/2`` and
+    ``|k2| <= (-b1 + b2)/2``, both below ``2^SPLIT_BITS``.
+    """
+    c1 = (2 * _A1 * scalar + N) // (2 * N)
+    c2 = (2 * _MINUS_B1 * scalar + N) // (2 * N)
+    return scalar - c1 * _A1 - c2 * _A2, c1 * _MINUS_B1 - c2 * _A1
+
+
+def _wnaf(scalar: int) -> list[int]:
+    """Signed width-5 digits of ``scalar`` (of either sign), least significant
+    first: each nonzero digit is odd, lies in (-2^(w-1), 2^(w-1)) and is
+    followed by at least w - 1 zeros; a negative scalar's are the negated
+    digits of its absolute value."""
     digits = []
     while scalar:
         digit = 0
@@ -205,41 +231,64 @@ def _wnaf_mul(scalar: int, point: Point) -> _JacPoint:
             scalar -= digit
         digits.append(digit)
         scalar >>= 1
+    return digits
+
+
+def _wnaf_mul(scalar: int, point: Point) -> _JacPoint:
+    """``scalar * point`` in Jacobian form; ``0 <= scalar < N``, ``point`` on the
+    curve.  One ladder over both halves of the split: a doubling per digit of
+    the longer half, a mixed addition per nonzero digit of either."""
+    if scalar == 0 or point.is_infinity:
+        return _J_INFINITY
+    # Odd multiples Q, 3Q, ..., (2^(w-1) - 1)Q: finite because Q has prime order N.
+    base = _to_jacobian(point)
+    twice = _jacobian_double(base)
+    odd = [base]
+    for _ in range((1 << (_WNAF_WIDTH - 2)) - 1):
+        odd.append(_jacobian_add(odd[-1], twice))
+    table = _batch_to_affine(odd)
+    phi_table = [(x * _BETA % P, y) for x, y in table]
+    k1, k2 = _split(scalar)
+    digits1, digits2 = _wnaf(k1), _wnaf(k2)
+    length = max(len(digits1), len(digits2))
+    digits1 += [0] * (length - len(digits1))
+    digits2 += [0] * (length - len(digits2))
     result = _J_INFINITY
-    for digit in reversed(digits):
-        result = _jacobian_double(result)
-        if digit > 0:
-            x, y = table[digit >> 1]
-            result = _jacobian_add_affine(result, x, y)
-        elif digit < 0:
-            x, y = table[-digit >> 1]
-            result = _jacobian_add_affine(result, x, P - y)
+    for i in range(length - 1, -1, -1):
+        for digit, odd_points in ((digits1[i], table), (digits2[i], phi_table)):
+            if digit:
+                x, y = odd_points[abs(digit) >> 1]
+                result = _jacobian_add_affine(result, x, y if digit > 0 else P - y)
+        if i:
+            result = _jacobian_double(result)
     return result
 
 
 def point_mul(scalar: int, point: Point) -> Point:
-    """Multiply an affine curve ``point`` by ``scalar`` (width-5 wNAF)."""
+    """Multiply an affine curve ``point`` by ``scalar`` (GLV split, width-5 wNAF)."""
     if not is_on_curve(point):
         raise ValueError("point is not on the curve")
     return _from_jacobian(_wnaf_mul(scalar % N, point))
 
 
-def fixed_base_table(point: Point, width: int) -> list[list[tuple[int, int]]]:
+def fixed_base_table(point: Point, width: int,
+                     bits: int = 256) -> list[list[tuple[int, int]]]:
     """``table[i][j - 1] = j * 2^(width*i) * point`` as affine ``(x, y)``, for
-    each window position ``i`` and window value ``j = 1 .. 2^width - 1``.
+    each window position ``i`` and window value ``j = 1 .. 2^width - 1``, with
+    enough rows for a scalar below ``2^bits``.
 
     With it a multiple of ``point`` is one mixed addition per window and no
     doubling.  Every entry is finite because ``point`` has prime order ``N``.
     Rows are normalised one at a time, so a build never holds more than one
     row of Jacobian intermediates.  At 8 bits this is ``_G_TABLE`` (32 rows x
-    255 points, ~1.5 MB, ~0.1 s); a channel counterparty's key gets the
-    4-bit one (64 rows x 15 points, ~170 KB, ~10 ms — see :mod:`.keys`).
+    255 points, ~1.5 MB, ~0.1 s); a channel counterparty's key gets the 5-bit
+    one over ``SPLIT_BITS`` (26 rows x 31 points, ~9 ms — see :mod:`.keys`).
     """
     if point.is_infinity or not is_on_curve(point):
         raise ValueError("point is not a finite curve point")
     table = []
     base = _to_jacobian(point)
-    for _ in range(-(-256 // width)):
+    for _ in range(-(-bits // width)):
         row = [base]
         for _ in range((1 << width) - 2):
             row.append(_jacobian_add(row[-1], base))
@@ -252,18 +301,25 @@ _G_TABLE = fixed_base_table(G, _G_WINDOW)
 
 
 def _table_mul_add(table: list[list[tuple[int, int]]], scalar: int,
-                   start: _JacPoint) -> _JacPoint:
-    """``start + scalar * Q`` in Jacobian form, ``table`` being ``Q``'s
-    fixed-base table (its window width is read off the row length) and
-    ``0 <= scalar < 2^256``."""
+                   start: _JacPoint, phi: bool = False) -> _JacPoint:
+    """``start + scalar * Q`` (with ``phi``, ``start + scalar * φ(Q)``) in
+    Jacobian form, ``table`` being ``Q``'s fixed-base table (its window width
+    is read off the row length) with rows enough for ``|scalar|``; a negative
+    ``scalar`` adds the entries' negatives."""
     result = start
     mask = len(table[0])  # 2^width - 1
     width = mask.bit_length()
+    negate = scalar < 0
+    scalar = abs(scalar)
     for row in table:
+        if not scalar:
+            break
         window = scalar & mask
         if window:
             x, y = row[window - 1]
-            result = _jacobian_add_affine(result, x, y)
+            if phi:
+                x = x * _BETA % P
+            result = _jacobian_add_affine(result, x, P - y if negate else y)
         scalar >>= width
     return result
 
@@ -288,10 +344,14 @@ def double_scalar_mul(u1: int, u2: int, point: Point) -> Point:
 
 def double_table_mul(u1: int, u2: int,
                      table: list[list[tuple[int, int]]]) -> Point:
-    """Return ``u1 * G + u2 * Q`` where ``table`` is ``fixed_base_table(Q, w)``:
-    both halves walk a table, so no doubling and one conversion to affine."""
-    u1_g = _table_mul_add(_G_TABLE, u1 % N, _J_INFINITY)
-    return _from_jacobian(_table_mul_add(table, u2 % N, u1_g))
+    """Return ``u1 * G + u2 * Q`` where ``table`` is ``fixed_base_table(Q, w,
+    bits)`` with ``bits >= SPLIT_BITS`` (a full-width table will do): ``u2``
+    is split and ``Q``'s table walked once per half, the second time through
+    ``φ`` — no doubling, one conversion to affine."""
+    k1, k2 = _split(u2 % N)
+    result = _table_mul_add(_G_TABLE, u1 % N, _J_INFINITY)
+    result = _table_mul_add(table, k1, result)
+    return _from_jacobian(_table_mul_add(table, k2, result, phi=True))
 
 
 def lift_x(x: int, odd_y: bool) -> Point | None:

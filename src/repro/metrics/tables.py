@@ -1,7 +1,7 @@
 """Plain-text table rendering for benchmark output.
 
 Benches print the exact rows/series the paper reports, side by side with
-the paper's numbers, so EXPERIMENTS.md can be regenerated mechanically.
+the paper's numbers, so a run reads against the paper row by row.
 """
 
 from __future__ import annotations

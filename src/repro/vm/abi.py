@@ -3,8 +3,8 @@
 A call is ``selector(4 bytes) ‖ rlp([arg, …])`` where the selector is the
 first four bytes of ``keccak256(method_name)``.  RLP (instead of the EVM's
 32-byte-slot ABI) keeps calldata compact and uniformly meterable; the gas
-model charges per byte either way, and EXPERIMENTS.md notes the encoding
-difference when comparing Table IV.
+model charges per byte either way, which matters when comparing Table IV's
+calldata costs with the paper's.
 
 Supported argument types: ``int`` (non-negative), ``bytes``, ``bool``,
 :class:`~repro.crypto.keys.Address`, and (nested) lists thereof.

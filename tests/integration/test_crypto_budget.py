@@ -173,6 +173,13 @@ def test_a_warm_request_doubles_no_point_and_builds_no_table(
     assert not curve, dict(curve)
 
 
+def test_a_known_keys_table_holds_at_most_806_points(warm_env):
+    """26 rows of 31 points: what a 5-bit window needs to cover one 128-bit
+    half of the split (64 rows of 15 covered the whole scalar)."""
+    table = keys_module._KNOWN_KEYS._entries[warm_env.server.address]
+    assert isinstance(table, list) and sum(map(len, table)) <= 806
+
+
 def test_a_fresh_channel_builds_one_table_per_party(devnet, keys, monkeypatch):
     """A key earns its table with its ``_BUILD_AFTER``-th authenticated
     signature, the point where full recoveries have cost what the table
@@ -477,6 +484,18 @@ def test_sealing_hashes_and_appends_each_dirty_node_once(seal_net, monkeypatch):
     assert len(hashed) - len(dirty) - len(body) <= 3 * 4 + 1
     assert len(dirty) <= SEAL_BUDGET["records"]
     assert_within_keccak_budget(hashed, SEAL_BUDGET)
+
+
+def test_a_hintless_recover_doubles_at_most_130_times(seal_net, monkeypatch):
+    """A transaction's sender is recovered with no key to expect: one wNAF
+    ladder over both halves of the split (256 doublings before it)."""
+    transfers(seal_net, [0])
+    tx = Transaction.decode(seal_net.chain.mempool[0].encode())
+    with counted_curve_work(monkeypatch) as curve, \
+            counted_ecdsa(monkeypatch) as counts:
+        assert tx.sender == SEAL_SENDERS[0].address
+    assert counts["recover"] == 1
+    assert 0 < curve["_jacobian_double"] <= 130
 
 
 def test_sealing_n_transactions_on_one_account_hashes_the_root_once(

@@ -33,7 +33,8 @@ VECTORS = json.loads(
 )["vectors"]
 
 SIGNERS = [PrivateKey.from_seed(f"known-key:{i}") for i in range(4)]
-#: one table per width the issue sized; 4 is the one ``keys`` builds
+#: full-width tables at three widths: each is a valid hint, though ``keys``
+#: builds only the 5-bit one over ``SPLIT_BITS`` (a half of the split)
 HINTS = {width: [fixed_base_table(key.public_key.point, width)
                  for key in SIGNERS]
          for width in (4, 5, 8)}
@@ -184,9 +185,9 @@ def known_keys(monkeypatch):
         calls["full" if hint is None else "hinted"] += 1
         return inner_recover(msg_hash, signature, hint)
 
-    def counting_table(point, width):
+    def counting_table(point, width, *bits):
         calls["tables"] += 1
-        return inner_table(point, width)
+        return inner_table(point, width, *bits)
 
     monkeypatch.setattr(ecdsa, "recover", counting_recover)
     monkeypatch.setattr(keys, "fixed_base_table", counting_table)

@@ -1,7 +1,8 @@
 """Differential oracle for the windowed secp256k1 code.
 
 ``repro.crypto.secp256k1`` multiplies through a fixed-base byte table, a
-width-5 wNAF ladder and mixed Jacobian additions.  The textbook affine
+width-5 wNAF ladder over the two halves of a GLV split and mixed Jacobian
+additions.  The textbook affine
 add + double-and-add below shares none of that and is the reference every
 scalar-multiplication entry point must agree with — on random scalars and on
 the scalars and point pairs that steer the fast code into its rare branches.
@@ -12,15 +13,19 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import secp256k1
 from repro.crypto.ecdsa import Signature, SignatureError, recover, sign
 from repro.crypto.secp256k1 import (
     INFINITY,
+    SPLIT_BITS,
     N,
     P,
     Gx,
     Gy,
     Point,
     double_scalar_mul,
+    double_table_mul,
+    fixed_base_table,
     generator_mul,
     lift_x,
     point_mul,
@@ -74,6 +79,38 @@ EDGE_SCALARS = [
 OTHER = lift_x(0xC0FFEE, odd_y=False) or lift_x(0xC0FFEF, odd_y=False)
 POINTS = [G, MINUS_G, OTHER]
 
+#: the endomorphism, restated from libsecp256k1 rather than read off the
+#: module: φ(x, y) = (β·x, y) = λ·(x, y), and the reduced basis (a1, b1),
+#: (a2, b2) of {(x, y): x + y·λ ≡ 0 (mod N)} the split rounds against
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+A1 = B2 = 0x3086D221A7D46BCDE86C90E49284EB15
+B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+#: (k1, k2) pairs small enough that the split must return them as they are:
+#: each sign of each half
+SIGNED_HALVES = [(s1 * (0xDEADBEEF << 90), s2 * (0xC0FFEE << 100))
+                 for s1 in (1, -1) for s2 in (1, -1)]
+
+
+def _rounding_edges():
+    """The scalars either side of points where c1 = round(b2·k/N) or
+    c2 = round(-b1·k/N) steps to the next integer."""
+    edges = []
+    for d in (B2, -B1):
+        for m in (1, d // 3, d - 1):
+            step = (2 * m + 1) * N // (2 * d)
+            edges += [step, step + 1]
+    return edges
+
+
+GLV_EDGES = [
+    LAMBDA, N - LAMBDA, 2 * LAMBDA % N,             # k1 = 0
+    (1 << 127) - 1, N + 1 - (1 << 127),             # k2 = 0
+    *[(k1 + k2 * LAMBDA) % N for k1, k2 in SIGNED_HALVES],
+    *_rounding_edges(),
+]
+
 #: hypothesis draws mostly short integers; multiplying by an odd constant
 #: mod 2^256 is a bijection that turns them into full-width bit patterns
 _SPREAD = 0x9E3779B97F4A7C15F39CC0605CEDC8341082276BF3A27251F86C6A11D0C18E95
@@ -81,6 +118,40 @@ scalars = st.one_of(
     st.integers(min_value=0, max_value=ONES),
     st.integers(min_value=0, max_value=ONES).map(lambda k: k * _SPREAD & ONES),
 )
+
+
+def halves(scalar):
+    return secp256k1._split(scalar % N)
+
+
+class TestEndomorphism:
+    @pytest.mark.parametrize("point", POINTS)
+    def test_beta_x_is_lambda_times_the_point(self, point):
+        assert Point(BETA * point.x % P, point.y) == naive_mul(LAMBDA, point)
+
+    def test_the_module_splits_with_these_constants(self):
+        assert secp256k1._BETA == BETA
+        assert A1 * B2 - A2 * B1 == N
+        assert (A1 + B1 * LAMBDA) % N == (A2 + B2 * LAMBDA) % N == 0
+
+    @pytest.mark.parametrize("scalar", EDGE_SCALARS + GLV_EDGES)
+    def test_split_edges(self, scalar):
+        k1, k2 = halves(scalar)
+        assert (k1 + k2 * LAMBDA - scalar) % N == 0
+        assert max(abs(k1), abs(k2)) < 1 << SPLIT_BITS == 1 << 128
+
+    @given(scalars)
+    @settings(max_examples=200, deadline=None)
+    def test_split_random(self, scalar):
+        k1, k2 = halves(scalar)
+        assert (k1 + k2 * LAMBDA - scalar) % N == 0
+        assert max(abs(k1), abs(k2)) < 1 << SPLIT_BITS
+
+    def test_the_edges_reach_every_shape_of_split(self):
+        splits = {halves(k) for k in GLV_EDGES}
+        assert {(0, 1), (0, -1), (0, 2)} <= splits
+        assert {((1 << 127) - 1, 0), (1 - (1 << 127), 0)} <= splits
+        assert set(SIGNED_HALVES) <= splits
 
 
 class TestGeneratorMul:
@@ -103,7 +174,7 @@ class TestGeneratorMul:
 
 
 class TestPointMul:
-    @pytest.mark.parametrize("scalar", EDGE_SCALARS)
+    @pytest.mark.parametrize("scalar", EDGE_SCALARS + GLV_EDGES)
     @pytest.mark.parametrize("point", POINTS)
     def test_edges(self, scalar, point):
         assert point_mul(scalar, point) == naive_mul(scalar, point)
@@ -141,6 +212,13 @@ class TestDoubleScalarMul:
     def test_mixed_addition_branches(self, u1, u2, point):
         assert double_scalar_mul(u1, u2, point) == naive_double_mul(u1, u2, point)
 
+    @pytest.mark.parametrize("u2", GLV_EDGES)
+    @pytest.mark.parametrize("point", POINTS)
+    def test_glv_edges(self, u2, point):
+        for u1 in (0, 1, N - 1):
+            assert double_scalar_mul(u1, u2, point) == \
+                naive_double_mul(u1, u2, point)
+
     @given(scalars, scalars, scalars)
     @settings(max_examples=25, deadline=None)
     def test_random(self, u1, u2, seed):
@@ -152,6 +230,34 @@ class TestDoubleScalarMul:
     def test_plus_minus_collisions(self, u, sign_, point):
         assert double_scalar_mul(u, sign_ * u, point) == \
             naive_double_mul(u, sign_ * u, point)
+
+
+#: what ``keys`` builds for a signer it holds: 5-bit windows over one half
+HALF_POINT = generator_mul(0xC0FFEE)
+HALF_TABLE = fixed_base_table(HALF_POINT, 5, SPLIT_BITS)
+#: the scalars of 4 000 spread draws whose wider half is widest
+WIDEST = sorted((k * _SPREAD % N for k in range(1, 4001)),
+                key=lambda k: max(map(abs, halves(k))))[-8:]
+
+
+class TestHalfWidthTable:
+    def test_26_rows_of_31_points(self):
+        assert len(HALF_TABLE) == 26 and sum(map(len, HALF_TABLE)) == 806
+
+    def test_the_widest_halves_read_the_last_row(self):
+        widest = max(max(map(abs, halves(k))) for k in WIDEST)
+        assert widest >> 5 * (len(HALF_TABLE) - 1)
+
+    @pytest.mark.parametrize("u2", WIDEST + GLV_EDGES)
+    def test_walk_is_the_textbook_sum(self, u2):
+        assert double_table_mul(7, u2, HALF_TABLE) == \
+            naive_double_mul(7, u2, HALF_POINT)
+
+    @given(scalars, scalars)
+    @settings(max_examples=25, deadline=None)
+    def test_walk_random(self, u1, u2):
+        assert double_table_mul(u1, u2, HALF_TABLE) == \
+            naive_double_mul(u1, u2, HALF_POINT)
 
 
 class TestRecoverAgainstOracle:
