@@ -11,12 +11,11 @@ import pytest
 from repro.chain import GenesisConfig
 from repro.contracts import CHANNELS_MODULE_ADDRESS, DEPOSIT_MODULE_ADDRESS
 from repro.crypto import PrivateKey
-from repro.metrics import render_table
 from repro.node import Devnet
 from repro.parp import MIN_FULL_NODE_DEPOSIT
 from repro.parp.messages import handshake_digest, payment_digest
 
-from .reporting import add_report
+from .reporting import add_report, render_table
 
 TOKEN = 10 ** 18
 WINDOWS = (2, 5, 10, 20)

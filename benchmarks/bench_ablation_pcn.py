@@ -8,10 +8,9 @@ cumulative routing fees for the same payment volume.
 """
 
 from repro.crypto import PrivateKey
-from repro.metrics import render_table
 from repro.parp.pcn import ChannelGraph
 
-from .reporting import add_report
+from .reporting import add_report, render_table
 
 OPEN_CHANNEL_GAS = 191_061          # measured in bench_table4
 CLOSE_CONFIRM_GAS = 105_915 + 81_797

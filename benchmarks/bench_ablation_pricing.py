@@ -7,12 +7,11 @@ and how the charge distributes across call types.
 """
 
 from repro.lightclient import HeaderSyncer
-from repro.metrics import render_table
 from repro.parp import LightClientSession
 from repro.parp.pricing import CallBasedFeeSchedule, FlatFeeSchedule, GWEI
-from repro.workloads.write import WriteWorkload
 
-from .reporting import add_report
+from .reporting import add_report, render_table
+from .write_workload import WriteWorkload
 
 #: mixed workload: mostly cheap reads, a few expensive writes — the shape
 #: provider "compute unit" schedules are designed around.

@@ -10,11 +10,11 @@ quantifies the per-request cost of always-proving, for both workloads.
 
 import time
 
-from repro.metrics import StepTimer, render_table
 from repro.parp.messages import PARPResponse, RpcCall
 from repro.parp.queries import execute_query
 
-from .reporting import add_report
+from .probes import StepTimer
+from .reporting import add_report, render_table
 
 ROUNDS = 60
 

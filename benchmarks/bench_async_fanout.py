@@ -22,15 +22,14 @@ from collections import Counter
 
 from repro.chain import GenesisConfig
 from repro.crypto import PrivateKey
-from repro.metrics import render_table
 from repro.net import PairwiseLatency, SimEndpoint, SimNetwork, SimServerBinding
 from repro.node import Devnet
 from repro.parp import FlatFeeSchedule, Marketplace, MarketplaceClient
 from repro.parp.messages import RpcCall
 from repro.parp.pricing import GWEI
-from repro.workloads.dapp_traffic import generate_dataset
 
-from .reporting import add_report, write_json_series
+from .reporting import add_report, render_table, write_json_series
+from .table1 import generate_dataset
 
 TOKEN = 10 ** 18
 TOTAL_QUERIES = 90

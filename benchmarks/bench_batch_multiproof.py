@@ -15,14 +15,13 @@ adds on repeated traffic.
 
 import time
 
-from repro.metrics import render_table
 from repro.parp.messages import RpcCall
 from repro.trie.proof import proof_size
 
 import pytest
 
 from .conftest import BenchWorld
-from .reporting import add_report
+from .reporting import add_report, render_table
 
 BATCH_SIZES = (2, 8, 16)
 

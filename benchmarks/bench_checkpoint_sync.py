@@ -21,11 +21,10 @@ import time
 from repro.chain import GenesisConfig
 from repro.crypto import PrivateKey
 from repro.lightclient import Checkpoint, CheckpointSyncer, HeaderSyncer
-from repro.metrics import render_table
 from repro.node import Devnet, FullNode
 from repro.workloads import AccountSet
 
-from .reporting import add_report, write_json_series
+from .reporting import add_report, render_table, write_json_series
 
 #: chain lengths at which a fresh client joins (CI can shrink the sweep)
 CHAIN_LENGTHS = [

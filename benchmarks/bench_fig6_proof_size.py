@@ -14,12 +14,12 @@ RLP key encoding changes width — the paper's "sudden drop").
 import statistics
 
 from repro.chain import index_key
-from repro.metrics import render_series, render_table
 from repro.trie import generate_proof, proof_size
-from repro.workloads import AccountSet, build_block_with_size
+from repro.workloads import AccountSet
 from repro.node import Devnet
 
-from .reporting import add_report
+from .reporting import add_report, render_series, render_table
+from .write_workload import build_block_with_size
 
 BLOCK_SIZES = (50, 100, 200, 300, 400)
 TOKEN = 10 ** 18

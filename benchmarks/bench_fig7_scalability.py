@@ -23,7 +23,6 @@ from repro.chain import GenesisConfig
 from repro.contracts import DEPOSIT_MODULE_ADDRESS
 from repro.crypto import PrivateKey
 from repro.lightclient import HeaderSyncer
-from repro.metrics import ResourceProbe, render_table
 from repro.node import Devnet, FullNode
 from repro.parp import (
     FullNodeServer,
@@ -33,7 +32,8 @@ from repro.parp import (
 from repro.rpc import RpcClient, RpcServer
 from repro.workloads import AccountSet
 
-from .reporting import add_report
+from .probes import ResourceProbe
+from .reporting import add_report, render_table
 
 #: raised to 50 once the overlay trie engine removed the per-request
 #: hashing/decoding bottleneck (PR 3) — the paper's sweep tops out at 20

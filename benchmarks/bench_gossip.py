@@ -35,7 +35,6 @@ from repro.chain import GenesisConfig
 from repro.crypto import PrivateKey
 from repro.gossip import GossipNode, HeadGossip
 from repro.lightclient import HeaderSyncer
-from repro.metrics import render_table
 from repro.net import SimEndpoint, SimNetwork, SimServerBinding, UniformLatency
 from repro.node import Devnet, FullNode
 from repro.parp import (
@@ -49,7 +48,7 @@ from repro.parp.adversary import MaliciousFullNodeServer
 from repro.parp.fraudproof import WitnessService
 from repro.parp.pricing import GWEI
 
-from .reporting import add_report, write_json_series
+from .reporting import add_report, render_table, write_json_series
 
 TOKEN = 10 ** 18
 N_SERVERS = 3

@@ -18,7 +18,6 @@ from collections import Counter
 
 from repro.chain import GenesisConfig
 from repro.crypto import PrivateKey
-from repro.metrics import render_table
 from repro.node import Devnet, FullNode
 from repro.parp import (
     FlatFeeSchedule,
@@ -29,9 +28,9 @@ from repro.parp import (
 from repro.parp.adversary import MaliciousFullNodeServer
 from repro.parp.fraudproof import WitnessService
 from repro.parp.pricing import GWEI
-from repro.workloads.dapp_traffic import PUBLISHED_SHARES, generate_dataset
 
-from .reporting import add_report, write_json_series
+from .reporting import add_report, render_table, write_json_series
+from .table1 import generate_dataset
 
 TOKEN = 10 ** 18
 TOTAL_QUERIES = 120

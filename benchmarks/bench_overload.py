@@ -40,7 +40,6 @@ import random
 
 from repro.chain import GenesisConfig
 from repro.crypto import PrivateKey
-from repro.metrics import render_table
 from repro.net import PairwiseLatency, SimEndpoint, SimNetwork, SimServerBinding
 from repro.node import Devnet
 from repro.parp import (
@@ -55,7 +54,7 @@ from repro.parp.messages import RpcCall
 from repro.parp.pricing import GWEI
 from repro.parp.reputation import EVENT_OVERLOADED
 
-from .reporting import add_report, write_json_series
+from .reporting import add_report, render_table, write_json_series
 
 TOKEN = 10 ** 18
 N_SERVERS = 2

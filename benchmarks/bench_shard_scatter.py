@@ -29,7 +29,6 @@ import random
 
 from repro.chain import GenesisConfig
 from repro.crypto import PrivateKey, keccak256
-from repro.metrics import render_table
 from repro.net import PairwiseLatency, SimEndpoint, SimNetwork, SimServerBinding
 from repro.node import Devnet
 from repro.parp import FlatFeeSchedule, Marketplace, MarketplaceClient
@@ -37,7 +36,7 @@ from repro.parp.messages import RpcCall
 from repro.parp.pricing import GWEI
 from repro.trie import shard_of_key
 
-from .reporting import add_report, write_json_series
+from .reporting import add_report, render_table, write_json_series
 
 TOKEN = 10 ** 18
 SHARD_COUNTS = (1, 2, 4, 8)

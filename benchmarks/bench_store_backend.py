@@ -42,7 +42,6 @@ import tempfile
 import time
 
 from repro.chain.account import Account
-from repro.metrics import render_table
 from repro.metrics.cache import LRUCache
 from repro.storage import (
     MAGIC,
@@ -62,7 +61,7 @@ from repro.trie import (
     verify_proof,
 )
 
-from .reporting import add_report, write_json_series
+from .reporting import add_report, render_table, write_json_series
 
 #: accounts in the bulk-insert phase (paper-scale default 100k; CI shrinks
 #: it via the environment, like TRIE_BENCH_ACCOUNTS; 1M is the overnight

@@ -5,15 +5,13 @@ the identical analysis pipeline over the synthetic Torres-calibrated record
 set and regenerate both halves of Table I.
 """
 
-from repro.analysis import (
+from .reporting import add_report, render_table
+from .table1 import (
     PROVIDER_PROFILES,
     compare_with_published,
     compute_traffic_shares,
+    generate_dataset,
 )
-from repro.metrics import render_table
-from repro.workloads import generate_dataset
-
-from .reporting import add_report
 
 
 def test_table1_traffic_shares(benchmark):

@@ -7,11 +7,10 @@ for a balance query, 422 B for a raw-transaction call (an OpenChannel tx).
 """
 
 from repro.parp.constants import REQUEST_OVERHEAD_BYTES, RESPONSE_OVERHEAD_BYTES
-from repro.metrics import render_table
 from repro.rpc import RpcClient, RpcServer
 from repro.vm.abi import encode_call
 
-from .reporting import add_report
+from .reporting import add_report, render_table
 
 
 def test_table2_parp_overheads(benchmark, world_with_200tx_block):

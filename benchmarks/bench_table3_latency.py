@@ -16,12 +16,12 @@ side by side with the paper's numbers.
 
 import time
 
-from repro.metrics import StepTimer, render_table
 from repro.parp.messages import PARPRequest, PARPResponse, RpcCall
 from repro.parp.queries import execute_query, verify_query_result
 from repro.parp.verification import classify_response
 
-from .reporting import add_report
+from .probes import StepTimer
+from .reporting import add_report, render_table
 
 PAPER_ROWS = {
     ("A", "write"): "10.91 ms", ("A", "read"): "4.82 ms",

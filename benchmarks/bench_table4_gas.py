@@ -26,7 +26,6 @@ from repro.contracts import (
 )
 from repro.contracts.gascost import MEDIAN_TX_FEE_USD
 from repro.crypto import PrivateKey
-from repro.metrics import render_table
 from repro.node import Devnet, FullNode
 from repro.lightclient import HeaderSyncer
 from repro.parp import (
@@ -42,9 +41,10 @@ from repro.parp.messages import RpcCall, handshake_digest, payment_digest
 from repro.parp.queries import decode_inclusion
 from repro.rlp import codec as rlp
 from repro.trie import generate_proof
-from repro.workloads import AccountSet, WriteWorkload
+from repro.workloads import AccountSet
 
-from .reporting import add_report
+from .reporting import add_report, render_table
+from .write_workload import WriteWorkload
 
 PAPER_GAS = {
     "Deposit funds": 45_238,

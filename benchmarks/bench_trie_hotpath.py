@@ -40,11 +40,10 @@ import random
 import time
 
 from repro.chain.account import Account
-from repro.metrics import render_table
 from repro.trie import MerklePatriciaTrie, generate_proof
 from tests.reference_trie import NaiveMerklePatriciaTrie
 
-from .reporting import add_report, write_json_series
+from .reporting import add_report, render_table, write_json_series
 
 #: accounts in the bulk-insert phase (the paper-scale default is 100k; CI or
 #: quick local runs can shrink it via the environment).

@@ -15,9 +15,10 @@ from repro.parp import (
     MIN_FULL_NODE_DEPOSIT,
     WitnessService,
 )
-from repro.workloads import AccountSet, build_block_with_size
+from repro.workloads import AccountSet
 
 from .reporting import drain_reports, reset_results_file
+from .write_workload import WriteWorkload, build_block_with_size
 
 TOKEN = 10 ** 18
 
@@ -75,8 +76,6 @@ class BenchWorld:
         lands in a block with ``total_txs`` transactions.  Pre-fills the
         mempool with ``total_txs - 1`` transfers so the node's auto-miner
         packs them together with the client's transaction."""
-        from repro.workloads.write import WriteWorkload
-
         workload = WriteWorkload(self.accounts)
         workload.fill_mempool(self.net.chain, total_txs - 1)
         tx = workload.make_transfer(self.net.chain, total_txs + 1,

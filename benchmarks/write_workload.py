@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..chain.block import Block
-from ..chain.chain import Blockchain
-from ..chain.transaction import Transaction, UnsignedTransaction
-from ..crypto.keys import PrivateKey
-from .accounts import AccountSet
+from repro.chain.block import Block
+from repro.chain.chain import Blockchain
+from repro.chain.transaction import Transaction, UnsignedTransaction
+from repro.crypto.keys import PrivateKey
+from repro.workloads import AccountSet
 
 __all__ = ["WriteWorkload", "build_block_with_size"]
 

@@ -64,7 +64,7 @@ def main() -> None:
         session.get_balance(alice.address)
         raise SystemExit("BUG: the lie was not detected")
     except FraudDetected as fraud:
-        print(f"FRAUD detected by the '{fraud.report.check}' check:")
+        print(f"fraud detected by the '{fraud.report.check}' check:")
         print(f"  {fraud.report.detail}")
 
         print("\nhanding the evidence to a witness full node…")
@@ -78,7 +78,7 @@ def main() -> None:
 
         deposit_left = net.call_view(DEPOSIT_MODULE_ADDRESS, "deposit_of",
                                      [evil_operator.address])
-        print("\n-- slashing outcome --")
+        print("\n-- the deposit is slashed --")
         print(f"malicious node's deposit:   {deposit_left / TOKEN:.0f} tokens"
               f" (was {MIN_FULL_NODE_DEPOSIT / TOKEN:.0f})")
         print(f"light client awarded:       "

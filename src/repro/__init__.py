@@ -18,7 +18,9 @@ Layering (bottom up):
 * :mod:`repro.net`, :mod:`repro.node`, :mod:`repro.lightclient` — the
   simulated network and node assemblies everything runs on.
 
-Quickstart: see ``examples/quickstart.py`` or run ``parp-demo quickstart``.
+Quickstart: ``PYTHONPATH=src python examples/quickstart.py`` (add
+``--state-dir DIR`` for a disk-backed node).  ``examples/`` holds the other
+demos; the benchmark harness lives under ``benchmarks/``.
 """
 
 __version__ = "1.0.0"

@@ -1,17 +1,5 @@
-"""Measurement utilities: step timers, caches, resource probes, tables."""
+"""The bounded LRU cache (and its hit/miss counters) the node's hot paths share."""
 
 from .cache import CacheStats, LRUCache
-from .resources import ResourceProbe, ResourceSample
-from .tables import render_series, render_table
-from .timers import StepStats, StepTimer
 
-__all__ = [
-    "StepTimer",
-    "StepStats",
-    "CacheStats",
-    "LRUCache",
-    "ResourceProbe",
-    "ResourceSample",
-    "render_table",
-    "render_series",
-]
+__all__ = ["CacheStats", "LRUCache"]

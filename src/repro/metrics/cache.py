@@ -4,7 +4,7 @@ The PARP server keeps recently generated (result, proof) pairs and hot trie
 nodes behind one of these: a dApp that hammers the same keys between blocks
 costs the node one trie walk instead of thousands.  Hit/miss/eviction
 counters feed the serving-throughput analysis (Fig. 7 territory) the same
-way :class:`~repro.metrics.timers.StepTimer` feeds Table III.
+way the step timer of ``benchmarks/probes.py`` feeds Table III.
 """
 
 from __future__ import annotations

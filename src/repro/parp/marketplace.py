@@ -447,8 +447,6 @@ class MarketplaceClient:
         #: every attempt launched by the most recent routed query, serial
         #: ones included
         self.last_hedge: list[HedgeAttempt] = []
-        #: the most recent scatter-gather result (diagnostics/tests)
-        self.last_scatter: Optional[ScatterOutcome] = None
         self._headers = headers
         self._checkpoint = checkpoint
         self._clock = clock
@@ -850,7 +848,7 @@ class MarketplaceClient:
         for leg in legs:
             for pos, item in zip(leg.positions, leg.outcome.items):
                 items[pos] = item
-        outcome = ScatterOutcome(
+        return ScatterOutcome(
             items=tuple(items),
             # every winning leg verified VALID — a losing classification
             # never leaves _collect — so the stitched result is too
@@ -858,8 +856,6 @@ class MarketplaceClient:
             amount_paid=sum(leg.cost for leg in legs),
             legs=tuple(legs),
         )
-        self.last_scatter = outcome
-        return outcome
 
     def _split_by_shard(self, calls: tuple[RpcCall, ...]) -> list[ShardLeg]:
         """Partition a batch into per-shard legs.

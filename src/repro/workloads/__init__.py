@@ -1,18 +1,12 @@
-"""Workload generators: read/write traffic and the synthetic dApp dataset."""
+"""Deterministic account populations and Zipf-skewed access for benchmarks.
+
+Only what the wall-clock benchmark imports stays here:
+``benchmarks/e2e/workloads.py`` draws its targets with
+``repro.workloads.ZipfSelector``, and that file is frozen with the
+benchmark.  The rest of the harness (the write workload, the Table I
+dataset) lives under ``benchmarks/``.
+"""
 
 from .accounts import AccountSet, ZipfSelector
-from .dapp_traffic import PUBLISHED_SHARES, RpcCallRecord, generate_dataset
-from .read import ReadWorkload, ReadWorkloadResult
-from .write import WriteWorkload, build_block_with_size
 
-__all__ = [
-    "AccountSet",
-    "ZipfSelector",
-    "ReadWorkload",
-    "ReadWorkloadResult",
-    "WriteWorkload",
-    "build_block_with_size",
-    "RpcCallRecord",
-    "generate_dataset",
-    "PUBLISHED_SHARES",
-]
+__all__ = ["AccountSet", "ZipfSelector"]

@@ -9,23 +9,28 @@ and the chain nonces exactly consistent with the on-chain channel opens.
 
 import threading
 
+import pytest
+
 from repro.chain import GenesisConfig
 from repro.crypto import PrivateKey
 from repro.lightclient import HeaderSyncer
 from repro.net import FixedLatency, SimEndpoint, SimNetwork, SimServerBinding
 from repro.node import Devnet, FullNode
-from repro.parp import FullNodeServer, LightClientSession
+from repro.parp import AdmissionConfig, FullNodeServer, LightClientSession
 from repro.parp.messages import RpcCall
 
 TOKEN = 10 ** 18
 BUDGET = 10 ** 15
 
 
-def funded_devnet(client_keys, operator_keys, alice):
+def funded_devnet(client_keys, operator_keys, alice, holders=(),
+                  state_dir=None):
     allocations = {k.address: 100 * TOKEN
                    for k in list(client_keys) + list(operator_keys)}
-    allocations[alice.address] = 5 * TOKEN
-    devnet = Devnet(GenesisConfig(allocations=allocations))
+    for holder in (alice, *holders):
+        allocations[holder.address] = 5 * TOKEN
+    devnet = Devnet(GenesisConfig(allocations=allocations),
+                    state_dir=state_dir)
     for op in operator_keys:
         devnet.stake_full_node(op)
     devnet.advance_blocks(2)
@@ -110,17 +115,36 @@ class TestInterleavedOverSimNetwork:
 
 
 class TestThreadedSingleServer:
+    """Thread-safety is a contract of the serving side: ``FullNodeServer``
+    serves sessions from threads, so the locks in ``LRUCache``,
+    ``LogFile``, ``AdmissionController`` and the server's channels must hold
+    under real parallelism.  Each thread walks the holders in its own order,
+    so proof-cache misses happen under parallel threads.  The disk-backed
+    case reopens its state dir first (cold caches: those misses read
+    ``nodes.log``) and serves through an admission gate whose queue bound
+    no run can reach, so nothing is shed."""
+
     N_CLIENTS = 4
     REQUESTS = 25
 
-    def test_parallel_clients_cannot_corrupt_channel_state(self):
+    @pytest.mark.parametrize("backing", ["memory", "state_dir+admission"])
+    def test_parallel_clients_cannot_corrupt_channel_state(self, backing,
+                                                           tmp_path):
         clients = [PrivateKey.from_seed(f"thr:lc{i}")
                    for i in range(self.N_CLIENTS)]
         operator = PrivateKey.from_seed("thr:op")
         alice = PrivateKey.from_seed("thr:alice")
-        devnet = funded_devnet(clients, [operator], alice)
+        holders = [PrivateKey.from_seed(f"thr:holder{j}")
+                   for j in range(self.REQUESTS)]
+        on_disk = backing != "memory"
+        devnet = funded_devnet(clients, [operator], alice, holders,
+                               state_dir=tmp_path if on_disk else None)
+        if on_disk:
+            devnet.close()
+            devnet = Devnet(devnet.chain.config, state_dir=tmp_path)
+        admission = AdmissionConfig(max_queue_cost=1e12) if on_disk else None
         server = FullNodeServer(FullNode(devnet.chain, key=operator,
-                                         name="srv"))
+                                         name="srv"), admission=admission)
 
         sessions = []
         for key in clients:
@@ -129,16 +153,18 @@ class TestThreadedSingleServer:
             sessions.append(session)
 
         errors: list[Exception] = []
+        reads_before = devnet.node_store.stats.reads if on_disk else 0
 
-        def hammer(session: LightClientSession) -> None:
+        def hammer(i: int, session: LightClientSession) -> None:
             try:
-                for _ in range(self.REQUESTS):
-                    assert session.get_balance(alice.address) == 5 * TOKEN
+                for j in range(self.REQUESTS):
+                    holder = holders[(7 * i + j) % len(holders)]
+                    assert session.get_balance(holder.address) == 5 * TOKEN
             except Exception as exc:  # noqa: BLE001 — surfaced after join
                 errors.append(exc)
 
-        threads = [threading.Thread(target=hammer, args=(s,))
-                   for s in sessions]
+        threads = [threading.Thread(target=hammer, args=(i, s))
+                   for i, s in enumerate(sessions)]
         for t in threads:
             t.start()
         for t in threads:
@@ -156,3 +182,9 @@ class TestThreadedSingleServer:
             assert channel.requests_served == self.REQUESTS
             earned += channel.latest_amount
         assert server.stats.fees_earned == earned
+        assert server.stats.shed == 0
+        assert server.proof_cache.stats.misses >= len(holders)
+        if on_disk:
+            assert devnet.node_store.stats.reads > reads_before
+            assert server.admission.admitted == total
+            devnet.close()

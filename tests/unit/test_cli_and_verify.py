@@ -1,8 +1,8 @@
-"""The installed CLI demos and the standalone lightclient verifiers."""
+"""The standalone lightclient verifiers (the demos this file once ran are
+``examples/*.py``, run by ``tests/integration/test_examples.py``)."""
 
 import pytest
 
-from repro.cli import main as cli_main
 from repro.lightclient.verify import (
     verify_account,
     verify_balance,
@@ -10,28 +10,6 @@ from repro.lightclient.verify import (
     verify_storage_slot,
     verify_transaction_at,
 )
-
-
-class TestCli:
-    def test_quickstart_demo(self, capsys):
-        assert cli_main(["quickstart"]) == 0
-        out = capsys.readouterr().out
-        assert "channel open" in out
-        assert "verified balance" in out
-
-    def test_fraud_demo(self, capsys):
-        assert cli_main(["fraud"]) == 0
-        out = capsys.readouterr().out
-        assert "fraud detected" in out
-        assert "slashed" in out
-
-    def test_providers_demo(self, capsys):
-        assert cli_main(["providers"]) == 0
-        assert "infura" in capsys.readouterr().out
-
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(SystemExit):
-            cli_main(["nonsense"])
 
 
 class TestStandaloneVerify:

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.metrics import ResourceProbe, StepTimer, render_series, render_table
-from repro.workloads import AccountSet, ZipfSelector, generate_dataset
-from repro.workloads.dapp_traffic import PUBLISHED_SHARES, TOTAL_RPC_DAPPS
+from benchmarks.probes import ResourceProbe, StepTimer
+from benchmarks.reporting import render_series, render_table
+from benchmarks.table1 import PUBLISHED_SHARES, TOTAL_RPC_DAPPS, generate_dataset
+from repro.workloads import AccountSet, ZipfSelector
 
 
 class TestStepTimer:

@@ -18,14 +18,13 @@ class TestTopLevel:
 
         for name in ("crypto", "rlp", "trie", "chain", "vm", "contracts",
                      "rpc", "net", "lightclient", "node", "parp",
-                     "workloads", "metrics", "analysis"):
+                     "workloads", "metrics"):
             module = importlib.import_module(f"repro.{name}")
             assert module is not None
 
     @pytest.mark.parametrize("package", [
         "crypto", "rlp", "trie", "chain", "vm", "contracts", "rpc", "net",
-        "lightclient", "node", "storage", "gossip", "metrics", "workloads",
-        "analysis"])
+        "lightclient", "node", "storage", "gossip", "metrics", "workloads"])
     def test_every_export_resolves(self, package):
         """A stale ``__all__`` entry is a failure here, not an ImportError
         in someone's notebook (``repro.parp``'s lazy table has its own test
@@ -40,11 +39,16 @@ class TestTopLevel:
     def test_removed_names_stay_removed(self):
         """What left the shipped package: the trie oracle (now
         ``tests/reference_trie.py``), the typed-RLP layer, PR 15's aliases,
-        batch-version negotiation, and the single-wire reshaping of hedged
-        and sharded legs."""
+        batch-version negotiation, the single-wire reshaping of hedged
+        and sharded legs, the demo CLI (now ``examples/``), the benchmark
+        harness (now under ``benchmarks/``) and the dead read workload."""
+        import inspect
+
+        import repro.metrics
         import repro.parp
         import repro.rlp
         import repro.trie
+        import repro.workloads
 
         for module, name in ((repro.trie, "NaiveMerklePatriciaTrie"),
                              (repro.rlp, "Sedes"),
@@ -79,6 +83,22 @@ class TestTopLevel:
         for cls in (BatchOutcome, marketplace.ScatterOutcome):
             assert "batched" not in {f.name for f in dataclasses.fields(cls)}
             assert not hasattr(cls, "batched")
+
+        # src/ ships a node and a client: the demos are examples/*.py, the
+        # harness (tables, probes, the Table I study, the write workload)
+        # lives under benchmarks/, and the read workload had no caller
+        package = REPO / "src" / "repro"
+        for name in ("cli", "analysis", "workloads/read", "workloads/write",
+                     "workloads/dapp_traffic", "metrics/timers",
+                     "metrics/resources", "metrics/tables"):
+            assert not (package / f"{name}.py").exists(), name
+            assert not list((package / name).glob("*.py")), name
+        assert repro.workloads.__all__ == ["AccountSet", "ZipfSelector"]
+        assert repro.metrics.__all__ == ["CacheStats", "LRUCache"]
+
+        # a diagnostic nothing read: the most recent scatter's outcome
+        assert "last_scatter" not in inspect.getsource(
+            marketplace.MarketplaceClient)
 
     def test_src_imports_only_the_standard_library(self):
         """``pyproject.toml`` declares no runtime dependency, so every
