@@ -29,9 +29,9 @@ def index_key(index: int) -> bytes:
 def build_transaction_trie(transactions: list[Transaction]) -> MerklePatriciaTrie:
     """The per-block transaction trie: rlp(i) -> tx.encode().
 
-    Built as one batch: all N puts land in the trie's write overlay and the
-    root is hashed in a single commit pass (O(distinct nodes), not O(N·depth))
-    when the caller reads ``root_hash``.
+    Built as one batch: all N puts land in the trie's write overlay, hashed
+    by one commit (O(distinct nodes), not O(N·depth)) — a seal's goes along
+    with the state trie's, a rebuilt one's when ``root_hash`` is read.
     """
     trie = MerklePatriciaTrie()
     trie.update({index_key(index): tx.encode()
@@ -57,18 +57,18 @@ class Block:
 
     @classmethod
     def seal(cls, transactions: tuple[Transaction, ...],
-             receipts: tuple[Receipt, ...], **header_fields) -> "Block":
-        """Build the body tries once and the header over their roots.
+             receipts: tuple[Receipt, ...],
+             transaction_trie: MerklePatriciaTrie,
+             receipt_trie: MerklePatriciaTrie, **header_fields) -> "Block":
+        """The header over the body tries' roots, and the block keeping them.
 
-        The tries whose roots go into the header are the ones the block
-        keeps (they fill the ``cached_property`` slots), so
-        :meth:`validate_roots` and the inclusion proofs served from this
-        block reuse them.  A block that was not sealed here — decoded from
-        the block log, or assembled by hand — still rebuilds them from its
-        body.
+        The tries (built by :func:`build_transaction_trie` and
+        :func:`build_receipt_trie`, committed or not) fill the
+        ``cached_property`` slots, so :meth:`validate_roots` and the
+        inclusion proofs served from this block reuse them.  A block that
+        was not sealed here — decoded from the block log, or assembled by
+        hand — still rebuilds them from its body.
         """
-        transaction_trie = build_transaction_trie(list(transactions))
-        receipt_trie = build_receipt_trie(list(receipts))
         header = BlockHeader(
             transactions_root=transaction_trie.root_hash,
             receipts_root=receipt_trie.root_hash,

@@ -34,7 +34,7 @@ from ..storage.nodestore import (
     as_node_store,
 )
 from ..trie.mpt import EMPTY_TRIE_ROOT
-from .block import Block
+from .block import Block, build_receipt_trie, build_transaction_trie
 from .genesis import GenesisConfig, make_genesis_block
 from .header import BlockHeader
 from .receipt import Receipt
@@ -368,11 +368,12 @@ class Blockchain:
             transactions[:] = deferred
 
         # Sealing commit point: the one place the block's state writes are
-        # hashed (each dirty node once) and made durable; the body tries
-        # are built once and stay with the block.
-        state_root = self.state.commit()
+        # hashed (each dirty node once) and made durable, the body tries
+        # (which stay with the block) in the same keccak call.
+        tries = build_transaction_trie(included), build_receipt_trie(receipts)
+        state_root = self.state.commit(along=tries)
         block = Block.seal(
-            tuple(included), tuple(receipts),
+            tuple(included), tuple(receipts), *tries,
             parent_hash=parent.hash,
             state_root=state_root,
             number=parent.number + 1,

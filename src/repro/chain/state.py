@@ -47,7 +47,7 @@ path) for a disk-resident state that survives restarts.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from ..crypto import keccak256
 from ..crypto.keys import Address
@@ -141,7 +141,8 @@ class StateDB:
         """The backing node store shared by the account and storage tries."""
         return self._db
 
-    def commit(self, flush_store: bool = True) -> bytes:
+    def commit(self, flush_store: bool = True,
+               along: Sequence[MerklePatriciaTrie] = ()) -> bytes:
         """Flush dirty storage tries, then the account trie; returns the root.
 
         This is the batch commit point: each account's storage trie touched
@@ -155,7 +156,8 @@ class StateDB:
         ``flush_store=False`` stages everything in the store without cutting
         a durable batch — reading the root or proving mid-block uses it, so
         that a *sealed block* is the store's atomicity unit and crash
-        recovery can only land on a header-committed state root.
+        recovery can only land on a header-committed state root.  The tries
+        ``along`` (a block's body tries) are hashed with the account trie.
         """
         if self._dirty_storage:
             dirty, self._dirty_storage = self._dirty_storage, {}
@@ -168,7 +170,7 @@ class StateDB:
         # account trie is already clean (a mid-block root read staged the
         # block's nodes and nothing was written after it), they must still
         # become durable under the sealed root.
-        root = self._trie.commit(flush_store=False)
+        root = self._trie.commit(flush_store=False, along=along)
         if flush_store:
             self._db.commit(root)
         return root

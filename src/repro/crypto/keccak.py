@@ -20,18 +20,24 @@ Hashing side by side
 
 What a permutation costs here is interpreter dispatch (some 6 000 ``int``
 operations), not bit width: ``a ^ b`` takes nearly the same time on 64 and
-on 4 096 bits.  :func:`keccak256_many` therefore runs up to 64 *independent*
-messages through one pass, the times-N layout of XKCP's
-``KeccakP-1600-times4`` with big ints for SIMD registers: lane *i* of
-message *j* lives in bits ``[64j, 64j + 64)`` of the integer ``a_i``.
-Theta, chi and iota are the one-lane lines unchanged; a rotation becomes
+on 4 096 bits.  :func:`keccak256_many` therefore runs up to 64 messages
+through one pass, the times-N layout of XKCP's ``KeccakP-1600-times4``
+with big ints for SIMD registers: the message in lane *j* lives in bits
+``[64j, 64j + 64)`` of the integer ``a_i``.  Theta, chi and iota are the
+one-lane lines unchanged; a rotation becomes
 ``(t << r) & HI[r] | (t >> 64 - r) & LO[r]``, the masks keeping each
 message's bits inside its own 64.  Both forms are compiled at import from
-the one round body and rho table below.  Messages of different lengths run
-together, longest first, each lane read out when its last block has gone
-through.  The wide form costs 1.1x the one-lane permutation at two messages
-and 3x at 64; fewer than two take the one-lane path, chosen from
-``len(messages)`` — there is no knob.
+the one round body and rho table below.
+
+The messages may form a forest (a trie's nodes), each child's digest
+written into a 32-byte hole of its parent.  A pass absorbs the next block
+of every message whose next block holds no open hole, so a parent's blocks
+before its first dirty child go through while the children hash; one that
+reaches an open hole is parked (its 25 lanes cut out) until it is filled.
+Lanes go to ready messages in index order (with no edges, longest first),
+each pass at the narrowest width that holds them.  The wide form costs
+1.1x the one-lane permutation at two messages and 3x at 64; fewer than two
+messages take the one-lane path — there is no knob.
 
 Example
 -------
@@ -41,6 +47,7 @@ Example
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from operator import xor
 from struct import Struct
 from typing import Callable, Iterable
@@ -76,6 +83,7 @@ _RATE_BYTES = 136  # 1088-bit rate for Keccak-256 (capacity 512)
 _RATE_LANES = _RATE_BYTES // 8
 _BLOCK = Struct("<17Q")   # one rate block as little-endian lanes
 _DIGEST = Struct("<4Q")   # the 32 squeezed bytes
+_ZERO_BLOCK = bytes(_RATE_BYTES)
 
 
 def _compile_permutation(name: str, params: str, setup: str,
@@ -231,46 +239,103 @@ def keccak256(data: bytes) -> bytes:
     return _sponge(_bytes_of(data))
 
 
-def _sponge_lanes(padded: list[bytes]) -> list[bytes]:
-    """Digests of up to 64 padded messages, longest first: the lanes still
-    absorbing are a prefix, and every 17th word of their blocks one lane."""
-    digests = [b""] * len(padded)
-    active, width = len(padded), 0
+def keccak256_many(messages: Iterable[bytes],
+                   edges: Iterable[tuple[int, int, int]] = ()) -> list[bytes]:
+    """``[keccak256(m) for m in messages]``, messages sharing each pass of
+    the permutation (see the module docstring).
+
+    Each edge ``(child, parent, offset)`` has ``messages[child]``'s digest
+    written into the bytearray ``messages[parent]`` at ``offset`` before
+    that is absorbed (a :class:`ValueError` if the edges are no forest)."""
+    given = list(messages)
+    data = [_bytes_of(message) for message in given]
+    count = len(data)
+    parent, at = [-1] * count, [0] * count
+    holes: dict[int, list[int]] = {}    # a parent's open holes, by offset
+    for child, up, offset in edges:
+        if parent[child] >= 0 or not isinstance(given[up], bytearray) or not (
+                0 <= offset <= len(given[up]) - 32):
+            raise ValueError(f"edge {child, up, offset} fills no hole")
+        data[up], parent[child], at[child] = given[up], up, offset
+        holes.setdefault(up, []).append(offset)
+    if count < 2:
+        return [_sponge(message) for message in data]
+    blocks = [len(message) // _RATE_BYTES + 1 for message in data]
+
+    def first_hole(j: int) -> int:  # a message absorbs the blocks before it
+        return min(holes[j]) // _RATE_BYTES if holes.get(j) else blocks[j]
+    limit = list(map(first_hole, range(count)))
+    # who waits for a lane, keyed rank * count + index: independent ones
+    # longest first (the running lanes stay a prefix), a forest's by index
+    queue = sorted((0 if holes else -blocks[j]) * count + j
+                   for j in range(count) if limit[j])
+    done, digests = [0] * count, [b""] * count
+    lanes: list[int] = []               # the message in each lane, -1: free
+    saved: dict[int, list[int]] = {}    # a parked message's 25 lanes
     state = [0] * 25
-    for offset in range(0, len(padded[0]), _RATE_BYTES):
-        lanes = max(2, 1 << (active - 1).bit_length())
-        if lanes != width:   # the first block, then narrowing as lanes finish
-            width, table = lanes, _LANE_TABLES[lanes]
-            keep = (1 << 64 * width) - 1
-            state = [lane & keep for lane in state]
-        end = offset + _RATE_BYTES
-        words = memoryview(
-            b"".join([data[offset:end] for data in padded[:active]])).cast("Q")
+    while True:
+        entering = []
+        running = len(lanes) - lanes.count(-1)
+        while queue and running + len(entering) < _MAX_LANES:
+            entering.append(heappop(queue) % count)
+        if not running + len(entering):
+            break
+        # the narrowest width that holds them: what runs past it moves down
+        width = max(2, 1 << (running + len(entering) - 1).bit_length())
+        for lane, j in enumerate(lanes[width:], width):
+            if j >= 0:
+                saved[j] = [word >> 64 * lane & _MASK64 for word in state]
+                entering.append(j)
+        del lanes[width:]
+        lanes += [-1] * (width - len(lanes))
+        # nothing past the width, and a free lane starts from zeros
+        keep = int.from_bytes(b"".join([b"\xff" * 8 if j >= 0 else b"\0" * 8
+                                        for j in lanes]), "little")
+        state = [word & keep for word in state]
+        for lane, j in zip([lane for lane, j in enumerate(lanes) if j < 0],
+                           entering):
+            lanes[lane] = j
+            if j in saved:
+                state = [word | part << 64 * lane
+                         for word, part in zip(state, saved.pop(j))]
+        pieces = [_ZERO_BLOCK] * width
+        for lane, j in enumerate(lanes):
+            if j >= 0:      # a short block is the last: padded
+                start = done[j] * _RATE_BYTES
+                block = data[j][start:start + _RATE_BYTES]
+                pieces[lane] = block if len(block) == _RATE_BYTES else _pad(block)
+        words = memoryview(b"".join(pieces)).cast("Q")
         for i in range(_RATE_LANES):
             state[i] ^= int.from_bytes(words[i::_RATE_LANES].tobytes(), "little")
-        _keccak_f1600_lanes(state, *table)
-        if len(padded[active - 1]) == end:
-            squeezed = [lane.to_bytes(8 * width, "little") for lane in state[:4]]
-            while active and len(padded[active - 1]) == end:
-                active -= 1
-                at = 8 * active
-                digests[active] = b"".join([lane[at:at + 8] for lane in squeezed])
-    return digests
-
-
-def keccak256_many(messages: Iterable[bytes]) -> list[bytes]:
-    """``[keccak256(m) for m in messages]``, independent messages sharing
-    each pass of the permutation (see the module docstring)."""
-    messages = [_bytes_of(data) for data in messages]
-    if len(messages) < 2:
-        return [_sponge(data) for data in messages]
-    order = sorted(range(len(messages)), key=lambda j: -len(messages[j]))
-    digests = [b""] * len(messages)
-    for start in range(0, len(order), _MAX_LANES):
-        chunk = order[start:start + _MAX_LANES]
-        for j, digest in zip(chunk, _sponge_lanes(
-                [_pad(messages[j]) for j in chunk])):
-            digests[j] = digest
+        _keccak_f1600_lanes(state, *_LANE_TABLES[width])
+        squeezed = b""
+        for lane, j in enumerate(lanes):    # the finished fill their holes
+            if j < 0:
+                continue
+            done[j] += 1
+            if done[j] < blocks[j]:
+                continue
+            lanes[lane] = -1
+            if not squeezed:    # every lane's 32 digest bytes in a row
+                squeezed = bytearray(32 * width)
+                rows = memoryview(squeezed).cast("Q")
+                for i in range(4):
+                    rows[i::4] = memoryview(
+                        state[i].to_bytes(8 * width, "little")).cast("Q")
+            digests[j] = bytes(squeezed[32 * lane:32 * lane + 32])
+            up = parent[j]
+            if up >= 0:
+                data[up][at[j]:at[j] + 32] = digests[j]
+                holes[up].remove(at[j])
+                stop, limit[up] = limit[up], first_hole(up)
+                if done[up] == stop < limit[up] and up not in lanes:
+                    heappush(queue, up)     # it waited on this hole
+        for lane, j in enumerate(lanes):    # what still waits on one parks
+            if j >= 0 and done[j] == limit[j]:
+                lanes[lane] = -1
+                saved[j] = [word >> 64 * lane & _MASK64 for word in state]
+    if not all(digests):
+        raise ValueError("the edges leave a message waiting on itself")
     return digests
 
 

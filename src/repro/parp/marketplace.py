@@ -284,6 +284,7 @@ class MarketplaceStats:
     sessions_opened: int = 0
     frauds_detected: int = 0
     frauds_slashed: int = 0
+    frauds_unslashed: int = 0     # a package the witness could not land
     hedged_queries: int = 0       # query_hedged races run
     hedge_launches: int = 0       # legs issued by query_hedged/query_sharded
     hedges_cancelled: int = 0     # losing in-flight requests cancelled
@@ -1170,7 +1171,7 @@ class MarketplaceClient:
                 self.stats.frauds_slashed += 1
                 kind = EVENT_FRAUD_SLASHED
             except FraudProofError:
-                pass  # evidence did not stick on-chain; local penalty stands
+                self.stats.frauds_unslashed += 1  # local penalty stands
         self.reputation.record(ad.address, kind, self._now())
         detail = (exc.package.calldata(self.address)
                   if exc.package is not None

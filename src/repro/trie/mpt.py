@@ -34,13 +34,14 @@ so roots are bit-for-bit identical to hashing eagerly on every ``put``, and
 bulk ``update`` of N keys performs O(distinct dirty nodes) hash and encode
 operations instead of O(N × depth).
 
-The flush runs in *waves*: the overlay is grouped by height above its
-deepest dirty descendant and each height is encoded together, what encodes
-under 32 bytes inlined and the rest hashed in one
-:func:`~repro.crypto.keccak.keccak256_many` call — independent messages
-share each pass of the permutation.  Only the hashing is reordered: the
-store still receives its ``(hash, encoded)`` puts in post-order, so a disk
-log is byte-for-byte the one a node-at-a-time flush writes.
+The flush is one keccak *tree*: the overlay is encoded once, what encodes
+under 32 bytes inlined and every hashed child a 32-byte hole in its
+parent, and all of it goes to one :func:`~repro.crypto.keccak.keccak256_many`
+call with an edge per hole — a parent's blocks before its first open hole
+share passes with its children's, and a block's body tries committed
+``along`` share them with its state trie.  Only the hashing is reordered:
+each store still receives its ``(hash, encoded)`` puts in post-order, so a
+disk log is byte-for-byte the one a node-at-a-time flush writes.
 
 Checkpoints
 -----------
@@ -73,9 +74,9 @@ batch.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
-from ..crypto.keccak import KECCAK_EMPTY_RLP, keccak256, keccak256_many
+from ..crypto.keccak import KECCAK_EMPTY_RLP, keccak256_many
 from ..metrics.cache import LRUCache
 from ..rlp import codec as rlp
 from ..storage.nodestore import NodeStore, PrunedRootError, as_node_store
@@ -106,6 +107,44 @@ DEFAULT_NODE_CACHE_CAPACITY = 65536
 
 class TrieError(Exception):
     """Raised on structurally impossible trie states (corrupt store)."""
+
+
+#: a hashed child's place in its parent's encoding until its digest is in
+_HOLE = bytes(32)
+
+
+def _stage(node: list, messages: list, nodes: list, edges: list,
+           root: bool = False) -> tuple[list, bytes, int]:
+    """Encode the overlay under ``node`` once, children first; returns the
+    node as committed, its encoding and its index in ``messages`` (-1: it
+    is inlined, being under 32 bytes and not the ``root``).  A hashed node
+    goes to ``messages`` and ``nodes``, a 32-byte hole per hashed child:
+    ``edges`` gets child, parent, offset and item, flat (no tuple each)."""
+    committed, holes, sizes = node, {}, {}
+    for i in range(16) if len(node) == 17 else (1,):
+        if isinstance(node[i], list):   # overlay (a leaf's value is bytes)
+            if committed is node:
+                committed = list(node)
+            committed[i], encoded, index = _stage(node[i], messages, nodes,
+                                                  edges)
+            sizes[i] = len(encoded) if index < 0 else 33
+            if index >= 0:
+                committed[i], holes[i] = _HOLE, index
+    encoded = rlp.encode(committed)
+    if len(encoded) < 32 and not root:
+        return committed, encoded, -1
+    if holes:   # offsets from the end: a hash or a hole is 33 bytes, a blank 1
+        encoded = bytearray(encoded)
+        end = len(encoded)
+        if len(node) == 17:     # a branch's value comes last
+            end -= rlp.encoded_length(node[16]) if node[16] else 1
+        for i in reversed(range(min(holes), 16 if len(node) == 17 else 2)):
+            if i in holes:
+                edges += (holes[i], len(messages), end - 32, i)
+            end -= sizes.get(i, 1 if committed[i] == b"" else 33)
+    messages.append(encoded)
+    nodes.append(committed)
+    return committed, encoded, len(messages) - 1
 
 
 class MerklePatriciaTrie:
@@ -170,7 +209,8 @@ class MerklePatriciaTrie:
         """The shared decoded-node LRU (hash -> decoded node)."""
         return self._cache
 
-    def commit(self, flush_store: bool = True) -> bytes:
+    def commit(self, flush_store: bool = True,
+               along: Sequence["MerklePatriciaTrie"] = ()) -> bytes:
         """Hash + persist every dirty overlay node once; return the root.
 
         Idempotent: with no pending writes this is a field read.  This is the
@@ -186,25 +226,29 @@ class MerklePatriciaTrie:
         this way, then lets the account-trie commit tag the single batch
         with the *state* root, so crash recovery can only ever land on a
         state root, never a storage-subtree root).
+
+        The tries in ``along`` (a block's body tries) are committed as by
+        their own ``commit()``, in the same keccak call as this one.
         """
-        if self._root_hash is not None:
-            return self._root_hash
-        node = self._root_node
-        if node == _BLANK:
-            self._root_hash = EMPTY_TRIE_ROOT
-        else:
-            ref = self._flush(node)
-            if isinstance(ref, bytes):
-                self._root_hash = ref
-            else:  # root encodes under 32 bytes: still stored by hash
-                encoded = rlp.encode(ref)
-                root = keccak256(encoded)
-                self._db[root] = encoded
-                self._cache.put(root, ref)
-                self._root_hash = root
-        self._root_node = _BLANK
-        if flush_store:
-            self._db.commit(self._root_hash)
+        dirty = [trie for trie in (self, *along) if trie._root_hash is None]
+        messages, nodes, edges, ends = [], [], [], []
+        for trie in dirty:
+            if trie._root_node != _BLANK:
+                _stage(trie._root_node, messages, nodes, edges, True)
+            ends.append(len(messages))
+        digests = keccak256_many(messages, zip(
+            edges[::4], edges[1::4], edges[2::4])) if messages else []
+        for child, parent, slot in zip(edges[::4], edges[1::4], edges[3::4]):
+            nodes[parent][slot] = digests[child]
+        first = 0
+        for trie, end in zip(dirty, ends):   # each store's puts, post-order
+            for j in range(first, end):
+                trie._db[digests[j]], messages[j] = bytes(messages[j]), None
+                trie._cache.put(digests[j], nodes[j])
+            trie._root_hash = digests[end - 1] if end > first else EMPTY_TRIE_ROOT
+            trie._root_node, first = _BLANK, end
+            if trie is not self or flush_store:
+                trie._db.commit(trie._root_hash)
         return self._root_hash
 
     def get(self, key: bytes) -> Optional[bytes]:
@@ -330,59 +374,6 @@ class MerklePatriciaTrie:
                 return self._load(ref)
             raise TrieError(f"invalid node reference of {len(ref)} bytes")
         return ref
-
-    def _flush(self, root: list) -> rlp.Item:
-        """Flush the overlay under ``root``; return its parent reference:
-        its hash, or the node itself when it encodes under 32 bytes and is
-        inlined.  Only list-valued children are overlay (a leaf's value is
-        bytes); the nodes of one height depend on nothing of that height."""
-        order: list = []
-        waves: list[list] = []
-        self._collect(root, order, waves)
-        # flat dicts keyed by id(): the overlay keeps every node alive, and
-        # a container per node would feed the cyclic collector thousands
-        refs: dict[int, rlp.Item] = {}
-        encodings: dict[int, bytes] = {}
-        rebuilt: dict[int, list] = {}   # the node as encoded, where not itself
-        for wave in waves:
-            pending: list = []
-            for node in wave:
-                committed = node
-                for i in range(16) if len(node) == 17 else (1,):
-                    child = node[i]
-                    if isinstance(child, list) and refs[id(child)] is not child:
-                        if committed is node:
-                            committed = rebuilt[id(node)] = list(node)
-                        committed[i] = refs[id(child)]
-                encoded = rlp.encode(committed)
-                if len(encoded) < 32:
-                    refs[id(node)] = committed
-                else:
-                    pending.append(node)
-                    encodings[id(node)] = encoded
-            refs.update(zip(map(id, pending), keccak256_many(
-                [encodings[id(node)] for node in pending])))
-        for node in order:  # post-order: what the store sees has not moved
-            if id(node) in encodings:
-                node_hash = refs[id(node)]
-                self._db[node_hash] = encodings[id(node)]
-                self._cache.put(node_hash, rebuilt.get(id(node), node))
-        return refs[id(root)]
-
-    def _collect(self, node: list, order: list, waves: list[list]) -> int:
-        """Append the overlay under ``node`` to ``order`` in post-order and
-        to ``waves[height]``; returns the height of ``node`` above its
-        deepest list-valued descendant."""
-        height = 0
-        for i in range(16) if len(node) == 17 else (1,):
-            child = node[i]
-            if isinstance(child, list):
-                height = max(height, 1 + self._collect(child, order, waves))
-        order.append(node)
-        if height == len(waves):
-            waves.append([])
-        waves[height].append(node)
-        return height
 
     # ------------------------------------------------------------------ #
     # Lookup

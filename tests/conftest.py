@@ -43,11 +43,13 @@ NODE_STORE_BACKENDS = [
 
 class Preimages(list):
     """Every message hashed, in call order, whichever entry point took it;
-    ``batches`` holds the messages of each ``keccak256_many`` call."""
+    ``batches`` holds the messages of each ``keccak256_many`` call (holes
+    filled) and ``edges`` the forest it was handed with them."""
 
     def __init__(self) -> None:
         super().__init__()
         self.batches: list[list[bytes]] = []
+        self.edges: list[list[tuple[int, int, int]]] = []
 
 
 @contextmanager
@@ -58,7 +60,9 @@ def counted_keccak(monkeypatch):
     references, so every ``repro`` namespace that holds either function is
     patched, the way the e2e tracer does it.  (``keccak256_many`` reaches
     the permutation without going through the name ``keccak256``: nothing
-    is recorded twice.)"""
+    is recorded twice.)  A tree call's messages are recorded once each, as
+    hashed: after the call, with every child's digest in its parent's
+    hole."""
     one, many = keccak_module.keccak256, keccak_module.keccak256_many
     hashed = Preimages()
 
@@ -66,11 +70,14 @@ def counted_keccak(monkeypatch):
         hashed.append(bytes(data))
         return one(data)
 
-    def counted_many(messages):
-        messages = [bytes(data) for data in messages]
-        hashed.extend(messages)
-        hashed.batches.append(messages)
-        return many(messages)
+    def counted_many(messages, edges=()):
+        messages, edges = list(messages), list(edges)
+        digests = many(messages, edges)
+        filled = [bytes(data) for data in messages]
+        hashed.extend(filled)
+        hashed.batches.append(filled)
+        hashed.edges.append(edges)
+        return digests
 
     with monkeypatch.context() as patch:
         for name, module in list(sys.modules.items()):
@@ -81,6 +88,41 @@ def counted_keccak(monkeypatch):
                     elif value is many:
                         patch.setattr(module, attr, counted_many)
         yield hashed
+
+
+def tree_passes(batch, edges):
+    """The passes of one ``keccak256_many`` call, by its scheduler's rule:
+    a pass absorbs the next block of each message in a lane; a message
+    leaves its lane when it is done or its next block holds a hole whose
+    child is not, and free lanes (64 in all) go to the messages whose next
+    block is ready — independent ones longest first, a forest's in index
+    order."""
+    todo = [len(data) // 136 + 1 for data in batch]
+    done = [0] * len(batch)
+    parent = {child: (up, offset // 136) for child, up, offset in edges}
+    holes = {j: [] for j in range(len(batch))}
+    for up, block in parent.values():
+        holes[up].append(block)
+
+    def ready(j):
+        return done[j] < min(holes[j], default=todo[j])
+
+    lanes, passes = [], 0
+    while True:
+        running = set(lanes)
+        waiting = sorted((0 if edges else -todo[j], j)
+                         for j in range(len(batch))
+                         if j not in running and ready(j))
+        lanes += [j for _, j in waiting[:64 - len(lanes)]]
+        if not lanes:
+            return passes
+        passes += 1
+        for j in lanes:
+            done[j] += 1
+            if done[j] == todo[j] and j in parent:
+                up, block = parent[j]
+                holes[up].remove(block)
+        lanes = [j for j in lanes if ready(j)]
 
 
 def pytest_generate_tests(metafunc):

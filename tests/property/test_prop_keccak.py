@@ -13,6 +13,10 @@ Three things it shares nothing with check it here:
   ``0x06`` and comparing it to the native one checks permutation, lane
   order, block reads and squeeze against code this repo did not write;
 * ``tests/data/keccak_vectors.json``, produced by the parent commit.
+
+A tree call (children's digests written into their parents' holes) is
+checked against the one-lane sponge run children first, and its passes
+against ``conftest.tree_passes``, the scheduler's rule written out again.
 """
 
 import functools
@@ -24,6 +28,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import keccak as keccak_module
 from repro.crypto.keccak import (
     _DIGEST,
     _LANE_TABLES,
@@ -35,6 +40,8 @@ from repro.crypto.keccak import (
     keccak256,
     keccak256_many,
 )
+
+from ..conftest import tree_passes
 
 MASK64 = (1 << 64) - 1
 
@@ -401,3 +408,147 @@ class TestSideBySide:
                    for table in _LANE_TABLES.values()
                    for values in table for value in values)
         assert held < 130_000
+
+
+# --------------------------------------------------------------------------- #
+# a tree: each child's digest lands in its parent's hole before it is read
+# --------------------------------------------------------------------------- #
+
+def hashed_in_order(messages, edges):
+    """The digests and filled messages the one-lane sponge gives when each
+    message is hashed only after its children's digests are patched in."""
+    filled = [bytearray(message) for message in messages]
+    children = {j: [] for j in range(len(messages))}
+    for child, parent, offset in edges:
+        children[parent].append((child, offset))
+    digests = {}
+
+    def digest(j):
+        if j not in digests:
+            for child, offset in children[j]:
+                filled[j][offset:offset + 32] = digest(child)
+            digests[j] = keccak256(bytes(filled[j]))
+        return digests[j]
+
+    return [digest(j) for j in range(len(messages))], list(map(bytes, filled))
+
+
+def counted_passes(monkeypatch):
+    """A list that gets one entry per pass of the wide permutation."""
+    passes = []
+
+    def counted(state, *tables):
+        passes.append(tables[0][0].bit_length() // 64 + 1)   # its width
+        return _keccak_f1600_lanes(state, *tables)
+
+    monkeypatch.setattr(keccak_module, "_keccak_f1600_lanes", counted)
+    return passes
+
+
+def check_tree(messages, edges, monkeypatch=None):
+    expected, filled = hashed_in_order(messages, edges)
+    given = [bytearray(message) for message in messages]
+    passes = counted_passes(monkeypatch) if monkeypatch else None
+    assert keccak256_many(given, edges) == expected
+    assert list(map(bytes, given)) == filled
+    if passes is not None:
+        monkeypatch.undo()
+        assert len(passes) == tree_passes(filled, edges)
+    return passes
+
+
+#: holes at, just before and across a block boundary
+HOLE_OFFSETS = (0, 3, 37, 100, 104, 105, 120, 135, 136, 169, 240, 250, 271,
+                400, 466, 500)
+
+
+@st.composite
+def forests(draw):
+    """Messages of edge lengths, each the child of at most one message that
+    comes after it in a random order, at a hole clear of its siblings'."""
+    lengths = draw(st.lists(st.sampled_from(EDGE_LENGTHS + (33, 100, 400)),
+                            min_size=2, max_size=90))
+    messages = [seeded(length, j) for j, length in enumerate(lengths)]
+    order = draw(st.permutations(range(len(messages))))
+    taken = {j: [] for j in range(len(messages))}
+    edges = []
+    for rank, child in enumerate(order[:-1]):
+        parent = order[draw(st.integers(rank + 1, len(order) - 1))]
+        room = len(messages[parent]) - 32
+        offset = draw(st.one_of(st.sampled_from(HOLE_OFFSETS),
+                                st.integers(0, max(room, 0))))
+        if (draw(st.booleans()) and 0 <= offset <= room
+                and all(abs(offset - other) >= 32 for other in taken[parent])):
+            taken[parent].append(offset)
+            edges.append((child, parent, offset))
+    return messages, edges
+
+
+class TestTree:
+    @settings(max_examples=60, deadline=None)
+    @given(forests())
+    def test_random_forests_equal_the_children_first_sponge(self, forest):
+        check_tree(*forest)
+
+    def test_the_passes_are_the_schedulers_rule(self, monkeypatch):
+        for seed in range(12):
+            rng = random.Random(seed)
+            messages = [seeded(rng.choice(EDGE_LENGTHS), i) for i in range(90)]
+            edges = []
+            for child in range(89):
+                parent = rng.randrange(child + 1, 90)
+                if len(messages[parent]) >= 32 and rng.random() < 0.7 and not any(
+                        up == parent for _, up, _ in edges):
+                    edges.append((child, parent,
+                                  rng.randrange(len(messages[parent]) - 31)))
+            check_tree(messages, edges, monkeypatch)
+            check_tree(messages + messages[:50], [], monkeypatch)
+
+    def test_holes_at_every_boundary_of_edge_lengths(self):
+        """Children of 0, 135, 136 and 137 bytes, in parents whose holes
+        end, start and straddle a block boundary."""
+        children = [seeded(length, 7) for length in (0, 135, 136, 137)]
+        for offset in (0, 72, 103, 104, 105, 120, 135, 136, 240, 247, 271):
+            for length in (offset + 32, offset + 33, 272, 273, 532):
+                if length < offset + 32:
+                    continue
+                parent = seeded(length, offset)
+                for child in children:
+                    check_tree([child, parent], [(0, 1, offset)])
+                    check_tree([parent, child], [(1, 0, offset)])
+        parent = seeded(532, 1)
+        check_tree(children + [parent],
+                   [(0, 4, 103), (1, 4, 120), (2, 4, 240), (3, 4, 500)])
+
+    def test_more_than_64_ready_and_a_ready_set_that_grows_and_shrinks(
+            self, monkeypatch):
+        """Nine parents, their grandparent and 130 leaves, the last 36 under
+        the parents at holes in their second block: 139 are ready at the
+        start, the parents take lanes beside the first 55 leaves and park
+        on their holes, rejoin once their own leaves are done, and the lanes
+        narrow to the grandparent's last blocks."""
+        parents = [seeded(532, 1000 + i) for i in range(9)]
+        leaves = [seeded(100 + i % 40, i) for i in range(130)]
+        messages = parents + [seeded(532, 2000)] + leaves
+        edges = [(139 - i, i % 9, 140 + 33 * (i // 9 % 4)) for i in range(36)]
+        edges += [(i, 9, 3 + 33 * i) for i in range(9)]
+        widths = check_tree(messages, edges, monkeypatch)
+        assert widths == [64, 64, 32, 16, 16, 16, 4, 2, 2, 2, 2]
+
+    def test_a_deep_chain_parks_and_resumes_each_link(self, monkeypatch):
+        chain = [seeded(532, i) for i in range(12)]
+        edges = [(i, i + 1, 466) for i in range(11)]
+        # three blocks each side by side, then one last block a link
+        assert check_tree(chain, edges, monkeypatch) == [16] * 3 + [2] * 12
+
+    @pytest.mark.parametrize("messages, edges", [
+        ([b"a", bytearray(40)], [(0, 1, 9)]),                # a hole past the end
+        ([b"a", bytes(40)], [(0, 1, 0)]),                    # nowhere to write
+        ([b"a", bytearray(40)], [(0, 1, -1)]),
+        ([b"a", b"b", bytearray(64)], [(0, 2, 0), (0, 2, 32)]),  # two parents
+        ([bytearray(40), bytearray(40)], [(0, 1, 0), (1, 0, 0)]),  # a cycle
+    ])
+    def test_rejects_edges_that_are_not_a_forest_of_holes(self, messages,
+                                                          edges):
+        with pytest.raises(ValueError):
+            keccak256_many(messages, edges)

@@ -1,15 +1,19 @@
-"""The wave flush of ``MerklePatriciaTrie.commit`` against the recursion it
+"""The tree flush of ``MerklePatriciaTrie.commit`` against the recursion it
 replaced.
 
-``commit`` hashes the overlay height by height — the nodes of one height
-side by side through ``keccak256_many`` — and then hands the store its puts.
-What the store sees must not have moved: the same ``(hash, encoded)`` pairs
-in the same post-order (children before parents, left to right) the
-recursive flush produced, which is what keeps ``nodes.log`` byte-identical.
-The recursion lives on below as the oracle; the eager reference engine
-(``tests/reference_trie.py``) is the oracle for the roots.
+``commit`` encodes the overlay once, a 32-byte hole where each hashed child
+goes, and hands every node to one ``keccak256_many`` tree call — with the
+overlays of the tries committed ``along`` with it — then hands each store
+its puts.  What a store sees must not have moved: the same ``(hash,
+encoded)`` pairs in the same post-order (children before parents, left to
+right) the recursive flush produced, which is what keeps ``nodes.log``
+byte-identical, and a trie committed along another gets exactly what it
+gets committed alone.  The recursion lives on below as the oracle; the
+eager reference engine (``tests/reference_trie.py``) is the oracle for the
+roots.
 """
 
+import copy
 import tempfile
 from pathlib import Path
 
@@ -23,7 +27,7 @@ from repro.trie import (
     MerklePatriciaTrie,
 )
 
-from ..conftest import counted_keccak
+from ..conftest import counted_keccak, tree_passes
 from ..reference_trie import NaiveMerklePatriciaTrie
 
 
@@ -112,7 +116,7 @@ def check_commits(store, script) -> None:
     assert dict(reopened.items()) == dict(reference.items())
 
 
-class TestWaveFlush:
+class TestTreeFlush:
     @settings(max_examples=40, deadline=None)
     @given(batches)
     def test_memory_store_sees_the_recursive_post_order(self, script):
@@ -128,8 +132,9 @@ class TestWaveFlush:
             finally:
                 store.close()
 
-    def test_a_bulk_load_hashes_a_height_per_call(self, monkeypatch):
-        """4096 accounts: every height of the overlay in one call."""
+    def test_a_bulk_load_is_one_call_within_its_passes(self, monkeypatch):
+        """4096 accounts: every node in one tree call, 103 passes of the
+        permutation (a call per height of the overlay made 114)."""
         store = RecordingMemoryStore()
         trie = MerklePatriciaTrie(store)
         trie.update({keccak256(i.to_bytes(4, "big")): b"\x01" * 70
@@ -138,8 +143,83 @@ class TestWaveFlush:
         with counted_keccak(monkeypatch) as hashed:
             trie.commit()
         assert store.puts == expected and len(expected) > 4096
-        assert sorted(hashed) == sorted(encoded for _, encoded in expected)
-        # a level of the trie per call: the leaves first, the root alone last
-        assert 4 <= len(hashed.batches) <= 8
-        assert len(hashed.batches[0]) == 4096
-        assert hashed.batches[-1] == [expected[-1][1]]
+        assert hashed == hashed.batches[0] == [raw for _, raw in expected]
+        assert tree_passes(hashed.batches[0], hashed.edges[0]) <= 103
+
+
+def scripted(script, checkpoint_at=None) -> tuple:
+    """A trie over a recording store with ``script``'s batches applied,
+    rewound to the checkpoint taken after batch ``checkpoint_at``."""
+    store = RecordingMemoryStore()
+    trie = MerklePatriciaTrie(store)
+    token = None
+    for number, batch in enumerate(script):
+        for key, *value in batch:
+            if value:
+                trie.put(key, value[0])
+            else:
+                trie.delete(key)
+        if number == checkpoint_at:
+            token = trie.checkpoint()
+    if token is not None:
+        trie.restore(token)
+    return trie, store
+
+
+body_keys = st.integers(0, 40).map(lambda i: rlp.encode(rlp.encode_int(i)))
+body_scripts = st.lists(
+    st.lists(st.tuples(body_keys, values), min_size=0, max_size=12),
+    min_size=1, max_size=3)
+
+
+class TestJointCommit:
+    """A state trie committed with two body tries ``along``: each store gets
+    what committing its trie alone hands it, in the same order, under the
+    same root, and no overlay node is edited on the way."""
+
+    def check(self, scripts, checkpoints, flush_store) -> None:
+        alone = [scripted(script, at) for script, at in zip(scripts, checkpoints)]
+        joint = [scripted(script, at) for script, at in zip(scripts, checkpoints)]
+        expected = [expected_puts(trie) for trie, _ in alone]
+        overlays = [copy.deepcopy(trie.checkpoint()) for trie, _ in joint]
+        held = [trie.checkpoint() for trie, _ in joint]
+        roots = [trie.commit() for trie, _ in alone]
+        (state, state_store), *body = joint
+        before = state_store.last_root
+        assert state.commit(flush_store, along=[t for t, _ in body]) == roots[0]
+        assert [store.puts for _, store in joint] == expected
+        assert held == overlays     # the overlays as they were, untouched
+        assert [store.last_root for _, store in joint] == [
+            roots[0] if flush_store else before, *roots[1:]]
+        assert [trie.commit() for trie, _ in joint] == roots
+
+    @settings(max_examples=40, deadline=None)
+    @given(batches, body_scripts, body_scripts,
+           st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=3,
+                    max_size=3),
+           st.booleans())
+    def test_each_store_sees_what_it_sees_alone(self, state, transactions,
+                                                receipts, checkpoints,
+                                                flush_store):
+        self.check([state, transactions, receipts], checkpoints, flush_store)
+
+    def test_empty_small_and_restored_tries(self):
+        small = [[(b"\x01", b"\x02")]]            # a root under 32 bytes
+        emptied = [[(b"\x01", b"\x02")], [(b"\x01",)]]    # dirty, blank
+        big = [[(keccak256(bytes([i])), b"\x07" * 40) for i in range(20)],
+               [(keccak256(bytes([i])),) for i in range(10)]]
+        for scripts in ([small, emptied, big], [big, small, emptied],
+                        [emptied, emptied, small]):
+            for checkpoints in ([None] * 3, [0, 0, 0]):
+                self.check(scripts, checkpoints, True)
+                self.check(scripts, checkpoints, False)
+        trie, _ = scripted(small)
+        assert len(rlp.encode(trie.checkpoint()[1])) < 32
+
+    def test_a_clean_trie_along_is_left_alone(self):
+        (state, store), (body, body_store) = (scripted([[(b"\x01", b"\x02")]])
+                                              for _ in range(2))
+        root = body.commit()
+        del body_store.puts[:]
+        state.commit(along=[body])
+        assert body.commit() == root and body_store.puts == []

@@ -8,6 +8,8 @@ import pytest
 
 from repro.crypto import keccak256
 from repro.crypto.keys import Address, PrivateKey
+from repro.parp.client import FraudDetected
+from repro.parp.fraudproof import FraudProofError
 from repro.parp.marketplace import (
     Marketplace,
     MarketplaceClient,
@@ -26,6 +28,8 @@ from repro.parp.reputation import (
     EVENT_SERVED_OK,
     ReputationLedger,
 )
+from repro.parp.states import ResponseClass
+from repro.parp.verification import VerificationReport
 
 LC = PrivateKey.from_seed("unit:mkt:lc")
 
@@ -188,3 +192,40 @@ class TestAdStaleness:
         assert marketplace.get(addr("a")).published_at is None
         assert marketplace.sweep(now=10 ** 9) == []   # unstamped ⇒ exempt
         assert addr("a") in marketplace
+
+
+class TestFraudAccounting:
+    """Every fraud the client detects is slashed, left unslashed because
+    the witness's submission failed, or came without a package: none is
+    dropped without a count."""
+
+    class Package:
+        def calldata(self, sender: Address) -> bytes:
+            return b"evidence"
+
+    class Witness:
+        def __init__(self, refuse: bool) -> None:
+            self.refuse = refuse
+
+        def submit(self, package) -> None:
+            if self.refuse:
+                raise FraudProofError("the FDM reverted")
+
+    def detect(self, refuse: bool) -> MarketplaceClient:
+        ad = ad_for("fraud")
+        client = client_with(ad, witness=self.Witness(refuse))
+        report = VerificationReport(ResponseClass.FRAUD, "proof")
+        for package in (self.Package(), None, self.Package()):
+            client._on_fraud(ad, FraudDetected(report, package))
+        return client
+
+    def test_a_refused_submission_counts_as_unslashed(self):
+        stats = self.detect(refuse=True).stats
+        assert (stats.frauds_detected, stats.frauds_slashed,
+                stats.frauds_unslashed) == (3, 0, 2)
+
+    @pytest.mark.parametrize("refuse", [False, True])
+    def test_detected_is_slashed_plus_unslashed_plus_no_package(self, refuse):
+        stats = self.detect(refuse).stats
+        assert stats.frauds_detected == (
+            stats.frauds_slashed + stats.frauds_unslashed + 1)
