@@ -2,6 +2,10 @@
 
 Mirrors a Geth ``genesis.json``: chain id, initial balance allocations (our
 test accounts, the PARP module addresses' funding), gas limit, timestamp.
+
+Genesis is the first write to an empty state, in bulk: every allocation is
+checked, then every secure key derived in one :meth:`StateDB.secure_keys`
+call (one ``keccak256_many``), then each account written once.
 """
 
 from __future__ import annotations
@@ -9,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..crypto.keys import Address
+from .account import Account
 from .block import Block
 from .header import BlockHeader
 from .state import StateDB
@@ -34,11 +39,16 @@ class GenesisConfig:
 
 
 def make_genesis_block(config: GenesisConfig, state: StateDB) -> Block:
-    """Apply allocations to ``state`` and build the genesis block."""
-    for address, balance in sorted(config.allocations.items()):
+    """Write the allocations into the empty ``state``; build block zero."""
+    if state.root_hash != EMPTY_TRIE_ROOT:
+        raise ValueError("genesis needs an empty state")
+    allocations = sorted(config.allocations.items())
+    for address, balance in allocations:
         if balance < 0:
             raise ValueError(f"negative genesis allocation for {address.hex()}")
-        state.add_balance(address, balance)
+    StateDB.secure_keys([address.to_bytes() for address, _ in allocations])
+    for address, balance in allocations:
+        state.set_account(address, Account(balance=balance))
     header = BlockHeader(
         parent_hash=GENESIS_PARENT_HASH,
         state_root=state.root_hash,

@@ -22,10 +22,11 @@ Hot-path plumbing: secure-trie key derivation (one ``keccak256`` per
 account access, ~280 µs of pure-Python hashing) is memoized in a bounded,
 locked LRU shared by every :class:`StateDB` instance — the per-request read
 views the PARP server creates all hit the same memo, including from
-concurrent sessions.  Likewise the tries' decoded-node LRU is created once
-per world state and threaded through ``at_root``/``revert`` and every
-per-account storage trie, so historical views reuse each other's decode
-work.
+concurrent sessions; a bulk write (genesis) derives its keys first through
+:meth:`StateDB.secure_keys`, every memo miss in one ``keccak256_many``.
+Likewise the tries' decoded-node LRU is created once per world state and
+threaded through ``at_root``/``revert`` and every per-account storage
+trie, so historical views reuse each other's decode work.
 
 Storage-write batching: ``set_storage`` does *not* re-derive the account's
 ``storage_root`` per slot.  Dirty per-account storage tries accumulate in
@@ -50,6 +51,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence, Union
 
 from ..crypto import keccak256
+from ..crypto.keccak import keccak256_many
 from ..crypto.keys import Address
 from ..metrics.cache import LRUCache
 from ..rlp import codec as rlp
@@ -89,6 +91,17 @@ def _secure_key(raw: bytes) -> bytes:
     return key
 
 
+def _secure_keys(raws: Sequence[bytes]) -> list[bytes]:
+    """``[_secure_key(raw) for raw in raws]``, every memo miss hashed in one
+    ``keccak256_many`` call."""
+    keys = {raw: _secure_key_memo.get(raw) for raw in raws}
+    missing = [raw for raw, key in keys.items() if key is None]
+    for raw, key in zip(missing, keccak256_many(missing) if missing else ()):
+        _secure_key_memo.put(raw, key)
+        keys[raw] = key
+    return [keys[raw] for raw in raws]
+
+
 def _storage_key(slot: bytes) -> bytes:
     if len(slot) != 32:
         raise ValueError(f"storage slots are 32 bytes, got {len(slot)}")
@@ -98,9 +111,10 @@ def _storage_key(slot: bytes) -> bytes:
 class StateDB:
     """Mutable world state with O(1) checkpoints and proof generation."""
 
-    #: ``keccak256`` of an address or slot through the process-wide memo
-    #: every state read and proof walk derives its trie key with
+    #: ``keccak256`` of an address or slot (of many: ``secure_keys``) through
+    #: the process-wide memo every state read and proof walk derives keys with
     secure_key = staticmethod(_secure_key)
+    secure_keys = staticmethod(_secure_keys)
 
     def __init__(self, db: Union[None, dict, NodeStore, str] = None,
                  root_hash: bytes = EMPTY_TRIE_ROOT,

@@ -410,10 +410,11 @@ class FullNodeServer:
                queries_served: Optional[str] = None) -> bytes:
         """The one paid-request pipeline; a single request is a batch of one.
 
-        The admission gate sits between decode and verification: shedding
-        must stay cheaper than serving (no signature checks, no billing —
-        the client is *not* charged for a request that was never admitted),
-        and a shed comes back as a signed
+        The admission gate sits between the cheap checks (decode, version,
+        α naming an open channel: a stranger buys no backlog and no signed
+        shed) and verification: shedding must stay cheaper than serving (no
+        signature checks, no billing — the client is *not* charged for a
+        request that was never admitted), and a shed comes back as a signed
         :class:`~repro.parp.messages.OverloadedReply` instead of a served
         response.  ``served`` / ``queries_served`` name the
         :class:`ServerStats` counters a served request of this wire advances
@@ -422,9 +423,14 @@ class FullNodeServer:
         self._bump("bytes_in", len(wire))
         try:
             request = wire_type.decode_wire(wire)
+            request.check_version()
         except MessageError as exc:
             self._bump("requests_rejected")
-            raise ServeError(f"undecodable {wire_type.noun}: {exc}") from exc
+            raise ServeError(f"unservable {wire_type.noun}: {exc}") from exc
+        channel, _ = self._channel_and_lock(request.alpha)
+        if channel is None or channel.closed:
+            self._bump("requests_rejected")
+            raise ServeError(f"no open channel {request.alpha.hex()}")
         shed = self._admission_gate(request.h_req, queries=len(request.calls))
         if shed is not None:
             return shed
@@ -438,12 +444,11 @@ class FullNodeServer:
         return out
 
     def verify_and_bill(self, request: PARPRequest | BatchRequest) -> None:
-        """Step (B), either wire: version, channel, both signatures, then
-        the payment — banked under the channel's lock, counted as fees.
+        """Step (B), either wire: channel, both signatures, then the
+        payment — banked under the channel's lock, counted as fees.
         Raises :class:`ServeError` (and counts a rejection) on any failure."""
         try:
             try:
-                request.check_version()
                 channel, lock = self._channel_and_lock(request.alpha)
                 if channel is None:
                     raise ServeError(f"unknown channel {request.alpha.hex()}")
