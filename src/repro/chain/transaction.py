@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..crypto import Signature, keccak256, recover_address
+from ..crypto.keccak import keccak256_many
 from ..crypto.keys import Address, PrivateKey
 from ..rlp import codec as rlp
 
@@ -86,19 +87,27 @@ class Transaction:
         )
 
     @cached_property
+    def _digests(self) -> list[bytes]:
+        """The signing hash and the tx hash, side by side in one pass."""
+        return keccak256_many([rlp.encode(self.unsigned._payload_items()),
+                               self.encode()])
+
+    @cached_property
     def sender(self) -> Address:
         """Recover the sender address from the signature (cached).  Hint-less
         by design: the sender is whoever the signature names, there is no
-        held address to expect."""
+        held address to expect.  The signing hash it recovers over is
+        hashed beside :attr:`hash`, whichever of the two is read first."""
         try:
-            return recover_address(self.unsigned.signing_hash, self.signature)
+            return recover_address(self._digests[0], self.signature)
         except Exception as exc:
             raise TransactionError(f"cannot recover transaction sender: {exc}") from exc
 
-    @cached_property
+    @property
     def hash(self) -> bytes:
-        """keccak256 of the full signed encoding — the canonical tx hash."""
-        return keccak256(self.encode())
+        """keccak256 of the full signed encoding — the canonical tx hash,
+        hashed beside the signing hash :attr:`sender` recovers over."""
+        return self._digests[1]
 
     def encode(self) -> bytes:
         """RLP encoding (payload fields + v, r, s), as stored in the tx trie."""
@@ -112,29 +121,28 @@ class Transaction:
 
     @classmethod
     def decode(cls, raw: bytes) -> "Transaction":
+        """Parse a signed encoding; anything malformed, a non-canonical
+        integer included, is a :class:`TransactionError`."""
         try:
             item = rlp.decode(raw)
         except rlp.RLPError as exc:
             raise TransactionError(f"undecodable transaction: {exc}") from exc
-        if not isinstance(item, list) or len(item) != 9:
-            raise TransactionError("transaction must be a 9-item RLP list")
+        if not isinstance(item, list) or len(item) != 9 or not all(
+                isinstance(field, bytes) for field in item):
+            raise TransactionError("transaction must be a 9-string RLP list")
         (nonce_b, gas_price_b, gas_limit_b, to_b, value_b, data,
          v_b, r_b, s_b) = item
         if len(to_b) != 20:
             raise TransactionError("transaction 'to' must be a 20-byte address")
-        signature = Signature(
-            r=rlp.decode_int(r_b), s=rlp.decode_int(s_b), v=rlp.decode_int(v_b),
-        )
-        tx = cls(
-            nonce=rlp.decode_int(nonce_b),
-            gas_price=rlp.decode_int(gas_price_b),
-            gas_limit=rlp.decode_int(gas_limit_b),
-            to=Address(to_b),
-            value=rlp.decode_int(value_b),
-            data=data,
-            signature=signature,
-        )
-        return tx
+        try:
+            nonce, gas_price, gas_limit, value, v, r, s = map(
+                rlp.decode_int,
+                (nonce_b, gas_price_b, gas_limit_b, value_b, v_b, r_b, s_b))
+        except rlp.RLPError as exc:
+            raise TransactionError(f"bad transaction integer: {exc}") from exc
+        return cls(nonce=nonce, gas_price=gas_price, gas_limit=gas_limit,
+                   to=Address(to_b), value=value, data=data,
+                   signature=Signature(r=r, s=s, v=v))
 
     def intrinsic_gas(self) -> int:
         """Base cost charged before any execution (21000 + calldata bytes)."""

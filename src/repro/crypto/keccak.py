@@ -37,7 +37,10 @@ reaches an open hole is parked (its 25 lanes cut out) until it is filled.
 Lanes go to ready messages in index order (with no edges, longest first),
 each pass at the narrowest width that holds them.  The wide form costs
 1.1x the one-lane permutation at two messages and 3x at 64; fewer than two
-messages take the one-lane path — there is no knob.
+messages take the one-lane path — there is no knob.  Two messages is the
+common call: a transaction's signing hash beside its tx hash
+(``Transaction.sender`` / ``.hash``), and a PARP request's h_req beside
+its payment digest ``Hash(α, a)``, when it is built and when it is checked.
 
 Example
 -------

@@ -193,11 +193,15 @@ class PrivateKey:
 #: did without a cache.  Only a *full* recovery that hashed to ``expected``
 #: counts, so a wrong ``expected`` plants nothing; it can still push the
 #: least recently used entry out, so pass an address you hold, never one a
-#: message declares about itself.
+#: message declares about itself.  Beside it, every full recovery's
+#: ``point -> Address`` is kept as long again, so a signer seen before —
+#: expected or not: a transaction's sender — costs no hash of its public
+#: key.  The key is the whole point: a hit returns that point's own address.
 KNOWN_KEY_CAPACITY = 64
 _KEY_WINDOW = 5
 _BUILD_AFTER = 8
 _KNOWN_KEYS: LRUCache[list | int] = LRUCache(capacity=KNOWN_KEY_CAPACITY)
+_ADDRESSES: LRUCache[Address] = LRUCache(capacity=KNOWN_KEY_CAPACITY)
 
 
 def recover_address(msg_hash: bytes, signature: Signature,
@@ -207,14 +211,15 @@ def recover_address(msg_hash: bytes, signature: Signature,
     ``expected`` is the address the caller holds and will compare the answer
     with.  It never changes the answer (see :func:`.ecdsa.recover`); once
     that key has a table, a signature by it is checked without a doubling
-    and without hashing the public key again.
+    and without hashing the public key again.  A point recovered before
+    is not hashed again either, expected or not.
     """
     known = None if expected is None else _KNOWN_KEYS.get(expected)
     table = known if isinstance(known, list) else None
     point = ecdsa.recover(msg_hash, signature, table)
     if table is not None and point == table[0][0]:
         return expected
-    address = PublicKey(point).address
+    address = _ADDRESSES.get_or_put(point, lambda: PublicKey(point).address)
     if table is None and address == expected:
         seen = (known or 0) + 1
         _KNOWN_KEYS.put(expected, seen if seen < _BUILD_AFTER

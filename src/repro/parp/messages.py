@@ -354,13 +354,14 @@ def _byte_strings(items: list, what: str) -> tuple[bytes, ...]:
 
 
 def _signed_request_fields(key: PrivateKey, alpha: bytes, h_b: bytes,
-                           amount: int, h_req: bytes) -> dict:
-    """Step (A): the header of a request whose digest is ``h_req`` — σ_a
-    over the payment, σ_req over the digest."""
+                           amount: int, preimage: bytes) -> dict:
+    """Step (A): the header of a request whose h_req is the hash of
+    ``preimage`` — σ_a over the payment, σ_req over the digest, the two
+    digests hashed side by side."""
+    h_req, h_pay = keccak256_many([preimage, payment_preimage(alpha, amount)])
     return dict(
         alpha=alpha, h_b=h_b, a=amount, h_req=h_req,
-        sig_a=key.sign(payment_digest(alpha, amount)).to_bytes(),
-        sig_req=key.sign(h_req).to_bytes(),
+        sig_a=key.sign(h_pay).to_bytes(), sig_req=key.sign(h_req).to_bytes(),
     )
 
 
@@ -397,11 +398,13 @@ def _verify_signed_request(request, expected_sender: Optional[Address],
     recovered light-client address.
     """
     noun = request.noun
-    if request.h_req != (keccak or keccak256)(request.expected_preimage()):
+    native = request.digests if keccak is None else None
+    if request.h_req != (native[0] if native
+                         else keccak(request.expected_preimage())):
         raise MessageError(f"{noun} hash does not match {noun} contents")
     req_signer = _recover(request.h_req, request.sig_req, noun,
                           expected_sender, ecrecover)
-    h_pay = (request.h_pay if keccak is None
+    h_pay = (native[1] if native
              else keccak(payment_preimage(request.alpha, request.a)))
     pay_signer = _recover(h_pay, request.sig_a, noun, expected_sender,
                           ecrecover)
@@ -416,10 +419,17 @@ class _SignedRequest:
     """What both request wires derive from their header."""
 
     @cached_property
+    def digests(self) -> list[bytes]:
+        """The hash of :meth:`expected_preimage` and ``Hash(α, a)``, side by
+        side, once per request object: step (B) checks h_req and σ_a
+        against them and the channel checks σ_a again when banking it."""
+        return keccak256_many([self.expected_preimage(),
+                               payment_preimage(self.alpha, self.a)])
+
+    @property
     def h_pay(self) -> bytes:
-        """``Hash(α, a)`` behind σ_a, hashed once per request object: step (B)
-        checks σ_a against it and the channel does again when banking it."""
-        return payment_digest(self.alpha, self.a)
+        """``Hash(α, a)`` behind σ_a."""
+        return self.digests[1]
 
 
 def _response_header(request, status: int, m_b: int) -> dict:
@@ -543,9 +553,9 @@ class PARPRequest(_SignedRequest):
     def build(cls, alpha: bytes, h_b: bytes, amount: int, call: RpcCall,
               key: PrivateKey) -> "PARPRequest":
         """Construct and sign a request (light-client side, step (A))."""
-        h_req = request_digest(alpha, h_b, amount, call.encode())
+        preimage = request_preimage(alpha, h_b, amount, call.encode())
         return cls(call=call,
-                   **_signed_request_fields(key, alpha, h_b, amount, h_req))
+                   **_signed_request_fields(key, alpha, h_b, amount, preimage))
 
     # -- wire ------------------------------------------------------------- #
 
@@ -842,10 +852,10 @@ class BatchRequest(_SignedRequest):
         """Construct and sign a batch request (light-client side)."""
         if not calls:
             raise MessageError("a batch must contain at least one call")
-        h_req = batch_request_digest(alpha, h_b, amount, version,
-                                     cls._calls_bytes(calls))
+        preimage = request_preimage(
+            alpha, h_b, amount, _versioned(version, cls._calls_bytes(calls)))
         return cls(version=version, calls=tuple(calls),
-                   **_signed_request_fields(key, alpha, h_b, amount, h_req))
+                   **_signed_request_fields(key, alpha, h_b, amount, preimage))
 
     # -- wire ------------------------------------------------------------- #
 

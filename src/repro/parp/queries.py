@@ -34,6 +34,7 @@ from typing import Callable, Optional, Protocol, Sequence
 
 from ..chain.account import Account
 from ..chain.block import Block, index_key
+from ..chain.chain import ChainError
 from ..chain.header import BlockHeader
 from ..chain.state import StateDB
 from ..crypto.keys import Address
@@ -271,7 +272,10 @@ def _verify_get_tx_by_index(call: RpcCall, response: PARPResponse,
 def _execute_send_raw_tx(backend: ChainBackend, call: RpcCall,
                          m_b: int) -> tuple[bytes, Sequence[bytes]]:
     raw_tx = call.param_bytes(0)
-    tx_hash = backend.submit_transaction(raw_tx)
+    try:
+        tx_hash = backend.submit_transaction(raw_tx)
+    except ChainError as exc:   # paid for: a signed refusal, not a lost call
+        raise QueryError(f"transaction rejected: {exc}") from exc
     location = backend.ensure_mined(tx_hash)
     if location is None:
         # Pending: acknowledge without a proof (client re-queries later).
