@@ -8,8 +8,8 @@ cumulative routing fees for the same payment volume.
 """
 
 from repro.crypto import PrivateKey
-from repro.parp.pcn import ChannelGraph
 
+from .pcn import ChannelGraph
 from .reporting import add_report, render_table
 
 OPEN_CHANNEL_GAS = 191_061          # measured in bench_table4

@@ -29,9 +29,9 @@ from repro.parp import (
     LightClientSession,
     MIN_FULL_NODE_DEPOSIT,
 )
-from repro.rpc import RpcClient, RpcServer
 from repro.workloads import AccountSet
 
+from .jsonrpc import RpcClient, RpcServer
 from .probes import ResourceProbe
 from .reporting import add_report, render_table
 

@@ -7,9 +7,9 @@ for a balance query, 422 B for a raw-transaction call (an OpenChannel tx).
 """
 
 from repro.parp.constants import REQUEST_OVERHEAD_BYTES, RESPONSE_OVERHEAD_BYTES
-from repro.rpc import RpcClient, RpcServer
 from repro.vm.abi import encode_call
 
+from .jsonrpc import RpcClient, RpcServer
 from .reporting import add_report, render_table
 
 

@@ -19,7 +19,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
-from ..crypto.keys import Address
+from repro.crypto.keys import Address
 
 __all__ = ["PCNError", "ChannelEdge", "Route", "ChannelGraph"]
 

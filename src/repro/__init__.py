@@ -11,16 +11,17 @@ Layering (bottom up):
 * :mod:`repro.chain`, :mod:`repro.vm`, :mod:`repro.contracts` — the
   devnet chain, the gas-metered contract runtime, and the three PARP
   on-chain modules (deposits, channels, fraud detection).
-* :mod:`repro.rpc` — the plain JSON-RPC baseline.
 * :mod:`repro.parp` — the protocol itself: light-client sessions, serving
   engines, payment channels, fraud proofs, witnesses, plus the paper's
-  future-work extensions (PCN routing, proof-of-serving, reputation).
+  future-work extensions (proof-of-serving, reputation).
 * :mod:`repro.net`, :mod:`repro.node`, :mod:`repro.lightclient` — the
   simulated network and node assemblies everything runs on.
 
 Quickstart: ``PYTHONPATH=src python examples/quickstart.py`` (add
 ``--state-dir DIR`` for a disk-backed node).  ``examples/`` holds the other
-demos; the benchmark harness lives under ``benchmarks/``.
+demos; the benchmark harness lives under ``benchmarks/``, with the models
+only a benchmark runs: the plain JSON-RPC baseline (``benchmarks/jsonrpc.py``)
+and PCN routing (``benchmarks/pcn.py``).
 """
 
 __version__ = "1.0.0"

@@ -1,4 +1,5 @@
-"""Light-client substrate: header chain, multi-source sync, proof checks."""
+"""Light-client substrate: header chain, multi-source sync, checkpoint
+sync, and the proof walks the PARP verifiers stand on (``verify``)."""
 
 from .checkpoint import (
     Checkpoint,
@@ -9,13 +10,6 @@ from .checkpoint import (
 )
 from .headerchain import HeaderChain, HeaderChainError
 from .sync import HeaderSource, HeaderSyncer, SyncError
-from .verify import (
-    verify_account,
-    verify_balance,
-    verify_receipt_at,
-    verify_storage_slot,
-    verify_transaction_at,
-)
 
 __all__ = [
     "Checkpoint",
@@ -28,9 +22,4 @@ __all__ = [
     "RangeUpdate",
     "SyncError",
     "is_better_update",
-    "verify_account",
-    "verify_balance",
-    "verify_storage_slot",
-    "verify_transaction_at",
-    "verify_receipt_at",
 ]

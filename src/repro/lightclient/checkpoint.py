@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
 
 from ..chain.header import BlockHeader
-from ..rlp import codec as rlp
 from .headerchain import HeaderChain
 from .sync import HeaderSyncer, SyncError
 
@@ -91,25 +90,6 @@ class RangeUpdate:
 
     def __len__(self) -> int:
         return len(self.headers)
-
-    def encode(self) -> bytes:
-        """Wire encoding (the billable ``parp_updatesByRange`` result)."""
-        return rlp.encode([header.encode() for header in self.headers])
-
-    @classmethod
-    def decode(cls, raw: bytes) -> "RangeUpdate":
-        item = rlp.decode(raw)
-        if not isinstance(item, list) or not item:
-            raise rlp.RLPError("range update must be a non-empty RLP list")
-        headers = []
-        for encoded in item:
-            if not isinstance(encoded, bytes):
-                raise rlp.RLPError("range update items must be header bytes")
-            headers.append(BlockHeader.decode(encoded))
-        try:
-            return cls(tuple(headers))
-        except ValueError as exc:
-            raise rlp.RLPError(str(exc)) from exc
 
 
 class CheckpointSource(Protocol):

@@ -6,7 +6,6 @@ from .futures import (
     ExponentialBackoff,
     PendingReply,
     ReplyCancelled,
-    as_completed,
     wait_all,
     wait_any,
 )
@@ -34,5 +33,4 @@ __all__ = [
     "ExponentialBackoff",
     "wait_any",
     "wait_all",
-    "as_completed",
 ]

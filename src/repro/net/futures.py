@@ -27,7 +27,6 @@ __all__ = [
     "ExponentialBackoff",
     "wait_any",
     "wait_all",
-    "as_completed",
 ]
 
 #: fallback synchrony bound when a reply carries no per-endpoint timeout.
@@ -245,35 +244,21 @@ class ExponentialBackoff:
 # ---------------------------------------------------------------------- #
 
 
-def _driver_key(driver: Driver) -> tuple:
-    """Identity of the event loop behind a driver.
+def _in_flight(replies: Sequence[PendingReply],
+               ) -> tuple[Optional[Driver], list[PendingReply]]:
+    """The one event loop that can resolve ``replies``, and the unresolved
+    replies it drives (a driverless one can never resolve).
 
-    Drivers are typically fresh bound methods of one network
-    (``network.run_while``), so compare by the bound owner + function, not
-    by the method object (whose ``id`` differs per ``submit``).
+    Replies of one simulated network share one loop (``network.run_while``
+    bound methods compare equal); replies from two loops cannot be waited
+    on together — each network's simulated time is its own universe.
     """
-    owner = getattr(driver, "__self__", None)
-    if owner is not None:
-        return (id(owner), getattr(driver, "__func__", None))
-    return (id(driver), None)
-
-
-def _driver_groups(replies: Sequence[PendingReply],
-                   ) -> list[tuple[Driver, list[PendingReply]]]:
-    """Unresolved replies grouped by their event loop.
-
-    Replies of one simulated network share one loop, so there is normally a
-    single group — but replies spanning several networks each get their own
-    loop driven (sequentially; each network's simulated time is its own
-    universe), instead of every foreign reply being misread as a timeout.
-    """
-    groups: dict[tuple, tuple[Driver, list[PendingReply]]] = {}
-    for reply in replies:
-        if not reply.done() and reply._driver is not None:
-            _, members = groups.setdefault(_driver_key(reply._driver),
-                                           (reply._driver, []))
-            members.append(reply)
-    return list(groups.values())
+    pending = [reply for reply in replies
+               if not reply.done() and reply._driver is not None]
+    if any(reply._driver != pending[0]._driver for reply in pending[1:]):
+        raise ValueError("replies from two event loops cannot be awaited "
+                         "together")
+    return (pending[0]._driver if pending else None), pending
 
 
 def _default_bound(replies: Sequence[PendingReply]) -> float:
@@ -283,61 +268,36 @@ def _default_bound(replies: Sequence[PendingReply]) -> float:
 
 def wait_any(replies: Iterable[PendingReply],
              timeout: Optional[float] = None) -> Optional[PendingReply]:
-    """Drive the event loop(s) until the first reply resolves.
+    """Drive the event loop until the first reply resolves.
 
     Returns the first resolved reply (an already-resolved one wins without
     advancing time), or None when ``timeout`` simulated seconds pass with
-    every reply still in flight.
+    every reply still in flight.  Raises :class:`ValueError` when the
+    replies belong to two event loops.
     """
     replies = list(replies)
     for reply in replies:
         if reply.done():
             return reply
-    bound = timeout if timeout is not None else _default_bound(replies)
-    for driver, _ in _driver_groups(replies):
+    driver, _ = _in_flight(replies)
+    if driver is not None:
+        bound = timeout if timeout is not None else _default_bound(replies)
         driver(lambda: not any(reply.done() for reply in replies), bound)
-        for reply in replies:
-            if reply.done():
-                return reply
-    return None
+    return next((reply for reply in replies if reply.done()), None)
 
 
 def wait_all(replies: Iterable[PendingReply],
              timeout: Optional[float] = None) -> bool:
-    """Drive the event loop(s) until every reply resolves.
+    """Drive the event loop until every reply resolves.
 
     Returns True when all resolved within ``timeout`` simulated seconds
     (cancellations count as resolved — the point is "nothing still in
-    flight", not "everything succeeded").
+    flight", not "everything succeeded").  Raises :class:`ValueError` when
+    the replies belong to two event loops.
     """
     replies = list(replies)
-    bound = timeout if timeout is not None else _default_bound(replies)
-    for driver, members in _driver_groups(replies):
-        # scope the predicate to this driver's own replies: a loop cannot
-        # resolve another network's futures, so waiting on them here would
-        # just burn the whole bound before the right loop gets its turn
-        driver(lambda: not all(reply.done() for reply in members), bound)
+    driver, pending = _in_flight(replies)
+    if driver is not None:
+        bound = timeout if timeout is not None else _default_bound(replies)
+        driver(lambda: not all(reply.done() for reply in pending), bound)
     return all(reply.done() for reply in replies)
-
-
-def as_completed(replies: Iterable[PendingReply],
-                 timeout: Optional[float] = None):
-    """Yield replies in resolution order, driving their event loop(s).
-
-    The multi-leg collection primitive: a scatter-gather caller hands over
-    the legs' futures and processes each as it lands, instead of blocking
-    head-of-line on the slowest leg.  Stops (without raising) when a full
-    ``timeout`` window passes with every remaining reply still in flight —
-    the leftovers stay pending for the caller to cancel, retry elsewhere,
-    or report as a partial failure.
-    """
-    remaining = list(replies)
-    while remaining:
-        resolved = [reply for reply in remaining if reply.done()]
-        if not resolved:
-            if wait_any(remaining, timeout=timeout) is None:
-                return
-            resolved = [reply for reply in remaining if reply.done()]
-        for reply in resolved:
-            remaining.remove(reply)
-            yield reply

@@ -1,9 +1,9 @@
 """Full node: a serving peer attached to the devnet chain.
 
 Implements the :class:`repro.parp.queries.ChainBackend` protocol (query
-execution + proofs), plain JSON-RPC serving (the baseline PARP is compared
-against), and transaction relay.  The PARP serving engine itself lives in
-:mod:`repro.parp.server` and wraps one of these.
+execution + proofs), the free header services, and transaction relay.  The
+PARP serving engine itself lives in :mod:`repro.parp.server` and wraps one
+of these.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ class FullNode:
         self.key = key or PrivateKey.from_seed(f"node:{name}")
         self.name = name
         self.auto_mine = auto_mine
-        #: bytes served / received counters (Fig. 7 bookkeeping)
-        self.bytes_in = 0
-        self.bytes_out = 0
 
     @property
     def address(self) -> Address:
@@ -123,9 +120,8 @@ class FullNode:
 
     def serve_updates_range(self, start: int, count: int) -> list[BlockHeader]:
         """UpdatesByRange: up to ``count`` consecutive headers from
-        ``start`` (capped server-side; truncated at the head).  The free
-        flavor of the billable ``parp_updatesByRange`` query — same data,
-        no signed-response accountability."""
+        ``start`` (capped server-side; truncated at the head); the pages
+        :class:`~repro.lightclient.checkpoint.CheckpointSyncer` fetches."""
         from ..lightclient.checkpoint import MAX_UPDATE_PAGE
 
         if start < 0 or count < 1:

@@ -20,7 +20,7 @@ _EXPORTS = {
     "LightClientSession": "client", "ServerEndpoint": "client",
     "RequestOutcome": "client", "SessionError": "client",
     "InvalidResponse": "client", "FraudDetected": "client",
-    "ServerOverloaded": "client",
+    "ServerOverloaded": "client", "RequestRefused": "client",
     "BatchItem": "client", "BatchOutcome": "client",
     "PendingQuery": "client",
     # server
@@ -42,8 +42,7 @@ _EXPORTS = {
     "FeeSchedule": "pricing", "FlatFeeSchedule": "pricing",
     "CallBasedFeeSchedule": "pricing", "DEFAULT_FEE_SCHEDULE": "pricing",
     "REFERENCE_BASKET": "pricing",
-    "RepricedFeeSchedule": "pricing", "load_multiplier": "pricing",
-    "MULTIPLIER_SCALE": "pricing",
+    "load_multiplier": "pricing",
     # marketplace
     "Marketplace": "marketplace", "MarketplaceClient": "marketplace",
     "MarketplaceError": "marketplace", "MarketplaceStats": "marketplace",

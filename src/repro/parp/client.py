@@ -60,6 +60,8 @@ __all__ = [
     "InvalidResponse",
     "FraudDetected",
     "ServerOverloaded",
+    "RequestRefused",
+    "served_result",
     "RequestOutcome",
     "BatchItem",
     "BatchOutcome",
@@ -129,6 +131,32 @@ class FraudDetected(SessionError):
         super().__init__(f"fraud detected [{report.check}]: {report.detail}")
         self.report = report
         self.package = package
+
+
+class RequestRefused(SessionError):
+    """A typed call came back as a signed error: the server refused it.
+
+    The response passed every §V-D check — it is VALID, the fee is acked —
+    so this is no fault of the server's to fine or fail over on: the call
+    itself could not be served (a send the chain rejects, a key outside the
+    server's shard).  ``reason`` is the server's signed error text.
+    """
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(f"request refused: {reason}")
+        self.reason = reason
+
+
+def served_result(status: int, result: bytes) -> bytes:
+    """A verified answer's payload; raises :class:`RequestRefused` for a
+    signed error, whose payload is ``rlp([b"error", reason])``."""
+    if status == ResponseStatus.OK:
+        return result
+    try:
+        reason = rlp.decode(result)[1].decode("utf-8", "replace")
+    except (rlp.RLPError, IndexError, AttributeError):  # a hostile payload
+        reason = result.hex()
+    raise RequestRefused(reason)
 
 
 class ServerOverloaded(SessionError):
@@ -577,14 +605,8 @@ class LightClientSession:
         """Batched convenience: balances of many accounts in one round."""
         calls = [RpcCall.create("eth_getBalance", a) for a in addresses]
         outcome = self.query_batch(calls)
-        balances = []
-        for item in outcome.items:
-            if not item.ok:
-                raise SessionError(
-                    f"balance query failed for {item.call.params[0].hex()}"
-                )
-            balances.append(decode_balance(item.result))
-        return balances
+        return [decode_balance(served_result(item.status, item.result))
+                for item in outcome.items]
 
     def _try_build_package(self, request, response,
                            outcome) -> Optional[FraudProofPackage]:
@@ -603,41 +625,40 @@ class LightClientSession:
             return None
 
     # ------------------------------------------------------------------ #
-    # Typed convenience wrappers
+    # Typed convenience wrappers (a signed error raises RequestRefused)
     # ------------------------------------------------------------------ #
 
+    def _result(self, method: str, *params: Any) -> bytes:
+        response = self.request(method, *params).response
+        return served_result(response.status, response.result)
+
     def get_balance(self, address: Address) -> int:
-        outcome = self.request("eth_getBalance", address)
-        return decode_balance(outcome.response.result)
+        return decode_balance(self._result("eth_getBalance", address))
 
     def get_storage_at(self, address: Address, slot: bytes) -> bytes:
-        outcome = self.request("eth_getStorageAt", address, slot)
-        item = rlp.decode(outcome.response.result)
+        item = rlp.decode(self._result("eth_getStorageAt", address, slot))
         return item[0] if isinstance(item, list) and item else b""
 
     def get_transaction(self, number: int, index: int) -> bytes:
-        outcome = self.request(
+        _, _, tx_bytes = _triple(self._result(
             "eth_getTransactionByBlockNumberAndIndex", number, index,
-        )
-        _, _, tx_bytes = _triple(outcome.response.result)
+        ))
         return tx_bytes
 
     def send_raw_transaction(self, raw: bytes) -> tuple[Optional[int], Optional[int], bytes]:
         """Submit a transaction; returns (block, index, tx_hash)."""
-        outcome = self.request("eth_sendRawTransaction", raw)
-        return decode_inclusion(outcome.response.result)
+        return decode_inclusion(self._result("eth_sendRawTransaction", raw))
 
     def send_transaction(self, tx: Transaction) -> tuple[Optional[int], Optional[int], bytes]:
         return self.send_raw_transaction(tx.encode())
 
     def get_transaction_receipt(self, tx_hash: bytes) -> bytes:
-        outcome = self.request("eth_getTransactionReceipt", tx_hash)
-        _, _, receipt_bytes = _triple(outcome.response.result)
+        _, _, receipt_bytes = _triple(
+            self._result("eth_getTransactionReceipt", tx_hash))
         return receipt_bytes
 
     def block_number(self) -> int:
-        outcome = self.request("eth_blockNumber")
-        return decode_int_result(outcome.response.result)
+        return decode_int_result(self._result("eth_blockNumber"))
 
     # ------------------------------------------------------------------ #
     # Liveness check (§V-C)
@@ -645,8 +666,8 @@ class LightClientSession:
 
     def channel_status_fast(self) -> int:
         """Unverified probe: ask the FN what it thinks the status is."""
-        outcome = self.request("parp_channelStatus", self.channel.alpha)
-        return decode_int_result(outcome.response.result)
+        return decode_int_result(
+            self._result("parp_channelStatus", self.channel.alpha))
 
     def channel_status_verified(self) -> int:
         """Verified probe: read the CMM's status slot with a storage proof.

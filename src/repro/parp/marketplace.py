@@ -31,7 +31,7 @@ at fanout k, ``query_sharded`` one per shard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Optional, Sequence
 
@@ -53,6 +53,7 @@ from .client import (
     ServerEndpoint,
     ServerOverloaded,
     SessionError,
+    served_result,
 )
 from .constants import (
     DEFAULT_CHANNEL_BUDGET,
@@ -137,27 +138,17 @@ class ServerAdvertisement:
     #: the slice of the hashed-key space this server materializes;
     #: None advertises the whole state (a classic full-range server)
     shard: Optional[ShardRange] = None
-    #: when the directory last accepted this ad (stamped by a clocked
-    #: :class:`Marketplace` on advertise/republish); None in clockless
-    #: directories, which never expire ads
-    published_at: Optional[float] = None
 
     @classmethod
     def for_server(cls, server: Any, name: str = "",
                    endpoint: Optional[ServerEndpoint] = None,
                    ) -> "ServerAdvertisement":
-        """Build an advertisement straight from a :class:`FullNodeServer`.
-
-        An admission-controlled server advertises its *quoted* schedule —
-        the base fees scaled by the current load multiplier — so surge
-        pricing reaches clients through the directory, the same channel
-        every other term of the offer travels.
-        """
-        quoted = getattr(server, "quoted_fee_schedule", None)
+        """Build an advertisement straight from a :class:`FullNodeServer`:
+        its address, its fee schedule (the prices it enforces), its shard."""
         return cls(
             address=server.address,
             endpoint=endpoint if endpoint is not None else server,
-            fee_schedule=quoted() if callable(quoted) else server.fee_schedule,
+            fee_schedule=server.fee_schedule,
             name=name or getattr(getattr(server, "node", None), "name", ""),
             shard=getattr(server, "shard_range", None),
         )
@@ -181,75 +172,19 @@ class ServerAdvertisement:
 
 
 class Marketplace:
-    """The directory full nodes advertise in and clients select from.
+    """The directory full nodes advertise in and clients select from."""
 
-    With a ``clock`` every accepted advertisement is stamped, and
-    :meth:`sweep` expires servers that stopped refreshing — a directory
-    full of dead endpoints would otherwise keep absorbing connect
-    timeouts (and reputation penalties servers did nothing to earn).
-    ``ad_ttl=None`` (the default) keeps ads fresh forever, preserving the
-    clockless closed-world behavior tests rely on.
-    """
-
-    def __init__(self, clock=None, ad_ttl: Optional[float] = None) -> None:
+    def __init__(self) -> None:
         self._ads: dict[Address, ServerAdvertisement] = {}
-        self._clock = clock
-        self.ad_ttl = ad_ttl
-
-    def _now(self) -> Optional[float]:
-        return float(self._clock()) if self._clock is not None else None
 
     def advertise(self, ad: ServerAdvertisement) -> None:
-        """Publish (or refresh) one server's advertisement."""
-        now = self._now()
-        if now is not None:
-            ad = replace(ad, published_at=now)
+        """Publish (or replace) one server's advertisement."""
         self._ads[ad.address] = ad
-
-    def sweep(self, now: Optional[float] = None,
-              ttl: Optional[float] = None) -> list[Address]:
-        """Expire advertisements older than ``ttl`` (default: ``ad_ttl``).
-
-        Returns the dropped addresses.  Unstamped ads (published through a
-        clockless directory) and a ``ttl`` of None are both exempt — the
-        sweep only ever removes servers that *stopped* doing something
-        they demonstrably used to do (refresh via advertise/republish).
-        """
-        ttl = ttl if ttl is not None else self.ad_ttl
-        if ttl is None:
-            return []
-        if now is None:
-            now = self._now()
-        if now is None:
-            return []
-        dropped = [address for address, ad in self._ads.items()
-                   if ad.published_at is not None
-                   and now - ad.published_at > ttl]
-        for address in dropped:
-            del self._ads[address]
-        return dropped
 
     def advertise_server(self, server: Any, name: str = "",
                          endpoint: Optional[ServerEndpoint] = None,
                          ) -> ServerAdvertisement:
         ad = ServerAdvertisement.for_server(server, name=name, endpoint=endpoint)
-        self.advertise(ad)
-        return ad
-
-    def republish(self, server: Any) -> Optional[ServerAdvertisement]:
-        """Refresh a server's advertisement under its *current* load.
-
-        Keeps the published name and endpoint (they do not change with
-        load); only the priced terms — the quoted fee schedule — are
-        re-read.  A server that never advertised here is left alone (None):
-        republishing is a refresh, not a registration.
-        """
-        existing = self._ads.get(server.address)
-        if existing is None:
-            return None
-        ad = ServerAdvertisement.for_server(
-            server, name=existing.name, endpoint=existing.endpoint,
-        )
         self.advertise(ad)
         return ad
 
@@ -1183,20 +1118,14 @@ class MarketplaceClient:
     # ------------------------------------------------------------------ #
 
     def get_balance(self, address: Address) -> int:
-        outcome = self.request("eth_getBalance", address)
-        return decode_balance(outcome.response.result)
+        response = self.request("eth_getBalance", address).response
+        return decode_balance(served_result(response.status, response.result))
 
     def get_balances(self, addresses: Sequence[Address]) -> list[int]:
         calls = [RpcCall.create("eth_getBalance", a) for a in addresses]
         outcome = self.query_batch(calls)
-        balances = []
-        for item in outcome.items:
-            if not item.ok:
-                raise MarketplaceError(
-                    f"balance query failed for {item.call.params[0].hex()}"
-                )
-            balances.append(decode_balance(item.result))
-        return balances
+        return [decode_balance(served_result(item.status, item.result))
+                for item in outcome.items]
 
     # ------------------------------------------------------------------ #
     # Settlement

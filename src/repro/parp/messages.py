@@ -697,8 +697,8 @@ class OverloadedReply:
       admission queue is exactly full),
     * ``retry_after_millis``    — jittered seconds until the queue is
       expected to have drained enough to admit this request's cost,
-    * ``fee_multiplier_millis`` — the repriced quote (matches the
-      republished :class:`~repro.parp.pricing.RepricedFeeSchedule`).
+    * ``fee_multiplier_millis`` — the load's fee multiplier
+      (:func:`~repro.parp.pricing.load_multiplier`) at decision time.
     """
 
     m_b: int

@@ -26,11 +26,9 @@ __all__ = [
     "FeeSchedule",
     "FlatFeeSchedule",
     "CallBasedFeeSchedule",
-    "RepricedFeeSchedule",
     "DEFAULT_FEE_SCHEDULE",
     "REFERENCE_BASKET",
     "GWEI",
-    "MULTIPLIER_SCALE",
     "DEFAULT_PRICING_KNEE",
     "DEFAULT_PRICING_CAP",
     "load_multiplier",
@@ -49,11 +47,6 @@ _DEFAULT_PRICES: dict[str, int] = {
     "eth_getTransactionReceipt": 20 * GWEI,
     "eth_sendRawTransaction": 50 * GWEI,
     "parp_channelStatus": 1 * GWEI,
-    # one checkpoint-sync page (up to MAX_UPDATE_PAGE headers): far below
-    # per-header read pricing because headers are cheap to serve in bulk,
-    # but billable — unlike the free tier, the page arrives as a *signed*
-    # response the client can escalate to the FDM
-    "parp_updatesByRange": 25 * GWEI,
 }
 
 
@@ -142,9 +135,6 @@ DEFAULT_FEE_SCHEDULE = CallBasedFeeSchedule()
 # Dynamic (load-tracking) pricing
 # --------------------------------------------------------------------------- #
 
-#: fixed-point scale for fee multipliers on the wire (u32 millis): 1000 = 1.0×.
-MULTIPLIER_SCALE = 1000
-
 #: load factor below which quotes stay at the base price — a server under
 #: half load has spare capacity, and repricing it would only churn rankings.
 DEFAULT_PRICING_KNEE = 0.5
@@ -176,40 +166,3 @@ def load_multiplier(load: float, knee: float = DEFAULT_PRICING_KNEE,
         return 1.0
     ramp = min(1.0, (load - knee) / (1.0 - knee))
     return 1.0 + (cap - 1.0) * ramp * ramp
-
-
-@dataclass(frozen=True)
-class RepricedFeeSchedule(FeeSchedule):
-    """A base schedule scaled by a server's current load multiplier.
-
-    This is the *quote* a loaded server republishes to the marketplace —
-    fixed-point (``multiplier_millis`` / :data:`MULTIPLIER_SCALE`) so the
-    advertisement and the signed ``Overloaded`` reply carry the identical
-    value.  Enforcement at the server stays on the **base** schedule (the
-    floor): a client that paid an older, cheaper quote is still served —
-    repricing steers *selection*, it never weaponizes the payment check
-    against clients holding stale advertisements.
-    """
-
-    base: FeeSchedule = field(default_factory=lambda: DEFAULT_FEE_SCHEDULE)
-    multiplier_millis: int = MULTIPLIER_SCALE
-
-    def __post_init__(self) -> None:
-        if self.multiplier_millis < MULTIPLIER_SCALE:
-            raise ValueError("repricing cannot quote below the base schedule")
-
-    @property
-    def multiplier(self) -> float:
-        return self.multiplier_millis / MULTIPLIER_SCALE
-
-    def _scale(self, wei: int) -> int:
-        return wei * self.multiplier_millis // MULTIPLIER_SCALE
-
-    def price(self, call: RpcCall) -> int:
-        return self._scale(self.base.price(call))
-
-    def batch_price(self, calls: Sequence[RpcCall]) -> int:
-        return self._scale(self.base.batch_price(calls))
-
-    def describe(self) -> str:
-        return f"{self.base.describe()}×{self.multiplier:.3f}"

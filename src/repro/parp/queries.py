@@ -21,8 +21,6 @@ eth_getStorageAt(addr, slot)    state+storage account proof -> storage root -> s
 eth_getTransactionByBlockNumberAndIndex  txs  result tx == proven trie value
 eth_sendRawTransaction(raw)     txs @ incl.   proven trie value == submitted raw tx
 eth_getTransactionReceipt(hash) txs+receipts  tx at index hashes to request's hash
-parp_updatesByRange(start, n)   headers       hash-linked page anchored to the
-                                              local chain (self-certifying)
 eth_blockNumber / eth_chainId / parp_channelStatus   (unverifiable; no proof)
 =============================== ============= =====================================
 """
@@ -53,7 +51,6 @@ __all__ = [
     "execute_query",
     "verify_query_result",
     "decode_balance",
-    "decode_header_range",
     "decode_inclusion",
     "decode_int_result",
 ]
@@ -356,77 +353,6 @@ def decode_inclusion(result: bytes) -> tuple[Optional[int], Optional[int], bytes
 
 
 # --------------------------------------------------------------------------- #
-# parp_updatesByRange (billable checkpoint sync, Altair UpdatesByRange analog)
-# --------------------------------------------------------------------------- #
-
-def _execute_updates_range(backend: ChainBackend, call: RpcCall,
-                           m_b: int) -> tuple[bytes, Sequence[bytes]]:
-    from ..lightclient.checkpoint import MAX_UPDATE_PAGE
-
-    start = call.param_int(0)
-    count = call.param_int(1)
-    if count < 1:
-        raise QueryError("updates range needs a positive header count")
-    stop = min(start + min(count, MAX_UPDATE_PAGE) - 1, backend.head_number())
-    headers: list[bytes] = []
-    for number in range(start, stop + 1):
-        header = backend.get_header(number)
-        if header is None:
-            break
-        headers.append(header.encode())
-    if not headers:
-        raise QueryError(f"no headers at or above height {start}")
-    # No trie proof: the page certifies itself through hash linkage, which
-    # the verifier anchors to the client's locally quorum-checked chain.
-    return rlp.encode(headers), []
-
-
-def _at_anchor(call: RpcCall, result: bytes, m_b: int) -> Optional[int]:
-    """A page proves itself by linking to the header below its first."""
-    start = call.param_int(0)
-    return start - 1 if start > 0 else None
-
-
-def _verify_updates_range(call: RpcCall, response: PARPResponse,
-                          get_header: HeaderLookup) -> None:
-    from ..lightclient.checkpoint import MAX_UPDATE_PAGE, RangeUpdate
-
-    start = call.param_int(0)
-    count = call.param_int(1)
-    try:
-        update = RangeUpdate.decode(response.result)
-    except rlp.RLPError as exc:
-        raise QueryFraud(f"malformed updates-range page: {exc}") from exc
-    if update.start != start:
-        raise QueryFraud("page starts at a different height than requested")
-    if len(update) > min(count, MAX_UPDATE_PAGE):
-        raise QueryFraud("page is longer than requested")
-    if update.tip.number > response.m_b:
-        raise QueryFraud("page extends past the server's attested head")
-    if start > 0:
-        anchor = _proving_header(call, response, get_header)
-        if update.headers[0].parent_hash != anchor.hash:
-            raise QueryFraud("page does not link to the locally verified chain")
-    # Any overlap with already-verified local headers must agree exactly.
-    for header in update.headers:
-        local = get_header(header.number)
-        if local is not None and local.hash != header.hash:
-            raise QueryFraud(
-                f"page header {header.number} conflicts with the local chain"
-            )
-
-
-def decode_header_range(result: bytes) -> tuple[BlockHeader, ...]:
-    """Parse a ``parp_updatesByRange`` result into its headers."""
-    from ..lightclient.checkpoint import RangeUpdate
-
-    try:
-        return RangeUpdate.decode(result).headers
-    except rlp.RLPError as exc:
-        raise MessageError(f"malformed updates-range page: {exc}") from exc
-
-
-# --------------------------------------------------------------------------- #
 # Unverifiable queries
 # --------------------------------------------------------------------------- #
 
@@ -463,8 +389,6 @@ QUERY_CATALOG: dict[str, QuerySpec] = {spec.method: spec for spec in (
               _verify_send_raw_tx, _at_inclusion_block, seals=True),
     QuerySpec("eth_getTransactionReceipt", _execute_get_receipt,
               _verify_get_receipt, _at_inclusion_block, cacheable=True),
-    QuerySpec("parp_updatesByRange", _execute_updates_range,
-              _verify_updates_range, _at_anchor),
     QuerySpec("eth_blockNumber", _execute_block_number),
     QuerySpec("eth_chainId", _execute_chain_id),
 )}

@@ -47,9 +47,7 @@ from .messages import (
 )
 from .pricing import (
     DEFAULT_FEE_SCHEDULE,
-    MULTIPLIER_SCALE,
     FeeSchedule,
-    RepricedFeeSchedule,
     load_multiplier,
 )
 from .queries import QUERY_CATALOG, QueryError, execute_query
@@ -330,9 +328,7 @@ class FullNodeServer:
         return self.node.serve_bootstrap(checkpoint_hash)
 
     def serve_updates_range(self, start: int, count: int) -> list[BlockHeader]:
-        """Free UpdatesByRange page (headers ride the free tier, §IV-D);
-        the billable ``parp_updatesByRange`` query returns the same data
-        with signed-response accountability."""
+        """Free UpdatesByRange page (headers ride the free tier, §IV-D)."""
         return self.node.serve_updates_range(start, count)
 
     def get_transaction_count(self, address: Address) -> int:
@@ -602,7 +598,7 @@ class FullNodeServer:
         return result, proof
 
     # ------------------------------------------------------------------ #
-    # Free probes: shard, load, quoted fees, batch version
+    # Free probes: shard, load
     # ------------------------------------------------------------------ #
 
     def shard_info(self) -> Optional[tuple[int, int, bytes, int]]:
@@ -646,22 +642,6 @@ class FullNodeServer:
         if self.admission is None:
             return 1.0
         return self.admission.fee_multiplier()
-
-    def quoted_fee_schedule(self) -> FeeSchedule:
-        """The fee schedule this server *advertises* under current load.
-
-        Repricing is quote-only: enforcement in the serving path stays at the
-        base schedule (its prices are the floor), so a client holding a stale
-        cheaper quote still clears ``min_increment`` — overload never turns
-        honest payments into rejections.  Quotes are re-published through the
-        marketplace so newly ranking clients see (and pay) the surge price.
-        """
-        multiplier = self.current_fee_multiplier()
-        if multiplier <= 1.0:
-            return self.fee_schedule
-        millis = max(MULTIPLIER_SCALE, round(multiplier * MULTIPLIER_SCALE))
-        return RepricedFeeSchedule(base=self.fee_schedule,
-                                   multiplier_millis=millis)
 
     # ------------------------------------------------------------------ #
     # Proof of Serving (§VIII extension, receipts)

@@ -1,11 +1,10 @@
 """Checkpoint onboarding end to end: a fresh marketplace client joins a
 long-running chain via Bootstrap + UpdatesByRange instead of syncing from
-genesis, then pays for a signed header page.
+genesis.
 
 Covers the acceptance path: O(distance-from-checkpoint) header fetches over
-the simulated network, quorum cross-check rejecting an equivocating
-checkpoint server, and ``parp_updatesByRange`` billed per the fee catalog
-with full client-side verification.
+the simulated network and the quorum cross-check rejecting an equivocating
+checkpoint server.
 """
 
 import pytest
@@ -22,8 +21,7 @@ from repro.parp import (
     MarketplaceError,
     ServerAdvertisement,
 )
-from repro.parp.pricing import GWEI, CallBasedFeeSchedule
-from repro.parp.queries import decode_header_range
+from repro.parp.pricing import CallBasedFeeSchedule
 
 TOKEN = 10 ** 18
 BUDGET = 10 ** 15
@@ -126,29 +124,3 @@ class TestCheckpointOnboarding:
         with pytest.raises(MarketplaceError):
             client.connect()
         assert client.bonded_sessions() == {}
-
-
-class TestPaidUpdatesByRange:
-    def test_signed_header_page_is_billed_per_catalog(self):
-        devnet, servers, client, checkpoint, alice = make_world()
-        client.connect()
-        session = next(iter(client.bonded_sessions().values()))
-        spent_before = session.channel.spent
-        start = CHECKPOINT_HEIGHT + 1
-        outcome = client.request("parp_updatesByRange", start, 4)
-        assert outcome.report.valid
-        headers = decode_header_range(outcome.response.result)
-        assert [h.number for h in headers] == [start, start + 1,
-                                               start + 2, start + 3]
-        assert headers[0].hash == devnet.chain.get_header(start).hash
-        # billable: one page costs the catalog price, not the free tier
-        assert session.channel.spent - spent_before == 25 * GWEI
-
-    def test_page_is_capped_at_the_head(self):
-        devnet, servers, client, checkpoint, alice = make_world()
-        client.connect()
-        start = devnet.chain.height - 1
-        outcome = client.request("parp_updatesByRange", start, 50)
-        headers = decode_header_range(outcome.response.result)
-        assert [h.number for h in headers] \
-            == [devnet.chain.height - 1, devnet.chain.height]

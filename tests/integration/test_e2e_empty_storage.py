@@ -11,13 +11,13 @@ import pytest
 
 from repro.contracts import CHANNELS_MODULE_ADDRESS, DEPOSIT_MODULE_ADDRESS
 from repro.contracts.channels import channel_status_slot
-from repro.lightclient.verify import verify_storage_slot
+from repro.lightclient.verify import walk_account, walk_storage
 from repro.parp import FraudProofError, MIN_FULL_NODE_DEPOSIT
 from repro.parp.fraudproof import build_fraud_package
 from repro.parp.messages import PARPResponse, RpcCall
 from repro.parp.queries import QueryFraud, verify_query_result
 from repro.rlp import decode, encode
-from repro.trie import EMPTY_TRIE_ROOT, ProofError, verify_proof
+from repro.trie import EMPTY_TRIE_ROOT, ProofError, ProofIndex, verify_proof
 
 SLOT = b"\x00" * 32
 
@@ -83,8 +83,11 @@ class TestEmptyStorageIsHonest:
         head = env.net.chain.head
         state = env.net.chain.state_at(head.number)
         eoa = env.keys.alice.address
-        proof = state.prove_account(eoa) + state.prove_storage(eoa, SLOT)
-        assert verify_storage_slot(head.header, eoa, SLOT, proof) == b""
+        proof = ProofIndex.of(state.prove_account(eoa)
+                              + state.prove_storage(eoa, SLOT))
+        account = walk_account(head.header.state_root, eoa.to_bytes(), proof)
+        assert account is not None
+        assert walk_storage(account, SLOT, proof) is None
 
 
 class TestEmptyStorageStillCatchesLies:

@@ -2,9 +2,9 @@
 
 import pytest
 
+from benchmarks.pcn import ChannelGraph
 from repro.contracts import CHANNELS_MODULE_ADDRESS
 from repro.crypto import PrivateKey
-from repro.parp.pcn import ChannelGraph
 from repro.parp.proof_of_serving import (
     EpochClaim,
     ReceiptValidator,

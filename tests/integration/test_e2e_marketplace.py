@@ -8,7 +8,7 @@ prove the client completes every query anyway — without losing funds to
 the failed provider.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import pytest
@@ -25,6 +25,7 @@ from repro.parp import (
     Marketplace,
     MarketplaceClient,
     MarketplaceError,
+    RequestRefused,
     ServerAdvertisement,
 )
 from repro.parp.adversary import MaliciousFullNodeServer
@@ -32,6 +33,8 @@ from repro.parp.fraudproof import WitnessService
 from repro.parp.messages import RpcCall
 from repro.parp.pricing import GWEI
 from repro.parp.reputation import EVENT_SERVED_OK
+from repro.parp.sharding import shard_key_of_call
+from repro.trie import ShardRange
 
 TOKEN = 10 ** 18
 BUDGET = 10 ** 15
@@ -406,3 +409,40 @@ class TestNonBytesReply:
         assert garbage.address not in client.sessions
         assert garbage.address in dict(client.retired)
         assert honest.stats.requests_served + honest.stats.batches_served == 1
+
+
+class TestSignedRefusal:
+    def test_typed_reads_raise_request_refused_and_nothing_fails_over(self):
+        """A server whose advertisement hides its shard signs an error for a
+        key outside it.  The answer is VALID and paid: the router credits
+        the server and fails over to no one, and the typed wrappers raise
+        ``RequestRefused`` with the server's reason."""
+        op = PrivateKey.from_seed("e2e:refuse:op")
+        lc = PrivateKey.from_seed("e2e:refuse:lc")
+        alice = PrivateKey.from_seed("e2e:refuse:alice")
+        devnet = Devnet(GenesisConfig(allocations={
+            op.address: 100 * TOKEN, lc.address: 100 * TOKEN,
+            alice.address: 5 * TOKEN}))
+        key = shard_key_of_call(RpcCall.create("eth_getBalance", alice.address))
+        elsewhere = next(half for half in (ShardRange.of(0, 2),
+                                           ShardRange.of(1, 2))
+                         if not half.covers(key))
+        server = devnet.attach_server(op, name="half", shard_range=elsewhere)
+        devnet.advance_blocks(2)
+        marketplace = Marketplace()
+        marketplace.advertise(
+            replace(ServerAdvertisement.for_server(server), shard=None))
+        client = MarketplaceClient(lc, marketplace, budget=BUDGET)
+        client.connect(min_sessions=1)
+
+        for read in (lambda: client.get_balance(alice.address),
+                     lambda: client.get_balances([alice.address])):
+            with pytest.raises(RequestRefused, match="outside this server's"):
+                read()
+        assert server.stats.out_of_range_rejected == 2
+        assert client.stats.queries == 2 and client.stats.failovers == 0
+        kinds = [e.kind for e in client.reputation.events_of(server.address)]
+        assert kinds == [EVENT_SERVED_OK, EVENT_SERVED_OK]
+        session = client.sessions[server.address]
+        assert session.channel.acked == (
+            server.channels[session.channel.alpha].latest_amount)

@@ -188,25 +188,6 @@ class TestSaturatedClusterShedsBoundedly:
         assert drained["load"] == 0.0
         assert drained["fee_multiplier"] == 1.0
 
-    def test_repriced_ads_are_republished_under_load(self):
-        """Under load the server quotes surged fees; republishing pushes the
-        new sticker price into the directory, and after drain another
-        republish restores the base quote."""
-        cfg = AdmissionConfig(max_queue_cost=4.0, service_time=0.5, seed=3)
-        world = OverloadWorld(admission=[cfg])
-        world.connect()
-        server = world.servers[0]
-        base_ref = world.marketplace.get(server.address).reference_price
-
-        world.flood(0, 4)
-        ad = world.marketplace.republish(server)
-        assert ad.reference_price > base_ref
-        assert ad.name == "srv-0"          # identity survives the refresh
-
-        world.network.run_until(world.network.clock.now() + 10.0)
-        ad = world.marketplace.republish(server)
-        assert ad.reference_price == base_ref
-
 
 class TestHotShardShedsColdServes:
     def test_overload_is_per_server_not_contagion(self):

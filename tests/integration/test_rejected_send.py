@@ -13,6 +13,10 @@ refused by ``Transaction.decode`` as a ``TransactionError``, so each entry
 point that decodes one raises its own typed error — ``ServeError`` from the
 free relay and from ``open_channel``, ``ChainError`` from
 ``FullNode.submit_transaction`` — and the paid send is a signed refusal.
+
+A typed wrapper (``send_raw_transaction``, ``get_balance``, …) that gets a
+signed refusal raises ``RequestRefused`` with the server's reason — never
+``QueryFraud``, which only check 6 raises, for a proven lie.
 """
 
 import pytest
@@ -20,11 +24,15 @@ import pytest
 from repro.chain import ChainError, TransactionError, UnsignedTransaction
 from repro.chain.transaction import Transaction
 from repro.contracts.addresses import CHANNELS_MODULE_ADDRESS
-from repro.parp import RpcCall
+from repro.parp import RequestRefused, RpcCall, SessionError
 from repro.parp.messages import ResponseStatus
+from repro.parp.sharding import shard_key_of_call
 from repro.parp.server import ServeError
 from repro.parp.states import ResponseClass
 from repro.rlp import codec as rlp
+from repro.trie.shard import ShardRange
+
+from ..conftest import make_parp_env
 
 
 def transfer(env, nonce, to=None):
@@ -101,3 +109,34 @@ def test_a_non_canonical_integer_is_a_transaction_error(parp_env):
 def test_a_malformed_raw_transaction_is_a_transaction_error(raw):
     with pytest.raises(TransactionError):
         Transaction.decode(raw)
+
+
+def test_a_typed_send_the_chain_rejects_raises_request_refused(parp_env):
+    env = parp_env
+    channel = env.server.channels[env.alpha]
+    banked = channel.latest_amount
+    with pytest.raises(RequestRefused, match="nonce gap") as refused:
+        env.session.send_raw_transaction(transfer(env, nonce=99).encode())
+    assert isinstance(refused.value, SessionError)
+    assert "nonce gap" in refused.value.reason
+    assert channel.latest_amount > banked
+    assert env.session.channel.acked == channel.latest_amount
+
+    # the channel is intact: the next typed call is served and acked
+    assert env.session.get_balance(env.keys.bob.address) > 0
+    assert env.session.channel.acked == channel.latest_amount
+
+
+def test_a_typed_read_outside_the_shard_raises_request_refused(devnet, keys):
+    bob = keys.bob.address
+    key = shard_key_of_call(RpcCall.create("eth_getBalance", bob))
+    elsewhere = next(half for half in (ShardRange.of(0, 2), ShardRange.of(1, 2))
+                     if not half.covers(key))
+    env = make_parp_env(devnet, keys, shard_range=elsewhere)
+    for read in (lambda: env.session.get_balance(bob),
+                 lambda: env.session.get_balances([bob])):
+        with pytest.raises(RequestRefused, match="outside this server's shard"):
+            read()
+        assert env.session.channel.acked == (
+            env.server.channels[env.alpha].latest_amount)
+    assert env.server.stats.out_of_range_rejected == 2

@@ -60,7 +60,6 @@ FAILING_CALLS = {
         "eth_getTransactionByBlockNumberAndIndex", 10 ** 6, 0),
     "eth_getTransactionReceipt": RpcCall.create(
         "eth_getTransactionReceipt", b"\x42" * 32),
-    "parp_updatesByRange": RpcCall.create("parp_updatesByRange", 10 ** 6, 4),
     "eth_notInTheCatalog": RpcCall.create("eth_notInTheCatalog", 1),
 }
 CASES = ([(method, scenario) for method in METHODS for scenario in SCENARIOS
@@ -95,7 +94,6 @@ def call_for(env, method: str) -> RpcCall:
                              channel_status_slot(env.alpha)),
         "eth_getTransactionByBlockNumberAndIndex": (block.number, index),
         "eth_getTransactionReceipt": (block.transactions[index].hash,),
-        "parp_updatesByRange": (1, 2),
         "parp_channelStatus": (env.alpha,),
     }[method]
     return RpcCall.create(method, *params)

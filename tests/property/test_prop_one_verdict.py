@@ -61,8 +61,7 @@ TOKEN = 10 ** 18
 
 #: the methods whose answers carry a Merkle proof the FDM can walk
 METHODS = sorted(
-    method for method, spec in QUERY_CATALOG.items()
-    if spec.verifiable and method != "parp_updatesByRange")
+    method for method, spec in QUERY_CATALOG.items() if spec.verifiable)
 BEHAVIOURS = ("honest", "signed_error", *ATTACKS)
 #: what §IV-F says each behaviour is (the adversary module's table)
 EXPECTED = {

@@ -1,23 +1,17 @@
-"""Property tests for the load→fee curve and load-repriced schedules.
+"""Property tests for the load→fee curve.
 
-Dynamic repricing routes real payments: the curve must be monotone (more
-load never gets cheaper), bounded (the cap is a promise to clients), and
-stable at zero load (an idle server quotes exactly its base schedule —
-repricing must be invisible until there is congestion to price).  The
-fixed-point wire encoding (thousandths) must round-trip these guarantees.
+A shed's signed ``Overloaded`` reply quotes this multiplier: the curve must
+be monotone (more load never gets cheaper), bounded (the cap is a promise to
+clients), and stable at zero load (an idle server quotes exactly 1.0 —
+there is nothing to price until there is congestion).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.keys import Address
-from repro.parp.messages import RpcCall
 from repro.parp.pricing import (
-    DEFAULT_FEE_SCHEDULE,
     DEFAULT_PRICING_CAP,
     DEFAULT_PRICING_KNEE,
-    MULTIPLIER_SCALE,
-    RepricedFeeSchedule,
     load_multiplier,
 )
 
@@ -27,14 +21,6 @@ knees = st.floats(min_value=0.0, max_value=0.99,
                   allow_nan=False, allow_infinity=False)
 caps = st.floats(min_value=1.0, max_value=100.0,
                  allow_nan=False, allow_infinity=False)
-multiplier_millis = st.integers(min_value=MULTIPLIER_SCALE,
-                                max_value=100 * MULTIPLIER_SCALE)
-
-CALLS = [
-    RpcCall.create("eth_getBalance", Address(b"\x11" * 20)),
-    RpcCall.create("eth_blockNumber"),
-    RpcCall.create("eth_getTransactionCount", Address(b"\x22" * 20)),
-]
 
 
 class TestLoadMultiplierCurve:
@@ -81,51 +67,3 @@ class TestLoadMultiplierCurve:
             load_multiplier(0.5, knee=1.0)     # knee must leave a ramp
         with pytest.raises(ValueError):
             load_multiplier(0.5, knee=-0.1)
-
-
-class TestRepricedSchedule:
-    @given(multiplier_millis)
-    @settings(max_examples=200)
-    def test_never_cheaper_than_the_enforced_base(self, millis):
-        """Repricing is quote-only and the base is the floor: a repriced
-        quote below base would make stale-quote clients fail the server's
-        min_increment check."""
-        surge = RepricedFeeSchedule(base=DEFAULT_FEE_SCHEDULE,
-                                    multiplier_millis=millis)
-        for call in CALLS:
-            assert surge.price(call) >= DEFAULT_FEE_SCHEDULE.price(call)
-        assert surge.batch_price(CALLS) >= \
-            DEFAULT_FEE_SCHEDULE.batch_price(CALLS)
-
-    @given(st.tuples(multiplier_millis, multiplier_millis))
-    @settings(max_examples=200)
-    def test_monotone_in_multiplier(self, pair):
-        lo, hi = sorted(pair)
-        cheap = RepricedFeeSchedule(base=DEFAULT_FEE_SCHEDULE,
-                                    multiplier_millis=lo)
-        dear = RepricedFeeSchedule(base=DEFAULT_FEE_SCHEDULE,
-                                   multiplier_millis=hi)
-        for call in CALLS:
-            assert cheap.price(call) <= dear.price(call)
-        assert cheap.reference_price() <= dear.reference_price()
-
-    @given(multiplier_millis)
-    @settings(max_examples=100)
-    def test_scaling_is_exact_fixed_point(self, millis):
-        surge = RepricedFeeSchedule(base=DEFAULT_FEE_SCHEDULE,
-                                    multiplier_millis=millis)
-        for call in CALLS:
-            base = DEFAULT_FEE_SCHEDULE.price(call)
-            assert surge.price(call) == base * millis // MULTIPLIER_SCALE
-
-    def test_identity_multiplier_is_the_base_schedule(self):
-        same = RepricedFeeSchedule(base=DEFAULT_FEE_SCHEDULE,
-                                   multiplier_millis=MULTIPLIER_SCALE)
-        for call in CALLS:
-            assert same.price(call) == DEFAULT_FEE_SCHEDULE.price(call)
-        assert same.reference_price() == DEFAULT_FEE_SCHEDULE.reference_price()
-
-    def test_discount_multipliers_rejected(self):
-        with pytest.raises(ValueError):
-            RepricedFeeSchedule(base=DEFAULT_FEE_SCHEDULE,
-                                multiplier_millis=MULTIPLIER_SCALE - 1)

@@ -127,7 +127,7 @@ class TestPcnConservation:
     @settings(max_examples=50, deadline=None)
     def test_capacity_conserved_across_payments(self, payments):
         from repro.crypto.keys import Address
-        from repro.parp.pcn import ChannelGraph, PCNError
+        from benchmarks.pcn import ChannelGraph, PCNError
 
         src = Address(b"\x01" * 20)
         mid = Address(b"\x02" * 20)
@@ -173,7 +173,7 @@ class TestPcnCheapestRoute:
     @given(channel_graphs())
     @settings(max_examples=200, deadline=None)
     def test_route_is_a_cheapest_usable_path(self, drawn):
-        from repro.parp.pcn import ChannelGraph, PCNError
+        from benchmarks.pcn import ChannelGraph, PCNError
 
         nodes, amount, edges = drawn
         src, dst = nodes[0], nodes[-1]

@@ -19,7 +19,7 @@ from repro.net import (
     SimNetwork,
     SimServerBinding,
     UniformLatency,
-    as_completed,
+    wait_any,
 )
 from repro.parp.server import ServeError
 
@@ -127,7 +127,7 @@ def test_replies_resolve_exactly_once_and_never_cross(
 def test_multi_leg_collect_pays_each_leg_exactly_once(seed, drop_rate, legs):
     """The scatter-gather collection pattern over raw futures.
 
-    Each leg races several candidate servers; ``as_completed`` hands replies
+    Each leg races several candidate servers; ``wait_any`` hands replies
     back in resolution order, the first OK reply of a leg wins (one "payment
     ack"), and the leg's losers are cancelled on the spot.  Invariants:
 
@@ -161,7 +161,9 @@ def test_multi_leg_collect_pays_each_leg_exactly_once(seed, drop_rate, legs):
     winners: dict[int, object] = {}
     payments = Counter()
     cancelled_in_flight = 0
-    for reply in as_completed(list(entries)):
+    in_flight = list(entries)
+    while (reply := wait_any(in_flight)) is not None:
+        in_flight.remove(reply)
         i, c = entries[reply]
         if i in winners or not reply.ok:
             continue   # a loser that landed before (or without) cancellation

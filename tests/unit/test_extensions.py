@@ -2,10 +2,10 @@
 
 import pytest
 
+from benchmarks.pcn import ChannelGraph, PCNError
 from repro.crypto import PrivateKey, keccak256
 from repro.crypto.keys import Address
 from repro.parp.messages import payment_digest
-from repro.parp.pcn import ChannelGraph, PCNError
 from repro.parp.proof_of_serving import (
     EpochClaim,
     ReceiptValidator,

@@ -1,25 +1,24 @@
-"""JSON-RPC 2.0 codec and the eth_* API baseline."""
+"""The plain JSON-RPC baseline of Table II and Fig. 7: codec, the one
+served method, and the error objects outside input gets."""
 
 import json
 
 import pytest
 
-from repro.chain import GenesisConfig, UnsignedTransaction
-from repro.crypto import PrivateKey
-from repro.node import Devnet, FullNode
-from repro.rpc import (
+from benchmarks.jsonrpc import (
     JsonRpcError,
     RpcClient,
     RpcRequest,
     RpcServer,
     decode_request,
-    decode_response,
     encode_request,
     from_hex_data,
     from_quantity,
-    to_hex_data,
     to_quantity,
 )
+from repro.chain import GenesisConfig, UnsignedTransaction
+from repro.crypto import PrivateKey
+from repro.node import Devnet, FullNode
 
 ALICE = PrivateKey.from_seed("rpc:alice")
 BOB = PrivateKey.from_seed("rpc:bob")
@@ -56,74 +55,38 @@ class TestCodec:
             from_quantity("255")
 
     def test_hex_data_encoding(self):
-        assert to_hex_data(b"\x01\x02") == "0x0102"
         assert from_hex_data("0x0102") == b"\x01\x02"
         with pytest.raises(JsonRpcError):
             from_hex_data("0102")
 
     def test_error_response_raises(self):
-        response = decode_response(
+        client = RpcClient(lambda raw: (
             b'{"jsonrpc":"2.0","id":1,"error":{"code":-32601,"message":"nope"}}'
-        )
-        with pytest.raises(JsonRpcError):
-            response.raise_for_error()
+        ))
+        with pytest.raises(JsonRpcError) as excinfo:
+            client.call("eth_getBalance")
+        assert excinfo.value.code == -32601
 
 
 class TestApi:
-    def test_block_number_and_chain_id(self, rpc):
-        net, _, _, client = rpc
-        assert from_quantity(client.call("eth_blockNumber")) == 0
-        assert from_quantity(client.call("eth_chainId")) == 1337
-        net.advance_blocks(2)
-        assert from_quantity(client.call("eth_blockNumber")) == 2
-
     def test_get_balance(self, rpc):
         _, _, _, client = rpc
         hex_balance = client.call("eth_getBalance", ALICE.address.hex(), "latest")
         assert from_quantity(hex_balance) == 10 * TOKEN
 
     def test_balance_at_historical_tag(self, rpc):
-        net, _, _, client = rpc
+        net, node, _, client = rpc
         tx = UnsignedTransaction(nonce=0, gas_price=10 ** 9, gas_limit=21_000,
                                  to=BOB.address, value=500).sign(ALICE)
-        client.call("eth_sendRawTransaction", to_hex_data(tx.encode()))
+        node.submit_transaction(tx.encode())
         net.mine()
         latest = from_quantity(client.call("eth_getBalance",
                                            BOB.address.hex(), "latest"))
         genesis = from_quantity(client.call("eth_getBalance",
                                             BOB.address.hex(), "0x0"))
-        assert latest == 500 and genesis == 0
-
-    def test_send_and_receipt_flow(self, rpc):
-        net, _, _, client = rpc
-        tx = UnsignedTransaction(nonce=0, gas_price=10 ** 9, gas_limit=21_000,
-                                 to=BOB.address, value=1).sign(ALICE)
-        tx_hash = client.call("eth_sendRawTransaction", to_hex_data(tx.encode()))
-        assert client.call("eth_getTransactionReceipt", tx_hash) is None
-        net.mine()
-        receipt = client.call("eth_getTransactionReceipt", tx_hash)
-        assert receipt["status"] == "0x1"
-        by_hash = client.call("eth_getTransactionByHash", tx_hash)
-        assert by_hash["value"] == "0x1"
-
-    def test_get_block_by_number(self, rpc):
-        net, _, _, client = rpc
-        net.advance_blocks(1)
-        block = client.call("eth_getBlockByNumber", "0x1", False)
-        assert from_quantity(block["number"]) == 1
-        assert block["parentHash"] == to_hex_data(net.chain.get_block_by_number(0).hash)
-        assert client.call("eth_getBlockByNumber", "0x63", False) is None
-
-    def test_get_proof_verifies(self, rpc):
-        net, _, _, client = rpc
-        proof = client.call("eth_getProof", ALICE.address.hex(), [], "latest")
-        from repro.crypto import keccak256
-        from repro.trie import verify_proof
-
-        nodes = [from_hex_data(n) for n in proof["accountProof"]]
-        root = net.chain.head.header.state_root
-        proven = verify_proof(root, keccak256(ALICE.address.to_bytes()), nodes)
-        assert proven is not None
+        earliest = from_quantity(client.call("eth_getBalance",
+                                             BOB.address.hex(), "earliest"))
+        assert latest == 500 and genesis == earliest == 0
 
     def test_unknown_method(self, rpc):
         _, _, _, client = rpc
@@ -133,31 +96,32 @@ class TestApi:
 
     def test_invalid_params(self, rpc):
         _, _, _, client = rpc
-        with pytest.raises(JsonRpcError):
+        with pytest.raises(JsonRpcError) as excinfo:
             client.call("eth_getBalance", "0x1234")  # bad address length
+        assert excinfo.value.code == -32602
+        with pytest.raises(JsonRpcError) as excinfo:
+            client.call("eth_getBalance")            # missing address
+        assert excinfo.value.code == -32602
+
+    def test_unknown_block_is_a_server_error(self, rpc):
+        _, _, _, client = rpc
+        with pytest.raises(JsonRpcError) as excinfo:
+            client.call("eth_getBalance", ALICE.address.hex(), "0x63")
+        assert excinfo.value.code == -32000
 
 
 class TestServerShell:
-    def test_batch_requests(self, rpc):
-        _, _, server, _ = rpc
-        batch = json.dumps([
-            {"jsonrpc": "2.0", "id": 1, "method": "eth_blockNumber", "params": []},
-            {"jsonrpc": "2.0", "id": 2, "method": "eth_chainId", "params": []},
-        ]).encode()
-        out = json.loads(server.handle_raw(batch))
-        assert [r["id"] for r in out] == [1, 2]
-        assert all("result" in r for r in out)
-
     def test_parse_error_response(self, rpc):
         _, _, server, _ = rpc
         out = json.loads(server.handle_raw(b"garbage"))
-        assert out["error"]["code"] == -32700
+        assert out["error"]["code"] == -32700 and out["id"] is None
 
-    def test_byte_counters(self, rpc):
-        _, _, server, client = rpc
-        client.call("eth_blockNumber")
-        assert server.bytes_in > 0 and server.bytes_out > 0
-        assert client.bytes_sent == server.bytes_in
+    def test_invalid_request_response(self, rpc):
+        """A non-object (a batch array included) is an invalid request."""
+        _, _, server, _ = rpc
+        for raw in (b"[]", b"7", b'{"jsonrpc":"2.0","id":3,"method":5}'):
+            out = json.loads(server.handle_raw(raw))
+            assert out["error"]["code"] == -32600, raw
 
     def test_paper_baseline_sizes(self, rpc):
         """§VI-C quotes ~118 B for a balance request; ours must be close."""

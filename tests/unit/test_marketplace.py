@@ -151,49 +151,6 @@ class TestAdvertisementFromServer:
         assert client.bonded_sessions() == {}
 
 
-class TestAdStaleness:
-    """Ad TTL satellite: a clocked directory stamps ads and sweeps servers
-    that stop refreshing."""
-
-    def test_clocked_directory_stamps_published_at(self):
-        clock = [100.0]
-        marketplace = Marketplace(clock=lambda: clock[0])
-        marketplace.advertise(ad_for("a"))
-        assert marketplace.get(addr("a")).published_at == 100.0
-        clock[0] = 250.0
-        marketplace.advertise(ad_for("a"))        # refresh restamps
-        assert marketplace.get(addr("a")).published_at == 250.0
-
-    def test_sweep_drops_only_non_refreshing_servers(self):
-        clock = [0.0]
-        marketplace = Marketplace(clock=lambda: clock[0], ad_ttl=10.0)
-        marketplace.advertise(ad_for("fresh"))
-        marketplace.advertise(ad_for("stale"))
-        clock[0] = 8.0
-        marketplace.advertise(ad_for("fresh"))    # one keeps refreshing
-        clock[0] = 15.0
-        dropped = marketplace.sweep()
-        assert dropped == [addr("stale")]
-        assert addr("stale") not in marketplace
-        assert addr("fresh") in marketplace
-        assert marketplace.sweep() == []          # idempotent
-
-    def test_sweep_ttl_override_and_exemptions(self):
-        clock = [0.0]
-        marketplace = Marketplace(clock=lambda: clock[0])   # no default ttl
-        marketplace.advertise(ad_for("a"))
-        clock[0] = 1000.0
-        assert marketplace.sweep() == []          # ttl=None never sweeps
-        assert marketplace.sweep(ttl=10.0) == [addr("a")]
-
-    def test_clockless_directory_never_expires(self):
-        marketplace = Marketplace(ad_ttl=5.0)
-        marketplace.advertise(ad_for("a"))
-        assert marketplace.get(addr("a")).published_at is None
-        assert marketplace.sweep(now=10 ** 9) == []   # unstamped ⇒ exempt
-        assert addr("a") in marketplace
-
-
 class TestFraudAccounting:
     """Every fraud the client detects is slashed, left unslashed because
     the witness's submission failed, or came without a package: none is

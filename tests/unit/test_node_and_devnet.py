@@ -210,9 +210,14 @@ class TestDevnetPersistence:
         net.mine()
         head_root = net.chain.head.header.state_root
         net.close()
-        with pytest.raises(ChainError, match="already contains committed"):
-            Blockchain(GenesisConfig(allocations={ALICE.address: TOKEN}),
-                       db=open_node_store(state_dir))
+        # a store handed to Blockchain stays its caller's to close
+        given = open_node_store(state_dir)
+        try:
+            with pytest.raises(ChainError, match="already contains committed"):
+                Blockchain(GenesisConfig(allocations={ALICE.address: TOKEN}),
+                           db=given)
+        finally:
+            given.close()
         # the refusal must not have moved the recovery point
         store = open_node_store(state_dir)
         assert store.last_root == head_root

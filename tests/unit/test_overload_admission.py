@@ -1,11 +1,10 @@
 """Unit tests for overload survival: admission control, the signed
-``Overloaded`` reply, load-driven repricing, and the soft reputation path.
+``Overloaded`` reply, the load→fee multiplier, and the soft reputation path.
 
 The invariants under test are the ones the e2e overload matrix and the
 bench build on: the virtual-backlog gate bounds queueing delay, a shed is
-cheaper than a serve and cryptographically attributable, repricing never
-drops below the enforced base schedule, and honest shedding can demote but
-never ban a server.
+cheaper than a serve and cryptographically attributable, and honest
+shedding can demote but never ban a server.
 """
 
 import pytest
@@ -17,12 +16,7 @@ from repro.net.latency import UniformLatency
 from repro.parp.admission import AdmissionConfig, AdmissionController
 from repro.parp.constants import OVERLOAD_OVERHEAD_BYTES
 from repro.parp.messages import MessageError, OverloadedReply, ResponseStatus
-from repro.parp.pricing import (
-    DEFAULT_FEE_SCHEDULE,
-    MULTIPLIER_SCALE,
-    RepricedFeeSchedule,
-    load_multiplier,
-)
+from repro.parp.pricing import load_multiplier
 from repro.parp.reputation import (
     EVENT_INVALID_RESPONSE,
     EVENT_OVERLOADED,
@@ -186,30 +180,6 @@ class TestOverloadedReply:
     def test_shed_is_cheaper_than_any_served_response(self):
         from repro.parp.constants import RESPONSE_OVERHEAD_BYTES
         assert OVERLOAD_OVERHEAD_BYTES < RESPONSE_OVERHEAD_BYTES
-
-
-class TestRepricing:
-    def test_multiplier_floor_is_the_base_schedule(self):
-        with pytest.raises(ValueError):
-            RepricedFeeSchedule(base=DEFAULT_FEE_SCHEDULE,
-                                multiplier_millis=MULTIPLIER_SCALE - 1)
-
-    def test_scaling_applies_to_every_price(self):
-        surge = RepricedFeeSchedule(base=DEFAULT_FEE_SCHEDULE,
-                                    multiplier_millis=2_500)
-        from repro.parp.messages import RpcCall
-        call = RpcCall.create("eth_getBalance", Address(b"\x11" * 20))
-        base_price = DEFAULT_FEE_SCHEDULE.price(call)
-        assert surge.price(call) == base_price * 2_500 // MULTIPLIER_SCALE
-        assert surge.reference_price() > DEFAULT_FEE_SCHEDULE.reference_price()
-        assert "×2.500" in surge.describe()
-
-    def test_identity_multiplier_changes_nothing(self):
-        same = RepricedFeeSchedule(base=DEFAULT_FEE_SCHEDULE,
-                                   multiplier_millis=MULTIPLIER_SCALE)
-        from repro.parp.messages import RpcCall
-        call = RpcCall.create("eth_blockNumber")
-        assert same.price(call) == DEFAULT_FEE_SCHEDULE.price(call)
 
 
 class TestSoftReputation:

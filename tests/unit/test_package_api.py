@@ -17,13 +17,13 @@ class TestTopLevel:
         import importlib
 
         for name in ("crypto", "rlp", "trie", "chain", "vm", "contracts",
-                     "rpc", "net", "lightclient", "node", "parp",
+                     "net", "lightclient", "node", "parp",
                      "workloads", "metrics"):
             module = importlib.import_module(f"repro.{name}")
             assert module is not None
 
     @pytest.mark.parametrize("package", [
-        "crypto", "rlp", "trie", "chain", "vm", "contracts", "rpc", "net",
+        "crypto", "rlp", "trie", "chain", "vm", "contracts", "net",
         "lightclient", "node", "storage", "gossip", "metrics", "workloads"])
     def test_every_export_resolves(self, package):
         """A stale ``__all__`` entry is a failure here, not an ImportError
@@ -41,7 +41,9 @@ class TestTopLevel:
         ``tests/reference_trie.py``), the typed-RLP layer, PR 15's aliases,
         batch-version negotiation, the single-wire reshaping of hedged
         and sharded legs, the demo CLI (now ``examples/``), the benchmark
-        harness (now under ``benchmarks/``) and the dead read workload."""
+        harness (now under ``benchmarks/``), the dead read workload, and the
+        serving paths only tests reached."""
+        import importlib
         import inspect
 
         import repro.metrics
@@ -99,6 +101,62 @@ class TestTopLevel:
         # a diagnostic nothing read: the most recent scatter's outcome
         assert "last_scatter" not in inspect.getsource(
             marketplace.MarketplaceClient)
+
+        # paths only tests reached.  The models only a benchmark runs moved
+        # under benchmarks/: the JSON-RPC baseline (benchmarks/jsonrpc.py,
+        # eth_getBalance alone) and PCN routing (benchmarks/pcn.py)
+        for name in ("repro.rpc", "repro.parp.pcn"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(name)
+        assert not (package / "rpc").exists()
+        # surge re-quotes: an ad carries the schedule the server enforces
+        from repro.parp import pricing, server
+        for name in ("RepricedFeeSchedule", "MULTIPLIER_SCALE"):
+            assert name not in repro.parp.__all__
+            assert not hasattr(pricing, name)
+        assert not hasattr(FullNodeServer, "quoted_fee_schedule")
+        assert not hasattr(server, "RepricedFeeSchedule")
+        # directory expiry: Marketplace() takes no arguments
+        from repro.parp.marketplace import Marketplace
+        assert list(inspect.signature(Marketplace).parameters) == []
+        for name in ("republish", "sweep", "_now", "ad_ttl"):
+            assert not hasattr(Marketplace, name)
+            assert not hasattr(Marketplace(), name)
+        assert "published_at" not in {
+            f.name for f in dataclasses.fields(ServerAdvertisement)}
+        # the billable header page: checkpoint sync pages the free
+        # serve_updates_range
+        from repro.lightclient.checkpoint import RangeUpdate
+        from repro.parp import queries
+        from repro.parp.pricing import DEFAULT_FEE_SCHEDULE
+        assert "parp_updatesByRange" not in queries.QUERY_CATALOG
+        assert "parp_updatesByRange" not in DEFAULT_FEE_SCHEDULE.prices
+        for name in ("_execute_updates_range", "_at_anchor",
+                     "_verify_updates_range", "decode_header_range"):
+            assert not hasattr(queries, name)
+        assert not hasattr(RangeUpdate, "encode")
+        assert not hasattr(RangeUpdate, "decode")
+        # cross-network waits: one wait drives one event loop
+        import repro.net
+        from repro.net import futures
+        assert "as_completed" not in repro.net.__all__
+        for name in ("as_completed", "_driver_key", "_driver_groups"):
+            assert not hasattr(futures, name)
+            assert not hasattr(repro.net, name)
+        # the duplicate light-client verifiers: parp/queries.py walks
+        # proofs through walk_account / walk_storage
+        import repro.lightclient
+        from repro.lightclient import verify
+        for name in ("verify_account", "verify_balance",
+                     "verify_storage_slot", "verify_transaction_at",
+                     "verify_receipt_at"):
+            assert not hasattr(verify, name)
+            assert name not in repro.lightclient.__all__
+        # counters nothing incremented
+        from repro.node import FullNode
+        node_source = inspect.getsource(FullNode)
+        assert "bytes_in" not in node_source
+        assert "bytes_out" not in node_source
 
     def test_src_imports_only_the_standard_library(self):
         """``pyproject.toml`` declares no runtime dependency, so every

@@ -5,7 +5,6 @@ import pytest
 from repro.chain import Account, InsufficientBalance, StateDB
 from repro.crypto import PrivateKey, keccak256
 from repro.crypto.keys import Address
-from repro.lightclient.verify import verify_account  # exercised via proofs
 from repro.trie import verify_proof
 
 A = PrivateKey.from_seed("state:a").address

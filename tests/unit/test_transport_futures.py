@@ -179,23 +179,24 @@ class TestCombinators:
         assert [r.result() for r in replies] == \
             [(f"srv-{i}", i) for i in range(3)]
 
-    def test_combinators_drive_every_network(self):
-        """Replies spanning two simulated networks each get their own event
-        loop driven — a responsive server on the second network must not be
-        misread as a timeout just because the first loop was driven."""
+    def test_combinators_refuse_two_networks(self):
+        """Every reply of one wait rides one event loop: replies pending on
+        two simulated networks raise instead of being driven one loop after
+        the other.  A reply that already resolved drives nothing, so it may
+        come from anywhere."""
         net_a, (ep_a,) = make_rig()
         net_b = SimNetwork(latency=FixedLatency(0.05))
         SimServerBinding(net_b, "srv-b", EchoServer("srv-b"))
         ep_b = SimEndpoint(net_b, "lc-b", "srv-b", Address.zero(), timeout=1.0)
-        net_a.isolate("srv-0")                    # network A never answers
-        dead = ep_a.submit("serve_header", 1)
-        live = ep_b.submit("serve_header", 2)
-        assert wait_any([dead, live], timeout=1.0) is live
-        assert live.result() == ("srv-b", 2)
-        net_a.rejoin("srv-0")
-        more = [ep_a.submit("serve_header", 3), ep_b.submit("serve_header", 4)]
-        assert wait_all(more, timeout=1.0) is True
-        assert [r.result() for r in more] == [("srv-0", 3), ("srv-b", 4)]
+        mixed = [ep_a.submit("serve_header", 1), ep_b.submit("serve_header", 2)]
+        for wait in (wait_any, wait_all):
+            with pytest.raises(ValueError, match="two event loops"):
+                wait(mixed, timeout=1.0)
+        assert net_a.clock.now() == net_b.clock.now() == 0.0
+        assert wait_all(mixed[:1], timeout=1.0) is True
+        assert wait_any([mixed[0], ep_b.submit("serve_header", 3)],
+                        timeout=1.0) is mixed[0]
+        assert mixed[0].result() == ("srv-0", 1)
 
     def test_wait_all_counts_cancellations_as_resolved(self):
         net, (ep,) = make_rig()
