@@ -124,3 +124,24 @@ class TestCheckpointOnboarding:
         with pytest.raises(MarketplaceError):
             client.connect()
         assert client.bonded_sessions() == {}
+
+
+class TestFreeHeaderPages:
+    """Checkpoint sync pages the free ``serve_updates_range``: headers ride
+    the free tier (§IV-D), so onboarding moves no channel money."""
+
+    def test_page_is_capped_at_the_head(self):
+        devnet, servers, client, checkpoint, alice = make_world()
+        head = devnet.chain.height
+        headers = servers[0].serve_updates_range(head - 1, 50)
+        assert [h.number for h in headers] == [head - 1, head]
+        assert [h.hash for h in headers] == [
+            devnet.chain.get_header(n).hash for n in (head - 1, head)]
+
+    def test_onboarding_bills_no_header(self):
+        devnet, servers, client, checkpoint, alice = make_world()
+        client.connect()
+        assert client.headers.headers_fetched > 0
+        sessions = client.bonded_sessions().values()
+        assert sessions and all(s.channel.spent == 0 for s in sessions)
+        assert all(server.stats.fees_earned == 0 for server in servers)

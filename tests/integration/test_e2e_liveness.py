@@ -3,8 +3,11 @@
 import pytest
 
 from repro.contracts import CHANNELS_MODULE_ADDRESS
+from repro.parp import RequestRefused, RpcCall
 from repro.parp.liveness import LivenessAlert, LivenessMonitor
+from repro.parp.sharding import shard_key_of_call
 from repro.parp.states import ChannelStatus
+from repro.trie import ShardRange
 
 from ..conftest import make_parp_env
 
@@ -64,3 +67,45 @@ class TestLiveness:
         assert last.report.valid
         assert last.request.call.method == "eth_getStorageAt"
         assert len(last.response.proof) > 0
+
+
+def refuse(reason):
+    def probe():
+        raise RequestRefused(reason)
+    return probe
+
+
+class TestRefusedProbes:
+    """A signed refusal is a failed probe, never a verdict on the channel."""
+
+    def test_a_refused_fast_probe_falls_back_to_the_verified_read(
+            self, parp_env, monkeypatch):
+        monkeypatch.setattr(parp_env.session, "channel_status_fast",
+                            refuse("busy"))
+        monitor = LivenessMonitor(parp_env.session, period=30.0)
+        observation = monitor.probe(now=0.0)
+        assert observation.claimed_status is None
+        assert observation.verified_status == ChannelStatus.OPEN.value
+
+    def test_both_probes_refused_raise_an_alert(self, parp_env, monkeypatch):
+        for probe in ("channel_status_fast", "channel_status_verified"):
+            monkeypatch.setattr(parp_env.session, probe, refuse("busy"))
+        monitor = LivenessMonitor(parp_env.session, verify_every=1)
+        with pytest.raises(LivenessAlert, match="both liveness probes failed"):
+            monitor.probe(now=0.0)
+
+    def test_a_shard_server_that_cannot_prove_the_slot_is_judged_by_its_claim(
+            self, devnet, keys):
+        """The CMM's storage lies outside this server's shard, so the
+        verified read comes back as a signed refusal; the claim decides."""
+        key = shard_key_of_call(
+            RpcCall.create("eth_getStorageAt", CHANNELS_MODULE_ADDRESS, b""))
+        elsewhere = next(half for half in (ShardRange.of(0, 2),
+                                           ShardRange.of(1, 2))
+                         if not half.covers(key))
+        env = make_parp_env(devnet, keys, shard_range=elsewhere)
+        monitor = LivenessMonitor(env.session, verify_every=1)
+        observation = monitor.probe(now=0.0)
+        assert observation.claimed_status == ChannelStatus.OPEN.value
+        assert observation.verified_status is None
+        assert env.server.stats.out_of_range_rejected == 1

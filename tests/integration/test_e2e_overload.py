@@ -28,6 +28,7 @@ from repro.parp import (
     FlatFeeSchedule,
     Marketplace,
     MarketplaceClient,
+    ServerAdvertisement,
 )
 from repro.parp.client import ServerOverloaded
 from repro.parp.messages import RpcCall
@@ -187,6 +188,27 @@ class TestSaturatedClusterShedsBoundedly:
         drained = world.servers[0].load_info()
         assert drained["load"] == 0.0
         assert drained["fee_multiplier"] == 1.0
+
+    def test_ads_quote_the_enforced_schedule_under_load(self):
+        """The load multiplier is a signal, not a price: a server's ad
+        carries the schedule it enforces, under load as when idle, and a
+        loaded server still charges that schedule."""
+        cfg = AdmissionConfig(max_queue_cost=4.0, service_time=0.5, seed=3)
+        world = OverloadWorld(admission=[cfg])
+        world.connect()
+        server = world.servers[0]
+        listed = world.marketplace.get(server.address)
+        base_ref = listed.reference_price
+        fees_before = server.stats.fees_earned
+
+        pendings = world.flood(0, 4)
+        assert server.load_info()["fee_multiplier"] > 1.0
+        ad = ServerAdvertisement.for_server(server, name="srv-0")
+        assert ad.fee_schedule is server.fee_schedule is listed.fee_schedule
+        assert ad.reference_price == base_ref
+        served = [r for tag, r in world.collect_all(0, pendings) if tag == "ok"]
+        assert served
+        assert server.stats.fees_earned - fees_before == len(served) * 10 * GWEI
 
 
 class TestHotShardShedsColdServes:

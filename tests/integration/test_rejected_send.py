@@ -25,6 +25,7 @@ from repro.chain import ChainError, TransactionError, UnsignedTransaction
 from repro.chain.transaction import Transaction
 from repro.contracts.addresses import CHANNELS_MODULE_ADDRESS
 from repro.parp import RequestRefused, RpcCall, SessionError
+from repro.parp.client import served_result
 from repro.parp.messages import ResponseStatus
 from repro.parp.sharding import shard_key_of_call
 from repro.parp.server import ServeError
@@ -140,3 +141,74 @@ def test_a_typed_read_outside_the_shard_raises_request_refused(devnet, keys):
         assert env.session.channel.acked == (
             env.server.channels[env.alpha].latest_amount)
     assert env.server.stats.out_of_range_rejected == 2
+
+
+@pytest.mark.parametrize("call, reason", [
+    (lambda s: s.get_transaction(999, 0), "no block at height 999"),
+    (lambda s: s.get_transaction(1, 7), "block 1 has no transaction 7"),
+    (lambda s: s.get_transaction_receipt(b"\x00" * 32), "unknown transaction"),
+    (lambda s: s.send_raw_transaction(b"\x01\x02"), "undecodable transaction"),
+], ids=["tx-no-block", "tx-no-index", "receipt-unknown", "send-undecodable"])
+def test_every_typed_wrapper_raises_request_refused(parp_env, call, reason):
+    env = parp_env
+    channel = env.server.channels[env.alpha]
+    banked = channel.latest_amount
+    with pytest.raises(RequestRefused, match=reason):
+        call(env.session)
+    last = env.session.history[-1]
+    assert last.report.classification is ResponseClass.VALID
+    assert last.report.is_error_response
+    assert channel.latest_amount > banked
+    assert env.session.channel.acked == channel.latest_amount
+    assert env.session.block_number() == env.net.chain.height
+
+
+def test_a_typed_storage_read_outside_the_shard_raises_request_refused(
+        devnet, keys):
+    cmm = CHANNELS_MODULE_ADDRESS
+    key = shard_key_of_call(RpcCall.create("eth_getStorageAt", cmm, b"\x00"))
+    elsewhere = next(half for half in (ShardRange.of(0, 2), ShardRange.of(1, 2))
+                     if not half.covers(key))
+    env = make_parp_env(devnet, keys, shard_range=elsewhere)
+    with pytest.raises(RequestRefused, match="outside this server's shard"):
+        env.session.get_storage_at(cmm, b"\x00" * 32)
+    with pytest.raises(RequestRefused, match="outside this server's shard"):
+        env.session.channel_status_verified()
+    assert env.server.stats.out_of_range_rejected == 2
+    assert env.session.channel.acked == (
+        env.server.channels[env.alpha].latest_amount)
+
+
+def test_the_retired_header_page_is_a_signed_refusal(parp_env):
+    """``parp_updatesByRange`` left the paid catalog: checkpoint sync pages
+    the free ``serve_updates_range``, and a paid request for the old method
+    is refused, attributably, like any unsupported method."""
+    env = parp_env
+    channel = env.server.channels[env.alpha]
+    banked = channel.latest_amount
+    outcome = env.session.request("parp_updatesByRange", 1, 2)
+    assert_signed_refusal(env, outcome, channel.latest_amount - banked,
+                          "unsupported RPC method 'parp_updatesByRange'")
+    with pytest.raises(RequestRefused, match="unsupported RPC method"):
+        served_result(outcome.response.status, outcome.response.result)
+
+
+def test_a_typed_batch_with_one_key_outside_the_shard_raises_request_refused(
+        devnet, keys):
+    """One refused item refuses the typed batch; the item inside the shard
+    was still served and paid for with the rest."""
+    bob = keys.bob.address
+    key = shard_key_of_call(RpcCall.create("eth_getBalance", bob))
+    elsewhere = next(half for half in (ShardRange.of(0, 2), ShardRange.of(1, 2))
+                     if not half.covers(key))
+    inside = next(k.address for k in (keys.alice, keys.lc, keys.fn, keys.wn)
+                  if elsewhere.covers(shard_key_of_call(
+                      RpcCall.create("eth_getBalance", k.address))))
+    env = make_parp_env(devnet, keys, shard_range=elsewhere)
+    with pytest.raises(RequestRefused, match="outside this server's shard"):
+        env.session.get_balances([inside, bob])
+    assert env.session.get_balances([inside]) == [
+        devnet.chain.state.balance_of(inside)]
+    assert env.server.stats.out_of_range_rejected == 1
+    assert env.session.channel.acked == (
+        env.server.channels[env.alpha].latest_amount)

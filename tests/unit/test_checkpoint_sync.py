@@ -180,6 +180,11 @@ class TestRangeUpdate:
         assert update.tip.number == 8
         assert len(update) == 4
 
+    def test_single_header_page(self, grown):
+        update = RangeUpdate((grown.chain.get_header(3),))
+        assert update.start == update.tip.number == 3
+        assert len(update) == 1
+
     def test_rejects_broken_linkage(self, grown):
         h5, h7 = grown.chain.get_header(5), grown.chain.get_header(7)
         with pytest.raises(ValueError, match="breaks linkage"):

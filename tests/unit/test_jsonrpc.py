@@ -67,6 +67,22 @@ class TestCodec:
             client.call("eth_getBalance")
         assert excinfo.value.code == -32601
 
+    def test_negative_quantity_refused(self):
+        with pytest.raises(ValueError):
+            to_quantity(-1)
+
+    def test_malformed_hex_digits_are_bad_params(self):
+        for decode in (from_quantity, from_hex_data):
+            with pytest.raises(JsonRpcError) as excinfo:
+                decode("0xzz")
+            assert excinfo.value.code == -32602
+
+    def test_mismatched_response_id_is_an_internal_error(self):
+        client = RpcClient(lambda raw: b'{"jsonrpc":"2.0","id":99,"result":"0x0"}')
+        with pytest.raises(JsonRpcError) as excinfo:
+            client.call("eth_getBalance", ALICE.address.hex())
+        assert excinfo.value.code == -32603
+
 
 class TestApi:
     def test_get_balance(self, rpc):
@@ -109,6 +125,22 @@ class TestApi:
             client.call("eth_getBalance", ALICE.address.hex(), "0x63")
         assert excinfo.value.code == -32000
 
+    def test_safe_and_finalized_tags_read_the_head(self, rpc):
+        net, node, _, client = rpc
+        tx = UnsignedTransaction(nonce=0, gas_price=10 ** 9, gas_limit=21_000,
+                                 to=BOB.address, value=7).sign(ALICE)
+        node.submit_transaction(tx.encode())
+        net.mine()
+        for tag in ("latest", "safe", "finalized"):
+            assert from_quantity(client.call("eth_getBalance",
+                                             BOB.address.hex(), tag)) == 7
+
+    def test_unrecognised_tag_is_bad_params(self, rpc):
+        _, _, _, client = rpc
+        with pytest.raises(JsonRpcError) as excinfo:
+            client.call("eth_getBalance", ALICE.address.hex(), "pending")
+        assert excinfo.value.code == -32602
+
 
 class TestServerShell:
     def test_parse_error_response(self, rpc):
@@ -123,8 +155,41 @@ class TestServerShell:
             out = json.loads(server.handle_raw(raw))
             assert out["error"]["code"] == -32600, raw
 
+    def test_params_must_be_an_array(self, rpc):
+        _, _, server, _ = rpc
+        raw = json.dumps({"jsonrpc": "2.0", "id": 4, "method": "eth_getBalance",
+                          "params": {"address": ALICE.address.hex()}}).encode()
+        out = json.loads(server.handle_raw(raw))
+        assert out["error"]["code"] == -32600
+
+    def test_response_echoes_the_request_id(self, rpc):
+        _, _, server, _ = rpc
+        for request_id in ("abc", 41):
+            raw = encode_request(RpcRequest(
+                "eth_getBalance", (ALICE.address.hex(), "latest"), id=request_id))
+            out = json.loads(server.handle_raw(raw))
+            assert out["id"] == request_id
+            assert from_quantity(out["result"]) == 10 * TOKEN
+
     def test_paper_baseline_sizes(self, rpc):
         """§VI-C quotes ~118 B for a balance request; ours must be close."""
         _, _, _, client = rpc
         size = client.request_size("eth_getBalance", ALICE.address.hex(), "latest")
         assert 100 <= size <= 140
+
+    def test_raw_transaction_request_size_is_hex_plus_a_fixed_envelope(self, rpc):
+        """Table II sizes a raw-transaction submission: each transaction
+        byte costs two hex characters on the wire, the envelope is fixed."""
+        _, _, _, client = rpc
+
+        def size_of(data):
+            raw = UnsignedTransaction(nonce=0, gas_price=10 ** 9,
+                                      gas_limit=60_000, to=BOB.address,
+                                      value=1, data=data).sign(ALICE).encode()
+            return len(raw), client.request_size("eth_sendRawTransaction",
+                                                 "0x" + raw.hex())
+
+        short_len, short_size = size_of(b"")
+        long_len, long_size = size_of(b"\xab" * 100)
+        assert long_size - short_size == 2 * (long_len - short_len)
+        assert short_size > 2 * short_len

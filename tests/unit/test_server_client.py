@@ -2,19 +2,26 @@
 
 import pytest
 
+import repro.parp
 from repro.parp import (
     ChannelError,
+    FraudDetected,
     Handshake,
+    InvalidResponse,
     LightClientState,
+    RequestRefused,
     ServeError,
     SessionError,
 )
-from repro.parp.messages import PARPRequest, RpcCall
+from repro.parp.client import served_result
+from repro.parp.messages import PARPRequest, ResponseStatus, RpcCall
 from repro.parp.pricing import (
     CallBasedFeeSchedule,
     DEFAULT_FEE_SCHEDULE,
     FlatFeeSchedule,
 )
+from repro.parp.queries import QueryFraud
+from repro.rlp import codec as rlp
 
 from ..conftest import make_parp_env
 
@@ -176,3 +183,28 @@ class TestSession:
         assert resumed.state is LightClientState.BONDED
         balance = resumed.get_balance(keys.alice.address)
         assert balance > 0
+
+
+class TestServedResult:
+    """A typed wrapper's payload, or the server's signed refusal."""
+
+    def test_ok_passes_the_payload_through(self):
+        assert served_result(ResponseStatus.OK, b"\x82\x01\x02") == b"\x82\x01\x02"
+
+    def test_signed_error_raises_with_the_servers_reason(self):
+        payload = rlp.encode([b"error", "nonce gap: 99 > 0".encode()])
+        with pytest.raises(RequestRefused) as refused:
+            served_result(ResponseStatus.ERROR, payload)
+        assert refused.value.reason == "nonce gap: 99 > 0"
+        assert isinstance(refused.value, SessionError)
+
+    def test_hostile_error_payload_is_reported_as_hex(self):
+        with pytest.raises(RequestRefused) as refused:
+            served_result(ResponseStatus.ERROR, b"\x05")
+        assert refused.value.reason == "05"
+
+    def test_a_refusal_is_neither_fraud_nor_an_invalid_response(self):
+        assert "RequestRefused" in repro.parp.__all__
+        assert issubclass(RequestRefused, SessionError)
+        for other in (FraudDetected, InvalidResponse, QueryFraud):
+            assert not issubclass(RequestRefused, other)

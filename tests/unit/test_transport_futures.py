@@ -198,6 +198,17 @@ class TestCombinators:
                         timeout=1.0) is mixed[0]
         assert mixed[0].result() == ("srv-0", 1)
 
+    def test_a_driverless_reply_is_not_a_second_loop(self):
+        """A reply no event loop can resolve is left out of the one-loop
+        check: it never resolves, but it does not make the wait raise."""
+        net, (ep,) = make_rig()
+        orphan = PendingReply(method="m", target="t")
+        live = ep.submit("serve_header", 1)
+        assert wait_any([orphan, live], timeout=1.0) is live
+        assert wait_all([orphan, ep.submit("serve_header", 2)],
+                        timeout=1.0) is False
+        assert not orphan.done()
+
     def test_wait_all_counts_cancellations_as_resolved(self):
         net, (ep,) = make_rig()
         net.isolate("srv-0")
