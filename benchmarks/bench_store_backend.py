@@ -48,7 +48,6 @@ from repro.storage import (
     AppendOnlyFileStore,
     MemoryNodeStore,
     PrunedRootError,
-    RetentionPolicy,
     compact_node_store,
     live_state_nodes,
 )
@@ -212,15 +211,17 @@ def test_store_backend(benchmark):
         assert all(answers[key] == items[key] for key in batch)
 
         # -- compaction: rewrite down to the last-K live set ------------- #
-        policy = RetentionPolicy.last(RETAIN_K)
-        retained = policy.retained_roots(reopened.root_history)
+        # the newest K distinct roots, oldest → newest (a store carries no
+        # policy: the caller names the roots it keeps)
+        newest_first = list(dict.fromkeys(reversed(reopened.root_history)))
+        retained = newest_first[:RETAIN_K][::-1]
         pruned_count = len(set(reopened.root_history) - set(retained))
         expected_bytes = _expected_compacted_bytes(
             reopened, retained, pruned_count)
         before_proofs = [generate_proof(revived, key) for key in sample]
         before_pool = generate_multiproof(revived, batch)
         start = time.perf_counter()
-        report = compact_node_store(reopened, policy)
+        report = compact_node_store(reopened, retained)
         compact_s = time.perf_counter() - start
         assert report.bytes_before == pre_compact_bytes
         assert report.bytes_after < report.bytes_before, (

@@ -12,9 +12,10 @@ Walks the full PARP lifecycle (paper Fig. 4) on an in-process devnet:
 With ``--state-dir`` the full node's world state and blocks live on disk
 (append-only, crash-safe logs).  A second run over the same directory
 reattaches to the persisted chain; with ``--retain last:K`` the node
-compacts to its newest K state roots at the end of each run, and the next
-run's light client checkpoint-syncs from the oldest block the node still
-serves instead of walking up from genesis.
+compacts to the state of its newest K blocks at the end of each run, and
+the next run's light client checkpoint-syncs from the oldest block the node
+still serves instead of walking up from genesis.  A pruning policy needs
+``--state-dir``: the chain refuses one over a store that cannot compact.
 
 Run:  python examples/quickstart.py [--state-dir DIR [--retain last:4]]
 """
@@ -38,6 +39,17 @@ from repro.storage import RetentionPolicy, StoreError
 TOKEN = 10 ** 18
 
 
+def retention_policy(spec: str) -> RetentionPolicy:
+    """``--retain``: ``archive`` or ``last:K`` (K >= 1)."""
+    if spec == "archive":
+        return RetentionPolicy.archive()
+    mode, _, k = spec.partition(":")
+    if mode == "last" and k.isdigit() and int(k) >= 1:
+        return RetentionPolicy.last(int(k))
+    raise argparse.ArgumentTypeError(
+        f"expected 'archive' or 'last:K', got {spec!r}")
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -46,18 +58,14 @@ def main(argv: list[str] | None = None) -> None:
              "crash-safe node store) instead of keeping it in memory",
     )
     parser.add_argument(
-        "--retain", default=None, metavar="POLICY",
+        "--retain", type=retention_policy, default=RetentionPolicy.archive(),
+        metavar="archive|last:K",
         help="retention policy for --state-dir: 'archive' (default, keep "
-             "every historical root provable) or an integer K / 'last:K' "
-             "(prune to the newest K state roots at compaction)",
+             "every block's state provable) or 'last:K' (keep the state of "
+             "the newest K blocks; older history is pruned at compaction)",
     )
     args = parser.parse_args(argv)
-    if args.retain is not None and args.state_dir is None:
-        parser.error("--retain needs --state-dir (memory stores never prune)")
-    try:
-        retention = RetentionPolicy.parse(args.retain)
-    except ValueError as exc:
-        parser.error(f"bad --retain value: {exc}")
+    retention = args.retain
 
     # -- the cast ---------------------------------------------------------- #
     fn_operator = PrivateKey.from_seed("quickstart:full-node")
@@ -155,7 +163,7 @@ def main(argv: list[str] | None = None) -> None:
         store = net.node_store
         if retention.prunes:
             report = net.chain.compact()
-            print(f"compacted to the last {retention.k} roots: "
+            print(f"compacted to the last {retention.k} blocks: "
                   f"{report.bytes_before} → {report.bytes_after} bytes "
                   f"({report.live_nodes} live nodes, "
                   f"{len(report.pruned_roots)} roots pruned)")

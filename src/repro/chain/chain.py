@@ -15,24 +15,17 @@ depend on :mod:`repro.vm`; :mod:`repro.node.devnet` wires them together.
 
 from __future__ import annotations
 
-import os
 import time as _time
-from typing import Callable, Optional, Protocol, Union
+from typing import Callable, Optional, Protocol
 
 from ..crypto.keys import Address
 from ..storage.blocklog import BlockLog
 from ..storage.compaction import (
     CompactionReport,
     RetentionPolicy,
-    RetentionSpec,
     compact_node_store,
 )
-from ..storage.nodestore import (
-    MemoryNodeStore,
-    NodeStore,
-    PrunedRootError,
-    as_node_store,
-)
+from ..storage.nodestore import MemoryNodeStore, NodeStore, PrunedRootError
 from ..trie.mpt import EMPTY_TRIE_ROOT
 from .block import Block, build_receipt_trie, build_transaction_trie
 from .genesis import GenesisConfig, make_genesis_block
@@ -65,47 +58,32 @@ class Blockchain:
 
     def __init__(self, genesis: GenesisConfig,
                  executor: Optional[TransactionExecutorProtocol] = None,
-                 db: Union[None, dict, NodeStore, str] = None,
-                 block_log: Union[None, BlockLog, str, os.PathLike] = None,
-                 retention: RetentionSpec = None) -> None:
+                 db: Optional[NodeStore] = None,
+                 block_log: Optional[BlockLog] = None,
+                 retention: Optional[RetentionPolicy] = None) -> None:
         self.config = genesis
         #: the node store every state trie (and historical view) reads
         #: through — in-memory by default, disk-backed when the operator
-        #: passes an AppendOnlyFileStore / path (``--state-dir``).
-        self.db: NodeStore = as_node_store(db, retention=retention)
-        #: how much history this chain keeps provable — explicit argument
-        #: first, else whatever policy the store was opened with (so
-        #: ``Devnet(state_dir=…, retention=…)`` configures both layers in
-        #: one place), else archive
+        #: passes an AppendOnlyFileStore (``--state-dir``).  A store or log
+        #: handed in stays the caller's to close if construction fails.
+        self.db: NodeStore = db if db is not None else MemoryNodeStore()
+        #: how much history this chain keeps provable — the one owner of
+        #: the policy: stores carry none and compact only through here
         self.retention: RetentionPolicy = (
-            RetentionPolicy.parse(retention) if retention is not None
-            else getattr(self.db, "retention", RetentionPolicy.archive())
-        )
+            retention if retention is not None else RetentionPolicy.archive())
+        if self.retention.prunes and not hasattr(self.db, "compact"):
+            raise ChainError(
+                f"{self.retention.describe()} retention needs a node store "
+                f"that can compact, and {type(self.db).__name__} cannot "
+                "(open a state dir)")
         #: the sibling chain-metadata log (headers/bodies/receipts).  When
         #: present, every sealed block lands in it right after the state
         #: commit, and a populated pair reattaches instead of refusing.
-        owns_log = block_log is not None and not isinstance(block_log, BlockLog)
-        try:
-            self.block_log: Optional[BlockLog] = (
-                BlockLog(block_log) if owns_log else block_log
-            )
-        except Exception:
-            if self.db is not db:
-                self.db.close()  # we opened/wrapped it; don't leak the handle
-            raise
+        self.block_log = block_log
         #: True when this instance resumed from persisted history rather
         #: than sealing a fresh genesis.
         self.reattached = False
-        try:
-            self._open_chain()
-        except Exception:
-            # mirror the node-store leak guard: close every handle this
-            # constructor opened (and only those) before re-raising
-            if self.db is not db:
-                self.db.close()
-            if owns_log and self.block_log is not None:
-                self.block_log.close()
-            raise
+        self._open_chain()
         self.mempool: list[Transaction] = []
         self.executor = executor
         #: callbacks fired once per newly *sealed* block (see
@@ -445,8 +423,7 @@ class Blockchain:
             return
         self.compact()
 
-    def compact(self, retention: RetentionSpec = None,
-                *, force: bool = False) -> Optional[CompactionReport]:
+    def compact(self, *, force: bool = False) -> Optional[CompactionReport]:
         """Prune history past the retention window and compact the store.
 
         Ordering is the crash-safety contract: ``blocks.log`` is pruned
@@ -462,8 +439,7 @@ class Blockchain:
         root resolvable — it only rewrites the log (reclaiming nothing in
         the normal case) — so archive chains skip it unless forced.
         """
-        policy = (RetentionPolicy.parse(retention) if retention is not None
-                  else self.retention)
+        policy = self.retention
         if not hasattr(self.db, "compact"):
             if force:
                 raise ChainError(
@@ -476,13 +452,9 @@ class Blockchain:
         if policy.prunes:
             keep_from = max(self._first_number, self.height - policy.k + 1)
         retained_blocks = self._blocks[keep_from - self._first_number:]
-        roots: list[bytes] = []
-        seen_roots: set[bytes] = set()
-        for block in retained_blocks:
-            root = block.header.state_root
-            if root not in seen_roots:
-                seen_roots.add(root)
-                roots.append(root)
+        # each kept root once, ordered by the first kept block that has it
+        roots = list(dict.fromkeys(
+            block.header.state_root for block in retained_blocks))
         if keep_from > self._first_number:
             if self.block_log is not None:
                 self.block_log.prune_to(keep_from)

@@ -41,21 +41,21 @@ sealed block is one atomic, fsynced write tagged with the header's state
 root.
 
 Persistence: the backing node store is pluggable
-(:mod:`repro.storage`) — pass a dict / ``MemoryNodeStore`` for the seed's
-in-memory behaviour, an :class:`~repro.storage.AppendOnlyFileStore` (or a
-path) for a disk-resident state that survives restarts.
+(:mod:`repro.storage`) — none (a fresh ``MemoryNodeStore``) for the seed's
+in-memory behaviour, an :class:`~repro.storage.AppendOnlyFileStore` for a
+disk-resident state that survives restarts.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from ..crypto import keccak256
 from ..crypto.keccak import keccak256_many
 from ..crypto.keys import Address
 from ..metrics.cache import LRUCache
 from ..rlp import codec as rlp
-from ..storage.nodestore import NodeStore, as_node_store
+from ..storage.nodestore import MemoryNodeStore, NodeStore
 from ..trie.mpt import EMPTY_TRIE_ROOT, MerklePatriciaTrie
 from ..trie.proof import ProofIndex, generate_proof
 from ..trie.shard import (
@@ -116,11 +116,10 @@ class StateDB:
     secure_key = staticmethod(_secure_key)
     secure_keys = staticmethod(_secure_keys)
 
-    def __init__(self, db: Union[None, dict, NodeStore, str] = None,
+    def __init__(self, db: Optional[NodeStore] = None,
                  root_hash: bytes = EMPTY_TRIE_ROOT,
-                 node_cache: Optional[LRUCache] = None,
-                 retention=None) -> None:
-        self._db: NodeStore = as_node_store(db, retention=retention)
+                 node_cache: Optional[LRUCache] = None) -> None:
+        self._db: NodeStore = db if db is not None else MemoryNodeStore()
         self._trie = MerklePatriciaTrie(self._db, root_hash,
                                         node_cache=node_cache)
         #: per-address dirty storage tries: mutated since the last commit,
@@ -188,20 +187,6 @@ class StateDB:
         if flush_store:
             self._db.commit(root)
         return root
-
-    def compact(self, retention=None):
-        """Durably commit, then compact the backing store down to the
-        retention policy's live set (see
-        :func:`~repro.storage.compaction.compact_node_store`).
-
-        Returns the :class:`~repro.storage.compaction.CompactionReport`.
-        Standalone-StateDB convenience — a chain-owned state is compacted
-        through ``Blockchain.compact``, which also prunes the block log.
-        """
-        from ..storage.compaction import compact_node_store
-
-        self.commit()
-        return compact_node_store(self._db, retention)
 
     def get_account(self, address: Address) -> Account:
         """Fetch an account; absent addresses read as the empty account.
@@ -439,7 +424,7 @@ class StateDB:
         """
         if pool is None:
             pool = ShardPool()
-        return StateDB(self.extract_shard(shard, pool),
+        return StateDB(MemoryNodeStore(self.extract_shard(shard, pool)),
                        root_hash=self.root_hash, node_cache=pool.node_cache)
 
     def shard_commitment(self, shard: ShardRange) -> bytes:

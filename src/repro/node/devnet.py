@@ -24,7 +24,7 @@ from ..contracts.channels import ChannelsModule
 from ..contracts.deposit import DepositModule
 from ..contracts.fraud import FraudModule
 from ..crypto.keys import Address, PrivateKey
-from ..storage import NodeStore, open_state_dir
+from ..storage import NodeStore, RetentionPolicy, open_state_dir
 from ..vm.abi import encode_call
 from ..vm.runtime import (
     BlockContext,
@@ -45,25 +45,25 @@ VIEW_GAS_LIMIT = 50_000_000
 class Devnet:
     """A ready-to-use chain with FNDM/CMM/FDM deployed at fixed addresses.
 
-    ``state_dir`` puts the world state on disk (an
-    :class:`~repro.storage.AppendOnlyFileStore` under that directory) so a
-    full node can hold tries bigger than RAM and survive restarts; ``db``
-    lets callers inject any prebuilt :class:`~repro.storage.NodeStore`.
-    ``retention`` sets the pruning policy for a disk-backed net —
-    ``"archive"`` (default), an integer K, ``"last:K"``, or a
-    :class:`~repro.storage.RetentionPolicy` — and reaches both the store
-    and the chain's auto-compaction trigger.
+    ``state_dir`` puts the world state on disk (``nodes.log`` +
+    ``blocks.log`` under that directory, see
+    :func:`~repro.storage.open_state_dir`) so a full node can hold tries
+    bigger than RAM and survive restarts; ``db`` lets callers inject any
+    prebuilt :class:`~repro.storage.NodeStore`.  ``retention`` is passed
+    through to the chain, its one owner: archive (default) or
+    ``RetentionPolicy.last(k)`` — the state of the newest k blocks, which
+    needs a store that can compact (a ``state_dir``).
     """
 
     def __init__(self, genesis: Optional[GenesisConfig] = None,
                  state_dir: Union[None, str, os.PathLike] = None,
                  db: Optional[NodeStore] = None,
-                 retention=None) -> None:
+                 retention: Optional[RetentionPolicy] = None) -> None:
         if state_dir is not None and db is not None:
             raise ValueError("pass either state_dir or db, not both")
         block_log = None
         if state_dir is not None:
-            db, block_log = open_state_dir(state_dir, retention=retention)
+            db, block_log = open_state_dir(state_dir)
         self.registry = ContractRegistry()
         self.deposit_module = DepositModule(
             DEPOSIT_MODULE_ADDRESS,

@@ -5,11 +5,8 @@ The tries write committed nodes through a :class:`NodeStore`;
 :class:`AppendOnlyFileStore` puts the state on disk with crash-safe,
 checksummed commit batches.  :class:`BlockLog` is the sibling log that
 persists headers/bodies/receipts so a full node can restart at its head.
-``as_node_store`` normalizes what callers pass (None / dict / store /
-path); ``open_node_store`` / ``open_block_log`` apply the ``--state-dir``
-directory convention (``nodes.log`` + ``blocks.log``), and
-``open_state_dir`` opens the pair as one unit (refusing a directory that
-holds only one of the two logs).
+``open_state_dir`` opens a ``--state-dir`` (``nodes.log`` + ``blocks.log``)
+as one unit, refusing a directory that holds only one of the two logs.
 
 Three modules share the durable-log job: :mod:`~repro.storage.logfile`
 owns *the file* (``LogFile``, not exported: header, append, recovery scan,
@@ -18,10 +15,12 @@ package), :mod:`~repro.storage.filestore` the framing of ``nodes.log`` and
 the index built on it, :mod:`~repro.storage.blocklog` the framing of
 ``blocks.log`` and the chain linkage check.
 
-Retention lives here too: :class:`RetentionPolicy` (archive vs last-K),
-:func:`compact_node_store` (rewrite the log down to the live node set of
-the retained roots, atomically), and :class:`PrunedRootError` (the typed
-answer for history a pruning node deliberately dropped).
+Compaction lives here too: :class:`RetentionPolicy` (archive vs the
+newest K blocks — a chain's setting: stores carry no policy, and only
+``Blockchain`` takes one), :func:`compact_node_store` (rewrite the log
+down to the live node set of the roots the chain keeps, atomically), and
+:class:`PrunedRootError` (the typed answer for history a pruning node
+deliberately dropped).
 """
 
 from .blocklog import (
@@ -29,7 +28,6 @@ from .blocklog import (
     BlockLog,
     BlockLogAnchor,
     BlockLogStats,
-    open_block_log,
 )
 from .compaction import (
     CompactionReport,
@@ -41,7 +39,6 @@ from .filestore import (
     AppendOnlyFileStore,
     FileStoreStats,
     MAGIC,
-    open_node_store,
     open_state_dir,
 )
 from .nodestore import (
@@ -49,7 +46,6 @@ from .nodestore import (
     NodeStore,
     PrunedRootError,
     StoreError,
-    as_node_store,
 )
 
 __all__ = [
@@ -66,9 +62,6 @@ __all__ = [
     "CompactionReport",
     "compact_node_store",
     "live_state_nodes",
-    "as_node_store",
-    "open_node_store",
-    "open_block_log",
     "open_state_dir",
     "MAGIC",
     "BLOCK_LOG_MAGIC",

@@ -51,13 +51,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, BinaryIO, Callable, Optional, Union
 
 from ..rlp import codec as rlp
-from .logfile import LogFile, state_dir_log
+from .logfile import LogFile
 from .nodestore import StoreError
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle (chain → trie → storage)
     from ..chain.block import Block
 
-__all__ = ["BlockLog", "BlockLogAnchor", "BlockLogStats", "open_block_log"]
+__all__ = ["BlockLog", "BlockLogAnchor", "BlockLogStats"]
 
 #: file signature: PARP block log, format version 1
 BLOCK_LOG_MAGIC = b"PARPBL01"
@@ -179,15 +179,9 @@ def _decode_block(payload: bytes) -> "Block":
 
 
 class BlockLog:
-    """Durable block history over a single append-only log file.
+    """Durable block history over a single append-only log file."""
 
-    ``sync=False`` trades the per-append ``fsync`` for speed; the atomicity
-    guarantee — recover to a complete block, never a torn record — holds
-    either way because it comes from the CRC, not the fsync.
-    """
-
-    def __init__(self, path: Union[str, os.PathLike],
-                 *, sync: bool = True) -> None:
+    def __init__(self, path: Union[str, os.PathLike]) -> None:
         self.stats = BlockLogStats()
         #: the recovered (and since-appended) chain, oldest first — the
         #: same Block objects the Blockchain indexes, not copies
@@ -198,8 +192,7 @@ class BlockLog:
         self._offsets: list[int] = []
         #: present iff history below some height was pruned away
         self.anchor: Optional[BlockLogAnchor] = None
-        self._log = LogFile(path, BLOCK_LOG_MAGIC, "block log", self.stats,
-                            sync=sync)
+        self._log = LogFile(path, BLOCK_LOG_MAGIC, "block log", self.stats)
         self._log.open(self._recover)
 
     # ------------------------------------------------------------------ #
@@ -424,13 +417,3 @@ class BlockLog:
     def __repr__(self) -> str:
         head = self.last_number if self.blocks else "empty"
         return f"BlockLog({str(self.path)!r}, head={head})"
-
-
-def open_block_log(state_dir: Union[str, os.PathLike],
-                   *, sync: bool = True) -> BlockLog:
-    """Open (or create) the chain-metadata log of a node's ``--state-dir``.
-
-    Lives next to ``nodes.log`` (see :func:`open_node_store`); together the
-    two files are the complete durable footprint of a full node.
-    """
-    return BlockLog(state_dir_log(state_dir, "blocks.log"), sync=sync)

@@ -5,10 +5,10 @@ safe, but it also means the file only ever grows: every historical root
 stays resolvable forever, including state that no retained block references.
 This module closes that ops gap:
 
-* :class:`RetentionPolicy` — the knob.  ``archive`` (the default
-  everywhere: keep everything, never compact) or ``last-K`` (keep the
-  newest K distinct committed roots resolvable and let everything older
-  go).  Policies also carry the auto-compaction trigger thresholds.
+* :class:`RetentionPolicy` — the knob, which only ``Blockchain`` takes.
+  ``archive`` (the default: keep everything, never compact) or ``last-K``
+  (keep the state of the newest K blocks provable and let everything
+  older go).  Policies also carry the auto-compaction trigger thresholds.
 
 * :func:`live_state_nodes` — the reachability walk.  Starting from a state
   root it yields every node of the account trie *and* of every referenced
@@ -16,27 +16,29 @@ This module closes that ops gap:
   in throwaway memory stores per block, so they never land in
   ``nodes.log`` and need no walking).
 
-* :func:`compact_node_store` — the pass itself.  It walks the retained
-  roots oldest-first (sharing one seen-set, so a node reachable from two
-  roots is written once, in the oldest batch that needs it), then asks the
-  store to rewrite those batches into a fresh log beside the old one and
-  promote it by atomic rename.  A crash at any byte offset therefore
-  recovers to either the complete old log or the complete new one — never
-  a blend.  Roots dropped by the pass are remembered in the store's
-  pruned-roots record so later opens can answer
+* :func:`compact_node_store` — the pass itself.  It takes the roots to
+  keep from its caller (stores carry no policy) and walks them
+  oldest-first (sharing one seen-set, so a node reachable from two roots
+  is written once, in the oldest batch that needs it), then asks the store
+  to rewrite those batches into a fresh log beside the old one and promote
+  it by atomic rename.  A crash at any byte offset therefore recovers to
+  either the complete old log or the complete new one — never a blend.
+  Roots dropped by the pass are remembered in the store's pruned-roots
+  record so later opens can answer
   :class:`~repro.storage.nodestore.PrunedRootError` instead of a generic
   unknown-root failure.
 
-The chain layer (``Blockchain.compact``) prunes ``blocks.log`` *before*
-compacting ``nodes.log``: a crash between the two steps leaves the node
-store a superset of what the block log references, which reattach handles
-— the reverse order could leave the block log demanding a pruned root.
+The chain layer (``Blockchain.compact``, the one caller) picks the roots
+of the blocks it keeps and prunes ``blocks.log`` *before* compacting
+``nodes.log``: a crash between the two steps leaves the node store a
+superset of what the block log references, which reattach handles — the
+reverse order could leave the block log demanding a pruned root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..crypto.keccak import KECCAK_EMPTY_RLP
 from .nodestore import NodeStore, StoreError
@@ -51,16 +53,16 @@ __all__ = [
 #: the empty-trie root — a batch tagged with it has no reachable nodes
 _EMPTY_ROOT = KECCAK_EMPTY_RLP
 
-RetentionSpec = Union[None, int, str, "RetentionPolicy"]
-
 
 @dataclass(frozen=True)
 class RetentionPolicy:
-    """How much committed history a disk store keeps resolvable.
+    """How much history a chain keeps provable.
 
     ``mode="archive"`` (default) never prunes: every committed root stays
     provable forever — the pre-compaction behaviour.  ``mode="last"`` keeps
-    the newest ``k`` *distinct* roots; compaction drops everything older.
+    the state of the newest ``k`` blocks (heights ``height-k+1..height``;
+    blocks that share a state root share its nodes); compaction drops
+    everything older.
 
     ``min_compact_bytes`` / ``compact_growth`` tune the automatic trigger
     used by the chain layer: a pruning chain compacts once the log both
@@ -97,35 +99,6 @@ class RetentionPolicy:
     def last(cls, k: int, **overrides) -> "RetentionPolicy":
         return cls(mode="last", k=k, **overrides)
 
-    @classmethod
-    def parse(cls, spec: RetentionSpec) -> "RetentionPolicy":
-        """Normalize a CLI/constructor spec into a policy.
-
-        ``None``/``"archive"`` → archive; an ``int`` or a numeric string
-        (``"4"``, ``"last:4"``, ``"last-4"``) → last-K.  An existing policy
-        passes through unchanged.
-        """
-        if spec is None:
-            return cls.archive()
-        if isinstance(spec, cls):
-            return spec
-        if isinstance(spec, int):
-            return cls.last(spec)
-        if isinstance(spec, str):
-            text = spec.strip().lower()
-            if text == "archive":
-                return cls.archive()
-            for prefix in ("last:", "last-", "last"):
-                if text.startswith(prefix):
-                    text = text[len(prefix):]
-                    break
-            if text.isdigit():
-                return cls.last(int(text))
-        raise ValueError(
-            f"cannot parse retention spec {spec!r} "
-            "(expected 'archive', an integer K, or 'last:K')"
-        )
-
     # ------------------------------------------------------------------ #
     # behaviour
     # ------------------------------------------------------------------ #
@@ -134,27 +107,9 @@ class RetentionPolicy:
     def prunes(self) -> bool:
         return self.mode == "last"
 
-    def retained_roots(self, history: Sequence[bytes]) -> list[bytes]:
-        """The roots this policy keeps, oldest → newest.
-
-        ``history`` is the store's commit history (may contain repeats
-        when a root was re-committed); deduplicated to the *last*
-        occurrence so recency is judged by the newest commit of each root.
-        """
-        ordered: list[bytes] = []
-        seen: set[bytes] = set()
-        for root in reversed(history):
-            if root not in seen:
-                seen.add(root)
-                ordered.append(root)
-        ordered.reverse()
-        if not self.prunes:
-            return ordered
-        return ordered[-self.k:]
-
     def describe(self) -> str:
         if self.prunes:
-            return f"last-{self.k} roots"
+            return f"last-{self.k} blocks"
         return "archive (keep every root)"
 
 
@@ -262,41 +217,29 @@ def _dedup_keep_last(roots: Iterable[bytes]) -> list[bytes]:
     return ordered
 
 
-def compact_node_store(store, retention: RetentionSpec = None,
-                       *, retain_roots: Optional[Sequence[bytes]] = None
+def compact_node_store(store, retain_roots: Sequence[bytes]
                        ) -> CompactionReport:
-    """Rewrite ``store`` down to the nodes reachable from the retained roots.
+    """Rewrite ``store`` down to the nodes reachable from ``retain_roots``.
 
-    ``retain_roots`` (oldest → newest) overrides the policy's selection —
-    the chain layer passes the state roots of the blocks it keeps, which
-    can differ from "the last K commits" when consecutive blocks share a
-    root.  Without it, the roots come from applying ``retention`` (or the
-    store's own configured policy) to the store's commit history.
+    ``retain_roots`` (oldest → newest) is the caller's decision — the chain
+    passes the state roots of the blocks it keeps; every other root in the
+    store's commit history is pruned.
 
     The heavy lifting — tmp-file write, fsync, atomic rename, index swap —
-    happens in :meth:`AppendOnlyFileStore.compact`; this function decides
-    *what* survives and materializes each retained batch via
-    :func:`live_state_nodes`.
+    happens in :meth:`AppendOnlyFileStore.compact`; this function
+    materializes each retained batch via :func:`live_state_nodes`.
     """
     if not hasattr(store, "compact"):
         raise StoreError(
             f"{type(store).__name__} does not support compaction "
             "(only disk-backed stores have a log to rewrite)"
         )
-    history = list(store.root_history)
-    if retain_roots is None:
-        policy = RetentionPolicy.parse(
-            retention if retention is not None
-            else getattr(store, "retention", None))
-        retain = policy.retained_roots(history)
-    else:
-        retain = _dedup_keep_last(retain_roots)
-        for root in retain:
-            if root != _EMPTY_ROOT and root not in store:
-                raise StoreError(
-                    f"cannot retain unresolvable root {root.hex()}")
+    retain = _dedup_keep_last(retain_roots)
+    for root in retain:
+        if root != _EMPTY_ROOT and root not in store:
+            raise StoreError(f"cannot retain unresolvable root {root.hex()}")
     retained_set = set(retain)
-    pruned = [root for root in _dedup_keep_last(history)
+    pruned = [root for root in _dedup_keep_last(store.root_history)
               if root not in retained_set and root != _EMPTY_ROOT]
 
     seen: set[bytes] = set()

@@ -81,14 +81,12 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, U
 
 from ..crypto.keccak import KECCAK_EMPTY_RLP
 from ..metrics.cache import LRUCache
-from .compaction import RetentionPolicy, RetentionSpec
-from .logfile import LogFile, state_dir_log
+from .logfile import LogFile
 from .nodestore import NodeStore, StoreError
 
 __all__ = [
     "AppendOnlyFileStore",
     "FileStoreStats",
-    "open_node_store",
     "open_state_dir",
 ]
 
@@ -226,23 +224,12 @@ class _PackedNodeIndex(MutableMapping):
 class AppendOnlyFileStore(NodeStore):
     """Durable node store over a single append-only log file.
 
-    ``sync=False`` trades the per-commit ``fsync`` for speed (useful for
-    bulk loads and benchmarks where a machine crash just means rebuilding);
-    the atomicity guarantee — recover to a committed root, never a torn
-    batch — holds either way because it comes from the CRC, not the fsync.
-
-    ``retention`` is this store's :class:`RetentionPolicy` (or a spec
-    understood by :meth:`RetentionPolicy.parse`).  The store never prunes
-    on its own — compaction runs only when
-    :func:`~repro.storage.compaction.compact_node_store` (or the chain
-    layer above) asks — but the policy rides with the store so every layer
-    agrees on what "compact" means for it.
+    The store carries no retention policy and never prunes on its own:
+    :meth:`compact` rewrites the log to whatever roots the chain that owns
+    the store decides to keep (``Blockchain.compact``).
     """
 
-    def __init__(self, path: Union[str, os.PathLike],
-                 *, sync: bool = True,
-                 retention: RetentionSpec = None) -> None:
-        self.retention = RetentionPolicy.parse(retention)
+    def __init__(self, path: Union[str, os.PathLike]) -> None:
         self._read_cache = LRUCache(capacity=DEFAULT_READ_CACHE_CAPACITY)
         self._pending: dict[bytes, bytes] = {}
         #: hash -> (offset, length); a plain dict after a scan/commit, or
@@ -250,7 +237,7 @@ class AppendOnlyFileStore(NodeStore):
         #: after an indexed open with no mutations yet
         self._index: MutableMapping = {}
         #: (root, batch offset) per committed batch, oldest → newest —
-        #: rebuilt at open (footer or scan), the input to retention
+        #: rebuilt at open (footer or scan)
         self._root_history: list[tuple[bytes, int]] = []
         self._pruned_set: set[bytes] = set()
         #: ordered (oldest → newest) view of the pruned set, persisted
@@ -259,7 +246,7 @@ class AppendOnlyFileStore(NodeStore):
         #: True when this open deserialized the footer instead of scanning
         self.opened_indexed = False
         self.stats = FileStoreStats()
-        self._log = LogFile(path, MAGIC, "node store", self.stats, sync=sync)
+        self._log = LogFile(path, MAGIC, "node store", self.stats)
         self._log.open(self._recover)
 
     # ------------------------------------------------------------------ #
@@ -436,7 +423,7 @@ class AppendOnlyFileStore(NodeStore):
         ``batches`` is ordered oldest → newest: one ``(root, [(hash,
         bytes), …])`` per retained root (use
         :func:`~repro.storage.compaction.compact_node_store` to assemble
-        it from a retention policy — this method only performs the
+        it from the roots the chain keeps — this method only performs the
         mechanical rewrite).  ``pruned_roots`` joins the store's persisted
         pruned-roots record (newest :data:`_PRUNED_CAP` kept).
 
@@ -502,10 +489,9 @@ class AppendOnlyFileStore(NodeStore):
     def _write_footer(self) -> None:
         """Append the ``0xB3`` footer: root table + node index + crc + pointer.
 
-        Appended like any record (flushed, fsynced under ``sync=True``, cut
-        back if the write fails); a footer torn by a crash during close is
-        detected by its CRC on the next open, which then falls back to the
-        streaming scan.
+        Appended like any record (flushed, fsynced, cut back if the write
+        fails); a footer torn by a crash during close is detected by its CRC
+        on the next open, which then falls back to the streaming scan.
         """
         body = bytearray()
         body += _FOOTER_MARKER
@@ -706,33 +692,26 @@ class AppendOnlyFileStore(NodeStore):
                 f"entries={len(self._index)}, pending={len(self._pending)})")
 
 
-def open_node_store(state_dir: Union[str, os.PathLike],
-                    *, sync: bool = True,
-                    retention: RetentionSpec = None) -> AppendOnlyFileStore:
-    """Open (or create) the node store of a node's ``--state-dir``.
+def open_state_dir(state_dir: Union[str, os.PathLike]):
+    """Open (or create) a full node's ``--state-dir`` as its paired logs.
 
-    The directory convention keeps room for future siblings (block index,
-    receipts) next to the trie-node log.
+    Returns ``(node_store, block_log)`` over ``<dir>/nodes.log`` and
+    ``<dir>/blocks.log``, the complete durable footprint of a full node.
+    The two logs are one durable unit: refusing a directory that holds
+    exactly one of them is a bugfix — silently reinitializing the missing
+    sibling desynchronizes the recovered ``last_root`` from the block-log
+    head (or vice versa) and forces a surprise rewind on the *next*
+    restart.  Both refusals (this one, and a ``state_dir`` that is a file:
+    almost always a bare log passed where its directory was meant) happen
+    before either file is created, so the directory is left as found.
     """
-    return AppendOnlyFileStore(state_dir_log(state_dir, "nodes.log"),
-                               sync=sync, retention=retention)
-
-
-def open_state_dir(state_dir: Union[str, os.PathLike],
-                   *, sync: bool = True, retention: RetentionSpec = None):
-    """Open a full node's ``--state-dir`` as its paired logs.
-
-    Returns ``(node_store, block_log)``.  The two logs are one durable
-    unit: refusing a directory that holds exactly one of them is a bugfix
-    — silently reinitializing the missing sibling desynchronizes the
-    recovered ``last_root`` from the block-log head (or vice versa) and
-    forces a surprise rewind on the *next* restart.  The refusal happens
-    before either file is created, so the directory is left exactly as
-    found for the operator to repair.
-    """
-    from .blocklog import open_block_log
+    from .blocklog import BlockLog
 
     state_dir = pathlib.Path(state_dir)
+    if state_dir.exists() and not state_dir.is_dir():
+        raise StoreError(
+            f"{state_dir} exists but is not a directory — open a bare log "
+            "by its own path, or move it into a state directory")
     nodes_path = state_dir / "nodes.log"
     blocks_path = state_dir / "blocks.log"
     if nodes_path.exists() != blocks_path.exists():
@@ -747,9 +726,9 @@ def open_state_dir(state_dir: Union[str, os.PathLike],
             f"surprise rewind.  Restore {missing.name} from the same "
             f"snapshot, or remove {present.name} to start fresh."
         )
-    store = open_node_store(state_dir, sync=sync, retention=retention)
+    store = AppendOnlyFileStore(nodes_path)
     try:
-        block_log = open_block_log(state_dir, sync=sync)
+        block_log = BlockLog(blocks_path)
     except BaseException:
         store.close()
         raise

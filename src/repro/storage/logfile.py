@@ -16,8 +16,8 @@ handle's ``truncate`` / ``fsync`` / ``rename`` itself:
   guard, so a refused open closes the handle whatever raised.
 
 * **Append** — position at the end, let the owner write one record, then
-  ``flush`` + ``fsync`` (the ``fsync`` only under ``sync=True``; atomicity
-  comes from the record checksum, not from the sync).  If any of that
+  ``flush`` + ``fsync`` (atomicity comes from the record checksum; the
+  ``fsync`` makes an acknowledged record durable).  If any of that
   raises, the partial record is truncated away so later appends never bury
   a torn record mid-log — recovery scans front to back and would discard
   everything behind it.  If even the truncate fails the log is **wedged**:
@@ -33,10 +33,10 @@ handle's ``truncate`` / ``fsync`` / ``rename`` itself:
 
 * **Rewrite** — compaction and pruning replace the whole log: the new
   contents are written beside the old file (``<path>.compact``), fsynced
-  whatever ``sync`` says (a rename must never promote unwritten bytes),
-  promoted with one ``os.replace`` and made durable with a directory
-  fsync.  At every byte offset of the pass the path names either the
-  complete old log or the complete new one.
+  (a rename must never promote unwritten bytes), promoted with one
+  ``os.replace`` and made durable with a directory fsync.  At every byte
+  offset of the pass the path names either the complete old log or the
+  complete new one.
 
 Every torn byte cut away — by open, scan or a failed append — is counted in
 the owner's ``stats.truncated_bytes``; a plain :meth:`LogFile.truncate` (a
@@ -54,7 +54,7 @@ from typing import Any, BinaryIO, Callable, Iterator, Optional, TypeVar, Union
 
 from .nodestore import StoreError
 
-__all__ = ["LogFile", "state_dir_log"]
+__all__ = ["LogFile"]
 
 T = TypeVar("T")
 
@@ -68,12 +68,11 @@ class LogFile:
     """
 
     def __init__(self, path: Union[str, os.PathLike], magic: bytes, kind: str,
-                 stats: Any, *, sync: bool = True) -> None:
+                 stats: Any) -> None:
         self.path = pathlib.Path(path)
         self.magic = magic
         self.kind = kind
         self.stats = stats
-        self._sync = sync
         self.lock = threading.Lock()
         self.closed = False
         #: a failed append that could not be truncated away
@@ -131,8 +130,7 @@ class LogFile:
 
     def sync(self) -> None:
         self._fh.flush()
-        if self._sync:
-            os.fsync(self._fh.fileno())
+        os.fsync(self._fh.fileno())
 
     def truncate(self, offset: int, *, torn: bool = False) -> None:
         """Durably cut the file back to ``offset``; ``torn`` counts the cut
@@ -213,8 +211,6 @@ class LogFile:
 
     def _fsync_dir(self) -> None:
         """The rename itself must survive a crash, not just the bytes."""
-        if not self._sync:
-            return
         try:
             dir_fd = os.open(self.path.parent, os.O_RDONLY)
         except OSError:  # pragma: no cover - platform-dependent
@@ -228,14 +224,3 @@ class LogFile:
         if not self.closed:
             self.closed = True
             self._fh.close()
-
-
-def state_dir_log(state_dir: Union[str, os.PathLike], name: str) -> pathlib.Path:
-    """``<state_dir>/<name>``, refusing a ``state_dir`` that is a file —
-    almost always a bare log passed where its directory was meant."""
-    state_dir = pathlib.Path(state_dir)
-    if state_dir.exists() and not state_dir.is_dir():
-        raise StoreError(
-            f"{state_dir} exists but is not a directory — open a bare log "
-            f"by its own path, or move it to <dir>/{name}")
-    return state_dir / name

@@ -25,7 +25,7 @@ storage-layer change rather than a trie rewrite.
 from __future__ import annotations
 
 import abc
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from ..crypto.keccak import KECCAK_EMPTY_RLP
 
@@ -34,7 +34,6 @@ __all__ = [
     "MemoryNodeStore",
     "StoreError",
     "PrunedRootError",
-    "as_node_store",
 ]
 
 
@@ -160,49 +159,3 @@ class MemoryNodeStore(NodeStore):
 
     def __repr__(self) -> str:
         return f"MemoryNodeStore(entries={len(self._entries)})"
-
-
-def as_node_store(db: Union[None, dict, NodeStore, str, "object"],
-                  retention=None) -> NodeStore:
-    """Normalize what callers hand the tries into a :class:`NodeStore`.
-
-    Accepts the historical forms — ``None`` (fresh in-memory store) and a
-    raw dict (wrapped by reference) — plus a store instance (passed
-    through, preserving identity so ``at_root`` views share one store) and
-    a filesystem path.  A path that is an existing directory — or that has
-    no file extension, i.e. *looks* like a directory — follows the
-    ``--state-dir`` convention (``<dir>/nodes.log``, via
-    :func:`~repro.storage.open_node_store`), so
-    ``StateDB(state_dir, store.last_root)`` reattaches a state a devnet
-    wrote (and creating it first with either call lands in the same
-    place); a path with an extension (``…/nodes.log``) is opened as the
-    log file itself.
-
-    ``retention`` (an archive/last-K spec understood by
-    :meth:`~repro.storage.compaction.RetentionPolicy.parse`) is applied to
-    disk-backed stores it opens or is handed; stores that cannot prune
-    (memory, raw dicts) ignore it — they never compact.
-    """
-    if db is None:
-        return MemoryNodeStore()
-    if isinstance(db, NodeStore):
-        if retention is not None and hasattr(db, "retention"):
-            from .compaction import RetentionPolicy
-
-            db.retention = RetentionPolicy.parse(retention)
-        return db
-    if isinstance(db, dict):
-        return MemoryNodeStore(db)
-    if isinstance(db, (str, bytes)) or hasattr(db, "__fspath__"):
-        import os
-
-        from .filestore import AppendOnlyFileStore, open_node_store
-
-        path = os.fsdecode(db) if not isinstance(db, str) else db
-        if os.path.isdir(path) or not os.path.splitext(path)[1]:
-            return open_node_store(path, retention=retention)
-        return AppendOnlyFileStore(path, retention=retention)
-    raise TypeError(
-        f"cannot use {type(db).__name__} as a node store "
-        "(expected None, dict, NodeStore, or a path)"
-    )

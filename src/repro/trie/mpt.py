@@ -64,22 +64,21 @@ Node store
 
 Committed nodes live behind a :class:`~repro.storage.NodeStore` — the
 in-memory dict backend of the seed, or an append-only disk log
-(:class:`~repro.storage.AppendOnlyFileStore`) for state bigger than RAM.
-The constructor still accepts a raw dict (wrapped by reference) for
-backward compatibility; :meth:`commit` ends by handing the new root to
-``store.commit``, which is where a durable backend flushes its batch
-atomically.  One overlay flush therefore equals one crash-consistent disk
-batch.
+(:class:`~repro.storage.AppendOnlyFileStore`) for state bigger than RAM;
+no store means a fresh :class:`~repro.storage.MemoryNodeStore`.
+:meth:`commit` ends by handing the new root to ``store.commit``, which is
+where a durable backend flushes its batch atomically.  One overlay flush
+therefore equals one crash-consistent disk batch.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from ..crypto.keccak import KECCAK_EMPTY_RLP, keccak256_many
 from ..metrics.cache import LRUCache
 from ..rlp import codec as rlp
-from ..storage.nodestore import NodeStore, PrunedRootError, as_node_store
+from ..storage.nodestore import MemoryNodeStore, NodeStore, PrunedRootError
 from .nibbles import (
     Nibbles,
     bytes_to_nibbles,
@@ -158,10 +157,10 @@ class MerklePatriciaTrie:
     exactly once, by :meth:`commit`.
     """
 
-    def __init__(self, db: Union[None, dict, NodeStore, str] = None,
+    def __init__(self, db: Optional[NodeStore] = None,
                  root_hash: bytes = EMPTY_TRIE_ROOT,
                  node_cache: Optional[LRUCache] = None) -> None:
-        self._db: NodeStore = as_node_store(db)
+        self._db: NodeStore = db if db is not None else MemoryNodeStore()
         if root_hash != EMPTY_TRIE_ROOT and root_hash not in self._db:
             if root_hash in self._db.pruned_roots:
                 raise PrunedRootError(

@@ -20,7 +20,7 @@ from repro.chain.state import StateDB
 from repro.crypto import PrivateKey, keccak256
 from repro.crypto.keys import Address
 from repro.node import Devnet
-from repro.storage import PrunedRootError, RetentionPolicy
+from repro.storage import MemoryNodeStore, PrunedRootError, RetentionPolicy
 from repro.trie import ProofError
 from repro.vm import NativeContract, Revert, abi, contract_method
 
@@ -104,7 +104,7 @@ class World:
             shard = server.shard_range
             view = server._backend.state_at(number)
             scratch_nodes = full.extract_shard(shard)
-            scratch = StateDB(scratch_nodes, root)
+            scratch = StateDB(MemoryNodeStore(scratch_nodes), root)
             self.expected_pool[index] |= set(scratch_nodes)
             for address in probes:
                 if not shard.covers(keccak256(address.to_bytes())):

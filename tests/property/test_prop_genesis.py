@@ -28,7 +28,7 @@ from repro.chain.header import BlockHeader
 from repro.chain.state import StateDB
 from repro.crypto.keys import Address
 from repro.metrics.cache import LRUCache
-from repro.storage import MemoryNodeStore
+from repro.storage import MemoryNodeStore, open_state_dir
 from repro.trie.mpt import EMPTY_TRIE_ROOT
 
 from ..conftest import counted_keccak
@@ -144,14 +144,14 @@ def test_a_genesis_hashes_each_address_once_side_by_side(
 def test_a_disk_chain_reattaches_with_the_same_genesis(
         fresh_addresses, tmp_path, monkeypatch):
     config = GenesisConfig(allocations=dict.fromkeys(fresh_addresses, TOKEN))
-    paths = dict(db=str(tmp_path / "nodes.log"),
-                 block_log=tmp_path / "blocks.log")
-    chain = Blockchain(config, **paths)
+    db, block_log = open_state_dir(tmp_path)
+    chain = Blockchain(config, db=db, block_log=block_log)
     genesis_hash = chain.get_block_hash(0)
     chain.close()
     raws = {address.to_bytes() for address in fresh_addresses}
+    db, block_log = open_state_dir(tmp_path)
     with counted_keccak(monkeypatch) as hashed:
-        reopened = Blockchain(config, **paths)
+        reopened = Blockchain(config, db=db, block_log=block_log)
     try:
         assert reopened.reattached
         assert reopened.get_block_hash(0) == genesis_hash

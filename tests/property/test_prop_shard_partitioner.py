@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import keccak256
+from repro.storage import MemoryNodeStore
 from repro.trie import (
     EMPTY_TRIE_ROOT,
     MerklePatriciaTrie,
@@ -115,7 +116,8 @@ class TestSliceProofs:
         for index in range(count):
             shard = ShardRange.of(index, count)
             slice_ = extract_shard_nodes(trie, shard)
-            sliced = MerklePatriciaTrie(dict(slice_.nodes), root_hash=root)
+            sliced = MerklePatriciaTrie(MemoryNodeStore(dict(slice_.nodes)),
+                                        root_hash=root)
             for probe in probes:
                 if not shard.covers(probe):
                     continue
@@ -135,7 +137,8 @@ class TestSliceProofs:
         index = shard_of_key(probe, count)
         foreign = ShardRange.of((index + 1) % count, count)
         slice_ = extract_shard_nodes(trie, foreign)
-        sliced = MerklePatriciaTrie(dict(slice_.nodes), root_hash=root)
+        sliced = MerklePatriciaTrie(MemoryNodeStore(dict(slice_.nodes)),
+                                    root_hash=root)
         try:
             proof = generate_proof(sliced, probe)
         except (ProofError, TrieError):

@@ -18,11 +18,11 @@ seed was slow.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from repro.crypto.keccak import keccak256
 from repro.rlp import codec as rlp
-from repro.storage.nodestore import NodeStore, as_node_store
+from repro.storage.nodestore import MemoryNodeStore, NodeStore
 from repro.trie.mpt import EMPTY_TRIE_ROOT, TrieError
 from repro.trie.nibbles import (
     Nibbles,
@@ -45,9 +45,9 @@ class NaiveMerklePatriciaTrie:
     engine), minus the overlay-specific extras.
     """
 
-    def __init__(self, db: Union[None, dict, NodeStore, str] = None,
+    def __init__(self, db: Optional[NodeStore] = None,
                  root_hash: bytes = EMPTY_TRIE_ROOT) -> None:
-        self._db: NodeStore = as_node_store(db)
+        self._db: NodeStore = db if db is not None else MemoryNodeStore()
         if root_hash != EMPTY_TRIE_ROOT and root_hash not in self._db:
             raise TrieError(f"unknown root hash {root_hash.hex()}")
         self._root_hash = root_hash

@@ -12,7 +12,7 @@ import pytest
 from repro.chain import GenesisConfig, UnsignedTransaction
 from repro.crypto import PrivateKey
 from repro.node import Devnet
-from repro.storage import BLOCK_LOG_MAGIC, BlockLog, StoreError, open_block_log
+from repro.storage import BLOCK_LOG_MAGIC, BlockLog, StoreError, open_state_dir
 
 ALICE = PrivateKey.from_seed("bl:alice")
 BOB = PrivateKey.from_seed("bl:bob")
@@ -38,7 +38,7 @@ def _build_log(state_dir, blocks: int = 3):
 class TestAppendReopen:
     def test_round_trip_is_field_identical(self, tmp_path):
         sealed = _build_log(tmp_path / "state")
-        log = open_block_log(tmp_path / "state")
+        log = BlockLog(tmp_path / "state" / "blocks.log")
         assert log.last_number == sealed[-1].number
         assert log.last_hash == sealed[-1].hash
         for logged, original in zip(log.blocks, sealed):
@@ -202,13 +202,16 @@ class TestTornWrites:
 
 
 class TestStateDirConvention:
-    def test_open_block_log_directory_convention(self, tmp_path):
-        log = open_block_log(tmp_path / "state")
+    def test_open_state_dir_directory_convention(self, tmp_path):
+        store, log = open_state_dir(tmp_path / "state")
+        assert store.path == tmp_path / "state" / "nodes.log"
         assert log.path == tmp_path / "state" / "blocks.log"
+        store.close()
         log.close()
 
-    def test_open_block_log_rejects_file_path(self, tmp_path):
+    def test_open_state_dir_rejects_file_path(self, tmp_path):
         path = tmp_path / "not-a-dir"
         path.write_bytes(b"x")
         with pytest.raises(StoreError, match="not a directory"):
-            open_block_log(path)
+            open_state_dir(path)
+        assert path.read_bytes() == b"x"

@@ -17,7 +17,7 @@ from repro.chain import (
 )
 from repro.chain.receipt import Receipt
 from repro.node import Devnet
-from repro.storage import AppendOnlyFileStore, StoreError, open_node_store
+from repro.storage import AppendOnlyFileStore, BlockLog, StoreError
 from repro.vm import ContractRegistry, TransactionExecutor
 
 from ..conftest import Keys, make_parp_env
@@ -52,7 +52,7 @@ class TestKillAndReopen:
         executor = TransactionExecutor(ContractRegistry())
         log_path = tmp_path / "blocks.log"
         chain = Blockchain(genesis, executor=executor,
-                           db=node_store, block_log=log_path)
+                           db=node_store, block_log=BlockLog(log_path))
         tx = UnsignedTransaction(
             nonce=0, gas_price=10 ** 9, gas_limit=21_000,
             to=keys.bob.address, value=777,
@@ -67,7 +67,8 @@ class TestKillAndReopen:
 
         revived = Blockchain(genesis,
                              executor=TransactionExecutor(ContractRegistry()),
-                             db=_reopen_store(node_store), block_log=log_path)
+                             db=_reopen_store(node_store),
+                             block_log=BlockLog(log_path))
         assert revived.reattached
         assert revived.head.hash == head_hash
         assert revived.state.root_hash == state_root
@@ -206,7 +207,7 @@ class TestBareStoreRefusal:
         net.advance_blocks(1)
         root = net.node_store.last_root
         net.close()
-        store = open_node_store(tmp_path / "state")
+        store = AppendOnlyFileStore(tmp_path / "state" / "nodes.log")
         with pytest.raises(ChainError, match="already contains committed"):
             Blockchain(genesis,
                        executor=TransactionExecutor(ContractRegistry()),

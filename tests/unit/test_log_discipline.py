@@ -27,7 +27,6 @@ from repro.node import Devnet
 from repro.storage import (
     AppendOnlyFileStore,
     BlockLog,
-    RetentionPolicy,
     StoreError,
     compact_node_store,
 )
@@ -79,50 +78,48 @@ def _commit_accounts(store, start: int, count: int = 4) -> None:
     state.commit()
 
 
-@pytest.mark.parametrize("sync, durable", [(True, 1), (False, 0)])
-def test_node_store_syscall_budget(tmp_path, spent, sync, durable):
+def test_node_store_syscall_budget(tmp_path, spent):
     path = tmp_path / "nodes.log"
-    store = AppendOnlyFileStore(path, sync=sync)
-    assert spent() == (durable, 0)  # the magic header
+    store = AppendOnlyFileStore(path)
+    assert spent() == (1, 0)  # the magic header
     _commit_accounts(store, 0)
-    assert spent() == (durable, 0)  # one batch, one flush
+    assert spent() == (1, 0)  # one batch, one flush
     _commit_accounts(store, 4)
     _commit_accounts(store, 8)
-    assert spent() == (2 * durable, 0)
-    # the replacement file is fsynced whatever ``sync`` says (a rename
-    # must never promote unwritten bytes); the directory only when durable
-    compact_node_store(store, RetentionPolicy.last(1))
-    assert spent() == (1 + durable, 1)
+    assert spent() == (2, 0)
+    # the replacement file (a rename must never promote unwritten bytes),
+    # then the directory (the rename itself must survive a crash)
+    compact_node_store(store, [store.last_root])
+    assert spent() == (2, 1)
     store.close()
-    assert spent() == (durable, 0)  # the footer
-    store = AppendOnlyFileStore(path, sync=sync)
+    assert spent() == (1, 0)  # the footer
+    store = AppendOnlyFileStore(path)
     assert store.opened_indexed
-    assert spent() == (durable, 0)  # the footer strip
+    assert spent() == (1, 0)  # the footer strip
     store.close(write_index=False)
     assert spent() == (0, 0)
-    store = AppendOnlyFileStore(path, sync=sync)
+    store = AppendOnlyFileStore(path)
     assert not store.opened_indexed
     assert spent() == (0, 0)  # a clean scan repairs nothing
     store.close(write_index=False)
 
 
-@pytest.mark.parametrize("sync, durable", [(True, 1), (False, 0)])
-def test_block_log_syscall_budget(tmp_path, spent, sealed, sync, durable):
+def test_block_log_syscall_budget(tmp_path, spent, sealed):
     path = tmp_path / "blocks.log"
-    log = BlockLog(path, sync=sync)
-    assert spent() == (durable, 0)  # the magic header
+    log = BlockLog(path)
+    assert spent() == (1, 0)  # the magic header
     log.append(sealed[0])
-    assert spent() == (durable, 0)
+    assert spent() == (1, 0)
     for block in sealed[1:]:
         log.append(block)
-    assert spent() == (4 * durable, 0)
+    assert spent() == (4, 0)
     log.rewind(1)
-    assert spent() == (durable, 0)
+    assert spent() == (1, 0)
     log.prune_to(2)
-    assert spent() == (1 + durable, 1)  # tmp file (+ directory), one rename
+    assert spent() == (2, 1)  # tmp file + directory, one rename
     log.close()
     assert spent() == (0, 0)
-    log = BlockLog(path, sync=sync)
+    log = BlockLog(path)
     assert [block.number for block in log.blocks] == [2, 3]
     assert spent() == (0, 0)  # a clean scan repairs nothing
     log.close()

@@ -25,7 +25,6 @@ from repro.node import Devnet
 from repro.storage import (
     AppendOnlyFileStore,
     BlockLog,
-    RetentionPolicy,
     compact_node_store,
 )
 
@@ -112,7 +111,7 @@ def build_stages(state_dir: Path) -> dict:
     assert store.opened_indexed  # the footer was read, then stripped
     stages["reopened"] = _digests(nodes, blocks)
 
-    compact_node_store(store, RetentionPolicy.last(1))  # pruned-roots record
+    compact_node_store(store, [store.last_root])  # pruned-roots record
     log.prune_to(2)  # anchor record
     stages["compacted"] = _digests(nodes, blocks)
 

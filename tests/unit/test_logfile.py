@@ -55,11 +55,11 @@ class _Stats:
 class ToyLog:
     """The smallest owner: a list of byte strings over one LogFile."""
 
-    def __init__(self, path, sync: bool = False) -> None:
+    def __init__(self, path) -> None:
         self.stats = _Stats()
         self.records: list[bytes] = []
         self.offsets: list[int] = []
-        self.log = LogFile(path, MAGIC, "toy log", self.stats, sync=sync)
+        self.log = LogFile(path, MAGIC, "toy log", self.stats)
         self.log.open(self._recover)
 
     def _recover(self) -> None:
@@ -176,7 +176,7 @@ class TestRewriteSweep:
 
     def test_rewrite_swaps_the_live_handle(self, tmp_path):
         path = tmp_path / "toy.log"
-        toy = ToyLog(path, sync=True)
+        toy = ToyLog(path)
         for body in self.OLD:
             toy.append(body)
         toy.rewrite(self.NEW)

@@ -127,7 +127,7 @@ class TestDevnetPersistence:
         """A disk-backed devnet's state survives close + reopen: the head
         state root re-attaches from the log and resolves every account."""
         from repro.chain.state import StateDB
-        from repro.storage import AppendOnlyFileStore, open_node_store
+        from repro.storage import AppendOnlyFileStore
 
         state_dir = tmp_path / "node-state"
         net = Devnet(GenesisConfig(allocations={ALICE.address: 10 * TOKEN,
@@ -140,7 +140,7 @@ class TestDevnetPersistence:
         bob_balance = net.balance_of(BOB.address)
         net.close()
 
-        store = open_node_store(state_dir)
+        store = AppendOnlyFileStore(state_dir / "nodes.log")
         assert store.last_root == head_root
         revived = StateDB(store, store.last_root)
         assert revived.balance_of(BOB.address) == bob_balance == TOKEN + 123
@@ -201,7 +201,7 @@ class TestDevnetPersistence:
         without history it could only be replayed into, which would rewind
         store.last_root (the crash-recovery point) to the genesis root."""
         from repro.chain.chain import Blockchain, ChainError
-        from repro.storage import open_node_store
+        from repro.storage import AppendOnlyFileStore
 
         state_dir = tmp_path / "node-state"
         net = Devnet(GenesisConfig(allocations={ALICE.address: TOKEN}),
@@ -211,7 +211,7 @@ class TestDevnetPersistence:
         head_root = net.chain.head.header.state_root
         net.close()
         # a store handed to Blockchain stays its caller's to close
-        given = open_node_store(state_dir)
+        given = AppendOnlyFileStore(state_dir / "nodes.log")
         try:
             with pytest.raises(ChainError, match="already contains committed"):
                 Blockchain(GenesisConfig(allocations={ALICE.address: TOKEN}),
@@ -219,6 +219,6 @@ class TestDevnetPersistence:
         finally:
             given.close()
         # the refusal must not have moved the recovery point
-        store = open_node_store(state_dir)
+        store = AppendOnlyFileStore(state_dir / "nodes.log")
         assert store.last_root == head_root
         store.close()

@@ -36,13 +36,14 @@ class TestTopLevel:
         for name in module.__all__:
             assert getattr(module, name) is not None, f"repro.{package}.{name}"
 
-    def test_removed_names_stay_removed(self):
+    def test_removed_names_stay_removed(self, tmp_path):
         """What left the shipped package: the trie oracle (now
         ``tests/reference_trie.py``), the typed-RLP layer, PR 15's aliases,
         batch-version negotiation, the single-wire reshaping of hedged
         and sharded legs, the demo CLI (now ``examples/``), the benchmark
-        harness (now under ``benchmarks/``), the dead read workload, and the
-        serving paths only tests reached."""
+        harness (now under ``benchmarks/``), the dead read workload, the
+        serving paths only tests reached, and every retention, fsync and
+        node-store option outside the chain."""
         import importlib
         import inspect
 
@@ -157,6 +158,78 @@ class TestTopLevel:
         node_source = inspect.getsource(FullNode)
         assert "bytes_in" not in node_source
         assert "bytes_out" not in node_source
+        # retention is the chain's decision: stores carry no policy and
+        # compact only through Blockchain.compact, nothing turns fsync off,
+        # and a node-store input is None or a NodeStore
+        import repro.storage
+        from repro.chain import Blockchain
+        from repro.chain.state import StateDB
+        from repro.storage import (
+            AppendOnlyFileStore,
+            BlockLog,
+            RetentionPolicy,
+            compact_node_store,
+            compaction,
+            nodestore,
+            open_state_dir,
+        )
+        from repro.storage.logfile import LogFile
+        for name in ("as_node_store", "RetentionSpec", "open_node_store",
+                     "open_block_log"):
+            assert name not in repro.storage.__all__
+            assert not hasattr(repro.storage, name)
+        assert not hasattr(nodestore, "as_node_store")
+        assert not hasattr(compaction, "RetentionSpec")
+        assert not hasattr(RetentionPolicy, "parse")
+        assert not hasattr(RetentionPolicy, "retained_roots")
+        assert not hasattr(StateDB, "compact")
+        assert not hasattr(AppendOnlyFileStore, "retention")
+        log = tmp_path / "never-created.log"
+        for refused in (
+                lambda: LogFile(log, b"PARPTEST", "log", None, sync=True),
+                lambda: AppendOnlyFileStore(log, sync=True),
+                lambda: BlockLog(log, sync=True),
+                lambda: StateDB(retention=RetentionPolicy.last(1)),
+                lambda: AppendOnlyFileStore(
+                    log, retention=RetentionPolicy.last(1))):
+            with pytest.raises(TypeError):
+                refused()
+        assert not log.exists()
+        assert list(inspect.signature(open_state_dir).parameters) == [
+            "state_dir"]
+        assert list(inspect.signature(compact_node_store).parameters) == [
+            "store", "retain_roots"]
+        assert list(inspect.signature(Blockchain.compact).parameters) == [
+            "self", "force"]
+
+    def test_retention_has_one_owner_and_fsync_one_home(self):
+        """Which heights stay provable is decided in one place: under
+        ``src/`` only its definition, its export, the chain that owns it and
+        the devnet that passes it through name ``RetentionPolicy``.  Only
+        ``storage/logfile.py`` calls ``os.fsync`` / ``os.replace``."""
+        import ast
+
+        package = REPO / "src" / "repro"
+        naming, syscalls = set(), set()
+        for path in sorted(package.rglob("*.py")):
+            where = path.relative_to(package).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.name if isinstance(node, (ast.alias,
+                                                            ast.ClassDef))
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.value if isinstance(node, ast.Constant)
+                        else None)
+                if name == "RetentionPolicy":
+                    naming.add(where)
+                if (isinstance(node, ast.Attribute)
+                        and node.attr in ("fsync", "replace")
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "os"):
+                    syscalls.add(where)
+        assert naming == {"storage/compaction.py", "storage/__init__.py",
+                          "chain/chain.py", "node/devnet.py"}
+        assert syscalls == {"storage/logfile.py"}
 
     def test_src_imports_only_the_standard_library(self):
         """``pyproject.toml`` declares no runtime dependency, so every

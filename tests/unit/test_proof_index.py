@@ -15,7 +15,6 @@ from repro.rlp import codec as rlp
 from repro.storage import (
     AppendOnlyFileStore,
     MemoryNodeStore,
-    RetentionPolicy,
     compact_node_store,
 )
 from repro.trie import (
@@ -96,7 +95,7 @@ class TestByReferenceHashes:
             assert_hashes_are_keccak(reopened)
             assert (reopened, reopened.hashes) == (proof, proof.hashes)
 
-        compact_node_store(store, RetentionPolicy.last(1))
+        compact_node_store(store, roots[-1:])
         trie = MerklePatriciaTrie(store, roots[-1])
         for key, proof in zip(PROBES, before):
             compacted = generate_proof(trie, key)

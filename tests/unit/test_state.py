@@ -5,7 +5,8 @@ import pytest
 from repro.chain import Account, InsufficientBalance, StateDB
 from repro.crypto import PrivateKey, keccak256
 from repro.crypto.keys import Address
-from repro.trie import verify_proof
+from repro.storage import MemoryNodeStore
+from repro.trie import ShardPool, ShardRange, verify_proof
 
 A = PrivateKey.from_seed("state:a").address
 B = PrivateKey.from_seed("state:b").address
@@ -148,3 +149,21 @@ class TestProofs:
     def test_accounts_iterator(self, state):
         found = {account.balance for _, account in state.accounts()}
         assert found == {1_000, 50}
+
+
+class TestNodeStoreInput:
+    def test_no_store_means_a_fresh_memory_store(self):
+        first, second = StateDB(), StateDB()
+        assert isinstance(first.node_store, MemoryNodeStore)
+        assert first.node_store is not second.node_store
+        first.add_balance(A, 1)
+        first.commit()
+        assert len(second.node_store) == 0
+
+    def test_shard_slice_reads_the_pool_by_reference(self, state):
+        pool = ShardPool()
+        view = state.shard_slice(ShardRange.of(0, 1), pool)
+        assert view.balance_of(A) == 1_000
+        key = keccak256(b"pooled-later")
+        pool.nodes[key] = b"node"
+        assert view.node_store.get(key) == b"node"

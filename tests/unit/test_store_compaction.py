@@ -2,12 +2,13 @@
 
 Three layers under test, bottom-up:
 
-* ``RetentionPolicy`` — the knob (parse / retained_roots / trigger fields);
+* ``RetentionPolicy`` — the knob (modes / trigger fields);
 * ``compact_node_store`` over ``AppendOnlyFileStore`` — the live-set walk
-  and the atomic log rewrite, including the pruned-roots memory and the
-  root-index footer round trip;
-* ``Blockchain.compact`` — block-log pruning ordered before store
-  compaction, the typed :class:`PrunedRootError` serving window, and the
+  of the roots its caller keeps and the atomic log rewrite, including the
+  pruned-roots memory and the root-index footer round trip;
+* ``Blockchain.compact`` — the one owner of the policy: "last K" keeps the
+  newest K *blocks*, block-log pruning is ordered before store compaction,
+  the typed :class:`PrunedRootError` serving window, and the
   growth-triggered automatic pass.
 
 The §V-D acceptance property threaded throughout: a retained root serves
@@ -17,7 +18,7 @@ must be invisible to a light client inside the retention window.
 
 import pytest
 
-from repro.chain import ChainError, GenesisConfig
+from repro.chain import Blockchain, ChainError, GenesisConfig
 from repro.chain.state import StateDB
 from repro.crypto import keccak256
 from repro.crypto.keys import Address
@@ -32,6 +33,7 @@ from repro.storage import (
     open_state_dir,
 )
 from repro.trie import (
+    EMPTY_TRIE_ROOT,
     MerklePatriciaTrie,
     generate_multiproof,
     generate_proof,
@@ -60,37 +62,19 @@ def _grow_state(store, commits: int = 6, per_commit: int = 25) -> list[bytes]:
 
 
 class TestRetentionPolicy:
-    def test_parse_forms(self):
+    def test_archive_and_last_forms(self):
         archive = RetentionPolicy.archive()
-        assert RetentionPolicy.parse(None) == archive
-        assert RetentionPolicy.parse("archive") == archive
+        assert archive == RetentionPolicy()
         assert not archive.prunes
-        for spec in (4, "4", "last:4", "last-4", "LAST:4"):
-            policy = RetentionPolicy.parse(spec)
-            assert (policy.mode, policy.k) == ("last", 4), spec
-            assert policy.prunes
-        existing = RetentionPolicy.last(7)
-        assert RetentionPolicy.parse(existing) is existing
-
-    @pytest.mark.parametrize("bad", ["", "last:", "last:x", "k=3", "-2", 0, -1])
-    def test_parse_rejects_garbage(self, bad):
-        with pytest.raises(ValueError):
-            RetentionPolicy.parse(bad)
+        policy = RetentionPolicy.last(4, min_compact_bytes=1)
+        assert (policy.mode, policy.k, policy.prunes) == ("last", 4, True)
+        assert policy.min_compact_bytes == 1
 
     def test_invalid_modes_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             RetentionPolicy(mode="lru")
         with pytest.raises(ValueError, match="k >= 1"):
             RetentionPolicy(mode="last", k=0)
-
-    def test_retained_roots_dedups_to_newest_occurrence(self):
-        a, b, c = b"\x01" * 32, b"\x02" * 32, b"\x03" * 32
-        history = [a, b, a, c]  # a was re-committed after b
-        assert RetentionPolicy.archive().retained_roots(history) == [b, a, c]
-        # recency counts the *last* commit of each root: keeping 2 keeps
-        # a (recommitted third) and c, not b
-        assert RetentionPolicy.last(2).retained_roots(history) == [a, c]
-        assert RetentionPolicy.last(10).retained_roots(history) == [b, a, c]
 
     def test_describe(self):
         assert "archive" in RetentionPolicy.archive().describe()
@@ -109,7 +93,7 @@ class TestStoreCompaction:
         before_multi = generate_multiproof(trie, probe_keys)
         size_before = store.log_bytes()
 
-        report = compact_node_store(store, RetentionPolicy.last(2))
+        report = compact_node_store(store, keep)
 
         assert list(report.retained_roots) == keep
         assert set(report.pruned_roots) == set(roots[:-2])
@@ -134,7 +118,7 @@ class TestStoreCompaction:
     def test_pruned_roots_raise_typed_error(self, tmp_path):
         store = AppendOnlyFileStore(tmp_path / "nodes.log")
         roots = _grow_state(store)
-        compact_node_store(store, RetentionPolicy.last(1))
+        compact_node_store(store, roots[-1:])
         assert store.pruned_roots == frozenset(roots[:-1])
         for old in roots[:-1]:
             with pytest.raises(PrunedRootError, match="pruned"):
@@ -160,7 +144,7 @@ class TestStoreCompaction:
         for c in range(4):
             state.add_balance(_addr(100 + c), TOKEN)
             state.commit()
-        report = compact_node_store(store, RetentionPolicy.last(1))
+        report = compact_node_store(store, [store.last_root])
         assert report.bytes_reclaimed > 0
         reread = StateDB(store, store.last_root)
         for slot in range(40):
@@ -171,7 +155,7 @@ class TestStoreCompaction:
     def test_archive_compaction_keeps_every_root(self, tmp_path):
         store = AppendOnlyFileStore(tmp_path / "nodes.log")
         roots = _grow_state(store, commits=4)
-        report = compact_node_store(store)  # store default: archive
+        report = compact_node_store(store, roots)  # keep every root
         assert report.pruned_roots == ()
         assert store.pruned_roots == frozenset()
         for root, expect in zip(
@@ -181,24 +165,47 @@ class TestStoreCompaction:
             assert state.balance_of(_addr(0)) == TOKEN
         store.close()
 
+    def test_retained_roots_dedup_to_their_newest_occurrence(self, tmp_path):
+        store = AppendOnlyFileStore(tmp_path / "nodes.log")
+        a, b, c = _grow_state(store, commits=3)
+        report = compact_node_store(store, [a, b, a])
+        assert report.retained_roots == (b, a)
+        assert report.pruned_roots == (c,)
+        assert store.root_history == [b, a]
+        assert store.last_root == a
+        store.close()
+
+    def test_retaining_nothing_prunes_every_root(self, tmp_path):
+        path = tmp_path / "nodes.log"
+        store = AppendOnlyFileStore(path)
+        roots = _grow_state(store, commits=2)
+        report = compact_node_store(store, [])
+        assert report.retained_roots == () and report.live_nodes == 0
+        assert store.pruned_roots == frozenset(roots)
+        store.close()
+        store = AppendOnlyFileStore(path)
+        assert store.last_root == EMPTY_TRIE_ROOT
+        assert store.pruned_roots == frozenset(roots)
+        store.close()
+
     def test_memory_store_refuses_compaction(self):
         with pytest.raises(StoreError, match="does not support compaction"):
-            compact_node_store(MemoryNodeStore())
+            compact_node_store(MemoryNodeStore(), [])
 
     def test_staged_writes_refuse_compaction(self, tmp_path):
         store = AppendOnlyFileStore(tmp_path / "nodes.log")
-        _grow_state(store, commits=2)
+        roots = _grow_state(store, commits=2)
         store[keccak256(b"staged")] = b"uncommitted"
         with pytest.raises(StoreError, match="staged uncommitted"):
-            compact_node_store(store, RetentionPolicy.last(1))
+            compact_node_store(store, roots[-1:])
         store.close()
 
     def test_wedged_store_refuses_compaction(self, tmp_path):
         store = AppendOnlyFileStore(tmp_path / "nodes.log")
-        _grow_state(store, commits=2)
+        roots = _grow_state(store, commits=2)
         store._log.wedged = True
         with pytest.raises(StoreError, match="wedged"):
-            compact_node_store(store, RetentionPolicy.last(1))
+            compact_node_store(store, roots[-1:])
         store._log.wedged = False
         store.close()
 
@@ -206,15 +213,14 @@ class TestStoreCompaction:
         store = AppendOnlyFileStore(tmp_path / "nodes.log")
         _grow_state(store, commits=2)
         with pytest.raises(StoreError, match="unresolvable"):
-            compact_node_store(
-                store, retain_roots=[keccak256(b"not-a-root")])
+            compact_node_store(store, [keccak256(b"not-a-root")])
         store.close()
 
     def test_pruned_memory_survives_reopen_and_recompaction(self, tmp_path):
         path = tmp_path / "nodes.log"
         store = AppendOnlyFileStore(path)
         roots = _grow_state(store)
-        compact_node_store(store, RetentionPolicy.last(2))
+        compact_node_store(store, roots[-2:])
         first_pruned = set(roots[:-2])
         store.close()  # footer path
 
@@ -222,7 +228,7 @@ class TestStoreCompaction:
         assert store.opened_indexed
         assert store.pruned_roots == frozenset(first_pruned)
         more = _grow_state(store, commits=2, per_commit=10)
-        compact_node_store(store, RetentionPolicy.last(1))
+        compact_node_store(store, more[-1:])
         # old and new pruned roots are both remembered
         expected = first_pruned | set(roots[-2:]) | {more[0]}
         assert store.pruned_roots == frozenset(expected)
@@ -330,7 +336,7 @@ def _mine_transfers(net, keys, count, start=1):
 class TestChainCompaction:
     def test_compact_prunes_blocks_and_serves_window(self, tmp_path, keys):
         net = Devnet(_genesis(keys), state_dir=tmp_path / "state",
-                     retention="last:2")
+                     retention=RetentionPolicy.last(2))
         _mine_transfers(net, keys, 5)
         chain = net.chain
         pre_balance = chain.state.balance_of(keys.bob.address)
@@ -356,7 +362,7 @@ class TestChainCompaction:
 
     def test_pruned_chain_reattaches_and_keeps_growing(self, tmp_path, keys):
         state_dir = tmp_path / "state"
-        net = Devnet(_genesis(keys), state_dir=state_dir, retention=2)
+        net = Devnet(_genesis(keys), state_dir=state_dir, retention=RetentionPolicy.last(2))
         _mine_transfers(net, keys, 4)
         net.chain.compact()
         head = net.chain.head.hash
@@ -364,7 +370,7 @@ class TestChainCompaction:
         bob = net.chain.state.balance_of(keys.bob.address)
         net.close()
 
-        revived = Devnet(_genesis(keys), state_dir=state_dir, retention=2)
+        revived = Devnet(_genesis(keys), state_dir=state_dir, retention=RetentionPolicy.last(2))
         chain = revived.chain
         assert chain.reattached
         assert chain.head.hash == head
@@ -380,7 +386,7 @@ class TestChainCompaction:
 
     def test_find_transaction_respects_the_window(self, tmp_path, keys):
         net = Devnet(_genesis(keys), state_dir=tmp_path / "state",
-                     retention="last:1")
+                     retention=RetentionPolicy.last(1))
         early_tx = net.send_transaction(keys.alice, keys.bob.address, value=7)
         net.mine()
         _mine_transfers(net, keys, 3)
@@ -415,6 +421,73 @@ class TestChainCompaction:
             net.chain.state_at(number)
         net.close()
 
+    def test_last_k_keeps_the_state_of_the_newest_k_blocks(self, tmp_path,
+                                                           keys):
+        """Blocks, not distinct roots: three transfers then three empty
+        blocks that share the last transfer's root, kept with last(2)."""
+        state_dir = tmp_path / "state"
+        net = Devnet(_genesis(keys), state_dir=state_dir,
+                     retention=RetentionPolicy.last(2))
+        _mine_transfers(net, keys, 3)
+        for _ in range(3):
+            net.mine()
+        chain = net.chain
+        height = chain.height
+        roots = [chain.get_block_by_number(n).header.state_root
+                 for n in range(height + 1)]
+        assert len(set(roots)) == 4
+
+        report = chain.compact()
+        assert set(report.retained_roots) == set(roots[height - 1:])
+        assert len(report.retained_roots) == 1  # the two blocks share it
+        assert set(report.pruned_roots) == set(roots[:3])
+        assert chain.first_retained_number == height - 1
+        for number in (height - 1, height):
+            chain.state_at(number)
+        # one transfer later the newest two blocks hold two distinct roots
+        _mine_transfers(net, keys, 1, start=50)
+        report = chain.compact()
+        assert list(report.retained_roots) == [
+            chain.get_block_by_number(n).header.state_root
+            for n in (chain.height - 1, chain.height)]
+        assert chain.first_retained_number == chain.height - 1
+        net.close()
+
+        store, block_log = open_state_dir(state_dir)
+        try:
+            assert [b.number for b in block_log.blocks] == [
+                height, height + 1]
+            for block in block_log.blocks:
+                StateDB(store, block.header.state_root)
+        finally:
+            store.close()
+            block_log.close()
+
+    def test_pruning_policy_needs_a_compacting_store(self, keys):
+        """A last-K chain over a store that cannot compact would report
+        last-K and never prune: refused at construction instead."""
+        with pytest.raises(ChainError, match="can compact"):
+            Devnet(_genesis(keys), retention=RetentionPolicy.last(2))
+        with pytest.raises(ChainError, match="MemoryNodeStore"):
+            Blockchain(_genesis(keys), db=MemoryNodeStore(),
+                       retention=RetentionPolicy.last(1))
+        archive = Blockchain(_genesis(keys),
+                             retention=RetentionPolicy.archive())
+        assert archive.retention == RetentionPolicy.archive()
+        archive.close()
+
+    def test_the_chain_holds_the_only_policy(self, tmp_path, keys):
+        policy = RetentionPolicy.last(3)
+        net = Devnet(_genesis(keys), state_dir=tmp_path / "state",
+                     retention=policy)
+        assert net.chain.retention is policy
+        assert not hasattr(net.node_store, "retention")
+        assert not hasattr(net.chain.state, "compact")
+        net.close()
+        plain = Devnet(_genesis(keys))
+        assert plain.chain.retention == RetentionPolicy.archive()
+        plain.close()
+
     def test_memory_chain_compact_is_noop_unless_forced(self, keys):
         net = Devnet(_genesis(keys))
         _mine_transfers(net, keys, 1)
@@ -427,7 +500,7 @@ class TestChainCompaction:
         """The crash-safety ordering contract, observed from outside: at
         every point the block log's records resolve against the store."""
         state_dir = tmp_path / "state"
-        net = Devnet(_genesis(keys), state_dir=state_dir, retention=2)
+        net = Devnet(_genesis(keys), state_dir=state_dir, retention=RetentionPolicy.last(2))
         _mine_transfers(net, keys, 4)
         net.chain.compact()
         net.close()

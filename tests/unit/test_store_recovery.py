@@ -14,10 +14,7 @@ from repro.crypto import keccak256
 from repro.storage import (
     AppendOnlyFileStore,
     MAGIC,
-    MemoryNodeStore,
     StoreError,
-    as_node_store,
-    open_node_store,
 )
 from repro.trie import EMPTY_TRIE_ROOT, MerklePatriciaTrie
 
@@ -202,13 +199,13 @@ class TestCrashMidCompaction:
     @pytest.fixture(scope="class")
     def compaction_images(self, tmp_path_factory):
         """(old log bytes, new log bytes, old roots, new root)."""
-        from repro.storage import RetentionPolicy, compact_node_store
+        from repro.storage import compact_node_store
 
         path = tmp_path_factory.mktemp("images") / "nodes.log"
         roots = _build_account_batches(path, commits=3, per_commit=4)
         old_bytes = path.read_bytes()
         store = AppendOnlyFileStore(path)
-        compact_node_store(store, RetentionPolicy.last(1))
+        compact_node_store(store, roots[-1:])
         new_root = store.last_root
         store.close(write_index=False)
         new_bytes = path.read_bytes()
@@ -307,9 +304,7 @@ class TestReadCacheInvalidation:
     def test_compaction_drops_cached_bytes_of_pruned_nodes(self, tmp_path):
         """A node dropped by compaction must not be served from the read
         cache afterwards — the cache only fronts what the log holds."""
-        from repro.storage import (
-            RetentionPolicy, compact_node_store, live_state_nodes,
-        )
+        from repro.storage import compact_node_store, live_state_nodes
 
         path = tmp_path / "nodes.log"
         _build_account_batches(path)
@@ -320,7 +315,7 @@ class TestReadCacheInvalidation:
         assert doomed
         for key in doomed:  # make every doomed node cache-hot
             assert store.get(key) is not None
-        compact_node_store(store, RetentionPolicy.last(1))
+        compact_node_store(store, [store.last_root])
         for key in doomed:
             assert store.get(key) is None
             assert store._read_cache.get(key) is None
@@ -391,13 +386,13 @@ class TestStatsCoherence:
         reopened.close()
 
     def test_compaction_counters(self, tmp_path):
-        from repro.storage import RetentionPolicy, compact_node_store
+        from repro.storage import compact_node_store
 
         path = tmp_path / "nodes.log"
         _build_account_batches(path)
         store = AppendOnlyFileStore(path)
         assert store.stats.compactions == 0
-        report = compact_node_store(store, RetentionPolicy.last(1))
+        report = compact_node_store(store, [store.last_root])
         assert store.stats.compactions == 1
         assert store.stats.bytes_reclaimed == report.bytes_reclaimed > 0
         # compaction rewrites the log; it does not *append* to it
@@ -466,49 +461,3 @@ class TestStoreBasics:
         assert store.stats.batches_committed == 0
         assert path.stat().st_size == len(MAGIC)
         store.close()
-
-    def test_open_node_store_directory_convention(self, tmp_path):
-        store = open_node_store(tmp_path / "state")
-        assert store.path == tmp_path / "state" / "nodes.log"
-        store.close()
-
-    def test_as_node_store_normalization(self, tmp_path):
-        raw = {keccak256(b"k"): b"v"}
-        wrapped = as_node_store(raw)
-        assert isinstance(wrapped, MemoryNodeStore)
-        assert wrapped.get(keccak256(b"k")) == b"v"
-        assert as_node_store(wrapped) is wrapped
-        from_path = as_node_store(str(tmp_path / "nodes.log"))
-        assert isinstance(from_path, AppendOnlyFileStore)
-        from_path.close()
-        with pytest.raises(TypeError):
-            as_node_store(42)
-
-    def test_as_node_store_follows_state_dir_convention(self, tmp_path):
-        """A path to an existing directory means the --state-dir layout:
-        StateDB('<state-dir>', root) reattaches what a devnet wrote there."""
-        state_dir = tmp_path / "state"
-        first = open_node_store(state_dir)
-        key = keccak256(b"node")
-        first[key] = b"payload"
-        first.commit(keccak256(b"root"))
-        first.close()
-        reattached = as_node_store(str(state_dir))
-        assert reattached.path == state_dir / "nodes.log"
-        assert reattached.get(key) == b"payload"
-        assert reattached.last_root == keccak256(b"root")
-        reattached.close()
-
-    def test_as_node_store_extensionless_path_means_state_dir(self, tmp_path):
-        """Order independence: naming a not-yet-existing, extension-less
-        path creates the directory layout, so a later open_node_store /
-        Devnet(state_dir=...) on the same path finds the same store."""
-        fresh = as_node_store(str(tmp_path / "fresh-state"))
-        assert fresh.path == tmp_path / "fresh-state" / "nodes.log"
-        key = keccak256(b"n")
-        fresh[key] = b"v"
-        fresh.commit(keccak256(b"r"))
-        fresh.close()
-        again = open_node_store(tmp_path / "fresh-state")
-        assert again.get(key) == b"v"
-        again.close()
