@@ -112,12 +112,6 @@ class Block:
                 f"!= body {receipt_root.hex()}"
             )
 
-    def transaction_index(self, tx_hash: bytes) -> int | None:
-        for index, tx in enumerate(self.transactions):
-            if tx.hash == tx_hash:
-                return index
-        return None
-
     def __repr__(self) -> str:
         return (
             f"Block(number={self.number}, txs={len(self.transactions)}, "

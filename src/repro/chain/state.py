@@ -48,7 +48,7 @@ disk-resident state that survives restarts.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..crypto import keccak256
 from ..crypto.keccak import keccak256_many
@@ -64,7 +64,6 @@ from ..trie.shard import (
     collect_subtree,
     extract_shard_nodes,
     shard_commitment,
-    shard_head,
 )
 from .account import Account
 
@@ -371,11 +370,6 @@ class StateDB:
         storage = self._storage_trie(account.storage_root)
         return generate_proof(storage, _storage_key(slot))
 
-    def accounts(self) -> Iterator[tuple[bytes, Account]]:
-        """Iterate (hashed address key, account) pairs."""
-        for key, raw in self._trie.items():
-            yield key, Account.decode(raw)
-
     # ------------------------------------------------------------------ #
     # Sharding (see :mod:`repro.trie.shard`)
     # ------------------------------------------------------------------ #
@@ -431,8 +425,3 @@ class StateDB:
         """This state's 32-byte commitment for one shard (probe payload)."""
         self.commit(flush_store=False)
         return shard_commitment(self._trie, shard)
-
-    def shard_head(self, shard: ShardRange):
-        """The masked root node committed by :meth:`shard_commitment`."""
-        self.commit(flush_store=False)
-        return shard_head(self._trie, shard)

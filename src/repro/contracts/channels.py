@@ -21,7 +21,7 @@ from ..vm.contract import NativeContract, contract_method, mapping_slot
 from ..vm.runtime import CallContext
 
 __all__ = ["ChannelsModule", "CHANNEL_NONE", "CHANNEL_OPEN", "CHANNEL_CLOSING",
-           "CHANNEL_CLOSED", "channel_status_slot", "channel_budget_slot"]
+           "CHANNEL_CLOSED", "channel_status_slot"]
 
 # channel status values (paper Fig. 4: Open / Closing / Closed)
 CHANNEL_NONE = 0
@@ -47,11 +47,6 @@ def channel_status_slot(alpha: bytes) -> bytes:
     """Storage slot of a channel's status — light clients read this with a
     verified ``eth_getStorageAt`` for the §V-C liveness check."""
     return mapping_slot(_CH_STATUS, alpha)
-
-
-def channel_budget_slot(alpha: bytes) -> bytes:
-    """Storage slot of a channel's locked budget."""
-    return mapping_slot(_CH_BUDGET, alpha)
 
 
 class ChannelsModule(NativeContract):
@@ -236,12 +231,6 @@ class ChannelsModule(NativeContract):
             ctx.storage.get_int(mapping_slot(_CH_STATUS, alpha)),
             ctx.storage.get_int(mapping_slot(_CH_DEADLINE, alpha)),
         )
-
-    @contract_method(view=True)
-    def channel_status(self, ctx: CallContext, args: list) -> int:
-        """Just the status — the light client's liveness probe (§V-C)."""
-        alpha = abi.as_bytes(args[0], exact=ALPHA_BYTES)
-        return ctx.storage.get_int(mapping_slot(_CH_STATUS, alpha))
 
     @contract_method(view=True)
     def open_channels_of(self, ctx: CallContext, args: list) -> int:

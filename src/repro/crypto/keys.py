@@ -4,13 +4,12 @@ An address is the last 20 bytes of ``keccak256`` of the uncompressed public
 key (without the 0x04 prefix byte) — identical to Ethereum, so the well-known
 test vector holds:
 
->>> PrivateKey(1).address.hex_checksum()
-'0x7E5F4552091A69125d5DfCb7b8C2659029395Bdf'
+>>> PrivateKey(1).address.hex()
+'0x7e5f4552091a69125d5dfcb7b8c2659029395bdf'
 """
 
 from __future__ import annotations
 
-import secrets
 
 from ..metrics.cache import LRUCache
 from . import ecdsa
@@ -46,16 +45,6 @@ class Address:
 
     def hex(self) -> str:
         return "0x" + self._raw.hex()
-
-    def hex_checksum(self) -> str:
-        """EIP-55 mixed-case checksum encoding."""
-        plain = self._raw.hex()
-        digest = keccak256(plain.encode("ascii")).hex()
-        chars = [
-            c.upper() if c.isalpha() and int(digest[i], 16) >= 8 else c
-            for i, c in enumerate(plain)
-        ]
-        return "0x" + "".join(chars)
 
     def __bytes__(self) -> bytes:
         return self._raw
@@ -137,10 +126,6 @@ class PrivateKey:
             raise ValueError("private key scalar out of range")
         self._secret = secret
         self._public: PublicKey | None = None
-
-    @classmethod
-    def generate(cls) -> "PrivateKey":
-        return cls(secrets.randbelow(N - 1) + 1)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PrivateKey":

@@ -182,12 +182,6 @@ class HeadGossip:
         self.equivocators: set[Address] = set()
         gossip.subscribe(TOPIC_NEW_HEADS, self._on_announcement)
 
-    def resubscribe(self) -> None:
-        """Rejoin the topic after a partition heal (idempotent dedup state
-        makes double delivery harmless)."""
-        self.gossip.unsubscribe(TOPIC_NEW_HEADS, self._on_announcement)
-        self.gossip.subscribe(TOPIC_NEW_HEADS, self._on_announcement)
-
     # ------------------------------------------------------------------ #
     # The subscription handler
     # ------------------------------------------------------------------ #

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from ..crypto import keccak256
 from ..net.network import SimNetwork
@@ -165,12 +165,6 @@ class GossipNode:
             self.peers.append(name)
             self.peers.sort()   # deterministic fanout selection
 
-    def remove_peer(self, name: str) -> None:
-        try:
-            self.peers.remove(name)
-        except ValueError:
-            pass
-
     # ------------------------------------------------------------------ #
     # Pub/sub
     # ------------------------------------------------------------------ #
@@ -186,26 +180,6 @@ class GossipNode:
         if not topic:
             raise GossipError("topic must be non-empty")
         self._topics.setdefault(topic, []).append(handler)
-
-    def unsubscribe(self, topic: str,
-                    handler: Optional[Callable[[GossipMessage], None]] = None,
-                    ) -> None:
-        """Drop one handler, or the whole topic when ``handler`` is None."""
-        handlers = self._topics.get(topic)
-        if handlers is None:
-            return
-        if handler is None:
-            del self._topics[topic]
-            return
-        try:
-            handlers.remove(handler)
-        except ValueError:
-            return
-        if not handlers:
-            del self._topics[topic]
-
-    def subscribed(self, topic: str) -> bool:
-        return topic in self._topics
 
     def publish(self, topic: str, payload: bytes) -> GossipMessage:
         """Originate a message: deliver locally, flood to fanout peers."""
@@ -290,14 +264,6 @@ class GossipNode:
             return False
         score.accepted += 1
         return True
-
-    def peer_score(self, name: str) -> tuple[int, int]:
-        """(accepted, dropped) counts for one sending peer — the raw
-        material for demoting flooders."""
-        score = self._peer_scores.get(name)
-        if score is None:
-            return (0, 0)
-        return (score.accepted, score.dropped)
 
     def __repr__(self) -> str:
         return (f"GossipNode({self.name!r}, peers={len(self.peers)}, "

@@ -148,10 +148,6 @@ class ReputationGossip:
         except SignatureError as exc:
             raise MessageError(f"bad reporter signature: {exc}") from exc
 
-    @property
-    def time(self) -> float:
-        return self.time_millis / 1000.0
-
 
 @dataclass
 class ReputationShareStats:
@@ -196,10 +192,6 @@ class ReputationShare:
     @property
     def address(self) -> Address:
         return self.key.address
-
-    def resubscribe(self) -> None:
-        self.gossip.unsubscribe(TOPIC_REPUTATION, self._on_event)
-        self.gossip.subscribe(TOPIC_REPUTATION, self._on_event)
 
     # ------------------------------------------------------------------ #
     # Publishing (first-hand events out)

@@ -81,10 +81,6 @@ class RangeUpdate:
                 )
 
     @property
-    def start(self) -> int:
-        return self.headers[0].number
-
-    @property
     def tip(self) -> BlockHeader:
         return self.headers[-1]
 
@@ -124,7 +120,7 @@ class CheckpointSyncer(HeaderSyncer):
     """A :class:`HeaderSyncer` that anchors at a checkpoint and pages.
 
     Drop-in everywhere a ``HeaderSyncer`` is accepted (sessions call
-    ``sync()`` / ``ensure_height`` polymorphically); the difference is the
+    ``sync()`` / ``sync_to`` polymorphically); the difference is the
     cost profile — O(distance-from-checkpoint) header fetches in
     ``⌈distance/page_size⌉`` round-trip rounds — and the refusal to serve
     anything below the anchor (:class:`HeaderChain` anchor semantics).

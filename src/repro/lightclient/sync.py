@@ -151,10 +151,6 @@ class HeaderSyncer:
         # rather than pulling once before the first announcement lands
         self._last_push = float(clock())
 
-    @property
-    def push_enabled(self) -> bool:
-        return self._push_clock is not None
-
     def push_fresh(self, now: Optional[float] = None) -> bool:
         """Whether the last pushed head is inside the staleness window."""
         if self._push_clock is None or self._last_push is None:
@@ -242,15 +238,6 @@ class HeaderSyncer:
             if answer != winner_hash:
                 self.suspects.add(index)
         return candidates[winner_hash]
-
-    def ensure_height(self, number: int) -> BlockHeader:
-        """Make sure the local chain reaches ``number``; returns that header."""
-        if not len(self.chain) or self.chain.tip_number < number:
-            self.sync_to(number)
-        header = self.chain.get_header(number)
-        if header is None:
-            raise SyncError(f"header {number} below the local trust anchor")
-        return header
 
     # ------------------------------------------------------------------ #
     # Views used by PARP verification

@@ -99,12 +99,6 @@ class SimNetwork:
         a programming error."""
         self._nodes.pop(name, None)
 
-    def node(self, name: str) -> Any:
-        try:
-            return self._nodes[name]
-        except KeyError:
-            raise NetworkError(f"unknown node {name!r}") from None
-
     def partition(self, a: str, b: str) -> None:
         """Sever the link between two nodes (both directions)."""
         self._partitioned.add(frozenset((a, b)))

@@ -20,12 +20,6 @@ class SimClock:
     def now(self) -> float:
         return self._now
 
-    def advance(self, delta: float) -> float:
-        if delta < 0:
-            raise ValueError("time cannot go backwards")
-        self._now += delta
-        return self._now
-
     def advance_to(self, timestamp: float) -> float:
         if timestamp < self._now:
             raise ValueError(

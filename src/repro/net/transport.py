@@ -78,7 +78,7 @@ class _Reply:
 ENDPOINT_METHODS = (
     "handshake", "open_channel", "relay_transaction", "get_transaction_count",
     "serve_request", "serve_batch", "serve_header", "serve_head_number",
-    "serve_bootstrap", "serve_updates_range", "shard_info", "load_info",
+    "serve_bootstrap", "serve_updates_range", "shard_info",
 )
 
 

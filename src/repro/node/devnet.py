@@ -179,9 +179,6 @@ class Devnet:
             raise RuntimeError("transaction was not included in the mined block")
         return result
 
-    def result_of(self, tx_hash: bytes) -> Optional[ExecutionResult]:
-        return self._last_results.get(tx_hash)
-
     # ------------------------------------------------------------------ #
     # View calls (free, no transaction)
     # ------------------------------------------------------------------ #

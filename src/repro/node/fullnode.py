@@ -57,11 +57,6 @@ class FullNode:
     def state_at(self, number: int) -> StateDB:
         return self.chain.state_at(number)
 
-    @property
-    def node_store(self):
-        """The chain's backing node store (see :mod:`repro.storage`)."""
-        return self.chain.db
-
     def get_block(self, number: int) -> Optional[Block]:
         return self.chain.get_block_by_number(number)
 

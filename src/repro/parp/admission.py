@@ -17,10 +17,8 @@ standard production alternative:
   instead of queueing it.  Shedding bounds the queueing delay of every
   admitted request by ``max_queue_cost × service_time``, which is what keeps
   p99 flat past saturation.
-* a **load tracker**: EWMA of queue depth at admission and of the modeled
-  serve delay, driving the load factor that both the
-  :func:`~repro.parp.pricing.load_multiplier` fee curve and the
-  ``load_info()`` probe report.
+* a **load factor**: the backlog as a fraction of ``max_queue_cost``, which
+  drives the :func:`~repro.parp.pricing.load_multiplier` fee curve.
 * a **jittered retry-after hint**: how long until enough backlog drains to
   fit the shed request, scattered ±``RETRY_JITTER`` so the shed clients'
   retries do not re-arrive as one synchronized herd.
@@ -60,9 +58,6 @@ class AdmissionConfig:
     #: signature checks and share one deduplicated multiproof, so N batched
     #: queries cost the server far less than N separate requests.
     batch_item_cost: float = 0.25
-    #: EWMA smoothing for the load/latency trackers (fraction of each new
-    #: observation that replaces history).
-    ewma_alpha: float = 0.2
     #: seed for the deterministic retry-jitter stream (give each server its
     #: own so shed cohorts on different servers decorrelate).
     seed: int = 0
@@ -89,8 +84,6 @@ class AdmissionController:
         self._clock = clock if clock is not None else time.monotonic
         self._lock = threading.Lock()
         self._busy_until = float("-inf")   # horizon of committed work
-        self._ewma_depth = 0.0             # cost units, sampled at offers
-        self._ewma_delay = 0.0             # modeled serve delay, admitted reqs
         self._rng = random.Random(f"admission|{self.config.seed}")
         self.admitted = 0
         self.shed = 0
@@ -125,29 +118,6 @@ class AdmissionController:
         """Current quote multiplier from the load→fee curve."""
         return load_multiplier(self.load_factor())
 
-    def snapshot(self) -> dict:
-        """The ``load_info()`` payload: load, EWMA trackers, counters."""
-        with self._lock:
-            now = float(self._clock())
-            backlog = self._backlog_at(now)
-            depth = self._ewma_depth
-            delay = self._ewma_delay
-            admitted, shed = self.admitted, self.shed
-        capacity = self.config.max_queue_cost
-        load = (min(1.0, backlog / capacity) if capacity > 0
-                else (1.0 if backlog > 0 else 0.0))
-        return {
-            "load": load,
-            "queue_depth": backlog,
-            "ewma_queue_depth": depth,
-            "ewma_serve_delay": delay,
-            "fee_multiplier": load_multiplier(load),
-            "max_queue_cost": capacity,
-            "service_time": self.config.service_time,
-            "admitted": admitted,
-            "shed": shed,
-        }
-
     # -- the gate ------------------------------------------------------------ #
 
     def offer(self, cost: float) -> AdmissionDecision:
@@ -159,11 +129,9 @@ class AdmissionController:
         the transport uses to schedule the reply.  A shed leaves the backlog
         untouched and returns the jittered ``retry_after`` drain hint.
         """
-        alpha = self.config.ewma_alpha
         with self._lock:
             now = float(self._clock())
             backlog = self._backlog_at(now)
-            self._ewma_depth += alpha * (backlog - self._ewma_depth)
             capacity = self.config.max_queue_cost
             load = (min(1.0, backlog / capacity) if capacity > 0
                     else (1.0 if backlog > 0 else 0.0))
@@ -176,7 +144,6 @@ class AdmissionController:
             start = max(now, self._busy_until)
             self._busy_until = start + cost * self.config.service_time
             queue_delay = self._busy_until - now
-            self._ewma_delay += alpha * (queue_delay - self._ewma_delay)
             self.admitted += 1
             return AdmissionDecision(
                 admitted=True, cost=cost, load=load, queue_delay=queue_delay,

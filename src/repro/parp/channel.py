@@ -41,10 +41,6 @@ class ClientChannel:
         if not 0 < self.budget <= MAX_AMOUNT:
             raise ChannelError("channel budget out of range")
 
-    @property
-    def remaining(self) -> int:
-        return self.budget - self.spent
-
     def next_amount(self, price: int) -> int:
         """Cumulative amount for the next request costing ``price``."""
         if price < 0:
@@ -136,11 +132,6 @@ class ServerChannel:
         self.latest_sig = request.sig_a
         self.requests_served += 1
         self.queries_served += queries
-
-    @property
-    def earned(self) -> int:
-        """What the node can redeem right now."""
-        return self.latest_amount
 
     def redeemable_state(self) -> tuple[bytes, int, bytes]:
         """(α, a, σ_a) — the arguments of a CloseChannel transaction."""

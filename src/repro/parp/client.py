@@ -105,9 +105,8 @@ class ServerEndpoint(Protocol):
     def serve_head_number(self) -> int: ...
     def serve_bootstrap(self, checkpoint_hash: bytes) -> Optional[BlockHeader]: ...
     def serve_updates_range(self, start: int, count: int) -> list[BlockHeader]: ...
-    # Free probes: the shard a server holds, its admission load
+    # Free probe: the shard a server holds
     def shard_info(self) -> Optional[tuple[int, int, bytes, int]]: ...
-    def load_info(self) -> dict: ...
 
 
 class SessionError(Exception):
@@ -290,10 +289,6 @@ class LightClientSession:
     def address(self) -> Address:
         return self.key.address
 
-    @property
-    def alpha(self) -> Optional[bytes]:
-        return self.channel.alpha if self.channel else None
-
     def _now(self) -> int:
         if self._clock is not None:
             return int(self._clock())
@@ -353,18 +348,6 @@ class LightClientSession:
         )
         self.state = LightClientState.BONDED     # line 21
         return receipt.channel_id
-
-    def adopt_channel(self, alpha: bytes, full_node: Address, budget: int,
-                      spent: int = 0) -> None:
-        """Resume a known open channel (reconnect without reopening)."""
-        if self.state is not LightClientState.IDLE:
-            raise SessionError(f"cannot adopt a channel while {self.state.value}")
-        self.channel = ClientChannel(
-            alpha=alpha, full_node=full_node, budget=budget, spent=spent,
-            acked=spent,
-        )
-        self.full_node = full_node
-        self.state = LightClientState.BONDED
 
     # ------------------------------------------------------------------ #
     # The paid request path (steps (A) and (D) of Fig. 5)
@@ -601,13 +584,6 @@ class LightClientSession:
             version=BATCH_PROTOCOL_VERSION,
         )
 
-    def get_balances(self, addresses: Sequence[Address]) -> list[int]:
-        """Batched convenience: balances of many accounts in one round."""
-        calls = [RpcCall.create("eth_getBalance", a) for a in addresses]
-        outcome = self.query_batch(calls)
-        return [decode_balance(served_result(item.status, item.result))
-                for item in outcome.items]
-
     def _try_build_package(self, request, response,
                            outcome) -> Optional[FraudProofPackage]:
         """The evidence of a FRAUD verdict, either wire: it names the first
@@ -639,18 +615,9 @@ class LightClientSession:
         item = rlp.decode(self._result("eth_getStorageAt", address, slot))
         return item[0] if isinstance(item, list) and item else b""
 
-    def get_transaction(self, number: int, index: int) -> bytes:
-        _, _, tx_bytes = _triple(self._result(
-            "eth_getTransactionByBlockNumberAndIndex", number, index,
-        ))
-        return tx_bytes
-
     def send_raw_transaction(self, raw: bytes) -> tuple[Optional[int], Optional[int], bytes]:
         """Submit a transaction; returns (block, index, tx_hash)."""
         return decode_inclusion(self._result("eth_sendRawTransaction", raw))
-
-    def send_transaction(self, tx: Transaction) -> tuple[Optional[int], Optional[int], bytes]:
-        return self.send_raw_transaction(tx.encode())
 
     def get_transaction_receipt(self, tx_hash: bytes) -> bytes:
         _, _, receipt_bytes = _triple(

@@ -25,8 +25,8 @@ free of sign-up friction; this module supplies the missing client machinery:
 
 Every routed query runs on one engine (:meth:`MarketplaceClient._race`): a
 query is a list of legs, a leg a race among the servers that can answer it —
-``request_call``/``query_batch`` one leg at fanout 1, ``query_hedged`` one
-at fanout k, ``query_sharded`` one per shard.
+``request_call`` one leg at fanout 1, ``query_hedged`` one at fanout k,
+``query_sharded`` one per shard.
 """
 
 from __future__ import annotations
@@ -291,19 +291,15 @@ class ShardScatterError(MarketplaceError):
 
     A partial failure is *typed*, never a silent partial result: winner
     legs' payments were already acked when their responses verified, and
-    ``legs`` keeps the full per-shard picture (``failed_legs`` for just
-    the casualties) so the caller can salvage what landed or retry the
-    missing shards alone.
+    ``legs`` keeps the full per-shard picture (each leg's ``ok`` names the
+    casualties) so the caller can salvage what landed or retry the missing
+    shards alone.
     """
 
     def __init__(self, message: str, legs: Sequence[ShardLeg],
                  attempts: Sequence[str] = ()) -> None:
         super().__init__(message, attempts)
         self.legs = tuple(legs)
-
-    @property
-    def failed_legs(self) -> tuple[ShardLeg, ...]:
-        return tuple(leg for leg in self.legs if not leg.ok)
 
 
 @dataclass
@@ -557,17 +553,6 @@ class MarketplaceClient:
             return max(score, self.reputation.newcomer_score)
         return score
 
-    def selection_score(self, ad: ServerAdvertisement,
-                        now: Optional[float] = None) -> float:
-        """Reputation-weighted, price-aware score in [0, 1]."""
-        if now is None:
-            now = self._now()
-        if self.reputation.is_banned(ad.address, now):
-            return 0.0
-        ads = self.marketplace.advertisements() or [ad]
-        cheapest = min(max(1, a.reference_price) for a in ads)
-        return self.trust(ad.address, now) * (cheapest / max(1, ad.reference_price))
-
     def eligible(self, now: Optional[float] = None,
                  keys: Sequence[bytes] = ()) -> list[ServerAdvertisement]:
         """Advertisements ranked best-first by the combined score.
@@ -689,17 +674,6 @@ class MarketplaceClient:
         is a race of one."""
         race = self._race_one((call,), tip, fanout=1, single=True)
         return self._outcome_of(race, call.method)
-
-    def query_batch(self, calls: Sequence[RpcCall], tip: int = 0) -> BatchOutcome:
-        """A batched query: one leg at fanout 1 on the batch wire.
-
-        The whole batch goes to *one* server, so every state-keyed call
-        must fall inside a single server's advertised range; a batch that
-        spans shards needs :meth:`query_sharded` instead.
-        """
-        calls = tuple(calls)
-        race = self._race_one(calls, tip, fanout=1)
-        return self._outcome_of(race, f"batch[{len(calls)}]")
 
     def query_hedged(self, calls: Sequence[RpcCall], fanout: int = 2,
                      tip: int = 0) -> BatchOutcome:
@@ -1120,12 +1094,6 @@ class MarketplaceClient:
     def get_balance(self, address: Address) -> int:
         response = self.request("eth_getBalance", address).response
         return decode_balance(served_result(response.status, response.result))
-
-    def get_balances(self, addresses: Sequence[Address]) -> list[int]:
-        calls = [RpcCall.create("eth_getBalance", a) for a in addresses]
-        outcome = self.query_batch(calls)
-        return [decode_balance(served_result(item.status, item.result))
-                for item in outcome.items]
 
     # ------------------------------------------------------------------ #
     # Settlement

@@ -62,7 +62,6 @@ from .constants import (
     ALPHA_BYTES,
     AMOUNT_BYTES,
     BATCH_PROTOCOL_VERSION,
-    BATCH_REQUEST_OVERHEAD_BYTES,
     HASH_BYTES,
     HEIGHT_BYTES,
     MILLIS_BYTES,
@@ -90,8 +89,6 @@ __all__ = [
     "handshake_digest",
     "handshake_preimage",
     "request_preimage",
-    "request_digest",
-    "batch_request_digest",
     "response_preimage",
     "overload_digest",
     "overload_preimage",
@@ -151,21 +148,10 @@ def request_preimage(alpha: bytes, h_b: bytes, amount: int,
     return alpha + h_b + _encode_amount(amount) + call_bytes
 
 
-def request_digest(alpha: bytes, h_b: bytes, amount: int, call_bytes: bytes) -> bytes:
-    """``h_req = Hash(α, h_B, a, γ)``."""
-    return keccak256(request_preimage(alpha, h_b, amount, call_bytes))
-
-
 def _versioned(version: int, calls_bytes: bytes) -> bytes:
     """A batch's γ: the version byte is bound into the digest so a server
     cannot silently downgrade the batch semantics the client signed for."""
     return _encode_uint(version, 1, "batch protocol version") + calls_bytes
-
-
-def batch_request_digest(alpha: bytes, h_b: bytes, amount: int, version: int,
-                         calls_bytes: bytes) -> bytes:
-    """``h_req = Hash(α, h_B, a, v, rlp([γ_1 … γ_N]))`` for a batch."""
-    return request_digest(alpha, h_b, amount, _versioned(version, calls_bytes))
 
 
 def response_preimage(alpha: bytes, status: int, m_b: int, amount: int,
@@ -886,10 +872,6 @@ class BatchRequest(_SignedRequest):
                ecrecover: Optional[Ecrecover] = None) -> Address:
         """Full-node-side batch verification (step (B), once for N calls)."""
         return _verify_signed_request(self, expected_sender, keccak, ecrecover)
-
-    @property
-    def wire_overhead(self) -> int:
-        return BATCH_REQUEST_OVERHEAD_BYTES
 
     def __repr__(self) -> str:
         return f"BatchRequest(v{self.version}, {len(self.calls)} calls)"

@@ -83,9 +83,6 @@ class FeeSchedule:
         """
         return sum(self.price(call) for call in calls)
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class FlatFeeSchedule(FeeSchedule):
@@ -95,9 +92,6 @@ class FlatFeeSchedule(FeeSchedule):
 
     def price(self, call: RpcCall) -> int:
         return self.flat_price
-
-    def describe(self) -> str:
-        return f"flat({self.flat_price} wei/call)"
 
 
 @dataclass(frozen=True)
@@ -123,9 +117,6 @@ class CallBasedFeeSchedule(FeeSchedule):
             rebate = self.batch_rebate * (len(calls) - 1)
             total = max(total - rebate, self.price(calls[0]))
         return total
-
-    def describe(self) -> str:
-        return f"call-based({len(self.prices)} methods)"
 
 
 DEFAULT_FEE_SCHEDULE = CallBasedFeeSchedule()

@@ -47,7 +47,6 @@ __all__ = [
     "Unverifiable",
     "QuerySpec",
     "QUERY_CATALOG",
-    "is_verifiable",
     "execute_query",
     "verify_query_result",
     "decode_balance",
@@ -392,11 +391,6 @@ QUERY_CATALOG: dict[str, QuerySpec] = {spec.method: spec for spec in (
     QuerySpec("eth_blockNumber", _execute_block_number),
     QuerySpec("eth_chainId", _execute_chain_id),
 )}
-
-
-def is_verifiable(method: str) -> bool:
-    spec = QUERY_CATALOG.get(method)
-    return spec is not None and spec.verifiable
 
 
 def execute_query(backend: ChainBackend, call: RpcCall,

@@ -210,17 +210,6 @@ class FullNodeServer:
     def address(self) -> Address:
         return self.key.address
 
-    @property
-    def node_store(self):
-        """The serving node's backing trie store (see :mod:`repro.storage`).
-
-        Disk-backed servers expose their store stats (batches, appended
-        bytes, recovery counters) here for the benches and operators; the
-        serving path itself is backend-agnostic — proofs read through the
-        store interface plus the decoded-node LRU.
-        """
-        return self.node.node_store
-
     def _now(self) -> int:
         if self._clock is not None:
             return int(self._clock())
@@ -242,12 +231,6 @@ class FullNodeServer:
         with self._stats_lock:
             setattr(self.stats, field_name,
                     getattr(self.stats, field_name) + amount)
-
-    @property
-    def open_channel_count(self) -> int:
-        """Channels currently multiplexed on this server (not yet closed)."""
-        with self._registry_lock:
-            return sum(1 for c in self.channels.values() if not c.closed)
 
     # ------------------------------------------------------------------ #
     # Connection setup (Algorithm 1, full-node side)
@@ -359,12 +342,6 @@ class FullNodeServer:
             self._bump("heads_announced")
 
         self._seal_listener = self.node.chain.on_seal(announce)
-
-    def disable_gossip(self) -> None:
-        if self._seal_listener is not None:
-            self.node.chain.remove_seal_listener(self._seal_listener)
-            self._seal_listener = None
-        self.gossip = None
 
     def relay_transaction(self, raw_tx: bytes) -> bytes:
         """Free relay, restricted to PARP channel/fraud management calls."""
@@ -615,27 +592,6 @@ class FullNodeServer:
         state = self._backend.state_at(head)
         return (self.shard_range.lo, self.shard_range.hi,
                 state.shard_commitment(self.shard_range), head)
-
-    def load_info(self) -> dict:
-        """Free probe beside :meth:`shard_info`: the admission snapshot.
-
-        Clients and operators read the current load factor, EWMA queue
-        depth / serve delay, quote multiplier, and admitted/shed counters.
-        Servers without admission control report a permanently idle pipeline.
-        """
-        if self.admission is None:
-            return {
-                "load": 0.0,
-                "queue_depth": 0.0,
-                "ewma_queue_depth": 0.0,
-                "ewma_serve_delay": 0.0,
-                "fee_multiplier": 1.0,
-                "max_queue_cost": float("inf"),
-                "service_time": 0.0,
-                "admitted": self.stats.requests_served,
-                "shed": 0,
-            }
-        return self.admission.snapshot()
 
     def current_fee_multiplier(self) -> float:
         """The load→fee multiplier this server would quote right now."""

@@ -211,10 +211,6 @@ class BlockLog:
         return self.blocks[-1].number if self.blocks else None
 
     @property
-    def last_hash(self) -> Optional[bytes]:
-        return self.blocks[-1].hash if self.blocks else None
-
-    @property
     def first_number(self) -> int:
         """Number of the first block this log can replay (0 unless pruned)."""
         if self.anchor is not None:

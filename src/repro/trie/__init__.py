@@ -23,7 +23,6 @@ from .shard import (
     ShardRange,
     ShardSlice,
     collect_subtree,
-    combine_shard_heads,
     extract_shard_nodes,
     shard_commitment,
     shard_head,
@@ -41,7 +40,6 @@ __all__ = [
     "collect_subtree",
     "shard_head",
     "shard_commitment",
-    "combine_shard_heads",
     "DEFAULT_NODE_CACHE_CAPACITY",
     "EMPTY_TRIE_ROOT",
     "TrieError",

@@ -73,7 +73,7 @@ therefore equals one crash-consistent disk batch.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..crypto.keccak import KECCAK_EMPTY_RLP, keccak256_many
 from ..metrics.cache import LRUCache
@@ -289,14 +289,6 @@ class MerklePatriciaTrie:
         for key, value in items.items():
             self.put(key, value)
 
-    def items(self) -> Iterator[tuple[bytes, bytes]]:
-        """Iterate all (key, value) pairs in lexicographic key order."""
-        yield from self._iter(self._current_root(), ())
-
-    def snapshot(self) -> bytes:
-        """Commit and return the root hash (re-attachable via the constructor)."""
-        return self.commit()
-
     def checkpoint(self) -> tuple:
         """An O(1) token pinning the current contents (see module docstring):
         no hashing, no store write."""
@@ -326,12 +318,6 @@ class MerklePatriciaTrie:
         place instead of re-reading the store.
         """
         return self._load(node_hash, encoded)
-
-    def __contains__(self, key: bytes) -> bool:
-        return self.get(key) is not None
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.items())
 
     # ------------------------------------------------------------------ #
     # Node store plumbing
@@ -517,31 +503,3 @@ class MerklePatriciaTrie:
         child_path, is_leaf = hp_decode(child[0])
         merged = prefix + child_path
         return [hp_encode(merged, is_leaf=is_leaf), child[1]]
-
-    # ------------------------------------------------------------------ #
-    # Iteration
-    # ------------------------------------------------------------------ #
-
-    def _iter(self, node: rlp.Item, prefix: Nibbles) -> Iterator[tuple[bytes, bytes]]:
-        if node == _BLANK:
-            return
-        if len(node) == 17:
-            if node[16] != _BLANK:
-                yield self._nibbles_to_key(prefix), node[16]
-            for i in range(16):
-                if node[i] != _BLANK:
-                    yield from self._iter(self._resolve(node[i]), prefix + (i,))
-            return
-        node_path, is_leaf = hp_decode(node[0])
-        if is_leaf:
-            yield self._nibbles_to_key(prefix + node_path), node[1]
-        else:
-            yield from self._iter(self._resolve(node[1]), prefix + node_path)
-
-    @staticmethod
-    def _nibbles_to_key(nibbles: Nibbles) -> bytes:
-        if len(nibbles) % 2:
-            raise TrieError("odd-length key path in trie")
-        return bytes(
-            (nibbles[i] << 4) | nibbles[i + 1] for i in range(0, len(nibbles), 2)
-        )

@@ -20,9 +20,8 @@ verification machinery**:
   enforcement is structural, not advisory.
 * The root node itself, with out-of-range children masked
   (:func:`shard_head`), is a per-shard commitment *under* the global root:
-  :func:`combine_shard_heads` over a full partition re-hashes to exactly
-  the global root, so a directory (or an auditor) can check that N shard
-  heads jointly cover the state a header commits to.
+  merged over a full partition it re-hashes to exactly the global root
+  (``tests/reference_shard.py`` is that merge).
 
 Following the chain costs a shard server what each block *changed*: nodes
 are content-addressed, so a reference already materialized whole at an
@@ -34,7 +33,7 @@ reads the dirty paths in range, not the range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..crypto.keccak import keccak256
 from ..metrics.cache import LRUCache
@@ -57,7 +56,6 @@ __all__ = [
     "collect_subtree",
     "shard_head",
     "shard_commitment",
-    "combine_shard_heads",
 ]
 
 _BLANK = b""
@@ -104,10 +102,6 @@ class ShardRange:
             raise ShardError(f"shard index {index} out of range for {count} shards")
         width = SHARD_NIBBLES // count
         return cls(index * width, (index + 1) * width)
-
-    @classmethod
-    def full(cls) -> "ShardRange":
-        return cls(0, SHARD_NIBBLES)
 
     @property
     def is_full(self) -> bool:
@@ -309,8 +303,8 @@ def shard_head(trie: MerklePatriciaTrie, shard: ShardRange) -> rlp.Item:
     (the value slot, keyed by the empty path, rides with every head — it is
     part of the shared envelope, like the node shape itself).  For a
     leaf/extension root: the node itself when the shard covers its leading
-    nibble, blank otherwise.  :func:`combine_shard_heads` over a full
-    partition reconstructs the root node exactly.
+    nibble, blank otherwise.  Merging the heads of a full partition
+    reconstructs the root node exactly (``tests/reference_shard.py``).
     """
     root = trie.root_hash
     if root == EMPTY_TRIE_ROOT:
@@ -336,55 +330,3 @@ def shard_commitment(trie: MerklePatriciaTrie, shard: ShardRange) -> bytes:
     """
     head = shard_head(trie, shard)
     return keccak256(bytes([shard.lo, shard.hi]) + rlp.encode(head))
-
-
-def combine_shard_heads(
-        heads: Iterable[tuple[ShardRange, rlp.Item]]) -> bytes:
-    """Recombine a full partition's shard heads into the global root hash.
-
-    The testable statement of "per-shard roots committed under the global
-    root": masking is lossless over a complete, disjoint partition, so
-    merging the masked root nodes and hashing must reproduce the root the
-    block header commits to.  Raises :class:`ShardError` on gaps, overlaps,
-    or heads that disagree about the shared envelope.
-    """
-    ordered = sorted(heads, key=lambda pair: pair[0].lo)
-    if not ordered:
-        raise ShardError("no shard heads to combine")
-    cursor = 0
-    for shard, _ in ordered:
-        if shard.lo != cursor:
-            raise ShardError(
-                f"shard ranges do not partition the keyspace: gap/overlap "
-                f"at nibble {cursor} (next range {shard.label})"
-            )
-        cursor = shard.hi
-    if cursor != SHARD_NIBBLES:
-        raise ShardError(f"shard ranges stop at nibble {cursor}, not 16")
-
-    branches = [(s, h) for s, h in ordered if isinstance(h, list) and len(h) == 17]
-    if branches:
-        if len(branches) != len(ordered):
-            raise ShardError("shard heads disagree on the root node shape")
-        values = {rlp.encode(h[16]) for _, h in branches}
-        if len(values) != 1:
-            raise ShardError("shard heads disagree on the root value slot")
-        merged: list = [_BLANK] * 16 + [branches[0][1][16]]
-        for shard, head in branches:
-            for i in range(16):
-                if shard.covers_nibble(i):
-                    merged[i] = head[i]
-                elif head[i] != _BLANK:
-                    raise ShardError(
-                        f"shard {shard.label} head claims out-of-range "
-                        f"nibble {i:x}"
-                    )
-        return keccak256(rlp.encode(merged))
-
-    # non-branch root: exactly one shard holds the node, the rest are blank
-    present = [(s, h) for s, h in ordered if h != _BLANK]
-    if not present:
-        return EMPTY_TRIE_ROOT
-    if len(present) != 1:
-        raise ShardError("multiple shards claim a non-branch root")
-    return keccak256(rlp.encode(present[0][1]))

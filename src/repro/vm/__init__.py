@@ -1,7 +1,7 @@
 """Native-contract runtime with EVM-style gas metering."""
 
 from . import abi, gas
-from .contract import NativeContract, contract_method, field_slot, mapping_slot
+from .contract import NativeContract, contract_method, mapping_slot
 from .runtime import (
     BlockContext,
     CallContext,
@@ -21,7 +21,6 @@ __all__ = [
     "NativeContract",
     "contract_method",
     "mapping_slot",
-    "field_slot",
     "BlockContext",
     "CallContext",
     "ContractRegistry",

@@ -26,9 +26,7 @@ __all__ = [
     "encode_args",
     "as_int",
     "as_bytes",
-    "as_bool",
     "as_address",
-    "as_list",
 ]
 
 
@@ -102,18 +100,5 @@ def as_bytes(item: rlp.Item, exact: int | None = None) -> bytes:
     return item
 
 
-def as_bool(item: rlp.Item) -> bool:
-    value = as_int(item)
-    if value not in (0, 1):
-        raise ABIError("expected boolean argument")
-    return bool(value)
-
-
 def as_address(item: rlp.Item) -> Address:
     return Address(as_bytes(item, exact=20))
-
-
-def as_list(item: rlp.Item) -> list[rlp.Item]:
-    if not isinstance(item, list):
-        raise ABIError("expected list argument")
-    return item

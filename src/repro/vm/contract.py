@@ -15,7 +15,7 @@ from ..crypto.keys import Address
 from . import abi
 from .runtime import CallContext, Revert
 
-__all__ = ["NativeContract", "contract_method", "mapping_slot", "field_slot"]
+__all__ = ["NativeContract", "contract_method", "mapping_slot"]
 
 
 def contract_method(payable: bool = False, view: bool = False) -> Callable:
@@ -39,11 +39,6 @@ def mapping_slot(base: int, key: bytes) -> bytes:
     return keccak256(key + base.to_bytes(32, "big"))
 
 
-def field_slot(base: int, offset: int) -> int:
-    """Slot of the ``offset``-th field of a struct rooted at ``base``."""
-    return base + offset
-
-
 class NativeContract:
     """Deployed native contract bound to a fixed address."""
 
@@ -59,14 +54,26 @@ class NativeContract:
                 self._methods[abi.selector(attr)] = getattr(self, attr)
 
     def dispatch(self, ctx: CallContext) -> Any:
-        """Route calldata to the matching method."""
-        sel, args = abi.decode_call(ctx.calldata)
+        """Route calldata to the matching method.
+
+        Calldata is the sender's to choose: a call too short for a selector,
+        undecodable arguments and a missing or mistyped argument all revert,
+        so the transaction is mined and pays for the gas it used.
+        """
+        try:
+            sel, args = abi.decode_call(ctx.calldata)
+        except abi.ABIError as exc:
+            raise Revert(f"{self.name}: {exc}") from exc
         method = self._methods.get(sel)
         if method is None:
             raise Revert(f"{self.name}: unknown method selector {sel.hex()}")
         if ctx.value and not getattr(method.__func__, "_payable", False):
             raise Revert(f"{self.name}: method is not payable")
-        return method(ctx, args)
+        try:
+            return method(ctx, args)
+        except (abi.ABIError, IndexError) as exc:
+            raise Revert(f"{self.name}.{method.__name__}: malformed "
+                         f"arguments: {exc}") from exc
 
     def __repr__(self) -> str:
         return f"{self.name}(address={self.address.hex()})"

@@ -79,10 +79,6 @@ class GasMeter:
     def add_refund(self, amount: int) -> None:
         self.refund += amount
 
-    @property
-    def remaining(self) -> int:
-        return self.limit - self.used
-
 
 @dataclass(frozen=True)
 class BlockContext:
@@ -180,18 +176,6 @@ class CallContext:
     @property
     def block(self) -> BlockContext:
         return self._tx.block
-
-    @property
-    def origin(self) -> Address:
-        return self._tx.origin
-
-    @property
-    def meter(self) -> GasMeter:
-        return self._tx.meter
-
-    def balance(self, address: Address) -> int:
-        self._charge_account_access(address)
-        return self._tx.state.balance_of(address)
 
     # -- control flow ------------------------------------------------------ #
 
@@ -291,9 +275,6 @@ class ContractRegistry:
 
     def __contains__(self, address: Address) -> bool:
         return address.to_bytes() in self._contracts
-
-    def addresses(self) -> list[Address]:
-        return [Address(raw) for raw in self._contracts]
 
 
 @dataclass

@@ -8,7 +8,6 @@ traffic looks like).  Everything is seeded for reproducibility.
 from __future__ import annotations
 
 import random
-from typing import Iterator
 
 from ..chain.genesis import GenesisConfig
 from ..crypto.keys import Address, PrivateKey
@@ -82,7 +81,3 @@ class ZipfSelector:
             else:
                 hi = mid
         return lo
-
-    def stream(self, n: int) -> Iterator[int]:
-        for _ in range(n):
-            yield self.pick()

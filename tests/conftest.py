@@ -23,9 +23,13 @@ from repro.node import Devnet, FullNode
 from repro.parp import (
     FullNodeServer,
     LightClientSession,
+    MarketplaceClient,
     MIN_FULL_NODE_DEPOSIT,
+    RpcCall,
     WitnessService,
 )
+from repro.parp.client import served_result
+from repro.parp.queries import decode_balance
 from repro.storage import AppendOnlyFileStore, MemoryNodeStore
 
 TOKEN = 10 ** 18
@@ -40,6 +44,19 @@ NODE_STORE_BACKENDS = [
     if backend.strip()
 ]
 
+
+
+def get_balances(client, addresses) -> list[int]:
+    """The balances of ``addresses``, read in one verified batch: a
+    session's ``query_batch``, or a marketplace client's ``query_hedged`` at
+    fanout 1.  A signed refusal of any item raises ``RequestRefused``."""
+    calls = [RpcCall.create("eth_getBalance", a) for a in addresses]
+    if isinstance(client, MarketplaceClient):
+        outcome = client.query_hedged(calls, fanout=1)
+    else:
+        outcome = client.query_batch(calls)
+    return [decode_balance(served_result(item.status, item.result))
+            for item in outcome.items]
 
 class Preimages(list):
     """Every message hashed, in call order, whichever entry point took it;

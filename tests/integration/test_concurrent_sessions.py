@@ -106,7 +106,8 @@ class TestInterleavedOverSimNetwork:
         for i, key in enumerate(clients):
             assert devnet.chain.state.nonce_of(key.address) == self.M_SERVERS
         for server in servers:
-            assert server.open_channel_count == self.N_CLIENTS
+            assert sum(not c.closed for c in server.channels.values()) \
+                == self.N_CLIENTS
 
         # the fee ledgers add up across the whole marketplace
         total_signed = sum(s.channel.spent for s in sessions.values())
@@ -173,7 +174,8 @@ class TestThreadedSingleServer:
         assert errors == []
         total = self.N_CLIENTS * self.REQUESTS
         assert server.stats.requests_served == total
-        assert server.open_channel_count == self.N_CLIENTS
+        assert sum(not c.closed for c in server.channels.values()) \
+                == self.N_CLIENTS
         earned = 0
         for session in sessions:
             channel = server.channels[session.channel.alpha]

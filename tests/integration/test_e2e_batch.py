@@ -94,13 +94,6 @@ class TestHonestBatch:
         assert env.server.proof_cache.stats.hits >= len(calls)
         assert env.server.proof_cache.stats.misses == misses
 
-    def test_get_balances_convenience(self, parp_env):
-        env = parp_env
-        balances = env.session.get_balances([
-            env.keys.alice.address, env.keys.bob.address,
-        ])
-        assert balances == [5 * TOKEN, 3 * TOKEN]
-
     def test_serving_receipt_counts_batched_queries(self, parp_env):
         env = parp_env
         env.session.query_batch(balance_calls(env.keys, "alice", "bob"))
@@ -309,7 +302,7 @@ class TestVersionRefusal:
         assert client.eligible()[0].address == refuser.address
         acked = client.sessions[refuser.address].channel.acked
         calls = [RpcCall.create("eth_getBalance", alice.address)] * 2
-        outcome = client.query_batch(calls)
+        outcome = client.query_hedged(calls, fanout=1)
         assert outcome.request.noun == "batch"
         assert all(item.report.classification is ResponseClass.VALID
                    for item in outcome.items)
@@ -353,11 +346,11 @@ class TestVersionRefusal:
         one timeout and nothing else."""
         client, refuser, honest, alice = refuser_market()
         calls = [RpcCall.create("eth_getBalance", alice.address)] * 2
-        client.query_batch(calls)
+        client.query_hedged(calls, fanout=1)
         assert [a.outcome for a in client.last_hedge] == ["timeout", "won"]
         assert client.last_hedge[0].address == refuser.address
         assert client.eligible()[0].address == honest.address
-        outcome = client.query_batch(calls)
+        outcome = client.query_hedged(calls, fanout=1)
         assert all(item.ok for item in outcome.items)
         assert [a.address for a in client.last_hedge] == [honest.address]
         assert [e.kind for e in client.reputation.events_of(

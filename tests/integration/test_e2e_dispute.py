@@ -89,8 +89,8 @@ class TestDisputes:
         devnet.execute(keys.wn, CHANNELS_MODULE_ADDRESS,
                        "confirm_closure", [env.alpha])
         assert devnet.balance_of(keys.lc.address) - lc_before == 10 ** 14
-        assert devnet.call_view(CHANNELS_MODULE_ADDRESS, "channel_status",
-                                [env.alpha]) == CHANNEL_CLOSED
+        assert devnet.call_view(CHANNELS_MODULE_ADDRESS, "get_channel",
+                                [env.alpha])[4] == CHANNEL_CLOSED
 
     def test_server_refuses_to_serve_after_marking_closed(self, devnet, keys):
         env = make_parp_env(devnet, keys)

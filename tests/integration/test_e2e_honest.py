@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import rlp
 from repro.chain import UnsignedTransaction
 from repro.contracts import CHANNELS_MODULE_ADDRESS
 from repro.parp import LightClientState
@@ -30,7 +31,9 @@ class TestHonestLifecycle:
         receipt_bytes = session.get_transaction_receipt(tx_hash)
         assert receipt_bytes
 
-        assert session.get_transaction(block, index) == tx.encode()
+        by_index = session.request("eth_getTransactionByBlockNumberAndIndex",
+                                   block, index).response
+        assert rlp.decode(by_index.result)[2] == tx.encode()
         assert session.block_number() == net.chain.height
 
         spent = session.channel.spent
@@ -93,7 +96,7 @@ class TestHonestLifecycle:
         """The full node closes the channel itself to redeem its earnings."""
         env = make_parp_env(devnet, keys)
         env.session.get_balance(keys.alice.address)
-        earned = env.server.channels[env.alpha].earned
+        earned = env.server.channels[env.alpha].latest_amount
         assert earned > 0
 
         nonce = devnet.chain.state.nonce_of(keys.fn.address)

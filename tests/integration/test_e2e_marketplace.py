@@ -36,6 +36,8 @@ from repro.parp.reputation import EVENT_SERVED_OK
 from repro.parp.sharding import shard_key_of_call
 from repro.trie import ShardRange
 
+from ..conftest import get_balances
+
 TOKEN = 10 ** 18
 BUDGET = 10 ** 15
 
@@ -147,8 +149,8 @@ class TestHonestRouting:
 
         for _ in range(8):
             assert world.client.get_balance(world.alice.address) == 5 * TOKEN
-        balances = world.client.get_balances(
-            [world.alice.address, world.lc.address])
+        balances = get_balances(world.client,
+                                [world.alice.address, world.lc.address])
         assert balances[0] == 5 * TOKEN
 
         stats = world.client.stats
@@ -360,7 +362,7 @@ class TestNonBytesReply:
     any other undecodable reply — not escape the engine untyped."""
 
     @pytest.mark.parametrize("entry_point", [
-        "request_call", "query_batch", "query_hedged", "query_sharded"])
+        "request_call", "query_hedged", "query_sharded"])
     def test_offender_is_penalized_and_honest_server_answers(self, entry_point):
         class GarbageServer(FullNodeServer):
             def serve_request(self, wire: bytes):
@@ -395,9 +397,7 @@ class TestNonBytesReply:
             outcome = client.request_call(call)
             assert outcome.response.status == 0
         else:
-            calls = [call, call] if entry_point == "query_batch" else [call]
-            kwargs = {"fanout": 1} if entry_point != "query_batch" else {}
-            outcome = getattr(client, entry_point)(calls, **kwargs)
+            outcome = getattr(client, entry_point)([call], fanout=1)
             assert all(item.ok for item in outcome.items)
 
         assert [a.outcome for a in client.last_hedge] == ["invalid", "won"]
@@ -436,7 +436,7 @@ class TestSignedRefusal:
         client.connect(min_sessions=1)
 
         for read in (lambda: client.get_balance(alice.address),
-                     lambda: client.get_balances([alice.address])):
+                     lambda: get_balances(client, [alice.address])):
             with pytest.raises(RequestRefused, match="outside this server's"):
                 read()
         assert server.stats.out_of_range_rejected == 2

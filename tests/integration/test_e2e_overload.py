@@ -170,24 +170,23 @@ class TestSaturatedClusterShedsBoundedly:
         queue_bound = 4.0 * 0.1
         assert elapsed <= queue_bound + 4 * LATENCY + 0.05
 
-    def test_load_info_probe_tracks_the_backlog(self):
+    def test_admission_tracks_the_backlog(self):
         cfg = AdmissionConfig(max_queue_cost=4.0, service_time=0.5, seed=2)
         world = OverloadWorld(admission=[cfg])
         world.connect()
-        idle = world.servers[0].load_info()
-        assert idle["load"] == 0.0 and idle["fee_multiplier"] == 1.0
+        admission = world.servers[0].admission
+        assert admission.load_factor() == 0.0
+        assert admission.fee_multiplier() == 1.0
 
         world.flood(0, 4)
-        busy = world.servers[0].load_info()
-        assert busy["load"] == pytest.approx(1.0, abs=0.1)
-        assert busy["fee_multiplier"] > 1.0
-        assert busy["admitted"] == 4
+        assert admission.load_factor() == pytest.approx(1.0, abs=0.1)
+        assert admission.fee_multiplier() > 1.0
+        assert admission.admitted == 4
 
         self_drain = world.network.clock.now() + 10.0
         world.network.run_until(self_drain)
-        drained = world.servers[0].load_info()
-        assert drained["load"] == 0.0
-        assert drained["fee_multiplier"] == 1.0
+        assert admission.load_factor() == 0.0
+        assert admission.fee_multiplier() == 1.0
 
     def test_ads_quote_the_enforced_schedule_under_load(self):
         """The load multiplier is a signal, not a price: a server's ad
@@ -202,7 +201,7 @@ class TestSaturatedClusterShedsBoundedly:
         fees_before = server.stats.fees_earned
 
         pendings = world.flood(0, 4)
-        assert server.load_info()["fee_multiplier"] > 1.0
+        assert server.admission.fee_multiplier() > 1.0
         ad = ServerAdvertisement.for_server(server, name="srv-0")
         assert ad.fee_schedule is server.fee_schedule is listed.fee_schedule
         assert ad.reference_price == base_ref

@@ -263,8 +263,9 @@ class TestPartition:
             world.client.query_sharded(world.balance_calls())
 
         error = excinfo.value
-        assert len(error.failed_legs) == 1
-        failed = error.failed_legs[0]
+        failed_legs = [leg for leg in error.legs if not leg.ok]
+        assert len(failed_legs) == 1
+        failed = failed_legs[0]
         assert failed.error
         key = keccak256(bytes(world.users[1].address))
         assert key in failed.keys

@@ -29,6 +29,8 @@ from repro.trie import (
     verify_proof,
 )
 
+from ..reference_trie import trie_items
+
 # Narrow keys maximize structural collisions (shared prefixes, branch value
 # slots, extension splits) — where a backend divergence would surface.
 keys = st.binary(min_size=1, max_size=4)
@@ -66,7 +68,7 @@ def _apply(op, engines, model, saved):
             engine.update(batch)
         model.update(batch)
     elif tag == "snapshot":
-        roots = {engine.snapshot() for engine in engines}
+        roots = {engine.commit() for engine in engines}
         assert len(roots) == 1
         saved.append((roots.pop(), dict(model)))
     elif tag == "revert":
@@ -84,7 +86,7 @@ def _probe_agreement(engines, model):
     roots = {engine.root_hash for engine in engines}
     assert len(roots) == 1
     root = roots.pop()
-    listings = [dict(engine.items()) for engine in engines]
+    listings = [dict(trie_items(engine)) for engine in engines]
     assert all(listing == model for listing in listings)
     probes = list(model)[:4] + [b"\xff\xff\xff\xee", b"\x00"]
     for probe in probes:

@@ -31,11 +31,11 @@ from repro.crypto.secp256k1 import N
 from repro.metrics.cache import LRUCache
 from repro.parp import BATCH_PROTOCOL_VERSION, RpcCall
 from repro.parp.messages import (BatchRequest, MessageError, PARPRequest,
-                                 batch_request_digest, payment_digest,
-                                 payment_preimage, request_digest)
+                                 payment_digest, payment_preimage)
 from repro.rlp import codec as rlp
 
 from ..conftest import counted_keccak
+from ..reference_digests import batch_request_digest, request_digest
 
 SIGNERS = [PrivateKey.from_seed(f"paired:{i}") for i in range(3)]
 

@@ -26,7 +26,6 @@ from repro.trie import (
     ShardError,
     ShardRange,
     TrieError,
-    combine_shard_heads,
     extract_shard_nodes,
     generate_proof,
     shard_commitment,
@@ -34,6 +33,8 @@ from repro.trie import (
     shard_of_key,
     verify_proof,
 )
+
+from ..reference_shard import combine_shard_heads
 
 SHARD_COUNTS = (1, 2, 4, 8, 16)
 

@@ -20,7 +20,7 @@ from repro.trie import (
     verify_proof,
 )
 
-from ..reference_trie import NaiveMerklePatriciaTrie
+from ..reference_trie import NaiveMerklePatriciaTrie, trie_items
 
 # A narrow key space maximizes structural collisions (shared prefixes,
 # branch value slots, extension splits) — where the engines could diverge.
@@ -59,7 +59,7 @@ def _apply(op, engines, model, saved):
             engine.update(batch)
         model.update(batch)
     elif tag == "snapshot":
-        roots = {engine.snapshot() for engine in engines}
+        roots = {engine.commit() for engine in engines}
         assert len(roots) == 1
         saved.append((roots.pop(), dict(model)))
     elif tag == "revert":
@@ -85,7 +85,7 @@ class TestDifferentialOverlay:
             fast, naive = engines
             assert fast.root_hash == naive.root_hash
         fast, naive = engines
-        assert dict(fast.items()) == dict(naive.items()) == model
+        assert dict(trie_items(fast)) == dict(naive.items()) == model
         probes = list(model)[:4] + [b"\xff\xff\xff\xee", b"\x00"]
         for probe in probes:
             proof_fast = generate_proof(fast, probe)

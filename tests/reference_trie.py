@@ -330,3 +330,16 @@ class NaiveMerklePatriciaTrie:
         return bytes(
             (nibbles[i] << 4) | nibbles[i + 1] for i in range(0, len(nibbles), 2)
         )
+
+
+def trie_items(trie) -> list[tuple[bytes, bytes]]:
+    """Every (key, value) pair ``trie`` holds, in key order, listed by this
+    engine's walk over the trie's own store.
+
+    The fast engine keeps no listing of its own (no producer needs one), so
+    its tests read its contents here: the writes are staged into the store
+    first (``commit(flush_store=False)``, which cuts no durable batch), then
+    walked from the root they hash to.
+    """
+    root = trie.commit(flush_store=False)
+    return list(NaiveMerklePatriciaTrie(trie.db, root).items())

@@ -40,7 +40,7 @@ class TestAppendReopen:
         sealed = _build_log(tmp_path / "state")
         log = BlockLog(tmp_path / "state" / "blocks.log")
         assert log.last_number == sealed[-1].number
-        assert log.last_hash == sealed[-1].hash
+        assert log.blocks[-1].hash == sealed[-1].hash
         for logged, original in zip(log.blocks, sealed):
             assert logged.hash == original.hash
             assert logged.header.encode() == original.header.encode()
@@ -178,7 +178,7 @@ class TestTornWrites:
         log.append(sealed[-1])  # re-land the lost block
         log.close()
         reopened = BlockLog(path)
-        assert reopened.last_hash == sealed[-1].hash
+        assert reopened.blocks[-1].hash == sealed[-1].hash
         reopened.close()
 
     def test_wrong_magic_rejected(self, tmp_path):
@@ -197,7 +197,7 @@ class TestTornWrites:
         log.append(sealed[0])
         log.close()
         reopened = BlockLog(path)
-        assert reopened.last_hash == sealed[0].hash
+        assert reopened.blocks[-1].hash == sealed[0].hash
         reopened.close()
 
 

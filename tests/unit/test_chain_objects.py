@@ -183,14 +183,3 @@ class TestBlockTries:
         with pytest.raises(ValueError):
             block.validate_roots()
 
-    def test_transaction_index_lookup(self):
-        txs = [make_tx(nonce=i) for i in range(3)]
-        header = BlockHeader(
-            parent_hash=b"\x00" * 32, state_root=b"\x00" * 32,
-            transactions_root=build_transaction_trie(txs).root_hash,
-            receipts_root=EMPTY_TRIE_ROOT, number=1, timestamp=1,
-            gas_used=0, gas_limit=30_000_000, proposer=Address.zero(),
-        )
-        block = Block(header=header, transactions=tuple(txs))
-        assert block.transaction_index(txs[1].hash) == 1
-        assert block.transaction_index(b"\x00" * 32) is None

@@ -20,7 +20,7 @@ from repro.node import Devnet
 from repro.storage import AppendOnlyFileStore, BlockLog, StoreError
 from repro.vm import ContractRegistry, TransactionExecutor
 
-from ..conftest import Keys, make_parp_env
+from ..conftest import Keys, get_balances, make_parp_env
 
 TOKEN = 10 ** 18
 
@@ -190,8 +190,8 @@ class TestServingAfterRestart:
             assert env.session.get_balance(keys.bob.address) \
                 == 3 * TOKEN + 321
             # batched multiproof across recovered accounts
-            balances = env.session.get_balances(
-                [keys.alice.address, keys.bob.address])
+            balances = get_balances(
+                env.session, [keys.alice.address, keys.bob.address])
             assert balances[1] == 3 * TOKEN + 321
             # receipt of the pre-restart transaction, proof-verified
             receipt_bytes = env.session.get_transaction_receipt(tx.hash)

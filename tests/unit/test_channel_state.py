@@ -22,7 +22,7 @@ class TestClientChannel:
         channel = ClientChannel(ALPHA, FN.address, budget=100)
         assert channel.next_amount(30) == 30
         channel.record_request(30)
-        assert channel.spent == 30 and channel.remaining == 70
+        assert channel.spent == 30 and channel.budget - channel.spent == 70
         assert channel.next_amount(70) == 100
 
     def test_budget_exhaustion(self):
@@ -62,7 +62,6 @@ class TestServerChannel:
         channel = self.make()
         channel.accept_request_payment(request_for(100), min_increment=100)
         assert channel.latest_amount == 100
-        assert channel.earned == 100
         assert channel.requests_served == 1
 
     def test_retains_highest_state(self):

@@ -111,8 +111,8 @@ class TestClose:
         result = net.execute(FN, CHANNELS_MODULE_ADDRESS, "close_channel",
                              [alpha, amount, signed_state(alpha, amount)])
         assert result.succeeded
-        assert net.call_view(CHANNELS_MODULE_ADDRESS, "channel_status",
-                             [alpha]) == CHANNEL_CLOSING
+        assert net.call_view(CHANNELS_MODULE_ADDRESS, "get_channel",
+                             [alpha])[4] == CHANNEL_CLOSING
 
     def test_lc_closes_with_zero_state(self, net):
         alpha = open_channel(net)
@@ -223,8 +223,8 @@ class TestSettlement:
         )
         # FN paid gas for close+confirm but received `spent`
         assert net.balance_of(LC.address) - lc_before == BUDGET - spent
-        assert net.call_view(CHANNELS_MODULE_ADDRESS, "channel_status",
-                             [alpha]) == CHANNEL_CLOSED
+        assert net.call_view(CHANNELS_MODULE_ADDRESS, "get_channel",
+                             [alpha])[4] == CHANNEL_CLOSED
 
     def test_budget_conservation(self, net):
         """refund + payout == locked budget, nothing stuck in the CMM."""
@@ -247,5 +247,5 @@ class TestSettlement:
                              [FN.address]) == 0
 
     def test_unknown_channel_status_none(self, net):
-        assert net.call_view(CHANNELS_MODULE_ADDRESS, "channel_status",
-                             [b"\x00" * 16]) == CHANNEL_NONE
+        assert net.call_view(CHANNELS_MODULE_ADDRESS, "get_channel",
+                             [b"\x00" * 16])[4] == CHANNEL_NONE

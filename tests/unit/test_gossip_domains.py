@@ -237,10 +237,12 @@ class TestServerAnnouncesOnSeal:
         ann = HeadAnnouncement.decode(seen[-1].payload)
         assert ann.signer() == op.address
         assert ann.header.hash == net.chain.head.header.hash
-        server.disable_gossip()
+        muted = GossipNode(network, "muted-g")     # peers with nobody
+        server.enable_gossip(muted)    # re-pointing replaces the seal listener
         net.advance_blocks(1)
         network.run()
-        assert server.stats.heads_announced == 2       # listener detached
+        assert server.stats.heads_announced == 3
+        assert len(seen) == 2                          # srv-g announces no more
 
 
 class TestReputationGossipWire:
@@ -252,7 +254,7 @@ class TestReputationGossipWire:
         decoded = ReputationGossip.decode(ev.encode())
         assert decoded == ev
         assert decoded.signer() == key.address
-        assert decoded.time == pytest.approx(12.5)
+        assert decoded.time_millis == 12_500
 
     def test_build_rejects_ungossipable_and_bad_evidence(self):
         key = PrivateKey.from_seed("rg:rep")

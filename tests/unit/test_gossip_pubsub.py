@@ -93,16 +93,6 @@ class TestPubSub:
         network.run()
         assert len(sink.messages) == 2
 
-    def test_unsubscribe_stops_delivery(self):
-        network, nodes = make_mesh(2)
-        sink = Collector()
-        nodes[1].subscribe("demo", sink)
-        nodes[1].unsubscribe("demo", sink)
-        assert not nodes[1].subscribed("demo")
-        nodes[0].publish("demo", b"x")
-        network.run()
-        assert sink.messages == []
-
     def test_publisher_delivers_to_itself(self):
         network, nodes = make_mesh(2)
         sink = Collector()
@@ -175,8 +165,6 @@ class TestRateLimiting:
         network.run()
         assert len(sink.messages) == 5
         assert nodes[1].stats.rate_limited == 15
-        accepted, dropped = nodes[1].peer_score("g0")
-        assert accepted == 5 and dropped == 15
 
     def test_window_resets_admission(self):
         network, nodes = make_mesh(
@@ -201,7 +189,7 @@ class TestRateLimiting:
 
 
 class TestPartitionHealing:
-    def test_resubscribe_after_heal_receives_new_messages(self):
+    def test_heal_receives_new_messages(self):
         network, nodes = make_mesh(2)
         sink = Collector()
         nodes[1].subscribe("demo", sink)
@@ -209,10 +197,7 @@ class TestPartitionHealing:
         nodes[0].publish("demo", b"lost")
         network.run()
         assert sink.messages == []
-        network.heal("g0", "g1")
-        # the recovery ritual: drop + re-add the subscription
-        nodes[1].unsubscribe("demo", sink)
-        nodes[1].subscribe("demo", sink)
+        network.heal("g0", "g1")   # the subscription outlives the partition
         nodes[0].publish("demo", b"after-heal")
         network.run()
         assert [m.payload for m in sink.messages] == [b"after-heal"]

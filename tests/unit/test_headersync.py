@@ -129,12 +129,12 @@ class TestHeaderSyncer:
         syncer = HeaderSyncer(nodes + [Exaggerator(nodes[0])])
         assert syncer.head_target() == 4  # median defeats the exaggerator
 
-    def test_ensure_height_syncs_forward(self):
+    def test_sync_to_syncs_forward(self):
         net = build_chain(2)
         syncer = HeaderSyncer([FullNode(net.chain, name="x")])
         syncer.sync()
         net.advance_blocks(3)
-        header = syncer.ensure_height(5)
+        header = syncer.sync_to(5)
         assert header.number == 5
 
     def test_requires_sources(self):
@@ -214,7 +214,7 @@ class TestIdempotentDelivery:
         syncer.sync()
         clock = [0.0]
         syncer.enable_push(lambda: clock[0], staleness=2.0)
-        assert syncer.push_enabled and syncer.push_fresh()
+        assert syncer.push_fresh()
 
         class Exploding:
             def serve_head_number(self):

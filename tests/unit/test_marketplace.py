@@ -105,7 +105,7 @@ class TestSelection:
         client.reputation.record(cheat.address, EVENT_FRAUD_SLASHED, time=0.0)
         ranked = client.eligible(now=1.0)
         assert [ad.name for ad in ranked] == ["honest"]
-        assert client.selection_score(cheat, now=1.0) == 0.0
+        assert cheat.address not in {ad.address for ad in client.eligible(now=1.0)}
 
     def test_threshold_excludes_decayed_servers(self):
         flaky, fine = ad_for("flaky"), ad_for("fine")

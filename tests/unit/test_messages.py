@@ -15,8 +15,9 @@ from repro.parp.messages import (
     RpcCall,
     handshake_digest,
     payment_digest,
-    request_digest,
 )
+
+from ..reference_digests import request_digest
 
 LC = PrivateKey.from_seed("msg:lc")
 FN = PrivateKey.from_seed("msg:fn")

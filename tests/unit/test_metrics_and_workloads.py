@@ -93,8 +93,9 @@ class TestZipf:
         assert picks.count(0) > picks.count(50) * 3
 
     def test_deterministic(self):
-        a = list(ZipfSelector(10, seed=7).stream(50))
-        b = list(ZipfSelector(10, seed=7).stream(50))
+        first, second = ZipfSelector(10, seed=7), ZipfSelector(10, seed=7)
+        a = [first.pick() for _ in range(50)]
+        b = [second.pick() for _ in range(50)]
         assert a == b
 
     def test_bad_population(self):

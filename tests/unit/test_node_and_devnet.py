@@ -107,9 +107,6 @@ class TestDevnet:
         assert len(block.transactions) == 2
         assert net.balance_of(BOB.address) == 3
 
-    def test_result_of_unknown(self, net):
-        assert net.result_of(b"\x00" * 32) is None
-
     def test_contract_modules_deployed(self, net):
         from repro.contracts import (
             CHANNELS_MODULE_ADDRESS,

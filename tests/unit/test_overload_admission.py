@@ -115,24 +115,13 @@ class TestAdmissionController:
         assert hints_a1 != hints_b          # decorrelated across servers
         assert len(set(hints_a1)) > 1       # actually jittered
 
-    def test_snapshot_reports_the_probe_payload(self):
+    def test_load_and_counters_track_the_backlog(self):
         ctrl, _ = controller(max_queue_cost=4.0, service_time=0.1)
         for _ in range(2):
             ctrl.offer(1.0)
-        info = ctrl.snapshot()
-        assert info["load"] == pytest.approx(0.5)
-        assert info["admitted"] == 2 and info["shed"] == 0
-        assert info["fee_multiplier"] == load_multiplier(0.5)
-        assert info["max_queue_cost"] == 4.0
-
-    def test_ewma_trackers_move_toward_observations(self):
-        ctrl, _ = controller(max_queue_cost=10.0, service_time=0.1,
-                             ewma_alpha=0.5)
-        for _ in range(6):
-            ctrl.offer(1.0)
-        info = ctrl.snapshot()
-        assert info["ewma_queue_depth"] > 0.0
-        assert info["ewma_serve_delay"] > 0.0
+        assert ctrl.load_factor() == pytest.approx(0.5)
+        assert ctrl.admitted == 2 and ctrl.shed == 0
+        assert ctrl.fee_multiplier() == load_multiplier(0.5)
 
 
 class TestOverloadedReply:

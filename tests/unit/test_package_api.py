@@ -201,6 +201,83 @@ class TestTopLevel:
             "store", "retain_roots"]
         assert list(inspect.signature(Blockchain.compact).parameters) == [
             "self", "force"]
+        # what the reach census (benchmarks/results/reach.json) found no
+        # producer for: the conveniences went, the one oracle of shard
+        # masking moved to tests/reference_shard.py and Fig. 3's one-call
+        # request digests to tests/reference_digests.py
+        from repro.chain.block import Block
+        from repro.contracts import channels
+        from repro.crypto.keys import Address, PrivateKey
+        from repro.gossip.heads import HeadGossip
+        from repro.gossip.pubsub import GossipNode
+        from repro.gossip.repshare import ReputationGossip, ReputationShare
+        from repro.lightclient.sync import HeaderSyncer
+        from repro.net.network import SimNetwork
+        from repro.net.simclock import SimClock
+        from repro.parp import admission, messages
+        from repro.parp.channel import ClientChannel, ServerChannel
+        from repro.parp.client import ServerEndpoint
+        from repro.parp.marketplace import MarketplaceClient, ShardScatterError
+        from repro.parp.pricing import (CallBasedFeeSchedule, FeeSchedule,
+                                        FlatFeeSchedule)
+        from repro.trie import MerklePatriciaTrie, shard
+        from repro.vm import abi, contract, runtime
+        from repro.workloads import ZipfSelector
+        removed = {
+            admission.AdmissionController: ("snapshot",),
+            FullNodeServer: ("load_info", "disable_gossip",
+                             "open_channel_count", "node_store"),
+            ServerEndpoint: ("load_info",),
+            FullNode: ("node_store",),
+            LightClientSession: ("adopt_channel", "get_balances",
+                                 "get_transaction", "send_transaction",
+                                 "alpha"),
+            MarketplaceClient: ("query_batch", "get_balances",
+                                "selection_score"),
+            ShardScatterError: ("failed_legs",),
+            MerklePatriciaTrie: ("items", "_iter", "_nibbles_to_key",
+                                 "__len__", "__contains__", "snapshot"),
+            Address: ("hex_checksum",),
+            PrivateKey: ("generate",),
+            GossipNode: ("unsubscribe", "remove_peer", "subscribed",
+                         "peer_score"),
+            HeadGossip: ("resubscribe",),
+            ReputationShare: ("resubscribe",),
+            ReputationGossip: ("time",),
+            StateDB: ("shard_head", "accounts"),
+            shard.ShardRange: ("full",),
+            Block: ("transaction_index",),
+            channels.ChannelsModule: ("channel_status",),
+            runtime.CallContext: ("origin", "meter", "balance"),
+            runtime.ContractRegistry: ("addresses",),
+            runtime.GasMeter: ("remaining",),
+            HeaderSyncer: ("push_enabled", "ensure_height"),
+            RangeUpdate: ("start",),
+            ClientChannel: ("remaining",),
+            ServerChannel: ("earned",),
+            BlockLog: ("last_hash",),
+            SimNetwork: ("node",),
+            SimClock: ("advance",),
+            ZipfSelector: ("stream",),
+            FeeSchedule: ("describe",),
+            FlatFeeSchedule: ("describe",),
+            CallBasedFeeSchedule: ("describe",),
+            messages.BatchRequest: ("wire_overhead",),
+            queries: ("is_verifiable",),
+            shard: ("combine_shard_heads",),
+            repro.trie: ("combine_shard_heads",),
+            channels: ("channel_budget_slot",),
+            abi: ("as_bool", "as_list"),
+            contract: ("field_slot",),
+            messages: ("request_digest", "batch_request_digest"),
+        }
+        for owner, names in removed.items():
+            for name in names:
+                assert name not in vars(owner), f"{owner.__name__}.{name}"
+        from repro.node import Devnet
+        assert not hasattr(Devnet, "result_of")
+        assert not hasattr(admission.AdmissionConfig(), "ewma_alpha")
+        assert "load_info" not in ENDPOINT_METHODS
 
     def test_retention_has_one_owner_and_fsync_one_home(self):
         """Which heights stay provable is decided in one place: under

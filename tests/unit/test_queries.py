@@ -7,6 +7,7 @@ from repro.crypto import PrivateKey, keccak256
 from repro.node import Devnet, FullNode
 from repro.parp.messages import PARPRequest, PARPResponse, RpcCall
 from repro.parp.queries import (
+    QUERY_CATALOG,
     QueryError,
     QueryFraud,
     Unverifiable,
@@ -14,7 +15,6 @@ from repro.parp.queries import (
     decode_inclusion,
     decode_int_result,
     execute_query,
-    is_verifiable,
     verify_query_result,
 )
 
@@ -191,10 +191,10 @@ class TestUnverifiableQueries:
         assert decode_int_result(response.result) == 1337
 
     def test_catalog_classification(self):
-        assert is_verifiable("eth_getBalance")
-        assert is_verifiable("eth_sendRawTransaction")
-        assert not is_verifiable("eth_blockNumber")
-        assert not is_verifiable("method_that_does_not_exist")
+        assert QUERY_CATALOG["eth_getBalance"].verifiable
+        assert QUERY_CATALOG["eth_sendRawTransaction"].verifiable
+        assert not QUERY_CATALOG["eth_blockNumber"].verifiable
+        assert "method_that_does_not_exist" not in QUERY_CATALOG
 
     def test_unknown_method_raises(self, env):
         net, node, _ = env

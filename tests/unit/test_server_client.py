@@ -42,10 +42,6 @@ class TestPricing:
         schedule = CallBasedFeeSchedule(prices={}, default_price=77)
         assert schedule.price(RpcCall.create("eth_whatever")) == 77
 
-    def test_describe(self):
-        assert "flat" in FlatFeeSchedule().describe()
-        assert "call-based" in DEFAULT_FEE_SCHEDULE.describe()
-
 
 class TestServer:
     def test_handshake_has_future_expiry(self, devnet, keys):
@@ -167,22 +163,6 @@ class TestSession:
         outcome = session.request("eth_blockNumber", tip=5_000)
         base_price = DEFAULT_FEE_SCHEDULE.price(RpcCall.create("eth_blockNumber"))
         assert outcome.amount_paid == base_price + 5_000
-
-    def test_adopt_channel_resumes(self, devnet, keys):
-        env = make_parp_env(devnet, keys)
-        spent = env.session.channel.spent
-        from repro.lightclient import HeaderSyncer
-        from repro.parp import LightClientSession
-
-        resumed = LightClientSession(
-            keys.lc, env.server, HeaderSyncer([env.server, env.witness_node]),
-        )
-        resumed.headers.sync()
-        resumed.adopt_channel(env.alpha, env.server.address,
-                              budget=10 ** 15, spent=spent)
-        assert resumed.state is LightClientState.BONDED
-        balance = resumed.get_balance(keys.alice.address)
-        assert balance > 0
 
 
 class TestServedResult:

@@ -146,10 +146,6 @@ class TestProofs:
         raw = verify_proof(account.storage_root, keccak256(slot), proof)
         assert decode(raw) == b"\x99"
 
-    def test_accounts_iterator(self, state):
-        found = {account.balance for _, account in state.accounts()}
-        assert found == {1_000, 50}
-
 
 class TestNodeStoreInput:
     def test_no_store_means_a_fresh_memory_store(self):

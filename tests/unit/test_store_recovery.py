@@ -18,6 +18,8 @@ from repro.storage import (
 )
 from repro.trie import EMPTY_TRIE_ROOT, MerklePatriciaTrie
 
+from ..reference_trie import trie_items
+
 
 def _items(count: int, tag: bytes = b"") -> dict[bytes, bytes]:
     return {
@@ -81,7 +83,7 @@ class TestTornTail:
         # the torn suffix is physically gone and the surviving state is whole
         assert path.stat().st_size < size - 11 + 1
         trie = MerklePatriciaTrie(store, store.last_root)
-        assert dict(trie.items()) == contents[1]
+        assert dict(trie_items(trie)) == contents[1]
         store.close()
 
     def test_torn_write_never_yields_unknown_root(self, tmp_path):
@@ -99,7 +101,7 @@ class TestTornTail:
             if store.last_root != EMPTY_TRIE_ROOT:
                 trie = MerklePatriciaTrie(store, store.last_root)
                 expected = contents[roots.index(store.last_root)]
-                assert dict(trie.items()) == expected
+                assert dict(trie_items(trie)) == expected
             store.close()
 
 
@@ -113,7 +115,7 @@ class TestCorruption:
         store = AppendOnlyFileStore(path)
         assert store.last_root == roots[1]
         trie = MerklePatriciaTrie(store, store.last_root)
-        assert dict(trie.items()) == contents[1]
+        assert dict(trie_items(trie)) == contents[1]
         store.close()
 
     def test_bitflip_in_early_batch_drops_it_and_all_later(self, tmp_path):
@@ -174,7 +176,7 @@ class TestReopenAndContinue:
         revived = MerklePatriciaTrie(store, store.last_root)
         expected = dict(contents[1])
         expected.update(extra)
-        assert dict(revived.items()) == expected
+        assert dict(trie_items(revived)) == expected
         store.close()
 
     def test_reopen_clean_store_is_lossless(self, tmp_path):
@@ -184,10 +186,10 @@ class TestReopenAndContinue:
         assert store.last_root == roots[-1]
         assert store.stats.truncated_bytes == 0
         trie = MerklePatriciaTrie(store, store.last_root)
-        assert dict(trie.items()) == contents[-1]
+        assert dict(trie_items(trie)) == contents[-1]
         # every historical root is still resolvable (append-only store)
         for root, content in zip(roots, contents):
-            assert dict(trie.at_root(root).items()) == content
+            assert dict(trie_items(trie.at_root(root))) == content
         store.close()
 
 
@@ -228,7 +230,7 @@ class TestCrashMidCompaction:
             # every pre-compaction root is still resolvable — the pass
             # that crashed reclaimed nothing and pruned nothing
             for root in roots:
-                assert dict(MerklePatriciaTrie(store, root).items())
+                assert dict(trie_items(MerklePatriciaTrie(store, root)))
             assert store.pruned_roots == frozenset()
             store.close(write_index=False)
 
@@ -240,7 +242,7 @@ class TestCrashMidCompaction:
         store = AppendOnlyFileStore(log)
         assert store.last_root == new_root
         assert store.stats.truncated_bytes == 0
-        assert dict(MerklePatriciaTrie(store, new_root).items())
+        assert dict(trie_items(MerklePatriciaTrie(store, new_root)))
         # the dropped roots are remembered as pruned, not forgotten
         assert store.pruned_roots == frozenset(roots[:-1])
         store.close()

@@ -270,3 +270,13 @@ class TestOneEndpointMethodTable:
         assert excinfo.value.remote_type == "RuntimeError"
         with pytest.raises(ServeError, match="unknown endpoint method"):
             ep._invoke("mark_closed", b"\x00" * 16)
+
+    def test_the_admission_probe_is_not_served(self):
+        """``load_info`` left the table: no producer read the admission
+        snapshot it returned, so a remote call is refused like any other
+        unknown method."""
+        net, (ep,) = make_rig()
+        assert not hasattr(SimEndpoint, "load_info")
+        with pytest.raises(ServeError,
+                           match="unknown endpoint method load_info"):
+            ep._invoke("load_info")
