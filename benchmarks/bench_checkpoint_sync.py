@@ -44,14 +44,6 @@ class _CountingNode(FullNode):
         super().__init__(*args, **kwargs)
         self.rounds = 0
 
-    def serve_header(self, number):
-        self.rounds += 1
-        return super().serve_header(number)
-
-    def serve_bootstrap(self, checkpoint_hash):
-        self.rounds += 1
-        return super().serve_bootstrap(checkpoint_hash)
-
     def serve_updates_range(self, start, count):
         self.rounds += 1
         return super().serve_updates_range(start, count)

@@ -143,7 +143,7 @@ REVIEWED: dict[tuple[str, str], tuple[str, str]] = {
     ("net/network.py", "SimNetwork.partition"): ("fault", FAULT),
     ("net/network.py", "SimNetwork.rejoin"): ("fault", FAULT),
     ("trie/shard.py", "ShardPool.clear"): ("fault", FAULT),
-    ("lightclient/checkpoint.py", "is_better_update"): (
+    ("lightclient/sync.py", "is_better_update"): (
         "fault", "runs only when two quorum-attested pages disagree, ROADMAP 4"),
     # the streaming keccak and the verify-only ECDSA ride with the tracer
     ("crypto/keccak.py", "Keccak256.__init__"): ("traced", TRACED),
@@ -158,8 +158,6 @@ REVIEWED: dict[tuple[str, str], tuple[str, str]] = {
         "branch", "the transaction queries' proofs; no workload asks for one"),
     ("chain/chain.py", "Blockchain.remove_seal_listener"): (
         "branch", "FullNodeServer.enable_gossip on a server that already gossips"),
-    ("lightclient/checkpoint.py", "RangeUpdate.tip"): (
-        "branch", "read by is_better_update"),
     ("lightclient/headerchain.py", "HeaderChain.anchor_number"): (
         "branch", "checkpoint bootstrap of a client that already holds headers"),
     ("net/network.py", "_estimate_size"): (

@@ -3,35 +3,60 @@
 Paper §IV-D assumes "the light client can request and receive block headers
 … from any full node (PARP-compatible or not), without payment".  Because
 headers are the root of trust, the client should not take them from a single
-node: the syncer fetches from several sources and requires a quorum of them
-to agree on each header hash, detecting equivocating or lying sources.
+node: the syncer pulls hash-linked pages of headers (``serve_updates_range``,
+a range like devp2p's ``GetBlockHeaders``) from several sources and requires
+a quorum of them to agree on each page, detecting equivocating or lying
+sources.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Optional, Protocol, Sequence
 
 from ..chain.header import BlockHeader
 from ..net.futures import wait_all
 from .headerchain import HeaderChain, HeaderChainError
 
-__all__ = ["HeaderSource", "SyncError", "HeaderSyncer"]
+__all__ = ["HeaderSource", "SyncError", "HeaderSyncer", "is_better_update"]
 
 
 class HeaderSource(Protocol):
     """The free header service every full node exposes."""
 
-    def serve_header(self, number: int) -> Optional[BlockHeader]: ...
     def serve_head_number(self) -> int: ...
+    def serve_updates_range(self, start: int,
+                            count: int) -> Sequence[BlockHeader]: ...
 
 
 class SyncError(Exception):
     """Raised when sources disagree beyond the quorum or data is missing."""
 
 
+def is_better_update(candidate: tuple[int, tuple[BlockHeader, ...]],
+                     incumbent: tuple[int, tuple[BlockHeader, ...]]) -> bool:
+    """Is ``candidate`` (votes, page) preferable to ``incumbent``?
+
+    The Altair analog ranks updates by participation and recency; here both
+    candidates already cleared the quorum (the participation floor), so the
+    page that attests the *higher head* wins, then the one with more source
+    votes, then the lexicographically smaller tip hash — a deterministic
+    total order, so selection never depends on source iteration order.
+    """
+    votes_a, a = candidate
+    votes_b, b = incumbent
+    if a[-1].number != b[-1].number:
+        return a[-1].number > b[-1].number
+    if votes_a != votes_b:
+        return votes_a > votes_b
+    return a[-1].hash < b[-1].hash
+
+
 class HeaderSyncer:
     """Keeps a :class:`HeaderChain` in sync against multiple sources."""
+
+    #: headers per pulled page: one, so a genesis sync costs one quorum
+    #: round per header (a checkpoint syncer pages wider)
+    page_size = 1
 
     def __init__(self, sources: Sequence[HeaderSource],
                  quorum: Optional[int] = None,
@@ -47,6 +72,10 @@ class HeaderSyncer:
         #: headers fetched over the pull path (per *appended* header — a
         #: replayed or redundant delivery never double-counts).
         self.headers_fetched = 0
+        #: pages pulled forward from the anchor (the anchor's round is not one)
+        self.pages_fetched = 0
+        #: the head each source last claimed: serving less than it is a lie
+        self._heads: dict[int, int] = {}
         #: headers appended via the gossip push path (offer_header).
         self.headers_pushed = 0
         #: deliveries (pushed or pulled) the chain already had.
@@ -97,9 +126,15 @@ class HeaderSyncer:
         """The height to sync to: the median of the responsive sources' heads
         (robust against a minority of sources lying about the tip; dead or
         partitioned sources are skipped rather than wedging the sync)."""
-        heads = sorted(head for _, head in self._gather("serve_head_number"))
-        if not heads:
+        self._heads = {}
+        for index, head in self._gather("serve_head_number"):
+            if type(head) is int and head >= 0:  # not a bool, not junk
+                self._heads[index] = head
+            else:
+                self.suspects.add(index)
+        if not self._heads:
             raise SyncError("no header source answered a head request")
+        heads = sorted(self._heads.values())
         return heads[len(heads) // 2]
 
     def sync(self) -> BlockHeader:
@@ -116,7 +151,9 @@ class HeaderSyncer:
         return self.sync_to(self.head_target())
 
     def sync_to(self, target: int) -> BlockHeader:
-        """Fetch and validate headers up to ``target``.
+        """Fetch and validate headers up to ``target``: an empty chain is
+        anchored first, then pages of up to ``page_size`` headers are
+        pulled forward from the tip.
 
         Idempotent under redundant delivery: a target at or below the local
         tip is already satisfied — no source is asked, nothing re-verifies,
@@ -126,13 +163,99 @@ class HeaderSyncer:
         if len(self.chain) and target <= self.chain.tip_number:
             self.duplicates_ignored += 1
             return self.chain.tip
-        start = self.chain.tip_number + 1 if len(self.chain) else 0
-        for number in range(start, target + 1):
-            self.chain.append(self._fetch_checked(number))
-            self.headers_fetched += 1
         if not len(self.chain):
-            raise SyncError("nothing to sync: empty chain and target below start")
+            self.bootstrap()
+        while self.chain.tip_number < target:
+            start = self.chain.tip_number + 1
+            page = self._fetch_page(start, min(self.page_size,
+                                               target - start + 1))
+            for header in page:
+                self.chain.append(header)
+            self.headers_fetched += len(page)
+            self.pages_fetched += 1
         return self.chain.tip
+
+    def bootstrap(self) -> BlockHeader:
+        """Anchor an empty chain at genesis: its first page starts at 0 and
+        links to nothing."""
+        (genesis,) = self._fetch_page(0, 1)
+        self.chain.append(genesis)
+        self.headers_fetched += 1
+        return genesis
+
+    def _fetch_page(self, start: int, count: int) -> tuple[BlockHeader, ...]:
+        """Fetch one page from every source and return the quorum's pick.
+
+        Each source is asked exactly once (in parallel over futures-capable
+        transports); sources that fail (offline, partitioned, timed out)
+        simply don't vote.  An answer that is not a valid page, or that is
+        shorter than the head its source claimed, makes the source a
+        suspect.  A candidate page's votes are the sources whose pages
+        start with it; among quorum-attested candidates
+        :func:`is_better_update` picks the winner, and sources conflicting
+        with it at any shared height become suspects.
+        """
+        parent = self.chain.tip.hash if len(self.chain) else None
+        # each voting source's page, as its headers' hashes
+        answers: dict[int, tuple[bytes, ...]] = {}
+        candidates: dict[tuple[bytes, ...], tuple[BlockHeader, ...]] = {}
+        for index, raw in self._gather("serve_updates_range", start, count):
+            page = self._valid_page(raw, start, count, parent)
+            if page is None or self._withheld(index, start, count, page):
+                self.suspects.add(index)
+            elif page:
+                answers[index] = tuple(header.hash for header in page)
+                candidates[answers[index]] = page
+        if not answers:
+            raise SyncError(f"no source could provide headers from {start}")
+        scored = []
+        for key, page in candidates.items():
+            votes = sum(1 for other in answers.values()
+                        if other[:len(key)] == key)
+            if votes >= self.quorum:
+                scored.append((votes, page))
+        if not scored:
+            raise SyncError(
+                f"no quorum on headers {start}..{start + count - 1}: no "
+                f"candidate page reached {self.quorum} votes"
+            )
+        best = scored[0]
+        for entry in scored[1:]:
+            if is_better_update(entry, best):
+                best = entry
+        winner = tuple(header.hash for header in best[1])
+        for index, key in answers.items():
+            shared = min(len(key), len(winner))
+            if key[:shared] != winner[:shared]:
+                self.suspects.add(index)
+        return best[1]
+
+    def _withheld(self, index: int, start: int, count: int,
+                  page: tuple[BlockHeader, ...]) -> bool:
+        """Did source ``index`` serve fewer headers than its claimed head
+        holds?  (An honest page stops short only at its source's head.)"""
+        return (len(page) < count
+                and self._heads.get(index, -1) >= start + len(page))
+
+    @staticmethod
+    def _valid_page(raw: object, start: int, count: int, parent: Optional[bytes]
+                    ) -> Optional[tuple[BlockHeader, ...]]:
+        """``raw`` as a page, or ``None`` if it is not one.
+
+        A page is a list or tuple of at most ``count`` headers numbered
+        from ``start``, each linking to the one before it and the first to
+        ``parent`` (``None`` links to nothing); ``()`` is an honest "no
+        headers there".
+        """
+        if not isinstance(raw, (list, tuple)) or len(raw) > count:
+            return None
+        for offset, header in enumerate(raw):
+            if (not isinstance(header, BlockHeader)
+                    or header.number != start + offset
+                    or (parent is not None and header.parent_hash != parent)):
+                return None
+            parent = header.hash
+        return tuple(raw)
 
     # ------------------------------------------------------------------ #
     # Push mode (gossip-fed) with pull fallback
@@ -208,36 +331,6 @@ class HeaderSyncer:
     def _stamp_push(self) -> None:
         if self._push_clock is not None:
             self._last_push = float(self._push_clock())
-
-    def _fetch_checked(self, number: int) -> BlockHeader:
-        """Fetch header ``number``, requiring quorum agreement on its hash.
-
-        Each source is asked exactly once (in parallel over futures-capable
-        transports); sources that fail (offline, partitioned, timed out)
-        simply don't vote.
-        """
-        votes: Counter[bytes] = Counter()
-        candidates: dict[bytes, BlockHeader] = {}
-        answers: dict[int, bytes] = {}
-        for index, header in self._gather("serve_header", number):
-            if header is None or header.number != number:
-                continue
-            votes[header.hash] += 1
-            candidates[header.hash] = header
-            answers[index] = header.hash
-        if not votes:
-            raise SyncError(f"no source could provide header {number}")
-        winner_hash, count = votes.most_common(1)[0]
-        if count < self.quorum:
-            raise SyncError(
-                f"no quorum on header {number}: best hash has {count} votes, "
-                f"need {self.quorum}"
-            )
-        # Remember sources that voted against the quorum hash.
-        for index, answer in answers.items():
-            if answer != winner_hash:
-                self.suspects.add(index)
-        return candidates[winner_hash]
 
     # ------------------------------------------------------------------ #
     # Views used by PARP verification

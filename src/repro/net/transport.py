@@ -77,8 +77,8 @@ class _Reply:
 #: and the endpoint's blocking adapters.
 ENDPOINT_METHODS = (
     "handshake", "open_channel", "relay_transaction", "get_transaction_count",
-    "serve_request", "serve_batch", "serve_header", "serve_head_number",
-    "serve_bootstrap", "serve_updates_range", "shard_info",
+    "serve_request", "serve_batch", "serve_head_number",
+    "serve_updates_range", "shard_info",
 )
 
 
@@ -260,8 +260,6 @@ def _reply_size(reply: _Reply) -> int:
         return 40 + 20 + 8 + 65
     if isinstance(value, OpenChannelReceipt):
         return 40 + 16 + 65
-    if isinstance(value, BlockHeader):
-        return 40 + len(value.encode())
     if isinstance(value, (list, tuple)) and value \
             and all(isinstance(v, BlockHeader) for v in value):
         return 40 + sum(len(v.encode()) for v in value)  # UpdatesByRange page

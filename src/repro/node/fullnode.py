@@ -50,10 +50,6 @@ class FullNode:
     def get_header(self, number: int) -> Optional[BlockHeader]:
         return self.chain.get_header(number)
 
-    def get_header_by_hash(self, block_hash: bytes) -> Optional[BlockHeader]:
-        block = self.chain.get_block_by_hash(block_hash)
-        return block.header if block else None
-
     def state_at(self, number: int) -> StateDB:
         return self.chain.state_at(number)
 
@@ -98,25 +94,14 @@ class FullNode:
     # Free header service (paper §IV-D: headers are served without payment)
     # ------------------------------------------------------------------ #
 
-    def serve_header(self, number: int) -> Optional[BlockHeader]:
-        """Headers are compact, non-client-specific, and free to serve."""
-        return self.get_header(number)
-
     def serve_head_number(self) -> int:
         return self.head_number()
 
-    def serve_bootstrap(self, checkpoint_hash: bytes) -> Optional[BlockHeader]:
-        """Checkpoint bootstrap: the full header behind a trusted hash.
-
-        Self-certifying for the client (keccak(header) must equal the hash
-        it already trusts), so it rides the free header service.
-        """
-        return self.get_header_by_hash(checkpoint_hash)
-
     def serve_updates_range(self, start: int, count: int) -> list[BlockHeader]:
         """UpdatesByRange: up to ``count`` consecutive headers from
-        ``start`` (capped server-side; truncated at the head); the pages
-        :class:`~repro.lightclient.checkpoint.CheckpointSyncer` fetches."""
+        ``start`` (capped server-side; truncated at the head) — the one
+        free header endpoint: headers are compact, non-client-specific,
+        and free to serve; the pages every header syncer pulls."""
         from ..lightclient.checkpoint import MAX_UPDATE_PAGE
 
         if start < 0 or count < 1:

@@ -69,8 +69,8 @@ _EXPORTS = {
     "VerificationReport": "verification", "classify_response": "verification",
     "classify_batch_response": "verification",
     # states
-    "LightClientState": "states", "FullNodeState": "states",
-    "ChannelStatus": "states", "ResponseClass": "states",
+    "LightClientState": "states", "ChannelStatus": "states",
+    "ResponseClass": "states",
     # constants
     "MIN_FULL_NODE_DEPOSIT": "constants", "DISPUTE_WINDOW_BLOCKS": "constants",
     "REQUEST_OVERHEAD_BYTES": "constants", "RESPONSE_OVERHEAD_BYTES": "constants",

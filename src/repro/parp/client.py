@@ -18,6 +18,7 @@ The paid request path (§IV-E.3, steps (A) and (D) of Fig. 5):
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional, Protocol, Sequence, Union
 
@@ -71,6 +72,8 @@ __all__ = [
 
 DEFAULT_GAS_PRICE = 12 * 10 ** 9
 DEFAULT_GAS_LIMIT = 500_000
+#: verified outcomes a session keeps, newest last (older ones are dropped)
+HISTORY_LIMIT = 64
 
 
 class ServerEndpoint(Protocol):
@@ -100,10 +103,8 @@ class ServerEndpoint(Protocol):
     # The paid wires
     def serve_request(self, wire: bytes) -> bytes: ...
     def serve_batch(self, wire: bytes) -> bytes: ...
-    # Free header service (§IV-D) and checkpoint sync
-    def serve_header(self, number: int) -> Optional[BlockHeader]: ...
+    # Free header service (§IV-D)
     def serve_head_number(self) -> int: ...
-    def serve_bootstrap(self, checkpoint_hash: bytes) -> Optional[BlockHeader]: ...
     def serve_updates_range(self, start: int, count: int) -> list[BlockHeader]: ...
     # Free probe: the shard a server holds
     def shard_info(self) -> Optional[tuple[int, int, bytes, int]]: ...
@@ -282,7 +283,8 @@ class LightClientSession:
         self.state = LightClientState.IDLE
         self.channel: Optional[ClientChannel] = None
         self.full_node: Optional[Address] = None
-        self.history: list[RequestOutcome | BatchOutcome] = []
+        self.history: deque[RequestOutcome | BatchOutcome] = deque(
+            maxlen=HISTORY_LIMIT)
         self._clock = clock
 
     @property
@@ -309,36 +311,34 @@ class LightClientSession:
 
         # line 4: fetch the latest block hash from the network
         self.headers.sync()
-        # lines 5-8: HANDSHAKE, await HSCONFIRM
+        # lines 5-8: HANDSHAKE, await HSCONFIRM; any failure before BONDED
+        # returns the session to IDLE, so a retry starts over
         self.state = LightClientState.HANDSHAKING
         try:
             confirm = self.endpoint.handshake(Handshake(self.address))
-        except Exception:
-            self.state = LightClientState.IDLE
-            raise
-        try:
+            if not isinstance(confirm, HandshakeConfirm):
+                raise HandshakeError(
+                    f"handshake answered with {type(confirm).__name__}")
             confirm.verify(self.address)     # line 11
-        except HandshakeError:
-            self.state = LightClientState.IDLE
-            raise
-        if confirm.expiry < self._now():
-            self.state = LightClientState.IDLE
-            raise SessionError("handshake confirmation already expired")
-        self.full_node = confirm.full_node
+            if confirm.expiry < self._now():
+                raise SessionError("handshake confirmation already expired")
+            self.full_node = confirm.full_node
 
-        # lines 13-16: form, sign, and send the OpenChannel transaction
-        nonce = self.endpoint.get_transaction_count(self.address)
-        open_tx = UnsignedTransaction(
-            nonce=nonce, gas_price=self.gas_price, gas_limit=gas_limit,
-            to=CHANNELS_MODULE_ADDRESS, value=budget,
-            data=encode_call(
-                "open_channel",
-                [confirm.full_node, confirm.expiry, confirm.signature],
-            ),
-        ).sign(self.key)
-        self.state = LightClientState.UNBONDED
-        try:
+            # lines 13-16: form, sign, and send the OpenChannel transaction
+            nonce = self.endpoint.get_transaction_count(self.address)
+            open_tx = UnsignedTransaction(
+                nonce=nonce, gas_price=self.gas_price, gas_limit=gas_limit,
+                to=CHANNELS_MODULE_ADDRESS, value=budget,
+                data=encode_call(
+                    "open_channel",
+                    [confirm.full_node, confirm.expiry, confirm.signature],
+                ),
+            ).sign(self.key)
+            self.state = LightClientState.UNBONDED
             receipt = self.endpoint.open_channel(open_tx.encode())
+            if not isinstance(receipt, OpenChannelReceipt):
+                raise HandshakeError(
+                    f"open_channel answered with {type(receipt).__name__}")
             receipt.verify(confirm.full_node)   # lines 17-18
         except Exception:
             self.state = LightClientState.IDLE

@@ -415,7 +415,7 @@ class MarketplaceClient:
 
         With a ``checkpoint`` the syncer is a
         :class:`~repro.lightclient.checkpoint.CheckpointSyncer`: it anchors
-        at the trusted header (quorum-cross-checked Bootstrap) and fetches
+        at the trusted header (quorum-cross-checked) and fetches
         only the headers from the checkpoint forward — onboarding cost is
         O(distance from checkpoint), not O(chain length).
         """

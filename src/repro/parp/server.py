@@ -25,6 +25,7 @@ from ..chain.receipt import LogEntry
 from ..chain.state import StateDB
 from ..chain.transaction import Transaction, TransactionError
 from ..contracts.addresses import CHANNELS_MODULE_ADDRESS, FRAUD_MODULE_ADDRESS
+from ..contracts.channels import CHANNEL_CLOSED, CHANNEL_NONE, CHANNEL_OPEN
 from ..crypto import keccak256
 from ..crypto.keys import Address
 from ..metrics.cache import LRUCache
@@ -299,16 +300,8 @@ class FullNodeServer:
     # Free services (headers §IV-D, channel-management relay §IV-E)
     # ------------------------------------------------------------------ #
 
-    def serve_header(self, number: int) -> Optional[BlockHeader]:
-        return self.node.serve_header(number)
-
     def serve_head_number(self) -> int:
         return self.node.serve_head_number()
-
-    def serve_bootstrap(self, checkpoint_hash: bytes) -> Optional[BlockHeader]:
-        """Free checkpoint bootstrap: the header behind a trusted hash
-        (self-certifying for the client — keccak(header) must equal it)."""
-        return self.node.serve_bootstrap(checkpoint_hash)
 
     def serve_updates_range(self, start: int, count: int) -> list[BlockHeader]:
         """Free UpdatesByRange page (headers ride the free tier, §IV-D)."""
@@ -550,11 +543,11 @@ class FullNodeServer:
         alpha = call.param_bytes(0, exact=16)
         channel = self.channels.get(alpha)
         if channel is None:
-            status = 0
+            status = CHANNEL_NONE
         elif channel.closed:
-            status = 3
+            status = CHANNEL_CLOSED
         else:
-            status = 1
+            status = CHANNEL_OPEN
         return rlp.encode(rlp.encode_int(status)), []
 
     def _execute_cached(self, call: RpcCall, m_b: int) -> tuple[bytes, Sequence[bytes]]:

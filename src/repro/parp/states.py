@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-__all__ = ["LightClientState", "ChannelStatus", "FullNodeState", "ResponseClass"]
+__all__ = ["LightClientState", "ChannelStatus", "ResponseClass"]
 
 
 class LightClientState(Enum):
@@ -15,13 +15,6 @@ class LightClientState(Enum):
     UNBONDED = "unbonded"      # OpenChannel sent, receipt not yet verified
     BONDED = "bonded"          # channel open; request/response phase
     UNBONDING = "unbonding"    # CloseChannel sent, dispute window running
-
-
-class FullNodeState(Enum):
-    """Full-node availability states (Fig. 4, top track)."""
-
-    NOT_AVAILABLE = "not-available"   # no collateral deposited
-    AVAILABLE = "available"           # staked and ready to serve
 
 
 class ChannelStatus(Enum):

@@ -1,6 +1,6 @@
 """Checkpoint onboarding end to end: a fresh marketplace client joins a
-long-running chain via Bootstrap + UpdatesByRange instead of syncing from
-genesis.
+long-running chain via a checkpoint anchor + UpdatesByRange instead of
+syncing from genesis.
 
 Covers the acceptance path: O(distance-from-checkpoint) header fetches over
 the simulated network and the quorum cross-check rejecting an equivocating
@@ -30,10 +30,12 @@ CHECKPOINT_HEIGHT = 18
 
 
 class EquivocatingServer(FullNodeServer):
-    """Answers the checkpoint bootstrap with the wrong (genesis) header."""
+    """Answers the checkpoint's one-header page with the wrong header."""
 
-    def serve_bootstrap(self, checkpoint_hash):
-        return self.node.get_header(0)
+    def serve_updates_range(self, start, count):
+        if start == CHECKPOINT_HEIGHT and count == 1:
+            return [self.node.get_header(start - 1)]
+        return super().serve_updates_range(start, count)
 
 
 def make_world(n_servers=3, evil_indexes=(), over_network=False):

@@ -30,7 +30,7 @@ class EchoServer:
     def __init__(self, name: str) -> None:
         self.name = name
 
-    def serve_header(self, token):
+    def serve_updates_range(self, token, count):
         return (self.name, token)
 
     def serve_head_number(self):
@@ -78,7 +78,7 @@ def test_replies_resolve_exactly_once_and_never_cross(
         j = server_pick % n_servers
         endpoint = endpoints[j]
         if kind == "echo":
-            reply = endpoint.submit("serve_header", i)
+            reply = endpoint.submit("serve_updates_range", i, 1)
         elif kind == "remote-bug":
             reply = endpoint.submit("serve_head_number")
         else:
@@ -151,7 +151,7 @@ def test_multi_leg_collect_pays_each_leg_exactly_once(seed, drop_rate, legs):
                                    Address.zero(), timeout=5.0)
             endpoints.append(endpoint)
             if kind == "echo":
-                reply = endpoint.submit("serve_header", (i, c))
+                reply = endpoint.submit("serve_updates_range", (i, c), 1)
             else:
                 reply = endpoint.submit("serve_head_number")
             reply.add_done_callback(

@@ -1,4 +1,4 @@
-"""Checkpoint sync: Bootstrap at a trusted header, UpdatesByRange paging.
+"""Checkpoint sync: anchor at a trusted header, UpdatesByRange paging.
 
 Covers the Altair-style onboarding path: anchoring mid-chain at a trusted
 checkpoint (quorum cross-checked), paged catch-up with is_better_update
@@ -6,13 +6,14 @@ selection, equivocation detection, and the HeaderChain anchor refusal for
 pre-checkpoint heights.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.lightclient import (
     Checkpoint,
     CheckpointSyncer,
     HeaderSyncer,
-    RangeUpdate,
     SyncError,
     is_better_update,
 )
@@ -30,9 +31,9 @@ def _nodes(devnet, count=3):
 
 
 class _Equivocator:
-    """Answers the bootstrap with the wrong header and serves a foreign
-    chain's pages; head reports are honest (so it stays in the quorum
-    denominator)."""
+    """Serves every honest header altered (a real-looking header at the
+    right height whose hash differs), or a foreign chain's pages; head
+    reports are honest (so it stays in the quorum denominator)."""
 
     def __init__(self, honest: FullNode, fork_chain=None) -> None:
         self.honest = honest
@@ -41,15 +42,10 @@ class _Equivocator:
     def serve_head_number(self):
         return self.honest.serve_head_number()
 
-    def serve_header(self, number):
-        return self.honest.serve_header(number)
-
-    def serve_bootstrap(self, checkpoint_hash):
-        return self.honest.get_header(0)  # a real header, wrong hash
-
     def serve_updates_range(self, start, count):
         if self.fork is None:
-            return self.honest.serve_updates_range(start, count)
+            page = self.honest.serve_updates_range(start, count)
+            return [replace(header, extra_data=b"lie") for header in page]
         return [self.fork.get_header(n)
                 for n in range(start, min(start + count,
                                           self.fork.height + 1))]
@@ -155,9 +151,6 @@ class TestPagedSync:
             def serve_head_number(self):
                 raise ConnectionError("down")
 
-            def serve_bootstrap(self, checkpoint_hash):
-                raise ConnectionError("down")
-
             def serve_updates_range(self, start, count):
                 raise ConnectionError("down")
 
@@ -169,67 +162,83 @@ class TestPagedSync:
         with pytest.raises(SyncError, match="no source could provide headers"):
             syncer.sync_to(grown.chain.height)
 
+    def test_junk_head_is_suspected_and_skipped(self, grown):
+        class Garbled(FullNode):
+            def serve_head_number(self):
+                return "x"
 
-class TestRangeUpdate:
-    def test_page_shape(self, grown):
-        headers = tuple(grown.chain.get_header(n) for n in range(5, 9))
-        update = RangeUpdate(headers)
-        assert update.headers[0].number == 5
-        assert update.tip.number == 8
-        assert len(update) == 4
+        sources = _nodes(grown, count=2) + [Garbled(grown.chain, name="g")]
+        checkpoint = Checkpoint.of(grown.chain.get_header(15))
+        syncer = CheckpointSyncer(sources, checkpoint)
+        assert syncer.sync().hash == grown.chain.head.hash
+        assert syncer.suspects == {2}
 
-    def test_single_header_page(self, grown):
-        update = RangeUpdate((grown.chain.get_header(3),))
-        assert update.headers[0].number == update.tip.number == 3
-        assert len(update) == 1
+    def test_junk_bootstrap_answer_is_suspected(self, grown):
+        class Junk(FullNode):
+            def serve_updates_range(self, start, count):
+                return b"junk"
 
-    def test_rejects_broken_linkage(self, grown):
-        h5, h7 = grown.chain.get_header(5), grown.chain.get_header(7)
-        with pytest.raises(ValueError, match="breaks linkage"):
-            RangeUpdate((h5, h7))
-        with pytest.raises(ValueError, match="at least one header"):
-            RangeUpdate(())
+        sources = _nodes(grown, count=2) + [Junk(grown.chain, name="j")]
+        checkpoint = Checkpoint.of(grown.chain.get_header(15))
+        syncer = CheckpointSyncer(sources, checkpoint)
+        assert syncer.bootstrap().hash == checkpoint.hash
+        assert syncer.suspects == {2}
+        # the anchor's round is its own, not a page
+        assert (syncer.headers_fetched, syncer.pages_fetched) == (1, 0)
+
+    def test_offer_header_gap_fill_pages_forward(self, grown):
+        checkpoint = Checkpoint.of(grown.chain.get_header(5))
+        syncer = CheckpointSyncer(_nodes(grown), checkpoint, page_size=4)
+        syncer.bootstrap()
+        assert syncer.offer_header(grown.chain.get_header(20)) == "pulled"
+        assert syncer.tip.hash == grown.chain.get_header(20).hash
+        # 6..9, 10..13, 14..17, 18..20
+        assert syncer.pages_fetched == 4
+        assert syncer.headers_fetched == 1 + 15
+
+
+def _page(devnet, start, stop):
+    return tuple(devnet.chain.get_header(n) for n in range(start, stop))
 
 
 class TestBetterUpdate:
     def test_higher_tip_wins(self, grown):
-        short = RangeUpdate(tuple(grown.chain.get_header(n)
-                                  for n in range(5, 7)))
-        tall = RangeUpdate(tuple(grown.chain.get_header(n)
-                                 for n in range(5, 9)))
+        short, tall = _page(grown, 5, 7), _page(grown, 5, 9)
         assert is_better_update((1, tall), (3, short))
         assert not is_better_update((3, short), (1, tall))
 
     def test_votes_break_equal_tips(self, grown):
-        update = RangeUpdate(tuple(grown.chain.get_header(n)
-                                   for n in range(5, 7)))
-        assert is_better_update((3, update), (2, update))
-        assert not is_better_update((2, update), (3, update))
+        page = _page(grown, 5, 7)
+        assert is_better_update((3, page), (2, page))
+        assert not is_better_update((2, page), (3, page))
 
     def test_deterministic_hash_tiebreak(self, grown):
-        update = RangeUpdate(tuple(grown.chain.get_header(n)
-                                   for n in range(5, 7)))
+        page = _page(grown, 5, 7)
         # identical tips and votes: the (equal) hash comparison is False
         # both ways, so selection order cannot flip the winner
-        assert not is_better_update((2, update), (2, update))
+        assert not is_better_update((2, page), (2, page))
 
 
-class TestValidPrefix:
+class TestValidPage:
     def test_shapes(self, grown):
-        headers = [grown.chain.get_header(n) for n in range(5, 8)]
+        headers = list(_page(grown, 5, 8))
         tip_hash = grown.chain.get_header(4).hash
-        prefix = CheckpointSyncer._valid_prefix
-        assert prefix(None, 5, tip_hash) == []
-        assert prefix([], 5, tip_hash) == []
-        assert prefix(b"junk", 5, tip_hash) is None
-        assert prefix(headers, 5, tip_hash) == headers
-        assert prefix(RangeUpdate(tuple(headers)), 5, tip_hash) == headers
-        # wrong start or a first header that does not link: hard failure
-        assert prefix(headers, 6, tip_hash) is None
-        assert prefix(headers, 5, b"\x00" * 32) is None
-        # a valid prefix followed by a gap is truncated, not rejected
+        page = HeaderSyncer._valid_page
+        assert page([], 5, 3, tip_hash) == ()
+        assert page(headers, 5, 3, tip_hash) == tuple(headers)
+        assert page(tuple(headers), 5, 4, tip_hash) == tuple(headers)
+        # an empty chain's first page links to nothing
+        assert page(headers, 5, 3, None) == tuple(headers)
+        # not a list of headers, or more headers than asked for
+        assert page(None, 5, 3, tip_hash) is None
+        assert page(b"junk", 5, 3, tip_hash) is None
+        assert page([b"junk"], 5, 3, tip_hash) is None
+        assert page(headers, 5, 2, tip_hash) is None
+        # wrong start, a first header that does not link, or a gap later
+        assert page(headers, 6, 3, tip_hash) is None
+        assert page(headers, 5, 3, b"\x00" * 32) is None
         gappy = headers[:2] + [grown.chain.get_header(9)]
-        assert prefix(gappy, 5, tip_hash) == headers[:2]
+        assert page(gappy, 5, 3, tip_hash) is None
 
     def test_page_size_validation(self, grown):
         checkpoint = Checkpoint.of(grown.chain.get_header(1))

@@ -77,13 +77,12 @@ class _LyingSource:
     def serve_head_number(self) -> int:
         return self.node.serve_head_number()
 
-    def serve_header(self, number: int):
-        header = self.node.serve_header(number)
-        if header is None or number < self.lie_from:
-            return header
+    def serve_updates_range(self, start: int, count: int):
         from dataclasses import replace
 
-        return replace(header, extra_data=b"FORGED")
+        return [header if header.number < self.lie_from
+                else replace(header, extra_data=b"FORGED")
+                for header in self.node.serve_updates_range(start, count)]
 
 
 class TestHeaderSyncer:
@@ -122,8 +121,8 @@ class TestHeaderSyncer:
             def serve_head_number(self):
                 return 10_000  # claims a far future head
 
-            def serve_header(self, number):
-                return self.node.serve_header(number)
+            def serve_updates_range(self, start, count):
+                return self.node.serve_updates_range(start, count)
 
         nodes = [FullNode(net.chain, name=f"m{i}") for i in range(2)]
         syncer = HeaderSyncer(nodes + [Exaggerator(nodes[0])])
@@ -142,6 +141,95 @@ class TestHeaderSyncer:
             HeaderSyncer([])
 
 
+class _JunkSource:
+    """An honest node's answers, except the drawn head or page answer."""
+
+    def __init__(self, node: FullNode, head=None, page=None) -> None:
+        self.node = node
+        self.head = head
+        self.page = page
+
+    def serve_head_number(self):
+        if self.head is None:
+            return self.node.serve_head_number()
+        return self.head()
+
+    def serve_updates_range(self, start: int, count: int):
+        if self.page is None:
+            return self.node.serve_updates_range(start, count)
+        return self.page(self.node, start, count)
+
+
+def _unlinked(node, start, count):
+    from dataclasses import replace
+
+    page = node.serve_updates_range(start, count)
+    return page[:-1] + [replace(page[-1], parent_hash=b"\x66" * 32)]
+
+
+JUNK_PAGES = {
+    "bytes": lambda node, start, count: b"junk",
+    "none": lambda node, start, count: None,
+    "not_headers": lambda node, start, count: [b"junk"] * count,
+    "too_long": lambda node, start, count:
+        node.serve_updates_range(start, count + 1) + [node.get_header(0)],
+    "wrong_start": lambda node, start, count:
+        node.serve_updates_range(start + 1, count) or [node.get_header(0)],
+    "unlinked": _unlinked,
+    "withheld": lambda node, start, count: [],
+}
+
+
+class TestHostileAnswers:
+    """One junk answer costs its source a suspicion, never the sync."""
+
+    @pytest.mark.parametrize("junk", [None, "x", -1, True, 2.5, b"4"],
+                             ids=repr)
+    def test_junk_head_is_suspected_and_skipped(self, junk):
+        net = build_chain(4)
+        nodes = [FullNode(net.chain, name=f"h{i}") for i in range(3)]
+        sources = [nodes[0], _JunkSource(nodes[1], head=lambda: junk),
+                   nodes[2]]
+        syncer = HeaderSyncer(sources)
+        assert syncer.head_target() == 4
+        assert syncer.suspects == {1}
+        assert syncer.sync().hash == net.chain.head.hash
+
+    def test_no_usable_head_fails_closed(self):
+        net = build_chain(2)
+        node = FullNode(net.chain, name="h")
+        syncer = HeaderSyncer([_JunkSource(node, head=lambda: None),
+                               _JunkSource(node, head=lambda: "2")])
+        with pytest.raises(SyncError, match="no header source answered"):
+            syncer.sync()
+        assert syncer.suspects == {0, 1}
+
+    @pytest.mark.parametrize("kind", sorted(JUNK_PAGES))
+    def test_junk_page_is_suspected_and_outvoted(self, kind):
+        net = build_chain(5)
+        nodes = [FullNode(net.chain, name=f"h{i}") for i in range(3)]
+        sources = [nodes[0], nodes[1],
+                   _JunkSource(nodes[2], page=JUNK_PAGES[kind])]
+        syncer = HeaderSyncer(sources)
+        assert syncer.sync().hash == net.chain.head.hash
+        assert syncer.suspects == {2}
+
+    def test_genesis_sync_pulls_one_header_per_round(self):
+        net = build_chain(5)
+        asked: list[tuple[int, int]] = []
+
+        def counted(node, start, count):
+            asked.append((start, count))
+            return node.serve_updates_range(start, count)
+
+        node = FullNode(net.chain, name="h")
+        syncer = HeaderSyncer([_JunkSource(node, page=counted)])
+        syncer.sync()
+        assert asked == [(number, 1) for number in range(6)]
+        assert syncer.headers_fetched == 6
+        assert syncer.pages_fetched == 5  # genesis' round is not a page
+
+
 class TestIdempotentDelivery:
     """Regression: duplicate/redundant header delivery must not re-verify
     or double-count ``headers_fetched``."""
@@ -157,7 +245,7 @@ class TestIdempotentDelivery:
             def serve_head_number(self):
                 raise AssertionError("re-verification hit the source")
 
-            def serve_header(self, number):
+            def serve_updates_range(self, start, count):
                 raise AssertionError("re-verification hit the source")
 
         syncer.sources = [Exploding()]           # any fetch would now blow up
@@ -220,7 +308,7 @@ class TestIdempotentDelivery:
             def serve_head_number(self):
                 raise AssertionError("fresh push must not poll")
 
-            def serve_header(self, number):
+            def serve_updates_range(self, start, count):
                 raise AssertionError("fresh push must not poll")
 
         syncer.sources = [Exploding()]

@@ -54,8 +54,29 @@ class TestFullNodeBackend:
         node = FullNode(net.chain, name="n1")
         net.advance_blocks(3)
         assert node.serve_head_number() == 3
-        assert node.serve_header(2).number == 2
-        assert node.serve_header(99) is None
+        assert [h.number for h in node.serve_updates_range(2, 5)] == [2, 3]
+        assert node.serve_updates_range(99, 1) == []
+
+    def test_updates_range_is_a_linked_page(self, net):
+        node = FullNode(net.chain, name="n1")
+        net.advance_blocks(8)
+        page = node.serve_updates_range(5, 4)
+        assert [h.number for h in page] == [5, 6, 7, 8]
+        for parent, child in zip(page, page[1:]):
+            assert child.parent_hash == parent.hash
+
+    def test_updates_range_is_capped(self, net, monkeypatch):
+        from repro.lightclient import checkpoint
+        monkeypatch.setattr(checkpoint, "MAX_UPDATE_PAGE", 2)
+        node = FullNode(net.chain, name="n1")
+        net.advance_blocks(5)
+        assert [h.number for h in node.serve_updates_range(1, 10)] == [1, 2]
+
+    @pytest.mark.parametrize("start,count", [(-1, 1), (0, 0), (0, -3)])
+    def test_updates_range_refuses_bad_bounds(self, net, start, count):
+        node = FullNode(net.chain, name="n1")
+        net.advance_blocks(3)
+        assert node.serve_updates_range(start, count) == []
 
     def test_shared_chain_between_nodes(self, net):
         """Multiple full nodes following one chain see the same data."""
@@ -70,13 +91,6 @@ class TestFullNodeBackend:
         node = FullNode(net.chain, name="n1")
         assert node.chain_id() == 1337
         assert node.state_at(0).balance_of(ALICE.address) == 10 * TOKEN
-
-    def test_get_header_by_hash(self, net):
-        node = FullNode(net.chain, name="n1")
-        net.advance_blocks(1)
-        header = net.chain.get_header(1)
-        assert node.get_header_by_hash(header.hash) == header
-        assert node.get_header_by_hash(b"\x00" * 32) is None
 
 
 class TestDevnet:

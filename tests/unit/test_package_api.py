@@ -42,8 +42,9 @@ class TestTopLevel:
         batch-version negotiation, the single-wire reshaping of hedged
         and sharded legs, the demo CLI (now ``examples/``), the benchmark
         harness (now under ``benchmarks/``), the dead read workload, the
-        serving paths only tests reached, and every retention, fsync and
-        node-store option outside the chain."""
+        serving paths only tests reached, every retention, fsync and
+        node-store option outside the chain, and the second header pull
+        path (``serve_header``, ``serve_bootstrap``, ``RangeUpdate``)."""
         import importlib
         import inspect
 
@@ -127,7 +128,6 @@ class TestTopLevel:
             f.name for f in dataclasses.fields(ServerAdvertisement)}
         # the billable header page: checkpoint sync pages the free
         # serve_updates_range
-        from repro.lightclient.checkpoint import RangeUpdate
         from repro.parp import queries
         from repro.parp.pricing import DEFAULT_FEE_SCHEDULE
         assert "parp_updatesByRange" not in queries.QUERY_CATALOG
@@ -135,8 +135,23 @@ class TestTopLevel:
         for name in ("_execute_updates_range", "_at_anchor",
                      "_verify_updates_range", "decode_header_range"):
             assert not hasattr(queries, name)
-        assert not hasattr(RangeUpdate, "encode")
-        assert not hasattr(RangeUpdate, "decode")
+        # one header pull path: every pulled header rides the free
+        # serve_updates_range through HeaderSyncer's one page quorum
+        import repro.lightclient
+        from repro.lightclient import checkpoint
+        from repro.parp import states
+        for module, name in ((repro.lightclient, "RangeUpdate"),
+                             (repro.lightclient, "CheckpointSource"),
+                             (repro.parp, "FullNodeState")):
+            assert name not in module.__all__
+            assert not hasattr(module, name)
+        for module, name in ((checkpoint, "RangeUpdate"),
+                             (checkpoint, "CheckpointSource"),
+                             (states, "FullNodeState")):
+            assert not hasattr(module, name)
+        assert len(ENDPOINT_METHODS) == 9
+        assert "serve_header" not in ENDPOINT_METHODS
+        assert "serve_bootstrap" not in ENDPOINT_METHODS
         # cross-network waits: one wait drives one event loop
         import repro.net
         from repro.net import futures
@@ -146,7 +161,6 @@ class TestTopLevel:
             assert not hasattr(repro.net, name)
         # the duplicate light-client verifiers: parp/queries.py walks
         # proofs through walk_account / walk_storage
-        import repro.lightclient
         from repro.lightclient import verify
         for name in ("verify_account", "verify_balance",
                      "verify_storage_slot", "verify_transaction_at",
@@ -211,7 +225,7 @@ class TestTopLevel:
         from repro.gossip.heads import HeadGossip
         from repro.gossip.pubsub import GossipNode
         from repro.gossip.repshare import ReputationGossip, ReputationShare
-        from repro.lightclient.sync import HeaderSyncer
+        from repro.lightclient import CheckpointSyncer, HeaderSyncer
         from repro.net.network import SimNetwork
         from repro.net.simclock import SimClock
         from repro.parp import admission, messages
@@ -226,9 +240,11 @@ class TestTopLevel:
         removed = {
             admission.AdmissionController: ("snapshot",),
             FullNodeServer: ("load_info", "disable_gossip",
-                             "open_channel_count", "node_store"),
-            ServerEndpoint: ("load_info",),
-            FullNode: ("node_store",),
+                             "open_channel_count", "node_store",
+                             "serve_header", "serve_bootstrap"),
+            ServerEndpoint: ("load_info", "serve_header", "serve_bootstrap"),
+            FullNode: ("node_store", "serve_header", "serve_bootstrap",
+                       "get_header_by_hash"),
             LightClientSession: ("adopt_channel", "get_balances",
                                  "get_transaction", "send_transaction",
                                  "alpha"),
@@ -251,8 +267,9 @@ class TestTopLevel:
             runtime.CallContext: ("origin", "meter", "balance"),
             runtime.ContractRegistry: ("addresses",),
             runtime.GasMeter: ("remaining",),
-            HeaderSyncer: ("push_enabled", "ensure_height"),
-            RangeUpdate: ("start",),
+            HeaderSyncer: ("push_enabled", "ensure_height",
+                           "_fetch_checked"),
+            CheckpointSyncer: ("sync_to", "_fetch_page", "_valid_prefix"),
             ClientChannel: ("remaining",),
             ServerChannel: ("earned",),
             BlockLog: ("last_hash",),

@@ -7,6 +7,7 @@ from repro.parp import (
     ChannelError,
     FraudDetected,
     Handshake,
+    HandshakeError,
     InvalidResponse,
     LightClientState,
     RequestRefused,
@@ -157,6 +158,62 @@ class TestSession:
         parp_env.session.block_number()
         assert len(parp_env.session.history) == 1
         assert parp_env.session.history[0].report.valid
+
+    def test_history_keeps_only_the_newest_outcomes(self, devnet, keys,
+                                                    monkeypatch):
+        from repro.parp import client
+        monkeypatch.setattr(client, "HISTORY_LIMIT", 3)
+        session = make_parp_env(devnet, keys).session
+        paid = [session.request("eth_blockNumber").amount_paid
+                for _ in range(5)]
+        assert [o.amount_paid for o in session.history] == paid[-3:]
+
+    def test_a_failed_connect_returns_to_idle_and_the_retry_bonds(
+            self, devnet, keys, monkeypatch):
+        env = make_parp_env(devnet, keys, connect=False)
+        honest = env.server.get_transaction_count
+        failures = [TimeoutError("nonce lookup timed out")]
+
+        def flaky(address):
+            if failures:
+                raise failures.pop()
+            return honest(address)
+
+        monkeypatch.setattr(env.server, "get_transaction_count", flaky)
+        with pytest.raises(TimeoutError):
+            env.session.connect(budget=10 ** 15)
+        assert env.session.state is LightClientState.IDLE
+        env.session.connect(budget=10 ** 15)
+        assert env.session.state is LightClientState.BONDED
+
+    def test_a_junk_handshake_reply_is_a_handshake_error(self, devnet, keys,
+                                                         monkeypatch):
+        env = make_parp_env(devnet, keys, connect=False)
+        monkeypatch.setattr(env.server, "handshake", lambda msg: b"junk")
+        with pytest.raises(HandshakeError, match="bytes"):
+            env.session.connect(budget=10 ** 15)
+        assert env.session.state is LightClientState.IDLE
+
+    def test_channel_status_probe_answers_channel_constants(self, parp_env):
+        from repro.contracts.channels import (
+            CHANNEL_CLOSED,
+            CHANNEL_NONE,
+            CHANNEL_OPEN,
+        )
+        from repro.parp.queries import decode_int_result
+
+        server, alpha = parp_env.server, parp_env.alpha
+
+        def probe(channel):
+            result, proof = server._channel_status(
+                RpcCall.create("parp_channelStatus", channel))
+            assert proof == []
+            return decode_int_result(result)
+
+        assert parp_env.session.channel_status_fast() == CHANNEL_OPEN
+        assert probe(b"\x00" * 16) == CHANNEL_NONE
+        server.mark_closed(alpha)
+        assert probe(alpha) == CHANNEL_CLOSED
 
     def test_tip_adds_extra_payment(self, parp_env):
         session = parp_env.session

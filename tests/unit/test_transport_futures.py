@@ -24,7 +24,7 @@ class EchoServer:
     def __init__(self, name: str) -> None:
         self.name = name
 
-    def serve_header(self, token):
+    def serve_updates_range(self, token, count):
         return (self.name, token)
 
     def serve_head_number(self):
@@ -48,7 +48,7 @@ def make_rig(n_servers: int = 1, latency: float = 0.05,
 class TestPendingReply:
     def test_submit_returns_immediately_and_resolves_on_delivery(self):
         net, (ep,) = make_rig()
-        reply = ep.submit("serve_header", 7)
+        reply = ep.submit("serve_updates_range", 7, 1)
         assert not reply.done() and not reply.ok
         assert ep.in_flight == 1
         net.run()
@@ -58,13 +58,13 @@ class TestPendingReply:
 
     def test_result_drives_the_loop(self):
         net, (ep,) = make_rig()
-        reply = ep.submit("serve_header", 3)
+        reply = ep.submit("serve_updates_range", 3, 1)
         assert reply.result() == ("srv-0", 3)     # no explicit run() needed
         assert net.clock.now() == pytest.approx(0.1)
 
     def test_many_replies_never_cross_correlate(self):
         net, (ep,) = make_rig()
-        replies = [ep.submit("serve_header", i) for i in range(10)]
+        replies = [ep.submit("serve_updates_range", i, 1) for i in range(10)]
         assert ep.in_flight == 10                 # genuinely all in flight
         net.run()
         for i, reply in enumerate(replies):
@@ -73,7 +73,7 @@ class TestPendingReply:
     def test_timeout_raises_endpoint_timeout(self):
         net, (ep,) = make_rig()
         net.isolate("srv-0")
-        reply = ep.submit("serve_header", 1)
+        reply = ep.submit("serve_updates_range", 1, 1)
         with pytest.raises(EndpointTimeout):
             reply.result()
         assert net.clock.now() == pytest.approx(1.0)   # the synchrony bound
@@ -81,7 +81,7 @@ class TestPendingReply:
 
     def test_cancel_wins_over_late_reply(self):
         net, (ep,) = make_rig(latency=0.5)
-        reply = ep.submit("serve_header", 1)
+        reply = ep.submit("serve_updates_range", 1, 1)
         assert reply.cancel() is True
         assert reply.cancelled() and reply.done() and not reply.ok
         net.run()                                  # the reply still arrives …
@@ -92,7 +92,7 @@ class TestPendingReply:
 
     def test_cancel_after_resolution_is_a_noop(self):
         net, (ep,) = make_rig()
-        reply = ep.submit("serve_header", 1)
+        reply = ep.submit("serve_updates_range", 1, 1)
         net.run()
         assert reply.cancel() is False
         assert reply.ok
@@ -152,8 +152,8 @@ class TestCombinators:
         ep_slow = SimEndpoint(net, "lc-s", "slow", Address.zero(), timeout=5.0)
         # delay the slow leg by suspending its binding until after the race
         slow_net_binding.offline = True
-        slow = ep_slow.submit("serve_header", 2)
-        fast = ep_fast.submit("serve_header", 1)
+        slow = ep_slow.submit("serve_updates_range", 2, 1)
+        fast = ep_fast.submit("serve_updates_range", 1, 1)
         first = wait_any([slow, fast], timeout=1.0)
         assert first is fast
         assert fast.result() == ("fast", 1)
@@ -162,7 +162,7 @@ class TestCombinators:
     def test_wait_any_timeout_returns_none(self):
         net, (ep,) = make_rig()
         net.isolate("srv-0")
-        replies = [ep.submit("serve_header", i) for i in range(3)]
+        replies = [ep.submit("serve_updates_range", i, 1) for i in range(3)]
         assert wait_any(replies, timeout=0.5) is None
         assert net.clock.now() == pytest.approx(0.5)
 
@@ -173,7 +173,7 @@ class TestCombinators:
 
     def test_wait_all(self):
         net, endpoints = make_rig(n_servers=3)
-        replies = [ep.submit("serve_header", i)
+        replies = [ep.submit("serve_updates_range", i, 1)
                    for i, ep in enumerate(endpoints)]
         assert wait_all(replies, timeout=1.0) is True
         assert [r.result() for r in replies] == \
@@ -188,13 +188,14 @@ class TestCombinators:
         net_b = SimNetwork(latency=FixedLatency(0.05))
         SimServerBinding(net_b, "srv-b", EchoServer("srv-b"))
         ep_b = SimEndpoint(net_b, "lc-b", "srv-b", Address.zero(), timeout=1.0)
-        mixed = [ep_a.submit("serve_header", 1), ep_b.submit("serve_header", 2)]
+        mixed = [ep_a.submit("serve_updates_range", 1, 1),
+                 ep_b.submit("serve_updates_range", 2, 1)]
         for wait in (wait_any, wait_all):
             with pytest.raises(ValueError, match="two event loops"):
                 wait(mixed, timeout=1.0)
         assert net_a.clock.now() == net_b.clock.now() == 0.0
         assert wait_all(mixed[:1], timeout=1.0) is True
-        assert wait_any([mixed[0], ep_b.submit("serve_header", 3)],
+        assert wait_any([mixed[0], ep_b.submit("serve_updates_range", 3, 1)],
                         timeout=1.0) is mixed[0]
         assert mixed[0].result() == ("srv-0", 1)
 
@@ -203,16 +204,16 @@ class TestCombinators:
         check: it never resolves, but it does not make the wait raise."""
         net, (ep,) = make_rig()
         orphan = PendingReply(method="m", target="t")
-        live = ep.submit("serve_header", 1)
+        live = ep.submit("serve_updates_range", 1, 1)
         assert wait_any([orphan, live], timeout=1.0) is live
-        assert wait_all([orphan, ep.submit("serve_header", 2)],
+        assert wait_all([orphan, ep.submit("serve_updates_range", 2, 1)],
                         timeout=1.0) is False
         assert not orphan.done()
 
     def test_wait_all_counts_cancellations_as_resolved(self):
         net, (ep,) = make_rig()
         net.isolate("srv-0")
-        replies = [ep.submit("serve_header", i) for i in range(2)]
+        replies = [ep.submit("serve_updates_range", i, 1) for i in range(2)]
         assert wait_all(replies, timeout=0.2) is False
         for reply in replies:
             reply.cancel()
@@ -225,7 +226,7 @@ class TestUnreachableDestinations:
         is dropped and the client hits its timeout path mid-failover."""
         net, (ep,) = make_rig()
         net.deregister("srv-0")
-        reply = ep.submit("serve_header", 1)      # must not raise
+        reply = ep.submit("serve_updates_range", 1, 1)      # must not raise
         assert wait_any([reply], timeout=0.5) is None
         assert net.stats.link("lc-0", "srv-0").dropped == 1
         with pytest.raises(EndpointTimeout):
@@ -264,7 +265,7 @@ class TestOneEndpointMethodTable:
 
     def test_every_adapter_is_a_submit_then_wait(self):
         net, (ep,) = make_rig()
-        assert ep.serve_header(7) == ("srv-0", 7)
+        assert ep.serve_updates_range(7, 1) == ("srv-0", 7)
         with pytest.raises(RemoteError) as excinfo:
             ep.serve_head_number()
         assert excinfo.value.remote_type == "RuntimeError"
@@ -280,3 +281,24 @@ class TestOneEndpointMethodTable:
         with pytest.raises(ServeError,
                            match="unknown endpoint method load_info"):
             ep._invoke("load_info")
+
+    def test_one_free_header_endpoint(self):
+        """Headers ride ``serve_updates_range`` alone: the per-header
+        ``serve_header`` and the by-hash ``serve_bootstrap`` are refused
+        like any other unknown method, even by a server that has them."""
+        class OldServer(EchoServer):
+            def serve_header(self, number):
+                return (self.name, number)
+
+            def serve_bootstrap(self, checkpoint_hash):
+                return (self.name, checkpoint_hash)
+
+        net = SimNetwork(latency=FixedLatency(0.01))
+        SimServerBinding(net, "old", OldServer("old"))
+        ep = SimEndpoint(net, "lc", "old", Address.zero(), timeout=1.0)
+        for method, arg in (("serve_header", 1),
+                            ("serve_bootstrap", b"\x00" * 32)):
+            assert not hasattr(SimEndpoint, method)
+            with pytest.raises(ServeError,
+                               match=f"unknown endpoint method {method}"):
+                ep._invoke(method, arg)
