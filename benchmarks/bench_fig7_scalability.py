@@ -13,15 +13,29 @@ CPU of big-int crypto by ~10 (a CPU figure taken under it measures the
 tracer).  Reported series: absolute usage per N and the PARP/plain ratio
 (the reproduction target is the ratio's scale and its growth with N, not
 Geth's absolute percentages).
+
+"tables built" counts the signer tables (``keys.fixed_base_table``) the
+PARP side builds inside each pass's measured loop, and explains the memory
+cliff between N = 20 and N = 50.  The cpu pass runs every N before the
+memory pass does, and ``keys._KNOWN_KEYS`` is process-wide, so a client
+key's count of full recoveries carries across sweep points.  A connect and
+two requests leave a new key short of ``keys._BUILD_AFTER``; the second
+sweep point that uses it builds its table.  Keys ``fig7:lc0`` to ``lc19``
+get there inside the cpu pass (20 tables), so the memory pass builds none
+for N <= 20.  ``lc20`` to ``lc49`` are first met at N = 50 of the cpu pass,
+so the memory pass builds their 30 tables (~130 KB each) inside its
+tracemalloc window: that, not per-client state, is the jump from 167 KiB
+at N = 20 to ~4.3 MiB at N = 50.
 """
 
 import time
+from contextlib import contextmanager
 
 import pytest
 
 from repro.chain import GenesisConfig
 from repro.contracts import DEPOSIT_MODULE_ADDRESS
-from repro.crypto import PrivateKey
+from repro.crypto import PrivateKey, keys
 from repro.lightclient import HeaderSyncer
 from repro.node import Devnet, FullNode
 from repro.parp import (
@@ -61,10 +75,27 @@ def build_world(n_clients: int):
     return net, node, accounts, client_keys
 
 
+@contextmanager
+def counted_tables():
+    """Count the signer tables ``keys`` builds while the block runs."""
+    built, inner = [0], keys.fixed_base_table
+
+    def counting(*args):
+        built[0] += 1
+        return inner(*args)
+
+    keys.fixed_base_table = counting
+    try:
+        yield built
+    finally:
+        keys.fixed_base_table = inner
+
+
 def run_parp_serving(n_clients: int,
-                     trace_memory: bool) -> tuple[float, int, int]:
-    """N bonded PARP sessions polling balances; returns (cpu, peak_mem, reqs)
-    — cpu is meaningful without ``trace_memory``, peak_mem only with it."""
+                     trace_memory: bool) -> tuple[float, int, int, int]:
+    """N bonded PARP sessions polling balances; returns (cpu, peak_mem, reqs,
+    tables built in the measured loop) — cpu is meaningful without
+    ``trace_memory``, peak_mem only with it."""
     net, node, accounts, client_keys = build_world(n_clients)
     server = FullNodeServer(node)
     sessions = []
@@ -74,13 +105,14 @@ def run_parp_serving(n_clients: int,
         sessions.append(session)
 
     requests = 0
-    with ResourceProbe(trace_memory) as probe:
+    with counted_tables() as tables, ResourceProbe(trace_memory) as probe:
         for tick in range(DURATION * RATE):
             for i, session in enumerate(sessions):
                 target = accounts.addresses[(tick + i) % len(accounts)]
                 session.get_balance(target)
                 requests += 1
-    return probe.sample.cpu_seconds, probe.sample.peak_memory_bytes, requests
+    return (probe.sample.cpu_seconds, probe.sample.peak_memory_bytes,
+            requests, tables[0])
 
 
 def run_plain_serving(n_clients: int,
@@ -103,7 +135,9 @@ def run_plain_serving(n_clients: int,
 @pytest.fixture(scope="module")
 def sweep() -> dict:
     """Both passes over every N: ``{n: (requests, parp_cpu, plain_cpu,
-    parp_mem, plain_mem)}`` plus the wall seconds each pass took."""
+    parp_mem, plain_mem)}``, the signer tables each pass built in its
+    measured loop, ``{n: (cpu, memory)}``, and the wall seconds each pass
+    took."""
     measured, seconds = {}, {}
     for name, trace_memory in (("cpu", False), ("memory", True)):
         started = time.perf_counter()
@@ -119,7 +153,9 @@ def sweep() -> dict:
             measured["memory"][n][0][1], measured["memory"][n][1][1])
         for n in CLIENT_COUNTS
     }
-    return {"series": series, "seconds": seconds}
+    tables = {n: (measured["cpu"][n][0][3], measured["memory"][n][0][3])
+              for n in CLIENT_COUNTS}
+    return {"series": series, "tables": tables, "seconds": seconds}
 
 
 def test_fig7_scalability(benchmark, sweep):
@@ -132,6 +168,7 @@ def test_fig7_scalability(benchmark, sweep):
             f"{parp_cpu / plain_cpu:.1f}x",
             f"{parp_mem / 1024:.0f}KiB", f"{plain_mem / 1024:.0f}KiB",
             f"{parp_mem / plain_mem:.2f}x",
+            "{} / {}".format(*sweep["tables"][n]),
         ))
 
     benchmark.pedantic(lambda: run_parp_serving(1, False),
@@ -144,7 +181,8 @@ def test_fig7_scalability(benchmark, sweep):
         f"tracemalloc {sweep['seconds']['memory']:.1f}s)",
         render_table(
             ["clients", "requests", "PARP cpu", "plain cpu", "cpu ratio",
-             "PARP mem", "plain mem", "mem ratio"],
+             "PARP mem", "plain mem", "mem ratio",
+             "tables built (cpu / mem pass)"],
             rows,
         ),
     )

@@ -12,7 +12,7 @@ malleability — important here because signed cumulative payment amounts act
 as money.
 
 Cost, in :mod:`.secp256k1` terms: ``sign`` is one fixed-base ``generator_mul``
-(at most 32 mixed additions) and one scalar inversion; ``recover`` and
+(at most 26 mixed additions) and one scalar inversion; ``recover`` and
 ``verify`` are each one ``double_scalar_mul`` — ``recover`` as
 ``Q = (-z/r)*G + (s/r)*R``, ``verify`` as ``(z/s)*G + (r/s)*Q`` — plus one
 scalar inversion, and ``recover`` pays a field square root to lift ``r`` to
@@ -20,7 +20,7 @@ scalar inversion, and ``recover`` pays a field square root to lift ``r`` to
 
 ``recover`` for a signer whose key the caller holds (``hint``) is one
 ``double_table_mul`` instead: ``s/r``'s GLV halves read off the key's table
-and ``z/s`` off ``G``'s, at most 52 + 32 mixed additions, no doubling, no
+and ``z/s``'s off ``G``'s, at most 44 + 26 mixed additions, no doubling, no
 square root — under half the time of the full recovery, whose ladder the
 split has already halved.  It is still a recovery, not a ``verify``:
 ``verify`` compares ``R'.x`` with ``r`` and never looks at ``v``, so it accepts
@@ -30,7 +30,7 @@ path checks the parity ``v`` names too, so it accepts exactly the signatures
 that recover to the key.
 
 Like the curve code this is variable-time: the fixed-base table is indexed by
-the bytes of the secret nonce, so it is not hardened against timing or cache
+the windows of the secret nonce, so it is not hardened against timing or cache
 side channels.
 """
 
@@ -145,7 +145,7 @@ def recover(msg_hash: bytes, signature: Signature,
     so ``Q`` is returned then; otherwise the full recovery below runs, and it
     returns or raises what it would have without a hint.  The table's rows
     must cover a half of the split, ``bits >= SPLIT_BITS``: :mod:`.keys`
-    builds 26 rows of 5 bits, a full-width table serves as well, and a shorter
+    builds 22 rows of 6 bits, a full-width table serves as well, and a shorter
     one reads a wrong ``R'`` and so only ever falls through.
     """
     if len(msg_hash) != 32:

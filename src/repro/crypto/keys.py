@@ -167,9 +167,9 @@ class PrivateKey:
 
 
 #: Signers the caller holds the address of and this process has authenticated
-#: — channel counterparties: ``Address -> 5-bit fixed-base table`` over one
-#: half of the GLV split (26 rows x 31 points, ~140 KB, 9-14 ms to build,
-#: 0.5-1.1 ms saved per later signature) or, until the key has earned one,
+#: — channel counterparties: ``Address -> 6-bit fixed-base table`` over one
+#: half of the GLV split (22 rows x 32 points, ~130 KB, ~12 ms to build,
+#: ~1.1 ms saved per later signature) or, until the key has earned one,
 #: how many full recoveries it has cost.  The table is built on the
 #: ``_BUILD_AFTER``-th, the break-even, so a key never seen again has
 #: at worst doubled its price, a key seen once costs a counter, and keys that
@@ -183,7 +183,7 @@ class PrivateKey:
 #: expected or not: a transaction's sender — costs no hash of its public
 #: key.  The key is the whole point: a hit returns that point's own address.
 KNOWN_KEY_CAPACITY = 64
-_KEY_WINDOW = 5
+_KEY_WINDOW = 6
 _BUILD_AFTER = 8
 _KNOWN_KEYS: LRUCache[list | int] = LRUCache(capacity=KNOWN_KEY_CAPACITY)
 _ADDRESSES: LRUCache[Address] = LRUCache(capacity=KNOWN_KEY_CAPACITY)

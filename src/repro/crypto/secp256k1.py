@@ -13,19 +13,19 @@ signatures.  We implement:
   ``k·Q = k1·Q + k2·φ(Q)`` is two half-length multiples; ``φ`` of a stored
   point is one field multiplication, a negative half flips ``y``.  ``β``,
   ``λ`` and the lattice basis are libsecp256k1's,
-* ``fixed_base_table``: ``j * 2^(wi) * Q`` for any point ``Q``, so a multiple
-  of ``Q`` is one mixed addition per ``w``-bit window and no doubling;
-  ``generator_mul`` walks the 8-bit table of ``G`` built at import (at most
-  32 additions, no split), and a signer whose key is held — a channel
-  counterparty — gets a 5-bit one covering a half (26 rows, 806 points),
+* ``fixed_base_table``: ``j * 2^(wi) * Q`` for any point ``Q``, walked as
+  signed windows, so a multiple of ``Q`` is one mixed addition per ``w``-bit
+  window and no doubling; ``generator_mul`` walks ``G``'s 10-bit table (13
+  rows, 6 656 points) once per half (at most 26 additions), and a signer
+  whose key is held — a channel counterparty — gets a 6-bit one (704 points),
 * ``point_mul``: one joint width-5 wNAF ladder of ``k1·Q + k2·φ(Q)`` over
   ``Q, 3Q, ..., 15Q`` and their images under ``φ`` — at most 128 doublings
   and about 43 mixed additions, negative digits for free,
 * ``double_scalar_mul``: ``u1*G + u2*Q`` accumulated into one Jacobian point
   and converted to affine once; ECDSA ``recover`` and ``verify`` are this,
-* ``double_table_mul``: the same sum when ``Q``'s table is at hand — ``G``'s
-  table walked once, ``Q``'s once per half (at most 32 + 52 additions, no
-  doubling); ``recover`` with a known key is this.
+* ``double_table_mul``: the same sum when ``Q``'s table is at hand — both
+  tables walked once per half (at most 26 + 44 additions, no doubling);
+  ``recover`` with a known key is this.
 
 Nothing here is constant-time: the tables are indexed by, and the branches
 taken on, the bits of the scalar — including the secret ECDSA nonce.  That is
@@ -55,15 +55,14 @@ B = 7
 Gx = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 Gy = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
-# Window widths: one byte of the scalar per row of G's fixed-base table, and
 # 5-bit wNAF digits (8 odd multiples) for an arbitrary point.
-_G_WINDOW = 8
 _WNAF_WIDTH = 5
 
 # The endomorphism: (β·x, y) = λ·(x, y), β³ ≡ 1 (mod P), λ³ ≡ 1 (mod N), where
 # λ = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72 is
 # what the basis below encodes; no code needs its value.
 _BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_BETA_SQUARED = _BETA * _BETA % P  # φ^2 = φ^-1
 # A reduced basis (a1, b1), (a2, b2) of the lattice {(x, y): x + y·λ ≡ 0
 # (mod N)}, with b2 = a1 and a1·b2 - a2·b1 = N.
 _A1 = 0x3086D221A7D46BCDE86C90E49284EB15
@@ -274,84 +273,115 @@ def point_mul(scalar: int, point: Point) -> Point:
 def fixed_base_table(point: Point, width: int,
                      bits: int = 256) -> list[list[tuple[int, int]]]:
     """``table[i][j - 1] = j * 2^(width*i) * point`` as affine ``(x, y)``, for
-    each window position ``i`` and window value ``j = 1 .. 2^width - 1``, with
-    enough rows for a scalar below ``2^bits``.
+    ``j = 1 .. 2^(width-1)`` and ``⌈(bits+1)/width⌉`` rows ``i``: a scalar below
+    ``2^bits`` in signed windows, one above ``2^(width-1)`` negated plus a carry.
 
     With it a multiple of ``point`` is one mixed addition per window and no
     doubling.  Every entry is finite because ``point`` has prime order ``N``.
     Rows are normalised one at a time, so a build never holds more than one
-    row of Jacobian intermediates.  At 8 bits this is ``_G_TABLE`` (32 rows x
-    255 points, ~1.5 MB, ~0.1 s); a channel counterparty's key gets the 5-bit
-    one over ``SPLIT_BITS`` (26 rows x 31 points, ~9 ms — see :mod:`.keys`).
+    row of Jacobian intermediates.  ``_G_TABLE`` is the 10-bit one over
+    ``SPLIT_BITS``; a channel counterparty's key gets the 6-bit one (see
+    :mod:`.keys`).
     """
     if point.is_infinity or not is_on_curve(point):
         raise ValueError("point is not a finite curve point")
     table = []
     base = _to_jacobian(point)
-    for _ in range(-(-bits // width)):
+    for _ in range(-(-(bits + 1) // width)):
         row = [base]
-        for _ in range((1 << width) - 2):
+        for _ in range((1 << (width - 1)) - 1):
             row.append(_jacobian_add(row[-1], base))
         table.append(_batch_to_affine(row))
-        base = _jacobian_add(row[-1], base)  # 2^width times this row's base
+        base = _jacobian_double(row[-1])  # 2^width times this row's base
     return table
 
 
-_G_TABLE = fixed_base_table(G, _G_WINDOW)
+_G_TABLE = fixed_base_table(G, 10, SPLIT_BITS)  # 13 rows x 512 points
 
 
 def _table_mul_add(table: list[list[tuple[int, int]]], scalar: int,
-                   start: _JacPoint, phi: bool = False) -> _JacPoint:
-    """``start + scalar * Q`` (with ``phi``, ``start + scalar * φ(Q)``) in
-    Jacobian form, ``table`` being ``Q``'s fixed-base table (its window width
-    is read off the row length) with rows enough for ``|scalar|``; a negative
-    ``scalar`` adds the entries' negatives."""
-    result = start
-    mask = len(table[0])  # 2^width - 1
-    width = mask.bit_length()
+                   start: _JacPoint) -> _JacPoint:
+    """``start + scalar * Q`` in Jacobian form, ``table`` being ``Q``'s
+    fixed-base table (window width read off the row length) with rows enough
+    for ``|scalar|``; a negative ``scalar`` adds the entries' negatives."""
+    x1, y1, z1 = start
+    half = len(table[0])  # 2^(width-1)
+    width = half.bit_length()
+    mask = 2 * half - 1
     negate = scalar < 0
     scalar = abs(scalar)
     for row in table:
         if not scalar:
             break
         window = scalar & mask
-        if window:
-            x, y = row[window - 1]
-            if phi:
-                x = x * _BETA % P
-            result = _jacobian_add_affine(result, x, P - y if negate else y)
         scalar >>= width
+        if not window:
+            continue
+        carry = window > half  # read as -(2^width - window)
+        scalar += carry
+        x2, y2 = row[mask - window if carry else window - 1]
+        if carry != negate:
+            y2 = P - y2
+        if z1 == 0:
+            x1, y1, z1 = x2, y2, 1
+            continue
+        z1sq = z1 * z1 % P
+        u2 = x2 * z1sq % P
+        s2 = y2 * z1sq * z1 % P
+        if x1 == u2:
+            x1, y1, z1 = _jacobian_double((x1, y1, z1)) if y1 == s2 else _J_INFINITY
+            continue
+        h = u2 - x1
+        r = s2 - y1
+        hsq = h * h % P
+        hcu = hsq * h % P
+        x1hsq = x1 * hsq % P
+        x1 = (r * r - hcu - 2 * x1hsq) % P
+        y1 = (r * (x1hsq - x1) - y1 * hcu) % P
+        z1 = h * z1 % P
+    return x1, y1, z1
+
+
+def _split_walk(pairs: list[tuple[list[list[tuple[int, int]]], int]],
+                start: _JacPoint = _J_INFINITY) -> _JacPoint:
+    """``start + Σ u * Q`` over ``(Q's table, u)`` pairs: every ``k2`` half,
+    ``φ`` once (``start`` entered through ``φ^2 = φ^-1``), every ``k1`` half."""
+    halves = [(table, _split(u % N)) for table, u in pairs]
+    x, y, z = start
+    result = (x * _BETA_SQUARED % P, y, z)
+    for table, (_, k2) in halves:
+        result = _table_mul_add(table, k2, result)
+    x, y, z = result
+    result = (x * _BETA % P, y, z)
+    for table, (k1, _) in halves:
+        result = _table_mul_add(table, k1, result)
     return result
 
 
 def generator_mul(scalar: int) -> Point:
-    """Multiply the generator ``G`` by ``scalar`` using the fixed-base table."""
-    return _from_jacobian(_table_mul_add(_G_TABLE, scalar % N, _J_INFINITY))
+    """Multiply the generator ``G`` by ``scalar`` off its fixed-base table."""
+    return _from_jacobian(_split_walk([(_G_TABLE, scalar)]))
 
 
 def double_scalar_mul(u1: int, u2: int, point: Point) -> Point:
     """Return ``u1 * G + u2 * point`` for an affine curve ``point``.
 
-    The wNAF ladder for ``u2 * point`` runs first and the fixed-base additions
-    for ``u1 * G`` continue on the same Jacobian accumulator, so the sum costs
+    The wNAF ladder for ``u2 * point`` runs first and the split walk of
+    ``u1 * G`` continues on the same Jacobian accumulator, so the sum costs
     no extra point addition and a single conversion to affine.
     """
     if not is_on_curve(point):
         raise ValueError("point is not on the curve")
     return _from_jacobian(
-        _table_mul_add(_G_TABLE, u1 % N, _wnaf_mul(u2 % N, point)))
+        _split_walk([(_G_TABLE, u1)], _wnaf_mul(u2 % N, point)))
 
 
 def double_table_mul(u1: int, u2: int,
                      table: list[list[tuple[int, int]]]) -> Point:
     """Return ``u1 * G + u2 * Q`` where ``table`` is ``fixed_base_table(Q, w,
-    bits)`` with ``bits >= SPLIT_BITS`` (a full-width table will do): ``u2``
-    is split and ``Q``'s table walked once per half, the second time through
-    ``φ`` — no doubling, one conversion to affine."""
-    k1, k2 = _split(u2 % N)
-    result = _table_mul_add(_G_TABLE, u1 % N, _J_INFINITY)
-    result = _table_mul_add(table, k1, result)
-    return _from_jacobian(_table_mul_add(table, k2, result, phi=True))
+    bits)``, ``bits >= SPLIT_BITS``: each table walked once per half — with a
+    6-bit one at most 26 + 44 additions, no doubling, one conversion to affine."""
+    return _from_jacobian(_split_walk([(_G_TABLE, u1), (table, u2)]))
 
 
 def lift_x(x: int, odd_y: bool) -> Point | None:

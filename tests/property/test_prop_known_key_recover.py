@@ -25,8 +25,11 @@ from repro.crypto import ecdsa, keys, secp256k1
 from repro.crypto.ecdsa import Signature, SignatureError, recover
 from repro.crypto.keys import (KNOWN_KEY_CAPACITY, PrivateKey, PublicKey,
                                recover_address)
-from repro.crypto.secp256k1 import N, P, Gx, Gy, Point, fixed_base_table, lift_x
+from repro.crypto.secp256k1 import (N, P, SPLIT_BITS, Gx, Gy, Point,
+                                    fixed_base_table, lift_x)
 from repro.metrics.cache import LRUCache
+
+from .test_prop_secp256k1 import assert_signed_window_layout
 
 VECTORS = json.loads(
     (Path(__file__).parent.parent / "data" / "ecdsa_vectors.json").read_text()
@@ -34,7 +37,7 @@ VECTORS = json.loads(
 
 SIGNERS = [PrivateKey.from_seed(f"known-key:{i}") for i in range(4)]
 #: full-width tables at three widths: each is a valid hint, though ``keys``
-#: builds only the 5-bit one over ``SPLIT_BITS`` (a half of the split)
+#: builds only the 6-bit one over ``SPLIT_BITS`` (a half of the split)
 HINTS = {width: [fixed_base_table(key.public_key.point, width)
                  for key in SIGNERS]
          for width in (4, 5, 8)}
@@ -140,21 +143,17 @@ class TestHintedRecoverIsRecover:
 
 
 class TestOneTableBuilder:
-    def test_width_eight_on_g_is_the_generator_table(self):
-        table = fixed_base_table(Point(Gx, Gy), 8)
-        assert len(table) == len(secp256k1._G_TABLE) == 32
+    def test_width_ten_over_a_half_is_the_generator_table(self):
+        table = fixed_base_table(Point(Gx, Gy), 10, SPLIT_BITS)
+        assert_signed_window_layout(table, Point(Gx, Gy), 10, SPLIT_BITS)
+        assert len(table) == len(secp256k1._G_TABLE) == 13
         for built, held in zip(table, secp256k1._G_TABLE):
-            assert built == held and len(built) == 255
+            assert built == held and len(built) == 512
 
     @pytest.mark.parametrize("width", sorted(HINTS))
     def test_rows_hold_the_window_multiples(self, width):
         point, table = SIGNERS[0].public_key.point, HINTS[width][0]
-        assert len(table) == -(-256 // width)
-        assert all(len(row) == (1 << width) - 1 for row in table)
-        for i in (0, 1, len(table) - 1):
-            for j in (1, 2, (1 << width) - 1):
-                assert Point(*table[i][j - 1]) == secp256k1.point_mul(
-                    j << (width * i), point)
+        assert_signed_window_layout(table, point, width, 256)
 
     @pytest.mark.parametrize("point", [
         secp256k1.INFINITY, Point(Gx, Gy + 1), Point(Gx + P, Gy)])

@@ -1,8 +1,8 @@
 """Differential oracle for the windowed secp256k1 code.
 
-``repro.crypto.secp256k1`` multiplies through a fixed-base byte table, a
-width-5 wNAF ladder over the two halves of a GLV split and mixed Jacobian
-additions.  The textbook affine
+``repro.crypto.secp256k1`` multiplies through signed-window fixed-base
+tables walked once per half of a GLV split, a width-5 wNAF ladder over the
+two halves and mixed Jacobian additions.  The textbook affine
 add + double-and-add below shares none of that and is the reference every
 scalar-multiplication entry point must agree with — on random scalars and on
 the scalars and point pairs that steer the fast code into its rare branches.
@@ -232,7 +232,7 @@ class TestDoubleScalarMul:
             naive_double_mul(u, sign_ * u, point)
 
 
-#: what ``keys`` builds for a signer it holds: 5-bit windows over one half
+#: a 5-bit table over one half of the split (``keys`` builds the 6-bit one)
 HALF_POINT = generator_mul(0xC0FFEE)
 HALF_TABLE = fixed_base_table(HALF_POINT, 5, SPLIT_BITS)
 #: the scalars of 4 000 spread draws whose wider half is widest
@@ -240,9 +240,22 @@ WIDEST = sorted((k * _SPREAD % N for k in range(1, 4001)),
                 key=lambda k: max(map(abs, halves(k))))[-8:]
 
 
+def assert_signed_window_layout(table, point, width, bits):
+    """``⌈(bits+1)/width⌉`` rows of ``2^(width-1)`` entries, entry ``j`` of row
+    ``i`` being ``j * 2^(width*i) * point`` — checked on rows 0, 1 and the
+    last, for ``j`` = 1, 2 and ``2^(width-1)``."""
+    half = 1 << (width - 1)
+    assert len(table) == -(-(bits + 1) // width)
+    assert all(len(row) == half for row in table)
+    for i in (0, 1, len(table) - 1):
+        for j in (1, 2, half):
+            assert Point(*table[i][j - 1]) == point_mul(j << (width * i), point)
+
+
 class TestHalfWidthTable:
-    def test_26_rows_of_31_points(self):
-        assert len(HALF_TABLE) == 26 and sum(map(len, HALF_TABLE)) == 806
+    def test_26_rows_of_16_points(self):
+        assert_signed_window_layout(HALF_TABLE, HALF_POINT, 5, SPLIT_BITS)
+        assert len(HALF_TABLE) == 26 and sum(map(len, HALF_TABLE)) == 416
 
     def test_the_widest_halves_read_the_last_row(self):
         widest = max(max(map(abs, halves(k))) for k in WIDEST)
@@ -258,6 +271,64 @@ class TestHalfWidthTable:
     def test_walk_random(self, u1, u2):
         assert double_table_mul(u1, u2, HALF_TABLE) == \
             naive_double_mul(u1, u2, HALF_POINT)
+
+
+def from_halves(k1, k2):
+    return (k1 + k2 * LAMBDA) % N
+
+
+def carry_edges(width):
+    """Scalars whose two halves repeat one ``width``-bit window up to 126
+    bits, each sign: ``2^(width-1)`` in every window reads the top entry
+    with no carry, ``2^(width-1) + 1`` makes every row carry, ``2^width - 1``
+    ripples a carry through windows that read 0."""
+    edges = []
+    for digit in (1 << (width - 1), (1 << (width - 1)) + 1, (1 << width) - 1):
+        half = sum(digit << (width * i) for i in range(126 // width))
+        edges += [from_halves(s1 * half, s2 * half)
+                  for s1 in (1, -1) for s2 in (1, -1)]
+    return edges
+
+
+#: ``_G_TABLE``'s 10-bit windows, ``keys``' 6-bit ones, ``HALF_TABLE``'s 5
+CARRY_EDGES = {width: carry_edges(width) for width in (10, 6, 5)}
+SMALL_SCALARS = [0, 1, N - 1]
+
+
+class TestSignedWindowCarries:
+    @pytest.mark.parametrize("width", sorted(CARRY_EDGES))
+    def test_the_edges_split_into_the_halves_they_were_built_from(self, width):
+        for scalar in CARRY_EDGES[width]:
+            k1, k2 = halves(scalar)
+            assert from_halves(k1, k2) == scalar
+            assert abs(k1) == abs(k2) and abs(k1).bit_length() > 115
+
+    @pytest.mark.parametrize("scalar",
+                             CARRY_EDGES[10] + SMALL_SCALARS + GLV_EDGES)
+    def test_generator_mul(self, scalar):
+        assert generator_mul(scalar) == naive_mul(scalar, G)
+
+    @pytest.mark.parametrize("width", [5, 6])
+    def test_double_table_mul(self, width):
+        table = fixed_base_table(HALF_POINT, width, SPLIT_BITS)
+        g_edges = CARRY_EDGES[10] + SMALL_SCALARS
+        for i, u2 in enumerate(CARRY_EDGES[width] + SMALL_SCALARS + GLV_EDGES):
+            u1 = g_edges[i % len(g_edges)]
+            assert double_table_mul(u1, u2, table) == \
+                naive_double_mul(u1, u2, HALF_POINT), (u1, u2)
+
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_a_half_carries_into_the_extra_top_row(self, width):
+        """``width`` divides ``SPLIT_BITS``, so the top row holds only what a
+        carry out of the row below it brings: the widest halves' top window
+        reads above ``2^(width-1)``."""
+        table = fixed_base_table(HALF_POINT, width, SPLIT_BITS)
+        assert len(table) == SPLIT_BITS // width + 1
+        top_shift = width * (len(table) - 2)
+        for u2 in WIDEST:
+            assert max(map(abs, halves(u2))) >> top_shift > 1 << (width - 1)
+            assert double_table_mul(N - 1, u2, table) == \
+                naive_double_mul(N - 1, u2, HALF_POINT)
 
 
 class TestRecoverAgainstOracle:
