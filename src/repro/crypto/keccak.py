@@ -6,28 +6,27 @@ used directly.  This module implements the Keccak-f[1600] permutation and the
 sponge construction from scratch.
 
 Hashing is what a verified PARP operation costs once signatures are
-amortised, so the permutation is written for CPython rather than for the
-page: one round is straight-line code over 25 local lanes (theta's column
-parities are folded into the rho/pi rotations, chi writes the lanes back, no
-list is built or indexed inside a round), and :func:`keccak256` is a
-one-shot sponge that reads 136-byte blocks with :mod:`struct` instead of
-going through a :class:`Keccak256` object.  The loop-form permutation this
-replaced lives on in ``tests/property/test_prop_keccak.py`` as the
-differential oracle.
+amortised, so the permutation is straight-line CPython over 25 local lanes,
+and what it costs is interpreter dispatch per ``int`` operation more than
+bit width.  Two standard 64-bit techniques cut a one-lane permutation
+from about 5 800 operations to 3 700:
+
+* lane complementing (the Keccak team's implementation overview, §2.2;
+  XKCP's ``KeccakP-1600-64.macros``): six lanes are held inverted, so chi
+  inverts one input per plane, not one per lane;
+* in the one-lane form each lane holds seven copies of itself side by
+  side, so a rotation is one right shift; a round uses two copies up and
+  copy 0 is spread afresh every three rounds (~0.75x the time of the
+  masked rotations it replaced; the loop form is the test oracle).
 
 Hashing side by side
 --------------------
 
-What a permutation costs here is interpreter dispatch (some 6 000 ``int``
-operations), not bit width: ``a ^ b`` takes nearly the same time on 64 and
-on 4 096 bits.  :func:`keccak256_many` therefore runs up to 64 messages
-through one pass, the times-N layout of XKCP's ``KeccakP-1600-times4``
-with big ints for SIMD registers: the message in lane *j* lives in bits
-``[64j, 64j + 64)`` of the integer ``a_i``.  Theta, chi and iota are the
-one-lane lines unchanged; a rotation becomes
-``(t << r) & HI[r] | (t >> 64 - r) & LO[r]``, the masks keeping each
-message's bits inside its own 64.  Both forms are compiled at import from
-the one round body and rho table below.
+:func:`keccak256_many` runs up to 64 messages through one pass, the
+times-N layout of XKCP's ``KeccakP-1600-times4`` with big ints for SIMD
+registers: the message in lane *j* lives in bits ``[64j, 64j + 64)`` of
+``a_i``, and a rotation is ``(t << r) & HI[r] | (t >> 64 - r) & LO[r]``.
+Both forms are compiled at import from one round body.
 
 The messages may form a forest (a trie's nodes), each child's digest
 written into a 32-byte hole of its parent.  A pass absorbs the next block
@@ -36,8 +35,8 @@ before its first dirty child go through while the children hash; one that
 reaches an open hole is parked (its 25 lanes cut out) until it is filled.
 Lanes go to ready messages in index order (with no edges, longest first),
 each pass at the narrowest width that holds them.  The wide form costs
-1.1x the one-lane permutation at two messages and 3x at 64; fewer than two
-messages take the one-lane path — there is no knob.  Two messages is the
+~1.4x the one-lane one at two messages and ~4x at 64, so a lone message
+runs width 1, the one-lane form — there is no knob.  Two messages is the
 common call: a transaction's signing hash beside its tx hash
 (``Transaction.sender`` / ``.hash``), and a PARP request's h_req beside
 its payment digest ``Hash(α, a)``, when it is built and when it is checked.
@@ -82,6 +81,24 @@ _RHO = (
 )
 _ROTATIONS = tuple(sorted(set(_RHO) - {0}))
 
+#: lane complementing: these lanes (x + 5y) are held inverted, so chi of
+#: plane y inverts one input, ``N``, named first; lane x is ``Bx ^ (...)``
+#: over ``N`` and ``B0..B4 = b[5y..5y+4]``
+_FLIPPED = (1, 2, 8, 12, 17, 20)
+_CHI = (
+    "2: 0^1|2 1^N|3 2^3&4 3^4|0 4^0&1",
+    "4: 0^1|2 1^2&3 2^3|N 3^4|0 4^0&1",
+    "3: 0^1|2 1^2&3 2^N&4 N^4|0 4^0&1",
+    "3: 0^1&2 1^2|3 2^N|4 N^4&0 4^0|1",
+    "1: 0^N&2 N^2|3 2^3&4 3^4|0 4^0&1",
+)
+#: the one-lane form holds 7 copies of each lane side by side: a rotation
+#: uses one up, a round two, so copy 0 is spread afresh (and the round
+#: constants with it) before every 3 rounds
+_SPREAD = sum(1 << 64 * i for i in range(7))
+_SPREAD_ROUNDS = tuple(tuple(rc * _SPREAD for rc in _ROUND_CONSTANTS[i:i + 3])
+                       for i in range(0, 24, 3))
+
 _RATE_BYTES = 136  # 1088-bit rate for Keccak-256 (capacity 512)
 _RATE_LANES = _RATE_BYTES // 8
 _BLOCK = Struct("<17Q")   # one rate block as little-endian lanes
@@ -90,16 +107,19 @@ _ZERO_BLOCK = bytes(_RATE_BYTES)
 
 
 def _compile_permutation(name: str, params: str, setup: str,
-                         rotl: Callable[[str, int], str]) -> Callable:
+                         rotl: Callable[[str, int], str],
+                         spread: bool = False) -> Callable:
     """One specialisation of Keccak-f[1600] over a flat list of 25 lanes,
     lane (x, y) at index x + 5y, permuted in place.
 
     Each round is unrolled over the locals ``a0``..``a24``: ``c``/``d`` are
     theta's column parities and their mix-ins, ``b`` is the state after
-    theta, rho (the rotation) and pi (which ``b`` a lane lands in), and chi
-    plus iota write ``a`` back (and-not as ``b ^ b & c``: nothing goes
-    negative).  ``rotl(t, r)`` is the expression rotating the lanes in ``t``
-    left by ``r``; ``setup`` binds what it names and ``round_constants``.
+    theta, rho (the rotation) and pi, and chi plus iota write ``a`` back.
+    ``_FLIPPED`` lanes are inverted on entry and exit by XOR with ``ones``
+    (never ``~``: nothing goes negative).  ``rotl(e, r)`` rotates ``e`` left
+    by ``r``; ``setup`` binds what it names, ``ones`` and
+    ``round_constants``.  With ``spread``, each block of rounds starts from
+    copy 0 masked out with ``mask`` and multiplied by ``copies``.
     """
     lanes = ", ".join(f"a{i}" for i in range(25))
     body = [f"c{x} = " + " ^ ".join(f"a{x + 5 * y}" for y in range(5))
@@ -109,36 +129,45 @@ def _compile_permutation(name: str, params: str, setup: str,
     # pi sends lane (x, y) to (y, 2x + 3y); emitted in destination order
     for dst, x, y in sorted((y + 5 * ((2 * x + 3 * y) % 5), x, y)
                             for x in range(5) for y in range(5)):
-        if _RHO[x + 5 * y]:
-            body += [f"t = a{x + 5 * y} ^ d{x}",
-                     f"b{dst} = {rotl('t', _RHO[x + 5 * y])}"]
-        else:
-            body.append(f"b{dst} = a{x + 5 * y} ^ d{x}")
-    for y in range(0, 25, 5):
-        for x in range(5):
-            b0, b1, b2 = (f"b{y + (x + i) % 5}" for i in range(3))
-            body.append(f"a{y + x} = {b0} ^ {b2} ^ ({b1} & {b2})"
-                        + (" ^ rc" if x + y == 0 else ""))   # iota
-    source = (f"def {name}(state{params}):\n    {setup}\n"
-              f"    ({lanes}) = state\n    for rc in round_constants:\n        "
-              + "\n        ".join(body) + f"\n    state[:] = ({lanes})\n")
-    namespace = {"_MASK64": _MASK64, "_ROUND_CONSTANTS": _ROUND_CONSTANTS}
+        mixed, r = f"a{x + 5 * y} ^ d{x}", _RHO[x + 5 * y]
+        body.append(f"b{dst} = {rotl(mixed, r) if r else mixed}")
+    for y, plane in enumerate(_CHI):
+        lane = {"N": "n", **{str(x): f"b{5 * y + x}" for x in range(5)}}
+        body.append(f"n = {lane[plane[0]]} ^ ones")
+        for x, (out, _, left, op, right) in enumerate(plane.split()[1:]):
+            body.append(f"a{5 * y + x} = {lane[out]} ^ ({lane[left]} {op} "
+                        f"{lane[right]})" + (" ^ rc" if x + y == 0 else ""))
+    rounds = ["for rc in round_constants:"] + [f"    {line}" for line in body]
+    out = [f"a{i} ^ ones" if i in _FLIPPED else f"a{i}" for i in range(25)]
+    if spread:
+        rounds = (["for round_constants in blocks:"]
+                  + [f"    a{i} = (a{i} & mask) * copies" for i in range(25)]
+                  + [f"    {line}" for line in rounds])
+        out = [f"({lane}) & mask" for lane in out]
+    source = "\n    ".join(
+        [f"def {name}(state{params}):", setup, f"({lanes}) = state"]
+        + [f"a{i} ^= ones" for i in _FLIPPED] + rounds
+        + [f"state[:] = ({', '.join(out)})"]) + "\n"
+    namespace = {"_MASK64": _MASK64, "_ROUND_CONSTANTS": _ROUND_CONSTANTS,
+                 "_SPREAD": _SPREAD, "_SPREAD_ROUNDS": _SPREAD_ROUNDS}
     exec(compile(source, f"<generated {name}>", "exec"), namespace)
     return namespace[name]
 
 
-#: the permutation of one message's state: ``_keccak_f1600(state)``
+#: the permutation of one message's state, in copies: ``_keccak_f1600(state)``
 _keccak_f1600 = _compile_permutation(
     "_keccak_f1600", "",
-    "mask = _MASK64; round_constants = _ROUND_CONSTANTS",
-    lambda t, r: f"({t} << {r} | {t} >> {64 - r}) & mask")
+    "mask = _MASK64; copies = _SPREAD; ones = mask * copies; "
+    "blocks = _SPREAD_ROUNDS",
+    lambda e, r: f"({e}) >> {64 - r}", spread=True)
 
 #: the permutation of up to ``width`` states side by side:
 #: ``_keccak_f1600_lanes(state, *_LANE_TABLES[width])``
 _keccak_f1600_lanes = _compile_permutation(
     "_keccak_f1600_lanes", ", round_constants, masks",
-    "(" + ", ".join(f"hi{r}, lo{r}" for r in _ROTATIONS) + ") = masks",
-    lambda t, r: f"({t} << {r}) & hi{r} | ({t} >> {64 - r}) & lo{r}")
+    "(" + ", ".join(f"hi{r}, lo{r}" for r in _ROTATIONS) + ") = masks; "
+    "ones = hi1 | lo1",
+    lambda e, r: f"((t := {e}) << {r}) & hi{r} | (t >> {64 - r}) & lo{r}")
 
 _MAX_LANES = 64
 
@@ -249,18 +278,26 @@ def keccak256_many(messages: Iterable[bytes],
 
     Each edge ``(child, parent, offset)`` has ``messages[child]``'s digest
     written into the bytearray ``messages[parent]`` at ``offset`` before
-    that is absorbed (a :class:`ValueError` if the edges are no forest)."""
+    that is absorbed.  Edges that are no forest of disjoint holes raise
+    :class:`ValueError` before anything is hashed."""
     given = list(messages)
     data = [_bytes_of(message) for message in given]
     count = len(data)
     parent, at = [-1] * count, [0] * count
     holes: dict[int, list[int]] = {}    # a parent's open holes, by offset
     for child, up, offset in edges:
-        if parent[child] >= 0 or not isinstance(given[up], bytearray) or not (
-                0 <= offset <= len(given[up]) - 32):
+        taken = holes.setdefault(up, [])
+        if not (0 <= child < count and 0 <= up < count and parent[child] < 0
+                and isinstance(given[up], bytearray)
+                and 0 <= offset <= len(given[up]) - 32
+                and all(abs(offset - other) >= 32 for other in taken)):
             raise ValueError(f"edge {child, up, offset} fills no hole")
         data[up], parent[child], at[child] = given[up], up, offset
-        holes.setdefault(up, []).append(offset)
+        taken.append(offset)
+        while up >= 0:      # a cycle leads back up to the child
+            if up == child:
+                raise ValueError("the edges leave a message waiting on itself")
+            up = parent[up]
     if count < 2:
         return [_sponge(message) for message in data]
     blocks = [len(message) // _RATE_BYTES + 1 for message in data]
@@ -284,7 +321,7 @@ def keccak256_many(messages: Iterable[bytes],
         if not running + len(entering):
             break
         # the narrowest width that holds them: what runs past it moves down
-        width = max(2, 1 << (running + len(entering) - 1).bit_length())
+        width = 1 << (running + len(entering) - 1).bit_length()
         for lane, j in enumerate(lanes[width:], width):
             if j >= 0:
                 saved[j] = [word >> 64 * lane & _MASK64 for word in state]
@@ -310,7 +347,10 @@ def keccak256_many(messages: Iterable[bytes],
         words = memoryview(b"".join(pieces)).cast("Q")
         for i in range(_RATE_LANES):
             state[i] ^= int.from_bytes(words[i::_RATE_LANES].tobytes(), "little")
-        _keccak_f1600_lanes(state, *_LANE_TABLES[width])
+        if width > 1:
+            _keccak_f1600_lanes(state, *_LANE_TABLES[width])
+        else:       # a lone message
+            _keccak_f1600(state)
         squeezed = b""
         for lane, j in enumerate(lanes):    # the finished fill their holes
             if j < 0:
@@ -337,8 +377,6 @@ def keccak256_many(messages: Iterable[bytes],
             if j >= 0 and done[j] == limit[j]:
                 lanes[lane] = -1
                 saved[j] = [word >> 64 * lane & _MASK64 for word in state]
-    if not all(digests):
-        raise ValueError("the edges leave a message waiting on itself")
     return digests
 
 

@@ -20,13 +20,14 @@ __all__ = [
 Nibbles = tuple[int, ...]
 
 
+#: a hex digit's ASCII code to the nibble it spells
+_HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
 def bytes_to_nibbles(data: bytes) -> Nibbles:
-    """Expand a byte string into its nibble sequence (big-endian per byte)."""
-    out = []
-    for byte in data:
-        out.append(byte >> 4)
-        out.append(byte & 0x0F)
-    return tuple(out)
+    """Expand a byte string into its nibble sequence (big-endian per byte),
+    in one C-level pass: hex digits, read back as their values."""
+    return tuple(data.hex().encode().translate(_HEX_DIGITS))
 
 
 def nibbles_to_bytes(nibbles: Nibbles) -> bytes:

@@ -179,8 +179,9 @@ def test_a_warm_request_doubles_no_point_and_builds_no_table(
 
 
 def test_a_known_keys_table_holds_at_most_806_points(warm_env):
-    """26 rows of 31 points: what a 5-bit window needs to cover one 128-bit
-    half of the split (64 rows of 15 covered the whole scalar)."""
+    """22 rows of 32 points, 704 in all: 6-bit signed windows over one
+    half of the split, 128 bits and a carry, so 129 (64 rows of 15 covered
+    the whole scalar)."""
     table = keys_module._KNOWN_KEYS._entries[warm_env.server.address]
     assert isinstance(table, list) and sum(map(len, table)) <= 806
 

@@ -181,6 +181,19 @@ class TestPermutationAgainstTheLoop:
         assert _keccak_f1600(state) is None
         assert state != list(range(25)) and len(state) == 25
 
+    def test_zero_ones_and_every_single_bit_state(self):
+        """The one-lane form keeps copies of each lane side by side and
+        inverts six of them inside: every state with one bit set, the zero
+        state and the all-ones one come out as the loop's, in 64 bits."""
+        states = [[0] * 25, [MASK64] * 25]
+        for bit in range(1600):
+            states.append([0] * 25)
+            states[-1][bit // 64] = 1 << bit % 64
+        for state in states:
+            fast, loop = both(state)
+            assert fast == loop, state
+            assert all(lane <= MASK64 for lane in fast)
+
     def test_golden_permutations(self):
         assert len(GOLDEN["permutation"]) >= 5
         for vector in GOLDEN["permutation"]:
@@ -434,14 +447,20 @@ def hashed_in_order(messages, edges):
 
 
 def counted_passes(monkeypatch):
-    """A list that gets one entry per pass of the wide permutation."""
+    """A list that gets one entry per pass of either permutation: its width,
+    1 for the one-lane form."""
     passes = []
 
     def counted(state, *tables):
-        passes.append(tables[0][0].bit_length() // 64 + 1)   # its width
+        passes.append(tables[0][0].bit_length() // 64 + 1)
         return _keccak_f1600_lanes(state, *tables)
 
+    def counted_one(state):
+        passes.append(1)
+        return _keccak_f1600(state)
+
     monkeypatch.setattr(keccak_module, "_keccak_f1600_lanes", counted)
+    monkeypatch.setattr(keccak_module, "_keccak_f1600", counted_one)
     return passes
 
 
@@ -518,7 +537,7 @@ class TestTree:
                     check_tree([parent, child], [(1, 0, offset)])
         parent = seeded(532, 1)
         check_tree(children + [parent],
-                   [(0, 4, 103), (1, 4, 120), (2, 4, 240), (3, 4, 500)])
+                   [(0, 4, 72), (1, 4, 120), (2, 4, 240), (3, 4, 500)])
 
     def test_more_than_64_ready_and_a_ready_set_that_grows_and_shrinks(
             self, monkeypatch):
@@ -533,13 +552,18 @@ class TestTree:
         edges = [(139 - i, i % 9, 140 + 33 * (i // 9 % 4)) for i in range(36)]
         edges += [(i, 9, 3 + 33 * i) for i in range(9)]
         widths = check_tree(messages, edges, monkeypatch)
-        assert widths == [64, 64, 32, 16, 16, 16, 4, 2, 2, 2, 2]
+        assert widths == [64, 64, 32, 16, 16, 16, 4, 1, 1, 1, 1]
 
     def test_a_deep_chain_parks_and_resumes_each_link(self, monkeypatch):
         chain = [seeded(532, i) for i in range(12)]
         edges = [(i, i + 1, 466) for i in range(11)]
         # three blocks each side by side, then one last block a link
-        assert check_tree(chain, edges, monkeypatch) == [16] * 3 + [2] * 12
+        assert check_tree(chain, edges, monkeypatch) == [16] * 3 + [1] * 12
+
+    def test_a_lone_message_runs_the_one_lane_permutation(self, monkeypatch):
+        """Once the short message is done the long one runs alone: width 1,
+        not a wide pass with an empty lane beside it."""
+        assert check_tree([seeded(300, 0), b"x"], [], monkeypatch) == [2, 1, 1]
 
     @pytest.mark.parametrize("messages, edges", [
         ([b"a", bytearray(40)], [(0, 1, 9)]),                # a hole past the end
@@ -547,8 +571,17 @@ class TestTree:
         ([b"a", bytearray(40)], [(0, 1, -1)]),
         ([b"a", b"b", bytearray(64)], [(0, 2, 0), (0, 2, 32)]),  # two parents
         ([bytearray(40), bytearray(40)], [(0, 1, 0), (1, 0, 0)]),  # a cycle
+        ([bytearray(64)], [(0, 0, 0)]),                      # a self-edge
+        ([b"a", bytearray(64)], [(2, 1, 0)]),                # no such child
+        ([b"a", bytearray(64)], [(0, 2, 0)]),                # no such parent
+        ([b"a", b"b", bytearray(64)], [(-2, 2, 0)]),         # negative child
+        ([b"a", bytearray(64)], [(0, -1, 0)]),               # negative parent
+        ([b"a", b"b", bytearray(64)], [(0, 2, 0), (1, 2, 0)]),   # one hole
+        ([b"a", b"b", bytearray(64)], [(0, 2, 0), (1, 2, 31)]),  # overlapping
     ])
-    def test_rejects_edges_that_are_not_a_forest_of_holes(self, messages,
-                                                          edges):
+    def test_rejects_edges_that_are_not_a_forest_of_holes(
+            self, messages, edges, monkeypatch):
+        passes = counted_passes(monkeypatch)
         with pytest.raises(ValueError):
             keccak256_many(messages, edges)
+        assert passes == []     # before anything is hashed

@@ -1,5 +1,7 @@
 """Property tests: the MPT behaves like a dict, commits uniquely, proves all."""
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from repro.trie import (
@@ -10,11 +12,37 @@ from repro.trie import (
     verify_proof,
 )
 
+from repro.trie.nibbles import bytes_to_nibbles
+
 from ..reference_trie import trie_items
 
 keys = st.binary(min_size=1, max_size=8)
 values = st.binary(min_size=1, max_size=32)
 mappings = st.dictionaries(keys, values, max_size=24)
+
+
+def loop_bytes_to_nibbles(data: bytes) -> tuple[int, ...]:
+    """``bytes_to_nibbles`` as the per-byte loop it was before it went
+    through hex digits."""
+    out = []
+    for byte in data:
+        out.append(byte >> 4)
+        out.append(byte & 0x0F)
+    return tuple(out)
+
+
+class TestNibblesAgainstTheLoop:
+    @given(st.binary(max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_random_keys(self, data):
+        assert bytes_to_nibbles(data) == loop_bytes_to_nibbles(data)
+
+    def test_every_length_to_64_and_every_byte(self):
+        for length in range(65):
+            data = random.Random(length).randbytes(length)
+            assert bytes_to_nibbles(data) == loop_bytes_to_nibbles(data)
+        every = bytes(range(256))
+        assert bytes_to_nibbles(every) == loop_bytes_to_nibbles(every)
 
 
 class TestModelConformance:
