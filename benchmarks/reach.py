@@ -113,6 +113,7 @@ REVIEWED: dict[tuple[str, str], tuple[str, str]] = {
     ("gossip/heads.py", "HeadGossip._handle_equivocation"): ("paper", PAPER),
     ("parp/fraudproof.py", "WitnessService.submit_equivocation"): ("paper", PAPER),
     ("parp/liveness.py", "LivenessAlert.__init__"): ("paper", PAPER),
+    ("parp/liveness.py", "LivenessMonitor.__post_init__"): ("paper", PAPER),
     ("parp/liveness.py", "LivenessMonitor.due"): ("paper", PAPER),
     ("parp/liveness.py", "LivenessMonitor.probe"): ("paper", PAPER),
     ("parp/liveness.py", "LivenessObservation.divergent"): ("paper", PAPER),

@@ -157,7 +157,6 @@ class HeadGossip:
                  reputation: Optional[ReputationLedger] = None,
                  witness=None,
                  reporter: Optional[Address] = None,
-                 clock: Optional[Callable[[], float]] = None,
                  on_equivocation: Optional[
                      Callable[[HeadEquivocationProof], None]] = None) -> None:
         self.gossip = gossip
@@ -169,7 +168,7 @@ class HeadGossip:
         self.witness = witness
         self.reporter = reporter
         self.on_equivocation = on_equivocation
-        self._clock = clock if clock is not None else gossip.network.clock.now
+        self._clock = gossip.network.clock.now
         self.stats = HeadGossipStats()
         #: the one announcement we hold per (announcer, height) — a second,
         #: different one is the equivocation trigger

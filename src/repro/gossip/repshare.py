@@ -12,7 +12,7 @@ the path that can *never* hard-ban on gossip alone.
 
 The poisoning math stacks three bounds: zero-stake reporters are dropped
 outright, each reporter's negative influence per subject saturates at the
-ledger's ``remote_budget``, and the merged events are soft — an honest
+ledger's ``REMOTE_BUDGET``, and the merged events are soft — an honest
 server smeared by a hostile minority sinks to the soft floor (last resort)
 while every first-hand success keeps pulling it back up.
 """
@@ -160,7 +160,7 @@ class ReputationShareStats:
     ungossipable: int = 0         # valid signature, non-shareable kind
     understaked: int = 0          # reporter with zero admissible weight
     duplicates: int = 0           # same (reporter, evidence) seen before
-    budget_capped: int = 0        # merges trimmed/refused by remote_budget
+    budget_capped: int = 0        # merges trimmed/refused by REMOTE_BUDGET
 
 
 class ReputationShare:
@@ -176,13 +176,12 @@ class ReputationShare:
 
     def __init__(self, gossip: GossipNode, ledger: ReputationLedger,
                  key: PrivateKey,
-                 stake_of: Optional[Callable[[Address], int]] = None,
-                 clock: Optional[Callable[[], float]] = None) -> None:
+                 stake_of: Optional[Callable[[Address], int]] = None) -> None:
         self.gossip = gossip
         self.ledger = ledger
         self.key = key
         self.stake_of = stake_of
-        self._clock = clock if clock is not None else gossip.network.clock.now
+        self._clock = gossip.network.clock.now
         self.stats = ReputationShareStats()
         #: (reporter, evidence digest) pairs already merged — the same
         #: accusation re-signed or replayed never double-counts

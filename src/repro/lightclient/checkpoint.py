@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..chain.header import BlockHeader
-from .headerchain import HeaderChain
 from .sync import HeaderSource, HeaderSyncer, SyncError
 
 __all__ = [
@@ -68,9 +67,8 @@ class CheckpointSyncer(HeaderSyncer):
     def __init__(self, sources: Sequence[HeaderSource],
                  checkpoint: Checkpoint,
                  quorum: Optional[int] = None,
-                 chain: Optional[HeaderChain] = None,
                  page_size: int = DEFAULT_UPDATE_PAGE) -> None:
-        super().__init__(sources, quorum=quorum, chain=chain)
+        super().__init__(sources, quorum=quorum)
         if page_size < 1:
             raise ValueError("page size must be positive")
         self.checkpoint = checkpoint

@@ -59,14 +59,13 @@ class HeaderSyncer:
     page_size = 1
 
     def __init__(self, sources: Sequence[HeaderSource],
-                 quorum: Optional[int] = None,
-                 chain: Optional[HeaderChain] = None) -> None:
+                 quorum: Optional[int] = None) -> None:
         if not sources:
             raise ValueError("at least one header source is required")
         self.sources = list(sources)
         #: how many sources must agree on a header hash (default: majority).
         self.quorum = quorum if quorum is not None else len(self.sources) // 2 + 1
-        self.chain = chain if chain is not None else HeaderChain()
+        self.chain = HeaderChain()
         #: sources caught disagreeing with the quorum (candidate bad peers).
         self.suspects: set[int] = set()
         #: headers fetched over the pull path (per *appended* header — a

@@ -54,7 +54,7 @@ class LRUCache(Generic[V]):
     """
 
     capacity: int = 1024
-    stats: CacheStats = field(default_factory=CacheStats)
+    stats: CacheStats = field(default_factory=CacheStats, init=False)
     _entries: "OrderedDict[Hashable, V]" = field(default_factory=OrderedDict)
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)

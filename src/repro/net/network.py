@@ -69,9 +69,8 @@ class SimNetwork:
     """The event loop + topology."""
 
     def __init__(self, latency: Optional[LatencyModel] = None,
-                 clock: Optional[SimClock] = None,
                  drop_rate: float = 0.0, seed: int = 0) -> None:
-        self.clock = clock if clock is not None else SimClock()
+        self.clock = SimClock()
         self.latency = latency if latency is not None else FixedLatency(0.01)
         self.drop_rate = drop_rate
         self._rng = random.Random(seed)

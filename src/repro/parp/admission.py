@@ -7,8 +7,9 @@ backlog).  This module gives :class:`~repro.parp.server.FullNodeServer` the
 standard production alternative:
 
 * a **virtual backlog** measured in request-cost units (a single proved
-  query costs 1; batch items cost a fraction — they share signatures and a
-  deduplicated multiproof).  Each admitted request pushes the server's
+  query costs 1; each batch item after the first costs
+  :data:`BATCH_ITEM_COST` — they share signatures and a deduplicated
+  multiproof).  Each admitted request pushes the server's
   ``busy_until`` horizon forward by ``cost × service_time``; the backlog at
   any instant is how far that horizon sits past "now".
 * an **admission threshold**: when admitting a request would push the
@@ -43,10 +44,15 @@ __all__ = ["AdmissionConfig", "AdmissionDecision", "AdmissionController"]
 #: retry-after hints scatter uniformly in [1-j, 1+j] × the drain time.
 RETRY_JITTER = 0.5
 
+#: marginal cost of each batch item after the first — batches amortize
+#: signature checks and share one deduplicated multiproof, so N batched
+#: queries cost the server far less than N separate requests.
+BATCH_ITEM_COST = 0.25
+
 
 @dataclass(frozen=True)
 class AdmissionConfig:
-    """Tuning knobs for one server's admission pipeline."""
+    """Tuning knobs for one server's admission pipeline (both bounds > 0)."""
 
     #: backlog bound in cost units; one unit ≈ one single proved query.
     #: Queueing delay of any admitted request ≤ max_queue_cost × service_time.
@@ -54,13 +60,14 @@ class AdmissionConfig:
     #: modeled seconds of serving work per cost unit (calibrate to the
     #: hardware: proof generation dominates).
     service_time: float = 0.002
-    #: marginal cost of each batch item after the first — batches amortize
-    #: signature checks and share one deduplicated multiproof, so N batched
-    #: queries cost the server far less than N separate requests.
-    batch_item_cost: float = 0.25
     #: seed for the deterministic retry-jitter stream (give each server its
     #: own so shed cohorts on different servers decorrelate).
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # a bound ≤ 0 sheds all at load 0; a service time ≤ 0 runs time back
+        if self.max_queue_cost <= 0 or self.service_time <= 0:
+            raise ValueError(f"admission bounds must be positive: {self}")
 
 
 @dataclass(frozen=True)
@@ -95,23 +102,18 @@ class AdmissionController:
         single request; batches pay a marginal fraction per extra item)."""
         if queries <= 1:
             return 1.0
-        return 1.0 + self.config.batch_item_cost * (queries - 1)
+        return 1.0 + BATCH_ITEM_COST * (queries - 1)
 
     # -- load inspection ---------------------------------------------------- #
 
     def _backlog_at(self, now: float) -> float:
         """Committed-but-unserved work, in cost units, at instant ``now``."""
-        pending = max(0.0, self._busy_until - now)
-        if self.config.service_time <= 0:
-            return 0.0
-        return pending / self.config.service_time
+        return max(0.0, self._busy_until - now) / self.config.service_time
 
     def load_factor(self) -> float:
         """Instantaneous backlog / capacity, in [0, ~1]."""
         with self._lock:
             backlog = self._backlog_at(float(self._clock()))
-        if self.config.max_queue_cost <= 0:
-            return 1.0 if backlog > 0 else 0.0
         return min(1.0, backlog / self.config.max_queue_cost)
 
     def fee_multiplier(self) -> float:
@@ -133,8 +135,7 @@ class AdmissionController:
             now = float(self._clock())
             backlog = self._backlog_at(now)
             capacity = self.config.max_queue_cost
-            load = (min(1.0, backlog / capacity) if capacity > 0
-                    else (1.0 if backlog > 0 else 0.0))
+            load = min(1.0, backlog / capacity)
             if backlog + cost > capacity:
                 self.shed += 1
                 return AdmissionDecision(

@@ -81,7 +81,7 @@ BATCH_RESPONSE_OVERHEAD_BYTES = RESPONSE_OVERHEAD_BYTES
 
 # -- marketplace (multi-server client) -------------------------------------- #
 #: servers scoring below this are never selected; must stay at or below the
-#: reputation ledger's ``newcomer_score`` or fresh servers could never join.
+#: reputation ledger's ``NEWCOMER_SCORE`` or fresh servers could never join.
 DEFAULT_SELECTION_THRESHOLD = 0.05
 #: concurrent channels a marketplace client keeps open (≥2 gives it a warm
 #: standby to fail over to mid-query without an on-chain round first).

@@ -39,7 +39,15 @@ __all__ = [
     "FraudProofPackage",
     "build_fraud_package",
     "WitnessService",
+    "WITNESS_GAS_PRICE",
+    "WITNESS_GAS_LIMIT",
 ]
+
+#: what a witness bids per gas on its FDM submissions.
+WITNESS_GAS_PRICE = 12 * 10 ** 9
+#: gas a witness allows one FDM submission (a 16-call batch over a
+#: 64-account state is slashed within it).
+WITNESS_GAS_LIMIT = 2_000_000
 
 
 class FraudProofError(Exception):
@@ -121,13 +129,9 @@ class WitnessService:
     cost of the submission.
     """
 
-    def __init__(self, node: FullNode, key: Optional[PrivateKey] = None,
-                 gas_price: int = 12 * 10 ** 9,
-                 gas_limit: int = 2_000_000) -> None:
+    def __init__(self, node: FullNode, key: Optional[PrivateKey] = None) -> None:
         self.node = node
         self.key = key or node.key
-        self.gas_price = gas_price
-        self.gas_limit = gas_limit
         self.submitted = 0
         self.confirmed = 0
 
@@ -164,7 +168,8 @@ class WitnessService:
         """One transaction to the FDM: signed, mined, receipt checked."""
         nonce = self.node.chain.state.nonce_of(self.address)
         tx = UnsignedTransaction(
-            nonce=nonce, gas_price=self.gas_price, gas_limit=self.gas_limit,
+            nonce=nonce, gas_price=WITNESS_GAS_PRICE,
+            gas_limit=WITNESS_GAS_LIMIT,
             to=FRAUD_MODULE_ADDRESS, value=0, data=calldata,
         ).sign(self.key)
         tx_hash = self.node.submit_transaction(tx.encode())

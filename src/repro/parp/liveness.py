@@ -58,6 +58,11 @@ class LivenessMonitor:
     observations: list[LivenessObservation] = field(default_factory=list)
     _probes: int = 0
 
+    def __post_init__(self) -> None:
+        if self.period <= 0 or self.verify_every < 1:
+            raise ValueError("liveness needs period > 0 and verify_every ≥ 1, "
+                             f"got {self.period} and {self.verify_every}")
+
     def due(self, now: float) -> bool:
         if not self.observations:
             return True

@@ -42,7 +42,6 @@ from ..net.futures import DEFAULT_TIMEOUT, ExponentialBackoff, wait_any
 from ..trie.proof import HashMemo
 from ..trie.shard import ShardRange
 from .client import (
-    DEFAULT_GAS_PRICE,
     BatchItem,
     BatchOutcome,
     FraudDetected,
@@ -76,6 +75,7 @@ from .reputation import (
     EVENT_OVERLOADED,
     EVENT_SERVED_OK,
     EVENT_TIMEOUT,
+    NEWCOMER_SCORE,
     ReputationLedger,
 )
 from .states import LightClientState
@@ -343,31 +343,25 @@ class MarketplaceClient:
     Selection score: ``reputation(score) × (cheapest reference price /
     server's reference price)`` — trust weighted by how competitively the
     server prices the standard call basket.  Servers that are banned or
-    score below ``selection_threshold`` are never used.
+    score below ``DEFAULT_SELECTION_THRESHOLD`` are never used.
     """
 
     def __init__(self, key: PrivateKey, marketplace: Marketplace,
-                 reputation: Optional[ReputationLedger] = None,
                  witness: Optional[Any] = None,
-                 headers: Optional[HeaderSyncer] = None,
                  checkpoint: Optional[Checkpoint] = None,
                  clock=None,
                  budget: int = DEFAULT_CHANNEL_BUDGET,
-                 min_sessions: int = DEFAULT_MIN_SESSIONS,
-                 selection_threshold: float = DEFAULT_SELECTION_THRESHOLD,
-                 gas_price: int = DEFAULT_GAS_PRICE) -> None:
+                 min_sessions: int = DEFAULT_MIN_SESSIONS) -> None:
         if not 0 < budget <= MAX_AMOUNT:
             # a bad budget would fail identically against every server; catch
             # it here so no server is blamed (and banned) for a client bug
             raise MarketplaceError(f"channel budget {budget} out of range")
         self.key = key
         self.marketplace = marketplace
-        self.reputation = reputation if reputation is not None else ReputationLedger()
+        self.reputation = ReputationLedger()
         self.witness = witness              # anything with .submit(package)
         self.budget = budget
         self.min_sessions = max(1, min_sessions)
-        self.selection_threshold = selection_threshold
-        self.gas_price = gas_price
         self.sessions: dict[Address, LightClientSession] = {}
         #: the one verifier memo every session of this client hashes through:
         #: replicas and shards of one chain answer with the same upper nodes
@@ -379,7 +373,7 @@ class MarketplaceClient:
         #: every attempt launched by the most recent routed query, serial
         #: ones included
         self.last_hedge: list[HedgeAttempt] = []
-        self._headers = headers
+        self._headers: Optional[HeaderSyncer] = None
         self._checkpoint = checkpoint
         self._clock = clock
         #: gossip attachments (see :meth:`join_gossip`); None until joined
@@ -540,8 +534,8 @@ class MarketplaceClient:
         """The ledger score with a newcomer floor for positive histories.
 
         A server with net-positive evidence must never rank below a total
-        stranger (the raw ledger score dips under ``newcomer_score`` until
-        ~``saturation`` successes accumulate); negative evidence, however,
+        stranger (the raw ledger score dips under ``NEWCOMER_SCORE`` until
+        ~``SATURATION`` successes accumulate); negative evidence, however,
         is taken at face value — that is what collapses below the selection
         threshold and gets a server routed around.
         """
@@ -550,7 +544,7 @@ class MarketplaceClient:
         score = self.reputation.score(address, now)
         if (self.reputation.events_of(address)
                 and self.reputation.raw_score(address, now) > 0.0):
-            return max(score, self.reputation.newcomer_score)
+            return max(score, NEWCOMER_SCORE)
         return score
 
     def eligible(self, now: Optional[float] = None,
@@ -558,12 +552,12 @@ class MarketplaceClient:
         """Advertisements ranked best-first by the combined score.
 
         Eligibility gates on *trust alone* — banned servers and those whose
-        reputation score fell below ``selection_threshold`` are dropped; the
-        price factor then only decides the order among trusted servers (a
-        bargain price must never buy back a burned reputation).  When
-        ``keys`` is given, only servers whose advertised shard range covers
-        *every* key qualify — a shard server is never even a candidate for
-        keys outside its slice.
+        reputation score fell below ``DEFAULT_SELECTION_THRESHOLD`` are
+        dropped; the price factor then only decides the order among trusted
+        servers (a bargain price must never buy back a burned reputation).
+        When ``keys`` is given, only servers whose advertised shard range
+        covers *every* key qualify — a shard server is never even a candidate
+        for keys outside its slice.
         """
         if now is None:
             now = self._now()
@@ -576,7 +570,7 @@ class MarketplaceClient:
             if keys and not all(ad.covers(key) for key in keys):
                 continue
             trust = self.trust(ad.address, now)
-            if trust < self.selection_threshold:
+            if trust < DEFAULT_SELECTION_THRESHOLD:
                 continue
             keep.append((trust * (cheapest / max(1, ad.reference_price)), ad))
         # cold (repeatedly unreachable) servers sink to last resort, then
@@ -620,8 +614,8 @@ class MarketplaceClient:
     def _open_session(self, ad: ServerAdvertisement) -> LightClientSession:
         session = LightClientSession(
             self.key, ad.endpoint, self.headers,
-            fee_schedule=ad.fee_schedule, gas_price=self.gas_price,
-            clock=self._clock, hash_memo=self.hash_memo,
+            fee_schedule=ad.fee_schedule, clock=self._clock,
+            hash_memo=self.hash_memo,
         )
         session.connect(budget=self.budget)
         self.sessions[ad.address] = session
@@ -940,11 +934,10 @@ class MarketplaceClient:
     def _race_clock(self, active: list[_HedgeEntry]):
         """The race's notion of "now": the first networked leg's sim clock.
 
-        Races are built from endpoints on one simulated network (every
-        in-repo construction); legs on a *different* network still get
-        their loop driven by ``wait_any``'s per-driver groups, but their
-        deadlines are read against this clock, so keep a race on one
-        network when timeout precision matters.
+        A race's legs share one simulated network (every in-repo
+        construction builds them so), and this clock is that network's.  A
+        race across two networks raises: ``wait_any`` refuses replies still
+        pending on two event loops with ``ValueError``.
         """
         for entry in active:
             network = getattr(entry.session.endpoint, "network", None)

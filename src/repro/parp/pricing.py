@@ -11,7 +11,8 @@ node refuses to serve.  We implement two schedules:
   pricing 3 of 5 surveyed providers use ("charge based on varied call types
   for a fairer fee calculation", §II-C).
 
-Prices are in wei of the channel's token.  The ablation bench
+Prices are in wei of the channel's token.  A call-based batch is rebated
+:data:`BATCH_REBATE` per call after the first.  The ablation bench
 ``bench_ablation_pricing`` compares budget consumption under both.
 """
 
@@ -29,12 +30,19 @@ __all__ = [
     "DEFAULT_FEE_SCHEDULE",
     "REFERENCE_BASKET",
     "GWEI",
+    "BATCH_REBATE",
     "DEFAULT_PRICING_KNEE",
     "DEFAULT_PRICING_CAP",
     "load_multiplier",
 ]
 
 GWEI = 10 ** 9
+
+#: per-call discount on every call after the first in a call-based batch:
+#: batched calls share one wire round, two signature verifications and a
+#: deduplicated proof, so serving them costs the node strictly less than N
+#: separate requests.
+BATCH_REBATE = 1 * GWEI
 
 #: Reference prices (wei/call).  Reads are cheap; writes and proof-heavy
 #: queries cost more, mirroring providers' "compute unit" weighting.
@@ -96,17 +104,11 @@ class FlatFeeSchedule(FeeSchedule):
 
 @dataclass(frozen=True)
 class CallBasedFeeSchedule(FeeSchedule):
-    """Per-method prices with a default for unlisted methods.
-
-    ``batch_rebate`` is a per-call discount applied to every call after the
-    first in a batch: batched calls share one wire round, two signature
-    verifications, and a deduplicated proof, so serving them costs the node
-    strictly less than N separate requests.
-    """
+    """Per-method prices with a default for unlisted methods; a batch is
+    rebated :data:`BATCH_REBATE` per call after the first."""
 
     prices: Mapping[str, int] = field(default_factory=lambda: dict(_DEFAULT_PRICES))
     default_price: int = 10 * GWEI
-    batch_rebate: int = 1 * GWEI
 
     def price(self, call: RpcCall) -> int:
         return self.prices.get(call.method, self.default_price)
@@ -114,7 +116,7 @@ class CallBasedFeeSchedule(FeeSchedule):
     def batch_price(self, calls: Sequence[RpcCall]) -> int:
         total = sum(self.price(call) for call in calls)
         if len(calls) > 1:
-            rebate = self.batch_rebate * (len(calls) - 1)
+            rebate = BATCH_REBATE * (len(calls) - 1)
             total = max(total - rebate, self.price(calls[0]))
         return total
 

@@ -9,12 +9,14 @@ a full node controls fake light clients and connections."
 We implement the pipeline end to end:
 
 * receipts are the ``(α, a, σ_a)`` payment proofs full nodes already hold,
-* an epoch aggregator validates each receipt (signature, channel existence,
-  budget backing) and weighs it,
-* a reward pool splits an epoch's serving reward proportionally,
-* Sybil resistance hooks: minimum channel budget, per-light-client weight
-  caps, and reputation weighting (:mod:`repro.parp.reputation`) — the
-  countermeasures the paper sketches.
+* an epoch aggregator validates each receipt and weighs it by its amount,
+* a reward pool splits an epoch's serving reward proportionally.
+
+The Sybil defences are the ones a receipt can prove: σ_a is the light
+client's, the channel exists on chain between exactly the claimed parties,
+and the amount lies within the budget it locked (fake light clients still
+have to lock real budgets).  One light client earns a node at most one
+receipt's weight per epoch — replays do not sum.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ class ServingReceipt:
     amount: int          # cumulative a
     signature: bytes     # σ_a by the light client
     #: individual queries the channel's updates paid for (batches count all
-    #: their items); 0 means "unreported" and disables per-query weighting.
+    #: their items), as the full node reports it; 0 means "unreported".
+    #: σ_a does not cover it, so it never weighs.
     queries: int = 0
 
     def verify_signature(self) -> bool:
@@ -59,7 +62,7 @@ class ServingReceipt:
 
 @dataclass
 class ReceiptValidator:
-    """Validates receipts against on-chain channel data + Sybil heuristics.
+    """Validates receipts against on-chain channel data.
 
     ``channel_lookup(α)`` must return (light_client, full_node, budget,
     status) from the CMM, or None — receipts must be backed by channels that
@@ -68,16 +71,6 @@ class ReceiptValidator:
     """
 
     channel_lookup: Callable[[bytes], Optional[tuple[Address, Address, int, int]]]
-    min_budget: int = 0
-    reputation: Optional[Callable[[Address], float]] = None
-    #: caps the weight a receipt earns per query it claims to have served.
-    #: The count is FN-self-reported (σ_a only covers (α, a)), so this is a
-    #: *soft* heuristic, not a proof: unreported counts are treated as one
-    #: query (maximally conservative), while an inflated count merely raises
-    #: the cap back toward the signature-backed ``amount`` — it can never
-    #: increase weight beyond it.  Complements ``min_budget``/``reputation``
-    #: against Sybil pairs shuttling large payments over few real queries.
-    max_wei_per_query: Optional[int] = None
 
     def weigh(self, receipt: ServingReceipt) -> float:
         """Weight of a receipt for reward purposes; 0 rejects it."""
@@ -91,15 +84,9 @@ class ReceiptValidator:
             return 0.0
         if status == 0:  # non-existent channel
             return 0.0
-        if budget < self.min_budget or receipt.amount > budget:
+        if receipt.amount > budget:
             return 0.0
-        weight = float(receipt.amount)
-        if self.max_wei_per_query is not None:
-            queries = max(receipt.queries, 1)  # unreported counts cap hardest
-            weight = min(weight, float(self.max_wei_per_query * queries))
-        if self.reputation is not None:
-            weight *= max(0.0, min(1.0, self.reputation(receipt.light_client)))
-        return weight
+        return float(receipt.amount)
 
 
 @dataclass
@@ -119,14 +106,12 @@ class EpochClaim:
 class RewardPool:
     """Distributes an epoch's serving reward proportionally to valid weight.
 
-    ``per_client_cap`` bounds how much weight any single light client can
-    contribute to one node's claim — a cheap mitigation against one Sybil
-    client being replayed many times.
+    A light client contributes its heaviest receipt to a node's claim, once:
+    replaying one client's receipts earns nothing more.
     """
 
     epoch_reward: int
     validator: ReceiptValidator
-    per_client_cap: Optional[float] = None
 
     def score_claim(self, claim: EpochClaim) -> float:
         by_client: dict[Address, float] = {}
@@ -136,11 +121,6 @@ class RewardPool:
                 continue
             prev = by_client.get(receipt.light_client, 0.0)
             by_client[receipt.light_client] = max(prev, weight)  # no replay sum
-        if self.per_client_cap is not None:
-            by_client = {
-                client: min(weight, self.per_client_cap)
-                for client, weight in by_client.items()
-            }
         return sum(by_client.values())
 
     def distribute(self, claims: list[EpochClaim]) -> dict[Address, int]:

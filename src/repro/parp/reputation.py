@@ -7,9 +7,9 @@ receipts and guide the client's full-node selection (prefer long-lived,
 never-slashed nodes; distrust freshly minted identities).
 
 Event kinds are exported as constants so the client, server, marketplace,
-and tests share one vocabulary — ``record`` rejects unknown kinds even when
-an explicit weight is supplied, so a typo'd kind fails loudly instead of
-silently scoring zero.
+and tests share one vocabulary — ``record`` rejects unknown kinds, so a
+typo'd kind fails loudly instead of silently scoring zero, and weighs every
+event by its kind's :data:`EVENT_WEIGHTS` entry.
 """
 
 from __future__ import annotations
@@ -31,6 +31,11 @@ __all__ = [
     "EVENT_WEIGHTS",
     "EVENT_KINDS",
     "SOFT_EVENT_KINDS",
+    "HALF_LIFE",
+    "NEWCOMER_SCORE",
+    "SATURATION",
+    "SOFT_FLOOR",
+    "REMOTE_BUDGET",
     "ReputationEvent",
     "ReputationLedger",
 ]
@@ -70,6 +75,23 @@ EVENT_KINDS = frozenset(EVENT_WEIGHTS)
 #: back in once it recovers).
 SOFT_EVENT_KINDS = frozenset({EVENT_OVERLOADED})
 
+#: seconds over which an event's weight halves: how fast history fades.
+HALF_LIFE = 86_400.0
+#: what an unknown address scores — keeping it low is the anti-Sybil lever
+#: (fresh identities start untrusted).
+NEWCOMER_SCORE = 0.1
+#: raw score that maps to ~1.0.
+SATURATION = 100.0
+#: score floor for addresses whose only negative evidence is *soft* (see
+#: :data:`SOFT_EVENT_KINDS`): kept at the marketplace's selection threshold
+#: so a chronically shedding server sinks to last resort but stays
+#: selectable once every alternative is worse.
+SOFT_FLOOR = 0.05
+#: cap on the total |negative weight| one gossip reporter may land on one
+#: subject — the poisoning bound: however many events a hostile reporter
+#: signs, its influence on a victim's score saturates here.
+REMOTE_BUDGET = 30.0
+
 
 @dataclass(frozen=True)
 class ReputationEvent:
@@ -90,35 +112,20 @@ class ReputationEvent:
 class ReputationLedger:
     """Decayed additive reputation with a bounded [0, 1] score.
 
-    ``half_life`` (in the ledger's time unit) controls how fast history
-    fades; ``newcomer_score`` is what an unknown address gets — keeping it
-    low is the anti-Sybil lever (fresh identities start untrusted).
+    History fades with :data:`HALF_LIFE` (in the ledger's time unit); an
+    unknown address scores :data:`NEWCOMER_SCORE`.
     """
 
-    half_life: float = 86_400.0
-    newcomer_score: float = 0.1
-    saturation: float = 100.0    # raw score that maps to ~1.0
-    #: score floor for addresses whose only negative evidence is *soft*
-    #: (see :data:`SOFT_EVENT_KINDS`): kept at the marketplace's selection
-    #: threshold so a chronically shedding server sinks to last resort but
-    #: stays selectable once every alternative is worse.
-    soft_floor: float = 0.05
-    #: cap on the total |negative weight| one gossip reporter may land on
-    #: one subject — the poisoning bound: however many events a hostile
-    #: reporter signs, its influence on a victim's score saturates here.
-    remote_budget: float = 30.0
-    _events: dict[Address, list[ReputationEvent]] = field(default_factory=dict)
+    _events: dict[Address, list[ReputationEvent]] = field(
+        default_factory=dict, init=False)
     _remote_spent: dict[tuple[Address, Address], float] = field(
-        default_factory=dict)
+        default_factory=dict, init=False)
 
-    def record(self, subject: Address, kind: str, time: float,
-               weight: Optional[float] = None) -> None:
+    def record(self, subject: Address, kind: str, time: float) -> None:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown reputation event kind {kind!r}")
-        if weight is None:
-            weight = EVENT_WEIGHTS[kind]
         self._events.setdefault(subject, []).append(
-            ReputationEvent(subject, kind, time, weight)
+            ReputationEvent(subject, kind, time, EVENT_WEIGHTS[kind])
         )
 
     def merge_remote(self, subject: Address, kind: str, time: float,
@@ -128,11 +135,11 @@ class ReputationLedger:
 
         The event's native weight is scaled by ``discount`` (the caller's
         stake-derived confidence in the reporter, clamped to [0, 1]).
-        Negative influence is additionally capped by ``remote_budget`` per
+        Negative influence is additionally capped by :data:`REMOTE_BUDGET` per
         (reporter, subject) pair, and the stored event is flagged
         ``remote`` — so *no combination of gossiped events alone can
         hard-ban*: :meth:`has_hard_negative` ignores remote evidence and a
-        purely-gossip-poisoned honest server bottoms out at ``soft_floor``
+        purely-gossip-poisoned honest server bottoms out at :data:`SOFT_FLOOR`
         (last resort, still selectable), exactly like an overload storm.
 
         Returns the recorded event, or None when the event carried no
@@ -143,7 +150,7 @@ class ReputationLedger:
         weight = EVENT_WEIGHTS[kind] * max(0.0, min(1.0, discount))
         if weight < 0:
             key = (reporter, subject)
-            room = self.remote_budget - self._remote_spent.get(key, 0.0)
+            room = REMOTE_BUDGET - self._remote_spent.get(key, 0.0)
             if room <= 0:
                 return None
             weight = max(weight, -room)
@@ -165,7 +172,7 @@ class ReputationLedger:
         total = 0.0
         for event in events:
             age = max(0.0, now - event.time)
-            decay = 0.5 ** (age / self.half_life)
+            decay = 0.5 ** (age / HALF_LIFE)
             total += event.weight * decay
         return total
 
@@ -182,20 +189,20 @@ class ReputationLedger:
                    for event in self._events.get(subject, ()))
 
     def score(self, subject: Address, now: float) -> float:
-        """Normalized score in [0, 1]; unknown addresses get newcomer_score.
+        """Normalized score in [0, 1]; unknown addresses get NEWCOMER_SCORE.
 
         A non-positive raw score collapses to 0.0 only on hard negative
-        evidence; soft-only histories bottom out at ``soft_floor`` (an
+        evidence; soft-only histories bottom out at :data:`SOFT_FLOOR` (an
         overload storm demotes a server to last resort, never to banned).
         """
         if subject not in self._events:
-            return self.newcomer_score
+            return NEWCOMER_SCORE
         raw = self.raw_score(subject, now)
         if raw <= 0:
             if self.has_hard_negative(subject):
                 return 0.0
-            return min(self.soft_floor, 1.0)
-        return min(1.0, raw / self.saturation)
+            return SOFT_FLOOR
+        return min(1.0, raw / SATURATION)
 
     def rank(self, candidates: list[Address], now: float) -> list[Address]:
         """Order candidate full nodes by descending trust."""

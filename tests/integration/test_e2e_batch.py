@@ -26,6 +26,7 @@ from repro.parp import (
 )
 from repro.parp.adversary import MaliciousFullNodeServer
 from repro.parp.constants import BATCH_PROTOCOL_VERSION
+from repro.parp.fraudproof import WITNESS_GAS_LIMIT
 from repro.parp.pricing import GWEI
 from repro.parp.reputation import EVENT_SERVED_OK, EVENT_TIMEOUT
 from repro.parp.server import ServeError
@@ -206,7 +207,7 @@ class TestBatchClassification:
             env.session.query_batch([RpcCall.create("eth_getBalance", address)
                                      for address in accounts.addresses[:16]])
         assert excinfo.value.package.item == 15
-        assert env.witness.gas_limit == 2_000_000
+        assert WITNESS_GAS_LIMIT == 2_000_000
         assert_slashed_by(env, excinfo.value.package)
 
     def test_transit_tampering_is_invalid(self, parp_env):

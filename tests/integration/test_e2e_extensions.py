@@ -11,7 +11,7 @@ from repro.parp.proof_of_serving import (
     RewardPool,
     ServingReceipt,
 )
-from repro.parp.reputation import ReputationLedger
+from repro.parp.reputation import SATURATION, ReputationLedger
 
 from ..conftest import TOKEN, make_parp_env
 
@@ -100,7 +100,7 @@ class TestReputationIntegration:
             parp_env.session.get_balance(parp_env.keys.alice.address)
             ledger.record(parp_env.server.address, "served_ok", time=float(i))
         score = ledger.score(parp_env.server.address, now=5.0)
-        assert score == pytest.approx(5 / ledger.saturation, rel=0.01)
+        assert score == pytest.approx(5 / SATURATION, rel=0.01)
         assert not ledger.is_banned(parp_env.server.address, now=5.0)
 
 

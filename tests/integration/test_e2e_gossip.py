@@ -357,7 +357,11 @@ class TestSharedReputation:
 
         # three hostile *staked* reporters smear the target over gossip
         from repro.gossip.repshare import ReputationShare
-        from repro.parp.reputation import EVENT_FRAUD_SLASHED, ReputationLedger
+        from repro.parp.reputation import (
+            EVENT_FRAUD_SLASHED,
+            SOFT_FLOOR,
+            ReputationLedger,
+        )
         for i in range(3):
             key = PrivateKey.from_seed(f"e2e:gsp:liar{i}")
             world.devnet.stake_full_node(key)
@@ -377,7 +381,7 @@ class TestSharedReputation:
         assert not ledger.is_banned(target.address, now)
         # the budget capped each liar; the soft floor caught the score
         assert honest.rep_share.stats.budget_capped >= 1
-        assert ledger.score(target.address, now) >= ledger.soft_floor
+        assert ledger.score(target.address, now) >= SOFT_FLOOR
         assert target.address in [ad.address for ad in honest.eligible()]
         # and the client's own good experience keeps completing queries
         assert honest.get_balance(world.alice.address) == 5 * TOKEN

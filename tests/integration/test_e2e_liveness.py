@@ -57,6 +57,16 @@ class TestLiveness:
         with pytest.raises(LivenessAlert):
             monitor.probe(now=0.0)
 
+    @pytest.mark.parametrize("bad", [{"verify_every": 0},
+                                     {"verify_every": -1},
+                                     {"period": 0.0}, {"period": -30.0}])
+    def test_nonsense_schedules_are_refused_at_construction(self, parp_env,
+                                                            bad):
+        """``verify_every=0`` used to pass construction and divide by zero
+        on the first probe; a non-positive period made every probe due."""
+        with pytest.raises(ValueError):
+            LivenessMonitor(parp_env.session, **bad)
+
     def test_verified_status_is_proof_backed(self, parp_env):
         """The status read is an eth_getStorageAt with a storage proof — the
         response verification (classification VALID) is what makes it

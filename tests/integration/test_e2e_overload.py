@@ -31,6 +31,7 @@ from repro.parp import (
     ServerAdvertisement,
 )
 from repro.parp.client import ServerOverloaded
+from repro.parp.constants import DEFAULT_SELECTION_THRESHOLD
 from repro.parp.messages import RpcCall
 from repro.parp.pricing import GWEI
 from repro.parp.reputation import EVENT_OVERLOADED
@@ -284,7 +285,7 @@ class TestShedRecoverRerank:
         assert client.stats.soft_failovers >= 4
         assert not client.reputation.is_banned(address, client._now())
         # demoted to the soft floor, still selectable as last resort
-        assert client.trust(address) >= client.selection_threshold
+        assert client.trust(address) >= DEFAULT_SELECTION_THRESHOLD
         assert any(ad.address == address for ad in client.eligible())
 
 

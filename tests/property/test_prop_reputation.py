@@ -19,7 +19,10 @@ from repro.parp.reputation import (
     EVENT_KINDS,
     EVENT_SERVED_OK,
     EVENT_WEIGHTS,
+    HALF_LIFE,
+    NEWCOMER_SCORE,
     SOFT_EVENT_KINDS,
+    SOFT_FLOOR,
     ReputationLedger,
 )
 
@@ -31,8 +34,8 @@ times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
 events = st.lists(st.tuples(kinds, times), min_size=0, max_size=60)
 
 
-def ledger_with(event_list, **kwargs) -> ReputationLedger:
-    ledger = ReputationLedger(**kwargs)
+def ledger_with(event_list) -> ReputationLedger:
+    ledger = ReputationLedger()
     for kind, time in event_list:
         ledger.record(NODE, kind, time=time)
     return ledger
@@ -74,8 +77,8 @@ class TestScoreBounds:
 
     @given(times)
     def test_unknown_address_gets_newcomer_score(self, now):
-        ledger = ReputationLedger(newcomer_score=0.07)
-        assert ledger.score(NODE, now) == 0.07
+        ledger = ReputationLedger()
+        assert ledger.score(NODE, now) == NEWCOMER_SCORE
         assert not ledger.is_banned(NODE, now)
 
 
@@ -86,12 +89,12 @@ class TestSlashDominance:
     def test_slash_dominates_any_volume_of_served_ok(self, n_ok, age_frac):
         """One adjudicated fraud within a half-life outweighs hundreds of
         verified responses: weight(-1000) × decay(≥0.5) > 400 × 1.0."""
-        ledger = ReputationLedger(half_life=100.0)
+        ledger = ReputationLedger()
         for i in range(n_ok):
-            ledger.record(NODE, EVENT_SERVED_OK, time=100.0)
-        slash_time = age_frac * 100.0  # at most one half-life before `now`
+            ledger.record(NODE, EVENT_SERVED_OK, time=HALF_LIFE)
+        slash_time = age_frac * HALF_LIFE  # at most one half-life before `now`
         ledger.record(NODE, EVENT_FRAUD_SLASHED, time=slash_time)
-        now = 100.0
+        now = HALF_LIFE
         assert ledger.raw_score(NODE, now) < 0.0
         assert ledger.score(NODE, now) == 0.0
         assert ledger.is_banned(NODE, now)
@@ -128,7 +131,7 @@ class TestSoftEvents:
         score = ledger.score(NODE, now)
         assert 0.0 < score <= 1.0
         if ledger.raw_score(NODE, now) <= 0.0:
-            assert score == ledger.soft_floor
+            assert score == SOFT_FLOOR
 
     @given(soft_histories, times, kinds)
     @settings(max_examples=200)

@@ -12,7 +12,7 @@ from repro.parp.proof_of_serving import (
     RewardPool,
     ServingReceipt,
 )
-from repro.parp.reputation import ReputationLedger
+from repro.parp.reputation import HALF_LIFE, NEWCOMER_SCORE, ReputationLedger
 
 
 def addr(name: str) -> Address:
@@ -169,12 +169,13 @@ class TestProofOfServing:
 
 class TestReputation:
     def test_scores_build_and_decay(self):
-        ledger = ReputationLedger(half_life=100.0)
+        ledger = ReputationLedger()
         node = addr("rep-node")
+        tick = HALF_LIFE / 100    # a hundredth of a half-life
         for t in range(10):
-            ledger.record(node, "served_ok", time=float(t))
-        fresh = ledger.score(node, now=10.0)
-        faded = ledger.score(node, now=1_000.0)
+            ledger.record(node, "served_ok", time=t * tick)
+        fresh = ledger.score(node, now=10 * tick)
+        faded = ledger.score(node, now=1_000 * tick)
         assert fresh > faded > 0
 
     def test_slash_destroys_reputation(self):
@@ -187,8 +188,9 @@ class TestReputation:
         assert ledger.is_banned(node, now=51.0)
 
     def test_newcomers_start_low(self):
-        ledger = ReputationLedger(newcomer_score=0.1)
-        assert ledger.score(addr("rep-unknown"), now=0.0) == 0.1
+        ledger = ReputationLedger()
+        assert NEWCOMER_SCORE == 0.1
+        assert ledger.score(addr("rep-unknown"), now=0.0) == NEWCOMER_SCORE
 
     def test_ranking(self):
         ledger = ReputationLedger()

@@ -26,6 +26,8 @@ from repro.parp.reputation import (
     EVENT_FRAUD_SLASHED,
     EVENT_INVALID_RESPONSE,
     EVENT_SERVED_OK,
+    REMOTE_BUDGET,
+    SOFT_FLOOR,
     ReputationLedger,
 )
 
@@ -355,7 +357,8 @@ class TestReputationShare:
 
 class TestMergeRemoteLedger:
     def test_budget_caps_one_reporters_influence(self):
-        ledger = ReputationLedger(remote_budget=30.0)
+        assert REMOTE_BUDGET == 30.0
+        ledger = ReputationLedger()
         subject = PrivateKey.from_seed("mr:sub").address
         reporter = PrivateKey.from_seed("mr:rep").address
         first = ledger.merge_remote(subject, EVENT_FRAUD_SLASHED, 0.0,
@@ -380,7 +383,7 @@ class TestMergeRemoteLedger:
         now = 50.0
         assert not ledger.has_hard_negative(subject)
         assert not ledger.is_banned(subject, now)
-        assert ledger.score(subject, now) == ledger.soft_floor
+        assert ledger.score(subject, now) == SOFT_FLOOR
 
     def test_first_hand_evidence_still_bans(self):
         ledger = ReputationLedger()

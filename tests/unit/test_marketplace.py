@@ -9,6 +9,7 @@ import pytest
 from repro.crypto import keccak256
 from repro.crypto.keys import Address, PrivateKey
 from repro.parp.client import FraudDetected
+from repro.parp.constants import DEFAULT_SELECTION_THRESHOLD
 from repro.parp.fraudproof import FraudProofError
 from repro.parp.marketplace import (
     Marketplace,
@@ -109,7 +110,8 @@ class TestSelection:
 
     def test_threshold_excludes_decayed_servers(self):
         flaky, fine = ad_for("flaky"), ad_for("fine")
-        client = client_with(flaky, fine, selection_threshold=0.05)
+        assert DEFAULT_SELECTION_THRESHOLD == 0.05
+        client = client_with(flaky, fine)
         for _ in range(3):
             client.reputation.record(flaky.address, EVENT_INVALID_RESPONSE,
                                      time=0.0)

@@ -13,7 +13,11 @@ from repro.crypto import PrivateKey, keccak256
 from repro.crypto.keys import Address
 from repro.net.futures import ExponentialBackoff
 from repro.net.latency import UniformLatency
-from repro.parp.admission import AdmissionConfig, AdmissionController
+from repro.parp.admission import (
+    BATCH_ITEM_COST,
+    AdmissionConfig,
+    AdmissionController,
+)
 from repro.parp.constants import OVERLOAD_OVERHEAD_BYTES
 from repro.parp.messages import MessageError, OverloadedReply, ResponseStatus
 from repro.parp.pricing import load_multiplier
@@ -21,7 +25,9 @@ from repro.parp.reputation import (
     EVENT_INVALID_RESPONSE,
     EVENT_OVERLOADED,
     EVENT_SERVED_OK,
+    HALF_LIFE,
     SOFT_EVENT_KINDS,
+    SOFT_FLOOR,
     ReputationLedger,
 )
 
@@ -90,7 +96,8 @@ class TestAdmissionController:
         assert ctrl.offer(1.0).load == 0.0
 
     def test_batch_cost_is_marginal_not_linear(self):
-        ctrl, _ = controller(batch_item_cost=0.25)
+        ctrl, _ = controller()
+        assert BATCH_ITEM_COST == 0.25
         assert ctrl.cost_of(1) == 1.0
         assert ctrl.cost_of(5) == pytest.approx(1.0 + 0.25 * 4)
         assert ctrl.cost_of(5) < 5 * ctrl.cost_of(1)
@@ -114,6 +121,17 @@ class TestAdmissionController:
         assert hints_a1 == hints_a2         # reproducible
         assert hints_a1 != hints_b          # decorrelated across servers
         assert len(set(hints_a1)) > 1       # actually jittered
+
+    @pytest.mark.parametrize("bad", [{"service_time": -0.5},
+                                     {"service_time": 0.0},
+                                     {"max_queue_cost": 0.0},
+                                     {"max_queue_cost": -1.0}])
+    def test_nonsense_configs_are_refused(self, bad):
+        """A negative service time once admitted with a negative queue delay
+        and moved ``busy_until`` backwards; a non-positive queue bound shed
+        every request while the load read 0.0 and the fee multiplier 1.0."""
+        with pytest.raises(ValueError):
+            AdmissionConfig(**bad)
 
     def test_load_and_counters_track_the_backlog(self):
         ctrl, _ = controller(max_queue_cost=4.0, service_time=0.1)
@@ -187,7 +205,7 @@ class TestSoftReputation:
         now = 500.0
         assert ledger.raw_score(self.NODE, now) < 0.0
         assert not ledger.is_banned(self.NODE, now)
-        assert ledger.score(self.NODE, now) == ledger.soft_floor
+        assert ledger.score(self.NODE, now) == SOFT_FLOOR
 
     def test_hard_negative_still_bans(self):
         ledger = ReputationLedger()
@@ -197,12 +215,13 @@ class TestSoftReputation:
         assert ledger.score(self.NODE, 0.0) == 0.0
 
     def test_recovered_server_scores_normally_again(self):
-        ledger = ReputationLedger(half_life=10.0)
+        ledger = ReputationLedger()
+        tick = HALF_LIFE / 10     # a tenth of a half-life
         ledger.record(self.NODE, EVENT_OVERLOADED, time=0.0)
-        ledger.record(self.NODE, EVENT_SERVED_OK, time=1.0)
-        assert ledger.raw_score(self.NODE, 1.0) > 0.0
-        assert ledger.score(self.NODE, 1.0) > 0.0
-        assert not ledger.is_banned(self.NODE, 1.0)
+        ledger.record(self.NODE, EVENT_SERVED_OK, time=tick)
+        assert ledger.raw_score(self.NODE, tick) > 0.0
+        assert ledger.score(self.NODE, tick) > 0.0
+        assert not ledger.is_banned(self.NODE, tick)
 
 
 class TestExponentialBackoff:

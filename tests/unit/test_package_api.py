@@ -295,6 +295,89 @@ class TestTopLevel:
         assert not hasattr(Devnet, "result_of")
         assert not hasattr(admission.AdmissionConfig(), "ewma_alpha")
         assert "load_info" not in ENDPOINT_METHODS
+        # options no caller set to anything but their default are module
+        # constants holding that default, and the off-by-default reward
+        # heuristics are gone: each factory builds with no keyword and
+        # refuses the removed one
+        from repro.chain import GenesisConfig
+        from repro.lightclient.checkpoint import Checkpoint
+        from repro.lightclient.headerchain import HeaderChain
+        from repro.metrics import CacheStats, LRUCache
+        from repro.parp import fraudproof, proof_of_serving
+        from repro.parp.constants import DEFAULT_SELECTION_THRESHOLD
+        from repro.parp.client import DEFAULT_GAS_PRICE
+        from repro.parp.reputation import EVENT_SERVED_OK, ReputationLedger
+        devnet = Devnet(GenesisConfig())
+        node = FullNode(devnet.chain, name="census")
+        network = SimNetwork()
+        gossip = GossipNode(network, "census")
+        genesis = Checkpoint.of(devnet.chain.head.header)
+        key = PrivateKey.from_seed("unit:api:census")
+        validator = proof_of_serving.ReceiptValidator({}.get)
+        factories = {
+            "ReputationLedger": lambda **kw: ReputationLedger(**kw),
+            "ReputationLedger.record": lambda **kw: ReputationLedger().record(
+                key.address, EVENT_SERVED_OK, 0.0, **kw),
+            "MarketplaceClient": lambda **kw: MarketplaceClient(
+                key, Marketplace(), **kw),
+            "ReceiptValidator": lambda **kw: proof_of_serving.ReceiptValidator(
+                {}.get, **kw),
+            "RewardPool": lambda **kw: proof_of_serving.RewardPool(
+                1, validator, **kw),
+            "CallBasedFeeSchedule": lambda **kw: CallBasedFeeSchedule(**kw),
+            "AdmissionConfig": lambda **kw: admission.AdmissionConfig(**kw),
+            "WitnessService": lambda **kw: fraudproof.WitnessService(
+                node, **kw),
+            "HeadGossip": lambda **kw: HeadGossip(
+                gossip, HeaderSyncer([node]), **kw),
+            "ReputationShare": lambda **kw: ReputationShare(
+                gossip, ReputationLedger(), key, **kw),
+            "HeaderSyncer": lambda **kw: HeaderSyncer([node], **kw),
+            "CheckpointSyncer": lambda **kw: CheckpointSyncer(
+                [node], genesis, **kw),
+            "SimNetwork": lambda **kw: SimNetwork(**kw),
+            "LRUCache": lambda **kw: LRUCache(**kw),
+        }
+        removed_keywords = {
+            "ReputationLedger": {"half_life": 86_400.0, "newcomer_score": 0.1,
+                                 "saturation": 100.0, "soft_floor": 0.05,
+                                 "remote_budget": 30.0},
+            "ReputationLedger.record": {"weight": 1.0},
+            "MarketplaceClient": {
+                "reputation": ReputationLedger(),
+                "headers": HeaderSyncer([node]),
+                "selection_threshold": DEFAULT_SELECTION_THRESHOLD,
+                "gas_price": DEFAULT_GAS_PRICE},
+            "ReceiptValidator": {"min_budget": 0, "reputation": None,
+                                 "max_wei_per_query": None},
+            "RewardPool": {"per_client_cap": None},
+            "CallBasedFeeSchedule": {"batch_rebate": pricing.GWEI},
+            "AdmissionConfig": {"batch_item_cost": 0.25},
+            "WitnessService": {"gas_price": 12 * 10 ** 9,
+                               "gas_limit": 2_000_000},
+            "HeadGossip": {"clock": network.clock.now},
+            "ReputationShare": {"clock": network.clock.now},
+            "HeaderSyncer": {"chain": HeaderChain()},
+            "CheckpointSyncer": {"chain": HeaderChain()},
+            "SimNetwork": {"clock": SimClock()},
+            "LRUCache": {"stats": CacheStats()},
+        }
+        assert sum(map(len, removed_keywords.values())) == 24
+        for owner, keywords in removed_keywords.items():
+            factories[owner]()
+            for keyword, value in keywords.items():
+                with pytest.raises(TypeError, match=keyword):
+                    factories[owner](**{keyword: value})
+        # ...and each constant holds the default it replaced
+        from repro.parp import reputation as rep
+        assert (rep.HALF_LIFE, rep.NEWCOMER_SCORE, rep.SATURATION,
+                rep.SOFT_FLOOR, rep.REMOTE_BUDGET) == (
+                    86_400.0, 0.1, 100.0, 0.05, 30.0)
+        assert pricing.BATCH_REBATE == pricing.GWEI
+        assert admission.BATCH_ITEM_COST == 0.25
+        assert (fraudproof.WITNESS_GAS_PRICE,
+                fraudproof.WITNESS_GAS_LIMIT) == (12 * 10 ** 9, 2_000_000)
+        assert LRUCache().stats == CacheStats()
 
     def test_retention_has_one_owner_and_fsync_one_home(self):
         """Which heights stay provable is decided in one place: under
