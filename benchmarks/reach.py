@@ -120,7 +120,6 @@ REVIEWED: dict[tuple[str, str], tuple[str, str]] = {
     ("parp/client.py", "LightClientSession.channel_status_fast"): ("paper", PAPER),
     ("parp/server.py", "FullNodeServer._channel_status"): ("paper", PAPER),
     ("parp/server.py", "FullNodeServer.build_close_transaction"): ("paper", PAPER),
-    ("parp/server.py", "FullNodeServer.serving_receipt"): ("paper", PAPER),
     ("parp/server.py", "FullNodeServer.mark_closed"): ("paper", PAPER),
     ("parp/marketplace.py", "MarketplaceClient.close_all"): ("paper", PAPER),
     ("node/devnet.py", "Devnet.compact"): ("paper", PAPER),

@@ -12,8 +12,8 @@ Layering (bottom up):
   devnet chain, the gas-metered contract runtime, and the three PARP
   on-chain modules (deposits, channels, fraud detection).
 * :mod:`repro.parp` — the protocol itself: light-client sessions, serving
-  engines, payment channels, fraud proofs, witnesses, plus the paper's
-  future-work extensions (proof-of-serving, reputation).
+  engines, payment channels, fraud proofs, witnesses, plus reputation,
+  one of the paper's future-work sketches.
 * :mod:`repro.net`, :mod:`repro.node`, :mod:`repro.lightclient` — the
   simulated network and node assemblies everything runs on.
 

@@ -55,8 +55,9 @@ class LRUCache(Generic[V]):
 
     capacity: int = 1024
     stats: CacheStats = field(default_factory=CacheStats, init=False)
-    _entries: "OrderedDict[Hashable, V]" = field(default_factory=OrderedDict)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
+    _entries: "OrderedDict[Hashable, V]" = field(default_factory=OrderedDict,
+                                                 init=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
                                   repr=False, compare=False)
 
     def __post_init__(self) -> None:

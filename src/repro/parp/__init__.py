@@ -77,9 +77,6 @@ _EXPORTS = {
     "BATCH_PROTOCOL_VERSION": "constants",
     "DEFAULT_SELECTION_THRESHOLD": "constants",
     "DEFAULT_MIN_SESSIONS": "constants", "DEFAULT_CHANNEL_BUDGET": "constants",
-    # proof of serving
-    "ServingReceipt": "proof_of_serving", "ReceiptValidator": "proof_of_serving",
-    "EpochClaim": "proof_of_serving", "RewardPool": "proof_of_serving",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -52,7 +52,8 @@ BATCH_ITEM_COST = 0.25
 
 @dataclass(frozen=True)
 class AdmissionConfig:
-    """Tuning knobs for one server's admission pipeline (both bounds > 0)."""
+    """Tuning knobs for one server's admission pipeline (the queue holds at
+    least one single query; service time > 0)."""
 
     #: backlog bound in cost units; one unit ≈ one single proved query.
     #: Queueing delay of any admitted request ≤ max_queue_cost × service_time.
@@ -65,9 +66,11 @@ class AdmissionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # a bound ≤ 0 sheds all at load 0; a service time ≤ 0 runs time back
-        if self.max_queue_cost <= 0 or self.service_time <= 0:
-            raise ValueError(f"admission bounds must be positive: {self}")
+        # a bound below one query's cost (cost_of(1) = 1) sheds every
+        # request at load 0; a service time ≤ 0 runs time back
+        if self.max_queue_cost < 1.0 or self.service_time <= 0:
+            raise ValueError("admission needs max_queue_cost ≥ 1 (one query) "
+                             f"and service_time > 0: {self}")
 
 
 @dataclass(frozen=True)

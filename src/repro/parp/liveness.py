@@ -56,7 +56,7 @@ class LivenessMonitor:
     period: float = LIVENESS_PERIOD_SECONDS
     verify_every: int = 2          # every k-th probe uses the verified path
     observations: list[LivenessObservation] = field(default_factory=list)
-    _probes: int = 0
+    _probes: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.period <= 0 or self.verify_every < 1:

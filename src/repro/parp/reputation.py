@@ -2,9 +2,9 @@
 
 "Introducing a reputation system to validate the legitimacy of served light
 clients could be one solution to this issue."  We keep an exponentially
-decayed event ledger per address; scores in [0, 1] weigh Proof-of-Serving
-receipts and guide the client's full-node selection (prefer long-lived,
-never-slashed nodes; distrust freshly minted identities).
+decayed event ledger per address; scores in [0, 1] guide the client's
+full-node selection (prefer long-lived, never-slashed nodes; distrust
+freshly minted identities).
 
 Event kinds are exported as constants so the client, server, marketplace,
 and tests share one vocabulary — ``record`` rejects unknown kinds, so a

@@ -134,7 +134,7 @@ class _ShardSliceBackend(_SnapshotViewBackend):
 
 @dataclass
 class ServerStats:
-    """Serving counters (feeds Fig. 7 and the Proof-of-Serving extension)."""
+    """Serving counters (feeds Fig. 7)."""
 
     handshakes: int = 0
     channels_opened: int = 0
@@ -591,24 +591,6 @@ class FullNodeServer:
         if self.admission is None:
             return 1.0
         return self.admission.fee_multiplier()
-
-    # ------------------------------------------------------------------ #
-    # Proof of Serving (§VIII extension, receipts)
-    # ------------------------------------------------------------------ #
-
-    def serving_receipt(self, alpha: bytes):
-        """The channel's current (α, a, σ_a) packaged as a serving receipt."""
-        from .proof_of_serving import ServingReceipt
-
-        channel = self.channels.get(alpha)
-        if channel is None:
-            raise ServeError(f"unknown channel {alpha.hex()}")
-        return ServingReceipt(
-            alpha=channel.alpha, full_node=self.address,
-            light_client=channel.light_client, amount=channel.latest_amount,
-            signature=channel.latest_sig or b"",
-            queries=channel.queries_served,
-        )
 
     # ------------------------------------------------------------------ #
     # Redemption / closure (FN-initiated, §IV-E.4)

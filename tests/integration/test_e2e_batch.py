@@ -10,7 +10,7 @@ import pytest
 
 from repro.chain import GenesisConfig
 from repro.contracts import DEPOSIT_MODULE_ADDRESS
-from repro.crypto import PrivateKey
+from repro.crypto import PrivateKey, Signature, recover_address
 from repro.net import FixedLatency, SimEndpoint, SimNetwork, SimServerBinding
 from repro.node import Devnet
 from repro.parp import (
@@ -27,6 +27,7 @@ from repro.parp import (
 from repro.parp.adversary import MaliciousFullNodeServer
 from repro.parp.constants import BATCH_PROTOCOL_VERSION
 from repro.parp.fraudproof import WITNESS_GAS_LIMIT
+from repro.parp.messages import payment_digest
 from repro.parp.pricing import GWEI
 from repro.parp.reputation import EVENT_SERVED_OK, EVENT_TIMEOUT
 from repro.parp.server import ServeError
@@ -95,12 +96,18 @@ class TestHonestBatch:
         assert env.server.proof_cache.stats.hits >= len(calls)
         assert env.server.proof_cache.stats.misses == misses
 
-    def test_serving_receipt_counts_batched_queries(self, parp_env):
+    def test_channel_counts_batched_queries(self, parp_env):
+        """One batch is one channel update that counts every call, and the
+        banked (α, a, σ_a) is the light client's own signature."""
         env = parp_env
-        env.session.query_batch(balance_calls(env.keys, "alice", "bob"))
-        receipt = env.server.serving_receipt(env.alpha)
-        assert receipt.queries == env.server.channels[env.alpha].queries_served
-        assert receipt.verify_signature()
+        calls = balance_calls(env.keys, "alice", "bob")
+        env.session.query_batch(calls)
+        channel = env.server.channels[env.alpha]
+        assert channel.queries_served == len(calls)
+        alpha, amount, sig = channel.redeemable_state()
+        assert alpha == env.alpha and amount > 0
+        assert recover_address(payment_digest(alpha, amount),
+                               Signature.from_bytes(sig)) == env.keys.lc.address
 
 
 class TestBatchErrors:

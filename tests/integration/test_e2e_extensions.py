@@ -3,80 +3,10 @@
 import pytest
 
 from benchmarks.pcn import ChannelGraph
-from repro.contracts import CHANNELS_MODULE_ADDRESS
 from repro.crypto import PrivateKey
-from repro.parp.proof_of_serving import (
-    EpochClaim,
-    ReceiptValidator,
-    RewardPool,
-    ServingReceipt,
-)
 from repro.parp.reputation import SATURATION, ReputationLedger
 
-from ..conftest import TOKEN, make_parp_env
-
-
-class TestProofOfServingOnChainBacked:
-    """Receipts validated against the *real* CMM records."""
-
-    def channel_lookup_factory(self, devnet):
-        from repro.crypto.keys import Address
-
-        def lookup(alpha):
-            lc, fn, budget, _cs, status, _dl = devnet.call_view(
-                CHANNELS_MODULE_ADDRESS, "get_channel", [alpha],
-            )
-            if status == 0:
-                return None
-            return Address(lc), Address(fn), budget, status
-
-        return lookup
-
-    def test_real_serving_receipts_score(self, devnet, keys):
-        env = make_parp_env(devnet, keys)
-        env.session.get_balance(keys.alice.address)
-        env.session.get_balance(keys.bob.address)
-
-        channel = env.server.channels[env.alpha]
-        receipt = ServingReceipt(
-            alpha=env.alpha, full_node=env.server.address,
-            light_client=channel.light_client,
-            amount=channel.latest_amount, signature=channel.latest_sig,
-        )
-        validator = ReceiptValidator(self.channel_lookup_factory(devnet))
-        assert validator.weigh(receipt) == float(channel.latest_amount)
-
-    def test_fabricated_receipt_scores_zero(self, devnet, keys):
-        env = make_parp_env(devnet, keys)
-        sybil = PrivateKey.from_seed("sybil-client")
-        fake_alpha = b"\x13" * 16
-        from repro.parp.messages import payment_digest
-
-        receipt = ServingReceipt(
-            alpha=fake_alpha, full_node=env.server.address,
-            light_client=sybil.address, amount=10 ** 18,
-            signature=sybil.sign(payment_digest(fake_alpha, 10 ** 18)).to_bytes(),
-        )
-        validator = ReceiptValidator(self.channel_lookup_factory(devnet))
-        assert validator.weigh(receipt) == 0.0
-
-    def test_epoch_reward_follows_real_serving(self, devnet, keys):
-        env = make_parp_env(devnet, keys)
-        for _ in range(3):
-            env.session.get_balance(keys.alice.address)
-        channel = env.server.channels[env.alpha]
-        claim = EpochClaim(env.server.address)
-        claim.add(ServingReceipt(
-            alpha=env.alpha, full_node=env.server.address,
-            light_client=channel.light_client,
-            amount=channel.latest_amount, signature=channel.latest_sig,
-        ))
-        pool = RewardPool(
-            epoch_reward=10 ** 18,
-            validator=ReceiptValidator(self.channel_lookup_factory(devnet)),
-        )
-        payouts = pool.distribute([claim])
-        assert payouts[env.server.address] == 10 ** 18
+from ..conftest import make_parp_env
 
 
 class TestReputationIntegration:

@@ -26,7 +26,6 @@ EXPECTED = {
                              "gossip alone can never hard-ban"),
     "channel_dispute.py": ("the stale-state underpayment attempt failed",),
     "hedged_query.py": ("(slashed: True)",),
-    "proof_of_serving.py": ("the Sybil claim earned nothing",),
     "sharded_cluster.py": ("survived the failover",),
     "wallet_dapp.py": ("reputation after the session",),
 }

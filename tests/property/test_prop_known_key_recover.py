@@ -272,27 +272,3 @@ class TestKnownKeyCache:
         self.learn(SIGNERS[0])  # right address throughout, at the full price
         assert calls["full"] == full + self.BUILD_AFTER
         assert calls["tables"] == 5 and calls["hinted"] == 0
-
-    def test_serving_receipts_spend_no_slot(self, known_keys):
-        """A receipt names its own ``light_client``; anybody can self-sign
-        any number under fresh keys.  Weighing them builds no table and
-        pushes no counterparty out of the cache."""
-        from repro.parp.messages import payment_digest
-        from repro.parp.proof_of_serving import ReceiptValidator, ServingReceipt
-        cache, calls = known_keys
-        self.learn(SIGNERS[0])
-        held = dict(cache._entries)
-        node = SIGNERS[1].address
-        channels = {}
-        validator = ReceiptValidator(channel_lookup=channels.get)
-        for i in range(2 * cache.capacity + 2):
-            sybil = PrivateKey.from_seed(f"sybil:{i}")
-            alpha = bytes([i]) * 16
-            receipt = ServingReceipt(
-                alpha, node, sybil.address, 5,
-                sybil.sign(payment_digest(alpha, 5)).to_bytes())
-            assert validator.weigh(receipt) == 0.0      # no such channel
-            channels[alpha] = (sybil.address, node, 10, 1)
-            assert validator.weigh(receipt) == 5.0
-        assert cache._entries == held and cache.stats.evictions == 0
-        assert calls["tables"] == 1 and calls["hinted"] == 0

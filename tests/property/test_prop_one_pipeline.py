@@ -25,6 +25,7 @@ from repro.crypto import PrivateKey
 from repro.node import Devnet
 from repro.parp import (
     AdmissionConfig,
+    AdmissionController,
     FlatFeeSchedule,
     FraudDetected,
     InvalidResponse,
@@ -108,8 +109,12 @@ def fresh_world(scenario: str, method: str):
         for key in (keys.fn, keys.lc, keys.wn, keys.alice, keys.bob)}))
     server_kwargs = {}
     if scenario == "shed":
-        # one request costs 1.0 unit: nothing fits a half-unit queue
-        server_kwargs["admission"] = AdmissionConfig(max_queue_cost=0.5)
+        # a one-query queue already holds one unit, and a frozen clock
+        # never drains it: no request (≥ 1 unit) fits
+        admission = AdmissionController(AdmissionConfig(max_queue_cost=1.0),
+                                        clock=lambda: 0.0)
+        admission.offer(admission.cost_of(1))
+        server_kwargs["admission"] = admission
     if scenario == "out_of_shard":
         probe = RpcCall.create(method, CHANNELS_MODULE_ADDRESS) \
             if method == "eth_getStorageAt" else \

@@ -1,17 +1,10 @@
-"""§VIII extensions: PCN routing, proof-of-serving, reputation."""
+"""§VIII extensions: PCN routing, reputation."""
 
 import pytest
 
 from benchmarks.pcn import ChannelGraph, PCNError
-from repro.crypto import PrivateKey, keccak256
+from repro.crypto import PrivateKey
 from repro.crypto.keys import Address
-from repro.parp.messages import payment_digest
-from repro.parp.proof_of_serving import (
-    EpochClaim,
-    ReceiptValidator,
-    RewardPool,
-    ServingReceipt,
-)
 from repro.parp.reputation import HALF_LIFE, NEWCOMER_SCORE, ReputationLedger
 
 
@@ -87,84 +80,6 @@ class TestChannelGraph:
         graph.add_channel(addr("pricey"), addr("fn"), 10 ** 9, fee_ppm=500_000)
         route = graph.find_route(addr("lc"), addr("fn"), 1_000_000)
         assert addr("cheap") in route.hops
-
-
-class TestProofOfServing:
-    def make_receipt(self, lc_key: PrivateKey, fn: Address, alpha: bytes,
-                     amount: int) -> ServingReceipt:
-        sig = lc_key.sign(payment_digest(alpha, amount)).to_bytes()
-        return ServingReceipt(alpha, fn, lc_key.address, amount, sig)
-
-    def setup_pool(self, channels: dict, epoch_reward=1_000_000,
-                   **validator_kwargs) -> RewardPool:
-        validator = ReceiptValidator(
-            channel_lookup=lambda a: channels.get(a), **validator_kwargs,
-        )
-        return RewardPool(epoch_reward=epoch_reward, validator=validator)
-
-    def test_valid_receipt_weighs_amount(self):
-        lc = PrivateKey.from_seed("pos:lc")
-        fn = addr("pos-fn")
-        alpha = keccak256(b"pos")[:16]
-        channels = {alpha: (lc.address, fn, 10_000, 1)}
-        pool = self.setup_pool(channels)
-        receipt = self.make_receipt(lc, fn, alpha, 5_000)
-        assert pool.validator.weigh(receipt) == 5_000.0
-
-    def test_forged_signature_rejected(self):
-        lc = PrivateKey.from_seed("pos:lc")
-        forger = PrivateKey.from_seed("pos:forger")
-        fn = addr("pos-fn")
-        alpha = keccak256(b"pos2")[:16]
-        channels = {alpha: (lc.address, fn, 10_000, 1)}
-        pool = self.setup_pool(channels)
-        receipt = self.make_receipt(forger, fn, alpha, 5_000)
-        forged = ServingReceipt(alpha, fn, lc.address, 5_000, receipt.signature)
-        assert pool.validator.weigh(forged) == 0.0
-
-    def test_sybil_unbacked_channel_rejected(self):
-        """Receipts without a real on-chain channel weigh nothing."""
-        lc = PrivateKey.from_seed("pos:sybil")
-        fn = addr("pos-fn")
-        alpha = keccak256(b"fake")[:16]
-        pool = self.setup_pool(channels={})
-        receipt = self.make_receipt(lc, fn, alpha, 999_999)
-        assert pool.validator.weigh(receipt) == 0.0
-
-    def test_amount_above_budget_rejected(self):
-        lc = PrivateKey.from_seed("pos:lc")
-        fn = addr("pos-fn")
-        alpha = keccak256(b"pos3")[:16]
-        channels = {alpha: (lc.address, fn, 1_000, 1)}
-        pool = self.setup_pool(channels)
-        assert pool.validator.weigh(self.make_receipt(lc, fn, alpha, 2_000)) == 0.0
-
-    def test_replayed_receipts_not_summed(self):
-        lc = PrivateKey.from_seed("pos:lc")
-        fn = addr("pos-fn")
-        alpha = keccak256(b"pos4")[:16]
-        channels = {alpha: (lc.address, fn, 10_000, 1)}
-        pool = self.setup_pool(channels)
-        claim = EpochClaim(fn)
-        for _ in range(5):  # replaying the same client 5 times
-            claim.add(self.make_receipt(lc, fn, alpha, 4_000))
-        assert pool.score_claim(claim) == 4_000.0
-
-    def test_proportional_distribution_conserves_reward(self):
-        lc1, lc2 = PrivateKey.from_seed("pos:l1"), PrivateKey.from_seed("pos:l2")
-        fn1, fn2 = addr("pos-f1"), addr("pos-f2")
-        a1, a2 = keccak256(b"c1")[:16], keccak256(b"c2")[:16]
-        channels = {
-            a1: (lc1.address, fn1, 100_000, 1),
-            a2: (lc2.address, fn2, 100_000, 1),
-        }
-        pool = self.setup_pool(channels, epoch_reward=1_000_001)
-        claim1, claim2 = EpochClaim(fn1), EpochClaim(fn2)
-        claim1.add(self.make_receipt(lc1, fn1, a1, 75_000))
-        claim2.add(self.make_receipt(lc2, fn2, a2, 25_000))
-        payouts = pool.distribute([claim1, claim2])
-        assert sum(payouts.values()) == 1_000_001  # nothing lost to rounding
-        assert payouts[fn1] > payouts[fn2]
 
 
 class TestReputation:

@@ -125,11 +125,13 @@ class TestAdmissionController:
     @pytest.mark.parametrize("bad", [{"service_time": -0.5},
                                      {"service_time": 0.0},
                                      {"max_queue_cost": 0.0},
-                                     {"max_queue_cost": -1.0}])
+                                     {"max_queue_cost": -1.0},
+                                     {"max_queue_cost": 0.5}])
     def test_nonsense_configs_are_refused(self, bad):
         """A negative service time once admitted with a negative queue delay
-        and moved ``busy_until`` backwards; a non-positive queue bound shed
-        every request while the load read 0.0 and the fee multiplier 1.0."""
+        and moved ``busy_until`` backwards; a queue bound below one query's
+        cost shed every request while the load read 0.0 and the fee
+        multiplier 1.0."""
         with pytest.raises(ValueError):
             AdmissionConfig(**bad)
 

@@ -43,10 +43,13 @@ class TestTopLevel:
         and sharded legs, the demo CLI (now ``examples/``), the benchmark
         harness (now under ``benchmarks/``), the dead read workload, the
         serving paths only tests reached, every retention, fsync and
-        node-store option outside the chain, and the second header pull
-        path (``serve_header``, ``serve_bootstrap``, ``RangeUpdate``)."""
+        node-store option outside the chain, the second header pull path
+        (``serve_header``, ``serve_bootstrap``, ``RangeUpdate``), Proof of
+        Serving, and private state taken as a constructor keyword."""
         import importlib
         import inspect
+        import threading
+        from collections import OrderedDict
 
         import repro.metrics
         import repro.parp
@@ -241,7 +244,8 @@ class TestTopLevel:
             admission.AdmissionController: ("snapshot",),
             FullNodeServer: ("load_info", "disable_gossip",
                              "open_channel_count", "node_store",
-                             "serve_header", "serve_bootstrap"),
+                             "serve_header", "serve_bootstrap",
+                             "serving_receipt"),
             ServerEndpoint: ("load_info", "serve_header", "serve_bootstrap"),
             FullNode: ("node_store", "serve_header", "serve_bootstrap",
                        "get_header_by_hash"),
@@ -303,9 +307,10 @@ class TestTopLevel:
         from repro.lightclient.checkpoint import Checkpoint
         from repro.lightclient.headerchain import HeaderChain
         from repro.metrics import CacheStats, LRUCache
-        from repro.parp import fraudproof, proof_of_serving
+        from repro.parp import fraudproof
         from repro.parp.constants import DEFAULT_SELECTION_THRESHOLD
         from repro.parp.client import DEFAULT_GAS_PRICE
+        from repro.parp.liveness import LivenessMonitor
         from repro.parp.reputation import EVENT_SERVED_OK, ReputationLedger
         devnet = Devnet(GenesisConfig())
         node = FullNode(devnet.chain, name="census")
@@ -313,17 +318,14 @@ class TestTopLevel:
         gossip = GossipNode(network, "census")
         genesis = Checkpoint.of(devnet.chain.head.header)
         key = PrivateKey.from_seed("unit:api:census")
-        validator = proof_of_serving.ReceiptValidator({}.get)
+        session = LightClientSession(key, FullNodeServer(node),
+                                     HeaderSyncer([node]))
         factories = {
             "ReputationLedger": lambda **kw: ReputationLedger(**kw),
             "ReputationLedger.record": lambda **kw: ReputationLedger().record(
                 key.address, EVENT_SERVED_OK, 0.0, **kw),
             "MarketplaceClient": lambda **kw: MarketplaceClient(
                 key, Marketplace(), **kw),
-            "ReceiptValidator": lambda **kw: proof_of_serving.ReceiptValidator(
-                {}.get, **kw),
-            "RewardPool": lambda **kw: proof_of_serving.RewardPool(
-                1, validator, **kw),
             "CallBasedFeeSchedule": lambda **kw: CallBasedFeeSchedule(**kw),
             "AdmissionConfig": lambda **kw: admission.AdmissionConfig(**kw),
             "WitnessService": lambda **kw: fraudproof.WitnessService(
@@ -337,6 +339,7 @@ class TestTopLevel:
                 [node], genesis, **kw),
             "SimNetwork": lambda **kw: SimNetwork(**kw),
             "LRUCache": lambda **kw: LRUCache(**kw),
+            "LivenessMonitor": lambda **kw: LivenessMonitor(session, **kw),
         }
         removed_keywords = {
             "ReputationLedger": {"half_life": 86_400.0, "newcomer_score": 0.1,
@@ -348,9 +351,6 @@ class TestTopLevel:
                 "headers": HeaderSyncer([node]),
                 "selection_threshold": DEFAULT_SELECTION_THRESHOLD,
                 "gas_price": DEFAULT_GAS_PRICE},
-            "ReceiptValidator": {"min_budget": 0, "reputation": None,
-                                 "max_wei_per_query": None},
-            "RewardPool": {"per_client_cap": None},
             "CallBasedFeeSchedule": {"batch_rebate": pricing.GWEI},
             "AdmissionConfig": {"batch_item_cost": 0.25},
             "WitnessService": {"gas_price": 12 * 10 ** 9,
@@ -360,9 +360,12 @@ class TestTopLevel:
             "HeaderSyncer": {"chain": HeaderChain()},
             "CheckpointSyncer": {"chain": HeaderChain()},
             "SimNetwork": {"clock": SimClock()},
-            "LRUCache": {"stats": CacheStats()},
+            # private state is no constructor's to take
+            "LRUCache": {"stats": CacheStats(), "_entries": OrderedDict(a=1),
+                         "_lock": threading.Lock()},
+            "LivenessMonitor": {"_probes": 1},
         }
-        assert sum(map(len, removed_keywords.values())) == 24
+        assert sum(map(len, removed_keywords.values())) == 23
         for owner, keywords in removed_keywords.items():
             factories[owner]()
             for keyword, value in keywords.items():
@@ -378,6 +381,15 @@ class TestTopLevel:
         assert (fraudproof.WITNESS_GAS_PRICE,
                 fraudproof.WITNESS_GAS_LIMIT) == (12 * 10 ** 9, 2_000_000)
         assert LRUCache().stats == CacheStats()
+        # Proof of Serving (§VIII) left src/: a node that funds its own fake
+        # light clients gets their budgets back on close, so its receipts
+        # cost it only gas
+        for name in ("ServingReceipt", "ReceiptValidator", "EpochClaim",
+                     "RewardPool"):
+            with pytest.raises(AttributeError):
+                getattr(repro.parp, name)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.parp.proof_of_serving")
 
     def test_retention_has_one_owner_and_fsync_one_home(self):
         """Which heights stay provable is decided in one place: under

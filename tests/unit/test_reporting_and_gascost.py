@@ -72,7 +72,7 @@ class TestBenchmarkDiscovery:
         names = {p.name for p in examples.glob("*.py")}
         for expected in ("quickstart.py", "fraud_detection.py",
                          "channel_dispute.py", "wallet_dapp.py",
-                         "proof_of_serving.py", "gossip_reputation.py"):
+                         "gossip_reputation.py"):
             assert expected in names
             text = (examples / expected).read_text()
             assert "__main__" in text, f"{expected} is not runnable"
