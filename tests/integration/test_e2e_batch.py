@@ -109,6 +109,18 @@ class TestHonestBatch:
         assert recover_address(payment_digest(alpha, amount),
                                Signature.from_bytes(sig)) == env.keys.lc.address
 
+    def test_single_and_batched_queries_add_up(self, parp_env):
+        """Each single request is one update covering one query; a batch of
+        N is one update covering N."""
+        env = parp_env
+        channel = env.server.channels[env.alpha]
+        updates, queries = channel.requests_served, channel.queries_served
+        env.session.get_balance(env.keys.alice.address)
+        env.session.get_balance(env.keys.bob.address)
+        env.session.query_batch(balance_calls(env.keys, "alice", "bob", "fn"))
+        assert channel.requests_served == updates + 3
+        assert channel.queries_served == queries + 5
+
 
 class TestBatchErrors:
     def test_write_call_gets_per_item_signed_error(self, parp_env):

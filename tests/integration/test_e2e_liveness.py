@@ -1,5 +1,7 @@
 """§V-C liveness: catching channels that are closed behind the client's back."""
 
+import inspect
+
 import pytest
 
 from repro.contracts import CHANNELS_MODULE_ADDRESS
@@ -56,6 +58,20 @@ class TestLiveness:
         monitor = LivenessMonitor(env.session, verify_every=1)
         with pytest.raises(LivenessAlert):
             monitor.probe(now=0.0)
+
+    def test_every_kth_probe_is_verified(self, parp_env):
+        """The probe count starts at zero in every monitor, so with
+        ``verify_every=3`` an open channel is proof-checked on the third
+        probe and the sixth, and only claimed on the others."""
+        assert list(inspect.signature(LivenessMonitor).parameters) == [
+            "session", "period", "verify_every", "observations"]
+        monitor = LivenessMonitor(parp_env.session, period=1.0,
+                                  verify_every=3)
+        verified = [monitor.probe(now=float(t)).verified_status is not None
+                    for t in range(6)]
+        assert verified == [False, False, True, False, False, True]
+        assert all(o.claimed_status == ChannelStatus.OPEN.value
+                   for o in monitor.observations)
 
     @pytest.mark.parametrize("bad", [{"verify_every": 0},
                                      {"verify_every": -1},

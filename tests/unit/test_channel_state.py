@@ -110,6 +110,26 @@ class TestServerChannel:
         with pytest.raises(ChannelError):
             channel.accept_request_payment(request_for(100), min_increment=1)
 
+    def test_counts_the_queries_each_payment_covers(self):
+        """A single request covers one query, a batch payment as many as
+        its ``queries``: requests and queries are counted apart."""
+        channel = self.make()
+        channel.accept_request_payment(request_for(100), min_increment=100)
+        channel.accept_request_payment(request_for(300), min_increment=100,
+                                       queries=5)
+        assert channel.requests_served == 2
+        assert channel.queries_served == 6
+
+    def test_refused_payment_counts_nothing(self):
+        channel = self.make(budget=150)
+        channel.accept_request_payment(request_for(100), min_increment=100,
+                                       queries=3)
+        for refused in (request_for(151), request_for(120, key=FN)):
+            with pytest.raises(ChannelError):
+                channel.accept_request_payment(refused, min_increment=1,
+                                               queries=4)
+        assert (channel.requests_served, channel.queries_served) == (1, 3)
+
     def test_empty_redeemable_state(self):
         alpha, amount, sig = self.make().redeemable_state()
         assert (amount, sig) == (0, b"")

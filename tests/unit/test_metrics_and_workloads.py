@@ -1,10 +1,13 @@
-"""Measurement utilities and workload generators."""
+"""Measurement utilities, the serving cache and workload generators."""
+
+import inspect
 
 import pytest
 
 from benchmarks.probes import ResourceProbe, StepTimer
 from benchmarks.reporting import render_series, render_table
 from benchmarks.table1 import PUBLISHED_SHARES, TOTAL_RPC_DAPPS, generate_dataset
+from repro.metrics import CacheStats, LRUCache
 from repro.workloads import AccountSet, ZipfSelector
 
 
@@ -82,6 +85,37 @@ class TestTableRendering:
     def test_series(self):
         text = render_series("s", [1, 2], [10, 20], "x", "y")
         assert "10" in text and "x" in text
+
+
+class TestLRUCache:
+    def test_constructor_takes_only_capacity(self):
+        """Counters, entries and the lock start fresh in every cache."""
+        assert list(inspect.signature(LRUCache).parameters) == ["capacity"]
+        cache = LRUCache(capacity=2)
+        assert len(cache) == 0 and cache.stats == CacheStats()
+
+    def test_instances_share_no_state(self):
+        a, b = LRUCache(capacity=2), LRUCache(capacity=2)
+        a.put("k", 1)
+        assert b.get("k") is None and "k" in a
+        assert a.stats.misses == 0 and b.stats.misses == 1
+        assert a._entries is not b._entries and a._lock is not b._lock
+
+    def test_evicts_the_least_recently_used_and_counts(self):
+        cache = LRUCache(capacity=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get("a") == 1        # "b" is now least recent
+        cache.put("c", 3)
+        assert "b" not in cache and len(cache) == 2
+        assert cache.get("b") is None
+        assert (cache.stats.hits, cache.stats.misses,
+                cache.stats.evictions) == (1, 1, 1)
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_capacity_below_one_is_refused(self, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            LRUCache(capacity=capacity)
 
 
 class TestZipf:

@@ -8,6 +8,7 @@ shedding can demote but never ban a server.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto import PrivateKey, keccak256
 from repro.crypto.keys import Address
@@ -142,6 +143,54 @@ class TestAdmissionController:
         assert ctrl.load_factor() == pytest.approx(0.5)
         assert ctrl.admitted == 2 and ctrl.shed == 0
         assert ctrl.fee_multiplier() == load_multiplier(0.5)
+
+    def test_one_query_queue_admits_one_and_shows_its_load(self):
+        """The smallest valid bound holds exactly one single query, and the
+        shed that follows is visible in the load and the quote."""
+        ctrl, _ = controller(max_queue_cost=1.0, service_time=0.1)
+        first = ctrl.offer(ctrl.cost_of(1))
+        assert first.admitted and first.load == 0.0
+        second = ctrl.offer(ctrl.cost_of(1))
+        assert not second.admitted and second.load == 1.0
+        assert ctrl.load_factor() == 1.0
+        assert ctrl.fee_multiplier() == load_multiplier(1.0) > 1.0
+
+    def test_frozen_full_queue_sheds_every_request(self):
+        """A one-query queue holding one unit on a clock that never moves
+        drains nothing: every single query and every batch is shed, and the
+        backlog stays where it was."""
+        ctrl = AdmissionController(AdmissionConfig(max_queue_cost=1.0),
+                                   clock=lambda: 0.0)
+        assert ctrl.offer(ctrl.cost_of(1)).admitted
+        for queries in range(1, 17):
+            decision = ctrl.offer(ctrl.cost_of(queries))
+            assert not decision.admitted and decision.load == 1.0
+        assert (ctrl.admitted, ctrl.shed) == (1, 16)
+        assert ctrl.load_factor() == 1.0
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                     exclude_max=True))
+    @settings(max_examples=50, deadline=None)
+    def test_every_bound_below_one_query_is_refused(self, bound):
+        with pytest.raises(ValueError, match="max_queue_cost"):
+            AdmissionConfig(max_queue_cost=bound)
+
+    @given(st.floats(min_value=1.0, max_value=1e6),
+           st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                              st.booleans()), max_size=30))
+    @settings(max_examples=50, deadline=None)
+    def test_a_single_query_is_never_shed_at_zero_load(self, bound, steps):
+        """Under every accepted bound, an idle queue admits a single query,
+        and a shed single query always reports a load above zero."""
+        ctrl, clock = controller(max_queue_cost=bound, service_time=0.1)
+        for dt, offer in steps:
+            clock.advance(dt)
+            if offer:
+                decision = ctrl.offer(ctrl.cost_of(1))
+                assert decision.admitted or decision.load > 0.0
+        clock.advance(bound * 0.1 + 1.0)                 # fully drained
+        decision = ctrl.offer(ctrl.cost_of(1))
+        assert decision.admitted and decision.load == 0.0
 
 
 class TestOverloadedReply:

@@ -391,6 +391,30 @@ class TestTopLevel:
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.parp.proof_of_serving")
 
+    def test_no_private_dataclass_field_is_a_constructor_keyword(self):
+        """A dataclass field named ``_x`` is the object's own state: a
+        caller that passed ``_entries=`` once seeded a cache with entries
+        it never put.  Every such field in the package is ``init=False``."""
+        import dataclasses
+        import importlib
+        import inspect
+        import pkgutil
+
+        import repro
+
+        checked, taken = 0, []
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(info.name)
+            for cls in vars(module).values():
+                if not (inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+                        and cls.__module__ == module.__name__):
+                    continue
+                checked += 1
+                taken += [f"{cls.__qualname__}.{f.name}"
+                          for f in dataclasses.fields(cls)
+                          if f.name.startswith("_") and f.init]
+        assert checked > 50 and taken == []
+
     def test_retention_has_one_owner_and_fsync_one_home(self):
         """Which heights stay provable is decided in one place: under
         ``src/`` only its definition, its export, the chain that owns it and
