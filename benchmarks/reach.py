@@ -160,8 +160,6 @@ REVIEWED: dict[tuple[str, str], tuple[str, str]] = {
         "branch", "FullNodeServer.enable_gossip on a server that already gossips"),
     ("lightclient/headerchain.py", "HeaderChain.anchor_number"): (
         "branch", "checkpoint bootstrap of a client that already holds headers"),
-    ("net/network.py", "_estimate_size"): (
-        "branch", "SimNetwork.send without size_bytes; every producer passes one"),
     ("node/fullnode.py", "FullNode.chain_id"): (
         "branch", "eth_chainId, a served method no workload asks for"),
     ("parp/queries.py", "_execute_chain_id"): (

@@ -57,8 +57,7 @@ def main() -> None:
 
     marketplace = Marketplace()
     bindings = {}
-    for j, server in enumerate(devnet.attach_shard_cluster(
-            ops, SHARDS, name_prefix="shard")):
+    for j, server in enumerate(devnet.attach_shard_cluster(ops, SHARDS)):
         s, r = j % SHARDS, j // SHARDS
         name = f"srv-{s}-{r}"
         server.fee_schedule = FlatFeeSchedule(flat_price=(5, 10)[r] * GWEI)

@@ -36,6 +36,10 @@ from .transaction import Transaction, TransactionError
 
 __all__ = ["Blockchain", "ChainError", "TransactionExecutorProtocol"]
 
+#: a pruning chain auto-compacts once its log has grown past this factor of
+#: its size after the previous compaction
+COMPACT_GROWTH = 2.0
+
 
 class ChainError(Exception):
     """Raised on invalid blocks or transactions."""
@@ -90,7 +94,7 @@ class Blockchain:
         #: :meth:`on_seal`) — never for genesis or reattached history.
         self._seal_listeners: list[Callable[["Block"], None]] = []
         #: log size after the last compaction — the growth reference for
-        #: the automatic trigger (see RetentionPolicy.compact_growth)
+        #: the automatic trigger (see COMPACT_GROWTH)
         self._compact_baseline = (
             self.db.log_bytes() if hasattr(self.db, "log_bytes") else 0
         )
@@ -419,7 +423,7 @@ class Blockchain:
         size = self.db.log_bytes()
         if size < policy.min_compact_bytes:
             return
-        if size < policy.compact_growth * max(1, self._compact_baseline):
+        if size < COMPACT_GROWTH * max(1, self._compact_baseline):
             return
         self.compact()
 

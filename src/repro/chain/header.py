@@ -63,9 +63,17 @@ class BlockHeader:
 
     @classmethod
     def decode(cls, raw: bytes) -> "BlockHeader":
+        """The header ``raw`` encodes; hostile bytes raise ``RLPError`` (a
+        nested list where a field belongs, a hash that is not 32 bytes, a
+        proposer that is not 20), never an untyped error."""
         item = rlp.decode(raw)
         if not isinstance(item, list) or len(item) != 10:
             raise rlp.RLPError("header must be a 10-item RLP list")
+        if not all(isinstance(field, bytes) for field in item):
+            raise rlp.RLPError("header fields must be byte strings")
+        if any(len(digest) != 32 for digest in item[:4]) or len(item[8]) != 20:
+            raise rlp.RLPError("header hashes must be 32 bytes and the "
+                               "proposer 20")
         (parent, state_root, tx_root, receipt_root, number_b, timestamp_b,
          gas_used_b, gas_limit_b, proposer_b, extra) = item
         return cls(

@@ -29,11 +29,10 @@ WEI_PER_ETH = 10 ** 18
 MEDIAN_TX_FEE_USD = {"mainnet": 1.606, "arbitrum": 0.350}
 
 
-def gas_to_usd(gas: int, gas_price_gwei: float,
-               eth_price_usd: float = ETH_PRICE_USD) -> float:
-    """Convert a gas amount to USD at a given gas price."""
+def gas_to_usd(gas: int, gas_price_gwei: float) -> float:
+    """Convert a gas amount to USD at a given gas price and ETH_PRICE_USD."""
     fee_wei = gas * gas_price_gwei * GWEI
-    return fee_wei / WEI_PER_ETH * eth_price_usd
+    return fee_wei / WEI_PER_ETH * ETH_PRICE_USD
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ conflicting payloads, so no channel context is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..chain.header import BlockHeader
@@ -129,15 +129,15 @@ class HeadEquivocationProof:
 
 @dataclass
 class HeadGossipStats:
-    announced_seen: int = 0       # valid announcements decoded
-    undecodable: int = 0
-    bad_signature: int = 0
-    understaked: int = 0          # announcer below the registry gate
-    equivocations: int = 0        # conflicting pairs detected
-    quorum_applied: int = 0       # headers offered after reaching quorum
-    heads_appended: int = 0       # offers the syncer actually appended
-    heads_pulled: int = 0         # offers that triggered a gap-filling pull
-    duplicates: int = 0           # offers the syncer already knew
+    announced_seen: int = field(default=0, init=False)  # valid announcements decoded
+    undecodable: int = field(default=0, init=False)
+    bad_signature: int = field(default=0, init=False)
+    understaked: int = field(default=0, init=False)     # announcer below the registry gate
+    equivocations: int = field(default=0, init=False)   # conflicting pairs detected
+    quorum_applied: int = field(default=0, init=False)  # headers offered after reaching quorum
+    heads_appended: int = field(default=0, init=False)  # offers the syncer actually appended
+    heads_pulled: int = field(default=0, init=False)    # offers that triggered a gap-filling pull
+    duplicates: int = field(default=0, init=False)      # offers the syncer already knew
 
 
 class HeadGossip:

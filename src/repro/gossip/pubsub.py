@@ -12,7 +12,7 @@ bytes.
 Design points, each load-bearing for a test:
 
 * **Bounded seen-cache** — dedup is an OrderedDict capped at
-  ``seen_cache_size`` per node (FIFO eviction), so memory stays O(cache)
+  ``DEFAULT_SEEN_CACHE`` ids per node (FIFO eviction), so memory stays O(cache)
   no matter how long the node lives.
 * **Fanout-limited relay** — each accepted message is forwarded to at most
   ``fanout`` peers, chosen deterministically from the message id (a stable
@@ -21,16 +21,17 @@ Design points, each load-bearing for a test:
   meshes while the fanout bounds per-node amplification.
 * **Hop TTL** — every relay decrements ``ttl``; a message arriving with
   ttl 0 is delivered but not forwarded, so the hop count (and therefore
-  total traffic) is bounded by the publisher's initial TTL.
+  total traffic) is bounded by the initial ``DEFAULT_TTL``.
 * **Per-peer rate scoring** — a sliding window counts messages per sending
-  peer; peers over ``rate_limit`` per ``rate_window`` get dropped before
-  any decode work, which is the flood-control the reputation topic needs.
+  peer; peers over ``DEFAULT_RATE_LIMIT`` per ``DEFAULT_RATE_WINDOW`` get
+  dropped before any decode work, which is the flood-control the
+  reputation topic needs.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Sequence
 
@@ -97,24 +98,24 @@ class GossipMessage:
 class GossipStats:
     """Per-node traffic counters."""
 
-    published: int = 0          # local publishes
-    received: int = 0           # messages arriving from peers
-    delivered: int = 0          # handler invocations (post-dedup)
-    relayed: int = 0            # forward sends on behalf of others
-    duplicates_dropped: int = 0
-    ttl_exhausted: int = 0      # accepted but not relayed (ttl ran out)
-    rate_limited: int = 0       # dropped before decode: peer over budget
-    undecodable: int = 0        # non-GossipMessage payloads
+    published: int = field(default=0, init=False)      # local publishes
+    received: int = field(default=0, init=False)       # messages arriving from peers
+    delivered: int = field(default=0, init=False)      # handler invocations (post-dedup)
+    relayed: int = field(default=0, init=False)        # forward sends on behalf of others
+    duplicates_dropped: int = field(default=0, init=False)
+    ttl_exhausted: int = field(default=0, init=False)  # accepted but not relayed (ttl ran out)
+    rate_limited: int = field(default=0, init=False)   # dropped before decode: peer over budget
+    undecodable: int = field(default=0, init=False)    # non-GossipMessage payloads
 
 
 @dataclass
 class _PeerScore:
     """Sliding-window accounting for one sending peer."""
 
-    window_start: float = 0.0
-    in_window: int = 0
-    accepted: int = 0
-    dropped: int = 0
+    window_start: float = field(default=0.0, init=False)
+    in_window: int = field(default=0, init=False)
+    accepted: int = field(default=0, init=False)
+    dropped: int = field(default=0, init=False)
 
 
 class GossipNode:
@@ -128,23 +129,12 @@ class GossipNode:
     """
 
     def __init__(self, network: SimNetwork, name: str,
-                 fanout: int = DEFAULT_FANOUT, ttl: int = DEFAULT_TTL,
-                 seen_cache_size: int = DEFAULT_SEEN_CACHE,
-                 rate_limit: int = DEFAULT_RATE_LIMIT,
-                 rate_window: float = DEFAULT_RATE_WINDOW) -> None:
+                 fanout: int = DEFAULT_FANOUT) -> None:
         if fanout < 1:
             raise GossipError("fanout must be at least 1")
-        if ttl < 0:
-            raise GossipError("ttl must be non-negative")
-        if seen_cache_size < 1:
-            raise GossipError("seen cache needs at least one slot")
         self.network = network
         self.name = name
         self.fanout = fanout
-        self.ttl = ttl
-        self.seen_cache_size = seen_cache_size
-        self.rate_limit = rate_limit
-        self.rate_window = rate_window
         self.peers: list[str] = []
         self.stats = GossipStats()
         self._topics: dict[str, list[Callable[[GossipMessage], None]]] = {}
@@ -187,7 +177,7 @@ class GossipNode:
             raise GossipError("topic must be non-empty")
         message = GossipMessage(topic=topic, payload=bytes(payload),
                                 origin=self.name, seq=next(self._seq),
-                                ttl=self.ttl)
+                                ttl=DEFAULT_TTL)
         self.stats.published += 1
         self._mark_seen(message.msg_id)
         self._deliver(message)
@@ -223,7 +213,7 @@ class GossipNode:
 
     def _mark_seen(self, msg_id: bytes) -> None:
         self._seen[msg_id] = None
-        while len(self._seen) > self.seen_cache_size:
+        while len(self._seen) > DEFAULT_SEEN_CACHE:
             self._seen.popitem(last=False)
 
     def _deliver(self, message: GossipMessage) -> None:
@@ -255,11 +245,11 @@ class GossipNode:
         if score is None:
             score = self._peer_scores[src] = _PeerScore()
         now = self.network.clock.now()
-        if now - score.window_start >= self.rate_window:
+        if now - score.window_start >= DEFAULT_RATE_WINDOW:
             score.window_start = now
             score.in_window = 0
         score.in_window += 1
-        if self.rate_limit and score.in_window > self.rate_limit:
+        if score.in_window > DEFAULT_RATE_LIMIT:
             score.dropped += 1
             return False
         score.accepted += 1

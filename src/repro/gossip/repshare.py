@@ -19,7 +19,7 @@ while every first-hand success keeps pulling it back up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..crypto import Signature, SignatureError, keccak256, recover_address
@@ -151,16 +151,16 @@ class ReputationGossip:
 
 @dataclass
 class ReputationShareStats:
-    published: int = 0
-    received: int = 0
-    merged: int = 0
-    own_echoes: int = 0           # our own events relayed back to us
-    undecodable: int = 0
-    bad_signature: int = 0
-    ungossipable: int = 0         # valid signature, non-shareable kind
-    understaked: int = 0          # reporter with zero admissible weight
-    duplicates: int = 0           # same (reporter, evidence) seen before
-    budget_capped: int = 0        # merges trimmed/refused by REMOTE_BUDGET
+    published: int = field(default=0, init=False)
+    received: int = field(default=0, init=False)
+    merged: int = field(default=0, init=False)
+    own_echoes: int = field(default=0, init=False)     # our own events relayed back to us
+    undecodable: int = field(default=0, init=False)
+    bad_signature: int = field(default=0, init=False)
+    ungossipable: int = field(default=0, init=False)   # valid signature, non-shareable kind
+    understaked: int = field(default=0, init=False)    # reporter with zero admissible weight
+    duplicates: int = field(default=0, init=False)     # same (reporter, evidence) seen before
+    budget_capped: int = field(default=0, init=False)  # merges trimmed/refused by REMOTE_BUDGET
 
 
 class ReputationShare:

@@ -273,13 +273,11 @@ class HeaderSyncer:
         # rather than pulling once before the first announcement lands
         self._last_push = float(clock())
 
-    def push_fresh(self, now: Optional[float] = None) -> bool:
+    def push_fresh(self) -> bool:
         """Whether the last pushed head is inside the staleness window."""
         if self._push_clock is None or self._last_push is None:
             return False
-        if now is None:
-            now = float(self._push_clock())
-        return (now - self._last_push) <= self._push_staleness
+        return (float(self._push_clock()) - self._last_push) <= self._push_staleness
 
     def offer_header(self, header: BlockHeader) -> str:
         """Offer one (already externally vouched-for) header to the chain.

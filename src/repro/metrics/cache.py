@@ -23,9 +23,9 @@ V = TypeVar("V")
 class CacheStats:
     """Hit/miss/eviction counters for one cache."""
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
+    hits: int = field(default=0, init=False)
+    misses: int = field(default=0, init=False)
+    evictions: int = field(default=0, init=False)
 
     @property
     def lookups(self) -> int:

@@ -32,6 +32,11 @@ __all__ = [
 #: fallback synchrony bound when a reply carries no per-endpoint timeout.
 DEFAULT_TIMEOUT = 10.0
 
+#: growth per attempt of :class:`ExponentialBackoff`'s raw delay
+BACKOFF_FACTOR = 2.0
+#: ± spread of a backoff delay, as a fraction of the raw delay
+BACKOFF_JITTER = 0.5
+
 # Reply lifecycle.  A reply resolves exactly once: value, error, or cancel.
 _PENDING = "pending"
 _DONE = "done"
@@ -82,18 +87,16 @@ class PendingReply:
     # -- constructors for already-settled replies -------------------------- #
 
     @classmethod
-    def completed(cls, value: Any, method: str = "",
-                  target: str = "") -> "PendingReply":
+    def completed(cls, value: Any, method: str = "") -> "PendingReply":
         """A reply that resolved at submit time (in-process endpoints)."""
-        reply = cls(method=method, target=target)
+        reply = cls(method=method)
         reply.set_result(value)
         return reply
 
     @classmethod
-    def failed(cls, exc: BaseException, method: str = "",
-               target: str = "") -> "PendingReply":
+    def failed(cls, exc: BaseException, method: str = "") -> "PendingReply":
         """A reply that failed at submit time (in-process endpoints)."""
-        reply = cls(method=method, target=target)
+        reply = cls(method=method)
         reply.set_exception(exc)
         return reply
 
@@ -117,28 +120,27 @@ class PendingReply:
 
     # -- waiting ----------------------------------------------------------- #
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Drive the event loop until resolved or ``timeout`` sim-seconds
-        pass; returns :meth:`done`.  A driverless pending reply (nothing
-        can ever resolve it) returns immediately."""
+    def wait(self) -> bool:
+        """Drive the event loop until resolved or the reply's timeout (its
+        endpoint's synchrony bound) passes; returns :meth:`done`.  A
+        driverless pending reply (nothing can ever resolve it) returns
+        immediately."""
         if self.done() or self._driver is None:
             return self.done()
-        bound = timeout if timeout is not None else self._default_timeout
-        self._driver(lambda: not self.done(), bound)
+        self._driver(lambda: not self.done(), self._default_timeout)
         return self.done()
 
-    def result(self, timeout: Optional[float] = None) -> Any:
+    def result(self) -> Any:
         """The reply's value; waits (driving the loop) while pending.
 
         Raises the resolved exception on a failed reply,
         :class:`ReplyCancelled` on a cancelled one, and
         :class:`EndpointTimeout` when the wait expires first.
         """
-        if not self.wait(timeout):
-            bound = timeout if timeout is not None else self._default_timeout
+        if not self.wait():
             raise EndpointTimeout(
                 f"{self.method or 'request'} to {self.target or 'server'}: "
-                f"no reply within {bound}s of simulated time"
+                f"no reply within {self._default_timeout}s of simulated time"
             )
         if self._state is _CANCELLED:
             raise ReplyCancelled(
@@ -149,10 +151,10 @@ class PendingReply:
             raise self._exception
         return self._value
 
-    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
+    def exception(self) -> Optional[BaseException]:
         """The resolved exception, or None (valid result, cancel, or still
         pending after the wait)."""
-        self.wait(timeout)
+        self.wait()
         return self._exception
 
     # -- resolution (transport side) --------------------------------------- #
@@ -206,8 +208,9 @@ class PendingReply:
 class ExponentialBackoff:
     """Deterministic jittered exponential backoff.
 
-    ``delay(attempt)`` for attempt 1, 2, 3… grows as ``base × factor^(n-1)``
-    capped at ``cap``, with ±``jitter`` (a fraction of the raw delay) applied
+    ``delay(attempt)`` for attempt 1, 2, 3… grows as
+    ``base × BACKOFF_FACTOR^(n-1)`` capped at ``cap``, with ±``BACKOFF_JITTER``
+    (a fraction of the raw delay) applied
     from an RNG stream derived from ``(seed, attempt)`` — the same attempt
     number always yields the same delay for a given seed, so retry schedules
     reproduce run-to-run while still decorrelating across seeds (give each
@@ -215,27 +218,22 @@ class ExponentialBackoff:
     into the thundering herd the jitter exists to break up).
     """
 
-    def __init__(self, base: float = 0.1, factor: float = 2.0,
-                 cap: float = 10.0, jitter: float = 0.5,
+    def __init__(self, base: float = 0.1, cap: float = 10.0,
                  seed: int = 0) -> None:
-        if base < 0 or factor < 1.0 or cap < base:
-            raise ValueError("backoff needs base ≥ 0, factor ≥ 1, cap ≥ base")
-        if not 0.0 <= jitter <= 1.0:
-            raise ValueError("jitter must be a fraction in [0, 1]")
+        if base < 0 or cap < base:
+            raise ValueError("backoff needs base ≥ 0, cap ≥ base")
         self.base = base
-        self.factor = factor
         self.cap = cap
-        self.jitter = jitter
         self.seed = seed
 
     def delay(self, attempt: int) -> float:
         """Delay before retry ``attempt`` (1-indexed; values < 1 clamp to 1)."""
         n = max(1, int(attempt))
-        raw = min(self.cap, self.base * self.factor ** (n - 1))
-        if not self.jitter or not raw:
+        raw = min(self.cap, self.base * BACKOFF_FACTOR ** (n - 1))
+        if not BACKOFF_JITTER or not raw:
             return raw
         rng = random.Random(f"backoff|{self.seed}|{n}")
-        spread = self.jitter * raw
+        spread = BACKOFF_JITTER * raw
         return max(0.0, raw - spread + 2.0 * spread * rng.random())
 
 
@@ -286,11 +284,10 @@ def wait_any(replies: Iterable[PendingReply],
     return next((reply for reply in replies if reply.done()), None)
 
 
-def wait_all(replies: Iterable[PendingReply],
-             timeout: Optional[float] = None) -> bool:
+def wait_all(replies: Iterable[PendingReply]) -> bool:
     """Drive the event loop until every reply resolves.
 
-    Returns True when all resolved within ``timeout`` simulated seconds
+    Returns True when all resolved within the replies' longest timeout
     (cancellations count as resolved — the point is "nothing still in
     flight", not "everything succeeded").  Raises :class:`ValueError` when
     the replies belong to two event loops.
@@ -298,6 +295,6 @@ def wait_all(replies: Iterable[PendingReply],
     replies = list(replies)
     driver, pending = _in_flight(replies)
     if driver is not None:
-        bound = timeout if timeout is not None else _default_bound(replies)
-        driver(lambda: not all(reply.done() for reply in pending), bound)
+        driver(lambda: not all(reply.done() for reply in pending),
+               _default_bound(replies))
     return all(reply.done() for reply in replies)

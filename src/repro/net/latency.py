@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Optional, Protocol
+from typing import Protocol
 
 __all__ = ["LatencyModel", "FixedLatency", "UniformLatency", "PairwiseLatency"]
 
@@ -15,17 +15,13 @@ class LatencyModel(Protocol):
 
 
 class FixedLatency:
-    """Constant propagation delay plus optional per-byte transfer time."""
+    """Constant propagation delay, whatever the message's size."""
 
-    def __init__(self, seconds: float = 0.01,
-                 bytes_per_second: Optional[float] = None) -> None:
+    def __init__(self, seconds: float = 0.01) -> None:
         self.seconds = seconds
-        self.bytes_per_second = bytes_per_second
 
     def delay(self, src: str, dst: str, size_bytes: int) -> float:
-        transfer = (size_bytes / self.bytes_per_second
-                    if self.bytes_per_second else 0.0)
-        return self.seconds + transfer
+        return self.seconds
 
 
 class UniformLatency:

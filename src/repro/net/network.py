@@ -19,6 +19,9 @@ from .simclock import SimClock
 
 __all__ = ["NetworkError", "SimNetwork", "NetworkStats", "LinkStats"]
 
+#: events one :meth:`SimNetwork.run` may process before it calls a livelock
+MAX_EVENTS = 1_000_000
+
 
 class NetworkError(Exception):
     """Raised on misuse of the simulated network (unknown node, etc.)."""
@@ -28,10 +31,10 @@ class NetworkError(Exception):
 class LinkStats:
     """Traffic counters for one directed (src, dst) link."""
 
-    sent: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    bytes_sent: int = 0
+    sent: int = field(default=0, init=False)
+    delivered: int = field(default=0, init=False)
+    dropped: int = field(default=0, init=False)
+    bytes_sent: int = field(default=0, init=False)
 
 
 @dataclass
@@ -43,11 +46,11 @@ class NetworkStats:
     than just its wall-clock win.
     """
 
-    messages_sent: int = 0
-    messages_delivered: int = 0
-    messages_dropped: int = 0
-    bytes_sent: int = 0
-    links: dict[tuple[str, str], LinkStats] = field(default_factory=dict)
+    messages_sent: int = field(default=0, init=False)
+    messages_delivered: int = field(default=0, init=False)
+    messages_dropped: int = field(default=0, init=False)
+    bytes_sent: int = field(default=0, init=False)
+    links: dict[tuple[str, str], LinkStats] = field(default_factory=dict, init=False)
 
     def link(self, src: str, dst: str) -> LinkStats:
         """Counters for the directed link ``src → dst`` (created lazily)."""
@@ -123,9 +126,9 @@ class SimNetwork:
     # Messaging
     # ------------------------------------------------------------------ #
 
-    def send(self, src: str, dst: str, payload: Any,
-             size_bytes: Optional[int] = None) -> None:
-        """Schedule delivery of ``payload`` from ``src`` to ``dst``.
+    def send(self, src: str, dst: str, payload: Any, size_bytes: int) -> None:
+        """Schedule delivery of ``payload`` (``size_bytes`` on the wire) from
+        ``src`` to ``dst``.
 
         An unknown (never-registered or deregistered) destination behaves
         like an unreachable host: the message is counted and dropped, so
@@ -134,16 +137,15 @@ class SimNetwork:
         link = self.stats.link(src, dst)
         self.stats.messages_sent += 1
         link.sent += 1
-        size = size_bytes if size_bytes is not None else _estimate_size(payload)
-        self.stats.bytes_sent += size
-        link.bytes_sent += size
+        self.stats.bytes_sent += size_bytes
+        link.bytes_sent += size_bytes
         if (dst not in self._nodes
                 or not self.is_reachable(src, dst)
                 or (self.drop_rate and self._rng.random() < self.drop_rate)):
             self.stats.messages_dropped += 1
             link.dropped += 1
             return
-        delay = self.latency.delay(src, dst, size)
+        delay = self.latency.delay(src, dst, size_bytes)
 
         def deliver() -> None:
             node = self._nodes.get(dst)
@@ -178,7 +180,7 @@ class SimNetwork:
             event.action()
         self.clock.advance_to(max(self.clock.now(), deadline))
 
-    def run(self, max_events: int = 1_000_000) -> None:
+    def run(self) -> None:
         """Drain all pending events (bounded against runaway loops)."""
         processed = 0
         while self._events:
@@ -186,11 +188,11 @@ class SimNetwork:
             self.clock.advance_to(event.time)
             event.action()
             processed += 1
-            if processed >= max_events:
-                raise NetworkError(f"exceeded {max_events} events; livelock?")
+            if processed >= MAX_EVENTS:
+                raise NetworkError(f"exceeded {MAX_EVENTS} events; livelock?")
 
     def run_while(self, predicate: Callable[[], bool],
-                  timeout: float = 60.0) -> bool:
+                  timeout: float) -> bool:
         """Run while ``predicate()`` holds; returns False on sim-timeout."""
         deadline = self.clock.now() + timeout
         while predicate():
@@ -201,11 +203,3 @@ class SimNetwork:
             self.clock.advance_to(event.time)
             event.action()
         return True
-
-
-def _estimate_size(payload: Any) -> int:
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    if hasattr(payload, "wire_size"):
-        return int(payload.wire_size)
-    return 128  # envelope estimate for structured messages

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Any, Optional
+from typing import Any
 
 from ..chain.header import BlockHeader
 from ..crypto.keys import Address
@@ -192,8 +192,7 @@ class SimEndpoint:
 
     # -- the non-blocking transport --------------------------------------- #
 
-    def submit(self, method: str, *args: Any,
-               timeout: Optional[float] = None) -> PendingReply:
+    def submit(self, method: str, *args: Any) -> PendingReply:
         """Issue ``method(*args)`` and return its future immediately.
 
         The reply resolves when the network delivers the correlated
@@ -205,7 +204,7 @@ class SimEndpoint:
         reply = PendingReply(
             method=method, target=self.server_name,
             driver=self.network.run_while,
-            default_timeout=timeout if timeout is not None else self.timeout,
+            default_timeout=self.timeout,
             canceller=lambda: self._pending.pop(request_id, None),
         )
         self._pending[request_id] = reply

@@ -48,8 +48,8 @@ class Devnet:
     ``state_dir`` puts the world state on disk (``nodes.log`` +
     ``blocks.log`` under that directory, see
     :func:`~repro.storage.open_state_dir`) so a full node can hold tries
-    bigger than RAM and survive restarts; ``db`` lets callers inject any
-    prebuilt :class:`~repro.storage.NodeStore`.  ``retention`` is passed
+    bigger than RAM and survive restarts (without one the state lives in
+    memory).  ``retention`` is passed
     through to the chain, its one owner: archive (default) or
     ``RetentionPolicy.last(k)`` — the state of the newest k blocks, which
     needs a store that can compact (a ``state_dir``).
@@ -57,11 +57,8 @@ class Devnet:
 
     def __init__(self, genesis: Optional[GenesisConfig] = None,
                  state_dir: Union[None, str, os.PathLike] = None,
-                 db: Optional[NodeStore] = None,
                  retention: Optional[RetentionPolicy] = None) -> None:
-        if state_dir is not None and db is not None:
-            raise ValueError("pass either state_dir or db, not both")
-        block_log = None
+        db = block_log = None
         if state_dir is not None:
             db, block_log = open_state_dir(state_dir)
         self.registry = ContractRegistry()
@@ -88,7 +85,7 @@ class Devnet:
                                     block_log=block_log,
                                     retention=retention)
         except Exception:
-            if state_dir is not None and db is not None:
+            if db is not None:
                 # we opened them; don't leak the log handles (close() is
                 # idempotent, so a refusal path that already closed one is
                 # safe to cover again)
@@ -119,14 +116,14 @@ class Devnet:
     # ------------------------------------------------------------------ #
 
     def send_transaction(self, key: PrivateKey, to: Address, value: int = 0,
-                         data: bytes = b"", gas_limit: int = DEFAULT_GAS_LIMIT,
-                         gas_price: int = DEFAULT_GAS_PRICE) -> Transaction:
+                         data: bytes = b"",
+                         gas_limit: int = DEFAULT_GAS_LIMIT) -> Transaction:
         """Sign and queue a transaction from ``key``'s account."""
         sender = key.address
         pending = sum(1 for t in self.chain.mempool if t.sender == sender)
         tx = UnsignedTransaction(
             nonce=self.chain.state.nonce_of(sender) + pending,
-            gas_price=gas_price,
+            gas_price=DEFAULT_GAS_PRICE,
             gas_limit=gas_limit,
             to=to,
             value=value,
@@ -144,25 +141,19 @@ class Devnet:
             gas_limit=gas_limit,
         )
 
-    def mine(self, coinbase: Optional[Address] = None) -> "object":
+    def mine(self) -> "object":
         """Produce one block from the mempool, capturing execution results."""
-        pending = list(self.chain.mempool)
-        block = self._mine_with_capture(pending, coinbase)
-        return block
-
-    def _mine_with_capture(self, pending: list[Transaction],
-                           coinbase: Optional[Address]) -> "object":
         captured: dict[bytes, ExecutionResult] = {}
         original_apply = self.executor.apply
 
-        def capturing_apply(state, block_ctx, tx, cumulative_gas=0):
+        def capturing_apply(state, block_ctx, tx, cumulative_gas):
             result = original_apply(state, block_ctx, tx, cumulative_gas)
             captured[tx.hash] = result
             return result
 
         self.executor.apply = capturing_apply  # type: ignore[method-assign]
         try:
-            block = self.chain.build_block(coinbase=coinbase)
+            block = self.chain.build_block()
         finally:
             self.executor.apply = original_apply  # type: ignore[method-assign]
         self._last_results.update(captured)
@@ -184,8 +175,7 @@ class Devnet:
     # ------------------------------------------------------------------ #
 
     def call_view(self, contract: Address, method: str,
-                  args: Sequence[Any] = (),
-                  caller: Optional[Address] = None) -> Any:
+                  args: Sequence[Any] = ()) -> Any:
         """Execute a view method against the head state without a tx."""
         head = self.chain.head
         block_ctx = BlockContext(
@@ -200,11 +190,11 @@ class Devnet:
             block=block_ctx,
             registry=self.registry,
             meter=GasMeter(VIEW_GAS_LIMIT),
-            origin=caller or Address.zero(),
+            origin=Address.zero(),
         )
         try:
             return tx_state.dispatch(
-                caller or Address.zero(), contract, 0, encode_call(method, args)
+                Address.zero(), contract, 0, encode_call(method, args)
             )
         finally:
             self.chain.state.revert(snapshot)
@@ -216,15 +206,14 @@ class Devnet:
     def balance_of(self, address: Address) -> int:
         return self.chain.state.balance_of(address)
 
-    def stake_full_node(self, key: PrivateKey,
-                        amount: Optional[int] = None) -> None:
+    def stake_full_node(self, key: PrivateKey) -> None:
         """Lock serving collateral in the Deposit Module for ``key``'s
         operator — the one on-chain step every marketplace server needs
         before it may advertise (availability condition of Fig. 4)."""
         from ..parp.constants import MIN_FULL_NODE_DEPOSIT
 
         result = self.execute(key, DEPOSIT_MODULE_ADDRESS, "deposit",
-                              value=amount or MIN_FULL_NODE_DEPOSIT)
+                              value=MIN_FULL_NODE_DEPOSIT)
         if not result.succeeded:
             raise RuntimeError(f"stake deposit reverted: {result.error}")
 
@@ -252,16 +241,16 @@ class Devnet:
         return cls(node, **server_kwargs)
 
     def attach_shard_cluster(self, keys: Sequence[PrivateKey],
-                             shard_count: int, name_prefix: str = "shard",
-                             server_cls: Optional[type] = None,
-                             stake: bool = True, **server_kwargs: Any) -> list:
+                             shard_count: int, **server_kwargs: Any) -> list:
         """Attach a cluster of shard servers jointly covering the state.
 
         Server ``j`` materializes shard ``j % shard_count`` of
         ``shard_count``, so passing ``shard_count`` keys yields exactly one
         server per shard and ``k × shard_count`` keys yields ``k`` replicas
         of each (the in-shard hedging/failover pool).  Names are
-        ``{prefix}{shard}-{replica}``.
+        ``shard{shard}-{replica}``; ``server_kwargs`` reach
+        :meth:`attach_server` (``stake``, ``server_cls``) and the server
+        constructor.
         """
         from ..trie.shard import ShardRange
 
@@ -269,8 +258,7 @@ class Devnet:
         for j, key in enumerate(keys):
             shard = ShardRange.of(j % shard_count, shard_count)
             servers.append(self.attach_server(
-                key, name=f"{name_prefix}{j % shard_count}-{j // shard_count}",
-                server_cls=server_cls, stake=stake,
+                key, name=f"shard{j % shard_count}-{j // shard_count}",
                 shard_range=shard, **server_kwargs,
             ))
         return servers

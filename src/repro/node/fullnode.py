@@ -23,18 +23,17 @@ __all__ = ["FullNode"]
 class FullNode:
     """A full node following the devnet chain.
 
-    ``auto_mine`` substitutes for the devnet's block production: when a
-    submitted transaction needs inclusion (``ensure_mined``), the node asks
-    the chain to produce a block.  In a multi-node devnet all nodes share the
+    The node substitutes for the devnet's block production: when a
+    submitted transaction needs inclusion (``ensure_mined``), it asks the
+    chain to produce a block.  In a multi-node devnet all nodes share the
     same :class:`Blockchain`, mirroring nodes that follow one consensus.
     """
 
     def __init__(self, chain: Blockchain, key: Optional[PrivateKey] = None,
-                 name: str = "full-node", auto_mine: bool = True) -> None:
+                 name: str = "full-node") -> None:
         self.chain = chain
         self.key = key or PrivateKey.from_seed(f"node:{name}")
         self.name = name
-        self.auto_mine = auto_mine
 
     @property
     def address(self) -> Address:
@@ -79,7 +78,7 @@ class FullNode:
     def ensure_mined(self, tx_hash: bytes) -> Optional[tuple[int, int]]:
         """Location of a transaction, mining pending blocks if allowed."""
         location = self.chain.find_transaction(tx_hash)
-        if location is None and self.auto_mine and self.chain.mempool:
+        if location is None and self.chain.mempool:
             self.chain.build_block(coinbase=self.address)
             location = self.chain.find_transaction(tx_hash)
         if location is None:

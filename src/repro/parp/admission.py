@@ -132,14 +132,16 @@ class AdmissionController:
         modeled service time, and the returned ``queue_delay`` — how long
         the request waits behind the backlog plus its own service — is what
         the transport uses to schedule the reply.  A shed leaves the backlog
-        untouched and returns the jittered ``retry_after`` drain hint.
+        untouched and returns the jittered ``retry_after`` drain hint.  An
+        idle server admits any request, however large: it waits behind
+        nothing, and a bound it could never fit under would shed it forever.
         """
         with self._lock:
             now = float(self._clock())
             backlog = self._backlog_at(now)
             capacity = self.config.max_queue_cost
             load = min(1.0, backlog / capacity)
-            if backlog + cost > capacity:
+            if backlog > 0.0 and backlog + cost > capacity:
                 self.shed += 1
                 return AdmissionDecision(
                     admitted=False, cost=cost, load=load, queue_delay=0.0,

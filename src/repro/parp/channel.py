@@ -9,7 +9,7 @@ submits to the CMM to redeem its earnings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..crypto import Signature, SignatureError, recover_address
@@ -31,9 +31,9 @@ class ClientChannel:
     alpha: bytes
     full_node: Address
     budget: int
-    spent: int = 0                      # latest cumulative amount a signed
-    acked: int = 0                      # highest amount a *verified* response covered
-    requests_sent: int = 0
+    spent: int = field(default=0, init=False)  # latest cumulative amount a signed
+    acked: int = field(default=0, init=False)  # highest amount a *verified* response covered
+    requests_sent: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if len(self.alpha) != ALPHA_BYTES:
@@ -89,13 +89,13 @@ class ServerChannel:
     alpha: bytes
     light_client: Address
     budget: int
-    latest_amount: int = 0
-    latest_sig: Optional[bytes] = None
-    requests_served: int = 0
+    latest_amount: int = field(default=0, init=False)
+    latest_sig: Optional[bytes] = field(default=None, init=False)
+    requests_served: int = field(default=0, init=False)
     #: individual queries answered — a batch of N counts N here but only one
     #: ``requests_served`` channel update (the batched-serving economy).
-    queries_served: int = 0
-    closed: bool = False
+    queries_served: int = field(default=0, init=False)
+    closed: bool = field(default=False, init=False)
 
     def accept_request_payment(self, request: PARPRequest,
                                min_increment: int, queries: int = 1) -> None:

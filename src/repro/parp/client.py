@@ -33,7 +33,7 @@ from ..rlp import codec as rlp
 from ..trie.proof import HashMemo
 from ..vm.abi import encode_call
 from .channel import ChannelError, ClientChannel
-from .constants import BATCH_PROTOCOL_VERSION, MAX_AMOUNT
+from .constants import BATCH_PROTOCOL_VERSION, CLOSE_GAS_LIMIT, MAX_AMOUNT
 from .fraudproof import FraudProofError, FraudProofPackage, build_fraud_package
 from .handshake import Handshake, HandshakeConfirm, HandshakeError, OpenChannelReceipt
 from .messages import (
@@ -256,7 +256,7 @@ class PendingQuery:
 
     request: Union[PARPRequest, BatchRequest]
     reply: PendingReply
-    collected: bool = field(default=False, compare=False)
+    collected: bool = field(default=False, compare=False, init=False)
 
     def cancel(self) -> bool:
         """Abandon the in-flight query; True if it had not resolved."""
@@ -269,7 +269,6 @@ class LightClientSession:
     def __init__(self, key: PrivateKey, endpoint: ServerEndpoint,
                  headers: HeaderSyncer,
                  fee_schedule: FeeSchedule = DEFAULT_FEE_SCHEDULE,
-                 gas_price: int = DEFAULT_GAS_PRICE,
                  clock=None, hash_memo: Optional[HashMemo] = None) -> None:
         self.key = key
         self.endpoint = endpoint
@@ -279,7 +278,6 @@ class LightClientSession:
         #: one memo it owns so they share it — never a server's
         self.hash_memo = hash_memo if hash_memo is not None else HashMemo()
         self.fee_schedule = fee_schedule
-        self.gas_price = gas_price
         self.state = LightClientState.IDLE
         self.channel: Optional[ClientChannel] = None
         self.full_node: Optional[Address] = None
@@ -301,8 +299,7 @@ class LightClientSession:
     # Connection setup (Algorithm 1, light-client side)
     # ------------------------------------------------------------------ #
 
-    def connect(self, budget: int,
-                gas_limit: int = DEFAULT_GAS_LIMIT) -> bytes:
+    def connect(self, budget: int) -> bytes:
         """Handshake and open a funded payment channel; returns α."""
         if self.state is not LightClientState.IDLE:
             raise SessionError(f"cannot connect while {self.state.value}")
@@ -327,8 +324,9 @@ class LightClientSession:
             # lines 13-16: form, sign, and send the OpenChannel transaction
             nonce = self.endpoint.get_transaction_count(self.address)
             open_tx = UnsignedTransaction(
-                nonce=nonce, gas_price=self.gas_price, gas_limit=gas_limit,
-                to=CHANNELS_MODULE_ADDRESS, value=budget,
+                nonce=nonce, gas_price=DEFAULT_GAS_PRICE,
+                gas_limit=DEFAULT_GAS_LIMIT, to=CHANNELS_MODULE_ADDRESS,
+                value=budget,
                 data=encode_call(
                     "open_channel",
                     [confirm.full_node, confirm.expiry, confirm.signature],
@@ -353,22 +351,19 @@ class LightClientSession:
     # The paid request path (steps (A) and (D) of Fig. 5)
     # ------------------------------------------------------------------ #
 
-    def request(self, method: str, *params: Any,
-                tip: int = 0) -> RequestOutcome:
-        """One paid RPC round; returns the verified outcome.
-
-        ``tip`` adds extra payment on top of the fee schedule (e.g. for
-        priority service).  Raises on INVALID/FRAUD classifications.
+    def request(self, method: str, *params: Any) -> RequestOutcome:
+        """One paid RPC round at the fee schedule's price; returns the
+        verified outcome.  Raises on INVALID/FRAUD classifications.
         """
-        return self.request_call(RpcCall.create(method, *params), tip=tip)
+        return self.request_call(RpcCall.create(method, *params))
 
-    def request_call(self, call: RpcCall, tip: int = 0) -> RequestOutcome:
+    def request_call(self, call: RpcCall) -> RequestOutcome:
         """Like :meth:`request` but for a pre-built call — a failing-over
         marketplace client re-issues the identical γ to the next server.
 
         Thin submit-then-wait adapter over the non-blocking path.
         """
-        return self.collect(self.begin_request(call, tip=tip))
+        return self.collect(self.begin_request(call))
 
     # ------------------------------------------------------------------ #
     # The non-blocking request path (issue now, verify on collect)
@@ -395,7 +390,7 @@ class LightClientSession:
         if self.state is not LightClientState.BONDED or self.channel is None:
             raise SessionError(f"no bonded channel (state={self.state.value})")
 
-    def begin_request(self, call: RpcCall, tip: int = 0) -> PendingQuery:
+    def begin_request(self, call: RpcCall) -> PendingQuery:
         """Step (A) without the wait: sign, pay, submit, return the future.
 
         Money leaves our budget the moment the signature is on the wire;
@@ -410,22 +405,21 @@ class LightClientSession:
         each race leg rides its own channel.
         """
         return self._begin(self.build_request, self.fee_schedule.price,
-                           call, tip)
+                           call)
 
-    def begin_batch(self, calls: Sequence[RpcCall],
-                    tip: int = 0) -> PendingQuery:
+    def begin_batch(self, calls: Sequence[RpcCall]) -> PendingQuery:
         """Non-blocking :meth:`query_batch` issue."""
         calls = self._bonded_batch(calls)
         return self._begin(self.build_batch_request,
-                           self.fee_schedule.batch_price, calls, tip)
+                           self.fee_schedule.batch_price, calls)
 
-    def _begin(self, build, price_of, payload, tip: int) -> PendingQuery:
+    def _begin(self, build, price_of, payload) -> PendingQuery:
         """The one issue path: price → next amount → build + sign → commit
         the payment → submit.  ``payload`` is the call (single wire) or the
         calls (batch wire) that ``price_of`` prices and ``build`` signs."""
         self._require_bonded()
         try:
-            amount = self.channel.next_amount(price_of(payload) + tip)
+            amount = self.channel.next_amount(price_of(payload))
         except ChannelError as exc:
             raise SessionError(str(exc)) from exc
         request = build(payload, amount)
@@ -562,7 +556,7 @@ class LightClientSession:
             raise SessionError("a batch needs at least one call")
         return calls
 
-    def query_batch(self, calls: Sequence[RpcCall], tip: int = 0) -> BatchOutcome:
+    def query_batch(self, calls: Sequence[RpcCall]) -> BatchOutcome:
         """N queries, one payment, one multiproof — the batched request path.
 
         Builds and signs a single :class:`BatchRequest` covering ``calls``,
@@ -573,7 +567,7 @@ class LightClientSession:
         any refusal.  Thin submit-then-wait adapter over the non-blocking
         path.
         """
-        return self.collect(self.begin_batch(calls, tip=tip))
+        return self.collect(self.begin_batch(calls))
 
     def build_batch_request(self, calls: Sequence[RpcCall],
                             amount: int) -> BatchRequest:
@@ -652,7 +646,7 @@ class LightClientSession:
     # Closure (§IV-E.4, client side)
     # ------------------------------------------------------------------ #
 
-    def build_close_transaction(self, gas_limit: int = 300_000) -> Transaction:
+    def build_close_transaction(self) -> Transaction:
         """CloseChannel tx conceding the highest *acknowledged* amount.
 
         Payments whose request died in transit (``spent`` > ``acked``) are
@@ -668,8 +662,8 @@ class LightClientSession:
                  if amount else b"")
         nonce = self.endpoint.get_transaction_count(self.address)
         return UnsignedTransaction(
-            nonce=nonce, gas_price=self.gas_price, gas_limit=gas_limit,
-            to=CHANNELS_MODULE_ADDRESS, value=0,
+            nonce=nonce, gas_price=DEFAULT_GAS_PRICE,
+            gas_limit=CLOSE_GAS_LIMIT, to=CHANNELS_MODULE_ADDRESS, value=0,
             data=encode_call(
                 "close_channel", [self.channel.alpha, amount, sig_a],
             ),
@@ -685,18 +679,17 @@ class LightClientSession:
         self.state = LightClientState.UNBONDING
         return tx_hash
 
-    def confirm_close(self, relay: Optional[ServerEndpoint] = None) -> bytes:
+    def confirm_close(self) -> bytes:
         """Settle after the dispute window; returns to IDLE."""
         if self.state is not LightClientState.UNBONDING or self.channel is None:
             raise SessionError(f"cannot confirm closure while {self.state.value}")
-        endpoint = relay if relay is not None else self.endpoint
-        nonce = endpoint.get_transaction_count(self.address)
+        nonce = self.endpoint.get_transaction_count(self.address)
         tx = UnsignedTransaction(
-            nonce=nonce, gas_price=self.gas_price, gas_limit=300_000,
+            nonce=nonce, gas_price=DEFAULT_GAS_PRICE, gas_limit=CLOSE_GAS_LIMIT,
             to=CHANNELS_MODULE_ADDRESS, value=0,
             data=encode_call("confirm_closure", [self.channel.alpha]),
         ).sign(self.key)
-        tx_hash = endpoint.relay_transaction(tx.encode())
+        tx_hash = self.endpoint.relay_transaction(tx.encode())
         self.state = LightClientState.IDLE
         self.channel = None
         self.full_node = None

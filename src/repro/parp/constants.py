@@ -33,6 +33,7 @@ __all__ = [
     "MIN_FULL_NODE_DEPOSIT",
     "DISPUTE_WINDOW_BLOCKS",
     "UNBONDING_BLOCKS",
+    "CLOSE_GAS_LIMIT",
     "DEFAULT_HANDSHAKE_EXPIRY_SECONDS",
     "LIVENESS_PERIOD_SECONDS",
     "WEI_PER_TOKEN",
@@ -99,6 +100,8 @@ MIN_FULL_NODE_DEPOSIT = 32 * WEI_PER_TOKEN
 DISPUTE_WINDOW_BLOCKS = 10
 #: delay between a full node stopping service and withdrawing collateral.
 UNBONDING_BLOCKS = 32
+#: gas limit of a CloseChannel or ConfirmClosure transaction, either party's
+CLOSE_GAS_LIMIT = 300_000
 
 # -- off-chain timing -------------------------------------------------------- #
 #: how long a full node's handshake confirmation stays redeemable.

@@ -22,7 +22,7 @@ from typing import Any, Optional
 from ..chain.header import BlockHeader
 from ..chain.transaction import UnsignedTransaction
 from ..contracts.addresses import FRAUD_MODULE_ADDRESS
-from ..crypto.keys import Address, PrivateKey
+from ..crypto.keys import Address
 from ..node.fullnode import FullNode
 from ..vm.abi import encode_call
 from .messages import (
@@ -129,9 +129,9 @@ class WitnessService:
     cost of the submission.
     """
 
-    def __init__(self, node: FullNode, key: Optional[PrivateKey] = None) -> None:
+    def __init__(self, node: FullNode) -> None:
         self.node = node
-        self.key = key or node.key
+        self.key = node.key
         self.submitted = 0
         self.confirmed = 0
 

@@ -55,7 +55,7 @@ class LivenessMonitor:
     session: LightClientSession
     period: float = LIVENESS_PERIOD_SECONDS
     verify_every: int = 2          # every k-th probe uses the verified path
-    observations: list[LivenessObservation] = field(default_factory=list)
+    observations: list[LivenessObservation] = field(default_factory=list, init=False)
     _probes: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:

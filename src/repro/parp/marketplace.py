@@ -214,19 +214,19 @@ class Marketplace:
 class MarketplaceStats:
     """What the routing layer did on the client's behalf."""
 
-    queries: int = 0              # winning legs (a 4-leg scatter adds 4)
-    failovers: int = 0            # re-issues to another server
-    sessions_opened: int = 0
-    frauds_detected: int = 0
-    frauds_slashed: int = 0
-    frauds_unslashed: int = 0     # a package the witness could not land
-    hedged_queries: int = 0       # query_hedged races run
-    hedge_launches: int = 0       # legs issued by query_hedged/query_sharded
-    hedges_cancelled: int = 0     # losing in-flight requests cancelled
-    sharded_queries: int = 0      # query_sharded scatter-gathers run
-    scatter_legs: int = 0         # shard legs across all scatters
-    soft_failovers: int = 0       # Overloaded sheds routed around (no slash)
-    retry_storms_avoided: int = 0  # waits honoring a server's retry_after
+    queries: int = field(default=0, init=False)               # winning legs (a 4-leg scatter adds 4)
+    failovers: int = field(default=0, init=False)             # re-issues to another server
+    sessions_opened: int = field(default=0, init=False)
+    frauds_detected: int = field(default=0, init=False)
+    frauds_slashed: int = field(default=0, init=False)
+    frauds_unslashed: int = field(default=0, init=False)      # a package the witness could not land
+    hedged_queries: int = field(default=0, init=False)        # query_hedged races run
+    hedge_launches: int = field(default=0, init=False)        # legs issued by query_hedged/query_sharded
+    hedges_cancelled: int = field(default=0, init=False)      # losing in-flight requests cancelled
+    sharded_queries: int = field(default=0, init=False)       # query_sharded scatter-gathers run
+    scatter_legs: int = field(default=0, init=False)          # shard legs across all scatters
+    soft_failovers: int = field(default=0, init=False)        # Overloaded sheds routed around (no slash)
+    retry_storms_avoided: int = field(default=0, init=False)  # waits honoring a server's retry_after
 
 
 @dataclass
@@ -242,8 +242,8 @@ class HedgeAttempt:
     address: Address
     label: str
     pending: PendingQuery
-    outcome: str = "in-flight"
-    detail: str = ""
+    outcome: str = field(default="in-flight", init=False)
+    detail: str = field(default="", init=False)
 
 
 @dataclass
@@ -254,11 +254,11 @@ class ShardLeg:
     calls: tuple[RpcCall, ...]
     positions: tuple[int, ...]    # where each call sits in the original batch
     keys: tuple[bytes, ...]       # hashed state keys routed to this leg
-    outcome: Optional[BatchOutcome] = None
-    winner: Optional[Address] = None
-    error: str = ""
-    cost: int = 0                 # channel-budget increment this leg consumed
-    attempts: int = 0             # launches (hedges + failovers) it took
+    outcome: Optional[BatchOutcome] = field(default=None, init=False)
+    winner: Optional[Address] = field(default=None, init=False)
+    error: str = field(default="", init=False)
+    cost: int = field(default=0, init=False)      # channel-budget increment this leg consumed
+    attempts: int = field(default=0, init=False)  # launches (hedges + failovers) it took
 
     @property
     def ok(self) -> bool:
@@ -319,18 +319,21 @@ class _LegRace:
     """Internal per-leg race state (a serial query is one, at fanout 1)."""
 
     leg: ShardLeg
-    tip: int = 0
     single: bool = False          # request_call's leg: the single wire
     #: the winner's verified reply as its wire returned it
-    outcome: RequestOutcome | BatchOutcome | None = None
-    tried: set[Address] = field(default_factory=set)
-    sheds: dict[Address, int] = field(default_factory=dict)  # overload defers
-    active: list[_HedgeEntry] = field(default_factory=list)
-    attempts: list[str] = field(default_factory=list)
+    outcome: RequestOutcome | BatchOutcome | None = field(default=None, init=False)
+    tried: set[Address] = field(default_factory=set, init=False)
+    sheds: dict[Address, int] = field(default_factory=dict, init=False)  # overload defers
+    active: list[_HedgeEntry] = field(default_factory=list, init=False)
+    attempts: list[str] = field(default_factory=list, init=False)
 
 
 #: consecutive transport timeouts before a server is demoted to last resort.
 COLD_AFTER = 2
+
+#: concurrent paid requests per shard leg of
+#: :meth:`MarketplaceClient.query_sharded`
+SHARD_FANOUT = 1
 
 #: how many times one query may *defer* back to an overloaded server (wait
 #: out its retry_after and re-issue) before giving up on it for this query.
@@ -350,8 +353,7 @@ class MarketplaceClient:
                  witness: Optional[Any] = None,
                  checkpoint: Optional[Checkpoint] = None,
                  clock=None,
-                 budget: int = DEFAULT_CHANNEL_BUDGET,
-                 min_sessions: int = DEFAULT_MIN_SESSIONS) -> None:
+                 budget: int = DEFAULT_CHANNEL_BUDGET) -> None:
         if not 0 < budget <= MAX_AMOUNT:
             # a bad budget would fail identically against every server; catch
             # it here so no server is blamed (and banned) for a client bug
@@ -361,7 +363,6 @@ class MarketplaceClient:
         self.reputation = ReputationLedger()
         self.witness = witness              # anything with .submit(package)
         self.budget = budget
-        self.min_sessions = max(1, min_sessions)
         self.sessions: dict[Address, LightClientSession] = {}
         #: the one verifier memo every session of this client hashes through:
         #: replicas and shards of one chain answer with the same upper nodes
@@ -394,8 +395,7 @@ class MarketplaceClient:
         self._backoff: dict[Address, float] = {}
         self._overload_streak: dict[Address, int] = {}
         self._backoff_policy = ExponentialBackoff(
-            base=0.05, factor=2.0, cap=5.0, jitter=0.5,
-            seed=int(self.address.hex()[:8], 16),
+            base=0.05, cap=5.0, seed=int(self.address.hex()[:8], 16),
         )
 
     @property
@@ -434,24 +434,19 @@ class MarketplaceClient:
     # Gossip (push heads + shared reputation)
     # ------------------------------------------------------------------ #
 
-    def join_gossip(self, gossip, stake_of=None,
-                    staleness: Optional[float] = None):
+    def join_gossip(self, gossip, stake_of=None):
         """Attach this client to a gossip node: push-mode header sync on
         ``new_heads`` plus shared reputation on ``reputation``.
 
         ``stake_of`` maps an address to its deposit-registry stake; it
         gates head announcements (only staked identities may announce)
-        and weighs foreign reputation events.  ``staleness`` is how long
-        the client trusts the push feed before falling back to pull
-        polling.  Returns ``(head_gossip, rep_share)``.
+        and weighs foreign reputation events.  The client trusts the push
+        feed for ``HeaderSyncer.enable_push``'s default staleness before
+        falling back to pull polling.  Returns ``(head_gossip, rep_share)``.
         """
         from ..gossip.heads import HeadGossip
         from ..gossip.repshare import ReputationShare
-        clock = gossip.network.clock.now
-        if staleness is not None:
-            self.headers.enable_push(clock, staleness=staleness)
-        else:
-            self.headers.enable_push(clock)
+        self.headers.enable_push(gossip.network.clock.now)
         self.gossip = gossip
         self.head_gossip = HeadGossip(
             gossip, self.headers, stake_of=stake_of,
@@ -547,8 +542,7 @@ class MarketplaceClient:
             return max(score, NEWCOMER_SCORE)
         return score
 
-    def eligible(self, now: Optional[float] = None,
-                 keys: Sequence[bytes] = ()) -> list[ServerAdvertisement]:
+    def eligible(self, keys: Sequence[bytes] = ()) -> list[ServerAdvertisement]:
         """Advertisements ranked best-first by the combined score.
 
         Eligibility gates on *trust alone* — banned servers and those whose
@@ -559,8 +553,7 @@ class MarketplaceClient:
         covers *every* key qualify — a shard server is never even a candidate
         for keys outside its slice.
         """
-        if now is None:
-            now = self._now()
+        now = self._now()
         ads = self.marketplace.advertisements()
         cheapest = min((max(1, a.reference_price) for a in ads), default=1)
         keep = []
@@ -600,7 +593,7 @@ class MarketplaceClient:
         Servers that fail to connect get a timeout event and are skipped.
         Raises :class:`MarketplaceError` when not even one channel opens.
         """
-        want = min_sessions if min_sessions is not None else self.min_sessions
+        want = min_sessions if min_sessions is not None else DEFAULT_MIN_SESSIONS
         attempts: list[str] = []
         for ad in self.eligible():
             if len(self.bonded_sessions()) >= want:
@@ -649,7 +642,7 @@ class MarketplaceClient:
     def _replenish(self) -> None:
         """Best-effort: restore the warm-standby invariant after a drop."""
         try:
-            if len(self.bonded_sessions()) < self.min_sessions:
+            if len(self.bonded_sessions()) < DEFAULT_MIN_SESSIONS:
                 self.connect()
         except MarketplaceError:
             pass  # a later query will surface the exhaustion with context
@@ -658,19 +651,19 @@ class MarketplaceClient:
     # The routed request paths: four shapes of one race
     # ------------------------------------------------------------------ #
 
-    def request(self, method: str, *params: Any, tip: int = 0) -> RequestOutcome:
+    def request(self, method: str, *params: Any) -> RequestOutcome:
         """One verified query, served by whichever server survives routing."""
         call = RpcCall.create(method, *params)
-        return self.request_call(call, tip=tip)
+        return self.request_call(call)
 
-    def request_call(self, call: RpcCall, tip: int = 0) -> RequestOutcome:
+    def request_call(self, call: RpcCall) -> RequestOutcome:
         """One leg at fanout 1 on the single-request wire: serial failover
         is a race of one."""
-        race = self._race_one((call,), tip, fanout=1, single=True)
+        race = self._race_one((call,), fanout=1, single=True)
         return self._outcome_of(race, call.method)
 
-    def query_hedged(self, calls: Sequence[RpcCall], fanout: int = 2,
-                     tip: int = 0) -> BatchOutcome:
+    def query_hedged(self, calls: Sequence[RpcCall],
+                     fanout: int = 2) -> BatchOutcome:
         """Issue the same batch on the ``fanout`` best-ranked sessions and
         accept the **first response that survives §V-D verification**.
 
@@ -692,21 +685,20 @@ class MarketplaceClient:
         if not calls:
             raise MarketplaceError("a hedged query needs at least one call")
         fanout = max(1, int(fanout))
-        race = self._race_one(calls, tip, fanout)
+        race = self._race_one(calls, fanout)
         if self.last_hedge:   # a race nobody could be launched into is none
             self.stats.hedged_queries += 1
         self.stats.hedge_launches += len(self.last_hedge)
         return self._outcome_of(race, f"hedged batch[{len(calls)}]×{fanout}")
 
-    def query_sharded(self, calls: Sequence[RpcCall], fanout: int = 1,
-                      tip: int = 0) -> ScatterOutcome:
+    def query_sharded(self, calls: Sequence[RpcCall]) -> ScatterOutcome:
         """Scatter a batch across shard legs, gather verified multiproofs.
 
         The batch is split by the directory's shard map: each state-keyed
         call joins the leg of the shard covering its hashed key (unsharded
         calls — any serving node answers those — ride with the first leg).
         Every leg is an independent hedged race among the servers of *its*
-        shard: ``fanout`` concurrent paid requests per leg, losers
+        shard: ``SHARD_FANOUT`` concurrent paid requests per leg, losers
         cancelled the moment a leg's first response verifies, failures
         replaced in-shard.
         Legs resolve in completion order (no head-of-line blocking on the
@@ -723,13 +715,9 @@ class MarketplaceClient:
         calls = tuple(calls)
         if not calls:
             raise MarketplaceError("a sharded query needs at least one call")
-        fanout = max(1, int(fanout))
         legs = self._split_by_shard(calls)
-        # the tip (priority fee) rides on the first leg only: one scatter
-        # is one query, not len(legs) separately-tipped ones
-        races = [_LegRace(leg=leg, tip=tip if leg.index == 0 else 0)
-                 for leg in legs]
-        self._race(races, fanout)
+        races = [_LegRace(leg=leg) for leg in legs]
+        self._race(races, SHARD_FANOUT)
         self.stats.sharded_queries += 1
         self.stats.scatter_legs += len(legs)
         self.stats.hedge_launches += len(self.last_hedge)
@@ -809,7 +797,7 @@ class MarketplaceClient:
             ))
         return legs
 
-    def _race_one(self, calls: tuple[RpcCall, ...], tip: int, fanout: int,
+    def _race_one(self, calls: tuple[RpcCall, ...], fanout: int,
                   single: bool = False) -> _LegRace:
         """Race the whole query as one leg, behind the coverage gate: a key
         no server covers is a :class:`NoServerForKey` *before* any payment."""
@@ -824,7 +812,7 @@ class MarketplaceClient:
         race = _LegRace(
             leg=ShardLeg(index=0, calls=calls,
                          positions=tuple(range(len(calls))), keys=tuple(keys)),
-            tip=tip, single=single)
+            single=single)
         self._race([race], fanout)
         return race
 
@@ -900,9 +888,8 @@ class MarketplaceClient:
                 continue
             spent_before = session.channel.spent if session.channel else 0
             try:
-                pending = (session.begin_request(leg.calls[0], tip=race.tip)
-                           if race.single
-                           else session.begin_batch(leg.calls, tip=race.tip))
+                pending = (session.begin_request(leg.calls[0])
+                           if race.single else session.begin_batch(leg.calls))
             except SessionError as exc:
                 # local condition (typically an exhausted channel budget)
                 race.attempts.append(f"{ad.label}: session: {exc}")

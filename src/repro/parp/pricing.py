@@ -74,12 +74,10 @@ class FeeSchedule:
     def price(self, call: RpcCall) -> int:
         raise NotImplementedError
 
-    def reference_price(self, methods: Sequence[str] = REFERENCE_BASKET) -> int:
-        """Mean price of a standard call basket — the comparable sticker
-        price marketplace selection weighs reputation against."""
-        calls = [RpcCall.create(method) for method in methods]
-        if not calls:
-            raise ValueError("reference basket must not be empty")
+    def reference_price(self) -> int:
+        """Mean price of the ``REFERENCE_BASKET`` calls — the comparable
+        sticker price marketplace selection weighs reputation against."""
+        calls = [RpcCall.create(method) for method in REFERENCE_BASKET]
         return sum(self.price(call) for call in calls) // len(calls)
 
     def batch_price(self, calls: Sequence[RpcCall]) -> int:
@@ -139,22 +137,18 @@ DEFAULT_PRICING_KNEE = 0.5
 DEFAULT_PRICING_CAP = 4.0
 
 
-def load_multiplier(load: float, knee: float = DEFAULT_PRICING_KNEE,
-                    cap: float = DEFAULT_PRICING_CAP) -> float:
-    """The load→fee-multiplier curve: 1.0 up to ``knee``, then a quadratic
-    ramp reaching ``cap`` at load 1.0 (full admission queue) and clamped
-    there beyond.
+def load_multiplier(load: float) -> float:
+    """The load→fee-multiplier curve: 1.0 up to ``DEFAULT_PRICING_KNEE``,
+    then a quadratic ramp reaching ``DEFAULT_PRICING_CAP`` at load 1.0
+    (full admission queue) and clamped there beyond.
 
-    Invariants (property-tested): ``load_multiplier(0) == 1.0`` for any
-    valid knee/cap; monotone nondecreasing in ``load``; bounded in
-    ``[1.0, cap]``.  The quadratic ramp keeps quotes sticky near the knee
-    (small load wobbles don't reshuffle client rankings) while escalating
-    sharply as the queue approaches the shed threshold.
+    Invariants (property-tested over knees in [0, 1) and caps ≥ 1):
+    ``load_multiplier(0) == 1.0``; monotone nondecreasing in ``load``;
+    bounded in ``[1.0, cap]``.  The quadratic ramp keeps quotes sticky near
+    the knee (small load wobbles don't reshuffle client rankings) while
+    escalating sharply as the queue approaches the shed threshold.
     """
-    if cap < 1.0:
-        raise ValueError("multiplier cap must be at least 1.0")
-    if not 0.0 <= knee < 1.0:
-        raise ValueError("pricing knee must lie in [0, 1)")
+    knee, cap = DEFAULT_PRICING_KNEE, DEFAULT_PRICING_CAP
     if load <= knee:
         return 1.0
     ramp = min(1.0, (load - knee) / (1.0 - knee))

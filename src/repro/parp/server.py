@@ -16,7 +16,7 @@ Deposit Module — the availability condition of Fig. 4.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..chain.chain import ChainError
@@ -34,7 +34,7 @@ from ..rlp import codec as rlp
 from ..trie.shard import ShardPool, ShardRange
 from .admission import AdmissionConfig, AdmissionController
 from .channel import ChannelError, ServerChannel
-from .constants import DEFAULT_HANDSHAKE_EXPIRY_SECONDS
+from .constants import CLOSE_GAS_LIMIT, DEFAULT_HANDSHAKE_EXPIRY_SECONDS
 from .handshake import Handshake, HandshakeConfirm, OpenChannelReceipt
 from .messages import (
     BatchRequest,
@@ -79,9 +79,9 @@ class _SnapshotViewBackend:
     path per item.
     """
 
-    def __init__(self, node: FullNode, capacity: int = 16) -> None:
+    def __init__(self, node: FullNode) -> None:
         self._node = node
-        self._views = LRUCache(capacity=capacity)
+        self._views = LRUCache(capacity=16)
 
     def state_at(self, number: int):
         # LRUCache is internally locked; racing duplicate view construction
@@ -112,9 +112,8 @@ class _ShardSliceBackend(_SnapshotViewBackend):
     heights still served.
     """
 
-    def __init__(self, node: FullNode, shard: ShardRange,
-                 capacity: int = 16) -> None:
-        super().__init__(node, capacity=capacity)
+    def __init__(self, node: FullNode, shard: ShardRange) -> None:
+        super().__init__(node)
         self._shard = shard
         self._pool = ShardPool()
         self._pool_floor = node.chain.first_retained_number
@@ -136,19 +135,19 @@ class _ShardSliceBackend(_SnapshotViewBackend):
 class ServerStats:
     """Serving counters (feeds Fig. 7)."""
 
-    handshakes: int = 0
-    channels_opened: int = 0
-    requests_served: int = 0
-    requests_rejected: int = 0
-    batches_served: int = 0
-    batch_queries_served: int = 0
-    out_of_range_rejected: int = 0   # state-keyed calls outside the shard
-    admitted: int = 0                # requests/batches past the admission gate
-    shed: int = 0                    # signed Overloaded replies sent instead
-    heads_announced: int = 0         # signed head announcements gossiped
-    bytes_in: int = 0
-    bytes_out: int = 0
-    fees_earned: int = 0
+    handshakes: int = field(default=0, init=False)
+    channels_opened: int = field(default=0, init=False)
+    requests_served: int = field(default=0, init=False)
+    requests_rejected: int = field(default=0, init=False)
+    batches_served: int = field(default=0, init=False)
+    batch_queries_served: int = field(default=0, init=False)
+    out_of_range_rejected: int = field(default=0, init=False)  # state-keyed calls outside the shard
+    admitted: int = field(default=0, init=False)               # requests/batches past the admission gate
+    shed: int = field(default=0, init=False)                   # signed Overloaded replies sent instead
+    heads_announced: int = field(default=0, init=False)        # signed head announcements gossiped
+    bytes_in: int = field(default=0, init=False)
+    bytes_out: int = field(default=0, init=False)
+    fees_earned: int = field(default=0, init=False)
 
 
 class FullNodeServer:
@@ -156,7 +155,6 @@ class FullNodeServer:
 
     def __init__(self, node: FullNode,
                  fee_schedule: FeeSchedule = DEFAULT_FEE_SCHEDULE,
-                 clock=None,
                  shard_range: Optional[ShardRange] = None,
                  admission: Optional[AdmissionConfig | AdmissionController]
                  = None) -> None:
@@ -178,13 +176,12 @@ class FullNodeServer:
         #: recent (result, proof) pairs keyed by (height, call): a dApp
         #: re-reading hot keys between blocks skips the trie walk entirely.
         self.proof_cache: LRUCache = LRUCache(capacity=2048)
-        self._clock = clock  # callable returning seconds; defaults to chain time
         #: bounded admission pipeline — opt-in: None keeps the seed behavior
         #: (accept unbounded work, never shed).  Pass an
         #: :class:`~repro.parp.admission.AdmissionConfig` (built into a
-        #: controller on the server's clock) or a ready controller.
+        #: controller on the default clock) or a ready controller.
         if isinstance(admission, AdmissionConfig):
-            admission = AdmissionController(admission, clock=clock)
+            admission = AdmissionController(admission)
         self.admission: Optional[AdmissionController] = admission
         #: modeled queueing+service delay of the most recently admitted
         #: request; the network binding consumes it to schedule the reply
@@ -212,8 +209,6 @@ class FullNodeServer:
         return self.key.address
 
     def _now(self) -> int:
-        if self._clock is not None:
-            return int(self._clock())
         return self.node.chain.head.header.timestamp
 
     def _channel_and_lock(self, alpha: bytes,
@@ -596,9 +591,7 @@ class FullNodeServer:
     # Redemption / closure (FN-initiated, §IV-E.4)
     # ------------------------------------------------------------------ #
 
-    def build_close_transaction(self, alpha: bytes, nonce: int,
-                                gas_price: int = 12 * 10 ** 9,
-                                gas_limit: int = 300_000) -> Transaction:
+    def build_close_transaction(self, alpha: bytes, nonce: int) -> Transaction:
         """Build the FN's CloseChannel transaction with the latest payment
         proof — this is how the node redeems its earnings."""
         from ..chain.transaction import UnsignedTransaction
@@ -609,7 +602,7 @@ class FullNodeServer:
             raise ServeError(f"unknown channel {alpha.hex()}")
         alpha_b, amount, sig = channel.redeemable_state()
         return UnsignedTransaction(
-            nonce=nonce, gas_price=gas_price, gas_limit=gas_limit,
+            nonce=nonce, gas_price=12 * 10 ** 9, gas_limit=CLOSE_GAS_LIMIT,
             to=CHANNELS_MODULE_ADDRESS, value=0,
             data=encode_call("close_channel", [alpha_b, amount, sig]),
         ).sign(self.key)

@@ -47,7 +47,7 @@ import os
 import pathlib
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, BinaryIO, Callable, Optional, Union
 
 from ..rlp import codec as rlp
@@ -79,16 +79,16 @@ class BlockLogStats:
     history the file holds.
     """
 
-    blocks_appended: int = 0
-    bytes_appended: int = 0
+    blocks_appended: int = field(default=0, init=False)
+    bytes_appended: int = field(default=0, init=False)
     #: records found intact by the recovery scan on the most recent open
-    blocks_recovered: int = 0
+    blocks_recovered: int = field(default=0, init=False)
     #: torn/corrupt suffix bytes truncated away on the most recent open
-    truncated_bytes: int = 0
+    truncated_bytes: int = field(default=0, init=False)
     #: records dropped below the retention window by :meth:`BlockLog.prune_to`
-    blocks_pruned: int = 0
+    blocks_pruned: int = field(default=0, init=False)
     #: log bytes reclaimed by pruning
-    bytes_reclaimed: int = 0
+    bytes_reclaimed: int = field(default=0, init=False)
 
 
 @dataclass(frozen=True)

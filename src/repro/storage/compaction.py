@@ -64,9 +64,9 @@ class RetentionPolicy:
     blocks that share a state root share its nodes); compaction drops
     everything older.
 
-    ``min_compact_bytes`` / ``compact_growth`` tune the automatic trigger
-    used by the chain layer: a pruning chain compacts once the log both
-    exceeds ``min_compact_bytes`` and has grown past ``compact_growth``
+    ``min_compact_bytes`` tunes the automatic trigger used by the chain
+    layer: a pruning chain compacts once the log both exceeds
+    ``min_compact_bytes`` and has grown past ``chain.COMPACT_GROWTH``
     times its size after the previous compaction.  Explicit
     ``compact(force=True)`` calls ignore the trigger.
     """
@@ -76,9 +76,6 @@ class RetentionPolicy:
     #: never auto-compact a log smaller than this (churn on tiny stores
     #: costs more in rename+fsync than it reclaims)
     min_compact_bytes: int = 4 << 20
-    #: auto-compact when the log grows past this factor of its
-    #: size-after-last-compaction
-    compact_growth: float = 2.0
 
     def __post_init__(self) -> None:
         if self.mode not in ("archive", "last"):

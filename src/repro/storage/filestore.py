@@ -76,7 +76,7 @@ import pathlib
 import struct
 import zlib
 from collections.abc import MutableMapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..crypto.keccak import KECCAK_EMPTY_RLP
@@ -123,24 +123,24 @@ class FileStoreStats:
     path yields a store whose counters describe only the new lifecycle.
     """
 
-    batches_committed: int = 0
-    entries_written: int = 0
+    batches_committed: int = field(default=0, init=False)
+    entries_written: int = field(default=0, init=False)
     #: bytes this handle appended via :meth:`commit` (recovered history
     #: and the close-time footer are not appends)
-    bytes_appended: int = 0
-    reads: int = 0
+    bytes_appended: int = field(default=0, init=False)
+    reads: int = field(default=0, init=False)
     #: batches restored at open — by the footer when intact, else by the
     #: recovery scan
-    batches_recovered: int = 0
+    batches_recovered: int = field(default=0, init=False)
     #: torn/corrupt bytes truncated away during this open's lifetime: the
     #: recovery scan's discarded suffix plus any failed append that had to
     #: be cut back (the footer stripped on a clean open is *not* counted —
     #: nothing durable was lost)
-    truncated_bytes: int = 0
+    truncated_bytes: int = field(default=0, init=False)
     #: compaction passes completed by this handle
-    compactions: int = 0
+    compactions: int = field(default=0, init=False)
     #: log bytes reclaimed by those passes
-    bytes_reclaimed: int = 0
+    bytes_reclaimed: int = field(default=0, init=False)
 
 
 class _PackedNodeIndex(MutableMapping):

@@ -236,18 +236,12 @@ class CallContext:
         except InsufficientBalance as exc:
             raise Revert(f"contract balance too low: {exc}") from exc
 
-    def call(self, to: Address, method: str, args: Sequence[Any] = (),
-             value: int = 0) -> Any:
-        """Synchronous cross-contract call (used by FDM -> Deposit slashing)."""
+    def call(self, to: Address, method: str, args: Sequence[Any] = ()) -> Any:
+        """Synchronous cross-contract call, moving no value (used by FDM ->
+        Deposit slashing)."""
         self._charge_account_access(to)
-        if value:
-            self._tx.meter.charge(gas.CALL_VALUE_GAS, "call-value")
-            try:
-                self._tx.state.transfer(self.address, to, value)
-            except InsufficientBalance as exc:
-                raise Revert(str(exc)) from exc
         calldata = abi.encode_call(method, args)
-        return self._tx.dispatch(self.address, to, value, calldata)
+        return self._tx.dispatch(self.address, to, 0, calldata)
 
     def _charge_account_access(self, address: Address) -> None:
         raw = address.to_bytes()
@@ -286,9 +280,9 @@ class _TxState:
     registry: ContractRegistry
     meter: GasMeter
     origin: Address
-    warm_addresses: set[bytes] = field(default_factory=set)
-    warm_slots: set[tuple[bytes, bytes]] = field(default_factory=set)
-    logs: list[LogEntry] = field(default_factory=list)
+    warm_addresses: set[bytes] = field(default_factory=set, init=False)
+    warm_slots: set[tuple[bytes, bytes]] = field(default_factory=set, init=False)
+    logs: list[LogEntry] = field(default_factory=list, init=False)
 
     def dispatch(self, sender: Address, to: Address, value: int,
                  calldata: bytes) -> Any:

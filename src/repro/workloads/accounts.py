@@ -35,24 +35,14 @@ class AccountSet:
     def addresses(self) -> list[Address]:
         return [key.address for key in self.keys]
 
-    def genesis(self, base: GenesisConfig | None = None,
-                extra: dict[Address, int] | None = None) -> GenesisConfig:
+    def genesis(self, extra: dict[Address, int] | None = None) -> GenesisConfig:
         """A genesis config funding every account (plus ``extra`` entries)."""
         allocations: dict[Address, int] = {
             key.address: self.balance for key in self.keys
         }
-        if base is not None:
-            allocations.update(base.allocations)
         if extra:
             allocations.update(extra)
-        template = base or GenesisConfig()
-        return GenesisConfig(
-            chain_id=template.chain_id,
-            allocations=allocations,
-            gas_limit=template.gas_limit,
-            timestamp=template.timestamp,
-            extra_data=template.extra_data,
-        )
+        return GenesisConfig(allocations=allocations)
 
 
 class ZipfSelector:

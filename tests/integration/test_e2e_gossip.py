@@ -56,8 +56,7 @@ class GossipWorld:
     client_nodes: dict[str, GossipNode] = field(default_factory=dict)
 
     def add_client(self, seed: str, peer_index: int = 0, join: bool = True,
-                   stake: bool = False,
-                   staleness: Optional[float] = None) -> MarketplaceClient:
+                   stake: bool = False) -> MarketplaceClient:
         """A marketplace client, optionally gossip-joined via one mesh peer."""
         key = PrivateKey.from_seed(f"e2e:gsp:{seed}")
         if stake:
@@ -69,8 +68,7 @@ class GossipWorld:
             node = GossipNode(self.network, f"lc-gossip-{seed}")
             node.add_peer(self.mesh[peer_index].name)
             self.mesh[peer_index].add_peer(node.name)
-            client.join_gossip(node, stake_of=self.devnet.stake_of,
-                               staleness=staleness)
+            client.join_gossip(node, stake_of=self.devnet.stake_of)
             self.client_nodes[seed] = node
         self.clients[seed] = client
         return client
@@ -206,7 +204,8 @@ class TestPartitionHeal:
 class TestPushPullFallback:
     def test_quiet_topic_falls_back_to_polling(self):
         world = make_gossip_world()
-        client = world.add_client("puller", staleness=5.0)
+        client = world.add_client("puller")
+        client.headers.enable_push(world.network.clock.now, staleness=5.0)
         client.connect()
         world.settle(client)
         syncer = client.headers

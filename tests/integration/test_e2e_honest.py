@@ -6,6 +6,7 @@ from repro import rlp
 from repro.chain import UnsignedTransaction
 from repro.contracts import CHANNELS_MODULE_ADDRESS
 from repro.parp import LightClientState
+from repro.parp.client import DEFAULT_GAS_PRICE
 from repro.parp.constants import DISPUTE_WINDOW_BLOCKS
 
 from ..conftest import TOKEN, make_parp_env
@@ -51,7 +52,7 @@ class TestHonestLifecycle:
         assert session.state is LightClientState.IDLE
 
         lc_gas = sum(
-            net.chain.get_receipt(h).gas_used * session.gas_price
+            net.chain.get_receipt(h).gas_used * DEFAULT_GAS_PRICE
             for h in (close_hash, confirm_hash)
         )
         lc_delta = net.balance_of(keys.lc.address) - lc_before

@@ -64,7 +64,7 @@ class TestLiveness:
         ``verify_every=3`` an open channel is proof-checked on the third
         probe and the sixth, and only claimed on the others."""
         assert list(inspect.signature(LivenessMonitor).parameters) == [
-            "session", "period", "verify_every", "observations"]
+            "session", "period", "verify_every"]
         monitor = LivenessMonitor(parp_env.session, period=1.0,
                                   verify_every=3)
         verified = [monitor.probe(now=float(t)).verified_status is not None

@@ -396,8 +396,11 @@ class TestNonBytesReply:
         if entry_point == "request_call":
             outcome = client.request_call(call)
             assert outcome.response.status == 0
-        else:
-            outcome = getattr(client, entry_point)([call], fanout=1)
+        elif entry_point == "query_hedged":
+            outcome = client.query_hedged([call], fanout=1)
+            assert all(item.ok for item in outcome.items)
+        else:   # SHARD_FANOUT = 1
+            outcome = client.query_sharded([call])
             assert all(item.ok for item in outcome.items)
 
         assert [a.outcome for a in client.last_hedge] == ["invalid", "won"]

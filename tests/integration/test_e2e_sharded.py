@@ -35,6 +35,7 @@ from repro.parp import (
     ResponseStatus,
     ShardScatterError,
 )
+from repro.parp import marketplace as routing
 from repro.parp.adversary import MaliciousFullNodeServer
 from repro.parp.fraudproof import WitnessService
 from repro.parp.messages import RpcCall
@@ -175,13 +176,14 @@ class TestShardDeath:
             session = world.client.sessions[leg.winner]
             assert session.channel.acked == session.channel.spent
 
-    def test_hedged_legs_race_inside_each_shard(self):
-        """fanout=2 launches both replicas of every shard at once; each
-        leg's fast replica wins, each slow one is cancelled in flight."""
+    def test_hedged_legs_race_inside_each_shard(self, monkeypatch):
+        """SHARD_FANOUT = 2 launches both replicas of every shard at once;
+        each leg's fast replica wins, each slow one is cancelled in flight."""
+        monkeypatch.setattr(routing, "SHARD_FANOUT", 2)
         world = ShardWorld(shard_count=2, replicas=2,
                            latencies=(0.02, 0.6), prices_gwei=(5, 5))
         world.connect()
-        outcome = world.client.query_sharded(world.balance_calls(), fanout=2)
+        outcome = world.client.query_sharded(world.balance_calls())
         assert all(leg.ok for leg in outcome.legs)
         attempts = world.attempts_by_label()
         for s in range(2):

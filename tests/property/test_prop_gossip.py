@@ -7,19 +7,20 @@ cache stays within its configured size.
 """
 
 from collections import deque
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gossip import GossipMessage, GossipNode
+from repro.gossip import GossipMessage, GossipNode, pubsub
 from repro.net import SimNetwork, UniformLatency
 
 
 def build_world(n_nodes: int, edges: list[tuple[int, int]], seed: int,
-                ttl: int, fanout: int, cache: int):
+                fanout: int):
     network = SimNetwork(latency=UniformLatency(0.001, 0.05, seed=seed))
-    nodes = [GossipNode(network, f"g{i}", ttl=ttl, fanout=fanout,
-                        seen_cache_size=cache) for i in range(n_nodes)]
+    nodes = [GossipNode(network, f"g{i}", fanout=fanout)
+             for i in range(n_nodes)]
     for a, b in edges:
         if a != b:
             nodes[a].add_peer(f"g{b}")
@@ -66,17 +67,18 @@ def topologies(draw):
 )
 def test_no_double_delivery_and_ttl_bound(topo, publishes, seed, ttl, fanout):
     n_nodes, edges = topo
-    network, nodes = build_world(n_nodes, edges, seed, ttl, fanout, cache=4096)
+    network, nodes = build_world(n_nodes, edges, seed, fanout)
 
     deliveries: dict[int, list[bytes]] = {i: [] for i in range(n_nodes)}
     for i, node in enumerate(nodes):
         node.subscribe("t", lambda m, i=i: deliveries[i].append(m.msg_id))
 
     published: list[tuple[int, GossipMessage]] = []
-    for origin, payload in publishes:
-        origin %= n_nodes
-        published.append((origin, nodes[origin].publish("t", payload)))
-    network.run()
+    with mock.patch.object(pubsub, "DEFAULT_TTL", ttl):
+        for origin, payload in publishes:
+            origin %= n_nodes
+            published.append((origin, nodes[origin].publish("t", payload)))
+        network.run()
 
     # (1) at-most-once delivery per (subscriber, publication)
     for i in range(n_nodes):
@@ -108,13 +110,13 @@ def test_no_double_delivery_and_ttl_bound(topo, publishes, seed, ttl, fanout):
 )
 def test_seen_cache_stays_bounded(topo, n_messages, cache, seed):
     n_nodes, edges = topo
-    network, nodes = build_world(n_nodes, edges, seed, ttl=4, fanout=6,
-                                 cache=cache)
-    for k in range(n_messages):
-        nodes[k % n_nodes].publish("t", k.to_bytes(2, "big"))
-        if k % 5 == 0:
-            network.run()
-    network.run()
+    network, nodes = build_world(n_nodes, edges, seed, fanout=6)
+    with mock.patch.object(pubsub, "DEFAULT_SEEN_CACHE", cache):
+        for k in range(n_messages):
+            nodes[k % n_nodes].publish("t", k.to_bytes(2, "big"))
+            if k % 5 == 0:
+                network.run()
+        network.run()
     for node in nodes:
         assert len(node._seen) <= cache
 

@@ -1,9 +1,9 @@
 """Serial ≡ race of one: the three one-call entry points are one engine.
 
 ``request_call(c)``, ``query_hedged([c], fanout=1)`` and
-``query_sharded([c], fanout=1)`` all reduce to a single leg at fanout 1 —
-the first on the single wire, the other two on the batch wire as a batch of
-one — so on fresh identical worlds they must be indistinguishable from
+``query_sharded([c])`` (``SHARD_FANOUT`` is 1) all reduce to a single leg
+at fanout 1 — the first on the single wire, the other two on the batch wire
+as a batch of one — so on fresh identical worlds they must be indistinguishable from
 outside: same winner, same ``spent``/``acked`` on every channel, same
 reputation events per server, same failover count, the same simulated
 elapsed time, and the same slash — with the top-ranked server honest, dead,
@@ -45,8 +45,7 @@ SCENARIOS = ("honest", "dead", "malicious", "shedding")
 ENTRY_POINTS = {
     "request_call": lambda client, call: client.request_call(call),
     "query_hedged": lambda client, call: client.query_hedged([call], fanout=1),
-    "query_sharded": lambda client, call: client.query_sharded([call],
-                                                               fanout=1),
+    "query_sharded": lambda client, call: client.query_sharded([call]),
 }
 
 

@@ -17,6 +17,8 @@ Worlds are cached per shard count (devnet setup dominates runtime); the
 randomness lives in the query composition.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
 from repro.chain import GenesisConfig
@@ -30,6 +32,7 @@ from repro.parp import (
     Marketplace,
     MarketplaceClient,
 )
+from repro.parp import marketplace as routing
 from repro.parp.messages import RpcCall
 from repro.parp.pricing import GWEI
 
@@ -139,7 +142,8 @@ class TestShardedDifferential:
         expected = world.oracle.query_batch(calls)
         oracle_cost = expected.amount_paid - oracle_before
 
-        outcome = world.client.query_sharded(calls, fanout=fanout)
+        with mock.patch.object(routing, "SHARD_FANOUT", fanout):
+            outcome = world.client.query_sharded(calls)
 
         assert expected.report.valid and outcome.report.valid
         assert len(outcome.items) == len(expected.items) == len(calls)

@@ -21,6 +21,7 @@ from repro.lightclient import HeaderSyncer
 from repro.net import FixedLatency, SimNetwork
 from repro.node import Devnet, FullNode
 from repro.parp.messages import MessageError
+from repro.rlp import encode
 from repro.parp.reputation import (
     EVENT_EQUIVOCATION,
     EVENT_FRAUD_SLASHED,
@@ -108,7 +109,33 @@ def make_head_world(n_announcers: int = 3, quorum: int = 2,
     return net, network, syncer, announcer_keys, nodes, head
 
 
+def hostile_header(header) -> bytes:
+    """``header``'s encoding with its gas_used field an RLP list."""
+    items = header._rlp_items()
+    items[6] = [items[6]]
+    return encode(items)
+
+
 class TestHeadGossip:
+    def test_hostile_header_bytes_are_counted_not_raised(self):
+        """An announcement whose header carries a list where an integer
+        belongs once raised TypeError out of the subscriber's handler and
+        stopped the whole network.  It is one more undecodable message."""
+        net, network, syncer, keys, nodes, head = make_head_world(quorum=1)
+        base = syncer.chain.tip_number
+        net.advance_blocks(1)
+        header = net.chain.head.header
+        signature = HeadAnnouncement.build(header, keys[0]).signature
+        nodes[0].publish(TOPIC_NEW_HEADS,
+                         encode([hostile_header(header), signature]))
+        network.run()
+        assert head.stats.undecodable == 1
+        assert syncer.chain.tip_number == base
+        nodes[1].publish(TOPIC_NEW_HEADS,
+                         HeadAnnouncement.build(header, keys[1]).encode())
+        network.run()
+        assert syncer.chain.tip_number == base + 1
+
     def test_quorum_gates_application(self):
         net, network, syncer, keys, nodes, head = make_head_world(quorum=2)
         base = syncer.chain.tip_number

@@ -8,6 +8,7 @@ from repro.gossip import (
     GossipNode,
     connect_mesh,
 )
+from repro.gossip import pubsub
 from repro.net import FixedLatency, SimNetwork
 
 
@@ -113,11 +114,12 @@ class TestPubSub:
 
 
 class TestRelayBounds:
-    def test_ttl_bounds_propagation_on_a_line(self):
+    def test_ttl_bounds_propagation_on_a_line(self, monkeypatch):
         # line of 6 nodes, ttl=2: the publisher's flood reaches hop 0 (g1),
         # hop 1 (g2), hop 2 (g3, delivered, not relayed) and stops
+        monkeypatch.setattr(pubsub, "DEFAULT_TTL", 2)
         network = SimNetwork(latency=FixedLatency(0.01))
-        nodes = [GossipNode(network, f"g{i}", ttl=2) for i in range(6)]
+        nodes = [GossipNode(network, f"g{i}") for i in range(6)]
         for i in range(5):
             nodes[i].add_peer(f"g{i + 1}")
             nodes[i + 1].add_peer(f"g{i}")
@@ -135,8 +137,9 @@ class TestRelayBounds:
         nodes[0].publish("demo", b"x")
         assert nodes[0].stats.relayed == 2   # not 7
 
-    def test_seen_cache_is_bounded(self):
-        network, nodes = make_mesh(2, **{"seen_cache_size": 8})
+    def test_seen_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(pubsub, "DEFAULT_SEEN_CACHE", 8)
+        network, nodes = make_mesh(2)
         for i in range(50):
             nodes[0].publish("demo", f"m{i}".encode())
         network.run()
@@ -155,9 +158,10 @@ class TestRelayBounds:
 
 
 class TestRateLimiting:
-    def test_flooding_peer_is_dropped(self):
-        network, nodes = make_mesh(
-            2, **{"rate_limit": 5, "rate_window": 10.0})
+    def test_flooding_peer_is_dropped(self, monkeypatch):
+        monkeypatch.setattr(pubsub, "DEFAULT_RATE_LIMIT", 5)
+        monkeypatch.setattr(pubsub, "DEFAULT_RATE_WINDOW", 10.0)
+        network, nodes = make_mesh(2)
         sink = Collector()
         nodes[1].subscribe("demo", sink)
         for i in range(20):
@@ -166,9 +170,10 @@ class TestRateLimiting:
         assert len(sink.messages) == 5
         assert nodes[1].stats.rate_limited == 15
 
-    def test_window_resets_admission(self):
-        network, nodes = make_mesh(
-            2, **{"rate_limit": 2, "rate_window": 0.5})
+    def test_window_resets_admission(self, monkeypatch):
+        monkeypatch.setattr(pubsub, "DEFAULT_RATE_LIMIT", 2)
+        monkeypatch.setattr(pubsub, "DEFAULT_RATE_WINDOW", 0.5)
+        network, nodes = make_mesh(2)
         sink = Collector()
         nodes[1].subscribe("demo", sink)
         for i in range(4):

@@ -87,44 +87,44 @@ class TestDirectory:
 class TestSelection:
     def test_reputation_dominates_ranking(self):
         good, fresh = ad_for("good"), ad_for("fresh")
-        client = client_with(good, fresh)
+        client = client_with(good, fresh, clock=lambda: 30.0)
         for t in range(30):
             client.reputation.record(good.address, EVENT_SERVED_OK,
                                      time=float(t))
-        ranked = client.eligible(now=30.0)
+        ranked = client.eligible()
         assert [ad.name for ad in ranked] == ["good", "fresh"]
 
     def test_price_breaks_reputation_ties(self):
         pricey, bargain = ad_for("pricey", 20), ad_for("bargain", 5)
-        client = client_with(pricey, bargain)
-        ranked = client.eligible(now=0.0)
+        client = client_with(pricey, bargain, clock=lambda: 0.0)
+        ranked = client.eligible()
         assert [ad.name for ad in ranked] == ["bargain", "pricey"]
 
     def test_bargain_price_cannot_buy_back_burned_reputation(self):
         cheat, honest = ad_for("cheat", 1), ad_for("honest", 20)
-        client = client_with(cheat, honest)
+        client = client_with(cheat, honest, clock=lambda: 1.0)
         client.reputation.record(cheat.address, EVENT_FRAUD_SLASHED, time=0.0)
-        ranked = client.eligible(now=1.0)
+        ranked = client.eligible()
         assert [ad.name for ad in ranked] == ["honest"]
-        assert cheat.address not in {ad.address for ad in client.eligible(now=1.0)}
+        assert cheat.address not in {ad.address for ad in client.eligible()}
 
     def test_threshold_excludes_decayed_servers(self):
         flaky, fine = ad_for("flaky"), ad_for("fine")
         assert DEFAULT_SELECTION_THRESHOLD == 0.05
-        client = client_with(flaky, fine)
+        client = client_with(flaky, fine, clock=lambda: 1.0)
         for _ in range(3):
             client.reputation.record(flaky.address, EVENT_INVALID_RESPONSE,
                                      time=0.0)
-        assert [ad.name for ad in client.eligible(now=1.0)] == ["fine"]
+        assert [ad.name for ad in client.eligible()] == ["fine"]
 
     def test_positive_history_never_ranks_below_a_stranger(self):
         veteran, stranger = ad_for("veteran"), ad_for("stranger")
-        client = client_with(veteran, stranger)
-        client.reputation.record(veteran.address, EVENT_SERVED_OK, time=0.0)
         now = 1.0
+        client = client_with(veteran, stranger, clock=lambda: now)
+        client.reputation.record(veteran.address, EVENT_SERVED_OK, time=0.0)
         assert client.trust(veteran.address, now) >= client.trust(
             stranger.address, now)
-        assert [ad.name for ad in client.eligible(now=now)][0] == "veteran"
+        assert [ad.name for ad in client.eligible()][0] == "veteran"
 
     def test_empty_marketplace_cannot_connect(self):
         client = client_with()

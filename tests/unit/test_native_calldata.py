@@ -46,6 +46,31 @@ SHAPES = {
 }
 
 
+def test_hostile_header_in_an_equivocation_is_mined_and_pays():
+    """A header whose gas_used is an RLP list once escaped the FDM's header
+    decoder as TypeError, and the block dropped the call unpaid; it is an
+    undecodable header, so the call reverts and pays for its gas."""
+    net = Devnet(GenesisConfig(allocations={KEY.address: 10 ** 18}))
+    net.advance_blocks(1)
+    items = net.chain.head.header._rlp_items()
+    items[6] = [items[6]]
+    blob = encode(items)
+    balance = net.balance_of(KEY.address)
+    tx = net.send_transaction(KEY, FRAUD_MODULE_ADDRESS, data=abi.encode_call(
+        "submit_head_equivocation",
+        [blob, b"\x01" * 65, blob, b"\x02" * 65, KEY.address, KEY.address]))
+
+    block = net.chain.build_block(coinbase=COINBASE)
+
+    assert tx in block.transactions, "the call was dropped from the block"
+    receipt = net.chain.get_receipt(tx.hash)
+    assert receipt.status == 0
+    fee = receipt.gas_used * tx.gas_price
+    assert fee > 0
+    assert net.balance_of(KEY.address) == balance - fee
+    assert net.chain.mempool == []
+
+
 def test_every_module_method_is_covered():
     assert len(METHODS) == 14
     assert "FraudModule.submit_fraud_proof" in {p.id for p in METHODS}
@@ -60,7 +85,7 @@ def test_malformed_call_is_mined_and_pays(address, method, shape):
     balance = net.balance_of(KEY.address)
     tx = net.send_transaction(KEY, address, data=SHAPES[shape](method))
 
-    block = net.mine(coinbase=COINBASE)
+    block = net.chain.build_block(coinbase=COINBASE)
 
     assert tx in block.transactions, "the call was dropped from the block"
     receipt = net.chain.get_receipt(tx.hash)

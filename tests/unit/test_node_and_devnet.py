@@ -44,12 +44,6 @@ class TestFullNodeBackend:
         with pytest.raises(ChainError):
             node.submit_transaction(b"\x00\x01\x02")
 
-    def test_no_auto_mine(self, net):
-        node = FullNode(net.chain, name="n1", auto_mine=False)
-        tx_hash = node.submit_transaction(transfer().encode())
-        assert node.ensure_mined(tx_hash) is None
-        assert len(net.chain.mempool) == 1
-
     def test_header_service(self, net):
         node = FullNode(net.chain, name="n1")
         net.advance_blocks(3)
@@ -157,12 +151,6 @@ class TestDevnetPersistence:
         assert revived.balance_of(BOB.address) == bob_balance == TOKEN + 123
         assert revived.balance_of(ALICE.address) < 10 * TOKEN
         store.close()
-
-    def test_state_dir_and_db_are_exclusive(self, tmp_path):
-        from repro.storage import MemoryNodeStore
-
-        with pytest.raises(ValueError):
-            Devnet(state_dir=tmp_path, db=MemoryNodeStore())
 
     def test_one_durable_batch_per_sealed_block(self, tmp_path):
         """Per-tx snapshots stage; sealing cuts exactly one fsynced batch,

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto import PrivateKey, keccak256
 from repro.crypto.keys import Address
+from repro.net import futures
 from repro.net.futures import ExponentialBackoff
 from repro.net.latency import UniformLatency
 from repro.parp.admission import (
@@ -168,6 +169,20 @@ class TestAdmissionController:
         assert (ctrl.admitted, ctrl.shed) == (1, 16)
         assert ctrl.load_factor() == 1.0
 
+    def test_idle_server_admits_a_batch_larger_than_its_queue(self):
+        """A batch costing more than ``max_queue_cost`` waits behind nothing
+        on an idle server, so it is admitted — shedding it would shed it on
+        every retry, forever.  It then fills the queue like any request."""
+        ctrl = AdmissionController(AdmissionConfig(max_queue_cost=1.0),
+                                   clock=lambda: 0.0)
+        cost = ctrl.cost_of(2)
+        assert cost > ctrl.config.max_queue_cost
+        decision = ctrl.offer(cost)
+        assert decision.admitted and decision.load == 0.0
+        assert decision.queue_delay == cost * ctrl.config.service_time
+        assert not ctrl.offer(1.0).admitted
+        assert (ctrl.admitted, ctrl.shed) == (1, 1)
+
     @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
                      exclude_max=True))
     @settings(max_examples=50, deadline=None)
@@ -276,17 +291,18 @@ class TestSoftReputation:
 
 
 class TestExponentialBackoff:
-    def test_delays_grow_then_cap(self):
-        policy = ExponentialBackoff(base=0.1, factor=2.0, cap=1.0, jitter=0.0)
+    def test_delays_grow_then_cap(self, monkeypatch):
+        monkeypatch.setattr(futures, "BACKOFF_JITTER", 0.0)
+        assert futures.BACKOFF_FACTOR == 2.0
+        policy = ExponentialBackoff(base=0.1, cap=1.0)
         delays = [policy.delay(n) for n in range(1, 8)]
         assert delays[:4] == pytest.approx([0.1, 0.2, 0.4, 0.8])
         assert all(d == 1.0 for d in delays[4:])
 
     def test_jitter_stays_within_the_band_and_is_deterministic(self):
-        policy = ExponentialBackoff(base=0.1, factor=2.0, cap=10.0,
-                                    jitter=0.5, seed=3)
-        again = ExponentialBackoff(base=0.1, factor=2.0, cap=10.0,
-                                   jitter=0.5, seed=3)
+        assert (futures.BACKOFF_FACTOR, futures.BACKOFF_JITTER) == (2.0, 0.5)
+        policy = ExponentialBackoff(base=0.1, cap=10.0, seed=3)
+        again = ExponentialBackoff(base=0.1, cap=10.0, seed=3)
         for n in range(1, 10):
             raw = min(10.0, 0.1 * 2.0 ** (n - 1))
             d = policy.delay(n)
@@ -296,10 +312,6 @@ class TestExponentialBackoff:
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             ExponentialBackoff(base=-1.0)
-        with pytest.raises(ValueError):
-            ExponentialBackoff(factor=0.5)
-        with pytest.raises(ValueError):
-            ExponentialBackoff(jitter=1.5)
         with pytest.raises(ValueError):
             ExponentialBackoff(base=2.0, cap=1.0)
 

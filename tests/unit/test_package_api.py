@@ -381,6 +381,89 @@ class TestTopLevel:
         assert (fraudproof.WITNESS_GAS_PRICE,
                 fraudproof.WITNESS_GAS_LIMIT) == (12 * 10 ** 9, 2_000_000)
         assert LRUCache().stats == CacheStats()
+        # options nothing outside tests/ set (benchmarks/surface.py): each
+        # became a module constant or went with its branch, and each
+        # signature refuses the keyword
+        from repro.chain import chain as chain_module
+        from repro.contracts import gascost
+        from repro.gossip import pubsub
+        from repro.net import futures, latency, transport
+        from repro.parp import marketplace as routing
+        from repro.storage import compaction as retention
+        dropped = {
+            LightClientSession.__init__: ("gas_price",),
+            LightClientSession.connect: ("gas_limit",),
+            LightClientSession.request: ("tip",),
+            LightClientSession.request_call: ("tip",),
+            LightClientSession.begin_request: ("tip",),
+            LightClientSession.query_batch: ("tip",),
+            LightClientSession.begin_batch: ("tip",),
+            LightClientSession.build_close_transaction: ("gas_limit",),
+            LightClientSession.confirm_close: ("relay",),
+            MarketplaceClient.__init__: ("min_sessions",),
+            MarketplaceClient.request: ("tip",),
+            MarketplaceClient.request_call: ("tip",),
+            MarketplaceClient.query_hedged: ("tip",),
+            MarketplaceClient.query_sharded: ("tip", "fanout"),
+            MarketplaceClient.eligible: ("now",),
+            MarketplaceClient.join_gossip: ("staleness",),
+            routing._LegRace: ("tip",),
+            FullNodeServer.__init__: ("clock",),
+            FullNodeServer.build_close_transaction: ("gas_price",
+                                                     "gas_limit"),
+            server._SnapshotViewBackend.__init__: ("capacity",),
+            server._ShardSliceBackend.__init__: ("capacity",),
+            fraudproof.WitnessService.__init__: ("key",),
+            FeeSchedule.reference_price: ("methods",),
+            pricing.load_multiplier: ("knee", "cap"),
+            gascost.gas_to_usd: ("eth_price_usd",),
+            GossipNode.__init__: ("ttl", "seen_cache_size", "rate_limit",
+                                  "rate_window"),
+            HeaderSyncer.push_fresh: ("now",),
+            SimNetwork.run: ("max_events",),
+            latency.FixedLatency.__init__: ("bytes_per_second",),
+            futures.PendingReply.completed: ("target",),
+            futures.PendingReply.failed: ("target",),
+            futures.PendingReply.wait: ("timeout",),
+            futures.PendingReply.result: ("timeout",),
+            futures.PendingReply.exception: ("timeout",),
+            futures.wait_all: ("timeout",),
+            futures.ExponentialBackoff.__init__: ("factor", "jitter"),
+            transport.SimEndpoint.submit: ("timeout",),
+            Devnet.__init__: ("db",),
+            Devnet.mine: ("coinbase",),
+            Devnet.call_view: ("caller",),
+            Devnet.stake_full_node: ("amount",),
+            Devnet.send_transaction: ("gas_price",),
+            FullNode.__init__: ("auto_mine",),
+            RetentionPolicy: ("compact_growth",),
+            runtime.CallContext.call: ("value",),
+            repro.workloads.AccountSet.genesis: ("base",),
+        }
+        assert sum(map(len, dropped.values())) == 53
+        for function, names in dropped.items():
+            signature = inspect.signature(function)
+            for name in names:
+                with pytest.raises(TypeError):
+                    signature.bind_partial(**{name: None})
+        # attach_shard_cluster passes what it does not name on to the
+        # server constructor, which takes no name prefix
+        with pytest.raises(TypeError, match="name_prefix"):
+            devnet.attach_shard_cluster([key], 1, stake=False,
+                                        name_prefix="shard")
+        # every producer states a message's size: none is guessed
+        with pytest.raises(TypeError, match="size_bytes"):
+            network.send("census", "census", b"payload")
+        # ...and each constant holds the default it replaced
+        assert (pubsub.DEFAULT_TTL, pubsub.DEFAULT_SEEN_CACHE,
+                pubsub.DEFAULT_RATE_LIMIT, pubsub.DEFAULT_RATE_WINDOW) == (
+                    4, 4096, 64, 1.0)
+        assert (futures.BACKOFF_FACTOR, futures.BACKOFF_JITTER) == (2.0, 0.5)
+        assert routing.SHARD_FANOUT == 1
+        assert chain_module.COMPACT_GROWTH == 2.0
+        assert not hasattr(retention.RetentionPolicy(), "compact_growth")
+        assert not hasattr(importlib.import_module("repro.net.network"),
+                           "_estimate_size")
         # Proof of Serving (§VIII) left src/: a node that funds its own fake
         # light clients gets their budgets back on close, so its receipts
         # cost it only gas

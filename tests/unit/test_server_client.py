@@ -215,11 +215,12 @@ class TestSession:
         server.mark_closed(alpha)
         assert probe(alpha) == CHANNEL_CLOSED
 
-    def test_tip_adds_extra_payment(self, parp_env):
+    def test_a_request_pays_the_schedule_price(self, parp_env):
         session = parp_env.session
-        outcome = session.request("eth_blockNumber", tip=5_000)
+        before = session.channel.spent
+        outcome = session.request("eth_blockNumber")
         base_price = DEFAULT_FEE_SCHEDULE.price(RpcCall.create("eth_blockNumber"))
-        assert outcome.amount_paid == base_price + 5_000
+        assert outcome.amount_paid - before == base_price
 
 
 class TestServedResult:

@@ -54,7 +54,7 @@ def client_with(*ads: ServerAdvertisement) -> MarketplaceClient:
     marketplace = Marketplace()
     for ad in ads:
         marketplace.advertise(ad)
-    return MarketplaceClient(LC, marketplace)
+    return MarketplaceClient(LC, marketplace, clock=lambda: 0.0)
 
 
 class TestAdvertisementCoverage:
@@ -110,7 +110,7 @@ class TestRangeAwareSelection:
         full = ad_for("full", price_gwei=50)
         client = client_with(lo, hi, full)
         key = keccak256(bytes(address_in_shard(1, 2)))
-        names = [ad.name for ad in client.eligible(now=0.0, keys=(key,))]
+        names = [ad.name for ad in client.eligible(keys=(key,))]
         # the cheap shard-0 server is not even a candidate for a shard-1 key
         assert "lo" not in names
         assert set(names) == {"hi", "full"}
@@ -122,14 +122,14 @@ class TestRangeAwareSelection:
         client = client_with(lo, hi, full)
         keys = (keccak256(bytes(address_in_shard(0, 2))),
                 keccak256(bytes(address_in_shard(1, 2))))
-        assert [ad.name for ad in client.eligible(now=0.0, keys=keys)] \
+        assert [ad.name for ad in client.eligible(keys=keys)] \
             == ["full"]
 
     def test_no_keys_means_no_filtering(self):
         lo = ad_for("lo", shard=ShardRange.of(0, 2), price_gwei=1)
         full = ad_for("full", price_gwei=50)
         client = client_with(lo, full)
-        assert [ad.name for ad in client.eligible(now=0.0)] == ["lo", "full"]
+        assert [ad.name for ad in client.eligible()] == ["lo", "full"]
 
 
 class TestCoverageGate:

@@ -39,10 +39,6 @@ class TestLatencyModels:
         model = FixedLatency(0.02)
         assert model.delay("a", "b", 100) == 0.02
 
-    def test_fixed_with_bandwidth(self):
-        model = FixedLatency(0.01, bytes_per_second=1000)
-        assert model.delay("a", "b", 500) == pytest.approx(0.51)
-
     def test_uniform_bounds_and_determinism(self):
         model = UniformLatency(0.01, 0.05, seed=3)
         samples = [model.delay("a", "b", 0) for _ in range(50)]
@@ -63,7 +59,7 @@ class TestDelivery:
         sink = Recorder()
         net.register("a", Recorder())
         net.register("b", sink)
-        net.send("a", "b", "hello")
+        net.send("a", "b", "hello", size_bytes=8)
         net.run_until(0.4)
         assert sink.received == []
         net.run_until(0.6)
@@ -75,7 +71,7 @@ class TestDelivery:
         net.register("a", Recorder())
         net.register("b", sink)
         for i in range(5):
-            net.send("a", "b", i)
+            net.send("a", "b", i, size_bytes=8)
         net.run()
         assert [p for _, p in sink.received] == [0, 1, 2, 3, 4]
 
@@ -85,7 +81,7 @@ class TestDelivery:
         path instead of crashing mid-failover."""
         net = SimNetwork()
         net.register("a", Recorder())
-        net.send("a", "ghost", "x")
+        net.send("a", "ghost", "x", size_bytes=8)
         net.run()
         assert net.stats.messages_sent == 1
         assert net.stats.messages_dropped == 1
@@ -96,9 +92,9 @@ class TestDelivery:
         sink = Recorder()
         net.register("a", Recorder())
         net.register("b", sink)
-        net.send("a", "b", "in-flight")   # scheduled before the deregister
+        net.send("a", "b", "in-flight", size_bytes=8)  # scheduled before the deregister
         net.deregister("b")
-        net.send("a", "b", "post-mortem")
+        net.send("a", "b", "post-mortem", size_bytes=8)
         net.run()
         assert sink.received == []
         assert net.stats.messages_dropped == 2
@@ -114,7 +110,7 @@ class TestDelivery:
         net = SimNetwork(latency=FixedLatency(0.01))
         net.register("a", Recorder())
         net.register("b", Recorder())
-        net.send("a", "b", b"x" * 100)
+        net.send("a", "b", b"x" * 100, size_bytes=100)
         net.run()
         assert net.stats.messages_sent == 1
         assert net.stats.messages_delivered == 1
@@ -128,9 +124,9 @@ class TestDelivery:
         net.register("b", Recorder())
         net.register("c", Recorder())
         net.partition("a", "c")
-        net.send("a", "b", b"x" * 10)
-        net.send("a", "b", b"y" * 20)
-        net.send("a", "c", b"z" * 30)
+        net.send("a", "b", b"x" * 10, size_bytes=10)
+        net.send("a", "b", b"y" * 20, size_bytes=20)
+        net.send("a", "c", b"z" * 30, size_bytes=30)
         net.run()
         ab = net.stats.link("a", "b")
         assert (ab.sent, ab.delivered, ab.dropped, ab.bytes_sent) == (2, 2, 0, 30)
@@ -148,12 +144,12 @@ class TestFailures:
         net.register("a", Recorder())
         net.register("b", sink)
         net.partition("a", "b")
-        net.send("a", "b", "lost")
+        net.send("a", "b", "lost", size_bytes=8)
         net.run()
         assert sink.received == []
         assert net.stats.messages_dropped == 1
         net.heal("a", "b")
-        net.send("a", "b", "found")
+        net.send("a", "b", "found", size_bytes=8)
         net.run()
         assert sink.received == [("a", "found")]
 
@@ -164,7 +160,7 @@ class TestFailures:
             net.register("a", Recorder())
             net.register("b", sink)
             for i in range(100):
-                net.send("a", "b", i)
+                net.send("a", "b", i, size_bytes=8)
             net.run()
             return len(sink.received)
 

@@ -19,6 +19,7 @@ must be invisible to a light client inside the retention window.
 import pytest
 
 from repro.chain import Blockchain, ChainError, GenesisConfig
+from repro.chain import chain as chain_module
 from repro.chain.state import StateDB
 from repro.crypto import keccak256
 from repro.crypto.keys import Address
@@ -398,9 +399,10 @@ class TestChainCompaction:
         assert block.number == net.chain.height
         net.close()
 
-    def test_autocompaction_triggers_on_growth(self, tmp_path, keys):
-        policy = RetentionPolicy.last(2, min_compact_bytes=1,
-                                      compact_growth=1.0)
+    def test_autocompaction_triggers_on_growth(self, tmp_path, keys,
+                                               monkeypatch):
+        monkeypatch.setattr(chain_module, "COMPACT_GROWTH", 1.0)
+        policy = RetentionPolicy.last(2, min_compact_bytes=1)
         net = Devnet(_genesis(keys), state_dir=tmp_path / "state",
                      retention=policy)
         _mine_transfers(net, keys, 4)
