@@ -113,7 +113,6 @@ REVIEWED: dict[tuple[str, str], tuple[str, str]] = {
     ("gossip/heads.py", "HeadGossip._handle_equivocation"): ("paper", PAPER),
     ("parp/fraudproof.py", "WitnessService.submit_equivocation"): ("paper", PAPER),
     ("parp/liveness.py", "LivenessAlert.__init__"): ("paper", PAPER),
-    ("parp/liveness.py", "LivenessMonitor.__post_init__"): ("paper", PAPER),
     ("parp/liveness.py", "LivenessMonitor.due"): ("paper", PAPER),
     ("parp/liveness.py", "LivenessMonitor.probe"): ("paper", PAPER),
     ("parp/liveness.py", "LivenessObservation.divergent"): ("paper", PAPER),
@@ -135,6 +134,8 @@ REVIEWED: dict[tuple[str, str], tuple[str, str]] = {
     ("parp/marketplace.py", "ShardScatterError.__init__"): ("fault", FAULT),
     ("parp/client.py", "RequestRefused.__init__"): ("fault", FAULT),
     ("parp/server.py", "_refusal"): ("fault", FAULT),
+    # an admitted request that step B refuses gives its backlog back
+    ("parp/admission.py", "AdmissionController.release"): ("fault", FAULT),
     ("net/transport.py", "RemoteError.__init__"): ("fault", FAULT),
     ("net/futures.py", "ExponentialBackoff.delay"): ("fault", FAULT),
     ("net/network.py", "SimNetwork.deregister"): ("fault", FAULT),

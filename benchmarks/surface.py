@@ -13,9 +13,11 @@ forwarder (``MaliciousFullNodeServer.__init__``, ``Devnet.attach_server``)
 to whatever the forwarder calls.  A call is matched to a definition by
 name: a class name or ``cls(...)`` / ``type(self)(...)`` is its
 constructor, ``x.m(...)`` every method ``m``, ``super().m(...)`` the
-enclosing class's bases' ``m``; a candidate the call cannot bind (an
-unknown keyword, too many positionals) is dropped.  Two kinds of argument
-set nothing:
+enclosing class's bases' ``m`` (in a class outside ``src/`` too).  A
+receiver the file imports is no instance: ``ecdsa.verify(...)`` is the
+function ``verify`` of ``crypto/ecdsa.py`` and ``os.close(...)`` nothing
+under ``src/``.  A candidate the call cannot bind (an unknown keyword, too
+many positionals) is dropped.  Two kinds of argument set nothing:
 
 * the default itself, spelled the same (``fanout=2`` where the default
   is ``2``);
@@ -75,8 +77,6 @@ REVIEWED: dict[tuple[str, str, str], str] = {
     ("gossip/heads.py", "HeadGossip.__init__", "quorum"): DEPLOYMENT,
     ("lightclient/checkpoint.py", "CheckpointSyncer.__init__", "quorum"): DEPLOYMENT,
     ("lightclient/sync.py", "HeaderSyncer.__init__", "quorum"): DEPLOYMENT,
-    ("parp/liveness.py", "LivenessMonitor", "period"): DEPLOYMENT,
-    ("parp/liveness.py", "LivenessMonitor", "verify_every"): DEPLOYMENT,
     ("parp/marketplace.py", "MarketplaceClient.__init__", "checkpoint"): DEPLOYMENT,
     ("parp/pricing.py", "CallBasedFeeSchedule", "default_price"): DEPLOYMENT,
     ("parp/pricing.py", "CallBasedFeeSchedule", "prices"): DEPLOYMENT,
@@ -115,6 +115,12 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
                for d in node.decorator_list)
 
 
+def _class_info(node: ast.ClassDef, rel: str, prefix: str) -> ClassInfo:
+    return ClassInfo(rel, prefix + node.name,
+                     [ast.unparse(b).split(".")[-1] for b in node.bases],
+                     _is_dataclass(node))
+
+
 def _field_is_init(value: ast.expr) -> bool:
     return not (isinstance(value, ast.Call)
                 and ast.unparse(value.func).endswith("field")
@@ -139,10 +145,7 @@ class _Defs:
               cls: Optional[ClassInfo]) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                info = ClassInfo(rel, prefix + child.name,
-                                 [ast.unparse(b).split(".")[-1]
-                                  for b in child.bases],
-                                 _is_dataclass(child))
+                info = _class_info(child, rel, prefix)
                 self.classes.setdefault(child.name, []).append(info)
                 if info.dataclass:
                     self._fields(child, info)
@@ -275,8 +278,9 @@ class _Calls(ast.NodeVisitor):
     """Binds every call in one file to the definitions it may reach."""
 
     def __init__(self, defs: _Defs, rel: str, src_rel: Optional[str],
-                 tally: "_Census") -> None:
+                 tally: "_Census", modules: dict[str, Optional[str]]) -> None:
         self.defs, self.rel, self.src_rel, self.tally = defs, rel, src_rel, tally
+        self.modules = modules
         self.scope = _Scope(f"{rel}::<module>")
         self.prefix = ""
         self.cls: Optional[ClassInfo] = None
@@ -299,9 +303,12 @@ class _Calls(ast.NodeVisitor):
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         outer, outer_prefix = self.cls, self.prefix
+        # a class outside src/ is no definition, but its super() calls
+        # still reach its bases
         self.cls = next((c for c in self.defs.classes.get(node.name, ())
                          if c.file == self.src_rel
-                         and c.qualname == self.prefix + node.name), None)
+                         and c.qualname == self.prefix + node.name),
+                        None) or _class_info(node, self.rel, self.prefix)
         self.prefix = f"{self.prefix}{node.name}."
         self.generic_visit(node)
         self.cls, self.prefix = outer, outer_prefix
@@ -374,11 +381,23 @@ class _Calls(ast.NodeVisitor):
         attr = func.attr
         value = func.value
         if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
-                and value.func.id == "super" and scope.cls is not None):
+                and value.func.id == "super"):
+            if scope.cls is None:
+                return []
             if attr == "__init__":
                 return _maybe([defs.constructor(base)
                                for base in defs.bases(scope.cls)])
             return [_drop_first(s) for s in defs.method(scope.cls, attr)]
+        if isinstance(value, ast.Name) and value.id in self.modules:
+            module = self.modules[value.id]
+            if module is None:
+                return []                   # os.close, json.dumps, ...
+            # a module's functions and classes; a module has no methods
+            sigs = [defs.constructor(c) for c in defs.classes.get(attr, ())
+                    if module in ("", c.file)]
+            sigs += [defs.signatures[f] for f in defs.functions.get(attr, ())
+                     if module in ("", f[0])]
+            return _maybe(sigs)
         sigs = [defs.constructor(c) for c in defs.classes.get(attr, ())]
         sigs += [defs.signatures[f] for f in defs.functions.get(attr, ())]
         return _maybe(sigs) + self._methods([attr])
@@ -389,6 +408,47 @@ class _Calls(ast.NodeVisitor):
         return [_drop_first(defs.signatures[m]) if m in defs.bound
                 else defs.signatures[m]
                 for name in names for m in defs.methods.get(name, ())]
+
+
+def _modules(path: Path, tree: ast.Module) -> dict[str, Optional[str]]:
+    """The names ``tree`` imports a module or an outside name under: a
+    module file under ``src/repro`` maps to its path there, a package of it
+    to ``""``, anything from outside ``src/`` to ``None``."""
+    names: dict[str, Optional[str]] = {}
+
+    def under_src(target: Path) -> Optional[str]:
+        if target.with_suffix(".py").is_file():
+            return target.with_suffix(".py").relative_to(SRC).as_posix()
+        if (target / "__init__.py").is_file():
+            return ""
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is None:
+                    top = alias.name.split(".")[0]
+                    names[top] = "" if top == SRC.name else None
+                else:
+                    names[alias.asname] = under_src(
+                        SRC.parent.joinpath(*alias.name.split(".")))
+        elif isinstance(node, ast.ImportFrom):
+            parts = node.module.split(".") if node.module else []
+            if node.level:
+                base = path.parents[node.level - 1].joinpath(*parts)
+            elif parts[:1] == [SRC.name]:
+                base = SRC.parent.joinpath(*parts)
+            else:
+                base = None
+            if base is not None and not base.is_relative_to(SRC):
+                base = None
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if base is None:
+                    names[name] = None
+                elif under_src(base / alias.name) is not None:
+                    names[name] = under_src(base / alias.name)
+    return names
 
 
 def _maybe(sigs: list) -> list[Signature]:
@@ -517,7 +577,7 @@ def census() -> dict:
         src_rel = (path.relative_to(SRC).as_posix()
                    if path.is_relative_to(SRC) else None)
         _Calls(defs, path.relative_to(ROOT).as_posix(), src_rel,
-               tally).visit(tree)
+               tally, _modules(path, tree)).visit(tree)
     tally.drain()
     is_set = tally.is_set()
     entries = []

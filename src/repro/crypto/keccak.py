@@ -216,17 +216,16 @@ def _finish(state: list[int], tail: bytes) -> bytes:
 
 
 class Keccak256:
-    """Incremental Keccak-256 hasher with a hashlib-like interface."""
+    """Incremental Keccak-256 hasher: hashlib-like ``update`` / ``digest`` /
+    ``hexdigest`` / ``copy``, started empty."""
 
     digest_size = 32
     block_size = _RATE_BYTES
 
-    def __init__(self, data: bytes = b"") -> None:
+    def __init__(self) -> None:
         self._state = [0] * 25
         self._buffer = b""
         self._finalized: bytes | None = None
-        if data:
-            self.update(data)
 
     def update(self, data: bytes) -> "Keccak256":
         """Absorb ``data``; may be called repeatedly before :meth:`digest`."""

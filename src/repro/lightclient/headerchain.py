@@ -28,12 +28,10 @@ class HeaderChain:
     anchor choice is orthogonal to PARP).
     """
 
-    def __init__(self, anchor: Optional[BlockHeader] = None) -> None:
+    def __init__(self) -> None:
         self._headers: list[BlockHeader] = []
         self._by_hash: dict[bytes, BlockHeader] = {}
         self._start = 0
-        if anchor is not None:
-            self.append(anchor)
 
     # ------------------------------------------------------------------ #
     # Growth

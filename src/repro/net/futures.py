@@ -230,8 +230,6 @@ class ExponentialBackoff:
         """Delay before retry ``attempt`` (1-indexed; values < 1 clamp to 1)."""
         n = max(1, int(attempt))
         raw = min(self.cap, self.base * BACKOFF_FACTOR ** (n - 1))
-        if not BACKOFF_JITTER or not raw:
-            return raw
         rng = random.Random(f"backoff|{self.seed}|{n}")
         spread = BACKOFF_JITTER * raw
         return max(0.0, raw - spread + 2.0 * spread * rng.random())

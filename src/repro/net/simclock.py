@@ -14,8 +14,8 @@ __all__ = ["SimClock"]
 class SimClock:
     """A monotonically advancing simulated clock (seconds as float)."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     def now(self) -> float:
         return self._now

@@ -15,8 +15,8 @@ standard production alternative:
 * an **admission threshold**: when admitting a request would push the
   backlog past ``max_queue_cost`` units, the request is *shed* — the server
   answers with a signed :class:`~repro.parp.messages.OverloadedReply`
-  instead of queueing it.  Shedding bounds the queueing delay of every
-  admitted request by ``max_queue_cost × service_time``, which is what keeps
+  instead of queueing it.  Shedding bounds the work every admitted request
+  waits behind by ``max_queue_cost × service_time``, which is what keeps
   p99 flat past saturation.
 * a **load factor**: the backlog as a fraction of ``max_queue_cost``, which
   drives the :func:`~repro.parp.pricing.load_multiplier` fee curve.
@@ -56,7 +56,7 @@ class AdmissionConfig:
     least one single query; service time > 0)."""
 
     #: backlog bound in cost units; one unit ≈ one single proved query.
-    #: Queueing delay of any admitted request ≤ max_queue_cost × service_time.
+    #: No admitted request waits behind more than max_queue_cost × service_time.
     max_queue_cost: float = 64.0
     #: modeled seconds of serving work per cost unit (calibrate to the
     #: hardware: proof generation dominates).
@@ -135,6 +135,7 @@ class AdmissionController:
         untouched and returns the jittered ``retry_after`` drain hint.  An
         idle server admits any request, however large: it waits behind
         nothing, and a bound it could never fit under would shed it forever.
+        Work admitted but then refused unserved goes back by :meth:`release`.
         """
         with self._lock:
             now = float(self._clock())
@@ -155,6 +156,12 @@ class AdmissionController:
                 admitted=True, cost=cost, load=load, queue_delay=queue_delay,
                 retry_after=0.0,
             )
+
+    def release(self, cost: float) -> None:
+        """Give back the ``cost`` units of an admitted request that will
+        never be served: the horizon moves back by its service time."""
+        with self._lock:
+            self._busy_until -= cost * self.config.service_time
 
     def _retry_after(self, backlog: float, cost: float) -> float:
         """Jittered hint: time until ``cost`` units fit the queue again.

@@ -22,6 +22,9 @@ from .states import ChannelStatus
 
 __all__ = ["LivenessAlert", "LivenessObservation", "LivenessMonitor"]
 
+#: every k-th probe of an open channel also takes the verified path.
+VERIFY_EVERY = 2
+
 
 @dataclass(frozen=True)
 class LivenessObservation:
@@ -53,20 +56,13 @@ class LivenessMonitor:
     """Periodic channel-status probing for a bonded session."""
 
     session: LightClientSession
-    period: float = LIVENESS_PERIOD_SECONDS
-    verify_every: int = 2          # every k-th probe uses the verified path
     observations: list[LivenessObservation] = field(default_factory=list, init=False)
     _probes: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        if self.period <= 0 or self.verify_every < 1:
-            raise ValueError("liveness needs period > 0 and verify_every ≥ 1, "
-                             f"got {self.period} and {self.verify_every}")
 
     def due(self, now: float) -> bool:
         if not self.observations:
             return True
-        return now - self.observations[-1].time >= self.period
+        return now - self.observations[-1].time >= LIVENESS_PERIOD_SECONDS
 
     def probe(self, now: float) -> LivenessObservation:
         """One liveness round; raises :class:`LivenessAlert` on problems."""
@@ -77,7 +73,7 @@ class LivenessMonitor:
             claimed = self.session.channel_status_fast()
         except SessionError:
             claimed = None
-        if self._probes % self.verify_every == 0 or claimed != ChannelStatus.OPEN.value:
+        if self._probes % VERIFY_EVERY == 0 or claimed != ChannelStatus.OPEN.value:
             try:
                 verified = self.session.channel_status_verified()
             except SessionError:

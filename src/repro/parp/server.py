@@ -377,7 +377,10 @@ class FullNodeServer:
         signature checks, no billing — the client is *not* charged for a
         request that was never admitted), and a shed comes back as a signed
         :class:`~repro.parp.messages.OverloadedReply` instead of a served
-        response.  ``served`` / ``queries_served`` name the
+        response.  A request verification refuses gives its admitted work
+        back: an idle server admits a batch larger than its whole queue, and
+        a forged one would otherwise shed every honest request until its
+        cost drained.  ``served`` / ``queries_served`` name the
         :class:`ServerStats` counters a served request of this wire advances
         (by one, and by its number of calls).
         """
@@ -395,7 +398,14 @@ class FullNodeServer:
         shed = self._admission_gate(request.h_req, queries=len(request.calls))
         if shed is not None:
             return shed
-        self.verify_and_bill(request)                  # step (B), once
+        try:
+            self.verify_and_bill(request)              # step (B), once
+        except ServeError:
+            if self.admission is not None:     # its admitted work never runs
+                self.admission.release(
+                    self.admission.cost_of(len(request.calls)))
+                self._service_delay = 0.0
+            raise
         response = self._execute_and_sign(request)     # step (C), shared
         out = response.encode_wire()
         self._bump("bytes_out", len(out))

@@ -9,6 +9,10 @@ session's next request would be shed.  The channel lookup runs right after
 decode instead: all 20 are rejected and counted, none is admitted or shed,
 nothing is signed, and the honest request is served.  A closed channel is
 turned away at the same point.
+
+An idle server admits a batch larger than its whole queue, since it waits
+behind nothing.  One that names an open α but fails verification gives that
+work back, so it sheds no honest request after it.
 """
 
 import random
@@ -17,7 +21,9 @@ import pytest
 
 from repro.crypto import PrivateKey, ecdsa
 from repro.parp import AdmissionConfig, AdmissionController, RpcCall
-from repro.parp.messages import PARPRequest
+from repro.parp.client import ServerOverloaded
+from repro.parp.constants import BATCH_PROTOCOL_VERSION
+from repro.parp.messages import BatchRequest, PARPRequest
 from repro.parp.server import ServeError
 from repro.parp.states import ResponseClass
 
@@ -88,3 +94,50 @@ def test_a_closed_channel_is_turned_away_before_admission(gated_env):
     with pytest.raises(ServeError, match="channel"):
         env.server.serve_request(request.encode_wire())
     assert (env.server.stats.admitted, env.server.stats.shed) == (0, 0)
+
+
+#: calls in a batch costing more than the whole queue of ``gated_env``
+OVERSIZED = 40
+
+
+def balances(env, count):
+    return [RpcCall.create("eth_getBalance", env.keys.alice.address)] * count
+
+
+def test_a_forged_batch_larger_than_the_queue_leaves_no_backlog(gated_env):
+    """A stranger signs a batch on the honest session's open α: the idle
+    server admits it, step B refuses the signature, and the backlog and the
+    next honest request are as if it had never come."""
+    env = gated_env
+    admission = env.server.admission
+    assert admission.cost_of(OVERSIZED) > admission.config.max_queue_cost
+    forged = BatchRequest.build(
+        alpha=env.alpha, h_b=env.node.chain.head.hash, amount=10 ** 12,
+        calls=balances(env, OVERSIZED),
+        key=PrivateKey.from_seed("junk:stranger"),
+        version=BATCH_PROTOCOL_VERSION)
+    for _ in range(3):
+        with pytest.raises(ServeError, match="verification failed"):
+            env.server.serve_batch(forged.encode_wire())
+        assert admission.load_factor() == 0.0
+        assert env.server.consume_service_delay() == 0.0
+
+    call = RpcCall.create("eth_getBalance", env.keys.bob.address)
+    outcome = env.session.request_call(call)
+    assert outcome.report.classification is ResponseClass.VALID
+    assert env.server.stats.shed == 0
+
+
+def test_an_idle_server_serves_an_honest_batch_larger_than_its_queue(
+        gated_env):
+    """The honest batch is admitted whole and served; on the frozen clock
+    its cost never drains, so the next request is shed."""
+    env = gated_env
+    outcome = env.session.query_batch(balances(env, OVERSIZED))
+    assert outcome.report.classification is ResponseClass.VALID
+    assert len(outcome.items) == OVERSIZED
+    assert env.server.admission.load_factor() == 1.0
+    call = RpcCall.create("eth_getBalance", env.keys.bob.address)
+    with pytest.raises(ServerOverloaded):
+        env.session.request_call(call)
+    assert (env.server.stats.admitted, env.server.stats.shed) == (1, 1)

@@ -252,7 +252,7 @@ class TestSponge:
         message = patterned(length)
         expected = keccak256(message)
         for cut in range(length + 1):
-            hasher = Keccak256(message[:cut])
+            hasher = Keccak256().update(message[:cut])
             assert hasher.update(message[cut:]).digest() == expected, cut
 
     @settings(max_examples=40, deadline=None)
@@ -264,7 +264,7 @@ class TestSponge:
         assert hasher.digest() == keccak256(b"".join(chunks))
 
     def test_digest_does_not_disturb_a_copy_taken_before_it(self):
-        hasher = Keccak256(patterned(200))
+        hasher = Keccak256().update(patterned(200))
         clone = hasher.copy()
         assert hasher.digest() == keccak256(patterned(200))
         assert clone.update(b"more").digest() == keccak256(patterned(200) + b"more")
@@ -274,7 +274,7 @@ class TestSponge:
         for vector in GOLDEN["messages"]:
             message = bytes.fromhex(vector["message"])
             assert keccak256(message).hex() == vector["digest"]
-            assert Keccak256(message).hexdigest() == vector["digest"]
+            assert Keccak256().update(message).hexdigest() == vector["digest"]
 
     def test_golden_patterned_lengths(self):
         lengths = {vector["length"] for vector in GOLDEN["patterned"]}
@@ -282,7 +282,7 @@ class TestSponge:
         for vector in GOLDEN["patterned"]:
             message = patterned(vector["length"])
             assert keccak256(message).hex() == vector["digest"], vector["length"]
-            assert Keccak256(message).hexdigest() == vector["digest"]
+            assert Keccak256().update(message).hexdigest() == vector["digest"]
 
 
 # --------------------------------------------------------------------------- #

@@ -21,6 +21,13 @@ def build_chain(blocks=5) -> Devnet:
     return net
 
 
+def anchored(header):
+    """A header chain whose first appended header, its anchor, is ``header``."""
+    chain = HeaderChain()
+    chain.append(header)
+    return chain
+
+
 class TestHeaderChain:
     def test_append_continuity(self):
         net = build_chain(3)
@@ -32,13 +39,13 @@ class TestHeaderChain:
 
     def test_rejects_gap(self):
         net = build_chain(3)
-        chain = HeaderChain(anchor=net.chain.get_header(0))
+        chain = anchored(net.chain.get_header(0))
         with pytest.raises(HeaderChainError):
             chain.append(net.chain.get_header(2))
 
     def test_rejects_broken_link(self):
         net = build_chain(2)
-        chain = HeaderChain(anchor=net.chain.get_header(0))
+        chain = anchored(net.chain.get_header(0))
         good = net.chain.get_header(1)
         from dataclasses import replace
 
@@ -48,14 +55,14 @@ class TestHeaderChain:
 
     def test_checkpoint_anchor(self):
         net = build_chain(5)
-        chain = HeaderChain(anchor=net.chain.get_header(3))
+        chain = anchored(net.chain.get_header(3))
         chain.append(net.chain.get_header(4))
         assert chain.anchor_number == 3
         assert chain.get_header(2) is None  # below the anchor
 
     def test_lookup_by_hash(self):
         net = build_chain(2)
-        chain = HeaderChain(anchor=net.chain.get_header(0))
+        chain = anchored(net.chain.get_header(0))
         header = net.chain.get_header(1)
         chain.append(header)
         assert chain.get_by_hash(header.hash) == header

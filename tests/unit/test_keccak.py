@@ -50,30 +50,27 @@ class TestBlockBoundaries:
             hasher.update(data[i:i + 13])
         assert hasher.digest() == keccak256(data)
 
-    def test_single_update_equals_constructor(self):
-        assert Keccak256(b"xyz").digest() == Keccak256().update(b"xyz").digest()
-
 
 class TestHasherSemantics:
     def test_digest_is_idempotent(self):
-        hasher = Keccak256(b"data")
+        hasher = Keccak256().update(b"data")
         assert hasher.digest() == hasher.digest()
 
     def test_update_after_digest_rejected(self):
-        hasher = Keccak256(b"data")
+        hasher = Keccak256().update(b"data")
         hasher.digest()
         with pytest.raises(ValueError):
             hasher.update(b"more")
 
     def test_copy_is_independent(self):
-        hasher = Keccak256(b"pre")
+        hasher = Keccak256().update(b"pre")
         clone = hasher.copy()
         clone.update(b"fix")
         hasher.update(b"fix")
         assert hasher.digest() == clone.digest() == keccak256(b"prefix")
 
     def test_hexdigest(self):
-        assert Keccak256(b"abc").hexdigest() == VECTORS[b"abc"]
+        assert Keccak256().update(b"abc").hexdigest() == VECTORS[b"abc"]
 
     def test_rejects_non_bytes(self):
         with pytest.raises(TypeError):

@@ -183,6 +183,20 @@ class TestAdmissionController:
         assert not ctrl.offer(1.0).admitted
         assert (ctrl.admitted, ctrl.shed) == (1, 1)
 
+    def test_released_work_leaves_the_backlog(self):
+        """What an admitted request gives back (it was refused unserved)
+        no longer holds up the queue: the next request is admitted as if
+        it had never come."""
+        ctrl = AdmissionController(AdmissionConfig(max_queue_cost=1.0),
+                                   clock=lambda: 0.0)
+        cost = ctrl.cost_of(40)
+        assert ctrl.offer(cost).admitted
+        ctrl.release(cost)
+        assert ctrl.load_factor() == 0.0
+        decision = ctrl.offer(1.0)
+        assert decision.admitted
+        assert decision.queue_delay == ctrl.config.service_time
+
     @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
                      exclude_max=True))
     @settings(max_examples=50, deadline=None)

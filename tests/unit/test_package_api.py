@@ -388,7 +388,12 @@ class TestTopLevel:
         from repro.contracts import gascost
         from repro.gossip import pubsub
         from repro.net import futures, latency, transport
+        from repro.crypto.keccak import Keccak256
+        from repro.lightclient.headerchain import HeaderChain
+        from repro.net.simclock import SimClock
+        from repro.parp import liveness
         from repro.parp import marketplace as routing
+        from repro.parp.liveness import LivenessMonitor
         from repro.storage import compaction as retention
         dropped = {
             LightClientSession.__init__: ("gas_price",),
@@ -439,8 +444,12 @@ class TestTopLevel:
             RetentionPolicy: ("compact_growth",),
             runtime.CallContext.call: ("value",),
             repro.workloads.AccountSet.genesis: ("base",),
+            LivenessMonitor: ("period", "verify_every"),
+            SimClock.__init__: ("start",),
+            HeaderChain.__init__: ("anchor",),
+            Keccak256.__init__: ("data",),
         }
-        assert sum(map(len, dropped.values())) == 53
+        assert sum(map(len, dropped.values())) == 58
         for function, names in dropped.items():
             signature = inspect.signature(function)
             for name in names:
@@ -460,6 +469,7 @@ class TestTopLevel:
                     4, 4096, 64, 1.0)
         assert (futures.BACKOFF_FACTOR, futures.BACKOFF_JITTER) == (2.0, 0.5)
         assert routing.SHARD_FANOUT == 1
+        assert liveness.VERIFY_EVERY == 2
         assert chain_module.COMPACT_GROWTH == 2.0
         assert not hasattr(retention.RetentionPolicy(), "compact_growth")
         assert not hasattr(importlib.import_module("repro.net.network"),

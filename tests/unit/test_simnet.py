@@ -29,7 +29,8 @@ class TestSimClock:
         assert clock() == 3.0
 
     def test_rejects_rewind(self):
-        clock = SimClock(10.0)
+        clock = SimClock()
+        clock.advance_to(10.0)
         with pytest.raises(ValueError):
             clock.advance_to(5.0)
 

@@ -12,12 +12,24 @@ reasons in ``WHYS``.  Counters and protocol state are the object's own:
 they are ``field(init=False)``, not values a caller sets.
 """
 
+import ast
 import dataclasses
 import json
+import textwrap
 
 import pytest
 
-from benchmarks.surface import OUT, REVIEWED, WHYS, census
+from benchmarks.surface import (
+    OUT,
+    REVIEWED,
+    ROOT,
+    WHYS,
+    _Calls,
+    _Census,
+    _Defs,
+    _modules,
+    census,
+)
 from repro.crypto import PrivateKey
 from repro.gossip.heads import HeadGossipStats
 from repro.gossip.pubsub import GossipStats, _PeerScore
@@ -114,3 +126,70 @@ def test_counters_and_protocol_state_are_not_constructor_keywords():
     fresh = ServerChannel(b"\x01" * 16, light_client, budget=10)
     assert (fresh.latest_amount, fresh.latest_sig, fresh.closed) == (
         0, None, False)
+
+
+#: four definitions under src/, each a value a name-only match once
+#: credited to a call that cannot reach it
+PROBE_DEFS = {
+    "net/simclock.py": """
+        class SimClock:
+            def __init__(self, start=0.0): ...
+    """,
+    "parp/client.py": """
+        class LightClientSession:
+            def close(self, relay=None): ...
+    """,
+    "parp/messages.py": """
+        class PARPRequest:
+            def verify(self, expected_sender=None, keccak=None,
+                       ecrecover=None): ...
+    """,
+    "crypto/ecdsa.py": """
+        def verify(digest, signature, key, strict=False): ...
+    """,
+}
+
+PROBE_CALLER = """
+    import os
+    from repro.crypto import ecdsa
+    from repro.net.simclock import SimClock
+
+    class JsonRpcError(Exception):
+        def __init__(self, message):
+            super().__init__(message)
+
+    class SlowClock(SimClock):
+        def __init__(self):
+            super().__init__(5.0)
+
+    def close_and_check(fd, digest, signature, key):
+        os.close(fd)
+        ecdsa.verify(digest, signature, key)
+        ecdsa.verify(digest, signature, key, True)
+"""
+
+
+def test_a_call_credits_only_what_it_can_reach():
+    """``super().__init__`` in a class whose bases are outside ``src/``
+    reaches no ``__init__`` under it, and a call on an imported module is
+    that module's function: ``os.close(fd)`` is no
+    ``LightClientSession.close(relay)`` and ``ecdsa.verify(...)`` no
+    ``PARPRequest.verify``.  A benchmark's subclass still sets its base's
+    value through ``super()``."""
+    defs = _Defs({rel: ast.parse(textwrap.dedent(code))
+                  for rel, code in PROBE_DEFS.items()})
+    tally = _Census(defs)
+    tree = ast.parse(textwrap.dedent(PROBE_CALLER))
+    _Calls(defs, "benchmarks/probe.py", None, tally,
+           _modules(ROOT / "benchmarks" / "probe.py", tree)).visit(tree)
+    tally.drain()
+    setters = {f"{owner}.{name}": sorted(found)
+               for (_, owner, name), found in tally.setters.items()}
+    assert setters == {
+        "SimClock.__init__.start": ["benchmarks/probe.py::SlowClock.__init__"],
+        "LightClientSession.close.relay": [],
+        "PARPRequest.verify.expected_sender": [],
+        "PARPRequest.verify.keccak": [],
+        "PARPRequest.verify.ecrecover": [],
+        "verify.strict": ["benchmarks/probe.py::close_and_check"],
+    }
