@@ -43,21 +43,23 @@ import time
 
 from repro.chain.account import Account
 from repro.metrics.cache import LRUCache
+from repro.rlp import codec as rlp
 from repro.storage import (
     MAGIC,
     AppendOnlyFileStore,
     MemoryNodeStore,
     PrunedRootError,
     compact_node_store,
-    live_state_nodes,
 )
 from repro.trie import (
     DEFAULT_NODE_CACHE_CAPACITY,
     MerklePatriciaTrie,
+    ShardPool,
     generate_multiproof,
     generate_proof,
     verify_multiproof,
     verify_proof,
+    walk_state_nodes,
 )
 
 from .reporting import add_report, render_table, write_json_series
@@ -114,12 +116,12 @@ def _expected_compacted_bytes(store: AppendOnlyFileStore,
     size = len(MAGIC)
     if pruned_count:
         size += 1 + 4 + 32 * pruned_count + 4  # the 0xB5 pruned record
-    seen: set[bytes] = set()
+    pool = ShardPool()  # one node set: a node two roots share is one record
     for root in retained:
         size += _BATCH_OVERHEAD
-        size += sum(_NODE_OVERHEAD + len(raw)
-                    for _, raw in live_state_nodes(store, root, seen))
-    return size
+        walk_state_nodes(store, lambda _, raw: rlp.decode(raw), root, None,
+                         Account.storage_root_of, pool)
+    return size + sum(_NODE_OVERHEAD + len(raw) for raw in pool.nodes.values())
 
 
 def test_store_backend(benchmark):

@@ -143,7 +143,6 @@ REVIEWED: dict[tuple[str, str], tuple[str, str]] = {
     ("net/network.py", "SimNetwork.isolate"): ("fault", FAULT),
     ("net/network.py", "SimNetwork.partition"): ("fault", FAULT),
     ("net/network.py", "SimNetwork.rejoin"): ("fault", FAULT),
-    ("trie/shard.py", "ShardPool.clear"): ("fault", FAULT),
     ("lightclient/sync.py", "is_better_update"): (
         "fault", "runs only when two quorum-attested pages disagree, ROADMAP 4"),
     # the streaming keccak and the verify-only ECDSA ride with the tracer

@@ -50,6 +50,12 @@ class Account:
             code_hash=code_hash,
         )
 
+    @staticmethod
+    def storage_root_of(data: bytes) -> bytes:
+        """An encoded account's storage root, the one field a walk of the
+        state's node set reads — without decoding the rest."""
+        return rlp.decode(data)[2]
+
     @property
     def is_empty(self) -> bool:
         """EIP-161 emptiness: zero nonce/balance and no code."""

@@ -61,7 +61,6 @@ from ..trie.proof import ProofIndex, generate_proof
 from ..trie.shard import (
     ShardPool,
     ShardRange,
-    collect_subtree,
     extract_shard_nodes,
     shard_commitment,
 )
@@ -383,24 +382,15 @@ class StateDB:
         account proof, so an account's storage belongs to its shard.
 
         With a ``pool`` (the server's node set from earlier heights) only
-        what this state changed in range is read: the account walk stops at
-        subtrees the pool holds completely, and only the accounts it did
-        reach can have a storage trie the pool has not seen.
+        what this state changed in range is read: the walk stops at
+        subtrees the pool holds completely, storage tries under them
+        included.
         """
         if pool is None:
             pool = ShardPool()
         self.commit(flush_store=False)
-        try:
-            slice_ = extract_shard_nodes(self._trie, shard, pool)
-            for _, raw in slice_.items:
-                collect_subtree(self._db, Account.decode(raw).storage_root,
-                                pool)
-        except BaseException:
-            # an account subtree marked complete above a storage trie that
-            # never made it in would be skipped at every later height
-            pool.clear()
-            raise
-        return pool.nodes
+        return extract_shard_nodes(self._trie, shard, pool,
+                                   Account.storage_root_of)
 
     def shard_slice(self, shard: ShardRange,
                     pool: Optional[ShardPool] = None) -> "StateDB":

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Optional, Protocol, Sequence
 
 from ..chain.header import BlockHeader
-from ..net.futures import wait_all
+from ..net.futures import submit_call, wait_all
 from .headerchain import HeaderChain, HeaderChainError
 
 __all__ = ["HeaderSource", "SyncError", "HeaderSyncer", "is_better_update"]
@@ -97,28 +97,19 @@ class HeaderSyncer:
         overlapping in-flight requests and awaited together, so a fetch
         round costs the *slowest* source's round trip instead of the sum —
         and a dead source costs one shared synchrony bound, not its own.
-        Sources without it are called synchronously, as before.  Returns
-        ``(source_index, value)`` pairs for the sources that answered.
+        Sources without it answer at once (:func:`submit_call`).  Returns
+        ``(source_index, value)`` pairs, in index order, for the sources
+        that answered.
         """
-        pending: dict[int, Any] = {}
+        replies = [submit_call(source, method, *args)
+                   for source in self.sources]
+        wait_all(replies)
         answered: list[tuple[int, Any]] = []
-        for index, source in enumerate(self.sources):
-            submit = getattr(source, "submit", None)
-            if submit is not None:
-                pending[index] = submit(method, *args)
-                continue
-            try:
-                answered.append((index, getattr(source, method)(*args)))
-            except Exception:  # noqa: BLE001 — a dead source is not fatal
-                continue
-        if pending:
-            wait_all(pending.values())
-            for index, reply in pending.items():
-                if reply.ok:
-                    answered.append((index, reply.result()))
-                else:
-                    reply.cancel()  # timed out / failed: drop the correlation
-        answered.sort()
+        for index, reply in enumerate(replies):
+            if reply.ok:
+                answered.append((index, reply.result()))
+            else:
+                reply.cancel()  # timed out / failed: drop the correlation
         return answered
 
     def head_target(self) -> int:

@@ -24,6 +24,7 @@ __all__ = [
     "EndpointTimeout",
     "ReplyCancelled",
     "PendingReply",
+    "submit_call",
     "ExponentialBackoff",
     "wait_any",
     "wait_all",
@@ -205,6 +206,24 @@ class PendingReply:
                 f"{self._state})")
 
 
+def submit_call(endpoint: Any, method: str, *args: Any) -> PendingReply:
+    """Issue ``method(*args)`` on ``endpoint`` as a future.
+
+    A transport-capable endpoint (one with ``submit``) returns a genuinely
+    in-flight reply.  An in-process one runs the call now and hands back a
+    settled reply — its exception too, raised again by ``result()`` like a
+    failure that came over a network — so callers never branch.
+    """
+    submit = getattr(endpoint, "submit", None)
+    if submit is not None:
+        return submit(method, *args)
+    try:
+        value = getattr(endpoint, method)(*args)
+    except Exception as exc:  # noqa: BLE001 — settle, don't raise
+        return PendingReply.failed(exc, method=method)
+    return PendingReply.completed(value, method=method)
+
+
 class ExponentialBackoff:
     """Deterministic jittered exponential backoff.
 
@@ -292,7 +311,7 @@ def wait_all(replies: Iterable[PendingReply]) -> bool:
     """
     replies = list(replies)
     driver, pending = _in_flight(replies)
-    if driver is not None:
+    if driver is not None:  # a settled reply waits for nothing
         driver(lambda: not all(reply.done() for reply in pending),
-               _default_bound(replies))
+               _default_bound(pending))
     return all(reply.done() for reply in replies)

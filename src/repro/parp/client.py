@@ -28,7 +28,7 @@ from ..contracts.addresses import CHANNELS_MODULE_ADDRESS
 from ..contracts.channels import channel_status_slot
 from ..crypto.keys import Address, PrivateKey
 from ..lightclient.sync import HeaderSyncer, SyncError
-from ..net.futures import PendingReply
+from ..net.futures import PendingReply, submit_call
 from ..rlp import codec as rlp
 from ..trie.proof import HashMemo
 from ..vm.abi import encode_call
@@ -369,23 +369,6 @@ class LightClientSession:
     # The non-blocking request path (issue now, verify on collect)
     # ------------------------------------------------------------------ #
 
-    def _submit(self, method: str, wire: bytes) -> PendingReply:
-        """Issue one endpoint call without blocking.
-
-        Transport-capable endpoints return a genuinely in-flight future;
-        in-process endpoints execute synchronously and hand back an
-        already-resolved one, so callers never branch.
-        """
-        submit = getattr(self.endpoint, "submit", None)
-        if submit is not None:
-            return submit(method, wire)
-        try:
-            value = getattr(self.endpoint, method)(wire)
-        except Exception as exc:  # noqa: BLE001 — resolve, don't raise: the
-            # failure surfaces (typed) at collect time, same as over a network
-            return PendingReply.failed(exc, method=method)
-        return PendingReply.completed(value, method=method)
-
     def _require_bonded(self) -> None:
         if self.state is not LightClientState.BONDED or self.channel is None:
             raise SessionError(f"no bonded channel (state={self.state.value})")
@@ -424,7 +407,8 @@ class LightClientSession:
             raise SessionError(str(exc)) from exc
         request = build(payload, amount)
         self.channel.record_request(amount)
-        reply = self._submit(request.endpoint, request.encode_wire())
+        reply = submit_call(self.endpoint, request.endpoint,
+                            request.encode_wire())
         return PendingQuery(request=request, reply=reply)
 
     def collect(self, pending: PendingQuery,
@@ -618,8 +602,18 @@ class LightClientSession:
             self._result("eth_getTransactionReceipt", tx_hash))
         return receipt_bytes
 
+    def _unverified_int(self, method: str, *params: Any) -> int:
+        """An unverifiable call's integer answer.  Nothing authenticates
+        it, so an undecodable one is INVALID like any undecodable reply."""
+        try:
+            return decode_int_result(self._result(method, *params))
+        except (MessageError, rlp.RLPError) as exc:
+            raise InvalidResponse(VerificationReport(
+                ResponseClass.INVALID, "decode", str(exc),
+            )) from exc
+
     def block_number(self) -> int:
-        return decode_int_result(self._result("eth_blockNumber"))
+        return self._unverified_int("eth_blockNumber")
 
     # ------------------------------------------------------------------ #
     # Liveness check (§V-C)
@@ -627,8 +621,7 @@ class LightClientSession:
 
     def channel_status_fast(self) -> int:
         """Unverified probe: ask the FN what it thinks the status is."""
-        return decode_int_result(
-            self._result("parp_channelStatus", self.channel.alpha))
+        return self._unverified_int("parp_channelStatus", self.channel.alpha)
 
     def channel_status_verified(self) -> int:
         """Verified probe: read the CMM's status slot with a storage proof.

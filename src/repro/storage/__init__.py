@@ -33,7 +33,6 @@ from .compaction import (
     CompactionReport,
     RetentionPolicy,
     compact_node_store,
-    live_state_nodes,
 )
 from .filestore import (
     AppendOnlyFileStore,
@@ -61,7 +60,6 @@ __all__ = [
     "RetentionPolicy",
     "CompactionReport",
     "compact_node_store",
-    "live_state_nodes",
     "open_state_dir",
     "MAGIC",
     "BLOCK_LOG_MAGIC",

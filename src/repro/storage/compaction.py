@@ -10,16 +10,16 @@ This module closes that ops gap:
   (keep the state of the newest K blocks provable and let everything
   older go).  Policies also carry the auto-compaction trigger thresholds.
 
-* :func:`live_state_nodes` — the reachability walk.  Starting from a state
-  root it yields every node of the account trie *and* of every referenced
-  account storage trie exactly once (transaction/receipt tries are built
-  in throwaway memory stores per block, so they never land in
-  ``nodes.log`` and need no walking).
-
 * :func:`compact_node_store` — the pass itself.  It takes the roots to
-  keep from its caller (stores carry no policy) and walks them
-  oldest-first (sharing one seen-set, so a node reachable from two roots
-  is written once, in the oldest batch that needs it), then asks the store
+  keep from its caller (stores carry no policy) and finds their live set
+  with the one walk of a state's node set,
+  :func:`~repro.trie.shard.walk_state_nodes` — the shard slices' walk, run
+  over the whole state: every node of the account trie *and* of every
+  referenced account storage trie, pre-order (transaction/receipt tries
+  are built in throwaway memory stores per block, so they never land in
+  ``nodes.log`` and need no walking).  It walks the roots oldest-first
+  into one node set, so a node reachable from two roots is written once,
+  in the oldest batch that needs it, then asks the store
   to rewrite those batches into a fresh log beside the old one and promote
   it by atomic rename.  A crash at any byte offset therefore recovers to
   either the complete old log or the complete new one — never a blend.
@@ -38,15 +38,15 @@ reverse order could leave the block log demanding a pruned root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 from ..crypto.keccak import KECCAK_EMPTY_RLP
-from .nodestore import NodeStore, StoreError
+from .nodestore import StoreError
 
 __all__ = [
     "RetentionPolicy",
     "CompactionReport",
-    "live_state_nodes",
     "compact_node_store",
 ]
 
@@ -132,77 +132,6 @@ class CompactionReport:
         return self.bytes_reclaimed / self.bytes_before
 
 
-def live_state_nodes(store: NodeStore, root: bytes,
-                     seen: Optional[set] = None
-                     ) -> Iterator[tuple[bytes, bytes]]:
-    """Yield ``(hash, raw_rlp)`` for every node reachable from ``root``.
-
-    Walks the account trie and, for every account whose ``storage_root``
-    is non-empty, that storage trie too.  ``seen`` deduplicates across
-    calls — pass one set when walking several retained roots so shared
-    subtrees (the common case: consecutive roots differ in a few paths)
-    are yielded exactly once, by the first walk that reaches them.
-
-    Raises :class:`StoreError` if a referenced node is missing — a store
-    that cannot resolve its own retained root must not be compacted into a
-    log that silently drops the hole.
-    """
-    # chain/trie imports deferred: storage stays importable on its own
-    # (blocklog.py uses the same pattern for block decoding)
-    from ..chain.account import Account
-    from ..rlp import codec as rlp
-    from ..rlp.codec import RLPError
-    from ..trie.nibbles import hp_decode
-
-    if seen is None:
-        seen = set()
-    if root == _EMPTY_ROOT:
-        return
-
-    def walk(ref, in_account_trie: bool) -> Iterator[tuple[bytes, bytes]]:
-        if isinstance(ref, (bytes, bytearray)):
-            if ref == b"":
-                return
-            ref = bytes(ref)
-            if ref in seen:
-                return
-            raw = store.get(ref)
-            if raw is None:
-                raise StoreError(
-                    f"missing trie node {ref.hex()} while collecting the "
-                    "live set — the store cannot resolve a retained root"
-                )
-            seen.add(ref)
-            yield ref, raw
-            node = rlp.decode(raw)
-        else:
-            node = ref  # inlined (< 32-byte) child, already decoded
-        if len(node) == 17:
-            for i in range(16):
-                yield from walk(node[i], in_account_trie)
-            if in_account_trie and node[16] != b"":
-                yield from storage_of(node[16])
-        else:
-            path, is_leaf = hp_decode(node[0])
-            if is_leaf:
-                if in_account_trie:
-                    yield from storage_of(node[1])
-            else:
-                yield from walk(node[1], in_account_trie)
-
-    def storage_of(raw_account) -> Iterator[tuple[bytes, bytes]]:
-        try:
-            account = Account.decode(bytes(raw_account))
-        except RLPError as exc:  # pragma: no cover - state tries hold accounts
-            raise StoreError(f"unreadable account record in live set: {exc}")
-        if account.storage_root != _EMPTY_ROOT:
-            yield from walk(account.storage_root, False)
-
-    if len(root) != 32:
-        raise StoreError(f"state roots are 32-byte hashes, got {len(root)}")
-    yield from walk(root, True)
-
-
 def _dedup_keep_last(roots: Iterable[bytes]) -> list[bytes]:
     ordered: list[bytes] = []
     seen: set[bytes] = set()
@@ -224,7 +153,7 @@ def compact_node_store(store, retain_roots: Sequence[bytes]
 
     The heavy lifting — tmp-file write, fsync, atomic rename, index swap —
     happens in :meth:`AppendOnlyFileStore.compact`; this function
-    materializes each retained batch via :func:`live_state_nodes`.
+    materializes each retained batch: the nodes the walk adds for its root.
     """
     if not hasattr(store, "compact"):
         raise StoreError(
@@ -239,19 +168,32 @@ def compact_node_store(store, retain_roots: Sequence[bytes]
     pruned = [root for root in _dedup_keep_last(store.root_history)
               if root not in retained_set and root != _EMPTY_ROOT]
 
-    seen: set[bytes] = set()
+    # chain/trie imports deferred: storage stays importable on its own
+    # (blocklog.py uses the same pattern for block decoding)
+    from ..chain.account import Account
+    from ..rlp import codec as rlp
+    from ..trie.mpt import TrieError
+    from ..trie.shard import ShardPool, walk_state_nodes
+
+    pool = ShardPool()
     batches: list[tuple[bytes, list[tuple[bytes, bytes]]]] = []
-    live_nodes = 0
     for root in retain:
-        nodes = list(live_state_nodes(store, root, seen))
-        live_nodes += len(nodes)
-        batches.append((root, nodes))
+        before = len(pool.nodes)
+        try:
+            walk_state_nodes(store, lambda _, raw: rlp.decode(raw), root, None,
+                             Account.storage_root_of, pool)
+        except (TrieError, rlp.RLPError) as exc:
+            # a store that cannot resolve its own retained root must not be
+            # compacted into a log that silently drops the hole
+            raise StoreError(f"cannot collect the live set of root "
+                             f"{root.hex()}: {exc}") from exc
+        batches.append((root, list(islice(pool.nodes.items(), before, None))))
 
     bytes_before, bytes_after = store.compact(batches, pruned)
     return CompactionReport(
         retained_roots=tuple(retain),
         pruned_roots=tuple(pruned),
-        live_nodes=live_nodes,
+        live_nodes=len(pool.nodes),
         bytes_before=bytes_before,
         bytes_after=bytes_after,
     )

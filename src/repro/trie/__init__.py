@@ -21,12 +21,11 @@ from .shard import (
     ShardError,
     ShardPool,
     ShardRange,
-    ShardSlice,
-    collect_subtree,
     extract_shard_nodes,
     shard_commitment,
     shard_head,
     shard_of_key,
+    walk_state_nodes,
 )
 
 __all__ = [
@@ -34,10 +33,9 @@ __all__ = [
     "ShardError",
     "ShardRange",
     "ShardPool",
-    "ShardSlice",
     "shard_of_key",
+    "walk_state_nodes",
     "extract_shard_nodes",
-    "collect_subtree",
     "shard_head",
     "shard_commitment",
     "DEFAULT_NODE_CACHE_CAPACITY",

@@ -28,12 +28,17 @@ are content-addressed, so a reference already materialized whole at an
 earlier height names the same subtree at this one, and a walk handed the
 server's :class:`ShardPool` stops there.  Extending the pool to a new height
 reads the dirty paths in range, not the range.
+
+:func:`walk_state_nodes` is the one walk of a state's node set — the account
+trie plus the storage trie of every account reached.  A shard slice is that
+walk under one range; last-K compaction (``storage/compaction.py``) runs it
+over the whole state of each retained root to find the live set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from ..crypto.keccak import keccak256
 from ..metrics.cache import LRUCache
@@ -44,16 +49,15 @@ from .mpt import (
     MerklePatriciaTrie,
     TrieError,
 )
-from .nibbles import Nibbles, hp_decode, nibbles_to_bytes
+from .nibbles import hp_decode
 
 __all__ = [
     "ShardError",
     "ShardRange",
     "ShardPool",
-    "ShardSlice",
     "shard_of_key",
+    "walk_state_nodes",
     "extract_shard_nodes",
-    "collect_subtree",
     "shard_head",
     "shard_commitment",
 ]
@@ -141,13 +145,14 @@ class ShardPool:
     """One shard server's node set, kept across heights.
 
     ``nodes`` is content-addressed (hash -> encoding) and only ever grows;
-    ``complete`` holds the hashes whose *entire* subtree is in ``nodes``.
-    The two are kept apart because of the root nodes: every height's root
-    is in ``nodes`` (each proof starts there) with only its in-range
-    children materialized, so a root is never ``complete`` and a walk that
-    meets its hash again as an ordinary reference still descends.  Nothing
-    out of range ever enters ``nodes``, at any height — which is what keeps
-    out-of-range proofs structurally impossible for views built over it.
+    ``complete`` holds the hashes whose *entire* subtree is in ``nodes``,
+    storage tries under an account included.  The two are kept apart because
+    of the root nodes: every height's root is in ``nodes`` (each proof starts
+    there) with only its in-range children materialized, so a root is never
+    ``complete`` and a walk that meets its hash again as an ordinary
+    reference still descends.  Nothing out of range ever enters ``nodes``, at
+    any height — which is what keeps out-of-range proofs structurally
+    impossible for views built over it.
 
     ``node_cache`` is the decoded-node LRU of those views.  It is the
     pool's own, not the full node's: a cache hit resolves a reference
@@ -160,119 +165,40 @@ class ShardPool:
         self.complete: set[bytes] = set()
         self.node_cache = LRUCache(capacity=DEFAULT_NODE_CACHE_CAPACITY)
 
-    def clear(self) -> None:
-        self.nodes.clear()
-        self.complete.clear()
-        self.node_cache.clear()
+
+#: every nibble: what a walk reads below the root, and of a whole state
+_ALL_NIBBLES = range(SHARD_NIBBLES)
 
 
-@dataclass(frozen=True)
-class ShardSlice:
-    """One shard's materialized view of a trie.
+def walk_state_nodes(db, decode: Callable[[bytes, bytes], rlp.Item],
+                     root: bytes, shard: Optional[ShardRange],
+                     storage_root_of: Optional[Callable[[bytes], bytes]],
+                     pool: ShardPool) -> None:
+    """Add the node set of the state at ``root`` to ``pool``: the trie's
+    nodes and, through ``storage_root_of``, the storage trie of every
+    account reached.
 
-    ``nodes`` is the pruned node set (root node + in-range subtrees) — the
-    pool's, when the walk was handed one; ``items`` are the in-range (key,
-    value) pairs the walk reached, i.e. all of them from scratch and the
-    ones under a changed path when extending a pool.  The state layer uses
-    them to pull in the storage subtrees of in-range accounts.
+    The one walk of a state's node set.  A shard server passes its
+    ``shard``: the root node plus the subtrees of the owned root-branch
+    slots (a leaf/extension root's whole trie hangs off one nibble, so the
+    covering shard owns all of it and every other shard just the root).
+    Compaction passes ``None`` for the whole state.  ``storage_root_of``
+    reads an account leaf's storage root — the chain layer's knowledge;
+    ``None`` walks a trie whose leaves are not accounts.  ``decode`` is
+    the caller's ``(hash, encoding) -> node``, so each walk decodes
+    through its own cache.
+
+    The order is pre-order — a node, its children 0–15, then an account's
+    storage trie — and compaction writes nodes in it.  A hash enters
+    ``pool.complete`` only once everything under it is in ``pool.nodes``,
+    so a walk interrupted by a missing node (:class:`TrieError`) leaves
+    nothing marked complete above the hole, and a later walk skips exactly
+    the subtrees already complete.
     """
-
-    shard: ShardRange
-    root: bytes
-    nodes: dict[bytes, bytes]
-    items: tuple[tuple[bytes, bytes], ...]
-
-
-def extract_shard_nodes(trie: MerklePatriciaTrie, shard: ShardRange,
-                        pool: Optional[ShardPool] = None) -> ShardSlice:
-    """The pruned node set a shard server materializes for ``shard``.
-
-    Always includes the root node (every proof starts there, and exclusion
-    proofs for absent in-range keys may end there); descends only into
-    subtrees whose leading nibble path intersects the range.  Proofs
-    generated from the slice are identical to full-trie proofs for in-range
-    keys; out-of-range keys dead-end on a missing node (:class:`ProofError`
-    from the proof layer) — the structural range enforcement.
-
-    With a ``pool`` the walk extends it in place and skips every reference
-    the pool already holds completely, so the cost is the in-range paths
-    that differ from the heights walked before.
-    """
-    if pool is None:
-        pool = ShardPool()
-    root = trie.root_hash  # commits any pending overlay
     nodes, complete = pool.nodes, pool.complete
-    items: list[tuple[bytes, bytes]] = []
-    if root == EMPTY_TRIE_ROOT:
-        return ShardSlice(shard, root, nodes, ())
-    encoded = trie.db.get(root)
-    if encoded is None:
-        raise TrieError(f"missing root node {root.hex()}")
-    nodes[root] = encoded
-    node = trie.load_node(root, encoded)
 
-    def collect(ref: rlp.Item, prefix: Nibbles) -> None:
-        """Collect an entire subtree (nodes by hash + leaf items)."""
-        hashed = isinstance(ref, bytes)
-        if hashed:
-            if ref == _BLANK or ref in complete:
-                return
-            raw = trie.db.get(ref)
-            if raw is None:
-                raise TrieError(f"missing trie node {ref.hex()}")
-            nodes[ref] = raw
-            child = trie.load_node(ref, raw)
-        else:
-            child = ref  # inlined: already part of the parent's encoding
-        if len(child) == 17:
-            if child[16] != _BLANK:
-                items.append((nibbles_to_bytes(prefix), child[16]))
-            for i in range(16):
-                collect(child[i], prefix + (i,))
-        else:
-            path, is_leaf = hp_decode(child[0])
-            if is_leaf:
-                items.append((nibbles_to_bytes(prefix + path), child[1]))
-            else:
-                collect(child[1], prefix + path)
-        if hashed:
-            complete.add(ref)  # post-order: only once all of it is in
-
-    if len(node) == 17:
-        # branch root: keep exactly the owned slots; the root-branch value
-        # (an empty key — impossible for fixed-width hashed keys) stays with
-        # the shard owning nibble 0
-        if node[16] != _BLANK and shard.covers_nibble(0):
-            items.append((b"", node[16]))
-        for i in range(16):
-            if shard.covers_nibble(i):
-                collect(node[i], (i,))
-    else:
-        # leaf/extension root: the whole trie hangs off one nibble path; the
-        # covering shard owns all of it, every other shard holds just the
-        # root node (enough to prove any in-range key absent)
-        path, _ = hp_decode(node[0])
-        head = path[0] if path else 0
-        if shard.covers_nibble(head):
-            if hp_decode(node[0])[1]:
-                items.append((nibbles_to_bytes(path), node[1]))
-            else:
-                collect(node[1], path)
-    return ShardSlice(shard, root, nodes, tuple(items))
-
-
-def collect_subtree(db, root_hash: bytes,
-                    pool: Optional[ShardPool] = None) -> dict[bytes, bytes]:
-    """Every stored node reachable from ``root_hash`` (storage tries of
-    in-range accounts are pulled into a slice whole) — into ``pool``,
-    skipping what it already holds completely, when given one."""
-    if pool is None:
-        pool = ShardPool()
-    nodes, complete = pool.nodes, pool.complete
-    if root_hash == EMPTY_TRIE_ROOT:
-        return nodes
-
-    def walk(ref: rlp.Item) -> None:
+    def walk(ref: rlp.Item, accounts, within: range) -> None:
+        # accounts: storage_root_of in the account trie, None in a storage trie
         hashed = isinstance(ref, bytes)
         if hashed:
             if ref == _BLANK or ref in complete:
@@ -281,19 +207,55 @@ def collect_subtree(db, root_hash: bytes,
             if raw is None:
                 raise TrieError(f"missing trie node {ref.hex()}")
             nodes[ref] = raw
-            node = rlp.decode(raw)
+            node = decode(ref, raw)
         else:
-            node = ref
+            node = ref  # inlined: already part of the parent's encoding
         if len(node) == 17:
-            for i in range(16):
-                walk(node[i])
-        elif not hp_decode(node[0])[1]:
-            walk(node[1])
-        if hashed:
+            for i in within:
+                walk(node[i], accounts, _ALL_NIBBLES)
+            # the value slot is keyed by the empty path: nibble 0's shard
+            value = node[16] if 0 in within else _BLANK
+        else:
+            path, is_leaf = hp_decode(node[0])
+            if (path[0] if path else 0) not in within:
+                return  # a leaf/extension root off this shard's nibbles
+            if is_leaf:
+                value = node[1]
+            else:
+                walk(node[1], accounts, _ALL_NIBBLES)
+                value = _BLANK
+        if accounts is not None and value != _BLANK:
+            storage = accounts(value)
+            if storage != EMPTY_TRIE_ROOT:
+                walk(storage, None, _ALL_NIBBLES)
+        if hashed and within is _ALL_NIBBLES:  # a shard's root never is
             complete.add(ref)
 
-    walk(root_hash)
-    return nodes
+    if root != EMPTY_TRIE_ROOT:
+        walk(root, storage_root_of,
+             _ALL_NIBBLES if shard is None else range(shard.lo, shard.hi))
+
+
+def extract_shard_nodes(trie: MerklePatriciaTrie, shard: ShardRange,
+                        pool: ShardPool,
+                        storage_root_of: Optional[Callable[[bytes], bytes]]
+                        ) -> dict[bytes, bytes]:
+    """Extend ``pool`` by ``shard``'s slice of ``trie``; returns its nodes.
+
+    Always includes the root node (every proof starts there, and exclusion
+    proofs for absent in-range keys may end there); descends only into
+    subtrees whose leading nibble path intersects the range.  Proofs
+    generated from the slice are identical to full-trie proofs for in-range
+    keys; out-of-range keys dead-end on a missing node (:class:`ProofError`
+    from the proof layer) — the structural range enforcement.
+
+    The walk (:func:`walk_state_nodes`) skips every reference the pool
+    already holds completely, so the cost is the in-range paths that differ
+    from the heights walked before.
+    """
+    walk_state_nodes(trie.db, trie.load_node, trie.root_hash, shard,
+                     storage_root_of, pool)
+    return pool.nodes
 
 
 def shard_head(trie: MerklePatriciaTrie, shard: ShardRange) -> rlp.Item:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from repro.chain import GenesisConfig
+from repro.chain.account import Account
 from repro.contracts import DEPOSIT_MODULE_ADDRESS
 from repro.crypto import PrivateKey
 from repro.crypto import keccak as keccak_module
@@ -30,7 +31,9 @@ from repro.parp import (
 )
 from repro.parp.client import served_result
 from repro.parp.queries import decode_balance
+from repro.rlp import codec as rlp
 from repro.storage import AppendOnlyFileStore, MemoryNodeStore
+from repro.trie import ShardPool, walk_state_nodes
 
 TOKEN = 10 ** 18
 
@@ -44,6 +47,15 @@ NODE_STORE_BACKENDS = [
     if backend.strip()
 ]
 
+
+
+def state_nodes(store, root) -> dict[bytes, bytes]:
+    """The node set of the state at ``root`` — hash -> encoding, in the
+    order compaction writes it — read the way compaction reads it."""
+    pool = ShardPool()
+    walk_state_nodes(store, lambda _, raw: rlp.decode(raw), root, None,
+                     Account.storage_root_of, pool)
+    return pool.nodes
 
 
 def get_balances(client, addresses) -> list[int]:

@@ -39,9 +39,9 @@ from repro.node import Devnet
 from repro.parp import RpcCall
 from repro.parp.states import ResponseClass
 from repro.rlp import codec as rlp
-from repro.trie import ProofIndex, collect_subtree, verify_proof
+from repro.trie import ProofIndex, verify_proof
 
-from ..conftest import counted_keccak, make_parp_env, tree_passes
+from ..conftest import counted_keccak, make_parp_env, state_nodes, tree_passes
 from .test_e2e_sharded import ShardWorld
 
 TOKEN = 10 ** 18
@@ -438,12 +438,12 @@ def seal_counted(net, monkeypatch):
     chain, store = net.chain, net.chain.db
     # transactions reach a node decoded from the wire: nothing memoized
     chain.mempool = [Transaction.decode(tx.encode()) for tx in chain.mempool]
-    before = set(collect_subtree(store, chain.head.header.state_root))
+    before = set(state_nodes(store, chain.head.header.state_root))
     records, batches = store.stats.entries_written, store.stats.batches_committed
     with counted_keccak(monkeypatch) as hashed:
         block = chain.build_block(coinbase=MINER,
                                   timestamp=chain.head.header.timestamp + 1)
-    after = collect_subtree(store, block.header.state_root)
+    after = state_nodes(store, block.header.state_root)
     dirty = [raw for key, raw in after.items() if key not in before]
     assert store.stats.batches_committed - batches == 1
     assert store.stats.entries_written - records == len(dirty)

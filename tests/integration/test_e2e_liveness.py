@@ -1,12 +1,13 @@
 """§V-C liveness: catching channels that are closed behind the client's back."""
 
+import dataclasses
 import inspect
 
 import pytest
 
 from repro.contracts import CHANNELS_MODULE_ADDRESS
-from repro.parp import RequestRefused, RpcCall
-from repro.parp import liveness
+from repro.parp import InvalidResponse, RequestRefused, RpcCall
+from repro.parp import liveness, queries
 from repro.parp.liveness import LivenessAlert, LivenessMonitor
 from repro.parp.sharding import shard_key_of_call
 from repro.parp.states import ChannelStatus
@@ -147,3 +148,34 @@ class TestRefusedProbes:
         assert observation.claimed_status == ChannelStatus.OPEN.value
         assert observation.verified_status is None
         assert env.server.stats.out_of_range_rejected == 1
+
+
+#: signed answers to an unverifiable call that are no integer: a list, an
+#: integer with a leading zero byte, a truncated long-string header
+JUNK = (b"\xc0", b"\x82\x00\x01", b"\xb8")
+
+
+class TestJunkUnverifiedAnswers:
+    """Nothing authenticates an unverifiable answer, so one that does not
+    decode is an INVALID response, never a crash of the monitor: the
+    verified storage-proof probe still runs."""
+
+    @pytest.mark.parametrize("junk", JUNK)
+    def test_a_junk_claim_falls_back_to_the_verified_read(
+            self, parp_env, monkeypatch, junk):
+        monkeypatch.setattr(parp_env.server, "_channel_status",
+                            lambda call: (junk, []))
+        observation = LivenessMonitor(parp_env.session).probe(now=0.0)
+        assert observation.claimed_status is None
+        assert observation.verified_status == ChannelStatus.OPEN.value
+
+    @pytest.mark.parametrize("junk", JUNK)
+    def test_a_junk_block_number_is_an_invalid_response(
+            self, parp_env, monkeypatch, junk):
+        spec = queries.QUERY_CATALOG["eth_blockNumber"]
+        monkeypatch.setitem(
+            queries.QUERY_CATALOG, "eth_blockNumber",
+            dataclasses.replace(spec, execute=lambda *_: (junk, [])))
+        with pytest.raises(InvalidResponse) as excinfo:
+            parp_env.session.block_number()
+        assert excinfo.value.report.check == "decode"

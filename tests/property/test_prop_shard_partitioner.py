@@ -24,6 +24,7 @@ from repro.trie import (
     MerklePatriciaTrie,
     ProofError,
     ShardError,
+    ShardPool,
     ShardRange,
     TrieError,
     extract_shard_nodes,
@@ -116,8 +117,8 @@ class TestSliceProofs:
         root = trie.root_hash
         for index in range(count):
             shard = ShardRange.of(index, count)
-            slice_ = extract_shard_nodes(trie, shard)
-            sliced = MerklePatriciaTrie(MemoryNodeStore(dict(slice_.nodes)),
+            nodes = extract_shard_nodes(trie, shard, ShardPool(), None)
+            sliced = MerklePatriciaTrie(MemoryNodeStore(dict(nodes)),
                                         root_hash=root)
             for probe in probes:
                 if not shard.covers(probe):
@@ -137,8 +138,8 @@ class TestSliceProofs:
         root = trie.root_hash
         index = shard_of_key(probe, count)
         foreign = ShardRange.of((index + 1) % count, count)
-        slice_ = extract_shard_nodes(trie, foreign)
-        sliced = MerklePatriciaTrie(MemoryNodeStore(dict(slice_.nodes)),
+        nodes = extract_shard_nodes(trie, foreign, ShardPool(), None)
+        sliced = MerklePatriciaTrie(MemoryNodeStore(dict(nodes)),
                                     root_hash=root)
         try:
             proof = generate_proof(sliced, probe)
@@ -150,16 +151,24 @@ class TestSliceProofs:
 
     @given(mappings, counts)
     @settings(max_examples=60, deadline=None)
-    def test_slice_items_partition_the_model(self, model, count):
-        """Each key/value lands in exactly one shard's extracted items."""
+    def test_slices_partition_the_node_set(self, model, count):
+        """The slices of a full partition jointly hold the trie's node set —
+        what a fresh store holds after one commit — and each key is
+        provable in the shard covering it."""
         trie = build(model)
-        seen = {}
+        root = trie.root_hash
+        held = set()
         for index in range(count):
-            slice_ = extract_shard_nodes(trie, ShardRange.of(index, count))
-            for key, value in slice_.items:
-                assert key not in seen
-                seen[key] = value
-        assert seen == model
+            shard = ShardRange.of(index, count)
+            nodes = extract_shard_nodes(trie, shard, ShardPool(), None)
+            held |= set(nodes)
+            sliced = MerklePatriciaTrie(MemoryNodeStore(dict(nodes)),
+                                        root_hash=root)
+            for key, value in model.items():
+                if shard.covers(key):
+                    proof = generate_proof(sliced, key)
+                    assert verify_proof(root, key, proof) == value
+        assert held == set(trie.db)
 
 
 class TestRecombination:

@@ -45,7 +45,8 @@ class TestTopLevel:
         serving paths only tests reached, every retention, fsync and
         node-store option outside the chain, the second header pull path
         (``serve_header``, ``serve_bootstrap``, ``RangeUpdate``), Proof of
-        Serving, and private state taken as a constructor keyword."""
+        Serving, private state taken as a constructor keyword, and the
+        second and third walks of a state's node set."""
         import importlib
         import inspect
         import threading
@@ -58,6 +59,8 @@ class TestTopLevel:
         import repro.workloads
 
         for module, name in ((repro.trie, "NaiveMerklePatriciaTrie"),
+                             (repro.trie, "ShardSlice"),
+                             (repro.trie, "collect_subtree"),
                              (repro.rlp, "Sedes"),
                              (repro.parp, "PendingRequest"),
                              (repro.parp, "EVENT_VERSION_MISMATCH")):
@@ -192,11 +195,18 @@ class TestTopLevel:
         )
         from repro.storage.logfile import LogFile
         for name in ("as_node_store", "RetentionSpec", "open_node_store",
-                     "open_block_log"):
+                     "open_block_log", "live_state_nodes"):
             assert name not in repro.storage.__all__
             assert not hasattr(repro.storage, name)
         assert not hasattr(nodestore, "as_node_store")
         assert not hasattr(compaction, "RetentionSpec")
+        # one walk of a state's node set: slices and compaction share
+        # repro.trie.walk_state_nodes, and a cut walk leaves a pool usable
+        from repro.trie import shard
+        assert not hasattr(compaction, "live_state_nodes")
+        for name in ("ShardSlice", "collect_subtree"):
+            assert not hasattr(shard, name)
+        assert not hasattr(shard.ShardPool, "clear")
         assert not hasattr(RetentionPolicy, "parse")
         assert not hasattr(RetentionPolicy, "retained_roots")
         assert not hasattr(StateDB, "compact")

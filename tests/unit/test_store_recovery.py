@@ -18,6 +18,7 @@ from repro.storage import (
 )
 from repro.trie import EMPTY_TRIE_ROOT, MerklePatriciaTrie
 
+from ..conftest import state_nodes
 from ..reference_trie import trie_items
 
 
@@ -306,13 +307,12 @@ class TestReadCacheInvalidation:
     def test_compaction_drops_cached_bytes_of_pruned_nodes(self, tmp_path):
         """A node dropped by compaction must not be served from the read
         cache afterwards — the cache only fronts what the log holds."""
-        from repro.storage import compact_node_store, live_state_nodes
+        from repro.storage import compact_node_store
 
         path = tmp_path / "nodes.log"
         _build_account_batches(path)
         store = AppendOnlyFileStore(path)
-        survivors = {h for h, _ in
-                     live_state_nodes(store, store.last_root)}
+        survivors = set(state_nodes(store, store.last_root))
         doomed = [key for key in store._index if key not in survivors]
         assert doomed
         for key in doomed:  # make every doomed node cache-hot

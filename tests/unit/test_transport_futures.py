@@ -15,6 +15,7 @@ from repro.net import (
     wait_all,
     wait_any,
 )
+from repro.net.futures import submit_call
 from repro.parp.server import ServeError
 
 
@@ -209,6 +210,23 @@ class TestCombinators:
         assert wait_all([orphan, ep.submit("serve_updates_range", 2, 1)]) \
             is False
         assert not orphan.done()
+
+    def test_an_in_process_answer_settles_at_once_and_waits_for_nothing(
+            self):
+        """``submit_call`` on an endpoint without ``submit`` runs the call
+        now, its exception too; beside it, a dead remote source costs its
+        own synchrony bound, not the settled reply's default one."""
+        net, (ep,) = make_rig(timeout=1.0)
+        net.isolate("srv-0")
+        local = EchoServer("local")
+        answered = submit_call(local, "serve_updates_range", 7, 1)
+        failed = submit_call(local, "serve_head_number")
+        remote = submit_call(ep, "serve_updates_range", 7, 1)
+        assert answered.result() == ("local", 7)
+        with pytest.raises(RuntimeError, match="head exploded"):
+            failed.result()
+        assert wait_all([answered, failed, remote]) is False
+        assert net.clock.now() == pytest.approx(1.0)
 
     def test_wait_all_counts_cancellations_as_resolved(self):
         net, (ep,) = make_rig()
