@@ -224,12 +224,6 @@ REVIEWED: dict[tuple[str, str], tuple[str, str]] = {
         "convenience", "container protocol of the header chain"),
     ("metrics/cache.py", "LRUCache.__contains__"): (
         "convenience", "a membership probe that moves no hit/miss counter"),
-    ("net/futures.py", "PendingReply.cancelled"): (
-        "convenience", "concurrent.futures-shaped reply API (the futures contract)"),
-    ("net/futures.py", "PendingReply.exception"): (
-        "convenience", "concurrent.futures-shaped reply API (the futures contract)"),
-    ("net/futures.py", "PendingReply.state"): (
-        "convenience", "concurrent.futures-shaped reply API (the futures contract)"),
     ("net/transport.py", "SimEndpoint.address"): (
         "convenience", "ServerEndpoint's address member over the network, as "
         "FullNodeServer.address is in process"),

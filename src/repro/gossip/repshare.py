@@ -12,9 +12,9 @@ the path that can *never* hard-ban on gossip alone.
 
 The poisoning math stacks three bounds: zero-stake reporters are dropped
 outright, each reporter's negative influence per subject saturates at the
-ledger's ``REMOTE_BUDGET``, and the merged events are soft — an honest
-server smeared by a hostile minority sinks to the soft floor (last resort)
-while every first-hand success keeps pulling it back up.
+ledger's ``REMOTE_BUDGET``, and merged weight is never hard evidence — an
+honest server smeared by a hostile minority sinks to the soft floor (last
+resort) while every first-hand success keeps pulling it back up.
 """
 
 from __future__ import annotations
@@ -241,10 +241,10 @@ class ReputationShare:
             self.stats.understaked += 1
             return
         self._merged.add(dedup_key)
-        merged = self.ledger.merge_remote(event.subject, event.kind,
+        weight = self.ledger.merge_remote(event.subject, event.kind,
                                           self._clock(), reporter,
                                           discount=discount)
-        if merged is None:
+        if weight is None:
             self.stats.budget_capped += 1
             return
         self.stats.merged += 1

@@ -112,13 +112,6 @@ class PendingReply:
         """Resolved with a value (False while pending or on error/cancel)."""
         return self._state is _DONE
 
-    def cancelled(self) -> bool:
-        return self._state is _CANCELLED
-
-    @property
-    def state(self) -> str:
-        return self._state
-
     # -- waiting ----------------------------------------------------------- #
 
     def wait(self) -> bool:
@@ -151,12 +144,6 @@ class PendingReply:
         if self._exception is not None:
             raise self._exception
         return self._value
-
-    def exception(self) -> Optional[BaseException]:
-        """The resolved exception, or None (valid result, cancel, or still
-        pending after the wait)."""
-        self.wait()
-        return self._exception
 
     # -- resolution (transport side) --------------------------------------- #
 

@@ -55,7 +55,7 @@ _EXPORTS = {
     # sharding
     "shard_key_of_call": "sharding",
     # reputation
-    "ReputationLedger": "reputation", "ReputationEvent": "reputation",
+    "ReputationLedger": "reputation",
     "EVENT_WEIGHTS": "reputation", "EVENT_KINDS": "reputation",
     "EVENT_SERVED_OK": "reputation", "EVENT_CHANNEL_SETTLED": "reputation",
     "EVENT_INVALID_RESPONSE": "reputation", "EVENT_FRAUD_DETECTED": "reputation",

@@ -269,7 +269,7 @@ class LightClientSession:
     def __init__(self, key: PrivateKey, endpoint: ServerEndpoint,
                  headers: HeaderSyncer,
                  fee_schedule: FeeSchedule = DEFAULT_FEE_SCHEDULE,
-                 clock=None, hash_memo: Optional[HashMemo] = None) -> None:
+                 hash_memo: Optional[HashMemo] = None) -> None:
         self.key = key
         self.endpoint = endpoint
         self.headers = headers
@@ -283,17 +283,10 @@ class LightClientSession:
         self.full_node: Optional[Address] = None
         self.history: deque[RequestOutcome | BatchOutcome] = deque(
             maxlen=HISTORY_LIMIT)
-        self._clock = clock
 
     @property
     def address(self) -> Address:
         return self.key.address
-
-    def _now(self) -> int:
-        if self._clock is not None:
-            return int(self._clock())
-        # Without a wall clock, chain time is the shared notion of "now".
-        return self.headers.tip.timestamp if len(self.headers.chain) else 0
 
     # ------------------------------------------------------------------ #
     # Connection setup (Algorithm 1, light-client side)
@@ -317,7 +310,10 @@ class LightClientSession:
                 raise HandshakeError(
                     f"handshake answered with {type(confirm).__name__}")
             confirm.verify(self.address)     # line 11
-            if confirm.expiry < self._now():
+            # the expiry is chain time: the chain checks it against a
+            # block's timestamp, so the client checks the synced tip's
+            tip = self.headers.tip.timestamp if len(self.headers.chain) else 0
+            if confirm.expiry < tip:
                 raise SessionError("handshake confirmation already expired")
             self.full_node = confirm.full_node
 

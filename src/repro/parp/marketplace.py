@@ -537,8 +537,7 @@ class MarketplaceClient:
         if now is None:
             now = self._now()
         score = self.reputation.score(address, now)
-        if (self.reputation.events_of(address)
-                and self.reputation.raw_score(address, now) > 0.0):
+        if self.reputation.raw_score(address, now) > 0.0:
             return max(score, NEWCOMER_SCORE)
         return score
 
@@ -558,8 +557,6 @@ class MarketplaceClient:
         cheapest = min((max(1, a.reference_price) for a in ads), default=1)
         keep = []
         for ad in ads:
-            if self.reputation.is_banned(ad.address, now):
-                continue
             if keys and not all(ad.covers(key) for key in keys):
                 continue
             trust = self.trust(ad.address, now)
@@ -607,8 +604,7 @@ class MarketplaceClient:
     def _open_session(self, ad: ServerAdvertisement) -> LightClientSession:
         session = LightClientSession(
             self.key, ad.endpoint, self.headers,
-            fee_schedule=ad.fee_schedule, clock=self._clock,
-            hash_memo=self.hash_memo,
+            fee_schedule=ad.fee_schedule, hash_memo=self.hash_memo,
         )
         session.connect(budget=self.budget)
         self.sessions[ad.address] = session

@@ -1,10 +1,14 @@
 """Reputation tracking — the §VIII Sybil-mitigation sketch.
 
 "Introducing a reputation system to validate the legitimacy of served light
-clients could be one solution to this issue."  We keep an exponentially
-decayed event ledger per address; scores in [0, 1] guide the client's
-full-node selection (prefer long-lived, never-slashed nodes; distrust
-freshly minted identities).
+clients could be one solution to this issue."  We keep one *standing* per
+address — the weighted sum of its events, exponentially decayed to the
+latest event time told, and whether a first-hand one was hard negative —
+so the ledger grows with addresses, not events, and every read is O(1).
+Scores in [0, 1] guide the client's full-node selection (prefer long-lived,
+never-slashed nodes; distrust freshly minted identities).  A read stamped
+before the latest event reads the standing as of that event; every
+producer reads on the clock it records with.
 
 Event kinds are exported as constants so the client, server, marketplace,
 and tests share one vocabulary — ``record`` rejects unknown kinds, so a
@@ -36,7 +40,6 @@ __all__ = [
     "SATURATION",
     "SOFT_FLOOR",
     "REMOTE_BUDGET",
-    "ReputationEvent",
     "ReputationLedger",
 ]
 
@@ -93,19 +96,8 @@ SOFT_FLOOR = 0.05
 REMOTE_BUDGET = 30.0
 
 
-@dataclass(frozen=True)
-class ReputationEvent:
-    subject: Address
-    kind: str
-    time: float
-    weight: float
-    #: True when this event arrived over the reputation gossip topic rather
-    #: than from first-hand experience.  Remote events weigh into the score
-    #: but are **never** hard evidence: gossip alone cannot ban (see
-    #: :meth:`ReputationLedger.has_hard_negative`).
-    remote: bool = False
-    #: who vouched for a remote event (None for first-hand events).
-    reporter: Optional[Address] = None
+def _decay(age: float) -> float:
+    return 0.5 ** (age / HALF_LIFE)
 
 
 @dataclass
@@ -116,33 +108,50 @@ class ReputationLedger:
     unknown address scores :data:`NEWCOMER_SCORE`.
     """
 
-    _events: dict[Address, list[ReputationEvent]] = field(
+    #: address -> its standing: (the weighted sum of every event told,
+    #: decayed to the latest event time; that time; whether a first-hand
+    #: event was hard negative evidence)
+    _standings: dict[Address, tuple[float, float, bool]] = field(
         default_factory=dict, init=False)
     _remote_spent: dict[tuple[Address, Address], float] = field(
         default_factory=dict, init=False)
 
+    def _fold(self, subject: Address, weight: float, time: float,
+              hard: bool) -> None:
+        """Add one event to ``subject``'s standing.  An event older than the
+        standing is decayed by its age first; a newer one decays the
+        standing to its own time — so the order events are told in does
+        not matter."""
+        total, latest, was_hard = self._standings.get(
+            subject, (0.0, time, False))
+        if time >= latest:
+            total, latest = total * _decay(time - latest) + weight, time
+        else:
+            total += weight * _decay(latest - time)
+        self._standings[subject] = (total, latest, was_hard or hard)
+
     def record(self, subject: Address, kind: str, time: float) -> None:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown reputation event kind {kind!r}")
-        self._events.setdefault(subject, []).append(
-            ReputationEvent(subject, kind, time, EVENT_WEIGHTS[kind])
-        )
+        weight = EVENT_WEIGHTS[kind]
+        self._fold(subject, weight, time,
+                   weight < 0 and kind not in SOFT_EVENT_KINDS)
 
     def merge_remote(self, subject: Address, kind: str, time: float,
                      reporter: Address,
-                     discount: float = 1.0) -> Optional[ReputationEvent]:
+                     discount: float = 1.0) -> Optional[float]:
         """Fold one gossiped (foreign) event into the ledger.
 
         The event's native weight is scaled by ``discount`` (the caller's
         stake-derived confidence in the reporter, clamped to [0, 1]).
         Negative influence is additionally capped by :data:`REMOTE_BUDGET` per
-        (reporter, subject) pair, and the stored event is flagged
-        ``remote`` — so *no combination of gossiped events alone can
-        hard-ban*: :meth:`has_hard_negative` ignores remote evidence and a
-        purely-gossip-poisoned honest server bottoms out at :data:`SOFT_FLOOR`
-        (last resort, still selectable), exactly like an overload storm.
+        (reporter, subject) pair, and a remote event is never hard evidence
+        — so *no combination of gossiped events alone can hard-ban*:
+        a purely-gossip-poisoned honest server bottoms out at
+        :data:`SOFT_FLOOR` (last resort, still selectable), exactly like an
+        overload storm.
 
-        Returns the recorded event, or None when the event carried no
+        Returns the admitted weight, or None when the event carried no
         admissible weight (zero discount or an exhausted budget).
         """
         if kind not in EVENT_KINDS:
@@ -158,23 +167,12 @@ class ReputationLedger:
                                        - weight)
         elif weight == 0.0:
             return None
-        event = ReputationEvent(subject, kind, time, weight,
-                                remote=True, reporter=reporter)
-        self._events.setdefault(subject, []).append(event)
-        return event
-
-    def events_of(self, subject: Address) -> tuple[ReputationEvent, ...]:
-        """The raw event history for one address (oldest first)."""
-        return tuple(self._events.get(subject, ()))
+        self._fold(subject, weight, time, False)
+        return weight
 
     def raw_score(self, subject: Address, now: float) -> float:
-        events = self._events.get(subject, [])
-        total = 0.0
-        for event in events:
-            age = max(0.0, now - event.time)
-            decay = 0.5 ** (age / HALF_LIFE)
-            total += event.weight * decay
-        return total
+        total, latest, _ = self._standings.get(subject, (0.0, now, False))
+        return total * _decay(max(0.0, now - latest))
 
     def has_hard_negative(self, subject: Address) -> bool:
         """Whether any recorded event is *hard* negative evidence —
@@ -184,9 +182,7 @@ class ReputationLedger:
         requires first-hand evidence, so reputation poisoning over gossip
         can demote a server to last resort but can never exile it.
         """
-        return any(event.weight < 0 and event.kind not in SOFT_EVENT_KINDS
-                   and not event.remote
-                   for event in self._events.get(subject, ()))
+        return self._standings.get(subject, (0.0, 0.0, False))[2]
 
     def score(self, subject: Address, now: float) -> float:
         """Normalized score in [0, 1]; unknown addresses get NEWCOMER_SCORE.
@@ -195,7 +191,7 @@ class ReputationLedger:
         evidence; soft-only histories bottom out at :data:`SOFT_FLOOR` (an
         overload storm demotes a server to last resort, never to banned).
         """
-        if subject not in self._events:
+        if subject not in self._standings:
             return NEWCOMER_SCORE
         raw = self.raw_score(subject, now)
         if raw <= 0:
@@ -215,6 +211,5 @@ class ReputationLedger:
         requirement, a fresh server's very first ``Overloaded`` reply would
         take its raw score non-positive and exile it permanently.
         """
-        return (subject in self._events
-                and self.raw_score(subject, now) <= 0.0
-                and self.has_hard_negative(subject))
+        return (self.has_hard_negative(subject)
+                and self.raw_score(subject, now) <= 0.0)

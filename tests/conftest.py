@@ -11,6 +11,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.chain.account import Account
 from repro.contracts import DEPOSIT_MODULE_ADDRESS
 from repro.crypto import PrivateKey
 from repro.crypto import keccak as keccak_module
+from repro.crypto.keys import Address
 from repro.lightclient import HeaderSyncer
 from repro.node import Devnet, FullNode
 from repro.parp import (
@@ -31,6 +33,7 @@ from repro.parp import (
 )
 from repro.parp.client import served_result
 from repro.parp.queries import decode_balance
+from repro.parp.reputation import EVENT_WEIGHTS, ReputationLedger
 from repro.rlp import codec as rlp
 from repro.storage import AppendOnlyFileStore, MemoryNodeStore
 from repro.trie import ShardPool, walk_state_nodes
@@ -69,6 +72,46 @@ def get_balances(client, addresses) -> list[int]:
         outcome = client.query_batch(calls)
     return [decode_balance(served_result(item.status, item.result))
             for item in outcome.items]
+
+class Told(NamedTuple):
+    """One event a reputation ledger was told."""
+
+    subject: Address
+    kind: str
+    weight: float
+    reporter: Optional[Address]     # who gossiped it; None when first-hand
+
+    @property
+    def remote(self) -> bool:
+        return self.reporter is not None
+
+
+class LedgerRecorder(list):
+    """Every event a ledger's ``record`` took and its ``merge_remote``
+    admitted, in the order told.  The ledger keeps one decayed standing per
+    address, not its events: a test that asserts which events a run told it
+    wraps the ledger before the run starts."""
+
+    def __init__(self, ledger: ReputationLedger) -> None:
+        super().__init__()
+        record, merge_remote = ledger.record, ledger.merge_remote
+
+        def logged_record(subject, kind, time):
+            record(subject, kind, time)
+            self.append(Told(subject, kind, EVENT_WEIGHTS[kind], None))
+
+        def logged_merge_remote(subject, kind, time, reporter, **kw):
+            weight = merge_remote(subject, kind, time, reporter, **kw)
+            if weight is not None:
+                self.append(Told(subject, kind, weight, reporter))
+            return weight
+
+        ledger.record = logged_record
+        ledger.merge_remote = logged_merge_remote
+
+    def of(self, subject: Address) -> list[Told]:
+        return [told for told in self if told.subject == subject]
+
 
 class Preimages(list):
     """Every message hashed, in call order, whichever entry point took it;

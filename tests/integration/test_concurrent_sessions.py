@@ -66,9 +66,7 @@ class TestInterleavedOverSimNetwork:
                          for j in range(self.M_SERVERS)]
             for j in range(self.M_SERVERS):
                 session = LightClientSession(
-                    key, endpoints[j], HeaderSyncer(endpoints),
-                    clock=network.clock.now,
-                )
+                    key, endpoints[j], HeaderSyncer(endpoints))
                 session.connect(budget=BUDGET)
                 sessions[(i, j)] = session
 

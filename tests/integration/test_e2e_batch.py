@@ -36,7 +36,7 @@ from repro.parp.states import ResponseClass
 from repro.trie.proof import proof_size
 from repro.workloads import AccountSet
 
-from ..conftest import TOKEN, make_parp_env
+from ..conftest import TOKEN, LedgerRecorder, make_parp_env
 
 
 def balance_calls(keys, *people):
@@ -264,7 +264,8 @@ class RefusingServer(FullNodeServer):
 
 
 def refuser_market(over_network: bool = False):
-    """A cheap refusing server ranked first, one honest server second."""
+    """A cheap refusing server ranked first, one honest server second; the
+    client's ledger wrapped in a recorder from the start."""
     op_refuse, op_honest, lc, alice = (
         PrivateKey.from_seed(f"e2e:refuse:{tag}")
         for tag in ("op0", "op1", "lc", "alice"))
@@ -292,8 +293,9 @@ def refuser_market(over_network: bool = False):
         marketplace.advertise_server(refuser, name="refuser")
         marketplace.advertise_server(honest, name="honest")
     client = MarketplaceClient(lc, marketplace, budget=10 ** 15, clock=clock)
+    told = LedgerRecorder(client.reputation)
     client.connect()
-    return client, refuser, honest, alice
+    return client, refuser, honest, alice, told
 
 
 class TestVersionRefusal:
@@ -314,10 +316,10 @@ class TestVersionRefusal:
     def test_marketplace_fails_over_to_honest_server(self, over_network):
         """The refuser still serves the single wire, so it has a history
         before the batch; one refusal adds a timeout to it, not a ban."""
-        client, refuser, honest, alice = refuser_market(over_network)
+        client, refuser, honest, alice, told = refuser_market(over_network)
         for _ in range(4):
             assert client.get_balance(alice.address) == 5 * TOKEN
-        served = client.reputation.events_of(refuser.address)
+        served = told.of(refuser.address)
         assert [e.kind for e in served] == [EVENT_SERVED_OK] * 4
         assert client.eligible()[0].address == refuser.address
         acked = client.sessions[refuser.address].channel.acked
@@ -329,14 +331,14 @@ class TestVersionRefusal:
         assert decode_balance(outcome.items[0].result) == 5 * TOKEN
         assert client.last_hedge[-1].address == honest.address
         assert client.sessions[refuser.address].channel.acked == acked
-        events = client.reputation.events_of(refuser.address)
+        events = told.of(refuser.address)
         assert [e.kind for e in events[len(served):]] == [EVENT_TIMEOUT]
         assert not client.reputation.is_banned(refuser.address, client._now())
 
     def test_hedged_race_replaces_the_refusing_leg(self):
         """At fanout 2 the refuser's leg fails as a timeout and the honest
         leg wins; the refuser is paid nothing."""
-        client, refuser, honest, alice = refuser_market()
+        client, refuser, honest, alice, _ = refuser_market()
         client.connect(min_sessions=2)
         acked = client.sessions[refuser.address].channel.acked
         calls = [RpcCall.create("eth_getBalance", alice.address)] * 2
@@ -350,7 +352,7 @@ class TestVersionRefusal:
     def test_sharded_leg_fails_over_from_the_refuser(self):
         """With no shard servers a scatter is one leg, and that leg fails
         over from the refuser exactly as a plain batch does."""
-        client, refuser, honest, alice = refuser_market()
+        client, refuser, honest, alice, _ = refuser_market()
         calls = [RpcCall.create("eth_getBalance", alice.address),
                  RpcCall.create("eth_blockNumber")]
         outcome = client.query_sharded(calls)
@@ -364,7 +366,7 @@ class TestVersionRefusal:
         ranks it below the server that answered: the next batch is one
         attempt on the honest server, and the refuser's record holds that
         one timeout and nothing else."""
-        client, refuser, honest, alice = refuser_market()
+        client, refuser, honest, alice, told = refuser_market()
         calls = [RpcCall.create("eth_getBalance", alice.address)] * 2
         client.query_hedged(calls, fanout=1)
         assert [a.outcome for a in client.last_hedge] == ["timeout", "won"]
@@ -373,5 +375,4 @@ class TestVersionRefusal:
         outcome = client.query_hedged(calls, fanout=1)
         assert all(item.ok for item in outcome.items)
         assert [a.address for a in client.last_hedge] == [honest.address]
-        assert [e.kind for e in client.reputation.events_of(
-            refuser.address)] == [EVENT_TIMEOUT]
+        assert [e.kind for e in told.of(refuser.address)] == [EVENT_TIMEOUT]

@@ -27,6 +27,8 @@ from repro.parp.fraudproof import WitnessService
 from repro.parp.pricing import GWEI
 from repro.parp.reputation import EVENT_EQUIVOCATION
 
+from ..conftest import LedgerRecorder
+
 TOKEN = 10 ** 18
 BUDGET = 10 ** 15
 
@@ -236,6 +238,7 @@ class TestEquivocation:
     def test_equivocating_announcer_is_slashed_on_chain(self):
         world = make_gossip_world()
         client = world.add_client("watcher")
+        told = LedgerRecorder(client.reputation)
         client.connect()
         world.settle(client)
         evil_op = world.operators[2]
@@ -255,7 +258,7 @@ class TestEquivocation:
         assert head.stats.equivocations == 1
         assert evil_op.address in head.equivocators
         # first-hand hard evidence in the client's ledger …
-        kinds = [e.kind for e in client.reputation.events_of(evil_op.address)]
+        kinds = [e.kind for e in told.of(evil_op.address)]
         assert EVENT_EQUIVOCATION in kinds
         # … and the on-chain slash went through via the witness
         assert world.witness.confirmed == 1
@@ -303,6 +306,7 @@ class TestSharedReputation:
         # the newcomer subscribes before the victim's report goes out —
         # flood gossip carries no history, only what you are around to hear
         newcomer = world.add_client("newcomer", peer_index=1)
+        told = LedgerRecorder(newcomer.reputation)
 
         # the victim (a staked reporter) pays the tuition and shares it
         victim = world.add_client("victim", stake=True)
@@ -315,8 +319,7 @@ class TestSharedReputation:
 
         # the newcomer has already heard about srv-0, never having met it
         assert newcomer.rep_share.stats.merged >= 1
-        remote = [e for e in newcomer.reputation.events_of(evil.address)
-                  if e.remote]
+        remote = [e for e in told.of(evil.address) if e.remote]
         assert remote and remote[0].reporter == victim.address
 
         ranked = [ad.address for ad in newcomer.eligible()]

@@ -16,6 +16,7 @@ from repro.crypto import PrivateKey
 from repro.net import (
     PairwiseLatency,
     PendingReply,
+    ReplyCancelled,
     SimEndpoint,
     SimNetwork,
     SimServerBinding,
@@ -33,6 +34,8 @@ from repro.parp.fraudproof import WitnessService
 from repro.parp.messages import RpcCall
 from repro.parp.pricing import GWEI
 from repro.parp.reputation import EVENT_TIMEOUT
+
+from ..conftest import LedgerRecorder
 
 TOKEN = 10 ** 18
 BUDGET = 10 ** 15
@@ -126,8 +129,9 @@ class TestFirstValidWins:
         assert loser.outcome == "cancelled"
         # provably still in flight when the winner verified: the cancel
         # landed while the reply was unresolved, and it stayed that way
-        assert loser.pending.reply.cancelled()
         assert not loser.pending.reply.ok
+        with pytest.raises(ReplyCancelled):
+            loser.pending.reply.result()
         assert client.stats.hedged_queries == 1
         assert client.stats.hedge_launches == 2
         assert client.stats.hedges_cancelled == 1
@@ -267,6 +271,7 @@ class TestTimeoutRace:
         sum of bounds; and both legs resolved exactly once, via cancel."""
         world = HedgeWorld(latencies=[0.02, 0.02], prices_gwei=[5, 10])
         client = world.client
+        told = LedgerRecorder(client.reputation)
         world.connect()
         for binding in world.bindings:
             binding.offline = True
@@ -279,10 +284,10 @@ class TestTimeoutRace:
         assert elapsed == pytest.approx(TIMEOUT, rel=0.1)   # raced, not chained
         for attempt in client.last_hedge:
             assert attempt.outcome == "timeout"
-            assert attempt.pending.reply.cancelled()
+            with pytest.raises(ReplyCancelled):
+                attempt.pending.reply.result()
         for server in world.servers:
-            kinds = [e.kind
-                     for e in client.reputation.events_of(server.address)]
+            kinds = [e.kind for e in told.of(server.address)]
             assert EVENT_TIMEOUT in kinds
         assert client.stats.failovers >= 2
 
@@ -350,4 +355,5 @@ class TestTimeoutRace:
                 [RpcCall.create("eth_getBalance", alice.address)], fanout=2)
         assert {a.outcome for a in client.last_hedge} == {"timeout"}
         for attempt in client.last_hedge:
-            assert attempt.pending.reply.cancelled()
+            with pytest.raises(ReplyCancelled):
+                attempt.pending.reply.result()

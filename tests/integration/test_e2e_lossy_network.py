@@ -33,9 +33,7 @@ def build(devnet, keys, drop_rate=0.0, seed=0, timeout=1.0):
     SimServerBinding(network, "fn", server)
     endpoint = SimEndpoint(network, "lc", "fn", server.address,
                            timeout=timeout)
-    session = LightClientSession(keys.lc, endpoint,
-                                 HeaderSyncer([endpoint]),
-                                 clock=network.clock)
+    session = LightClientSession(keys.lc, endpoint, HeaderSyncer([endpoint]))
     return network, server, session
 
 

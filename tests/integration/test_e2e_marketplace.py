@@ -22,6 +22,7 @@ from repro.parp import (
     DEFAULT_SELECTION_THRESHOLD,
     FlatFeeSchedule,
     FullNodeServer,
+    HandshakeConfirm,
     Marketplace,
     MarketplaceClient,
     MarketplaceError,
@@ -36,7 +37,7 @@ from repro.parp.reputation import EVENT_SERVED_OK
 from repro.parp.sharding import shard_key_of_call
 from repro.trie import ShardRange
 
-from ..conftest import get_balances
+from ..conftest import LedgerRecorder, get_balances
 
 TOKEN = 10 ** 18
 BUDGET = 10 ** 15
@@ -142,6 +143,7 @@ def assert_honest_channels_consistent(world: MarketWorld,
 class TestHonestRouting:
     def test_multi_server_routing_and_channels(self):
         world = make_market_world(prices_gwei=[10, 5, 20])
+        told = LedgerRecorder(world.client.reputation)
         opened = world.client.connect()
         assert len(opened) == 2            # the warm-standby invariant
         # price-aware selection bonds the cheapest servers first
@@ -163,7 +165,7 @@ class TestHonestRouting:
         assert cheap.queries_served == 10   # 8 singles + 2 batched items
         assert_honest_channels_consistent(world)
         # the server that served is the one whose reputation grew
-        served = world.client.reputation.events_of(world.servers[1].address)
+        served = told.of(world.servers[1].address)
         assert all(e.kind == EVENT_SERVED_OK for e in served)
         assert len(served) == 9
 
@@ -175,6 +177,7 @@ class TestHonestRouting:
         # 25 GWEI per channel at 10 GWEI/call = 2 queries per server
         client = MarketplaceClient(world.lc, world.marketplace,
                                    witness=world.witness, budget=25 * GWEI)
+        told = LedgerRecorder(client.reputation)
         client.connect()
         for _ in range(6):                    # 3 servers × 2 queries each
             assert client.get_balance(world.alice.address) == 5 * TOKEN
@@ -182,20 +185,20 @@ class TestHonestRouting:
         assert client.stats.failovers > 0     # rotated on exhaustion
         # no server was blamed for our empty wallet
         for server in world.servers:
-            kinds = {e.kind
-                     for e in client.reputation.events_of(server.address)}
+            kinds = {e.kind for e in told.of(server.address)}
             assert kinds <= {"served_ok"}
         with pytest.raises(MarketplaceError):
             client.get_balance(world.alice.address)
 
     def test_settlement_credits_reputation(self):
         world = make_market_world(prices_gwei=[10, 5, 20])
+        told = LedgerRecorder(world.client.reputation)
         world.client.connect()
         world.client.get_balance(world.alice.address)
         hashes = world.client.close_all()
         assert len(hashes) == 2
         for address in hashes:
-            kinds = [e.kind for e in world.client.reputation.events_of(address)]
+            kinds = [e.kind for e in told.of(address)]
             assert "channel_settled" in kinds
         assert world.client.bonded_sessions() == {}
 
@@ -283,13 +286,13 @@ class TestMaliciousServer:
         world = make_market_world(evil_index=0, attack="wrong_signature",
                                   prices_gwei=[2, 10, 10])
         client = world.client
+        told = LedgerRecorder(client.reputation)
         client.connect()
         for _ in range(6):
             assert client.get_balance(world.alice.address) == 5 * TOKEN
         assert client.stats.frauds_detected == 0
         assert client.stats.failovers >= 1
-        kinds = {e.kind
-                 for e in client.reputation.events_of(world.servers[0].address)}
+        kinds = {e.kind for e in told.of(world.servers[0].address)}
         assert "invalid_response" in kinds
         assert world.devnet.call_view(
             DEPOSIT_MODULE_ADDRESS, "deposit_of",
@@ -389,6 +392,7 @@ class TestNonBytesReply:
         marketplace.advertise_server(garbage)
         marketplace.advertise_server(honest)
         client = MarketplaceClient(lc, marketplace, budget=BUDGET)
+        told = LedgerRecorder(client.reputation)
         client.connect()
         assert client.eligible()[0].address == garbage.address
 
@@ -405,7 +409,7 @@ class TestNonBytesReply:
 
         assert [a.outcome for a in client.last_hedge] == ["invalid", "won"]
         assert client.last_hedge[0].detail == "decode"
-        kinds = [e.kind for e in client.reputation.events_of(garbage.address)]
+        kinds = [e.kind for e in told.of(garbage.address)]
         assert kinds == ["invalid_response"]
         assert client.stats.failovers == 1
         # §IV-F: the offender's session is terminated, its escrow kept
@@ -436,6 +440,7 @@ class TestSignedRefusal:
         marketplace.advertise(
             replace(ServerAdvertisement.for_server(server), shard=None))
         client = MarketplaceClient(lc, marketplace, budget=BUDGET)
+        told = LedgerRecorder(client.reputation)
         client.connect(min_sessions=1)
 
         for read in (lambda: client.get_balance(alice.address),
@@ -444,8 +449,33 @@ class TestSignedRefusal:
                 read()
         assert server.stats.out_of_range_rejected == 2
         assert client.stats.queries == 2 and client.stats.failovers == 0
-        kinds = [e.kind for e in client.reputation.events_of(server.address)]
+        kinds = [e.kind for e in told.of(server.address)]
         assert kinds == [EVENT_SERVED_OK, EVENT_SERVED_OK]
         session = client.sessions[server.address]
         assert session.channel.acked == (
             server.channels[session.channel.alpha].latest_amount)
+
+
+class TestExpiredHandshake:
+    def test_stale_confirmation_is_refused_before_any_transaction(self):
+        """A handshake expiry is chain time, checked on chain against a
+        block's timestamp.  Over a simulated network, whose clock reads a
+        few seconds, the client still compares it with the synced tip: a
+        confirmation that expired before the tip is refused, and no
+        OpenChannel is signed or mined."""
+        world = make_market_world(n_servers=1, over_network=True)
+        server = world.servers[0]
+
+        def stale_handshake(msg):
+            tip = server.node.chain.head.header.timestamp
+            return HandshakeConfirm.build(server.key, msg.light_client,
+                                          tip - 1)
+
+        server.handshake = stale_handshake
+        nonce = world.devnet.chain.state.nonce_of(world.lc.address)
+        with pytest.raises(MarketplaceError) as excinfo:
+            world.client.connect()
+        (attempt,) = excinfo.value.attempts
+        assert "already expired" in attempt
+        assert world.devnet.chain.state.nonce_of(world.lc.address) == nonce
+        assert world.client.sessions == {}

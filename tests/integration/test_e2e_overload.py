@@ -37,6 +37,8 @@ from repro.parp.pricing import GWEI
 from repro.parp.reputation import EVENT_OVERLOADED
 from repro.trie import ShardRange, shard_of_key
 
+from ..conftest import LedgerRecorder
+
 TOKEN = 10 ** 18
 BUDGET = 10 ** 15
 TIMEOUT = 30.0
@@ -242,6 +244,7 @@ class TestShedRecoverRerank:
         once the backlog drains it is ranked back in and serves again."""
         cfg = AdmissionConfig(max_queue_cost=2.0, service_time=0.5, seed=5)
         world = OverloadWorld(admission=[cfg, None], prices_gwei=[5, 50])
+        told = LedgerRecorder(world.client.reputation)
         world.connect()
         client = world.client
         assert [ad.label for ad in client.eligible()][0] == "srv-0"
@@ -250,8 +253,7 @@ class TestShedRecoverRerank:
         outcome = client.request_call(world.balance_call())
         assert outcome.report.classification.value == "valid"
         assert client.stats.soft_failovers >= 1
-        kinds = [e.kind for e in
-                 client.reputation.events_of(world.servers[0].address)]
+        kinds = [e.kind for e in told.of(world.servers[0].address)]
         assert EVENT_OVERLOADED in kinds
         assert not client.reputation.is_banned(world.servers[0].address,
                                                client._now())

@@ -23,7 +23,13 @@ from repro.chain import GenesisConfig
 from repro.contracts import DEPOSIT_MODULE_ADDRESS
 from repro.crypto import PrivateKey, keccak256
 from repro.lightclient.sync import HeaderSyncer
-from repro.net import PairwiseLatency, SimEndpoint, SimNetwork, SimServerBinding
+from repro.net import (
+    PairwiseLatency,
+    ReplyCancelled,
+    SimEndpoint,
+    SimNetwork,
+    SimServerBinding,
+)
 from repro.node import Devnet
 from repro.parp import (
     FlatFeeSchedule,
@@ -165,7 +171,8 @@ class TestShardDeath:
         assert all(leg.ok for leg in outcome.legs)
         attempts = world.attempts_by_label()
         assert attempts["srv-0-0"].outcome == "timeout"
-        assert attempts["srv-0-0"].pending.reply.cancelled()
+        with pytest.raises(ReplyCancelled):
+            attempts["srv-0-0"].pending.reply.result()
         assert attempts["srv-0-1"].outcome == "won"
         assert attempts["srv-1-0"].outcome == "won"
         # the replacement came from *inside* the shard

@@ -8,9 +8,12 @@ from repro.net import FixedLatency, SimEndpoint, SimNetwork, SimServerBinding
 from repro.node import FullNode
 from repro.parp import (
     FullNodeServer,
+    HandshakeConfirm,
     InvalidResponse,
     LightClientSession,
+    LightClientState,
     MIN_FULL_NODE_DEPOSIT,
+    SessionError,
 )
 
 from ..conftest import TOKEN
@@ -43,9 +46,7 @@ class TestOverSimulatedNetwork:
         network, servers, bindings, endpoints = sim
         session = LightClientSession(
             keys.lc, endpoints[0],
-            HeaderSyncer([endpoints[0], endpoints[1]]),
-            clock=network.clock,
-        )
+            HeaderSyncer([endpoints[0], endpoints[1]]))
         start = network.clock.now()
         session.connect(budget=10 ** 14)
         balance = session.get_balance(keys.alice.address)
@@ -53,13 +54,28 @@ class TestOverSimulatedNetwork:
         # simulated time must have advanced by whole round trips
         assert network.clock.now() - start >= 0.04
 
+    def test_expired_confirmation_is_refused_before_open_channel(
+            self, sim, devnet, keys):
+        """The expiry is chain time whatever the network's clock reads: a
+        confirmation older than the synced tip never becomes a transaction."""
+        network, servers, bindings, endpoints = sim
+        server = servers[0]
+        tip = devnet.chain.head.header.timestamp
+        server.handshake = lambda msg: HandshakeConfirm.build(
+            server.key, msg.light_client, tip - 1)
+        session = LightClientSession(keys.lc, endpoints[0],
+                                     HeaderSyncer([endpoints[0]]))
+        nonce = devnet.chain.state.nonce_of(keys.lc.address)
+        with pytest.raises(SessionError, match="already expired"):
+            session.connect(budget=10 ** 14)
+        assert session.state is LightClientState.IDLE
+        assert devnet.chain.state.nonce_of(keys.lc.address) == nonce
+
     def test_timeout_on_silent_server(self, sim, devnet, keys):
         network, servers, bindings, endpoints = sim
         session = LightClientSession(
             keys.lc, endpoints[0],
-            HeaderSyncer([endpoints[0], endpoints[1]]),
-            clock=network.clock,
-        )
+            HeaderSyncer([endpoints[0], endpoints[1]]))
         session.connect(budget=10 ** 14)
         bindings[0].offline = True
         with pytest.raises(InvalidResponse) as excinfo:
@@ -72,18 +88,14 @@ class TestOverSimulatedNetwork:
         between different PARP full nodes, e.g., for fail-over')."""
         network, servers, bindings, endpoints = sim
         session_a = LightClientSession(
-            keys.lc, endpoints[0], HeaderSyncer([endpoints[0], endpoints[1]]),
-            clock=network.clock,
-        )
+            keys.lc, endpoints[0], HeaderSyncer([endpoints[0], endpoints[1]]))
         session_a.connect(budget=10 ** 14)
         bindings[0].offline = True
         with pytest.raises(InvalidResponse):
             session_a.get_balance(keys.alice.address)
 
         session_b = LightClientSession(
-            keys.lc, endpoints[1], HeaderSyncer([endpoints[1]]),
-            clock=network.clock,
-        )
+            keys.lc, endpoints[1], HeaderSyncer([endpoints[1]]))
         session_b.connect(budget=10 ** 14)
         assert session_b.get_balance(keys.alice.address) == 5 * TOKEN
         assert session_b.full_node != session_a.full_node
@@ -91,9 +103,7 @@ class TestOverSimulatedNetwork:
     def test_partition_heals(self, sim, devnet, keys):
         network, servers, bindings, endpoints = sim
         session = LightClientSession(
-            keys.lc, endpoints[0], HeaderSyncer([endpoints[0], endpoints[1]]),
-            clock=network.clock,
-        )
+            keys.lc, endpoints[0], HeaderSyncer([endpoints[0], endpoints[1]]))
         session.connect(budget=10 ** 14)
         network.partition("lc-a", "fn-a")
         with pytest.raises(InvalidResponse):
@@ -104,9 +114,7 @@ class TestOverSimulatedNetwork:
     def test_traffic_accounting(self, sim, devnet, keys):
         network, servers, bindings, endpoints = sim
         session = LightClientSession(
-            keys.lc, endpoints[0], HeaderSyncer([endpoints[0]]),
-            clock=network.clock,
-        )
+            keys.lc, endpoints[0], HeaderSyncer([endpoints[0]]))
         session.connect(budget=10 ** 14)
         before = network.stats.bytes_sent
         session.get_balance(keys.alice.address)

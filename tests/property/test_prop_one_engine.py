@@ -37,6 +37,8 @@ from repro.parp.fraudproof import WitnessService
 from repro.parp.messages import RpcCall
 from repro.parp.pricing import GWEI
 
+from ..conftest import LedgerRecorder
+
 TOKEN = 10 ** 18
 BUDGET = 10 ** 15
 TIMEOUT = 2.0
@@ -99,6 +101,7 @@ class World:
             lc, marketplace, budget=BUDGET, clock=self.network.clock,
             witness=WitnessService(
                 devnet.attach_server(wn, name="wn", stake=False).node))
+        self.told = LedgerRecorder(self.client.reputation)
         self.client.connect(min_sessions=N_SERVERS)
         self.client.headers.sync()
         assert self.client.eligible()[0].address == \
@@ -137,8 +140,7 @@ class World:
             "channels": {s.address: (sessions[s.address].channel.spent,
                                      sessions[s.address].channel.acked)
                          for s in self.servers},
-            "events": {s.address: [e.kind for e in
-                                   client.reputation.events_of(s.address)]
+            "events": {s.address: [e.kind for e in self.told.of(s.address)]
                        for s in self.servers},
             "failovers": client.stats.failovers,
             "slashed": client.stats.frauds_slashed,

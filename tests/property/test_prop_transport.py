@@ -9,12 +9,14 @@ not correlate with — the two invariants everything above the transport
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.keys import Address
 from repro.net import (
     RemoteError,
+    ReplyCancelled,
     SimEndpoint,
     SimNetwork,
     SimServerBinding,
@@ -94,7 +96,9 @@ def test_replies_resolve_exactly_once_and_never_cross(
             # the value correlates with exactly this request's server+token
             assert reply.result() == (f"srv-{j}", token)
         elif reply.done():
-            exc = reply.exception()
+            with pytest.raises(ServeError) as excinfo:
+                reply.result()
+            exc = excinfo.value
             if kind == "remote-bug":
                 assert isinstance(exc, RemoteError)
                 assert exc.remote_type == "RuntimeError"
@@ -105,7 +109,8 @@ def test_replies_resolve_exactly_once_and_never_cross(
         else:
             # dropped or partitioned: still pending — cancel resolves it
             assert reply.cancel() is True
-            assert reply.cancelled()
+            with pytest.raises(ReplyCancelled):
+                reply.result()
 
     # the exactly-once invariant: every reply resolved one single time
     assert resolutions == Counter({i: 1 for i in range(len(issued))})

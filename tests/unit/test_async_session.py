@@ -3,7 +3,13 @@
 import pytest
 
 from repro.lightclient import HeaderSyncer
-from repro.net import FixedLatency, SimEndpoint, SimNetwork, SimServerBinding
+from repro.net import (
+    FixedLatency,
+    ReplyCancelled,
+    SimEndpoint,
+    SimNetwork,
+    SimServerBinding,
+)
 from repro.parp import (
     FullNodeServer,
     InvalidResponse,
@@ -24,9 +30,7 @@ def sim_session(devnet, keys):
     binding = SimServerBinding(network, "fn", env.server)
     endpoint = SimEndpoint(network, "lc", "fn", env.server.address,
                            timeout=2.0)
-    session = LightClientSession(
-        keys.lc, endpoint, HeaderSyncer([endpoint]), clock=network.clock,
-    )
+    session = LightClientSession(keys.lc, endpoint, HeaderSyncer([endpoint]))
     session.connect(budget=10 ** 15)
     return network, env.server, binding, endpoint, session
 
@@ -151,7 +155,8 @@ class TestBeginCollect:
         assert "no reply within" in excinfo.value.report.detail
         # the correlation is dropped on timeout: nothing leaks in _pending,
         # and a reply limping in later would count as late, not resolve
-        assert pending.reply.cancelled()
+        with pytest.raises(ReplyCancelled):
+            pending.reply.result()
         assert endpoint.in_flight == 0
 
 

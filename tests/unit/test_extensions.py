@@ -114,6 +114,28 @@ class TestReputation:
         ledger.record(bad, "invalid_response", time=0.0)
         assert ledger.rank([bad, good], now=1.0)[0] == good
 
+    def test_read_before_the_latest_event_reads_that_event(self):
+        """Nothing is undecayed: a read stamped before the latest event
+        reads the standing as of that event."""
+        ledger = ReputationLedger()
+        node = addr("rep-early-read")
+        ledger.record(node, "served_ok", time=0.0)
+        ledger.record(node, "served_ok", time=HALF_LIFE)
+        assert ledger.raw_score(node, 0.0) == ledger.raw_score(
+            node, HALF_LIFE) == 1.5
+
+    def test_merge_remote_returns_the_admitted_weight(self):
+        """A reporter's accusations are trimmed to what its budget has
+        left, and the ledger says how much it took."""
+        ledger = ReputationLedger()
+        node, reporter = addr("rep-accused"), addr("rep-reporter")
+        taken = [ledger.merge_remote(node, "equivocation", 0.0, reporter,
+                                     discount=0.2)
+                 for _ in range(3)]
+        assert taken == [-20.0, -10.0, None]     # REMOTE_BUDGET = 30
+        assert ledger.raw_score(node, 0.0) == -30.0
+        assert not ledger.is_banned(node, 0.0)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ReputationLedger().record(addr("x"), "weird_event", time=0.0)

@@ -32,6 +32,8 @@ from repro.parp.reputation import (
     ReputationLedger,
 )
 
+from ..conftest import LedgerRecorder
+
 STAKE = 32 * 10 ** 18
 
 
@@ -195,6 +197,7 @@ class TestHeadGossip:
 
     def test_equivocation_detected_and_recorded(self):
         ledger = ReputationLedger()
+        told = LedgerRecorder(ledger)
         proofs = []
         net, network, syncer, keys, nodes, head = make_head_world(
             quorum=2, reputation=ledger, on_equivocation=proofs.append)
@@ -209,9 +212,9 @@ class TestHeadGossip:
         assert head.stats.equivocations == 1
         assert keys[0].address in head.equivocators
         assert len(proofs) == 1 and proofs[0].announcer == keys[0].address
-        kinds = [e.kind for e in ledger.events_of(keys[0].address)]
+        kinds = [e.kind for e in told.of(keys[0].address)]
         assert kinds == [EVENT_EQUIVOCATION]
-        assert not ledger.events_of(keys[0].address)[0].remote  # first-hand
+        assert not told.of(keys[0].address)[0].remote  # first-hand
 
     def test_equivocator_votes_are_purged_and_future_ignored(self):
         net, network, syncer, keys, nodes, head = make_head_world(quorum=2)
@@ -328,11 +331,12 @@ def make_share_world(stakes=None):
 class TestReputationShare:
     def test_merge_is_discounted_and_flagged_remote(self):
         network, reporter, receiver, ledger, rep_key = make_share_world()
+        told = LedgerRecorder(ledger)
         evil = PrivateKey.from_seed("sw:evil").address
         reporter.publish(evil, EVENT_INVALID_RESPONSE, b"ev")
         network.run()
         assert receiver.stats.merged == 1
-        (event,) = ledger.events_of(evil)
+        (event,) = told.of(evil)
         assert event.remote and event.reporter == rep_key.address
         # full stake ⇒ foreign_discount × native weight
         assert event.weight == pytest.approx(-10.0 * 0.5)
@@ -341,19 +345,21 @@ class TestReputationShare:
         key = PrivateKey.from_seed("sw:reporter")
         network, reporter, receiver, ledger, _ = make_share_world(
             stakes={key.address: STAKE // 4})
+        told = LedgerRecorder(ledger)
         evil = PrivateKey.from_seed("sw:evil").address
         reporter.publish(evil, EVENT_INVALID_RESPONSE, b"ev")
         network.run()
-        (event,) = ledger.events_of(evil)
+        (event,) = told.of(evil)
         assert event.weight == pytest.approx(-10.0 * 0.5 * 0.25)
 
     def test_unstaked_reporter_is_dropped(self):
         network, reporter, receiver, ledger, _ = make_share_world(stakes={})
+        told = LedgerRecorder(ledger)
         evil = PrivateKey.from_seed("sw:evil").address
         reporter.publish(evil, EVENT_FRAUD_SLASHED, b"ev")
         network.run()
         assert receiver.stats.understaked == 1
-        assert ledger.events_of(evil) == ()
+        assert told.of(evil) == []
 
     def test_replayed_accusation_merges_once(self):
         network, reporter, receiver, ledger, _ = make_share_world()
@@ -366,13 +372,14 @@ class TestReputationShare:
 
     def test_own_events_are_not_remerged(self):
         network, reporter, receiver, ledger, _ = make_share_world()
+        told = LedgerRecorder(reporter.ledger)
         evil = PrivateKey.from_seed("sw:evil").address
         reporter.publish(evil, EVENT_INVALID_RESPONSE, b"ev")
         network.run()
         # the local delivery of our own publication is recognized and skipped
         assert reporter.stats.own_echoes == 1
         assert reporter.stats.merged == 0
-        assert reporter.ledger.events_of(evil) == ()
+        assert told.of(evil) == []
 
     def test_non_gossipable_kind_stays_local(self):
         network, reporter, receiver, ledger, _ = make_share_world()
@@ -390,7 +397,7 @@ class TestMergeRemoteLedger:
         reporter = PrivateKey.from_seed("mr:rep").address
         first = ledger.merge_remote(subject, EVENT_FRAUD_SLASHED, 0.0,
                                     reporter, discount=1.0)
-        assert first is not None and first.weight == -30.0   # capped
+        assert first == -30.0                                # capped
         second = ledger.merge_remote(subject, EVENT_INVALID_RESPONSE, 1.0,
                                      reporter, discount=1.0)
         assert second is None                                # budget spent
@@ -398,7 +405,7 @@ class TestMergeRemoteLedger:
         other = PrivateKey.from_seed("mr:rep2").address
         third = ledger.merge_remote(subject, EVENT_INVALID_RESPONSE, 2.0,
                                     other, discount=1.0)
-        assert third is not None and third.weight == -10.0
+        assert third == -10.0
 
     def test_gossip_alone_never_hard_bans(self):
         ledger = ReputationLedger()

@@ -26,7 +26,10 @@ from repro.parp.pricing import (
 from repro.parp.reputation import (
     EVENT_FRAUD_SLASHED,
     EVENT_INVALID_RESPONSE,
+    EVENT_OVERLOADED,
     EVENT_SERVED_OK,
+    NEWCOMER_SCORE,
+    SOFT_FLOOR,
     ReputationLedger,
 )
 from repro.parp.states import ResponseClass
@@ -125,6 +128,24 @@ class TestSelection:
         assert client.trust(veteran.address, now) >= client.trust(
             stranger.address, now)
         assert [ad.name for ad in client.eligible()][0] == "veteran"
+
+    def test_trust_alone_gates_eligibility(self):
+        """A stranger trusts at the newcomer score, a banned server at 0.0
+        (below the threshold, so no separate ban check is needed) and an
+        only-shedding one at the soft floor, which stays selectable."""
+        stranger, banned, shedder = (ad_for("stranger"), ad_for("banned"),
+                                     ad_for("shedder"))
+        now = 1.0
+        client = client_with(stranger, banned, shedder, clock=lambda: now)
+        client.reputation.record(banned.address, EVENT_INVALID_RESPONSE,
+                                 time=0.0)
+        client.reputation.record(shedder.address, EVENT_OVERLOADED, time=0.0)
+        assert client.reputation.is_banned(banned.address, now)
+        assert client.trust(stranger.address, now) == NEWCOMER_SCORE
+        assert client.trust(banned.address, now) == 0.0
+        assert client.trust(shedder.address, now) == SOFT_FLOOR
+        assert SOFT_FLOOR == DEFAULT_SELECTION_THRESHOLD
+        assert [ad.name for ad in client.eligible()] == ["stranger", "shedder"]
 
     def test_empty_marketplace_cannot_connect(self):
         client = client_with()

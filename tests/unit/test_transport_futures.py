@@ -84,11 +84,12 @@ class TestPendingReply:
         net, (ep,) = make_rig(latency=0.5)
         reply = ep.submit("serve_updates_range", 1, 1)
         assert reply.cancel() is True
-        assert reply.cancelled() and reply.done() and not reply.ok
-        net.run()                                  # the reply still arrives …
-        assert reply.cancelled()                   # … but cannot resolve it
-        assert ep.late_replies == 1
+        assert reply.done() and not reply.ok
         with pytest.raises(ReplyCancelled):
+            reply.result()
+        net.run()                                  # the reply still arrives …
+        assert ep.late_replies == 1
+        with pytest.raises(ReplyCancelled):        # … but cannot resolve it
             reply.result()
 
     def test_cancel_after_resolution_is_a_noop(self):
@@ -101,20 +102,20 @@ class TestPendingReply:
     def test_resolves_exactly_once(self):
         fired = []
         reply = PendingReply(method="m", target="t")
-        reply.add_done_callback(lambda r: fired.append(r.state))
+        reply.add_done_callback(lambda r: fired.append(r.result()))
         assert reply.set_result(1) is True
         assert reply.set_result(2) is False
         assert reply.set_exception(ValueError()) is False
         assert reply.cancel() is False
         assert reply.result() == 1
-        assert fired == ["done"]
+        assert fired == [1]
 
-    def test_exception_accessor(self):
+    def test_failed_reply_raises_its_exception(self):
         net, (ep,) = make_rig()
         reply = ep.submit("serve_head_number")
         net.run()
-        exc = reply.exception()
-        assert isinstance(exc, RemoteError)
+        with pytest.raises(RemoteError):
+            reply.result()
         assert not reply.ok and reply.done()
 
 
@@ -141,7 +142,8 @@ class TestErrorTyping:
         net, (ep,) = make_rig()
         reply = ep.submit("format_disk")
         net.run()
-        assert isinstance(reply.exception(), ServeError)
+        with pytest.raises(ServeError):
+            reply.result()
 
 
 class TestCombinators:
