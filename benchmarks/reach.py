@@ -137,7 +137,7 @@ REVIEWED: dict[tuple[str, str], tuple[str, str]] = {
     # an admitted request that step B refuses gives its backlog back
     ("parp/admission.py", "AdmissionController.release"): ("fault", FAULT),
     ("net/transport.py", "RemoteError.__init__"): ("fault", FAULT),
-    ("net/futures.py", "ExponentialBackoff.delay"): ("fault", FAULT),
+    ("net/futures.py", "backoff_delay"): ("fault", FAULT),
     ("net/network.py", "SimNetwork.deregister"): ("fault", FAULT),
     ("net/network.py", "SimNetwork.heal"): ("fault", FAULT),
     ("net/network.py", "SimNetwork.isolate"): ("fault", FAULT),

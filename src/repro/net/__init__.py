@@ -3,7 +3,6 @@ plus the futures-based endpoint transport (submit, wait_any, hedged races)."""
 
 from .futures import (
     EndpointTimeout,
-    ExponentialBackoff,
     PendingReply,
     ReplyCancelled,
     wait_all,
@@ -30,7 +29,6 @@ __all__ = [
     "ReplyCancelled",
     "RemoteError",
     "PendingReply",
-    "ExponentialBackoff",
     "wait_any",
     "wait_all",
 ]

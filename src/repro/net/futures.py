@@ -25,7 +25,7 @@ __all__ = [
     "ReplyCancelled",
     "PendingReply",
     "submit_call",
-    "ExponentialBackoff",
+    "backoff_delay",
     "wait_any",
     "wait_all",
 ]
@@ -33,7 +33,10 @@ __all__ = [
 #: fallback synchrony bound when a reply carries no per-endpoint timeout.
 DEFAULT_TIMEOUT = 10.0
 
-#: growth per attempt of :class:`ExponentialBackoff`'s raw delay
+#: :func:`backoff_delay`'s raw delay at attempt 1, and its ceiling
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 5.0
+#: growth per attempt of the raw delay
 BACKOFF_FACTOR = 2.0
 #: ± spread of a backoff delay, as a fraction of the raw delay
 BACKOFF_JITTER = 0.5
@@ -211,34 +214,23 @@ def submit_call(endpoint: Any, method: str, *args: Any) -> PendingReply:
     return PendingReply.completed(value, method=method)
 
 
-class ExponentialBackoff:
-    """Deterministic jittered exponential backoff.
+def backoff_delay(attempt: int, seed: int) -> float:
+    """Deterministic jittered exponential backoff before retry ``attempt``.
 
-    ``delay(attempt)`` for attempt 1, 2, 3… grows as
-    ``base × BACKOFF_FACTOR^(n-1)`` capped at ``cap``, with ±``BACKOFF_JITTER``
-    (a fraction of the raw delay) applied
-    from an RNG stream derived from ``(seed, attempt)`` — the same attempt
-    number always yields the same delay for a given seed, so retry schedules
-    reproduce run-to-run while still decorrelating across seeds (give each
-    retrying party its own seed and synchronized clients don't re-converge
-    into the thundering herd the jitter exists to break up).
+    For attempt 1, 2, 3… (values < 1 clamp to 1) the raw delay grows as
+    ``BACKOFF_BASE × BACKOFF_FACTOR^(n-1)`` capped at ``BACKOFF_CAP``, with
+    ±``BACKOFF_JITTER`` (a fraction of the raw delay) applied from an RNG
+    stream derived from ``(seed, attempt)`` — the same attempt number always
+    yields the same delay for a given seed, so retry schedules reproduce
+    run-to-run while still decorrelating across seeds (give each retrying
+    party its own seed and synchronized clients don't re-converge into the
+    thundering herd the jitter exists to break up).
     """
-
-    def __init__(self, base: float = 0.1, cap: float = 10.0,
-                 seed: int = 0) -> None:
-        if base < 0 or cap < base:
-            raise ValueError("backoff needs base ≥ 0, cap ≥ base")
-        self.base = base
-        self.cap = cap
-        self.seed = seed
-
-    def delay(self, attempt: int) -> float:
-        """Delay before retry ``attempt`` (1-indexed; values < 1 clamp to 1)."""
-        n = max(1, int(attempt))
-        raw = min(self.cap, self.base * BACKOFF_FACTOR ** (n - 1))
-        rng = random.Random(f"backoff|{self.seed}|{n}")
-        spread = BACKOFF_JITTER * raw
-        return max(0.0, raw - spread + 2.0 * spread * rng.random())
+    n = max(1, int(attempt))
+    raw = min(BACKOFF_CAP, BACKOFF_BASE * BACKOFF_FACTOR ** (n - 1))
+    rng = random.Random(f"backoff|{seed}|{n}")
+    spread = BACKOFF_JITTER * raw
+    return max(0.0, raw - spread + 2.0 * spread * rng.random())
 
 
 # ---------------------------------------------------------------------- #

@@ -310,10 +310,11 @@ class LightClientSession:
                 raise HandshakeError(
                     f"handshake answered with {type(confirm).__name__}")
             confirm.verify(self.address)     # line 11
-            # the expiry is chain time: the chain checks it against a
-            # block's timestamp, so the client checks the synced tip's
+            # the expiry is chain time: the chain checks it against the
+            # timestamp of the block the OpenChannel lands in, which is past
+            # the synced tip's, so an expiry at the tip could only revert
             tip = self.headers.tip.timestamp if len(self.headers.chain) else 0
-            if confirm.expiry < tip:
+            if confirm.expiry <= tip:
                 raise SessionError("handshake confirmation already expired")
             self.full_node = confirm.full_node
 

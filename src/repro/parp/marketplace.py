@@ -38,7 +38,7 @@ from typing import Any, Optional, Sequence
 from ..crypto.keys import Address, PrivateKey
 from ..lightclient.checkpoint import Checkpoint, CheckpointSyncer
 from ..lightclient.sync import HeaderSyncer
-from ..net.futures import DEFAULT_TIMEOUT, ExponentialBackoff, wait_any
+from ..net.futures import DEFAULT_TIMEOUT, backoff_delay, wait_any
 from ..trie.proof import HashMemo
 from ..trie.shard import ShardRange
 from .client import (
@@ -231,7 +231,7 @@ class MarketplaceStats:
 
 @dataclass
 class HedgeAttempt:
-    """One server's leg of a race (see ``MarketplaceClient.last_hedge``).
+    """One launch of a leg to one server (see ``MarketplaceClient.last_hedge``).
 
     ``outcome`` ∈ {"in-flight", "won", "cancelled", "unused", "timeout",
     "invalid", "fraud", "overloaded", "session-error"} — "cancelled" means the request was
@@ -239,26 +239,50 @@ class HedgeAttempt:
     means the reply had already arrived but was never read.
     """
 
-    address: Address
-    label: str
     pending: PendingQuery
     outcome: str = field(default="in-flight", init=False)
     detail: str = field(default="", init=False)
+    # the race's own state, set by MarketplaceClient._launch
+    ad: ServerAdvertisement = field(init=False, repr=False)
+    session: LightClientSession = field(init=False, repr=False)
+    #: sim-clock instant the synchrony bound passes; None for in-process
+    deadline: Optional[float] = field(init=False, repr=False)
+    #: what issuing this launch added to its channel
+    cost: int = field(init=False, repr=False)
+
+    @property
+    def address(self) -> Address:
+        return self.ad.address
+
+    @property
+    def label(self) -> str:
+        return self.ad.label
 
 
 @dataclass
 class ShardLeg:
-    """One shard's slice of a scatter-gathered batch."""
+    """One shard's slice of a scatter-gathered batch, and the race that
+    serves it (a serial or hedged query is one leg)."""
 
     index: int
     calls: tuple[RpcCall, ...]
     positions: tuple[int, ...]    # where each call sits in the original batch
     keys: tuple[bytes, ...]       # hashed state keys routed to this leg
-    outcome: Optional[BatchOutcome] = field(default=None, init=False)
+    #: the winner's verified reply as its wire returned it
+    outcome: RequestOutcome | BatchOutcome | None = field(default=None, init=False)
     winner: Optional[Address] = field(default=None, init=False)
     error: str = field(default="", init=False)
     cost: int = field(default=0, init=False)      # channel-budget increment this leg consumed
     attempts: int = field(default=0, init=False)  # launches (hedges + failovers) it took
+    # the race's own state
+    #: request_call's leg: the single wire
+    single: bool = field(default=False, init=False, repr=False)
+    tried: set[Address] = field(default_factory=set, init=False, repr=False)
+    #: overload defers per server
+    sheds: dict[Address, int] = field(default_factory=dict, init=False, repr=False)
+    active: list[HedgeAttempt] = field(default_factory=list, init=False, repr=False)
+    #: one line per failed launch or connect
+    failures: list[str] = field(default_factory=list, init=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -300,32 +324,6 @@ class ShardScatterError(MarketplaceError):
                  attempts: Sequence[str] = ()) -> None:
         super().__init__(message, attempts)
         self.legs = tuple(legs)
-
-
-@dataclass
-class _HedgeEntry:
-    """Internal per-leg race state."""
-
-    ad: ServerAdvertisement
-    session: LightClientSession
-    pending: PendingQuery
-    deadline: Optional[float]     # sim-clock instant; None for in-process
-    attempt: HedgeAttempt
-    cost: int = 0                 # what issuing this leg added to its channel
-
-
-@dataclass
-class _LegRace:
-    """Internal per-leg race state (a serial query is one, at fanout 1)."""
-
-    leg: ShardLeg
-    single: bool = False          # request_call's leg: the single wire
-    #: the winner's verified reply as its wire returned it
-    outcome: RequestOutcome | BatchOutcome | None = field(default=None, init=False)
-    tried: set[Address] = field(default_factory=set, init=False)
-    sheds: dict[Address, int] = field(default_factory=dict, init=False)  # overload defers
-    active: list[_HedgeEntry] = field(default_factory=list, init=False)
-    attempts: list[str] = field(default_factory=list, init=False)
 
 
 #: consecutive transport timeouts before a server is demoted to last resort.
@@ -394,9 +392,6 @@ class MarketplaceClient:
         #: synchronized retry storm.
         self._backoff: dict[Address, float] = {}
         self._overload_streak: dict[Address, int] = {}
-        self._backoff_policy = ExponentialBackoff(
-            base=0.05, cap=5.0, seed=int(self.address.hex()[:8], 16),
-        )
 
     @property
     def address(self) -> Address:
@@ -496,7 +491,8 @@ class MarketplaceClient:
         as consecutive sheds accumulate."""
         streak = self._overload_streak.get(address, 0) + 1
         self._overload_streak[address] = streak
-        wait = max(float(retry_after), self._backoff_policy.delay(streak))
+        seed = int(self.address.hex()[:8], 16)
+        wait = max(float(retry_after), backoff_delay(streak, seed))
         self._backoff[address] = self._now() + wait
 
     def _clear_backoff(self, address: Address) -> None:
@@ -655,8 +651,8 @@ class MarketplaceClient:
     def request_call(self, call: RpcCall) -> RequestOutcome:
         """One leg at fanout 1 on the single-request wire: serial failover
         is a race of one."""
-        race = self._race_one((call,), fanout=1, single=True)
-        return self._outcome_of(race, call.method)
+        leg = self._race_one((call,), fanout=1, single=True)
+        return self._outcome_of(leg, call.method)
 
     def query_hedged(self, calls: Sequence[RpcCall],
                      fanout: int = 2) -> BatchOutcome:
@@ -681,11 +677,11 @@ class MarketplaceClient:
         if not calls:
             raise MarketplaceError("a hedged query needs at least one call")
         fanout = max(1, int(fanout))
-        race = self._race_one(calls, fanout)
+        leg = self._race_one(calls, fanout)
         if self.last_hedge:   # a race nobody could be launched into is none
             self.stats.hedged_queries += 1
         self.stats.hedge_launches += len(self.last_hedge)
-        return self._outcome_of(race, f"hedged batch[{len(calls)}]×{fanout}")
+        return self._outcome_of(leg, f"hedged batch[{len(calls)}]×{fanout}")
 
     def query_sharded(self, calls: Sequence[RpcCall]) -> ScatterOutcome:
         """Scatter a batch across shard legs, gather verified multiproofs.
@@ -712,25 +708,20 @@ class MarketplaceClient:
         if not calls:
             raise MarketplaceError("a sharded query needs at least one call")
         legs = self._split_by_shard(calls)
-        races = [_LegRace(leg=leg) for leg in legs]
-        self._race(races, SHARD_FANOUT)
+        self._race(legs, SHARD_FANOUT)
         self.stats.sharded_queries += 1
         self.stats.scatter_legs += len(legs)
         self.stats.hedge_launches += len(self.last_hedge)
-        for race in races:
-            if race.outcome is not None:
-                race.leg.outcome = race.outcome
-            else:
-                race.leg.error = str(self._failure(
-                    race, f"shard leg[{race.leg.index}]"))
         failed = [leg for leg in legs if not leg.ok]
+        for leg in failed:
+            leg.error = str(self._failure(leg, f"shard leg[{leg.index}]"))
         if failed:
             # winners' payments were acked when their responses verified;
             # only the missing shards are reported, never silently dropped
             raise ShardScatterError(
                 f"sharded batch[{len(calls)}]: {len(failed)} of "
                 f"{len(legs)} shard legs failed", legs,
-                [line for race in races for line in race.attempts])
+                [line for leg in legs for line in leg.failures])
 
         items: list[Optional[BatchItem]] = [None] * len(calls)
         for leg in legs:
@@ -794,7 +785,7 @@ class MarketplaceClient:
         return legs
 
     def _race_one(self, calls: tuple[RpcCall, ...], fanout: int,
-                  single: bool = False) -> _LegRace:
+                  single: bool = False) -> ShardLeg:
         """Race the whole query as one leg, behind the coverage gate: a key
         no server covers is a :class:`NoServerForKey` *before* any payment."""
         keys = []
@@ -805,106 +796,101 @@ class MarketplaceClient:
             if not self.marketplace.covering(key):
                 raise NoServerForKey(key, call.method)
             keys.append(key)
-        race = _LegRace(
-            leg=ShardLeg(index=0, calls=calls,
-                         positions=tuple(range(len(calls))), keys=tuple(keys)),
-            single=single)
-        self._race([race], fanout)
-        return race
+        leg = ShardLeg(index=0, calls=calls,
+                       positions=tuple(range(len(calls))), keys=tuple(keys))
+        leg.single = single
+        self._race([leg], fanout)
+        return leg
 
     # ------------------------------------------------------------------ #
     # The engine: launch → wait → collect/replace, once
     # ------------------------------------------------------------------ #
 
-    def _race(self, races: list[_LegRace], fanout: int) -> None:
+    def _race(self, legs: list[ShardLeg], fanout: int) -> None:
         """Run every leg to a verified winner or to exhaustion: each starts
         on its ``fanout`` best-ranked servers, then one loop waits on all
         in-flight replies together, settles a leg on its first verified
         response and replaces a failed attempt with the leg's next-ranked
-        server.  Results land on the races; a leg left without an
-        ``outcome`` failed, and its ``attempts`` say how."""
+        server.  A leg left without an ``outcome`` failed, and its
+        ``failures`` say how."""
         self.last_hedge = []
-        for race in races:
+        for leg in legs:
             for _ in range(fanout):
-                if self._launch(race) is None:
+                if self._launch(leg) is None:
                     break
 
         while True:
-            active = [entry for race in races for entry in race.active]
+            active = [attempt for leg in legs for attempt in leg.active]
             if not active:
                 return
             now = self._wait(active)
             # a clockless pass with nothing resolved means _wait already
             # ran the replies' own drivers for a full default bound
             stalled = (now is None
-                       and not any(e.pending.reply.done() for e in active))
-            for race in races:
-                for entry in list(race.active):
-                    if entry not in race.active:
+                       and not any(a.pending.reply.done() for a in active))
+            for leg in legs:
+                for attempt in list(leg.active):
+                    if attempt not in leg.active:
                         continue   # cancelled as a loser when its leg won
-                    expired = (now is not None and entry.deadline is not None
-                               and now >= entry.deadline)
-                    if not (entry.pending.reply.done() or expired or stalled):
+                    expired = (now is not None and attempt.deadline is not None
+                               and now >= attempt.deadline)
+                    if not (attempt.pending.reply.done() or expired or stalled):
                         continue
-                    race.active.remove(entry)
+                    leg.active.remove(attempt)
                     # the synchrony bound passed with the reply still in
-                    # flight: cancel the leg (a no-op on a resolved reply)
-                    # and collect it, so the shared failover policy
+                    # flight: cancel the attempt (a no-op on a resolved
+                    # reply) and collect it, so the shared failover policy
                     # (_penalize_failure) hands out the transport-timeout
                     # verdict.  (stalled: a clockless transport whose legs
                     # a full default-bound wait could not resolve — timing
                     # them out keeps the loop from spinning forever.)
-                    entry.pending.cancel()
-                    outcome = self._collect(entry, race)
+                    attempt.pending.cancel()
+                    outcome = self._collect(attempt, leg)
                     if outcome is not None:
                         # only this leg's losers are cancelled: the other
                         # legs' races are independent correlations
-                        self._win(race, entry.ad, outcome, entry.cost)
+                        self._win(leg, attempt, outcome)
                     else:
-                        self._launch(race)
+                        self._launch(leg)
 
-    def _launch(self, race: _LegRace) -> Optional[_HedgeEntry]:
+    def _launch(self, leg: ShardLeg) -> Optional[HedgeAttempt]:
         """Issue the leg to its next-ranked untried server: the one place a
         candidate is picked, its backoff waited out, its session opened (a
         connect failure moves on).  None when nobody is left."""
-        leg = race.leg
         while True:
             ad = next((ad for ad in self.eligible(keys=leg.keys)
-                       if ad.address not in race.tried), None)
+                       if ad.address not in leg.tried), None)
             if ad is None:
                 return None
-            race.tried.add(ad.address)
+            leg.tried.add(ad.address)
             if self._in_backoff(ad.address):
                 # honor the server's signed retry_after before re-issuing,
                 # instead of joining the synchronized herd hammering it
                 self._await_backoff(ad)
-            session = self._bonded_session(ad, race.attempts)
+            session = self._bonded_session(ad, leg.failures)
             if session is None:
                 self.stats.failovers += 1
                 continue
             spent_before = session.channel.spent if session.channel else 0
             try:
                 pending = (session.begin_request(leg.calls[0])
-                           if race.single else session.begin_batch(leg.calls))
+                           if leg.single else session.begin_batch(leg.calls))
             except SessionError as exc:
                 # local condition (typically an exhausted channel budget)
-                race.attempts.append(f"{ad.label}: session: {exc}")
+                leg.failures.append(f"{ad.label}: session: {exc}")
                 self.stats.failovers += 1
                 continue
-            attempt = HedgeAttempt(address=ad.address, label=ad.label,
-                                   pending=pending)
+            attempt = HedgeAttempt(pending)
+            attempt.ad, attempt.session = ad, session
+            attempt.deadline = self._deadline(session)
+            attempt.cost = pending.request.a - spent_before
             self.last_hedge.append(attempt)
             leg.attempts += 1
-            entry = _HedgeEntry(
-                ad=ad, session=session, pending=pending,
-                deadline=self._deadline(session), attempt=attempt,
-                cost=pending.request.a - spent_before,
-            )
-            race.active.append(entry)
-            return entry
+            leg.active.append(attempt)
+            return attempt
 
     def _deadline(self, session: LightClientSession) -> Optional[float]:
-        """When this leg's synchrony bound expires (None for in-process
+        """When this attempt's synchrony bound expires (None for in-process
         endpoints, whose replies resolve at submit time)."""
         network = getattr(session.endpoint, "network", None)
         if network is None:
@@ -914,25 +900,25 @@ class MarketplaceClient:
             timeout = DEFAULT_TIMEOUT
         return network.clock.now() + timeout
 
-    def _race_clock(self, active: list[_HedgeEntry]):
-        """The race's notion of "now": the first networked leg's sim clock.
+    def _race_clock(self, active: list[HedgeAttempt]):
+        """The race's notion of "now": the first networked attempt's sim clock.
 
         A race's legs share one simulated network (every in-repo
         construction builds them so), and this clock is that network's.  A
         race across two networks raises: ``wait_any`` refuses replies still
         pending on two event loops with ``ValueError``.
         """
-        for entry in active:
-            network = getattr(entry.session.endpoint, "network", None)
+        for attempt in active:
+            network = getattr(attempt.session.endpoint, "network", None)
             if network is not None:
                 return network.clock
         return None
 
-    def _wait(self, active: list[_HedgeEntry]) -> Optional[float]:
-        """Drive the event loop until the first active leg resolves (or the
-        nearest synchrony bound passes); returns the race clock's time
+    def _wait(self, active: list[HedgeAttempt]) -> Optional[float]:
+        """Drive the event loop until the first active attempt resolves (or
+        the nearest synchrony bound passes); returns the race clock's time
         afterwards, None without one."""
-        replies = [entry.pending.reply for entry in active]
+        replies = [attempt.pending.reply for attempt in active]
         clock = self._race_clock(active)
         if clock is None:
             # no sim clock to race deadlines against: let the replies' own
@@ -940,77 +926,74 @@ class MarketplaceClient:
             # pending afterwards gets timed out by the caller
             wait_any(replies)
             return None
-        deadlines = [entry.deadline for entry in active
-                     if entry.deadline is not None]
+        deadlines = [attempt.deadline for attempt in active
+                     if attempt.deadline is not None]
         horizon = (min(deadlines) - clock.now()) if deadlines else None
         if horizon is None or horizon > 0:
             wait_any(replies, timeout=horizon)
-        # (else an overdue leg is waiting to be timed out)
+        # (else an overdue attempt is waiting to be timed out)
         return clock.now()
 
-    def _collect(self, entry: _HedgeEntry, race: _LegRace,
+    def _collect(self, attempt: HedgeAttempt, leg: ShardLeg,
                  ) -> RequestOutcome | BatchOutcome | None:
-        """Verify one resolved leg; None means it lost (and was penalized).
+        """Verify one resolved attempt; None means it lost (and was
+        penalized).
 
         An ``Overloaded`` loss *defers* instead of burning the server for
-        the whole race: up to :data:`MAX_OVERLOAD_DEFERS` times per race
+        the whole race: up to :data:`MAX_OVERLOAD_DEFERS` times per leg
         the shed server leaves ``tried`` again — a shed is a "come back
         later", not a verdict — so the replacement launch can come back to
         it once its retry_after has been waited out.
         """
         try:
-            outcome = entry.session.collect(entry.pending)
+            return attempt.session.collect(attempt.pending)
         except SessionError as exc:
-            tag = self._penalize_failure(entry.ad, exc, race)
-            entry.attempt.outcome = tag
+            attempt.outcome = self._penalize_failure(attempt.ad, exc, leg)
             report = getattr(exc, "report", None)  # fraud/invalid carry one
-            entry.attempt.detail = str(exc) if report is None else report.check
-            if tag == "overloaded":
-                address = entry.ad.address
-                race.sheds[address] = race.sheds.get(address, 0) + 1
-                if race.sheds[address] <= MAX_OVERLOAD_DEFERS:
-                    race.tried.discard(address)
+            attempt.detail = str(exc) if report is None else report.check
+            if attempt.outcome == "overloaded":
+                address = attempt.address
+                leg.sheds[address] = leg.sheds.get(address, 0) + 1
+                if leg.sheds[address] <= MAX_OVERLOAD_DEFERS:
+                    leg.tried.discard(address)
             return None
-        entry.attempt.outcome = "won"
-        return outcome
 
-    def _win(self, race: _LegRace, ad: ServerAdvertisement,
-             outcome: RequestOutcome | BatchOutcome, cost: int) -> None:
+    def _win(self, leg: ShardLeg, attempt: HedgeAttempt,
+             outcome: RequestOutcome | BatchOutcome) -> None:
         """Settle the leg: cancel in-flight losers, credit the winner."""
-        race.outcome = outcome
-        race.leg.winner = ad.address
-        race.leg.cost = cost
-        for loser in race.active:
+        attempt.outcome = "won"
+        leg.outcome, leg.winner, leg.cost = outcome, attempt.address, attempt.cost
+        for loser in leg.active:
             if loser.pending.cancel():
-                loser.attempt.outcome = "cancelled"
+                loser.outcome = "cancelled"
                 self.stats.hedges_cancelled += 1
             else:
-                loser.attempt.outcome = "unused"  # arrived, never read
-        race.active.clear()
-        self._cold.pop(ad.address, None)
-        self._clear_backoff(ad.address)
-        self.reputation.record(ad.address, EVENT_SERVED_OK, self._now())
+                loser.outcome = "unused"  # arrived, never read
+        leg.active.clear()
+        self._cold.pop(attempt.address, None)
+        self._clear_backoff(attempt.address)
+        self.reputation.record(attempt.address, EVENT_SERVED_OK, self._now())
         self.stats.queries += 1
 
-    def _failure(self, race: _LegRace, describe: str) -> MarketplaceError:
+    def _failure(self, leg: ShardLeg, describe: str) -> MarketplaceError:
         """Why a leg ended without a winner, naming what was tried."""
         detail = f"{describe}: every eligible server failed"
-        if race.leg.keys and not race.attempts and not race.tried:
+        if leg.keys and not leg.failures and not leg.tried:
             detail = (f"{describe}: no single eligible server covers "
-                      f"all {len(race.leg.keys)} state keys — scatter the "
+                      f"all {len(leg.keys)} state keys — scatter the "
                       "batch via query_sharded")
-        return MarketplaceError(detail, race.attempts)
+        return MarketplaceError(detail, leg.failures)
 
-    def _outcome_of(self, race: _LegRace, describe: str):
+    def _outcome_of(self, leg: ShardLeg, describe: str):
         """A single-leg query's result: the winner's outcome or the error."""
-        if race.outcome is None:
-            raise self._failure(race, describe)
-        return race.outcome
+        if leg.outcome is None:
+            raise self._failure(leg, describe)
+        return leg.outcome
 
     def _penalize_failure(self, ad: ServerAdvertisement, exc: SessionError,
-                          race: _LegRace) -> str:
+                          leg: ShardLeg) -> str:
         """The one failover policy: record reputation/stats for a failed
-        attempt, log it on the race, and return its outcome tag."""
+        attempt, log it on the leg, and return its outcome tag."""
         tag, line = "session-error", f"session: {exc}"
         if isinstance(exc, FraudDetected):
             self._on_fraud(ad, exc)
@@ -1041,7 +1024,7 @@ class MarketplaceClient:
             line = f"overloaded (retry in {exc.retry_after:.3f}s)"
         # (else a plain SessionError: a local condition, most commonly this
         # channel's budget is exhausted — not the server's fault, no event)
-        race.attempts.append(f"{ad.label}: {line}")
+        leg.failures.append(f"{ad.label}: {line}")
         self.stats.failovers += 1
         return tag
 

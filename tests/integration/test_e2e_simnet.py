@@ -71,6 +71,33 @@ class TestOverSimulatedNetwork:
         assert session.state is LightClientState.IDLE
         assert devnet.chain.state.nonce_of(keys.lc.address) == nonce
 
+    def test_confirmation_expiring_at_the_tip_is_refused(
+            self, sim, devnet, keys):
+        """The OpenChannel lands in a later block, whose timestamp is past
+        the tip, and the chain requires ``timestamp <= expiry``: an expiry
+        equal to the tip's timestamp could only revert, costing a nonce."""
+        network, servers, bindings, endpoints = sim
+        server = servers[0]
+        server.handshake = lambda msg: HandshakeConfirm.build(
+            server.key, msg.light_client,
+            devnet.chain.head.header.timestamp)
+        relayed = []
+        open_channel = server.open_channel
+
+        def relay_open_channel(raw):
+            relayed.append(raw)
+            return open_channel(raw)
+
+        server.open_channel = relay_open_channel
+        session = LightClientSession(keys.lc, endpoints[0],
+                                     HeaderSyncer([endpoints[0]]))
+        nonce = devnet.chain.state.nonce_of(keys.lc.address)
+        with pytest.raises(SessionError, match="already expired"):
+            session.connect(budget=10 ** 14)
+        assert relayed == []
+        assert session.state is LightClientState.IDLE
+        assert devnet.chain.state.nonce_of(keys.lc.address) == nonce
+
     def test_timeout_on_silent_server(self, sim, devnet, keys):
         network, servers, bindings, endpoints = sim
         session = LightClientSession(

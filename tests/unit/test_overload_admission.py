@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import PrivateKey, keccak256
 from repro.crypto.keys import Address
 from repro.net import futures
-from repro.net.futures import ExponentialBackoff
+from repro.net.futures import backoff_delay
 from repro.net.latency import UniformLatency
 from repro.parp.admission import (
     BATCH_ITEM_COST,
@@ -304,30 +304,42 @@ class TestSoftReputation:
         assert not ledger.is_banned(self.NODE, tick)
 
 
-class TestExponentialBackoff:
+class TestBackoffDelay:
+    #: attempts 1–8 at two seeds, as the retry schedule has always read
+    GOLDEN = {
+        7: (0.04002684409905445, 0.0765594486838877, 0.10041534226868719,
+            0.2740646037253675, 0.7271338966080163, 1.0634517889300714,
+            4.623322796424774, 5.280363669163824),
+        0xC0FFEE: (0.06759216864977213, 0.11989722623662873,
+                   0.2835178428676727, 0.518717391859195, 0.754470008107317,
+                   2.1144165978162435, 3.0357102809648495,
+                   5.191094080762631),
+    }
+
     def test_delays_grow_then_cap(self, monkeypatch):
         monkeypatch.setattr(futures, "BACKOFF_JITTER", 0.0)
-        assert futures.BACKOFF_FACTOR == 2.0
-        policy = ExponentialBackoff(base=0.1, cap=1.0)
-        delays = [policy.delay(n) for n in range(1, 8)]
-        assert delays[:4] == pytest.approx([0.1, 0.2, 0.4, 0.8])
-        assert all(d == 1.0 for d in delays[4:])
+        assert (futures.BACKOFF_BASE, futures.BACKOFF_CAP,
+                futures.BACKOFF_FACTOR) == (0.05, 5.0, 2.0)
+        delays = [backoff_delay(n, seed=0) for n in range(1, 10)]
+        assert delays[:7] == pytest.approx(
+            [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2])
+        assert all(d == 5.0 for d in delays[7:])
 
     def test_jitter_stays_within_the_band_and_is_deterministic(self):
-        assert (futures.BACKOFF_FACTOR, futures.BACKOFF_JITTER) == (2.0, 0.5)
-        policy = ExponentialBackoff(base=0.1, cap=10.0, seed=3)
-        again = ExponentialBackoff(base=0.1, cap=10.0, seed=3)
-        for n in range(1, 10):
-            raw = min(10.0, 0.1 * 2.0 ** (n - 1))
-            d = policy.delay(n)
+        assert futures.BACKOFF_JITTER == 0.5
+        for n in range(1, 12):
+            raw = min(5.0, 0.05 * 2.0 ** (n - 1))
+            d = backoff_delay(n, seed=3)
             assert raw * 0.5 - 1e-12 <= d <= raw * 1.5 + 1e-12
-            assert d == again.delay(n)
+            assert d == backoff_delay(n, seed=3)
 
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(ValueError):
-            ExponentialBackoff(base=-1.0)
-        with pytest.raises(ValueError):
-            ExponentialBackoff(base=2.0, cap=1.0)
+    def test_schedule_is_pinned(self):
+        for seed, delays in self.GOLDEN.items():
+            assert tuple(backoff_delay(n, seed) for n in range(1, 9)) \
+                == delays
+        assert [round(d, 6) for d in self.GOLDEN[7]] == [
+            0.040027, 0.076559, 0.100415, 0.274065, 0.727134, 1.063452,
+            4.623323, 5.280364]
 
 
 class TestPerLinkJitter:

@@ -435,7 +435,6 @@ class TestTopLevel:
             MarketplaceClient.query_sharded: ("tip", "fanout"),
             MarketplaceClient.eligible: ("now",),
             MarketplaceClient.join_gossip: ("staleness",),
-            routing._LegRace: ("tip",),
             FullNodeServer.__init__: ("clock",),
             FullNodeServer.build_close_transaction: ("gas_price",
                                                      "gas_limit"),
@@ -455,7 +454,6 @@ class TestTopLevel:
             futures.PendingReply.wait: ("timeout",),
             futures.PendingReply.result: ("timeout",),
             futures.wait_all: ("timeout",),
-            futures.ExponentialBackoff.__init__: ("factor", "jitter"),
             transport.SimEndpoint.submit: ("timeout",),
             Devnet.__init__: ("db",),
             Devnet.mine: ("coinbase",),
@@ -471,7 +469,7 @@ class TestTopLevel:
             HeaderChain.__init__: ("anchor",),
             Keccak256.__init__: ("data",),
         }
-        assert sum(map(len, dropped.values())) == 57
+        assert sum(map(len, dropped.values())) == 54
         for function, names in dropped.items():
             signature = inspect.signature(function)
             for name in names:
@@ -489,8 +487,16 @@ class TestTopLevel:
         assert (pubsub.DEFAULT_TTL, pubsub.DEFAULT_SEEN_CACHE,
                 pubsub.DEFAULT_RATE_LIMIT, pubsub.DEFAULT_RATE_WINDOW) == (
                     4, 4096, 64, 1.0)
-        assert (futures.BACKOFF_FACTOR, futures.BACKOFF_JITTER) == (2.0, 0.5)
+        assert (futures.BACKOFF_BASE, futures.BACKOFF_CAP,
+                futures.BACKOFF_FACTOR, futures.BACKOFF_JITTER) == (
+                    0.05, 5.0, 2.0, 0.5)
         assert routing.SHARD_FANOUT == 1
+        # the routing engine keeps one record per leg (ShardLeg) and one per
+        # launch (HedgeAttempt); the retry backoff is backoff_delay(n, seed)
+        for name in ("_LegRace", "_HedgeEntry"):
+            assert not hasattr(routing, name)
+        assert not hasattr(futures, "ExponentialBackoff")
+        assert not hasattr(repro.net, "ExponentialBackoff")
         assert liveness.VERIFY_EVERY == 2
         assert chain_module.COMPACT_GROWTH == 2.0
         assert not hasattr(retention.RetentionPolicy(), "compact_growth")

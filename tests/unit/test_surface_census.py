@@ -43,7 +43,6 @@ from repro.parp.marketplace import (
     HedgeAttempt,
     MarketplaceStats,
     ShardLeg,
-    _LegRace,
 )
 from repro.parp.server import ServerStats
 from repro.storage.blocklog import BlockLogStats
@@ -61,9 +60,9 @@ STATE = {
     ClientChannel: ("spent", "acked", "requests_sent"),
     ServerChannel: ("latest_amount", "latest_sig", "requests_served",
                     "queries_served", "closed"),
-    HedgeAttempt: ("outcome", "detail"),
-    ShardLeg: ("outcome", "winner", "error", "cost", "attempts"),
-    _LegRace: ("outcome", "tried", "sheds", "active", "attempts"),
+    HedgeAttempt: ("outcome", "detail", "ad", "session", "deadline", "cost"),
+    ShardLeg: ("outcome", "winner", "error", "cost", "attempts", "single",
+               "tried", "sheds", "active", "failures"),
     PendingQuery: ("collected",),
     LivenessMonitor: ("observations",),
     _PeerScore: ("window_start", "in_window", "accepted", "dropped"),
@@ -113,7 +112,7 @@ def test_counters_and_protocol_state_are_not_constructor_keywords():
               if f.name in names and f.init]
     assert taken == []
     assert sum(len(dataclasses.fields(cls)) for cls in STATS) == 79
-    assert sum(map(len, STATE.values())) == 29
+    assert sum(map(len, STATE.values())) == 33
     for cls in STATS:
         with pytest.raises(TypeError):
             cls(**{dataclasses.fields(cls)[0].name: 1})
