@@ -10,8 +10,8 @@ on two sessions (``query_hedged(fanout=2)``) and takes the first
 
 Latency is *simulated* time per query (deterministic, machine-independent),
 so the p50/p99 comparison is a property of the protocol, not the CI box.
-The per-link :class:`~repro.net.network.LinkStats` counters price what the
-win costs: the redundant request traffic sent to losing servers.
+The per-link counters of ``SimNetwork.links`` price what the win costs:
+the redundant request traffic sent to losing servers.
 
 Emits ``results/BENCH_async.json`` (uploaded by the tier-2 CI job), gated
 on **hedged p99 < sequential p99**.
@@ -116,9 +116,9 @@ def run_workload(network, client, alice, hedged: bool) -> list[float]:
 
 
 def client_request_traffic(network, prefix: str) -> tuple[int, int]:
-    """(messages, bytes) the client pushed toward servers, from LinkStats."""
+    """(messages, bytes) the client pushed toward servers, per link."""
     messages = bytes_sent = 0
-    for (src, _dst), link in network.stats.links.items():
+    for (src, _dst), link in network.links.items():
         if src.startswith(f"{prefix}-lc-"):
             messages += link.sent
             bytes_sent += link.bytes_sent

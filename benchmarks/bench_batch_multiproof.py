@@ -120,7 +120,9 @@ def test_proof_cache_on_repeated_traffic(big_world):
             [
                 ["cold", f"{cold_time * 1e3:.2f}ms", str(cold_bytes)],
                 ["warm", f"{warm_time * 1e3:.2f}ms", str(warm_bytes)],
-                ["cache", world.server.proof_cache.stats.format_line(), ""],
+                ["cache", " ".join(f"{name}={value}" for name, value in
+                                   world.server.proof_cache.stats
+                                   .snapshot().items()), ""],
             ],
         ),
     )

@@ -13,7 +13,7 @@ Two measured quantities, both deterministic:
   run concurrently, so splitting a batch across shards must not stretch
   its wall-clock (the p99 gate);
 * **per-server busy bytes** — response traffic each server pushed back
-  (per-link `LinkStats`, handshake/sync excluded), the serving-work proxy:
+  (`SimNetwork.links`, handshake/sync excluded), the serving-work proxy:
   slice proofs are byte-identical to full-trie proofs, so the *total* is
   ~constant across configurations and the **max over servers** models the
   cluster's makespan under a fixed per-node service bandwidth.
@@ -115,9 +115,9 @@ def build_world(shard_count: int, users: list[PrivateKey]):
 
 
 def server_response_bytes(network) -> dict[str, int]:
-    """Bytes each server pushed back toward the client, from LinkStats."""
+    """Bytes each server pushed back toward the client, per link."""
     out: dict[str, int] = {}
-    for (src, _dst), link in network.stats.links.items():
+    for (src, _dst), link in network.links.items():
         if src.startswith("srv-"):
             out[src] = out.get(src, 0) + link.bytes_sent
     return out

@@ -41,8 +41,9 @@ class Account:
         if not isinstance(item, list) or len(item) != 4:
             raise rlp.RLPError("account record must be a 4-item list")
         nonce_b, balance_b, storage_root, code_hash = item
-        if len(storage_root) != 32 or len(code_hash) != 32:
-            raise rlp.RLPError("account roots must be 32 bytes")
+        if not (isinstance(storage_root, bytes) and len(storage_root) == 32
+                and isinstance(code_hash, bytes) and len(code_hash) == 32):
+            raise rlp.RLPError("account roots must be 32-byte strings")
         return cls(
             nonce=rlp.decode_int(nonce_b),
             balance=rlp.decode_int(balance_b),

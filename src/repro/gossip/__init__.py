@@ -8,7 +8,6 @@ from .heads import (
     HeadAnnouncement,
     HeadEquivocationProof,
     HeadGossip,
-    HeadGossipStats,
     announcement_digest,
 )
 from .pubsub import (
@@ -17,7 +16,6 @@ from .pubsub import (
     GossipError,
     GossipMessage,
     GossipNode,
-    GossipStats,
     connect_mesh,
 )
 from .repshare import (
@@ -25,7 +23,6 @@ from .repshare import (
     TOPIC_REPUTATION,
     ReputationGossip,
     ReputationShare,
-    ReputationShareStats,
     reputation_digest,
 )
 
@@ -33,7 +30,6 @@ __all__ = [
     "GossipError",
     "GossipMessage",
     "GossipNode",
-    "GossipStats",
     "connect_mesh",
     "DEFAULT_FANOUT",
     "DEFAULT_TTL",
@@ -43,11 +39,9 @@ __all__ = [
     "HeadAnnouncement",
     "HeadEquivocationProof",
     "HeadGossip",
-    "HeadGossipStats",
     "TOPIC_REPUTATION",
     "GOSSIPABLE_KINDS",
     "reputation_digest",
     "ReputationGossip",
     "ReputationShare",
-    "ReputationShareStats",
 ]

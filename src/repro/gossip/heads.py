@@ -19,12 +19,13 @@ conflicting payloads, so no channel context is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..chain.header import BlockHeader
 from ..crypto import Signature, SignatureError, keccak256, recover_address
 from ..crypto.keys import Address, PrivateKey
+from ..metrics import Counters
 from ..parp.constants import MIN_FULL_NODE_DEPOSIT, SIGNATURE_BYTES
 from ..parp.messages import MessageError
 from ..parp.reputation import EVENT_EQUIVOCATION, ReputationLedger
@@ -36,7 +37,6 @@ __all__ = [
     "HEAD_ANNOUNCEMENT_DOMAIN",
     "HeadAnnouncement",
     "HeadEquivocationProof",
-    "HeadGossipStats",
     "HeadGossip",
 ]
 
@@ -127,19 +127,6 @@ class HeadEquivocationProof:
         return keccak256(min(a, b) + max(a, b))
 
 
-@dataclass
-class HeadGossipStats:
-    announced_seen: int = field(default=0, init=False)  # valid announcements decoded
-    undecodable: int = field(default=0, init=False)
-    bad_signature: int = field(default=0, init=False)
-    understaked: int = field(default=0, init=False)     # announcer below the registry gate
-    equivocations: int = field(default=0, init=False)   # conflicting pairs detected
-    quorum_applied: int = field(default=0, init=False)  # headers offered after reaching quorum
-    heads_appended: int = field(default=0, init=False)  # offers the syncer actually appended
-    heads_pulled: int = field(default=0, init=False)    # offers that triggered a gap-filling pull
-    duplicates: int = field(default=0, init=False)      # offers the syncer already knew
-
-
 class HeadGossip:
     """Client-side glue: the ``new_heads`` subscription feeding a syncer.
 
@@ -169,7 +156,17 @@ class HeadGossip:
         self.reporter = reporter
         self.on_equivocation = on_equivocation
         self._clock = gossip.network.clock.now
-        self.stats = HeadGossipStats()
+        self.stats = Counters(
+            "announced_seen",  # valid announcements decoded
+            "undecodable",
+            "bad_signature",
+            "understaked",     # announcer below the registry gate
+            "equivocations",   # conflicting pairs detected
+            "quorum_applied",  # headers offered after reaching quorum
+            "heads_appended",  # offers the syncer actually appended
+            "heads_pulled",    # offers that triggered a gap-filling pull
+            "duplicates",      # offers the syncer already knew
+        )
         #: the one announcement we hold per (announcer, height) — a second,
         #: different one is the equivocation trigger
         self._by_announcer: dict[tuple[Address, int], HeadAnnouncement] = {}

@@ -36,12 +36,12 @@ from itertools import count
 from typing import Callable, Sequence
 
 from ..crypto import keccak256
+from ..metrics import Counters
 from ..net.network import SimNetwork
 
 __all__ = [
     "GossipError",
     "GossipMessage",
-    "GossipStats",
     "GossipNode",
     "connect_mesh",
 ]
@@ -95,20 +95,6 @@ class GossipMessage:
 
 
 @dataclass
-class GossipStats:
-    """Per-node traffic counters."""
-
-    published: int = field(default=0, init=False)      # local publishes
-    received: int = field(default=0, init=False)       # messages arriving from peers
-    delivered: int = field(default=0, init=False)      # handler invocations (post-dedup)
-    relayed: int = field(default=0, init=False)        # forward sends on behalf of others
-    duplicates_dropped: int = field(default=0, init=False)
-    ttl_exhausted: int = field(default=0, init=False)  # accepted but not relayed (ttl ran out)
-    rate_limited: int = field(default=0, init=False)   # dropped before decode: peer over budget
-    undecodable: int = field(default=0, init=False)    # non-GossipMessage payloads
-
-
-@dataclass
 class _PeerScore:
     """Sliding-window accounting for one sending peer."""
 
@@ -136,7 +122,17 @@ class GossipNode:
         self.name = name
         self.fanout = fanout
         self.peers: list[str] = []
-        self.stats = GossipStats()
+        #: per-node traffic counters
+        self.stats = Counters(
+            "published",      # local publishes
+            "received",       # messages arriving from peers
+            "delivered",      # handler invocations (post-dedup)
+            "relayed",        # forward sends on behalf of others
+            "duplicates_dropped",
+            "ttl_exhausted",  # accepted but not relayed (ttl ran out)
+            "rate_limited",   # dropped before decode: peer over budget
+            "undecodable",    # non-GossipMessage payloads
+        )
         self._topics: dict[str, list[Callable[[GossipMessage], None]]] = {}
         self._seen: OrderedDict[bytes, None] = OrderedDict()
         self._seq = count()

@@ -19,11 +19,12 @@ resort) while every first-hand success keeps pulling it back up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..crypto import Signature, SignatureError, keccak256, recover_address
 from ..crypto.keys import Address, PrivateKey
+from ..metrics import Counters
 from ..parp.constants import HASH_BYTES, MIN_FULL_NODE_DEPOSIT, SIGNATURE_BYTES
 from ..parp.messages import MessageError
 from ..parp.reputation import (
@@ -41,7 +42,6 @@ __all__ = [
     "GOSSIPABLE_KINDS",
     "REPUTATION_GOSSIP_DOMAIN",
     "ReputationGossip",
-    "ReputationShareStats",
     "ReputationShare",
 ]
 
@@ -149,20 +149,6 @@ class ReputationGossip:
             raise MessageError(f"bad reporter signature: {exc}") from exc
 
 
-@dataclass
-class ReputationShareStats:
-    published: int = field(default=0, init=False)
-    received: int = field(default=0, init=False)
-    merged: int = field(default=0, init=False)
-    own_echoes: int = field(default=0, init=False)     # our own events relayed back to us
-    undecodable: int = field(default=0, init=False)
-    bad_signature: int = field(default=0, init=False)
-    ungossipable: int = field(default=0, init=False)   # valid signature, non-shareable kind
-    understaked: int = field(default=0, init=False)    # reporter with zero admissible weight
-    duplicates: int = field(default=0, init=False)     # same (reporter, evidence) seen before
-    budget_capped: int = field(default=0, init=False)  # merges trimmed/refused by REMOTE_BUDGET
-
-
 class ReputationShare:
     """Publish first-hand hard events; merge (discounted) foreign ones.
 
@@ -182,7 +168,18 @@ class ReputationShare:
         self.key = key
         self.stake_of = stake_of
         self._clock = gossip.network.clock.now
-        self.stats = ReputationShareStats()
+        self.stats = Counters(
+            "published",
+            "received",
+            "merged",
+            "own_echoes",     # our own events relayed back to us
+            "undecodable",
+            "bad_signature",
+            "ungossipable",   # valid signature, non-shareable kind
+            "understaked",    # reporter with zero admissible weight
+            "duplicates",     # same (reporter, evidence) seen before
+            "budget_capped",  # merges trimmed/refused by REMOTE_BUDGET
+        )
         #: (reporter, evidence digest) pairs already merged — the same
         #: accusation re-signed or replayed never double-counts
         self._merged: set[tuple[Address, bytes]] = set()

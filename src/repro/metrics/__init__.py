@@ -1,5 +1,7 @@
-"""The bounded LRU cache (and its hit/miss counters) the node's hot paths share."""
+"""The bounded LRU cache the node's hot paths share, and the named counters
+every layer keeps."""
 
-from .cache import CacheStats, LRUCache
+from .cache import LRUCache
+from .counters import Counters
 
-__all__ = ["CacheStats", "LRUCache"]
+__all__ = ["Counters", "LRUCache"]

@@ -14,33 +14,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Generic, Hashable, Optional, TypeVar
 
-__all__ = ["CacheStats", "LRUCache"]
+from .counters import Counters
+
+__all__ = ["LRUCache"]
 
 V = TypeVar("V")
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters for one cache."""
-
-    hits: int = field(default=0, init=False)
-    misses: int = field(default=0, init=False)
-    evictions: int = field(default=0, init=False)
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from cache (0.0 when untouched)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def format_line(self) -> str:
-        return (
-            f"hits={self.hits} misses={self.misses} "
-            f"evictions={self.evictions} hit_rate={self.hit_rate:.1%}"
-        )
 
 
 @dataclass
@@ -54,7 +32,9 @@ class LRUCache(Generic[V]):
     """
 
     capacity: int = 1024
-    stats: CacheStats = field(default_factory=CacheStats, init=False)
+    stats: Counters = field(
+        default_factory=lambda: Counters("hits", "misses", "evictions"),
+        init=False)
     _entries: "OrderedDict[Hashable, V]" = field(default_factory=OrderedDict,
                                                  init=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False,

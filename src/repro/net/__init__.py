@@ -9,7 +9,7 @@ from .futures import (
     wait_any,
 )
 from .latency import FixedLatency, LatencyModel, PairwiseLatency, UniformLatency
-from .network import LinkStats, NetworkError, NetworkStats, SimNetwork
+from .network import NetworkError, SimNetwork
 from .simclock import SimClock
 from .transport import RemoteError, SimEndpoint, SimServerBinding
 
@@ -17,8 +17,6 @@ __all__ = [
     "SimClock",
     "SimNetwork",
     "NetworkError",
-    "NetworkStats",
-    "LinkStats",
     "LatencyModel",
     "FixedLatency",
     "UniformLatency",

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Any, Callable, Optional
 
+from ..metrics import Counters
 from .latency import FixedLatency, LatencyModel
 from .simclock import SimClock
 
-__all__ = ["NetworkError", "SimNetwork", "NetworkStats", "LinkStats"]
+__all__ = ["NetworkError", "SimNetwork"]
 
 #: events one :meth:`SimNetwork.run` may process before it calls a livelock
 MAX_EVENTS = 1_000_000
@@ -25,40 +26,6 @@ MAX_EVENTS = 1_000_000
 
 class NetworkError(Exception):
     """Raised on misuse of the simulated network (unknown node, etc.)."""
-
-
-@dataclass
-class LinkStats:
-    """Traffic counters for one directed (src, dst) link."""
-
-    sent: int = field(default=0, init=False)
-    delivered: int = field(default=0, init=False)
-    dropped: int = field(default=0, init=False)
-    bytes_sent: int = field(default=0, init=False)
-
-
-@dataclass
-class NetworkStats:
-    """Aggregate traffic counters, plus a per-link breakdown.
-
-    The per-link counters are what lets the hedged-query bench price the
-    *redundant* traffic of fan-out (requests sent to losing servers) rather
-    than just its wall-clock win.
-    """
-
-    messages_sent: int = field(default=0, init=False)
-    messages_delivered: int = field(default=0, init=False)
-    messages_dropped: int = field(default=0, init=False)
-    bytes_sent: int = field(default=0, init=False)
-    links: dict[tuple[str, str], LinkStats] = field(default_factory=dict, init=False)
-
-    def link(self, src: str, dst: str) -> LinkStats:
-        """Counters for the directed link ``src → dst`` (created lazily)."""
-        key = (src, dst)
-        stats = self.links.get(key)
-        if stats is None:
-            stats = self.links[key] = LinkStats()
-        return stats
 
 
 @dataclass(order=True)
@@ -82,7 +49,12 @@ class SimNetwork:
         self._seq = count()
         self._partitioned: set[frozenset[str]] = set()
         self._isolated: set[str] = set()
-        self.stats = NetworkStats()
+        self.stats = Counters("messages_sent", "messages_delivered",
+                              "messages_dropped", "bytes_sent")
+        #: the same counts per directed (src, dst) link: what lets the
+        #: hedged-query bench price the *redundant* traffic of fan-out
+        #: (requests sent to losing servers), not just its wall-clock win
+        self.links: dict[tuple[str, str], Counters] = {}
 
     # ------------------------------------------------------------------ #
     # Topology
@@ -126,6 +98,14 @@ class SimNetwork:
     # Messaging
     # ------------------------------------------------------------------ #
 
+    def link(self, src: str, dst: str) -> Counters:
+        """Counters for the directed link ``src → dst`` (created lazily)."""
+        stats = self.links.get((src, dst))
+        if stats is None:
+            stats = self.links[src, dst] = Counters(
+                "sent", "delivered", "dropped", "bytes_sent")
+        return stats
+
     def send(self, src: str, dst: str, payload: Any, size_bytes: int) -> None:
         """Schedule delivery of ``payload`` (``size_bytes`` on the wire) from
         ``src`` to ``dst``.
@@ -134,7 +114,7 @@ class SimNetwork:
         like an unreachable host: the message is counted and dropped, so
         clients hit their timeout path instead of crashing mid-failover.
         """
-        link = self.stats.link(src, dst)
+        link = self.link(src, dst)
         self.stats.messages_sent += 1
         link.sent += 1
         self.stats.bytes_sent += size_bytes

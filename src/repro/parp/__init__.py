@@ -24,7 +24,7 @@ _EXPORTS = {
     "BatchItem": "client", "BatchOutcome": "client",
     "PendingQuery": "client",
     # server
-    "FullNodeServer": "server", "ServeError": "server", "ServerStats": "server",
+    "FullNodeServer": "server", "ServeError": "server",
     # admission
     "AdmissionConfig": "admission", "AdmissionController": "admission",
     "AdmissionDecision": "admission",
@@ -45,7 +45,7 @@ _EXPORTS = {
     "load_multiplier": "pricing",
     # marketplace
     "Marketplace": "marketplace", "MarketplaceClient": "marketplace",
-    "MarketplaceError": "marketplace", "MarketplaceStats": "marketplace",
+    "MarketplaceError": "marketplace",
     "ServerAdvertisement": "marketplace", "HedgeAttempt": "marketplace",
     "NoServerForKey": "marketplace", "ShardScatterError": "marketplace",
     "ScatterOutcome": "marketplace", "ShardLeg": "marketplace",

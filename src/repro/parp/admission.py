@@ -95,8 +95,6 @@ class AdmissionController:
         self._lock = threading.Lock()
         self._busy_until = float("-inf")   # horizon of committed work
         self._rng = random.Random(f"admission|{self.config.seed}")
-        self.admitted = 0
-        self.shed = 0
 
     # -- cost accounting ---------------------------------------------------- #
 
@@ -143,7 +141,6 @@ class AdmissionController:
             capacity = self.config.max_queue_cost
             load = min(1.0, backlog / capacity)
             if backlog > 0.0 and backlog + cost > capacity:
-                self.shed += 1
                 return AdmissionDecision(
                     admitted=False, cost=cost, load=load, queue_delay=0.0,
                     retry_after=self._retry_after(backlog, cost),
@@ -151,7 +148,6 @@ class AdmissionController:
             start = max(now, self._busy_until)
             self._busy_until = start + cost * self.config.service_time
             queue_delay = self._busy_until - now
-            self.admitted += 1
             return AdmissionDecision(
                 admitted=True, cost=cost, load=load, queue_delay=queue_delay,
                 retry_after=0.0,

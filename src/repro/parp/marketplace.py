@@ -38,6 +38,7 @@ from typing import Any, Optional, Sequence
 from ..crypto.keys import Address, PrivateKey
 from ..lightclient.checkpoint import Checkpoint, CheckpointSyncer
 from ..lightclient.sync import HeaderSyncer
+from ..metrics import Counters
 from ..net.futures import DEFAULT_TIMEOUT, backoff_delay, wait_any
 from ..trie.proof import HashMemo
 from ..trie.shard import ShardRange
@@ -85,7 +86,6 @@ __all__ = [
     "NoServerForKey",
     "ServerAdvertisement",
     "Marketplace",
-    "MarketplaceStats",
     "HedgeAttempt",
     "ShardLeg",
     "ScatterOutcome",
@@ -208,25 +208,6 @@ class Marketplace:
 
     def __contains__(self, address: Address) -> bool:
         return address in self._ads
-
-
-@dataclass
-class MarketplaceStats:
-    """What the routing layer did on the client's behalf."""
-
-    queries: int = field(default=0, init=False)               # winning legs (a 4-leg scatter adds 4)
-    failovers: int = field(default=0, init=False)             # re-issues to another server
-    sessions_opened: int = field(default=0, init=False)
-    frauds_detected: int = field(default=0, init=False)
-    frauds_slashed: int = field(default=0, init=False)
-    frauds_unslashed: int = field(default=0, init=False)      # a package the witness could not land
-    hedged_queries: int = field(default=0, init=False)        # query_hedged races run
-    hedge_launches: int = field(default=0, init=False)        # legs issued by query_hedged/query_sharded
-    hedges_cancelled: int = field(default=0, init=False)      # losing in-flight requests cancelled
-    sharded_queries: int = field(default=0, init=False)       # query_sharded scatter-gathers run
-    scatter_legs: int = field(default=0, init=False)          # shard legs across all scatters
-    soft_failovers: int = field(default=0, init=False)        # Overloaded sheds routed around (no slash)
-    retry_storms_avoided: int = field(default=0, init=False)  # waits honoring a server's retry_after
 
 
 @dataclass
@@ -368,7 +349,22 @@ class MarketplaceClient:
         #: sessions dropped after misbehavior, kept so their channels' α and
         #: acked amounts survive for settlement (escrow is money)
         self.retired: list[tuple[Address, LightClientSession]] = []
-        self.stats = MarketplaceStats()
+        #: what the routing layer did on the client's behalf
+        self.stats = Counters(
+            "queries",               # winning legs (a 4-leg scatter adds 4)
+            "failovers",             # re-issues to another server
+            "sessions_opened",
+            "frauds_detected",
+            "frauds_slashed",
+            "frauds_unslashed",      # a package the witness could not land
+            "hedged_queries",        # query_hedged races run
+            "hedge_launches",        # legs issued by query_hedged/query_sharded
+            "hedges_cancelled",      # losing in-flight requests cancelled
+            "sharded_queries",       # query_sharded scatter-gathers run
+            "scatter_legs",          # shard legs across all scatters
+            "soft_failovers",        # Overloaded sheds routed around (no slash)
+            "retry_storms_avoided",  # waits honoring a server's retry_after
+        )
         #: every attempt launched by the most recent routed query, serial
         #: ones included
         self.last_hedge: list[HedgeAttempt] = []

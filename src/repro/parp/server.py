@@ -16,7 +16,6 @@ Deposit Module — the availability condition of Fig. 4.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..chain.chain import ChainError
@@ -28,7 +27,7 @@ from ..contracts.addresses import CHANNELS_MODULE_ADDRESS, FRAUD_MODULE_ADDRESS
 from ..contracts.channels import CHANNEL_CLOSED, CHANNEL_NONE, CHANNEL_OPEN
 from ..crypto import keccak256
 from ..crypto.keys import Address
-from ..metrics.cache import LRUCache
+from ..metrics import Counters, LRUCache
 from ..node.fullnode import FullNode
 from ..rlp import codec as rlp
 from ..trie.shard import ShardPool, ShardRange
@@ -54,7 +53,7 @@ from .pricing import (
 from .queries import QUERY_CATALOG, QueryError, execute_query
 from .sharding import shard_key_of_call
 
-__all__ = ["ServeError", "ServerStats", "FullNodeServer"]
+__all__ = ["ServeError", "FullNodeServer"]
 
 _CHANNEL_OPENED_TOPIC = keccak256(b"ChannelOpened")
 
@@ -131,25 +130,6 @@ class _ShardSliceBackend(_SnapshotViewBackend):
         )
 
 
-@dataclass
-class ServerStats:
-    """Serving counters (feeds Fig. 7)."""
-
-    handshakes: int = field(default=0, init=False)
-    channels_opened: int = field(default=0, init=False)
-    requests_served: int = field(default=0, init=False)
-    requests_rejected: int = field(default=0, init=False)
-    batches_served: int = field(default=0, init=False)
-    batch_queries_served: int = field(default=0, init=False)
-    out_of_range_rejected: int = field(default=0, init=False)  # state-keyed calls outside the shard
-    admitted: int = field(default=0, init=False)               # requests/batches past the admission gate
-    shed: int = field(default=0, init=False)                   # signed Overloaded replies sent instead
-    heads_announced: int = field(default=0, init=False)        # signed head announcements gossiped
-    bytes_in: int = field(default=0, init=False)
-    bytes_out: int = field(default=0, init=False)
-    fees_earned: int = field(default=0, init=False)
-
-
 class FullNodeServer:
     """A PARP-compatible full node server."""
 
@@ -166,7 +146,22 @@ class FullNodeServer:
         self.shard_range = (None if shard_range is not None
                             and shard_range.is_full else shard_range)
         self.channels: dict[bytes, ServerChannel] = {}
-        self.stats = ServerStats()
+        #: serving counters (feed Fig. 7)
+        self.stats = Counters(
+            "handshakes",
+            "channels_opened",
+            "requests_served",
+            "requests_rejected",
+            "batches_served",
+            "batch_queries_served",
+            "out_of_range_rejected",  # state-keyed calls outside the shard
+            "admitted",               # requests/batches past the admission gate
+            "shed",                   # signed Overloaded replies sent instead
+            "heads_announced",        # signed head announcements gossiped
+            "bytes_in",
+            "bytes_out",
+            "fees_earned",
+        )
         #: memoized per-height state views: batch items and concurrent
         #: sessions pinned to the same snapshot share one warm StateDB.
         #: Shard servers substitute slice-backed views — same interface,
@@ -381,7 +376,7 @@ class FullNodeServer:
         back: an idle server admits a batch larger than its whole queue, and
         a forged one would otherwise shed every honest request until its
         cost drained.  ``served`` / ``queries_served`` name the
-        :class:`ServerStats` counters a served request of this wire advances
+        ``stats`` counters a served request of this wire advances
         (by one, and by its number of calls).
         """
         self._bump("bytes_in", len(wire))

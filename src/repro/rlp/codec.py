@@ -41,7 +41,13 @@ def encode_int(value: int) -> bytes:
 
 
 def decode_int(data: bytes) -> int:
-    """Decode a minimal big-endian byte string into an integer."""
+    """Decode a minimal big-endian byte string into an integer.
+
+    A decoded item that is a list, empty or not, is no integer: it raises
+    ``RLPError`` rather than reading as 0 (a second encoding of the same
+    value) or escaping as ``TypeError``."""
+    if not isinstance(data, bytes):
+        raise RLPError("integer encoding must be a byte string")
     if data and data[0] == 0:
         raise RLPError("integer encoding has leading zero byte")
     return int.from_bytes(data, "big")

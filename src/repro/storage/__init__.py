@@ -27,7 +27,6 @@ from .blocklog import (
     BLOCK_LOG_MAGIC,
     BlockLog,
     BlockLogAnchor,
-    BlockLogStats,
 )
 from .compaction import (
     CompactionReport,
@@ -36,7 +35,6 @@ from .compaction import (
 )
 from .filestore import (
     AppendOnlyFileStore,
-    FileStoreStats,
     MAGIC,
     open_state_dir,
 )
@@ -51,10 +49,8 @@ __all__ = [
     "NodeStore",
     "MemoryNodeStore",
     "AppendOnlyFileStore",
-    "FileStoreStats",
     "BlockLog",
     "BlockLogAnchor",
-    "BlockLogStats",
     "StoreError",
     "PrunedRootError",
     "RetentionPolicy",

@@ -47,9 +47,10 @@ import os
 import pathlib
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, BinaryIO, Callable, Optional, Union
 
+from ..metrics import Counters
 from ..rlp import codec as rlp
 from .logfile import LogFile
 from .nodestore import StoreError
@@ -57,7 +58,7 @@ from .nodestore import StoreError
 if TYPE_CHECKING:  # pragma: no cover — import cycle (chain → trie → storage)
     from ..chain.block import Block
 
-__all__ = ["BlockLog", "BlockLogAnchor", "BlockLogStats"]
+__all__ = ["BlockLog", "BlockLogAnchor"]
 
 #: file signature: PARP block log, format version 1
 BLOCK_LOG_MAGIC = b"PARPBL01"
@@ -68,27 +69,6 @@ _HASH_LEN = 32
 _PREFIX_LEN = 1 + 2 * _U32.size            # marker | number | payload len
 _TRAILER_LEN = _HASH_LEN + _U32.size       # block hash | crc
 _ANCHOR_LEN = 1 + _U32.size + 2 * _HASH_LEN + _U32.size
-
-
-@dataclass
-class BlockLogStats:
-    """Operational counters surfaced to benches and the serving node.
-
-    Like :class:`~repro.storage.filestore.FileStoreStats`, every counter
-    is per-open: a fresh handle starts at zero regardless of how much
-    history the file holds.
-    """
-
-    blocks_appended: int = field(default=0, init=False)
-    bytes_appended: int = field(default=0, init=False)
-    #: records found intact by the recovery scan on the most recent open
-    blocks_recovered: int = field(default=0, init=False)
-    #: torn/corrupt suffix bytes truncated away on the most recent open
-    truncated_bytes: int = field(default=0, init=False)
-    #: records dropped below the retention window by :meth:`BlockLog.prune_to`
-    blocks_pruned: int = field(default=0, init=False)
-    #: log bytes reclaimed by pruning
-    bytes_reclaimed: int = field(default=0, init=False)
 
 
 @dataclass(frozen=True)
@@ -182,7 +162,15 @@ class BlockLog:
     """Durable block history over a single append-only log file."""
 
     def __init__(self, path: Union[str, os.PathLike]) -> None:
-        self.stats = BlockLogStats()
+        #: operational counters, per-open like the node store's
+        self.stats = Counters(
+            "blocks_appended",
+            "bytes_appended",
+            "blocks_recovered",  # records found intact by this open's scan
+            "truncated_bytes",   # torn/corrupt suffix bytes cut away
+            "blocks_pruned",     # records dropped below the retention window
+            "bytes_reclaimed",   # log bytes reclaimed by pruning
+        )
         #: the recovered (and since-appended) chain, oldest first — the
         #: same Block objects the Blockchain indexes, not copies
         self.blocks: list[Block] = []

@@ -76,17 +76,15 @@ import pathlib
 import struct
 import zlib
 from collections.abc import MutableMapping
-from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..crypto.keccak import KECCAK_EMPTY_RLP
-from ..metrics.cache import LRUCache
+from ..metrics import Counters, LRUCache
 from .logfile import LogFile
 from .nodestore import NodeStore, StoreError
 
 __all__ = [
     "AppendOnlyFileStore",
-    "FileStoreStats",
     "open_state_dir",
 ]
 
@@ -109,38 +107,6 @@ _HASH_LEN = 32
 #: bound on remembered pruned roots (newest kept) — the record is loaded
 #: on every open, so it must not itself grow without bound
 _PRUNED_CAP = 4096
-
-
-@dataclass
-class FileStoreStats:
-    """Operational counters surfaced to benches and the serving node.
-
-    **Every counter is per-open**: a fresh :class:`AppendOnlyFileStore`
-    starts all of them at zero, whether the log it opens is empty or
-    holds years of history.  ``bytes_appended`` therefore counts what
-    *this handle* wrote, while ``batches_recovered`` counts what this
-    handle *found* at open — the two never mix, and reopening the same
-    path yields a store whose counters describe only the new lifecycle.
-    """
-
-    batches_committed: int = field(default=0, init=False)
-    entries_written: int = field(default=0, init=False)
-    #: bytes this handle appended via :meth:`commit` (recovered history
-    #: and the close-time footer are not appends)
-    bytes_appended: int = field(default=0, init=False)
-    reads: int = field(default=0, init=False)
-    #: batches restored at open — by the footer when intact, else by the
-    #: recovery scan
-    batches_recovered: int = field(default=0, init=False)
-    #: torn/corrupt bytes truncated away during this open's lifetime: the
-    #: recovery scan's discarded suffix plus any failed append that had to
-    #: be cut back (the footer stripped on a clean open is *not* counted —
-    #: nothing durable was lost)
-    truncated_bytes: int = field(default=0, init=False)
-    #: compaction passes completed by this handle
-    compactions: int = field(default=0, init=False)
-    #: log bytes reclaimed by those passes
-    bytes_reclaimed: int = field(default=0, init=False)
 
 
 class _PackedNodeIndex(MutableMapping):
@@ -245,7 +211,29 @@ class AppendOnlyFileStore(NodeStore):
         self._last_root: bytes = KECCAK_EMPTY_RLP
         #: True when this open deserialized the footer instead of scanning
         self.opened_indexed = False
-        self.stats = FileStoreStats()
+        #: operational counters, **every one per-open**: a fresh handle
+        #: starts them all at zero, whether the log it opens is empty or
+        #: holds years of history.  ``bytes_appended`` counts what *this
+        #: handle* wrote, ``batches_recovered`` what it *found* at open —
+        #: the two never mix.
+        self.stats = Counters(
+            "batches_committed",
+            "entries_written",
+            # bytes appended via commit() (recovered history and the
+            # close-time footer are not appends)
+            "bytes_appended",
+            "reads",
+            # batches restored at open: by the footer when intact, else by
+            # the recovery scan
+            "batches_recovered",
+            # torn/corrupt bytes cut away during this open's lifetime: the
+            # scan's discarded suffix plus any failed append cut back (the
+            # footer stripped on a clean open is not counted — nothing
+            # durable was lost)
+            "truncated_bytes",
+            "compactions",      # compaction passes completed by this handle
+            "bytes_reclaimed",  # log bytes reclaimed by those passes
+        )
         self._log = LogFile(path, MAGIC, "node store", self.stats)
         self._log.open(self._recover)
 

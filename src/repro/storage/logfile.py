@@ -50,8 +50,9 @@ from __future__ import annotations
 import os
 import pathlib
 import threading
-from typing import Any, BinaryIO, Callable, Iterator, Optional, TypeVar, Union
+from typing import BinaryIO, Callable, Iterator, Optional, TypeVar, Union
 
+from ..metrics import Counters
 from .nodestore import StoreError
 
 __all__ = ["LogFile"]
@@ -63,12 +64,12 @@ class LogFile:
     """A magic-headed append-only file with crash-safe append/scan/rewrite.
 
     ``kind`` names the log in error messages ("node store", "block log");
-    ``stats`` is the owner's counters object — only its ``truncated_bytes``
-    is touched here.
+    ``stats`` is the owner's counters — only its ``truncated_bytes`` is
+    touched here.
     """
 
     def __init__(self, path: Union[str, os.PathLike], magic: bytes, kind: str,
-                 stats: Any) -> None:
+                 stats: Counters) -> None:
         self.path = pathlib.Path(path)
         self.magic = magic
         self.kind = kind

@@ -186,5 +186,5 @@ class TestThreadedSingleServer:
         assert server.proof_cache.stats.misses >= len(holders)
         if on_disk:
             assert devnet.node_store.stats.reads > reads_before
-            assert server.admission.admitted == total
+            assert server.stats.admitted == total
             devnet.close()

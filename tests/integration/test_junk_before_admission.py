@@ -75,7 +75,6 @@ def test_a_stranger_spends_no_admission_and_no_signature(gated_env, signs):
             env.server.serve_request(wire)
     assert stats.requests_rejected - rejected == JUNK
     assert (stats.admitted, stats.shed) == (0, 0)
-    assert (env.server.admission.admitted, env.server.admission.shed) == (0, 0)
     assert signs == []
 
     call = RpcCall.create("eth_getBalance", env.keys.bob.address)

@@ -9,12 +9,21 @@ the mutation — byte edits, truncation, any one of the ten items replaced by
 a list — ``BlockHeader.decode`` raises ``RLPError`` or returns a header, and
 the two gossip messages raise ``MessageError`` from ``decode()`` and
 ``signer()`` or return.
+
+Receipts and accounts arrive inside proofs, and ``rlp.decode_int`` once
+read an empty list as 0 (a second encoding of the same receipt or account)
+and a non-empty one as ``TypeError``; an account took a list of 32 items
+for its storage root.  Every field of either one nested in lists or
+replaced by an empty list is refused with ``RLPError``.
 """
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.chain import GenesisConfig
+from repro.chain.account import Account
 from repro.chain.header import BlockHeader
+from repro.chain.receipt import LogEntry, Receipt
 from repro.crypto import PrivateKey
 from repro.gossip import HeadAnnouncement, ReputationGossip
 from repro.node import Devnet
@@ -29,6 +38,9 @@ HEADER = _NET.chain.head.header
 ANNOUNCEMENT = HeadAnnouncement.build(HEADER, KEY)
 GOSSIP = ReputationGossip.build(KEY.address, EVENT_FRAUD_DETECTED,
                                 b"\x07" * 32, 12.5, KEY).encode()
+RECEIPT = [b"\x01", b"\x52\x08",
+           [LogEntry(KEY.address, (b"\x09" * 32,), b"data").to_rlp()]]
+ACCOUNT = [b"\x01", b"\x0d\xe0\xb6", b"\x05" * 32, b"\x06" * 32]
 
 
 def edited(data: bytes):
@@ -46,11 +58,20 @@ def edited(data: bytes):
                      st.integers(0, len(data) - 1).map(lambda n: data[:n]))
 
 
-def _wrapped(index: int, depth: int) -> bytes:
-    items = HEADER._rlp_items()
+def _wrapped(index: int, depth: int, items=None) -> bytes:
+    """``items`` (the header's by default) with item ``index`` nested in
+    ``depth`` lists, or replaced by an empty list when ``depth`` is 0."""
+    items = list(HEADER._rlp_items() if items is None else items)
+    items[index] = [] if depth == 0 else items[index]
     for _ in range(depth):
         items[index] = [items[index]]
     return encode(items)
+
+
+def lists_in(items: list):
+    """Each item of ``items`` nested in one to three lists, or emptied."""
+    return st.builds(_wrapped, st.integers(0, len(items) - 1),
+                     st.integers(0, 3), st.just(items))
 
 
 #: the header with one of its ten items nested in one to three lists
@@ -96,3 +117,32 @@ def test_every_item_as_a_list_is_refused():
         except RLPError:
             continue
         raise AssertionError(f"item {index} as a list decoded")
+
+
+@given(lists_in(RECEIPT))
+@settings(max_examples=200, deadline=None)
+def test_receipt_decode_refuses_a_list_for_a_field(raw):
+    assume(raw != encode(RECEIPT[:2] + [[]]))   # a receipt without logs
+    try:
+        Receipt.decode(raw)
+    except RLPError:
+        return
+    raise AssertionError("a receipt with a list for a field decoded")
+
+
+@given(lists_in(ACCOUNT))
+@settings(max_examples=200, deadline=None)
+def test_account_decode_refuses_a_list_for_a_field(raw):
+    try:
+        Account.decode(raw)
+    except RLPError:
+        return
+    raise AssertionError("an account with a list for a field decoded")
+
+
+def test_the_bases_decode_and_a_root_of_32_items_does_not():
+    """The mutators' bases are valid, so what they refuse is the list."""
+    assert Receipt.decode(encode(RECEIPT)).status == 1
+    assert Account.decode(encode(ACCOUNT)).nonce == 1
+    with pytest.raises(RLPError):
+        Account.decode(encode(ACCOUNT[:2] + [[b"\x01"] * 32, ACCOUNT[3]]))

@@ -7,7 +7,7 @@ import pytest
 from benchmarks.probes import ResourceProbe, StepTimer
 from benchmarks.reporting import render_series, render_table
 from benchmarks.table1 import PUBLISHED_SHARES, TOTAL_RPC_DAPPS, generate_dataset
-from repro.metrics import CacheStats, LRUCache
+from repro.metrics import Counters, LRUCache
 from repro.workloads import AccountSet, ZipfSelector
 
 
@@ -92,7 +92,8 @@ class TestLRUCache:
         """Counters, entries and the lock start fresh in every cache."""
         assert list(inspect.signature(LRUCache).parameters) == ["capacity"]
         cache = LRUCache(capacity=2)
-        assert len(cache) == 0 and cache.stats == CacheStats()
+        assert len(cache) == 0
+        assert cache.stats.snapshot() == dict(hits=0, misses=0, evictions=0)
 
     def test_instances_share_no_state(self):
         a, b = LRUCache(capacity=2), LRUCache(capacity=2)
@@ -116,6 +117,31 @@ class TestLRUCache:
     def test_capacity_below_one_is_refused(self, capacity):
         with pytest.raises(ValueError, match="capacity"):
             LRUCache(capacity=capacity)
+
+
+class TestCounters:
+    def test_declared_names_start_at_zero_in_order(self):
+        stats = Counters("hits", "misses")
+        stats.misses += 2
+        stats.hits += 1
+        assert stats.snapshot() == {"hits": 1, "misses": 2}
+        assert list(stats.snapshot()) == ["hits", "misses"]
+
+    def test_a_snapshot_is_a_copy(self):
+        stats = Counters("hits")
+        before = stats.snapshot()
+        stats.hits += 1
+        assert before == {"hits": 0} and stats.snapshot() == {"hits": 1}
+
+    @pytest.mark.parametrize("names", [("hits", "hits"), ("snapshot",)])
+    def test_a_repeated_or_reserved_name_is_refused(self, names):
+        with pytest.raises(ValueError):
+            Counters(*names)
+
+    def test_an_undeclared_counter_cannot_be_bumped(self):
+        stats = Counters("hits")
+        with pytest.raises(AttributeError):
+            stats.hitz += 1
 
 
 class TestZipf:

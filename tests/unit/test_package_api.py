@@ -47,7 +47,9 @@ class TestTopLevel:
         (``serve_header``, ``serve_bootstrap``, ``RangeUpdate``), Proof of
         Serving, private state taken as a constructor keyword, the
         second and third walks of a state's node set, the reputation
-        ledger's event list and a session clock no check could use."""
+        ledger's event list, a session clock no check could use, the ten
+        ``*Stats`` counter classes and the admission controller's copy of
+        the server's admitted/shed counts."""
         import importlib
         import inspect
         import threading
@@ -75,16 +77,17 @@ class TestTopLevel:
         from repro.net.transport import ENDPOINT_METHODS
         from repro.parp import reputation
         from repro.parp.client import LightClientSession
-        from repro.parp.marketplace import MarketplaceStats, ServerAdvertisement
+        from repro.parp.marketplace import ServerAdvertisement
         from repro.parp.server import FullNodeServer
 
         assert "EVENT_VERSION_MISMATCH" not in reputation.__all__
         assert "batch_protocol_version" not in ENDPOINT_METHODS
         assert not hasattr(FullNodeServer, "batch_protocol_version")
         assert not hasattr(LightClientSession, "batch_supported")
-        for cls, name in ((ServerAdvertisement, "batch_version"),
-                          (MarketplaceStats, "version_mismatches")):
-            assert name not in {f.name for f in dataclasses.fields(cls)}
+        assert "batch_version" not in {
+            f.name for f in dataclasses.fields(ServerAdvertisement)}
+        assert "version_mismatches" not in inspect.getsource(
+            importlib.import_module("repro.parp.marketplace"))
 
         # single-wire detours that existed only while batch fraud was not
         # slashable: every hedged and sharded leg rides the batch wire
@@ -106,7 +109,7 @@ class TestTopLevel:
             assert not (package / f"{name}.py").exists(), name
             assert not list((package / name).glob("*.py")), name
         assert repro.workloads.__all__ == ["AccountSet", "ZipfSelector"]
-        assert repro.metrics.__all__ == ["CacheStats", "LRUCache"]
+        assert repro.metrics.__all__ == ["Counters", "LRUCache"]
 
         # a diagnostic nothing read: the most recent scatter's outcome
         assert "last_scatter" not in inspect.getsource(
@@ -325,7 +328,7 @@ class TestTopLevel:
         from repro.chain import GenesisConfig
         from repro.lightclient.checkpoint import Checkpoint
         from repro.lightclient.headerchain import HeaderChain
-        from repro.metrics import CacheStats, LRUCache
+        from repro.metrics import Counters, LRUCache
         from repro.parp import fraudproof
         from repro.parp.constants import DEFAULT_SELECTION_THRESHOLD
         from repro.parp.client import DEFAULT_GAS_PRICE
@@ -382,7 +385,7 @@ class TestTopLevel:
             "CheckpointSyncer": {"chain": HeaderChain()},
             "SimNetwork": {"clock": SimClock()},
             # private state is no constructor's to take
-            "LRUCache": {"stats": CacheStats(), "_entries": OrderedDict(a=1),
+            "LRUCache": {"stats": Counters(), "_entries": OrderedDict(a=1),
                          "_lock": threading.Lock()},
             "LivenessMonitor": {"_probes": 1},
             # a handshake expiry is chain time: the session reads the tip
@@ -403,7 +406,8 @@ class TestTopLevel:
         assert admission.BATCH_ITEM_COST == 0.25
         assert (fraudproof.WITNESS_GAS_PRICE,
                 fraudproof.WITNESS_GAS_LIMIT) == (12 * 10 ** 9, 2_000_000)
-        assert LRUCache().stats == CacheStats()
+        assert LRUCache().stats.snapshot() == dict(hits=0, misses=0,
+                                                   evictions=0)
         # options nothing outside tests/ set (benchmarks/surface.py): each
         # became a module constant or went with its branch, and each
         # signature refuses the keyword
@@ -511,6 +515,39 @@ class TestTopLevel:
                 getattr(repro.parp, name)
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.parp.proof_of_serving")
+        # one counter type: the ten *Stats dataclasses are Counters values
+        # their owners declare, and the admission controller keeps no copy
+        # of the server's admitted/shed counts
+        stats_classes = {
+            "repro.net": ("LinkStats", "NetworkStats"),
+            "repro.net.network": ("LinkStats", "NetworkStats"),
+            "repro.metrics": ("CacheStats",),
+            "repro.metrics.cache": ("CacheStats",),
+            "repro.parp.marketplace": ("MarketplaceStats",),
+            "repro.parp.server": ("ServerStats",),
+            "repro.storage": ("BlockLogStats", "FileStoreStats"),
+            "repro.storage.blocklog": ("BlockLogStats",),
+            "repro.storage.filestore": ("FileStoreStats",),
+            "repro.gossip": ("GossipStats", "ReputationShareStats",
+                             "HeadGossipStats"),
+            "repro.gossip.pubsub": ("GossipStats",),
+            "repro.gossip.repshare": ("ReputationShareStats",),
+            "repro.gossip.heads": ("HeadGossipStats",),
+        }
+        for name, classes in stats_classes.items():
+            module = importlib.import_module(name)
+            for cls in classes:
+                assert cls not in getattr(module, "__all__", ())
+                assert not hasattr(module, cls), f"{name}.{cls}"
+        for name in ("ServerStats", "MarketplaceStats"):
+            with pytest.raises(AttributeError):
+                getattr(repro.parp, name)
+        assert not hasattr(network.stats, "links")
+        assert not hasattr(network.stats, "link")
+        controller = admission.AdmissionController()
+        assert controller.offer(1.0).admitted
+        assert not hasattr(controller, "admitted")
+        assert not hasattr(controller, "shed")
 
     def test_no_private_dataclass_field_is_a_constructor_keyword(self):
         """A dataclass field named ``_x`` is the object's own state: a

@@ -86,7 +86,7 @@ class TestDelivery:
         net.run()
         assert net.stats.messages_sent == 1
         assert net.stats.messages_dropped == 1
-        assert net.stats.link("a", "ghost").dropped == 1
+        assert net.link("a", "ghost").dropped == 1
 
     def test_deregistered_destination_drops_in_flight_traffic(self):
         net = SimNetwork(latency=FixedLatency(0.1))
@@ -99,7 +99,7 @@ class TestDelivery:
         net.run()
         assert sink.received == []
         assert net.stats.messages_dropped == 2
-        assert net.stats.link("a", "b").dropped == 2
+        assert net.link("a", "b").dropped == 2
 
     def test_duplicate_registration(self):
         net = SimNetwork()
@@ -129,9 +129,9 @@ class TestDelivery:
         net.send("a", "b", b"y" * 20, size_bytes=20)
         net.send("a", "c", b"z" * 30, size_bytes=30)
         net.run()
-        ab = net.stats.link("a", "b")
+        ab = net.link("a", "b")
         assert (ab.sent, ab.delivered, ab.dropped, ab.bytes_sent) == (2, 2, 0, 30)
-        ac = net.stats.link("a", "c")
+        ac = net.link("a", "c")
         assert (ac.sent, ac.delivered, ac.dropped, ac.bytes_sent) == (1, 0, 1, 30)
         # the aggregate view is the sum of the links
         assert net.stats.messages_sent == 3

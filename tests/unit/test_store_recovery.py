@@ -358,10 +358,10 @@ class TestReadCacheInvalidation:
 
 
 class TestStatsCoherence:
-    """Every ``FileStoreStats`` counter is per-open (documented on the
-    class): reopening yields a handle whose counters describe only the new
-    lifecycle, with recovered history appearing in ``batches_recovered``
-    and never in ``bytes_appended``."""
+    """Every node-store counter is per-open (documented where
+    ``AppendOnlyFileStore`` declares them): reopening yields a handle whose
+    counters describe only the new lifecycle, with recovered history
+    appearing in ``batches_recovered`` and never in ``bytes_appended``."""
 
     def test_reopen_starts_a_fresh_lifecycle(self, tmp_path):
         path = tmp_path / "nodes.log"

@@ -9,11 +9,13 @@ only, so tier-1 regenerates it and compares: an option added, removed or
 newly set without a fresh census fails here, and so does a value nothing
 outside ``tests/`` sets unless ``REVIEWED`` gives it one of the three
 reasons in ``WHYS``.  Counters and protocol state are the object's own:
-they are ``field(init=False)``, not values a caller sets.
+counters are the ``Counters`` their owner declares, protocol state is
+``field(init=False)``, and neither is a value a caller sets.
 """
 
 import ast
 import dataclasses
+import inspect
 import json
 import textwrap
 
@@ -30,32 +32,36 @@ from benchmarks.surface import (
     _modules,
     census,
 )
+from repro.chain import GenesisConfig
 from repro.crypto import PrivateKey
-from repro.gossip.heads import HeadGossipStats
-from repro.gossip.pubsub import GossipStats, _PeerScore
-from repro.gossip.repshare import ReputationShareStats
-from repro.metrics import CacheStats
-from repro.net.network import LinkStats, NetworkStats
+from repro.gossip import GossipNode, HeadGossip, ReputationShare
+from repro.gossip.pubsub import _PeerScore
+from repro.lightclient import HeaderSyncer
+from repro.metrics import Counters, LRUCache
+from repro.net import SimNetwork
+from repro.node import Devnet, FullNode
 from repro.parp.channel import ClientChannel, ServerChannel
 from repro.parp.client import PendingQuery
 from repro.parp.liveness import LivenessMonitor
 from repro.parp.marketplace import (
     HedgeAttempt,
-    MarketplaceStats,
+    Marketplace,
+    MarketplaceClient,
     ShardLeg,
 )
-from repro.parp.server import ServerStats
-from repro.storage.blocklog import BlockLogStats
-from repro.storage.filestore import FileStoreStats
+from repro.parp.reputation import ReputationLedger
+from repro.parp.server import FullNodeServer
+from repro.storage import AppendOnlyFileStore, BlockLog
 from repro.vm.runtime import _TxState
 
 CURRENT = census()
 COMMITTED = json.loads(OUT.read_text(encoding="utf-8"))
 UNSET = [e for e in CURRENT["entries"] if not e["set"]]
 
-STATS = (LinkStats, NetworkStats, CacheStats, MarketplaceStats, ServerStats,
-         BlockLogStats, FileStoreStats, GossipStats, ReputationShareStats,
-         HeadGossipStats)
+#: every class that builds a ``Counters`` under src/
+COUNTER_OWNERS = (LRUCache, SimNetwork, MarketplaceClient, FullNodeServer,
+                  BlockLog, AppendOnlyFileStore, GossipNode, ReputationShare,
+                  HeadGossip)
 STATE = {
     ClientChannel: ("spent", "acked", "requests_sent"),
     ServerChannel: ("latest_amount", "latest_sig", "requests_served",
@@ -99,23 +105,74 @@ def test_a_set_value_carries_no_reason():
     assert all(not e["why"] for e in CURRENT["entries"] if e["set"])
 
 
-def test_counters_and_protocol_state_are_not_constructor_keywords():
+def _classes_building_counters() -> set[str]:
+    """The name of each class under src/ whose body calls ``Counters``."""
+    owners = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(cls, ast.ClassDef) and any(
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "Counters"
+                    for node in ast.walk(cls)):
+                owners.add(cls.name)
+    return owners
+
+
+@pytest.fixture
+def fresh_counters(tmp_path):
+    """Each owner's counters, read off a freshly built owner."""
+    devnet = Devnet(GenesisConfig())
+    node = FullNode(devnet.chain, name="census")
+    network = SimNetwork()
+    gossip = GossipNode(network, "census")
+    key = PrivateKey.from_seed("unit:surface:counters")
+    blocks = BlockLog(tmp_path / "blocks.log")
+    nodes = AppendOnlyFileStore(tmp_path / "nodes.log")
+    yield {
+        LRUCache: [LRUCache().stats],
+        SimNetwork: [network.stats, network.link("census", "peer")],
+        MarketplaceClient: [MarketplaceClient(key, Marketplace()).stats],
+        FullNodeServer: [FullNodeServer(node).stats],
+        BlockLog: [blocks.stats],
+        AppendOnlyFileStore: [nodes.stats],
+        GossipNode: [gossip.stats],
+        ReputationShare: [
+            ReputationShare(gossip, ReputationLedger(), key).stats],
+        HeadGossip: [HeadGossip(gossip, HeaderSyncer([node])).stats],
+    }
+    blocks.close()
+    nodes.close()
+
+
+def test_counters_and_protocol_state_are_not_constructor_keywords(
+        fresh_counters):
     """A caller could once open a channel already holding a banked σ_a
     (``ServerChannel(latest_amount=…, latest_sig=…)``) or a cache with
-    hits it never served.  Every counter of the ten ``*Stats`` classes and
-    each mutable-state field starts at its default and is only moved by
-    the object itself."""
-    taken = [f"{cls.__name__}.{f.name}" for cls in STATS
-             for f in dataclasses.fields(cls) if f.init]
-    taken += [f"{cls.__name__}.{name}" for cls, names in STATE.items()
-              for f in dataclasses.fields(cls)
-              if f.name in names and f.init]
+    hits it never served.  Every owner of counters declares their names in
+    one ``Counters(...)``: each counter starts at 0, ``Counters`` takes
+    names and no value, and no owner's constructor takes its counters or
+    one of them.  Each mutable-state field starts at its default and is
+    only moved by the object itself."""
+    assert {cls.__name__ for cls in COUNTER_OWNERS} \
+        == _classes_building_counters()
+    assert list(fresh_counters) == list(COUNTER_OWNERS)
+    for owner, counters in fresh_counters.items():
+        parameters = set(inspect.signature(owner).parameters)
+        for stats in counters:
+            assert isinstance(stats, Counters)
+            snapshot = stats.snapshot()
+            assert snapshot and set(snapshot.values()) == {0}, owner
+            assert not parameters & {"stats", *snapshot}, owner
+    assert [p.kind for p in inspect.signature(Counters).parameters.values()] \
+        == [inspect.Parameter.VAR_POSITIONAL]
+    with pytest.raises(TypeError):
+        Counters("hits", hits=1)
+
+    taken = [f"{cls.__name__}.{name}" for cls, names in STATE.items()
+             for f in dataclasses.fields(cls)
+             if f.name in names and f.init]
     assert taken == []
-    assert sum(len(dataclasses.fields(cls)) for cls in STATS) == 79
     assert sum(map(len, STATE.values())) == 33
-    for cls in STATS:
-        with pytest.raises(TypeError):
-            cls(**{dataclasses.fields(cls)[0].name: 1})
     light_client = PrivateKey.from_seed("unit:surface:lc").address
     with pytest.raises(TypeError, match="latest_amount"):
         ServerChannel(b"\x01" * 16, light_client, budget=10,

@@ -248,7 +248,7 @@ class TestUnreachableDestinations:
         net.deregister("srv-0")
         reply = ep.submit("serve_updates_range", 1, 1)      # must not raise
         assert wait_any([reply], timeout=0.5) is None
-        assert net.stats.link("lc-0", "srv-0").dropped == 1
+        assert net.link("lc-0", "srv-0").dropped == 1
         with pytest.raises(EndpointTimeout):
             reply.result()
 
