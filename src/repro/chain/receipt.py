@@ -33,6 +33,10 @@ class LogEntry:
         if not isinstance(item, list) or len(item) != 3:
             raise rlp.RLPError("log entry must be a 3-item list")
         address_b, topics, data = item
+        if not isinstance(address_b, bytes) or len(address_b) != 20:
+            raise rlp.RLPError("log address must be a 20-byte string")
+        if not isinstance(data, bytes):
+            raise rlp.RLPError("log data must be a byte string")
         if not isinstance(topics, list):
             raise rlp.RLPError("log topics must be a list")
         for topic in topics:

@@ -604,7 +604,7 @@ class LightClientSession:
         it, so an undecodable one is INVALID like any undecodable reply."""
         try:
             return decode_int_result(self._result(method, *params))
-        except (MessageError, rlp.RLPError) as exc:
+        except MessageError as exc:
             raise InvalidResponse(VerificationReport(
                 ResponseClass.INVALID, "decode", str(exc),
             )) from exc

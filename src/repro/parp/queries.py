@@ -366,10 +366,11 @@ def _execute_chain_id(backend: ChainBackend, call: RpcCall,
 
 
 def decode_int_result(result: bytes) -> int:
-    item = rlp.decode(result)
-    if not isinstance(item, bytes):
-        raise MessageError("expected an integer result payload")
-    return rlp.decode_int(item)
+    try:
+        return rlp.decode_int(rlp.decode(result))
+    except rlp.RLPError as exc:
+        raise MessageError(
+            f"expected an integer result payload: {exc}") from exc
 
 
 # --------------------------------------------------------------------------- #

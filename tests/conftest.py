@@ -14,31 +14,40 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.chain import GenesisConfig
 from repro.chain.account import Account
 from repro.contracts import DEPOSIT_MODULE_ADDRESS
-from repro.crypto import PrivateKey
+from repro.crypto import PrivateKey, keccak256
 from repro.crypto import keccak as keccak_module
 from repro.crypto.keys import Address
 from repro.lightclient import HeaderSyncer
+from repro.net import (PairwiseLatency, SimEndpoint, SimNetwork,
+                       SimServerBinding)
 from repro.node import Devnet, FullNode
 from repro.parp import (
+    FlatFeeSchedule,
     FullNodeServer,
     LightClientSession,
+    Marketplace,
     MarketplaceClient,
     MIN_FULL_NODE_DEPOSIT,
     RpcCall,
+    ServerAdvertisement,
     WitnessService,
 )
+from repro.parp.adversary import MaliciousFullNodeServer
 from repro.parp.client import served_result
+from repro.parp.pricing import GWEI
 from repro.parp.queries import decode_balance
 from repro.parp.reputation import EVENT_WEIGHTS, ReputationLedger
 from repro.rlp import codec as rlp
 from repro.storage import AppendOnlyFileStore, MemoryNodeStore
-from repro.trie import ShardPool, walk_state_nodes
+from repro.trie import ShardPool, shard_of_key, walk_state_nodes
 
 TOKEN = 10 ** 18
+BUDGET = 10 ** 15
 
 #: Backends the store-parametrized trie/state tests run against.  Defaults
 #: to memory only (fast local runs); CI's tier-1 job sets
@@ -197,6 +206,59 @@ def tree_passes(batch, edges):
         lanes = [j for j in lanes if ready(j)]
 
 
+#: The operation grammar of the differential trie suites (engine against
+#: engine, backend against backend).  Narrow keys maximize structural
+#: collisions (shared prefixes, branch value slots, extension splits) —
+#: where two of them could diverge.
+trie_keys = st.binary(min_size=1, max_size=4)
+trie_values = st.binary(min_size=1, max_size=40)
+trie_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), trie_keys, trie_values),
+        st.tuples(st.just("delete"), trie_keys),
+        st.tuples(st.just("update"),
+                  st.dictionaries(trie_keys, trie_values, min_size=1,
+                                  max_size=6)),
+        st.tuples(st.just("snapshot")),
+        st.tuples(st.just("revert"), st.integers(min_value=0, max_value=7)),
+    ),
+    max_size=24,
+)
+
+
+def apply_trie_op(op, engines, model, saved):
+    """Apply one operation to every engine and the dict model."""
+    tag = op[0]
+    if tag == "put":
+        _, key, value = op
+        for engine in engines:
+            engine.put(key, value)
+        model[key] = value
+    elif tag == "delete":
+        _, key = op
+        for engine in engines:
+            assert engine.delete(key) == (key in model)
+        model.pop(key, None)
+    elif tag == "update":
+        _, batch = op
+        for engine in engines:
+            engine.update(batch)
+        model.update(batch)
+    elif tag == "snapshot":
+        roots = {engine.commit() for engine in engines}
+        assert len(roots) == 1
+        saved.append((roots.pop(), dict(model)))
+    elif tag == "revert":
+        if not saved:
+            return engines
+        root, contents = saved[op[1] % len(saved)]
+        # a remembered root re-attaches as a full read/write trie
+        engines = [engine.at_root(root) for engine in engines]
+        model.clear()
+        model.update(contents)
+    return engines
+
+
 def pytest_generate_tests(metafunc):
     if "node_store_backend" in metafunc.fixturenames:
         metafunc.parametrize("node_store_backend", NODE_STORE_BACKENDS)
@@ -285,3 +347,140 @@ def make_parp_env(devnet: Devnet, keys: Keys, server_cls=FullNodeServer,
 @pytest.fixture
 def parp_env(devnet: Devnet, keys: Keys) -> ParpEnv:
     return make_parp_env(devnet, keys)
+
+
+def addr(tag: str) -> Address:
+    return Address(keccak256(tag.encode())[-20:])
+
+
+def ad_for(tag: str, price_gwei: int = 10,
+           shard=None) -> ServerAdvertisement:
+    """An advertisement of ``addr(tag)`` at a flat price, no endpoint."""
+    return ServerAdvertisement(
+        address=addr(tag), endpoint=object(),
+        fee_schedule=FlatFeeSchedule(flat_price=price_gwei * GWEI),
+        name=tag, shard=shard,
+    )
+
+
+def flat(*gwei: int) -> list[FlatFeeSchedule]:
+    """One flat fee schedule per price, in GWEI."""
+    return [FlatFeeSchedule(flat_price=price * GWEI) for price in gwei]
+
+
+def malicious(attack: str = "inflate_balance") -> dict:
+    """The server keywords that make a ``make_market`` server forge."""
+    return {"server_cls": MaliciousFullNodeServer, "attack": attack}
+
+
+def links(*latencies: float, labels=None) -> PairwiseLatency:
+    """Server i's client link ``lc-{label}`` → ``srv-{label}`` takes
+    ``latencies[i]`` seconds, any other link 0.02 s."""
+    labels = labels or range(len(latencies))
+    return PairwiseLatency({(f"lc-{label}", f"srv-{label}"): latency
+                            for label, latency in zip(labels, latencies)},
+                           default=0.02)
+
+
+def shard_user(prefix: str, index: int, count: int, tag: str = "u") -> str:
+    """The first seed tag ``{tag}{i}`` whose ``{prefix}:{tag}{i}`` address
+    hashes into shard ``index`` of ``count``."""
+    for i in range(512):
+        address = PrivateKey.from_seed(f"{prefix}:{tag}{i}").address
+        if shard_of_key(keccak256(bytes(address)), count) == index:
+            return f"{tag}{i}"
+    raise AssertionError("no seed found for shard")  # pragma: no cover
+
+
+@dataclass
+class MarketWorld:
+    """Staked servers advertised on one marketplace, and the client that
+    shops there (``make_market``).  ``bindings`` and ``endpoints`` are
+    empty in process; ``users`` are the funded end-user keys, ``mesh`` the
+    servers' gossip nodes once a test meshes them."""
+
+    devnet: Devnet
+    network: Optional[SimNetwork]
+    operators: list[PrivateKey]
+    servers: list[FullNodeServer]
+    bindings: list[SimServerBinding]
+    endpoints: list[SimEndpoint]
+    marketplace: Marketplace
+    witness: Optional[WitnessService]
+    client: Optional[MarketplaceClient]
+    lc: PrivateKey
+    alice: PrivateKey
+    users: list[PrivateKey]
+    mesh: list = field(default_factory=list)
+
+    def connect(self, min_sessions: Optional[int] = None) -> list[Address]:
+        """Bond to every server (or ``min_sessions``), then sync past the
+        channel-open blocks so a measured race fetches no header."""
+        opened = self.client.connect(min_sessions or len(self.servers))
+        self.client.headers.sync()
+        return opened
+
+    def session_of(self, index: int) -> Optional[LightClientSession]:
+        return self.client.sessions.get(self.servers[index].address)
+
+    def balance_call(self, key: Optional[PrivateKey] = None) -> RpcCall:
+        return RpcCall.create("eth_getBalance", (key or self.alice).address)
+
+    def balance_calls(self) -> list[RpcCall]:
+        return [self.balance_call(user) for user in self.users]
+
+    def attempts_by_label(self) -> dict:
+        return {attempt.label: attempt for attempt in self.client.last_hedge}
+
+
+def make_market(prefix: str, schedules, *, labels=None, latency=None,
+                timeout: float = 2.0, funds: int = 100, users=None,
+                ranges=None, server_kwargs=None, blocks: int = 2,
+                witness: bool = True, client: bool = True) -> MarketWorld:
+    """One staked, advertised server per fee schedule, ``blocks`` empty
+    blocks, then a witness and a client.  Keys are ``{prefix}:{tag}``:
+    ``op{label}`` per server (labels 0, 1, … by default), ``lc``, ``wn``
+    and each ``users`` tag, funded with that many tokens (alice with 5 by
+    default); operators, witness and client hold ``funds``.  With a
+    ``latency`` model server ``srv-{label}`` sits on a sim network behind
+    client link ``lc-{label}``, else it serves in process.  ``ranges[i]``
+    shards server i; ``server_kwargs[i]`` are its other keywords."""
+
+    def key(tag: str) -> PrivateKey:
+        return PrivateKey.from_seed(f"{prefix}:{tag}")
+
+    labels = labels or [str(i) for i in range(len(schedules))]
+    operators = [key(f"op{label}") for label in labels]
+    lc, wn = key("lc"), key("wn")
+    users = {key(tag): tokens for tag, tokens in
+             ({"alice": 5} if users is None else users).items()}
+    funded = operators + [wn] * witness + [lc] * client
+    allocations = {k.address: funds * TOKEN for k in funded}
+    allocations.update((user.address, tokens * TOKEN)
+                       for user, tokens in users.items())
+    devnet = Devnet(GenesisConfig(allocations=allocations))
+    network = None if latency is None else SimNetwork(latency=latency)
+    marketplace, servers, bindings, endpoints = Marketplace(), [], [], []
+    for i, (op, label) in enumerate(zip(operators, labels)):
+        kwargs = (server_kwargs or {}).get(i, {})
+        if ranges:
+            kwargs = {**kwargs, "shard_range": ranges[i]}
+        name, endpoint = f"srv-{label}", None
+        server = devnet.attach_server(op, name=name,
+                                      fee_schedule=schedules[i], **kwargs)
+        servers.append(server)
+        if network is not None:
+            bindings.append(SimServerBinding(network, name, server))
+            endpoint = SimEndpoint(network, f"lc-{label}", name,
+                                   server.address, timeout=timeout)
+            endpoints.append(endpoint)
+        marketplace.advertise_server(server, name=name, endpoint=endpoint)
+    devnet.advance_blocks(blocks)
+    witness = (WitnessService(FullNode(devnet.chain, key=wn, name="wn"))
+               if witness else None)
+    client = MarketplaceClient(
+        lc, marketplace, witness=witness, budget=BUDGET,
+        clock=None if network is None else network.clock) if client else None
+    return MarketWorld(devnet, network, operators, servers, bindings,
+                       endpoints, marketplace, witness, client, lc,
+                       key("alice"), list(users))

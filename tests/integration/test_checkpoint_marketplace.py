@@ -9,22 +9,13 @@ checkpoint server.
 
 import pytest
 
-from repro.chain import GenesisConfig
-from repro.crypto import PrivateKey
 from repro.lightclient import Checkpoint, CheckpointSyncer
-from repro.net import FixedLatency, SimEndpoint, SimNetwork, SimServerBinding
-from repro.node import Devnet, FullNode
-from repro.parp import (
-    FullNodeServer,
-    Marketplace,
-    MarketplaceClient,
-    MarketplaceError,
-    ServerAdvertisement,
-)
+from repro.net import FixedLatency
+from repro.parp import FullNodeServer, MarketplaceClient, MarketplaceError
 from repro.parp.pricing import CallBasedFeeSchedule
 
-TOKEN = 10 ** 18
-BUDGET = 10 ** 15
+from ..conftest import BUDGET, TOKEN, make_market
+
 CHAIN_LENGTH = 24
 CHECKPOINT_HEIGHT = 18
 
@@ -38,41 +29,23 @@ class EquivocatingServer(FullNodeServer):
         return super().serve_updates_range(start, count)
 
 
-def make_world(n_servers=3, evil_indexes=(), over_network=False):
-    operators = [PrivateKey.from_seed(f"e2e:ckpt:op{i}")
-                 for i in range(n_servers)]
-    lc = PrivateKey.from_seed("e2e:ckpt:lc")
-    alice = PrivateKey.from_seed("e2e:ckpt:alice")
-    allocations = {k.address: 100 * TOKEN for k in operators + [lc]}
-    allocations[alice.address] = 5 * TOKEN
-    devnet = Devnet(GenesisConfig(allocations=allocations))
-    for op in operators:
-        devnet.stake_full_node(op)
+def make_world(evil_indexes=(), over_network=False):
+    """Three staked servers on a chain of ``CHAIN_LENGTH`` blocks, and a
+    client anchored at the header of ``CHECKPOINT_HEIGHT``."""
+    world = make_market(
+        "e2e:ckpt", [CallBasedFeeSchedule()] * 3, witness=False,
+        client=False, users={"alice": 5, "lc": 100},
+        latency=FixedLatency(0.02) if over_network else None,
+        server_kwargs={i: {"server_cls": EquivocatingServer}
+                       for i in evil_indexes})
+    devnet = world.devnet
     while devnet.chain.height < CHAIN_LENGTH:
         devnet.advance_blocks(1)
-
-    servers, marketplace = [], Marketplace()
-    network = SimNetwork(latency=FixedLatency(0.02)) if over_network else None
-    for i, op in enumerate(operators):
-        cls = EquivocatingServer if i in evil_indexes else FullNodeServer
-        server = cls(FullNode(devnet.chain, key=op, name=f"srv-{i}"),
-                     fee_schedule=CallBasedFeeSchedule())
-        servers.append(server)
-        if over_network:
-            SimServerBinding(network, f"srv-{i}", server)
-            endpoint = SimEndpoint(network, f"lc-{i}", f"srv-{i}",
-                                   server.address, timeout=2.0)
-            marketplace.advertise(ServerAdvertisement.for_server(
-                server, name=f"srv-{i}", endpoint=endpoint))
-        else:
-            marketplace.advertise_server(server, name=f"srv-{i}")
-
     checkpoint = Checkpoint.of(devnet.chain.get_header(CHECKPOINT_HEIGHT))
     client = MarketplaceClient(
-        lc, marketplace, budget=BUDGET, checkpoint=checkpoint,
-        clock=network.clock.now if over_network else None,
-    )
-    return devnet, servers, client, checkpoint, alice
+        world.lc, world.marketplace, budget=BUDGET, checkpoint=checkpoint,
+        clock=world.network.clock if over_network else None)
+    return devnet, world.servers, client, checkpoint, world.alice
 
 
 class TestCheckpointOnboarding:

@@ -19,8 +19,7 @@ from repro.node import Devnet, FullNode
 from repro.parp import AdmissionConfig, FullNodeServer, LightClientSession
 from repro.parp.messages import RpcCall
 
-TOKEN = 10 ** 18
-BUDGET = 10 ** 15
+from ..conftest import BUDGET, TOKEN
 
 
 def funded_devnet(client_keys, operator_keys, alice, holders=(),

@@ -41,10 +41,9 @@ from repro.parp.states import ResponseClass
 from repro.rlp import codec as rlp
 from repro.trie import ProofIndex, verify_proof
 
-from ..conftest import counted_keccak, make_parp_env, state_nodes, tree_passes
-from .test_e2e_sharded import ShardWorld
-
-TOKEN = 10 ** 18
+from ..conftest import (TOKEN, counted_keccak, make_parp_env, state_nodes,
+                        tree_passes)
+from .test_e2e_sharded import shard_world
 
 #: one verified round trip: the client signs the request and its payment and
 #: the server its response; each side recovers the signatures of the other
@@ -518,7 +517,7 @@ def test_a_sharded_query_routes_by_hashes_its_parties_hold(monkeypatch):
     the client derives it through the memo it verifies with, the server
     through the memo its state reads use.  Sixteen calls used to cost 32
     address hashes a query on top of those memos, every query."""
-    world = ShardWorld(shard_count=4, replicas=1, latencies=(0.02,))
+    world = shard_world(shard_count=4, replicas=1, latencies=(0.02,))
     world.connect()
     strangers = [PrivateKey.from_seed(f"budget:stranger{i}") for i in range(12)]
     calls = world.balance_calls() + [

@@ -8,19 +8,15 @@ refusal-then-failover path for servers that do not speak our batch version.
 
 import pytest
 
-from repro.chain import GenesisConfig
 from repro.contracts import DEPOSIT_MODULE_ADDRESS
-from repro.crypto import PrivateKey, Signature, recover_address
-from repro.net import FixedLatency, SimEndpoint, SimNetwork, SimServerBinding
+from repro.crypto import Signature, recover_address
+from repro.net import FixedLatency
 from repro.node import Devnet
 from repro.parp import (
     BatchResponse,
-    FlatFeeSchedule,
     FraudDetected,
     FullNodeServer,
     InvalidResponse,
-    Marketplace,
-    MarketplaceClient,
     RpcCall,
     SessionError,
 )
@@ -28,7 +24,6 @@ from repro.parp.adversary import MaliciousFullNodeServer
 from repro.parp.constants import BATCH_PROTOCOL_VERSION
 from repro.parp.fraudproof import WITNESS_GAS_LIMIT
 from repro.parp.messages import payment_digest
-from repro.parp.pricing import GWEI
 from repro.parp.reputation import EVENT_SERVED_OK, EVENT_TIMEOUT
 from repro.parp.server import ServeError
 from repro.parp.queries import decode_balance, decode_int_result
@@ -36,7 +31,8 @@ from repro.parp.states import ResponseClass
 from repro.trie.proof import proof_size
 from repro.workloads import AccountSet
 
-from ..conftest import TOKEN, LedgerRecorder, make_parp_env
+from ..conftest import (TOKEN, LedgerRecorder, flat, make_market,
+                        make_parp_env)
 
 
 def balance_calls(keys, *people):
@@ -266,36 +262,13 @@ class RefusingServer(FullNodeServer):
 def refuser_market(over_network: bool = False):
     """A cheap refusing server ranked first, one honest server second; the
     client's ledger wrapped in a recorder from the start."""
-    op_refuse, op_honest, lc, alice = (
-        PrivateKey.from_seed(f"e2e:refuse:{tag}")
-        for tag in ("op0", "op1", "lc", "alice"))
-    devnet = Devnet(GenesisConfig(allocations={
-        op_refuse.address: 100 * TOKEN, op_honest.address: 100 * TOKEN,
-        lc.address: 100 * TOKEN, alice.address: 5 * TOKEN}))
-    refuser = devnet.attach_server(
-        op_refuse, name="refuser", server_cls=RefusingServer,
-        fee_schedule=FlatFeeSchedule(flat_price=2 * GWEI))
-    honest = devnet.attach_server(
-        op_honest, name="honest",
-        fee_schedule=FlatFeeSchedule(flat_price=10 * GWEI))
-    devnet.advance_blocks(2)
-    marketplace = Marketplace()
-    clock = None
-    if over_network:
-        network = SimNetwork(latency=FixedLatency(0.02))
-        clock = network.clock.now
-        for i, server in enumerate((refuser, honest)):
-            SimServerBinding(network, f"srv-{i}", server)
-            marketplace.advertise_server(server, name=f"srv-{i}", endpoint=(
-                SimEndpoint(network, f"lc-{i}", f"srv-{i}", server.address,
-                            timeout=2.0)))
-    else:
-        marketplace.advertise_server(refuser, name="refuser")
-        marketplace.advertise_server(honest, name="honest")
-    client = MarketplaceClient(lc, marketplace, budget=10 ** 15, clock=clock)
-    told = LedgerRecorder(client.reputation)
-    client.connect()
-    return client, refuser, honest, alice, told
+    world = make_market(
+        "e2e:refuse", flat(2, 10), witness=False,
+        latency=FixedLatency(0.02) if over_network else None,
+        server_kwargs={0: {"server_cls": RefusingServer}})
+    told = LedgerRecorder(world.client.reputation)
+    world.client.connect()
+    return world.client, *world.servers, world.alice, told
 
 
 class TestVersionRefusal:

@@ -7,30 +7,16 @@ and shared reputation steers a newcomer away from a known-bad server while
 a poisoning minority can demote — but never exile — an honest one.
 """
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import replace
 
-from repro.chain import GenesisConfig
 from repro.crypto import PrivateKey
 from repro.gossip import GossipNode, HeadAnnouncement, TOPIC_NEW_HEADS
-from repro.net import FixedLatency, SimEndpoint, SimNetwork, SimServerBinding
-from repro.node import Devnet, FullNode
-from repro.parp import (
-    FlatFeeSchedule,
-    FullNodeServer,
-    Marketplace,
-    MarketplaceClient,
-    ServerAdvertisement,
-)
-from repro.parp.adversary import MaliciousFullNodeServer
-from repro.parp.fraudproof import WitnessService
-from repro.parp.pricing import GWEI
+from repro.net import FixedLatency
+from repro.parp import MarketplaceClient
 from repro.parp.reputation import EVENT_EQUIVOCATION
 
-from ..conftest import LedgerRecorder
-
-TOKEN = 10 ** 18
-BUDGET = 10 ** 15
+from ..conftest import (BUDGET, TOKEN, LedgerRecorder, MarketWorld, flat,
+                        make_market, malicious)
 
 CLIENT_SEEDS = ("victim", "newcomer", "newcomer-blind", "watcher",
                 "poisoned", "puller", "liar0", "liar1", "liar2")
@@ -43,97 +29,48 @@ class Muted:
         return None
 
 
-@dataclass
-class GossipWorld:
-    devnet: Devnet
-    network: SimNetwork
-    operators: list[PrivateKey]
-    servers: list[FullNodeServer]
-    mesh: list[GossipNode]
-    marketplace: Marketplace
-    witness: WitnessService
-    alice: PrivateKey
-    bindings: list[SimServerBinding] = field(default_factory=list)
-    clients: dict[str, MarketplaceClient] = field(default_factory=dict)
-    client_nodes: dict[str, GossipNode] = field(default_factory=dict)
-
-    def add_client(self, seed: str, peer_index: int = 0, join: bool = True,
-                   stake: bool = False) -> MarketplaceClient:
-        """A marketplace client, optionally gossip-joined via one mesh peer."""
-        key = PrivateKey.from_seed(f"e2e:gsp:{seed}")
-        if stake:
-            self.devnet.stake_full_node(key)
-        client = MarketplaceClient(key, self.marketplace,
-                                   witness=self.witness, budget=BUDGET,
-                                   clock=self.network.clock.now)
-        if join:
-            node = GossipNode(self.network, f"lc-gossip-{seed}")
-            node.add_peer(self.mesh[peer_index].name)
-            self.mesh[peer_index].add_peer(node.name)
-            client.join_gossip(node, stake_of=self.devnet.stake_of)
-            self.client_nodes[seed] = node
-        self.clients[seed] = client
-        return client
-
-    def settle(self, client: MarketplaceClient) -> None:
-        """Flush in-flight gossip and pull the client level with the real
-        chain (``connect()`` mines channel-open blocks the client may not
-        have polled past yet)."""
-        self.network.run()
-        client.headers.sync_to(self.devnet.chain.head.header.number)
-
-    def real_tip(self) -> int:
-        return self.devnet.chain.head.header.number
+def make_gossip_world(evil_index=None, prices_gwei=(10, 10, 10)):
+    """Three staked servers meshed on the ``new_heads`` topic over one sim
+    network, no client yet: each test adds its own."""
+    world = make_market(
+        "e2e:gsp", flat(*prices_gwei), latency=FixedLatency(0.02),
+        funds=200, client=False,
+        users={"alice": 5, **{seed: 100 for seed in CLIENT_SEEDS}},
+        server_kwargs={} if evil_index is None else {evil_index: malicious()})
+    world.mesh = world.devnet.attach_gossip_mesh(world.network, world.servers)
+    return world
 
 
-def make_gossip_world(n_servers: int = 3, evil_index: Optional[int] = None,
-                      prices_gwei: Optional[list[int]] = None) -> GossipWorld:
-    operators = [PrivateKey.from_seed(f"e2e:gsp:op{i}")
-                 for i in range(n_servers)]
-    wn = PrivateKey.from_seed("e2e:gsp:wn")
-    alice = PrivateKey.from_seed("e2e:gsp:alice")
-    allocations = {k.address: 200 * TOKEN for k in operators + [wn]}
-    allocations[alice.address] = 5 * TOKEN
-    for seed in CLIENT_SEEDS:
-        allocations[PrivateKey.from_seed(f"e2e:gsp:{seed}").address] = \
-            100 * TOKEN
-    devnet = Devnet(GenesisConfig(allocations=allocations))
-    for op in operators:
-        devnet.stake_full_node(op)
-    devnet.advance_blocks(2)
+def add_client(world: MarketWorld, seed: str, peer_index: int = 0,
+               join: bool = True, stake: bool = False) -> MarketplaceClient:
+    """A marketplace client, optionally gossip-joined via one mesh peer."""
+    key = PrivateKey.from_seed(f"e2e:gsp:{seed}")
+    if stake:
+        world.devnet.stake_full_node(key)
+    client = MarketplaceClient(key, world.marketplace, witness=world.witness,
+                               budget=BUDGET, clock=world.network.clock)
+    if join:
+        node = GossipNode(world.network, f"lc-gossip-{seed}")
+        node.add_peer(world.mesh[peer_index].name)
+        world.mesh[peer_index].add_peer(node.name)
+        client.join_gossip(node, stake_of=world.devnet.stake_of)
+    return client
 
-    network = SimNetwork(latency=FixedLatency(0.02))
-    marketplace = Marketplace()
-    servers: list[FullNodeServer] = []
-    bindings: list[SimServerBinding] = []
-    for i, op in enumerate(operators):
-        schedule = FlatFeeSchedule(
-            flat_price=(prices_gwei[i] if prices_gwei else 10) * GWEI)
-        node = FullNode(devnet.chain, key=op, name=f"srv-{i}")
-        if i == evil_index:
-            server = MaliciousFullNodeServer(node, attack="inflate_balance",
-                                             fee_schedule=schedule)
-        else:
-            server = FullNodeServer(node, fee_schedule=schedule)
-        bindings.append(SimServerBinding(network, f"srv-{i}", server))
-        endpoint = SimEndpoint(network, f"lc-ep-{i}", f"srv-{i}",
-                               server.address, timeout=2.0)
-        marketplace.advertise(ServerAdvertisement.for_server(
-            server, name=f"srv-{i}", endpoint=endpoint))
-        servers.append(server)
-    mesh = devnet.attach_gossip_mesh(network, servers)
-    witness = WitnessService(FullNode(devnet.chain, key=wn, name="wn"))
-    return GossipWorld(devnet=devnet, network=network, operators=operators,
-                       servers=servers, mesh=mesh, marketplace=marketplace,
-                       witness=witness, alice=alice, bindings=bindings)
+
+def settle(world: MarketWorld, client: MarketplaceClient) -> None:
+    """Flush in-flight gossip and pull the client level with the real
+    chain (``connect()`` mines channel-open blocks the client may not
+    have polled past yet)."""
+    world.network.run()
+    client.headers.sync_to(world.devnet.chain.height)
 
 
 class TestPushPropagation:
     def test_subscribed_client_follows_heads_without_polling(self):
         world = make_gossip_world()
-        client = world.add_client("watcher")
+        client = add_client(world, "watcher")
         client.connect()
-        world.settle(client)
+        settle(world, client)
         syncer = client.headers
         base_fetched = syncer.headers_fetched
         base_pushed = syncer.headers_pushed
@@ -142,7 +79,7 @@ class TestPushPropagation:
         for _ in range(3):
             world.devnet.advance_blocks(1)
             world.network.run()
-            assert syncer.chain.tip_number == world.real_tip()
+            assert syncer.chain.tip_number == world.devnet.chain.height
 
         # every new head arrived over gossip: zero additional pulls
         assert syncer.headers_pushed == base_pushed + 3
@@ -157,9 +94,9 @@ class TestPushPropagation:
 
     def test_quorum_of_distinct_announcers_is_required(self):
         world = make_gossip_world()
-        client = world.add_client("watcher")
+        client = add_client(world, "watcher")
         client.connect()
-        world.settle(client)
+        settle(world, client)
         syncer = client.headers
         assert client.head_gossip.quorum == 2   # majority of 3 sources
         base_tip = syncer.chain.tip_number
@@ -173,22 +110,23 @@ class TestPushPropagation:
         world.network.run()
         assert syncer.chain.tip_number == base_tip           # no quorum
         assert client.head_gossip.stats.quorum_applied == base_applied
-        assert syncer.sync_to(world.real_tip()).number == world.real_tip()
+        height = world.devnet.chain.height
+        assert syncer.sync_to(height).number == height
 
 
 class TestPartitionHeal:
     def test_heal_catches_up(self):
         world = make_gossip_world()
-        client = world.add_client("watcher")
+        client = add_client(world, "watcher")
         client.connect()
-        world.settle(client)
+        settle(world, client)
         syncer = client.headers
-        node = world.client_nodes["watcher"]
+        node = client.gossip
 
         world.devnet.advance_blocks(1)
         world.network.run()
         tip_before_partition = syncer.chain.tip_number
-        assert tip_before_partition == world.real_tip()
+        assert tip_before_partition == world.devnet.chain.height
 
         world.network.partition(node.name, world.mesh[0].name)
         world.devnet.advance_blocks(2)         # two seals the client misses
@@ -206,16 +144,16 @@ class TestPartitionHeal:
 class TestPushPullFallback:
     def test_quiet_topic_falls_back_to_polling(self):
         world = make_gossip_world()
-        client = world.add_client("puller")
+        client = add_client(world, "puller")
         client.headers.enable_push(world.network.clock.now, staleness=5.0)
         client.connect()
-        world.settle(client)
+        settle(world, client)
         syncer = client.headers
         base_pushed = syncer.headers_pushed
         base_fetched = syncer.headers_fetched
 
         # cut gossip entirely; the chain keeps moving
-        world.network.isolate(world.client_nodes["puller"].name)
+        world.network.isolate(client.gossip.name)
         world.devnet.advance_blocks(2)
         world.network.run()
         stale_tip = syncer.chain.tip_number
@@ -237,10 +175,10 @@ class TestPushPullFallback:
 class TestEquivocation:
     def test_equivocating_announcer_is_slashed_on_chain(self):
         world = make_gossip_world()
-        client = world.add_client("watcher")
+        client = add_client(world, "watcher")
         told = LedgerRecorder(client.reputation)
         client.connect()
-        world.settle(client)
+        settle(world, client)
         evil_op = world.operators[2]
         deposit_before = world.devnet.stake_of(evil_op.address)
         assert deposit_before > 0
@@ -272,9 +210,9 @@ class TestEquivocation:
 
     def test_slashed_equivocator_loses_announcer_voice(self):
         world = make_gossip_world()
-        client = world.add_client("watcher")
+        client = add_client(world, "watcher")
         client.connect()
-        world.settle(client)
+        settle(world, client)
         evil_op = world.operators[2]
         world.devnet.advance_blocks(1)
         header = world.devnet.chain.head.header
@@ -287,7 +225,7 @@ class TestEquivocation:
         # quorum is still met by the two honest announcers, so heads flow on
         seen_before = client.head_gossip.stats.announced_seen
         tip = client.headers.chain.tip_number
-        assert tip == world.real_tip()
+        assert tip == world.devnet.chain.height
         world.devnet.advance_blocks(1)
         world.network.run()
         assert client.headers.chain.tip_number == tip + 1
@@ -305,11 +243,11 @@ class TestSharedReputation:
 
         # the newcomer subscribes before the victim's report goes out —
         # flood gossip carries no history, only what you are around to hear
-        newcomer = world.add_client("newcomer", peer_index=1)
+        newcomer = add_client(world, "newcomer", peer_index=1)
         told = LedgerRecorder(newcomer.reputation)
 
         # the victim (a staked reporter) pays the tuition and shares it
-        victim = world.add_client("victim", stake=True)
+        victim = add_client(world, "victim", stake=True)
         victim.connect()
         assert victim.get_balance(world.alice.address) == 5 * TOKEN
         assert victim.stats.frauds_detected == 1
@@ -342,7 +280,7 @@ class TestSharedReputation:
         """The control: without gossip the same newcomer walks straight
         into the cheapest (malicious) server."""
         world = make_gossip_world(evil_index=0, prices_gwei=[8, 10, 10])
-        blind = world.add_client("newcomer-blind", join=False)
+        blind = add_client(world, "newcomer-blind", join=False)
         blind.connect()
         assert blind.get_balance(world.alice.address) == 5 * TOKEN
         assert blind.stats.frauds_detected == 1  # learned it the hard way
@@ -352,7 +290,7 @@ class TestSharedReputation:
         target = world.servers[0]
 
         # an honest client builds first-hand history with the target
-        honest = world.add_client("poisoned")
+        honest = add_client(world, "poisoned")
         honest.connect()
         for _ in range(5):
             assert honest.get_balance(world.alice.address) == 5 * TOKEN

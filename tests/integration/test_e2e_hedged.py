@@ -13,96 +13,18 @@ import pytest
 from repro.chain import GenesisConfig
 from repro.contracts import DEPOSIT_MODULE_ADDRESS
 from repro.crypto import PrivateKey
-from repro.net import (
-    PairwiseLatency,
-    PendingReply,
-    ReplyCancelled,
-    SimEndpoint,
-    SimNetwork,
-    SimServerBinding,
-)
+from repro.net import PendingReply, ReplyCancelled
 from repro.node import Devnet
-from repro.parp import (
-    FlatFeeSchedule,
-    FullNodeServer,
-    Marketplace,
-    MarketplaceClient,
-    MarketplaceError,
-)
+from repro.parp import Marketplace, MarketplaceClient, MarketplaceError
 from repro.parp.adversary import MaliciousFullNodeServer
-from repro.parp.fraudproof import WitnessService
 from repro.parp.messages import RpcCall
-from repro.parp.pricing import GWEI
+from repro.parp.pricing import DEFAULT_FEE_SCHEDULE
 from repro.parp.reputation import EVENT_TIMEOUT
 
-from ..conftest import LedgerRecorder
+from ..conftest import (BUDGET, TOKEN, LedgerRecorder, flat, links,
+                        make_market, malicious)
 
-TOKEN = 10 ** 18
-BUDGET = 10 ** 15
 TIMEOUT = 2.0
-
-
-class HedgeWorld:
-    """N servers with per-server client-link latencies, one hedging client."""
-
-    def __init__(self, latencies, prices_gwei, evil_index=None,
-                 attack="inflate_balance", fast_latency=0.02):
-        n = len(latencies)
-        self.operators = [PrivateKey.from_seed(f"e2e:hedge:op{i}")
-                          for i in range(n)]
-        self.lc = PrivateKey.from_seed("e2e:hedge:lc")
-        self.wn = PrivateKey.from_seed("e2e:hedge:wn")
-        self.alice = PrivateKey.from_seed("e2e:hedge:alice")
-        allocations = {k.address: 100 * TOKEN
-                       for k in self.operators + [self.lc, self.wn]}
-        allocations[self.alice.address] = 5 * TOKEN
-        self.devnet = Devnet(GenesisConfig(allocations=allocations))
-
-        links = {}
-        for i, latency in enumerate(latencies):
-            links[(f"lc-{i}", f"srv-{i}")] = latency
-        self.network = SimNetwork(
-            latency=PairwiseLatency(links, default=fast_latency))
-
-        self.servers = []
-        self.bindings = []
-        self.endpoints = []
-        self.marketplace = marketplace = Marketplace()
-        for i, op in enumerate(self.operators):
-            server_cls = (MaliciousFullNodeServer if i == evil_index
-                          else FullNodeServer)
-            kwargs = {"attack": attack} if i == evil_index else {}
-            server = self.devnet.attach_server(
-                op, name=f"srv-{i}", server_cls=server_cls,
-                fee_schedule=FlatFeeSchedule(flat_price=prices_gwei[i] * GWEI),
-                **kwargs)
-            self.servers.append(server)
-            self.bindings.append(SimServerBinding(self.network, f"srv-{i}",
-                                                  server))
-            endpoint = SimEndpoint(self.network, f"lc-{i}", f"srv-{i}",
-                                   server.address, timeout=TIMEOUT)
-            self.endpoints.append(endpoint)
-            marketplace.advertise_server(server, name=f"srv-{i}",
-                                         endpoint=endpoint)
-        self.devnet.advance_blocks(2)
-        self.witness = WitnessService(
-            self.devnet.attach_server(self.wn, name="wn", stake=False).node)
-        self.client = MarketplaceClient(
-            self.lc, marketplace, witness=self.witness, budget=BUDGET,
-            clock=self.network.clock)
-
-    def connect(self, min_sessions=None):
-        opened = self.client.connect(min_sessions=min_sessions)
-        # pin the post-connect head: channel opens mined blocks, and syncing
-        # now keeps the measured race free of the (free) header fetch
-        self.client.headers.sync()
-        return opened
-
-    def attempts_by_label(self):
-        return {a.label: a for a in self.client.last_hedge}
-
-    def balance_call(self):
-        return RpcCall.create("eth_getBalance", self.alice.address)
 
 
 class TestFirstValidWins:
@@ -111,7 +33,8 @@ class TestFirstValidWins:
         honest server; the fast response verifies and wins while the
         throttled server's reply is still on the wire — asserted via the
         loser's pending-reply state."""
-        world = HedgeWorld(latencies=[0.02, 0.6], prices_gwei=[10, 10])
+        world = make_market("e2e:hedge", flat(10, 10),
+                            latency=links(0.02, 0.6))
         client = world.client
         world.connect()
         start = world.network.clock.now()
@@ -145,7 +68,8 @@ class TestFirstValidWins:
     def test_multi_call_batch_race(self):
         """Hedging a real batch (two calls, one multiproof) works the same:
         the fast server's batch wins, the throttled server's is cancelled."""
-        world = HedgeWorld(latencies=[0.02, 0.3], prices_gwei=[10, 10])
+        world = make_market("e2e:hedge", flat(10, 10),
+                            latency=links(0.02, 0.3))
         client = world.client
         world.connect()
         calls = [world.balance_call(),
@@ -157,7 +81,8 @@ class TestFirstValidWins:
         assert attempts["srv-1"].outcome in ("cancelled", "unused")
 
     def test_fanout_one_degenerates_to_single_query(self):
-        world = HedgeWorld(latencies=[0.02, 0.02], prices_gwei=[5, 10])
+        world = make_market("e2e:hedge", flat(5, 10),
+                            latency=links(0.02, 0.02))
         world.connect()
         outcome = world.client.query_hedged([world.balance_call()], fanout=1)
         assert all(item.ok for item in outcome.items)
@@ -192,8 +117,9 @@ class TestMaliciousRace:
         """The fast, cheap server is the fraud: its forged response arrives
         first, fails §V-D, gets escalated and slashed — and the race is
         still won by the slow honest server's in-flight response."""
-        world = HedgeWorld(latencies=[0.02, 0.5], prices_gwei=[2, 10],
-                           evil_index=0)
+        world = make_market("e2e:hedge", flat(2, 10),
+                            latency=links(0.02, 0.5),
+                            server_kwargs={0: malicious()})
         client = world.client
         world.connect()
 
@@ -217,8 +143,9 @@ class TestMaliciousRace:
         """The same race over a two-call batch, the lie on its second item:
         the malicious *batch* is what gets slashed, and the slow honest
         server's batch wins with both answers."""
-        world = HedgeWorld(latencies=[0.02, 0.5], prices_gwei=[2, 10],
-                           evil_index=0)
+        world = make_market("e2e:hedge", flat(2, 10),
+                            latency=links(0.02, 0.5),
+                            server_kwargs={0: malicious()})
         client = world.client
         world.connect()
         calls = [world.balance_call(),
@@ -241,16 +168,16 @@ class TestMaliciousRace:
     def test_replacement_keeps_the_race_wide(self):
         """Two fast legs both return garbage; the race launches the
         next-ranked (honest) server as a replacement and completes."""
-        world = HedgeWorld(latencies=[0.02, 0.02, 0.1],
-                           prices_gwei=[2, 3, 10], evil_index=0,
-                           attack="wrong_signature")
+        world = make_market("e2e:hedge", flat(2, 3, 10),
+                            latency=links(0.02, 0.02, 0.1),
+                            server_kwargs={0: malicious("wrong_signature")})
         # make srv-1 malicious too (unattributable garbage, not provable)
         evil = MaliciousFullNodeServer(
             world.servers[1].node, attack="wrong_signature",
             fee_schedule=world.servers[1].fee_schedule)
         world.bindings[1].server = evil
         client = world.client
-        world.connect()
+        world.connect(min_sessions=2)
 
         outcome = client.query_hedged([world.balance_call()], fanout=2)
 
@@ -269,7 +196,8 @@ class TestTimeoutRace:
         """With every server dead the hedged query fails — but in ~one
         synchrony bound (the legs timed out racing), not the serial chain's
         sum of bounds; and both legs resolved exactly once, via cancel."""
-        world = HedgeWorld(latencies=[0.02, 0.02], prices_gwei=[5, 10])
+        world = make_market("e2e:hedge", flat(5, 10),
+                            latency=links(0.02, 0.02))
         client = world.client
         told = LedgerRecorder(client.reputation)
         world.connect()
@@ -295,7 +223,8 @@ class TestTimeoutRace:
         """srv-0 (cheapest, top-ranked) is dead: the serial path would burn
         a full synchrony bound on it before trying anyone else; the hedge
         completes at the live server's RTT with the dead leg still pending."""
-        world = HedgeWorld(latencies=[0.02, 0.1], prices_gwei=[2, 10])
+        world = make_market("e2e:hedge", flat(2, 10),
+                            latency=links(0.02, 0.1))
         client = world.client
         world.connect()
         world.bindings[0].offline = True
@@ -335,19 +264,12 @@ class TestTimeoutRace:
             def __getattr__(self, name):
                 return getattr(self._server, name)
 
-        operators = [PrivateKey.from_seed(f"e2e:stuck:op{i}") for i in range(2)]
-        lc = PrivateKey.from_seed("e2e:stuck:lc")
-        alice = PrivateKey.from_seed("e2e:stuck:alice")
-        allocations = {k.address: 100 * TOKEN for k in operators + [lc]}
-        allocations[alice.address] = 5 * TOKEN
-        devnet = Devnet(GenesisConfig(allocations=allocations))
-        marketplace = Marketplace()
-        for i, op in enumerate(operators):
-            server = devnet.attach_server(op, name=f"stuck-{i}")
-            marketplace.advertise_server(server, name=f"stuck-{i}",
-                                         endpoint=StuckTransport(server))
-        devnet.advance_blocks(2)
-        client = MarketplaceClient(lc, marketplace, budget=BUDGET)
+        world = make_market("e2e:stuck", [DEFAULT_FEE_SCHEDULE] * 2,
+                            witness=False)
+        for server in world.servers:
+            world.marketplace.advertise_server(
+                server, endpoint=StuckTransport(server))
+        client, alice = world.client, world.alice
         client.connect()
 
         with pytest.raises(MarketplaceError):

@@ -8,121 +8,40 @@ prove the client completes every query anyway — without losing funds to
 the failed provider.
 """
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import replace
 
 import pytest
 
-from repro.chain import GenesisConfig
 from repro.contracts import DEPOSIT_MODULE_ADDRESS
 from repro.crypto import PrivateKey
-from repro.net import FixedLatency, SimEndpoint, SimNetwork, SimServerBinding
-from repro.node import Devnet, FullNode
+from repro.net import FixedLatency
 from repro.parp import (
     DEFAULT_SELECTION_THRESHOLD,
-    FlatFeeSchedule,
     FullNodeServer,
     HandshakeConfirm,
-    Marketplace,
     MarketplaceClient,
     MarketplaceError,
     RequestRefused,
     ServerAdvertisement,
 )
-from repro.parp.adversary import MaliciousFullNodeServer
-from repro.parp.fraudproof import WitnessService
 from repro.parp.messages import RpcCall
-from repro.parp.pricing import GWEI
+from repro.parp.pricing import DEFAULT_FEE_SCHEDULE, GWEI
 from repro.parp.reputation import EVENT_SERVED_OK
 from repro.parp.sharding import shard_key_of_call
 from repro.trie import ShardRange
 
-from ..conftest import LedgerRecorder, get_balances
+from ..conftest import (TOKEN, LedgerRecorder, MarketWorld, flat,
+                        get_balances, make_market, malicious)
 
-TOKEN = 10 ** 18
-BUDGET = 10 ** 15
-
-
-@dataclass
-class MarketWorld:
-    """N staked servers + a marketplace client (optionally over SimNetwork)."""
-
-    devnet: Devnet
-    operators: list[PrivateKey]
-    lc: PrivateKey
-    alice: PrivateKey
-    servers: list[FullNodeServer]
-    marketplace: Marketplace
-    witness: WitnessService
-    client: MarketplaceClient
-    network: Optional[SimNetwork] = None
-    bindings: list[SimServerBinding] = field(default_factory=list)
-    endpoints: list[SimEndpoint] = field(default_factory=list)
-
-    def server_channel(self, index: int):
-        """The single channel our client holds on server ``index`` (or None)."""
-        session = self.client.sessions.get(self.servers[index].address)
-        if session is None or session.channel is None:
-            return None
-        return self.servers[index].channels.get(session.channel.alpha)
-
-    def session_of(self, index: int):
-        return self.client.sessions.get(self.servers[index].address)
+NET = FixedLatency(0.02)
 
 
-def make_market_world(n_servers: int = 3, evil_index: Optional[int] = None,
-                      attack: str = "inflate_balance",
-                      over_network: bool = False,
-                      prices_gwei: Optional[list[int]] = None) -> MarketWorld:
-    operators = [PrivateKey.from_seed(f"e2e:mkt:op{i}") for i in range(n_servers)]
-    lc = PrivateKey.from_seed("e2e:mkt:lc")
-    wn = PrivateKey.from_seed("e2e:mkt:wn")
-    alice = PrivateKey.from_seed("e2e:mkt:alice")
-    allocations = {k.address: 100 * TOKEN for k in operators + [lc, wn]}
-    allocations[alice.address] = 5 * TOKEN
-    devnet = Devnet(GenesisConfig(allocations=allocations))
-    for op in operators:
-        devnet.stake_full_node(op)
-    devnet.advance_blocks(2)
-
-    servers: list[FullNodeServer] = []
-    for i, op in enumerate(operators):
-        schedule = (FlatFeeSchedule(flat_price=prices_gwei[i] * GWEI)
-                    if prices_gwei else FlatFeeSchedule(flat_price=10 * GWEI))
-        node = FullNode(devnet.chain, key=op, name=f"srv-{i}")
-        if i == evil_index:
-            servers.append(MaliciousFullNodeServer(
-                node, attack=attack, fee_schedule=schedule))
-        else:
-            servers.append(FullNodeServer(node, fee_schedule=schedule))
-
-    witness = WitnessService(FullNode(devnet.chain, key=wn, name="wn"))
-    marketplace = Marketplace()
-    network = None
-    bindings: list[SimServerBinding] = []
-    endpoints: list[SimEndpoint] = []
-    clock = None
-    if over_network:
-        network = SimNetwork(latency=FixedLatency(0.02))
-        clock = network.clock.now
-        for i, server in enumerate(servers):
-            bindings.append(SimServerBinding(network, f"srv-{i}", server))
-            endpoint = SimEndpoint(network, f"lc-{i}", f"srv-{i}",
-                                   server.address, timeout=2.0)
-            endpoints.append(endpoint)
-            marketplace.advertise(ServerAdvertisement.for_server(
-                server, name=f"srv-{i}", endpoint=endpoint))
-    else:
-        for i, server in enumerate(servers):
-            marketplace.advertise_server(server, name=f"srv-{i}")
-
-    client = MarketplaceClient(lc, marketplace, witness=witness,
-                               budget=BUDGET, clock=clock)
-    return MarketWorld(
-        devnet=devnet, operators=operators, lc=lc, alice=alice,
-        servers=servers, marketplace=marketplace, witness=witness,
-        client=client, network=network, bindings=bindings, endpoints=endpoints,
-    )
+def server_channel(world: MarketWorld, index: int):
+    """The single channel our client holds on server ``index`` (or None)."""
+    session = world.session_of(index)
+    if session is None or session.channel is None:
+        return None
+    return world.servers[index].channels.get(session.channel.alpha)
 
 
 def assert_honest_channels_consistent(world: MarketWorld,
@@ -135,14 +54,14 @@ def assert_honest_channels_consistent(world: MarketWorld,
         session = world.session_of(i)
         if session is None or session.channel is None:
             continue
-        banked = world.server_channel(i)
+        banked = server_channel(world, i)
         assert banked is not None
         assert banked.latest_amount == session.channel.acked
 
 
 class TestHonestRouting:
     def test_multi_server_routing_and_channels(self):
-        world = make_market_world(prices_gwei=[10, 5, 20])
+        world = make_market("e2e:mkt", flat(10, 5, 20))
         told = LedgerRecorder(world.client.reputation)
         opened = world.client.connect()
         assert len(opened) == 2            # the warm-standby invariant
@@ -159,7 +78,7 @@ class TestHonestRouting:
         assert stats.queries == 9
         assert stats.failovers == 0
         # all traffic went to the cheapest server, and its books balance
-        cheap = world.server_channel(1)
+        cheap = server_channel(world, 1)
         session = world.session_of(1)
         assert cheap.latest_amount == session.channel.spent > 0
         assert cheap.queries_served == 10   # 8 singles + 2 batched items
@@ -173,7 +92,7 @@ class TestHonestRouting:
         """A drained channel is a local condition: the client rotates to a
         server with budget headroom instead of aborting, and only errors
         once every channel in the market is dry."""
-        world = make_market_world(prices_gwei=[10, 10, 10])
+        world = make_market("e2e:mkt", flat(10, 10, 10))
         # 25 GWEI per channel at 10 GWEI/call = 2 queries per server
         client = MarketplaceClient(world.lc, world.marketplace,
                                    witness=world.witness, budget=25 * GWEI)
@@ -191,7 +110,7 @@ class TestHonestRouting:
             client.get_balance(world.alice.address)
 
     def test_settlement_credits_reputation(self):
-        world = make_market_world(prices_gwei=[10, 5, 20])
+        world = make_market("e2e:mkt", flat(10, 5, 20))
         told = LedgerRecorder(world.client.reputation)
         world.client.connect()
         world.client.get_balance(world.alice.address)
@@ -205,13 +124,13 @@ class TestHonestRouting:
 
 class TestMidSessionDeath:
     def test_failover_completes_queries_without_lost_payment(self):
-        world = make_market_world(over_network=True, prices_gwei=[5, 10, 10])
+        world = make_market("e2e:mkt", flat(5, 10, 10), latency=NET)
         client = world.client
         client.connect()
 
         for _ in range(3):
             assert client.get_balance(world.alice.address) == 5 * TOKEN
-        primary = world.server_channel(0)
+        primary = server_channel(world, 0)
         assert primary is not None and primary.latest_amount > 0
         banked_before_death = primary.latest_amount
         spent_before_death = world.session_of(0).channel.spent
@@ -235,7 +154,7 @@ class TestMidSessionDeath:
         assert_honest_channels_consistent(world)
 
     def test_all_servers_dead_is_a_clean_error(self):
-        world = make_market_world(over_network=True)
+        world = make_market("e2e:mkt", flat(10, 10, 10), latency=NET)
         world.client.connect()
         for binding in world.bindings:
             binding.offline = True
@@ -249,8 +168,8 @@ class TestMaliciousServer:
         priced to win the first pick; the client still completes 100% of its
         queries, the malicious server's score collapses below the selection
         threshold, its stake is slashed, and no honest channel loses funds."""
-        world = make_market_world(evil_index=0, attack="inflate_balance",
-                                  prices_gwei=[2, 10, 10])
+        world = make_market("e2e:mkt", flat(2, 10, 10),
+                            server_kwargs={0: malicious()})
         client = world.client
         client.connect()
         evil = world.servers[0]
@@ -283,8 +202,8 @@ class TestMaliciousServer:
     def test_unattributable_garbage_drops_server_without_slash(self):
         """wrong_signature is INVALID (not provable fraud): the client fails
         over and penalizes reputation, but no deposit is touched."""
-        world = make_market_world(evil_index=0, attack="wrong_signature",
-                                  prices_gwei=[2, 10, 10])
+        world = make_market("e2e:mkt", flat(2, 10, 10),
+                            server_kwargs={0: malicious("wrong_signature")})
         client = world.client
         told = LedgerRecorder(client.reputation)
         client.connect()
@@ -315,14 +234,14 @@ class TestPartitionedNetwork:
     def test_partition_reroutes_and_heals(self):
         # equal prices: once timeouts accumulate, ranking actually moves off
         # the partitioned server instead of a price edge pinning it first
-        world = make_market_world(over_network=True, prices_gwei=[10, 10, 10])
+        world = make_market("e2e:mkt", flat(10, 10, 10), latency=NET)
         client = world.client
         network = world.network
         client.connect()
 
         for _ in range(5):                  # build honest history on srv-0
             assert client.get_balance(world.alice.address) == 5 * TOKEN
-        assert world.server_channel(0).latest_amount > 0
+        assert server_channel(world, 0).latest_amount > 0
 
         network.partition("lc-0", "srv-0")  # client ⇹ srv-0, servers stay up
         for _ in range(3):
@@ -339,11 +258,11 @@ class TestPartitionedNetwork:
         assert primary in [ad.address for ad in client.eligible()]
         # and its channel is still bonded and consistent for future use
         assert world.session_of(0).channel is not None
-        assert (world.server_channel(0).latest_amount
+        assert (server_channel(world, 0).latest_amount
                 == world.session_of(0).channel.acked)
 
     def test_isolate_rejoin_node_level(self):
-        world = make_market_world(over_network=True, prices_gwei=[5, 10, 10])
+        world = make_market("e2e:mkt", flat(5, 10, 10), latency=NET)
         client = world.client
         network = world.network
         client.connect()
@@ -374,24 +293,11 @@ class TestNonBytesReply:
             def serve_batch(self, wire: bytes):
                 return 7
 
-        ops = [PrivateKey.from_seed(f"e2e:garbage:op{i}") for i in range(2)]
-        lc = PrivateKey.from_seed("e2e:garbage:lc")
-        alice = PrivateKey.from_seed("e2e:garbage:alice")
-        allocations = {k.address: 100 * TOKEN for k in ops + [lc]}
-        allocations[alice.address] = 5 * TOKEN
-        devnet = Devnet(GenesisConfig(allocations=allocations))
         # the offender is priced to rank first
-        garbage = devnet.attach_server(
-            ops[0], name="garbage", server_cls=GarbageServer,
-            fee_schedule=FlatFeeSchedule(flat_price=2 * GWEI))
-        honest = devnet.attach_server(
-            ops[1], name="honest",
-            fee_schedule=FlatFeeSchedule(flat_price=10 * GWEI))
-        devnet.advance_blocks(2)
-        marketplace = Marketplace()
-        marketplace.advertise_server(garbage)
-        marketplace.advertise_server(honest)
-        client = MarketplaceClient(lc, marketplace, budget=BUDGET)
+        world = make_market("e2e:garbage", flat(2, 10), witness=False,
+                            server_kwargs={0: {"server_cls": GarbageServer}})
+        client, alice, (garbage, honest) = (world.client, world.alice,
+                                            world.servers)
         told = LedgerRecorder(client.reputation)
         client.connect()
         assert client.eligible()[0].address == garbage.address
@@ -424,22 +330,16 @@ class TestSignedRefusal:
         key outside it.  The answer is VALID and paid: the router credits
         the server and fails over to no one, and the typed wrappers raise
         ``RequestRefused`` with the server's reason."""
-        op = PrivateKey.from_seed("e2e:refuse:op")
-        lc = PrivateKey.from_seed("e2e:refuse:lc")
         alice = PrivateKey.from_seed("e2e:refuse:alice")
-        devnet = Devnet(GenesisConfig(allocations={
-            op.address: 100 * TOKEN, lc.address: 100 * TOKEN,
-            alice.address: 5 * TOKEN}))
         key = shard_key_of_call(RpcCall.create("eth_getBalance", alice.address))
         elsewhere = next(half for half in (ShardRange.of(0, 2),
                                            ShardRange.of(1, 2))
                          if not half.covers(key))
-        server = devnet.attach_server(op, name="half", shard_range=elsewhere)
-        devnet.advance_blocks(2)
-        marketplace = Marketplace()
-        marketplace.advertise(
+        world = make_market("e2e:refuse", [DEFAULT_FEE_SCHEDULE], labels=[""],
+                            ranges=[elsewhere], witness=False)
+        (server,), client = world.servers, world.client
+        world.marketplace.advertise(
             replace(ServerAdvertisement.for_server(server), shard=None))
-        client = MarketplaceClient(lc, marketplace, budget=BUDGET)
         told = LedgerRecorder(client.reputation)
         client.connect(min_sessions=1)
 
@@ -463,7 +363,7 @@ class TestExpiredHandshake:
         few seconds, the client still compares it with the synced tip: a
         confirmation that expired before the tip is refused, and no
         OpenChannel is signed or mined."""
-        world = make_market_world(n_servers=1, over_network=True)
+        world = make_market("e2e:mkt", flat(10), latency=NET)
         server = world.servers[0]
 
         def stale_handshake(msg):

@@ -18,126 +18,71 @@ Open-loop load does not wait for responses, so a saturated server must
 
 import pytest
 
-from repro.chain import GenesisConfig
-from repro.crypto import PrivateKey, keccak256
-from repro.net import SimEndpoint, SimNetwork, SimServerBinding, UniformLatency
-from repro.node import Devnet
+from repro.net import UniformLatency
 from repro.parp import (
     AdmissionConfig,
     AdmissionController,
-    FlatFeeSchedule,
-    Marketplace,
-    MarketplaceClient,
     ServerAdvertisement,
 )
 from repro.parp.client import ServerOverloaded
 from repro.parp.constants import DEFAULT_SELECTION_THRESHOLD
-from repro.parp.messages import RpcCall
 from repro.parp.pricing import GWEI
 from repro.parp.reputation import EVENT_OVERLOADED
-from repro.trie import ShardRange, shard_of_key
+from repro.trie import ShardRange
 
-from ..conftest import LedgerRecorder
+from ..conftest import (LedgerRecorder, MarketWorld, flat, make_market,
+                        shard_user)
 
-TOKEN = 10 ** 18
-BUDGET = 10 ** 15
 TIMEOUT = 30.0
 LATENCY = 0.02          # constant: floods must arrive in send order
 
 
-def user_in_shard(index: int, count: int) -> PrivateKey:
-    for i in range(512):
-        key = PrivateKey.from_seed(f"e2e:ovl:u{i}")
-        if shard_of_key(keccak256(bytes(key.address)), count) == index:
-            return key
-    raise AssertionError("no seed found for shard")  # pragma: no cover
+def overload_world(admission, prices_gwei=None, shards=None) -> MarketWorld:
+    """N servers on one sim network, one client.  ``admission[i]``
+    configures server i's gate (None = unbounded, seed behavior);
+    ``shards`` gives server i a shard and funds one user per shard
+    (``users[1:]``)."""
+    n = len(admission)
+    users = {"alice": 5}
+    if shards:
+        users.update((shard_user("e2e:ovl", i, len(shards)), 1)
+                     for i in range(len(shards)))
+    world = make_market(
+        "e2e:ovl", flat(*(prices_gwei or [10] * n)), timeout=TIMEOUT,
+        latency=UniformLatency(LATENCY, LATENCY, seed=11), witness=False,
+        users=users, ranges=shards and [ShardRange.of(i, len(shards))
+                                        for i in range(n)])
+    for server, config in zip(world.servers, admission):
+        if config is not None:
+            # the admission clock is the *sim* clock (backlog drains with
+            # simulated time); the server's own clock stays on chain
+            # timestamps, which is what handshake expiries settle against
+            server.admission = AdmissionController(
+                config, clock=world.network.clock)
+    return world
 
 
-class OverloadWorld:
-    """N admission-controlled servers on one sim network, one client.
+def flood(world: MarketWorld, i, count, call=None):
+    """Open-loop: fire ``count`` requests at server i without waiting,
+    then run the network just far enough to deliver them all (building
+    the backlog); returns the pending replies."""
+    session = world.session_of(i)
+    pendings = [session.begin_request(call or world.balance_call())
+                for _ in range(count)]
+    world.network.run_until(world.network.clock.now() + 2 * LATENCY)
+    return pendings
 
-    ``admission[i]`` configures server i's gate (None = unbounded, seed
-    behavior); ``shards`` optionally assigns server i a shard range.
-    """
 
-    def __init__(self, admission, prices_gwei=None, shards=None):
-        n = len(admission)
-        prices_gwei = prices_gwei or [10] * n
-        self.operators = [PrivateKey.from_seed(f"e2e:ovl:op{i}")
-                          for i in range(n)]
-        self.lc = PrivateKey.from_seed("e2e:ovl:lc")
-        self.alice = PrivateKey.from_seed("e2e:ovl:alice")
-        allocations = {k.address: 100 * TOKEN
-                       for k in self.operators + [self.lc]}
-        allocations[self.alice.address] = 5 * TOKEN
-        if shards:
-            self.shard_users = [user_in_shard(i, len(shards))
-                                for i in range(len(shards))]
-            for u in self.shard_users:
-                allocations.setdefault(u.address, 1 * TOKEN)
-        self.devnet = Devnet(GenesisConfig(allocations=allocations))
-        self.network = SimNetwork(
-            latency=UniformLatency(LATENCY, LATENCY, seed=11))
-
-        self.marketplace = Marketplace()
-        self.servers = []
-        self.bindings = []
-        for i, op in enumerate(self.operators):
-            kwargs = {}
-            if admission[i] is not None:
-                # the admission clock is the *sim* clock (backlog drains with
-                # simulated time); the server's own clock stays on chain
-                # timestamps, which is what handshake expiries settle against
-                kwargs["admission"] = AdmissionController(
-                    admission[i], clock=self.network.clock)
-            if shards:
-                kwargs["shard_range"] = ShardRange.of(i, len(shards))
-            server = self.devnet.attach_server(
-                op, name=f"srv-{i}",
-                fee_schedule=FlatFeeSchedule(flat_price=prices_gwei[i] * GWEI),
-                **kwargs)
-            self.servers.append(server)
-            self.bindings.append(
-                SimServerBinding(self.network, f"srv-{i}", server))
-            endpoint = SimEndpoint(self.network, f"lc-{i}", f"srv-{i}",
-                                   server.address, timeout=TIMEOUT)
-            self.marketplace.advertise_server(server, name=f"srv-{i}",
-                                              endpoint=endpoint)
-        self.devnet.advance_blocks(2)
-        self.client = MarketplaceClient(
-            self.lc, self.marketplace, budget=BUDGET,
-            clock=self.network.clock)
-
-    def connect(self):
-        self.client.connect(min_sessions=len(self.servers))
-        self.client.headers.sync()
-
-    def balance_call(self, key=None):
-        return RpcCall.create("eth_getBalance", (key or self.alice).address)
-
-    def session_of(self, i):
-        return self.client.sessions[self.servers[i].address]
-
-    def flood(self, i, count, call=None):
-        """Open-loop: fire ``count`` requests at server i without waiting,
-        then run the network just far enough to deliver them all (building
-        the backlog); returns the pending replies."""
-        session = self.session_of(i)
-        pendings = [session.begin_request(call or self.balance_call())
-                    for _ in range(count)]
-        self.network.run_until(self.network.clock.now() + 2 * LATENCY)
-        return pendings
-
-    def collect_all(self, i, pendings):
-        """Resolve every pending into ("ok" | "overloaded", value)."""
-        session = self.session_of(i)
-        results = []
-        for pending in pendings:
-            try:
-                results.append(("ok", session.collect(pending)))
-            except ServerOverloaded as exc:
-                results.append(("overloaded", exc))
-        return results
+def collect_all(world: MarketWorld, i, pendings):
+    """Resolve every pending into ("ok" | "overloaded", value)."""
+    session = world.session_of(i)
+    results = []
+    for pending in pendings:
+        try:
+            results.append(("ok", session.collect(pending)))
+        except ServerOverloaded as exc:
+            results.append(("overloaded", exc))
+    return results
 
 
 class TestSaturatedClusterShedsBoundedly:
@@ -148,14 +93,14 @@ class TestSaturatedClusterShedsBoundedly:
         within the queue bound + network latency — not the unbounded-queue
         collapse time."""
         cfg = AdmissionConfig(max_queue_cost=4.0, service_time=0.1, seed=1)
-        world = OverloadWorld(admission=[cfg, cfg])
+        world = overload_world(admission=[cfg, cfg])
         world.connect()
         burst = 12                         # 3× each server's queue budget
         start = world.network.clock.now()
 
-        floods = [world.flood(i, burst) for i in range(2)]
+        floods = [flood(world, i, burst) for i in range(2)]
         for i in range(2):
-            results = world.collect_all(i, floods[i])
+            results = collect_all(world, i, floods[i])
             oks = [r for tag, r in results if tag == "ok"]
             sheds = [r for tag, r in results if tag == "overloaded"]
             assert len(oks) + len(sheds) == burst
@@ -175,13 +120,13 @@ class TestSaturatedClusterShedsBoundedly:
 
     def test_admission_tracks_the_backlog(self):
         cfg = AdmissionConfig(max_queue_cost=4.0, service_time=0.5, seed=2)
-        world = OverloadWorld(admission=[cfg])
+        world = overload_world(admission=[cfg])
         world.connect()
         admission = world.servers[0].admission
         assert admission.load_factor() == 0.0
         assert admission.fee_multiplier() == 1.0
 
-        world.flood(0, 4)
+        flood(world, 0, 4)
         assert admission.load_factor() == pytest.approx(1.0, abs=0.1)
         assert admission.fee_multiplier() > 1.0
         assert world.servers[0].stats.admitted == 4
@@ -196,19 +141,19 @@ class TestSaturatedClusterShedsBoundedly:
         carries the schedule it enforces, under load as when idle, and a
         loaded server still charges that schedule."""
         cfg = AdmissionConfig(max_queue_cost=4.0, service_time=0.5, seed=3)
-        world = OverloadWorld(admission=[cfg])
+        world = overload_world(admission=[cfg])
         world.connect()
         server = world.servers[0]
         listed = world.marketplace.get(server.address)
         base_ref = listed.reference_price
         fees_before = server.stats.fees_earned
 
-        pendings = world.flood(0, 4)
+        pendings = flood(world, 0, 4)
         assert server.admission.fee_multiplier() > 1.0
         ad = ServerAdvertisement.for_server(server, name="srv-0")
         assert ad.fee_schedule is server.fee_schedule is listed.fee_schedule
         assert ad.reference_price == base_ref
-        served = [r for tag, r in world.collect_all(0, pendings) if tag == "ok"]
+        served = [r for tag, r in collect_all(world, 0, pendings) if tag == "ok"]
         assert served
         assert server.stats.fees_earned - fees_before == len(served) * 10 * GWEI
 
@@ -216,19 +161,19 @@ class TestSaturatedClusterShedsBoundedly:
 class TestHotShardShedsColdServes:
     def test_overload_is_per_server_not_contagion(self):
         cfg = AdmissionConfig(max_queue_cost=2.0, service_time=0.5, seed=4)
-        world = OverloadWorld(admission=[cfg, cfg], shards=(0, 1))
+        world = overload_world(admission=[cfg, cfg], shards=(0, 1))
         world.connect()
-        hot_user, cold_user = world.shard_users
+        hot_user, cold_user = world.users[1:]
 
         # hammer the hot shard far past its queue budget…
-        floods = world.flood(0, 8, call=world.balance_call(hot_user))
+        floods = flood(world, 0, 8, call=world.balance_call(hot_user))
         # …and the cold shard still serves immediately, at base fees
         outcome = world.client.request_call(world.balance_call(cold_user))
         assert outcome.report.classification.value == "valid"
         assert world.servers[1].stats.shed == 0
         assert world.servers[1].current_fee_multiplier() == 1.0
 
-        results = world.collect_all(0, floods)
+        results = collect_all(world, 0, floods)
         tags = [tag for tag, _ in results]
         assert tags.count("overloaded") == 6   # budget 2 of 8 admitted
         assert world.servers[0].stats.shed == 6
@@ -243,13 +188,13 @@ class TestShedRecoverRerank:
         over to srv-1 with no slash; while backed off, srv-0 ranks last;
         once the backlog drains it is ranked back in and serves again."""
         cfg = AdmissionConfig(max_queue_cost=2.0, service_time=0.5, seed=5)
-        world = OverloadWorld(admission=[cfg, None], prices_gwei=[5, 50])
+        world = overload_world(admission=[cfg, None], prices_gwei=[5, 50])
         told = LedgerRecorder(world.client.reputation)
         world.connect()
         client = world.client
         assert [ad.label for ad in client.eligible()][0] == "srv-0"
 
-        world.flood(0, 2)                  # fill srv-0's queue exactly
+        flood(world, 0, 2)                  # fill srv-0's queue exactly
         outcome = client.request_call(world.balance_call())
         assert outcome.report.classification.value == "valid"
         assert client.stats.soft_failovers >= 1
@@ -273,14 +218,14 @@ class TestShedRecoverRerank:
 
     def test_repeated_sheds_demote_but_never_ban(self):
         cfg = AdmissionConfig(max_queue_cost=1.0, service_time=5.0, seed=6)
-        world = OverloadWorld(admission=[cfg, None], prices_gwei=[5, 50])
+        world = overload_world(admission=[cfg, None], prices_gwei=[5, 50])
         world.connect()
         client = world.client
         for _ in range(4):
             # let the previous round's backlog and backoff expire, then
             # re-saturate: srv-0 is genuinely re-tried (and re-sheds) each time
             world.network.run_until(world.network.clock.now() + 30.0)
-            world.flood(0, 2)
+            flood(world, 0, 2)
             outcome = client.request_call(world.balance_call())
             assert outcome.report.classification.value == "valid"
         address = world.servers[0].address
@@ -298,14 +243,14 @@ class TestHedgedFanoutHonorsRetryAfter:
         retry storms avoided), re-issues into the drained window, and
         completes — zero reputation slashes end to end."""
         cfg = AdmissionConfig(max_queue_cost=2.0, service_time=0.2, seed=7)
-        world = OverloadWorld(admission=[cfg,
-                                         AdmissionConfig(max_queue_cost=2.0,
-                                                         service_time=0.2,
-                                                         seed=8)])
+        world = overload_world(admission=[cfg,
+                                          AdmissionConfig(max_queue_cost=2.0,
+                                                          service_time=0.2,
+                                                          seed=8)])
         world.connect()
         client = world.client
         for i in range(2):
-            world.flood(i, 2)              # both queues exactly full
+            flood(world, i, 2)              # both queues exactly full
         start = world.network.clock.now()
 
         outcome = client.query_hedged([world.balance_call()], fanout=2)
@@ -325,9 +270,9 @@ class TestHedgedFanoutHonorsRetryAfter:
 
     def test_serial_path_counts_avoided_storms_too(self):
         cfg = AdmissionConfig(max_queue_cost=1.0, service_time=0.2, seed=9)
-        world = OverloadWorld(admission=[cfg])
+        world = overload_world(admission=[cfg])
         world.connect()
-        world.flood(0, 1)
+        flood(world, 0, 1)
         outcome = world.client.request_call(world.balance_call())
         assert outcome.report.classification.value == "valid"
         assert world.client.stats.soft_failovers >= 1

@@ -19,122 +19,45 @@ drive the paths that make the design trustworthy under failure:
 
 import pytest
 
-from repro.chain import GenesisConfig
 from repro.contracts import DEPOSIT_MODULE_ADDRESS
 from repro.crypto import PrivateKey, keccak256
 from repro.lightclient.sync import HeaderSyncer
-from repro.net import (
-    PairwiseLatency,
-    ReplyCancelled,
-    SimEndpoint,
-    SimNetwork,
-    SimServerBinding,
-)
-from repro.node import Devnet
+from repro.net import ReplyCancelled
 from repro.parp import (
-    FlatFeeSchedule,
-    FullNodeServer,
     LightClientSession,
-    Marketplace,
-    MarketplaceClient,
     NoServerForKey,
     ResponseStatus,
     ShardScatterError,
 )
 from repro.parp import marketplace as routing
-from repro.parp.adversary import MaliciousFullNodeServer
-from repro.parp.fraudproof import WitnessService
 from repro.parp.messages import RpcCall
-from repro.parp.pricing import GWEI
-from repro.trie import ShardRange, shard_of_key
+from repro.trie import ShardRange
 
-TOKEN = 10 ** 18
-BUDGET = 10 ** 15
+from ..conftest import (BUDGET, flat, links, make_market, malicious,
+                        shard_user)
+
 TIMEOUT = 2.0
 
 
-def user_in_shard(index: int, count: int, tag: str = "u") -> PrivateKey:
-    """A funded-account key whose address hashes into shard ``index``."""
-    for i in range(512):
-        key = PrivateKey.from_seed(f"e2e:shard:{tag}{i}")
-        if shard_of_key(keccak256(bytes(key.address)), count) == index:
-            return key
-    raise AssertionError("no seed found for shard")  # pragma: no cover
-
-
-class ShardWorld:
-    """``shard_count`` shards × ``replicas`` servers over a sim network.
-
-    ``evil`` maps ``(shard, replica) -> attack`` to make that server
-    malicious; per-replica latency/price come from ``latencies``/``prices``
-    (indexed by replica, same across shards).
-    """
-
-    def __init__(self, shard_count=2, replicas=1, latencies=(0.02, 0.1),
-                 prices_gwei=(5, 10), evil=None):
-        self.shard_count = shard_count
-        self.users = [user_in_shard(i, shard_count) for i in range(shard_count)]
-        self.lc = PrivateKey.from_seed("e2e:shard:lc")
-        self.wn = PrivateKey.from_seed("e2e:shard:wn")
-        ops = [PrivateKey.from_seed(f"e2e:shard:op{s}-{r}")
-               for s in range(shard_count) for r in range(replicas)]
-        allocations = {k.address: 100 * TOKEN
-                       for k in ops + [self.lc, self.wn]}
-        for i, user in enumerate(self.users):
-            allocations[user.address] = (i + 1) * TOKEN
-        self.devnet = Devnet(GenesisConfig(allocations=allocations))
-
-        links = {}
-        for s in range(shard_count):
-            for r in range(replicas):
-                links[(f"lc-{s}-{r}", f"srv-{s}-{r}")] = \
-                    latencies[r % len(latencies)]
-        self.network = SimNetwork(latency=PairwiseLatency(links, default=0.02))
-
-        self.marketplace = Marketplace()
-        self.servers = {}
-        self.bindings = {}
-        self.endpoints = {}
-        evil = evil or {}
-        op_iter = iter(ops)
-        for s in range(shard_count):
-            for r in range(replicas):
-                op = next(op_iter)
-                name = f"srv-{s}-{r}"
-                attack = evil.get((s, r))
-                cls = MaliciousFullNodeServer if attack else FullNodeServer
-                kwargs = {"attack": attack} if attack else {}
-                server = self.devnet.attach_server(
-                    op, name=name, server_cls=cls,
-                    shard_range=ShardRange.of(s, shard_count),
-                    fee_schedule=FlatFeeSchedule(
-                        flat_price=prices_gwei[r % len(prices_gwei)] * GWEI),
-                    **kwargs)
-                self.servers[(s, r)] = server
-                self.bindings[(s, r)] = SimServerBinding(
-                    self.network, name, server)
-                endpoint = SimEndpoint(self.network, f"lc-{s}-{r}", name,
-                                       server.address, timeout=TIMEOUT)
-                self.endpoints[(s, r)] = endpoint
-                self.marketplace.advertise_server(server, name=name,
-                                                  endpoint=endpoint)
-        self.devnet.advance_blocks(2)
-        self.witness = WitnessService(
-            self.devnet.attach_server(self.wn, name="wn", stake=False).node)
-        self.client = MarketplaceClient(
-            self.lc, self.marketplace, witness=self.witness, budget=BUDGET,
-            clock=self.network.clock)
-
-    def connect(self):
-        self.client.connect(min_sessions=len(self.servers))
-        self.client.headers.sync()
-
-    def balance_calls(self):
-        return [RpcCall.create("eth_getBalance", u.address)
-                for u in self.users]
-
-    def attempts_by_label(self):
-        return {a.label: a for a in self.client.last_hedge}
+def shard_world(shard_count=2, replicas=1, latencies=(0.02, 0.1),
+                prices_gwei=(5, 10), evil=None):
+    """``shard_count`` shards × ``replicas`` servers over a sim network,
+    one funded user per shard.  Server ``s * replicas + r`` is
+    ``srv-{s}-{r}``; its client-link latency and price come from
+    ``latencies`` / ``prices_gwei`` (indexed by replica, the same in every
+    shard); ``evil`` maps a server index to its attack."""
+    grid = [(s, r) for s in range(shard_count) for r in range(replicas)]
+    labels = [f"{s}-{r}" for s, r in grid]
+    return make_market(
+        "e2e:shard", flat(*(prices_gwei[r % len(prices_gwei)]
+                            for _, r in grid)),
+        labels=labels, latency=links(*(latencies[r % len(latencies)]
+                                       for _, r in grid), labels=labels),
+        ranges=[ShardRange.of(s, shard_count) for s, _ in grid],
+        users={shard_user("e2e:shard", s, shard_count): s + 1
+               for s in range(shard_count)},
+        server_kwargs={i: malicious(attack)
+                       for i, attack in (evil or {}).items()})
 
 
 class TestScatterHappyPath:
@@ -142,7 +65,7 @@ class TestScatterHappyPath:
         """Shard 1's (only) server is slow: the fast legs verify and pay
         while it is still on the wire, and the whole scatter finishes at
         the slowest leg's RTT — no serial chaining across legs."""
-        world = ShardWorld(shard_count=4, replicas=1, latencies=(0.02,))
+        world = shard_world(shard_count=4, replicas=1, latencies=(0.02,))
         world.network.latency.links[("lc-1-0", "srv-1-0")] = 0.4
         world.connect()
         start = world.network.clock.now()
@@ -161,10 +84,10 @@ class TestShardDeath:
         the hedge relaunches on the in-shard replica, and the other shard's
         leg is untouched — exactly one winner and one acked payment per
         leg."""
-        world = ShardWorld(shard_count=2, replicas=2,
-                           latencies=(0.02, 0.1), prices_gwei=(5, 10))
+        world = shard_world(shard_count=2, replicas=2,
+                            latencies=(0.02, 0.1), prices_gwei=(5, 10))
         world.connect()
-        world.bindings[(0, 0)].offline = True
+        world.bindings[0].offline = True
 
         outcome = world.client.query_sharded(world.balance_calls())
 
@@ -177,7 +100,7 @@ class TestShardDeath:
         assert attempts["srv-1-0"].outcome == "won"
         # the replacement came from *inside* the shard
         shard0 = next(leg for leg in outcome.legs
-                      if world.servers[(0, 1)].address == leg.winner)
+                      if world.servers[1].address == leg.winner)
         assert shard0.attempts == 2
         for leg in outcome.legs:
             session = world.client.sessions[leg.winner]
@@ -187,8 +110,8 @@ class TestShardDeath:
         """SHARD_FANOUT = 2 launches both replicas of every shard at once;
         each leg's fast replica wins, each slow one is cancelled in flight."""
         monkeypatch.setattr(routing, "SHARD_FANOUT", 2)
-        world = ShardWorld(shard_count=2, replicas=2,
-                           latencies=(0.02, 0.6), prices_gwei=(5, 5))
+        world = shard_world(shard_count=2, replicas=2,
+                            latencies=(0.02, 0.6), prices_gwei=(5, 5))
         world.connect()
         outcome = world.client.query_sharded(world.balance_calls())
         assert all(leg.ok for leg in outcome.legs)
@@ -207,12 +130,13 @@ class TestMaliciousShard:
         witness lands the batch's fraud package on-chain (stake
         confiscated), and the leg reroutes to the shard's honest replica —
         while shard 1's leg never notices."""
-        world = ShardWorld(shard_count=2, replicas=2,
-                           latencies=(0.02, 0.1), prices_gwei=(2, 10),
-                           evil={(0, 0): "inflate_balance"})
+        world = shard_world(shard_count=2, replicas=2,
+                            latencies=(0.02, 0.1), prices_gwei=(2, 10),
+                            evil={0: "inflate_balance"})
         if leg_calls == 2:
-            world.users.append(user_in_shard(0, 2, tag="second"))
-        evil_server = world.servers[(0, 0)]
+            world.users.append(PrivateKey.from_seed(
+                "e2e:shard:" + shard_user("e2e:shard", 0, 2, tag="second")))
+        evil_server = world.servers[0]
         world.connect()
 
         outcome = world.client.query_sharded(world.balance_calls())
@@ -243,8 +167,8 @@ class TestPartition:
         """A partition cuts shard 1's primary off mid-network; its leg
         times out and fails over to the replica, shard 0's leg is served
         at full speed."""
-        world = ShardWorld(shard_count=2, replicas=2,
-                           latencies=(0.02, 0.1), prices_gwei=(5, 10))
+        world = shard_world(shard_count=2, replicas=2,
+                            latencies=(0.02, 0.1), prices_gwei=(5, 10))
         world.connect()
         world.network.isolate("srv-1-0")
 
@@ -264,9 +188,9 @@ class TestPartition:
         """Every server of shard 1 is gone: the scatter raises
         ShardScatterError naming the missing shard — and the legs that *did*
         win keep their verified results and acked payments."""
-        world = ShardWorld(shard_count=2, replicas=1)
+        world = shard_world(shard_count=2, replicas=1)
         world.connect()
-        world.bindings[(1, 0)].offline = True
+        world.bindings[1].offline = True
 
         with pytest.raises(ShardScatterError) as excinfo:
             world.client.query_sharded(world.balance_calls())
@@ -284,7 +208,7 @@ class TestPartition:
         assert session.channel.acked == session.channel.spent
         assert session.channel.acked > 0
         # the dead shard's leg never acked anything on its channel
-        dead = world.client.sessions[world.servers[(1, 0)].address]
+        dead = world.client.sessions[world.servers[1].address]
         assert dead.channel.spent > dead.channel.acked
 
 
@@ -294,12 +218,12 @@ class TestRangeEnforcement:
         *signed* error response — §V-D 'error-response' VALID, fully
         attributable — never an unsigned transport failure and never a
         forged absence proof."""
-        world = ShardWorld(shard_count=2, replicas=1)
-        server = world.servers[(0, 0)]
+        world = shard_world(shard_count=2, replicas=1)
+        server = world.servers[0]
         foreign_user = world.users[1]          # hashes into shard 1
         session = LightClientSession(
-            world.lc, world.endpoints[(0, 0)],
-            HeaderSyncer([world.endpoints[(0, 0)]]),
+            world.lc, world.endpoints[0],
+            HeaderSyncer([world.endpoints[0]]),
             fee_schedule=server.fee_schedule)
         session.connect(budget=BUDGET)
         session.headers.sync()
@@ -318,7 +242,7 @@ class TestRangeEnforcement:
     def test_scatter_never_routes_to_non_covering_server(self):
         """After a full scatter, every winner's advertised range covers
         every key of its leg (out_of_range_rejected stays 0 everywhere)."""
-        world = ShardWorld(shard_count=4, replicas=1, latencies=(0.02,))
+        world = shard_world(shard_count=4, replicas=1, latencies=(0.02,))
         world.connect()
         outcome = world.client.query_sharded(world.balance_calls())
         assert all(leg.ok for leg in outcome.legs)
@@ -326,13 +250,13 @@ class TestRangeEnforcement:
             ad = world.marketplace.get(leg.winner)
             for key in leg.keys:
                 assert ad.covers(key)
-        for server in world.servers.values():
+        for server in world.servers:
             assert server.stats.out_of_range_rejected == 0
 
 
 class TestCoverageHoles:
     def test_uncovered_key_raises_before_any_payment(self):
-        world = ShardWorld(shard_count=2, replicas=1)
+        world = shard_world(shard_count=2, replicas=1)
         world.connect()
         victim = world.users[1]
         for ad in list(world.marketplace.advertisements()):

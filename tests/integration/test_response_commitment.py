@@ -29,7 +29,7 @@ from repro.parp.states import ResponseClass
 from repro.rlp import codec as rlp
 from repro.trie import HashMemo
 
-from ..conftest import counted_keccak, make_parp_env
+from ..conftest import counted_keccak, flat, make_market, make_parp_env
 
 
 class Fig3DigestServer(FullNodeServer):
@@ -163,9 +163,7 @@ class TestTheMemoBelongsToTheVerifier:
         """Replicas of one chain answer with the same upper nodes: what the
         client hashed for one server's response it does not hash again for
         the next server's."""
-        from .test_e2e_marketplace import make_market_world
-
-        world = make_market_world(n_servers=2)
+        world = make_market("e2e:mkt", flat(10, 10))
         client = world.client
         opened = client.connect(min_sessions=2)
         assert len(opened) == 2

@@ -31,9 +31,7 @@ from repro.metrics.cache import LRUCache
 from repro.storage import MemoryNodeStore, open_state_dir
 from repro.trie.mpt import EMPTY_TRIE_ROOT
 
-from ..conftest import counted_keccak
-
-TOKEN = 10 ** 18
+from ..conftest import TOKEN, counted_keccak
 
 #: addresses whose secure keys are in the process-wide memo before any
 #: example runs; hypothesis draws fresh ones beside them

@@ -13,8 +13,10 @@ the two gossip messages raise ``MessageError`` from ``decode()`` and
 Receipts and accounts arrive inside proofs, and ``rlp.decode_int`` once
 read an empty list as 0 (a second encoding of the same receipt or account)
 and a non-empty one as ``TypeError``; an account took a list of 32 items
-for its storage root.  Every field of either one nested in lists or
-replaced by an empty list is refused with ``RLPError``.
+for its storage root; a log entry took a list for its data and let a
+list for its address escape as ``ValueError``.  Every field of either one,
+and of a receipt's log entry, nested in lists or replaced by an empty list
+is refused with ``RLPError``.
 """
 
 import pytest
@@ -58,14 +60,15 @@ def edited(data: bytes):
                      st.integers(0, len(data) - 1).map(lambda n: data[:n]))
 
 
-def _wrapped(index: int, depth: int, items=None) -> bytes:
+def _wrapped(index: int, depth: int, items=None, outer=list) -> bytes:
     """``items`` (the header's by default) with item ``index`` nested in
-    ``depth`` lists, or replaced by an empty list when ``depth`` is 0."""
+    ``depth`` lists, or replaced by an empty list when ``depth`` is 0, and
+    placed by ``outer`` in what is encoded."""
     items = list(HEADER._rlp_items() if items is None else items)
     items[index] = [] if depth == 0 else items[index]
     for _ in range(depth):
         items[index] = [items[index]]
-    return encode(items)
+    return encode(outer(items))
 
 
 def lists_in(items: list):
@@ -77,6 +80,11 @@ def lists_in(items: list):
 #: the header with one of its ten items nested in one to three lists
 items_as_lists = st.builds(_wrapped, st.integers(0, 9), st.integers(1, 3))
 hostile_headers = st.one_of(edited(HEADER.encode()), items_as_lists)
+#: the receipt with one item of its log entry (address, topics, data)
+#: nested in one to three lists, or emptied
+log_items_as_lists = st.builds(
+    _wrapped, st.integers(0, 2), st.integers(0, 3), st.just(RECEIPT[2][0]),
+    st.just(lambda log: RECEIPT[:2] + [[log]]))
 
 
 @given(hostile_headers)
@@ -119,10 +127,12 @@ def test_every_item_as_a_list_is_refused():
         raise AssertionError(f"item {index} as a list decoded")
 
 
-@given(lists_in(RECEIPT))
+@given(st.one_of(lists_in(RECEIPT), log_items_as_lists))
 @settings(max_examples=200, deadline=None)
 def test_receipt_decode_refuses_a_list_for_a_field(raw):
+    no_topics = LogEntry(KEY.address, (), b"data").to_rlp()
     assume(raw != encode(RECEIPT[:2] + [[]]))   # a receipt without logs
+    assume(raw != encode(RECEIPT[:2] + [[no_topics]]))   # a log without topics
     try:
         Receipt.decode(raw)
     except RLPError:

@@ -29,57 +29,9 @@ from repro.trie import (
     verify_proof,
 )
 
+from ..conftest import (apply_trie_op, trie_keys, trie_ops,
+                        trie_values)
 from ..reference_trie import trie_items
-
-# Narrow keys maximize structural collisions (shared prefixes, branch value
-# slots, extension splits) — where a backend divergence would surface.
-keys = st.binary(min_size=1, max_size=4)
-values = st.binary(min_size=1, max_size=40)
-
-ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("put"), keys, values),
-        st.tuples(st.just("delete"), keys),
-        st.tuples(st.just("update"),
-                  st.dictionaries(keys, values, min_size=1, max_size=6)),
-        st.tuples(st.just("snapshot")),
-        st.tuples(st.just("revert"), st.integers(min_value=0, max_value=7)),
-    ),
-    max_size=24,
-)
-
-
-def _apply(op, engines, model, saved):
-    """Apply one operation to every engine and the dict model."""
-    tag = op[0]
-    if tag == "put":
-        _, key, value = op
-        for engine in engines:
-            engine.put(key, value)
-        model[key] = value
-    elif tag == "delete":
-        _, key = op
-        for engine in engines:
-            assert engine.delete(key) == (key in model)
-        model.pop(key, None)
-    elif tag == "update":
-        _, batch = op
-        for engine in engines:
-            engine.update(batch)
-        model.update(batch)
-    elif tag == "snapshot":
-        roots = {engine.commit() for engine in engines}
-        assert len(roots) == 1
-        saved.append((roots.pop(), dict(model)))
-    elif tag == "revert":
-        if not saved:
-            return engines
-        root, contents = saved[op[1] % len(saved)]
-        engines = [engine.at_root(root) for engine in engines]
-        model.clear()
-        model.update(contents)
-    return engines
-
 
 def _probe_agreement(engines, model):
     """Roots, items, and proof bytes must be identical across backends."""
@@ -101,7 +53,7 @@ def _probe_agreement(engines, model):
 
 
 class TestDifferentialBackends:
-    @given(ops)
+    @given(trie_ops)
     @settings(max_examples=25, deadline=None)
     def test_roots_items_proofs_identical_at_every_step(self, operations):
         with tempfile.TemporaryDirectory() as tmp:
@@ -114,13 +66,13 @@ class TestDifferentialBackends:
                 model: dict[bytes, bytes] = {}
                 saved: list[tuple[bytes, dict[bytes, bytes]]] = []
                 for op in operations:
-                    engines = _apply(op, engines, model, saved)
+                    engines = apply_trie_op(op, engines, model, saved)
                     assert len({e.root_hash for e in engines}) == 1
                 _probe_agreement(engines, model)
             finally:
                 store.close()
 
-    @given(ops)
+    @given(trie_ops)
     @settings(max_examples=25, deadline=None)
     def test_reopened_file_store_matches_memory_run(self, operations):
         with tempfile.TemporaryDirectory() as tmp:
@@ -134,7 +86,7 @@ class TestDifferentialBackends:
                 model: dict[bytes, bytes] = {}
                 saved: list[tuple[bytes, dict[bytes, bytes]]] = []
                 for op in operations:
-                    engines = _apply(op, engines, model, saved)
+                    engines = apply_trie_op(op, engines, model, saved)
                 memory, disk = engines
                 # a final write makes the engines dirty, so this commit is
                 # the store's newest durable batch and tags last_root with
@@ -156,7 +108,7 @@ class TestDifferentialBackends:
             finally:
                 reopened.close()
 
-    @given(st.dictionaries(keys, values, max_size=24))
+    @given(st.dictionaries(trie_keys, trie_values, max_size=24))
     @settings(max_examples=25, deadline=None)
     def test_bulk_update_roots_identical(self, batch):
         with tempfile.TemporaryDirectory() as tmp:

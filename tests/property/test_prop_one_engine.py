@@ -19,28 +19,11 @@ import random
 
 import pytest
 
-from repro.chain import GenesisConfig
 from repro.contracts import DEPOSIT_MODULE_ADDRESS
-from repro.crypto import PrivateKey
-from repro.net import PairwiseLatency, SimEndpoint, SimNetwork, SimServerBinding
-from repro.node import Devnet
-from repro.parp import (
-    AdmissionConfig,
-    AdmissionController,
-    FlatFeeSchedule,
-    FullNodeServer,
-    Marketplace,
-    MarketplaceClient,
-)
-from repro.parp.adversary import MaliciousFullNodeServer
-from repro.parp.fraudproof import WitnessService
-from repro.parp.messages import RpcCall
-from repro.parp.pricing import GWEI
+from repro.parp import AdmissionConfig, AdmissionController
 
-from ..conftest import LedgerRecorder
+from ..conftest import LedgerRecorder, flat, links, make_market, malicious
 
-TOKEN = 10 ** 18
-BUDGET = 10 ** 15
 TIMEOUT = 2.0
 N_SERVERS = 3
 SCENARIOS = ("honest", "dead", "malicious", "shedding")
@@ -51,134 +34,97 @@ ENTRY_POINTS = {
 }
 
 
-class World:
-    """Three priced servers over one seeded SimNetwork; ``scenario`` says
-    what is wrong with the top-ranked (cheapest) one."""
+def build(seed: int, scenario: str):
+    """Three priced servers over one seeded SimNetwork, connected, the
+    top-ranked (cheapest) one bent as ``scenario`` says: the world, a
+    recorder of its client's ledger and the top server's index."""
+    rng = random.Random(f"prop:one-engine:{seed}")
+    prices = rng.sample(range(2, 30), N_SERVERS)
+    latencies = [rng.uniform(0.01, 0.2) for _ in range(N_SERVERS)]
+    top = prices.index(min(prices))
+    world = make_market(
+        "prop:one", flat(*prices), latency=links(*latencies),
+        server_kwargs={top: malicious()} if scenario == "malicious" else None)
+    if scenario == "shedding":
+        world.servers[top].admission = AdmissionController(
+            AdmissionConfig(max_queue_cost=2.0, service_time=5.0, seed=seed),
+            clock=world.network.clock)
+    told = LedgerRecorder(world.client.reputation)
+    world.connect()
+    assert world.client.eligible()[0].address == world.servers[top].address
 
-    def __init__(self, seed: int, scenario: str):
-        rng = random.Random(f"prop:one-engine:{seed}")
-        prices = rng.sample(range(2, 30), N_SERVERS)
-        latencies = [rng.uniform(0.01, 0.2) for _ in range(N_SERVERS)]
-        self.top = prices.index(min(prices))
+    if scenario == "dead":
+        world.bindings[top].offline = True
+    if scenario == "shedding":
+        # fill the top server's queue exactly, so the routed query is
+        # shed with a signed retry_after
+        session = world.session_of(top)
+        for _ in range(2):
+            session.begin_request(world.balance_call())
+        world.network.run_until(
+            world.network.clock.now() + latencies[top] + 0.001)
+    return world, told, top
 
-        operators = [PrivateKey.from_seed(f"prop:one:op{i}")
-                     for i in range(N_SERVERS)]
-        lc = PrivateKey.from_seed("prop:one:lc")
-        wn = PrivateKey.from_seed("prop:one:wn")
-        self.alice = PrivateKey.from_seed("prop:one:alice")
-        allocations = {k.address: 100 * TOKEN for k in operators + [lc, wn]}
-        allocations[self.alice.address] = 5 * TOKEN
-        self.devnet = devnet = Devnet(GenesisConfig(allocations=allocations))
-        self.network = SimNetwork(latency=PairwiseLatency(
-            {(f"lc-{i}", f"srv-{i}"): latencies[i]
-             for i in range(N_SERVERS)}, default=0.02))
 
-        marketplace = Marketplace()
-        self.servers = []
-        self.bindings = []
-        for i, op in enumerate(operators):
-            kwargs = {"fee_schedule":
-                      FlatFeeSchedule(flat_price=prices[i] * GWEI)}
-            server_cls = FullNodeServer
-            if i == self.top and scenario == "malicious":
-                server_cls = MaliciousFullNodeServer
-                kwargs["attack"] = "inflate_balance"
-            if i == self.top and scenario == "shedding":
-                kwargs["admission"] = AdmissionController(
-                    AdmissionConfig(max_queue_cost=2.0, service_time=5.0,
-                                    seed=seed), clock=self.network.clock)
-            server = devnet.attach_server(op, name=f"srv-{i}",
-                                          server_cls=server_cls, **kwargs)
-            self.servers.append(server)
-            self.bindings.append(
-                SimServerBinding(self.network, f"srv-{i}", server))
-            marketplace.advertise_server(
-                server, name=f"srv-{i}",
-                endpoint=SimEndpoint(self.network, f"lc-{i}", f"srv-{i}",
-                                     server.address, timeout=TIMEOUT))
-        devnet.advance_blocks(2)
-        self.client = MarketplaceClient(
-            lc, marketplace, budget=BUDGET, clock=self.network.clock,
-            witness=WitnessService(
-                devnet.attach_server(wn, name="wn", stake=False).node))
-        self.told = LedgerRecorder(self.client.reputation)
-        self.client.connect(min_sessions=N_SERVERS)
-        self.client.headers.sync()
-        assert self.client.eligible()[0].address == \
-            self.servers[self.top].address
-
-        if scenario == "dead":
-            self.bindings[self.top].offline = True
-        if scenario == "shedding":
-            # fill the top server's queue exactly, so the routed query is
-            # shed with a signed retry_after
-            session = self.client.sessions[self.servers[self.top].address]
-            for _ in range(2):
-                session.begin_request(self.call())
-            self.network.run_until(
-                self.network.clock.now() + latencies[self.top] + 0.001)
-
-    def call(self) -> RpcCall:
-        return RpcCall.create("eth_getBalance", self.alice.address)
-
-    def fingerprint(self, entry_point: str) -> dict:
-        """Run one entry point; everything an outside observer can see."""
-        client = self.client
-        start = self.network.clock.now()
-        outcome = ENTRY_POINTS[entry_point](client, self.call())
-        elapsed = self.network.clock.now() - start
-        result = (outcome.response.result if entry_point == "request_call"
-                  else outcome.items[0].result)
-        sessions = dict(client.retired)
-        sessions.update(client.sessions)
-        return {
-            "result": result,
-            "winner": [a.label for a in client.last_hedge
-                       if a.outcome == "won"],
-            "legs": [(a.label, a.outcome, a.detail)
-                     for a in client.last_hedge],
-            "channels": {s.address: (sessions[s.address].channel.spent,
-                                     sessions[s.address].channel.acked)
-                         for s in self.servers},
-            "events": {s.address: [e.kind for e in self.told.of(s.address)]
-                       for s in self.servers},
-            "failovers": client.stats.failovers,
-            "slashed": client.stats.frauds_slashed,
-            "deposits": [self.devnet.call_view(
-                DEPOSIT_MODULE_ADDRESS, "deposit_of", [s.address])
-                for s in self.servers],
-            "soft_failovers": client.stats.soft_failovers,
-            "storms_avoided": client.stats.retry_storms_avoided,
-            "queries": client.stats.queries,
-            "elapsed": elapsed,
-        }
+def fingerprint(world, told, entry_point: str) -> dict:
+    """Run one entry point; everything an outside observer can see."""
+    client = world.client
+    start = world.network.clock.now()
+    outcome = ENTRY_POINTS[entry_point](client, world.balance_call())
+    elapsed = world.network.clock.now() - start
+    result = (outcome.response.result if entry_point == "request_call"
+              else outcome.items[0].result)
+    sessions = dict(client.retired)
+    sessions.update(client.sessions)
+    return {
+        "result": result,
+        "winner": [a.label for a in client.last_hedge
+                   if a.outcome == "won"],
+        "legs": [(a.label, a.outcome, a.detail)
+                 for a in client.last_hedge],
+        "channels": {s.address: (sessions[s.address].channel.spent,
+                                 sessions[s.address].channel.acked)
+                     for s in world.servers},
+        "events": {s.address: [e.kind for e in told.of(s.address)]
+                   for s in world.servers},
+        "failovers": client.stats.failovers,
+        "slashed": client.stats.frauds_slashed,
+        "deposits": [world.devnet.call_view(
+            DEPOSIT_MODULE_ADDRESS, "deposit_of", [s.address])
+            for s in world.servers],
+        "soft_failovers": client.stats.soft_failovers,
+        "storms_avoided": client.stats.retry_storms_avoided,
+        "queries": client.stats.queries,
+        "elapsed": elapsed,
+    }
 
 
 @pytest.mark.parametrize("seed", [3, 17])
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_one_call_entry_points_are_indistinguishable(scenario, seed):
-    worlds = {name: World(seed, scenario) for name in ENTRY_POINTS}
-    prints = {name: world.fingerprint(name) for name, world in worlds.items()}
+    worlds = {name: build(seed, scenario) for name in ENTRY_POINTS}
+    prints = {name: fingerprint(world, told, name)
+              for name, (world, told, _) in worlds.items()}
     serial = prints["request_call"]
     assert prints["query_hedged"] == serial
     assert prints["query_sharded"] == serial
 
     # and the scenario really happened, so the equality is not vacuous
-    top = f"srv-{worlds['request_call'].top}"
+    top = worlds["request_call"][2]
     assert len(serial["winner"]) == 1 and serial["queries"] == 1
     first_leg = serial["legs"][0]
-    assert first_leg[0] == top
+    assert first_leg[0] == f"srv-{top}"
     expected = {"honest": "won", "dead": "timeout", "malicious": "fraud",
                 "shedding": "overloaded"}[scenario]
     assert first_leg[1] == expected
     assert serial["failovers"] == (0 if scenario == "honest" else 1)
     assert serial["slashed"] == (scenario == "malicious")
-    assert (serial["deposits"][worlds["request_call"].top] == 0) == (
+    assert (serial["deposits"][top] == 0) == (
         scenario == "malicious")
     # hedge_launches is the one stat that tells the shapes apart: it counts
     # only attempts issued by query_hedged/query_sharded
     launches = {name: world.client.stats.hedge_launches
-                for name, world in worlds.items()}
+                for name, (world, _, _) in worlds.items()}
     assert launches == {"request_call": 0,
                         "query_hedged": len(serial["legs"]),
                         "query_sharded": len(serial["legs"])}

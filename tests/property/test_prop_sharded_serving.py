@@ -21,78 +21,55 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from repro.chain import GenesisConfig
 from repro.contracts import DEPOSIT_MODULE_ADDRESS
-from repro.crypto import Address, PrivateKey, keccak256
+from repro.crypto import Address, keccak256
 from repro.lightclient.sync import HeaderSyncer
-from repro.node import Devnet
-from repro.parp import (
-    FlatFeeSchedule,
-    LightClientSession,
-    Marketplace,
-    MarketplaceClient,
-)
+from repro.parp import FlatFeeSchedule, LightClientSession
 from repro.parp import marketplace as routing
 from repro.parp.messages import RpcCall
 from repro.parp.pricing import GWEI
+from repro.trie import ShardRange
 
-TOKEN = 10 ** 18
-BUDGET = 10 ** 15
+from ..conftest import BUDGET, make_market
+
 FLAT = FlatFeeSchedule(flat_price=10 * GWEI)
 N_USERS = 16
 SHARD_COUNTS = (1, 2, 4, 8)
 
 
-class ShardedWorld:
-    """One devnet: a full-range oracle server plus an N-shard cluster,
-    all serving the same chain in-process."""
-
-    def __init__(self, shard_count: int):
-        self.shard_count = shard_count
-        self.users = [PrivateKey.from_seed(f"prop:shard:user{i}")
-                      for i in range(N_USERS)]
-        self.lc = PrivateKey.from_seed("prop:shard:lc")
-        self.oracle_lc = PrivateKey.from_seed("prop:shard:oracle-lc")
-        oracle_op = PrivateKey.from_seed("prop:shard:oracle-op")
-        shard_ops = [PrivateKey.from_seed(f"prop:shard:op{i}")
-                     for i in range(shard_count)]
-        allocations = {k.address: 100 * TOKEN
-                       for k in shard_ops + [oracle_op, self.lc,
-                                             self.oracle_lc]}
-        for i, user in enumerate(self.users):
-            allocations[user.address] = (i + 1) * TOKEN
-        self.devnet = Devnet(GenesisConfig(allocations=allocations))
-
-        marketplace = Marketplace()
-        for server in self.devnet.attach_shard_cluster(
-                shard_ops, shard_count, fee_schedule=FLAT):
-            marketplace.advertise_server(server)
-        self.oracle_server = self.devnet.attach_server(
-            oracle_op, name="oracle", fee_schedule=FLAT)
-        self.devnet.advance_blocks(2)
-
-        self.client = MarketplaceClient(self.lc, marketplace, budget=BUDGET)
-        self.client.connect(min_sessions=shard_count)
-        # the oracle stays out of the marketplace: one plain full-range
-        # session is the reference implementation the scatter must match
-        self.oracle = LightClientSession(
-            self.oracle_lc, self.oracle_server,
-            HeaderSyncer([self.oracle_server]), fee_schedule=FLAT)
-        self.oracle.connect(budget=BUDGET)
-        self.sync()
-
-    def sync(self):
-        self.client.headers.sync()
-        self.oracle.headers.sync()
+def build(shard_count: int):
+    """One devnet: an N-shard cluster in the marketplace, plus a
+    full-range oracle server outside it, all serving the same chain
+    in-process, and one plain session on the oracle."""
+    world = make_market(
+        "prop:shard", [FLAT] * shard_count, witness=False, blocks=0,
+        ranges=[ShardRange.of(i, shard_count) for i in range(shard_count)],
+        users={**{f"user{i}": i + 1 for i in range(N_USERS)},
+               "oracle-op": 100, "oracle-lc": 100})
+    oracle_op, oracle_lc = world.users[N_USERS:]
+    oracle_server = world.devnet.attach_server(
+        oracle_op, name="oracle", fee_schedule=FLAT)
+    world.devnet.advance_blocks(2)
+    world.client.connect(min_sessions=shard_count)
+    # the oracle stays out of the marketplace: one plain full-range
+    # session is the reference implementation the scatter must match
+    oracle = LightClientSession(oracle_lc, oracle_server,
+                                HeaderSyncer([oracle_server]),
+                                fee_schedule=FLAT)
+    oracle.connect(budget=BUDGET)
+    return world, oracle
 
 
-_WORLDS: dict[int, ShardedWorld] = {}
+_WORLDS: dict = {}
 
 
-def world_for(shard_count: int) -> ShardedWorld:
+def world_for(shard_count: int):
     if shard_count not in _WORLDS:
-        _WORLDS[shard_count] = ShardedWorld(shard_count)
-    return _WORLDS[shard_count]
+        _WORLDS[shard_count] = build(shard_count)
+    world, oracle = _WORLDS[shard_count]
+    world.client.headers.sync()
+    oracle.headers.sync()
+    return world, oracle
 
 
 def absent_address(tag: int) -> Address:
@@ -110,7 +87,7 @@ call_specs = st.lists(
 )
 
 
-def build_calls(world: ShardedWorld, specs) -> list[RpcCall]:
+def build_calls(world, specs) -> list[RpcCall]:
     calls = []
     for kind, arg in specs:
         if kind == "user":
@@ -134,12 +111,11 @@ class TestShardedDifferential:
     @settings(max_examples=25, deadline=None)
     def test_scatter_matches_single_node_oracle(self, shard_count, specs,
                                                 fanout):
-        world = world_for(shard_count)
-        world.sync()
+        world, oracle = world_for(shard_count)
         calls = build_calls(world, specs)
 
-        oracle_before = world.oracle.channel.spent
-        expected = world.oracle.query_batch(calls)
+        oracle_before = oracle.channel.spent
+        expected = oracle.query_batch(calls)
         oracle_cost = expected.amount_paid - oracle_before
 
         with mock.patch.object(routing, "SHARD_FANOUT", fanout):
@@ -166,15 +142,14 @@ class TestShardedDifferential:
     def test_one_shard_degenerates_to_single_node_path(self, specs):
         """N=1: the scatter is one leg carrying the whole batch over the
         plain wire path — same items, one winner, one payment."""
-        world = world_for(1)
-        world.sync()
+        world, oracle = world_for(1)
         calls = build_calls(world, specs)
         outcome = world.client.query_sharded(calls)
         assert len(outcome.legs) == 1
         leg = outcome.legs[0]
         assert leg.positions == tuple(range(len(calls)))
         assert outcome.amount_paid == leg.cost
-        expected = world.oracle.query_batch(calls)
+        expected = oracle.query_batch(calls)
         for got, want in zip(outcome.items, expected.items):
             assert (got.status, got.result) == (want.status, want.result)
 
@@ -186,8 +161,7 @@ class TestShardedDifferential:
         from repro.parp.sharding import shard_key_of_call
         from repro.trie import shard_of_key
 
-        world = world_for(shard_count)
-        world.sync()
+        world, oracle = world_for(shard_count)
         calls = build_calls(world, specs)
         outcome = world.client.query_sharded(calls)
         seen = sorted(pos for leg in outcome.legs for pos in leg.positions)

@@ -20,68 +20,19 @@ from repro.trie import (
     verify_proof,
 )
 
+from ..conftest import (apply_trie_op, trie_keys, trie_ops,
+                        trie_values)
 from ..reference_trie import NaiveMerklePatriciaTrie, trie_items
 
-# A narrow key space maximizes structural collisions (shared prefixes,
-# branch value slots, extension splits) — where the engines could diverge.
-keys = st.binary(min_size=1, max_size=4)
-values = st.binary(min_size=1, max_size=40)
-
-ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("put"), keys, values),
-        st.tuples(st.just("delete"), keys),
-        st.tuples(st.just("update"),
-                  st.dictionaries(keys, values, min_size=1, max_size=6)),
-        st.tuples(st.just("snapshot")),
-        st.tuples(st.just("revert"), st.integers(min_value=0, max_value=7)),
-    ),
-    max_size=24,
-)
-
-
-def _apply(op, engines, model, saved):
-    """Apply one operation to every engine and the dict model."""
-    tag = op[0]
-    if tag == "put":
-        _, key, value = op
-        for engine in engines:
-            engine.put(key, value)
-        model[key] = value
-    elif tag == "delete":
-        _, key = op
-        for engine in engines:
-            assert engine.delete(key) == (key in model)
-        model.pop(key, None)
-    elif tag == "update":
-        _, batch = op
-        for engine in engines:
-            engine.update(batch)
-        model.update(batch)
-    elif tag == "snapshot":
-        roots = {engine.commit() for engine in engines}
-        assert len(roots) == 1
-        saved.append((roots.pop(), dict(model)))
-    elif tag == "revert":
-        if not saved:
-            return engines
-        root, contents = saved[op[1] % len(saved)]
-        # a remembered root re-attaches as a full read/write trie
-        engines = [engine.at_root(root) for engine in engines]
-        model.clear()
-        model.update(contents)
-    return engines
-
-
 class TestDifferentialOverlay:
-    @given(ops)
+    @given(trie_ops)
     @settings(max_examples=40, deadline=None)
     def test_roots_items_proofs_identical_at_every_step(self, operations):
         engines = [MerklePatriciaTrie(), NaiveMerklePatriciaTrie()]
         model: dict[bytes, bytes] = {}
         saved: list[tuple[bytes, dict[bytes, bytes]]] = []
         for op in operations:
-            engines = _apply(op, engines, model, saved)
+            engines = apply_trie_op(op, engines, model, saved)
             fast, naive = engines
             assert fast.root_hash == naive.root_hash
         fast, naive = engines
@@ -93,7 +44,7 @@ class TestDifferentialOverlay:
             assert proof_fast == proof_naive
             assert verify_proof(fast.root_hash, probe, proof_fast) == model.get(probe)
 
-    @given(st.dictionaries(keys, values, max_size=24))
+    @given(st.dictionaries(trie_keys, trie_values, max_size=24))
     @settings(max_examples=40, deadline=None)
     def test_bulk_update_root_matches_reference(self, batch):
         fast = MerklePatriciaTrie()
@@ -104,8 +55,8 @@ class TestDifferentialOverlay:
         if not batch:
             assert fast.root_hash == EMPTY_TRIE_ROOT
 
-    @given(st.dictionaries(keys, values, min_size=1, max_size=16),
-           st.lists(keys, min_size=1, max_size=6))
+    @given(st.dictionaries(trie_keys, trie_values, min_size=1, max_size=16),
+           st.lists(trie_keys, min_size=1, max_size=6))
     @settings(max_examples=30, deadline=None)
     def test_multiproof_bytes_identical(self, batch, probes):
         fast = MerklePatriciaTrie()
@@ -119,7 +70,7 @@ class TestDifferentialOverlay:
         for probe in probes:
             assert answers[probe] == batch.get(probe)
 
-    @given(st.dictionaries(keys, values, min_size=1, max_size=16), ops)
+    @given(st.dictionaries(trie_keys, trie_values, min_size=1, max_size=16), trie_ops)
     @settings(max_examples=30, deadline=None)
     def test_interleaved_commits_do_not_change_roots(self, batch, operations):
         """Committing mid-sequence (root reads) never perturbs the outcome."""
@@ -132,7 +83,7 @@ class TestDifferentialOverlay:
         model2 = dict(batch)
         saved2: list[tuple[bytes, dict[bytes, bytes]]] = []
         for op in operations:
-            [eager] = _apply(op, [eager], model, saved)
+            [eager] = apply_trie_op(op, [eager], model, saved)
             eager.commit()  # force per-step hashing
-            [lazy] = _apply(op, [lazy], model2, saved2)
+            [lazy] = apply_trie_op(op, [lazy], model2, saved2)
         assert eager.root_hash == lazy.root_hash

@@ -20,9 +20,7 @@ from repro.node import Devnet
 from repro.storage import AppendOnlyFileStore, BlockLog, StoreError
 from repro.vm import ContractRegistry, TransactionExecutor
 
-from ..conftest import Keys, get_balances, make_parp_env
-
-TOKEN = 10 ** 18
+from ..conftest import TOKEN, Keys, get_balances, make_parp_env
 
 
 def _genesis(keys: Keys) -> GenesisConfig:

@@ -6,7 +6,6 @@ so these tests drive it with fabricated advertisements.
 
 import pytest
 
-from repro.crypto import keccak256
 from repro.crypto.keys import Address, PrivateKey
 from repro.parp.client import FraudDetected
 from repro.parp.constants import DEFAULT_SELECTION_THRESHOLD
@@ -20,7 +19,6 @@ from repro.parp.marketplace import (
 from repro.parp.pricing import (
     GWEI,
     CallBasedFeeSchedule,
-    FlatFeeSchedule,
     REFERENCE_BASKET,
 )
 from repro.parp.reputation import (
@@ -35,18 +33,9 @@ from repro.parp.reputation import (
 from repro.parp.states import ResponseClass
 from repro.parp.verification import VerificationReport
 
+from ..conftest import ad_for, addr
+
 LC = PrivateKey.from_seed("unit:mkt:lc")
-
-
-def addr(tag: str) -> Address:
-    return Address(keccak256(tag.encode())[-20:])
-
-
-def ad_for(tag: str, price_gwei: int = 10) -> ServerAdvertisement:
-    return ServerAdvertisement(
-        address=addr(tag), endpoint=object(),
-        fee_schedule=FlatFeeSchedule(flat_price=price_gwei * GWEI), name=tag,
-    )
 
 
 def client_with(*ads: ServerAdvertisement, **kwargs) -> MarketplaceClient:

@@ -28,9 +28,7 @@ from repro.trie import (
     verify_proof,
 )
 
-from ..conftest import counted_keccak
-
-TOKEN = 10 ** 18
+from ..conftest import TOKEN, counted_keccak
 
 
 def _addr(i: int) -> Address:

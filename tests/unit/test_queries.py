@@ -5,7 +5,8 @@ import pytest
 from repro.chain import GenesisConfig, UnsignedTransaction
 from repro.crypto import PrivateKey, keccak256
 from repro.node import Devnet, FullNode
-from repro.parp.messages import PARPRequest, PARPResponse, RpcCall
+from repro.parp.messages import (
+    MessageError, PARPRequest, PARPResponse, RpcCall)
 from repro.parp.queries import (
     QUERY_CATALOG,
     QueryError,
@@ -189,6 +190,14 @@ class TestUnverifiableQueries:
         call = RpcCall.create("eth_chainId")
         _, response = run(node, net, call)
         assert decode_int_result(response.result) == 1337
+
+    @pytest.mark.parametrize("junk", [b"\xc0", b"\xb8", b"\x82\x00\x01"],
+                             ids=["list", "truncated", "leading-zero"])
+    def test_undecodable_int_is_a_message_error(self, junk):
+        """Every undecodable answer raises the one error type a session
+        turns into INVALID."""
+        with pytest.raises(MessageError):
+            decode_int_result(junk)
 
     def test_catalog_classification(self):
         assert QUERY_CATALOG["eth_getBalance"].verifiable

@@ -24,12 +24,9 @@ from repro.parp.messages import RpcCall
 from repro.parp.pricing import GWEI, FlatFeeSchedule
 from repro.trie.shard import ShardRange, shard_of_key
 
+from ..conftest import TOKEN, ad_for, addr
+
 LC = PrivateKey.from_seed("unit:shardsel:lc")
-TOKEN = 10 ** 18
-
-
-def addr(tag: str) -> Address:
-    return Address(keccak256(tag.encode())[-20:])
 
 
 def address_in_shard(index: int, count: int) -> Address:
@@ -39,15 +36,6 @@ def address_in_shard(index: int, count: int) -> Address:
         if shard_of_key(keccak256(bytes(candidate)), count) == index:
             return candidate
     raise AssertionError("no address found for shard")  # pragma: no cover
-
-
-def ad_for(tag: str, shard: ShardRange | None = None,
-           price_gwei: int = 10) -> ServerAdvertisement:
-    return ServerAdvertisement(
-        address=addr(tag), endpoint=object(),
-        fee_schedule=FlatFeeSchedule(flat_price=price_gwei * GWEI),
-        name=tag, shard=shard,
-    )
 
 
 def client_with(*ads: ServerAdvertisement) -> MarketplaceClient:

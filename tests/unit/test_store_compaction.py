@@ -42,9 +42,7 @@ from repro.trie import (
     verify_proof,
 )
 
-from ..conftest import Keys
-
-TOKEN = 10 ** 18
+from ..conftest import TOKEN, Keys
 
 
 def _addr(i: int) -> Address:
