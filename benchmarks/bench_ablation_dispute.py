@@ -6,8 +6,6 @@ sweeps the window length and reports (a) blocks until funds settle in the
 cooperative case and (b) whether a late challenger still wins.
 """
 
-import pytest
-
 from repro.chain import GenesisConfig
 from repro.contracts import CHANNELS_MODULE_ADDRESS, DEPOSIT_MODULE_ADDRESS
 from repro.crypto import PrivateKey

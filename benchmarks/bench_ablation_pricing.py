@@ -23,7 +23,7 @@ def run_mix(world, schedule) -> tuple[int, dict[str, int]]:
     # fee schedules are a connection parameter: both sides must agree
     world.server.fee_schedule = schedule
     session = LightClientSession(
-        world.lc_key, world.server,
+        world.keys.lc, world.server,
         HeaderSyncer([world.server, world.witness_node]),
         fee_schedule=schedule,
     )

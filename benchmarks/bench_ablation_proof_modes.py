@@ -10,7 +10,7 @@ quantifies the per-request cost of always-proving, for both workloads.
 
 import time
 
-from repro.parp.messages import PARPResponse, RpcCall
+from repro.parp.messages import RpcCall
 from repro.parp.queries import execute_query
 
 from .probes import StepTimer
@@ -21,7 +21,7 @@ ROUNDS = 60
 
 def test_ablation_proof_generation_share(benchmark, world_with_200tx_block):
     world, block = world_with_200tx_block
-    node, fn_key = world.node, world.fn_key
+    node, fn_key = world.node, world.keys.fn
     timer = StepTimer()
 
     read_call = RpcCall.create("eth_getBalance", world.accounts.addresses[3])

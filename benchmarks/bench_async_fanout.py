@@ -17,21 +17,14 @@ Emits ``results/BENCH_async.json`` (uploaded by the tier-2 CI job), gated
 on **hedged p99 < sequential p99**.
 """
 
-import random
-from collections import Counter
-
-from repro.chain import GenesisConfig
-from repro.crypto import PrivateKey
-from repro.net import PairwiseLatency, SimEndpoint, SimNetwork, SimServerBinding
-from repro.node import Devnet
-from repro.parp import FlatFeeSchedule, Marketplace, MarketplaceClient
+from repro.net import PairwiseLatency
+from repro.parp.constants import DEFAULT_MIN_SESSIONS
 from repro.parp.messages import RpcCall
-from repro.parp.pricing import GWEI
 
-from .reporting import add_report, render_table, write_json_series
-from .table1 import generate_dataset
+from .reporting import add_report, percentile, render_table, write_json_series
+from .table1 import traffic_schedule
+from .worlds import flat, make_market
 
-TOKEN = 10 ** 18
 TOTAL_QUERIES = 90
 #: the three biggest Table I providers play the three marketplace servers
 PROVIDERS = ("infura", "alchemy", "binance")
@@ -40,70 +33,25 @@ PRICES_GWEI = {"infura": 10, "alchemy": 8, "binance": 5}
 SLOW_PROVIDER = "binance"
 SLOW_LATENCY = 0.35
 FAST_LATENCY = 0.02
-TIMEOUT = 2.0
-
-
-def traffic_schedule() -> list[str]:
-    """Per-query provider labels, proportional to the dataset's call counts
-    (they size the workload; marketplace routing decides who serves)."""
-    records = generate_dataset(seed=7)
-    calls = Counter()
-    for record in records:
-        if record.provider in PROVIDERS:
-            calls[record.provider] += record.call_count
-    total = sum(calls.values())
-    schedule: list[str] = []
-    for provider in PROVIDERS:
-        schedule += [provider] * round(TOTAL_QUERIES * calls[provider] / total)
-    random.Random(2025).shuffle(schedule)
-    return schedule[:TOTAL_QUERIES]
 
 
 def build_world(mode: str):
     """A fresh chain + simulated network + marketplace for one run mode."""
-    operators = {p: PrivateKey.from_seed(f"bench:async:{p}") for p in PROVIDERS}
-    lc = PrivateKey.from_seed("bench:async:lc")
-    alice = PrivateKey.from_seed("bench:async:alice")
-    allocations = {k.address: 1_000 * TOKEN
-                   for k in list(operators.values()) + [lc]}
-    allocations[alice.address] = 5 * TOKEN
-    net = Devnet(GenesisConfig(allocations=allocations))
-
-    links = {}
-    for provider in PROVIDERS:
-        latency = SLOW_LATENCY if provider == SLOW_PROVIDER else FAST_LATENCY
-        links[(f"{mode}-lc-{provider}", f"{mode}-{provider}")] = latency
-    network = SimNetwork(latency=PairwiseLatency(links, default=FAST_LATENCY))
-
-    marketplace = Marketplace()
-    for provider, op in operators.items():
-        server = net.attach_server(
-            op, name=provider,
-            fee_schedule=FlatFeeSchedule(flat_price=PRICES_GWEI[provider] * GWEI))
-        SimServerBinding(network, f"{mode}-{provider}", server)
-        endpoint = SimEndpoint(network, f"{mode}-lc-{provider}",
-                               f"{mode}-{provider}", server.address,
-                               timeout=TIMEOUT)
-        marketplace.advertise_server(server, name=provider, endpoint=endpoint)
-    net.advance_blocks(2)
-
-    client = MarketplaceClient(lc, marketplace, budget=10 ** 16,
-                               clock=network.clock)
-    client.connect()
-    client.headers.sync()   # pin the post-connect head outside the timings
-    return network, client, alice
-
-
-def percentile(samples: list[float], pct: float) -> float:
-    ranked = sorted(samples)
-    index = min(len(ranked) - 1, max(0, round(pct / 100 * (len(ranked) - 1))))
-    return ranked[index]
+    slow_link = (f"{mode}-lc-{SLOW_PROVIDER}", f"{mode}-{SLOW_PROVIDER}")
+    world = make_market(
+        "bench:async", flat(*(PRICES_GWEI[p] for p in PROVIDERS)),
+        labels=PROVIDERS, names=("{}", f"{mode}-{{}}", f"{mode}-lc-{{}}"),
+        latency=PairwiseLatency({slow_link: SLOW_LATENCY},
+                                default=FAST_LATENCY),
+        funds=1_000, witness=False, budget=10 ** 16)
+    world.connect(DEFAULT_MIN_SESSIONS)
+    return world.network, world.client, world.alice
 
 
 def run_workload(network, client, alice, hedged: bool) -> list[float]:
     """Serve the whole schedule; returns per-query simulated latencies."""
     durations = []
-    for _ in traffic_schedule():
+    for _ in traffic_schedule(PROVIDERS, TOTAL_QUERIES):
         call = RpcCall.create("eth_getBalance", alice.address)
         start = network.clock.now()
         if hedged:

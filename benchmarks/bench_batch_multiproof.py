@@ -20,7 +20,7 @@ from repro.trie.proof import proof_size
 
 import pytest
 
-from .conftest import BenchWorld
+from .conftest import BenchWorld, bench_world
 from .reporting import add_report, render_table
 
 BATCH_SIZES = (2, 8, 16)
@@ -29,7 +29,7 @@ BATCH_SIZES = (2, 8, 16)
 @pytest.fixture(scope="module")
 def big_world() -> BenchWorld:
     # 2 disjoint address slices per batch size, budget for ~100 queries
-    return BenchWorld(accounts=2 * sum(BATCH_SIZES), budget=10 ** 17)
+    return bench_world(accounts=2 * sum(BATCH_SIZES), budget=10 ** 17)
 
 
 def serve_sequential(world, addresses):

@@ -33,7 +33,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.chain import GenesisConfig
 from repro.contracts import DEPOSIT_MODULE_ADDRESS
 from repro.crypto import PrivateKey, keys
 from repro.lightclient import HeaderSyncer

@@ -35,22 +35,12 @@ from repro.chain import GenesisConfig
 from repro.crypto import PrivateKey
 from repro.gossip import GossipNode, HeadGossip
 from repro.lightclient import HeaderSyncer
-from repro.net import SimEndpoint, SimNetwork, SimServerBinding, UniformLatency
+from repro.net import SimNetwork, UniformLatency
 from repro.node import Devnet, FullNode
-from repro.parp import (
-    FlatFeeSchedule,
-    FullNodeServer,
-    Marketplace,
-    MarketplaceClient,
-    ServerAdvertisement,
-)
-from repro.parp.adversary import MaliciousFullNodeServer
-from repro.parp.fraudproof import WitnessService
-from repro.parp.pricing import GWEI
+from repro.parp import FullNodeServer, MarketplaceClient
 
 from .reporting import add_report, render_table, write_json_series
-
-TOKEN = 10 ** 18
+from .worlds import TOKEN, flat, make_market, malicious
 N_SERVERS = 3
 #: the classic pull cadence (and the push-mode staleness window)
 POLL_INTERVAL = 2.0
@@ -64,12 +54,6 @@ COHORTS = tuple(
 REGRESSION_TOLERANCE = 0.30
 BASELINE_PATH = (pathlib.Path(__file__).parent / "baselines"
                  / "BENCH_gossip_baseline.json")
-
-
-def percentile(samples: list[float], pct: float) -> float:
-    ranked = sorted(samples)
-    index = min(len(ranked) - 1, max(0, round(pct / 100 * (len(ranked) - 1))))
-    return ranked[index]
 
 
 # --------------------------------------------------------------------------- #
@@ -164,75 +148,48 @@ def run_propagation(n_clients: int, seed: int = 7) -> dict:
 # --------------------------------------------------------------------------- #
 
 def build_market_world():
-    ops = [PrivateKey.from_seed(f"bench:gsp:mop{i}") for i in range(N_SERVERS)]
-    wn = PrivateKey.from_seed("bench:gsp:wn")
-    alice = PrivateKey.from_seed("bench:gsp:alice")
-    victim = PrivateKey.from_seed("bench:gsp:victim")
-    newcomer = PrivateKey.from_seed("bench:gsp:newcomer")
-    allocations = {k.address: 200 * TOKEN
-                   for k in ops + [wn, victim, newcomer]}
-    allocations[alice.address] = 5 * TOKEN
-    devnet = Devnet(GenesisConfig(allocations=allocations))
-    for op in ops:
-        devnet.stake_full_node(op)
-    devnet.stake_full_node(victim)      # reporter weight needs collateral
-    devnet.advance_blocks(2)
-
-    network = SimNetwork(latency=UniformLatency(LATENCY_LO, LATENCY_HI,
-                                                seed=11))
-    marketplace = Marketplace()
-    servers = []
-    prices = [8, 10, 10]                # evil is the tempting cheapest
-    for i, op in enumerate(ops):
-        schedule = FlatFeeSchedule(flat_price=prices[i] * GWEI)
-        node = FullNode(devnet.chain, key=op, name=f"msrv-{i}")
-        if i == 0:
-            server = MaliciousFullNodeServer(node, attack="inflate_balance",
-                                             fee_schedule=schedule)
-        else:
-            server = FullNodeServer(node, fee_schedule=schedule)
-        SimServerBinding(network, f"msrv-{i}", server)
-        endpoint = SimEndpoint(network, f"mlc-ep-{i}", f"msrv-{i}",
-                               server.address, timeout=2.0)
-        marketplace.advertise(ServerAdvertisement.for_server(
-            server, name=f"msrv-{i}", endpoint=endpoint))
-        servers.append(server)
-    mesh = devnet.attach_gossip_mesh(network, servers, name_prefix="mgossip")
-    witness = WitnessService(FullNode(devnet.chain, key=wn, name="mwn"))
-    return devnet, network, marketplace, witness, mesh, servers, \
-        alice, victim, newcomer
+    """Three meshed servers, server 0 forging and priced as the tempting
+    cheapest; ``users`` are alice, the victim and the newcomer."""
+    world = make_market(
+        "bench:gsp", flat(8, 10, 10), names=("mop{}", "msrv-{}", "mlc-ep-{}"),
+        latency=UniformLatency(LATENCY_LO, LATENCY_HI, seed=11), funds=200,
+        users={"alice": 5, "victim": 200, "newcomer": 200},
+        server_kwargs={0: malicious()}, blocks=0, client=False)
+    # the victim's reporter weight needs collateral
+    world.devnet.stake_full_node(world.users[1])
+    world.devnet.advance_blocks(2)
+    world.mesh = world.devnet.attach_gossip_mesh(
+        world.network, world.servers, name_prefix="mgossip")
+    return world
 
 
-def join(devnet, network, mesh, marketplace, witness, key, label,
-         peer_index: int = 0) -> MarketplaceClient:
-    client = MarketplaceClient(key, marketplace, witness=witness,
-                               budget=10 ** 15, clock=network.clock.now)
-    node = GossipNode(network, f"mlc-gossip-{label}")
-    node.add_peer(mesh[peer_index].name)
-    mesh[peer_index].add_peer(node.name)
-    client.join_gossip(node, stake_of=devnet.stake_of)
+def join(world, key, label, peer_index: int = 0) -> MarketplaceClient:
+    client = MarketplaceClient(key, world.marketplace, witness=world.witness,
+                               budget=10 ** 15, clock=world.network.clock.now)
+    node = GossipNode(world.network, f"mlc-gossip-{label}")
+    node.add_peer(world.mesh[peer_index].name)
+    world.mesh[peer_index].add_peer(node.name)
+    client.join_gossip(node, stake_of=world.devnet.stake_of)
     return client
 
 
 def run_tuition() -> dict:
-    (devnet, network, marketplace, witness, mesh, servers,
-     alice, victim_key, newcomer_key) = build_market_world()
-    evil = servers[0]
+    world = build_market_world()
+    _, victim_key, newcomer_key = world.users
 
     # the newcomer is listening before the victim's report goes out
-    newcomer = join(devnet, network, mesh, marketplace, witness,
-                    newcomer_key, "newcomer", peer_index=1)
+    newcomer = join(world, newcomer_key, "newcomer", peer_index=1)
 
-    victim = join(devnet, network, mesh, marketplace, witness,
-                  victim_key, "victim")
+    victim = join(world, victim_key, "victim")
     victim.connect()
-    assert victim.get_balance(alice.address) == 5 * TOKEN
+    assert victim.get_balance(world.alice.address) == 5 * TOKEN
     assert victim.stats.frauds_detected == 1
-    network.run()                       # the signed event floods the mesh
+    world.network.run()                 # the signed event floods the mesh
 
     newcomer.connect()
     for _ in range(4):
-        assert newcomer.get_balance(alice.address) == 5 * TOKEN
+        assert newcomer.get_balance(world.alice.address) == 5 * TOKEN
+    evil = world.servers[0]
     return {
         "informed_merges": newcomer.rep_share.stats.merged,
         "tuition_queries_with_gossip": newcomer.stats.frauds_detected,
@@ -241,13 +198,13 @@ def run_tuition() -> dict:
 
 
 def run_blind_control() -> int:
-    (devnet, network, marketplace, witness, mesh, servers,
-     alice, _victim, _newcomer) = build_market_world()
-    blind_key = PrivateKey.from_seed("bench:gsp:victim")   # funded at genesis
-    blind = MarketplaceClient(blind_key, marketplace, witness=witness,
-                              budget=10 ** 15, clock=network.clock.now)
+    world = build_market_world()
+    blind_key = world.users[1]          # the victim's key, funded at genesis
+    blind = MarketplaceClient(blind_key, world.marketplace,
+                              witness=world.witness, budget=10 ** 15,
+                              clock=world.network.clock.now)
     blind.connect()
-    assert blind.get_balance(alice.address) == 5 * TOKEN
+    assert blind.get_balance(world.alice.address) == 5 * TOKEN
     return blind.stats.frauds_detected
 
 

@@ -38,25 +38,15 @@ import json
 import pathlib
 import random
 
-from repro.chain import GenesisConfig
-from repro.crypto import PrivateKey
-from repro.net import PairwiseLatency, SimEndpoint, SimNetwork, SimServerBinding
-from repro.node import Devnet
-from repro.parp import (
-    AdmissionConfig,
-    AdmissionController,
-    FlatFeeSchedule,
-    Marketplace,
-    MarketplaceClient,
-)
+from repro.net import FixedLatency
+from repro.parp import AdmissionConfig
 from repro.parp.client import ServerOverloaded
 from repro.parp.messages import RpcCall
-from repro.parp.pricing import GWEI
 from repro.parp.reputation import EVENT_OVERLOADED
 
-from .reporting import add_report, render_table, write_json_series
+from .reporting import add_report, percentile, render_table, write_json_series
+from .worlds import flat, make_market
 
-TOKEN = 10 ** 18
 N_SERVERS = 2
 #: modeled seconds of serving work per unit request cost
 SERVICE_TIME = 0.02
@@ -79,38 +69,14 @@ BASELINE_PATH = (pathlib.Path(__file__).parent / "baselines"
 
 
 def build_world():
-    ops = [PrivateKey.from_seed(f"bench:ovl:op{i}") for i in range(N_SERVERS)]
-    lc = PrivateKey.from_seed("bench:ovl:lc")
-    alice = PrivateKey.from_seed("bench:ovl:alice")
-    allocations = {k.address: 1_000 * TOKEN for k in ops + [lc]}
-    allocations[alice.address] = 5 * TOKEN
-    devnet = Devnet(GenesisConfig(allocations=allocations))
-    network = SimNetwork(latency=PairwiseLatency({}, default=LATENCY))
-
-    marketplace = Marketplace()
-    servers = []
-    for i, op in enumerate(ops):
-        # the admission clock is the sim clock (backlog drains with simulated
-        # time); the server's own clock stays on chain timestamps
-        ctrl = AdmissionController(
-            AdmissionConfig(max_queue_cost=MAX_QUEUE_COST,
-                            service_time=SERVICE_TIME, seed=i),
-            clock=network.clock)
-        server = devnet.attach_server(
-            op, name=f"srv-{i}", admission=ctrl,
-            fee_schedule=FlatFeeSchedule(flat_price=10 * GWEI))
-        SimServerBinding(network, f"srv-{i}", server)
-        endpoint = SimEndpoint(network, f"lc-{i}", f"srv-{i}", server.address,
-                               timeout=TIMEOUT)
-        marketplace.advertise_server(server, name=f"srv-{i}", endpoint=endpoint)
-        servers.append(server)
-    devnet.advance_blocks(2)
-
-    client = MarketplaceClient(lc, marketplace, budget=10 ** 16,
-                               clock=network.clock)
-    client.connect(min_sessions=N_SERVERS)
-    client.headers.sync()
-    return network, client, servers, alice
+    world = make_market(
+        "bench:ovl", flat(*[10] * N_SERVERS), latency=FixedLatency(LATENCY),
+        timeout=TIMEOUT, funds=1_000, witness=False, budget=10 ** 16,
+        admission=[AdmissionConfig(max_queue_cost=MAX_QUEUE_COST,
+                                   service_time=SERVICE_TIME, seed=i)
+                   for i in range(N_SERVERS)])
+    world.connect()
+    return world.network, world.client, world.servers, world.alice
 
 
 def poisson_arrivals(rate_rps: float, window: float, seed: int) -> list[float]:
@@ -121,12 +87,6 @@ def poisson_arrivals(rate_rps: float, window: float, seed: int) -> list[float]:
         if t >= window:
             return out
         out.append(t)
-
-
-def percentile(samples: list[float], pct: float) -> float:
-    ranked = sorted(samples)
-    index = min(len(ranked) - 1, max(0, round(pct / 100 * (len(ranked) - 1))))
-    return ranked[index]
 
 
 def run_sweep_point(multiple: float) -> dict:

@@ -27,41 +27,38 @@ double the single-node tail).
 
 import random
 
-from repro.chain import GenesisConfig
 from repro.crypto import PrivateKey, keccak256
-from repro.net import PairwiseLatency, SimEndpoint, SimNetwork, SimServerBinding
-from repro.node import Devnet
-from repro.parp import FlatFeeSchedule, Marketplace, MarketplaceClient
+from repro.net import FixedLatency
 from repro.parp.messages import RpcCall
-from repro.parp.pricing import GWEI
-from repro.trie import shard_of_key
+from repro.trie import ShardRange, shard_of_key
 
-from .reporting import add_report, render_table, write_json_series
+from .reporting import add_report, percentile, render_table, write_json_series
+from .worlds import flat, make_market
 
-TOKEN = 10 ** 18
 SHARD_COUNTS = (1, 2, 4, 8)
 N_USERS = 128             # 16 per 8-bucket: balanced at every shard count
 N_BATCHES = 12
 LATENCY = 0.02
-TIMEOUT = 2.0
 #: modeled per-node service bandwidth for the busy-bytes → seconds mapping
 #: (any constant works: gates are ratios, machine- and constant-independent)
 MODEL_BANDWIDTH = 1 << 20
 
 
-def balanced_users() -> list[PrivateKey]:
-    """N_USERS funded accounts, exactly N_USERS/8 hashing into each of the
-    8 finest buckets — so the key-space load is balanced at every shard
-    count in SHARD_COUNTS and the speedup measures sharding, not luck."""
-    buckets: dict[int, list[PrivateKey]] = {b: [] for b in range(8)}
+def balanced_users() -> dict[str, PrivateKey]:
+    """N_USERS funded accounts by seed tag, exactly N_USERS/8 hashing into
+    each of the 8 finest buckets — so the key-space load is balanced at
+    every shard count in SHARD_COUNTS and the speedup measures sharding,
+    not luck."""
+    buckets: dict[int, dict[str, PrivateKey]] = {b: {} for b in range(8)}
     i = 0
     while any(len(us) < N_USERS // 8 for us in buckets.values()):
-        key = PrivateKey.from_seed(f"bench:shard:user{i}")
+        tag = f"user{i}"
+        key = PrivateKey.from_seed(f"bench:shard:{tag}")
         i += 1
         bucket = shard_of_key(keccak256(bytes(key.address)), 8)
         if len(buckets[bucket]) < N_USERS // 8:
-            buckets[bucket].append(key)
-    return [key for b in range(8) for key in buckets[b]]
+            buckets[bucket][tag] = key
+    return {tag: key for b in range(8) for tag, key in buckets[b].items()}
 
 
 def batch_schedule(users: list[PrivateKey]) -> list[list[RpcCall]]:
@@ -86,32 +83,15 @@ def batch_schedule(users: list[PrivateKey]) -> list[list[RpcCall]]:
     return batches
 
 
-def build_world(shard_count: int, users: list[PrivateKey]):
-    ops = [PrivateKey.from_seed(f"bench:shard:op{i}")
-           for i in range(shard_count)]
-    lc = PrivateKey.from_seed("bench:shard:lc")
-    allocations = {k.address: 1_000 * TOKEN for k in ops + [lc]}
-    for i, user in enumerate(users):
-        allocations[user.address] = (i + 1) * TOKEN
-    devnet = Devnet(GenesisConfig(allocations=allocations))
-
-    links = {(f"lc-{s}", f"srv-{s}"): LATENCY for s in range(shard_count)}
-    network = SimNetwork(latency=PairwiseLatency(links, default=LATENCY))
-
-    marketplace = Marketplace()
-    for s, server in enumerate(devnet.attach_shard_cluster(
-            ops, shard_count, fee_schedule=FlatFeeSchedule(flat_price=5 * GWEI))):
-        SimServerBinding(network, f"srv-{s}", server)
-        endpoint = SimEndpoint(network, f"lc-{s}", f"srv-{s}", server.address,
-                               timeout=TIMEOUT)
-        marketplace.advertise_server(server, name=f"srv-{s}", endpoint=endpoint)
-    devnet.advance_blocks(2)
-
-    client = MarketplaceClient(lc, marketplace, budget=10 ** 16,
-                               clock=network.clock)
-    client.connect(min_sessions=shard_count)
-    client.headers.sync()   # pin the post-connect head outside the timings
-    return network, client
+def build_world(shard_count: int, users: dict[str, PrivateKey]):
+    world = make_market(
+        "bench:shard", flat(*[5] * shard_count),
+        latency=FixedLatency(LATENCY), funds=1_000,
+        users={tag: i + 1 for i, tag in enumerate(users)},
+        ranges=[ShardRange.of(s, shard_count) for s in range(shard_count)],
+        witness=False, budget=10 ** 16)
+    world.connect()
+    return world
 
 
 def server_response_bytes(network) -> dict[str, int]:
@@ -123,20 +103,16 @@ def server_response_bytes(network) -> dict[str, int]:
     return out
 
 
-def percentile(samples: list[float], pct: float) -> float:
-    ranked = sorted(samples)
-    index = min(len(ranked) - 1, max(0, round(pct / 100 * (len(ranked) - 1))))
-    return ranked[index]
-
-
 def run_configuration(shard_count: int, users, batches):
-    network, client = build_world(shard_count, users)
+    world = build_world(shard_count, users)
+    network, client = world.network, world.client
     # warm-up: two calls per finest bucket puts every leg on the batch
     # path, paying each session's one-time first-use setup (the free batch
     # version probe) outside the measured window — connect cost, not
     # steady-state serving
     per_bucket = N_USERS // 8
-    warm = [users[b * per_bucket + k] for b in range(8) for k in range(2)]
+    warm = [world.users[b * per_bucket + k]
+            for b in range(8) for k in range(2)]
     client.query_sharded([RpcCall.create("eth_getBalance", user.address)
                           for user in warm])
     before = server_response_bytes(network)   # handshakes, opens, warm-up
@@ -169,7 +145,7 @@ def run_configuration(shard_count: int, users, batches):
 
 def test_shard_scatter_throughput():
     users = balanced_users()
-    batches = batch_schedule(users)
+    batches = batch_schedule(list(users.values()))
     series = [run_configuration(n, users, batches) for n in SHARD_COUNTS]
     baseline = series[0]
 

@@ -72,15 +72,15 @@ def test_table2_base_rpc_reference_sizes(benchmark, world):
     from repro.parp.messages import handshake_digest
 
     expiry = world.net.chain.head.header.timestamp + 600
-    confirmation = world.fn_key.sign(
-        handshake_digest(world.lc_key.address, expiry)).to_bytes()
+    confirmation = world.keys.fn.sign(
+        handshake_digest(world.keys.lc.address, expiry)).to_bytes()
     open_tx = UnsignedTransaction(
-        nonce=world.net.chain.state.nonce_of(world.lc_key.address),
+        nonce=world.net.chain.state.nonce_of(world.keys.lc.address),
         gas_price=12 * 10 ** 9, gas_limit=300_000,
         to=CHANNELS_MODULE_ADDRESS, value=10 ** 15,
         data=encode_call("open_channel",
-                         [world.fn_key.address, expiry, confirmation]),
-    ).sign(world.lc_key)
+                         [world.keys.fn.address, expiry, confirmation]),
+    ).sign(world.keys.lc)
     open_tx_size = client.request_size(
         "eth_sendRawTransaction", "0x" + open_tx.encode().hex(),
     )

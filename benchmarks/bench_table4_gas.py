@@ -15,9 +15,6 @@ that slot's proof.
 
 from dataclasses import replace
 
-import pytest
-
-from repro.chain import GenesisConfig
 from repro.chain.block import index_key
 from repro.contracts import (
     CHANNELS_MODULE_ADDRESS,

@@ -2,25 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
-from repro.chain import GenesisConfig
-from repro.contracts import DEPOSIT_MODULE_ADDRESS
 from repro.crypto import PrivateKey
-from repro.lightclient import HeaderSyncer
-from repro.node import Devnet, FullNode
-from repro.parp import (
-    FullNodeServer,
-    LightClientSession,
-    MIN_FULL_NODE_DEPOSIT,
-    WitnessService,
-)
+from repro.node import Devnet
 from repro.workloads import AccountSet
 
 from .reporting import drain_reports, reset_results_file
+from .worlds import TOKEN, Keys, ParpEnv, make_parp_env
 from .write_workload import WriteWorkload, build_block_with_size
-
-TOKEN = 10 ** 18
 
 
 def pytest_configure(config):
@@ -39,32 +31,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-class BenchWorld:
-    """A devnet with a staked PARP server, a bonded client, and a witness."""
+@dataclass
+class BenchWorld(ParpEnv):
+    """``make_parp_env``'s staked server, bonded client and witness, on a
+    chain that also funds ``accounts`` (``bench_world``)."""
 
-    def __init__(self, accounts: int = 32, history_blocks: int = 2,
-                 budget: int = 10 ** 16) -> None:
-        self.fn_key = PrivateKey.from_seed("bench:fn")
-        self.lc_key = PrivateKey.from_seed("bench:lc")
-        self.wn_key = PrivateKey.from_seed("bench:wn")
-        self.accounts = AccountSet(accounts, seed="bench", balance=10 * TOKEN)
-        genesis = self.accounts.genesis(extra={
-            self.fn_key.address: 1_000 * TOKEN,
-            self.lc_key.address: 1_000 * TOKEN,
-            self.wn_key.address: 1_000 * TOKEN,
-        })
-        self.net = Devnet(genesis)
-        self.net.execute(self.fn_key, DEPOSIT_MODULE_ADDRESS, "deposit",
-                         value=MIN_FULL_NODE_DEPOSIT)
-        self.net.advance_blocks(history_blocks)
-        self.node = FullNode(self.net.chain, key=self.fn_key, name="bench-fn")
-        self.server = FullNodeServer(self.node)
-        self.witness_node = FullNode(self.net.chain, key=self.wn_key,
-                                     name="bench-wn")
-        self.witness = WitnessService(self.witness_node)
-        self.syncer = HeaderSyncer([self.server, self.witness_node])
-        self.session = LightClientSession(self.lc_key, self.server, self.syncer)
-        self.alpha = self.session.connect(budget=budget)
+    accounts: AccountSet
 
     def block_with(self, num_transactions: int):
         """Mine a block holding exactly N transfer transactions."""
@@ -85,15 +57,25 @@ class BenchWorld:
         return outcome
 
 
+def bench_world(accounts: int = 32, budget: int = 10 ** 16) -> BenchWorld:
+    keys = Keys(*(PrivateKey.from_seed(f"bench:{tag}")
+                  for tag in ("fn", "lc", "wn")))
+    account_set = AccountSet(accounts, seed="bench", balance=10 * TOKEN)
+    devnet = Devnet(account_set.genesis(extra={
+        key.address: 1_000 * TOKEN for key in (keys.fn, keys.lc, keys.wn)}))
+    env = make_parp_env(devnet, keys, budget=budget)
+    return BenchWorld(**vars(env), accounts=account_set)
+
+
 @pytest.fixture(scope="module")
 def world() -> BenchWorld:
-    return BenchWorld()
+    return bench_world()
 
 
 @pytest.fixture(scope="module")
 def world_with_200tx_block():
     """The paper's reference write scenario: a block with 200 transactions."""
-    world = BenchWorld(accounts=64)
+    world = bench_world(accounts=64)
     block = world.block_with(200)
     world.syncer.sync()
     return world, block

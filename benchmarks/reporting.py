@@ -75,3 +75,10 @@ def render_series(name: str, xs: Sequence[Any], ys: Sequence[Any],
     """Render a figure series as a two-column table (regenerable plot data)."""
     rows = list(zip(xs, ys))
     return render_table([x_label, y_label], rows, title=name)
+
+
+def percentile(samples: Sequence[float], pct: float) -> float:
+    """The sample nearest rank ``pct`` of 100 in ``samples``."""
+    ranked = sorted(samples)
+    index = min(len(ranked) - 1, max(0, round(pct / 100 * (len(ranked) - 1))))
+    return ranked[index]

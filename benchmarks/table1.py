@@ -29,7 +29,9 @@ Table I bench can render the matrix next to the measured traffic shares.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 __all__ = [
     "PUBLISHED_SHARES",
@@ -37,6 +39,7 @@ __all__ = [
     "TOTAL_DATASET_DAPPS",
     "RpcCallRecord",
     "generate_dataset",
+    "traffic_schedule",
     "ProviderProfile",
     "PROVIDER_PROFILES",
     "ProviderShare",
@@ -211,6 +214,23 @@ class ProviderShare:
     def format_paper_style(self) -> str:
         """Render like Table I: '182/383 (47.52%)'."""
         return f"{self.dapps}/{self.total_dapps} ({self.share * 100:.2f}%)"
+
+
+def traffic_schedule(providers: Sequence[str], total: int) -> list[str]:
+    """``total`` per-query provider labels, in proportion to the call counts
+    the dataset (seed 7) gives ``providers``, in a seeded shuffle: the
+    labels size a load, marketplace routing decides who serves each query,
+    and no provider's burst skews timing."""
+    calls = Counter()
+    for record in generate_dataset(seed=7):
+        if record.provider in providers:
+            calls[record.provider] += record.call_count
+    share = sum(calls.values())
+    schedule: list[str] = []
+    for provider in providers:
+        schedule += [provider] * round(total * calls[provider] / share)
+    random.Random(2025).shuffle(schedule)
+    return schedule[:total]
 
 
 def compute_traffic_shares(records: list[RpcCallRecord],

@@ -163,6 +163,8 @@ class FraudModule(NativeContract):
         """
         from ..gossip.heads import HEAD_ANNOUNCEMENT_DOMAIN
 
+        ctx.require(len(args) == 6, "head equivocation takes (header a, "
+                    "signature a, header b, signature b, reporter, witness)")
         header_a_blob = abi.as_bytes(args[0])
         sig_a = abi.as_bytes(args[1])
         header_b_blob = abi.as_bytes(args[2])
@@ -181,6 +183,8 @@ class FraudModule(NativeContract):
         digest_b = ctx.keccak(HEAD_ANNOUNCEMENT_DOMAIN + header_b_blob)
         signer_a = ctx.ecrecover(digest_a, sig_a)
         signer_b = ctx.ecrecover(digest_b, sig_b)
+        ctx.require(signer_a is not None,
+                    "announcement signature recovers to no identity")
         ctx.require(signer_a == signer_b,
                     "announcements signed by different identities")
 

@@ -1,8 +1,8 @@
 """Shared fixtures: funded devnets, PARP environments, key material.
 
-Key naming convention across the suite: ``fn`` = full node operator,
-``lc`` = light client, ``wn`` = witness node, ``alice``/``bob`` = end-user
-accounts the workloads touch.
+The worlds themselves (``make_parp_env``, ``make_market`` and their
+helpers) live in ``benchmarks/worlds.py``, which tier-2 builds through
+too; they are re-exported here so a test imports them from this module.
 """
 
 from __future__ import annotations
@@ -10,34 +10,26 @@ from __future__ import annotations
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import strategies as st
 
+from benchmarks.worlds import (BUDGET, TOKEN, Keys,  # noqa: F401
+                               MarketWorld, ParpEnv, flat, links, make_market,
+                               make_parp_env, malicious)
 from repro.chain import GenesisConfig
 from repro.chain.account import Account
-from repro.contracts import DEPOSIT_MODULE_ADDRESS
 from repro.crypto import PrivateKey, keccak256
 from repro.crypto import keccak as keccak_module
 from repro.crypto.keys import Address
-from repro.lightclient import HeaderSyncer
-from repro.net import (PairwiseLatency, SimEndpoint, SimNetwork,
-                       SimServerBinding)
-from repro.node import Devnet, FullNode
+from repro.node import Devnet
 from repro.parp import (
     FlatFeeSchedule,
-    FullNodeServer,
-    LightClientSession,
-    Marketplace,
     MarketplaceClient,
-    MIN_FULL_NODE_DEPOSIT,
     RpcCall,
     ServerAdvertisement,
-    WitnessService,
 )
-from repro.parp.adversary import MaliciousFullNodeServer
 from repro.parp.client import served_result
 from repro.parp.pricing import GWEI
 from repro.parp.queries import decode_balance
@@ -45,9 +37,6 @@ from repro.parp.reputation import EVENT_WEIGHTS, ReputationLedger
 from repro.rlp import codec as rlp
 from repro.storage import AppendOnlyFileStore, MemoryNodeStore
 from repro.trie import ShardPool, shard_of_key, walk_state_nodes
-
-TOKEN = 10 ** 18
-BUDGET = 10 ** 15
 
 #: Backends the store-parametrized trie/state tests run against.  Defaults
 #: to memory only (fast local runs); CI's tier-1 job sets
@@ -280,17 +269,6 @@ def node_store(node_store_backend, tmp_path):
         )
 
 
-@dataclass
-class Keys:
-    """The cast of characters used by most scenarios."""
-
-    fn: PrivateKey = field(default_factory=lambda: PrivateKey.from_seed("keys:fn"))
-    lc: PrivateKey = field(default_factory=lambda: PrivateKey.from_seed("keys:lc"))
-    wn: PrivateKey = field(default_factory=lambda: PrivateKey.from_seed("keys:wn"))
-    alice: PrivateKey = field(default_factory=lambda: PrivateKey.from_seed("keys:alice"))
-    bob: PrivateKey = field(default_factory=lambda: PrivateKey.from_seed("keys:bob"))
-
-
 @pytest.fixture
 def keys() -> Keys:
     return Keys()
@@ -306,42 +284,6 @@ def devnet(keys: Keys) -> Devnet:
         keys.alice.address: 5 * TOKEN,
         keys.bob.address: 3 * TOKEN,
     }))
-
-
-@dataclass
-class ParpEnv:
-    """A staked full node + bonded light client, ready for requests."""
-
-    net: Devnet
-    keys: Keys
-    node: FullNode
-    server: FullNodeServer
-    witness_node: FullNode
-    witness: WitnessService
-    syncer: HeaderSyncer
-    session: LightClientSession
-    alpha: bytes
-
-
-def make_parp_env(devnet: Devnet, keys: Keys, server_cls=FullNodeServer,
-                  budget: int = 10 ** 15, connect: bool = True,
-                  history_blocks: int = 2, **server_kwargs) -> ParpEnv:
-    """Assemble the standard scenario; server_cls may be the adversary."""
-    devnet.execute(keys.fn, DEPOSIT_MODULE_ADDRESS, "deposit",
-                   value=MIN_FULL_NODE_DEPOSIT)
-    devnet.advance_blocks(history_blocks)
-    node = FullNode(devnet.chain, key=keys.fn, name="fn")
-    server = server_cls(node, **server_kwargs)
-    witness_node = FullNode(devnet.chain, key=keys.wn, name="wn")
-    witness = WitnessService(witness_node)
-    syncer = HeaderSyncer([server, witness_node])
-    session = LightClientSession(keys.lc, server, syncer)
-    alpha = session.connect(budget=budget) if connect else b""
-    return ParpEnv(
-        net=devnet, keys=keys, node=node, server=server,
-        witness_node=witness_node, witness=witness,
-        syncer=syncer, session=session, alpha=alpha,
-    )
 
 
 @pytest.fixture
@@ -363,25 +305,6 @@ def ad_for(tag: str, price_gwei: int = 10,
     )
 
 
-def flat(*gwei: int) -> list[FlatFeeSchedule]:
-    """One flat fee schedule per price, in GWEI."""
-    return [FlatFeeSchedule(flat_price=price * GWEI) for price in gwei]
-
-
-def malicious(attack: str = "inflate_balance") -> dict:
-    """The server keywords that make a ``make_market`` server forge."""
-    return {"server_cls": MaliciousFullNodeServer, "attack": attack}
-
-
-def links(*latencies: float, labels=None) -> PairwiseLatency:
-    """Server i's client link ``lc-{label}`` → ``srv-{label}`` takes
-    ``latencies[i]`` seconds, any other link 0.02 s."""
-    labels = labels or range(len(latencies))
-    return PairwiseLatency({(f"lc-{label}", f"srv-{label}"): latency
-                            for label, latency in zip(labels, latencies)},
-                           default=0.02)
-
-
 def shard_user(prefix: str, index: int, count: int, tag: str = "u") -> str:
     """The first seed tag ``{tag}{i}`` whose ``{prefix}:{tag}{i}`` address
     hashes into shard ``index`` of ``count``."""
@@ -390,97 +313,3 @@ def shard_user(prefix: str, index: int, count: int, tag: str = "u") -> str:
         if shard_of_key(keccak256(bytes(address)), count) == index:
             return f"{tag}{i}"
     raise AssertionError("no seed found for shard")  # pragma: no cover
-
-
-@dataclass
-class MarketWorld:
-    """Staked servers advertised on one marketplace, and the client that
-    shops there (``make_market``).  ``bindings`` and ``endpoints`` are
-    empty in process; ``users`` are the funded end-user keys, ``mesh`` the
-    servers' gossip nodes once a test meshes them."""
-
-    devnet: Devnet
-    network: Optional[SimNetwork]
-    operators: list[PrivateKey]
-    servers: list[FullNodeServer]
-    bindings: list[SimServerBinding]
-    endpoints: list[SimEndpoint]
-    marketplace: Marketplace
-    witness: Optional[WitnessService]
-    client: Optional[MarketplaceClient]
-    lc: PrivateKey
-    alice: PrivateKey
-    users: list[PrivateKey]
-    mesh: list = field(default_factory=list)
-
-    def connect(self, min_sessions: Optional[int] = None) -> list[Address]:
-        """Bond to every server (or ``min_sessions``), then sync past the
-        channel-open blocks so a measured race fetches no header."""
-        opened = self.client.connect(min_sessions or len(self.servers))
-        self.client.headers.sync()
-        return opened
-
-    def session_of(self, index: int) -> Optional[LightClientSession]:
-        return self.client.sessions.get(self.servers[index].address)
-
-    def balance_call(self, key: Optional[PrivateKey] = None) -> RpcCall:
-        return RpcCall.create("eth_getBalance", (key or self.alice).address)
-
-    def balance_calls(self) -> list[RpcCall]:
-        return [self.balance_call(user) for user in self.users]
-
-    def attempts_by_label(self) -> dict:
-        return {attempt.label: attempt for attempt in self.client.last_hedge}
-
-
-def make_market(prefix: str, schedules, *, labels=None, latency=None,
-                timeout: float = 2.0, funds: int = 100, users=None,
-                ranges=None, server_kwargs=None, blocks: int = 2,
-                witness: bool = True, client: bool = True) -> MarketWorld:
-    """One staked, advertised server per fee schedule, ``blocks`` empty
-    blocks, then a witness and a client.  Keys are ``{prefix}:{tag}``:
-    ``op{label}`` per server (labels 0, 1, … by default), ``lc``, ``wn``
-    and each ``users`` tag, funded with that many tokens (alice with 5 by
-    default); operators, witness and client hold ``funds``.  With a
-    ``latency`` model server ``srv-{label}`` sits on a sim network behind
-    client link ``lc-{label}``, else it serves in process.  ``ranges[i]``
-    shards server i; ``server_kwargs[i]`` are its other keywords."""
-
-    def key(tag: str) -> PrivateKey:
-        return PrivateKey.from_seed(f"{prefix}:{tag}")
-
-    labels = labels or [str(i) for i in range(len(schedules))]
-    operators = [key(f"op{label}") for label in labels]
-    lc, wn = key("lc"), key("wn")
-    users = {key(tag): tokens for tag, tokens in
-             ({"alice": 5} if users is None else users).items()}
-    funded = operators + [wn] * witness + [lc] * client
-    allocations = {k.address: funds * TOKEN for k in funded}
-    allocations.update((user.address, tokens * TOKEN)
-                       for user, tokens in users.items())
-    devnet = Devnet(GenesisConfig(allocations=allocations))
-    network = None if latency is None else SimNetwork(latency=latency)
-    marketplace, servers, bindings, endpoints = Marketplace(), [], [], []
-    for i, (op, label) in enumerate(zip(operators, labels)):
-        kwargs = (server_kwargs or {}).get(i, {})
-        if ranges:
-            kwargs = {**kwargs, "shard_range": ranges[i]}
-        name, endpoint = f"srv-{label}", None
-        server = devnet.attach_server(op, name=name,
-                                      fee_schedule=schedules[i], **kwargs)
-        servers.append(server)
-        if network is not None:
-            bindings.append(SimServerBinding(network, name, server))
-            endpoint = SimEndpoint(network, f"lc-{label}", name,
-                                   server.address, timeout=timeout)
-            endpoints.append(endpoint)
-        marketplace.advertise_server(server, name=name, endpoint=endpoint)
-    devnet.advance_blocks(blocks)
-    witness = (WitnessService(FullNode(devnet.chain, key=wn, name="wn"))
-               if witness else None)
-    client = MarketplaceClient(
-        lc, marketplace, witness=witness, budget=BUDGET,
-        clock=None if network is None else network.clock) if client else None
-    return MarketWorld(devnet, network, operators, servers, bindings,
-                       endpoints, marketplace, witness, client, lc,
-                       key("alice"), list(users))

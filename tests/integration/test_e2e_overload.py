@@ -19,11 +19,7 @@ Open-loop load does not wait for responses, so a saturated server must
 import pytest
 
 from repro.net import UniformLatency
-from repro.parp import (
-    AdmissionConfig,
-    AdmissionController,
-    ServerAdvertisement,
-)
+from repro.parp import AdmissionConfig, ServerAdvertisement
 from repro.parp.client import ServerOverloaded
 from repro.parp.constants import DEFAULT_SELECTION_THRESHOLD
 from repro.parp.pricing import GWEI
@@ -51,14 +47,8 @@ def overload_world(admission, prices_gwei=None, shards=None) -> MarketWorld:
         "e2e:ovl", flat(*(prices_gwei or [10] * n)), timeout=TIMEOUT,
         latency=UniformLatency(LATENCY, LATENCY, seed=11), witness=False,
         users=users, ranges=shards and [ShardRange.of(i, len(shards))
-                                        for i in range(n)])
-    for server, config in zip(world.servers, admission):
-        if config is not None:
-            # the admission clock is the *sim* clock (backlog drains with
-            # simulated time); the server's own clock stays on chain
-            # timestamps, which is what handshake expiries settle against
-            server.admission = AdmissionController(
-                config, clock=world.network.clock)
+                                        for i in range(n)],
+        admission=admission)
     return world
 
 

@@ -9,6 +9,8 @@ changes.  (A call the block drops instead pays nothing, which would make
 a spurious fraud submission free.)
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chain import GenesisConfig
@@ -69,6 +71,36 @@ def test_hostile_header_in_an_equivocation_is_mined_and_pays():
     assert fee > 0
     assert net.balance_of(KEY.address) == balance - fee
     assert net.chain.mempool == []
+
+
+@pytest.mark.parametrize("arity, reason", [
+    (6, "recovers to no identity"),
+    (5, "head equivocation takes (header a, signature a, header b, "
+        "signature b, reporter, witness)"),
+], ids=["unsigned", "short"])
+def test_an_unsigned_or_short_equivocation_reverts_by_name(arity, reason):
+    """Two announcement signatures that recover to nobody once passed the
+    same-signer check as ``None == None`` and reached the slash, and a
+    call one argument short read past its arguments: each reverts with its
+    own reason, is mined, and pays for its gas."""
+    net = Devnet(GenesisConfig(allocations={KEY.address: 10 ** 18}))
+    net.advance_blocks(1)
+    header = net.chain.head.header
+    junk = b"\x00" * 65
+    fork = replace(header, extra_data=b"fork")
+    args = [header.encode(), junk, fork.encode(), junk, KEY.address,
+            KEY.address][:arity]
+    balance = net.balance_of(KEY.address)
+
+    result = net.execute(KEY, FRAUD_MODULE_ADDRESS,
+                         "submit_head_equivocation", args)
+
+    assert reason in result.error
+    (tx,) = net.chain.head.transactions
+    assert net.chain.get_receipt(tx.hash).status == 0
+    fee = result.gas_used * tx.gas_price
+    assert fee > 0
+    assert net.balance_of(KEY.address) == balance - fee
 
 
 def test_every_module_method_is_covered():

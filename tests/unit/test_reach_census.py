@@ -18,11 +18,14 @@ from benchmarks.reach import KINDS, OUT, definitions
 
 CENSUS = json.loads(OUT.read_text(encoding="utf-8"))
 ENTRIES = CENSUS["entries"]
+FUNCTIONS = definitions()
 DEFINED = {(fn["file"], fn["qualname"]): fn["lines"]
-           for fn in definitions().values()}
+           for fn in FUNCTIONS.values()}
 
 
 def test_totals_match_the_entries():
+    assert CENSUS["functions"] == len(FUNCTIONS)
+    assert CENSUS["lines"] == sum(fn["lines"] for fn in FUNCTIONS.values())
     assert CENSUS["unreached"] == len(ENTRIES)
     assert CENSUS["unreached_lines"] == sum(e["lines"] for e in ENTRIES)
     assert len({(e["file"], e["qualname"]) for e in ENTRIES}) == len(ENTRIES)
