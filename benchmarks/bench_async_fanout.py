@@ -1,8 +1,11 @@
 """Hedged fan-out vs. sequential failover: tail latency under slow servers.
 
-Replays the Table I traffic mix against a three-server marketplace over the
-simulated network with **one third of the servers slow** (high link latency,
-and priced to win first pick — the worst case for serial routing).  The
+The load generator sends ``TOTAL_QUERIES`` (90) identical verified
+``eth_getBalance(alice)`` reads to a three-server marketplace over the
+simulated network; the Table I dataset (``table1.traffic_schedule``) sets
+only how many there are, and the client routes each.  **One third of the
+servers is slow**: the cheapest (``binance``), so it wins first pick —
+the worst case for serial routing.  No server lies.  The
 sequential client walks the classic route-to-best path and eats the slow
 server's round trip on every query; the hedged client races the same query
 on two sessions (``query_hedged(fanout=2)``) and takes the first

@@ -1,10 +1,12 @@
 """Marketplace routing under the Table I traffic mix, honest vs malicious.
 
-Replays the synthetic dApp→provider dataset (``workloads/dapp_traffic``)
-against a three-server PARP marketplace: provider shares decide how many
-queries the load generator aims at each server, the marketplace client
-routes them by reputation × price, and a second run flips the
-biggest-share server malicious to price the failover path — the client
+The load generator sends ``TOTAL_QUERIES`` (120) identical verified
+``get_balance(alice)`` reads to a three-server PARP marketplace played by
+the three biggest Table I providers; the Table I dataset
+(``table1.traffic_schedule``) sets only how many there are, not where they
+go — the marketplace client routes every one by reputation × price.  A
+second run flips the cheapest server (``binance``, the one price-aware
+selection picks first) malicious to price the failover path: the client
 must still complete 100% of the workload while the fraud is detected,
 slashed, and routed around.
 

@@ -200,24 +200,10 @@ REVIEWED: dict[tuple[str, str], tuple[str, str]] = {
         "slice's pool, a fresh memory store)"),
     ("parp/__init__.py", "__dir__"): (
         "convenience", "module protocol: dir(repro.parp) lists the lazy exports"),
-    ("crypto/keys.py", "PrivateKey.from_bytes"): (
-        "convenience", "key import: how a key made elsewhere enters the process"),
-    ("crypto/keys.py", "PrivateKey.to_bytes"): (
-        "convenience", "key export: how a key leaves the process"),
-    ("crypto/keys.py", "PrivateKey.secret"): (
-        "convenience", "key export: the scalar itself"),
-    ("crypto/keys.py", "PublicKey.from_bytes"): (
-        "convenience", "key import: a 65-byte SEC1 public key"),
-    ("crypto/keys.py", "PublicKey.point"): (
-        "convenience", "the curve point of an imported key"),
     ("crypto/keys.py", "PublicKey.__eq__"): (
         "convenience", "value semantics of a public type (eq/hash pair)"),
     ("crypto/keys.py", "PublicKey.__hash__"): (
         "convenience", "value semantics of a public type (eq/hash pair)"),
-    ("crypto/secp256k1.py", "point_add"): (
-        "convenience", "the affine curve API over the Jacobian formulas"),
-    ("crypto/secp256k1.py", "point_mul"): (
-        "convenience", "the affine curve API over the wNAF walk"),
     ("lightclient/headerchain.py", "HeaderChain.__contains__"): (
         "convenience", "container protocol of the header chain"),
     ("lightclient/headerchain.py", "HeaderChain.__iter__"): (

@@ -79,21 +79,9 @@ class PublicKey:
         self._point = point
         self._address: Address | None = None
 
-    @property
-    def point(self) -> Point:
-        return self._point
-
     def to_bytes(self) -> bytes:
         """Uncompressed SEC1 encoding: 0x04 ‖ X (32) ‖ Y (32)."""
         return b"\x04" + self._point.x.to_bytes(32, "big") + self._point.y.to_bytes(32, "big")
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PublicKey":
-        if len(data) != 65 or data[0] != 0x04:
-            raise ValueError("expected 65-byte uncompressed SEC1 public key")
-        x = int.from_bytes(data[1:33], "big")
-        y = int.from_bytes(data[33:65], "big")
-        return cls(Point(x, y))
 
     @property
     def address(self) -> Address:
@@ -128,25 +116,12 @@ class PrivateKey:
         self._public: PublicKey | None = None
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "PrivateKey":
-        if len(data) != 32:
-            raise ValueError("private key must be 32 bytes")
-        return cls(int.from_bytes(data, "big"))
-
-    @classmethod
     def from_seed(cls, seed: bytes | str) -> "PrivateKey":
         """Derive a key deterministically from a seed (tests and examples)."""
         if isinstance(seed, str):
             seed = seed.encode("utf-8")
         scalar = int.from_bytes(keccak256(seed), "big") % (N - 1) + 1
         return cls(scalar)
-
-    @property
-    def secret(self) -> int:
-        return self._secret
-
-    def to_bytes(self) -> bytes:
-        return self._secret.to_bytes(32, "big")
 
     @property
     def public_key(self) -> PublicKey:

@@ -18,11 +18,11 @@ signatures.  We implement:
   window and no doubling; ``generator_mul`` walks ``G``'s 10-bit table (13
   rows, 6 656 points) once per half (at most 26 additions), and a signer
   whose key is held — a channel counterparty — gets a 6-bit one (704 points),
-* ``point_mul``: one joint width-5 wNAF ladder of ``k1·Q + k2·φ(Q)`` over
+* ``double_scalar_mul``: ``u1*G + u2*Q`` accumulated into one Jacobian point
+  and converted to affine once; ECDSA ``recover`` and ``verify`` are this.
+  ``u2*Q`` is one joint width-5 wNAF ladder of ``k1·Q + k2·φ(Q)`` over
   ``Q, 3Q, ..., 15Q`` and their images under ``φ`` — at most 128 doublings
   and about 43 mixed additions, negative digits for free,
-* ``double_scalar_mul``: ``u1*G + u2*Q`` accumulated into one Jacobian point
-  and converted to affine once; ECDSA ``recover`` and ``verify`` are this,
 * ``double_table_mul``: the same sum when ``Q``'s table is at hand — both
   tables walked once per half (at most 26 + 44 additions, no doubling);
   ``recover`` with a known key is this.
@@ -42,7 +42,7 @@ from typing import NamedTuple
 __all__ = [
     "P", "N", "Gx", "Gy", "B",
     "Point", "INFINITY",
-    "point_add", "point_mul", "generator_mul", "double_scalar_mul",
+    "generator_mul", "double_scalar_mul",
     "fixed_base_table", "double_table_mul", "SPLIT_BITS",
     "lift_x", "is_on_curve",
 ]
@@ -197,11 +197,6 @@ def _jacobian_add_affine(p1: _JacPoint, x2: int, y2: int) -> _JacPoint:
     return (nx, ny, nz)
 
 
-def point_add(p1: Point, p2: Point) -> Point:
-    """Add two affine points."""
-    return _from_jacobian(_jacobian_add(_to_jacobian(p1), _to_jacobian(p2)))
-
-
 def _split(scalar: int) -> tuple[int, int]:
     """``(k1, k2)`` with ``k1 + k2·λ ≡ scalar (mod N)``, for ``0 <= scalar < N``.
 
@@ -261,13 +256,6 @@ def _wnaf_mul(scalar: int, point: Point) -> _JacPoint:
         if i:
             result = _jacobian_double(result)
     return result
-
-
-def point_mul(scalar: int, point: Point) -> Point:
-    """Multiply an affine curve ``point`` by ``scalar`` (GLV split, width-5 wNAF)."""
-    if not is_on_curve(point):
-        raise ValueError("point is not on the curve")
-    return _from_jacobian(_wnaf_mul(scalar % N, point))
 
 
 def fixed_base_table(point: Point, width: int,

@@ -33,7 +33,8 @@ from ..rlp import codec as rlp
 from ..trie.proof import HashMemo
 from ..vm.abi import encode_call
 from .channel import ChannelError, ClientChannel
-from .constants import BATCH_PROTOCOL_VERSION, CLOSE_GAS_LIMIT, MAX_AMOUNT
+from .constants import (BATCH_PROTOCOL_VERSION, CLOSE_GAS_LIMIT, MAX_AMOUNT,
+                        MAX_BATCH_CALLS)
 from .fraudproof import FraudProofError, FraudProofPackage, build_fraud_package
 from .handshake import Handshake, HandshakeConfirm, HandshakeError, OpenChannelReceipt
 from .messages import (
@@ -530,11 +531,13 @@ class LightClientSession:
     # ------------------------------------------------------------------ #
 
     def _bonded_batch(self, calls: Sequence[RpcCall]) -> tuple[RpcCall, ...]:
-        """The calls of a batch about to be issued, as a non-empty tuple."""
+        """The calls of a batch about to be issued, as a tuple of 1 to
+        ``MAX_BATCH_CALLS``."""
         self._require_bonded()
         calls = tuple(calls)
-        if not calls:
-            raise SessionError("a batch needs at least one call")
+        if not 0 < len(calls) <= MAX_BATCH_CALLS:
+            raise SessionError("a batch needs at least one call and at most "
+                               f"{MAX_BATCH_CALLS}, not {len(calls)}")
         return calls
 
     def query_batch(self, calls: Sequence[RpcCall]) -> BatchOutcome:

@@ -26,6 +26,7 @@ __all__ = [
     "BATCH_PROTOCOL_VERSION",
     "BATCH_REQUEST_OVERHEAD_BYTES",
     "BATCH_RESPONSE_OVERHEAD_BYTES",
+    "MAX_BATCH_CALLS",
     "DEFAULT_SELECTION_THRESHOLD",
     "DEFAULT_MIN_SESSIONS",
     "DEFAULT_CHANNEL_BUDGET",
@@ -79,6 +80,11 @@ BATCH_REQUEST_OVERHEAD_BYTES = 1 + REQUEST_OVERHEAD_BYTES  # = 227
 #: batch response metadata layout matches a single response (187 bytes); the
 #: per-item statuses/results/multiproof travel in the RLP payload.
 BATCH_RESPONSE_OVERHEAD_BYTES = RESPONSE_OVERHEAD_BYTES
+#: the most calls one batch may carry: an idle server admits any one
+#: request, so without a bound one open channel could fill the backlog with
+#: a single batch.  A longer call list is refused at decode, before any call
+#: is decoded or any signature recovered.
+MAX_BATCH_CALLS = 256
 
 # -- marketplace (multi-server client) -------------------------------------- #
 #: servers scoring below this are never selected; must stay at or below the

@@ -64,6 +64,7 @@ from .constants import (
     BATCH_PROTOCOL_VERSION,
     HASH_BYTES,
     HEIGHT_BYTES,
+    MAX_BATCH_CALLS,
     MILLIS_BYTES,
     OVERLOAD_OVERHEAD_BYTES,
     REQUEST_OVERHEAD_BYTES,
@@ -854,8 +855,9 @@ class BatchRequest(_SignedRequest):
     def decode_wire(cls, raw: bytes) -> "BatchRequest":
         header, body = _unpack(raw, _BATCH_REQUEST_HEADER, "batch request")
         item = _decode_payload(body, "batch call list")
-        if not item:
-            raise MessageError("batch call list must be a non-empty rlp list")
+        if not 0 < len(item) <= MAX_BATCH_CALLS:
+            raise MessageError(f"a batch carries 1 to {MAX_BATCH_CALLS} "
+                               f"calls, not {len(item)}")
         encoded = _byte_strings(item, "batch calls")
         return cls(calls=tuple(RpcCall.decode(call) for call in encoded),
                    **header)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from typing import NamedTuple, Optional
 
@@ -20,8 +21,9 @@ from benchmarks.worlds import (BUDGET, TOKEN, Keys,  # noqa: F401
                                make_parp_env, malicious)
 from repro.chain import GenesisConfig
 from repro.chain.account import Account
-from repro.crypto import PrivateKey, keccak256
+from repro.crypto import PrivateKey, ecdsa, keccak256
 from repro.crypto import keccak as keccak_module
+from repro.crypto import secp256k1
 from repro.crypto.keys import Address
 from repro.node import Devnet
 from repro.parp import (
@@ -34,8 +36,10 @@ from repro.parp.client import served_result
 from repro.parp.pricing import GWEI
 from repro.parp.queries import decode_balance
 from repro.parp.reputation import EVENT_WEIGHTS, ReputationLedger
+from repro.parp.server import FullNodeServer
 from repro.rlp import codec as rlp
 from repro.storage import AppendOnlyFileStore, MemoryNodeStore
+from repro.storage.logfile import LogFile
 from repro.trie import ShardPool, shard_of_key, walk_state_nodes
 
 #: Backends the store-parametrized trie/state tests run against.  Defaults
@@ -121,18 +125,41 @@ class Preimages(list):
         self.batches: list[list[bytes]] = []
         self.edges: list[list[tuple[int, int, int]]] = []
 
+    def passes(self) -> tuple[int, int]:
+        """Sequential passes of the permutation behind these messages, and how
+        many were one lane wide: a one-lane hash makes one per block, a
+        ``keccak256_many`` call of two or more what ``tree_passes`` runs."""
+        alone = Counter(self)
+        shared = 0
+        for batch, edges in zip(self.batches, self.edges):
+            if len(batch) >= 2:
+                alone.subtract(batch)
+                shared += tree_passes(batch, edges)
+        one_lane = sum((len(data) // 136 + 1) * count
+                       for data, count in alone.items())
+        return shared + one_lane, one_lane
+
+
+def _patch_everywhere(patch, swaps: dict) -> None:
+    """Replace each ``id(function) -> wrapper`` of ``swaps`` in every loaded
+    ``repro`` module: each holds its own ``from ... import`` references."""
+    for name, module in list(sys.modules.items()):
+        if name == "repro" or name.startswith("repro."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in swaps:
+                    patch.setattr(module, attr, swaps[id(value)])
+
 
 @contextmanager
 def counted_keccak(monkeypatch):
     """Record every keccak preimage, through ``keccak256`` and through
-    ``keccak256_many`` alike, so "hashed exactly once" and the hash budgets
-    count messages, not calls.  Modules hold their own ``from ... import``
-    references, so every ``repro`` namespace that holds either function is
-    patched, the way the e2e tracer does it.  (``keccak256_many`` reaches
-    the permutation without going through the name ``keccak256``: nothing
-    is recorded twice.)  A tree call's messages are recorded once each, as
-    hashed: after the call, with every child's digest in its parent's
-    hole."""
+    ``keccak256_many`` alike, so "hashed exactly once" and the cost vectors
+    count messages, not calls.  Every ``repro`` namespace that holds either
+    function is patched, the way the e2e tracer does it.
+    (``keccak256_many`` reaches the permutation without going through the
+    name ``keccak256``: nothing is recorded twice.)  A tree call's messages
+    are recorded once each, as hashed: after the call, with every child's
+    digest in its parent's hole."""
     one, many = keccak_module.keccak256, keccak_module.keccak256_many
     hashed = Preimages()
 
@@ -150,14 +177,91 @@ def counted_keccak(monkeypatch):
         return digests
 
     with monkeypatch.context() as patch:
-        for name, module in list(sys.modules.items()):
-            if name == "repro" or name.startswith("repro."):
-                for attr, value in list(vars(module).items()):
-                    if value is one:
-                        patch.setattr(module, attr, counted_one)
-                    elif value is many:
-                        patch.setattr(module, attr, counted_many)
+        _patch_everywhere(patch, {id(one): counted_one, id(many): counted_many})
         yield hashed
+
+
+#: a row of ``tests/data/cost_vectors.json``
+COST_FIELDS = ("recovers_full", "recovers_hinted", "doublings", "tables",
+               "signs", "verifies", "keccak_messages", "keccak_permutations",
+               "keccak_passes", "keccak_one_lane_passes", "rlp_calls",
+               "store_puts", "store_records", "store_appends", "fsyncs",
+               "wire_bytes")
+
+
+class Costs(Counter):
+    """Calls counted by ``counted_costs``, and the keccak preimages."""
+
+    def __init__(self, hashed: Preimages) -> None:
+        super().__init__()
+        self.hashed = hashed
+
+    def row(self) -> dict[str, int]:
+        """This stretch as a cost-vector row."""
+        passes, one_lane = self.hashed.passes()
+        counts = dict(self, keccak_messages=len(self.hashed),
+                      keccak_permutations=sum(len(data) // 136 + 1
+                                              for data in self.hashed),
+                      keccak_passes=passes, keccak_one_lane_passes=one_lane)
+        return {name: counts.get(name, 0) for name in COST_FIELDS}
+
+
+@contextmanager
+def counted_costs(monkeypatch):
+    """Count the ``COST_FIELDS`` of the code run inside: keccak through
+    ``counted_keccak`` (as ``hashed``); a recover is hinted when its caller
+    handed the signer's table, ``doublings`` and ``tables`` are the point
+    doublings and fixed-base tables built behind the ECDSA calls; a
+    recursive ``rlp.encode`` is one call; records are what puts became in
+    a ``nodes.log``; wire bytes what every server took in and sent."""
+    def counting(name, inner):
+        depth = [0]
+
+        def counted(*args, **kwargs):
+            if not depth[0]:
+                costs[name(args, kwargs) if callable(name) else name] += 1
+            depth[0] += 1
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return counted
+
+    def recover_kind(args, kwargs):
+        hint = args[2] if len(args) > 2 else kwargs.get("hint")
+        return "recovers_full" if hint is None else "recovers_hinted"
+
+    commit = AppendOnlyFileStore.commit
+
+    def counted_commit(store, root):
+        written = store.stats.entries_written
+        commit(store, root)
+        costs["store_records"] += store.stats.entries_written - written
+
+    bump = FullNodeServer._bump
+
+    def counted_bump(server, field_name, amount=1):
+        if field_name in ("bytes_in", "bytes_out"):
+            costs["wire_bytes"] += amount
+        bump(server, field_name, amount)
+
+    with counted_keccak(monkeypatch) as hashed, \
+            monkeypatch.context() as patch:
+        costs = Costs(hashed)
+        _patch_everywhere(patch, {id(fn): counting(name, fn) for name, fn in (
+            (recover_kind, ecdsa.recover), ("signs", ecdsa.sign),
+            ("verifies", ecdsa.verify), ("rlp_calls", rlp.encode),
+            ("rlp_calls", rlp.decode), ("tables", secp256k1.fixed_base_table),
+            ("doublings", secp256k1._jacobian_double))})
+        for store in (MemoryNodeStore, AppendOnlyFileStore):
+            patch.setattr(store, "__setitem__",
+                          counting("store_puts", store.__setitem__))
+        patch.setattr(AppendOnlyFileStore, "commit", counted_commit)
+        patch.setattr(LogFile, "append",
+                      counting("store_appends", LogFile.append))
+        patch.setattr(os, "fsync", counting("fsyncs", os.fsync))
+        patch.setattr(FullNodeServer, "_bump", counted_bump)
+        yield costs
 
 
 def tree_passes(batch, edges):
@@ -277,13 +381,17 @@ def keys() -> Keys:
 @pytest.fixture
 def devnet(keys: Keys) -> Devnet:
     """A devnet with everyone funded."""
-    return Devnet(GenesisConfig(allocations={
+    return Devnet(funded_genesis(keys))
+
+
+def funded_genesis(keys: Keys) -> GenesisConfig:
+    return GenesisConfig(allocations={
         keys.fn.address: 100 * TOKEN,
         keys.lc.address: 100 * TOKEN,
         keys.wn.address: 100 * TOKEN,
         keys.alice.address: 5 * TOKEN,
         keys.bob.address: 3 * TOKEN,
-    }))
+    })
 
 
 @pytest.fixture

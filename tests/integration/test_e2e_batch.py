@@ -21,7 +21,7 @@ from repro.parp import (
     SessionError,
 )
 from repro.parp.adversary import MaliciousFullNodeServer
-from repro.parp.constants import BATCH_PROTOCOL_VERSION
+from repro.parp.constants import BATCH_PROTOCOL_VERSION, MAX_BATCH_CALLS
 from repro.parp.fraudproof import WITNESS_GAS_LIMIT
 from repro.parp.messages import payment_digest
 from repro.parp.reputation import EVENT_SERVED_OK, EVENT_TIMEOUT
@@ -138,9 +138,11 @@ class TestBatchErrors:
         assert not outcome.items[0].ok
         assert outcome.items[1].ok
 
-    def test_empty_batch_rejected_client_side(self, parp_env):
-        with pytest.raises(SessionError, match="at least one call"):
-            parp_env.session.query_batch([])
+    @pytest.mark.parametrize("size", [0, MAX_BATCH_CALLS + 1])
+    def test_empty_batch_rejected_client_side(self, parp_env, size):
+        calls = balance_calls(parp_env.keys, "bob") * size
+        with pytest.raises(SessionError, match=f"{MAX_BATCH_CALLS}, not {size}"):
+            parp_env.session.query_batch(calls)
 
 
 def assert_slashed_by(env, package):

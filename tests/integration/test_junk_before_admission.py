@@ -12,22 +12,23 @@ turned away at the same point.
 
 An idle server admits a batch larger than its whole queue, since it waits
 behind nothing.  One that names an open α but fails verification gives that
-work back, so it sheds no honest request after it.
+work back, so it sheds no honest request after it.  A batch of more than
+``MAX_BATCH_CALLS`` calls is refused before admission and any signature.
 """
 
 import random
 
 import pytest
 
-from repro.crypto import PrivateKey, ecdsa
+from repro.crypto import PrivateKey
 from repro.parp import AdmissionConfig, AdmissionController, RpcCall
 from repro.parp.client import ServerOverloaded
-from repro.parp.constants import BATCH_PROTOCOL_VERSION
+from repro.parp.constants import BATCH_PROTOCOL_VERSION, MAX_BATCH_CALLS
 from repro.parp.messages import BatchRequest, PARPRequest
 from repro.parp.server import ServeError
 from repro.parp.states import ResponseClass
 
-from ..conftest import make_parp_env
+from ..conftest import counted_costs, make_parp_env
 
 JUNK = 20
 
@@ -38,20 +39,6 @@ def gated_env(devnet, keys):
     env.server.admission = AdmissionController(
         AdmissionConfig(max_queue_cost=8), clock=lambda: 0.0)
     return env
-
-
-@pytest.fixture
-def signs(monkeypatch):
-    """Calls of ``ecdsa.sign``, the attribute everything in ``src`` signs
-    through."""
-    calls = []
-    sign = ecdsa.sign
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return sign(*args, **kwargs)
-    monkeypatch.setattr(ecdsa, "sign", counted)
-    return calls
 
 
 def junk(env, count):
@@ -65,17 +52,18 @@ def junk(env, count):
             for _ in range(count)]
 
 
-def test_a_stranger_spends_no_admission_and_no_signature(gated_env, signs):
+def test_a_stranger_spends_no_admission_and_no_signature(gated_env,
+                                                          monkeypatch):
     env = gated_env
     wires = junk(env, JUNK)
     stats, rejected = env.server.stats, env.server.stats.requests_rejected
-    del signs[:]
-    for wire in wires:
-        with pytest.raises(ServeError, match="channel"):
-            env.server.serve_request(wire)
+    with counted_costs(monkeypatch) as costs:
+        for wire in wires:
+            with pytest.raises(ServeError, match="channel"):
+                env.server.serve_request(wire)
     assert stats.requests_rejected - rejected == JUNK
     assert (stats.admitted, stats.shed) == (0, 0)
-    assert signs == []
+    assert costs["signs"] == 0
 
     call = RpcCall.create("eth_getBalance", env.keys.bob.address)
     outcome = env.session.request_call(call)
@@ -140,3 +128,23 @@ def test_an_idle_server_serves_an_honest_batch_larger_than_its_queue(
     with pytest.raises(ServerOverloaded):
         env.session.request_call(call)
     assert (env.server.stats.admitted, env.server.stats.shed) == (1, 1)
+
+
+def test_a_batch_over_the_bound_costs_no_recover_and_sheds_no_one(
+        gated_env, monkeypatch):
+    """Signed by the channel's own light client, so only its length is
+    wrong: the server decodes the call list's envelope and nothing more."""
+    env = gated_env
+    oversize = BatchRequest.build(
+        alpha=env.alpha, h_b=env.node.chain.head.hash, amount=10 ** 12,
+        calls=balances(env, MAX_BATCH_CALLS + 1), key=env.keys.lc,
+        version=BATCH_PROTOCOL_VERSION).encode_wire()
+    with counted_costs(monkeypatch) as costs, \
+            pytest.raises(ServeError, match=f"1 to {MAX_BATCH_CALLS}"):
+        env.server.serve_batch(oversize)
+    assert costs["recovers_full"] == costs["recovers_hinted"] == 0
+    assert costs["rlp_calls"] == 1      # the list, never a call in it
+    call = RpcCall.create("eth_getBalance", env.keys.bob.address)
+    outcome = env.session.request_call(call)
+    assert outcome.report.classification is ResponseClass.VALID
+    assert (env.server.stats.admitted, env.server.stats.shed) == (1, 0)

@@ -26,20 +26,22 @@ from repro.crypto.ecdsa import Signature, SignatureError, recover
 from repro.crypto.keys import (KNOWN_KEY_CAPACITY, PrivateKey, PublicKey,
                                recover_address)
 from repro.crypto.secp256k1 import (N, P, SPLIT_BITS, Gx, Gy, Point,
-                                    fixed_base_table, lift_x)
+                                    fixed_base_table, generator_mul, lift_x)
 from repro.metrics.cache import LRUCache
 
+from ..conftest import counted_costs
 from .test_prop_secp256k1 import assert_signed_window_layout
 
 VECTORS = json.loads(
     (Path(__file__).parent.parent / "data" / "ecdsa_vectors.json").read_text()
 )["vectors"]
 
-SIGNERS = [PrivateKey.from_seed(f"known-key:{i}") for i in range(4)]
+SECRETS = range(0xC0FFEE, 0xC0FFEE + 4)
+SIGNERS = [PrivateKey(secret) for secret in SECRETS]
+POINTS = [generator_mul(secret) for secret in SECRETS]
 #: full-width tables at three widths: each is a valid hint, though ``keys``
 #: builds only the 6-bit one over ``SPLIT_BITS`` (a half of the split)
-HINTS = {width: [fixed_base_table(key.public_key.point, width)
-                 for key in SIGNERS]
+HINTS = {width: [fixed_base_table(point, width) for point in POINTS]
          for width in (4, 5, 8)}
 
 digests = st.binary(min_size=32, max_size=32)
@@ -77,7 +79,7 @@ class TestHintedRecoverIsRecover:
         signature = SIGNERS[signer].sign(digest)
         plain = assert_hint_changes_nothing(digest, signature,
                                             HINTS[width][hinted])
-        assert plain == SIGNERS[signer].public_key.point
+        assert plain == POINTS[signer]
 
     @settings(max_examples=40, deadline=None)
     @given(digests, signer_index, widths)
@@ -86,10 +88,10 @@ class TestHintedRecoverIsRecover:
         contract that will one day see it) recovers somebody else."""
         r, s, v = SIGNERS[signer].sign(digest)
         flipped = Signature(r, s, v ^ 1)
-        assert ecdsa.verify(digest, flipped, SIGNERS[signer].public_key.point)
+        assert ecdsa.verify(digest, flipped, POINTS[signer])
         plain = assert_hint_changes_nothing(digest, flipped,
                                             HINTS[width][signer])
-        assert plain != SIGNERS[signer].public_key.point
+        assert plain != POINTS[signer]
 
     @settings(max_examples=25, deadline=None)
     @given(digests, signer_index, widths, st.booleans())
@@ -131,11 +133,11 @@ class TestHintedRecoverIsRecover:
     def test_golden_vectors_with_and_without_a_hint(self, vector):
         digest = bytes.fromhex(vector["digest"])
         signature = Signature.from_bytes(bytes.fromhex(vector["signature"]))
-        public = PublicKey.from_bytes(bytes.fromhex(vector["public_key"]))
-        own = fixed_base_table(public.point, 4)
+        public = generator_mul(int(vector["secret"], 16))
+        own = fixed_base_table(public, 4)
         for hint in (None, own, HINTS[4][0]):
-            assert recover(digest, signature, hint) == public.point
-        for expected in (None, public.address, SIGNERS[0].address):
+            assert recover(digest, signature, hint) == public
+        for expected in (None, PublicKey(public).address, SIGNERS[0].address):
             # cold, counted, and (for its own address) from its table
             for _ in range(keys._BUILD_AFTER + 1):
                 assert (recover_address(digest, signature, expected).hex()
@@ -152,7 +154,7 @@ class TestOneTableBuilder:
 
     @pytest.mark.parametrize("width", sorted(HINTS))
     def test_rows_hold_the_window_multiples(self, width):
-        point, table = SIGNERS[0].public_key.point, HINTS[width][0]
+        point, table = POINTS[0], HINTS[width][0]
         assert_signed_window_layout(table, point, width, 256)
 
     @pytest.mark.parametrize("point", [
@@ -168,29 +170,21 @@ class TestOneTableBuilder:
                                                    width):
         assert (secp256k1.double_table_mul(u1, u2, HINTS[width][signer])
                 == secp256k1.double_scalar_mul(
-                    u1, u2, SIGNERS[signer].public_key.point))
+                    u1, u2, POINTS[signer]))
 
 
 @pytest.fixture
 def known_keys(monkeypatch):
-    """A three-entry cache in place of the process-wide one, and a count of
-    the full recoveries (no hint) and tables built behind it."""
+    """A three-entry cache in place of the process-wide one, and costs."""
     cache = LRUCache(capacity=3)
     monkeypatch.setattr(keys, "_KNOWN_KEYS", cache)
-    calls = {"full": 0, "hinted": 0, "tables": 0}
-    inner_recover, inner_table = ecdsa.recover, keys.fixed_base_table
+    with counted_costs(monkeypatch) as costs:
+        yield cache, costs
 
-    def counting_recover(msg_hash, signature, hint=None):
-        calls["full" if hint is None else "hinted"] += 1
-        return inner_recover(msg_hash, signature, hint)
 
-    def counting_table(point, width, *bits):
-        calls["tables"] += 1
-        return inner_table(point, width, *bits)
-
-    monkeypatch.setattr(ecdsa, "recover", counting_recover)
-    monkeypatch.setattr(keys, "fixed_base_table", counting_table)
-    return cache, calls
+def tally(costs):
+    """(full recoveries, hinted ones, tables built)."""
+    return costs["recovers_full"], costs["recovers_hinted"], costs["tables"]
 
 
 class TestKnownKeyCache:
@@ -208,38 +202,38 @@ class TestKnownKeyCache:
         assert keys._KNOWN_KEYS.capacity == KNOWN_KEY_CAPACITY >= 9
 
     def test_a_key_earns_its_table_then_is_checked_from_it(self, known_keys):
-        cache, calls = known_keys
+        cache, costs = known_keys
         key = SIGNERS[0]
         signature = key.sign(self.DIGEST)
         assert recover_address(self.DIGEST, signature) == key.address
-        assert len(cache) == 0 and calls["tables"] == 0   # nobody expected
+        assert len(cache) == 0 and costs["tables"] == 0   # nobody expected
         for seen in range(1, self.BUILD_AFTER):
             assert (recover_address(self.DIGEST, signature, key.address)
                     == key.address)
             assert cache._entries == {key.address: seen}
-        assert calls == {"full": self.BUILD_AFTER, "hinted": 0, "tables": 0}
+        assert tally(costs) == (self.BUILD_AFTER, 0, 0)
         for _ in range(3):      # the break-even recovery builds, the rest walk
             assert (recover_address(self.DIGEST, signature, key.address)
                     == key.address)
-        assert calls == {"full": self.BUILD_AFTER + 1, "hinted": 2, "tables": 1}
+        assert tally(costs) == (self.BUILD_AFTER + 1, 2, 1)
         assert list(cache._entries) == [key.address]
 
     def test_a_mismatching_expected_inserts_nothing(self, known_keys):
-        cache, calls = known_keys
+        cache, costs = known_keys
         signature = SIGNERS[0].sign(self.DIGEST)
         for _ in range(self.BUILD_AFTER + 1):
             assert (recover_address(self.DIGEST, signature, SIGNERS[1].address)
                     == SIGNERS[0].address)
-        assert len(cache) == 0 and calls["tables"] == 0
+        assert len(cache) == 0 and costs["tables"] == 0
         tampered = Signature(signature.r, signature.s, signature.v ^ 1)
         assert (recover_address(self.DIGEST, tampered, SIGNERS[0].address)
                 != SIGNERS[0].address)
-        assert len(cache) == 0 and calls["tables"] == 0
+        assert len(cache) == 0 and costs["tables"] == 0
 
     def test_a_known_key_still_names_another_signer(self, known_keys):
-        cache, calls = known_keys
+        cache, costs = known_keys
         self.learn(SIGNERS[0])
-        assert calls["tables"] == 1
+        assert costs["tables"] == 1
         other = SIGNERS[1].sign(self.DIGEST)
         assert (recover_address(self.DIGEST, other, SIGNERS[0].address)
                 == SIGNERS[1].address)
@@ -250,7 +244,7 @@ class TestKnownKeyCache:
         signatures a turn (what a full node checks per paid request): each
         counter is pushed out before its key comes round again, so every
         call is the plain full recovery and no table is ever built."""
-        cache, calls = known_keys
+        cache, costs = known_keys
         signatures = [key.sign(self.DIGEST) for key in SIGNERS]
         for _ in range(self.BUILD_AFTER):
             for key, signature in zip(SIGNERS, signatures):
@@ -258,17 +252,16 @@ class TestKnownKeyCache:
                     assert (recover_address(self.DIGEST, signature, key.address)
                             == key.address)
                 assert len(cache) <= cache.capacity
-        assert calls == {"full": self.BUILD_AFTER * len(SIGNERS) * 3,
-                         "hinted": 0, "tables": 0}
+        assert tally(costs) == (self.BUILD_AFTER * len(SIGNERS) * 3, 0, 0)
 
     def test_an_evicted_table_is_earned_again(self, known_keys):
-        cache, calls = known_keys
+        cache, costs = known_keys
         for key in SIGNERS:     # four tables through three slots
             self.learn(key)
             assert len(cache) <= cache.capacity
-        assert calls["tables"] == 4 and cache.stats.evictions == 1
+        assert costs["tables"] == 4 and cache.stats.evictions == 1
         assert SIGNERS[0].address not in cache
-        full = calls["full"]
+        full = costs["recovers_full"]
         self.learn(SIGNERS[0])  # right address throughout, at the full price
-        assert calls["full"] == full + self.BUILD_AFTER
-        assert calls["tables"] == 5 and calls["hinted"] == 0
+        assert costs["recovers_full"] == full + self.BUILD_AFTER
+        assert costs["tables"] == 5 and costs["recovers_hinted"] == 0

@@ -28,7 +28,6 @@ from repro.crypto.secp256k1 import (
     fixed_base_table,
     generator_mul,
     lift_x,
-    point_mul,
 )
 
 G = Point(Gx, Gy)
@@ -174,23 +173,25 @@ class TestGeneratorMul:
 
 
 class TestPointMul:
+    """``k·Q`` is ``double_scalar_mul(0, k, Q)``: the wNAF ladder alone."""
+
     @pytest.mark.parametrize("scalar", EDGE_SCALARS + GLV_EDGES)
     @pytest.mark.parametrize("point", POINTS)
     def test_edges(self, scalar, point):
-        assert point_mul(scalar, point) == naive_mul(scalar, point)
+        assert double_scalar_mul(0, scalar, point) == naive_mul(scalar, point)
 
     @given(scalars, scalars)
     @settings(max_examples=25, deadline=None)
     def test_random_scalars_and_points(self, scalar, seed):
         point = generator_mul(seed | 1)
-        assert point_mul(scalar, point) == naive_mul(scalar, point)
+        assert double_scalar_mul(0, scalar, point) == naive_mul(scalar, point)
 
     def test_infinity_and_off_curve(self):
-        assert point_mul(5, INFINITY).is_infinity
+        assert double_scalar_mul(0, 5, INFINITY).is_infinity
         with pytest.raises(ValueError):
-            point_mul(5, Point(Gx, Gy + 1))
+            double_scalar_mul(0, 5, Point(Gx, Gy + 1))
         with pytest.raises(ValueError):
-            point_mul(5, Point(Gx + P, Gy))
+            double_scalar_mul(0, 5, Point(Gx + P, Gy))
 
 
 class TestDoubleScalarMul:
@@ -249,7 +250,7 @@ def assert_signed_window_layout(table, point, width, bits):
     assert all(len(row) == half for row in table)
     for i in (0, 1, len(table) - 1):
         for j in (1, 2, half):
-            assert Point(*table[i][j - 1]) == point_mul(j << (width * i), point)
+            assert Point(*table[i][j - 1]) == naive_mul(j << (width * i), point)
 
 
 class TestHalfWidthTable:

@@ -7,6 +7,7 @@ from repro.parp.constants import (
     BATCH_PROTOCOL_VERSION,
     BATCH_REQUEST_OVERHEAD_BYTES,
     BATCH_RESPONSE_OVERHEAD_BYTES,
+    MAX_BATCH_CALLS,
 )
 from repro.parp.messages import (
     BatchRequest,
@@ -61,6 +62,13 @@ class TestBatchRequestWire:
     def test_empty_batch_rejected(self):
         with pytest.raises(MessageError):
             make_batch(calls=[])
+
+    def test_call_list_is_bounded_on_decode(self):
+        wire = make_batch(calls=make_calls(MAX_BATCH_CALLS + 1)).encode_wire()
+        with pytest.raises(MessageError, match=f"not {MAX_BATCH_CALLS + 1}"):
+            BatchRequest.decode_wire(wire)
+        full = make_batch(calls=make_calls(MAX_BATCH_CALLS)).encode_wire()
+        assert len(BatchRequest.decode_wire(full).calls) == MAX_BATCH_CALLS
 
     def test_too_short_wire_rejected(self):
         with pytest.raises(MessageError):

@@ -20,17 +20,7 @@ from repro.node import Devnet
 from repro.storage import AppendOnlyFileStore, BlockLog, StoreError
 from repro.vm import ContractRegistry, TransactionExecutor
 
-from ..conftest import TOKEN, Keys, get_balances, make_parp_env
-
-
-def _genesis(keys: Keys) -> GenesisConfig:
-    return GenesisConfig(allocations={
-        keys.fn.address: 100 * TOKEN,
-        keys.lc.address: 100 * TOKEN,
-        keys.wn.address: 100 * TOKEN,
-        keys.alice.address: 5 * TOKEN,
-        keys.bob.address: 3 * TOKEN,
-    })
+from ..conftest import TOKEN, funded_genesis, get_balances, make_parp_env
 
 
 def _reopen_store(store):
@@ -46,7 +36,7 @@ class TestKillAndReopen:
             self, node_store, tmp_path, keys):
         """Kill-and-reopen over both store backends (REPRO_NODE_STORE):
         head hash, state root, tx index, and receipts all survive."""
-        genesis = _genesis(keys)
+        genesis = funded_genesis(keys)
         executor = TransactionExecutor(ContractRegistry())
         log_path = tmp_path / "blocks.log"
         chain = Blockchain(genesis, executor=executor,
@@ -87,7 +77,7 @@ class TestKillAndReopen:
         """An operator restoring blocks.log from a *newer* copy than
         nodes.log (the one ordering the write path cannot produce) gets the
         unresolvable tail rewound, not served as unprovable history."""
-        genesis = _genesis(keys)
+        genesis = funded_genesis(keys)
         state_dir = tmp_path / "state"
 
         def _mine_transfers(net, count):
@@ -120,7 +110,7 @@ class TestKillAndReopen:
         revived.close()
 
     def test_foreign_state_dir_is_refused(self, tmp_path, keys):
-        genesis = _genesis(keys)
+        genesis = funded_genesis(keys)
         net = Devnet(genesis, state_dir=tmp_path / "state")
         net.advance_blocks(1)
         net.close()
@@ -137,7 +127,7 @@ class TestKillAndReopen:
         the paired-logs error *before* the missing sibling is recreated —
         silently reinitializing it would desynchronize the recovered state
         root from the logged head and force a surprise rewind."""
-        genesis = _genesis(keys)
+        genesis = funded_genesis(keys)
         state_dir = tmp_path / "state"
         net = Devnet(genesis, state_dir=state_dir)
         net.advance_blocks(1)
@@ -155,7 +145,7 @@ class TestKillAndReopen:
 
     def test_store_without_matching_log_is_refused(self, tmp_path, keys):
         """The mirror direction: nodes.log present, blocks.log missing."""
-        genesis = _genesis(keys)
+        genesis = funded_genesis(keys)
         state_dir = tmp_path / "state"
         net = Devnet(genesis, state_dir=state_dir)
         net.advance_blocks(1)
@@ -171,7 +161,7 @@ class TestServingAfterRestart:
         """The acceptance path: kill a devnet mid-run, reopen from
         --state-dir, and a light client still gets verified (multi)proofs
         over the recovered history."""
-        genesis = _genesis(keys)
+        genesis = funded_genesis(keys)
         state_dir = tmp_path / "state"
         net = Devnet(genesis, state_dir=state_dir)
         tx = net.send_transaction(keys.alice, keys.bob.address, value=321)
@@ -200,7 +190,7 @@ class TestServingAfterRestart:
 
 class TestBareStoreRefusal:
     def test_populated_store_without_log_still_refuses(self, tmp_path, keys):
-        genesis = _genesis(keys)
+        genesis = funded_genesis(keys)
         net = Devnet(genesis, state_dir=tmp_path / "state")
         net.advance_blocks(1)
         root = net.node_store.last_root

@@ -8,35 +8,35 @@ import pytest
 from repro.crypto import keccak256
 from repro.crypto.ecdsa import Signature, SignatureError, recover, sign, verify
 from repro.crypto.keys import PrivateKey, PublicKey, recover_address
-from repro.crypto.secp256k1 import INFINITY, N, P, Gx, Gy, Point
+from repro.crypto.secp256k1 import INFINITY, N, P, Gx, Gy, Point, generator_mul
 
 MSG = keccak256(b"a message to sign")
-KEY = PrivateKey.from_seed("ecdsa-test")
+SECRET = int.from_bytes(keccak256(b"ecdsa-test"), "big") % N
+KEY, PUBLIC = PrivateKey(SECRET), generator_mul(SECRET)
 
 
 class TestSignVerify:
     def test_roundtrip(self):
-        signature = sign(MSG, KEY.secret)
-        assert verify(MSG, signature, KEY.public_key.point)
+        signature = sign(MSG, SECRET)
+        assert verify(MSG, signature, PUBLIC)
 
     def test_wrong_message_fails(self):
-        signature = sign(MSG, KEY.secret)
-        assert not verify(keccak256(b"other"), signature, KEY.public_key.point)
+        signature = sign(MSG, SECRET)
+        assert not verify(keccak256(b"other"), signature, PUBLIC)
 
     def test_wrong_key_fails(self):
-        signature = sign(MSG, KEY.secret)
-        other = PrivateKey.from_seed("someone-else")
-        assert not verify(MSG, signature, other.public_key.point)
+        signature = sign(MSG, SECRET)
+        assert not verify(MSG, signature, generator_mul(SECRET + 1))
 
     def test_deterministic_rfc6979(self):
-        assert sign(MSG, KEY.secret) == sign(MSG, KEY.secret)
+        assert sign(MSG, SECRET) == sign(MSG, SECRET)
 
     def test_different_messages_different_signatures(self):
-        assert sign(MSG, KEY.secret) != sign(keccak256(b"x"), KEY.secret)
+        assert sign(MSG, SECRET) != sign(keccak256(b"x"), SECRET)
 
     def test_rejects_bad_hash_length(self):
         with pytest.raises(SignatureError):
-            sign(b"short", KEY.secret)
+            sign(b"short", SECRET)
 
     def test_rejects_bad_private_key(self):
         with pytest.raises(SignatureError):
@@ -46,23 +46,23 @@ class TestSignVerify:
 
     @pytest.mark.parametrize("digest", [b"", b"short", MSG + b"\x00", MSG[:31]])
     def test_verify_is_false_for_a_digest_that_is_not_32_bytes(self, digest):
-        signature = sign(MSG, KEY.secret)
-        assert verify(digest, signature, KEY.public_key.point) is False
+        signature = sign(MSG, SECRET)
+        assert verify(digest, signature, PUBLIC) is False
 
     @pytest.mark.parametrize("point", [
         INFINITY,
         Point(Gx, Gy + 1),
         Point(Gx + P, Gy),
-        Point(KEY.public_key.point.x, KEY.public_key.point.y + P),
+        Point(PUBLIC.x, PUBLIC.y + P),
     ])
     def test_verify_is_false_for_a_point_that_is_not_a_key(self, point):
-        assert verify(MSG, sign(MSG, KEY.secret), point) is False
+        assert verify(MSG, sign(MSG, SECRET), point) is False
 
 
 class TestRecovery:
     def test_recover_public_key(self):
-        signature = sign(MSG, KEY.secret)
-        assert recover(MSG, signature) == KEY.public_key.point
+        signature = sign(MSG, SECRET)
+        assert recover(MSG, signature) == PUBLIC
 
     def test_recover_address(self):
         signature = KEY.sign(MSG)
@@ -75,7 +75,7 @@ class TestRecovery:
             assert recover_address(msg, key.sign(msg)) == key.address
 
     def test_recover_rejects_bad_hash(self):
-        signature = sign(MSG, KEY.secret)
+        signature = sign(MSG, SECRET)
         with pytest.raises(SignatureError):
             recover(b"tiny", signature)
 
@@ -84,16 +84,16 @@ class TestLowS:
     def test_produced_signatures_are_low_s(self):
         for i in range(16):
             msg = keccak256(f"low-s-{i}".encode())
-            signature = sign(msg, KEY.secret)
+            signature = sign(msg, SECRET)
             assert signature.s <= N // 2
 
     def test_high_s_rejected_on_verify(self):
-        signature = sign(MSG, KEY.secret)
+        signature = sign(MSG, SECRET)
         malleated = Signature(signature.r, N - signature.s, signature.v ^ 1)
-        assert not verify(MSG, malleated, KEY.public_key.point)
+        assert not verify(MSG, malleated, PUBLIC)
 
     def test_high_s_rejected_on_recover(self):
-        signature = sign(MSG, KEY.secret)
+        signature = sign(MSG, SECRET)
         malleated = Signature(signature.r, N - signature.s, signature.v ^ 1)
         with pytest.raises(SignatureError):
             recover(MSG, malleated)
@@ -101,7 +101,7 @@ class TestLowS:
 
 class TestSerialization:
     def test_65_byte_roundtrip(self):
-        signature = sign(MSG, KEY.secret)
+        signature = sign(MSG, SECRET)
         raw = signature.to_bytes()
         assert len(raw) == 65
         assert Signature.from_bytes(raw) == signature
@@ -111,7 +111,7 @@ class TestSerialization:
             Signature.from_bytes(b"\x00" * 64)
 
     def test_bad_recovery_id_rejected(self):
-        raw = sign(MSG, KEY.secret).to_bytes()
+        raw = sign(MSG, SECRET).to_bytes()
         with pytest.raises(SignatureError):
             Signature.from_bytes(raw[:-1] + b"\x05")
 
@@ -153,11 +153,14 @@ class TestGoldenVectors:
         secret = int(vector["secret"], 16)
         digest = bytes.fromhex(vector["digest"])
         expected = bytes.fromhex(vector["signature"])
-        public = PublicKey.from_bytes(bytes.fromhex(vector["public_key"]))
+        raw = bytes.fromhex(vector["public_key"])
+        public = Point(int.from_bytes(raw[1:33], "big"),
+                       int.from_bytes(raw[33:], "big"))
+        assert PublicKey(public).to_bytes() == raw
 
         assert sign(digest, secret).to_bytes() == expected
         signature = Signature.from_bytes(expected)
-        assert recover(digest, signature) == public.point
-        assert verify(digest, signature, public.point)
+        assert recover(digest, signature) == public
+        assert verify(digest, signature, public)
         assert recover_address(digest, signature).hex() == vector["address"]
         assert PrivateKey(secret).address.hex() == vector["address"]

@@ -45,18 +45,9 @@ class TestAddress:
 
 
 class TestPublicKey:
-    def test_sec1_roundtrip(self):
-        public = PrivateKey.from_seed("pk").public_key
-        assert PublicKey.from_bytes(public.to_bytes()) == public
-
     def test_sec1_is_65_bytes_uncompressed(self):
         raw = PrivateKey.from_seed("pk").public_key.to_bytes()
         assert len(raw) == 65 and raw[0] == 0x04
-
-    def test_rejects_bad_prefix(self):
-        raw = PrivateKey.from_seed("pk").public_key.to_bytes()
-        with pytest.raises(ValueError):
-            PublicKey.from_bytes(b"\x02" + raw[1:])
 
     def test_verify_helper(self):
         key = PrivateKey.from_seed("verify")
@@ -74,39 +65,28 @@ class TestPublicKey:
         with pytest.raises(ValueError):
             PublicKey(point)
 
-    def test_from_bytes_rejects_off_curve_and_unreduced(self):
-        off_curve = b"\x04" + Gx.to_bytes(32, "big") + (Gy + 1).to_bytes(32, "big")
-        with pytest.raises(ValueError):
-            PublicKey.from_bytes(off_curve)
-        unreduced = b"\x04" + b"\xff" * 32 + Gy.to_bytes(32, "big")
-        with pytest.raises(ValueError):
-            PublicKey.from_bytes(unreduced)
-
     def test_address_is_computed_once(self):
         public = PrivateKey.from_seed("memo").public_key
         assert public.address is public.address
-        assert PrivateKey.from_seed("memo").address == public.address
-        twin = PublicKey.from_bytes(public.to_bytes())
+        twin = PrivateKey.from_seed("memo").public_key
+        assert twin is not public and twin.address == public.address
         assert twin == public and hash(twin) == hash(public)
 
 
 class TestPrivateKey:
     def test_from_seed_deterministic(self):
-        assert PrivateKey.from_seed("a").secret == PrivateKey.from_seed("a").secret
-        assert PrivateKey.from_seed("a").secret != PrivateKey.from_seed("b").secret
+        assert PrivateKey.from_seed("a").address == PrivateKey.from_seed("a").address
+        assert PrivateKey.from_seed("a").address != PrivateKey.from_seed("b").address
 
     def test_from_seed_accepts_str_and_bytes(self):
-        assert PrivateKey.from_seed("s").secret == PrivateKey.from_seed(b"s").secret
-
-    def test_bytes_roundtrip(self):
-        key = PrivateKey.from_seed("roundtrip")
-        assert PrivateKey.from_bytes(key.to_bytes()).secret == key.secret
+        assert PrivateKey.from_seed("s").address == PrivateKey.from_seed(b"s").address
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             PrivateKey(0)
 
     def test_repr_does_not_leak_secret(self):
-        key = PrivateKey.from_seed("secret")
-        assert str(key.secret) not in repr(key)
-        assert hex(key.secret)[2:] not in repr(key)
+        secret = int.from_bytes(keccak256(b"secret"), "big")
+        key = PrivateKey(secret)
+        assert str(secret) not in repr(key)
+        assert hex(secret)[2:] not in repr(key)
