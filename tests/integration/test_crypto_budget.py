@@ -11,7 +11,9 @@ its row is the same whether this file runs alone or in the suite.  Each
 count is an equality: when moving one is the point of a change, regenerate
 with :data:`REGENERATE` and say which counts moved and why.
 
-Below the rows: behaviour counts do not show — who hashes what, and when.
+Below the rows: what they do not show — a round trip's ECDSA work as
+Table III names it, a batch paying it once, a warm channel doubling no
+point, a hintless recover's ladder, and who hashes what, and when.
 """
 
 import json
@@ -146,6 +148,13 @@ def test_a_unit_costs_its_row(unit, tmp_path):
         "the diff")
 
 
+def test_a_unit_is_counted_the_same_twice(tmp_path):
+    """A row does not depend on what the process ran before it: a second
+    count starts from the same empty caches and frozen clock as the first."""
+    first = measure("request_call", tmp_path / "first")
+    assert measure("request_call", tmp_path / "second") == first
+
+
 # --------------------------------------------------------------------------- #
 # a warm channel: what each party hashes, and what it never does
 # --------------------------------------------------------------------------- #
@@ -153,6 +162,54 @@ def test_a_unit_costs_its_row(unit, tmp_path):
 @pytest.fixture
 def warm_env(parp_env):
     return warmed(parp_env)
+
+
+#: the ECDSA work of one verified round trip (Table III): the client signs
+#: its request and payment and the server its response; the server recovers
+#: the client's three signatures and the client the server's one
+ECDSA_FIELDS = ("signs", "recovers_full", "recovers_hinted", "verifies")
+
+
+def test_single_request_stays_within_the_budget(warm_env, monkeypatch):
+    """On a warm channel every recover walks the tables of a key its party
+    holds: none is a full recover, and nothing verifies apart."""
+    env = warm_env
+    call = RpcCall.create("eth_getBalance", env.keys.bob.address)
+    with counted_costs(monkeypatch) as costs:
+        outcome = env.session.request_call(call)
+    assert outcome.report.classification is ResponseClass.VALID
+    assert [costs[field] for field in ECDSA_FIELDS] == [3, 0, 4, 0]
+
+
+def test_batch_of_sixteen_pays_the_budget_once(warm_env, monkeypatch):
+    """A batch is signed and recovered as one request, not once per call."""
+    env = warm_env
+    with counted_costs(monkeypatch) as single:
+        env.session.request_call(
+            RpcCall.create("eth_getBalance", env.keys.bob.address))
+    with counted_costs(monkeypatch) as batch:
+        outcome = env.session.query_batch(batch_of_sixteen(env))
+    assert outcome.request.noun == "batch" and len(outcome.items) == BATCH_SIZE
+    assert outcome.report.classification is ResponseClass.VALID
+    assert single["signs"] > 0
+    assert ([batch[field] for field in ECDSA_FIELDS]
+            == [single[field] for field in ECDSA_FIELDS])
+
+
+def test_a_warm_request_doubles_no_point_and_builds_no_table(
+        warm_env, monkeypatch):
+    """A signature by a key the verifier holds is checked by walking two
+    tables: additions only.  A doubling means a full recovery ran or a
+    table was built."""
+    env = warm_env
+    call = RpcCall.create("eth_getBalance", env.keys.bob.address)
+    with counted_costs(monkeypatch) as costs:
+        outcome = env.session.request_call(call)
+        batch = env.session.query_batch(batch_of_sixteen(env))
+    assert outcome.report.classification is ResponseClass.VALID
+    assert batch.report.classification is ResponseClass.VALID
+    assert costs["recovers_hinted"] == 2 * 4 and costs["recovers_full"] == 0
+    assert costs["doublings"] == costs["tables"] == 0
 
 
 def test_a_known_keys_table_holds_704_points(warm_env):
@@ -415,6 +472,19 @@ def test_sealing_hashes_and_appends_each_dirty_node_once(seal_net, monkeypatch):
     # the rest is per transaction (signing hash, hash) and the header —
     # nothing else hashes while a block is sealed
     assert len(hashed) - len(dirty) - len(body) == 2 * 4 + 1
+
+
+def test_a_hintless_recover_doubles_at_most_130_times(seal_net, monkeypatch):
+    """A transaction's sender is recovered with no key to expect: one wNAF
+    ladder over both halves of the split (256 doublings before it).  A half
+    is below ``2^SPLIT_BITS``, so it has at most ``SPLIT_BITS + 1`` digits:
+    a doubling between each two, and one for the odd multiples' ``2Q``."""
+    transfers(seal_net, [0])
+    tx = Transaction.decode(seal_net.chain.mempool[0].encode())
+    with counted_costs(monkeypatch) as costs:
+        assert tx.sender == SEAL_SENDERS[0].address
+    assert costs["recovers_full"] == 1 and costs["recovers_hinted"] == 0
+    assert 0 < costs["doublings"] <= SPLIT_BITS + 1
 
 
 def test_sealing_n_transactions_on_one_account_hashes_the_root_once(

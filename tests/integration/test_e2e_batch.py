@@ -138,11 +138,21 @@ class TestBatchErrors:
         assert not outcome.items[0].ok
         assert outcome.items[1].ok
 
-    @pytest.mark.parametrize("size", [0, MAX_BATCH_CALLS + 1])
-    def test_empty_batch_rejected_client_side(self, parp_env, size):
-        calls = balance_calls(parp_env.keys, "bob") * size
-        with pytest.raises(SessionError, match=f"{MAX_BATCH_CALLS}, not {size}"):
+    def test_empty_batch_rejected_client_side(self, parp_env):
+        with pytest.raises(SessionError, match="at least one call"):
+            parp_env.session.query_batch([])
+
+    def test_oversize_batch_rejected_client_side(self, parp_env):
+        calls = balance_calls(parp_env.keys, "bob") * (MAX_BATCH_CALLS + 1)
+        with pytest.raises(SessionError,
+                           match=f"{MAX_BATCH_CALLS}, not {MAX_BATCH_CALLS + 1}"):
             parp_env.session.query_batch(calls)
+
+    def test_a_batch_at_the_bound_is_served(self, parp_env):
+        calls = balance_calls(parp_env.keys, "bob") * MAX_BATCH_CALLS
+        outcome = parp_env.session.query_batch(calls)
+        assert len(outcome.items) == MAX_BATCH_CALLS
+        assert all(item.ok for item in outcome.items)
 
 
 def assert_slashed_by(env, package):

@@ -45,6 +45,13 @@ class TestAddress:
 
 
 class TestPublicKey:
+    def test_sec1_roundtrip(self):
+        public = PrivateKey.from_seed("pk").public_key
+        raw = public.to_bytes()
+        point = Point(int.from_bytes(raw[1:33], "big"),
+                      int.from_bytes(raw[33:65], "big"))
+        assert PublicKey(point) == public
+
     def test_sec1_is_65_bytes_uncompressed(self):
         raw = PrivateKey.from_seed("pk").public_key.to_bytes()
         assert len(raw) == 65 and raw[0] == 0x04

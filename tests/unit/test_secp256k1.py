@@ -1,10 +1,15 @@
 """secp256k1 curve arithmetic invariants.
 
-The group law of the two multiplication entry points ECDSA uses,
-``generator_mul`` and ``double_scalar_mul``, is checked against a textbook
-affine oracle in ``tests/property/test_prop_secp256k1.py``.
+The affine entry points are gone (nothing outside the tests multiplied or
+added through them), so the group laws are checked on what ECDSA runs: the
+Jacobian addition every ladder builds on, and the width-5 wNAF ladder that
+``double_scalar_mul`` walks for ``u2 * Q``.  Both are also checked against
+a textbook affine oracle in ``tests/property/test_prop_secp256k1.py``.
 """
 
+import pytest
+
+from repro.crypto import secp256k1
 from repro.crypto.secp256k1 import (
     INFINITY,
     N,
@@ -12,12 +17,24 @@ from repro.crypto.secp256k1 import (
     Point,
     Gx,
     Gy,
+    double_scalar_mul,
     generator_mul,
     is_on_curve,
     lift_x,
 )
 
 G = Point(Gx, Gy)
+
+
+def point_mul(scalar, point):
+    """``scalar * point`` by the wNAF ladder a recover with no known key runs."""
+    return double_scalar_mul(0, scalar, point)
+
+
+def point_add(p1, p2):
+    """``p1 + p2`` by the Jacobian addition the ladders and tables are built of."""
+    return secp256k1._from_jacobian(secp256k1._jacobian_add(
+        secp256k1._to_jacobian(p1), secp256k1._to_jacobian(p2)))
 
 
 class TestCurveBasics:
@@ -30,10 +47,56 @@ class TestCurveBasics:
     def test_off_curve_point_detected(self):
         assert not is_on_curve(Point(Gx, Gy + 1))
 
+    def test_group_order(self):
+        """n * G is the point at infinity."""
+        assert point_mul(N, G).is_infinity
+
+    def test_n_minus_one_is_negation(self):
+        minus_g = point_mul(N - 1, G)
+        assert minus_g.x == Gx
+        assert minus_g.y == P - Gy
+
+
+class TestGroupLaws:
+    def test_addition_commutes(self):
+        p2 = point_mul(2, G)
+        p3 = point_mul(3, G)
+        assert point_add(p2, p3) == point_add(p3, p2)
+
+    def test_addition_associates(self):
+        p2, p3, p5 = (point_mul(k, G) for k in (2, 3, 5))
+        assert point_add(point_add(p2, p3), p5) == point_add(p2, point_add(p3, p5))
+
+    def test_identity_element(self):
+        p7 = point_mul(7, G)
+        assert point_add(p7, INFINITY) == p7
+        assert point_add(INFINITY, p7) == p7
+
+    def test_inverse_sums_to_infinity(self):
+        p9 = point_mul(9, G)
+        neg = Point(p9.x, P - p9.y)
+        assert point_add(p9, neg).is_infinity
+
+    def test_doubling_matches_addition(self):
+        assert point_add(G, G) == point_mul(2, G)
+
+    def test_scalar_distributes(self):
+        """(a + b)G == aG + bG for a few scalar pairs."""
+        for a, b in [(5, 7), (123456789, 987654321), (N - 2, 3)]:
+            lhs = point_mul((a + b) % N, G)
+            rhs = point_add(point_mul(a, G), point_mul(b, G))
+            assert lhs == rhs
+
 
 class TestGeneratorTable:
+    @pytest.mark.parametrize("scalar", [1, 2, 3, 255, 256, 2 ** 128, N - 1,
+                                        0x123456789ABCDEF])
+    def test_fixed_base_matches_generic(self, scalar):
+        assert generator_mul(scalar) == point_mul(scalar, G)
+
     def test_zero_scalar(self):
         assert generator_mul(0).is_infinity
+        assert point_mul(0, G).is_infinity
 
     def test_scalar_reduced_mod_n(self):
         assert generator_mul(N + 5) == generator_mul(5)
