@@ -198,6 +198,9 @@ REVIEWED: dict[tuple[str, str], tuple[str, str]] = {
     ("chain/state.py", "StateDB.node_store"): (
         "convenience", "the store a state view reads through (a shard "
         "slice's pool, a fresh memory store)"),
+    ("trie/nibbles.py", "nibbles_to_bytes"): (
+        "convenience", "the inverse of bytes_to_nibbles, public in repro.trie; "
+        "a trie path packs through hp_encode"),
     ("parp/__init__.py", "__dir__"): (
         "convenience", "module protocol: dir(repro.parp) lists the lazy exports"),
     ("crypto/keys.py", "PublicKey.__eq__"): (

@@ -15,7 +15,6 @@ depend on :mod:`repro.vm`; :mod:`repro.node.devnet` wires them together.
 
 from __future__ import annotations
 
-import time as _time
 from typing import Callable, Optional, Protocol
 
 from ..crypto.keys import Address
@@ -288,6 +287,9 @@ class Blockchain:
                     transactions: Optional[list[Transaction]] = None) -> Block:
         """Execute pending (or given) transactions and append a new block.
 
+        A block given no ``timestamp`` is stamped its parent's plus one, so
+        the same transactions seal the same blocks on every run.
+
         Deferral semantics: a transaction that does not fit the block gas
         limit is deferred, and so is every *later transaction from the same
         sender* — executing those against the gap would fail the nonce
@@ -302,7 +304,7 @@ class Blockchain:
         coinbase = coinbase or Address.zero()
         parent = self.head
         if timestamp is None:
-            timestamp = max(parent.header.timestamp + 1, int(_time.time()))
+            timestamp = parent.header.timestamp + 1
         use_mempool = transactions is None
         if use_mempool:
             candidates = self.mempool

@@ -42,7 +42,9 @@ def make_genesis_block(config: GenesisConfig, state: StateDB) -> Block:
     """Write the allocations into the empty ``state``; build block zero."""
     if state.root_hash != EMPTY_TRIE_ROOT:
         raise ValueError("genesis needs an empty state")
-    allocations = sorted(config.allocations.items())
+    # by raw address bytes: no Address.__lt__ per comparison
+    allocations = sorted(config.allocations.items(),
+                         key=lambda item: item[0].to_bytes())
     for address, balance in allocations:
         if balance < 0:
             raise ValueError(f"negative genesis allocation for {address.hex()}")

@@ -22,7 +22,7 @@ from about 5 800 operations to 3 700:
 Hashing side by side
 --------------------
 
-:func:`keccak256_many` runs up to 64 messages through one pass, the
+:func:`keccak256_many` runs up to 512 messages through one pass, the
 times-N layout of XKCP's ``KeccakP-1600-times4`` with big ints for SIMD
 registers: the message in lane *j* lives in bits ``[64j, 64j + 64)`` of
 ``a_i``, and a rotation is ``(t << r) & HI[r] | (t >> 64 - r) & LO[r]``.
@@ -35,8 +35,11 @@ before its first dirty child go through while the children hash; one that
 reaches an open hole is parked (its 25 lanes cut out) until it is filled.
 Lanes go to ready messages in index order (with no edges, longest first),
 each pass at the narrowest width that holds them.  The wide form costs
-~1.4x the one-lane one at two messages and ~4x at 64, so a lone message
-runs width 1, the one-lane form — there is no knob.  Two messages is the
+~1.4x the one-lane one at two messages, ~4x at 64 and ~19x at 512, so a
+lone message runs width 1, the one-lane form, and a bulk call (a genesis's
+secure keys and node forest) runs 512 wide at ~0.6x a 64-lane pass's cost
+per message — there is no knob.  The tables of widths 2-64 stay resident
+(~130 KB); a wider pass builds its own once per call.  Two messages is the
 common call: a transaction's signing hash beside its tx hash
 (``Transaction.sender`` / ``.hash``), and a PARP request's h_req beside
 its payment digest ``Hash(α, a)``, when it is built and when it is checked.
@@ -169,7 +172,12 @@ _keccak_f1600_lanes = _compile_permutation(
     "ones = hi1 | lo1",
     lambda e, r: f"((t := {e}) << {r}) & hi{r} | (t >> {64 - r}) & lo{r}")
 
-_MAX_LANES = 64
+#: the widest pass: a bulk call (a genesis) fills it, at ~0.6x a 64-lane
+#: pass's cost per message (``benchmarks/bench_keccak.py`` gates it)
+_MAX_LANES = 512
+#: the widths whose tables stay resident; a wider pass builds its table once
+#: per call
+_RESIDENT_LANES = 64
 
 
 def _lane_table(width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -183,9 +191,9 @@ def _lane_table(width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(rc * ones for rc in _ROUND_CONSTANTS), tuple(masks)
 
 
-#: widths are powers of two, so the tables stay ~130 KB in all
+#: widths are powers of two, so the resident tables stay ~130 KB in all
 _LANE_TABLES = {1 << n: _lane_table(1 << n)
-                for n in range(1, _MAX_LANES.bit_length())}
+                for n in range(1, _RESIDENT_LANES.bit_length())}
 
 
 def _absorb(state: list[int], data: bytes) -> bytes:
@@ -312,6 +320,7 @@ def keccak256_many(messages: Iterable[bytes],
     lanes: list[int] = []               # the message in each lane, -1: free
     saved: dict[int, list[int]] = {}    # a parked message's 25 lanes
     state = [0] * 25
+    tables = _LANE_TABLES
     while True:
         entering = []
         running = len(lanes) - lanes.count(-1)
@@ -347,7 +356,9 @@ def keccak256_many(messages: Iterable[bytes],
         for i in range(_RATE_LANES):
             state[i] ^= int.from_bytes(words[i::_RATE_LANES].tobytes(), "little")
         if width > 1:
-            _keccak_f1600_lanes(state, *_LANE_TABLES[width])
+            if width not in tables:     # past the resident widths
+                tables = {**tables, width: _lane_table(width)}
+            _keccak_f1600_lanes(state, *tables[width])
         else:       # a lone message
             _keccak_f1600(state)
         squeezed = b""
@@ -370,8 +381,10 @@ def keccak256_many(messages: Iterable[bytes],
                 data[up][at[j]:at[j] + 32] = digests[j]
                 holes[up].remove(at[j])
                 stop, limit[up] = limit[up], first_hole(up)
-                if done[up] == stop < limit[up] and up not in lanes:
-                    heappush(queue, up)     # it waited on this hole
+                # it waited on this hole: parked, or never started (one
+                # running with its own lane already counted is neither)
+                if done[up] == stop < limit[up] and (up in saved or not stop):
+                    heappush(queue, up)
         for lane, j in enumerate(lanes):    # what still waits on one parks
             if j >= 0 and done[j] == limit[j]:
                 lanes[lane] = -1

@@ -60,16 +60,54 @@ def _encode_length(length: int, offset: int) -> bytes:
     return bytes([offset + 55 + len(length_bytes)]) + length_bytes
 
 
+_STRINGS = (bytes, bytearray, memoryview)
+
+#: a one-byte string's encoding, by its byte: itself below 0x80
+_ONE_BYTE = tuple(bytes([b]) if b < 0x80 else bytes([0x81, b])
+                  for b in range(256))
+#: the prefix of a string and of a list payload of fewer than 256 bytes (a
+#: trie node's, an account's), by its length
+_STRING_PREFIX = tuple(_encode_length(n, 0x80) for n in range(256))
+_LIST_PREFIX = tuple(_encode_length(n, 0xC0) for n in range(256))
+
+
 def encode(item: Item) -> bytes:
-    """RLP-encode ``item`` (bytes or arbitrarily nested lists of bytes)."""
-    if isinstance(item, (bytes, bytearray, memoryview)):
-        payload = bytes(item)
-        if len(payload) == 1 and payload[0] < 0x80:
-            return payload
-        return _encode_length(len(payload), 0x80) + payload
+    """RLP-encode ``item`` (bytes or arbitrarily nested lists of bytes).
+
+    A list's byte strings are encoded in its own loop, prefixes read from
+    tables; only a nested list recurses."""
     if isinstance(item, (list, tuple)):
-        body = b"".join(encode(element) for element in item)
-        return _encode_length(len(body), 0xC0) + body
+        parts = [b""]   # the list's own prefix goes first
+        size = 0
+        for element in item:
+            if type(element) is not bytes:
+                if not isinstance(element, _STRINGS):
+                    parts.append(encoded := encode(element))
+                    size += len(encoded)
+                    continue
+                element = bytes(element)
+            length = len(element)
+            if length == 1:
+                parts.append(encoded := _ONE_BYTE[element[0]])
+                size += len(encoded)
+            elif length < 56:
+                parts += (_STRING_PREFIX[length], element)
+                size += 1 + length
+            else:
+                prefix = (_STRING_PREFIX[length] if length < 256
+                          else _encode_length(length, 0x80))
+                parts += (prefix, element)
+                size += len(prefix) + length
+        parts[0] = (_LIST_PREFIX[size] if size < 256
+                    else _encode_length(size, 0xC0))
+        return b"".join(parts)
+    if isinstance(item, _STRINGS):
+        payload = bytes(item)
+        length = len(payload)
+        if length == 1:
+            return _ONE_BYTE[payload[0]]
+        return (_STRING_PREFIX[length] if length < 256
+                else _encode_length(length, 0x80)) + payload
     if isinstance(item, int):
         raise RLPError(
             "ints are not directly RLP-encodable; use encode_int() first "

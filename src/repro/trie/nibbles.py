@@ -30,23 +30,29 @@ def bytes_to_nibbles(data: bytes) -> Nibbles:
     return tuple(data.hex().encode().translate(_HEX_DIGITS))
 
 
+#: a nibble's value to the ASCII hex digit that spells it
+_NIBBLE_DIGITS = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
+
+
 def nibbles_to_bytes(nibbles: Nibbles) -> bytes:
-    """Pack an even-length nibble sequence back into bytes."""
+    """Pack an even-length nibble sequence back into bytes, in C-level
+    passes: the nibbles as hex digits, read back by ``bytes.fromhex``."""
     if len(nibbles) % 2:
         raise ValueError("cannot pack an odd number of nibbles into bytes")
-    return bytes(
-        (nibbles[i] << 4) | nibbles[i + 1] for i in range(0, len(nibbles), 2)
-    )
+    return bytes.fromhex(bytes(nibbles).translate(_NIBBLE_DIGITS).decode())
+
+
+#: the flag nibble's hex digit, by flag (2 for a leaf, plus 1 for an odd
+#: path), and an even path's zero padding nibble after it
+_HP_PREFIX = ("00", "1", "20", "3")
 
 
 def hp_encode(nibbles: Nibbles, is_leaf: bool) -> bytes:
-    """Hex-prefix encode a nibble path with the leaf/extension flag."""
-    flag = 2 if is_leaf else 0
-    if len(nibbles) % 2:  # odd: flag nibble + first path nibble share a byte
-        prefixed = (flag + 1, nibbles[0]) + tuple(nibbles[1:])
-    else:
-        prefixed = (flag, 0) + tuple(nibbles)
-    return nibbles_to_bytes(prefixed)
+    """Hex-prefix encode a nibble path with the leaf/extension flag: an odd
+    path's first nibble shares the flag's byte, an even one's is padded."""
+    flag = (2 if is_leaf else 0) + len(nibbles) % 2
+    return bytes.fromhex(_HP_PREFIX[flag]
+                         + bytes(nibbles).translate(_NIBBLE_DIGITS).decode())
 
 
 def hp_decode(data: bytes) -> tuple[Nibbles, bool]:

@@ -268,9 +268,10 @@ def tree_passes(batch, edges):
     """The passes of one ``keccak256_many`` call, by its scheduler's rule:
     a pass absorbs the next block of each message in a lane; a message
     leaves its lane when it is done or its next block holds a hole whose
-    child is not, and free lanes (64 in all) go to the messages whose next
-    block is ready — independent ones longest first, a forest's in index
-    order."""
+    child is not, and free lanes (the scheduler's ``_MAX_LANES`` in all) go
+    to the messages whose next block is ready — independent ones longest
+    first, a forest's in index order."""
+    cap = keccak_module._MAX_LANES
     todo = [len(data) // 136 + 1 for data in batch]
     done = [0] * len(batch)
     parent = {child: (up, offset // 136) for child, up, offset in edges}
@@ -287,7 +288,7 @@ def tree_passes(batch, edges):
         waiting = sorted((0 if edges else -todo[j], j)
                          for j in range(len(batch))
                          if j not in running and ready(j))
-        lanes += [j for _, j in waiting[:64 - len(lanes)]]
+        lanes += [j for _, j in waiting[:cap - len(lanes)]]
         if not lanes:
             return passes
         passes += 1

@@ -21,14 +21,12 @@ import random
 from collections import Counter
 from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from benchmarks.e2e import run
 from benchmarks.e2e.workloads import WORKLOADS, check
 from repro.chain import GenesisConfig
-from repro.chain import chain as chain_module
 from repro.chain import state as state_module
 from repro.chain.transaction import Transaction
 from repro.crypto import PrivateKey
@@ -120,11 +118,8 @@ UNITS = {**{name: partial(e2e_unit, name) for name in WORKLOADS},
 
 
 def measure(unit, workdir):
-    """``unit``'s row, counted from empty process-wide caches and with block
-    timestamps off the wall clock: a block's hash is signed into every
-    request, so it picks the scalars whose doublings a recover counts."""
+    """``unit``'s row, counted from empty process-wide caches."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(chain_module, "_time", SimpleNamespace(time=lambda: 0))
         for module, name in ((keys_module, "_KNOWN_KEYS"),
                              (keys_module, "_ADDRESSES"),
                              (state_module, "_secure_key_memo")):

@@ -331,7 +331,8 @@ class TestSideBySide:
         assert digests == [keccak256(message) for message in messages]
         assert digests == [loop_keccak256(message) for message in messages]
 
-    @pytest.mark.parametrize("count", [0, 1, 2, 3, 63, 64, 65, 128, 130])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 63, 64, 65, 128, 130,
+                                       256, 511, 512, 513])
     def test_every_count_around_a_lane_width(self, count):
         messages = [patterned((37 * i) % 300) for i in range(count)]
         assert keccak256_many(messages) == list(map(keccak256, messages))
@@ -539,20 +540,34 @@ class TestTree:
         check_tree(children + [parent],
                    [(0, 4, 72), (1, 4, 120), (2, 4, 240), (3, 4, 500)])
 
+    @staticmethod
+    def nine_parents(leaf_count):
+        """Nine parents, their grandparent and ``leaf_count`` leaves, the
+        last 36 under the parents at holes in their second block."""
+        parents = [seeded(532, 1000 + i) for i in range(9)]
+        leaves = [seeded(100 + i % 40, i) for i in range(leaf_count)]
+        messages = parents + [seeded(532, 2000)] + leaves
+        last = len(messages) - 1
+        edges = [(last - i, i % 9, 140 + 33 * (i // 9 % 4)) for i in range(36)]
+        edges += [(i, 9, 3 + 33 * i) for i in range(9)]
+        return messages, edges
+
     def test_more_than_64_ready_and_a_ready_set_that_grows_and_shrinks(
             self, monkeypatch):
-        """Nine parents, their grandparent and 130 leaves, the last 36 under
-        the parents at holes in their second block: 139 are ready at the
-        start, the parents take lanes beside the first 55 leaves and park
-        on their holes, rejoin once their own leaves are done, and the lanes
-        narrow to the grandparent's last blocks."""
-        parents = [seeded(532, 1000 + i) for i in range(9)]
-        leaves = [seeded(100 + i % 40, i) for i in range(130)]
-        messages = parents + [seeded(532, 2000)] + leaves
-        edges = [(139 - i, i % 9, 140 + 33 * (i // 9 % 4)) for i in range(36)]
-        edges += [(i, 9, 3 + 33 * i) for i in range(9)]
-        widths = check_tree(messages, edges, monkeypatch)
-        assert widths == [64, 64, 32, 16, 16, 16, 4, 1, 1, 1, 1]
+        """130 leaves: 139 are ready at the start and share one pass with
+        the parents, which park on their holes, rejoin once their own
+        leaves are done (the 2-block leaves finish beside them), and the
+        lanes narrow to the grandparent's last blocks."""
+        widths = check_tree(*self.nine_parents(130), monkeypatch)
+        assert widths == [256, 32, 16, 16, 4, 1, 1, 1, 1]
+
+    def test_more_ready_than_the_cap_wait_for_a_lane(self, monkeypatch):
+        """1 000 leaves: 1 009 are ready, more than the cap, so the first
+        two passes run full while the leaves past it wait in the queue;
+        then the parents rejoin and the lanes narrow as above."""
+        assert keccak_module._MAX_LANES == 512
+        widths = check_tree(*self.nine_parents(1000), monkeypatch)
+        assert widths == [512, 512, 128, 16, 16, 16, 4, 1, 1, 1, 1]
 
     def test_a_deep_chain_parks_and_resumes_each_link(self, monkeypatch):
         chain = [seeded(532, i) for i in range(12)]

@@ -14,7 +14,6 @@ tamper of the envelope must get the same ``(classification, check)``.
 """
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
@@ -66,14 +65,6 @@ FAILING_CALLS = {
 CASES = ([(method, scenario) for method in METHODS for scenario in SCENARIOS
           if scenario != "query_error"]
          + [(method, "query_error") for method in FAILING_CALLS])
-
-
-@pytest.fixture(autouse=True)
-def frozen_block_time(monkeypatch):
-    """Blocks sealed without an explicit timestamp take the wall clock; pin
-    it, so two worlds built a second apart still share every block hash."""
-    monkeypatch.setattr("repro.chain.chain._time",
-                        SimpleNamespace(time=lambda: 1_700_000_000))
 
 
 def first_transaction(env):

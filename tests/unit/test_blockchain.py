@@ -119,6 +119,13 @@ class TestBlockProduction:
         b2 = chain.build_block()
         assert b2.header.timestamp > b1.header.timestamp - 1
 
+    def test_a_block_given_no_timestamp_is_stamped_parent_plus_one(self, chain):
+        """Chain time, not the wall clock: the same blocks on every run."""
+        parent = chain.build_block(timestamp=1_000)
+        block = chain.build_block()
+        assert block.header.timestamp == parent.header.timestamp + 1 == 1_001
+        assert chain.build_block().header.timestamp == 1_002
+
     def test_coinbase_receives_fees(self, chain):
         miner = PrivateKey.from_seed("miner").address
         chain.add_transaction(transfer())
